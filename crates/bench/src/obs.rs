@@ -17,7 +17,7 @@ use prins_block::{BlockDevice, BlockSize, MemDevice};
 use prins_core::EngineBuilder;
 use prins_net::{SimNet, Transport};
 use prins_obs::{register_meter, Registry, Snapshot};
-use prins_repl::{verify_consistent, AckPolicy, ReplicaApplier, ACK, NAK};
+use prins_repl::{verify_consistent, AckPolicy, ReplicaApplier};
 use prins_workloads::{capture_trace, Workload};
 
 use crate::pipeline::trace_writes;
@@ -80,8 +80,8 @@ pub fn obs_experiment(ops: usize) -> Result<Snapshot, Box<dyn std::error::Error>
             Box::new(move || {
                 let mut applier = ReplicaApplier::new(&*dev);
                 while let Ok(Some(frame)) = tr.try_recv() {
-                    let ok = applier.apply(&frame).is_ok();
-                    let _ = tr.send(&[if ok { ACK } else { NAK }]);
+                    let (ack, _) = applier.respond(&frame);
+                    let _ = tr.send(&ack);
                 }
             }),
         );

@@ -18,7 +18,7 @@ use prins_block::{BlockDevice, BlockSize, MemDevice};
 use prins_core::EngineBuilder;
 use prins_net::{SimNet, Transport};
 use prins_obs::{lane_bucket, TraceConfig, TraceSink, LANE_BUCKETS};
-use prins_repl::{verify_consistent, AckPolicy, ReplicaApplier, ACK, NAK};
+use prins_repl::{verify_consistent, AckPolicy, ReplicaApplier};
 use prins_workloads::{capture_trace, Workload};
 
 use crate::pipeline::trace_writes;
@@ -139,8 +139,8 @@ pub fn trace_experiment(ops: usize) -> Result<TailTraceReport, Box<dyn std::erro
             Box::new(move || {
                 let mut applier = ReplicaApplier::new(&*dev);
                 while let Ok(Some(frame)) = tr.try_recv() {
-                    let ok = applier.apply(&frame).is_ok();
-                    let _ = tr.send(&[if ok { ACK } else { NAK }]);
+                    let (ack, _) = applier.respond(&frame);
+                    let _ = tr.send(&ack);
                 }
             }),
         );

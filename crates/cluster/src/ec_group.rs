@@ -39,10 +39,7 @@ use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport};
 use prins_obs::{Counter, Event, EventKind, Histogram, Registry, TraceId, TraceSink, TraceStage};
 use prins_parity::{ErasureCodec, SparseCodec};
-use prins_repl::{
-    decode_ack, decode_strip_ack, encode_strip_request, seal_frame, Payload, PayloadBody,
-    ReplError, ACK, NAK, NAK_CORRUPT,
-};
+use prins_repl::{put_strip_delta, Link, ReplError, Request, Response, ACK, STRIP_ACK};
 
 use crate::ClusterError;
 
@@ -136,11 +133,10 @@ impl EcTracer {
 
 /// One strip-holding node of the group.
 struct EcNode {
-    transport: Box<dyn Transport>,
-    /// Response-stream generation, as in
+    /// The connection and its response-stream epoch, as in
     /// [`ClusterGroup`](crate::ClusterGroup): bumped on rejoin so
     /// stranded responses identify themselves.
-    epoch: u64,
+    link: Link,
     down: bool,
     strip_writes: u64,
     sent_bytes: u64,
@@ -243,9 +239,9 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             config,
             nodes: transports
                 .into_iter()
-                .map(|transport| EcNode {
-                    transport,
-                    epoch: 1,
+                .enumerate()
+                .map(|(idx, transport)| EcNode {
+                    link: Link::new(idx, transport),
                     down: false,
                     strip_writes: 0,
                     sent_bytes: 0,
@@ -363,8 +359,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     ) -> Result<(), ClusterError> {
         self.check_idx(idx)?;
         let node = &mut self.nodes[idx];
-        node.transport = transport;
-        node.epoch += 1;
+        node.link.reconnect(transport);
         node.down = true;
         Ok(())
     }
@@ -423,26 +418,17 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             } else {
                 self.codec.coefficient(role - k, col)
             };
-            let payload = Payload {
-                lba: Lba(stripe),
-                body: PayloadBody::StripDelta {
-                    coeff,
-                    data: sparse.clone(),
-                },
-            }
-            .to_bytes();
-            let sealed = seal_frame(self.nodes[node].epoch, &payload);
-            self.nodes[node]
-                .transport
-                .send(&sealed)
-                .map_err(ReplError::from)?;
             let n = &mut self.nodes[node];
-            n.sent_bytes += sealed.len() as u64;
+            let sealed_len = n
+                .link
+                .send(|out| put_strip_delta(out, Lba(stripe), coeff, &sparse))?
+                as u64;
+            n.sent_bytes += sealed_len;
             n.strip_writes += 1;
-            outcome.wire_bytes += sealed.len() as u64;
+            outcome.wire_bytes += sealed_len;
             if role >= k {
                 if let Some(obs) = &self.obs {
-                    obs.parity_update_bytes.add(sealed.len() as u64);
+                    obs.parity_update_bytes.add(sealed_len);
                 }
             }
             if let (Some(t), Some(id)) = (&self.tracer, tid) {
@@ -452,8 +438,13 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
                     TraceStage::StripParity
                 };
                 t.sink.add_pending(id, 1);
-                t.sink
-                    .event(id, stage, node as u32, t.clock.now_nanos(), sealed.len());
+                t.sink.event(
+                    id,
+                    stage,
+                    node as u32,
+                    t.clock.now_nanos(),
+                    sealed_len as usize,
+                );
             }
             await_from.push(node);
         }
@@ -461,7 +452,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             obs.strip_writes.add(await_from.len() as u64);
         }
         for node in await_from {
-            self.await_ack(node)?;
+            self.recv_response(node, ACK)?;
             if let (Some(t), Some(id)) = (&self.tracer, tid) {
                 t.sink.complete(
                     id,
@@ -487,31 +478,25 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// # Errors
     ///
     /// Transport failures, a corrupted response, or a node that
-    /// refuses the read (its own media check failed).
+    /// refuses the read (its own media check failed:
+    /// [`ReplError::ChecksumMismatch`]). A response stranded from before
+    /// the node's current epoch is dropped, never taken for the strip.
     pub fn fetch_strip(
         &mut self,
         node: usize,
         stripe: u64,
     ) -> Result<(Vec<u8>, u64), ClusterError> {
         self.check_idx(node)?;
-        let req = seal_frame(self.nodes[node].epoch, &encode_strip_request(Lba(stripe)));
-        self.nodes[node]
-            .transport
-            .send(&req)
-            .map_err(ReplError::from)?;
-        let resp = self.nodes[node]
-            .transport
-            .recv_timeout(self.config.ack_timeout)
-            .map_err(ReplError::from)?;
-        let wire = (req.len() + resp.len()) as u64;
-        self.nodes[node].sent_bytes += req.len() as u64;
-        let (_epoch, sparse) = decode_strip_ack(&resp)?;
+        let n = &mut self.nodes[node];
+        let req_len = n.link.send(|out| Request::Strip(Lba(stripe)).put(out))?;
+        n.sent_bytes += req_len as u64;
+        let resp = self.recv_response(node, STRIP_ACK)?;
         let strip = self
             .sparse
-            .decode(sparse, self.block_size)
+            .decode(resp.body(), self.block_size)
             .map_err(ReplError::from)?
             .to_dense(self.block_size);
-        Ok((strip, wire))
+        Ok((strip, (req_len + resp.wire_len()) as u64))
     }
 
     /// Rebuilds every strip node `lost` holds from `k` surviving
@@ -541,7 +526,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             survivor_image_bytes: 0,
         };
         self.nodes[lost].down = false;
-        self.nodes[lost].epoch += 1;
+        self.nodes[lost].link.bump_epoch();
         for stripe in 0..self.stripes {
             let lost_role = self.placement.role_of(stripe, lost);
             let mut strips: Vec<Option<Vec<u8>>> = vec![None; n];
@@ -583,22 +568,13 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             // Coefficient-1 delta over the replacement's zeroed disk:
             // the rebuilt image itself, minus its zero runs.
             let sparse = self.sparse.encode(&rebuilt).to_bytes();
-            let payload = Payload {
-                lba: Lba(stripe),
-                body: PayloadBody::StripDelta {
-                    coeff: 1,
-                    data: sparse,
-                },
-            }
-            .to_bytes();
-            let sealed = seal_frame(self.nodes[lost].epoch, &payload);
-            self.nodes[lost]
-                .transport
-                .send(&sealed)
-                .map_err(ReplError::from)?;
-            self.nodes[lost].sent_bytes += sealed.len() as u64;
-            report.wire_bytes += sealed.len() as u64;
-            self.await_ack(lost)?;
+            let sealed_len = self.nodes[lost]
+                .link
+                .send(|out| put_strip_delta(out, Lba(stripe), 1, &sparse))?
+                as u64;
+            self.nodes[lost].sent_bytes += sealed_len;
+            report.wire_bytes += sealed_len;
+            self.recv_response(lost, ACK)?;
             report.stripes += 1;
         }
         // Dirty stripes also cover writes other (still-down) nodes
@@ -666,36 +642,10 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         }
     }
 
-    /// Waits for one acknowledgement from `node`, dropping responses
-    /// from generations before the node's current epoch.
-    fn await_ack(&mut self, node: usize) -> Result<(), ClusterError> {
-        loop {
-            let frame = self.nodes[node]
-                .transport
-                .recv_timeout(self.config.ack_timeout)
-                .map_err(ReplError::from)?;
-            let ack = decode_ack(&frame).map_err(|_| ReplError::MissingAck {
-                replica: node,
-                got: frame.first().copied(),
-            })?;
-            if ack.epoch < self.nodes[node].epoch && ack.status != NAK_CORRUPT {
-                continue;
-            }
-            return match ack.status {
-                ACK => Ok(()),
-                NAK => Err(ReplError::Nak { replica: node }.into()),
-                NAK_CORRUPT => Err(ReplError::ChecksumMismatch {
-                    expected: 0,
-                    got: 0,
-                }
-                .into()),
-                other => Err(ReplError::MissingAck {
-                    replica: node,
-                    got: Some(other),
-                }
-                .into()),
-            };
-        }
+    /// Waits for `node`'s `want` response under its current epoch.
+    fn recv_response(&self, node: usize, want: u8) -> Result<Response, ClusterError> {
+        let link = &self.nodes[node].link;
+        Ok(link.recv_response(want, link.epoch(), self.config.ack_timeout, &mut |_| {})?)
     }
 }
 
@@ -904,6 +854,60 @@ mod tests {
             assert_eq!(got, want, "lba {lba}");
         }
         finish(h);
+    }
+
+    /// A group over scripted links: node 0 answers from `replies`, and
+    /// sits at epoch 2 (its slot was replaced once).
+    fn scripted_group(replies: Vec<Vec<u8>>) -> EcGroup<MemDevice, ReedSolomon> {
+        let codec = ReedSolomon::k4m2();
+        let transports = (0..codec.total_strips())
+            .map(|_| Box::new(prins_net::SinkTransport::new()) as Box<dyn Transport>)
+            .collect();
+        let logical = MemDevice::new(BlockSize::kb4(), codec.data_strips() as u64);
+        let mut group = EcGroup::new(logical, codec, EcConfig::default(), transports);
+        let sink = prins_net::SinkTransport::new();
+        sink.preload(replies);
+        group.replace_node(0, Box::new(sink)).unwrap();
+        group
+    }
+
+    /// What a real node answers to a sealed strip request for block 0
+    /// holding `fill`, under `epoch`.
+    fn strip_ack(epoch: u64, fill: u8) -> Vec<u8> {
+        let device = MemDevice::new(BlockSize::kb4(), 1);
+        device.write_block(Lba(0), &[fill; 4096]).unwrap();
+        let mut request = Vec::new();
+        Request::Strip(Lba(0)).put(&mut request);
+        let (reply, rejected) =
+            ReplicaApplier::new(&device).respond(&prins_repl::seal_frame(epoch, &request));
+        assert!(rejected.is_none());
+        reply
+    }
+
+    #[test]
+    fn fetch_strip_drops_a_strip_ack_stranded_from_an_older_epoch() {
+        // The epoch-1 answer was computed before the slot's epoch moved
+        // to 2 — pre-rebuild state. It must not be taken for the strip.
+        let mut group = scripted_group(vec![strip_ack(1, 0xaa), strip_ack(2, 0xbb)]);
+        let (strip, wire) = group.fetch_strip(0, 0).unwrap();
+        assert_eq!(strip, vec![0xbb; 4096]);
+        assert!(wire > 0);
+    }
+
+    #[test]
+    fn fetch_strip_classifies_refusals() {
+        // The node's own media check failed (or the request arrived
+        // damaged): a checksum error, not a malformed strip.
+        let mut group = scripted_group(vec![prins_repl::encode_ack(prins_repl::NAK_CORRUPT, 0)]);
+        assert!(matches!(
+            group.fetch_strip(0, 0),
+            Err(ClusterError::Repl(ReplError::ChecksumMismatch { .. }))
+        ));
+        let mut group = scripted_group(vec![prins_repl::encode_ack(prins_repl::NAK, 2)]);
+        assert!(matches!(
+            group.fetch_strip(0, 0),
+            Err(ClusterError::Repl(ReplError::Nak { replica: 0 }))
+        ));
     }
 
     #[test]

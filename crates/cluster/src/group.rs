@@ -12,9 +12,8 @@ use prins_obs::{
 };
 use prins_parity::{SparseCodec, SparseParity};
 use prins_repl::{
-    decode_ack, decode_read_ack, encode_digest_request, encode_read_request, seal_frame, AckFrame,
-    Payload, PayloadBody, ReplError, ReplicationMode, Replicator, ACK, DIGEST_ACK, NAK,
-    NAK_CORRUPT, READ_ACK,
+    put_full, put_parity, Link, LinkEvent, ReplError, ReplicationMode, Replicator, Request,
+    Response, ACK, DIGEST_ACK, READ_ACK,
 };
 use prins_trap::{TrapDevice, TrapLog};
 
@@ -164,7 +163,12 @@ struct ResyncPlan {
 
 /// Per-replica bookkeeping on the primary.
 struct Replica {
-    transport: Box<dyn Transport>,
+    /// The connection and its response-stream epoch. The epoch is
+    /// bumped whenever a response may have been stranded (a recv
+    /// failure) and on every rejoin, so a response to a write already
+    /// booked as failed identifies itself when it finally surfaces and
+    /// is dropped instead of miscounted.
+    link: Link,
     state: ReplicaState,
     dirty: DirtyMap,
     consecutive_failures: u32,
@@ -180,20 +184,12 @@ struct Replica {
     /// remembering the epoch its frame was sealed with and the trace
     /// the eventual acknowledgement retires.
     outstanding: VecDeque<(Lba, u64, u64, Option<TraceId>)>,
-    /// The replica's response-stream generation. Every frame is sealed
-    /// with the current epoch and the replica echoes it in each ack, so
-    /// a response stranded by a lost link (its write already booked as
-    /// failed) identifies itself when it finally surfaces: its epoch is
-    /// older than the frame it would be matched against, and it is
-    /// dropped instead of miscounted. Bumped whenever a response may
-    /// have been stranded (a recv failure) and on every rejoin.
-    epoch: u64,
 }
 
 impl Replica {
-    fn new(transport: Box<dyn Transport>) -> Self {
+    fn new(idx: usize, transport: Box<dyn Transport>) -> Self {
         Self {
-            transport,
+            link: Link::new(idx, transport),
             state: ReplicaState::Online,
             dirty: DirtyMap::new(),
             consecutive_failures: 0,
@@ -205,7 +201,6 @@ impl Replica {
             deferred_writes: 0,
             acked_writes: 0,
             outstanding: VecDeque::new(),
-            epoch: 1,
         }
     }
 }
@@ -321,6 +316,8 @@ impl Default for ClusterConfig {
 pub struct ClusterGroup<D> {
     device: TrapDevice<D>,
     replicator: Box<dyn Replicator>,
+    /// The current write's encoded payload, reused across writes.
+    payload: Vec<u8>,
     replicas: Vec<Replica>,
     config: ClusterConfig,
     obs: Option<ClusterObs>,
@@ -339,7 +336,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
         Self {
             device: TrapDevice::new(device),
             replicator: config.mode.replicator(),
-            replicas: transports.into_iter().map(Replica::new).collect(),
+            payload: Vec::new(),
+            replicas: transports
+                .into_iter()
+                .enumerate()
+                .map(|(idx, transport)| Replica::new(idx, transport))
+                .collect(),
             config,
             obs: None,
             tracer: None,
@@ -448,7 +450,9 @@ impl<D: BlockDevice> ClusterGroup<D> {
         let old = self.device.read_block_vec(lba)?;
         self.device.write_block(lba, new)?;
         let seq = self.log().current_seq();
-        let payload = self.replicator.encode_write(lba, &old, new);
+        self.payload.clear();
+        self.replicator
+            .encode_write_into(lba, &old, new, &mut self.payload);
 
         // One trace per cluster write; the hold (pending = 1) keeps it
         // open across the replica fan-out and is released at the end of
@@ -469,10 +473,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
         for idx in 0..self.replicas.len() {
             match self.route_write(idx, lba, seq) {
                 Route::Send => {
-                    let epoch = self.replicas[idx].epoch;
-                    let sealed = seal_frame(epoch, &payload);
-                    match self.replicas[idx].transport.send(&sealed) {
-                        Ok(()) => {
+                    let payload = &self.payload;
+                    let r = &mut self.replicas[idx];
+                    match r.link.send(|out| out.extend_from_slice(payload)) {
+                        Ok(sealed_len) => {
+                            r.foreground_bytes += sealed_len as u64;
+                            r.outstanding.push_back((lba, seq, r.link.epoch(), tid));
                             if let (Some(t), Some(id)) = (&self.tracer, tid) {
                                 t.sink.add_pending(id, 1);
                                 t.sink.event(
@@ -480,12 +486,9 @@ impl<D: BlockDevice> ClusterGroup<D> {
                                     TraceStage::ReplicaSend,
                                     idx as u32,
                                     t.now(),
-                                    sealed.len(),
+                                    sealed_len,
                                 );
                             }
-                            let r = &mut self.replicas[idx];
-                            r.foreground_bytes += sealed.len() as u64;
-                            r.outstanding.push_back((lba, seq, epoch, tid));
                         }
                         // The frame never left: the replica certainly
                         // did not apply it.
@@ -648,19 +651,29 @@ impl<D: BlockDevice> ClusterGroup<D> {
         {
             return Ok(None);
         }
-        let epoch = self.replicas[idx].epoch;
-        let request = seal_frame(epoch, &encode_read_request(lba));
-        if let Err(e) = self.replicas[idx].transport.send(&request) {
-            self.note_failure(idx, None, false);
-            return Err(ReplError::from(e).into());
+        let epoch = self.replicas[idx].link.epoch();
+        match self.replicas[idx]
+            .link
+            .send(|out| Request::Read(lba).put(out))
+        {
+            Ok(sealed_len) => self.replicas[idx].read_bytes += sealed_len as u64,
+            Err(e) => {
+                self.note_failure(idx, None, false);
+                return Err(e.into());
+            }
         }
-        self.replicas[idx].read_bytes += request.len() as u64;
         // Point the stale-epoch drop sites in the response loop at this
         // read's trace (the drain above cleared any previous target).
         if let Some(t) = &mut self.tracer {
             t.awaiting = tid;
         }
-        let read = self.await_read(idx, epoch);
+        let bs = self.device.geometry().block_size().bytes();
+        let read = self.recv_response(idx, READ_ACK, epoch).and_then(|image| {
+            let sparse = SparseCodec::default()
+                .decode(image.body(), bs)
+                .map_err(ReplError::from)?;
+            Ok(sparse.to_dense(bs))
+        });
         if let Some(t) = &mut self.tracer {
             t.awaiting = None;
         }
@@ -674,76 +687,11 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 // ack may surface later): open a new generation, like a
                 // failed write collection.
                 if matches!(e, ClusterError::Repl(ReplError::Net(_))) {
-                    self.replicas[idx].epoch += 1;
+                    self.replicas[idx].link.bump_epoch();
                 }
                 self.note_failure(idx, None, false);
                 Err(e)
             }
-        }
-    }
-
-    /// Waits for replica `idx`'s answer to a read request sealed under
-    /// `expected_epoch`, dropping stale-epoch responses on sight.
-    fn await_read(&mut self, idx: usize, expected_epoch: u64) -> Result<Vec<u8>, ClusterError> {
-        let bs = self.device.geometry().block_size().bytes();
-        loop {
-            let frame = self.replicas[idx]
-                .transport
-                .recv_timeout(self.config.ack_timeout)
-                .map_err(ReplError::from)?;
-            if frame.first() == Some(&READ_ACK) {
-                let (epoch, sparse) = decode_read_ack(&frame)?;
-                if epoch < expected_epoch {
-                    // A read answer stranded from an older generation —
-                    // pre-rejoin state. Drop it and keep waiting.
-                    if let Some(obs) = &self.obs {
-                        obs.wrong_epoch_acks.inc();
-                    }
-                    if let Some(t) = &self.tracer {
-                        if let Some(id) = t.awaiting {
-                            t.sink.mark_wrong_epoch(id, idx as u32, t.now());
-                        }
-                    }
-                    continue;
-                }
-                let image = SparseCodec::default()
-                    .decode(sparse, bs)
-                    .map_err(ReplError::from)?
-                    .to_dense(bs);
-                return Ok(image);
-            }
-            let ack = decode_ack(&frame).map_err(|_| ReplError::MissingAck {
-                replica: idx,
-                got: frame.first().copied(),
-            })?;
-            if ack.status == NAK_CORRUPT {
-                // The replica refused: damaged request or rotten media.
-                if let Some(obs) = &self.obs {
-                    obs.checksum_failures.inc();
-                }
-                return Err(ReplError::ChecksumMismatch {
-                    expected: 0,
-                    got: 0,
-                }
-                .into());
-            }
-            if ack.epoch < expected_epoch {
-                // A stranded write ack surfacing late; drop it.
-                if let Some(obs) = &self.obs {
-                    obs.wrong_epoch_acks.inc();
-                }
-                if let Some(t) = &self.tracer {
-                    if let Some(id) = t.awaiting {
-                        t.sink.mark_wrong_epoch(id, idx as u32, t.now());
-                    }
-                }
-                continue;
-            }
-            return Err(ReplError::MissingAck {
-                replica: idx,
-                got: Some(ack.status),
-            }
-            .into());
         }
     }
 
@@ -755,7 +703,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// traffic. Call after [`drain`](Self::drain).
     pub fn bump_epochs(&mut self) {
         for r in &mut self.replicas {
-            r.epoch += 1;
+            r.link.bump_epoch();
         }
     }
 
@@ -834,7 +782,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 // newer frame. A NAK or corrupt-NAK *was* this write's
                 // response, so no generation change is needed.
                 if matches!(e, ClusterError::Repl(ReplError::Net(_))) {
-                    self.replicas[idx].epoch += 1;
+                    self.replicas[idx].link.bump_epoch();
                 }
                 // The frame *was* sent; the replica may have applied it
                 // before the link died. Replaying its parity chain
@@ -865,7 +813,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // already booked as failed, their blocks marked uncertain) —
         // they carry an older epoch, so the ack loop drops them on
         // sight instead of guessing with a skip budget.
-        self.replicas[idx].epoch += 1;
+        self.replicas[idx].link.bump_epoch();
         let plan = self.build_plan(idx, strategy);
         self.replicas[idx].resync = Some(plan);
         self.publish_replica_gauges(idx);
@@ -910,7 +858,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // Send a batch (pipelined), remembering per-frame bookkeeping.
         // The epoch cannot move under the batch: it only bumps on
         // collection failures, which abort the step.
-        let epoch = self.replicas[idx].epoch;
+        let epoch = self.replicas[idx].link.epoch();
         let mut in_flight: Vec<(ResyncFrame, u64)> = Vec::new();
         for _ in 0..max_frames {
             let Some(frame) = self.replicas[idx]
@@ -927,30 +875,28 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 ResyncFrame::Full(lba) => self.replicas[idx].dirty.missed_from(*lba).unwrap_or(0),
                 ResyncFrame::Parity(_, seq, _) => *seq,
             };
-            let payload = match &frame {
+            let sent = match &frame {
                 ResyncFrame::Full(lba) => {
                     if let Some(plan) = self.replicas[idx].resync.as_mut() {
                         plan.pending_full.remove(&lba.index());
                     }
-                    Payload {
-                        lba: *lba,
-                        body: PayloadBody::Full(self.device.read_block_vec(*lba)?),
-                    }
-                    .to_bytes()
+                    let block = self.device.read_block_vec(*lba)?;
+                    self.replicas[idx]
+                        .link
+                        .send(|out| put_full(out, *lba, &block))
                 }
-                ResyncFrame::Parity(lba, _, parity) => Payload {
-                    lba: *lba,
-                    body: PayloadBody::Parity(parity.to_bytes()),
-                }
-                .to_bytes(),
+                ResyncFrame::Parity(lba, _, parity) => self.replicas[idx].link.send(|out| {
+                    put_parity(out, *lba, |out| out.extend_from_slice(&parity.to_bytes()));
+                }),
             };
-            let sealed = seal_frame(epoch, &payload);
-            if let Err(e) = self.replicas[idx].transport.send(&sealed) {
-                self.abort_resync(idx);
-                self.publish_replica_gauges(idx);
-                return Err(ClusterError::from(ReplError::from(e)));
+            match sent {
+                Ok(sealed_len) => self.replicas[idx].resync_bytes += sealed_len as u64,
+                Err(e) => {
+                    self.abort_resync(idx);
+                    self.publish_replica_gauges(idx);
+                    return Err(e.into());
+                }
             }
-            self.replicas[idx].resync_bytes += sealed.len() as u64;
             in_flight.push((frame, mark_from));
         }
 
@@ -978,7 +924,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                     // can surface late after the link heals, sealed
                     // under this epoch. Close the generation so they
                     // are dropped by tag, not guessed at by count.
-                    self.replicas[idx].epoch += 1;
+                    self.replicas[idx].link.bump_epoch();
                     // Credit inside an errored batch is unattributable:
                     // acks carry no frame identity, so a silently lost
                     // repair frame shifts every later ack one frame
@@ -1086,28 +1032,32 @@ impl<D: BlockDevice> ClusterGroup<D> {
         }
         let mut outcome = ScrubOutcome::default();
         let mut divergent: Vec<Lba> = Vec::new();
-        let epoch = self.replicas[idx].epoch;
+        let epoch = self.replicas[idx].link.epoch();
         for &lba in lbas {
-            let probe = seal_frame(epoch, &encode_digest_request(lba));
-            if let Err(e) = self.replicas[idx].transport.send(&probe) {
-                self.note_failure(idx, None, false);
-                return Err(ClusterError::from(ReplError::from(e)));
+            match self.replicas[idx]
+                .link
+                .send(|out| Request::Digest(lba).put(out))
+            {
+                Ok(sealed_len) => self.replicas[idx].scrub_bytes += sealed_len as u64,
+                Err(e) => {
+                    self.note_failure(idx, None, false);
+                    return Err(e.into());
+                }
             }
-            self.replicas[idx].scrub_bytes += probe.len() as u64;
-            let digest = match self.await_digest(idx, epoch) {
-                Ok(digest) => digest,
+            let digest = match self.recv_response(idx, DIGEST_ACK, epoch) {
+                Ok(response) => response.digest(),
                 Err(e) => {
                     // An unconsumed digest response can surface late;
                     // close the generation so it is dropped by tag.
                     if matches!(e, ClusterError::Repl(ReplError::Net(_))) {
-                        self.replicas[idx].epoch += 1;
+                        self.replicas[idx].link.bump_epoch();
                     }
                     self.note_failure(idx, None, false);
                     return Err(e);
                 }
             };
             outcome.probed += 1;
-            if digest != crc32c(&self.device.read_block_vec(lba)?) {
+            if digest != Some(crc32c(&self.device.read_block_vec(lba)?)) {
                 divergent.push(lba);
             }
         }
@@ -1306,7 +1256,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// attached registry.
     fn await_ack(&mut self, idx: usize, expected_epoch: u64) -> Result<(), ClusterError> {
         let started = self.obs.as_ref().map(|o| o.clock.now_nanos());
-        let result = self.await_ack_inner(idx, expected_epoch);
+        let result = self.recv_response(idx, ACK, expected_epoch).map(drop);
         if let (Some(obs), Some(t0)) = (&self.obs, started) {
             let now = obs.clock.now_nanos();
             obs.ack_rtt.record(now.saturating_sub(t0));
@@ -1325,111 +1275,36 @@ impl<D: BlockDevice> ClusterGroup<D> {
         result
     }
 
-    /// Waits for one acknowledgement from replica `idx` for a frame
-    /// sealed under `expected_epoch`, deterministically dropping any
-    /// response from an older generation — a stale ack for a write
-    /// already booked as failed.
-    fn await_ack_inner(&mut self, idx: usize, expected_epoch: u64) -> Result<(), ClusterError> {
-        loop {
-            match self.recv_response(idx, expected_epoch)? {
-                None => continue,
-                Some(ack) => {
-                    return match ack.status {
-                        ACK => Ok(()),
-                        NAK => Err(ReplError::Nak { replica: idx }.into()),
-                        NAK_CORRUPT => {
-                            // The frame was damaged in flight; the
-                            // replica rejected it before applying
-                            // anything. (The digest values live on the
-                            // replica — the status byte is the signal.)
-                            if let Some(obs) = &self.obs {
-                                obs.checksum_failures.inc();
-                            }
-                            Err(ReplError::ChecksumMismatch {
-                                expected: 0,
-                                got: 0,
-                            }
-                            .into())
-                        }
-                        // A digest ack answering a write is misaligned
-                        // traffic.
-                        other => Err(ReplError::MissingAck {
-                            replica: idx,
-                            got: Some(other),
-                        }
-                        .into()),
-                    };
-                }
-            }
-        }
-    }
-
-    /// Receives and decodes one response frame from replica `idx`.
-    /// Returns `None` for a stale response (older epoch than the frame
-    /// being collected) — the caller should keep waiting.
+    /// Waits for replica `idx`'s `want` response to a frame sealed under
+    /// `expected_epoch` — [`Link::recv_response`] with this group's
+    /// counters and trace hops attached to what it reports.
     fn recv_response(
-        &mut self,
+        &self,
         idx: usize,
+        want: u8,
         expected_epoch: u64,
-    ) -> Result<Option<AckFrame>, ClusterError> {
-        let frame = self.replicas[idx]
-            .transport
-            .recv_timeout(self.config.ack_timeout)
-            .map_err(ReplError::from)?;
-        let ack = decode_ack(&frame).map_err(|_| ReplError::MissingAck {
-            replica: idx,
-            got: frame.first().copied(),
-        })?;
-        // A corrupted frame cannot echo the epoch it was sealed under —
-        // the tag was destroyed in flight, so the replica answers
-        // NAK_CORRUPT with whatever epoch it last saw. Exempting
-        // NAK_CORRUPT from the stale filter is the conservative choice:
-        // a genuinely stale corrupt NAK at worst marks one in-flight
-        // frame uncertain (an extra resync), while dropping a current
-        // one would shift FIFO credit onto the *next* ack and silently
-        // credit the rejected frame.
-        if ack.epoch < expected_epoch && ack.status != NAK_CORRUPT {
-            if let Some(obs) = &self.obs {
-                obs.wrong_epoch_acks.inc();
-            }
-            if let Some(t) = &self.tracer {
-                if let Some(id) = t.awaiting {
-                    t.sink.mark_wrong_epoch(id, idx as u32, t.now());
+    ) -> Result<Response, ClusterError> {
+        let mut on_event = |event| match event {
+            LinkEvent::StaleDropped => {
+                if let Some(obs) = &self.obs {
+                    obs.wrong_epoch_acks.inc();
+                }
+                if let Some(t) = &self.tracer {
+                    if let Some(id) = t.awaiting {
+                        t.sink.mark_wrong_epoch(id, idx as u32, t.now());
+                    }
                 }
             }
-            return Ok(None);
-        }
-        Ok(Some(ack))
-    }
-
-    /// Waits for one digest response from replica `idx`, with the same
-    /// stale-epoch dropping as [`await_ack_inner`](Self::await_ack_inner).
-    fn await_digest(&mut self, idx: usize, expected_epoch: u64) -> Result<u32, ClusterError> {
-        loop {
-            match self.recv_response(idx, expected_epoch)? {
-                None => continue,
-                Some(ack) => {
-                    return match (ack.status, ack.digest) {
-                        (DIGEST_ACK, Some(digest)) => Ok(digest),
-                        (NAK_CORRUPT, _) => {
-                            if let Some(obs) = &self.obs {
-                                obs.checksum_failures.inc();
-                            }
-                            Err(ReplError::ChecksumMismatch {
-                                expected: 0,
-                                got: 0,
-                            }
-                            .into())
-                        }
-                        (other, _) => Err(ReplError::MissingAck {
-                            replica: idx,
-                            got: Some(other),
-                        }
-                        .into()),
-                    };
+            // The frame (or the block behind a read) was damaged; the
+            // replica rejected it before applying anything.
+            LinkEvent::CorruptNak => {
+                if let Some(obs) = &self.obs {
+                    obs.checksum_failures.inc();
                 }
             }
-        }
+        };
+        let link = &self.replicas[idx].link;
+        Ok(link.recv_response(want, expected_epoch, self.config.ack_timeout, &mut on_event)?)
     }
 
     fn build_plan(&self, idx: usize, strategy: ResyncStrategy) -> ResyncPlan {

@@ -138,13 +138,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Caps each sender lane's queue (default 1024 frames); a full
-    /// lane backpressures the encode pool.
-    pub fn sender_queue_cap(mut self, cap: usize) -> Self {
-        self.config.queue_cap = cap.max(1);
-        self
-    }
-
     /// Records every `(lba, seq)` each lane sends, readable via
     /// [`PrinsEngine::send_logs`] — ordering-test instrumentation.
     pub fn trace_sends(mut self, enabled: bool) -> Self {

@@ -65,10 +65,7 @@ use prins_block::Lba;
 use prins_buf::{BufPool, PooledBuf, PooledBytes};
 use prins_net::{Clock, Transport};
 use prins_obs::{Event, EventKind, TraceId, TraceSink, TraceStage, NO_LANE};
-use prins_parity::encode_varint;
-use prins_repl::{
-    decode_ack, seal_begin, ReplError, Replicator, SeqRange, ACK, BATCH_TAG, NAK, NAK_CORRUPT,
-};
+use prins_repl::{put_batch, seal_begin, Link, LinkEvent, ReplError, Replicator, SeqRange, ACK};
 
 use crate::obs::PipeObs;
 
@@ -85,9 +82,6 @@ pub(crate) struct PipelineConfig {
     pub batch_frames: usize,
     /// In-flight (unacknowledged) frames allowed per lane.
     pub ack_window: usize,
-    /// Bounded sender-lane queue capacity (backpressure towards the
-    /// encode pool).
-    pub queue_cap: usize,
     /// How long a lane waits for each acknowledgement.
     pub ack_timeout: Duration,
     /// Record every (lba, seq) a lane sends, for ordering tests.
@@ -104,7 +98,6 @@ impl Default for PipelineConfig {
             coalesce: false,
             batch_frames: 1,
             ack_window: 1,
-            queue_cap: 1024,
             ack_timeout: Duration::from_secs(10),
             trace_sends: false,
             manual: false,
@@ -391,11 +384,11 @@ struct Inner {
     pool: BufPool,
 }
 
-/// One lane's sender context in manual mode: the transport plus the
+/// One lane's sender context in manual mode: the link plus the
 /// in-flight frame accounting the lane thread would otherwise keep on
 /// its stack.
 struct SteppedLane {
-    transport: Box<dyn Transport>,
+    link: Link,
     outstanding: VecDeque<InFlight>,
 }
 
@@ -413,13 +406,13 @@ struct InFlight {
     frame: PooledBuf,
 }
 
-/// Lanes have no replica lifecycle (no offline/rejoin), so every frame
-/// is sealed under the constant first epoch.
-const LANE_EPOCH: u64 = 1;
-
 /// Retransmissions attempted per frame before a corrupt NAK becomes a
 /// lane error.
 const MAX_RETRANSMITS: u32 = 3;
+
+/// Sender-lane queue capacity in frames; a full lane backpressures the
+/// encode pool, not the application.
+const LANE_QUEUE_CAP: usize = 1024;
 
 /// Manual-mode runtime: everything the worker threads would own.
 struct Stepped {
@@ -451,12 +444,18 @@ impl Pipeline {
         let queue_cap = if config.manual {
             usize::MAX
         } else {
-            config.queue_cap
+            LANE_QUEUE_CAP
         };
         let lanes: Vec<Arc<LaneState>> = transports
             .iter()
             .map(|_| Arc::new(LaneState::new(queue_cap, config.trace_sends)))
             .collect();
+        // Lanes have no replica lifecycle (no offline/rejoin): each link
+        // stays at its first epoch for the life of the engine.
+        let links = transports
+            .into_iter()
+            .enumerate()
+            .map(|(idx, transport)| Link::new(idx, transport));
         let inner = Arc::new(Inner {
             admit: Mutex::new(AdmitState {
                 queue: VecDeque::new(),
@@ -485,10 +484,9 @@ impl Pipeline {
                 stepped: Some(Stepped {
                     replicator,
                     lanes: Mutex::new(
-                        transports
-                            .into_iter()
-                            .map(|transport| SteppedLane {
-                                transport,
+                        links
+                            .map(|link| SteppedLane {
+                                link,
                                 outstanding: VecDeque::new(),
                             })
                             .collect(),
@@ -511,7 +509,7 @@ impl Pipeline {
         }
 
         let mut lane_handles = Vec::new();
-        for (idx, transport) in transports.into_iter().enumerate() {
+        for (idx, link) in links.enumerate() {
             let lane = Arc::clone(&inner.lanes[idx]);
             let shared = Arc::clone(&inner.shared);
             let cfg = config.clone();
@@ -522,16 +520,7 @@ impl Pipeline {
                 std::thread::Builder::new()
                     .name(format!("prins-sender-{idx}"))
                     .spawn(move || {
-                        run_lane(
-                            idx,
-                            &*transport,
-                            &lane,
-                            &shared,
-                            &cfg,
-                            &*clock,
-                            &pool,
-                            &tuning,
-                        )
+                        run_lane(idx, &link, &lane, &shared, &cfg, &*clock, &pool, &tuning)
                     })
                     .expect("spawn prins sender lane"),
             );
@@ -577,7 +566,7 @@ impl Pipeline {
                         released_at,
                     } => lane_handle_payload(
                         idx,
-                        &*rt.transport,
+                        &rt.link,
                         lane,
                         &self.inner.shared,
                         &stepped.cfg,
@@ -605,7 +594,7 @@ impl Pipeline {
     fn collect_lane(&self, stepped: &Stepped, idx: usize, rt: &mut SteppedLane) {
         collect_all(
             idx,
-            &*rt.transport,
+            &rt.link,
             &self.inner.lanes[idx],
             &self.inner.shared,
             &stepped.cfg,
@@ -904,14 +893,14 @@ fn run_encoder(inner: &Inner, replicator: &dyn Replicator) {
 /// pooled buffer straight into the sealed wire buffer (also pooled),
 /// with the batch header and the seal envelope written around them in
 /// place. One slicing-by-8 CRC pass in [`SealWriter::finish`] covers
-/// the whole batch. The wire bytes are identical to the old
-/// `BatchFrame::to_bytes` + `seal_frame` construction.
+/// the whole batch. The frame stays in its pooled buffer until it is
+/// acknowledged, so a retransmission resends the same bytes.
 ///
 /// [`SealWriter::finish`]: prins_repl::SealWriter::finish
 #[allow(clippy::too_many_arguments)]
 fn lane_handle_payload(
     idx: usize,
-    transport: &dyn Transport,
+    link: &Link,
     lane: &LaneState,
     shared: &Shared,
     cfg: &PipelineConfig,
@@ -990,18 +979,12 @@ fn lane_handle_payload(
     let inner_len = bytes.len() + extra.iter().map(|p| p.len() + 10).sum::<usize>();
     let mut wire = pool.get(inner_len + 32);
     let out = wire.vec_mut();
-    let writer = seal_begin(LANE_EPOCH, out);
+    let writer = seal_begin(link.epoch(), out);
     if extra.is_empty() {
         out.extend_from_slice(&bytes);
     } else {
-        out.push(BATCH_TAG);
-        encode_varint(out, (1 + extra.len()) as u64);
-        encode_varint(out, bytes.len() as u64);
-        out.extend_from_slice(&bytes);
-        for p in &extra {
-            encode_varint(out, p.len() as u64);
-            out.extend_from_slice(p);
-        }
+        let payloads = std::iter::once(&bytes).chain(&extra);
+        put_batch(out, payloads.map(|p| &p[..]));
     }
     writer.finish(out);
     shared.hot_bytes_copied.fetch_add(
@@ -1012,7 +995,7 @@ fn lane_handle_payload(
     drop(extra);
 
     let t0 = clock.now_nanos();
-    let sent = transport.send(&wire);
+    let sent = link.transport().send(&wire);
     let t1 = clock.now_nanos();
     lane.send_nanos
         .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
@@ -1056,7 +1039,7 @@ fn lane_handle_payload(
                 frame: wire,
             });
             while outstanding.len() >= cfg.ack_window.max(1) {
-                collect_one(idx, transport, lane, shared, cfg, clock, outstanding);
+                collect_one(idx, link, lane, shared, cfg, clock, outstanding);
             }
         }
         Err(e) => {
@@ -1092,7 +1075,7 @@ fn lane_handle_payload(
 #[allow(clippy::too_many_arguments)]
 fn run_lane(
     idx: usize,
-    transport: &dyn Transport,
+    link: &Link,
     lane: &LaneState,
     shared: &Shared,
     cfg: &PipelineConfig,
@@ -1105,11 +1088,11 @@ fn run_lane(
     loop {
         match lane.pop() {
             LaneMsg::Shutdown => {
-                collect_all(idx, transport, lane, shared, cfg, clock, &mut outstanding);
+                collect_all(idx, link, lane, shared, cfg, clock, &mut outstanding);
                 return;
             }
             LaneMsg::Barrier(gate) => {
-                collect_all(idx, transport, lane, shared, cfg, clock, &mut outstanding);
+                collect_all(idx, link, lane, shared, cfg, clock, &mut outstanding);
                 gate.arrive();
             }
             LaneMsg::Payload {
@@ -1120,7 +1103,7 @@ fn run_lane(
                 released_at,
             } => lane_handle_payload(
                 idx,
-                transport,
+                link,
                 lane,
                 shared,
                 cfg,
@@ -1152,7 +1135,7 @@ fn run_lane(
 /// resync layer rather than guessed at here.
 fn collect_one(
     idx: usize,
-    transport: &dyn Transport,
+    link: &Link,
     lane: &LaneState,
     shared: &Shared,
     cfg: &PipelineConfig,
@@ -1170,40 +1153,30 @@ fn collect_one(
     let mut attempt: u32 = 0;
     let mut waited: u64 = 0;
     let mut t1;
+    let mut on_event = |event| {
+        if let (LinkEvent::CorruptNak, Some(obs)) = (event, obs) {
+            obs.checksum_failures.inc();
+        }
+    };
     let result: Result<(), ReplError> = loop {
         let t0 = clock.now_nanos();
-        let answer = transport.recv_timeout(cfg.ack_timeout * (attempt + 1));
+        let answer = link.recv_response(
+            ACK,
+            link.epoch(),
+            cfg.ack_timeout * (attempt + 1),
+            &mut on_event,
+        );
         t1 = clock.now_nanos();
         waited += t1.saturating_sub(t0);
         lane.ack_nanos
             .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
-        let ack = match answer {
-            Ok(bytes) => match decode_ack(&bytes) {
-                Ok(ack) => ack,
-                Err(_) => {
-                    break Err(ReplError::MissingAck {
-                        replica: idx,
-                        got: bytes.first().copied(),
-                    })
-                }
-            },
-            Err(e) => break Err(e.into()),
-        };
-        match ack.status {
-            ACK => break Ok(()),
-            NAK => break Err(ReplError::Nak { replica: idx }),
-            NAK_CORRUPT => {
-                if let Some(obs) = obs {
-                    obs.checksum_failures.inc();
-                }
-                if !sole_in_flight || attempt >= MAX_RETRANSMITS {
-                    break Err(ReplError::ChecksumMismatch {
-                        expected: 0,
-                        got: 0,
-                    });
-                }
+        match answer {
+            // The frame was damaged in flight; resend the retained copy.
+            Err(ReplError::ChecksumMismatch { .. })
+                if sole_in_flight && attempt < MAX_RETRANSMITS =>
+            {
                 attempt += 1;
-                if let Err(e) = transport.send(&frame) {
+                if let Err(e) = link.transport().send(&frame) {
                     break Err(e.into());
                 }
                 lane.payload_bytes
@@ -1217,12 +1190,7 @@ fn collect_one(
                     }
                 }
             }
-            other => {
-                break Err(ReplError::MissingAck {
-                    replica: idx,
-                    got: Some(other),
-                })
-            }
+            answer => break answer.map(drop),
         }
     };
     // One RTT sample and one terminal event per retired frame, however
@@ -1269,7 +1237,7 @@ fn collect_one(
 
 fn collect_all(
     idx: usize,
-    transport: &dyn Transport,
+    link: &Link,
     lane: &LaneState,
     shared: &Shared,
     cfg: &PipelineConfig,
@@ -1277,7 +1245,7 @@ fn collect_all(
     outstanding: &mut VecDeque<InFlight>,
 ) {
     while !outstanding.is_empty() {
-        collect_one(idx, transport, lane, shared, cfg, clock, outstanding);
+        collect_one(idx, link, lane, shared, cfg, clock, outstanding);
     }
 }
 
@@ -1291,10 +1259,7 @@ mod tests {
     use prins_net::{
         channel_pair, FaultTransport, LinkHandle, LinkModel, SimLinkCtl, SimNet, Transport as _,
     };
-    use prins_repl::{
-        encode_ack, encode_digest_ack, verify_consistent, AckPolicy, Applied, ReplError,
-        ReplicaApplier, ACK, NAK, NAK_CORRUPT,
-    };
+    use prins_repl::{verify_consistent, AckPolicy, ReplError, ReplicaApplier};
     use proptest::prelude::*;
     use rand::{RngExt, SeedableRng};
 
@@ -1370,20 +1335,7 @@ mod tests {
                 &b,
                 Box::new(move || {
                     while let Ok(Some(frame)) = tr.try_recv() {
-                        let ack = match applier.handle(&frame) {
-                            Ok(Applied::Data(_)) => encode_ack(ACK, applier.last_epoch()),
-                            Ok(Applied::Digest(d)) => encode_digest_ack(applier.last_epoch(), d),
-                            Ok(Applied::Strip(s)) => {
-                                prins_repl::encode_strip_ack(applier.last_epoch(), &s)
-                            }
-                            Ok(Applied::Read(s)) => {
-                                prins_repl::encode_read_ack(applier.last_epoch(), &s)
-                            }
-                            Err(ReplError::ChecksumMismatch { .. }) => {
-                                encode_ack(NAK_CORRUPT, applier.last_epoch())
-                            }
-                            Err(_) => encode_ack(NAK, applier.last_epoch()),
-                        };
+                        let (ack, _) = applier.respond(&frame);
                         let _ = tr.send(&ack);
                     }
                 }),

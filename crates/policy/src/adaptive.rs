@@ -7,8 +7,11 @@ use std::sync::RwLock;
 use prins_block::Lba;
 use prins_compress::{Codec, Lzss};
 use prins_obs::Registry;
-use prins_parity::{encode_varint, SparseCodec};
-use prins_repl::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};
+use prins_parity::SparseCodec;
+use prins_repl::{
+    put_compressed, put_full, put_parity, CompressedReplicator, PrinsReplicator, Replicator,
+    TraditionalReplicator,
+};
 
 use crate::counters::{CounterfactualMode, PolicyCounters};
 use crate::probe::probe_compressibility_pm;
@@ -410,12 +413,6 @@ impl AdaptiveReplicator {
 }
 
 impl Replicator for AdaptiveReplicator {
-    fn encode_write(&self, lba: Lba, old: &[u8], new: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(new.len() + 16);
-        self.encode_write_into(lba, old, new, &mut out);
-        out
-    }
-
     fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>) {
         debug_assert_eq!(old.len(), new.len(), "images of one device block");
         let base = out.len();
@@ -432,15 +429,9 @@ impl Replicator for AdaptiveReplicator {
             Strategy::Parity => {
                 // The fused zero-alloc path, byte-identical to
                 // PrinsReplicator's.
-                out.push(2); // PayloadBody::Parity tag
-                encode_varint(out, lba.index());
-                self.codec.encode_delta_into(old, new, out);
+                put_parity(out, lba, |out| self.codec.encode_delta_into(old, new, out));
             }
-            Strategy::Full => {
-                out.push(0); // PayloadBody::Full tag
-                encode_varint(out, lba.index());
-                out.extend_from_slice(new);
-            }
+            Strategy::Full => put_full(out, lba, new),
             Strategy::Compressed => {
                 let packed = self.lzss.compress(new);
                 full_pm_sample = Some(ratio_pm(packed.len(), full));
@@ -448,38 +439,30 @@ impl Replicator for AdaptiveReplicator {
                     Some((Self::header_len(lba) + varint_len(full as u64) + packed.len()) as u64);
                 let comp_body = varint_len(full as u64) + packed.len();
                 if comp_body < full && (wire >= full || comp_body < wire) {
-                    out.push(1); // PayloadBody::Compressed tag
-                    encode_varint(out, lba.index());
-                    encode_varint(out, full as u64);
-                    out.extend_from_slice(&packed);
+                    put_compressed(out, lba, full, &packed);
                 } else if wire < full {
                     // Misprediction rescue: the content did not
                     // compress below this write's parity after all.
-                    out.push(2);
-                    encode_varint(out, lba.index());
-                    self.codec.encode_delta_into(old, new, out);
+                    put_parity(out, lba, |out| self.codec.encode_delta_into(old, new, out));
                     strategy = Strategy::Parity;
                 } else {
                     // Never worse than a raw full image on any write —
                     // unlike static Compressed, which can expand.
-                    out.push(0);
-                    encode_varint(out, lba.index());
-                    out.extend_from_slice(new);
+                    put_full(out, lba, new);
                     strategy = Strategy::Full;
                 }
             }
             Strategy::ParityCompressed => {
                 // Delegate: the PRINS encoder already holds the
                 // parity-vs-compressed-vs-full fallback chain.
-                self.prins_lzss.encode_write_into(lba, old, new, out);
+                let lzss_won = self.prins_lzss.encode_write_noting_lzss(lba, old, new, out);
                 let shipped = out.len() - base;
                 exact_prins_lzss = Some(shipped as u64);
-                delta_pm_sample = match out[base] {
+                delta_pm_sample = if lzss_won {
                     // Compression won: exact ratio of the shipped body.
-                    3 => {
-                        let body = shipped - Self::header_len(lba) - varint_len(wire as u64);
-                        Some(ratio_pm(body, wire))
-                    }
+                    let body = shipped - Self::header_len(lba) - varint_len(wire as u64);
+                    Some(ratio_pm(body, wire))
+                } else if wire >= self.cfg.min_compress_len * 8 {
                     // Fell back to plain parity: compression lost — but
                     // only count that against the region when the wire
                     // was big enough for compression to have had room.
@@ -489,8 +472,9 @@ impl Replicator for AdaptiveReplicator {
                     // also carry; recording nothing leaves the slot
                     // unsampled, so the next sizable write runs the
                     // (byte-free) trial at a size that is informative.
-                    _ if wire >= self.cfg.min_compress_len * 8 => Some(1020),
-                    _ => None,
+                    Some(1020)
+                } else {
+                    None
                 };
                 // Misprediction rescue: the parity stream disappointed,
                 // but the block content itself still estimates smaller
@@ -516,10 +500,7 @@ impl Replicator for AdaptiveReplicator {
                         exact_compressed = Some(candidate as u64);
                         if candidate < shipped {
                             out.truncate(base);
-                            out.push(1);
-                            encode_varint(out, lba.index());
-                            encode_varint(out, full as u64);
-                            out.extend_from_slice(&packed);
+                            put_compressed(out, lba, full, &packed);
                             strategy = Strategy::Compressed;
                         }
                     }
@@ -797,11 +778,14 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Two fresh instances fed the same write sequence — one through
-        /// `encode_write`, one through `encode_write_into` — must stay
-        /// byte-identical forever: the pooled hot path may never change
-        /// what goes on the wire, even though every call mutates
-        /// classifier state.
+        /// Whatever the classifier picks, write after write, the bytes
+        /// it appends are exactly an owned [`Payload`]: they parse, the
+        /// parsed form re-serializes to the same bytes, and its body is
+        /// what the classic construction of that strategy carries (the
+        /// full image, the zero-run-encoded dense parity, or an LZSS
+        /// stream that decompresses to one of them).
+        ///
+        /// [`Payload`]: prins_repl::Payload
         #[test]
         fn prop_stateful_encode_paths_stay_byte_identical(
             writes in proptest::collection::vec(
@@ -809,21 +793,31 @@ mod tests {
                 1..24,
             ),
         ) {
-            let a = AdaptiveReplicator::new(PolicyConfig::default());
-            let b = AdaptiveReplicator::new(PolicyConfig::default());
+            use prins_repl::{Payload, PayloadBody};
+            let adaptive = AdaptiveReplicator::new(PolicyConfig::default());
             let mut images: HashMap<u64, Vec<u8>> = HashMap::new();
             for (lba, new) in &writes {
                 let old = images.entry(*lba).or_insert_with(|| vec![0u8; 128]).clone();
-                let want = a.encode_write(Lba(*lba), &old, new);
                 let mut got = vec![0xEEu8]; // pre-existing byte must survive
-                b.encode_write_into(Lba(*lba), &old, new, &mut got);
+                adaptive.encode_write_into(Lba(*lba), &old, new, &mut got);
                 proptest::prop_assert_eq!(&got[..1], &[0xEEu8][..]);
-                proptest::prop_assert_eq!(&got[1..], want.as_slice());
-                // And every frame must parse.
-                proptest::prop_assert!(prins_repl::Payload::from_bytes(&want).is_ok());
+                let payload = Payload::from_bytes(&got[1..]).unwrap();
+                proptest::prop_assert_eq!(&payload.to_bytes()[..], &got[1..]);
+                proptest::prop_assert_eq!(payload.lba, Lba(*lba));
+                let parity: Vec<u8> = old.iter().zip(new).map(|(o, n)| o ^ n).collect();
+                let sparse = SparseCodec::default().encode(&parity).to_bytes();
+                match payload.body {
+                    PayloadBody::Full(data) => proptest::prop_assert_eq!(&data, new),
+                    PayloadBody::Parity(data) => proptest::prop_assert_eq!(data, sparse),
+                    PayloadBody::Compressed { block_len, data } => proptest::prop_assert_eq!(
+                        &Lzss::default().decompress(&data, block_len).unwrap(), new),
+                    PayloadBody::ParityCompressed { sparse_len, data } => proptest::prop_assert_eq!(
+                        Lzss::default().decompress(&data, sparse_len).unwrap(), sparse),
+                    other => proptest::prop_assert!(false, "unexpected body {other:?}"),
+                }
                 images.insert(*lba, new.clone());
             }
-            proptest::prop_assert_eq!(a.counters().writes.get(), writes.len() as u64);
+            proptest::prop_assert_eq!(adaptive.counters().writes.get(), writes.len() as u64);
         }
     }
 }

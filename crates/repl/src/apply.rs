@@ -6,14 +6,14 @@ use prins_block::{crc32c, BlockDevice, Lba};
 use prins_compress::{Codec, Lzss};
 use prins_parity::{ErasureCodec, SparseCodec, XorCodec};
 
-use crate::{
-    decode_digest_request, decode_read_request, decode_strip_request, is_digest_request,
-    is_read_request, is_strip_request, open_frame, BatchFrame, Payload, PayloadBody, ReplError,
-    SEAL_TAG,
+use crate::wire::{
+    encode_ack, encode_digest_ack, encode_image_ack, is_sealed, open_frame, Request, ACK, NAK,
+    NAK_CORRUPT, READ_ACK, STRIP_ACK,
 };
+use crate::{BatchFrame, Payload, PayloadBody, ReplError};
 
-/// What [`ReplicaApplier::handle`] did with an incoming frame, telling
-/// the transport loop which response to send.
+/// What [`ReplicaApplier::handle`] did with an incoming frame;
+/// [`ReplicaApplier::respond`] turns it into the response bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Applied {
     /// A replication frame was applied (`true`) or was a sync marker
@@ -158,56 +158,56 @@ impl<D: BlockDevice> ReplicaApplier<D> {
     }
 
     /// Dispatches one incoming frame — sealed or bare, replication
-    /// payload or scrub digest probe — and says how to respond.
-    ///
-    /// This is what transport loops should call; [`apply`](Self::apply)
-    /// is the data-only subset.
+    /// payload or read-side [`Request`] — and says what it did.
+    /// Transport loops call [`respond`](Self::respond), which wraps this;
+    /// [`apply`](Self::apply) is the data-only subset.
     ///
     /// # Errors
     ///
     /// As [`apply`](Self::apply), plus [`ReplError::ChecksumMismatch`]
-    /// for frames that fail their seal check (or arrive unsealed while
-    /// [`require_sealed`](Self::require_sealed) is on) — answer those
-    /// with `NAK_CORRUPT` so the sender retransmits.
+    /// for frames that fail their seal check, or that arrive unsealed —
+    /// whatever they look like — while
+    /// [`require_sealed`](Self::require_sealed) is on.
     pub fn handle(&mut self, frame: &[u8]) -> Result<Applied, ReplError> {
-        if frame.first() == Some(&SEAL_TAG) {
+        // Open or reject, then dispatch once: the seal's CRC vouches
+        // for the inner frame, so nothing below re-checks.
+        let inner = if is_sealed(frame) {
             let (epoch, inner) = open_frame(frame)?;
             self.last_epoch = epoch;
-            if is_digest_request(inner) {
-                let lba = decode_digest_request(inner)?;
-                return Ok(Applied::Digest(self.digest(lba)?));
-            }
-            if is_strip_request(inner) {
-                let lba = decode_strip_request(inner)?;
-                return Ok(Applied::Strip(self.strip_image(lba)?));
-            }
-            if is_read_request(inner) {
-                let lba = decode_read_request(inner)?;
-                return Ok(Applied::Read(self.strip_image(lba)?));
-            }
-            // The seal's CRC already vouched for the inner frame; apply
-            // it without requiring a second (nested) seal.
-            return self.apply_inner(inner).map(Applied::Data);
-        }
-        if is_digest_request(frame) {
-            let lba = decode_digest_request(frame)?;
-            return Ok(Applied::Digest(self.digest(lba)?));
-        }
-        if is_strip_request(frame) {
-            let lba = decode_strip_request(frame)?;
-            return Ok(Applied::Strip(self.strip_image(lba)?));
-        }
-        if is_read_request(frame) {
-            let lba = decode_read_request(frame)?;
-            return Ok(Applied::Read(self.strip_image(lba)?));
-        }
-        if self.require_sealed {
+            inner
+        } else if self.require_sealed {
             return Err(ReplError::ChecksumMismatch {
                 expected: 0,
                 got: crc32c(frame),
             });
+        } else {
+            frame
+        };
+        match Request::decode(inner)? {
+            Some(Request::Digest(lba)) => Ok(Applied::Digest(self.digest(lba)?)),
+            Some(Request::Strip(lba)) => Ok(Applied::Strip(self.strip_image(lba)?)),
+            Some(Request::Read(lba)) => Ok(Applied::Read(self.strip_image(lba)?)),
+            None => self.apply_inner(inner).map(Applied::Data),
         }
-        self.apply_inner(frame).map(Applied::Data)
+    }
+
+    /// Handles one incoming frame and returns the bytes to answer with,
+    /// echoing [`last_epoch`](Self::last_epoch) — the whole replica
+    /// side of the protocol. A damaged frame draws `NAK_CORRUPT` (the
+    /// sender retransmits; nothing was applied); any other failure
+    /// draws `NAK` and is returned beside it, for loops that stop on a
+    /// rejected frame.
+    pub fn respond(&mut self, frame: &[u8]) -> (Vec<u8>, Option<ReplError>) {
+        let handled = self.handle(frame);
+        let epoch = self.last_epoch;
+        match handled {
+            Ok(Applied::Data(_)) => (encode_ack(ACK, epoch), None),
+            Ok(Applied::Digest(digest)) => (encode_digest_ack(epoch, digest), None),
+            Ok(Applied::Strip(sparse)) => (encode_image_ack(STRIP_ACK, epoch, &sparse), None),
+            Ok(Applied::Read(sparse)) => (encode_image_ack(READ_ACK, epoch, &sparse), None),
+            Err(ReplError::ChecksumMismatch { .. }) => (encode_ack(NAK_CORRUPT, epoch), None),
+            Err(e) => (encode_ack(NAK, epoch), Some(e)),
+        }
     }
 
     fn apply_inner(&mut self, payload_bytes: &[u8]) -> Result<bool, ReplError> {
@@ -354,6 +354,12 @@ mod tests {
         // Reset replica to zeros; the writes carry the evolution.
         let fresh = MemDevice::new(BlockSize::kb4(), 16);
         (fresh, writes)
+    }
+
+    fn request(request: Request) -> Vec<u8> {
+        let mut out = Vec::new();
+        request.put(&mut out);
+        out
     }
 
     fn replay(replicator: &dyn Replicator) {
@@ -583,7 +589,7 @@ mod tests {
         applier
             .apply(&TraditionalReplicator.encode_write(Lba(2), &[0u8; 4096], &block))
             .unwrap();
-        let req = crate::encode_strip_request(Lba(2));
+        let req = request(Request::Strip(Lba(2)));
         // Both sealed and bare requests answer with the sparse image.
         for frame in [crate::seal_frame(4, &req), req] {
             match applier.handle(&frame).unwrap() {
@@ -600,7 +606,7 @@ mod tests {
         damaged[50] ^= 0x10;
         replica.write_block(Lba(2), &damaged).unwrap();
         assert!(matches!(
-            applier.handle(&crate::encode_strip_request(Lba(2))),
+            applier.handle(&request(Request::Strip(Lba(2)))),
             Err(ReplError::ChecksumMismatch { .. })
         ));
     }
@@ -614,7 +620,7 @@ mod tests {
         applier
             .apply(&TraditionalReplicator.encode_write(Lba(1), &[0u8; 4096], &block))
             .unwrap();
-        let req = crate::encode_read_request(Lba(1));
+        let req = request(Request::Read(Lba(1)));
         for frame in [crate::seal_frame(3, &req), req] {
             match applier.handle(&frame).unwrap() {
                 Applied::Read(sparse) => {
@@ -630,9 +636,75 @@ mod tests {
         damaged[130] ^= 0x02;
         replica.write_block(Lba(1), &damaged).unwrap();
         assert!(matches!(
-            applier.handle(&crate::encode_read_request(Lba(1))),
+            applier.handle(&request(Request::Read(Lba(1)))),
             Err(ReplError::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn strict_mode_answers_every_unsealed_frame_kind_with_nak_corrupt() {
+        // A single bit flip on the seal tag (6 -> 7) makes a sealed
+        // frame look like a digest request; strict mode must not let
+        // any unsealed frame — payload, batch or request — through.
+        let replica = MemDevice::new(BlockSize::kb4(), 4);
+        let mut applier = ReplicaApplier::new(&replica).require_sealed(true);
+        let payload = TraditionalReplicator.encode_write(Lba(1), &[0u8; 4096], &[5u8; 4096]);
+        let mut flipped = crate::seal_frame(3, &payload);
+        flipped[0] ^= 0x01;
+        let unsealed = [
+            payload.clone(),
+            BatchFrame {
+                payloads: vec![payload],
+            }
+            .to_bytes(),
+            request(Request::Digest(Lba(1))),
+            request(Request::Strip(Lba(1))),
+            request(Request::Read(Lba(1))),
+            flipped,
+        ];
+        for frame in &unsealed {
+            let (reply, fatal) = applier.respond(frame);
+            assert_eq!(reply, encode_ack(NAK_CORRUPT, 0), "frame {:?}", &frame[..2]);
+            assert!(fatal.is_none());
+        }
+        assert_eq!(applier.applied(), 0);
+        assert_eq!(replica.read_block_vec(Lba(1)).unwrap(), vec![0u8; 4096]);
+        // The same requests sealed are answered.
+        let sealed = crate::seal_frame(3, &request(Request::Digest(Lba(1))));
+        assert!(matches!(applier.handle(&sealed), Ok(Applied::Digest(_))));
+    }
+
+    #[test]
+    fn respond_encodes_every_reply_kind_under_the_last_epoch() {
+        use crate::wire::{decode_ack, DIGEST_ACK};
+        let replica = MemDevice::new(BlockSize::kb4(), 4);
+        let mut applier = ReplicaApplier::new(&replica);
+        let block = vec![7u8; 4096];
+        let write = TraditionalReplicator.encode_write(Lba(0), &[0u8; 4096], &block);
+        let (reply, fatal) = applier.respond(&crate::seal_frame(5, &write));
+        assert_eq!((reply, fatal.is_none()), (encode_ack(ACK, 5), true));
+        let image = applier.sparse.encode(&block).to_bytes();
+        for (req, status, body) in [
+            (
+                Request::Digest(Lba(0)),
+                DIGEST_ACK,
+                crc32c(&block).to_le_bytes().to_vec(),
+            ),
+            (Request::Strip(Lba(0)), STRIP_ACK, image.clone()),
+            (Request::Read(Lba(0)), READ_ACK, image.clone()),
+        ] {
+            let (reply, fatal) = applier.respond(&crate::seal_frame(6, &request(req)));
+            let ack = decode_ack(&reply).unwrap();
+            assert_eq!(
+                (ack.status, ack.epoch, ack.body),
+                (status, 6, body.as_slice())
+            );
+            assert!(fatal.is_none());
+        }
+        // A rejected frame draws NAK and hands the error back.
+        let (reply, fatal) = applier.respond(&[200, 1, 2, 3]);
+        assert_eq!(reply, encode_ack(NAK, 6));
+        assert!(matches!(fatal, Some(ReplError::Malformed(_))));
     }
 
     #[test]

@@ -6,21 +6,8 @@ use std::time::Duration;
 use prins_block::{BlockDevice, Lba};
 use prins_net::Transport;
 
-use crate::{
-    decode_ack, encode_ack, encode_digest_ack, seal_frame, Applied, Payload, PayloadBody,
-    ReplError, ReplicaApplier, ReplicationMode, Replicator, NAK_CORRUPT,
-};
-
-/// Epoch a [`ReplicationGroup`] seals its frames with. The synchronous
-/// group has no replica lifecycle (and therefore no rejoins), so its
-/// single connection generation is simply "1"; only the cluster bumps
-/// epochs.
-const SYNC_EPOCH: u64 = 1;
-
-/// Acknowledgement byte a replica returns after applying a payload.
-pub const ACK: u8 = 0x06;
-/// Negative acknowledgement (apply failed).
-pub const NAK: u8 = 0x15;
+use crate::wire::{put_full, put_sync_marker, Link, ACK};
+use crate::{ReplError, ReplicaApplier, ReplicationMode, Replicator};
 
 /// When the primary waits for replica acknowledgements.
 ///
@@ -55,7 +42,9 @@ impl AckPolicy {
 /// previous write is successfully replicated").
 pub struct ReplicationGroup {
     replicator: Box<dyn Replicator>,
-    replicas: Vec<Box<dyn Transport>>,
+    /// The synchronous group has no replica lifecycle (and therefore no
+    /// rejoins): every link stays at its first epoch.
+    replicas: Vec<Link>,
     ack_timeout: Duration,
     ack_policy: AckPolicy,
     outstanding: u64,
@@ -67,7 +56,11 @@ impl ReplicationGroup {
     pub fn new(mode: ReplicationMode, replicas: Vec<Box<dyn Transport>>) -> Self {
         Self {
             replicator: mode.replicator(),
-            replicas,
+            replicas: replicas
+                .into_iter()
+                .enumerate()
+                .map(|(idx, transport)| Link::new(idx, transport))
+                .collect(),
             ack_timeout: Duration::from_secs(10),
             ack_policy: AckPolicy::PerWrite,
             outstanding: 0,
@@ -112,6 +105,9 @@ impl ReplicationGroup {
     pub fn into_transports(mut self) -> Vec<Box<dyn Transport>> {
         let _ = self.drain_acks();
         self.replicas
+            .into_iter()
+            .map(Link::into_transport)
+            .collect()
     }
 
     /// Total payload bytes sent to replica `idx` so far (from its
@@ -121,7 +117,7 @@ impl ReplicationGroup {
     ///
     /// Panics if `idx` is out of range.
     pub fn payload_bytes_to(&self, idx: usize) -> u64 {
-        self.replicas[idx].meter().payload_bytes_sent()
+        self.replicas[idx].transport().meter().payload_bytes_sent()
     }
 
     /// Replicates one write to every replica and waits for all acks.
@@ -130,6 +126,9 @@ impl ReplicationGroup {
     ///
     /// * [`ReplError::Net`] if a replica is unreachable,
     /// * [`ReplError::Nak`] if a replica rejects the write,
+    /// * [`ReplError::ChecksumMismatch`] if a replica reports the frame
+    ///   damaged in flight (the synchronous group keeps no retransmit
+    ///   buffer),
     /// * [`ReplError::MissingAck`] if a replica answers with an
     ///   unrecognizable acknowledgement.
     pub fn replicate(&mut self, lba: Lba, old: &[u8], new: &[u8]) -> Result<(), ReplError> {
@@ -152,9 +151,14 @@ impl ReplicationGroup {
     ///
     /// Same conditions as [`replicate`](Self::replicate).
     pub fn replicate_payload(&mut self, payload: &[u8]) -> Result<(), ReplError> {
-        let sealed = seal_frame(SYNC_EPOCH, payload);
-        for replica in &self.replicas {
-            replica.send(&sealed)?;
+        self.replicate_with(|out| out.extend_from_slice(payload))
+    }
+
+    /// Sends the frame `fill` writes to every replica, then collects
+    /// acknowledgements down to the window.
+    fn replicate_with(&mut self, fill: impl Fn(&mut Vec<u8>)) -> Result<(), ReplError> {
+        for replica in &mut self.replicas {
+            replica.send(&fill)?;
         }
         self.outstanding += 1;
         while self.outstanding > self.ack_policy.allowed_outstanding() {
@@ -169,28 +173,11 @@ impl ReplicationGroup {
         // The write retires regardless of outcome: a NAK or a dead
         // transport never produces a matching ack later.
         self.outstanding -= 1;
-        for idx in 0..self.replicas.len() {
-            self.await_ack(idx)?;
+        for replica in &self.replicas {
+            replica.recv_response(ACK, replica.epoch(), self.ack_timeout, &mut |_| {})?;
         }
         self.writes_replicated += 1;
         Ok(())
-    }
-
-    /// Waits for a single acknowledgement frame from replica `idx` and
-    /// classifies it: ACK succeeds, NAK becomes [`ReplError::Nak`], and
-    /// anything else [`ReplError::MissingAck`] carrying the stray byte.
-    fn await_ack(&self, idx: usize) -> Result<(), ReplError> {
-        let frame = self.replicas[idx].recv_timeout(self.ack_timeout)?;
-        match decode_ack(&frame) {
-            Ok(ack) if ack.status == ACK => Ok(()),
-            // The synchronous group has no retransmit buffer, so a
-            // corrupt-frame NAK surfaces like any other rejection.
-            Ok(_) => Err(ReplError::Nak { replica: idx }),
-            Err(_) => Err(ReplError::MissingAck {
-                replica: idx,
-                got: frame.first().copied(),
-            }),
-        }
     }
 
     /// Waits until every in-flight write is acknowledged (the barrier a
@@ -223,19 +210,9 @@ impl ReplicationGroup {
         let geometry = source.geometry();
         for lba in geometry.range().iter() {
             let block = source.read_block_vec(lba)?;
-            let payload = Payload {
-                lba,
-                body: PayloadBody::Full(block),
-            }
-            .to_bytes();
-            self.replicate_payload(&payload)?;
+            self.replicate_with(|out| put_full(out, lba, &block))?;
         }
-        let marker = Payload {
-            lba: Lba(0),
-            body: PayloadBody::SyncMarker,
-        }
-        .to_bytes();
-        self.replicate_payload(&marker)?;
+        self.replicate_with(|out| put_sync_marker(out, Lba(0)))?;
         self.drain_acks()?;
         // Sync frames are not replicated writes: keep the counter the
         // paper's model cares about (foreground writes) untouched.
@@ -296,26 +273,10 @@ where
             Err(prins_net::NetError::Disconnected) => return Ok(applier.applied()),
             Err(e) => return Err(e.into()),
         };
-        match applier.handle(&payload) {
-            Ok(Applied::Data(_)) => transport.send(&encode_ack(ACK, applier.last_epoch()))?,
-            Ok(Applied::Digest(digest)) => {
-                transport.send(&encode_digest_ack(applier.last_epoch(), digest))?;
-            }
-            Ok(Applied::Strip(sparse)) => {
-                transport.send(&crate::encode_strip_ack(applier.last_epoch(), &sparse))?;
-            }
-            Ok(Applied::Read(sparse)) => {
-                transport.send(&crate::encode_read_ack(applier.last_epoch(), &sparse))?;
-            }
-            Err(ReplError::ChecksumMismatch { .. }) => {
-                // The frame was damaged, not invalid — ask for a
-                // retransmit and stay up; nothing was applied.
-                transport.send(&encode_ack(NAK_CORRUPT, applier.last_epoch()))?;
-            }
-            Err(e) => {
-                transport.send(&encode_ack(NAK, applier.last_epoch()))?;
-                return Err(e);
-            }
+        let (reply, rejected) = applier.respond(&payload);
+        transport.send(&reply)?;
+        if let Some(e) = rejected {
+            return Err(e);
         }
     }
 }

@@ -53,23 +53,19 @@ mod group;
 mod mode;
 mod payload;
 mod range;
-mod seal;
 mod strategy;
+mod wire;
 
 pub use apply::{Applied, ReplicaApplier};
 pub use error::ReplError;
-pub use group::{
-    run_replica, run_replica_applier, verify_consistent, AckPolicy, ReplicationGroup, ACK, NAK,
-};
+pub use group::{run_replica, run_replica_applier, verify_consistent, AckPolicy, ReplicationGroup};
 pub use mode::ReplicationMode;
-pub use payload::{BatchFrame, Payload, PayloadBody, BATCH_TAG, MAX_WIRE_LEN, STRIP_DELTA_TAG};
+pub use payload::{BatchFrame, Payload, PayloadBody, MAX_WIRE_LEN};
 pub use range::SeqRange;
-pub use seal::{
-    decode_ack, decode_digest_request, decode_read_ack, decode_read_request, decode_strip_ack,
-    decode_strip_request, encode_ack, encode_digest_ack, encode_digest_request, encode_read_ack,
-    encode_read_request, encode_strip_ack, encode_strip_request, is_digest_request,
-    is_read_request, is_sealed, is_strip_request, open_frame, seal_batch_frame_into, seal_begin,
-    seal_frame, seal_frame_into, AckFrame, SealWriter, DIGEST_ACK, DIGEST_REQ_TAG, NAK_CORRUPT,
-    READ_ACK, READ_REQ_TAG, SEAL_TAG, STRIP_ACK, STRIP_REQ_TAG,
-};
 pub use strategy::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};
+pub use wire::{
+    decode_ack, encode_ack, is_sealed, open_frame, put_batch, put_compressed, put_full, put_parity,
+    put_strip_delta, seal_batch_frame_into, seal_begin, seal_frame, seal_frame_into, AckFrame,
+    Link, LinkEvent, Request, Response, SealWriter, ACK, BATCH_TAG, DIGEST_ACK, NAK, NAK_CORRUPT,
+    READ_ACK, SEAL_TAG, STRIP_ACK, STRIP_DELTA_TAG,
+};

@@ -1,41 +1,19 @@
-//! The replication wire payload.
+//! The owned, decoded form of the replication messages.
 //!
-//! Every replicated write is one message:
-//!
-//! ```text
-//! payload := tag(u8) varint(lba) body
-//! tag 0 (Full):             raw block bytes
-//! tag 1 (Compressed):       varint(block_len) lzss bytes
-//! tag 2 (Parity):           sparse-parity bytes (self-describing)
-//! tag 3 (ParityCompressed): varint(sparse_len) lzss(sparse bytes)
-//! tag 4 (SyncMarker):       empty — end of initial sync
-//! tag 8 (StripDelta):       coeff(u8) sparse-parity bytes
-//! ```
-//!
-//! `StripDelta` is the erasure-coded write: the receiver RMW-applies
-//! `strip ^= coeff · Δ` in GF(256), where `Δ` is the sparse-decoded
-//! delta. For the data strip's owner the coefficient is 1 (plain XOR);
-//! parity strip owners get their generator coefficient, so one sparse
-//! delta on the wire serves every strip of the stripe. The `lba` field
-//! addresses the *stripe* (the node-local strip block index).
-//!
-//! The LBA travels with the data, mirroring the paper's "results of the
-//! forward parity computation are then sent together with meta-data such
-//! as LBA to replica nodes".
-//!
-//! A [`BatchFrame`] packs several payloads into one message (and one
-//! acknowledgement round-trip):
-//!
-//! ```text
-//! batch := tag(5) varint(count) { varint(len) payload-bytes }*count
-//! ```
-//!
-//! The batch tag is disjoint from the payload tags, so a receiver
-//! dispatches on the first byte.
+//! Every replicated write is one [`Payload`] — the paper's "results of
+//! the forward parity computation are then sent together with meta-data
+//! such as LBA to replica nodes" — and a [`BatchFrame`] packs several
+//! under one acknowledgement round-trip. Their wire bytes are written
+//! by the `wire` module; the byte-level grammar is the table in
+//! DESIGN.md §8.
 
 use prins_block::Lba;
-use prins_parity::{decode_varint, encode_varint};
+use prins_parity::decode_varint;
 
+use crate::wire::{
+    self, BATCH_TAG, COMPRESSED_TAG, FULL_TAG, PARITY_COMPRESSED_TAG, PARITY_TAG, STRIP_DELTA_TAG,
+    SYNC_MARKER_TAG,
+};
 use crate::ReplError;
 
 /// Upper bound on any length claim decoded from the wire
@@ -96,42 +74,25 @@ pub struct Payload {
 impl Payload {
     /// Serializes to wire bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut buf = Vec::new();
+        let (out, lba) = (&mut buf, self.lba);
         match &self.body {
-            PayloadBody::Full(data) => {
-                out.push(0);
-                encode_varint(&mut out, self.lba.index());
-                out.extend_from_slice(data);
-            }
+            PayloadBody::Full(data) => wire::put_full(out, lba, data),
             PayloadBody::Compressed { block_len, data } => {
-                out.push(1);
-                encode_varint(&mut out, self.lba.index());
-                encode_varint(&mut out, *block_len as u64);
-                out.extend_from_slice(data);
+                wire::put_compressed(out, lba, *block_len, data);
             }
             PayloadBody::Parity(data) => {
-                out.push(2);
-                encode_varint(&mut out, self.lba.index());
-                out.extend_from_slice(data);
+                wire::put_parity(out, lba, |out| out.extend_from_slice(data));
             }
             PayloadBody::ParityCompressed { sparse_len, data } => {
-                out.push(3);
-                encode_varint(&mut out, self.lba.index());
-                encode_varint(&mut out, *sparse_len as u64);
-                out.extend_from_slice(data);
+                wire::put_parity_compressed(out, lba, *sparse_len, data);
             }
-            PayloadBody::SyncMarker => {
-                out.push(4);
-                encode_varint(&mut out, self.lba.index());
-            }
+            PayloadBody::SyncMarker => wire::put_sync_marker(out, lba),
             PayloadBody::StripDelta { coeff, data } => {
-                out.push(STRIP_DELTA_TAG);
-                encode_varint(&mut out, self.lba.index());
-                out.push(*coeff);
-                out.extend_from_slice(data);
+                wire::put_strip_delta(out, lba, *coeff, data);
             }
         }
-        out
+        buf
     }
 
     /// Parses wire bytes.
@@ -147,8 +108,8 @@ impl Payload {
             decode_varint(rest).ok_or_else(|| ReplError::Malformed("truncated lba".into()))?;
         let rest = &rest[used..];
         let body = match tag {
-            0 => PayloadBody::Full(rest.to_vec()),
-            1 => {
+            FULL_TAG => PayloadBody::Full(rest.to_vec()),
+            COMPRESSED_TAG => {
                 let (block_len, used) = decode_varint(rest)
                     .ok_or_else(|| ReplError::Malformed("truncated block_len".into()))?;
                 if block_len > MAX_WIRE_LEN as u64 {
@@ -161,8 +122,8 @@ impl Payload {
                     data: rest[used..].to_vec(),
                 }
             }
-            2 => PayloadBody::Parity(rest.to_vec()),
-            3 => {
+            PARITY_TAG => PayloadBody::Parity(rest.to_vec()),
+            PARITY_COMPRESSED_TAG => {
                 let (sparse_len, used) = decode_varint(rest)
                     .ok_or_else(|| ReplError::Malformed("truncated sparse_len".into()))?;
                 if sparse_len > MAX_WIRE_LEN as u64 {
@@ -175,7 +136,7 @@ impl Payload {
                     data: rest[used..].to_vec(),
                 }
             }
-            4 => PayloadBody::SyncMarker,
+            SYNC_MARKER_TAG => PayloadBody::SyncMarker,
             STRIP_DELTA_TAG => {
                 let (&coeff, rest) = rest
                     .split_first()
@@ -193,13 +154,6 @@ impl Payload {
         })
     }
 }
-
-/// Wire tag of a [`BatchFrame`] (the payload tags are 0–4).
-pub const BATCH_TAG: u8 = 5;
-
-/// Wire tag of a [`PayloadBody::StripDelta`] payload (6, 7 and 9 are
-/// the seal, digest-request and strip-request envelope tags).
-pub const STRIP_DELTA_TAG: u8 = 8;
 
 /// Several serialized payloads packed into a single wire message.
 ///
@@ -221,14 +175,8 @@ impl BatchFrame {
 
     /// Serializes the frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(8 + self.payloads.iter().map(|p| p.len() + 4).sum::<usize>());
-        out.push(BATCH_TAG);
-        encode_varint(&mut out, self.payloads.len() as u64);
-        for p in &self.payloads {
-            encode_varint(&mut out, p.len() as u64);
-            out.extend_from_slice(p);
-        }
+        let mut out = Vec::new();
+        wire::put_batch(&mut out, self.payloads.iter().map(Vec::as_slice));
         out
     }
 

@@ -2,31 +2,32 @@
 
 use prins_block::Lba;
 use prins_compress::{Codec, Lzss};
-use prins_parity::{ErasureCodec, SparseCodec, XorCodec};
+use prins_parity::SparseCodec;
 
-use crate::{Payload, PayloadBody};
+use crate::wire::{put_compressed, put_full, put_parity, put_parity_compressed};
 
 /// A replication strategy: turns an observed block write into a wire
 /// payload.
 ///
-/// `encode_write` is pure (no I/O), so the traffic experiments can run a
+/// Encoding is pure (no I/O), so the traffic experiments can run a
 /// recorded write stream through several strategies and compare byte
 /// counts directly — exactly what Figures 4–7 of the paper plot.
 pub trait Replicator: Send + Sync {
-    /// Encodes the write of `new` over `old` at `lba` into wire bytes.
+    /// Appends the wire payload for the write of `new` over `old` at
+    /// `lba` to `out` (earlier bytes are untouched) — on the hot path,
+    /// straight into a pooled buffer.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `old.len() != new.len()`; callers
     /// always pass images of one device block.
-    fn encode_write(&self, lba: Lba, old: &[u8], new: &[u8]) -> Vec<u8>;
+    fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>);
 
-    /// Appends the wire bytes of [`encode_write`](Self::encode_write) to
-    /// `out`, byte-identically. The default delegates to `encode_write`;
-    /// strategies on the zero-copy hot path override this to serialize
-    /// straight into a pooled buffer without intermediate allocations.
-    fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.encode_write(lba, old, new));
+    /// [`encode_write_into`](Self::encode_write_into) a fresh buffer.
+    fn encode_write(&self, lba: Lba, old: &[u8], new: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(new.len() + 16);
+        self.encode_write_into(lba, old, new, &mut out);
+        out
     }
 
     /// Short name for reports ("traditional", "compressed", "prins", …).
@@ -38,18 +39,8 @@ pub trait Replicator: Send + Sync {
 pub struct TraditionalReplicator;
 
 impl Replicator for TraditionalReplicator {
-    fn encode_write(&self, lba: Lba, _old: &[u8], new: &[u8]) -> Vec<u8> {
-        Payload {
-            lba,
-            body: PayloadBody::Full(new.to_vec()),
-        }
-        .to_bytes()
-    }
-
     fn encode_write_into(&self, lba: Lba, _old: &[u8], new: &[u8], out: &mut Vec<u8>) {
-        out.push(0); // PayloadBody::Full tag
-        prins_parity::encode_varint(out, lba.index());
-        out.extend_from_slice(new);
+        put_full(out, lba, new);
     }
 
     fn name(&self) -> &'static str {
@@ -72,15 +63,8 @@ impl CompressedReplicator {
 }
 
 impl Replicator for CompressedReplicator {
-    fn encode_write(&self, lba: Lba, _old: &[u8], new: &[u8]) -> Vec<u8> {
-        Payload {
-            lba,
-            body: PayloadBody::Compressed {
-                block_len: new.len(),
-                data: self.codec.compress(new),
-            },
-        }
-        .to_bytes()
+    fn encode_write_into(&self, lba: Lba, _old: &[u8], new: &[u8], out: &mut Vec<u8>) {
+        put_compressed(out, lba, new.len(), &self.codec.compress(new));
     }
 
     fn name(&self) -> &'static str {
@@ -92,9 +76,6 @@ impl Replicator for CompressedReplicator {
 #[derive(Clone, Copy, Debug)]
 pub struct PrinsReplicator {
     codec: SparseCodec,
-    // Delta algebra behind the ErasureCodec seam: mirroring is the
-    // m=1 code, so the same call site serves RS strip deltas.
-    ec: XorCodec,
     compress_parity: bool,
     lzss: Lzss,
 }
@@ -104,7 +85,6 @@ impl PrinsReplicator {
     pub fn new() -> Self {
         Self {
             codec: SparseCodec::default(),
-            ec: XorCodec::mirror(),
             compress_parity: false,
             lzss: Lzss::fast(),
         }
@@ -133,16 +113,54 @@ impl PrinsReplicator {
         self.codec
     }
 
-    /// The single decision point for the full-image fallback, shared by
-    /// [`encode_write`](Replicator::encode_write) and
-    /// [`encode_write_into`](Replicator::encode_write_into) so the two
-    /// paths cannot drift: ship a full image when the encoded parity
-    /// would be at least as large as the block. Decided from a scan-only
-    /// pass ([`SparseCodec::delta_wire_info`], no allocation); the exact
+    /// The decision point for the full-image fallback: ship a full
+    /// image when the encoded parity would be at least as large as the
+    /// block. Decided from a scan-only pass
+    /// ([`SparseCodec::delta_wire_info`], no allocation); the exact
     /// sparse wire length rides along so callers can reuse the scan.
     pub fn full_image_fallback(&self, old: &[u8], new: &[u8]) -> (bool, usize) {
         let (_, wire) = self.codec.delta_wire_info(old, new);
         (wire >= new.len(), wire)
+    }
+
+    /// [`encode_write_into`](Replicator::encode_write_into), reporting
+    /// whether the parity shipped LZSS-compressed (the adaptive policy
+    /// learns a region's parity compressibility from it).
+    pub fn encode_write_noting_lzss(
+        &self,
+        lba: Lba,
+        old: &[u8],
+        new: &[u8],
+        out: &mut Vec<u8>,
+    ) -> bool {
+        // Guard: a pathological write that changes (nearly) the whole
+        // block would make the encoded parity *larger* than the block
+        // (offsets + lengths on top of the data). Fall back to a full
+        // image — the replica accepts both forms, so PRINS is never
+        // worse than traditional replication on any single write.
+        let (fallback, wire) = self.full_image_fallback(old, new);
+        if fallback {
+            put_full(out, lba, new);
+            return false;
+        }
+        if !self.compress_parity {
+            // Fused: the dense parity block and an intermediate sparse
+            // buffer never exist.
+            put_parity(out, lba, |out| self.codec.encode_delta_into(old, new, out));
+            return false;
+        }
+        // The ablation path: the compressor needs the sparse stream as
+        // one slice (and allocates anyway).
+        let mut sparse = Vec::with_capacity(wire);
+        self.codec.encode_delta_into(old, new, &mut sparse);
+        let packed = self.lzss.compress(&sparse);
+        let won = packed.len() < sparse.len();
+        if won {
+            put_parity_compressed(out, lba, sparse.len(), &packed);
+        } else {
+            put_parity(out, lba, |out| out.extend_from_slice(&sparse));
+        }
+        won
     }
 }
 
@@ -153,60 +171,8 @@ impl Default for PrinsReplicator {
 }
 
 impl Replicator for PrinsReplicator {
-    fn encode_write(&self, lba: Lba, old: &[u8], new: &[u8]) -> Vec<u8> {
-        // Guard: a pathological write that changes (nearly) the whole
-        // block would make the encoded parity *larger* than the block
-        // (offsets + lengths on top of the data). Fall back to a full
-        // image — the replica accepts both forms, so PRINS is never
-        // worse than traditional replication on any single write.
-        let (fallback, wire) = self.full_image_fallback(old, new);
-        if fallback {
-            return Payload {
-                lba,
-                body: PayloadBody::Full(new.to_vec()),
-            }
-            .to_bytes();
-        }
-        let parity = self.ec.delta(old, new);
-        let sparse = self.codec.encode(&parity).to_bytes();
-        debug_assert_eq!(sparse.len(), wire, "delta_wire_info must be exact");
-        let body = if self.compress_parity {
-            let compressed = self.lzss.compress(&sparse);
-            if compressed.len() < sparse.len() {
-                PayloadBody::ParityCompressed {
-                    sparse_len: sparse.len(),
-                    data: compressed,
-                }
-            } else {
-                PayloadBody::Parity(sparse)
-            }
-        } else {
-            PayloadBody::Parity(sparse)
-        };
-        Payload { lba, body }.to_bytes()
-    }
-
     fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>) {
-        if self.compress_parity {
-            // The ablation path runs LZSS over the encoded parity; the
-            // compressor allocates anyway, so the fused encoder buys
-            // nothing here.
-            out.extend_from_slice(&self.encode_write(lba, old, new));
-            return;
-        }
-        // Decide sparse-vs-full from a scan-only pass, then serialize the
-        // winner straight into `out` — the dense parity block and the
-        // intermediate sparse buffer of `encode_write` never exist.
-        let (fallback, _) = self.full_image_fallback(old, new);
-        if fallback {
-            out.push(0); // PayloadBody::Full tag
-            prins_parity::encode_varint(out, lba.index());
-            out.extend_from_slice(new);
-        } else {
-            out.push(2); // PayloadBody::Parity tag
-            prins_parity::encode_varint(out, lba.index());
-            self.codec.encode_delta_into(old, new, out);
-        }
+        self.encode_write_noting_lzss(lba, old, new, out);
     }
 
     fn name(&self) -> &'static str {
@@ -221,6 +187,7 @@ impl Replicator for PrinsReplicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Payload, PayloadBody};
     use rand::{RngExt, SeedableRng};
 
     fn sample_write(change_bytes: usize) -> (Vec<u8>, Vec<u8>) {
@@ -299,8 +266,8 @@ mod tests {
         let trad = TraditionalReplicator.encode_write(Lba(3), &old, &new);
         assert_eq!(prins.len(), trad.len(), "fallback must match traditional");
         // And the payload decodes as a full image at the right LBA.
-        let payload = crate::Payload::from_bytes(&prins).unwrap();
-        assert!(matches!(payload.body, crate::PayloadBody::Full(ref d) if d == &new));
+        let payload = Payload::from_bytes(&prins).unwrap();
+        assert!(matches!(payload.body, PayloadBody::Full(ref d) if d == &new));
     }
 
     #[test]
@@ -315,8 +282,40 @@ mod tests {
         assert_eq!(set.len(), names.len());
     }
 
+    /// The classic construction the fused encoders replaced, kept as
+    /// the oracle: XOR the dense parity, zero-run encode it, fall back
+    /// to a full image when that is no smaller, optionally LZSS the
+    /// sparse stream — assembled as an owned [`Payload`].
+    fn classic(name: &str, lba: Lba, old: &[u8], new: &[u8]) -> Payload {
+        use prins_parity::{ErasureCodec, XorCodec};
+        let full = PayloadBody::Full(new.to_vec());
+        let body = match name {
+            "traditional" => full,
+            "compressed" => PayloadBody::Compressed {
+                block_len: new.len(),
+                data: Lzss::default().compress(new),
+            },
+            _ => {
+                let parity = XorCodec::mirror().delta(old, new);
+                let sparse = SparseCodec::default().encode(&parity).to_bytes();
+                let packed = Lzss::fast().compress(&sparse);
+                if sparse.len() >= new.len() {
+                    full
+                } else if name == "prins+lzss" && packed.len() < sparse.len() {
+                    PayloadBody::ParityCompressed {
+                        sparse_len: sparse.len(),
+                        data: packed,
+                    }
+                } else {
+                    PayloadBody::Parity(sparse)
+                }
+            }
+        };
+        Payload { lba, body }
+    }
+
     #[test]
-    fn encode_write_into_matches_encode_write_on_fallback() {
+    fn encode_write_into_matches_the_classic_payload_on_fallback() {
         // Full-block change exercises the Full-image fallback branch of
         // the fused PRINS encoder.
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
@@ -326,7 +325,7 @@ mod tests {
         let r = PrinsReplicator::new();
         let mut fused = Vec::new();
         r.encode_write_into(Lba(17), &old, &new, &mut fused);
-        assert_eq!(fused, r.encode_write(Lba(17), &old, &new));
+        assert_eq!(fused, classic("prins", Lba(17), &old, &new).to_bytes());
     }
 
     #[test]
@@ -343,9 +342,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `encode_write_into` must be byte-identical to `encode_write`
-        /// for every strategy and every write shape: the pooled hot path
-        /// may never change what goes on the wire.
+        /// `encode_write_into` must write exactly the bytes of the owned
+        /// [`Payload`] built the classic way, for every strategy and
+        /// every write shape — and parse back to it: the pooled hot
+        /// path may never change what goes on the wire.
         #[test]
         fn prop_encode_write_into_is_byte_identical(
             lba in proptest::prelude::any::<u32>(),
@@ -364,11 +364,12 @@ mod tests {
                 Box::new(PrinsReplicator::with_parity_compression()),
             ];
             for r in &reps {
-                let want = r.encode_write(Lba(lba as u64), &old, &new);
+                let want = classic(r.name(), Lba(lba as u64), &old, &new);
                 let mut got = vec![0xA5u8]; // pre-existing byte must survive
                 r.encode_write_into(Lba(lba as u64), &old, &new, &mut got);
                 proptest::prop_assert_eq!(&got[..1], &[0xA5u8][..], "{}", r.name());
-                proptest::prop_assert_eq!(&got[1..], want.as_slice(), "{}", r.name());
+                proptest::prop_assert_eq!(&got[1..], &want.to_bytes()[..], "{}", r.name());
+                proptest::prop_assert_eq!(&Payload::from_bytes(&got[1..]).unwrap(), &want);
             }
         }
     }

@@ -1,0 +1,928 @@
+//! The replication wire protocol: the one module that writes a frame,
+//! parses a request or response, seals bytes for a replica and decides
+//! what a replica's answer means.
+//!
+//! Every producer appends through the writers here ([`put_full`] …
+//! [`put_batch`], [`seal_begin`]); every primary talks to a replica
+//! through a [`Link`], whose [`recv_response`](Link::recv_response) is
+//! the single implementation of the response rule. The full tag and
+//! status table lives in DESIGN.md §8.
+//!
+//! PRINS's backward parity computation `A_new = P' ⊕ A_old` silently
+//! fabricates garbage if either side of the XOR is wrong, so frames do
+//! not rely on TCP's checksum (too weak, and it ends at the NIC, not
+//! at the disk). Every frame a primary sends is wrapped in a *seal*
+//! carrying two things:
+//!
+//! * **epoch** — the primary's view of the replica's connection
+//!   generation, bumped whenever a response may have been stranded and
+//!   on every rejoin. The replica echoes the epoch of the last sealed
+//!   frame it opened in every response, which makes stale in-flight
+//!   responses *identifiable* instead of guessable.
+//! * **crc32c** — over the epoch and the entire inner frame, verified
+//!   before the inner frame is parsed. A failed check is
+//!   [`ReplError::ChecksumMismatch`], answered with [`NAK_CORRUPT`] so
+//!   the sender retransmits instead of tearing the link down.
+
+use std::time::Duration;
+
+use prins_block::{crc32c, crc32c_append, Lba};
+use prins_net::Transport;
+use prins_parity::{decode_varint, encode_varint};
+
+use crate::ReplError;
+
+/// `tag varint(lba) block-bytes` — a full block image.
+pub(crate) const FULL_TAG: u8 = 0;
+/// `tag varint(lba) varint(block_len) lzss-bytes` — a compressed image.
+pub(crate) const COMPRESSED_TAG: u8 = 1;
+/// `tag varint(lba) sparse-parity-bytes` — the PRINS parity
+/// (self-describing zero-run encoding).
+pub(crate) const PARITY_TAG: u8 = 2;
+/// `tag varint(lba) varint(sparse_len) lzss(sparse-parity-bytes)`.
+pub(crate) const PARITY_COMPRESSED_TAG: u8 = 3;
+/// `tag varint(lba)` — end of an initial sync stream.
+pub(crate) const SYNC_MARKER_TAG: u8 = 4;
+/// `tag varint(count) { varint(len) payload-bytes }*count` — several
+/// payloads under one acknowledgement. Disjoint from the payload tags,
+/// so a receiver dispatches on the first byte.
+pub const BATCH_TAG: u8 = 5;
+/// `tag varint(epoch) crc32c(u32 LE) inner-frame` — the sealed envelope.
+pub const SEAL_TAG: u8 = 6;
+/// `tag varint(lba)` — scrub probe: digest the block as read from disk.
+const DIGEST_REQ_TAG: u8 = 7;
+/// `tag varint(stripe) coeff(u8) sparse-parity-bytes` — erasure-strip
+/// delta: the receiver applies `strip ^= coeff · Δ` over GF(256).
+pub const STRIP_DELTA_TAG: u8 = 8;
+/// `tag varint(lba)` — rebuild: read a strip image.
+const STRIP_REQ_TAG: u8 = 9;
+/// `tag varint(lba)` — serving path: read a block image.
+const READ_REQ_TAG: u8 = 10;
+
+/// `status varint(epoch)` — the frame was applied.
+pub const ACK: u8 = 0x06;
+/// `status varint(epoch)` — the frame was rejected (apply failed).
+pub const NAK: u8 = 0x15;
+/// `status varint(epoch)` — the frame failed its integrity check and
+/// nothing was applied; the sender should retransmit.
+pub const NAK_CORRUPT: u8 = 0x18;
+/// `status varint(epoch) crc32c(u32 LE)` — answer to a digest request.
+pub const DIGEST_ACK: u8 = 0x19;
+/// `status varint(epoch) crc32c(u32 LE) sparse-bytes` — answer to a
+/// strip request: the CRC-protected zero-run-encoded image.
+pub const STRIP_ACK: u8 = 0x1a;
+/// Same shape as [`STRIP_ACK`] — answer to a read request.
+pub const READ_ACK: u8 = 0x1b;
+
+fn put_head(out: &mut Vec<u8>, tag: u8, lba: Lba) {
+    out.push(tag);
+    encode_varint(out, lba.index());
+}
+
+/// Appends a full-image payload.
+pub fn put_full(out: &mut Vec<u8>, lba: Lba, block: &[u8]) {
+    put_head(out, FULL_TAG, lba);
+    out.extend_from_slice(block);
+}
+
+/// Appends an LZSS-compressed full-image payload; `block_len` is the
+/// uncompressed size.
+pub fn put_compressed(out: &mut Vec<u8>, lba: Lba, block_len: usize, lzss: &[u8]) {
+    put_head(out, COMPRESSED_TAG, lba);
+    encode_varint(out, block_len as u64);
+    out.extend_from_slice(lzss);
+}
+
+/// Appends a parity payload whose sparse-parity stream `body` writes —
+/// a fused encoder serializes straight into the frame.
+pub fn put_parity(out: &mut Vec<u8>, lba: Lba, body: impl FnOnce(&mut Vec<u8>)) {
+    put_head(out, PARITY_TAG, lba);
+    body(out);
+}
+
+/// Appends an LZSS-compressed parity payload; `sparse_len` is the
+/// sparse-parity stream's length before compression.
+pub(crate) fn put_parity_compressed(out: &mut Vec<u8>, lba: Lba, sparse_len: usize, lzss: &[u8]) {
+    put_head(out, PARITY_COMPRESSED_TAG, lba);
+    encode_varint(out, sparse_len as u64);
+    out.extend_from_slice(lzss);
+}
+
+/// Appends an end-of-sync marker.
+pub(crate) fn put_sync_marker(out: &mut Vec<u8>, lba: Lba) {
+    put_head(out, SYNC_MARKER_TAG, lba);
+}
+
+/// Appends an erasure-strip delta for the strip block at `stripe`.
+pub fn put_strip_delta(out: &mut Vec<u8>, stripe: Lba, coeff: u8, sparse: &[u8]) {
+    put_head(out, STRIP_DELTA_TAG, stripe);
+    out.push(coeff);
+    out.extend_from_slice(sparse);
+}
+
+/// Appends a batch frame packing `payloads` (each a serialized payload)
+/// in order.
+pub fn put_batch<'a, I>(out: &mut Vec<u8>, payloads: I)
+where
+    I: IntoIterator<Item = &'a [u8]>,
+    I::IntoIter: Clone,
+{
+    let payloads = payloads.into_iter();
+    out.push(BATCH_TAG);
+    encode_varint(out, payloads.clone().count() as u64);
+    for p in payloads {
+        encode_varint(out, p.len() as u64);
+        out.extend_from_slice(p);
+    }
+}
+
+fn seal_crc(epoch: u64, inner: &[u8]) -> u32 {
+    crc32c_append(crc32c(&epoch.to_le_bytes()), inner)
+}
+
+/// An open sealed envelope being written directly into a caller-owned
+/// buffer (e.g. a pooled wire buffer): [`seal_begin`] writes the header
+/// and reserves the checksum slot, the caller appends the inner frame,
+/// and [`finish`](SealWriter::finish) runs **one** CRC32C pass over
+/// whatever was appended and patches the slot — so a batch of payloads
+/// is framed and checksummed without ever existing separately.
+#[must_use = "a SealWriter must be finished to patch the checksum in"]
+pub struct SealWriter {
+    epoch: u64,
+    crc_at: usize,
+}
+
+/// Starts a sealed envelope at the end of `out`: appends the tag and
+/// epoch, reserves the 4-byte checksum slot and returns the writer that
+/// patches it. Bytes already in `out` are left untouched.
+pub fn seal_begin(epoch: u64, out: &mut Vec<u8>) -> SealWriter {
+    out.push(SEAL_TAG);
+    encode_varint(out, epoch);
+    let crc_at = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    SealWriter { epoch, crc_at }
+}
+
+impl SealWriter {
+    /// Checksums everything appended to `out` since [`seal_begin`] and
+    /// patches it into the reserved slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` was truncated below the envelope header since
+    /// [`seal_begin`] — the envelope this writer refers to is gone.
+    pub fn finish(self, out: &mut [u8]) {
+        let inner_start = self.crc_at + 4;
+        assert!(
+            out.len() >= inner_start,
+            "sealed buffer truncated under an open SealWriter"
+        );
+        let crc = seal_crc(self.epoch, &out[inner_start..]);
+        out[self.crc_at..inner_start].copy_from_slice(&crc.to_le_bytes());
+    }
+}
+
+/// Appends `inner` wrapped in a sealed envelope tagged with `epoch`.
+pub fn seal_frame_into(epoch: u64, inner: &[u8], out: &mut Vec<u8>) {
+    let writer = seal_begin(epoch, out);
+    out.extend_from_slice(inner);
+    writer.finish(out);
+}
+
+/// [`seal_frame_into`] a fresh buffer.
+pub fn seal_frame(epoch: u64, inner: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(inner.len() + 16);
+    seal_frame_into(epoch, inner, &mut out);
+    out
+}
+
+/// Appends a sealed batch frame packing `payloads`, covered by a single
+/// CRC32C sweep.
+pub fn seal_batch_frame_into<P: AsRef<[u8]>>(epoch: u64, payloads: &[P], out: &mut Vec<u8>) {
+    let writer = seal_begin(epoch, out);
+    put_batch(out, payloads.iter().map(AsRef::as_ref));
+    writer.finish(out);
+}
+
+/// Whether `bytes` starts like a sealed envelope.
+pub fn is_sealed(bytes: &[u8]) -> bool {
+    bytes.first() == Some(&SEAL_TAG)
+}
+
+/// Splits `crc32c(u32 LE) body` and verifies the checksum under `epoch`.
+fn checked_body<'a>(epoch: u64, rest: &'a [u8], what: &str) -> Result<&'a [u8], ReplError> {
+    if rest.len() < 4 {
+        return Err(ReplError::Malformed(format!("truncated {what} checksum")));
+    }
+    let expected = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
+    let body = &rest[4..];
+    let got = seal_crc(epoch, body);
+    if got != expected {
+        return Err(ReplError::ChecksumMismatch { expected, got });
+    }
+    Ok(body)
+}
+
+/// Opens a sealed envelope, returning `(epoch, inner-frame)`.
+///
+/// # Errors
+///
+/// * [`ReplError::Malformed`] if the envelope structure is broken,
+/// * [`ReplError::ChecksumMismatch`] if the CRC32C does not cover the
+///   bytes received — the frame was corrupted in flight.
+pub fn open_frame(bytes: &[u8]) -> Result<(u64, &[u8]), ReplError> {
+    let (&tag, rest) = bytes
+        .split_first()
+        .ok_or_else(|| ReplError::Malformed("empty sealed frame".into()))?;
+    if tag != SEAL_TAG {
+        return Err(ReplError::Malformed(format!(
+            "sealed frame tag {tag} != {SEAL_TAG}"
+        )));
+    }
+    let (epoch, used) =
+        decode_varint(rest).ok_or_else(|| ReplError::Malformed("truncated seal epoch".into()))?;
+    Ok((epoch, checked_body(epoch, &rest[used..], "seal")?))
+}
+
+/// A read-side request a primary sends (sealed) instead of a payload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Request {
+    /// Scrub probe: answer [`DIGEST_ACK`] with the CRC32C of the block
+    /// *as read back from disk* — what lets the primary detect media
+    /// corruption no wire checksum can see.
+    Digest(Lba),
+    /// Rebuild: answer [`STRIP_ACK`] with the strip block's image.
+    Strip(Lba),
+    /// Read offload: answer [`READ_ACK`] with the block's image.
+    Read(Lba),
+}
+
+impl Request {
+    /// Appends the request's wire form.
+    pub fn put(self, out: &mut Vec<u8>) {
+        let (tag, lba) = match self {
+            Request::Digest(lba) => (DIGEST_REQ_TAG, lba),
+            Request::Strip(lba) => (STRIP_REQ_TAG, lba),
+            Request::Read(lba) => (READ_REQ_TAG, lba),
+        };
+        put_head(out, tag, lba);
+    }
+
+    /// Parses `bytes` if it starts with a request tag; `Ok(None)` means
+    /// the frame is something else (a payload or batch).
+    ///
+    /// # Errors
+    ///
+    /// [`ReplError::Malformed`] on a truncated varint or trailing bytes
+    /// after a request tag.
+    pub fn decode(bytes: &[u8]) -> Result<Option<Self>, ReplError> {
+        let kind = match bytes.first() {
+            Some(&DIGEST_REQ_TAG) => Request::Digest,
+            Some(&STRIP_REQ_TAG) => Request::Strip,
+            Some(&READ_REQ_TAG) => Request::Read,
+            _ => return Ok(None),
+        };
+        match decode_varint(&bytes[1..]) {
+            Some((lba, used)) if used + 1 == bytes.len() => Ok(Some(kind(Lba(lba)))),
+            Some(_) => Err(ReplError::Malformed("trailing bytes after request".into())),
+            None => Err(ReplError::Malformed("truncated request lba".into())),
+        }
+    }
+}
+
+/// A decoded response frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AckFrame<'a> {
+    /// One of the six response statuses.
+    pub status: u8,
+    /// Epoch of the last sealed frame the replica opened (0 when it
+    /// has never seen a seal, or for bare legacy acks).
+    pub epoch: u64,
+    /// What follows the epoch: the 4 digest bytes of a [`DIGEST_ACK`],
+    /// the checksum-verified sparse image of a [`STRIP_ACK`] /
+    /// [`READ_ACK`], empty otherwise.
+    pub body: &'a [u8],
+}
+
+/// Encodes a body-less response (`status` + varint epoch).
+pub fn encode_ack(status: u8, epoch: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(11);
+    out.push(status);
+    encode_varint(&mut out, epoch);
+    out
+}
+
+/// Encodes a [`DIGEST_ACK`].
+pub(crate) fn encode_digest_ack(epoch: u64, digest: u32) -> Vec<u8> {
+    let mut out = encode_ack(DIGEST_ACK, epoch);
+    out.extend_from_slice(&digest.to_le_bytes());
+    out
+}
+
+/// Encodes a [`STRIP_ACK`] / [`READ_ACK`] carrying `sparse`, the
+/// zero-run-encoded image, CRC-protected like a sealed frame so neither
+/// a rebuild nor a served read ever decodes a damaged image.
+pub(crate) fn encode_image_ack(status: u8, epoch: u64, sparse: &[u8]) -> Vec<u8> {
+    let mut out = encode_ack(status, epoch);
+    out.extend_from_slice(&seal_crc(epoch, sparse).to_le_bytes());
+    out.extend_from_slice(sparse);
+    out
+}
+
+/// Decodes a response frame in any of its shapes. A bare legacy
+/// `[ACK]`/`[NAK]` byte decodes as epoch 0.
+///
+/// # Errors
+///
+/// [`ReplError::Malformed`] on empty frames, unknown status bytes, or
+/// truncated / trailing fields; [`ReplError::ChecksumMismatch`] if an
+/// image body was damaged in flight.
+pub fn decode_ack(bytes: &[u8]) -> Result<AckFrame<'_>, ReplError> {
+    let (&status, rest) = bytes
+        .split_first()
+        .ok_or_else(|| ReplError::Malformed("empty ack frame".into()))?;
+    if !matches!(
+        status,
+        ACK | NAK | NAK_CORRUPT | DIGEST_ACK | STRIP_ACK | READ_ACK
+    ) {
+        return Err(ReplError::Malformed(format!(
+            "unknown ack status {status:#04x}"
+        )));
+    }
+    if rest.is_empty() && (status == ACK || status == NAK) {
+        return Ok(AckFrame {
+            status,
+            epoch: 0,
+            body: rest,
+        });
+    }
+    let (epoch, used) =
+        decode_varint(rest).ok_or_else(|| ReplError::Malformed("truncated ack epoch".into()))?;
+    let rest = &rest[used..];
+    let body = match status {
+        STRIP_ACK | READ_ACK => checked_body(epoch, rest, "image ack")?,
+        DIGEST_ACK if rest.len() == 4 => rest,
+        DIGEST_ACK => return Err(ReplError::Malformed("truncated digest".into())),
+        _ if rest.is_empty() => rest,
+        _ => {
+            return Err(ReplError::Malformed(format!(
+                "{} trailing bytes after ack",
+                rest.len()
+            )))
+        }
+    };
+    Ok(AckFrame {
+        status,
+        epoch,
+        body,
+    })
+}
+
+/// What [`Link::recv_response`] reports while it waits, so callers can
+/// count or trace it without re-implementing the rule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LinkEvent {
+    /// A response from an older epoch was dropped.
+    StaleDropped,
+    /// The replica answered [`NAK_CORRUPT`].
+    CorruptNak,
+}
+
+/// A response that passed the response rule, owning its frame.
+#[derive(Debug)]
+pub struct Response {
+    frame: Vec<u8>,
+    body_at: usize,
+}
+
+impl Response {
+    /// The response body (see [`AckFrame::body`]).
+    pub fn body(&self) -> &[u8] {
+        &self.frame[self.body_at..]
+    }
+
+    /// The block digest, if this is a [`DIGEST_ACK`].
+    pub fn digest(&self) -> Option<u32> {
+        match (self.frame[0], self.body()) {
+            (DIGEST_ACK, &[a, b, c, d]) => Some(u32::from_le_bytes([a, b, c, d])),
+            _ => None,
+        }
+    }
+
+    /// Bytes the response occupied on the wire.
+    pub fn wire_len(&self) -> usize {
+        self.frame.len()
+    }
+}
+
+/// The primary's end of one replica connection: the transport, the
+/// response-stream epoch, and a reusable buffer for sealed frames.
+///
+/// [`send`](Self::send) seals a frame for the replica (the engine
+/// lanes, which retain each frame in a pooled buffer until it is
+/// acknowledged, seal with [`seal_begin`] under [`epoch`](Self::epoch)
+/// and send through [`transport`](Self::transport) instead) and
+/// [`recv_response`](Self::recv_response) is the only code that
+/// classifies what comes back. The owner bumps the epoch whenever a
+/// response may have been stranded (a receive failure, a rejoin), so a
+/// late answer identifies itself by its older epoch and is dropped
+/// instead of being credited to a newer frame.
+pub struct Link {
+    transport: Box<dyn Transport>,
+    replica: usize,
+    epoch: u64,
+    frame: Vec<u8>,
+}
+
+impl Link {
+    /// A link to replica number `replica` (the index errors carry), at
+    /// epoch 1.
+    pub fn new(replica: usize, transport: Box<dyn Transport>) -> Self {
+        Self {
+            transport,
+            replica,
+            epoch: 1,
+            frame: Vec::new(),
+        }
+    }
+
+    /// The current epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Opens a new response generation.
+    pub fn bump_epoch(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// The underlying transport (meters; sending an already-sealed,
+    /// caller-retained frame).
+    pub fn transport(&self) -> &dyn Transport {
+        &*self.transport
+    }
+
+    /// Swaps in a new connection, opening a new generation so responses
+    /// stranded on the old one identify themselves.
+    pub fn reconnect(&mut self, transport: Box<dyn Transport>) {
+        self.transport = transport;
+        self.epoch += 1;
+    }
+
+    /// Gives the transport back.
+    pub fn into_transport(self) -> Box<dyn Transport> {
+        self.transport
+    }
+
+    /// Seals whatever `fill` appends under the current epoch and sends
+    /// it. Returns the sealed frame's length.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplError::Net`] if the transport refuses the frame.
+    pub fn send(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<usize, ReplError> {
+        self.frame.clear();
+        let writer = seal_begin(self.epoch, &mut self.frame);
+        fill(&mut self.frame);
+        writer.finish(&mut self.frame);
+        self.transport.send(&self.frame)?;
+        Ok(self.frame.len())
+    }
+
+    /// Waits for the response to a frame sealed under `expected_epoch`
+    /// — **the** response rule:
+    ///
+    /// * a response from an older epoch is dropped and the wait goes on
+    ///   ([`LinkEvent::StaleDropped`]); its frame was already booked as
+    ///   failed when the epoch moved;
+    /// * [`NAK_CORRUPT`] is exempt from that filter and becomes
+    ///   [`ReplError::ChecksumMismatch`] ([`LinkEvent::CorruptNak`]): a
+    ///   damaged frame cannot echo the epoch it was sealed under, so
+    ///   the replica answers with whatever epoch it last saw. A
+    ///   genuinely stale corrupt NAK at worst marks one in-flight frame
+    ///   uncertain, while dropping a current one would shift FIFO
+    ///   credit onto the *next* response and silently credit the
+    ///   rejected frame;
+    /// * status `want` is the answer; [`NAK`] is [`ReplError::Nak`];
+    ///   any other status, or bytes that do not decode, are
+    ///   [`ReplError::MissingAck`] carrying the stray byte.
+    ///
+    /// # Errors
+    ///
+    /// As above, plus [`ReplError::Net`] when nothing arrives within
+    /// `timeout`, and [`ReplError::ChecksumMismatch`] for an image
+    /// response damaged in flight.
+    pub fn recv_response(
+        &self,
+        want: u8,
+        expected_epoch: u64,
+        timeout: Duration,
+        on_event: &mut dyn FnMut(LinkEvent),
+    ) -> Result<Response, ReplError> {
+        loop {
+            let frame = self.transport.recv_timeout(timeout)?;
+            let ack = decode_ack(&frame).map_err(|e| match e {
+                ReplError::ChecksumMismatch { .. } => e,
+                _ => ReplError::MissingAck {
+                    replica: self.replica,
+                    got: frame.first().copied(),
+                },
+            })?;
+            if ack.status == NAK_CORRUPT {
+                on_event(LinkEvent::CorruptNak);
+                return Err(ReplError::ChecksumMismatch {
+                    expected: 0,
+                    got: 0,
+                });
+            }
+            if ack.epoch < expected_epoch {
+                on_event(LinkEvent::StaleDropped);
+                continue;
+            }
+            return match ack.status {
+                status if status == want => {
+                    let body_at = frame.len() - ack.body.len();
+                    Ok(Response { frame, body_at })
+                }
+                NAK => Err(ReplError::Nak {
+                    replica: self.replica,
+                }),
+                other => Err(ReplError::MissingAck {
+                    replica: self.replica,
+                    got: Some(other),
+                }),
+            };
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BatchFrame, Payload, PayloadBody};
+    use prins_net::{channel_pair, LinkModel, SinkTransport};
+    use proptest::prelude::*;
+
+    const T: Duration = Duration::from_secs(1);
+
+    #[test]
+    fn every_frame_kind_has_its_documented_bytes() {
+        // Pinned by hand, independent of the writers: lba 300 is the
+        // two-byte varint [0xac, 0x02].
+        let payload = |body| Payload {
+            lba: Lba(300),
+            body,
+        };
+        let cases: Vec<(Vec<u8>, Vec<u8>)> = vec![
+            (
+                payload(PayloadBody::Full(vec![9, 8])).to_bytes(),
+                vec![0, 0xac, 0x02, 9, 8],
+            ),
+            (
+                payload(PayloadBody::Compressed {
+                    block_len: 128,
+                    data: vec![7],
+                })
+                .to_bytes(),
+                vec![1, 0xac, 0x02, 0x80, 0x01, 7],
+            ),
+            (
+                payload(PayloadBody::Parity(vec![5, 6])).to_bytes(),
+                vec![2, 0xac, 0x02, 5, 6],
+            ),
+            (
+                payload(PayloadBody::ParityCompressed {
+                    sparse_len: 3,
+                    data: vec![4],
+                })
+                .to_bytes(),
+                vec![3, 0xac, 0x02, 3, 4],
+            ),
+            (
+                payload(PayloadBody::SyncMarker).to_bytes(),
+                vec![4, 0xac, 0x02],
+            ),
+            (
+                BatchFrame {
+                    payloads: vec![vec![1, 2], vec![]],
+                }
+                .to_bytes(),
+                vec![5, 2, 2, 1, 2, 0],
+            ),
+            (
+                payload(PayloadBody::StripDelta {
+                    coeff: 0x8e,
+                    data: vec![1],
+                })
+                .to_bytes(),
+                vec![8, 0xac, 0x02, 0x8e, 1],
+            ),
+            (encode_ack(ACK, 300), vec![0x06, 0xac, 0x02]),
+            (encode_ack(NAK, 1), vec![0x15, 1]),
+            (encode_ack(NAK_CORRUPT, 0), vec![0x18, 0]),
+            (encode_digest_ack(2, 0x0403_0201), vec![0x19, 2, 1, 2, 3, 4]),
+        ];
+        for (got, want) in cases {
+            assert_eq!(got, want);
+        }
+        for (request, tag) in [
+            (Request::Digest(Lba(300)), 7u8),
+            (Request::Strip(Lba(300)), 9),
+            (Request::Read(Lba(300)), 10),
+        ] {
+            let mut out = Vec::new();
+            request.put(&mut out);
+            assert_eq!(out, vec![tag, 0xac, 0x02]);
+        }
+        // Seal and image acks: header, then the CRC over epoch + body.
+        let crc = crc32c_append(crc32c(&5u64.to_le_bytes()), b"xy").to_le_bytes();
+        assert_eq!(seal_frame(5, b"xy"), [&[6, 5][..], &crc, b"xy"].concat());
+        for status in [STRIP_ACK, READ_ACK] {
+            assert_eq!(
+                encode_image_ack(status, 5, b"xy"),
+                [&[status, 5][..], &crc, b"xy"].concat()
+            );
+        }
+        assert_eq!((STRIP_ACK, READ_ACK), (0x1a, 0x1b));
+    }
+
+    #[test]
+    fn seal_roundtrips() {
+        for epoch in [0u64, 1, 127, 128, u64::MAX] {
+            let inner = vec![1u8, 2, 3, 4, 5];
+            let sealed = seal_frame(epoch, &inner);
+            assert!(is_sealed(&sealed));
+            let (e, i) = open_frame(&sealed).unwrap();
+            assert_eq!((e, i), (epoch, inner.as_slice()));
+        }
+    }
+
+    #[test]
+    fn open_rejects_structure_and_corruption() {
+        assert!(open_frame(&[]).is_err());
+        assert!(open_frame(&[0, 1, 2]).is_err());
+        assert!(open_frame(&[SEAL_TAG]).is_err());
+        assert!(open_frame(&[SEAL_TAG, 0x80]).is_err()); // dangling varint
+        assert!(open_frame(&[SEAL_TAG, 0, 1, 2]).is_err()); // short crc
+        let mut sealed = seal_frame(3, b"payload");
+        let last = sealed.len() - 1;
+        sealed[last] ^= 0x01;
+        assert!(matches!(
+            open_frame(&sealed),
+            Err(ReplError::ChecksumMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn seal_frame_into_appends_after_existing_bytes() {
+        let mut out = vec![0xEEu8; 3];
+        seal_frame_into(9, b"inner bytes", &mut out);
+        assert_eq!(&out[..3], &[0xEE; 3]);
+        assert_eq!(&out[3..], seal_frame(9, b"inner bytes").as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated under an open SealWriter")]
+    fn finish_rejects_truncated_buffer() {
+        let mut out = Vec::new();
+        let writer = seal_begin(1, &mut out);
+        out.clear();
+        writer.finish(&mut out);
+    }
+
+    #[test]
+    fn acks_roundtrip_in_all_shapes() {
+        for (status, epoch) in [(ACK, 0u64), (ACK, 9), (NAK, 3), (NAK_CORRUPT, 1 << 40)] {
+            let frame = encode_ack(status, epoch);
+            assert_eq!(
+                decode_ack(&frame).unwrap(),
+                AckFrame {
+                    status,
+                    epoch,
+                    body: &[]
+                }
+            );
+        }
+        // Legacy bare bytes still decode as epoch 0.
+        for status in [ACK, NAK] {
+            assert_eq!(decode_ack(&[status]).unwrap().epoch, 0);
+        }
+        let digest = encode_digest_ack(7, 0xdead_beef);
+        let ack = decode_ack(&digest).unwrap();
+        assert_eq!((ack.status, ack.epoch), (DIGEST_ACK, 7));
+        assert_eq!(ack.body, 0xdead_beefu32.to_le_bytes());
+        for status in [STRIP_ACK, READ_ACK] {
+            let frame = encode_image_ack(status, 5, b"sparse-image");
+            let ack = decode_ack(&frame).unwrap();
+            assert_eq!(
+                (ack.status, ack.epoch, ack.body),
+                (status, 5, &b"sparse-image"[..])
+            );
+            // Damage anywhere in the body is caught by the CRC.
+            let mut bad = frame.clone();
+            let last = bad.len() - 1;
+            bad[last] ^= 0x40;
+            assert!(matches!(
+                decode_ack(&bad),
+                Err(ReplError::ChecksumMismatch { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn decode_ack_rejects_garbage() {
+        assert!(decode_ack(&[]).is_err());
+        assert!(decode_ack(&[0x7f]).is_err());
+        assert!(decode_ack(&[NAK_CORRUPT]).is_err()); // corrupt-nak needs an epoch
+        assert!(decode_ack(&[ACK, 0x80]).is_err()); // dangling varint
+        assert!(decode_ack(&[ACK, 0, 9]).is_err()); // trailing byte
+        assert!(decode_ack(&[DIGEST_ACK, 0, 1, 2]).is_err()); // short digest
+        assert!(decode_ack(&[STRIP_ACK, 0, 1, 2]).is_err()); // short crc
+    }
+
+    #[test]
+    fn requests_roundtrip_and_reject_bad_structure() {
+        for request in [
+            Request::Digest(Lba(12345)),
+            Request::Strip(Lba(77)),
+            Request::Read(Lba(4321)),
+        ] {
+            let mut out = Vec::new();
+            request.put(&mut out);
+            assert_eq!(Request::decode(&out).unwrap(), Some(request));
+            assert!(Request::decode(&out[..1]).is_err(), "missing lba");
+            out.push(0);
+            assert!(Request::decode(&out).is_err(), "trailing byte");
+        }
+        // Payloads, batches and empty frames are not requests.
+        for other in [&[0u8, 0][..], &[BATCH_TAG, 0], &[SEAL_TAG, 0], &[]] {
+            assert_eq!(Request::decode(other).unwrap(), None);
+        }
+    }
+
+    /// A link whose far end the test holds, to see what was sent.
+    fn wired() -> (Link, prins_net::ChannelTransport) {
+        let (near, far) = channel_pair(LinkModel::t1());
+        (Link::new(4, Box::new(near)), far)
+    }
+
+    /// A link that only answers, from a script.
+    fn scripted(replies: Vec<Vec<u8>>) -> Link {
+        let sink = SinkTransport::new();
+        sink.preload(replies);
+        Link::new(4, Box::new(sink))
+    }
+
+    #[test]
+    fn send_seals_under_the_current_epoch() {
+        let (mut link, far) = wired();
+        let len = link.send(|out| out.extend_from_slice(b"first")).unwrap();
+        let frame = far.recv().unwrap();
+        assert_eq!(frame, seal_frame(1, b"first"));
+        assert_eq!(len, frame.len());
+        link.bump_epoch();
+        // The frame buffer is reused: nothing of "first" leaks through.
+        link.send(|out| out.push(7)).unwrap();
+        assert_eq!(far.recv().unwrap(), seal_frame(2, &[7]));
+        assert_eq!(link.epoch(), 2);
+    }
+
+    #[test]
+    fn stale_responses_are_dropped_and_reported() {
+        let mut events = Vec::new();
+        // Two answers from epoch 2 (an ack and a digest) surface ahead
+        // of the real one while the link waits under epoch 3; a bare
+        // legacy ack is epoch 0, so it is stale too.
+        let link = scripted(vec![
+            encode_ack(ACK, 2),
+            encode_digest_ack(2, 9),
+            vec![ACK],
+            encode_ack(ACK, 3),
+        ]);
+        let resp = link
+            .recv_response(ACK, 3, T, &mut |e| events.push(e))
+            .unwrap();
+        assert_eq!(resp.body(), &[] as &[u8]);
+        assert_eq!(events, vec![LinkEvent::StaleDropped; 3]);
+    }
+
+    #[test]
+    fn corrupt_nak_is_exempt_from_the_stale_filter() {
+        let mut events = Vec::new();
+        let link = scripted(vec![encode_ack(NAK_CORRUPT, 0)]);
+        let err = link
+            .recv_response(ACK, 9, T, &mut |e| events.push(e))
+            .unwrap_err();
+        assert!(matches!(err, ReplError::ChecksumMismatch { .. }), "{err}");
+        assert_eq!(events, vec![LinkEvent::CorruptNak]);
+    }
+
+    #[test]
+    fn responses_classify_by_status() {
+        let recv =
+            |reply: Vec<u8>, want| scripted(vec![reply]).recv_response(want, 1, T, &mut |_| {});
+        assert!(matches!(
+            recv(encode_ack(NAK, 1), ACK),
+            Err(ReplError::Nak { replica: 4 })
+        ));
+        assert!(matches!(
+            recv(encode_ack(NAK, 1), DIGEST_ACK),
+            Err(ReplError::Nak { replica: 4 })
+        ));
+        // A well-formed answer to a different question is misaligned.
+        assert!(matches!(
+            recv(encode_digest_ack(1, 5), ACK),
+            Err(ReplError::MissingAck {
+                replica: 4,
+                got: Some(DIGEST_ACK)
+            })
+        ));
+        assert!(matches!(
+            recv(vec![0x7f, 1], ACK),
+            Err(ReplError::MissingAck {
+                replica: 4,
+                got: Some(0x7f)
+            })
+        ));
+        assert!(matches!(
+            recv(Vec::new(), ACK),
+            Err(ReplError::MissingAck {
+                replica: 4,
+                got: None
+            })
+        ));
+        assert!(matches!(
+            scripted(Vec::new()).recv_response(ACK, 1, T, &mut |_| {}),
+            Err(ReplError::Net(_))
+        ));
+        let digest = recv(encode_digest_ack(1, 0xfeed), DIGEST_ACK).unwrap();
+        assert_eq!(digest.digest(), Some(0xfeed));
+        let frame = encode_image_ack(READ_ACK, 1, b"image");
+        let image = recv(frame.clone(), READ_ACK).unwrap();
+        assert_eq!(
+            (image.body(), image.wire_len()),
+            (&b"image"[..], frame.len())
+        );
+        assert_eq!(image.digest(), None);
+        // An image damaged in flight is a checksum error, not a stray byte.
+        let mut bad = frame;
+        bad[8] ^= 1;
+        assert!(matches!(
+            recv(bad, READ_ACK),
+            Err(ReplError::ChecksumMismatch { .. })
+        ));
+    }
+
+    proptest! {
+        /// Sealed frames round-trip for arbitrary epochs and inner bytes.
+        #[test]
+        fn prop_seal_roundtrip(epoch in any::<u64>(),
+                               inner in proptest::collection::vec(any::<u8>(), 0..512)) {
+            let sealed = seal_frame(epoch, &inner);
+            let (e, i) = open_frame(&sealed).unwrap();
+            prop_assert_eq!(e, epoch);
+            prop_assert_eq!(i, inner.as_slice());
+        }
+
+        /// Any single-bit flip anywhere in a sealed frame is rejected —
+        /// it never opens successfully, so corruption cannot be applied.
+        #[test]
+        fn prop_any_single_bit_flip_is_rejected(
+                epoch in any::<u64>(),
+                inner in proptest::collection::vec(any::<u8>(), 0..128),
+                byte in any::<prop::sample::Index>(),
+                bit in 0u8..8) {
+            let mut sealed = seal_frame(epoch, &inner);
+            let at = byte.index(sealed.len());
+            sealed[at] ^= 1 << bit;
+            prop_assert!(open_frame(&sealed).is_err());
+        }
+
+        /// Arbitrary bytes never panic the openers/decoders.
+        #[test]
+        fn prop_decoders_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+            let _ = open_frame(&bytes);
+            let _ = decode_ack(&bytes);
+            let _ = Request::decode(&bytes);
+        }
+
+        /// Batch-aware sealing (single buffer, single CRC sweep) opens
+        /// to the same batch as building the frame and sealing it.
+        #[test]
+        fn prop_batch_seal_is_byte_identical(
+                epoch in any::<u64>(),
+                payloads in proptest::collection::vec(
+                    proptest::collection::vec(any::<u8>(), 0..128), 0..10)) {
+            let expected = seal_frame(
+                epoch,
+                &BatchFrame { payloads: payloads.clone() }.to_bytes(),
+            );
+            let mut got = Vec::new();
+            seal_batch_frame_into(epoch, &payloads, &mut got);
+            prop_assert_eq!(&got, &expected);
+            let (e, inner) = open_frame(&got).unwrap();
+            prop_assert_eq!(e, epoch);
+            prop_assert_eq!(BatchFrame::from_bytes(inner).unwrap().payloads, payloads);
+        }
+    }
+}

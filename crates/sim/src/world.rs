@@ -24,10 +24,7 @@ use prins_ec::ReedSolomon;
 use prins_net::{SimLinkCtl, SimNet, SimTransport, Transport};
 use prins_obs::{EventKind, Registry, TraceConfig, TraceSink};
 use prins_parity::ErasureCodec;
-use prins_repl::{
-    encode_ack, encode_digest_ack, is_sealed, open_frame, AckPolicy, Applied, BatchFrame, Payload,
-    ReplError, ReplicaApplier, ACK, NAK, NAK_CORRUPT,
-};
+use prins_repl::{is_sealed, open_frame, AckPolicy, BatchFrame, Payload, ReplicaApplier, Request};
 
 /// FNV-1a over a block image — the oracle's content fingerprint.
 pub fn content_hash(bytes: &[u8]) -> u64 {
@@ -91,16 +88,7 @@ fn spawn_replica(
         &b,
         Box::new(move || {
             while let Ok(Some(frame)) = tr.try_recv() {
-                let ack = match applier.handle(&frame) {
-                    Ok(Applied::Data(_)) => encode_ack(ACK, applier.last_epoch()),
-                    Ok(Applied::Digest(d)) => encode_digest_ack(applier.last_epoch(), d),
-                    Ok(Applied::Strip(s)) => prins_repl::encode_strip_ack(applier.last_epoch(), &s),
-                    Ok(Applied::Read(s)) => prins_repl::encode_read_ack(applier.last_epoch(), &s),
-                    Err(ReplError::ChecksumMismatch { .. }) => {
-                        encode_ack(NAK_CORRUPT, applier.last_epoch())
-                    }
-                    Err(_) => encode_ack(NAK, applier.last_epoch()),
-                };
+                let (ack, _) = applier.respond(&frame);
                 let _ = tr.send(&ack);
             }
         }),
@@ -119,7 +107,7 @@ fn frame_lbas(bytes: &[u8]) -> Vec<u64> {
             Err(_) => Vec::new(),
         };
     }
-    if prins_repl::is_digest_request(bytes) || prins_repl::is_read_request(bytes) {
+    if !matches!(Request::decode(bytes), Ok(None)) {
         return Vec::new();
     }
     if BatchFrame::is_batch(bytes) {
@@ -1163,16 +1151,7 @@ fn spawn_strip_node(
         &b,
         Box::new(move || {
             while let Ok(Some(frame)) = tr.try_recv() {
-                let ack = match applier.handle(&frame) {
-                    Ok(Applied::Data(_)) => encode_ack(ACK, applier.last_epoch()),
-                    Ok(Applied::Digest(d)) => encode_digest_ack(applier.last_epoch(), d),
-                    Ok(Applied::Strip(s)) => prins_repl::encode_strip_ack(applier.last_epoch(), &s),
-                    Ok(Applied::Read(s)) => prins_repl::encode_read_ack(applier.last_epoch(), &s),
-                    Err(ReplError::ChecksumMismatch { .. }) => {
-                        encode_ack(NAK_CORRUPT, applier.last_epoch())
-                    }
-                    Err(_) => encode_ack(NAK, applier.last_epoch()),
-                };
+                let (ack, _) = applier.respond(&frame);
                 let _ = tr.send(&ack);
             }
         }),

@@ -11,13 +11,13 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
 use prins_net::{channel_pair, LinkModel, Transport};
 use prins_parity::SparseCodec;
 use prins_raid::{RaidArray, RaidLevel};
-use prins_repl::{run_replica, Payload, PayloadBody};
+use prins_repl::{put_parity, run_replica, Link, ACK};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Replica site.
@@ -34,14 +34,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let raid = RaidArray::new(RaidLevel::Raid5, members)?;
     let codec = SparseCodec::default();
+    let mut link = Link::new(0, Box::new(uplink));
     raid.set_parity_tap(Box::new(move |lba, parity_delta| {
-        let payload = Payload {
-            lba,
-            body: PayloadBody::Parity(codec.encode(parity_delta).to_bytes()),
-        };
-        uplink.send(&payload.to_bytes()).expect("replica link");
-        let ack = uplink.recv().expect("replica ack");
-        assert_eq!(ack, [0x06], "replica acknowledged");
+        let sparse = codec.encode(parity_delta).to_bytes();
+        link.send(|out| put_parity(out, lba, |out| out.extend_from_slice(&sparse)))
+            .expect("replica link");
+        link.recv_response(ACK, link.epoch(), Duration::from_secs(10), &mut |_| {})
+            .expect("replica acknowledged");
     }));
 
     // The application writes through the array; PRINS replication is
