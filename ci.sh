@@ -15,6 +15,17 @@ cd "$(dirname "$0")"
 # --all/--workspace keep the gates covering every crate, including the
 # prins-obs metrics crate and any future additions.
 cargo fmt --all -- --check
+# One place to audit: the library crates' only `unsafe` is the call into
+# the SSE4.2 CRC32C kernel in crates/block/src/checksum.rs, and the
+# conditions that block relies on can only be checked by reading if the
+# keyword appears nowhere else. (-w: the `unsafe_code` lint name in
+# prins-block's `#![deny(unsafe_code)]` is not the keyword.)
+unsafe_in=$(grep -rlw "unsafe" crates/*/src)
+if [ "$unsafe_in" != "crates/block/src/checksum.rs" ]; then
+    echo "unsafe outside crates/block/src/checksum.rs:" >&2
+    grep -rnw "unsafe" crates/*/src | grep -v "^crates/block/src/checksum.rs:" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo bench --workspace --no-run     # criterion benches must keep compiling
@@ -22,6 +33,9 @@ cargo bench --workspace --no-run     # criterion benches must keep compiling
 # worker and replica threads, so unbounded test threads oversubscribe
 # CI boxes and turn timing-tolerant tests flaky.
 RUST_TEST_THREADS=4 cargo test -q --release              # tier-1 gate (root package)
+# The workspace line is also what runs prins-block's CRC32C kernel tests
+# (every length x alignment x split, hardware vs portable vs bytewise)
+# in release mode, where the kernel is optimized the way it ships.
 RUST_TEST_THREADS=4 cargo test -q --release --workspace  # every crate, incl. vendored stubs
 # benchmark/ is its own workspace (BENCHMARK.json builds it standalone),
 # so neither line above compiles it: run its tests here, or an API break

@@ -1,7 +1,8 @@
 //! Micro-kernels: the primitive operations every PRINS write exercises.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use prins_block::{crc32c, crc32c_scalar};
+use prins_bench::crc32c_scalar;
+use prins_block::{crc32c, crc32c_append_portable};
 use prins_compress::{Codec, Lzss, Rle};
 use prins_ec::MulTable;
 use prins_iscsi::{Opcode, Pdu};
@@ -140,14 +141,19 @@ fn bench_compression(c: &mut Criterion) {
 }
 
 fn bench_crc32c(c: &mut Criterion) {
-    // Width sweep of the sealing checksum: the slice-by-8 kernel vs the
-    // bytewise baseline, from a tiny ack up to a 64 KB batch frame.
+    // Width sweep of the integrity checksum, from a parity frame up to
+    // a 64 KB batch frame: what `crc32c` dispatches to on this CPU (the
+    // `crc32` instruction where there is one), the portable
+    // slicing-by-8 fallback, and the bytewise baseline.
     let mut group = c.benchmark_group("kernels/crc32c");
-    for len in [64usize, 512, 4096, 65536] {
+    for len in [512usize, 4096, 8192, 65536] {
         let (_, data) = sample_images(len, 1.0);
         group.throughput(Throughput::Bytes(len as u64));
-        group.bench_with_input(BenchmarkId::new("sliced8", len), &data, |b, d| {
+        group.bench_with_input(BenchmarkId::new("hardware", len), &data, |b, d| {
             b.iter(|| crc32c(d))
+        });
+        group.bench_with_input(BenchmarkId::new("portable", len), &data, |b, d| {
+            b.iter(|| crc32c_append_portable(0, d))
         });
         group.bench_with_input(BenchmarkId::new("scalar", len), &data, |b, d| {
             b.iter(|| crc32c_scalar(d))

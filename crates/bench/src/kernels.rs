@@ -10,7 +10,6 @@
 use std::fmt;
 use std::time::Instant;
 
-use prins_block::{crc32c_scalar, crc32c_scalar_append};
 use prins_parity::encode_varint;
 use prins_repl::{seal_batch_frame_into, SEAL_TAG};
 
@@ -23,7 +22,8 @@ pub struct SealMeasurement {
     pub payload_bytes: usize,
     /// Best-of-N nanos for the per-frame byte-at-a-time baseline.
     pub per_frame_scalar_nanos: u64,
-    /// Best-of-N nanos for one batch-sealing pass (slicing-by-8).
+    /// Best-of-N nanos for one batch-sealing pass (the library's
+    /// `crc32c`).
     pub batch_nanos: u64,
 }
 
@@ -46,6 +46,37 @@ impl fmt::Display for SealMeasurement {
             self.speedup()
         )
     }
+}
+
+/// Byte-at-a-time CRC32C: the baseline of this experiment and of the
+/// criterion `kernels/crc32c` series, one table lookup per byte.
+pub fn crc32c_scalar(bytes: &[u8]) -> u32 {
+    crc32c_scalar_append(0, bytes)
+}
+
+/// Continues [`crc32c_scalar`] over more bytes, like
+/// [`prins_block::crc32c_append`].
+fn crc32c_scalar_append(crc: u32, bytes: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut crc = i as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                crc = (crc >> 1) ^ (0x82F6_3B78 * (crc & 1));
+                bit += 1;
+            }
+            table[i] = crc;
+            i += 1;
+        }
+        table
+    };
+    let mut state = !crc;
+    for &b in bytes {
+        state = (state >> 8) ^ TABLE[((state ^ b as u32) & 0xff) as usize];
+    }
+    !state
 }
 
 /// The sealing the sender lanes performed before batch-aware sealing:
@@ -101,6 +132,18 @@ pub fn seal_experiment(frames: usize, iters: u32) -> SealMeasurement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scalar_baseline_agrees_with_the_library_kernel() {
+        let data: Vec<u8> = (0u8..=255).cycle().take(1000).collect();
+        for split in [0, 1, 9, 500, 1000] {
+            let (a, b) = data.split_at(split);
+            assert_eq!(
+                crc32c_scalar_append(crc32c_scalar(a), b),
+                prins_block::crc32c(&data)
+            );
+        }
+    }
 
     #[test]
     fn measurement_reports_both_sides() {

@@ -38,6 +38,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 mod checksum;
 mod device;
 mod error;
@@ -48,7 +50,7 @@ mod instrument;
 mod mem;
 mod sparse;
 
-pub use checksum::{crc32c, crc32c_append, crc32c_scalar, crc32c_scalar_append};
+pub use checksum::{crc32c, crc32c_append, crc32c_append_portable};
 pub use device::BlockDevice;
 pub use error::BlockError;
 pub use fault::{FaultDevice, FaultKind, FaultPlan};

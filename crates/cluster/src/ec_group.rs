@@ -199,6 +199,8 @@ pub struct EcGroup<D, C> {
     codec: C,
     placement: EcPlacement,
     sparse: SparseCodec,
+    /// The image the current write replaces, reused across writes.
+    old: Vec<u8>,
     config: EcConfig,
     nodes: Vec<EcNode>,
     stripes: u64,
@@ -236,6 +238,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             codec,
             placement: EcPlacement { k, m },
             sparse: SparseCodec::default(),
+            old: Vec::new(),
             config,
             nodes: transports
                 .into_iter()
@@ -384,10 +387,12 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         let k = self.placement.k;
         let stripe = lba.index() / k as u64;
         let col = (lba.index() % k as u64) as usize;
-        let old = self.device.read_block_vec(lba)?;
+        self.old
+            .resize(self.device.geometry().block_size().bytes(), 0);
+        self.device.read_block(lba, &mut self.old)?;
         self.device.write_block(lba, new)?;
 
-        let delta = self.codec.delta(&old, new);
+        let delta = self.codec.delta(&self.old, new);
         let sparse = self.sparse.encode(&delta).to_bytes();
         // One trace per logical write; the hold (pending = 1) keeps it
         // open across the strip fan-out and is released after the last

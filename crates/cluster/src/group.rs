@@ -318,6 +318,8 @@ pub struct ClusterGroup<D> {
     replicator: Box<dyn Replicator>,
     /// The current write's encoded payload, reused across writes.
     payload: Vec<u8>,
+    /// The image the current write replaces, reused likewise.
+    old: Vec<u8>,
     replicas: Vec<Replica>,
     config: ClusterConfig,
     obs: Option<ClusterObs>,
@@ -337,6 +339,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             device: TrapDevice::new(device),
             replicator: config.mode.replicator(),
             payload: Vec::new(),
+            old: Vec::new(),
             replicas: transports
                 .into_iter()
                 .enumerate()
@@ -447,12 +450,14 @@ impl<D: BlockDevice> ClusterGroup<D> {
     ///   quorum acknowledged — the primary and the acknowledging
     ///   replicas have applied the write regardless.
     pub fn write(&mut self, lba: Lba, new: &[u8]) -> Result<WriteOutcome, ClusterError> {
-        let old = self.device.read_block_vec(lba)?;
+        self.old
+            .resize(self.device.geometry().block_size().bytes(), 0);
+        self.device.read_block(lba, &mut self.old)?;
         self.device.write_block(lba, new)?;
         let seq = self.log().current_seq();
         self.payload.clear();
         self.replicator
-            .encode_write_into(lba, &old, new, &mut self.payload);
+            .encode_write_into(lba, &self.old, new, &mut self.payload);
 
         // One trace per cluster write; the hold (pending = 1) keeps it
         // open across the replica fan-out and is released at the end of

@@ -7,8 +7,8 @@ use prins_compress::{Codec, Lzss};
 use prins_parity::{ErasureCodec, SparseCodec, XorCodec};
 
 use crate::wire::{
-    encode_ack, encode_digest_ack, encode_image_ack, is_sealed, open_frame, Request, ACK, NAK,
-    NAK_CORRUPT, READ_ACK, STRIP_ACK,
+    batch_payloads, encode_ack, encode_digest_ack, encode_image_ack, is_sealed, open_frame,
+    Request, ACK, NAK, NAK_CORRUPT, READ_ACK, STRIP_ACK,
 };
 use crate::{BatchFrame, Payload, PayloadBody, ReplError};
 
@@ -62,9 +62,9 @@ pub struct ReplicaApplier<D> {
     last_epoch: u64,
     require_sealed: bool,
     checksums: HashMap<u64, u32>,
-    /// Recycled block buffer for the backward computation — one device
-    /// block, reused across applies so the steady-state parity path
-    /// performs no heap allocation for the base image.
+    /// Recycled buffer every block read lands in — the base image of
+    /// the backward computation, a digest probe, a served image — so
+    /// the steady state performs no heap allocation for it.
     scratch: Vec<u8>,
 }
 
@@ -130,8 +130,8 @@ impl<D: BlockDevice> ReplicaApplier<D> {
     /// # Errors
     ///
     /// Propagates read failures from the device.
-    pub fn digest(&self, lba: Lba) -> Result<u32, ReplError> {
-        Ok(crc32c(&self.device.read_block_vec(lba)?))
+    pub fn digest(&mut self, lba: Lba) -> Result<u32, ReplError> {
+        self.with_block(lba, |_, block| Ok(crc32c(block)))
     }
 
     /// Decodes and applies one message — a bare payload or a
@@ -212,9 +212,8 @@ impl<D: BlockDevice> ReplicaApplier<D> {
 
     fn apply_inner(&mut self, payload_bytes: &[u8]) -> Result<bool, ReplError> {
         if BatchFrame::is_batch(payload_bytes) {
-            let frame = BatchFrame::from_bytes(payload_bytes)?;
             let mut any_data = false;
-            for inner in &frame.payloads {
+            for inner in batch_payloads(payload_bytes)? {
                 any_data |= self.apply_inner(inner)?;
             }
             return Ok(any_data);
@@ -276,29 +275,15 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         // here — verify it against the checksum table first, because
         // updating a corrupted base fabricates a block the primary
         // never held and no later check could catch.
-        //
-        // The base image lands in the recycled scratch buffer (taken
-        // out of `self` for the duration so the codec can borrow it
-        // mutably) — no allocation after the first apply.
-        let mut block = std::mem::take(&mut self.scratch);
-        block.resize(bs, 0);
-        let result = (|| {
-            self.device.read_block(lba, &mut block)?;
-            if let Some(&expected) = self.checksums.get(&lba.index()) {
-                let got = crc32c(&block);
-                if got != expected {
-                    return Err(ReplError::ChecksumMismatch { expected, got });
-                }
-            }
+        self.with_block(lba, |this, block| {
+            this.check_stored(lba, block)?;
             for seg in delta.segments() {
-                self.codec
+                this.codec
                     .apply_delta(&mut block[seg.offset..seg.end()], coeff, &seg.data)
                     .map_err(|e| ReplError::Malformed(format!("strip delta: {e}")))?;
             }
-            self.write_checked(lba, &block)
-        })();
-        self.scratch = block;
-        result
+            this.write_checked(lba, block)
+        })
     }
 
     /// The zero-run-encoded image of the block at `lba` as read from
@@ -306,14 +291,40 @@ impl<D: BlockDevice> ReplicaApplier<D> {
     /// Checked against the checksum table so neither a rebuild nor a
     /// served read ever ingests silently corrupted media.
     fn strip_image(&mut self, lba: Lba) -> Result<Vec<u8>, ReplError> {
-        let block = self.device.read_block_vec(lba)?;
+        self.with_block(lba, |this, block| {
+            this.check_stored(lba, block)?;
+            Ok(this.sparse.encode(block).to_bytes())
+        })
+    }
+
+    /// Reads the block at `lba` into the recycled scratch buffer (taken
+    /// out of `self` for the duration, so `with` can borrow both) — no
+    /// allocation after the first call.
+    fn with_block<T>(
+        &mut self,
+        lba: Lba,
+        with: impl FnOnce(&mut Self, &mut [u8]) -> Result<T, ReplError>,
+    ) -> Result<T, ReplError> {
+        let mut block = std::mem::take(&mut self.scratch);
+        block.resize(self.device.geometry().block_size().bytes(), 0);
+        let result = match self.device.read_block(lba, &mut block) {
+            Ok(()) => with(self, &mut block),
+            Err(e) => Err(e.into()),
+        };
+        self.scratch = block;
+        result
+    }
+
+    /// Fails if `block`, just read from `lba`, is not what this applier
+    /// last wrote there.
+    fn check_stored(&self, lba: Lba, block: &[u8]) -> Result<(), ReplError> {
         if let Some(&expected) = self.checksums.get(&lba.index()) {
-            let got = crc32c(&block);
+            let got = crc32c(block);
             if got != expected {
                 return Err(ReplError::ChecksumMismatch { expected, got });
             }
         }
-        Ok(self.sparse.encode(&block).to_bytes())
+        Ok(())
     }
 }
 

@@ -190,40 +190,7 @@ impl BatchFrame {
     /// [`ReplError::Malformed`] on a wrong tag, truncated length
     /// prefixes, or payloads running past the end of the message.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ReplError> {
-        let (&tag, mut rest) = bytes
-            .split_first()
-            .ok_or_else(|| ReplError::Malformed("empty batch frame".into()))?;
-        if tag != BATCH_TAG {
-            return Err(ReplError::Malformed(format!(
-                "batch frame tag {tag} != {BATCH_TAG}"
-            )));
-        }
-        let (count, used) = decode_varint(rest)
-            .ok_or_else(|| ReplError::Malformed("truncated batch count".into()))?;
-        rest = &rest[used..];
-        // An attacker-controlled count must not drive allocation; cap
-        // the pre-allocation by what the message could possibly hold.
-        let mut payloads = Vec::with_capacity((count as usize).min(rest.len()));
-        for i in 0..count {
-            let (len, used) = decode_varint(rest)
-                .ok_or_else(|| ReplError::Malformed(format!("truncated length of payload {i}")))?;
-            rest = &rest[used..];
-            let len = len as usize;
-            if len > rest.len() {
-                return Err(ReplError::Malformed(format!(
-                    "payload {i} length {len} exceeds remaining {}",
-                    rest.len()
-                )));
-            }
-            payloads.push(rest[..len].to_vec());
-            rest = &rest[len..];
-        }
-        if !rest.is_empty() {
-            return Err(ReplError::Malformed(format!(
-                "{} trailing bytes after batch",
-                rest.len()
-            )));
-        }
+        let payloads = wire::batch_payloads(bytes)?.map(<[u8]>::to_vec).collect();
         Ok(Self { payloads })
     }
 }

@@ -136,6 +136,83 @@ where
     }
 }
 
+/// The payloads of a batch frame, borrowed from the frame in apply
+/// order — what [`batch_payloads`] returns once the frame's structure
+/// has been checked.
+#[derive(Clone, Debug)]
+pub(crate) struct BatchPayloads<'a> {
+    rest: &'a [u8],
+    left: usize,
+}
+
+/// Splits payload number `i` off the front of `rest`.
+fn take_payload<'a>(rest: &mut &'a [u8], i: u64) -> Result<&'a [u8], ReplError> {
+    let (len, used) = decode_varint(rest)
+        .ok_or_else(|| ReplError::Malformed(format!("truncated length of payload {i}")))?;
+    let body = &rest[used..];
+    if len > body.len() as u64 {
+        return Err(ReplError::Malformed(format!(
+            "payload {i} length {len} exceeds remaining {}",
+            body.len()
+        )));
+    }
+    let (payload, tail) = body.split_at(len as usize);
+    *rest = tail;
+    Ok(payload)
+}
+
+/// Walks a batch frame written by [`put_batch`] without copying it.
+/// The whole structure is checked before the first payload is yielded,
+/// so a frame either walks completely or not at all; the payloads
+/// themselves are *not* decoded.
+///
+/// # Errors
+///
+/// [`ReplError::Malformed`] on a wrong tag, truncated length prefixes,
+/// payloads running past the end of the message, or trailing bytes.
+pub(crate) fn batch_payloads(bytes: &[u8]) -> Result<BatchPayloads<'_>, ReplError> {
+    let (&tag, rest) = bytes
+        .split_first()
+        .ok_or_else(|| ReplError::Malformed("empty batch frame".into()))?;
+    if tag != BATCH_TAG {
+        return Err(ReplError::Malformed(format!(
+            "batch frame tag {tag} != {BATCH_TAG}"
+        )));
+    }
+    let (count, used) =
+        decode_varint(rest).ok_or_else(|| ReplError::Malformed("truncated batch count".into()))?;
+    let rest = &rest[used..];
+    // The count is attacker-controlled: it is believed only after this
+    // pass has found that many length prefixes in the bytes received.
+    let mut check = rest;
+    for i in 0..count {
+        take_payload(&mut check, i)?;
+    }
+    if !check.is_empty() {
+        return Err(ReplError::Malformed(format!(
+            "{} trailing bytes after batch",
+            check.len()
+        )));
+    }
+    Ok(BatchPayloads {
+        rest,
+        left: count as usize,
+    })
+}
+
+impl<'a> Iterator for BatchPayloads<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        self.left = self.left.checked_sub(1)?;
+        take_payload(&mut self.rest, 0).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
 fn seal_crc(epoch: u64, inner: &[u8]) -> u32 {
     crc32c_append(crc32c(&epoch.to_le_bytes()), inner)
 }
@@ -644,6 +721,22 @@ mod tests {
             );
         }
         assert_eq!((STRIP_ACK, READ_ACK), (0x1a, 0x1b));
+    }
+
+    #[test]
+    fn batch_walk_borrows_from_the_frame() {
+        let payloads = [&b"first"[..], b"", b"third payload"];
+        let mut frame = vec![0xEE]; // the walk starts at the tag, wherever it sits
+        put_batch(&mut frame, payloads);
+        let frame = &frame[1..];
+        let walked: Vec<&[u8]> = batch_payloads(frame).unwrap().collect();
+        assert_eq!(walked, payloads);
+        let inside = frame.as_ptr_range();
+        for p in walked {
+            assert!(inside.start <= p.as_ptr() && p.as_ptr_range().end <= inside.end);
+        }
+        // A frame that is structurally damaged anywhere yields nothing.
+        assert!(batch_payloads(&frame[..frame.len() - 1]).is_err());
     }
 
     #[test]
