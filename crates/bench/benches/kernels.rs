@@ -1,7 +1,7 @@
 //! Micro-kernels: the primitive operations every PRINS write exercises.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use prins_bench::crc32c_scalar;
+use prins_bench::{crc32c_scalar, lzss_compress_reference, lzss_decompress_reference};
 use prins_block::{crc32c, crc32c_append_portable};
 use prins_compress::{Codec, Lzss, Rle};
 use prins_ec::MulTable;
@@ -120,23 +120,92 @@ fn bench_sparse_codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_compression(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/compression");
-    let (_, page) = sample_images(8192, 1.0);
+/// Word-sampled English-ish text — the generator the hostile mix's
+/// text zone rewrites its documents with: long hash chains, medium
+/// matches.
+fn prose(bytes: usize, seed: u64) -> Vec<u8> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    prins_workloads::prose(&mut rng, bytes).into_bytes()
+}
+
+/// The three 8 KB write shapes of the hostile mix, as (old, new) pairs:
+/// random over random, prose over prose, and ~3 % changed in short runs.
+fn delta_shapes() -> [(&'static str, Vec<u8>, Vec<u8>); 3] {
+    let (old, dense) = sample_images(8192, 1.0);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    let mut sparse = old.clone();
+    for _ in 0..24 {
+        let at = rng.random_range(0..8192 - 10);
+        for b in &mut sparse[at..at + 10] {
+            *b ^= rng.random_range(1..=255u8);
+        }
+    }
+    [
+        ("dense", old.clone(), dense),
+        ("prose_over_prose", prose(8192, 1), prose(8192, 2)),
+        ("changed_3%", old, sparse),
+    ]
+}
+
+fn bench_lzss(c: &mut Criterion) {
+    // The library's LZSS (per-thread match-finder scratch, word-wide
+    // match extension and copies) against the table-per-call, byte-wise
+    // kernels it replaced, on the inputs the replication path feeds
+    // it: a text block, an incompressible block, and the sparse-parity
+    // stream of a text rewrite (XOR noise — the heavy-tail trial).
+    let mut group = c.benchmark_group("kernels/lzss");
+    let codec = Lzss::default();
+    let (window, chain) = (1 << 15, 32);
+    let [(_, _, random), (_, old_text, text), _] = delta_shapes();
+    let mut parity = Vec::new();
+    SparseCodec::default().encode_delta_into(&old_text, &text, &mut parity);
+    for (name, input) in [
+        ("prose_8KB", &text),
+        ("random_8KB", &random),
+        ("sparse_parity_8KB", &parity),
+    ] {
+        group.throughput(Throughput::Bytes(input.len() as u64));
+        group.bench_with_input(BenchmarkId::new("compress", name), input, |b, d| {
+            b.iter(|| codec.compress(d))
+        });
+        group.bench_with_input(
+            BenchmarkId::new("compress_reference", name),
+            input,
+            |b, d| b.iter(|| lzss_compress_reference(window, chain, d)),
+        );
+        let packed = codec.compress(input);
+        group.bench_with_input(BenchmarkId::new("decompress", name), &packed, |b, p| {
+            b.iter(|| codec.decompress(p, input.len()).unwrap())
+        });
+        group.bench_with_input(
+            BenchmarkId::new("decompress_reference", name),
+            &packed,
+            |b, p| b.iter(|| lzss_decompress_reference(p, input.len())),
+        );
+    }
+    group.bench_function("rle/prose_8KB", |b| b.iter(|| Rle.compress(&text)));
+    group.finish();
+}
+
+fn bench_delta_scan(c: &mut Criterion) {
+    // The write path's one pass over the two images (`plan_delta`) and
+    // the emit that reads its extents, per write shape.
+    let mut group = c.benchmark_group("kernels/delta_scan");
+    let codec = SparseCodec::default();
     group.throughput(Throughput::Bytes(8192));
-    group.bench_function("lzss/random_8KB", |b| {
-        b.iter(|| Lzss::default().compress(&page))
-    });
-    let text: Vec<u8> = b"select ol_amount from order_line where ol_w_id = 3; "
-        .iter()
-        .cycle()
-        .take(8192)
-        .copied()
-        .collect();
-    group.bench_function("lzss/text_8KB", |b| {
-        b.iter(|| Lzss::default().compress(&text))
-    });
-    group.bench_function("rle/text_8KB", |b| b.iter(|| Rle.compress(&text)));
+    for (name, old, new) in delta_shapes() {
+        group.bench_function(BenchmarkId::new("plan", name), |b| {
+            b.iter(|| codec.plan_delta(&old, &new).wire_len())
+        });
+        let mut out = Vec::with_capacity(2 * 8192);
+        group.bench_function(BenchmarkId::new("plan+emit", name), |b| {
+            b.iter(|| {
+                out.clear();
+                codec.plan_delta(&old, &new).encode_into(&mut out);
+                out.len()
+            })
+        });
+    }
     group.finish();
 }
 
@@ -239,6 +308,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_xor, bench_xor_in_place, bench_nonzero_scan, bench_sparse_codec,
-        bench_crc32c, bench_gf_mul, bench_seal, bench_compression, bench_pdu
+        bench_crc32c, bench_gf_mul, bench_seal, bench_lzss, bench_delta_scan, bench_pdu
 }
 criterion_main!(benches);

@@ -1,5 +1,7 @@
 //! Measured micro-kernel experiment: batch-aware sealing versus the
-//! per-frame byte-at-a-time sealing it replaced.
+//! per-frame byte-at-a-time sealing it replaced — and the reference
+//! kernels (byte-wise CRC32C, the table-per-call LZSS) the criterion
+//! series compare the library's against.
 //!
 //! The criterion series in `benches/kernels.rs` plots the full width
 //! sweep; this module is the self-checking form — a wall-clock
@@ -10,7 +12,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use prins_parity::encode_varint;
+use prins_parity::{decode_varint, encode_varint};
 use prins_repl::{seal_batch_frame_into, SEAL_TAG};
 
 /// Wall-clock comparison of sealing one batch of payloads.
@@ -79,6 +81,117 @@ fn crc32c_scalar_append(crc: u32, bytes: &[u8]) -> u32 {
     !state
 }
 
+/// The LZSS compressor as it stood before the word-wide rewrite — the
+/// baseline of the criterion `kernels/lzss` series: two `-1`-filled
+/// 32 768-entry `i64` tables allocated per call, matches extended one
+/// byte at a time. Emits the library's stream byte for byte for
+/// `Lzss::new(window, max_chain)`.
+pub fn lzss_compress_reference(window: usize, max_chain: usize, data: &[u8]) -> Vec<u8> {
+    const MIN_MATCH: usize = 4;
+    const MAX_MATCH: usize = 1 << 16;
+    const HASH_BITS: usize = 15;
+    fn hash(data: &[u8]) -> usize {
+        let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+        (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    }
+    fn put_literals(out: &mut Vec<u8>, run: &[u8]) {
+        for piece in run.chunks(1 << 20) {
+            encode_varint(out, (piece.len() as u64) << 1);
+            out.extend_from_slice(piece);
+        }
+    }
+    let find_match = |pos: usize, head: &[i64], prev: &[i64]| -> Option<(usize, usize)> {
+        if pos + MIN_MATCH > data.len() {
+            return None;
+        }
+        let mut cand = head[hash(&data[pos..])];
+        let min_pos = pos.saturating_sub(window) as i64;
+        let max_len = (data.len() - pos).min(MAX_MATCH);
+        let mut best_len = MIN_MATCH - 1;
+        let mut best_dist = 0usize;
+        let mut chain = 0usize;
+        while cand >= min_pos && cand >= 0 && chain < max_chain {
+            let c = cand as usize;
+            if data[c + best_len] == data[pos + best_len.min(max_len - 1)] {
+                let mut len = 0usize;
+                while len < max_len && data[c + len] == data[pos + len] {
+                    len += 1;
+                }
+                if len > best_len {
+                    best_len = len;
+                    best_dist = pos - c;
+                    if len == max_len {
+                        break;
+                    }
+                }
+            }
+            let next = prev[c % window];
+            if next >= cand {
+                break;
+            }
+            cand = next;
+            chain += 1;
+        }
+        (best_len >= MIN_MATCH).then_some((best_len, best_dist))
+    };
+
+    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    let mut head = vec![-1i64; 1 << HASH_BITS];
+    let mut prev = vec![-1i64; window];
+    let mut literal_start = 0usize;
+    let mut pos = 0usize;
+    while pos < data.len() {
+        let found = find_match(pos, &head, &prev);
+        if let Some((len, dist)) = found {
+            put_literals(&mut out, &data[literal_start..pos]);
+            encode_varint(&mut out, ((len as u64) << 1) | 1);
+            encode_varint(&mut out, dist as u64);
+        }
+        let end = pos + found.map_or(1, |(len, _)| len);
+        while pos < end {
+            if pos + MIN_MATCH <= data.len() {
+                let h = hash(&data[pos..]);
+                prev[pos % window] = head[h];
+                head[h] = pos as i64;
+            }
+            pos += 1;
+        }
+        if found.is_some() {
+            literal_start = pos;
+        }
+    }
+    put_literals(&mut out, &data[literal_start..]);
+    out
+}
+
+/// The LZSS decoder as it stood before `extend_from_within`: match
+/// copies pushed one byte at a time. For streams the compressor wrote —
+/// it trusts its input.
+pub fn lzss_decompress_reference(data: &[u8], expected_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(expected_len);
+    let mut rest = data;
+    let varint = |rest: &mut &[u8]| {
+        let (value, used) = decode_varint(rest).expect("well-formed stream");
+        *rest = &rest[used..];
+        value as usize
+    };
+    while !rest.is_empty() {
+        let tok = varint(&mut rest);
+        let len = tok >> 1;
+        if tok & 1 == 0 {
+            out.extend_from_slice(&rest[..len]);
+            rest = &rest[len..];
+        } else {
+            let start = out.len() - varint(&mut rest);
+            for i in 0..len {
+                let b = out[start + i];
+                out.push(b);
+            }
+        }
+    }
+    out
+}
+
 /// The sealing the sender lanes performed before batch-aware sealing:
 /// one envelope per payload, checksummed byte-at-a-time.
 fn seal_per_frame_scalar(epoch: u64, payloads: &[Vec<u8>], out: &mut Vec<u8>) {
@@ -142,6 +255,23 @@ mod tests {
                 crc32c_scalar_append(crc32c_scalar(a), b),
                 prins_block::crc32c(&data)
             );
+        }
+    }
+
+    #[test]
+    fn lzss_references_agree_with_the_library_kernels() {
+        use prins_compress::{Codec, Lzss};
+        let mut data: Vec<u8> = b"select ol_amount from order_line where ol_w_id = 3; "
+            .iter()
+            .cycle()
+            .take(5000)
+            .copied()
+            .collect();
+        data.extend((0..3000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8));
+        for (window, chain) in [(1 << 15, 32), (1 << 15, 8), (256, 512)] {
+            let packed = lzss_compress_reference(window, chain, &data);
+            assert_eq!(packed, Lzss::new(window, chain).compress(&data));
+            assert_eq!(lzss_decompress_reference(&packed, data.len()), data);
         }
     }
 

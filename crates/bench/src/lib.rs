@@ -45,7 +45,10 @@ pub use figures::{
     fig8_response_t1, fig9_response_t3, overhead_experiment, write_rate_experiment, FigureTable,
     OverheadReport, WriteRateReport,
 };
-pub use kernels::{crc32c_scalar, seal_experiment, SealMeasurement};
+pub use kernels::{
+    crc32c_scalar, lzss_compress_reference, lzss_decompress_reference, seal_experiment,
+    SealMeasurement,
+};
 pub use obs::obs_experiment;
 pub use pipeline::{pipeline_experiment, pipeline_figure, PipelineKnobs, PipelineMeasurement};
 pub use resync::{resync_experiment, resync_figure, ResyncMeasurement};

@@ -14,6 +14,8 @@
 //! design point as zlib's fast levels, which is what a replication engine
 //! would actually run in its data path.
 
+use std::cell::RefCell;
+
 use crate::{Codec, CompressError};
 
 const MIN_MATCH: usize = 4;
@@ -59,9 +61,104 @@ fn decode_varint(buf: &[u8], pos: &mut usize) -> Result<u64, CompressError> {
     Err(CompressError::BadToken)
 }
 
-fn hash4(data: &[u8]) -> usize {
-    let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+fn hash4(data: &[u8], pos: usize) -> usize {
+    let v = u32::from_le_bytes(
+        data[pos..pos + MIN_MATCH]
+            .try_into()
+            .expect("a MIN_MATCH-byte window"),
+    );
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the common prefix of `data[c..]` and `data[pos..]`, capped
+/// at `max_len`, compared eight bytes at a time: the first differing
+/// byte of a word pair is the lowest nonzero byte of their XOR.
+fn match_len(data: &[u8], c: usize, pos: usize, max_len: usize) -> usize {
+    let (a, b) = (&data[c..c + max_len], &data[pos..pos + max_len]);
+    let mut len = 0usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < max_len && a[len] == b[len] {
+        len += 1;
+    }
+    len
+}
+
+/// Appends literal-run tokens covering `run`.
+fn put_literals(out: &mut Vec<u8>, run: &[u8]) {
+    for piece in run.chunks(1 << 20) {
+        encode_varint(out, (piece.len() as u64) << 1);
+        out.extend_from_slice(piece);
+    }
+}
+
+/// The match finder's hash chains, kept per thread and reused by every
+/// [`Lzss::compress_into`] call on it.
+///
+/// Positions are stored as `base + pos` in `u32`, where `base` is the
+/// running total of bytes this thread has compressed. An entry names a
+/// position of the *current* input exactly when its distance from the
+/// current offset is no more than the current position, so whatever
+/// earlier calls left behind reads as "no candidate" and neither table
+/// is cleared between calls. Only when `base` would pass `u32::MAX` is
+/// `head` zeroed and `base` restarted at 1 (offset 0 stays unused, so a
+/// zeroed slot is always farther away than the position).
+///
+/// `prev[pos & mask]` links a position to the previous one with the
+/// same hash. The ring holds `min(window, len)` slots rounded up to a
+/// power of two: a slot is only read for a candidate inside the window,
+/// and only a position a full ring later — outside it — overwrites it.
+struct MatchFinder {
+    head: Vec<u32>,
+    prev: Vec<u32>,
+    base: u32,
+}
+
+thread_local! {
+    static FINDER: RefCell<MatchFinder> = const {
+        RefCell::new(MatchFinder {
+            head: Vec::new(),
+            prev: Vec::new(),
+            base: 1,
+        })
+    };
+}
+
+impl MatchFinder {
+    /// Readies the tables for an input of `len` bytes searched with
+    /// `window`; returns them with the offset of the input's position 0.
+    fn begin(&mut self, len: usize, window: usize) -> (&mut [u32; HASH_SIZE], &mut [u32], u32) {
+        if self.head.is_empty() {
+            self.head = vec![0; HASH_SIZE];
+        }
+        if len >= (u32::MAX - self.base) as usize {
+            self.head.fill(0);
+            self.base = 1;
+        }
+        let ring = window.min(len).next_power_of_two();
+        if self.prev.len() < ring {
+            self.prev.resize(ring, 0);
+        }
+        let base = self.base;
+        // Only an input of 4 GiB wraps here; see `compress_into`.
+        self.base = base.wrapping_add(len as u32);
+        let head = (&mut self.head[..])
+            .try_into()
+            .expect("head holds HASH_SIZE slots");
+        (head, &mut self.prev[..ring], base)
+    }
+}
+
+/// Pushes `pos` (offset `cur`) onto the chain of its hash `h`.
+fn chain_push(head: &mut [u32; HASH_SIZE], prev: &mut [u32], h: usize, pos: usize, cur: u32) {
+    let mask = prev.len() - 1;
+    prev[pos & mask] = std::mem::replace(&mut head[h], cur);
 }
 
 /// LZSS codec configuration.
@@ -102,61 +199,205 @@ impl Lzss {
         self.window
     }
 
+    /// Walks the chain starting at `entry` for the longest match at
+    /// `pos` (offset `cur`), the nearest candidate winning ties.
+    ///
+    /// Kept out of line: inlined, its set-up is paid at every position,
+    /// and on incompressible input most positions have no candidate.
+    #[inline(never)]
     fn find_match(
         &self,
         data: &[u8],
         pos: usize,
-        head: &[i64],
-        prev: &[i64],
+        cur: u32,
+        mut entry: u32,
+        prev: &[u32],
     ) -> Option<(usize, usize)> {
-        if pos + MIN_MATCH > data.len() {
-            return None;
-        }
-        let h = hash4(&data[pos..]);
-        let mut cand = head[h];
-        let min_pos = pos.saturating_sub(self.window) as i64;
+        let mask = prev.len() - 1;
+        let reach = pos.min(self.window) as u32;
         let max_len = (data.len() - pos).min(MAX_MATCH);
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
-        let mut chain = 0usize;
-        while cand >= min_pos && cand >= 0 && chain < self.max_chain {
-            let c = cand as usize;
-            debug_assert!(c < pos);
-            // Quick reject: compare the byte one past the current best.
-            if data[c + best_len] == data[pos + best_len.min(max_len - 1)] {
-                let mut len = 0usize;
-                while len < max_len && data[c + len] == data[pos + len] {
-                    len += 1;
-                }
+        for _ in 0..self.max_chain {
+            // One compare rejects a candidate beyond the window, every
+            // entry left by an earlier call, and distance 0 (it wraps).
+            let dist = cur.wrapping_sub(entry);
+            if dist.wrapping_sub(1) >= reach {
+                break;
+            }
+            let c = pos - dist as usize;
+            // Quick reject: compare the byte one past the current best
+            // (`best_len < max_len` for as long as the search runs).
+            if data[c + best_len] == data[pos + best_len] {
+                let len = match_len(data, c, pos, max_len);
                 if len > best_len {
                     best_len = len;
-                    best_dist = pos - c;
+                    best_dist = dist as usize;
                     if len == max_len {
                         break;
                     }
                 }
             }
-            // Chains are built by pushing strictly increasing positions,
-            // so a well-formed chain is strictly decreasing when walked.
-            // The `prev` table is a ring indexed by `pos % window`; a slot
-            // could only be clobbered by a position at least one full
-            // window later, which the `cand >= min_pos` guard already
-            // excludes — but terminate explicitly on any non-decreasing
-            // link so a corrupted slot ends the chain instead of
-            // teleporting the search to an unrelated position.
-            let next = prev[c % self.window];
-            if next >= cand {
+            // Chains are built by pushing strictly increasing offsets,
+            // so a well-formed chain is strictly decreasing when walked;
+            // terminate explicitly on any non-decreasing link so a
+            // corrupted slot ends the chain instead of teleporting the
+            // search to an unrelated position.
+            let next = prev[c & mask];
+            if next >= entry {
                 break;
             }
-            cand = next;
-            chain += 1;
+            entry = next;
         }
-        if best_len >= MIN_MATCH {
-            Some((best_len, best_dist))
+        (best_len >= MIN_MATCH).then_some((best_len, best_dist))
+    }
+
+    /// Appends the compressed form of `data` to `out` — the primitive
+    /// behind [`Codec::compress`], for callers that encode straight
+    /// after a header in a buffer they already hold.
+    ///
+    /// Apart from `out`'s own growth this allocates nothing in steady
+    /// state: the match finder's tables are a per-thread scratch that
+    /// is neither reallocated nor refilled between calls.
+    ///
+    /// An input of 4 GiB or more outruns the scratch's 32-bit offsets
+    /// within one call. Its stream is still valid — every candidate is
+    /// bounded by the position and verified byte for byte — but may
+    /// miss matches; nothing above [`MAX_DECODE_LEN`] decodes anyway.
+    pub fn compress_into(&self, data: &[u8], out: &mut Vec<u8>) {
+        FINDER.with(|finder| {
+            let mut finder = finder.borrow_mut();
+            let (head, prev, base) = finder.begin(data.len(), self.window);
+            // Positions with fewer than MIN_MATCH bytes left are never
+            // hashed: they can neither start a match nor be found.
+            let hashable = data.len().saturating_sub(MIN_MATCH - 1);
+            let mut literal_start = 0usize;
+            let mut pos = 0usize;
+            while pos < hashable {
+                let cur = base.wrapping_add(pos as u32);
+                let h = hash4(data, pos);
+                // An empty or stale chain head (see `MatchFinder`) is
+                // the common case on incompressible input.
+                let reach = pos.min(self.window) as u32;
+                let found = if cur.wrapping_sub(head[h]).wrapping_sub(1) < reach {
+                    self.find_match(data, pos, cur, head[h], prev)
+                } else {
+                    None
+                };
+                chain_push(head, prev, h, pos, cur);
+                let Some((len, dist)) = found else {
+                    pos += 1;
+                    continue;
+                };
+                put_literals(out, &data[literal_start..pos]);
+                encode_varint(out, ((len as u64) << 1) | 1);
+                encode_varint(out, dist as u64);
+                // Every position of the match joins the chains.
+                let end = pos + len;
+                for inside in pos + 1..end.min(hashable) {
+                    let cur = base.wrapping_add(inside as u32);
+                    chain_push(head, prev, hash4(data, inside), inside, cur);
+                }
+                pos = end;
+                literal_start = end;
+            }
+            put_literals(out, &data[literal_start..]);
+        });
+    }
+
+    /// Appends the decompressed form of `data` to `out`, verifying it
+    /// is exactly `expected_len` bytes — the primitive behind
+    /// [`Codec::decompress`], for callers that decode into a buffer
+    /// they recycle. On error `out` is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::decompress`].
+    pub fn decompress_into(
+        &self,
+        data: &[u8],
+        expected_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CompressError> {
+        let base = out.len();
+        let result = decode_tokens(data, expected_len, out);
+        if result.is_err() {
+            out.truncate(base);
+        }
+        result
+    }
+}
+
+/// Decodes the token stream `data` onto the end of `out`; back
+/// references reach no further back than where `out` ended on entry.
+fn decode_tokens(data: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<(), CompressError> {
+    if expected_len > MAX_DECODE_LEN {
+        return Err(CompressError::BadToken);
+    }
+    let base = out.len();
+    // Reserve no more than the stream could plausibly produce; a
+    // short corrupt stream claiming a large `expected_len` grows the
+    // buffer only as far as its tokens actually validate.
+    out.reserve(expected_len.min(data.len().saturating_mul(8)));
+    let mut pos = 0usize;
+    while pos < data.len() {
+        let tok = decode_varint(data, &mut pos)?;
+        let len = (tok >> 1) as usize;
+        if len == 0 {
+            return Err(CompressError::BadToken);
+        }
+        let produced = out.len() - base;
+        if tok & 1 == 0 {
+            // Literal run.
+            if pos + len > data.len() {
+                return Err(CompressError::Truncated);
+            }
+            if len > expected_len - produced {
+                return Err(CompressError::LengthMismatch {
+                    produced: produced.saturating_add(len),
+                    expected: expected_len,
+                });
+            }
+            out.extend_from_slice(&data[pos..pos + len]);
+            pos += len;
         } else {
-            None
+            let dist = decode_varint(data, &mut pos)? as usize;
+            if dist == 0 || dist > produced {
+                return Err(CompressError::BadBackreference {
+                    distance: dist,
+                    available: produced,
+                });
+            }
+            // Check the output budget before copying: a hostile
+            // match length must not grow the buffer past the claim.
+            if len > expected_len - produced {
+                return Err(CompressError::LengthMismatch {
+                    produced: produced.saturating_add(len),
+                    expected: expected_len,
+                });
+            }
+            // An overlapping copy (`dist < len`) is the LZ idiom for a
+            // run of period `dist`: copy what exists, which doubles the
+            // periodic stretch available to the next copy.
+            let start = out.len() - dist;
+            let mut have = dist;
+            let mut left = len;
+            while left > 0 {
+                let n = have.min(left);
+                out.extend_from_within(start..start + n);
+                have += n;
+                left -= n;
+            }
         }
     }
+    let produced = out.len() - base;
+    if produced != expected_len {
+        return Err(CompressError::LengthMismatch {
+            produced,
+            expected: expected_len,
+        });
+    }
+    Ok(())
 }
 
 impl Default for Lzss {
@@ -169,112 +410,13 @@ impl Default for Lzss {
 impl Codec for Lzss {
     fn compress(&self, data: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(data.len() / 2 + 16);
-        let mut head = vec![-1i64; HASH_SIZE];
-        let mut prev = vec![-1i64; self.window];
-        let mut literal_start = 0usize;
-        let mut pos = 0usize;
-
-        let flush_literals = |out: &mut Vec<u8>, start: usize, end: usize| {
-            let mut s = start;
-            while s < end {
-                let len = (end - s).min(1 << 20);
-                encode_varint(out, (len as u64) << 1);
-                out.extend_from_slice(&data[s..s + len]);
-                s += len;
-            }
-        };
-
-        while pos < data.len() {
-            let found = self.find_match(data, pos, &head, &prev);
-            match found {
-                Some((len, dist)) => {
-                    flush_literals(&mut out, literal_start, pos);
-                    encode_varint(&mut out, ((len as u64) << 1) | 1);
-                    encode_varint(&mut out, dist as u64);
-                    // Insert every position of the match into the chains.
-                    let end = pos + len;
-                    while pos < end {
-                        if pos + MIN_MATCH <= data.len() {
-                            let h = hash4(&data[pos..]);
-                            prev[pos % self.window] = head[h];
-                            head[h] = pos as i64;
-                        }
-                        pos += 1;
-                    }
-                    literal_start = pos;
-                }
-                None => {
-                    if pos + MIN_MATCH <= data.len() {
-                        let h = hash4(&data[pos..]);
-                        prev[pos % self.window] = head[h];
-                        head[h] = pos as i64;
-                    }
-                    pos += 1;
-                }
-            }
-        }
-        flush_literals(&mut out, literal_start, data.len());
+        self.compress_into(data, &mut out);
         out
     }
 
     fn decompress(&self, data: &[u8], expected_len: usize) -> Result<Vec<u8>, CompressError> {
-        if expected_len > MAX_DECODE_LEN {
-            return Err(CompressError::BadToken);
-        }
-        // Reserve no more than the stream could plausibly produce; a
-        // short corrupt stream claiming a large `expected_len` grows the
-        // buffer only as far as its tokens actually validate.
-        let mut out = Vec::with_capacity(expected_len.min(data.len().saturating_mul(8)));
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let tok = decode_varint(data, &mut pos)?;
-            let len = (tok >> 1) as usize;
-            if len == 0 {
-                return Err(CompressError::BadToken);
-            }
-            if tok & 1 == 0 {
-                // Literal run.
-                if pos + len > data.len() {
-                    return Err(CompressError::Truncated);
-                }
-                if len > expected_len - out.len() {
-                    return Err(CompressError::LengthMismatch {
-                        produced: out.len().saturating_add(len),
-                        expected: expected_len,
-                    });
-                }
-                out.extend_from_slice(&data[pos..pos + len]);
-                pos += len;
-            } else {
-                let dist = decode_varint(data, &mut pos)? as usize;
-                if dist == 0 || dist > out.len() {
-                    return Err(CompressError::BadBackreference {
-                        distance: dist,
-                        available: out.len(),
-                    });
-                }
-                // Check the output budget before copying: a hostile
-                // match length must not grow the buffer past the claim.
-                if len > expected_len - out.len() {
-                    return Err(CompressError::LengthMismatch {
-                        produced: out.len().saturating_add(len),
-                        expected: expected_len,
-                    });
-                }
-                // Overlapping copies are the LZ idiom for runs.
-                let start = out.len() - dist;
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
-                }
-            }
-        }
-        if out.len() != expected_len {
-            return Err(CompressError::LengthMismatch {
-                produced: out.len(),
-                expected: expected_len,
-            });
-        }
+        let mut out = Vec::new();
+        self.decompress_into(data, expected_len, &mut out)?;
         Ok(out)
     }
 
@@ -408,6 +550,261 @@ mod tests {
         }
         flush(&mut out, literal_start, data.len());
         out
+    }
+
+    /// The compressor as it stood before the word-wide rewrite, kept
+    /// verbatim as the oracle: fresh `-1`-filled `i64` tables per call,
+    /// a `prev` ring of exactly `window` slots, matches extended one
+    /// byte at a time. (`tests/lzss_golden.txt` pins the same thing
+    /// against the parent commit's binary; this pins it on any input.)
+    fn reference_compress(codec: &Lzss, data: &[u8]) -> Vec<u8> {
+        fn hash(data: &[u8]) -> usize {
+            let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+            (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+        }
+        let find_match = |pos: usize, head: &[i64], prev: &[i64]| -> Option<(usize, usize)> {
+            if pos + MIN_MATCH > data.len() {
+                return None;
+            }
+            let mut cand = head[hash(&data[pos..])];
+            let min_pos = pos.saturating_sub(codec.window) as i64;
+            let max_len = (data.len() - pos).min(MAX_MATCH);
+            let mut best_len = MIN_MATCH - 1;
+            let mut best_dist = 0usize;
+            let mut chain = 0usize;
+            while cand >= min_pos && cand >= 0 && chain < codec.max_chain {
+                let c = cand as usize;
+                if data[c + best_len] == data[pos + best_len.min(max_len - 1)] {
+                    let mut len = 0usize;
+                    while len < max_len && data[c + len] == data[pos + len] {
+                        len += 1;
+                    }
+                    if len > best_len {
+                        best_len = len;
+                        best_dist = pos - c;
+                        if len == max_len {
+                            break;
+                        }
+                    }
+                }
+                let next = prev[c % codec.window];
+                if next >= cand {
+                    break;
+                }
+                cand = next;
+                chain += 1;
+            }
+            (best_len >= MIN_MATCH).then_some((best_len, best_dist))
+        };
+
+        let mut out = Vec::new();
+        let mut head = vec![-1i64; HASH_SIZE];
+        let mut prev = vec![-1i64; codec.window];
+        let mut literal_start = 0usize;
+        let mut pos = 0usize;
+        while pos < data.len() {
+            let found = find_match(pos, &head, &prev);
+            if let Some((len, dist)) = found {
+                put_literals(&mut out, &data[literal_start..pos]);
+                encode_varint(&mut out, ((len as u64) << 1) | 1);
+                encode_varint(&mut out, dist as u64);
+            }
+            let end = pos + found.map_or(1, |(len, _)| len);
+            while pos < end {
+                if pos + MIN_MATCH <= data.len() {
+                    let h = hash(&data[pos..]);
+                    prev[pos % codec.window] = head[h];
+                    head[h] = pos as i64;
+                }
+                pos += 1;
+            }
+            if found.is_some() {
+                literal_start = pos;
+            }
+        }
+        put_literals(&mut out, &data[literal_start..]);
+        out
+    }
+
+    /// Every shape of configuration: the three the stack ships, a deep
+    /// chain in a small window, a shallow one, and windows that are not
+    /// a power of two (the `prev` ring rounds them up).
+    fn configs() -> [Lzss; 6] {
+        [
+            Lzss::default(),
+            Lzss::fast(),
+            Lzss::new(256, 512),
+            Lzss::new(512, 4),
+            Lzss::new(300, 16),
+            Lzss::new(5000, 1),
+        ]
+    }
+
+    /// Word-sampled text: long chains, long matches, like the prose the
+    /// hostile mix rewrites.
+    fn prose_like(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<u8> {
+        const WORDS: [&str; 8] = [
+            "parity ",
+            "block ",
+            "replication ",
+            "the ",
+            "of ",
+            "storage.\n",
+            "write ",
+            "node ",
+        ];
+        let mut out = Vec::with_capacity(n + 16);
+        while out.len() < n {
+            out.extend_from_slice(WORDS[rng.random_range(0..WORDS.len())].as_bytes());
+        }
+        out.truncate(n);
+        out
+    }
+
+    fn low_entropy(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<u8> {
+        let mut data = Vec::with_capacity(n);
+        while data.len() < n {
+            let run = rng.random_range(1..=32usize).min(n - data.len());
+            let byte = rng.random_range(0..4u8);
+            data.extend(std::iter::repeat_n(byte, run));
+        }
+        data
+    }
+
+    fn assert_matches_reference(data: &[u8]) {
+        for codec in configs() {
+            assert_eq!(
+                codec.compress(data),
+                reference_compress(&codec, data),
+                "{codec:?} on {} bytes",
+                data.len()
+            );
+        }
+    }
+
+    /// Moves this thread's match-finder offset, as if that many bytes
+    /// had been compressed on it already.
+    fn set_finder_base(base: u32) {
+        FINDER.with(|finder| finder.borrow_mut().base = base);
+    }
+
+    fn finder_base() -> u32 {
+        FINDER.with(|finder| finder.borrow().base)
+    }
+
+    #[test]
+    fn back_to_back_calls_read_stale_entries_as_empty() {
+        // One thread, inputs of very different lengths that share
+        // content: every call after the first finds the tables full of
+        // the earlier calls' entries under exactly the hashes it looks
+        // up, and the `prev` ring changes size between calls.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let text = prose_like(&mut rng, 40_000);
+        let noise: Vec<u8> = (0..9000).map(|_| rng.random()).collect();
+        for (from, len) in [
+            (0, 8192),
+            (0, 100),
+            (50, 3000),
+            (0, 40_000),
+            (7, 5),
+            (100, 8192),
+            (0, 8192),
+        ] {
+            assert_matches_reference(&text[from..from + len]);
+            assert_matches_reference(&noise[from..][..len.min(8000)]);
+        }
+    }
+
+    #[test]
+    fn offset_wrap_resets_the_tables_and_nothing_else_changes() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        let text = prose_like(&mut rng, 8192);
+        // Fits below u32::MAX by one byte: no reset, offsets run to the top.
+        set_finder_base(u32::MAX - 8192 - 1);
+        assert_eq!(
+            Lzss::default().compress(&text),
+            reference_compress(&Lzss::default(), &text)
+        );
+        assert_eq!(finder_base(), u32::MAX - 1);
+        // The next input does not fit: the tables restart from offset 1
+        // with the top-of-range entries of the call above still in them.
+        assert_matches_reference(&text[..5000]);
+        assert!(finder_base() < 1 << 20);
+        // Exactly at the edge.
+        set_finder_base(u32::MAX - 8192);
+        assert_matches_reference(&text);
+        assert!(finder_base() < 1 << 20);
+    }
+
+    #[test]
+    fn compress_into_appends_behind_existing_bytes() {
+        let data = b"abcabcabcabcabcabc-abcabcabc".to_vec();
+        let codec = Lzss::default();
+        let mut out = vec![0xEE; 5];
+        codec.compress_into(&data, &mut out);
+        assert_eq!(&out[..5], &[0xEE; 5]);
+        assert_eq!(&out[5..], codec.compress(&data));
+    }
+
+    /// The decoder as it stood before `extend_from_within`: match
+    /// copies pushed one byte at a time (well-formed streams only).
+    fn reference_decompress(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut pos = 0usize;
+        while pos < data.len() {
+            let tok = decode_varint(data, &mut pos).unwrap();
+            let len = (tok >> 1) as usize;
+            if tok & 1 == 0 {
+                out.extend_from_slice(&data[pos..pos + len]);
+                pos += len;
+            } else {
+                let dist = decode_varint(data, &mut pos).unwrap() as usize;
+                let start = out.len() - dist;
+                for i in 0..len {
+                    let b = out[start + i];
+                    out.push(b);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn overlapping_copies_match_the_push_loop_for_every_distance_and_length() {
+        let seed: Vec<u8> = (0..16u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for dist in 1..=16usize {
+            for len in 1..=300usize {
+                let mut stream = Vec::new();
+                encode_varint(&mut stream, (seed.len() as u64) << 1);
+                stream.extend_from_slice(&seed);
+                encode_varint(&mut stream, ((len as u64) << 1) | 1);
+                encode_varint(&mut stream, dist as u64);
+                let want = reference_decompress(&stream);
+                assert_eq!(want.len(), seed.len() + len);
+                // Behind existing bytes, which no back reference may reach.
+                let mut got = vec![0xEEu8; 3];
+                Lzss::default()
+                    .decompress_into(&stream, seed.len() + len, &mut got)
+                    .unwrap();
+                assert_eq!(&got[..3], &[0xEE; 3]);
+                assert_eq!(&got[3..], want, "dist={dist} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn decompress_into_leaves_out_untouched_on_error() {
+        let c = Lzss::default();
+        let packed = c.compress(b"hello hello hello hello");
+        let mut out = b"keep".to_vec();
+        // A back reference may not reach into the bytes already there.
+        let mut reach_back = Vec::new();
+        encode_varint(&mut reach_back, (4 << 1) | 1);
+        encode_varint(&mut reach_back, 2);
+        for (stream, claim) in [(&packed[..], 22), (&packed[..5], 23), (&reach_back[..], 4)] {
+            assert!(c.decompress_into(stream, claim, &mut out).is_err());
+            assert_eq!(out, b"keep");
+        }
     }
 
     #[test]
@@ -553,6 +950,35 @@ mod tests {
             let oracle = oracle_compress(&data, codec.window());
             prop_assert_eq!(&packed, &oracle);
             prop_assert_eq!(codec.decompress(&packed, data.len()).unwrap(), data);
+        }
+
+        /// The word-wide compressor emits the reference's stream byte
+        /// for byte — same greedy parse, chain depth and tie-break — on
+        /// incompressible, run-structured and text-like inputs, under
+        /// every configuration, whatever earlier cases left in this
+        /// thread's match-finder tables; and the `extend_from_within`
+        /// decoder reads it back like the push-loop one.
+        #[test]
+        fn prop_compress_matches_reference(seed in any::<u64>(), n in 0usize..6000, kind in 0u8..4) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let data = match kind {
+                0 => (0..n).map(|_| rng.random()).collect(),
+                1 => low_entropy(&mut rng, n),
+                2 => prose_like(&mut rng, n),
+                // Text with a far repeat: the second half opens with
+                // the first half's opening.
+                _ => {
+                    let mut text = prose_like(&mut rng, n);
+                    text.copy_within(..n / 4, n / 2);
+                    text
+                }
+            };
+            for codec in configs() {
+                let packed = codec.compress(&data);
+                prop_assert_eq!(&packed, &reference_compress(&codec, &data), "{:?}", codec);
+                prop_assert_eq!(&codec.decompress(&packed, data.len()).unwrap(), &data);
+                prop_assert_eq!(&reference_decompress(&packed), &data);
+            }
         }
 
         /// Decode of arbitrary bytes under an arbitrary in-budget claim

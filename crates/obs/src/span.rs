@@ -109,30 +109,48 @@ mod tests {
         assert_eq!(hist.count(), 0);
     }
 
-    /// The span fast path (two dyn clock reads + one histogram record)
-    /// must stay under 100ns of wall time per span in release builds —
-    /// cheap enough to leave enabled on the hottest stages. Gated to
-    /// release: debug builds don't inline the path.
+    /// A span is two dyn clock reads and one histogram record; the
+    /// guard itself (arming, the drop path) must add next to nothing on
+    /// top, or it is too dear to leave enabled on the hottest stages.
+    /// Measured against those same three calls made bare in this test,
+    /// not against an absolute figure: what a clock read costs is the
+    /// machine's business (a shared box drifts 90–110 ns for the pair),
+    /// what the guard adds is ours. Gated to release: debug builds
+    /// don't inline the path.
     #[test]
     #[cfg(not(debug_assertions))]
-    fn span_overhead_is_under_100ns_in_release() {
+    fn span_overhead_is_its_clock_reads_and_record_plus_slack_in_release() {
         use prins_net::WallClock;
-        const SPANS: u32 = 10_000;
-        let clock = WallClock::new();
-        let hist = Histogram::new();
+        const CALLS: u32 = 10_000;
+        const SLACK_NANOS: u64 = 25;
         // Min over several batches: immune to a single scheduler blip.
-        let mut best = u64::MAX;
-        for _ in 0..8 {
-            let begin = std::time::Instant::now();
-            for _ in 0..SPANS {
-                let span = Span::start(&clock, &hist);
-                std::hint::black_box(&span);
-                drop(span);
-            }
-            let nanos = begin.elapsed().as_nanos() as u64 / u64::from(SPANS);
-            best = best.min(nanos);
+        fn best_nanos_per_call(mut call: impl FnMut()) -> u64 {
+            (0..8)
+                .map(|_| {
+                    let begin = std::time::Instant::now();
+                    (0..CALLS).for_each(|_| call());
+                    begin.elapsed().as_nanos() as u64 / u64::from(CALLS)
+                })
+                .min()
+                .expect("eight batches")
         }
-        assert_eq!(hist.count() as u32, 8 * SPANS);
-        assert!(best < 100, "span overhead {best}ns/span, budget 100ns");
+        let wall = WallClock::new();
+        let clock: &dyn Clock = std::hint::black_box(&wall);
+        let hist = Histogram::new();
+        let bare = best_nanos_per_call(|| {
+            let started = clock.now_nanos();
+            std::hint::black_box(started);
+            hist.record(clock.now_nanos().saturating_sub(started));
+        });
+        let span = best_nanos_per_call(|| {
+            let span = Span::start(clock, &hist);
+            std::hint::black_box(&span);
+            drop(span);
+        });
+        assert_eq!(hist.count() as u32, 2 * 8 * CALLS);
+        assert!(
+            span <= bare + SLACK_NANOS,
+            "span {span}ns vs its bare ingredients {bare}ns + {SLACK_NANOS}ns slack"
+        );
     }
 }

@@ -10,6 +10,7 @@
 //! separated by fewer than `min_gap` zero bytes are merged, trading a few
 //! transmitted zeros for less per-segment metadata.
 
+use std::cell::RefCell;
 use std::fmt;
 
 use crate::varint::{decode_varint, encode_varint};
@@ -268,22 +269,42 @@ impl SparseCodec {
         }
     }
 
-    /// Walks the merged nonzero extents of the *virtual* parity
-    /// `old ⊕ new` without materializing it, invoking `emit(start, end)`
-    /// for each extent in offset order. Extent boundaries are exactly
-    /// those [`encode`](Self::encode) would produce on
-    /// `forward_parity(old, new)` — the merge logic is byte-for-byte the
-    /// same, but driven by [`scan_mismatch`](crate::scan_mismatch)
-    /// instead of a dense scratch block.
-    fn delta_segments(&self, old: &[u8], new: &[u8], mut emit: impl FnMut(usize, usize)) {
-        let n = old.len();
+    /// Scans `old` against `new` once and returns the plan of their
+    /// sparse delta: the merged nonzero extents of the *virtual* parity
+    /// `old ⊕ new`, never materialized, and the exact wire size of
+    /// encoding them. Extent boundaries are exactly those
+    /// [`encode`](Self::encode) would produce on
+    /// `forward_parity(old, new)` — the same merge rule, driven by
+    /// [`scan_mismatch`](crate::scan_mismatch) instead of a dense
+    /// scratch block.
+    ///
+    /// This is the hot path's one pass over the images: the plan answers
+    /// the sparse-versus-full size question and then
+    /// [`encode_into`](DeltaPlan::encode_into) writes the stream from
+    /// the recorded extents without looking for them again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn plan_delta<'a>(&self, old: &'a [u8], new: &'a [u8]) -> DeltaPlan<'a> {
+        assert_eq!(old.len(), new.len(), "delta of different-sized blocks");
+        let PlanBuffers {
+            mut extents,
+            mut stream,
+        } = PLAN_BUFFERS
+            .try_with(|spare| std::mem::take(&mut *spare.borrow_mut()))
+            .unwrap_or_default();
+        extents.clear();
+        stream.clear();
+        let mut payload = 0usize;
+        let mut prev_end = 0usize;
         let mut next = crate::scan_mismatch(old, new, 0);
         while let Some(start) = next {
+            // Grow the extent: alternate mismatching stretches with
+            // equal gaps shorter than `min_gap`, which stay inline.
             let mut last = start + 1;
             loop {
-                while last < n && old[last] != new[last] {
-                    last += 1;
-                }
+                last = mismatch_run_end(old, new, last);
                 match crate::scan_mismatch(old, new, last) {
                     Some(nz) if nz - last < self.min_gap => last = nz + 1,
                     later => {
@@ -292,33 +313,32 @@ impl SparseCodec {
                     }
                 }
             }
-            emit(start, last);
+            payload += varint_len((start - prev_end) as u64);
+            payload += varint_len((last - start) as u64);
+            payload += last - start;
+            prev_end = last;
+            extents.push((start, last));
+        }
+        let wire_len = varint_len(old.len() as u64) + varint_len(extents.len() as u64) + payload;
+        DeltaPlan {
+            old,
+            new,
+            buffers: PlanBuffers { extents, stream },
+            wire_len,
         }
     }
 
     /// Segment count and exact wire size of the sparse encoding of
     /// `old ⊕ new`, computed without allocating the parity or the
-    /// encoding. This is what the hot path uses to decide between a
-    /// sparse-parity payload and a full-block fallback before writing a
-    /// single byte.
+    /// encoding — [`plan_delta`](Self::plan_delta) for callers that only
+    /// want the two numbers.
     ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
     pub fn delta_wire_info(&self, old: &[u8], new: &[u8]) -> (usize, usize) {
-        assert_eq!(old.len(), new.len(), "delta of different-sized blocks");
-        let mut count = 0usize;
-        let mut payload = 0usize;
-        let mut prev_end = 0usize;
-        self.delta_segments(old, new, |start, end| {
-            count += 1;
-            payload += varint_len((start - prev_end) as u64);
-            payload += varint_len((end - start) as u64);
-            payload += end - start;
-            prev_end = end;
-        });
-        let total = varint_len(old.len() as u64) + varint_len(count as u64) + payload;
-        (count, total)
+        let plan = self.plan_delta(old, new);
+        (plan.segments(), plan.wire_len())
     }
 
     /// Appends the sparse encoding of `old ⊕ new` directly to `out`,
@@ -331,20 +351,7 @@ impl SparseCodec {
     ///
     /// Panics if the slices differ in length.
     pub fn encode_delta_into(&self, old: &[u8], new: &[u8], out: &mut Vec<u8>) {
-        assert_eq!(old.len(), new.len(), "delta of different-sized blocks");
-        let mut count = 0usize;
-        self.delta_segments(old, new, |_, _| count += 1);
-        encode_varint(out, old.len() as u64);
-        encode_varint(out, count as u64);
-        let mut prev_end = 0usize;
-        self.delta_segments(old, new, |start, end| {
-            encode_varint(out, (start - prev_end) as u64);
-            encode_varint(out, (end - start) as u64);
-            let at = out.len();
-            out.resize(at + (end - start), 0);
-            crate::xor_into(&mut out[at..], &old[start..end], &new[start..end]);
-            prev_end = end;
-        });
+        self.plan_delta(old, new).encode_into(out);
     }
 
     /// Parses the wire format produced by [`SparseParity::to_bytes`].
@@ -412,6 +419,145 @@ impl SparseCodec {
     }
 }
 
+/// Bytes of a mismatching run walked one at a time before
+/// [`mismatch_run_end`] switches to words. Database-page deltas are made
+/// of runs of a few bytes (a counter, a timestamp, a balance) that end
+/// inside this prefix and never pay for setting up the word loop;
+/// measured on the benchmark's `tpcc-stream`, going straight to words
+/// cost 3.4 % more CPU per write (worse in 5 of 6 alternating pairs).
+const RUN_PREFIX: usize = 8;
+
+/// First index at or after `from` where `old` and `new` agree (the end
+/// of the mismatching run `from` is in), or their length.
+///
+/// Past the byte-wise prefix the run is walked a word at a time: a word
+/// of `old ⊕ new` extends the run while none of its bytes is zero, and
+/// the lowest zero byte — found with the borrow trick, exact for the
+/// lowest one — is where the images agree again.
+fn mismatch_run_end(old: &[u8], new: &[u8], from: usize) -> usize {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let n = old.len();
+    let mut at = from;
+    let prefix_end = (from + RUN_PREFIX).min(n);
+    while at < prefix_end {
+        if old[at] == new[at] {
+            return at;
+        }
+        at += 1;
+    }
+    let mut old_words = old[at..].chunks_exact(8);
+    let mut new_words = new[at..].chunks_exact(8);
+    for (a, b) in old_words.by_ref().zip(new_words.by_ref()) {
+        let x = u64::from_le_bytes(a.try_into().expect("8-byte chunk"))
+            ^ u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+        let zero_bytes = x.wrapping_sub(LOW) & !x & HIGH;
+        if zero_bytes != 0 {
+            return at + (zero_bytes.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    while at < n && old[at] != new[at] {
+        at += 1;
+    }
+    at
+}
+
+/// Appends the sparse stream of `extents` over `old ⊕ new` to `out`.
+fn emit_extents(old: &[u8], new: &[u8], extents: &[(usize, usize)], out: &mut Vec<u8>) {
+    encode_varint(out, old.len() as u64);
+    encode_varint(out, extents.len() as u64);
+    let mut prev_end = 0usize;
+    for &(start, end) in extents {
+        encode_varint(out, (start - prev_end) as u64);
+        encode_varint(out, (end - start) as u64);
+        let at = out.len();
+        out.extend_from_slice(&old[start..end]);
+        xor_in_place(&mut out[at..], &new[start..end]);
+        prev_end = end;
+    }
+}
+
+/// What a [`DeltaPlan`] fills: the `(start, end)` extent list and the
+/// buffer its sparse stream is encoded into on demand (empty until
+/// [`DeltaPlan::stream`] asks).
+#[derive(Debug, Default)]
+struct PlanBuffers {
+    extents: Vec<(usize, usize)>,
+    stream: Vec<u8>,
+}
+
+thread_local! {
+    /// The buffers of this thread's last dropped [`DeltaPlan`], for the
+    /// next one: steady-state planning allocates nothing.
+    static PLAN_BUFFERS: RefCell<PlanBuffers> = const {
+        RefCell::new(PlanBuffers {
+            extents: Vec::new(),
+            stream: Vec::new(),
+        })
+    };
+}
+
+/// One scan's worth of knowledge about the sparse delta between two
+/// images of a block — see [`SparseCodec::plan_delta`].
+///
+/// The plan borrows both images, so the extents it recorded can only be
+/// emitted against the bytes they were found in. Its buffers come from,
+/// and on drop return to, a per-thread spare; plans may nest (an inner
+/// one just starts with empty buffers).
+#[derive(Debug)]
+pub struct DeltaPlan<'a> {
+    old: &'a [u8],
+    new: &'a [u8],
+    buffers: PlanBuffers,
+    wire_len: usize,
+}
+
+impl<'a> DeltaPlan<'a> {
+    /// The new image the plan was scanned from.
+    pub fn new_image(&self) -> &'a [u8] {
+        self.new
+    }
+
+    /// Number of extents the sparse encoding carries.
+    pub fn segments(&self) -> usize {
+        self.buffers.extents.len()
+    }
+
+    /// Exact length of the sparse encoding — what
+    /// [`encode_into`](Self::encode_into) appends.
+    pub fn wire_len(&self) -> usize {
+        self.wire_len
+    }
+
+    /// Appends the sparse encoding to `out`, XOR-ing each extent
+    /// straight into it.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.wire_len);
+        emit_extents(self.old, self.new, &self.buffers.extents, out);
+    }
+
+    /// The sparse encoding as one slice, for a consumer that needs it
+    /// contiguous (a compressor): encoded once, into the plan's own
+    /// recycled buffer.
+    pub fn stream(&mut self) -> &[u8] {
+        let PlanBuffers { extents, stream } = &mut self.buffers;
+        if stream.is_empty() {
+            stream.reserve(self.wire_len);
+            emit_extents(self.old, self.new, extents, stream);
+        }
+        stream
+    }
+}
+
+impl Drop for DeltaPlan<'_> {
+    fn drop(&mut self) {
+        let buffers = std::mem::take(&mut self.buffers);
+        // A thread that is tearing down has no spare to return to.
+        let _ = PLAN_BUFFERS.try_with(|spare| *spare.borrow_mut() = buffers);
+    }
+}
+
 impl Default for SparseCodec {
     /// A codec with `min_gap = 8`.
     fn default() -> Self {
@@ -431,6 +577,112 @@ mod tests {
         assert_eq!(bytes.len(), sp.wire_size(), "wire_size must be exact");
         let back = codec.decode(&bytes, parity.len()).unwrap();
         assert_eq!(back.to_dense(parity.len()), parity);
+    }
+
+    /// The extent walker as it stood before the word-wide rewrite —
+    /// mismatching runs walked one byte at a time — kept verbatim as
+    /// the oracle for [`SparseCodec::plan_delta`].
+    fn reference_delta_segments(codec: SparseCodec, old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
+        let n = old.len();
+        let mut extents = Vec::new();
+        let mut next = crate::scan_mismatch(old, new, 0);
+        while let Some(start) = next {
+            let mut last = start + 1;
+            loop {
+                while last < n && old[last] != new[last] {
+                    last += 1;
+                }
+                match crate::scan_mismatch(old, new, last) {
+                    Some(nz) if nz - last < codec.min_gap => last = nz + 1,
+                    later => {
+                        next = later;
+                        break;
+                    }
+                }
+            }
+            extents.push((start, last));
+        }
+        extents
+    }
+
+    /// Plans `old -> new` and checks extents, wire size and emitted
+    /// bytes against the byte-wise walker and the classic
+    /// materialize-then-encode path.
+    fn assert_plan_matches_reference(codec: SparseCodec, old: &[u8], new: &[u8]) {
+        let mut plan = codec.plan_delta(old, new);
+        assert_eq!(
+            plan.buffers.extents,
+            reference_delta_segments(codec, old, new)
+        );
+        let classic = codec.encode(&forward_parity(old, new));
+        assert_eq!(plan.segments(), classic.segments().len());
+        assert_eq!(plan.wire_len(), classic.wire_size());
+        let want = classic.to_bytes();
+        let mut fused = vec![0xEEu8; 3]; // pre-existing bytes must be preserved
+        plan.encode_into(&mut fused);
+        assert_eq!(&fused[..3], &[0xEEu8; 3]);
+        assert_eq!(&fused[3..], want);
+        assert_eq!(plan.stream(), want);
+        assert_eq!(plan.stream(), want, "the stream is encoded once");
+    }
+
+    #[test]
+    fn run_walker_matches_the_bytewise_oracle_at_every_length_gap_and_alignment() {
+        // A run of `run` mismatching bytes at `align`, `gap` equal
+        // bytes, a second short run — around the byte-wise prefix, every
+        // word alignment, and both sides of every `min_gap`.
+        let old: Vec<u8> = (0..160usize).map(|i| (i * 7 + 3) as u8).collect();
+        for codec in [
+            SparseCodec::new(1),
+            SparseCodec::default(),
+            SparseCodec::new(32),
+        ] {
+            for run in 0..40usize {
+                for gap in 0..20usize {
+                    for align in 0..8usize {
+                        let mut new = old.clone();
+                        let second = align + run + gap;
+                        for b in &mut new[align..align + run] {
+                            *b ^= 0x55;
+                        }
+                        for b in &mut new[second..second + 3] {
+                            *b ^= 0xAA;
+                        }
+                        assert_plan_matches_reference(codec, &old, &new);
+                        // The same first run, ending exactly at the tail.
+                        let tail = align + run;
+                        assert_plan_matches_reference(codec, &old[..tail], &new[..tail]);
+                        // ... and with the whole tail mismatching behind it.
+                        for b in &mut new[second..] {
+                            *b = !*b;
+                        }
+                        assert_plan_matches_reference(codec, &old, &new);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nested_plans_do_not_share_buffers() {
+        let old = vec![1u8; 256];
+        let mut new = old.clone();
+        new[10..50].fill(2);
+        let mut other = old.clone();
+        other[100..103].fill(9);
+        let codec = SparseCodec::default();
+        let mut outer = codec.plan_delta(&old, &new);
+        let outer_stream = outer.stream().to_vec();
+        {
+            let mut inner = codec.plan_delta(&old, &other);
+            assert_eq!(inner.segments(), 1);
+            assert_ne!(inner.stream(), outer_stream);
+        }
+        assert_eq!(outer.stream(), outer_stream);
+        assert_eq!(outer.segments(), 1);
+        drop(outer);
+        // The recycled buffers start the next plan clean.
+        assert_plan_matches_reference(codec, &old, &other);
     }
 
     #[test]
@@ -684,6 +936,29 @@ mod tests {
             let (count, wire) = codec.delta_wire_info(&old, &new);
             prop_assert_eq!(count, classic.segments().len());
             prop_assert_eq!(wire, classic.wire_size());
+        }
+
+        /// The same identity on dense 8 KB rewrites — the shape whose
+        /// long mismatching runs take the word-wide walker: every byte
+        /// redrawn from a small alphabet (prose over prose agrees by
+        /// chance every dozen bytes or so) or from all 256 values, with
+        /// a few stretches left untouched so extents also split.
+        #[test]
+        fn prop_encode_delta_into_is_byte_identical_on_dense_blocks(
+            seed in any::<u64>(),
+            alphabet_pick in 0usize..3,
+            kept in proptest::collection::vec((0usize..8192, 1usize..64), 0..6),
+            min_gap in 1usize..32) {
+            use rand::{RngExt, SeedableRng};
+            let alphabet = [2u8, 16, 255][alphabet_pick];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let old: Vec<u8> = (0..8192).map(|_| rng.random_range(0..=alphabet)).collect();
+            let mut new: Vec<u8> = (0..8192).map(|_| rng.random_range(0..=alphabet)).collect();
+            for (at, len) in kept {
+                let end = (at + len).min(8192);
+                new[at..end].copy_from_slice(&old[at..end]);
+            }
+            assert_plan_matches_reference(SparseCodec::new(min_gap), &old, &new);
         }
 
         #[test]

@@ -56,7 +56,7 @@ mod erasure;
 mod varint;
 mod xor;
 
-pub use codec::{CodecError, Segment, SparseCodec, SparseParity};
+pub use codec::{CodecError, DeltaPlan, Segment, SparseCodec, SparseParity};
 pub use delta::{apply_parity, apply_parity_in_place, forward_parity, DeltaStats};
 pub use erasure::{EcError, ErasureCodec, XorCodec};
 pub use varint::{decode_varint, encode_varint};

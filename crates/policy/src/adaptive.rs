@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::RwLock;
 
 use prins_block::Lba;
-use prins_compress::{Codec, Lzss};
+use prins_compress::Lzss;
 use prins_obs::Registry;
 use prins_parity::SparseCodec;
 use prins_repl::{
@@ -417,8 +417,19 @@ impl Replicator for AdaptiveReplicator {
         debug_assert_eq!(old.len(), new.len(), "images of one device block");
         let base = out.len();
         let full = new.len();
-        let (segs, wire) = self.codec.delta_wire_info(old, new);
+        // The write's one scan: the decision reads its numbers, every
+        // parity emit below reads its extents.
+        let mut plan = self.codec.plan_delta(old, new);
+        let (segs, wire) = (plan.segments(), plan.wire_len());
         let (slot, decided, explored) = self.decide(lba, new, segs, wire);
+        // An LZSS image trial written straight behind its header at the
+        // end of `out`; returns the whole frame's length.
+        let compressed_trial = |out: &mut Vec<u8>| {
+            let at = out.len();
+            put_compressed(out, lba, full, |out| self.lzss.compress_into(new, out));
+            out.len() - at
+        };
+        let packed_len = |frame: usize| frame - Self::header_len(lba) - varint_len(full as u64);
 
         let mut strategy = decided;
         let mut full_pm_sample = None;
@@ -429,25 +440,26 @@ impl Replicator for AdaptiveReplicator {
             Strategy::Parity => {
                 // The fused zero-alloc path, byte-identical to
                 // PrinsReplicator's.
-                put_parity(out, lba, |out| self.codec.encode_delta_into(old, new, out));
+                put_parity(out, lba, |out| plan.encode_into(out));
             }
             Strategy::Full => put_full(out, lba, new),
             Strategy::Compressed => {
-                let packed = self.lzss.compress(new);
-                full_pm_sample = Some(ratio_pm(packed.len(), full));
-                exact_compressed =
-                    Some((Self::header_len(lba) + varint_len(full as u64) + packed.len()) as u64);
-                let comp_body = varint_len(full as u64) + packed.len();
+                let frame = compressed_trial(out);
+                full_pm_sample = Some(ratio_pm(packed_len(frame), full));
+                exact_compressed = Some(frame as u64);
+                let comp_body = frame - Self::header_len(lba);
                 if comp_body < full && (wire >= full || comp_body < wire) {
-                    put_compressed(out, lba, full, &packed);
+                    // The trial is the frame.
                 } else if wire < full {
                     // Misprediction rescue: the content did not
                     // compress below this write's parity after all.
-                    put_parity(out, lba, |out| self.codec.encode_delta_into(old, new, out));
+                    out.truncate(base);
+                    put_parity(out, lba, |out| plan.encode_into(out));
                     strategy = Strategy::Parity;
                 } else {
                     // Never worse than a raw full image on any write —
                     // unlike static Compressed, which can expand.
+                    out.truncate(base);
                     put_full(out, lba, new);
                     strategy = Strategy::Full;
                 }
@@ -455,7 +467,7 @@ impl Replicator for AdaptiveReplicator {
             Strategy::ParityCompressed => {
                 // Delegate: the PRINS encoder already holds the
                 // parity-vs-compressed-vs-full fallback chain.
-                let lzss_won = self.prins_lzss.encode_write_noting_lzss(lba, old, new, out);
+                let lzss_won = self.prins_lzss.encode_planned(lba, &mut plan, out);
                 let shipped = out.len() - base;
                 exact_prins_lzss = Some(shipped as u64);
                 delta_pm_sample = if lzss_won {
@@ -493,20 +505,24 @@ impl Replicator for AdaptiveReplicator {
                         || !slot.is_sampled(RegionSlot::FULL_SAMPLED)
                         || wire >= self.cfg.exact_trial_len
                     {
-                        let packed = self.lzss.compress(new);
-                        full_pm_sample = Some(ratio_pm(packed.len(), full));
-                        let candidate =
-                            Self::header_len(lba) + varint_len(full as u64) + packed.len();
+                        // The trial goes behind the frame it challenges
+                        // and replaces it only by winning.
+                        let candidate = compressed_trial(out);
+                        full_pm_sample = Some(ratio_pm(packed_len(candidate), full));
                         exact_compressed = Some(candidate as u64);
                         if candidate < shipped {
-                            out.truncate(base);
-                            put_compressed(out, lba, full, &packed);
+                            out.drain(base..base + shipped);
                             strategy = Strategy::Compressed;
+                        } else {
+                            out.truncate(base + shipped);
                         }
                     }
                 }
             }
         }
+        // Exact counterfactuals below re-plan the write through the
+        // static strategies; hand the plan's buffers back first.
+        drop(plan);
 
         self.account(
             lba,
@@ -793,6 +809,7 @@ mod tests {
                 1..24,
             ),
         ) {
+            use prins_compress::Codec;
             use prins_repl::{Payload, PayloadBody};
             let adaptive = AdaptiveReplicator::new(PolicyConfig::default());
             let mut images: HashMap<u64, Vec<u8>> = HashMap::new();

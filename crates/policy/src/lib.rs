@@ -20,9 +20,10 @@
 //! scans or cheaper:
 //!
 //! * the **exact parity wire length** from
-//!   [`SparseCodec::delta_wire_info`](prins_parity::SparseCodec::delta_wire_info)
-//!   (scan-only, no allocation) decides parity-vs-full ground truth for
-//!   *this* write before anything is encoded;
+//!   [`SparseCodec::plan_delta`](prins_parity::SparseCodec::plan_delta)
+//!   (the write's one scan of its images, no allocation) decides
+//!   parity-vs-full ground truth for *this* write before anything is
+//!   encoded, and whatever parity is then emitted reads the same plan;
 //! * **EWMA compressibility estimates** per region, seeded by a cheap
 //!   stack-only 4-gram [probe](probe::probe_compressibility_pm) and
 //!   thereafter corrected with exact ratios observed whenever a

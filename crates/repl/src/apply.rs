@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use prins_block::{crc32c, BlockDevice, Lba};
-use prins_compress::{Codec, Lzss};
+use prins_compress::Lzss;
 use prins_parity::{ErasureCodec, SparseCodec, XorCodec};
 
 use crate::wire::{
@@ -66,6 +66,9 @@ pub struct ReplicaApplier<D> {
     /// the backward computation, a digest probe, a served image — so
     /// the steady state performs no heap allocation for it.
     scratch: Vec<u8>,
+    /// Recycled buffer LZSS bodies decompress into (a block image, or
+    /// the sparse stream applied against the base in `scratch`).
+    inflated: Vec<u8>,
 }
 
 impl<D: BlockDevice> ReplicaApplier<D> {
@@ -85,6 +88,7 @@ impl<D: BlockDevice> ReplicaApplier<D> {
             require_sealed: false,
             checksums: HashMap::new(),
             scratch: Vec::new(),
+            inflated: Vec::new(),
         }
     }
 
@@ -230,15 +234,17 @@ impl<D: BlockDevice> ReplicaApplier<D> {
                         "compressed payload block_len {block_len} != device block size {bs}"
                     )));
                 }
-                let block = self.lzss.decompress(&data, block_len)?;
-                self.write_checked(payload.lba, &block)?;
+                self.with_inflated(&data, block_len, |this, block| {
+                    this.write_checked(payload.lba, block)
+                })?;
             }
             PayloadBody::Parity(data) => {
                 self.apply_parity(payload.lba, &data)?;
             }
             PayloadBody::ParityCompressed { sparse_len, data } => {
-                let sparse = self.lzss.decompress(&data, sparse_len)?;
-                self.apply_parity(payload.lba, &sparse)?;
+                self.with_inflated(&data, sparse_len, |this, sparse| {
+                    this.apply_parity(payload.lba, sparse)
+                })?;
             }
             PayloadBody::StripDelta { coeff, data } => {
                 self.apply_strip_delta(payload.lba, coeff, &data)?;
@@ -295,6 +301,26 @@ impl<D: BlockDevice> ReplicaApplier<D> {
             this.check_stored(lba, block)?;
             Ok(this.sparse.encode(block).to_bytes())
         })
+    }
+
+    /// Decompresses `lzss` (claiming `len` bytes) into the recycled
+    /// inflate buffer, taken out of `self` like [`with_block`]'s.
+    ///
+    /// [`with_block`]: Self::with_block
+    fn with_inflated<T>(
+        &mut self,
+        lzss: &[u8],
+        len: usize,
+        with: impl FnOnce(&mut Self, &[u8]) -> Result<T, ReplError>,
+    ) -> Result<T, ReplError> {
+        let mut inflated = std::mem::take(&mut self.inflated);
+        inflated.clear();
+        let result = match self.lzss.decompress_into(lzss, len, &mut inflated) {
+            Ok(()) => with(self, &inflated),
+            Err(e) => Err(e.into()),
+        };
+        self.inflated = inflated;
+        result
     }
 
     /// Reads the block at `lba` into the recycled scratch buffer (taken

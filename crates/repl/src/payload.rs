@@ -79,13 +79,15 @@ impl Payload {
         match &self.body {
             PayloadBody::Full(data) => wire::put_full(out, lba, data),
             PayloadBody::Compressed { block_len, data } => {
-                wire::put_compressed(out, lba, *block_len, data);
+                wire::put_compressed(out, lba, *block_len, |out| out.extend_from_slice(data));
             }
             PayloadBody::Parity(data) => {
                 wire::put_parity(out, lba, |out| out.extend_from_slice(data));
             }
             PayloadBody::ParityCompressed { sparse_len, data } => {
-                wire::put_parity_compressed(out, lba, *sparse_len, data);
+                wire::put_parity_compressed(out, lba, *sparse_len, |out| {
+                    out.extend_from_slice(data)
+                });
             }
             PayloadBody::SyncMarker => wire::put_sync_marker(out, lba),
             PayloadBody::StripDelta { coeff, data } => {

@@ -1,8 +1,8 @@
 //! The three replication strategies compared throughout the paper.
 
 use prins_block::Lba;
-use prins_compress::{Codec, Lzss};
-use prins_parity::SparseCodec;
+use prins_compress::Lzss;
+use prins_parity::{DeltaPlan, SparseCodec};
 
 use crate::wire::{put_compressed, put_full, put_parity, put_parity_compressed};
 
@@ -64,7 +64,9 @@ impl CompressedReplicator {
 
 impl Replicator for CompressedReplicator {
     fn encode_write_into(&self, lba: Lba, _old: &[u8], new: &[u8], out: &mut Vec<u8>) {
-        put_compressed(out, lba, new.len(), &self.codec.compress(new));
+        put_compressed(out, lba, new.len(), |out| {
+            self.codec.compress_into(new, out)
+        });
     }
 
     fn name(&self) -> &'static str {
@@ -113,52 +115,46 @@ impl PrinsReplicator {
         self.codec
     }
 
-    /// The decision point for the full-image fallback: ship a full
-    /// image when the encoded parity would be at least as large as the
-    /// block. Decided from a scan-only pass
-    /// ([`SparseCodec::delta_wire_info`], no allocation); the exact
-    /// sparse wire length rides along so callers can reuse the scan.
-    pub fn full_image_fallback(&self, old: &[u8], new: &[u8]) -> (bool, usize) {
-        let (_, wire) = self.codec.delta_wire_info(old, new);
-        (wire >= new.len(), wire)
-    }
-
-    /// [`encode_write_into`](Replicator::encode_write_into), reporting
-    /// whether the parity shipped LZSS-compressed (the adaptive policy
-    /// learns a region's parity compressibility from it).
-    pub fn encode_write_noting_lzss(
-        &self,
-        lba: Lba,
-        old: &[u8],
-        new: &[u8],
-        out: &mut Vec<u8>,
-    ) -> bool {
+    /// Encodes the write `plan` was scanned from, reporting whether the
+    /// parity shipped LZSS-compressed (the adaptive policy learns a
+    /// region's parity compressibility from it). The plan carries the
+    /// one scan of the images this write pays for: the fallback
+    /// decision and the emit both read it.
+    ///
+    /// For the bytes to be this strategy's, `plan` must come from a
+    /// codec equal to [`codec`](Self::codec).
+    pub fn encode_planned(&self, lba: Lba, plan: &mut DeltaPlan<'_>, out: &mut Vec<u8>) -> bool {
         // Guard: a pathological write that changes (nearly) the whole
         // block would make the encoded parity *larger* than the block
         // (offsets + lengths on top of the data). Fall back to a full
         // image — the replica accepts both forms, so PRINS is never
         // worse than traditional replication on any single write.
-        let (fallback, wire) = self.full_image_fallback(old, new);
-        if fallback {
+        let new = plan.new_image();
+        if plan.wire_len() >= new.len() {
             put_full(out, lba, new);
             return false;
         }
         if !self.compress_parity {
             // Fused: the dense parity block and an intermediate sparse
             // buffer never exist.
-            put_parity(out, lba, |out| self.codec.encode_delta_into(old, new, out));
+            put_parity(out, lba, |out| plan.encode_into(out));
             return false;
         }
         // The ablation path: the compressor needs the sparse stream as
-        // one slice (and allocates anyway).
-        let mut sparse = Vec::with_capacity(wire);
-        self.codec.encode_delta_into(old, new, &mut sparse);
-        let packed = self.lzss.compress(&sparse);
-        let won = packed.len() < sparse.len();
-        if won {
-            put_parity_compressed(out, lba, sparse.len(), &packed);
-        } else {
-            put_parity(out, lba, |out| out.extend_from_slice(&sparse));
+        // one slice (the plan's recycled buffer) and writes its trial
+        // straight behind the header; a lost trial is cut off again.
+        let sparse = plan.stream();
+        let base = out.len();
+        let mut packed = 0;
+        put_parity_compressed(out, lba, sparse.len(), |out| {
+            let at = out.len();
+            self.lzss.compress_into(sparse, out);
+            packed = out.len() - at;
+        });
+        let won = packed < sparse.len();
+        if !won {
+            out.truncate(base);
+            put_parity(out, lba, |out| out.extend_from_slice(sparse));
         }
         won
     }
@@ -172,7 +168,7 @@ impl Default for PrinsReplicator {
 
 impl Replicator for PrinsReplicator {
     fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>) {
-        self.encode_write_noting_lzss(lba, old, new, out);
+        self.encode_planned(lba, &mut self.codec.plan_delta(old, new), out);
     }
 
     fn name(&self) -> &'static str {
@@ -188,6 +184,7 @@ impl Replicator for PrinsReplicator {
 mod tests {
     use super::*;
     use crate::{Payload, PayloadBody};
+    use prins_compress::Codec;
     use rand::{RngExt, SeedableRng};
 
     fn sample_write(change_bytes: usize) -> (Vec<u8>, Vec<u8>) {

@@ -85,12 +85,18 @@ pub fn put_full(out: &mut Vec<u8>, lba: Lba, block: &[u8]) {
     out.extend_from_slice(block);
 }
 
-/// Appends an LZSS-compressed full-image payload; `block_len` is the
-/// uncompressed size.
-pub fn put_compressed(out: &mut Vec<u8>, lba: Lba, block_len: usize, lzss: &[u8]) {
+/// Appends an LZSS-compressed full-image payload whose LZSS stream
+/// `lzss` writes — the compressor runs straight into the frame;
+/// `block_len` is the uncompressed size.
+pub fn put_compressed(
+    out: &mut Vec<u8>,
+    lba: Lba,
+    block_len: usize,
+    lzss: impl FnOnce(&mut Vec<u8>),
+) {
     put_head(out, COMPRESSED_TAG, lba);
     encode_varint(out, block_len as u64);
-    out.extend_from_slice(lzss);
+    lzss(out);
 }
 
 /// Appends a parity payload whose sparse-parity stream `body` writes —
@@ -100,12 +106,18 @@ pub fn put_parity(out: &mut Vec<u8>, lba: Lba, body: impl FnOnce(&mut Vec<u8>)) 
     body(out);
 }
 
-/// Appends an LZSS-compressed parity payload; `sparse_len` is the
-/// sparse-parity stream's length before compression.
-pub(crate) fn put_parity_compressed(out: &mut Vec<u8>, lba: Lba, sparse_len: usize, lzss: &[u8]) {
+/// Appends an LZSS-compressed parity payload whose LZSS stream `lzss`
+/// writes; `sparse_len` is the sparse-parity stream's length before
+/// compression.
+pub(crate) fn put_parity_compressed(
+    out: &mut Vec<u8>,
+    lba: Lba,
+    sparse_len: usize,
+    lzss: impl FnOnce(&mut Vec<u8>),
+) {
     put_head(out, PARITY_COMPRESSED_TAG, lba);
     encode_varint(out, sparse_len as u64);
-    out.extend_from_slice(lzss);
+    lzss(out);
 }
 
 /// Appends an end-of-sync marker.

@@ -57,7 +57,7 @@ pub use fsmicro::{FsMicro, FsMicroConfig};
 pub use report::RunReport;
 pub use runner::{run, RunConfig, ScalePreset, Workload, WorkloadError};
 pub use synth::{HostileMix, TextStore};
-pub use text::TpccRand;
+pub use text::{prose, TpccRand};
 pub use tpcc::{TpccDatabase, TpccDriver, TpccScale, TxnKind, TxnMix};
 pub use tpcw::{TpcwDriver, TpcwScale};
 pub use trace::{capture_trace, WriteTrace};

@@ -10,8 +10,9 @@
 //! wire frames recycle; the one unavoidable allocation left is the
 //! `Arc` created when the encoded payload is frozen for fan-out.
 //!
-//! The same counter also holds `ClusterGroup::write` to its measured
-//! allocation count (see the end of the test).
+//! The same counter also holds `ClusterGroup::write`, the adaptive
+//! policy's compressing picks and the replica's LZSS applies to their
+//! measured allocation counts (see the end of the test).
 //!
 //! Kept to a single `#[test]` so no sibling test's allocations leak
 //! into the measured window.
@@ -24,7 +25,10 @@ use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
 use prins_cluster::{ClusterConfig, ClusterGroup};
 use prins_core::EngineBuilder;
 use prins_net::SinkTransport;
-use prins_repl::{encode_ack, ReplicationMode, ACK};
+use prins_repl::{
+    encode_ack, CompressedReplicator, PrinsReplicator, ReplicaApplier, ReplicationMode, Replicator,
+    ACK,
+};
 
 struct CountingAlloc;
 
@@ -76,9 +80,48 @@ fn counted(measured: impl FnOnce()) -> u64 {
 /// sampling — its fixed slot table and event arrays must add zero
 /// allocations to the steady-state loop.
 fn measure(mode: ReplicationMode, writes: u64, traced: bool) -> u64 {
-    measure_with(writes, traced, vec![0xA5u8; 4096], |builder| {
-        builder.mode(mode)
-    })
+    measure_with(
+        writes,
+        traced,
+        vec![0xA5u8; 4096],
+        flip_one_byte,
+        |builder| builder.mode(mode),
+    )
+}
+
+/// The small-delta write shape: write `n` differs from the one before
+/// in a single byte.
+fn flip_one_byte(payload: &mut [u8], n: u64) {
+    payload[(n as usize * 7) % 4096] ^= 0x3C;
+}
+
+/// The text-churn write shape: the whole block is rewritten with fresh
+/// word-sampled prose, in place (the generator must not allocate inside
+/// the counted region). Dense delta whose parity is noise, compressible
+/// image — the shape that sends the adaptive policy through its LZSS
+/// trials on every write.
+fn rewrite_prose(payload: &mut [u8], n: u64) {
+    const WORDS: [&[u8]; 8] = [
+        b"parity ",
+        b"block ",
+        b"replication ",
+        b"the ",
+        b"of ",
+        b"storage.\n",
+        b"write ",
+        b"node ",
+    ];
+    let mut state = n.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut at = 0;
+    while at < payload.len() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let word = WORDS[(state >> 61) as usize];
+        let len = word.len().min(payload.len() - at);
+        payload[at..at + len].copy_from_slice(&word[..len]);
+        at += len;
+    }
 }
 
 /// Like [`measure`], with an arbitrary builder configuration and
@@ -90,6 +133,7 @@ fn measure_with(
     writes: u64,
     traced: bool,
     payload: Vec<u8>,
+    next_write: impl Fn(&mut [u8], u64),
     configure: impl FnOnce(EngineBuilder) -> EngineBuilder,
 ) -> u64 {
     const BLOCKS: u64 = 8;
@@ -113,15 +157,15 @@ fn measure_with(
     // Warmup: populate the pool's freelists, the lane queues and the
     // reorder map so every container reaches steady-state capacity.
     for i in 0..writes {
-        payload[(i as usize * 7) % 4096] ^= 0x3C;
+        next_write(&mut payload, i);
         engine.write_block(Lba(i % BLOCKS), &payload).unwrap();
         while engine.step() {}
     }
     engine.flush().unwrap();
 
     let allocs = counted(|| {
-        for i in 0..writes {
-            payload[(i as usize * 13) % 4096] ^= 0xC3;
+        for i in writes..2 * writes {
+            next_write(&mut payload, i);
             engine.write_block(Lba(i % BLOCKS), &payload).unwrap();
             while engine.step() {}
         }
@@ -162,6 +206,37 @@ fn measure_cluster(writes: u64) -> u64 {
     })
 }
 
+/// Allocations charged to a replica applying `writes` steady-state
+/// frames of `replicator` — whole-block prose rewrites, so a
+/// compressing strategy ships an LZSS body every time. The frames are
+/// encoded before the counted region; only `ReplicaApplier::apply` is
+/// inside it.
+fn measure_replica_apply(replicator: &dyn Replicator, writes: u64) -> u64 {
+    const BLOCKS: u64 = 8;
+    let replica = MemDevice::new(BlockSize::kb4(), BLOCKS);
+    let mut applier = ReplicaApplier::new(&replica);
+    let mut images = vec![vec![0u8; 4096]; BLOCKS as usize];
+    let mut payload = vec![0u8; 4096];
+    let mut frames = Vec::new();
+    for i in 0..2 * writes {
+        let old = &mut images[(i % BLOCKS) as usize];
+        rewrite_prose(&mut payload, i);
+        frames.push(replicator.encode_write(Lba(i % BLOCKS), old, &payload));
+        old.copy_from_slice(&payload);
+    }
+    let (warmup, measured) = frames.split_at(writes as usize);
+    for frame in warmup {
+        assert!(applier.apply(frame).unwrap());
+    }
+    let allocs = counted(|| {
+        for frame in measured {
+            assert!(applier.apply(frame).unwrap());
+        }
+    });
+    assert_eq!(replica.read_block_vec(Lba(BLOCKS - 1)).unwrap(), payload);
+    allocs
+}
+
 #[test]
 fn steady_state_write_path_stays_under_two_allocations_per_write() {
     const WRITES: u64 = 64;
@@ -188,9 +263,13 @@ fn steady_state_write_path_stays_under_two_allocations_per_write() {
             min_compress_len: 128,
             ..prins_policy::PolicyConfig::default()
         };
-        let allocs = measure_with(WRITES, traced, vec![0xA5u8; 4096], |builder| {
-            builder.adaptive(policy)
-        });
+        let allocs = measure_with(
+            WRITES,
+            traced,
+            vec![0xA5u8; 4096],
+            flip_one_byte,
+            |builder| builder.adaptive(policy),
+        );
         eprintln!("Adaptive (traced: {traced}): {allocs} allocations / {WRITES} writes");
         assert!(
             allocs <= 2 * WRITES,
@@ -198,6 +277,49 @@ fn steady_state_write_path_stays_under_two_allocations_per_write() {
              writes exceeds the budget of 2 per write"
         );
     }
+    // The adaptive engine on text churn, default policy: every write
+    // runs LZSS — an image compress, on about half of them preceded by
+    // a lost parity-LZSS trial on the noise wire — and ships a
+    // compressed image. The trials are written straight behind their
+    // header in the pooled payload buffer, the sparse stream they
+    // compress sits in the delta plan's recycled buffer, and the
+    // compressor's match-finder tables are a per-thread scratch it
+    // neither reallocates nor refills: what is left is the same one
+    // `Arc` per write as on the parity path. (The same loop measured
+    // 566 allocations, 8.8 per write, while every `compress` call
+    // allocated two 256 KB tables and its output, and the parity trial
+    // a `sparse` and a `packed` vector.)
+    let allocs = measure_with(WRITES, false, vec![0u8; 4096], rewrite_prose, |builder| {
+        builder.adaptive(prins_policy::PolicyConfig::default())
+    });
+    eprintln!("Adaptive on text churn: {allocs} allocations / {WRITES} writes");
+    assert!(
+        allocs <= 2 * WRITES,
+        "Adaptive on text churn: {allocs} allocations over {WRITES} writes \
+         exceeds the budget of 2 per write"
+    );
+
+    // The replica is not pooled either: `Payload::from_bytes` copies
+    // the body out of the frame and `SparseCodec::decode` builds owned
+    // segments. What the LZSS applies no longer add is the inflated
+    // image (`Compressed`) or sparse stream (`ParityCompressed`): both
+    // land in the applier's recycled buffer (128 -> 64 and 519 -> 457
+    // over these 64 frames). Gated at the measured values so the counts
+    // can only fall.
+    for (replicator, budget) in [
+        (&CompressedReplicator::default() as &dyn Replicator, 64),
+        (&PrinsReplicator::with_parity_compression(), 457),
+    ] {
+        let allocs = measure_replica_apply(replicator, WRITES);
+        let name = replicator.name();
+        eprintln!("Replica apply ({name}): {allocs} allocations / {WRITES} frames");
+        assert!(
+            allocs <= budget,
+            "replica apply of {name} frames: {allocs} allocations over {WRITES} \
+             frames exceeds the measured {budget}"
+        );
+    }
+
     // The cluster plane is not pooled: the parity log behind it
     // allocates per entry. Measured over these 64 writes: 1752
     // allocations (27.4 per write) at the parent of the single-wire-path
