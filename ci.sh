@@ -55,44 +55,14 @@ cargo run -q --release -p prins-sim --bin sim-replay -- \
 # (find it before it breaks seed replay).
 cargo run -q --release -p prins-bench --bin obs-dump -- --ops 300 --summary \
     | diff tests/obs_golden.json -
-# Integrity determinism gate: the corruption scenarios inject wire and
-# replica-media bit flips; their event-count summaries must replay
-# byte-identically. A diff means the detect/retransmit/scrub behaviour
-# changed — regenerate with the same command if that was intentional.
-cargo run -q --release -p prins-sim --bin sim-replay -- scenario 'corruption_*' --events \
-    | diff tests/corruption_golden.txt -
-# Erasure-coding determinism gate: the ec_rebuild_* scenarios kill one
-# and two strip-holding nodes mid-workload, rebuild them from k
-# survivors, and verify every strip re-encodes the logical image. Their
-# event-count summaries must replay byte-identically — regenerate with
-# the same command if the EC write/rebuild paths changed intentionally.
-cargo run -q --release -p prins-sim --bin sim-replay -- scenario 'ec_rebuild_*' --events \
-    | diff tests/ec_golden.txt -
-# Scale-out determinism gate: live migration under a 10x-slow link with
-# a node kill mid-copy, and offloaded reads racing a replica rejoin.
-# Their event-count summaries must replay byte-identically — regenerate
-# with the same two commands if placement/migration/read-offload
-# behaviour changed intentionally.
-{
-    cargo run -q --release -p prins-sim --bin sim-replay -- scenario migrate_under_faults --events
-    cargo run -q --release -p prins-sim --bin sim-replay -- scenario read_offload_rejoin --events
-} | diff tests/scale_out_golden.txt -
-# Trace determinism gate: the migrate_under_faults flight-recorder
-# summary (per-stage tail attribution, SLO burn, sampling counts) must
-# replay byte-identically — trace IDs and sampling are derived from
-# deterministic counters, never entropy. A diff means the traced hop
-# set changed (regenerate with the same command if intentional) or a
-# nondeterministic hop crept into the write path.
-cargo run -q --release -p prins-sim --bin sim-replay -- scenario migrate_under_faults --traces \
-    | diff tests/trace_golden.json -
-# Adaptive-policy determinism gate: the policy engine drives the
-# foreground pipeline through a small-delta -> churn phase change with
-# inline assertions on phase commits, decision mix, and counterfactual
-# regret; its event-count summary must replay byte-identically.
-# Regenerate with the same command if the decision or phase logic
-# changed intentionally.
-cargo run -q --release -p prins-sim --bin sim-replay -- scenario adaptive_phase_shift --events \
-    | diff tests/adaptive_golden.txt -
+# Scenario golden gates (corruption, EC rebuild, scale-out, trace,
+# adaptive policy): each golden file pins the deterministic event-count
+# or trace summary of the scenarios listed beside it in the GOLDENS
+# table in crates/sim/src/bin/sim_replay.rs, which also says what a
+# diff in each one means. After an intentional behaviour change,
+# regenerate all of them with `sim-replay golden --bless` (same cargo
+# invocation, run from the repo root).
+cargo run -q --release -p prins-sim --bin sim-replay -- golden --check
 # Scale figure wiring smoke: the selection must parse without paying
 # for the measurement (the ≥2.5x read-speedup bound itself is asserted
 # by prins-bench's scale test in the workspace suite above).

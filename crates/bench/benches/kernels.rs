@@ -1,12 +1,15 @@
 //! Micro-kernels: the primitive operations every PRINS write exercises.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use prins_bench::{crc32c_scalar, lzss_compress_reference, lzss_decompress_reference};
+use prins_bench::{
+    crc32c_scalar, gf_mul_xor_scalar, lzss_compress_reference, lzss_decompress_reference,
+    xor_scalar,
+};
 use prins_block::{crc32c, crc32c_append_portable};
 use prins_compress::{Codec, Lzss, Rle};
 use prins_ec::MulTable;
 use prins_iscsi::{Opcode, Pdu};
-use prins_parity::{forward_parity, scan_nonzero, xor_in_place, xor_in_place_scalar, SparseCodec};
+use prins_parity::{forward_parity, scan_nonzero, xor_in_place, SparseCodec};
 use prins_repl::{seal_batch_frame_into, seal_frame_into};
 use rand::{RngExt, SeedableRng};
 
@@ -54,7 +57,7 @@ fn bench_xor_in_place(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scalar", bs), &bs, |b, _| {
             b.iter(|| {
                 let mut dst = old.clone();
-                xor_in_place_scalar(&mut dst, &new);
+                xor_scalar(&mut dst, &new);
                 dst
             })
         });
@@ -243,7 +246,7 @@ fn bench_gf_mul(c: &mut Criterion) {
             b.iter(|| table.mul_xor_slice(s, &mut dst))
         });
         group.bench_with_input(BenchmarkId::new("scalar", len), &src, |b, s| {
-            b.iter(|| table.mul_xor_slice_scalar(s, &mut dst))
+            b.iter(|| gf_mul_xor_scalar(&table, s, &mut dst))
         });
     }
     group.finish();

@@ -1,24 +1,13 @@
-//! Observability hot-path micro-benchmarks: the `Span` start/finish
-//! pair every pipeline stage pays per write, and the `TraceSink` hop
-//! append the flight recorder adds on top. Both must stay deep in the
-//! nanoseconds for tracing to be default-on in the engine.
+//! Observability hot-path micro-benchmarks: the `TraceSink` hop append
+//! and begin-to-complete lifecycle the flight recorder adds to every
+//! write. Both must stay deep in the nanoseconds for tracing to be
+//! default-on in the engine.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prins_net::{Clock, WallClock};
-use prins_obs::{Histogram, Span, TraceConfig, TraceId, TraceSink, TraceStage};
-
-fn bench_span(c: &mut Criterion) {
-    let clock = WallClock::new();
-    let hist = Histogram::new();
-    c.bench_function("obs/span/start_finish", |b| {
-        b.iter(|| Span::start(&clock, &hist).finish())
-    });
-    c.bench_function("obs/span/start_cancel", |b| {
-        b.iter(|| Span::start(&clock, &hist).cancel())
-    });
-}
+use prins_obs::{TraceConfig, TraceId, TraceSink, TraceStage};
 
 fn bench_trace_hop(c: &mut Criterion) {
     let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
@@ -59,6 +48,6 @@ fn bench_trace_lifecycle(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(50);
-    targets = bench_span, bench_trace_hop, bench_trace_lifecycle
+    targets = bench_trace_hop, bench_trace_lifecycle
 }
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! Measured micro-kernel experiment: batch-aware sealing versus the
 //! per-frame byte-at-a-time sealing it replaced — and the reference
-//! kernels (byte-wise CRC32C, the table-per-call LZSS) the criterion
-//! series compare the library's against.
+//! kernels (byte-wise XOR, GF(256) multiply-accumulate and CRC32C, the
+//! table-per-call LZSS) the criterion series compare the library's
+//! against.
 //!
 //! The criterion series in `benches/kernels.rs` plots the full width
 //! sweep; this module is the self-checking form — a wall-clock
@@ -12,6 +13,7 @@
 use std::fmt;
 use std::time::Instant;
 
+use prins_ec::MulTable;
 use prins_parity::{decode_varint, encode_varint};
 use prins_repl::{seal_batch_frame_into, SEAL_TAG};
 
@@ -47,6 +49,33 @@ impl fmt::Display for SealMeasurement {
             self.batch_nanos,
             self.speedup()
         )
+    }
+}
+
+/// Byte-at-a-time XOR: the baseline of the criterion
+/// `kernels/xor_in_place` series against [`prins_parity::xor_in_place`].
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn xor_scalar(dst: &mut [u8], src: &[u8]) {
+    assert_eq!(dst.len(), src.len(), "xor operands must be equal length");
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
+/// Byte-at-a-time `dst ^= c · src` over one product-row lookup per
+/// byte: the baseline of the criterion `kernels/gf_mul_xor` series
+/// against [`MulTable::mul_xor_slice`].
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn gf_mul_xor_scalar(table: &MulTable, src: &[u8], dst: &mut [u8]) {
+    assert_eq!(src.len(), dst.len(), "mul_xor_slice length mismatch");
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= table.mul(*s);
     }
 }
 
@@ -256,6 +285,21 @@ mod tests {
                 prins_block::crc32c(&data)
             );
         }
+    }
+
+    #[test]
+    fn xor_and_gf_baselines_agree_with_the_library_kernels() {
+        let src: Vec<u8> = (0..333u32).map(|i| (i * 37 % 251) as u8).collect();
+        let base: Vec<u8> = (0..333u32).map(|i| (i * 13 + 5) as u8).collect();
+        let (mut wide, mut scalar) = (base.clone(), base.clone());
+        prins_parity::xor_in_place(&mut wide, &src);
+        xor_scalar(&mut scalar, &src);
+        assert_eq!(wide, scalar);
+        let table = MulTable::new(0x7d);
+        let (mut wide, mut scalar) = (base.clone(), base);
+        table.mul_xor_slice(&src, &mut wide);
+        gf_mul_xor_scalar(&table, &src, &mut scalar);
+        assert_eq!(wide, scalar);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //!   parity-log suffix, the PRINS idea applied to recovery: the same
 //!   sparse parities that made foreground replication cheap make
 //!   catch-up cheap,
-//! * [`ShardMap`] / [`ShardedCluster`] — LBA-range sharding across
-//!   replica groups, with placement feeding the MVA model inputs.
+//! * [`RendezvousPlacement`] / [`ShardedCluster`] — a volume sharded
+//!   across replica groups by weighted rendezvous hashing, with live
+//!   migration of a range between groups; a one-group volume is that
+//!   group.
 //!
 //! Resync runs *concurrently* with foreground writes: the primary
 //! keeps writing between [`ClusterGroup::resync_step`] calls, new
@@ -81,5 +83,5 @@ pub use group::{
     WriteOutcome,
 };
 pub use lifecycle::ReplicaState;
-pub use placement::{Placement, RendezvousPlacement};
-pub use shard::{MigrationStatus, ShardMap, ShardedCluster};
+pub use placement::RendezvousPlacement;
+pub use shard::{MigrationStatus, ShardedCluster};

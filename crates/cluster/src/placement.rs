@@ -1,62 +1,16 @@
-//! Placement policies: mapping volume LBAs onto replica groups.
-//!
-//! [`ShardMap`](crate::ShardMap) splits the volume into contiguous ranges —
-//! simple, but adding a group reshuffles almost every boundary and each
-//! group's device only holds its own slice, so a block cannot move between
-//! groups without being re-addressed.
+//! Placement: mapping volume LBAs onto replica groups.
 //!
 //! [`RendezvousPlacement`] is weighted rendezvous (highest-random-weight)
 //! hashing over full-size devices: every group scores every slot and the
 //! highest score wins. It has the *minimal disruption* property — adding a
 //! group steals only the slots it now wins, and draining a group (weight 0)
 //! moves only that group's own slots — and it keeps volume addresses intact
-//! on every group, which is the precondition live migration needs.
-//!
-//! The [`Placement`] trait abstracts over both so
-//! [`ShardedCluster`](crate::ShardedCluster) can route with either.
+//! on every group, which is what lets [`ShardedCluster`](crate::ShardedCluster)
+//! move a block between groups without re-addressing it. With one group
+//! every slot has a single contender, so a one-group volume routes every
+//! LBA to group 0 at the same LBA: it *is* that group.
 
 use prins_block::Lba;
-
-/// A policy assigning each volume LBA to one replica group.
-///
-/// Implementations must be total over `[0, num_blocks)` and deterministic:
-/// routing is consulted on every write and must agree across restarts.
-pub trait Placement {
-    /// Number of replica groups this placement spreads load over.
-    fn group_count(&self) -> usize;
-
-    /// Total volume size in blocks.
-    fn num_blocks(&self) -> u64;
-
-    /// The group that owns `lba`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lba` is at or beyond [`Placement::num_blocks`].
-    fn group_for(&self, lba: Lba) -> usize;
-
-    /// Translates a volume LBA into `(group, group-local LBA)`.
-    fn local_lba(&self, lba: Lba) -> (usize, Lba);
-
-    /// Blocks group `g`'s device must hold to serve this placement.
-    fn device_blocks(&self, g: usize) -> u64;
-
-    /// Whether group-local addresses equal volume addresses.
-    ///
-    /// Identity addressing is the precondition for live migration: a block
-    /// can move between groups only if it keeps its address on the target.
-    fn identity_addressed(&self) -> bool;
-
-    /// Per-group write counts for a trace — the load vector fed to the MVA
-    /// model and the scale figure.
-    fn load_counts(&self, writes: &[Lba]) -> Vec<u64> {
-        let mut counts = vec![0u64; self.group_count()];
-        for &lba in writes {
-            counts[self.group_for(lba)] += 1;
-        }
-        counts
-    }
-}
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
 fn mix64(mut x: u64) -> u64 {
@@ -180,18 +134,26 @@ impl RendezvousPlacement {
         let u = ((h >> 11) as f64 + 0.5) * (1.0 / 9_007_199_254_740_992.0);
         w / -u.ln()
     }
-}
 
-impl Placement for RendezvousPlacement {
-    fn group_count(&self) -> usize {
+    /// Number of replica groups this placement spreads load over.
+    pub fn group_count(&self) -> usize {
         self.weights.len()
     }
 
-    fn num_blocks(&self) -> u64 {
+    /// Total volume size in blocks — also what every group's device must
+    /// hold: any block may land on (or migrate to) any group.
+    pub fn num_blocks(&self) -> u64 {
         self.num_blocks
     }
 
-    fn group_for(&self, lba: Lba) -> usize {
+    /// The group that owns `lba`. Total over `[0, num_blocks)` and
+    /// deterministic: routing is consulted on every write and must agree
+    /// across restarts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lba` is at or beyond [`num_blocks`](Self::num_blocks).
+    pub fn group_for(&self, lba: Lba) -> usize {
         assert!(
             lba.index() < self.num_blocks,
             "lba {lba:?} out of range for placement of {} blocks",
@@ -210,52 +172,11 @@ impl Placement for RendezvousPlacement {
         }
         best
     }
-
-    fn local_lba(&self, lba: Lba) -> (usize, Lba) {
-        (self.group_for(lba), lba)
-    }
-
-    fn device_blocks(&self, _g: usize) -> u64 {
-        // Full-size devices: any block may land on (or migrate to) any group.
-        self.num_blocks
-    }
-
-    fn identity_addressed(&self) -> bool {
-        true
-    }
-}
-
-impl Placement for crate::ShardMap {
-    fn group_count(&self) -> usize {
-        crate::ShardMap::group_count(self)
-    }
-
-    fn num_blocks(&self) -> u64 {
-        crate::ShardMap::num_blocks(self)
-    }
-
-    fn group_for(&self, lba: Lba) -> usize {
-        crate::ShardMap::group_for(self, lba)
-    }
-
-    fn local_lba(&self, lba: Lba) -> (usize, Lba) {
-        crate::ShardMap::local_lba(self, lba)
-    }
-
-    fn device_blocks(&self, g: usize) -> u64 {
-        let r = self.range(g);
-        r.end - r.start
-    }
-
-    fn identity_addressed(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardMap;
     use proptest::prelude::*;
 
     const KEYS: u64 = 10_000;
@@ -264,13 +185,22 @@ mod tests {
         (0..p.num_blocks()).map(|i| p.group_for(Lba(i))).collect()
     }
 
+    /// Keys owned per group.
+    fn load_counts(p: &RendezvousPlacement) -> Vec<u64> {
+        let mut counts = vec![0u64; p.group_count()];
+        for g in assignments(p) {
+            counts[g] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn equal_weights_balance_within_bound() {
         // Binomial concentration: each group's share of 10k keys is
         // mean ± ~4σ; 25% slack is > 6σ even at eight groups.
         for groups in 2..=8usize {
             let p = RendezvousPlacement::new(KEYS, groups);
-            let counts = p.load_counts(&(0..KEYS).map(Lba).collect::<Vec<_>>());
+            let counts = load_counts(&p);
             let mean = KEYS as f64 / groups as f64;
             for (g, &c) in counts.iter().enumerate() {
                 assert!(
@@ -284,13 +214,21 @@ mod tests {
     #[test]
     fn doubled_weight_doubles_share() {
         let p = RendezvousPlacement::weighted(KEYS, vec![1.0, 2.0, 1.0]);
-        let counts = p.load_counts(&(0..KEYS).map(Lba).collect::<Vec<_>>());
+        let counts = load_counts(&p);
         let heavy = counts[1] as f64;
         let light = (counts[0] + counts[2]) as f64 / 2.0;
         assert!(
             (heavy / light - 2.0).abs() < 0.3,
             "weight-2 group holds {heavy} keys vs {light} per weight-1 group"
         );
+    }
+
+    #[test]
+    fn a_single_group_owns_every_block() {
+        for slot_blocks in [1, 4, 64] {
+            let p = RendezvousPlacement::new(64, 1).with_slot_blocks(slot_blocks);
+            assert!(assignments(&p).iter().all(|&g| g == 0));
+        }
     }
 
     #[test]
@@ -368,64 +306,5 @@ mod tests {
                 }
             }
         }
-
-        /// ShardMap::even is total over [0, num_blocks): every LBA lands in
-        /// the group whose range contains it, and local addresses are
-        /// in-bounds for that group's device.
-        #[test]
-        fn shard_map_lookup_total_and_consistent(
-            num_blocks in 1..512u64,
-            groups in 1..16usize,
-        ) {
-            prop_assume!(num_blocks >= groups as u64);
-            let map = ShardMap::even(num_blocks, groups);
-            for i in 0..num_blocks {
-                let g = Placement::group_for(&map, Lba(i));
-                let r = map.range(g);
-                prop_assert!(r.contains(&i));
-                let (lg, local) = Placement::local_lba(&map, Lba(i));
-                prop_assert_eq!(lg, g);
-                prop_assert!(local.index() < Placement::device_blocks(&map, g));
-            }
-        }
-
-        /// Uneven remainders land on the first groups: range lengths are
-        /// non-increasing and differ by at most one block.
-        #[test]
-        fn shard_map_remainder_goes_to_first_groups(
-            num_blocks in 1..512u64,
-            groups in 1..16usize,
-        ) {
-            prop_assume!(num_blocks >= groups as u64);
-            let map = ShardMap::even(num_blocks, groups);
-            let lens: Vec<u64> = (0..groups)
-                .map(|g| Placement::device_blocks(&map, g))
-                .collect();
-            prop_assert_eq!(lens.iter().sum::<u64>(), num_blocks);
-            let base = num_blocks / groups as u64;
-            let extra = (num_blocks % groups as u64) as usize;
-            for (g, &len) in lens.iter().enumerate() {
-                let want = if g < extra { base + 1 } else { base };
-                prop_assert_eq!(len, want, "group {} length", g);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one group")]
-    fn shard_map_zero_groups_panics() {
-        ShardMap::even(8, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one block per group")]
-    fn shard_map_more_groups_than_blocks_panics() {
-        ShardMap::even(3, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_map_out_of_range_lookup_panics() {
-        ShardMap::even(8, 2).group_for(Lba(8));
     }
 }

@@ -1,10 +1,11 @@
-//! LBA-range sharding across replica groups.
+//! Sharding a volume across replica groups.
 //!
-//! A large volume is split into contiguous LBA ranges, each served by
-//! its own replica group ([`ClusterGroup`]). Placement determines load:
-//! the per-group write counts a trace induces become the per-station
-//! service demands of the paper's closed queueing network, so shard
-//! placement feeds directly into the MVA model.
+//! Each LBA is served by one replica group ([`ClusterGroup`]), chosen
+//! by a [`RendezvousPlacement`]; every group's device spans the whole
+//! volume, so a block keeps its address wherever it lives and a range
+//! can migrate between groups live. Sharding sits *around* the
+//! replication group, not inside it: a volume with one group is that
+//! group.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -12,114 +13,8 @@ use std::sync::Arc;
 use prins_block::{BlockDevice, Lba};
 use prins_net::Clock;
 use prins_obs::{Counter, Event, EventKind, Registry, TraceId, TraceSink, TraceStage};
-use prins_queueing::Mva;
 
-use crate::{ClusterError, ClusterGroup, Placement, ReadOutcome, WriteOutcome};
-
-/// A partition of `[0, num_blocks)` into contiguous per-group ranges.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardMap {
-    /// `starts[g]..starts[g + 1]` is group `g`'s LBA range.
-    starts: Vec<u64>,
-    num_blocks: u64,
-}
-
-impl ShardMap {
-    /// Splits `num_blocks` as evenly as possible across `groups`
-    /// ranges (the first `num_blocks % groups` ranges get one extra
-    /// block).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups == 0` or `num_blocks < groups as u64`.
-    pub fn even(num_blocks: u64, groups: usize) -> Self {
-        assert!(groups > 0, "at least one group");
-        assert!(
-            num_blocks >= groups as u64,
-            "need at least one block per group"
-        );
-        let base = num_blocks / groups as u64;
-        let extra = num_blocks % groups as u64;
-        let mut starts = Vec::with_capacity(groups + 1);
-        let mut at = 0;
-        for g in 0..groups as u64 {
-            starts.push(at);
-            at += base + u64::from(g < extra);
-        }
-        starts.push(num_blocks);
-        Self { starts, num_blocks }
-    }
-
-    /// Number of groups.
-    pub fn group_count(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// Total blocks across all shards.
-    pub fn num_blocks(&self) -> u64 {
-        self.num_blocks
-    }
-
-    /// The group serving `lba`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lba` is out of range.
-    pub fn group_for(&self, lba: Lba) -> usize {
-        assert!(lba.index() < self.num_blocks, "lba {lba:?} out of range");
-        // partition_point returns the count of starts <= lba; the last
-        // such range contains it.
-        self.starts.partition_point(|&s| s <= lba.index()) - 1
-    }
-
-    /// Group `g`'s LBA range as `start..end`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range.
-    pub fn range(&self, g: usize) -> std::ops::Range<u64> {
-        self.starts[g]..self.starts[g + 1]
-    }
-
-    /// Translates a volume LBA to the containing group's local LBA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lba` is out of range.
-    pub fn local_lba(&self, lba: Lba) -> (usize, Lba) {
-        let g = self.group_for(lba);
-        (g, Lba(lba.index() - self.starts[g]))
-    }
-
-    /// Counts writes per group for a stream of write addresses.
-    pub fn load_counts<I: IntoIterator<Item = Lba>>(&self, writes: I) -> Vec<u64> {
-        let mut counts = vec![0u64; self.group_count()];
-        for lba in writes {
-            counts[self.group_for(lba)] += 1;
-        }
-        counts
-    }
-
-    /// Per-group MVA service demands: each group is one station of the
-    /// closed network, and its demand is the per-write service time
-    /// weighted by the fraction of the write stream its shard absorbs.
-    pub fn service_demands(&self, loads: &[u64], per_write_service: f64) -> Vec<f64> {
-        let total: u64 = loads.iter().sum();
-        if total == 0 {
-            return vec![0.0; self.group_count()];
-        }
-        loads
-            .iter()
-            .map(|&l| per_write_service * (l as f64 / total as f64))
-            .collect()
-    }
-
-    /// Builds the MVA model for this placement: think time `z` and one
-    /// station per group with load-weighted service demands.
-    pub fn mva(&self, z: f64, loads: &[u64], per_write_service: f64) -> Mva {
-        Mva::new(z, self.service_demands(loads, per_write_service))
-    }
-}
+use crate::{ClusterError, ClusterGroup, ReadOutcome, RendezvousPlacement, WriteOutcome};
 
 /// An in-progress live migration of one LBA range between groups.
 #[derive(Clone, Debug)]
@@ -167,22 +62,19 @@ struct MigrateTracer {
     counter: u64,
 }
 
-/// A volume sharded across several [`ClusterGroup`]s.
+/// A volume sharded across one or more [`ClusterGroup`]s.
 ///
-/// Writes and reads are routed by a [`Placement`] policy — contiguous
-/// ranges ([`ShardMap`], the legacy layout) or weighted rendezvous
-/// hashing ([`RendezvousPlacement`](crate::RendezvousPlacement)) —
-/// with the LBA translated to the group-local address space where the
-/// placement requires it.
+/// Writes and reads are routed by weighted rendezvous hashing
+/// ([`RendezvousPlacement`]); group-local addresses equal volume
+/// addresses.
 ///
-/// Identity-addressed placements additionally support **live
-/// migration**: [`migrate_start`](Self::migrate_start) copies a range
-/// to another group under foreground writes (which dual-dispatch to
-/// both groups until cutover), and the cutover bumps the source
+/// **Live migration**: [`migrate_start`](Self::migrate_start) copies a
+/// range to another group under foreground writes (which dual-dispatch
+/// to both groups until cutover), and the cutover bumps the source
 /// group's response epochs so acknowledgements stranded mid-move drop
 /// deterministically instead of being credited to post-move traffic.
-pub struct ShardedCluster<D, P = ShardMap> {
-    placement: P,
+pub struct ShardedCluster<D> {
+    placement: RendezvousPlacement,
     groups: Vec<ClusterGroup<D>>,
     /// Ownership overrides from completed migrations, latest wins.
     overrides: Vec<(Range<u64>, usize)>,
@@ -191,19 +83,17 @@ pub struct ShardedCluster<D, P = ShardMap> {
     tracer: Option<MigrateTracer>,
 }
 
-impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
+impl<D: BlockDevice> ShardedCluster<D> {
     /// Assembles a sharded volume.
     ///
     /// # Panics
     ///
     /// Panics if the group count differs from the placement's, or a
-    /// group's device does not have the block count the placement
-    /// requires (the shard's range for [`ShardMap`], the full volume
-    /// for identity-addressed placements).
-    pub fn new(placement: P, groups: Vec<ClusterGroup<D>>) -> Self {
+    /// group's device does not span the full volume.
+    pub fn new(placement: RendezvousPlacement, groups: Vec<ClusterGroup<D>>) -> Self {
         assert_eq!(groups.len(), placement.group_count(), "one group per shard");
+        let want = placement.num_blocks();
         for (g, group) in groups.iter().enumerate() {
-            let want = placement.device_blocks(g);
             let have = group.device().geometry().num_blocks();
             assert_eq!(
                 have, want,
@@ -260,7 +150,7 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
     }
 
     /// The placement policy.
-    pub fn placement(&self) -> &P {
+    pub fn placement(&self) -> &RendezvousPlacement {
         &self.placement
     }
 
@@ -299,17 +189,6 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
         self.placement.group_for(lba)
     }
 
-    /// Routes `lba` to `(owning group, group-local LBA)`.
-    fn locate(&self, lba: Lba) -> (usize, Lba) {
-        for (range, g) in self.overrides.iter().rev() {
-            if range.contains(&lba.index()) {
-                // Overrides only exist under identity addressing.
-                return (*g, lba);
-            }
-        }
-        self.placement.local_lba(lba)
-    }
-
     /// Routes one write to the owning shard. While a migration covers
     /// `lba`, the write dual-dispatches: the target group applies it
     /// too, so blocks already copied stay current until cutover.
@@ -319,12 +198,10 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
     /// As [`ClusterGroup::write`] (a dual-dispatch failure on the
     /// migration target surfaces like any replication failure).
     pub fn write(&mut self, lba: Lba, new: &[u8]) -> Result<WriteOutcome, ClusterError> {
-        let (g, local) = self.locate(lba);
-        let outcome = self.groups[g].write(local, new)?;
+        let owner = self.owner(lba);
+        let outcome = self.groups[owner].write(lba, new)?;
         if let Some(m) = &self.migration {
             if m.range.contains(&lba.index()) {
-                // Identity addressing (checked at migrate_start): the
-                // target group uses the same LBA.
                 self.groups[m.to].write(lba, new)?;
             }
         }
@@ -339,8 +216,8 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
     ///
     /// As [`ClusterGroup::read`].
     pub fn read(&mut self, lba: Lba) -> Result<ReadOutcome, ClusterError> {
-        let (g, local) = self.locate(lba);
-        self.groups[g].read(local)
+        let owner = self.owner(lba);
+        self.groups[owner].read(lba)
     }
 
     /// Snapshot of the in-progress migration, if any.
@@ -361,23 +238,16 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Migration`] if the placement is not
-    /// identity-addressed, a migration is already in progress, the
-    /// range is empty/out of bounds, the groups are invalid, or any
-    /// block in `range` is not currently owned by `from`.
+    /// [`ClusterError::Migration`] if a migration is already in
+    /// progress, the range is empty/out of bounds, the groups are
+    /// invalid, or any block in `range` is not currently owned by
+    /// `from`.
     pub fn migrate_start(
         &mut self,
         range: Range<u64>,
         from: usize,
         to: usize,
     ) -> Result<(), ClusterError> {
-        if !self.placement.identity_addressed() {
-            return Err(ClusterError::Migration(
-                "placement is not identity-addressed: blocks cannot keep \
-                 their address on the target group"
-                    .into(),
-            ));
-        }
         if self.migration.is_some() {
             return Err(ClusterError::Migration(
                 "a migration is already in progress".into(),
@@ -520,7 +390,7 @@ impl<D: BlockDevice, P: Placement> ShardedCluster<D, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterConfig, RendezvousPlacement};
+    use crate::ClusterConfig;
     use prins_block::{BlockSize, MemDevice};
 
     /// A replica-less group: primary image only — enough to exercise
@@ -531,15 +401,6 @@ mod tests {
             ClusterConfig::default(),
             vec![],
         )
-    }
-
-    #[test]
-    fn shard_map_cluster_rejects_migration() {
-        let mut cluster = ShardedCluster::new(ShardMap::even(8, 2), vec![group(4), group(4)]);
-        assert!(matches!(
-            cluster.migrate_start(0..1, 0, 1),
-            Err(ClusterError::Migration(_))
-        ));
     }
 
     #[test]
@@ -594,52 +455,149 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn even_split_covers_everything_once() {
-        let map = ShardMap::even(10, 3); // 4, 3, 3
-        assert_eq!(map.group_count(), 3);
-        assert_eq!(map.range(0), 0..4);
-        assert_eq!(map.range(1), 4..7);
-        assert_eq!(map.range(2), 7..10);
-        for lba in 0..10u64 {
-            let g = map.group_for(Lba(lba));
-            assert!(map.range(g).contains(&lba));
+    /// The system one op stream is driven through: a bare group, or the
+    /// same group behind a one-group placement.
+    enum Volume {
+        Bare(ClusterGroup<MemDevice>),
+        Sharded(ShardedCluster<MemDevice>),
+    }
+
+    impl Volume {
+        fn write(&mut self, lba: Lba, data: &[u8]) -> Result<WriteOutcome, ClusterError> {
+            match self {
+                Volume::Bare(g) => g.write(lba, data),
+                Volume::Sharded(s) => s.write(lba, data),
+            }
         }
-        assert_eq!(map.local_lba(Lba(5)), (1, Lba(1)));
-        assert_eq!(map.local_lba(Lba(0)), (0, Lba(0)));
-        assert_eq!(map.local_lba(Lba(9)), (2, Lba(2)));
+
+        fn read(&mut self, lba: Lba) -> Result<ReadOutcome, ClusterError> {
+            match self {
+                Volume::Bare(g) => g.read(lba),
+                Volume::Sharded(s) => s.read(lba),
+            }
+        }
+
+        fn group(&mut self) -> &mut ClusterGroup<MemDevice> {
+            match self {
+                Volume::Bare(g) => g,
+                Volume::Sharded(s) => s.group_mut(0),
+            }
+        }
     }
 
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_lba_panics() {
-        ShardMap::even(10, 2).group_for(Lba(10));
+    /// Drives one seeded op stream — writes and offloaded reads, a
+    /// sever, quorum loss with every link down, rejoin + resync of both
+    /// replicas, a drain — over two channel replicas, and returns
+    /// everything observable: each call's outcome, each replica's final
+    /// status (lifecycle state, dirty map, every byte counter) and each
+    /// replica's final image.
+    fn observe(sharded: bool) -> (Vec<String>, Vec<String>, Vec<Vec<u8>>) {
+        use crate::{ReplicaState, ResyncStrategy};
+        use prins_net::{channel_pair, FaultTransport, LinkModel, Transport};
+        use rand::{RngExt, SeedableRng};
+
+        const BLOCKS: u64 = 16;
+        let mut transports: Vec<Box<dyn Transport>> = Vec::new();
+        let mut devices = Vec::new();
+        let mut links = Vec::new();
+        let mut workers = Vec::new();
+        for _ in 0..2 {
+            let (primary_side, replica_side) = channel_pair(LinkModel::t1());
+            let (faulty, link) = FaultTransport::new(primary_side);
+            let device = std::sync::Arc::new(MemDevice::new(BlockSize::kb4(), BLOCKS));
+            let dev = std::sync::Arc::clone(&device);
+            workers.push(std::thread::spawn(move || {
+                prins_repl::run_replica(&*dev, &replica_side)
+            }));
+            transports.push(Box::new(faulty));
+            devices.push(device);
+            links.push(link);
+        }
+        let config = ClusterConfig {
+            write_quorum: 1,
+            offline_after: 2,
+            ..ClusterConfig::default()
+        };
+        let group = ClusterGroup::new(MemDevice::new(BlockSize::kb4(), BLOCKS), config, transports);
+        let mut volume = if sharded {
+            Volume::Sharded(ShardedCluster::new(
+                RendezvousPlacement::new(BLOCKS, 1),
+                vec![group],
+            ))
+        } else {
+            Volume::Bare(group)
+        };
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let mut calls = Vec::new();
+        let mut burst = |volume: &mut Volume, writes: usize| {
+            for i in 0..writes {
+                let lba = Lba(rng.random_range(0..BLOCKS));
+                let mut block = volume.group().device().read_block_vec(lba).unwrap();
+                let at = rng.random_range(0..block.len() - 64);
+                for b in &mut block[at..at + 64] {
+                    *b = rng.random();
+                }
+                calls.push(format!("{:?}", volume.write(lba, &block)));
+                if i % 3 == 0 {
+                    let lba = Lba(rng.random_range(0..BLOCKS));
+                    calls.push(format!("{:?}", volume.read(lba)));
+                }
+            }
+        };
+        burst(&mut volume, 20);
+        links[0].sever(); // replica 0 degrades, then goes offline
+        burst(&mut volume, 10);
+        links[1].sever(); // nobody left: writes land locally, quorum lost
+        burst(&mut volume, 4);
+        links[0].restore();
+        links[1].restore();
+        for (idx, strategy) in [ResyncStrategy::ParityLog, ResyncStrategy::DirtyBitmap]
+            .into_iter()
+            .enumerate()
+        {
+            volume.group().rejoin(idx, strategy).unwrap();
+            volume.group().resync_to_completion(idx, 4).unwrap();
+            assert_eq!(volume.group().state(idx), ReplicaState::Online);
+        }
+        burst(&mut volume, 10);
+        volume.group().drain();
+
+        let statuses = (0..2)
+            .map(|idx| format!("{:?}", volume.group().status(idx)))
+            .collect();
+        drop(volume); // hang up; replica loops exit
+        for w in workers {
+            w.join().unwrap().unwrap();
+        }
+        let images = devices
+            .iter()
+            .map(|dev| {
+                (0..BLOCKS)
+                    .flat_map(|lba| dev.read_block_vec(Lba(lba)).unwrap())
+                    .collect()
+            })
+            .collect();
+        (calls, statuses, images)
     }
 
+    /// The premise the sim harness rests on: a one-group sharded volume
+    /// *is* that group — same outcomes call for call, same accounting,
+    /// same bytes on the replicas.
     #[test]
-    fn load_counts_and_demands() {
-        let map = ShardMap::even(8, 2);
-        let writes = [0u64, 1, 2, 3, 3, 3, 4, 7].map(Lba);
-        let loads = map.load_counts(writes);
-        assert_eq!(loads, vec![6, 2]);
-        let demands = map.service_demands(&loads, 0.004);
-        assert!((demands[0] - 0.003).abs() < 1e-12);
-        assert!((demands[1] - 0.001).abs() < 1e-12);
-        assert_eq!(map.service_demands(&[0, 0], 0.004), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn placement_feeds_mva() {
-        let map = ShardMap::even(100, 4);
-        // Uniform load: four equal stations.
-        let mva = map.mva(0.1, &[25, 25, 25, 25], 0.004);
-        let balanced = mva.solve(32).throughput;
-        // Skewed load: one hot shard bottlenecks the network.
-        let mva = map.mva(0.1, &[85, 5, 5, 5], 0.004);
-        let skewed = mva.solve(32).throughput;
+    fn a_one_group_volume_is_the_group() {
+        let bare = observe(false);
+        let sharded = observe(true);
         assert!(
-            balanced > skewed,
-            "balanced {balanced} should beat skewed {skewed}"
+            bare.0.iter().any(|c| c.contains("QuorumLost")),
+            "the stream must cross a quorum loss"
         );
+        assert!(
+            bare.0.iter().any(|c| c.contains("source: Some")),
+            "the stream must offload reads"
+        );
+        assert_eq!(bare.0, sharded.0, "write/read outcome sequences");
+        assert_eq!(bare.1, sharded.1, "replica statuses");
+        assert!(bare.2 == sharded.2, "replica images");
     }
 }

@@ -206,19 +206,6 @@ impl MulTable {
             *d ^= self.row[*s as usize];
         }
     }
-
-    /// Byte-at-a-time reference for [`mul_xor_slice`](Self::mul_xor_slice)
-    /// — the baseline the kernel benchmarks compare against.
-    ///
-    /// # Panics
-    ///
-    /// If the slices differ in length.
-    pub fn mul_xor_slice_scalar(&self, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(src.len(), dst.len(), "mul_xor_slice length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= self.row[*s as usize];
-        }
-    }
 }
 
 /// `dst = c · src` without a prebuilt [`MulTable`] (builds one
@@ -297,10 +284,6 @@ mod tests {
                 mul_xor_slice(c, &src[..len], &mut dst);
                 let want: Vec<u8> = src[..len].iter().map(|&x| 0xa5 ^ mul(c, x)).collect();
                 assert_eq!(dst, want, "mul_xor_slice c={c} len={len}");
-
-                let mut dst = vec![0xa5u8; len];
-                MulTable::new(c).mul_xor_slice_scalar(&src[..len], &mut dst);
-                assert_eq!(dst, want, "mul_xor_slice_scalar c={c} len={len}");
             }
         }
     }

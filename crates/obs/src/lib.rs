@@ -7,9 +7,10 @@
 //! * a lock-light [`Registry`] of named [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket log2 [`Histogram`]s (p50/p90/p99/max, mergeable,
 //!   plain `std` atomics — no external dependencies);
-//! * a stage-[`Span`] API timing scopes through the injectable
-//!   [`Clock`](prins_net::Clock), so spans are deterministic under a
-//!   [`SimClock`](prins_net::SimClock) and real under the wall clock;
+//! * stage timing by plain [`Clock`](prins_net::Clock) reads recorded
+//!   into histograms — the clock is injected, so durations are
+//!   deterministic under a [`SimClock`](prins_net::SimClock) and real
+//!   under the wall clock;
 //! * a bounded [`EventRing`] of typed pipeline events (admit, encode
 //!   done, coalesce, send, ack, NAK, resync batch, lifecycle
 //!   transition) tagged with seq/LBA/replica, drainable as a replayable
@@ -31,16 +32,15 @@
 //! # Example
 //!
 //! ```
-//! use prins_obs::{Registry, Span};
+//! use prins_obs::Registry;
 //! use prins_net::{Clock, WallClock};
 //!
 //! let registry = Registry::new();
 //! let clock = WallClock::new();
 //! let hist = registry.histogram("encode_nanos");
-//! {
-//!     let _span = Span::start(&clock, &hist);
-//!     // ... the work being timed ...
-//! }
+//! let t0 = clock.now_nanos();
+//! // ... the work being timed ...
+//! hist.record(clock.now_nanos().saturating_sub(t0));
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.histograms["encode_nanos"].count, 1);
 //! ```
@@ -53,7 +53,6 @@ mod meter;
 mod metrics;
 mod recorder;
 mod registry;
-mod span;
 mod trace;
 
 pub use events::{Event, EventKind, EventRing};
@@ -62,7 +61,6 @@ pub use meter::register_meter;
 pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
 pub use recorder::{CompletedTrace, FlightRecorder};
 pub use registry::Registry;
-pub use span::Span;
 pub use trace::{
     lane_bucket, TraceConfig, TraceEvent, TraceId, TraceSink, TraceStage, LANE_BUCKETS,
     MAX_TRACE_EVENTS, NO_LANE, STAGE_COUNT,

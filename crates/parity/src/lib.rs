@@ -60,6 +60,4 @@ pub use codec::{CodecError, DeltaPlan, Segment, SparseCodec, SparseParity};
 pub use delta::{apply_parity, apply_parity_in_place, forward_parity, DeltaStats};
 pub use erasure::{EcError, ErasureCodec, XorCodec};
 pub use varint::{decode_varint, encode_varint};
-pub use xor::{
-    scan_mismatch, scan_nonzero, xor_bytes, xor_in_place, xor_in_place_scalar, xor_into,
-};
+pub use xor::{scan_mismatch, scan_nonzero, xor_bytes, xor_in_place, xor_into};

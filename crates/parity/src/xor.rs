@@ -55,20 +55,6 @@ pub fn xor_in_place(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Reference byte-at-a-time XOR, kept for the kernel benchmarks (wide
-/// vs scalar series) and as an executable specification of
-/// [`xor_in_place`].
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn xor_in_place_scalar(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "xor operands must be equal length");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= s;
-    }
-}
-
 /// Index of the first nonzero byte at or after `from`, scanning a word
 /// at a time.
 ///
@@ -194,6 +180,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Byte-at-a-time XOR: the executable specification the wide
+    /// kernel is checked against.
+    fn xor_bytewise(dst: &mut [u8], src: &[u8]) {
+        assert_eq!(dst.len(), src.len());
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d ^= s;
+        }
+    }
+
     #[test]
     fn xor_with_self_is_zero() {
         let a: Vec<u8> = (0..=255).collect();
@@ -231,7 +226,7 @@ mod tests {
             let mut wide = a.clone();
             xor_in_place(&mut wide, &b);
             let mut scalar = a.clone();
-            xor_in_place_scalar(&mut scalar, &b);
+            xor_bytewise(&mut scalar, &b);
             assert_eq!(wide, scalar, "len={len}");
         }
     }
@@ -298,7 +293,7 @@ mod tests {
             let mut wide = a.clone();
             xor_in_place(&mut wide, &b);
             let mut scalar = a.clone();
-            xor_in_place_scalar(&mut scalar, &b);
+            xor_bytewise(&mut scalar, &b);
             prop_assert_eq!(wide, scalar);
         }
 

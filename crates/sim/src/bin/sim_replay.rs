@@ -8,6 +8,12 @@
 //!                                    summary, --traces its flight-recorder
 //!                                    trace summary (both diffed against
 //!                                    goldens in CI)
+//! sim-replay golden --check|--bless   re-run every golden gate in the GOLDENS
+//!                                    table below and diff it against its
+//!                                    checked-in file (--check, what CI runs),
+//!                                    or rewrite the files (--bless, the one
+//!                                    regenerate command after an intentional
+//!                                    behaviour change); run from the repo root
 //! sim-replay corpus <file> [--fresh N] [--append-failures]
 //!                                    run every seed in <file> plus N fresh
 //!                                    random seeds; print failing seeds;
@@ -126,9 +132,11 @@ fn run_corpus(path: &str, fresh: usize, append_failures: bool) -> bool {
     failures.is_empty()
 }
 
-fn run_scenarios(pattern: &str, events: bool, traces: bool) -> bool {
+/// Runs the scenarios matching `pattern`, returning what the
+/// `scenario` subcommand prints for them and whether all passed.
+fn render_scenarios(pattern: &str, events: bool, traces: bool) -> (String, bool) {
     // `all` runs everything; a trailing `*` runs every scenario with
-    // that prefix (how CI pins the corruption_* event-summary golden).
+    // that prefix (how the corruption_* golden is pinned).
     let names: Vec<&str> = if pattern == "all" {
         SCENARIOS.iter().map(|(n, _)| *n).collect()
     } else if let Some(prefix) = pattern.strip_suffix('*') {
@@ -141,81 +149,150 @@ fn run_scenarios(pattern: &str, events: bool, traces: bool) -> bool {
         vec![pattern]
     };
     if names.is_empty() {
-        println!("no scenario matches '{pattern}'");
-        return false;
+        return (format!("no scenario matches '{pattern}'\n"), false);
     }
+    let mut out = String::new();
     let mut ok = true;
     for name in names {
         match run_scenario_full(name) {
             Ok(outcome) => {
                 if events {
-                    println!("scenario {name}: {}", outcome.events);
+                    out.push_str(&format!("scenario {name}: {}\n", outcome.events));
                 }
                 if traces {
-                    println!("scenario {name}: {}", outcome.traces);
+                    out.push_str(&format!("scenario {name}: {}\n", outcome.traces));
                 }
                 if !events && !traces {
-                    println!("scenario {name}: ok");
+                    out.push_str(&format!("scenario {name}: ok\n"));
                 }
             }
             Err(e) => {
-                println!("scenario {name}: FAILED: {e}");
+                out.push_str(&format!("scenario {name}: FAILED: {e}\n"));
                 ok = false;
             }
         }
     }
-    ok
+    (out, ok)
 }
+
+/// The golden gates: `(file, scenario patterns, summary flag)`. Each
+/// file is the concatenated `scenario <pattern> <flag>` output of its
+/// patterns and must replay byte-identically on every machine. A diff
+/// means the pinned behaviour changed — `golden --bless` if that was
+/// intentional — or nondeterminism crept into the stack (find it
+/// before it breaks seed replay).
+const GOLDENS: &[(&str, &[&str], &str)] = &[
+    // Integrity: wire and replica-media bit flips; pins the
+    // detect / retransmit / scrub behaviour.
+    ("tests/corruption_golden.txt", &["corruption_*"], "--events"),
+    // Erasure coding: one and two strip-holding nodes killed
+    // mid-workload and rebuilt from k survivors; pins the EC
+    // write / rebuild paths.
+    ("tests/ec_golden.txt", &["ec_rebuild_*"], "--events"),
+    // Scale-out: live migration under a 10x-slow link with a node kill
+    // mid-copy, and offloaded reads racing a replica rejoin; pins
+    // placement / migration / read-offload behaviour.
+    (
+        "tests/scale_out_golden.txt",
+        &["migrate_under_faults", "read_offload_rejoin"],
+        "--events",
+    ),
+    // Tracing: per-stage tail attribution, SLO burn and sampling
+    // counts — trace IDs and sampling derive from deterministic
+    // counters, never entropy; pins the traced hop set.
+    (
+        "tests/trace_golden.json",
+        &["migrate_under_faults"],
+        "--traces",
+    ),
+    // Adaptive policy: a small-delta -> churn phase change with inline
+    // assertions on phase commits, decision mix and counterfactual
+    // regret; pins the decision and phase logic.
+    (
+        "tests/adaptive_golden.txt",
+        &["adaptive_phase_shift"],
+        "--events",
+    ),
+];
+
+/// Re-runs every golden gate; `bless` rewrites the files instead of
+/// comparing against them.
+fn run_goldens(bless: bool) -> bool {
+    let mut all_ok = true;
+    for &(path, patterns, flag) in GOLDENS {
+        let mut fresh = String::new();
+        let mut ok = true;
+        for pattern in patterns {
+            let (out, passed) = render_scenarios(pattern, flag == "--events", flag == "--traces");
+            fresh.push_str(&out);
+            ok &= passed;
+        }
+        let checked_in = if bless && ok {
+            fs::write(path, &fresh).map(|()| fresh.clone())
+        } else {
+            fs::read_to_string(path)
+        };
+        match checked_in {
+            Ok(golden) if ok && golden == fresh => {
+                println!("golden {path}: {}", if bless { "written" } else { "ok" });
+            }
+            Ok(golden) => {
+                println!("golden {path}: DIFFERS\n--- checked in\n{golden}+++ this run\n{fresh}");
+                all_ok = false;
+            }
+            Err(e) => {
+                println!("golden {path}: {e}");
+                all_ok = false;
+            }
+        }
+    }
+    all_ok
+}
+
+const USAGE: &str = "usage: sim-replay <seed> | \
+     sim-replay scenario <name|prefix*|all> [--events] [--traces] | \
+     sim-replay golden --check|--bless | \
+     sim-replay corpus <file> [--fresh N] [--append-failures]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let ok = match args.first().map(String::as_str) {
-        Some("scenario") => match args.get(1) {
-            Some(name) => run_scenarios(
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let ok = match args.as_slice() {
+        ["scenario", name, flags @ ..] => {
+            let (out, ok) = render_scenarios(
                 name,
-                args.iter().any(|a| a == "--events"),
-                args.iter().any(|a| a == "--traces"),
-            ),
-            None => {
-                eprintln!("usage: sim-replay scenario <name|prefix*|all> [--events] [--traces]");
-                false
-            }
-        },
-        Some("corpus") => match args.get(1) {
-            Some(path) => {
-                let mut fresh = 0usize;
-                let mut append = false;
-                let mut it = args[2..].iter();
-                while let Some(arg) = it.next() {
-                    match arg.as_str() {
-                        "--fresh" => {
-                            fresh = it.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                        }
-                        "--append-failures" => append = true,
-                        other => eprintln!("ignoring unknown flag '{other}'"),
-                    }
+                flags.contains(&"--events"),
+                flags.contains(&"--traces"),
+            );
+            print!("{out}");
+            ok
+        }
+        ["golden", "--check"] => run_goldens(false),
+        ["golden", "--bless"] => run_goldens(true),
+        ["corpus", path, flags @ ..] => {
+            let mut fresh = 0usize;
+            let mut append = false;
+            let mut it = flags.iter();
+            while let Some(&flag) = it.next() {
+                match flag {
+                    "--fresh" => fresh = it.next().and_then(|v| v.parse().ok()).unwrap_or(0),
+                    "--append-failures" => append = true,
+                    other => eprintln!("ignoring unknown flag '{other}'"),
                 }
-                run_corpus(path, fresh, append)
             }
-            None => {
-                eprintln!("usage: sim-replay corpus <file> [--fresh N] [--append-failures]");
-                false
-            }
-        },
-        Some(seed_str) => match parse_seed(seed_str) {
+            run_corpus(path, fresh, append)
+        }
+        ["scenario" | "golden" | "corpus", ..] | [] => {
+            eprintln!("{USAGE}");
+            false
+        }
+        [seed_str, ..] => match parse_seed(seed_str) {
             Some(seed) => replay_one(seed),
             None => {
                 eprintln!("unparsable seed '{seed_str}'");
                 false
             }
         },
-        None => {
-            eprintln!(
-                "usage: sim-replay <seed> | sim-replay scenario <name|all> | \
-                 sim-replay corpus <file> [--fresh N] [--append-failures]"
-            );
-            false
-        }
     };
     if ok {
         ExitCode::SUCCESS

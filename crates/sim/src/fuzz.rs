@@ -1,7 +1,8 @@
 //! Seeded scenario fuzzer: a `u64` seed deterministically expands into
-//! a workload plus fault schedule, runs against a [`ClusterWorld`] with
-//! the per-op and post-quiescence invariants, and — on failure — greedy
-//! chunk removal shrinks the schedule to a minimal reproducing trace.
+//! a workload plus fault schedule, runs against a [`ShardWorld`] — one
+//! replica group, or two for sharded cases — with the per-op and
+//! post-quiescence invariants, and — on failure — greedy chunk removal
+//! shrinks the schedule to a minimal reproducing trace.
 //!
 //! Same seed, same binary → byte-identical event trace and verdict, so
 //! a failing seed printed by CI replays exactly on a developer machine:
@@ -59,7 +60,7 @@ use prins_net::Dir;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::world::{ClusterWorld, ShardWorld};
+use crate::world::ShardWorld;
 
 /// One step of a generated schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -259,117 +260,62 @@ pub fn generate(seed: u64) -> FuzzCase {
     }
 }
 
-fn apply(w: &mut ClusterWorld, op: SimOp, replicas: usize) -> Result<(), String> {
-    match op {
-        SimOp::Write { lba, tag } => {
-            let _ = w.write_tag(lba, tag);
-        }
-        SimOp::Sever { link } => {
-            let ctl = w.ctl(link % replicas);
-            if ctl.is_up() {
-                ctl.sever();
-            }
-        }
-        SimOp::Restore { link } => {
-            let ctl = w.ctl(link % replicas);
-            if !ctl.is_up() {
-                ctl.restore();
-            }
-        }
-        SimOp::CorruptData { link, n } => w.ctl(link % replicas).corrupt_next(Dir::AtoB, n),
-        SimOp::DropData { link, n } => w.ctl(link % replicas).drop_next(Dir::AtoB, n),
-        SimOp::DropAcks { link, n } => w.ctl(link % replicas).drop_next(Dir::BtoA, n),
-        SimOp::DupAck { link } => w.ctl(link % replicas).dup_next(Dir::BtoA, 1),
-        SimOp::ReorderAcks { link } => w.ctl(link % replicas).reorder_next(Dir::BtoA),
-        SimOp::Drain => {
-            w.cluster_mut().drain();
-        }
-        SimOp::Rejoin { link } => {
-            let r = link % replicas;
-            if w.cluster().state(r) != ReplicaState::Online && w.ctl(r).is_up() {
-                let _ = w.cluster_mut().rejoin(r, ResyncStrategy::ParityLog);
-                let _ = w.cluster_mut().resync_step(r, 2);
-            }
-        }
-        SimOp::Prune => {
-            let log = w.cluster().log();
-            log.prune(log.current_seq());
-        }
-        // The read oracle checks freshness inline: a stale offloaded
-        // read fails the op itself, not just a later invariant sweep.
-        SimOp::Read { lba } => {
-            w.read_checked(lba)?;
-        }
-        SimOp::MigrateStep => {}
-    }
-    Ok(())
+/// `link` indexes the flattened `groups × replicas` link matrix.
+fn split(w: &ShardWorld, link: usize, replicas: usize) -> (usize, usize) {
+    let groups = w.sharded().group_count();
+    ((link / replicas) % groups, link % replicas)
 }
 
-/// Sharded-topology counterpart of [`apply`]: `link` indexes the
-/// flattened `groups × replicas` link matrix, writes and reads route
-/// through the rendezvous placement (dual-dispatching into the
-/// migration target while the copy is live), and `MigrateStep` drives
-/// the copy forward.
-fn apply_sharded(w: &mut ShardWorld, op: SimOp, replicas: usize) -> Result<(), String> {
-    let split = |link: usize| ((link / replicas) % 2, link % replicas);
+/// Applies one op. Writes and reads route through the placement
+/// (dual-dispatching into the migration target while a copy is live).
+fn apply(w: &mut ShardWorld, op: SimOp, replicas: usize) -> Result<(), String> {
+    let groups = w.sharded().group_count();
+    let ctl = |link: usize| {
+        let (g, r) = split(w, link, replicas);
+        w.ctl(g, r)
+    };
     match op {
         SimOp::Write { lba, tag } => {
             let _ = w.write_tag(lba, tag);
         }
         SimOp::Sever { link } => {
-            let (g, r) = split(link);
-            let ctl = w.ctl(g, r);
+            let ctl = ctl(link);
             if ctl.is_up() {
                 ctl.sever();
             }
         }
         SimOp::Restore { link } => {
-            let (g, r) = split(link);
-            let ctl = w.ctl(g, r);
+            let ctl = ctl(link);
             if !ctl.is_up() {
                 ctl.restore();
             }
         }
-        SimOp::CorruptData { link, n } => {
-            let (g, r) = split(link);
-            w.ctl(g, r).corrupt_next(Dir::AtoB, n);
-        }
-        SimOp::DropData { link, n } => {
-            let (g, r) = split(link);
-            w.ctl(g, r).drop_next(Dir::AtoB, n);
-        }
-        SimOp::DropAcks { link, n } => {
-            let (g, r) = split(link);
-            w.ctl(g, r).drop_next(Dir::BtoA, n);
-        }
-        SimOp::DupAck { link } => {
-            let (g, r) = split(link);
-            w.ctl(g, r).dup_next(Dir::BtoA, 1);
-        }
-        SimOp::ReorderAcks { link } => {
-            let (g, r) = split(link);
-            w.ctl(g, r).reorder_next(Dir::BtoA);
-        }
+        SimOp::CorruptData { link, n } => ctl(link).corrupt_next(Dir::AtoB, n),
+        SimOp::DropData { link, n } => ctl(link).drop_next(Dir::AtoB, n),
+        SimOp::DropAcks { link, n } => ctl(link).drop_next(Dir::BtoA, n),
+        SimOp::DupAck { link } => ctl(link).dup_next(Dir::BtoA, 1),
+        SimOp::ReorderAcks { link } => ctl(link).reorder_next(Dir::BtoA),
         SimOp::Drain => {
-            for g in 0..w.sharded().group_count() {
-                w.sharded_mut().group_mut(g).drain();
+            for g in 0..groups {
+                w.group_mut(g).drain();
             }
         }
         SimOp::Rejoin { link } => {
-            let (g, r) = split(link);
-            let state = w.sharded().group(g).state(r);
-            if state != ReplicaState::Online && w.ctl(g, r).is_up() {
-                let group = w.sharded_mut().group_mut(g);
+            let (g, r) = split(w, link, replicas);
+            if w.group(g).state(r) != ReplicaState::Online && w.ctl(g, r).is_up() {
+                let group = w.group_mut(g);
                 let _ = group.rejoin(r, ResyncStrategy::ParityLog);
                 let _ = group.resync_step(r, 2);
             }
         }
         SimOp::Prune => {
-            for g in 0..w.sharded().group_count() {
-                let log = w.sharded().group(g).log();
+            for g in 0..groups {
+                let log = w.group(g).log();
                 log.prune(log.current_seq());
             }
         }
+        // The read oracle checks freshness inline: a stale offloaded
+        // read fails the op itself, not just a later invariant sweep.
         SimOp::Read { lba } => {
             w.read_checked(lba)?;
         }
@@ -387,6 +333,12 @@ fn apply_sharded(w: &mut ShardWorld, op: SimOp, replicas: usize) -> Result<(), S
 
 /// Runs one case to quiescence: the mid-run historical invariant after
 /// every op, then heal + resync + the full invariant set.
+///
+/// A sharded case additionally starts a live migration of the volume's
+/// first half before the first op and drives it to cutover before
+/// quiescence, so every generated fault can land mid-copy; writes into
+/// the migrating range dual-dispatch for the whole schedule and reads
+/// stay under the freshness oracle throughout.
 pub fn run_case(case: &FuzzCase) -> RunReport {
     let config = ClusterConfig {
         ack_timeout: Duration::from_millis(50),
@@ -395,98 +347,61 @@ pub fn run_case(case: &FuzzCase) -> RunReport {
         ack_window: case.ack_window,
         ..Default::default()
     };
-    if case.sharded {
-        return run_case_sharded(case, config);
-    }
-    let mut w = ClusterWorld::new(
-        case.blocks,
-        case.replicas,
-        config,
-        Duration::from_micros(200),
-    );
-    let mut verdict = Ok(());
-    for (i, &op) in case.ops.iter().enumerate() {
-        let step = apply(&mut w, op, case.replicas).and_then(|()| w.check_historical());
-        if let Err(e) = step {
-            verdict = Err(format!("after op {i} ({op:?}): {e}"));
-            break;
-        }
-    }
-    if verdict.is_ok() {
-        verdict = w
-            .quiesce(ResyncStrategy::ParityLog)
-            .and_then(|()| w.check_invariants());
-    }
-    // Observability oracle: a schedule that injected no link faults
-    // must leave a quiet registry — any NAK, ack failure, or lifecycle
-    // transition on a healthy network is a bug in the stack (or in the
-    // instrumentation claiming one happened). Reads on a healthy
-    // cluster are quiet too: they offload without a single rejection.
-    let fault_free = case.ops.iter().all(|op| {
-        matches!(
-            op,
-            SimOp::Write { .. } | SimOp::Read { .. } | SimOp::Drain | SimOp::Prune
-        )
-    });
-    if verdict.is_ok() && fault_free {
-        verdict = w.check_quiet_run();
-    }
-    let mut trace = w.net().trace().join("\n");
-    trace.push_str("\nevents: ");
-    trace.push_str(&w.registry().snapshot().event_summary_json());
-    trace.push_str("\nverdict: ");
-    match &verdict {
-        Ok(()) => trace.push_str("ok"),
-        Err(e) => trace.push_str(e),
-    }
-    RunReport { verdict, trace }
-}
-
-/// Sharded variant of [`run_case`]: two rendezvous-placed groups, a
-/// live migration of the volume's first half started before the first
-/// op and driven to cutover before quiescence, so every generated
-/// fault can land mid-copy. Writes into the migrating range
-/// dual-dispatch for the whole schedule; reads stay under the
-/// freshness oracle throughout.
-fn run_case_sharded(case: &FuzzCase, config: ClusterConfig) -> RunReport {
+    let groups = if case.sharded { 2 } else { 1 };
     let slot = (case.blocks / 2).max(1);
-    let mut w = ShardWorld::with_slots(
+    let mut w = ShardWorld::new(
         case.blocks,
-        2,
+        groups,
         case.replicas,
         config,
         Duration::from_micros(200),
         slot,
     );
-    let from = w.sharded().owner(Lba(0));
-    let to = 1 - from;
-    let mut verdict = w
-        .sharded_mut()
-        .migrate_start(0..slot, from, to)
-        .map_err(|e| format!("migrate_start: {e}"));
+    let mut verdict = Ok(());
+    if case.sharded {
+        let from = w.sharded().owner(Lba(0));
+        verdict = w
+            .sharded_mut()
+            .migrate_start(0..slot, from, 1 - from)
+            .map_err(|e| format!("migrate_start: {e}"));
+    }
     if verdict.is_ok() {
         for (i, &op) in case.ops.iter().enumerate() {
-            let step = apply_sharded(&mut w, op, case.replicas).and_then(|()| w.check_historical());
+            let step = apply(&mut w, op, case.replicas).and_then(|()| w.check_historical());
             if let Err(e) = step {
                 verdict = Err(format!("after op {i} ({op:?}): {e}"));
                 break;
             }
         }
     }
+    // Drive the copy to cutover (faults may still be live — the copy
+    // path degrades like any replicated write) before healing.
+    while verdict.is_ok() && w.sharded().migration().is_some() {
+        verdict = w
+            .sharded_mut()
+            .migrate_step(64)
+            .map(|_| ())
+            .map_err(|e| format!("migrate_step at quiescence: {e}"));
+    }
     if verdict.is_ok() {
-        // Drive the copy to cutover (faults may still be live — the
-        // copy path degrades like any replicated write), then heal and
-        // run the full per-group invariant set.
-        while verdict.is_ok() && w.sharded().migration().is_some() {
-            verdict = w
-                .sharded_mut()
-                .migrate_step(64)
-                .map(|_| ())
-                .map_err(|e| format!("migrate_step at quiescence: {e}"));
-        }
-        verdict = verdict
-            .and_then(|()| w.quiesce(ResyncStrategy::ParityLog))
+        verdict = w
+            .quiesce(ResyncStrategy::ParityLog)
             .and_then(|()| w.check_invariants());
+    }
+    // Observability oracle: a single-group schedule that injected no
+    // link faults must leave a quiet registry — any NAK, ack failure,
+    // or lifecycle transition on a healthy network is a bug in the
+    // stack (or in the instrumentation claiming one happened). Reads on
+    // a healthy cluster are quiet too: they offload without a single
+    // rejection.
+    let fault_free = case.ops.iter().all(|op| {
+        matches!(
+            op,
+            SimOp::Write { .. } | SimOp::Read { .. } | SimOp::Drain | SimOp::Prune
+        )
+    });
+    if verdict.is_ok() && groups == 1 && fault_free {
+        verdict = w.check_quiet_run();
     }
     let mut trace = w.net().trace().join("\n");
     trace.push_str("\nevents: ");

@@ -12,9 +12,12 @@
 //!   ten-second WAN schedule costs zero wall time and no test ever
 //!   sleeps.
 //! * [`world`] wires primaries to replicas and carries the oracle —
-//!   the per-LBA history of every content the primary ever held.
+//!   the per-LBA history of every content the primary ever held. One
+//!   world per system under test (cluster plane, engine, EC group)
+//!   over one shared bed; a plain cluster is the cluster-plane world
+//!   with one replica group.
 //!
-//! Invariants checked (see [`world::ClusterWorld::check_invariants`]):
+//! Invariants checked (see [`world::ShardWorld::check_invariants`]):
 //!
 //! 1. **Bit-identity at quiescence** — after links heal and resync
 //!    converges, every replica equals the primary byte-for-byte.
@@ -46,6 +49,4 @@ pub use fuzz::{
     fuzz_seed, generate, minimize, run_case, run_seed, FuzzCase, FuzzFailure, RunReport, SimOp,
 };
 pub use scenario::{run_scenario, run_scenario_full, ScenarioOutcome, SCENARIOS};
-pub use world::{
-    content_hash, ClusterWorld, EcWorld, EngineWorld, EngineWorldConfig, History, ShardWorld,
-};
+pub use world::{content_hash, EcWorld, EngineWorld, EngineWorldConfig, History, ShardWorld};

@@ -14,7 +14,7 @@ use prins_cluster::{ClusterConfig, ClusterError, ReplicaState, ResyncStrategy};
 use prins_net::Dir;
 use prins_obs::{Registry, TraceSink};
 
-use crate::world::{ClusterWorld, EcWorld, EngineWorld, EngineWorldConfig, ShardWorld};
+use crate::world::{EcWorld, EngineWorld, EngineWorldConfig, ShardWorld};
 
 /// What a scenario run leaves behind: the deterministic event-count
 /// summary (the `sim-replay --events` golden) and the trace-summary
@@ -48,24 +48,30 @@ fn cluster_config(ack_window: usize, write_quorum: usize) -> ClusterConfig {
     }
 }
 
+/// A plain replicated cluster — the one-group case of the cluster
+/// world: 16 blocks, 200 µs links.
+fn one_group(replicas: usize, config: ClusterConfig) -> ShardWorld {
+    ShardWorld::new(16, 1, replicas, config, Duration::from_micros(200), 1)
+}
+
 /// A link repeatedly drops and recovers while writes keep flowing; the
 /// flapping replica degrades, misses writes, and must delta-resync back
 /// to bit-identity.
 pub fn link_flap() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(1, 0), Duration::from_micros(200));
+    let mut w = one_group(2, cluster_config(1, 0));
     let mut tag = 0u8;
     for flap in 0..4 {
         for i in 0..6 {
             tag = tag.wrapping_add(1);
             w.write_tag((flap * 3 + i) % 16, tag).map_err(op_err)?;
         }
-        w.ctl(0).sever();
+        w.ctl(0, 0).sever();
         for i in 0..6 {
             tag = tag.wrapping_add(1);
             w.write_tag((flap * 5 + i) % 16, tag).map_err(op_err)?;
         }
         w.check_historical()?;
-        w.ctl(0).restore();
+        w.ctl(0, 0).restore();
         w.quiesce(ResyncStrategy::ParityLog)?;
         w.check_invariants()?;
     }
@@ -77,30 +83,30 @@ pub fn link_flap() -> Result<ScenarioOutcome, String> {
 /// uncertain, and the second resync must fall back to full images for
 /// them instead of double-applying parity chains.
 pub fn crash_mid_resync() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(1, 0), Duration::from_micros(200));
+    let mut w = one_group(2, cluster_config(1, 0));
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
     // Miss a batch of writes while offline.
-    w.ctl(0).sever();
+    w.ctl(0, 0).sever();
     for lba in 0..8 {
         w.write_tag(lba, 2).map_err(op_err)?;
         w.write_tag(lba, 3).map_err(op_err)?;
     }
-    w.ctl(0).restore();
+    w.ctl(0, 0).restore();
     // Start a resync, then kill the link partway: ack collection for
     // the in-flight batch fails and aborts the resync.
-    w.cluster_mut()
+    w.group_mut(0)
         .rejoin(0, ResyncStrategy::ParityLog)
         .map_err(op_err)?;
-    let _ = w.cluster_mut().resync_step(0, 3);
-    w.ctl(0).sever();
-    let _ = w.cluster_mut().resync_step(0, 3);
-    if w.cluster().state(0) == ReplicaState::Online {
+    let _ = w.group_mut(0).resync_step(0, 3);
+    w.ctl(0, 0).sever();
+    let _ = w.group_mut(0).resync_step(0, 3);
+    if w.group(0).state(0) == ReplicaState::Online {
         return Err("resync reported completion across a dead link".into());
     }
     w.check_historical()?;
-    w.ctl(0).restore();
+    w.ctl(0, 0).restore();
     w.quiesce(ResyncStrategy::ParityLog)?;
     w.check_invariants()?;
     Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
@@ -110,17 +116,17 @@ pub fn crash_mid_resync() -> Result<ScenarioOutcome, String> {
 /// distinct-LBA data frames swaps on the wire); per-LBA apply order and
 /// final bit-identity must survive.
 pub fn reorder() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(4, 0), Duration::from_micros(200));
-    w.ctl(0).reorder_next(Dir::BtoA);
+    let mut w = one_group(2, cluster_config(4, 0));
+    w.ctl(0, 0).reorder_next(Dir::BtoA);
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
-    w.cluster_mut().drain();
+    w.group_mut(0).drain();
     // Swap two data frames going to distinct blocks: they commute.
-    w.ctl(0).reorder_next(Dir::AtoB);
+    w.ctl(0, 0).reorder_next(Dir::AtoB);
     w.write_tag(10, 2).map_err(op_err)?;
     w.write_tag(11, 2).map_err(op_err)?;
-    w.cluster_mut().drain();
+    w.group_mut(0).drain();
     w.quiesce(ResyncStrategy::ParityLog)?;
     w.check_invariants()?;
     Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
@@ -130,12 +136,12 @@ pub fn reorder() -> Result<ScenarioOutcome, String> {
 /// alignment logic must absorb the stray ack without crediting a write
 /// that was never applied.
 pub fn dup() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(2, 0), Duration::from_micros(200));
-    w.ctl(0).dup_next(Dir::BtoA, 1);
+    let mut w = one_group(2, cluster_config(2, 0));
+    w.ctl(0, 0).dup_next(Dir::BtoA, 1);
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
-    w.cluster_mut().drain();
+    w.group_mut(0).drain();
     w.quiesce(ResyncStrategy::ParityLog)?;
     w.check_invariants()?;
     Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
@@ -144,20 +150,20 @@ pub fn dup() -> Result<ScenarioOutcome, String> {
 /// A high-latency, per-byte-priced WAN link: correctness is unchanged
 /// and the virtual clock (not the wall clock) pays for the distance.
 pub fn slow_wan() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(4, 0), Duration::from_micros(200));
-    w.ctl(0).set_delay(
+    let mut w = one_group(2, cluster_config(4, 0));
+    w.ctl(0, 0).set_delay(
         Dir::AtoB,
         Duration::from_millis(10),
         Duration::from_millis(1),
     );
-    w.ctl(0)
+    w.ctl(0, 0)
         .set_delay(Dir::BtoA, Duration::from_millis(10), Duration::ZERO);
     for round in 0..4u8 {
         for lba in 0..8 {
             w.write_tag(lba, round + 1).map_err(op_err)?;
         }
     }
-    w.cluster_mut().drain();
+    w.group_mut(0).drain();
     let now = w.net().clock().now();
     if now < 20_000_000 {
         return Err(format!("WAN round-trips cost only {now} virtual ns"));
@@ -171,12 +177,12 @@ pub fn slow_wan() -> Result<ScenarioOutcome, String> {
 /// fail with `QuorumLost` (while still landing on the primary), and the
 /// cluster must recover to bit-identity once links return.
 pub fn quorum_loss() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(1, 2), Duration::from_micros(200));
+    let mut w = one_group(2, cluster_config(1, 2));
     for lba in 0..4 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
-    w.ctl(0).sever();
-    w.ctl(1).sever();
+    w.ctl(0, 0).sever();
+    w.ctl(0, 1).sever();
     let mut quorum_losses = 0;
     for lba in 0..4 {
         match w.write_tag(lba, 2) {
@@ -235,21 +241,21 @@ pub fn fold_then_crash() -> Result<ScenarioOutcome, String> {
 /// miss; a parity-log rejoin must detect the gap and fall back to full
 /// block images instead of replaying a truncated chain.
 pub fn prune_then_rejoin() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(1, 0), Duration::from_micros(200));
+    let mut w = one_group(2, cluster_config(1, 0));
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
-    w.ctl(0).sever();
+    w.ctl(0, 0).sever();
     for lba in 0..8 {
         w.write_tag(lba, 2).map_err(op_err)?;
     }
     // Prune the whole log: the replica's chain suffix is gone.
-    let log = w.cluster().log();
+    let log = w.group(0).log();
     log.prune(log.current_seq());
-    w.ctl(0).restore();
+    w.ctl(0, 0).restore();
     w.quiesce(ResyncStrategy::ParityLog)?;
     w.check_invariants()?;
-    let resync_bytes = w.cluster().status(0).resync_bytes;
+    let resync_bytes = w.group(0).status(0).resync_bytes;
     if resync_bytes == 0 {
         return Err("pruned-log rejoin shipped no resync bytes".into());
     }
@@ -290,19 +296,26 @@ pub fn flush_during_link_failure() -> Result<ScenarioOutcome, String> {
     Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
 }
 
+/// One frame of a second write to block 5 is lost toward `dir`; the
+/// ack wait times out, replica 0 degrades, and resync must restore
+/// bit-identity without ever leaving the historical set.
+fn lose_one_frame(dir: Dir) -> Result<ScenarioOutcome, String> {
+    let mut w = one_group(2, cluster_config(1, 0));
+    w.write_tag(5, 1).map_err(op_err)?;
+    w.ctl(0, 0).drop_next(dir, 1);
+    let _ = w.write_tag(5, 2);
+    w.check_historical()?;
+    w.quiesce(ResyncStrategy::ParityLog)?;
+    w.check_invariants()?;
+    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+}
+
 /// A data frame is silently dropped by the network (the sender's
 /// `send()` succeeds). The lost acknowledgement times out, the block is
 /// marked *uncertain*-dirty, and the delta resync must ship a full
 /// image — a parity replay could not know whether the frame arrived.
 pub fn drop_data_frame() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(1, 0), Duration::from_micros(200));
-    w.write_tag(5, 1).map_err(op_err)?;
-    w.ctl(0).drop_next(Dir::AtoB, 1);
-    let _ = w.write_tag(5, 2); // ack times out; replica 0 degrades
-    w.check_historical()?;
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    lose_one_frame(Dir::AtoB)
 }
 
 /// The mirror image of [`drop_data_frame`]: the frame arrives and is
@@ -311,14 +324,7 @@ pub fn drop_data_frame() -> Result<ScenarioOutcome, String> {
 /// the parity in twice. The uncertain-dirty fallback must keep the
 /// replica on a historical state.
 pub fn lost_ack_resync() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(1, 0), Duration::from_micros(200));
-    w.write_tag(5, 1).map_err(op_err)?;
-    w.ctl(0).drop_next(Dir::BtoA, 1);
-    let _ = w.write_tag(5, 2); // applied on the replica, ack lost
-    w.check_historical()?;
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    lose_one_frame(Dir::BtoA)
 }
 
 /// A data frame takes a bit flip on the wire. The seal's CRC32C catches
@@ -326,11 +332,11 @@ pub fn lost_ack_resync() -> Result<ScenarioOutcome, String> {
 /// and resync restores bit-identity — the corruption is *detected*,
 /// never silently applied as a garbage XOR base.
 pub fn corruption_wire_flip() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(1, 0), Duration::from_micros(200));
+    let mut w = one_group(2, cluster_config(1, 0));
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
-    w.ctl(0).corrupt_next(Dir::AtoB, 1);
+    w.ctl(0, 0).corrupt_next(Dir::AtoB, 1);
     let _ = w.write_tag(5, 2); // damaged in flight; replica 0 rejects it
     w.check_historical()?;
     w.quiesce(ResyncStrategy::ParityLog)?;
@@ -348,23 +354,23 @@ pub fn corruption_wire_flip() -> Result<ScenarioOutcome, String> {
 /// repaired through resync. The history oracle proves the corruption
 /// was never laundered into a "valid" state.
 pub fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 2, cluster_config(1, 0), Duration::from_micros(200));
+    let mut w = one_group(2, cluster_config(1, 0));
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
     // Wire fault: one damaged data frame, detected and resynced.
-    w.ctl(0).corrupt_next(Dir::AtoB, 1);
+    w.ctl(0, 0).corrupt_next(Dir::AtoB, 1);
     let _ = w.write_tag(3, 2);
     w.quiesce(ResyncStrategy::ParityLog)?;
 
     // Media fault: flip one bit on replica 0's disk behind the wire.
-    let dev = w.replica_dev(0);
+    let dev = w.replica_dev(0, 0);
     let victim = prins_block::Lba(6);
     let mut block = dev.read_block_vec(victim).map_err(op_err)?;
     block[11] ^= 0x08;
     dev.write_block(victim, &block).map_err(op_err)?;
 
-    let outcomes = w.cluster_mut().scrub(0, 1).map_err(op_err)?;
+    let outcomes = w.group_mut(0).scrub(0, 1).map_err(op_err)?;
     let repaired: usize = outcomes.iter().map(|(_, o)| o.repaired).sum();
     if repaired == 0 {
         return Err("scrub found nothing to repair after a disk bit flip".into());
@@ -535,7 +541,7 @@ pub fn ec_rebuild_two() -> Result<ScenarioOutcome, String> {
 pub fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
     // 16 blocks in 8-block slots: each slot's run shares an owner, so
     // a contiguous range is available to migrate.
-    let mut w = ShardWorld::with_slots(
+    let mut w = ShardWorld::new(
         16,
         2,
         2,
@@ -611,7 +617,7 @@ pub fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
 /// reject it as a read source (`read_rejected_stale`), and no read may
 /// ever return pre-rejoin bytes — the oracle checks every single read.
 pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
-    let mut w = ClusterWorld::new(16, 3, cluster_config(1, 0), Duration::from_micros(200));
+    let mut w = one_group(3, cluster_config(1, 0));
     let mut tag = 0u8;
     for lba in 0..16 {
         tag = tag.wrapping_add(1);
@@ -631,7 +637,7 @@ pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
 
     // Replica 0 dies and misses writes; reads keep flowing and must
     // never be served its stale copy.
-    w.ctl(0).sever();
+    w.ctl(0, 0).sever();
     for lba in 0..16 {
         tag = tag.wrapping_add(1);
         w.write_tag(lba, tag).map_err(op_err)?;
@@ -641,12 +647,12 @@ pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
 
     // Rejoin races the read stream: reads issued mid-resync must skip
     // the still-catching-up replica.
-    w.ctl(0).restore();
-    w.cluster_mut()
+    w.ctl(0, 0).restore();
+    w.group_mut(0)
         .rejoin(0, ResyncStrategy::ParityLog)
         .map_err(op_err)?;
     loop {
-        let remaining = w.cluster_mut().resync_step(0, 2).map_err(op_err)?;
+        let remaining = w.group_mut(0).resync_step(0, 2).map_err(op_err)?;
         tag = tag.wrapping_add(1);
         w.write_tag(u64::from(tag) % 16, tag).map_err(op_err)?;
         w.read_checked(u64::from(tag) % 16)?;

@@ -1,16 +1,22 @@
 //! Simulation worlds: the *real* engine and cluster code wired to a
 //! [`SimNet`], plus the invariant checkers run against them.
 //!
-//! A world owns the primary (a [`ClusterGroup`] or a stepped
-//! [`PrinsEngine`]), one simulated link per replica with an
-//! apply-and-acknowledge actor on the far side, and an oracle: the
-//! per-LBA history of every content the primary ever gave a block.
-//! Replicas may lag the primary, but at every instant each replica
-//! block must hold *some* historical state — a stale-base XOR or a
-//! double-applied parity produces a block that never existed on the
-//! primary, which the oracle catches immediately.
+//! There is one world per system under test that exposes its own calls
+//! — [`ShardWorld`] (the cluster plane: a [`ShardedCluster`] of one or
+//! more [`ClusterGroup`]s; topology is the `groups` argument, not a
+//! type), [`EngineWorld`] (a stepped [`PrinsEngine`]) and [`EcWorld`]
+//! (an [`EcGroup`]). Everything they have in common lives once, in a
+//! private bed each of them holds: the network, registry and trace
+//! sink, one simulated link per replica with an apply-and-acknowledge
+//! actor on the far side, and an oracle — the per-LBA history of every
+//! content the primary ever gave a block. Replicas may lag the primary,
+//! but at every instant each replica block must hold *some* historical
+//! state — a stale-base XOR or a double-applied parity produces a block
+//! that never existed on the primary, which the oracle catches
+//! immediately.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,6 +31,9 @@ use prins_net::{SimLinkCtl, SimNet, SimTransport, Transport};
 use prins_obs::{EventKind, Registry, TraceConfig, TraceSink};
 use prins_parity::ErasureCodec;
 use prins_repl::{is_sealed, open_frame, AckPolicy, BatchFrame, Payload, ReplicaApplier, Request};
+
+/// Every simulated device uses 4 KB blocks.
+const BLOCK: BlockSize = BlockSize::kb4();
 
 /// FNV-1a over a block image — the oracle's content fingerprint.
 pub fn content_hash(bytes: &[u8]) -> u64 {
@@ -43,8 +52,8 @@ pub struct History {
 }
 
 impl History {
-    fn seed(blocks: u64, block_size: usize) -> Self {
-        let zero = content_hash(&vec![0u8; block_size]);
+    fn seed(blocks: u64) -> Self {
+        let zero = content_hash(&vec![0u8; BLOCK.bytes()]);
         Self {
             states: (0..blocks).map(|lba| (lba, vec![zero])).collect(),
         }
@@ -64,26 +73,56 @@ impl History {
     }
 }
 
-/// Builds one replica behind a fresh [`SimNet`] link: a zeroed device
-/// and an actor that applies every delivered frame and acknowledges it.
-fn spawn_replica(
+/// A deterministic sparse block derived from `(lba, tag)` — a few
+/// header bytes over zeros, so PRINS parities stay small.
+fn tagged_block(lba: u64, tag: u8) -> Vec<u8> {
+    let mut data = vec![0u8; BLOCK.bytes()];
+    data[..8].copy_from_slice(&lba.to_le_bytes());
+    data[8] = tag;
+    data[9] = tag.wrapping_mul(31).wrapping_add(7);
+    data
+}
+
+/// One replica (or strip-holding node) behind its own [`SimNet`] link.
+struct Node {
+    ctl: SimLinkCtl,
+    /// The primary's end of the link; its meter is the wire-byte truth.
+    primary_end: SimTransport,
+    dev: Arc<MemDevice>,
+    /// The node's endpoint in the network's delivery log.
+    ep: usize,
+}
+
+impl Node {
+    /// Payload bytes the primary actually put on this node's wire.
+    fn wire_bytes(&self) -> u64 {
+        self.primary_end.meter().payload_bytes_sent()
+    }
+}
+
+/// Builds one node behind a fresh link: a zeroed `blocks`-block device
+/// and an actor that applies every delivered frame and acknowledges it
+/// — the stock apply loop, with `codec` swapped in for nodes that hold
+/// erasure-coded strips.
+fn spawn_node(
     net: &SimNet,
-    idx: usize,
-    block_size: BlockSize,
+    name: &str,
     blocks: u64,
     delay: Duration,
-) -> (SimTransport, SimLinkCtl, Arc<MemDevice>, usize) {
-    let (a, b, ctl) = net.add_link(&format!("replica{idx}"), delay);
-    let device = Arc::new(MemDevice::new(block_size, blocks));
-    let dev = Arc::clone(&device);
+    codec: Option<Box<dyn ErasureCodec>>,
+) -> Node {
+    let (primary_end, b, ctl) = net.add_link(name, delay);
+    let dev = Arc::new(MemDevice::new(BLOCK, blocks));
     let tr = b.clone();
-    let replica_ep = b.endpoint_index();
     // The applier lives outside the actor closure: it must keep its
     // last-seen epoch and per-LBA checksum table across deliveries, or
     // every ack would regress to epoch 0 and verify-on-apply would
     // never see a stale base. Strict mode: a bit flip on the seal tag
     // itself must not let a damaged frame bypass verification.
-    let mut applier = ReplicaApplier::new(dev).require_sealed(true);
+    let mut applier = ReplicaApplier::new(Arc::clone(&dev)).require_sealed(true);
+    if let Some(codec) = codec {
+        applier = applier.with_codec(codec);
+    }
     net.set_actor(
         &b,
         Box::new(move || {
@@ -93,7 +132,21 @@ fn spawn_replica(
             }
         }),
     );
-    (a, ctl, device, replica_ep)
+    Node {
+        ctl,
+        primary_end,
+        dev,
+        ep: b.endpoint_index(),
+    }
+}
+
+/// The primary-side transports of `nodes`, in order — what a system
+/// under test is constructed over.
+fn transports(nodes: &[Node]) -> Vec<Box<dyn Transport>> {
+    nodes
+        .iter()
+        .map(|n| Box::new(n.primary_end.clone()) as Box<dyn Transport>)
+        .collect()
 }
 
 /// Extracts the LBAs a wire frame writes to (batch frames recurse).
@@ -127,81 +180,123 @@ fn frame_lbas(bytes: &[u8]) -> Vec<u64> {
     }
 }
 
-/// Per-LBA delivery-order + no-duplicate-delivery check over the
-/// network's message log, for the given replica-side endpoints.
-fn check_delivery_order(net: &SimNet, replica_eps: &[usize]) -> Result<(), String> {
-    let msgs = net.message_log();
-    let deliveries = net.delivery_log();
-    for &ep in replica_eps {
-        let mut delivered: BTreeSet<u64> = BTreeSet::new();
-        let mut last_for_lba: BTreeMap<u64, u64> = BTreeMap::new();
-        for &(_, id) in deliveries.iter().filter(|&&(t, _)| t == ep) {
-            let msg = &msgs[id as usize];
-            if !delivered.insert(id) {
-                return Err(format!(
-                    "duplicate delivery of data frame m{id} to endpoint {ep}"
-                ));
+/// What every world stands on: the simulated network, the registry and
+/// trace sink the system under test records into, the node farm, and
+/// the history oracle with the checks that need nothing else.
+struct Bed {
+    net: SimNet,
+    registry: Arc<Registry>,
+    trace: Arc<TraceSink>,
+    nodes: Vec<Node>,
+    history: History,
+    /// Logical blocks in the volume (the oracle's address space).
+    blocks: u64,
+}
+
+impl Bed {
+    fn new(
+        net: SimNet,
+        registry: Arc<Registry>,
+        trace: Arc<TraceSink>,
+        nodes: Vec<Node>,
+        blocks: u64,
+    ) -> Self {
+        Self {
+            net,
+            registry,
+            trace,
+            nodes,
+            history: History::seed(blocks),
+            blocks,
+        }
+    }
+
+    /// Records `data` as a state the primary gave `lba`.
+    fn record(&mut self, lba: u64, data: &[u8]) {
+        self.history.record(lba, content_hash(data));
+    }
+
+    /// Clears every scheduled fault and brings every link back up.
+    fn heal_links(&self) {
+        for node in &self.nodes {
+            node.ctl.clear_faults();
+            if !node.ctl.is_up() {
+                node.ctl.restore();
             }
-            for lba in frame_lbas(&msg.payload) {
-                if let Some(&last) = last_for_lba.get(&lba) {
-                    if id < last {
-                        return Err(format!(
-                            "per-LBA apply order violated at endpoint {ep}: \
-                             m{id} (lba {lba}) delivered after m{last}"
-                        ));
-                    }
+        }
+    }
+
+    /// Checks every replica block holds some historical primary state.
+    fn check_historical(&self) -> Result<(), String> {
+        for (idx, node) in self.nodes.iter().enumerate() {
+            for lba in 0..self.blocks {
+                let content = node
+                    .dev
+                    .read_block_vec(Lba(lba))
+                    .map_err(|e| format!("replica {idx} read lba {lba}: {e}"))?;
+                let hash = content_hash(&content);
+                if !self.history.contains(lba, hash) {
+                    return Err(format!(
+                        "replica {idx} lba {lba} holds a state the primary never had \
+                         (hash {hash:#018x}) — stale-base XOR or double-applied parity"
+                    ));
                 }
-                last_for_lba.insert(lba, id);
             }
         }
+        Ok(())
     }
-    Ok(())
-}
 
-/// Checks every replica block holds some historical primary state.
-fn check_historical(
-    history: &History,
-    blocks: u64,
-    replica_devs: &[Arc<MemDevice>],
-) -> Result<(), String> {
-    for (idx, dev) in replica_devs.iter().enumerate() {
-        for lba in 0..blocks {
-            let content = dev
-                .read_block_vec(Lba(lba))
-                .map_err(|e| format!("replica {idx} read lba {lba}: {e}"))?;
-            let hash = content_hash(&content);
-            if !history.contains(lba, hash) {
-                return Err(format!(
-                    "replica {idx} lba {lba} holds a state the primary never had \
-                     (hash {hash:#018x}) — stale-base XOR or double-applied parity"
-                ));
+    /// Checks the replicas in `nodes` are bit-identical to `primary`.
+    fn check_identity(&self, primary: &dyn BlockDevice, nodes: Range<usize>) -> Result<(), String> {
+        for idx in nodes {
+            for lba in 0..self.blocks {
+                let p = primary
+                    .read_block_vec(Lba(lba))
+                    .map_err(|e| format!("primary read lba {lba}: {e}"))?;
+                let r = self.nodes[idx]
+                    .dev
+                    .read_block_vec(Lba(lba))
+                    .map_err(|e| format!("replica {idx} read lba {lba}: {e}"))?;
+                if p != r {
+                    return Err(format!(
+                        "replica {idx} lba {lba} differs from primary at quiescence"
+                    ));
+                }
             }
         }
+        Ok(())
     }
-    Ok(())
-}
 
-fn check_identity(
-    primary: &dyn BlockDevice,
-    blocks: u64,
-    replica_devs: &[Arc<MemDevice>],
-) -> Result<(), String> {
-    for (idx, dev) in replica_devs.iter().enumerate() {
-        for lba in 0..blocks {
-            let p = primary
-                .read_block_vec(Lba(lba))
-                .map_err(|e| format!("primary read lba {lba}: {e}"))?;
-            let r = dev
-                .read_block_vec(Lba(lba))
-                .map_err(|e| format!("replica {idx} read lba {lba}: {e}"))?;
-            if p != r {
-                return Err(format!(
-                    "replica {idx} lba {lba} differs from primary at quiescence"
-                ));
+    /// Per-LBA delivery-order + no-duplicate-delivery check over the
+    /// network's message log, for every node's endpoint.
+    fn check_delivery_order(&self) -> Result<(), String> {
+        let msgs = self.net.message_log();
+        let deliveries = self.net.delivery_log();
+        for ep in self.nodes.iter().map(|n| n.ep) {
+            let mut delivered: BTreeSet<u64> = BTreeSet::new();
+            let mut last_for_lba: BTreeMap<u64, u64> = BTreeMap::new();
+            for &(_, id) in deliveries.iter().filter(|&&(t, _)| t == ep) {
+                let msg = &msgs[id as usize];
+                if !delivered.insert(id) {
+                    return Err(format!(
+                        "duplicate delivery of data frame m{id} to endpoint {ep}"
+                    ));
+                }
+                for lba in frame_lbas(&msg.payload) {
+                    if let Some(&last) = last_for_lba.get(&lba) {
+                        if id < last {
+                            return Err(format!(
+                                "per-LBA apply order violated at endpoint {ep}: \
+                                 m{id} (lba {lba}) delivered after m{last}"
+                            ));
+                        }
+                    }
+                    last_for_lba.insert(lba, id);
+                }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Checks the recorded `state-change` event stream forms a legal
@@ -209,6 +304,8 @@ fn check_identity(
 /// previous one ended (every replica boots `online`), and every hop is
 /// one the [`ReplicaState`] machine allows.
 fn check_lifecycle_chain(registry: &Registry, replicas: usize) -> Result<(), String> {
+    use ReplicaState::{Lagging, Offline, Online, Resyncing};
+    const STATES: [ReplicaState; 4] = [Online, Lagging, Offline, Resyncing];
     let mut position: Vec<&'static str> = vec!["online"; replicas];
     for event in registry.events().events() {
         let EventKind::StateChange { from, to } = event.kind else {
@@ -225,13 +322,7 @@ fn check_lifecycle_chain(registry: &Registry, replicas: usize) -> Result<(), Str
                 position[idx]
             ));
         }
-        let parse = |name: &str| match name {
-            "online" => Some(ReplicaState::Online),
-            "lagging" => Some(ReplicaState::Lagging),
-            "offline" => Some(ReplicaState::Offline),
-            "resyncing" => Some(ReplicaState::Resyncing),
-            _ => None,
-        };
+        let parse = |name: &str| STATES.into_iter().find(|s| s.name() == name);
         match (parse(from), parse(to)) {
             (Some(f), Some(t)) if f.can_transition(t) => {}
             _ => {
@@ -245,327 +336,34 @@ fn check_lifecycle_chain(registry: &Registry, replicas: usize) -> Result<(), Str
     Ok(())
 }
 
-/// A [`ClusterGroup`] over simulated links: degraded writes, resync and
-/// the full invariant set, all in virtual time.
-pub struct ClusterWorld {
-    net: SimNet,
-    cluster: ClusterGroup<MemDevice>,
-    registry: Arc<Registry>,
-    trace: Arc<TraceSink>,
-    ctls: Vec<SimLinkCtl>,
-    primary_ends: Vec<SimTransport>,
-    replica_devs: Vec<Arc<MemDevice>>,
-    replica_eps: Vec<usize>,
-    history: History,
-    blocks: u64,
-    block_size: usize,
-}
-
-impl ClusterWorld {
-    /// A fresh world: zeroed primary and replicas, all links up, no
-    /// faults scheduled.
-    pub fn new(blocks: u64, replicas: usize, config: ClusterConfig, delay: Duration) -> Self {
-        let net = SimNet::new();
-        let block_size = BlockSize::kb4();
-        let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-        let mut ctls = Vec::new();
-        let mut primary_ends = Vec::new();
-        let mut replica_devs = Vec::new();
-        let mut replica_eps = Vec::new();
-        for idx in 0..replicas {
-            let (a, ctl, dev, ep) = spawn_replica(&net, idx, block_size, blocks, delay);
-            primary_ends.push(a.clone());
-            transports.push(Box::new(a));
-            ctls.push(ctl);
-            replica_devs.push(dev);
-            replica_eps.push(ep);
-        }
-        let mut cluster = ClusterGroup::new(MemDevice::new(block_size, blocks), config, transports);
-        let registry = Registry::new();
-        cluster.attach_observer(Arc::clone(&registry), net.clock());
-        let trace = Arc::new(TraceSink::new(TraceConfig::default()));
-        cluster.attach_tracer(Arc::clone(&trace), 0, net.clock());
-        Self {
-            net,
-            cluster,
-            registry,
-            trace,
-            ctls,
-            primary_ends,
-            replica_devs,
-            replica_eps,
-            history: History::seed(blocks, block_size.bytes()),
-            blocks,
-            block_size: block_size.bytes(),
-        }
-    }
-
-    /// The simulated network (trace, clock, message log).
-    pub fn net(&self) -> &SimNet {
-        &self.net
-    }
-
-    /// The metrics registry the cluster records into (lifecycle
-    /// transitions, resync batches, ack RTTs).
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
-
-    /// The per-write trace sink (every world traces; virtual clock
-    /// reads are free, so event goldens are unaffected).
-    pub fn trace_sink(&self) -> &Arc<TraceSink> {
-        &self.trace
-    }
-
-    /// Fault controls for replica `idx`'s link.
-    pub fn ctl(&self, idx: usize) -> &SimLinkCtl {
-        &self.ctls[idx]
-    }
-
-    /// The cluster under test.
-    pub fn cluster(&self) -> &ClusterGroup<MemDevice> {
-        &self.cluster
-    }
-
-    /// Mutable access to the cluster under test.
-    pub fn cluster_mut(&mut self) -> &mut ClusterGroup<MemDevice> {
-        &mut self.cluster
-    }
-
-    /// Replica `idx`'s backing device.
-    pub fn replica_dev(&self, idx: usize) -> &Arc<MemDevice> {
-        &self.replica_devs[idx]
-    }
-
-    /// Number of blocks per device.
-    pub fn blocks(&self) -> u64 {
-        self.blocks
-    }
-
-    /// Writes `data` through the cluster, recording the new content in
-    /// the oracle (also on quorum loss — the primary applied it).
-    pub fn write(&mut self, lba: u64, data: &[u8]) -> Result<WriteOutcome, ClusterError> {
-        let res = self.cluster.write(Lba(lba), data);
-        match &res {
-            Ok(_) | Err(ClusterError::QuorumLost { .. }) => {
-                self.history.record(lba, content_hash(data));
-            }
-            Err(_) => {}
-        }
-        res
-    }
-
-    /// Writes a deterministic sparse block derived from `(lba, tag)` —
-    /// a few header bytes over zeros, so PRINS parities stay small.
-    pub fn write_tag(&mut self, lba: u64, tag: u8) -> Result<WriteOutcome, ClusterError> {
-        let mut data = vec![0u8; self.block_size];
-        data[..8].copy_from_slice(&lba.to_le_bytes());
-        data[8] = tag;
-        data[9] = tag.wrapping_mul(31).wrapping_add(7);
-        self.write(lba, &data)
-    }
-
-    /// Reads through the cluster (offloading to a replica when the
-    /// freshness guard allows) and checks the read oracle: whatever
-    /// source served it, the content must equal the primary's *current*
-    /// block — an offloaded read may never observe pre-rejoin state.
-    ///
-    /// # Errors
-    ///
-    /// A stale or unhistorical read is an invariant violation (`Err`
-    /// with the diagnostic); read transport failures degrade the
-    /// replica and fall back, so they do not surface here.
-    pub fn read_checked(&mut self, lba: u64) -> Result<ReadOutcome, String> {
-        let out = self
-            .cluster
-            .read(Lba(lba))
-            .map_err(|e| format!("read lba {lba}: {e}"))?;
-        let want = self
-            .cluster
-            .device()
-            .read_block_vec(Lba(lba))
-            .map_err(|e| format!("primary read lba {lba}: {e}"))?;
-        if out.data != want {
-            return Err(format!(
-                "offloaded read of lba {lba} from {:?} returned stale content \
-                 (freshness oracle violated)",
-                out.source
-            ));
-        }
-        if !self.history.contains(lba, content_hash(&out.data)) {
-            return Err(format!(
-                "read of lba {lba} from {:?} returned a state the primary never had",
-                out.source
-            ));
-        }
-        Ok(out)
-    }
-
-    /// Heals every link, drains in-flight work, and resyncs every
-    /// non-online replica with `strategy` until the cluster is fully
-    /// online (bounded retries).
-    ///
-    /// # Errors
-    ///
-    /// If a replica cannot be brought back online.
-    pub fn quiesce(&mut self, strategy: ResyncStrategy) -> Result<(), String> {
-        for ctl in &self.ctls {
-            ctl.clear_faults();
-            if !ctl.is_up() {
-                ctl.restore();
-            }
-        }
-        self.net.run_until_idle();
-        self.cluster.drain();
-        for idx in 0..self.cluster.replica_count() {
-            let mut attempts = 0;
-            let mut last_err = String::new();
-            while self.cluster.state(idx) != ReplicaState::Online {
-                attempts += 1;
-                if attempts > 8 {
-                    return Err(format!(
-                        "replica {idx} stuck {:?} after {attempts} rejoin attempts \
-                         (last error: {last_err})",
-                        self.cluster.state(idx)
-                    ));
-                }
-                if matches!(
-                    self.cluster.state(idx),
-                    ReplicaState::Offline | ReplicaState::Lagging
-                ) {
-                    if let Err(e) = self.cluster.rejoin(idx, strategy) {
-                        last_err = e.to_string();
-                    }
-                }
-                if self.cluster.state(idx) == ReplicaState::Resyncing {
-                    if let Err(e) = self.cluster.resync_to_completion(idx, 4) {
-                        last_err = e.to_string();
-                    }
-                }
-            }
-        }
-        self.cluster.drain();
-        self.net.run_until_idle();
-        Ok(())
-    }
-
-    /// Cheap mid-run invariant: every replica block is a historical
-    /// primary state (corruption shows up here before quiescence).
-    pub fn check_historical(&self) -> Result<(), String> {
-        check_historical(&self.history, self.blocks, &self.replica_devs)
-    }
-
-    /// The full post-quiescence invariant set: every replica online
-    /// with an empty dirty map, bit-identical to the primary, holding
-    /// only historical states, with per-LBA delivery order intact and
-    /// the cluster's byte accounting equal to the wire meters.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for idx in 0..self.cluster.replica_count() {
-            let status = self.cluster.status(idx);
-            if status.state != ReplicaState::Online {
-                return Err(format!("replica {idx} not online: {:?}", status.state));
-            }
-            if status.dirty_blocks != 0 {
-                return Err(format!(
-                    "replica {idx} still dirty at quiescence: {} blocks",
-                    status.dirty_blocks
-                ));
-            }
-        }
-        check_identity(self.cluster.device(), self.blocks, &self.replica_devs)?;
-        self.check_historical()?;
-        check_delivery_order(&self.net, &self.replica_eps)?;
-        check_lifecycle_chain(&self.registry, self.cluster.replica_count())?;
-        self.check_conservation()
-    }
-
-    /// Oracle for fault-free schedules: with no link faults scheduled,
-    /// the registry must show a quiet run — no NAKs, no ack collection
-    /// failures, no lifecycle transitions.
-    pub fn check_quiet_run(&self) -> Result<(), String> {
-        let ring = self.registry.events();
-        for kind in ["nak", "ack-error", "send-error", "state-change"] {
-            let n = ring.count(kind);
-            if n > 0 {
-                return Err(format!(
-                    "fault-free schedule recorded {n} `{kind}` event(s)"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Byte conservation: what the cluster booked as sent (foreground +
-    /// resync + scrub probes + read requests) must equal what actually
-    /// hit each wire.
-    pub fn check_conservation(&self) -> Result<(), String> {
-        for idx in 0..self.cluster.replica_count() {
-            let status = self.cluster.status(idx);
-            let sent = self.primary_ends[idx].meter().payload_bytes_sent();
-            let booked = status.foreground_bytes
-                + status.resync_bytes
-                + status.scrub_bytes
-                + status.read_bytes;
-            if sent != booked {
-                return Err(format!(
-                    "replica {idx} byte accounting: wire saw {sent}, cluster booked {booked}"
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for ClusterWorld {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterWorld")
-            .field("blocks", &self.blocks)
-            .field("replicas", &self.replica_devs.len())
-            .field("net", &self.net)
-            .finish()
-    }
-}
-
-/// A [`ShardedCluster`] over simulated links: rendezvous placement,
-/// offloaded reads, and live migration between groups, with the
-/// volume-wide history oracle and per-group invariants.
+/// The cluster plane over simulated links: a [`ShardedCluster`] of
+/// `groups` replica groups behind a rendezvous placement — degraded
+/// writes, resync, offloaded reads and live migration between groups,
+/// with the volume-wide history oracle and per-group invariants, all in
+/// virtual time.
+///
+/// A plain replicated cluster is the `groups = 1` case: the placement
+/// routes every LBA to group 0 at the same LBA, so the world *is* that
+/// [`ClusterGroup`] (reach it with [`group`](Self::group) /
+/// [`group_mut`](Self::group_mut)).
 ///
 /// Every group shares one [`SimNet`] and one registry (so a scenario's
-/// event summary covers the whole volume). Devices are full-size
-/// (identity addressing), the precondition migration needs.
+/// event summary covers the whole volume); every device spans the whole
+/// volume.
 pub struct ShardWorld {
-    net: SimNet,
-    sharded: ShardedCluster<MemDevice, RendezvousPlacement>,
-    registry: Arc<Registry>,
-    trace: Arc<TraceSink>,
-    /// `ctls[g][r]` is group g, replica r's link.
-    ctls: Vec<Vec<SimLinkCtl>>,
-    primary_ends: Vec<Vec<SimTransport>>,
-    replica_devs: Vec<Vec<Arc<MemDevice>>>,
-    replica_eps: Vec<usize>,
-    history: History,
-    blocks: u64,
-    block_size: usize,
+    sharded: ShardedCluster<MemDevice>,
+    replicas_per_group: usize,
+    bed: Bed,
 }
 
 impl ShardWorld {
-    /// A fresh sharded world: `groups` replica groups of
-    /// `replicas_per_group` each, all devices zeroed and full-size,
-    /// equal-weight rendezvous placement.
+    /// A fresh world: `groups` replica groups of `replicas_per_group`
+    /// each, all devices zeroed, all links up, no faults scheduled,
+    /// equal-weight rendezvous placement hashing `slot_blocks`
+    /// contiguous LBAs as one slot — slot-sized runs share an owner,
+    /// giving migration scenarios contiguous ranges to move (with one
+    /// group the slot size is immaterial: group 0 owns everything).
     pub fn new(
-        blocks: u64,
-        groups: usize,
-        replicas_per_group: usize,
-        config: ClusterConfig,
-        delay: Duration,
-    ) -> Self {
-        Self::with_slots(blocks, groups, replicas_per_group, config, delay, 1)
-    }
-
-    /// [`ShardWorld::new`] with `slot_blocks` contiguous LBAs hashed as
-    /// one placement slot — slot-sized runs share an owner, giving
-    /// migration scenarios contiguous ranges to move.
-    pub fn with_slots(
         blocks: u64,
         groups: usize,
         replicas_per_group: usize,
@@ -574,124 +372,114 @@ impl ShardWorld {
         slot_blocks: u64,
     ) -> Self {
         let net = SimNet::new();
-        let block_size = BlockSize::kb4();
         let registry = Registry::new();
-        let mut ctls = Vec::new();
-        let mut primary_ends = Vec::new();
-        let mut replica_devs = Vec::new();
-        let mut replica_eps = Vec::new();
-        let mut cluster_groups = Vec::new();
-        for g in 0..groups {
-            let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-            let mut group_ctls = Vec::new();
-            let mut group_ends = Vec::new();
-            let mut group_devs = Vec::new();
-            for r in 0..replicas_per_group {
-                let (a, ctl, dev, ep) =
-                    spawn_replica(&net, g * replicas_per_group + r, block_size, blocks, delay);
-                group_ends.push(a.clone());
-                transports.push(Box::new(a));
-                group_ctls.push(ctl);
-                group_devs.push(dev);
-                replica_eps.push(ep);
-            }
-            let mut group =
-                ClusterGroup::new(MemDevice::new(block_size, blocks), config, transports);
-            group.attach_observer(Arc::clone(&registry), net.clock());
-            cluster_groups.push(group);
-            ctls.push(group_ctls);
-            primary_ends.push(group_ends);
-            replica_devs.push(group_devs);
-        }
+        let nodes: Vec<Node> = (0..groups * replicas_per_group)
+            .map(|idx| spawn_node(&net, &format!("replica{idx}"), blocks, delay, None))
+            .collect();
+        let cluster_groups = nodes
+            .chunks(replicas_per_group)
+            .map(|farm| {
+                let mut group =
+                    ClusterGroup::new(MemDevice::new(BLOCK, blocks), config, transports(farm));
+                group.attach_observer(Arc::clone(&registry), net.clock());
+                group
+            })
+            .collect();
         let placement = RendezvousPlacement::new(blocks, groups).with_slot_blocks(slot_blocks);
         let mut sharded = ShardedCluster::new(placement, cluster_groups);
         sharded.attach_observer(Arc::clone(&registry), net.clock());
-        // One shard id per group plus the migration namespace.
+        // One shard id per group, plus the migration namespace when
+        // there is a second group to migrate to.
         let trace = Arc::new(TraceSink::new(TraceConfig {
-            shards: groups + 1,
+            shards: groups + usize::from(groups > 1),
             ..TraceConfig::default()
         }));
         sharded.attach_tracer(Arc::clone(&trace), net.clock());
         Self {
-            net,
             sharded,
-            registry,
-            trace,
-            ctls,
-            primary_ends,
-            replica_devs,
-            replica_eps,
-            history: History::seed(blocks, block_size.bytes()),
-            blocks,
-            block_size: block_size.bytes(),
+            replicas_per_group,
+            bed: Bed::new(net, registry, trace, nodes, blocks),
         }
     }
 
-    /// The simulated network.
+    /// The simulated network (trace, clock, message log).
     pub fn net(&self) -> &SimNet {
-        &self.net
+        &self.bed.net
     }
 
-    /// The shared metrics registry (all groups plus migration events).
+    /// The shared metrics registry (every group's lifecycle
+    /// transitions, resync batches and ack RTTs, plus migration events).
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        &self.bed.registry
     }
 
     /// The shared per-write trace sink (one shard id per group, one
-    /// more for migration batches).
+    /// more for migration batches; virtual clock reads are free, so
+    /// event goldens are unaffected).
     pub fn trace_sink(&self) -> &Arc<TraceSink> {
-        &self.trace
+        &self.bed.trace
+    }
+
+    fn node(&self, g: usize, r: usize) -> &Node {
+        assert!(r < self.replicas_per_group, "replica {r} out of range");
+        &self.bed.nodes[g * self.replicas_per_group + r]
     }
 
     /// Fault controls for group `g`, replica `r`'s link.
     pub fn ctl(&self, g: usize, r: usize) -> &SimLinkCtl {
-        &self.ctls[g][r]
+        &self.node(g, r).ctl
+    }
+
+    /// Group `g`, replica `r`'s backing device.
+    pub fn replica_dev(&self, g: usize, r: usize) -> &Arc<MemDevice> {
+        &self.node(g, r).dev
     }
 
     /// The sharded cluster under test.
-    pub fn sharded(&self) -> &ShardedCluster<MemDevice, RendezvousPlacement> {
+    pub fn sharded(&self) -> &ShardedCluster<MemDevice> {
         &self.sharded
     }
 
     /// Mutable access to the sharded cluster under test.
-    pub fn sharded_mut(&mut self) -> &mut ShardedCluster<MemDevice, RendezvousPlacement> {
+    pub fn sharded_mut(&mut self) -> &mut ShardedCluster<MemDevice> {
         &mut self.sharded
     }
 
-    /// Number of blocks in the volume.
-    pub fn blocks(&self) -> u64 {
-        self.blocks
+    /// Replica group `g` (group 0 is *the* cluster of a one-group world).
+    pub fn group(&self, g: usize) -> &ClusterGroup<MemDevice> {
+        self.sharded.group(g)
     }
 
-    /// Writes `data` through the sharded cluster, recording the new
-    /// content in the volume-wide oracle (also on quorum loss).
-    pub fn write(&mut self, lba: u64, data: &[u8]) -> Result<WriteOutcome, ClusterError> {
-        let res = self.sharded.write(Lba(lba), data);
-        match &res {
-            Ok(_) | Err(ClusterError::QuorumLost { .. }) => {
-                self.history.record(lba, content_hash(data));
-            }
-            Err(_) => {}
+    /// Mutable access to replica group `g`.
+    pub fn group_mut(&mut self, g: usize) -> &mut ClusterGroup<MemDevice> {
+        self.sharded.group_mut(g)
+    }
+
+    /// Writes a deterministic sparse block derived from `(lba, tag)` —
+    /// a few header bytes over zeros, so PRINS parities stay small —
+    /// through the cluster, recording the new content in the
+    /// volume-wide oracle (also on quorum loss — the primary applied
+    /// it).
+    pub fn write_tag(&mut self, lba: u64, tag: u8) -> Result<WriteOutcome, ClusterError> {
+        let data = tagged_block(lba, tag);
+        let res = self.sharded.write(Lba(lba), &data);
+        if matches!(res, Ok(_) | Err(ClusterError::QuorumLost { .. })) {
+            self.bed.record(lba, &data);
         }
         res
     }
 
-    /// Writes a deterministic sparse block derived from `(lba, tag)`.
-    pub fn write_tag(&mut self, lba: u64, tag: u8) -> Result<WriteOutcome, ClusterError> {
-        let mut data = vec![0u8; self.block_size];
-        data[..8].copy_from_slice(&lba.to_le_bytes());
-        data[8] = tag;
-        data[9] = tag.wrapping_mul(31).wrapping_add(7);
-        self.write(lba, &data)
-    }
-
-    /// Reads through the sharded cluster and checks the read oracle:
-    /// the content must equal the owning group's *current* primary
-    /// block, and be a state the volume actually had.
+    /// Reads through the cluster (offloading to a replica when the
+    /// freshness guard allows) and checks the read oracle: whatever
+    /// source served it, the content must equal the owning group's
+    /// *current* primary block — an offloaded read may never observe
+    /// pre-rejoin state — and be a state the volume actually had.
     ///
     /// # Errors
     ///
-    /// A stale or unhistorical read is an invariant violation.
+    /// A stale or unhistorical read is an invariant violation (`Err`
+    /// with the diagnostic); read transport failures degrade the
+    /// replica and fall back, so they do not surface here.
     pub fn read_checked(&mut self, lba: u64) -> Result<ReadOutcome, String> {
         let out = self
             .sharded
@@ -699,7 +487,6 @@ impl ShardWorld {
             .map_err(|e| format!("read lba {lba}: {e}"))?;
         let owner = self.sharded.owner(Lba(lba));
         let want = self
-            .sharded
             .group(owner)
             .device()
             .read_block_vec(Lba(lba))
@@ -711,30 +498,25 @@ impl ShardWorld {
                 out.source
             ));
         }
-        if !self.history.contains(lba, content_hash(&out.data)) {
+        if !self.bed.history.contains(lba, content_hash(&out.data)) {
             return Err(format!(
-                "read of lba {lba} returned a state the volume never had"
+                "read of lba {lba} from {:?} returned a state the volume never had",
+                out.source
             ));
         }
         Ok(out)
     }
 
     /// Heals every link, drains in-flight work, and resyncs every
-    /// non-online replica of every group with `strategy`.
+    /// non-online replica of every group with `strategy` until the
+    /// cluster is fully online (bounded retries).
     ///
     /// # Errors
     ///
     /// If a replica cannot be brought back online.
     pub fn quiesce(&mut self, strategy: ResyncStrategy) -> Result<(), String> {
-        for group_ctls in &self.ctls {
-            for ctl in group_ctls {
-                ctl.clear_faults();
-                if !ctl.is_up() {
-                    ctl.restore();
-                }
-            }
-        }
-        self.net.run_until_idle();
+        self.bed.heal_links();
+        self.bed.net.run_until_idle();
         for g in 0..self.sharded.group_count() {
             let cluster = self.sharded.group_mut(g);
             cluster.drain();
@@ -765,33 +547,32 @@ impl ShardWorld {
                     }
                 }
             }
-            self.sharded.group_mut(g).drain();
+            cluster.drain();
         }
-        self.net.run_until_idle();
+        self.bed.net.run_until_idle();
         Ok(())
     }
 
     /// Cheap mid-run invariant: every replica block of every group is a
-    /// state the volume actually had.
+    /// state the volume actually had (corruption shows up here before
+    /// quiescence).
     pub fn check_historical(&self) -> Result<(), String> {
-        for (g, devs) in self.replica_devs.iter().enumerate() {
-            check_historical(&self.history, self.blocks, devs)
-                .map_err(|e| format!("group {g}: {e}"))?;
-        }
-        Ok(())
+        self.bed.check_historical()
     }
 
     /// The full post-quiescence invariant set, per group: every replica
-    /// online and clean, bit-identical to its group primary, holding
-    /// only historical volume states, delivery order intact, byte
-    /// accounting equal to the wire meters.
+    /// online with an empty dirty map, bit-identical to its group
+    /// primary, holding only historical volume states, per-LBA delivery
+    /// order intact, and the cluster's byte accounting equal to the
+    /// wire meters.
     ///
-    /// (The lifecycle-chain check is per-[`ClusterWorld`]: with all
-    /// groups sharing one registry, replica indices collide across
-    /// groups, so it is not applicable here.)
+    /// A one-group world additionally checks the recorded lifecycle
+    /// chain; with several groups sharing one registry, replica indices
+    /// collide across groups, so it is not applicable there.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let per_group = self.replicas_per_group;
         for g in 0..self.sharded.group_count() {
-            let cluster = self.sharded.group(g);
+            let cluster = self.group(g);
             for idx in 0..cluster.replica_count() {
                 let status = cluster.status(idx);
                 if status.state != ReplicaState::Online {
@@ -807,22 +588,43 @@ impl ShardWorld {
                     ));
                 }
             }
-            check_identity(cluster.device(), self.blocks, &self.replica_devs[g])
+            self.bed
+                .check_identity(cluster.device(), g * per_group..(g + 1) * per_group)
                 .map_err(|e| format!("group {g}: {e}"))?;
         }
         self.check_historical()?;
-        check_delivery_order(&self.net, &self.replica_eps)?;
+        self.bed.check_delivery_order()?;
+        if self.sharded.group_count() == 1 {
+            check_lifecycle_chain(&self.bed.registry, per_group)?;
+        }
         self.check_conservation()
     }
 
-    /// Byte conservation per group and replica: booked bytes
-    /// (foreground + resync + scrub + reads) equal the wire meter.
+    /// Oracle for fault-free schedules: with no link faults scheduled,
+    /// the registry must show a quiet run — no NAKs, no ack collection
+    /// failures, no lifecycle transitions.
+    pub fn check_quiet_run(&self) -> Result<(), String> {
+        let ring = self.bed.registry.events();
+        for kind in ["nak", "ack-error", "send-error", "state-change"] {
+            let n = ring.count(kind);
+            if n > 0 {
+                return Err(format!(
+                    "fault-free schedule recorded {n} `{kind}` event(s)"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Byte conservation per group and replica: what the cluster booked
+    /// as sent (foreground + resync + scrub probes + read requests)
+    /// must equal what actually hit each wire.
     pub fn check_conservation(&self) -> Result<(), String> {
         for g in 0..self.sharded.group_count() {
-            let cluster = self.sharded.group(g);
+            let cluster = self.group(g);
             for idx in 0..cluster.replica_count() {
                 let status = cluster.status(idx);
-                let sent = self.primary_ends[g][idx].meter().payload_bytes_sent();
+                let sent = self.node(g, idx).wire_bytes();
                 let booked = status.foreground_bytes
                     + status.resync_bytes
                     + status.scrub_bytes
@@ -836,16 +638,6 @@ impl ShardWorld {
             }
         }
         Ok(())
-    }
-}
-
-impl std::fmt::Debug for ShardWorld {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardWorld")
-            .field("blocks", &self.blocks)
-            .field("groups", &self.replica_devs.len())
-            .field("net", &self.net)
-            .finish()
     }
 }
 
@@ -893,27 +685,20 @@ impl Default for EngineWorldConfig {
 /// order, and byte conservation; bit-identity holds only after a flush
 /// that saw no faults.
 pub struct EngineWorld {
-    net: SimNet,
     engine: PrinsEngine,
-    registry: Arc<Registry>,
-    trace: Arc<TraceSink>,
     primary: Arc<MemDevice>,
-    ctls: Vec<SimLinkCtl>,
-    primary_ends: Vec<SimTransport>,
-    replica_devs: Vec<Arc<MemDevice>>,
-    replica_eps: Vec<usize>,
-    history: History,
-    blocks: u64,
-    block_size: usize,
+    bed: Bed,
 }
 
 impl EngineWorld {
     /// Builds the world: zeroed devices, manual stepping, virtual clock.
     pub fn new(cfg: EngineWorldConfig) -> Self {
         let net = SimNet::new();
-        let block_size = BlockSize::kb4();
-        let primary = Arc::new(MemDevice::new(block_size, cfg.blocks));
+        let primary = Arc::new(MemDevice::new(BLOCK, cfg.blocks));
         let registry = Registry::new();
+        let nodes: Vec<Node> = (0..cfg.replicas)
+            .map(|idx| spawn_node(&net, &format!("replica{idx}"), cfg.blocks, cfg.delay, None))
+            .collect();
         let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
             .manual_stepping(true)
             .observe(Arc::clone(&registry))
@@ -927,44 +712,26 @@ impl EngineWorld {
         if cfg.adaptive {
             builder = builder.adaptive(prins_policy::PolicyConfig::default());
         }
-        let mut ctls = Vec::new();
-        let mut primary_ends = Vec::new();
-        let mut replica_devs = Vec::new();
-        let mut replica_eps = Vec::new();
-        for idx in 0..cfg.replicas {
-            let (a, ctl, dev, ep) = spawn_replica(&net, idx, block_size, cfg.blocks, cfg.delay);
-            primary_ends.push(a.clone());
-            builder = builder.replica(Box::new(a));
-            ctls.push(ctl);
-            replica_devs.push(dev);
-            replica_eps.push(ep);
+        for transport in transports(&nodes) {
+            builder = builder.replica(transport);
         }
         let engine = builder.build();
         let trace = Arc::clone(engine.trace_sink().expect("flight recorder enabled above"));
         Self {
-            net,
             engine,
-            registry,
-            trace,
             primary,
-            ctls,
-            primary_ends,
-            replica_devs,
-            replica_eps,
-            history: History::seed(cfg.blocks, block_size.bytes()),
-            blocks: cfg.blocks,
-            block_size: block_size.bytes(),
+            bed: Bed::new(net, registry, trace, nodes, cfg.blocks),
         }
     }
 
     /// The simulated network.
     pub fn net(&self) -> &SimNet {
-        &self.net
+        &self.bed.net
     }
 
     /// Fault controls for replica `idx`'s link.
     pub fn ctl(&self, idx: usize) -> &SimLinkCtl {
-        &self.ctls[idx]
+        &self.bed.nodes[idx].ctl
     }
 
     /// The engine under test.
@@ -974,25 +741,25 @@ impl EngineWorld {
 
     /// The metrics registry the engine records into.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        &self.bed.registry
     }
 
     /// The engine's per-write trace sink (flight recorder).
     pub fn trace_sink(&self) -> &Arc<TraceSink> {
-        &self.trace
+        &self.bed.trace
+    }
+
+    fn write(&mut self, lba: u64, data: &[u8]) -> Result<(), String> {
+        self.engine
+            .write_block(Lba(lba), data)
+            .map_err(|e| format!("write lba {lba}: {e}"))?;
+        self.bed.record(lba, data);
+        Ok(())
     }
 
     /// Writes a deterministic sparse block derived from `(lba, tag)`.
     pub fn write_tag(&mut self, lba: u64, tag: u8) -> Result<(), String> {
-        let mut data = vec![0u8; self.block_size];
-        data[..8].copy_from_slice(&lba.to_le_bytes());
-        data[8] = tag;
-        data[9] = tag.wrapping_mul(31).wrapping_add(7);
-        self.engine
-            .write_block(Lba(lba), &data)
-            .map_err(|e| format!("write lba {lba}: {e}"))?;
-        self.history.record(lba, content_hash(&data));
-        Ok(())
+        self.write(lba, &tagged_block(lba, tag))
     }
 
     /// Writes a dense block derived from `(lba, tag)`: every byte
@@ -1000,7 +767,7 @@ impl EngineWorld {
     /// compressibility probe and LZSS — the churn shape, as opposed to
     /// [`write_tag`](Self::write_tag)'s small deltas.
     pub fn write_fill(&mut self, lba: u64, tag: u8) -> Result<(), String> {
-        let mut data = vec![0u8; self.block_size];
+        let mut data = vec![0u8; BLOCK.bytes()];
         let mut state = ((lba << 8) | u64::from(tag)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         for b in data.iter_mut() {
             state ^= state << 13;
@@ -1008,11 +775,7 @@ impl EngineWorld {
             state ^= state << 17;
             *b = (state >> 32) as u8;
         }
-        self.engine
-            .write_block(Lba(lba), &data)
-            .map_err(|e| format!("write lba {lba}: {e}"))?;
-        self.history.record(lba, content_hash(&data));
-        Ok(())
+        self.write(lba, &data)
     }
 
     /// Drives one pipeline round (see [`PrinsEngine::step`]).
@@ -1028,12 +791,13 @@ impl EngineWorld {
 
     /// Prefix-consistency: every replica block is a historical state.
     pub fn check_historical(&self) -> Result<(), String> {
-        check_historical(&self.history, self.blocks, &self.replica_devs)
+        self.bed.check_historical()
     }
 
     /// Bit-identity with the primary — call after a clean flush.
     pub fn check_identity(&self) -> Result<(), String> {
-        check_identity(&*self.primary, self.blocks, &self.replica_devs)
+        self.bed
+            .check_identity(&*self.primary, 0..self.bed.nodes.len())
     }
 
     /// Per-LBA ordering at two levels: the engine's own send logs
@@ -1054,7 +818,7 @@ impl EngineWorld {
                 last.insert(lba.index(), seq);
             }
         }
-        check_delivery_order(&self.net, &self.replica_eps)
+        self.bed.check_delivery_order()
     }
 
     /// Cross-checks the registry against the engine's own counters —
@@ -1063,7 +827,7 @@ impl EngineWorld {
     /// the ack-RTT histogram holds one sample per ack event. Call at
     /// quiescence (after a flush).
     pub fn check_obs(&self) -> Result<(), String> {
-        let ring = self.registry.events();
+        let ring = self.bed.registry.events();
         let stats = self.engine.stats();
         let admits = ring.count("admit");
         let folded = ring.count("coalesce");
@@ -1080,7 +844,7 @@ impl EngineWorld {
                 ring.count("send")
             ));
         }
-        let snap = self.registry.snapshot();
+        let snap = self.bed.registry.snapshot();
         let acks = ring.count("ack-ok") + ring.count("nak") + ring.count("ack-error");
         let rtt = snap
             .histograms
@@ -1105,11 +869,7 @@ impl EngineWorld {
     /// equal the sum of payload bytes that actually hit the wires.
     pub fn check_conservation(&self) -> Result<(), String> {
         let booked = self.engine.stats().replicated_payload_bytes;
-        let sent: u64 = self
-            .primary_ends
-            .iter()
-            .map(|t| t.meter().payload_bytes_sent())
-            .sum();
+        let sent: u64 = self.bed.nodes.iter().map(Node::wire_bytes).sum();
         if booked != sent {
             return Err(format!(
                 "engine booked {booked} replicated payload bytes, wires saw {sent}"
@@ -1119,50 +879,12 @@ impl EngineWorld {
     }
 }
 
-impl std::fmt::Debug for EngineWorld {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineWorld")
-            .field("blocks", &self.blocks)
-            .field("replicas", &self.replica_devs.len())
-            .field("net", &self.net)
-            .finish()
-    }
-}
-
-/// Builds one strip-holding node behind a fresh [`SimNet`] link: a
-/// zeroed `stripes`-block device and an actor running the stock apply
-/// loop with a Reed–Solomon codec applier in strict sealed mode — the
-/// same loop mirroring replicas run, answering strip deltas, strip
-/// reads, and everything else.
-fn spawn_strip_node(
-    net: &SimNet,
-    name: &str,
-    stripes: u64,
-    delay: Duration,
-) -> (SimTransport, SimLinkCtl, Arc<MemDevice>) {
-    let (a, b, ctl) = net.add_link(name, delay);
-    let device = Arc::new(MemDevice::new(BlockSize::kb4(), stripes));
-    let dev = Arc::clone(&device);
-    let tr = b.clone();
-    let mut applier = ReplicaApplier::new(dev)
-        .with_codec(Box::new(ReedSolomon::k4m2()))
-        .require_sealed(true);
-    net.set_actor(
-        &b,
-        Box::new(move || {
-            while let Ok(Some(frame)) = tr.try_recv() {
-                let (ack, _) = applier.respond(&frame);
-                let _ = tr.send(&ack);
-            }
-        }),
-    );
-    (a, ctl, device)
-}
-
 /// An [`EcGroup`] over simulated links: k-of-n strip placement, sparse
 /// delta parity updates, node loss and repair-bandwidth-accounted
 /// rebuild, all in virtual time. Fixed at the paper's `k = 4, m = 2`
-/// Reed–Solomon geometry.
+/// Reed–Solomon geometry; every node runs the stock apply loop with
+/// that codec, answering strip deltas, strip reads, and everything
+/// else.
 ///
 /// Two invariants anchor the EC scenarios:
 ///
@@ -1175,17 +897,15 @@ fn spawn_strip_node(
 ///    and is a state the per-LBA history oracle has seen
 ///    ([`check_decode_matches_oracle`](Self::check_decode_matches_oracle)).
 pub struct EcWorld {
-    net: SimNet,
     group: EcGroup<MemDevice, ReedSolomon>,
-    registry: Arc<Registry>,
-    trace: Arc<TraceSink>,
-    ctls: Vec<SimLinkCtl>,
-    node_devs: Vec<Arc<MemDevice>>,
-    history: History,
-    blocks: u64,
-    block_size: usize,
     delay: Duration,
     replacements: usize,
+    bed: Bed,
+}
+
+/// The codec a strip-holding node's applier runs.
+fn strip_codec() -> Option<Box<dyn ErasureCodec>> {
+    Some(Box::new(ReedSolomon::k4m2()))
 }
 
 impl EcWorld {
@@ -1193,55 +913,41 @@ impl EcWorld {
     pub fn new(stripes: u64, delay: Duration) -> Self {
         let net = SimNet::new();
         let codec = ReedSolomon::k4m2();
-        let block_size = BlockSize::kb4();
-        let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-        let mut ctls = Vec::new();
-        let mut node_devs = Vec::new();
-        for idx in 0..codec.total_strips() {
-            let (a, ctl, dev) = spawn_strip_node(&net, &format!("node{idx}"), stripes, delay);
-            transports.push(Box::new(a));
-            ctls.push(ctl);
-            node_devs.push(dev);
-        }
+        let nodes: Vec<Node> = (0..codec.total_strips())
+            .map(|idx| spawn_node(&net, &format!("node{idx}"), stripes, delay, strip_codec()))
+            .collect();
         let blocks = stripes * codec.data_strips() as u64;
-        let logical = MemDevice::new(block_size, blocks);
         let config = EcConfig {
             ack_timeout: Duration::from_millis(50),
         };
-        let mut group = EcGroup::new(logical, codec, config, transports);
+        let logical = MemDevice::new(BLOCK, blocks);
+        let mut group = EcGroup::new(logical, codec, config, transports(&nodes));
         let registry = Registry::new();
         group.attach_observer(Arc::clone(&registry), net.clock());
         let trace = Arc::new(TraceSink::new(TraceConfig::default()));
         group.attach_tracer(Arc::clone(&trace), 0, net.clock());
         Self {
-            net,
             group,
-            registry,
-            trace,
-            ctls,
-            node_devs,
-            history: History::seed(blocks, block_size.bytes()),
-            blocks,
-            block_size: block_size.bytes(),
             delay,
             replacements: 0,
+            bed: Bed::new(net, registry, trace, nodes, blocks),
         }
     }
 
     /// The simulated network (trace, clock, message log).
     pub fn net(&self) -> &SimNet {
-        &self.net
+        &self.bed.net
     }
 
     /// The metrics registry the group records into (strip writes,
     /// parity-update and rebuild bytes, `ec-rebuild` events).
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        &self.bed.registry
     }
 
     /// The per-write trace sink (strip fan-out traces).
     pub fn trace_sink(&self) -> &Arc<TraceSink> {
-        &self.trace
+        &self.bed.trace
     }
 
     /// The erasure-coded group under test.
@@ -1256,7 +962,7 @@ impl EcWorld {
 
     /// Logical blocks in the volume.
     pub fn blocks(&self) -> u64 {
-        self.blocks
+        self.bed.blocks
     }
 
     /// Writes a deterministic sparse block derived from `(lba, tag)`
@@ -1266,13 +972,10 @@ impl EcWorld {
     ///
     /// Propagates the group's write error.
     pub fn write_tag(&mut self, lba: u64, tag: u8) -> Result<EcWriteOutcome, ClusterError> {
-        let mut data = vec![0u8; self.block_size];
-        data[..8].copy_from_slice(&lba.to_le_bytes());
-        data[8] = tag;
-        data[9] = tag.wrapping_mul(31).wrapping_add(7);
+        let data = tagged_block(lba, tag);
         let res = self.group.write(Lba(lba), &data);
         if res.is_ok() {
-            self.history.record(lba, content_hash(&data));
+            self.bed.record(lba, &data);
         }
         res
     }
@@ -1285,7 +988,7 @@ impl EcWorld {
     /// [`ClusterError::UnknownReplica`] for a bad index.
     pub fn fail_node(&mut self, idx: usize) -> Result<(), ClusterError> {
         self.group.mark_down(idx)?;
-        self.ctls[idx].sever();
+        self.bed.nodes[idx].ctl.sever();
         Ok(())
     }
 
@@ -1298,12 +1001,12 @@ impl EcWorld {
     pub fn replace_and_rebuild(&mut self, idx: usize) -> Result<EcRebuildReport, String> {
         self.replacements += 1;
         let name = format!("node{idx}-r{}", self.replacements);
-        let (a, ctl, dev) = spawn_strip_node(&self.net, &name, self.group.stripes(), self.delay);
+        let stripes = self.group.stripes();
+        let node = spawn_node(&self.bed.net, &name, stripes, self.delay, strip_codec());
         self.group
-            .replace_node(idx, Box::new(a))
+            .replace_node(idx, Box::new(node.primary_end.clone()))
             .map_err(|e| format!("replace node {idx}: {e}"))?;
-        self.ctls[idx] = ctl;
-        self.node_devs[idx] = dev;
+        self.bed.nodes[idx] = node;
         self.group
             .rebuild(idx)
             .map_err(|e| format!("rebuild node {idx}: {e}"))
@@ -1340,7 +1043,8 @@ impl EcWorld {
                     &parity[role - k]
                 };
                 let node = self.group.placement().node_for(stripe, role);
-                let got = self.node_devs[node]
+                let got = self.bed.nodes[node]
+                    .dev
                     .read_block_vec(Lba(stripe))
                     .map_err(|e| format!("node {node} read stripe {stripe}: {e}"))?;
                 if &got != want {
@@ -1363,7 +1067,7 @@ impl EcWorld {
     ///
     /// The first mismatching or unhistorical block.
     pub fn check_decode_matches_oracle(&mut self) -> Result<(), String> {
-        for lba in 0..self.blocks {
+        for lba in 0..self.bed.blocks {
             let want = self
                 .group
                 .device()
@@ -1379,22 +1083,12 @@ impl EcWorld {
                 ));
             }
             let hash = content_hash(&got);
-            if !self.history.contains(lba, hash) {
+            if !self.bed.history.contains(lba, hash) {
                 return Err(format!(
                     "lba {lba}: decoded a state the primary never held (hash {hash:#018x})"
                 ));
             }
         }
         Ok(())
-    }
-}
-
-impl std::fmt::Debug for EcWorld {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EcWorld")
-            .field("blocks", &self.blocks)
-            .field("nodes", &self.node_devs.len())
-            .field("net", &self.net)
-            .finish()
     }
 }

@@ -1,6 +1,7 @@
 //! Epoch-guarded read offload never serves stale bytes.
 //!
-//! Every read below goes through [`prins_sim::ClusterWorld::read_checked`],
+//! Every read below goes through [`prins_sim::ShardWorld::read_checked`]
+//! on a one-group world (a plain replicated cluster),
 //! which fails the test on the spot if the returned block differs from
 //! the primary's current content (the freshness oracle) or is not a
 //! state the primary ever held. The schedules are the two adversarial
@@ -12,7 +13,7 @@ use std::time::Duration;
 
 use prins_cluster::{ClusterConfig, ResyncStrategy};
 use prins_net::Dir;
-use prins_sim::ClusterWorld;
+use prins_sim::ShardWorld;
 
 fn config(ack_window: usize) -> ClusterConfig {
     ClusterConfig {
@@ -31,7 +32,7 @@ fn config(ack_window: usize) -> ClusterConfig {
 #[test]
 fn rejoin_race_never_serves_pre_rejoin_state() {
     let blocks = 8u64;
-    let mut w = ClusterWorld::new(blocks, 2, config(2), Duration::from_micros(200));
+    let mut w = ShardWorld::new(blocks, 1, 2, config(2), Duration::from_micros(200), 1);
     let mut tag = 0u8;
     for lba in 0..blocks {
         tag = tag.wrapping_add(1);
@@ -40,7 +41,7 @@ fn rejoin_race_never_serves_pre_rejoin_state() {
     }
 
     // Replica 0 misses a full round of overwrites.
-    w.ctl(0).sever();
+    w.ctl(0, 0).sever();
     for lba in 0..blocks {
         tag = tag.wrapping_add(1);
         w.write_tag(lba, tag).unwrap();
@@ -53,12 +54,10 @@ fn rejoin_race_never_serves_pre_rejoin_state() {
     // Rejoin with reads racing every step of the catch-up: the replica
     // is Syncing (and each block dirty) until its delta applies, so
     // the guard must keep rejecting it mid-resync.
-    w.ctl(0).restore();
-    w.cluster_mut()
-        .rejoin(0, ResyncStrategy::ParityLog)
-        .unwrap();
+    w.ctl(0, 0).restore();
+    w.group_mut(0).rejoin(0, ResyncStrategy::ParityLog).unwrap();
     loop {
-        let remaining = w.cluster_mut().resync_step(0, 1).unwrap();
+        let remaining = w.group_mut(0).resync_step(0, 1).unwrap();
         for lba in 0..blocks {
             w.read_checked(lba).unwrap();
         }
@@ -92,7 +91,7 @@ fn corrupt_frames_never_leak_into_reads() {
     // Closed-loop window: a NAK lands before the next frame is sent,
     // so corruption can never skew a parity base (see the fuzzer's
     // module docs for why pipelined windows transiently can).
-    let mut w = ClusterWorld::new(blocks, 3, config(1), Duration::from_micros(200));
+    let mut w = ShardWorld::new(blocks, 1, 3, config(1), Duration::from_micros(200), 1);
     let mut tag = 0u8;
     for lba in 0..blocks {
         tag = tag.wrapping_add(1);
@@ -100,7 +99,7 @@ fn corrupt_frames_never_leak_into_reads() {
     }
 
     // Damage every frame toward replica 0 for the whole phase.
-    w.ctl(0).corrupt_next(Dir::AtoB, u32::MAX);
+    w.ctl(0, 0).corrupt_next(Dir::AtoB, u32::MAX);
     for round in 0..3 {
         for lba in 0..blocks {
             tag = tag.wrapping_add(1);
