@@ -37,10 +37,11 @@ use std::time::Duration;
 
 use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport};
-use prins_obs::{Counter, Event, EventKind, Histogram, Registry, TraceId, TraceSink, TraceStage};
+use prins_obs::{Counter, Event, EventKind, Histogram, Registry, TraceSink, TraceStage};
 use prins_parity::{ErasureCodec, SparseCodec};
 use prins_repl::{put_strip_delta, Link, ReplError, Request, Response, ACK, STRIP_ACK};
 
+use crate::tracer::Tracer;
 use crate::ClusterError;
 
 /// Maps `(stripe, role)` to a node: rotated placement, so every node
@@ -110,24 +111,6 @@ impl EcObs {
             decode_failures,
             rebuild_nanos,
         }
-    }
-}
-
-/// Causal-tracing hookup for an [`EcGroup`]: one trace per logical
-/// write, spanning the data/parity strip fan-out and the per-node
-/// acknowledgements.
-struct EcTracer {
-    sink: Arc<TraceSink>,
-    clock: Arc<dyn Clock>,
-    shard: u32,
-    counter: u64,
-}
-
-impl EcTracer {
-    fn next_id(&mut self) -> TraceId {
-        let id = TraceId::for_shard(self.shard, self.counter);
-        self.counter += 1;
-        id
     }
 }
 
@@ -210,7 +193,7 @@ pub struct EcGroup<D, C> {
     dirty_stripes: BTreeSet<u64>,
     rebuild_bytes: u64,
     obs: Option<EcObs>,
-    tracer: Option<EcTracer>,
+    tracer: Tracer,
 }
 
 impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
@@ -255,7 +238,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             dirty_stripes: BTreeSet::new(),
             rebuild_bytes: 0,
             obs: None,
-            tracer: None,
+            tracer: Tracer::default(),
         }
     }
 
@@ -267,22 +250,17 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     }
 
     /// Attaches a trace sink: every logical write mints a
-    /// deterministic [`TraceId`] tagged with `shard` and records one
+    /// deterministic [`TraceId`](prins_obs::TraceId) tagged with `shard` and records one
     /// `strip-data` / `strip-parity` hop per strip-delta frame (lane =
     /// node index) plus a `strip-ack` hop per acknowledgement, so the
     /// flight recorder sees the full k-of-n fan-out of a slow write.
     pub fn attach_tracer(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
-        self.tracer = Some(EcTracer {
-            sink,
-            clock,
-            shard,
-            counter: 0,
-        });
+        self.tracer.attach(sink, shard, clock);
     }
 
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.tracer.as_ref().map(|t| &t.sink)
+        self.tracer.sink()
     }
 
     /// The placement map.
@@ -397,11 +375,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         // One trace per logical write; the hold (pending = 1) keeps it
         // open across the strip fan-out and is released after the last
         // acknowledgement is collected below.
-        let tid = self.tracer.as_mut().map(|t| {
-            let id = t.next_id();
-            t.sink.begin(id, t.shard, 1, t.clock.now_nanos(), new.len());
-            id
-        });
+        let tid = self.tracer.begin(new.len());
         let mut outcome = EcWriteOutcome {
             acked: 0,
             skipped: 0,
@@ -436,21 +410,13 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
                     obs.parity_update_bytes.add(sealed_len);
                 }
             }
-            if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                let stage = if role < k {
-                    TraceStage::StripData
-                } else {
-                    TraceStage::StripParity
-                };
-                t.sink.add_pending(id, 1);
-                t.sink.event(
-                    id,
-                    stage,
-                    node as u32,
-                    t.clock.now_nanos(),
-                    sealed_len as usize,
-                );
-            }
+            let stage = if role < k {
+                TraceStage::StripData
+            } else {
+                TraceStage::StripParity
+            };
+            self.tracer
+                .fan_out(tid, stage, node as u32, sealed_len as usize);
             await_from.push(node);
         }
         if let Some(obs) = &self.obs {
@@ -458,20 +424,11 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         }
         for node in await_from {
             self.recv_response(node, ACK)?;
-            if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                t.sink.complete(
-                    id,
-                    TraceStage::StripAck,
-                    node as u32,
-                    t.clock.now_nanos(),
-                    0,
-                );
-            }
+            self.tracer
+                .complete(tid, TraceStage::StripAck, node as u32, 0);
             outcome.acked += 1;
         }
-        if let (Some(t), Some(id)) = (&self.tracer, tid) {
-            t.sink.release(id, t.clock.now_nanos());
-        }
+        self.tracer.release(tid);
         Ok(outcome)
     }
 

@@ -17,6 +17,7 @@ use prins_repl::{
 };
 use prins_trap::{TrapDevice, TrapLog};
 
+use crate::tracer::Tracer;
 use crate::{ClusterError, DirtyMap, ReplicaState};
 
 /// Observability hookup for a [`ClusterGroup`]: where lifecycle
@@ -77,38 +78,6 @@ impl ClusterObs {
             )
             .replica(idx),
         );
-    }
-}
-
-/// Causal-tracing hookup for a [`ClusterGroup`]: mints a deterministic
-/// [`TraceId`] per foreground write (and per offloaded read) and
-/// appends the replica fan-out hops into a shared [`TraceSink`], so a
-/// write's trace spans dispatch → per-replica send → ack (or the
-/// wrong-epoch / error hop that ended it).
-struct ClusterTracer {
-    sink: Arc<TraceSink>,
-    clock: Arc<dyn Clock>,
-    /// Shard tag minted into every trace id — ties the group's SLO
-    /// accounting to its slot in [`prins_obs::TraceConfig::shards`].
-    shard: u32,
-    /// Monotonic per-group counter: ids are deterministic functions of
-    /// dispatch order, never of randomness or wall time.
-    counter: u64,
-    /// The trace whose response is currently being awaited, so the
-    /// stale-epoch drop sites deep in the ack loop can attribute the
-    /// wrong-epoch hop to the right trace.
-    awaiting: Option<TraceId>,
-}
-
-impl ClusterTracer {
-    fn next_id(&mut self) -> TraceId {
-        let id = TraceId::for_shard(self.shard, self.counter);
-        self.counter += 1;
-        id
-    }
-
-    fn now(&self) -> u64 {
-        self.clock.now_nanos()
     }
 }
 
@@ -323,7 +292,7 @@ pub struct ClusterGroup<D> {
     replicas: Vec<Replica>,
     config: ClusterConfig,
     obs: Option<ClusterObs>,
-    tracer: Option<ClusterTracer>,
+    tracer: Tracer,
     /// Round-robin cursor for offloaded reads.
     next_read: usize,
 }
@@ -347,7 +316,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 .collect(),
             config,
             obs: None,
-            tracer: None,
+            tracer: Tracer::default(),
             next_read: 0,
         }
     }
@@ -379,18 +348,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// pass the transports' [`SimClock`](prins_net::SimClock) for
     /// deterministic traces under simulation.
     pub fn attach_tracer(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
-        self.tracer = Some(ClusterTracer {
-            sink,
-            clock,
-            shard,
-            counter: 0,
-            awaiting: None,
-        });
+        self.tracer.attach(sink, shard, clock);
     }
 
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.tracer.as_ref().map(|t| &t.sink)
+        self.tracer.sink()
     }
 
     /// The primary device (wrapped with the parity log).
@@ -463,11 +426,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // open across the replica fan-out and is released at the end of
         // this call, so with a pipelined window the trace finalizes on
         // whichever later collection retires the last acknowledgement.
-        let tid = self.tracer.as_mut().map(|t| {
-            let id = t.next_id();
-            t.sink.begin(id, t.shard, 1, t.now(), new.len());
-            id
-        });
+        let tid = self.tracer.begin(new.len());
 
         let mut outcome = WriteOutcome {
             seq,
@@ -484,24 +443,17 @@ impl<D: BlockDevice> ClusterGroup<D> {
                         Ok(sealed_len) => {
                             r.foreground_bytes += sealed_len as u64;
                             r.outstanding.push_back((lba, seq, r.link.epoch(), tid));
-                            if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                                t.sink.add_pending(id, 1);
-                                t.sink.event(
-                                    id,
-                                    TraceStage::ReplicaSend,
-                                    idx as u32,
-                                    t.now(),
-                                    sealed_len,
-                                );
-                            }
+                            self.tracer.fan_out(
+                                tid,
+                                TraceStage::ReplicaSend,
+                                idx as u32,
+                                sealed_len,
+                            );
                         }
                         // The frame never left: the replica certainly
                         // did not apply it.
                         Err(_) => {
-                            if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                                t.sink
-                                    .event(id, TraceStage::SendError, idx as u32, t.now(), 0);
-                            }
+                            self.tracer.hop(tid, TraceStage::SendError, idx as u32, 0);
                             self.note_failure(idx, Some((lba, seq)), false);
                         }
                     }
@@ -542,9 +494,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // Drop the dispatch hold: with everything acknowledged the
         // trace finalizes here; under a pipelined window it stays open
         // until the last outstanding acknowledgement is collected.
-        if let (Some(t), Some(id)) = (&self.tracer, tid) {
-            t.sink.release(id, t.now());
-        }
+        self.tracer.release(tid);
         if outcome.acked + in_flight < self.config.write_quorum {
             return Err(ClusterError::QuorumLost {
                 acked: outcome.acked,
@@ -580,11 +530,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // Offloaded reads get their own trace: one hop per rejected
         // candidate, completed by whichever source served the block
         // (lane = replica index, or `NO_LANE` for the primary image).
-        let tid = self.tracer.as_mut().map(|t| {
-            let id = t.next_id();
-            t.sink.begin(id, t.shard, 1, t.now(), 0);
-            id
-        });
+        let tid = self.tracer.begin(0);
         for attempt in 0..n {
             let idx = (self.next_read + attempt) % n;
             match self.read_offload(idx, lba, tid) {
@@ -593,15 +539,8 @@ impl<D: BlockDevice> ClusterGroup<D> {
                     if let Some(obs) = &self.obs {
                         obs.reads_offloaded.inc();
                     }
-                    if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                        t.sink.complete(
-                            id,
-                            TraceStage::ReadOffload,
-                            idx as u32,
-                            t.now(),
-                            data.len(),
-                        );
-                    }
+                    self.tracer
+                        .complete(tid, TraceStage::ReadOffload, idx as u32, data.len());
                     return Ok(ReadOutcome {
                         data,
                         source: Some(idx),
@@ -614,18 +553,13 @@ impl<D: BlockDevice> ClusterGroup<D> {
                     if let Some(obs) = &self.obs {
                         obs.read_rejected_stale.inc();
                     }
-                    if let (Some(t), Some(id)) = (&self.tracer, tid) {
-                        t.sink
-                            .event(id, TraceStage::ReadReject, idx as u32, t.now(), 0);
-                    }
+                    self.tracer.hop(tid, TraceStage::ReadReject, idx as u32, 0);
                 }
             }
         }
         let data = self.device.read_block_vec(lba)?;
-        if let (Some(t), Some(id)) = (&self.tracer, tid) {
-            t.sink
-                .complete(id, TraceStage::ReadOffload, NO_LANE, t.now(), data.len());
-        }
+        self.tracer
+            .complete(tid, TraceStage::ReadOffload, NO_LANE, data.len());
         Ok(ReadOutcome {
             data,
             source: None,
@@ -669,9 +603,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         }
         // Point the stale-epoch drop sites in the response loop at this
         // read's trace (the drain above cleared any previous target).
-        if let Some(t) = &mut self.tracer {
-            t.awaiting = tid;
-        }
+        self.tracer.set_awaiting(tid);
         let bs = self.device.geometry().block_size().bytes();
         let read = self.recv_response(idx, READ_ACK, epoch).and_then(|image| {
             let sparse = SparseCodec::default()
@@ -679,9 +611,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 .map_err(ReplError::from)?;
             Ok(sparse.to_dense(bs))
         });
-        if let Some(t) = &mut self.tracer {
-            t.awaiting = None;
-        }
+        self.tracer.set_awaiting(None);
         match read {
             Ok(data) => {
                 self.replicas[idx].consecutive_failures = 0;
@@ -756,21 +686,15 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// failure the replica degrades and the write is marked dirty.
     fn collect_oldest(&mut self, idx: usize) -> Option<(Lba, u64)> {
         let (lba, seq, epoch, tid) = self.replicas[idx].outstanding.pop_front()?;
-        if let Some(t) = &mut self.tracer {
-            t.awaiting = tid;
-        }
+        self.tracer.set_awaiting(tid);
         let collected = self.await_ack(idx, epoch);
-        if let Some(t) = &mut self.tracer {
-            t.awaiting = None;
-            if let Some(id) = tid {
-                let stage = if collected.is_ok() {
-                    TraceStage::ReplicaAck
-                } else {
-                    TraceStage::AckError
-                };
-                t.sink.complete(id, stage, idx as u32, t.now(), 0);
-            }
-        }
+        self.tracer.set_awaiting(None);
+        let stage = if collected.is_ok() {
+            TraceStage::ReplicaAck
+        } else {
+            TraceStage::AckError
+        };
+        self.tracer.complete(tid, stage, idx as u32, 0);
         match collected {
             Ok(()) => {
                 let r = &mut self.replicas[idx];
@@ -1294,11 +1218,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 if let Some(obs) = &self.obs {
                     obs.wrong_epoch_acks.inc();
                 }
-                if let Some(t) = &self.tracer {
-                    if let Some(id) = t.awaiting {
-                        t.sink.mark_wrong_epoch(id, idx as u32, t.now());
-                    }
-                }
+                self.tracer.wrong_epoch(idx as u32);
             }
             // The frame (or the block behind a read) was damaged; the
             // replica rejected it before applying anything.

@@ -74,6 +74,7 @@ mod group;
 mod lifecycle;
 mod placement;
 mod shard;
+mod tracer;
 
 pub use dirty::DirtyMap;
 pub use ec_group::{EcConfig, EcGroup, EcPlacement, EcRebuildReport, EcWriteOutcome};

@@ -12,8 +12,9 @@ use std::sync::Arc;
 
 use prins_block::{BlockDevice, Lba};
 use prins_net::Clock;
-use prins_obs::{Counter, Event, EventKind, Registry, TraceId, TraceSink, TraceStage};
+use prins_obs::{Counter, Event, EventKind, Registry, TraceSink, TraceStage};
 
+use crate::tracer::Tracer;
 use crate::{ClusterError, ClusterGroup, ReadOutcome, RendezvousPlacement, WriteOutcome};
 
 /// An in-progress live migration of one LBA range between groups.
@@ -50,18 +51,6 @@ struct ShardObs {
     migration_bytes: Arc<Counter>,
 }
 
-/// Tracing hookup for migration batches. Per-write traces live in each
-/// group's own tracer (shard tag = group index); this one only mints
-/// the standalone copy-batch traces.
-struct MigrateTracer {
-    sink: Arc<TraceSink>,
-    clock: Arc<dyn Clock>,
-    /// Shard tag for migration traces — one past the last group, so
-    /// batch ids can never collide with any group's write ids.
-    shard: u32,
-    counter: u64,
-}
-
 /// A volume sharded across one or more [`ClusterGroup`]s.
 ///
 /// Writes and reads are routed by weighted rendezvous hashing
@@ -80,7 +69,9 @@ pub struct ShardedCluster<D> {
     overrides: Vec<(Range<u64>, usize)>,
     migration: Option<Migration>,
     obs: Option<ShardObs>,
-    tracer: Option<MigrateTracer>,
+    /// Mints only the standalone copy-batch traces; per-write traces
+    /// live in each group's own tracer (shard tag = group index).
+    tracer: Tracer,
 }
 
 impl<D: BlockDevice> ShardedCluster<D> {
@@ -106,7 +97,7 @@ impl<D: BlockDevice> ShardedCluster<D> {
             overrides: Vec::new(),
             migration: None,
             obs: None,
-            tracer: None,
+            tracer: Tracer::default(),
         }
     }
 
@@ -135,18 +126,14 @@ impl<D: BlockDevice> ShardedCluster<D> {
         for (g, group) in self.groups.iter_mut().enumerate() {
             group.attach_tracer(Arc::clone(&sink), g as u32, Arc::clone(&clock));
         }
-        let shard = self.groups.len() as u32;
-        self.tracer = Some(MigrateTracer {
-            sink,
-            clock,
-            shard,
-            counter: 0,
-        });
+        // One past the last group, so batch ids can never collide
+        // with any group's write ids.
+        self.tracer.attach(sink, self.groups.len() as u32, clock);
     }
 
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.tracer.as_ref().map(|t| &t.sink)
+        self.tracer.sink()
     }
 
     /// The placement policy.
@@ -302,12 +289,7 @@ impl<D: BlockDevice> ShardedCluster<D> {
         let bs = self.groups[m.from].device().geometry().block_size().bytes() as u64;
         // One trace per copy batch (the per-block writes below mint
         // their own traces through the target group's tracer).
-        let tid = self.tracer.as_mut().map(|t| {
-            let id = TraceId::for_shard(t.shard, t.counter);
-            t.counter += 1;
-            t.sink.begin(id, t.shard, 1, t.clock.now_nanos(), 0);
-            id
-        });
+        let tid = self.tracer.begin(0);
         for i in m.cursor..batch_end {
             let lba = Lba(i);
             let data = self.groups[m.from].device().read_block_vec(lba)?;
@@ -318,15 +300,9 @@ impl<D: BlockDevice> ShardedCluster<D> {
         }
         let copied = batch_end - m.cursor;
         let remaining = m.range.end - batch_end;
-        if let (Some(t), Some(id)) = (&self.tracer, tid) {
-            t.sink.complete(
-                id,
-                TraceStage::MigrateCopy,
-                m.to as u32,
-                t.clock.now_nanos(),
-                (copied * bs) as usize,
-            );
-        }
+        let bytes = (copied * bs) as usize;
+        self.tracer
+            .complete(tid, TraceStage::MigrateCopy, m.to as u32, bytes);
         if let Some(obs) = &self.obs {
             obs.migration_bytes.add(copied * bs);
             obs.registry.events().record(Event::new(

@@ -8,7 +8,8 @@ use prins_net::{Clock, Transport, WallClock};
 use prins_policy::{AdaptiveReplicator, PolicyConfig, WorkloadPhase};
 use prins_repl::{AckPolicy, ReplError, ReplicationGroup, ReplicationMode, Replicator};
 
-use crate::pipeline::{PipelineConfig, PipelineTuning};
+use crate::obs::Probe;
+use crate::pipeline::PipelineConfig;
 use crate::PrinsEngine;
 
 /// Configures and starts a [`PrinsEngine`].
@@ -43,7 +44,6 @@ pub struct EngineBuilder {
     replicator: Option<Arc<dyn Replicator>>,
     adaptive: Option<PolicyConfig>,
     replicas: Vec<Box<dyn Transport>>,
-    ack_policy: AckPolicy,
     config: PipelineConfig,
     clock: Option<Arc<dyn Clock>>,
     registry: Option<Arc<prins_obs::Registry>>,
@@ -59,7 +59,6 @@ impl EngineBuilder {
             replicator: None,
             adaptive: None,
             replicas: Vec::new(),
-            ack_policy: AckPolicy::PerWrite,
             config: PipelineConfig::default(),
             clock: None,
             registry: None,
@@ -112,7 +111,10 @@ impl EngineBuilder {
     /// paper's conservative closed-loop model; a window pipelines
     /// frames over the WAN independently on every lane).
     pub fn ack_policy(mut self, policy: AckPolicy) -> Self {
-        self.ack_policy = policy;
+        self.config.ack_window = match policy {
+            AckPolicy::PerWrite => 1,
+            AckPolicy::Window(n) => n.max(1),
+        };
         self
     }
 
@@ -135,13 +137,6 @@ impl EngineBuilder {
     /// single acknowledgement (default 1 = off).
     pub fn batch_frames(mut self, max: usize) -> Self {
         self.config.batch_frames = max.max(1);
-        self
-    }
-
-    /// Records every `(lba, seq)` each lane sends, readable via
-    /// [`PrinsEngine::send_logs`] — ordering-test instrumentation.
-    pub fn trace_sends(mut self, enabled: bool) -> Self {
-        self.config.trace_sends = enabled;
         self
     }
 
@@ -186,47 +181,57 @@ impl EngineBuilder {
         self
     }
 
-    fn resolved_config(&self) -> PipelineConfig {
-        let mut config = self.config.clone();
-        config.ack_window = match self.ack_policy {
-            AckPolicy::PerWrite => 1,
-            AckPolicy::Window(n) => n.max(1),
-        };
-        config
+    /// Pushes a full image of the local device to every replica before
+    /// starting (the paper's initial sync), then builds the engine.
+    ///
+    /// The sync runs over a plain [`ReplicationGroup`] (windowed by the
+    /// configured ack policy); the transports are then handed to the
+    /// engine's pipeline.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sync failures; no engine is started in that case.
+    pub fn build_with_initial_sync(mut self) -> Result<PrinsEngine, ReplError> {
+        let mut group = ReplicationGroup::new(self.mode, std::mem::take(&mut self.replicas))
+            .with_ack_timeout(self.config.ack_timeout)
+            .with_ack_policy(AckPolicy::Window(self.config.ack_window));
+        group.initial_sync(&self.device)?;
+        self.replicas = group.into_transports();
+        Ok(self.build())
     }
 
-    /// Starts the engine with the resolved replicator; wires the
-    /// adaptive policy's phase hook to the live pipeline tuning.
-    #[allow(clippy::too_many_arguments)]
-    fn start_engine(
-        device: Arc<dyn BlockDevice>,
-        mode: ReplicationMode,
-        replicator: Option<Arc<dyn Replicator>>,
-        adaptive: Option<Arc<AdaptiveReplicator>>,
-        transports: Vec<Box<dyn Transport>>,
-        config: PipelineConfig,
-        clock: Arc<dyn Clock>,
-        registry: Option<Arc<prins_obs::Registry>>,
-        trace: Option<prins_obs::TraceConfig>,
-    ) -> PrinsEngine {
-        let replicator = adaptive
-            .clone()
-            .map(|a| a as Arc<dyn Replicator>)
-            .or(replicator);
-        let base_batch = config.batch_frames.max(1);
-        let base_coalesce = config.coalesce;
-        let mut engine = PrinsEngine::start(
-            device,
-            mode,
-            replicator,
-            transports,
-            config,
-            clock,
-            registry,
-            trace.map(|cfg| Arc::new(prins_obs::TraceSink::new(cfg))),
+    /// Builds and starts the engine (replicas are assumed to already
+    /// hold a copy of the device, e.g. fresh all-zero volumes).
+    pub fn build(self) -> PrinsEngine {
+        let adaptive = self.adaptive.map(|cfg| {
+            Arc::new(match &self.registry {
+                Some(registry) => AdaptiveReplicator::with_registry(cfg, registry),
+                None => AdaptiveReplicator::new(cfg),
+            })
+        });
+        // A custom replicator (the adaptive one first) overrides the
+        // static strategy the mode names.
+        let replicator = match &adaptive {
+            Some(adaptive) => Arc::clone(adaptive) as Arc<dyn Replicator>,
+            None => self
+                .replicator
+                .unwrap_or_else(|| Arc::from(self.mode.replicator())),
+        };
+        let probe = Probe::new(
+            self.clock.unwrap_or_else(|| Arc::new(WallClock::new())),
+            self.registry,
+            self.trace
+                .map(|cfg| Arc::new(prins_obs::TraceSink::new(cfg))),
+            self.replicas.len(),
         );
+        let mut engine =
+            PrinsEngine::start(self.device, replicator, self.replicas, &self.config, probe);
         if let Some(adaptive) = adaptive {
-            let tuning: Arc<PipelineTuning> = Arc::clone(engine.tuning());
+            // The phase hook retunes the live pipeline knobs; what the
+            // builder configured is the `Mixed`-phase baseline.
+            let tuning = Arc::clone(engine.tuning());
+            let base_batch = self.config.batch_frames;
+            let base_coalesce = self.config.coalesce;
             adaptive.set_phase_hook(move |phase| match phase {
                 // Tiny parity payloads: amortize the per-frame seal and
                 // ack round-trip over a deep batch.
@@ -250,69 +255,6 @@ impl EngineBuilder {
             engine.adaptive = Some(adaptive);
         }
         engine
-    }
-
-    fn build_adaptive(&self) -> Option<Arc<AdaptiveReplicator>> {
-        self.adaptive.map(|cfg| {
-            Arc::new(match &self.registry {
-                Some(registry) => AdaptiveReplicator::with_registry(cfg, registry),
-                None => AdaptiveReplicator::new(cfg),
-            })
-        })
-    }
-
-    /// Pushes a full image of the local device to every replica before
-    /// starting (the paper's initial sync), then builds the engine.
-    ///
-    /// The sync runs over a plain [`ReplicationGroup`] (windowed by the
-    /// configured ack policy); the transports are then handed to the
-    /// engine's pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sync failures; no engine is started in that case.
-    pub fn build_with_initial_sync(self) -> Result<PrinsEngine, ReplError> {
-        let config = self.resolved_config();
-        let adaptive = self.build_adaptive();
-        let clock = self
-            .clock
-            .unwrap_or_else(|| Arc::new(WallClock::new()) as Arc<dyn Clock>);
-        let mut group = ReplicationGroup::new(self.mode, self.replicas)
-            .with_ack_timeout(config.ack_timeout)
-            .with_ack_policy(AckPolicy::Window(config.ack_window));
-        group.initial_sync(&self.device)?;
-        Ok(Self::start_engine(
-            self.device,
-            self.mode,
-            self.replicator,
-            adaptive,
-            group.into_transports(),
-            config,
-            clock,
-            self.registry,
-            self.trace,
-        ))
-    }
-
-    /// Builds and starts the engine (replicas are assumed to already
-    /// hold a copy of the device, e.g. fresh all-zero volumes).
-    pub fn build(self) -> PrinsEngine {
-        let config = self.resolved_config();
-        let adaptive = self.build_adaptive();
-        let clock = self
-            .clock
-            .unwrap_or_else(|| Arc::new(WallClock::new()) as Arc<dyn Clock>);
-        Self::start_engine(
-            self.device,
-            self.mode,
-            self.replicator,
-            adaptive,
-            self.replicas,
-            config,
-            clock,
-            self.registry,
-            self.trace,
-        )
     }
 }
 

@@ -7,11 +7,11 @@ use parking_lot::Mutex;
 
 use prins_block::{BlockDevice, BlockError, Geometry, Lba, Result};
 use prins_buf::BufPool;
-use prins_net::{Clock, Transport};
-use prins_repl::{ReplicationMode, Replicator};
+use prins_net::Transport;
+use prins_repl::Replicator;
 
-use crate::obs::PipeObs;
-use crate::pipeline::{Pipeline, PipelineConfig, PipelineTuning, Shared};
+use crate::obs::Probe;
+use crate::pipeline::{Inner, Pipeline, PipelineConfig, PipelineTuning};
 use crate::{EngineStats, LaneStats};
 
 /// The PRINS-engine: a [`BlockDevice`] wrapper that replicates every
@@ -30,83 +30,49 @@ use crate::{EngineStats, LaneStats};
 /// replica, surfacing any replication error that occurred.
 pub struct PrinsEngine {
     device: Arc<dyn BlockDevice>,
-    shared: Arc<Shared>,
+    /// The stages; their shared context ([`Pipeline::cx`]) also holds
+    /// the front-end's counters, clock and buffer pool.
     pipeline: Pipeline,
-    clock: Arc<dyn Clock>,
-    /// Slab pool for block images, encoded payloads and wire frames;
-    /// shared with every pipeline stage so buffers recycle across the
-    /// whole hot path.
-    pool: BufPool,
     /// Per-LBA stripe locks: the old-image capture, the local write and
     /// the pipeline admission must be atomic per block, or two
     /// concurrent writers to one LBA would admit parities computed
     /// against the same old image — and the replica's XOR chain would
     /// diverge.
     write_stripes: Vec<Mutex<()>>,
-    /// Live pipeline knobs, shared with every stage that reads them.
-    tuning: Arc<PipelineTuning>,
     /// The adaptive policy engine, when built with
     /// [`EngineBuilder::adaptive`](crate::EngineBuilder::adaptive).
     pub(crate) adaptive: Option<Arc<prins_policy::AdaptiveReplicator>>,
 }
 
 impl PrinsEngine {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         device: Arc<dyn BlockDevice>,
-        mode: ReplicationMode,
-        replicator: Option<Arc<dyn Replicator>>,
+        replicator: Arc<dyn Replicator>,
         transports: Vec<Box<dyn Transport>>,
-        config: PipelineConfig,
-        clock: Arc<dyn Clock>,
-        registry: Option<Arc<prins_obs::Registry>>,
-        trace: Option<Arc<prins_obs::TraceSink>>,
+        config: &PipelineConfig,
+        probe: Probe,
     ) -> Self {
-        let shared = Arc::new(Shared {
-            obs: registry.map(PipeObs::new),
-            trace,
-            ..Shared::default()
-        });
-        // A custom replicator (e.g. prins-policy's adaptive one)
-        // overrides the static strategy the mode names.
-        let replicator: Arc<dyn Replicator> =
-            replicator.unwrap_or_else(|| Arc::from(mode.replicator()));
         let pool =
             BufPool::for_block_size(device.geometry().block_size().bytes(), config.batch_frames);
-        let tuning = PipelineTuning::from_config(&config);
-        let pipeline = Pipeline::start(
-            replicator,
-            transports,
-            Arc::clone(&shared),
-            &config,
-            Arc::clone(&clock),
-            pool.clone(),
-            Arc::clone(&tuning),
-        );
-        if let Some(obs) = &shared.obs {
+        let pipeline = Pipeline::start(replicator, transports, config, pool, probe);
+        if let Some(registry) = pipeline.cx().probe.registry() {
             // The collector closes over a Weak: the registry outliving
-            // the engine must not keep the Shared block (and with it
-            // this very registry, via `obs`) alive in a cycle. Gauges
-            // keep their last published value, and the engine publishes
-            // once more on drop, so post-shutdown snapshots still show
-            // the final counters.
-            let weak = Arc::downgrade(&shared);
-            let lanes: Vec<_> = pipeline.lanes().to_vec();
-            let pool = pool.clone();
-            obs.registry.add_collector(Box::new(move |reg| {
-                if let Some(shared) = weak.upgrade() {
-                    publish_engine_gauges(reg, &shared, &lanes, &pool);
+            // the engine must not keep the pipeline context (and with
+            // it this very registry, via the probe) alive in a cycle.
+            // Gauges keep their last published value, and the engine
+            // publishes once more on drop, so post-shutdown snapshots
+            // still show the final counters.
+            let weak = Arc::downgrade(pipeline.cx());
+            registry.add_collector(Box::new(move |reg| {
+                if let Some(cx) = weak.upgrade() {
+                    publish_engine_gauges(reg, &cx);
                 }
             }));
         }
         Self {
             device,
-            shared,
             pipeline,
-            clock,
-            pool,
             write_stripes: (0..64).map(|_| Mutex::new(())).collect(),
-            tuning,
             adaptive: None,
         }
     }
@@ -115,7 +81,7 @@ impl PrinsEngine {
     /// retune from any thread while the engine runs; the adaptive
     /// policy's phase hook points here.
     pub fn tuning(&self) -> &Arc<PipelineTuning> {
-        &self.tuning
+        &self.pipeline.cx().tuning
     }
 
     /// The adaptive policy engine (decision counters, counterfactuals,
@@ -128,7 +94,7 @@ impl PrinsEngine {
     /// The metrics registry the engine records into, if one was
     /// attached via [`observe`](crate::EngineBuilder::observe).
     pub fn registry(&self) -> Option<&Arc<prins_obs::Registry>> {
-        self.shared.obs.as_ref().map(|obs| &obs.registry)
+        self.pipeline.cx().probe.registry()
     }
 
     /// The per-write trace sink, if tracing was enabled via
@@ -136,7 +102,7 @@ impl PrinsEngine {
     /// Share it with cluster layers (`attach_tracer`) for end-to-end
     /// traces across the whole stack.
     pub fn trace_sink(&self) -> Option<&Arc<prins_obs::TraceSink>> {
-        self.shared.trace.as_ref()
+        self.pipeline.cx().probe.trace_sink()
     }
 
     /// Drives one pipeline round when the engine was built with
@@ -153,13 +119,14 @@ impl PrinsEngine {
     /// Snapshot of the engine's counters.
     ///
     /// `writes_replicated` is the number of writes acknowledged by
-    /// *every* replica; `replicated_payload_bytes` counts each
-    /// successful transmission once per lane (a write sent to three
-    /// replicas contributes three payloads).
+    /// *every* replica; `replicated_payload_bytes` counts the sealed
+    /// frame of each successful transmission once per lane (a write
+    /// sent to three replicas contributes three frames).
     pub fn stats(&self) -> EngineStats {
-        let lanes = self.pipeline.lanes();
+        let cx = self.pipeline.cx();
+        let lanes = &cx.lanes;
         let writes_replicated = if lanes.is_empty() {
-            self.shared.dispatched_writes.load(Ordering::Relaxed)
+            cx.stats.dispatched_writes.load(Ordering::Relaxed)
         } else {
             lanes
                 .iter()
@@ -168,29 +135,30 @@ impl PrinsEngine {
                 .unwrap_or(0)
         };
         EngineStats {
-            writes: self.shared.writes.load(Ordering::Relaxed),
-            reads: self.shared.reads.load(Ordering::Relaxed),
+            writes: cx.stats.writes.load(Ordering::Relaxed),
+            reads: cx.stats.reads.load(Ordering::Relaxed),
             writes_replicated,
             replicated_payload_bytes: lanes
                 .iter()
                 .map(|l| l.payload_bytes.load(Ordering::Relaxed))
                 .sum(),
-            local_write_nanos: self.shared.local_write_nanos.load(Ordering::Relaxed),
-            overhead_nanos: self.shared.overhead_nanos.load(Ordering::Relaxed),
+            local_write_nanos: cx.stats.local_write_nanos.load(Ordering::Relaxed),
+            overhead_nanos: cx.stats.overhead_nanos.load(Ordering::Relaxed),
             send_nanos: lanes
                 .iter()
                 .map(|l| l.send_nanos.load(Ordering::Relaxed) + l.ack_nanos.load(Ordering::Relaxed))
                 .sum(),
-            replication_errors: self.shared.replication_errors.load(Ordering::Relaxed),
-            coalesced_writes: self.shared.coalesced_writes.load(Ordering::Relaxed),
-            queue_depth_hwm: self.shared.queue_depth_hwm.load(Ordering::Relaxed),
+            replication_errors: cx.stats.replication_errors.load(Ordering::Relaxed),
+            coalesced_writes: cx.stats.coalesced_writes.load(Ordering::Relaxed),
+            queue_depth_hwm: cx.stats.queue_depth_hwm.load(Ordering::Relaxed),
         }
     }
 
     /// Per-replica sender-lane counters, in replica order.
     pub fn lane_stats(&self) -> Vec<LaneStats> {
         self.pipeline
-            .lanes()
+            .cx()
+            .lanes
             .iter()
             .map(|l| LaneStats {
                 sends: l.sends.load(Ordering::Relaxed),
@@ -201,16 +169,6 @@ impl PrinsEngine {
                 errors: l.errors.load(Ordering::Relaxed),
             })
             .collect()
-    }
-
-    /// Per-lane `(lba, seq)` send logs, in send order.
-    ///
-    /// Empty unless the engine was built with
-    /// [`trace_sends`](crate::EngineBuilder::trace_sends); intended for
-    /// ordering tests — the transports deliver in send order, so each
-    /// log is exactly the replica's arrival order.
-    pub fn send_logs(&self) -> Vec<Vec<(Lba, u64)>> {
-        self.pipeline.lanes().iter().map(|l| l.send_log()).collect()
     }
 
     /// The wrapped local device.
@@ -226,7 +184,7 @@ impl PrinsEngine {
     /// occurred since the last check (the error is consumed).
     pub fn replication_barrier(&self) -> Result<()> {
         self.pipeline.barrier();
-        if let Some(err) = self.shared.last_error.lock().take() {
+        if let Some(err) = self.pipeline.cx().stats.last_error.lock().take() {
             return Err(BlockError::DeviceFailed {
                 device: format!("replication failed: {err}"),
             });
@@ -255,44 +213,46 @@ impl BlockDevice for PrinsEngine {
 
     fn read_block(&self, lba: Lba, buf: &mut [u8]) -> Result<()> {
         self.device.read_block(lba, buf)?;
-        self.shared.reads.fetch_add(1, Ordering::Relaxed);
+        self.pipeline
+            .cx()
+            .stats
+            .reads
+            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     fn write_block(&self, lba: Lba, buf: &[u8]) -> Result<()> {
+        let cx = self.pipeline.cx();
         // Serialize capture+write+admit per LBA stripe (see field doc).
         let _stripe = self.write_stripes[(lba.index() % 64) as usize].lock();
         // Forward step, part 1: capture the old image (the read a
         // RAID-4/5 small write performs anyway) into a pooled buffer.
-        let t0 = self.clock.now_nanos();
+        let t0 = cx.probe.now();
         let bs = self.geometry().block_size().bytes();
-        let mut old = self.pool.get(bs);
+        let mut old = cx.pool.get(bs);
         old.resize_zeroed(bs);
         self.device.read_block(lba, old.as_mut_slice())?;
-        let capture_nanos = self.clock.now_nanos().saturating_sub(t0);
+        let capture_nanos = cx.probe.now().saturating_sub(t0);
 
         // The local write itself.
-        let t1 = self.clock.now_nanos();
+        let t1 = cx.probe.now();
         self.device.write_block(lba, buf)?;
-        let write_nanos = self.clock.now_nanos().saturating_sub(t1);
+        let write_nanos = cx.probe.now().saturating_sub(t1);
 
-        self.shared
+        cx.stats
             .overhead_nanos
             .fetch_add(capture_nanos, Ordering::Relaxed);
-        self.shared
+        cx.stats
             .local_write_nanos
             .fetch_add(write_nanos, Ordering::Relaxed);
-        self.shared.writes.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.shared.obs {
-            obs.capture.record(capture_nanos);
-            obs.local_write.record(write_nanos);
-        }
+        cx.stats.writes.fetch_add(1, Ordering::Relaxed);
+        cx.probe.local_io(capture_nanos, write_nanos);
 
         // Forward step, part 2: the new image's single hot-path copy,
         // into a pooled buffer the encoder reads from in place.
-        let mut new = self.pool.get(buf.len());
+        let mut new = cx.pool.get(buf.len());
         new.copy_from(buf);
-        self.shared
+        cx.stats
             .hot_bytes_copied
             .fetch_add(buf.len() as u64, Ordering::Relaxed);
         self.pipeline
@@ -313,48 +273,38 @@ impl Drop for PrinsEngine {
         // Best-effort teardown; errors were reportable via shutdown().
         // The pipeline drains queued work before its threads exit.
         self.pipeline.shutdown();
-        if let Some(obs) = &self.shared.obs {
+        if let Some(registry) = self.pipeline.cx().probe.registry() {
             // Final gauge publish: the snapshot collector only holds a
             // Weak to this engine's state and goes quiet after drop.
-            publish_engine_gauges(
-                &obs.registry,
-                &self.shared,
-                self.pipeline.lanes(),
-                &self.pool,
-            );
+            publish_engine_gauges(registry, self.pipeline.cx());
         }
     }
 }
 
 /// Copies the engine's counters into registry gauges. Run by the
 /// snapshot collector while the engine lives and once at drop.
-fn publish_engine_gauges(
-    reg: &prins_obs::Registry,
-    shared: &Shared,
-    lanes: &[Arc<crate::pipeline::LaneState>],
-    pool: &BufPool,
-) {
-    let pool_stats = pool.stats();
-    let writes = shared.writes.load(Ordering::Relaxed);
-    let hot_bytes = shared.hot_bytes_copied.load(Ordering::Relaxed);
+fn publish_engine_gauges(reg: &prins_obs::Registry, cx: &Inner) {
+    let pool_stats = cx.pool.stats();
+    let writes = cx.stats.writes.load(Ordering::Relaxed);
+    let hot_bytes = cx.stats.hot_bytes_copied.load(Ordering::Relaxed);
     for (name, value) in [
         ("engine_writes", writes),
-        ("engine_reads", shared.reads.load(Ordering::Relaxed)),
+        ("engine_reads", cx.stats.reads.load(Ordering::Relaxed)),
         (
             "engine_coalesced_writes",
-            shared.coalesced_writes.load(Ordering::Relaxed),
+            cx.stats.coalesced_writes.load(Ordering::Relaxed),
         ),
         (
             "engine_dispatched_writes",
-            shared.dispatched_writes.load(Ordering::Relaxed),
+            cx.stats.dispatched_writes.load(Ordering::Relaxed),
         ),
         (
             "engine_replication_errors",
-            shared.replication_errors.load(Ordering::Relaxed),
+            cx.stats.replication_errors.load(Ordering::Relaxed),
         ),
         (
             "engine_queue_depth_hwm",
-            shared.queue_depth_hwm.load(Ordering::Relaxed),
+            cx.stats.queue_depth_hwm.load(Ordering::Relaxed),
         ),
         ("engine_hot_bytes_copied", hot_bytes),
         (
@@ -369,7 +319,7 @@ fn publish_engine_gauges(
     ] {
         reg.gauge(name).set(value);
     }
-    for (idx, lane) in lanes.iter().enumerate() {
+    for (idx, lane) in cx.lanes.iter().enumerate() {
         for (suffix, value) in [
             ("sends", lane.sends.load(Ordering::Relaxed)),
             ("acked_writes", lane.acked_writes.load(Ordering::Relaxed)),

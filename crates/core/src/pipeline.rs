@@ -8,15 +8,25 @@
 //!
 //! ```text
 //!  write_block (per-LBA stripe lock)
-//!       │  admit: sequence assignment + XOR-fold coalescing
+//!       │  Pipeline::admit: sequence assignment + XOR-fold coalescing
 //!       ▼
-//!  [admission queue] ──▶ encode pool (N workers: P' = new ⊕ old, encode)
+//!  [admission queue] ──▶ encode_and_release (N workers: P' = new ⊕ old, encode)
 //!       │  reorder buffer releases payloads in sequence order
 //!       ▼
-//!  ┌── sender lane 0: bounded queue ▷ batch ▷ send ▷ windowed acks
-//!  ├── sender lane 1:      "            "      "         "
-//!  └── sender lane k:      "            "      "         "
+//!  ┌── Lane 0: bounded queue ▷ handle: batch ▷ seal ▷ send ▷ collect_oldest down to the window
+//!  ├── Lane 1:      "            "        "       "      "            "
+//!  └── Lane k:      "            "        "       "      "            "
 //! ```
+//!
+//! Three objects carry it. `Inner` is the one context every stage
+//! borrows: the queues between the stages, the replicator, the buffer
+//! pool, the live `PipelineTuning`, the resolved ack window and
+//! timeout, the engine's counters and the `Probe`. A `Lane` is one
+//! replica's sender — its `Link`, in-flight window and batch scratch —
+//! with three verbs: `handle` one queue message, `collect_oldest` one
+//! acknowledgement, `drain` the window; they are the only code that
+//! sends a frame or awaits a response. The `Probe` is told about
+//! every hop and alone decides what is recorded about it.
 //!
 //! Invariants:
 //!
@@ -45,15 +55,18 @@
 //!
 //! # Determinism seam
 //!
-//! All elapsed-time accounting goes through an injected
+//! All elapsed-time accounting goes through the `Probe`'s injected
 //! [`Clock`](prins_net::Clock), and the whole pipeline can run without
 //! any worker threads in *manual* mode
 //! ([`EngineBuilder::manual_stepping`](crate::EngineBuilder::manual_stepping)):
-//! admissions queue up until [`Pipeline::step`] drives encode → reorder
-//! → lanes → acks to completion on the caller's thread. The `prins-sim`
-//! harness combines this with a virtual clock and simulated transports
-//! to explore fault schedules deterministically; the stage bodies are
-//! the same functions the threaded loops run.
+//! same methods, different caller. Threaded, each encode worker loops
+//! over `claim_job` → `encode_and_release` and each lane thread over
+//! `lane.handle(queue.pop())`; in manual mode the lanes sit in the
+//! `Pipeline` instead of on threads, admissions queue up, and
+//! `Pipeline::step` makes those same calls on the caller's thread
+//! until the queues are empty. The `prins-sim` harness combines this
+//! with a virtual clock and simulated transports to explore fault
+//! schedules deterministically.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -63,29 +76,28 @@ use std::time::Duration;
 
 use prins_block::Lba;
 use prins_buf::{BufPool, PooledBuf, PooledBytes};
-use prins_net::{Clock, Transport};
-use prins_obs::{Event, EventKind, TraceId, TraceSink, TraceStage, NO_LANE};
+use prins_net::Transport;
 use prins_repl::{put_batch, seal_begin, Link, LinkEvent, ReplError, Replicator, SeqRange, ACK};
 
-use crate::obs::PipeObs;
+use crate::obs::Probe;
 
 /// Tuning knobs for the replication pipeline (set via
 /// [`EngineBuilder`](crate::EngineBuilder)).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct PipelineConfig {
     /// Parity-encoding worker threads.
     pub encode_workers: usize,
-    /// Fold a write into a still-queued write to the same LBA.
+    /// Fold a write into a still-queued write to the same LBA (the
+    /// starting value of [`PipelineTuning::coalesce`]).
     pub coalesce: bool,
-    /// Maximum payloads packed into one wire frame (≤ 1 disables
-    /// batching).
+    /// Maximum payloads packed into one wire frame, ≤ 1 disables
+    /// batching (the starting value of
+    /// [`PipelineTuning::batch_frames`]).
     pub batch_frames: usize,
     /// In-flight (unacknowledged) frames allowed per lane.
     pub ack_window: usize,
     /// How long a lane waits for each acknowledgement.
     pub ack_timeout: Duration,
-    /// Record every (lba, seq) a lane sends, for ordering tests.
-    pub trace_sends: bool,
     /// Manual (stepped) mode: no worker threads; the caller drives the
     /// stages through [`Pipeline::step`].
     pub manual: bool,
@@ -99,15 +111,14 @@ impl Default for PipelineConfig {
             batch_frames: 1,
             ack_window: 1,
             ack_timeout: Duration::from_secs(10),
-            trace_sends: false,
             manual: false,
         }
     }
 }
 
-/// The live-tunable subset of [`PipelineConfig`]: knobs that are safe
-/// to flip while the pipeline runs, read fresh by the stage that uses
-/// them on every admission or frame.
+/// The live-tunable pipeline knobs: safe to flip while the pipeline
+/// runs, read fresh by the stage that uses them on every admission or
+/// frame.
 ///
 /// The adaptive policy engine retunes these on workload-phase
 /// transitions — deep batching while writes are tiny parity deltas,
@@ -127,13 +138,6 @@ pub struct PipelineTuning {
 }
 
 impl PipelineTuning {
-    pub(crate) fn from_config(config: &PipelineConfig) -> Arc<Self> {
-        Arc::new(Self {
-            batch_frames: AtomicUsize::new(config.batch_frames.max(1)),
-            coalesce: AtomicBool::new(config.coalesce),
-        })
-    }
-
     /// Maximum payloads packed into one wire frame (clamped to ≥ 1).
     pub fn set_batch_frames(&self, frames: usize) {
         self.batch_frames.store(frames.max(1), Ordering::Relaxed);
@@ -156,41 +160,6 @@ impl PipelineTuning {
     }
 }
 
-/// Counters shared between the engine front-end and the pipeline
-/// stages.
-#[derive(Default)]
-pub(crate) struct Shared {
-    pub writes: AtomicU64,
-    pub reads: AtomicU64,
-    pub local_write_nanos: AtomicU64,
-    pub overhead_nanos: AtomicU64,
-    pub replication_errors: AtomicU64,
-    pub coalesced_writes: AtomicU64,
-    pub queue_depth_hwm: AtomicU64,
-    /// Writes released by the reorder stage to the sender lanes (with
-    /// no replicas configured this is the replicated count).
-    pub dispatched_writes: AtomicU64,
-    /// Bytes memcpy'd on the hot path (block capture → wire frame).
-    /// With the pooled path a block's bytes are copied once at capture
-    /// and once onto the wire; this counter is what proves it.
-    pub hot_bytes_copied: AtomicU64,
-    pub last_error: parking_lot::Mutex<Option<String>>,
-    /// Registry wiring; `None` costs one branch per stage.
-    pub obs: Option<PipeObs>,
-    /// Per-write causal tracing; `None` costs one branch per stage.
-    /// Stage hops record into fixed slots, so the write path stays
-    /// allocation-free with tracing on.
-    pub trace: Option<Arc<TraceSink>>,
-}
-
-pub(crate) fn record_error(shared: &Shared, e: &ReplError) {
-    shared.replication_errors.fetch_add(1, Ordering::Relaxed);
-    let mut slot = shared.last_error.lock();
-    if slot.is_none() {
-        *slot = Some(e.to_string());
-    }
-}
-
 /// A write waiting for the encode pool. The block images live in
 /// pooled buffers checked out by the engine front-end; encoding
 /// returns them to the pool.
@@ -201,7 +170,7 @@ struct EncodeJob {
     new: PooledBuf,
     /// Writes folded into this job beyond the first.
     folds: u64,
-    /// Clock reading at admission (0 when observability is off).
+    /// The probe's admission stamp.
     admitted_at: u64,
 }
 
@@ -217,32 +186,28 @@ struct AdmitState {
     closed: bool,
 }
 
-/// An encoded payload waiting for its sequence turn.
-struct Ready {
-    lba: Lba,
-    writes: u64,
-    payload: PooledBytes,
-    /// Clock reading when encoding finished (0 when observability is
-    /// off); the reorder hold is measured against it at release.
-    encoded_at: u64,
+/// An encoded write on its way to the replicas: parked in the reorder
+/// buffer until its sequence turn, then handed to every lane.
+#[derive(Clone)]
+pub(crate) struct Outbound {
+    pub seq: u64,
+    pub lba: Lba,
+    /// Application writes it carries (1 + folds).
+    pub writes: u64,
+    pub bytes: PooledBytes,
+    /// When it finished encoding while parked, the probe's release
+    /// stamp once released; each hop's wait is measured against it.
+    pub at: u64,
 }
 
 struct ReorderState {
     /// Next sequence number to release to the lanes.
     next_seq: u64,
-    ready: HashMap<u64, Ready>,
+    ready: HashMap<u64, Outbound>,
 }
 
 enum LaneMsg {
-    Payload {
-        seq: u64,
-        lba: Lba,
-        writes: u64,
-        bytes: PooledBytes,
-        /// Clock reading at release to the lanes (0 when observability
-        /// is off); the lane-queue wait is measured against it.
-        released_at: u64,
-    },
+    Payload(Outbound),
     Barrier(Arc<BarrierGate>),
     Shutdown,
 }
@@ -277,7 +242,8 @@ impl BarrierGate {
     }
 }
 
-/// One replica's sender lane: a bounded queue plus its counters.
+/// One replica's sender-lane queue plus its counters — the half of a
+/// lane the other stages and the engine's stats can see.
 ///
 /// The queue is hand-rolled over `std::sync` because the vendored
 /// crossbeam only ships unbounded channels and backpressure here is
@@ -293,23 +259,21 @@ pub(crate) struct LaneState {
     pub send_nanos: AtomicU64,
     pub ack_nanos: AtomicU64,
     pub errors: AtomicU64,
-    send_log: Option<Mutex<Vec<(Lba, u64)>>>,
 }
 
 impl LaneState {
-    fn new(cap: usize, trace_sends: bool) -> Self {
+    fn new(cap: usize) -> Self {
         Self {
             queue: Mutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            cap: cap.max(1),
+            cap,
             sends: AtomicU64::new(0),
             acked_writes: AtomicU64::new(0),
             payload_bytes: AtomicU64::new(0),
             send_nanos: AtomicU64::new(0),
             ack_nanos: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            send_log: trace_sends.then(|| Mutex::new(Vec::new())),
         }
     }
 
@@ -344,66 +308,84 @@ impl LaneState {
 
     /// Pops the next message only if it is a payload — batching must
     /// not reorder across barriers.
-    fn try_pop_payload(&self) -> Option<LaneMsg> {
+    fn try_pop_payload(&self) -> Option<Outbound> {
         let mut q = self.queue.lock().unwrap();
-        if matches!(q.front(), Some(LaneMsg::Payload { .. })) {
-            let msg = q.pop_front();
-            self.not_full.notify_one();
-            msg
-        } else {
-            None
+        if !matches!(q.front(), Some(LaneMsg::Payload(_))) {
+            return None;
         }
-    }
-
-    fn record_sent(&self, trace: &[(Lba, u64)]) {
-        if let Some(log) = &self.send_log {
-            log.lock().unwrap().extend_from_slice(trace);
+        self.not_full.notify_one();
+        match q.pop_front() {
+            Some(LaneMsg::Payload(w)) => Some(w),
+            _ => unreachable!("the front was a payload under this lock"),
         }
-    }
-
-    pub fn send_log(&self) -> Vec<(Lba, u64)> {
-        self.send_log
-            .as_ref()
-            .map(|log| log.lock().unwrap().clone())
-            .unwrap_or_default()
     }
 }
 
-/// State shared by the admission front-end, the encode pool and the
-/// barrier.
-struct Inner {
+/// The one context every stage borrows: the queues between the stages,
+/// what the stages work with, and the counters they and the engine
+/// front-end keep.
+pub(crate) struct Inner {
     admit: Mutex<AdmitState>,
     admit_cv: Condvar,
     reorder: Mutex<ReorderState>,
     reorder_cv: Condvar,
-    lanes: Vec<Arc<LaneState>>,
-    shared: Arc<Shared>,
-    clock: Arc<dyn Clock>,
-    /// Slab pool for payload and wire buffers (block-image buffers are
-    /// checked out by the engine front-end from the same pool).
-    pool: BufPool,
+    pub lanes: Vec<Arc<LaneState>>,
+    replicator: Arc<dyn Replicator>,
+    pub tuning: Arc<PipelineTuning>,
+    /// In-flight frames per lane, resolved from the ack policy (≥ 1).
+    ack_window: usize,
+    ack_timeout: Duration,
+    /// Slab pool for block images, encoded payloads and wire frames, so
+    /// buffers recycle across the whole hot path.
+    pub pool: BufPool,
+    pub probe: Probe,
+    pub stats: Counters,
 }
 
-/// One lane's sender context in manual mode: the link plus the
-/// in-flight frame accounting the lane thread would otherwise keep on
-/// its stack.
-struct SteppedLane {
-    link: Link,
-    outstanding: VecDeque<InFlight>,
+/// What the engine front-end and the stages count.
+#[derive(Default)]
+pub(crate) struct Counters {
+    pub writes: AtomicU64,
+    pub reads: AtomicU64,
+    pub local_write_nanos: AtomicU64,
+    pub overhead_nanos: AtomicU64,
+    pub replication_errors: AtomicU64,
+    pub coalesced_writes: AtomicU64,
+    pub queue_depth_hwm: AtomicU64,
+    /// Writes released by the reorder stage to the sender lanes (with
+    /// no replicas configured this is the replicated count).
+    pub dispatched_writes: AtomicU64,
+    /// Bytes memcpy'd on the hot path (block capture → wire frame).
+    /// With the pooled path a block's bytes are copied once at capture
+    /// and once onto the wire; this counter is what proves it.
+    pub hot_bytes_copied: AtomicU64,
+    pub last_error: parking_lot::Mutex<Option<String>>,
+}
+
+impl Counters {
+    fn record_error(&self, e: &ReplError) {
+        self.replication_errors.fetch_add(1, Ordering::Relaxed);
+        let mut slot = self.last_error.lock();
+        if slot.is_none() {
+            *slot = Some(e.to_string());
+        }
+    }
 }
 
 /// One sent, unacknowledged frame: the writes it carries plus the
 /// sealed wire bytes, retained so a corrupt NAK can be answered with a
 /// retransmission instead of an error. The frame stays in its pooled
 /// buffer; acknowledgement recycles it.
-struct InFlight {
-    writes: u64,
+pub(crate) struct InFlight {
+    pub writes: u64,
     /// The pipeline writes the frame carries. Reorder releases in
     /// strict sequence order and lane queues are FIFO, so a batch is
     /// always a contiguous run — two words correlate the eventual ack
     /// back to every write's trace.
-    range: SeqRange,
-    frame: PooledBuf,
+    pub range: SeqRange,
+    /// The first carried write's LBA.
+    pub lba: Lba,
+    pub frame: PooledBuf,
 }
 
 /// Retransmissions attempted per frame before a corrupt NAK becomes a
@@ -414,30 +396,211 @@ const MAX_RETRANSMITS: u32 = 3;
 /// encode pool, not the application.
 const LANE_QUEUE_CAP: usize = 1024;
 
-/// Manual-mode runtime: everything the worker threads would own.
-struct Stepped {
-    replicator: Arc<dyn Replicator>,
-    lanes: Mutex<Vec<SteppedLane>>,
-    cfg: PipelineConfig,
+/// One replica's sender: the only code that sends a frame or awaits a
+/// response. Owned by its lane thread, or by the [`Pipeline`] in manual
+/// mode.
+struct Lane {
+    idx: usize,
+    /// Lanes have no replica lifecycle (no offline/rejoin): the link
+    /// stays at its first epoch for the life of the engine.
+    link: Link,
+    state: Arc<LaneState>,
+    /// Sent, unacknowledged frames, oldest first.
+    window: VecDeque<InFlight>,
+    /// The payloads of the frame being built; empty between frames.
+    batch: Vec<PooledBytes>,
+    /// The sequence number the next payload must carry.
+    next_seq: u64,
+}
+
+impl Lane {
+    /// Handles one queue message; `false` once the lane has shut down.
+    ///
+    /// A payload is batched with its queued successors, sealed, sent,
+    /// and acknowledgements are retired down to the window. Frame
+    /// assembly is single-copy: each payload's bytes move from their
+    /// pooled buffer straight into the sealed wire buffer (also
+    /// pooled), with the batch header and the seal envelope written
+    /// around them in place, and one CRC pass in [`SealWriter::finish`]
+    /// covers the whole batch. The frame stays in its pooled buffer
+    /// until it is acknowledged, so a retransmission resends the same
+    /// bytes.
+    ///
+    /// [`SealWriter::finish`]: prins_repl::SealWriter::finish
+    fn handle(&mut self, cx: &Inner, msg: LaneMsg) -> bool {
+        let first = match msg {
+            LaneMsg::Payload(first) => first,
+            LaneMsg::Barrier(gate) => {
+                self.drain(cx);
+                gate.arrive();
+                return true;
+            }
+            LaneMsg::Shutdown => {
+                self.drain(cx);
+                return false;
+            }
+        };
+        let probe = &cx.probe;
+        let batch_frames = cx.tuning.batch_frames();
+        let picked_up = probe.stamp();
+        let lba = first.lba;
+        let mut range = SeqRange::empty();
+        let mut writes = 0;
+        let mut next = Some(first);
+        while let Some(w) = next {
+            debug_assert_eq!(w.seq, self.next_seq, "a lane sends every seq, in order");
+            self.next_seq = w.seq + 1;
+            probe.picked_up(self.idx, picked_up, &w);
+            range.push(w.seq);
+            writes += w.writes;
+            self.batch.push(w.bytes);
+            next = if self.batch.len() < batch_frames {
+                self.state.try_pop_payload()
+            } else {
+                None
+            };
+        }
+        let payload_len: usize = self.batch.iter().map(|p| p.len()).sum();
+        let mut frame = cx.pool.get(payload_len + 10 * (self.batch.len() - 1) + 32);
+        let out = frame.vec_mut();
+        let writer = seal_begin(self.link.epoch(), out);
+        match &self.batch[..] {
+            [only] => out.extend_from_slice(only),
+            batch => put_batch(out, batch.iter().map(|p| &p[..])),
+        }
+        writer.finish(out);
+        cx.stats
+            .hot_bytes_copied
+            .fetch_add(payload_len as u64, Ordering::Relaxed);
+        self.batch.clear();
+        let flight = InFlight {
+            writes,
+            range,
+            lba,
+            frame,
+        };
+
+        let t0 = probe.now();
+        let sent = self.link.transport().send(&flight.frame);
+        let t1 = probe.now();
+        let took = t1.saturating_sub(t0);
+        self.state.send_nanos.fetch_add(took, Ordering::Relaxed);
+        match sent {
+            Ok(()) => {
+                self.state.sends.fetch_add(1, Ordering::Relaxed);
+                self.state
+                    .payload_bytes
+                    .fetch_add(flight.frame.len() as u64, Ordering::Relaxed);
+                probe.sent(self.idx, &flight, took, t1);
+                self.window.push_back(flight);
+                while self.window.len() >= cx.ack_window {
+                    self.collect_oldest(cx);
+                }
+            }
+            Err(e) => {
+                // The frame retires unsent; the error surfaces at the
+                // next flush.
+                self.state.errors.fetch_add(1, Ordering::Relaxed);
+                probe.send_failed(self.idx, &flight, took, t1);
+                cx.stats.record_error(&e.into());
+            }
+        }
+        true
+    }
+
+    /// Retires the oldest in-flight frame with one acknowledgement. A
+    /// corrupt NAK — the frame was damaged in flight, caught by the
+    /// seal's CRC32C — retransmits the retained copy up to
+    /// [`MAX_RETRANSMITS`] times, waiting one `ack_timeout` longer per
+    /// attempt so the retry rides out whatever delayed traffic damaged
+    /// the first copy.
+    ///
+    /// Retransmission needs unambiguous response alignment: acks carry
+    /// no frame identity, so a retry's ack is only attributable when
+    /// this frame is the *sole* in-flight one (always true in the
+    /// closed-loop window of 1). With more frames in the window a
+    /// corrupt NAK falls through to the error path instead, and the
+    /// block is repaired by the resync layer rather than guessed at
+    /// here.
+    fn collect_oldest(&mut self, cx: &Inner) {
+        let probe = &cx.probe;
+        let flight = self.window.pop_front().expect("an in-flight frame");
+        let sole_in_flight = self.window.is_empty();
+        let mut on_event = |event| {
+            if let LinkEvent::CorruptNak = event {
+                probe.corrupt_nak();
+            }
+        };
+        let (mut attempt, mut waited) = (0u32, 0u64);
+        let mut t1;
+        let result: Result<(), ReplError> = loop {
+            let t0 = probe.now();
+            let answer = self.link.recv_response(
+                ACK,
+                self.link.epoch(),
+                cx.ack_timeout * (attempt + 1),
+                &mut on_event,
+            );
+            t1 = probe.now();
+            waited += t1.saturating_sub(t0);
+            self.state
+                .ack_nanos
+                .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
+            match answer {
+                // The frame was damaged in flight; resend the retained copy.
+                Err(ReplError::ChecksumMismatch { .. })
+                    if sole_in_flight && attempt < MAX_RETRANSMITS =>
+                {
+                    attempt += 1;
+                    if let Err(e) = self.link.transport().send(&flight.frame) {
+                        break Err(e.into());
+                    }
+                    self.state
+                        .payload_bytes
+                        .fetch_add(flight.frame.len() as u64, Ordering::Relaxed);
+                    probe.retransmitted(self.idx, &flight, t1);
+                }
+                answer => break answer.map(drop),
+            }
+        };
+        match result {
+            Ok(()) => {
+                self.state
+                    .acked_writes
+                    .fetch_add(flight.writes, Ordering::Relaxed);
+                probe.acked(self.idx, &flight, waited, t1);
+            }
+            Err(e) => {
+                probe.ack_failed(self.idx, &flight, waited, t1, &e);
+                self.state.errors.fetch_add(1, Ordering::Relaxed);
+                cx.stats.record_error(&e);
+            }
+        }
+    }
+
+    /// Retires every in-flight frame.
+    fn drain(&mut self, cx: &Inner) {
+        while !self.window.is_empty() {
+            self.collect_oldest(cx);
+        }
+    }
 }
 
 pub(crate) struct Pipeline {
     inner: Arc<Inner>,
-    tuning: Arc<PipelineTuning>,
     encode_handles: Mutex<Vec<JoinHandle<()>>>,
-    lane_handles: Mutex<Option<Vec<JoinHandle<()>>>>,
-    stepped: Option<Stepped>,
+    lane_handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Manual mode: the lanes the sender threads would own.
+    stepped: Option<Mutex<Vec<Lane>>>,
 }
 
 impl Pipeline {
     pub fn start(
         replicator: Arc<dyn Replicator>,
         transports: Vec<Box<dyn Transport>>,
-        shared: Arc<Shared>,
         config: &PipelineConfig,
-        clock: Arc<dyn Clock>,
         pool: BufPool,
-        tuning: Arc<PipelineTuning>,
+        probe: Probe,
     ) -> Self {
         // In manual mode a bounded lane queue would deadlock the single
         // driving thread, and backpressure is meaningless anyway.
@@ -446,16 +609,6 @@ impl Pipeline {
         } else {
             LANE_QUEUE_CAP
         };
-        let lanes: Vec<Arc<LaneState>> = transports
-            .iter()
-            .map(|_| Arc::new(LaneState::new(queue_cap, config.trace_sends)))
-            .collect();
-        // Lanes have no replica lifecycle (no offline/rejoin): each link
-        // stays at its first epoch for the life of the engine.
-        let links = transports
-            .into_iter()
-            .enumerate()
-            .map(|(idx, transport)| Link::new(idx, transport));
         let inner = Arc::new(Inner {
             admit: Mutex::new(AdmitState {
                 queue: VecDeque::new(),
@@ -469,142 +622,93 @@ impl Pipeline {
                 ready: HashMap::new(),
             }),
             reorder_cv: Condvar::new(),
-            lanes,
-            shared,
-            clock,
+            lanes: transports
+                .iter()
+                .map(|_| Arc::new(LaneState::new(queue_cap)))
+                .collect(),
+            replicator,
+            tuning: Arc::new(PipelineTuning {
+                batch_frames: AtomicUsize::new(config.batch_frames.max(1)),
+                coalesce: AtomicBool::new(config.coalesce),
+            }),
+            ack_window: config.ack_window.max(1),
+            ack_timeout: config.ack_timeout,
             pool,
+            probe,
+            stats: Counters::default(),
         });
-
+        let lanes = transports
+            .into_iter()
+            .enumerate()
+            .map(|(idx, transport)| Lane {
+                idx,
+                link: Link::new(idx, transport),
+                state: Arc::clone(&inner.lanes[idx]),
+                window: VecDeque::new(),
+                batch: Vec::new(),
+                next_seq: 0,
+            });
+        let (mut encoders, mut senders, mut stepped) = (Vec::new(), Vec::new(), None);
         if config.manual {
-            return Self {
-                inner,
-                tuning,
-                encode_handles: Mutex::new(Vec::new()),
-                lane_handles: Mutex::new(None),
-                stepped: Some(Stepped {
-                    replicator,
-                    lanes: Mutex::new(
-                        links
-                            .map(|link| SteppedLane {
-                                link,
-                                outstanding: VecDeque::new(),
-                            })
-                            .collect(),
-                    ),
-                    cfg: config.clone(),
-                }),
-            };
-        }
-
-        let mut encode_handles = Vec::new();
-        for worker in 0..config.encode_workers.max(1) {
-            let inner = Arc::clone(&inner);
-            let replicator = Arc::clone(&replicator);
-            encode_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("prins-encode-{worker}"))
-                    .spawn(move || run_encoder(&inner, &*replicator))
-                    .expect("spawn prins encode worker"),
+            stepped = Some(Mutex::new(lanes.collect()));
+        } else {
+            encoders.extend(
+                (0..config.encode_workers.max(1))
+                    .map(|worker| spawn(&inner, format!("prins-encode-{worker}"), run_encoder)),
             );
+            senders.extend(lanes.map(|mut lane| {
+                spawn(&inner, format!("prins-sender-{}", lane.idx), move |cx| {
+                    while lane.handle(cx, lane.state.pop()) {}
+                })
+            }));
         }
-
-        let mut lane_handles = Vec::new();
-        for (idx, link) in links.enumerate() {
-            let lane = Arc::clone(&inner.lanes[idx]);
-            let shared = Arc::clone(&inner.shared);
-            let cfg = config.clone();
-            let clock = Arc::clone(&inner.clock);
-            let pool = inner.pool.clone();
-            let tuning = Arc::clone(&tuning);
-            lane_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("prins-sender-{idx}"))
-                    .spawn(move || {
-                        run_lane(idx, &link, &lane, &shared, &cfg, &*clock, &pool, &tuning)
-                    })
-                    .expect("spawn prins sender lane"),
-            );
-        }
-
         Self {
             inner,
-            tuning,
-            encode_handles: Mutex::new(encode_handles),
-            lane_handles: Mutex::new(Some(lane_handles)),
-            stepped: None,
+            encode_handles: Mutex::new(encoders),
+            lane_handles: Mutex::new(senders),
+            stepped,
         }
+    }
+
+    /// The context the stages share — the engine front-end's counters,
+    /// pool and probe live there too.
+    pub fn cx(&self) -> &Arc<Inner> {
+        &self.inner
     }
 
     /// Drives a manual-mode pipeline one round on the caller's thread:
     /// encodes and releases every queued admission (in sequence order,
-    /// like the encode pool), then lets each lane in index order send
-    /// its released payloads and retire acknowledgements per the
-    /// configured window. Returns whether any work was done; always
-    /// `false` on a threaded pipeline.
+    /// like the encode pool), then lets each lane in index order handle
+    /// everything in its queue. Returns whether any work was done;
+    /// always `false` on a threaded pipeline.
     pub fn step(&self) -> bool {
-        let Some(stepped) = &self.stepped else {
+        let Some(lanes) = &self.stepped else {
             return false;
         };
+        let cx = &*self.inner;
         let mut progressed = false;
         loop {
-            let job = claim_job(&mut self.inner.admit.lock().unwrap());
+            let job = claim_job(&mut cx.admit.lock().unwrap());
             let Some(job) = job else { break };
-            encode_and_release(&self.inner, &*stepped.replicator, job);
+            encode_and_release(cx, job);
             progressed = true;
         }
-        let mut lanes_rt = stepped.lanes.lock().unwrap();
-        for (idx, rt) in lanes_rt.iter_mut().enumerate() {
-            let lane = &self.inner.lanes[idx];
-            while let Some(msg) = lane.try_pop() {
+        for lane in lanes.lock().unwrap().iter_mut() {
+            while let Some(msg) = lane.state.try_pop() {
+                lane.handle(cx, msg);
                 progressed = true;
-                match msg {
-                    LaneMsg::Payload {
-                        seq,
-                        lba,
-                        writes,
-                        bytes,
-                        released_at,
-                    } => lane_handle_payload(
-                        idx,
-                        &rt.link,
-                        lane,
-                        &self.inner.shared,
-                        &stepped.cfg,
-                        &*self.inner.clock,
-                        &self.inner.pool,
-                        self.tuning.batch_frames(),
-                        &mut rt.outstanding,
-                        seq,
-                        lba,
-                        writes,
-                        bytes,
-                        released_at,
-                    ),
-                    LaneMsg::Barrier(gate) => {
-                        self.collect_lane(stepped, idx, rt);
-                        gate.arrive();
-                    }
-                    LaneMsg::Shutdown => self.collect_lane(stepped, idx, rt),
-                }
             }
         }
         progressed
     }
 
-    fn collect_lane(&self, stepped: &Stepped, idx: usize, rt: &mut SteppedLane) {
-        collect_all(
-            idx,
-            &rt.link,
-            &self.inner.lanes[idx],
-            &self.inner.shared,
-            &stepped.cfg,
-            &*self.inner.clock,
-            &mut rt.outstanding,
-        );
-    }
-
-    pub fn lanes(&self) -> &[Arc<LaneState>] {
-        &self.inner.lanes
+    /// Manual mode's barrier: runs the stages dry and retires every
+    /// in-flight frame, all on the caller's thread.
+    fn drive_dry(&self, lanes: &Mutex<Vec<Lane>>) {
+        self.step();
+        for lane in lanes.lock().unwrap().iter_mut() {
+            lane.drain(&self.inner);
+        }
     }
 
     /// Admits a write: folds it into a still-queued job for the same
@@ -615,12 +719,11 @@ impl Pipeline {
     /// for this LBA left behind. Both images arrive in pooled buffers;
     /// a fold recycles the superseded `new` image immediately.
     pub fn admit(&self, lba: Lba, old: PooledBuf, new: PooledBuf) -> Result<(), ReplError> {
-        let obs = self.inner.shared.obs.as_ref();
-        let trace = self.inner.shared.trace.as_ref();
-        let new_len = new.len();
+        let cx = &*self.inner;
+        let bytes = new.len();
         // Read the live flag once so one admission sees one mode.
-        let coalesce = self.tuning.coalesce();
-        let mut st = self.inner.admit.lock().unwrap();
+        let coalesce = cx.tuning.coalesce();
+        let mut st = cx.admit.lock().unwrap();
         if st.closed {
             return Err(ReplError::Net(prins_net::NetError::Disconnected));
         }
@@ -631,20 +734,8 @@ impl Pipeline {
                 debug_assert_eq!(job.seq, seq);
                 job.new = new;
                 job.folds += 1;
-                self.inner
-                    .shared
-                    .coalesced_writes
-                    .fetch_add(1, Ordering::Relaxed);
-                if obs.is_some() || trace.is_some() {
-                    let now = self.inner.clock.now_nanos();
-                    if let Some(obs) = obs {
-                        obs.queue_depth.record(st.queue.len() as u64);
-                        obs.record(Event::new(now, EventKind::Coalesce).seq(seq).lba(lba.0));
-                    }
-                    if let Some(trace) = trace {
-                        trace.fold(TraceId::from_seq(seq), now, new_len);
-                    }
-                }
+                cx.stats.coalesced_writes.fetch_add(1, Ordering::Relaxed);
+                cx.probe.folded(seq, lba, bytes, st.queue.len());
                 return Ok(());
             }
         }
@@ -653,39 +744,20 @@ impl Pipeline {
         if coalesce {
             st.by_lba.insert(lba.0, seq);
         }
-        let admitted_at = if obs.is_some() || trace.is_some() {
-            let now = self.inner.clock.now_nanos();
-            if let Some(obs) = obs {
-                obs.record(Event::new(now, EventKind::Admit).seq(seq).lba(lba.0));
-            }
-            if let Some(trace) = trace {
-                // One expected completion per lane plus the reorder
-                // stage's hold, released once the payload is handed to
-                // the lanes — so a zero-replica engine still finalizes.
-                let pending = self.inner.lanes.len() as u32 + 1;
-                trace.begin(TraceId::from_seq(seq), 0, pending, now, new_len);
-            }
-            now
-        } else {
-            0
-        };
+        let depth = st.queue.len() + 1;
         st.queue.push_back(EncodeJob {
             seq,
             lba,
             old,
             new,
             folds: 0,
-            admitted_at,
+            admitted_at: cx.probe.admitted(seq, lba, bytes, depth),
         });
-        if let Some(obs) = obs {
-            obs.queue_depth.record(st.queue.len() as u64);
-        }
-        self.inner
-            .shared
+        cx.stats
             .queue_depth_hwm
-            .fetch_max(st.queue.len() as u64, Ordering::Relaxed);
+            .fetch_max(depth as u64, Ordering::Relaxed);
         drop(st);
-        self.inner.admit_cv.notify_one();
+        cx.admit_cv.notify_one();
         Ok(())
     }
 
@@ -695,38 +767,25 @@ impl Pipeline {
     /// In manual mode nothing waits: the barrier *drives* the stages to
     /// completion on the calling thread.
     pub fn barrier(&self) {
-        if let Some(stepped) = &self.stepped {
-            self.step();
-            let mut lanes_rt = stepped.lanes.lock().unwrap();
-            for (idx, rt) in lanes_rt.iter_mut().enumerate() {
-                self.collect_lane(stepped, idx, rt);
+        let cx = &*self.inner;
+        if let Some(lanes) = &self.stepped {
+            self.drive_dry(lanes);
+        } else {
+            let target = cx.admit.lock().unwrap().seq_alloc;
+            let mut ro = cx.reorder.lock().unwrap();
+            while ro.next_seq < target {
+                ro = cx.reorder_cv.wait(ro).unwrap();
             }
-            drop(lanes_rt);
-            self.record_barrier();
-            return;
+            drop(ro);
+            if !cx.lanes.is_empty() {
+                let gate = Arc::new(BarrierGate::new(cx.lanes.len()));
+                for lane in &cx.lanes {
+                    lane.push(LaneMsg::Barrier(Arc::clone(&gate)));
+                }
+                gate.wait();
+            }
         }
-        let target = self.inner.admit.lock().unwrap().seq_alloc;
-        let mut ro = self.inner.reorder.lock().unwrap();
-        while ro.next_seq < target {
-            ro = self.inner.reorder_cv.wait(ro).unwrap();
-        }
-        drop(ro);
-        if self.inner.lanes.is_empty() {
-            self.record_barrier();
-            return;
-        }
-        let gate = Arc::new(BarrierGate::new(self.inner.lanes.len()));
-        for lane in &self.inner.lanes {
-            lane.push(LaneMsg::Barrier(Arc::clone(&gate)));
-        }
-        gate.wait();
-        self.record_barrier();
-    }
-
-    fn record_barrier(&self) {
-        if let Some(obs) = &self.inner.shared.obs {
-            obs.record(Event::new(self.inner.clock.now_nanos(), EventKind::Barrier));
-        }
+        cx.probe.barrier();
     }
 
     /// Stops the pipeline: drains the admission queue, joins the
@@ -734,30 +793,39 @@ impl Pipeline {
     pub fn shutdown(&self) {
         self.inner.admit.lock().unwrap().closed = true;
         self.inner.admit_cv.notify_all();
-        if let Some(stepped) = &self.stepped {
-            self.step();
-            let mut lanes_rt = stepped.lanes.lock().unwrap();
-            for (idx, rt) in lanes_rt.iter_mut().enumerate() {
-                self.collect_lane(stepped, idx, rt);
-            }
-            return;
+        if let Some(lanes) = &self.stepped {
+            return self.drive_dry(lanes);
         }
         for handle in self.encode_handles.lock().unwrap().drain(..) {
             let _ = handle.join();
         }
-        if let Some(handles) = self.lane_handles.lock().unwrap().take() {
-            for lane in &self.inner.lanes {
-                lane.push(LaneMsg::Shutdown);
-            }
-            for handle in handles {
-                let _ = handle.join();
-            }
+        // The encode pool is gone, so nothing follows the shutdown
+        // token down a lane queue. A second call finds no handle left
+        // and sends none.
+        let mut handles = self.lane_handles.lock().unwrap();
+        for (lane, _) in self.inner.lanes.iter().zip(handles.iter()) {
+            lane.push(LaneMsg::Shutdown);
+        }
+        for handle in handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
 
+/// Starts one named pipeline thread over the shared context.
+fn spawn(
+    cx: &Arc<Inner>,
+    name: String,
+    body: impl FnOnce(&Inner) + Send + 'static,
+) -> JoinHandle<()> {
+    let cx = Arc::clone(cx);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || body(&cx))
+        .expect("spawn prins pipeline worker")
+}
+
 /// Takes the next admission-queue job, retiring its coalescing slot.
-/// Shared by the encode-pool workers and the stepped driver.
 fn claim_job(st: &mut AdmitState) -> Option<EncodeJob> {
     let job = st.queue.pop_front()?;
     if st.by_lba.get(&job.lba.0) == Some(&job.seq) {
@@ -769,107 +837,66 @@ fn claim_job(st: &mut AdmitState) -> Option<EncodeJob> {
 }
 
 /// Encodes one job and releases every consecutively-ready payload to
-/// the lanes. Shared by the encode-pool workers and the stepped driver.
-fn encode_and_release(inner: &Inner, replicator: &dyn Replicator, job: EncodeJob) {
-    let obs = inner.shared.obs.as_ref();
-    let trace = inner.shared.trace.as_ref();
-    let t0 = inner.clock.now_nanos();
+/// the lanes.
+fn encode_and_release(cx: &Inner, job: EncodeJob) {
+    let t0 = cx.probe.now();
     // Serialize straight into a pooled buffer: the fused encoders write
     // the wire payload without materializing the parity, and freezing
     // costs one `Arc` — the single unavoidable allocation per write.
-    let mut buf = inner.pool.get(job.new.len() + 24);
-    replicator.encode_write_into(job.lba, &job.old, &job.new, buf.vec_mut());
-    let payload = buf.freeze();
+    let mut buf = cx.pool.get(job.new.len() + 24);
+    cx.replicator
+        .encode_write_into(job.lba, &job.old, &job.new, buf.vec_mut());
+    let bytes = buf.freeze();
     // The block images return to the pool before the reorder lock.
     drop(job.old);
     drop(job.new);
-    let t1 = inner.clock.now_nanos();
-    inner
-        .shared
+    let t1 = cx.probe.now();
+    cx.stats
         .overhead_nanos
         .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
-    if let Some(obs) = obs {
-        obs.admission_wait
-            .record(t0.saturating_sub(job.admitted_at));
-        obs.encode.record(t1.saturating_sub(t0));
-        obs.record(
-            Event::new(t1, EventKind::EncodeDone)
-                .seq(job.seq)
-                .lba(job.lba.0),
-        );
-    }
-    if let Some(trace) = trace {
-        trace.event(
-            TraceId::from_seq(job.seq),
-            TraceStage::Encode,
-            NO_LANE,
-            t1,
-            payload.len(),
-        );
-    }
-
-    let mut ro = inner.reorder.lock().unwrap();
-    ro.ready.insert(
-        job.seq,
-        Ready {
-            lba: job.lba,
-            writes: 1 + job.folds,
-            payload,
-            encoded_at: t1,
-        },
+    let encoded = Outbound {
+        seq: job.seq,
+        lba: job.lba,
+        writes: 1 + job.folds,
+        bytes,
+        at: t1,
+    };
+    cx.probe.encoded(
+        &encoded,
+        t0.saturating_sub(job.admitted_at),
+        t1.saturating_sub(t0),
     );
-    // Release every consecutive payload that is now ready; peers
-    // that finish out of order leave theirs for whoever holds the
-    // next sequence number.
+
+    let mut ro = cx.reorder.lock().unwrap();
+    ro.ready.insert(encoded.seq, encoded);
+    // Release every consecutive payload that is now ready; peers that
+    // finish out of order leave theirs for whoever holds the next
+    // sequence number.
     loop {
         let seq = ro.next_seq;
-        let Some(ready) = ro.ready.remove(&seq) else {
+        let Some(mut w) = ro.ready.remove(&seq) else {
             break;
         };
         ro.next_seq += 1;
-        inner
-            .shared
+        cx.stats
             .dispatched_writes
-            .fetch_add(ready.writes, Ordering::Relaxed);
-        let released_at = if obs.is_some() || trace.is_some() {
-            let now = inner.clock.now_nanos();
-            if let Some(obs) = obs {
-                obs.reorder_hold
-                    .record(now.saturating_sub(ready.encoded_at));
-            }
-            now
-        } else {
-            0
-        };
-        if let Some(trace) = trace {
-            let id = TraceId::from_seq(seq);
-            trace.event(id, TraceStage::Reorder, NO_LANE, released_at, 0);
-            // Release the reorder hold *before* the lanes see the
-            // payload: pending stays ≥ lane count until their acks, and
-            // a zero-lane engine finalizes right here.
-            trace.release(id, released_at);
-        }
-        for lane in &inner.lanes {
-            lane.push(LaneMsg::Payload {
-                seq,
-                lba: ready.lba,
-                writes: ready.writes,
-                bytes: ready.payload.clone(),
-                released_at,
-            });
+            .fetch_add(w.writes, Ordering::Relaxed);
+        w.at = cx.probe.released(&w);
+        for lane in &cx.lanes {
+            lane.push(LaneMsg::Payload(w.clone()));
         }
     }
     drop(ro);
-    inner.reorder_cv.notify_all();
+    cx.reorder_cv.notify_all();
 }
 
 /// Encode-pool worker: drains the admission queue, encodes payloads
 /// concurrently with its peers and releases them through the reorder
 /// buffer in sequence order.
-fn run_encoder(inner: &Inner, replicator: &dyn Replicator) {
+fn run_encoder(cx: &Inner) {
     loop {
         let job = {
-            let mut st = inner.admit.lock().unwrap();
+            let mut st = cx.admit.lock().unwrap();
             loop {
                 if let Some(job) = claim_job(&mut st) {
                     break Some(job);
@@ -877,375 +904,11 @@ fn run_encoder(inner: &Inner, replicator: &dyn Replicator) {
                 if st.closed {
                     break None;
                 }
-                st = inner.admit_cv.wait(st).unwrap();
+                st = cx.admit_cv.wait(st).unwrap();
             }
         };
         let Some(job) = job else { return };
-        encode_and_release(inner, replicator, job);
-    }
-}
-
-/// One released payload's lane work: batch in queued successors, send
-/// the frame, retire acknowledgements down to the window. Shared by the
-/// lane threads and the stepped driver.
-///
-/// Frame assembly is single-copy: each payload's bytes move from their
-/// pooled buffer straight into the sealed wire buffer (also pooled),
-/// with the batch header and the seal envelope written around them in
-/// place. One slicing-by-8 CRC pass in [`SealWriter::finish`] covers
-/// the whole batch. The frame stays in its pooled buffer until it is
-/// acknowledged, so a retransmission resends the same bytes.
-///
-/// [`SealWriter::finish`]: prins_repl::SealWriter::finish
-#[allow(clippy::too_many_arguments)]
-fn lane_handle_payload(
-    idx: usize,
-    link: &Link,
-    lane: &LaneState,
-    shared: &Shared,
-    cfg: &PipelineConfig,
-    clock: &dyn Clock,
-    pool: &BufPool,
-    batch_frames: usize,
-    outstanding: &mut VecDeque<InFlight>,
-    seq: u64,
-    lba: Lba,
-    writes: u64,
-    bytes: PooledBytes,
-    released_at: u64,
-) {
-    let obs = shared.obs.as_ref();
-    let tsink = shared.trace.as_ref();
-    let picked_up = if obs.is_some() || tsink.is_some() {
-        let now = clock.now_nanos();
-        if let Some(obs) = obs {
-            obs.lane_queue.record(now.saturating_sub(released_at));
-        }
-        now
-    } else {
-        0
-    };
-    let first_seq = seq;
-    let first_lba = lba;
-    let tracing = lane.send_log.is_some();
-    let mut trace: Vec<(Lba, u64)> = Vec::new();
-    if tracing {
-        trace.push((lba, seq));
-    }
-    if let Some(tsink) = tsink {
-        tsink.event(
-            TraceId::from_seq(seq),
-            TraceStage::LaneQueue,
-            idx as u32,
-            picked_up,
-            bytes.len(),
-        );
-    }
-    let mut range = SeqRange::single(seq);
-    let mut total_writes = writes;
-    let mut extra: Vec<PooledBytes> = Vec::new();
-    while extra.len() + 1 < batch_frames {
-        match lane.try_pop_payload() {
-            Some(LaneMsg::Payload {
-                seq,
-                lba,
-                writes,
-                bytes,
-                released_at,
-            }) => {
-                if let Some(obs) = obs {
-                    obs.lane_queue.record(picked_up.saturating_sub(released_at));
-                }
-                if tracing {
-                    trace.push((lba, seq));
-                }
-                if let Some(tsink) = tsink {
-                    tsink.event(
-                        TraceId::from_seq(seq),
-                        TraceStage::LaneQueue,
-                        idx as u32,
-                        picked_up,
-                        bytes.len(),
-                    );
-                }
-                let contiguous = range.push(seq);
-                debug_assert!(contiguous, "lane batches are contiguous seq runs");
-                total_writes += writes;
-                extra.push(bytes);
-            }
-            _ => break,
-        }
-    }
-    let inner_len = bytes.len() + extra.iter().map(|p| p.len() + 10).sum::<usize>();
-    let mut wire = pool.get(inner_len + 32);
-    let out = wire.vec_mut();
-    let writer = seal_begin(link.epoch(), out);
-    if extra.is_empty() {
-        out.extend_from_slice(&bytes);
-    } else {
-        let payloads = std::iter::once(&bytes).chain(&extra);
-        put_batch(out, payloads.map(|p| &p[..]));
-    }
-    writer.finish(out);
-    shared.hot_bytes_copied.fetch_add(
-        (bytes.len() + extra.iter().map(|p| p.len()).sum::<usize>()) as u64,
-        Ordering::Relaxed,
-    );
-    drop(bytes);
-    drop(extra);
-
-    let t0 = clock.now_nanos();
-    let sent = link.transport().send(&wire);
-    let t1 = clock.now_nanos();
-    lane.send_nanos
-        .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
-    if let Some(obs) = obs {
-        obs.send.record(t1.saturating_sub(t0));
-    }
-    match sent {
-        Ok(()) => {
-            lane.sends.fetch_add(1, Ordering::Relaxed);
-            lane.payload_bytes
-                .fetch_add(wire.len() as u64, Ordering::Relaxed);
-            lane.record_sent(&trace);
-            if let Some(obs) = obs {
-                obs.record(
-                    Event::new(
-                        t1,
-                        EventKind::Send {
-                            writes: total_writes.min(u32::MAX as u64) as u32,
-                        },
-                    )
-                    .seq(first_seq)
-                    .lba(first_lba.0)
-                    .replica(idx),
-                );
-            }
-            if let Some(tsink) = tsink {
-                let wire_len = wire.len();
-                for s in range.iter() {
-                    tsink.event(
-                        TraceId::from_seq(s),
-                        TraceStage::Send,
-                        idx as u32,
-                        t1,
-                        if s == first_seq { wire_len } else { 0 },
-                    );
-                }
-            }
-            outstanding.push_back(InFlight {
-                writes: total_writes,
-                range,
-                frame: wire,
-            });
-            while outstanding.len() >= cfg.ack_window.max(1) {
-                collect_one(idx, link, lane, shared, cfg, clock, outstanding);
-            }
-        }
-        Err(e) => {
-            // The frame retires unsent; the error surfaces at the next
-            // flush.
-            lane.errors.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = obs {
-                obs.record(
-                    Event::new(t1, EventKind::SendError)
-                        .seq(first_seq)
-                        .lba(first_lba.0)
-                        .replica(idx),
-                );
-            }
-            if let Some(tsink) = tsink {
-                for s in range.iter() {
-                    tsink.complete(
-                        TraceId::from_seq(s),
-                        TraceStage::SendError,
-                        idx as u32,
-                        t1,
-                        0,
-                    );
-                }
-            }
-            record_error(shared, &e.into());
-        }
-    }
-}
-
-/// Sender-lane thread: batches queued payloads into frames, sends them
-/// and retires acknowledgements within the configured window.
-#[allow(clippy::too_many_arguments)]
-fn run_lane(
-    idx: usize,
-    link: &Link,
-    lane: &LaneState,
-    shared: &Shared,
-    cfg: &PipelineConfig,
-    clock: &dyn Clock,
-    pool: &BufPool,
-    tuning: &PipelineTuning,
-) {
-    // The in-flight (sent, unacknowledged) frames.
-    let mut outstanding: VecDeque<InFlight> = VecDeque::new();
-    loop {
-        match lane.pop() {
-            LaneMsg::Shutdown => {
-                collect_all(idx, link, lane, shared, cfg, clock, &mut outstanding);
-                return;
-            }
-            LaneMsg::Barrier(gate) => {
-                collect_all(idx, link, lane, shared, cfg, clock, &mut outstanding);
-                gate.arrive();
-            }
-            LaneMsg::Payload {
-                seq,
-                lba,
-                writes,
-                bytes,
-                released_at,
-            } => lane_handle_payload(
-                idx,
-                link,
-                lane,
-                shared,
-                cfg,
-                clock,
-                pool,
-                tuning.batch_frames(),
-                &mut outstanding,
-                seq,
-                lba,
-                writes,
-                bytes,
-                released_at,
-            ),
-        }
-    }
-}
-
-/// Retires the oldest in-flight frame with one acknowledgement. A
-/// corrupt NAK — the frame was damaged in flight, caught by the seal's
-/// CRC32C — retransmits the retained copy up to [`MAX_RETRANSMITS`]
-/// times, waiting one `ack_timeout` longer per attempt so the retry
-/// rides out whatever delayed traffic damaged the first copy.
-///
-/// Retransmission needs unambiguous response alignment: acks carry no
-/// frame identity, so a retry's ack is only attributable when this
-/// frame is the *sole* in-flight one (always true in the closed-loop
-/// window of 1). With more frames in the window a corrupt NAK falls
-/// through to the error path instead, and the block is repaired by the
-/// resync layer rather than guessed at here.
-fn collect_one(
-    idx: usize,
-    link: &Link,
-    lane: &LaneState,
-    shared: &Shared,
-    cfg: &PipelineConfig,
-    clock: &dyn Clock,
-    outstanding: &mut VecDeque<InFlight>,
-) {
-    let obs = shared.obs.as_ref();
-    let tsink = shared.trace.as_ref();
-    let InFlight {
-        writes: frame_writes,
-        range,
-        frame,
-    } = outstanding.pop_front().expect("outstanding frame");
-    let sole_in_flight = outstanding.is_empty();
-    let mut attempt: u32 = 0;
-    let mut waited: u64 = 0;
-    let mut t1;
-    let mut on_event = |event| {
-        if let (LinkEvent::CorruptNak, Some(obs)) = (event, obs) {
-            obs.checksum_failures.inc();
-        }
-    };
-    let result: Result<(), ReplError> = loop {
-        let t0 = clock.now_nanos();
-        let answer = link.recv_response(
-            ACK,
-            link.epoch(),
-            cfg.ack_timeout * (attempt + 1),
-            &mut on_event,
-        );
-        t1 = clock.now_nanos();
-        waited += t1.saturating_sub(t0);
-        lane.ack_nanos
-            .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
-        match answer {
-            // The frame was damaged in flight; resend the retained copy.
-            Err(ReplError::ChecksumMismatch { .. })
-                if sole_in_flight && attempt < MAX_RETRANSMITS =>
-            {
-                attempt += 1;
-                if let Err(e) = link.transport().send(&frame) {
-                    break Err(e.into());
-                }
-                lane.payload_bytes
-                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                if let Some(obs) = obs {
-                    obs.retransmits.inc();
-                }
-                if let Some(tsink) = tsink {
-                    for s in range.iter() {
-                        tsink.mark_retransmit(TraceId::from_seq(s), idx as u32, t1);
-                    }
-                }
-            }
-            answer => break answer.map(drop),
-        }
-    };
-    // One RTT sample and one terminal event per retired frame, however
-    // many retransmission round-trips it took.
-    if let Some(obs) = obs {
-        obs.ack_rtt.record(waited);
-    }
-    match result {
-        Ok(()) => {
-            lane.acked_writes.fetch_add(frame_writes, Ordering::Relaxed);
-            if let Some(obs) = obs {
-                obs.record(Event::new(t1, EventKind::AckOk).replica(idx));
-            }
-            if let Some(tsink) = tsink {
-                for s in range.iter() {
-                    tsink.complete(TraceId::from_seq(s), TraceStage::Ack, idx as u32, t1, 0);
-                }
-            }
-        }
-        Err(e) => {
-            if let Some(obs) = obs {
-                let kind = match e {
-                    ReplError::Nak { .. } => EventKind::Nak,
-                    _ => EventKind::AckError,
-                };
-                obs.record(Event::new(t1, kind).replica(idx));
-            }
-            if let Some(tsink) = tsink {
-                for s in range.iter() {
-                    tsink.complete(
-                        TraceId::from_seq(s),
-                        TraceStage::AckError,
-                        idx as u32,
-                        t1,
-                        0,
-                    );
-                }
-            }
-            lane.errors.fetch_add(1, Ordering::Relaxed);
-            record_error(shared, &e);
-        }
-    }
-}
-
-fn collect_all(
-    idx: usize,
-    link: &Link,
-    lane: &LaneState,
-    shared: &Shared,
-    cfg: &PipelineConfig,
-    clock: &dyn Clock,
-    outstanding: &mut VecDeque<InFlight>,
-) {
-    while !outstanding.is_empty() {
-        collect_one(idx, link, lane, shared, cfg, clock, outstanding);
+        encode_and_release(cx, job);
     }
 }
 
@@ -1663,16 +1326,20 @@ mod tests {
         shutdown_all(engine, replica_threads);
     }
 
-    /// Replays `writes` through a tracing engine and asserts that each
-    /// lane's send log shows strictly increasing sequence numbers per
-    /// LBA (the pipeline's ordering invariant, observed at the wire).
+    /// Replays `writes` through an observed engine and asserts that
+    /// each lane's send order — rebuilt from the registry's `send`,
+    /// `encode-done` and `coalesce` events, whose frames must tile the
+    /// sequence space — shows every write exactly once with strictly
+    /// increasing sequence numbers per LBA (the pipeline's ordering
+    /// invariant, observed at the wire).
     fn assert_per_lba_ordering(writes: &[(u64, u8)], encode_workers: usize) {
         let (transports, _links, replica_devs, replica_threads) = faulted_replicas(2, 8);
         let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
+        let registry = prins_obs::Registry::new();
         let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
             .encode_workers(encode_workers)
             .ack_policy(AckPolicy::Window(16))
-            .trace_sends(true);
+            .observe(Arc::clone(&registry));
         for transport in transports {
             builder = builder.replica(transport);
         }
@@ -1686,21 +1353,17 @@ mod tests {
         }
         engine.flush().unwrap();
 
-        let logs = engine.send_logs();
-        assert_eq!(logs.len(), 2);
-        for log in &logs {
+        for lane in 0..2 {
+            let log = registry.events().lane_send_order(lane).unwrap();
             assert_eq!(log.len(), writes.len(), "every write sent exactly once");
             let mut last_seq_for: HashMap<u64, u64> = HashMap::new();
-            let mut prev_seq: Option<u64> = None;
-            for &(lba, seq) in log {
-                if let Some(prev) = prev_seq {
-                    assert!(seq > prev, "global sequence order violated");
+            for (i, &(seq, lba)) in log.iter().enumerate() {
+                assert_eq!(seq, i as u64, "global sequence order violated");
+                assert_eq!(lba, writes[i].0 % 8, "seq {seq} sent for the wrong block");
+                if let Some(&last) = last_seq_for.get(&lba) {
+                    assert!(seq > last, "per-LBA sequence regressed on lba {lba}");
                 }
-                prev_seq = Some(seq);
-                if let Some(&last) = last_seq_for.get(&lba.0) {
-                    assert!(seq > last, "per-LBA sequence regressed on {lba:?}");
-                }
-                last_seq_for.insert(lba.0, seq);
+                last_seq_for.insert(lba, seq);
             }
         }
         shutdown_all(engine, replica_threads);

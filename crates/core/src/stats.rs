@@ -12,7 +12,9 @@ pub struct EngineStats {
     pub reads: u64,
     /// Writes fully replicated (acknowledged by every replica).
     pub writes_replicated: u64,
-    /// Application payload bytes handed to the transports.
+    /// Wire bytes handed to the transports, summed over the lanes:
+    /// whole sealed frames (seal envelope and batch headers included),
+    /// every retransmission counted again. The name is historical.
     pub replicated_payload_bytes: u64,
     /// Nanoseconds spent performing local block writes (the unavoidable
     /// base cost).
@@ -56,7 +58,9 @@ impl EngineStats {
         Duration::from_nanos(self.overhead_nanos)
     }
 
-    /// Mean replicated payload per write, in bytes.
+    /// Mean wire bytes (see
+    /// [`replicated_payload_bytes`](Self::replicated_payload_bytes)) per
+    /// replicated write.
     pub fn mean_payload_per_write(&self) -> f64 {
         if self.writes_replicated == 0 {
             0.0
@@ -80,7 +84,9 @@ pub struct LaneStats {
     /// Writes acknowledged by this replica (folded writes count each
     /// original write).
     pub acked_writes: u64,
-    /// Payload bytes successfully handed to this transport.
+    /// Wire bytes successfully handed to this transport: whole sealed
+    /// frames (seal envelope and batch headers included), every
+    /// retransmission counted again. The name is historical.
     pub payload_bytes: u64,
     /// Nanoseconds inside `Transport::send`.
     pub send_nanos: u64,

@@ -7,7 +7,7 @@
 //! but per-kind totals are kept exactly — and drainable, so a harness
 //! can assert on the trace or replay it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -248,6 +248,80 @@ impl EventRing {
         self.inner.lock().unwrap().dropped
     }
 
+    /// The pipeline writes engine lane `lane` put on the wire, as
+    /// `(seq, lba)` in wire order, rebuilt from the buffered events.
+    ///
+    /// A `send` event names its frame's first write and how many
+    /// application writes the frame carries; `encode-done` events give
+    /// every sequence number its LBA and `coalesce` events its folded
+    /// writes, so each frame's end is determined, not assumed. The
+    /// frames must tile the sequence space: each starts where the one
+    /// before ended (so sequence numbers strictly increase and no write
+    /// is sent twice or skipped) and ends on a write boundary. The one
+    /// stretch the events leave open is behind a `send-error`, whose
+    /// frame never left and whose length was not recorded: the next
+    /// frame may start anywhere past it.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first frame that breaks the tiling, names a
+    /// write with no `encode-done`, or disagrees with it about the
+    /// LBA — or of a ring that has dropped events, which cannot answer.
+    pub fn lane_send_order(&self, lane: usize) -> Result<Vec<(u64, u64)>, String> {
+        let inner = self.inner.lock().unwrap();
+        if inner.dropped > 0 {
+            return Err(format!("{} events fell off the ring", inner.dropped));
+        }
+        let mut lba_of: HashMap<u64, u64> = HashMap::new();
+        let mut folds: HashMap<u64, u64> = HashMap::new();
+        for e in &inner.buf {
+            match e.kind {
+                EventKind::EncodeDone => {
+                    lba_of.insert(e.seq, e.lba);
+                }
+                EventKind::Coalesce => *folds.entry(e.seq).or_default() += 1,
+                _ => {}
+            }
+        }
+        let mut order = Vec::new();
+        let mut next = 0u64;
+        let mut after_error = false;
+        for e in inner.buf.iter().filter(|e| e.replica == lane as u64) {
+            let carried = match e.kind {
+                EventKind::Send { writes } => Some(u64::from(writes)),
+                EventKind::SendError => None,
+                _ => continue,
+            };
+            if e.seq < next || (e.seq > next && !after_error) {
+                return Err(format!(
+                    "lane {lane}: frame starts at seq {} where seq {next} was due",
+                    e.seq
+                ));
+            }
+            next = e.seq;
+            after_error = carried.is_none();
+            let mut left = carried.unwrap_or(0);
+            while left > 0 {
+                let lba = *lba_of
+                    .get(&next)
+                    .ok_or_else(|| format!("lane {lane}: sent seq {next} was never encoded"))?;
+                if next == e.seq && lba != e.lba {
+                    return Err(format!(
+                        "lane {lane}: seq {next} encoded for lba {lba}, sent as lba {}",
+                        e.lba
+                    ));
+                }
+                left = left
+                    .checked_sub(1 + folds.get(&next).copied().unwrap_or(0))
+                    .ok_or_else(|| format!("lane {lane}: frame ends inside seq {next}"))?;
+                order.push((next, lba));
+                next += 1;
+            }
+            next = next.max(e.seq + 1);
+        }
+        Ok(order)
+    }
+
     /// The buffered events as one newline-joined deterministic trace.
     pub fn trace(&self) -> String {
         self.events()
@@ -321,6 +395,60 @@ mod tests {
         assert_eq!(ring.counts().values().sum::<u64>(), total);
         assert_eq!(ring.events().len(), ring.capacity());
         assert_eq!(ring.dropped(), total - ring.capacity() as u64);
+    }
+
+    #[test]
+    fn lane_send_order_pins_the_tiling() {
+        let frame = |seq, lba, writes| {
+            Event::new(0, EventKind::Send { writes })
+                .seq(seq)
+                .lba(lba)
+                .replica(1)
+        };
+        let ring = EventRing::new(64);
+        for (seq, lba) in [(0, 5), (1, 6), (2, 5), (3, 7)] {
+            ring.record(Event::new(0, EventKind::EncodeDone).seq(seq).lba(lba));
+        }
+        // Seq 1 carries one folded write, so the first frame's three
+        // writes are seqs 0 and 1.
+        ring.record(Event::new(0, EventKind::Coalesce).seq(1).lba(6));
+        ring.record(frame(0, 5, 3));
+        ring.record(frame(2, 5, 1).replica(0));
+        ring.record(frame(2, 5, 1));
+        assert_eq!(ring.lane_send_order(1).unwrap(), [(0, 5), (1, 6), (2, 5)]);
+        assert_eq!(
+            ring.lane_send_order(0).unwrap_err(),
+            "lane 0: frame starts at seq 2 where seq 0 was due"
+        );
+
+        // A resend, a gap, a frame cut mid-write, a wrong LBA and an
+        // unencoded write are each refused; a send error opens a gap.
+        for (bad, why) in [
+            (frame(2, 5, 1), "starts at seq 2 where seq 3"),
+            (frame(4, 9, 1), "starts at seq 4 where seq 3"),
+            (frame(3, 8, 1), "encoded for lba 7, sent as lba 8"),
+            (frame(3, 7, 2), "seq 4 was never encoded"),
+        ] {
+            let ring2 = EventRing::new(64);
+            for e in ring.events() {
+                ring2.record(e);
+            }
+            ring2.record(bad);
+            let err = ring2.lane_send_order(1).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
+        ring.record(Event::new(0, EventKind::SendError).seq(3).lba(7).replica(1));
+        ring.record(Event::new(0, EventKind::EncodeDone).seq(9).lba(1));
+        ring.record(frame(9, 1, 1));
+        assert_eq!(ring.lane_send_order(1).unwrap().last(), Some(&(9, 1)));
+        let cut = EventRing::new(64);
+        cut.record(Event::new(0, EventKind::EncodeDone).seq(0).lba(1));
+        cut.record(Event::new(0, EventKind::Coalesce).seq(0).lba(1));
+        cut.record(frame(0, 1, 1));
+        assert!(cut
+            .lane_send_order(1)
+            .unwrap_err()
+            .contains("ends inside seq 0"));
     }
 
     #[test]

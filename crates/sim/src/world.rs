@@ -704,7 +704,6 @@ impl EngineWorld {
             .observe(Arc::clone(&registry))
             .clock(net.clock())
             .flight_recorder(TraceConfig::default())
-            .trace_sends(true)
             .coalesce(cfg.coalesce)
             .batch_frames(cfg.batch_frames)
             .ack_policy(AckPolicy::Window(cfg.ack_window))
@@ -800,22 +799,23 @@ impl EngineWorld {
             .check_identity(&*self.primary, 0..self.bed.nodes.len())
     }
 
-    /// Per-LBA ordering at two levels: the engine's own send logs
-    /// (sequence numbers monotonic per LBA on every lane) and the
-    /// network's delivery log (no duplicates, per-LBA delivery order).
+    /// Per-LBA ordering at two levels: the engine's own send order
+    /// (each lane's frames tile the sequence space — see
+    /// [`EventRing::lane_send_order`](prins_obs::EventRing::lane_send_order)
+    /// — and sequence numbers are monotonic per LBA on every lane) and
+    /// the network's delivery log (no duplicates, per-LBA delivery
+    /// order).
     pub fn check_order(&self) -> Result<(), String> {
-        for (lane, log) in self.engine.send_logs().iter().enumerate() {
+        for lane in 0..self.bed.nodes.len() {
             let mut last: BTreeMap<u64, u64> = BTreeMap::new();
-            for &(lba, seq) in log {
-                if let Some(&prev) = last.get(&lba.index()) {
+            for (seq, lba) in self.bed.registry.events().lane_send_order(lane)? {
+                if let Some(prev) = last.insert(lba, seq) {
                     if seq <= prev {
                         return Err(format!(
-                            "lane {lane} sent lba {} seq {seq} after seq {prev}",
-                            lba.index()
+                            "lane {lane} sent lba {lba} seq {seq} after seq {prev}"
                         ));
                     }
                 }
-                last.insert(lba.index(), seq);
             }
         }
         self.bed.check_delivery_order()

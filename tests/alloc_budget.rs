@@ -151,6 +151,11 @@ fn measure_with(
         builder = builder.flight_recorder(prins_obs::TraceConfig::default());
     }
     let engine = builder.build();
+    // A lane can only batch what is queued: run a pipeline round once a
+    // frame's worth of writes (as configured; the adaptive policy may
+    // retune it mid-run) has been admitted — after every write unless
+    // the builder asked for batching.
+    let burst = engine.tuning().batch_frames() as u64;
 
     let mut payload = payload;
 
@@ -159,7 +164,9 @@ fn measure_with(
     for i in 0..writes {
         next_write(&mut payload, i);
         engine.write_block(Lba(i % BLOCKS), &payload).unwrap();
-        while engine.step() {}
+        if (i + 1) % burst == 0 {
+            while engine.step() {}
+        }
     }
     engine.flush().unwrap();
 
@@ -167,7 +174,9 @@ fn measure_with(
         for i in writes..2 * writes {
             next_write(&mut payload, i);
             engine.write_block(Lba(i % BLOCKS), &payload).unwrap();
-            while engine.step() {}
+            if (i + 1) % burst == 0 {
+                while engine.step() {}
+            }
         }
     });
 
@@ -176,6 +185,7 @@ fn measure_with(
     assert_eq!(stats.writes, 2 * writes);
     assert_eq!(stats.writes_replicated, 2 * writes);
     assert_eq!(stats.replication_errors, 0);
+    assert_eq!(engine.lane_stats()[0].sends, 2 * writes / burst);
     engine.shutdown().unwrap();
     allocs
 }
@@ -250,6 +260,22 @@ fn steady_state_write_path_stays_under_two_allocations_per_write() {
                  writes exceeds the budget of 2 per write"
             );
         }
+        // Batching: eight writes queue up between rounds, so every
+        // frame packs eight payloads. The lane gathers them in a scratch
+        // it owns and reuses, so a batch frame costs what its writes do.
+        let allocs = measure_with(
+            WRITES,
+            traced,
+            vec![0xA5u8; 4096],
+            flip_one_byte,
+            |builder| builder.batch_frames(8),
+        );
+        eprintln!("Prins x8 batches (traced: {traced}): {allocs} allocations / {WRITES} writes");
+        assert!(
+            allocs <= 2 * WRITES,
+            "Prins x8 batches (traced: {traced}): {allocs} allocations over {WRITES} \
+             writes exceeds the budget of 2 per write"
+        );
         // The adaptive policy engine: classification (region EWMAs,
         // compressibility probe, counterfactual estimates, phase
         // detection) must be free on the hot path. `min_compress_len`

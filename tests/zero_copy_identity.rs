@@ -3,13 +3,13 @@
 //! The arena-buffer rework and the single wire path changed *how*
 //! frames are built (pooled buffers, fused delta encoding, batch-aware
 //! sealing, one shared writer) but must not change a single wire byte.
-//! These tests capture every frame a stepped engine, a `ClusterGroup`
-//! and an `EcGroup` put on the wire and compare them against frames
-//! assembled the classic way — the dense XOR parity, zero-run encoded,
-//! wrapped in an owned [`Payload`], under a seal header written out by
-//! hand here — then replay the captured frames through a
-//! [`ReplicaApplier`] and check the replica converges to the primary's
-//! exact contents.
+//! These tests capture every frame an engine (stepped, and on its own
+//! threads), a `ClusterGroup` and an `EcGroup` put on the wire and
+//! compare them against frames assembled the classic way — the dense
+//! XOR parity, zero-run encoded, wrapped in an owned [`Payload`], under
+//! a seal header written out by hand here — then replay the captured
+//! frames through a [`ReplicaApplier`] and check the replica converges
+//! to the primary's exact contents.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -110,24 +110,43 @@ fn next_image(rng: &mut StdRng, old: &[u8]) -> Vec<u8> {
     block
 }
 
-/// Runs `writes` seeded writes through a stepped engine, returning the
-/// captured wire frames, the classic per-write payloads (in admission
-/// order) and the primary's final image.
+/// The frames one wire carried, in send order.
+type Frames = Vec<Vec<u8>>;
+
+/// Who drives the engine's stages.
+#[derive(Clone, Copy, PartialEq)]
+enum Drive {
+    /// Manual stepping, the pipeline run dry after every write.
+    StepEach,
+    /// Manual stepping, everything admitted before the flush steps it.
+    StepAtFlush,
+    /// The engine's own encode and sender threads.
+    Threads,
+}
+
+/// Runs `writes` seeded writes through an engine with `lanes` replicas,
+/// returning each lane's captured wire frames, the classic per-write
+/// payloads (in admission order) and the primary's final image.
 fn run_engine(
     mode: ReplicationMode,
     batch: usize,
     writes: u64,
-    step_each: bool,
-) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<u8>) {
+    lanes: usize,
+    drive: Drive,
+) -> (Vec<Frames>, Vec<Vec<u8>>, Vec<u8>) {
     const BLOCKS: u64 = 8;
     let device = Arc::new(MemDevice::new(BlockSize::kb4(), BLOCKS));
-    let (transport, sent) = RecordingTransport::new();
-    let engine = EngineBuilder::new(Arc::clone(&device) as Arc<dyn BlockDevice>)
+    let mut builder = EngineBuilder::new(Arc::clone(&device) as Arc<dyn BlockDevice>)
         .mode(mode)
-        .replica(Box::new(transport))
         .batch_frames(batch)
-        .manual_stepping(true)
-        .build();
+        .manual_stepping(drive != Drive::Threads);
+    let mut sent = Vec::new();
+    for _ in 0..lanes {
+        let (transport, log) = RecordingTransport::new();
+        builder = builder.replica(Box::new(transport));
+        sent.push(log);
+    }
+    let engine = builder.build();
 
     // Shadow the classic path: encode each write against the same old
     // image the engine captured.
@@ -142,7 +161,7 @@ fn run_engine(
         payloads.push(classic_payload(mode, lba, old, &block));
         shadow[lba.index() as usize] = block.clone();
         engine.write_block(lba, &block).unwrap();
-        if step_each {
+        if drive == Drive::StepEach {
             while engine.step() {}
         }
     }
@@ -152,7 +171,10 @@ fn run_engine(
     assert_eq!(stats.replication_errors, 0);
     engine.shutdown().unwrap();
 
-    let frames = Arc::try_unwrap(sent).unwrap().into_inner().unwrap();
+    let frames = sent
+        .into_iter()
+        .map(|log| Arc::try_unwrap(log).unwrap().into_inner().unwrap())
+        .collect();
     (frames, payloads, device.snapshot())
 }
 
@@ -169,13 +191,30 @@ fn replay(frames: &[Vec<u8>]) -> Vec<u8> {
 #[test]
 fn per_write_frames_match_classic_seal_path() {
     for mode in [ReplicationMode::Traditional, ReplicationMode::Prins] {
-        let (frames, payloads, primary) = run_engine(mode, 1, 48, true);
+        let (lanes, payloads, primary) = run_engine(mode, 1, 48, 1, Drive::StepEach);
+        let frames = &lanes[0];
         assert_eq!(frames.len(), payloads.len());
         for (i, (frame, payload)) in frames.iter().zip(&payloads).enumerate() {
             let expected = classic_seal(payload);
             assert_eq!(frame, &expected, "{mode:?}: frame {i} diverged");
         }
-        assert_eq!(replay(&frames), primary, "{mode:?}: applier state diverged");
+        assert_eq!(replay(frames), primary, "{mode:?}: applier state diverged");
+    }
+}
+
+#[test]
+fn threaded_lanes_send_the_stepped_run_frame_for_frame() {
+    // One lane implementation, two callers: with one payload per frame
+    // and a closed window nothing about a frame depends on timing, so
+    // the engine's own threads must put exactly the bytes on each wire
+    // that the stepped driver does.
+    let (stepped, _, _) = run_engine(ReplicationMode::Prins, 1, 48, 2, Drive::StepEach);
+    let (threaded, _, primary) = run_engine(ReplicationMode::Prins, 1, 48, 2, Drive::Threads);
+    assert_eq!(stepped.len(), 2);
+    for (lane, (threaded, stepped)) in threaded.iter().zip(&stepped).enumerate() {
+        assert_eq!(threaded.len(), 48, "lane {lane}: one frame per write");
+        assert_eq!(threaded, stepped, "lane {lane}: threaded frames diverged");
+        assert_eq!(replay(threaded), primary, "lane {lane}: applier diverged");
     }
 }
 
@@ -184,7 +223,9 @@ fn batch_sealed_frames_match_classic_batch_assembly() {
     // All writes admitted before the flush steps the pipeline: a full
     // queue batches exactly `batch` payloads per frame.
     const BATCH: usize = 4;
-    let (frames, payloads, primary) = run_engine(ReplicationMode::Prins, BATCH, 48, false);
+    let (lanes, payloads, primary) =
+        run_engine(ReplicationMode::Prins, BATCH, 48, 1, Drive::StepAtFlush);
+    let frames = &lanes[0];
     assert_eq!(frames.len(), payloads.len() / BATCH);
     for (i, (frame, group)) in frames.iter().zip(payloads.chunks(BATCH)).enumerate() {
         let mut inner = vec![BATCH_TAG];
@@ -196,7 +237,7 @@ fn batch_sealed_frames_match_classic_batch_assembly() {
         let expected = classic_seal(&inner);
         assert_eq!(frame, &expected, "batched frame {i} diverged");
     }
-    assert_eq!(replay(&frames), primary, "applier state diverged");
+    assert_eq!(replay(frames), primary, "applier state diverged");
 }
 
 #[test]
