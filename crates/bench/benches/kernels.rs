@@ -2,15 +2,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use prins_bench::{
-    crc32c_scalar, gf_mul_xor_scalar, lzss_compress_reference, lzss_decompress_reference,
-    xor_scalar,
+    crc32c_scalar, gf_mul_xor_scalar, heavy_tail_writes, lzss_compress_reference,
+    lzss_decompress_reference, xor_scalar,
 };
 use prins_block::{crc32c, crc32c_append_portable};
 use prins_compress::{Codec, Lzss, Rle};
 use prins_ec::MulTable;
 use prins_iscsi::{Opcode, Pdu};
 use prins_parity::{forward_parity, scan_nonzero, xor_in_place, SparseCodec};
-use prins_repl::{seal_batch_frame_into, seal_frame_into};
+use prins_policy::{AdaptiveReplicator, PolicyConfig};
+use prins_repl::{seal_batch_frame_into, seal_frame_into, Replicator};
 use rand::{RngExt, SeedableRng};
 
 fn sample_images(bs: usize, change: f64) -> (Vec<u8>, Vec<u8>) {
@@ -190,6 +191,54 @@ fn bench_lzss(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_lzss_bounded(c: &mut Criterion) {
+    // A trial that has to come in under a frame already held: prose
+    // packs to ~30 %, so a limit of 1/4 of the input abandons late and
+    // 1/2 never binds; noise is abandoned after about `limit` input
+    // bytes; `inf` against `kernels/lzss compress` is what carrying a
+    // limit that never binds costs.
+    let mut group = c.benchmark_group("kernels/lzss_bounded");
+    let codec = Lzss::default();
+    let [(_, _, random), (_, _, text), _] = delta_shapes();
+    let mut out = Vec::with_capacity(2 * 8192);
+    for (name, input) in [("prose_8KB", &text), ("noise_8KB", &random)] {
+        group.throughput(Throughput::Bytes(input.len() as u64));
+        for (label, limit) in [
+            ("1/4", input.len() / 4),
+            ("1/2", input.len() / 2),
+            ("inf", usize::MAX),
+        ] {
+            group.bench_function(BenchmarkId::new(name, label), |b| {
+                b.iter(|| {
+                    out.clear();
+                    codec.compress_bounded(input, limit, &mut out).is_ok()
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+fn bench_policy_chain(c: &mut Criterion) {
+    // One heavy-tail write through the adaptive policy's trial chain,
+    // region estimates settled by the warm-up iterations: the image
+    // compress wins and the parity trial over XOR noise runs bounded by
+    // it; plain parity wins and the image trial runs bounded by it.
+    let mut group = c.benchmark_group("kernels/policy_chain");
+    let mut out = Vec::with_capacity(2 * 8192);
+    for (name, old, new) in heavy_tail_writes() {
+        let policy = AdaptiveReplicator::new(PolicyConfig::default());
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                out.clear();
+                policy.encode_write_into(prins_block::Lba(0), &old, &new, &mut out);
+                out.len()
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_delta_scan(c: &mut Criterion) {
     // The write path's one pass over the two images (`plan_delta`) and
     // the emit that reads its extents, per write shape.
@@ -311,6 +360,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
     targets = bench_xor, bench_xor_in_place, bench_nonzero_scan, bench_sparse_codec,
-        bench_crc32c, bench_gf_mul, bench_seal, bench_lzss, bench_delta_scan, bench_pdu
+        bench_crc32c, bench_gf_mul, bench_seal, bench_lzss, bench_lzss_bounded,
+        bench_policy_chain, bench_delta_scan, bench_pdu
 }
 criterion_main!(benches);

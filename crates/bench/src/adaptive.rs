@@ -233,6 +233,23 @@ mod tests {
         }
     }
 
+    /// The trial chain is exact, so reordering or bounding its trials
+    /// may not move a byte: the two synthetic stressors' rows of
+    /// `figures adaptive` (200 ops, bench scale: 491.5 KB / 695.2 KB),
+    /// pinned to the byte, picks included.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-gated: run with --release")]
+    fn text_and_hostile_rows_are_pinned_to_the_byte() {
+        for (workload, bytes, picks) in [
+            (Workload::Text, 503_314, (0, 0, 0, 200)),
+            (Workload::HostileMixed, 711_902, (31, 36, 66, 67)),
+        ] {
+            let m =
+                measure_adaptive(workload, &TrafficConfig::bench(BlockSize::kb8(), 200)).unwrap();
+            assert_eq!((m.adaptive_bytes, m.picks), (bytes, picks), "{workload}");
+        }
+    }
+
     #[test]
     fn figure_renders_every_workload() {
         let t = adaptive_figure(6, false).unwrap();

@@ -221,6 +221,35 @@ pub fn lzss_decompress_reference(data: &[u8], expected_len: usize) -> Vec<u8> {
     out
 }
 
+/// The two 8 KB heavy-tail writes of the criterion
+/// `kernels/policy_chain` series, as `(name, old, new)`: both have a
+/// parity wire between `PolicyConfig::exact_trial_len` and the block,
+/// so the adaptive policy runs its whole trial chain on them, and each
+/// has the opposite winner.
+///
+/// * `prose_over_prose` — a text block rewritten with other text: the
+///   parity is XOR noise a few bytes under the block, the image packs
+///   to under a third. The image compress wins; the parity-LZSS trial
+///   runs bounded by it.
+/// * `noise_2KB_over_random` — 2 KB of an incompressible block
+///   replaced: plain parity wins; the image trial runs bounded by it.
+pub fn heavy_tail_writes() -> [(&'static str, Vec<u8>, Vec<u8>); 2] {
+    use rand::SeedableRng;
+    let prose = |seed| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        prins_workloads::prose(&mut rng, 8192).into_bytes()
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let mut random = vec![0u8; 8192];
+    rand::Rng::fill_bytes(&mut rng, &mut random);
+    let mut patched = random.clone();
+    rand::Rng::fill_bytes(&mut rng, &mut patched[3000..3000 + 2048]);
+    [
+        ("prose_over_prose", prose(1), prose(2)),
+        ("noise_2KB_over_random", random, patched),
+    ]
+}
+
 /// The sealing the sender lanes performed before batch-aware sealing:
 /// one envelope per payload, checksummed byte-at-a-time.
 fn seal_per_frame_scalar(epoch: u64, payloads: &[Vec<u8>], out: &mut Vec<u8>) {
@@ -316,6 +345,42 @@ mod tests {
             let packed = lzss_compress_reference(window, chain, &data);
             assert_eq!(packed, Lzss::new(window, chain).compress(&data));
             assert_eq!(lzss_decompress_reference(&packed, data.len()), data);
+        }
+    }
+
+    #[test]
+    fn heavy_tail_writes_run_the_whole_chain_with_opposite_winners() {
+        use prins_policy::{AdaptiveReplicator, PolicyConfig};
+        use prins_repl::Replicator;
+        let cfg = PolicyConfig::default();
+        let [prose, noise] = heavy_tail_writes();
+        for ((name, old, new), compressed_wins) in [(prose, true), (noise, false)] {
+            let wire = prins_parity::SparseCodec::default()
+                .plan_delta(&old, &new)
+                .wire_len();
+            assert!(
+                (cfg.exact_trial_len..new.len()).contains(&wire),
+                "{name}: wire {wire} is not heavy-tail"
+            );
+            let policy = AdaptiveReplicator::new(cfg);
+            for _ in 0..4 {
+                policy.encode_write(prins_block::Lba(0), &old, &new);
+            }
+            let c = policy.counters();
+            // The parity family's pick is booked as `parity+lzss` here
+            // even where plain parity is what ships: the chain ran.
+            let picks = (c.pick_compressed.get(), c.pick_parity_lzss.get());
+            let want = if compressed_wins { (4, 0) } else { (0, 4) };
+            assert_eq!(picks, want, "{name}");
+            let shipped = c.shipped_bytes.get() / 4;
+            assert!(
+                if compressed_wins {
+                    shipped < 3000
+                } else {
+                    shipped == (wire + 2) as u64
+                },
+                "{name}: {shipped} bytes a write"
+            );
         }
     }
 

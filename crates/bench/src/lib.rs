@@ -46,8 +46,8 @@ pub use figures::{
     OverheadReport, WriteRateReport,
 };
 pub use kernels::{
-    crc32c_scalar, gf_mul_xor_scalar, lzss_compress_reference, lzss_decompress_reference,
-    seal_experiment, xor_scalar, SealMeasurement,
+    crc32c_scalar, gf_mul_xor_scalar, heavy_tail_writes, lzss_compress_reference,
+    lzss_decompress_reference, seal_experiment, xor_scalar, SealMeasurement,
 };
 pub use obs::obs_experiment;
 pub use pipeline::{pipeline_experiment, pipeline_figure, PipelineKnobs, PipelineMeasurement};

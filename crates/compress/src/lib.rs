@@ -37,7 +37,7 @@ mod lzss;
 mod rle;
 
 pub use error::CompressError;
-pub use lzss::{Lzss, MAX_DECODE_LEN};
+pub use lzss::{Abandoned, Lzss, MAX_DECODE_LEN};
 pub use rle::Rle;
 
 /// A lossless block codec.

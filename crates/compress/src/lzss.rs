@@ -98,6 +98,17 @@ fn put_literals(out: &mut Vec<u8>, run: &[u8]) {
     }
 }
 
+/// Appends the literals pending ahead of a match, then the match token.
+///
+/// Out of line: inlined into the scan loop, its buffer growth paths
+/// cost the literal-only path registers it has no use for.
+#[inline(never)]
+fn put_match(out: &mut Vec<u8>, pending: &[u8], len: usize, dist: usize) {
+    put_literals(out, pending);
+    encode_varint(out, ((len as u64) << 1) | 1);
+    encode_varint(out, dist as u64);
+}
+
 /// The match finder's hash chains, kept per thread and reused by every
 /// [`Lzss::compress_into`] call on it.
 ///
@@ -159,6 +170,20 @@ impl MatchFinder {
 fn chain_push(head: &mut [u32; HASH_SIZE], prev: &mut [u32], h: usize, pos: usize, cur: u32) {
     let mask = prev.len() - 1;
     prev[pos & mask] = std::mem::replace(&mut head[h], cur);
+}
+
+/// A [`Lzss::compress_bounded`] run given up on: its stream had
+/// already outgrown the caller's limit. The default, all zero, stands
+/// for a trial that had lost before a byte was read.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Abandoned {
+    /// Input bytes the run had encoded, or set aside as literals, when
+    /// it stopped.
+    pub consumed: usize,
+    /// Stream bytes those had cost. `produced / consumed` is the ratio
+    /// observed over the prefix — the whole stream's exact ratio when
+    /// `consumed` is the input's length.
+    pub produced: usize,
 }
 
 /// LZSS codec configuration.
@@ -265,15 +290,54 @@ impl Lzss {
     /// bounded by the position and verified byte for byte — but may
     /// miss matches; nothing above [`MAX_DECODE_LEN`] decodes anyway.
     pub fn compress_into(&self, data: &[u8], out: &mut Vec<u8>) {
+        let unbounded = self.compress_bounded(data, usize::MAX, out);
+        debug_assert!(unbounded.is_ok(), "no stream outgrows usize::MAX");
+    }
+
+    /// [`compress_into`](Self::compress_into) for a caller that only
+    /// wants the stream if it is at most `limit` bytes long — a trial
+    /// against something it already holds. Returns the stream's length
+    /// when it fits; otherwise `out` is left as it was and the error
+    /// says how far the run got.
+    ///
+    /// The run stops as soon as the bytes already emitted plus the
+    /// literals still pending exceed `limit` — a lower bound on the
+    /// final length, so a stream that would have fit is never given up
+    /// on, and the stream that is kept is [`compress_into`]'s byte for
+    /// byte. On incompressible input that is after about `limit` input
+    /// bytes instead of all of them.
+    ///
+    /// # Errors
+    ///
+    /// [`Abandoned`] when the stream is longer than `limit`.
+    pub fn compress_bounded(
+        &self,
+        data: &[u8],
+        limit: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<usize, Abandoned> {
         FINDER.with(|finder| {
             let mut finder = finder.borrow_mut();
             let (head, prev, base) = finder.begin(data.len(), self.window);
+            let start = out.len();
+            // `out` may grow to `cap` bytes and no further.
+            let cap = start.saturating_add(limit);
             // Positions with fewer than MIN_MATCH bytes left are never
             // hashed: they can neither start a match nor be found.
             let hashable = data.len().saturating_sub(MIN_MATCH - 1);
             let mut literal_start = 0usize;
             let mut pos = 0usize;
-            while pos < hashable {
+            // The budget rides on the loop bound: a literal run that
+            // starts with `out` at its current length overflows `cap`
+            // at a position known when the run starts, so the scan
+            // stops there at no cost per position. With no limit that
+            // position is past the input.
+            let scan_end = |emitted_to: usize, literal_start: usize| {
+                let room = (cap - emitted_to).saturating_add(literal_start);
+                hashable.min(room.saturating_add(1))
+            };
+            let mut stop = scan_end(start, 0);
+            while pos < stop {
                 let cur = base.wrapping_add(pos as u32);
                 let h = hash4(data, pos);
                 // An empty or stale chain head (see `MatchFinder`) is
@@ -289,9 +353,7 @@ impl Lzss {
                     pos += 1;
                     continue;
                 };
-                put_literals(out, &data[literal_start..pos]);
-                encode_varint(out, ((len as u64) << 1) | 1);
-                encode_varint(out, dist as u64);
+                put_match(out, &data[literal_start..pos], len, dist);
                 // Every position of the match joins the chains.
                 let end = pos + len;
                 for inside in pos + 1..end.min(hashable) {
@@ -300,9 +362,28 @@ impl Lzss {
                 }
                 pos = end;
                 literal_start = end;
+                if out.len() > cap {
+                    break;
+                }
+                stop = scan_end(out.len(), literal_start);
             }
-            put_literals(out, &data[literal_start..]);
-        });
+            if pos >= hashable && out.len() <= cap {
+                put_literals(out, &data[literal_start..]);
+                pos = data.len();
+                literal_start = pos;
+            }
+            // What the stream is known to cost so far: the bytes
+            // emitted and the literals waiting for their token.
+            let produced = out.len() - start + (pos - literal_start);
+            if produced > limit {
+                out.truncate(start);
+                return Err(Abandoned {
+                    consumed: pos,
+                    produced,
+                });
+            }
+            Ok(produced)
+        })
     }
 
     /// Appends the decompressed form of `data` to `out`, verifying it
@@ -746,6 +827,87 @@ mod tests {
         assert_eq!(&out[5..], codec.compress(&data));
     }
 
+    /// Runs `data` through the bounded entry point at `limit` behind
+    /// pre-existing bytes and holds it to its contract against the
+    /// unbounded stream `whole`: the same bytes when they fit, else
+    /// `out` untouched and a report that is a true lower bound.
+    fn assert_bounded_contract(codec: &Lzss, data: &[u8], whole: &[u8], limit: usize) {
+        let mut out = vec![0xEE; 3];
+        match codec.compress_bounded(data, limit, &mut out) {
+            Ok(len) => {
+                assert!(whole.len() <= limit, "kept a stream over limit {limit}");
+                assert_eq!(len, whole.len());
+                assert_eq!(&out[..3], &[0xEE; 3]);
+                assert_eq!(&out[3..], whole, "limit {limit}");
+            }
+            Err(gave_up) => {
+                assert!(
+                    whole.len() > limit,
+                    "gave up at limit {limit} on a stream of {}",
+                    whole.len()
+                );
+                assert_eq!(out, [0xEE; 3], "partial write at limit {limit}");
+                assert!(gave_up.produced > limit && gave_up.produced <= whole.len());
+                assert!(gave_up.consumed <= data.len());
+                if gave_up.consumed == data.len() {
+                    assert_eq!(gave_up.produced, whole.len(), "a finished run is exact");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_run_keeps_the_stream_or_nothing_at_every_limit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let text = prose_like(&mut rng, 1500);
+        let noise: Vec<u8> = (0..900).map(|_| rng.random()).collect();
+        let runs = low_entropy(&mut rng, 1200);
+        // Text whose tail is noise: the stream fits for most of the
+        // run and only the last literals push it over.
+        let mixed = [&text[..600], &noise[..300]].concat();
+        for data in [&text[..], &noise, &runs, &mixed, b"abc", b""] {
+            for codec in [Lzss::default(), Lzss::fast(), Lzss::new(300, 16)] {
+                let whole = codec.compress(data);
+                for limit in 0..=whole.len() + 2 {
+                    assert_bounded_contract(&codec, data, &whole, limit);
+                }
+                assert_bounded_contract(&codec, data, &whole, usize::MAX);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_run_gives_up_on_noise_after_about_limit_bytes() {
+        // No match to be had: every byte read is a byte of output, so
+        // the run is over one position past the limit — not at the end.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        let noise: Vec<u8> = (0..8192).map(|_| rng.random()).collect();
+        let mut out = Vec::new();
+        for limit in [0, 1, 100, 2048, 8000] {
+            let gave_up = Lzss::fast()
+                .compress_bounded(&noise, limit, &mut out)
+                .unwrap_err();
+            assert_eq!(gave_up.consumed, limit + 1, "limit {limit}");
+            assert_eq!(gave_up.produced, limit + 1);
+            assert!(out.is_empty());
+        }
+        // The whole stream is the input behind a three-byte literal header.
+        assert_eq!(
+            Lzss::fast().compress_bounded(&noise, 8194, &mut out),
+            Err(Abandoned {
+                consumed: 8192,
+                produced: 8195
+            })
+        );
+        assert_eq!(
+            Lzss::fast().compress_bounded(&noise, 8195, &mut out),
+            Ok(8195)
+        );
+        out.clear();
+        // And the scratch a given-up run leaves behind reads as empty.
+        assert_matches_reference(&noise);
+    }
+
     /// The decoder as it stood before `extend_from_within`: match
     /// copies pushed one byte at a time (well-formed streams only).
     fn reference_decompress(data: &[u8]) -> Vec<u8> {
@@ -978,6 +1140,28 @@ mod tests {
                 prop_assert_eq!(&packed, &reference_compress(&codec, &data), "{:?}", codec);
                 prop_assert_eq!(&codec.decompress(&packed, data.len()).unwrap(), &data);
                 prop_assert_eq!(&reference_decompress(&packed), &data);
+            }
+        }
+
+        /// At any limit, on any input shape, the bounded run returns
+        /// the unbounded stream exactly when it fits and otherwise
+        /// leaves `out` alone — never a false abandon, never a partial
+        /// write.
+        #[test]
+        fn prop_bounded_run_is_the_stream_or_nothing(
+            seed in any::<u64>(), n in 0usize..6000, kind in 0u8..3, cut in 0u32..=1100,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let data = match kind {
+                0 => (0..n).map(|_| rng.random()).collect(),
+                1 => low_entropy(&mut rng, n),
+                _ => prose_like(&mut rng, n),
+            };
+            for codec in [Lzss::default(), Lzss::fast(), Lzss::new(300, 16)] {
+                let whole = codec.compress(&data);
+                // From 0 to 10 % past the stream's own length.
+                let limit = whole.len() * cut as usize / 1000;
+                assert_bounded_contract(&codec, &data, &whole, limit);
             }
         }
 

@@ -13,7 +13,7 @@
 use std::cell::RefCell;
 use std::fmt;
 
-use crate::varint::{decode_varint, encode_varint};
+use crate::varint::{decode_varint, encode_varint, varint_len};
 use crate::xor::xor_in_place;
 
 /// One contiguous nonzero extent of a parity block.
@@ -204,10 +204,6 @@ impl SparseParity {
             xor_in_place(&mut block[s.offset..s.offset + s.data.len()], &s.data);
         }
     }
-}
-
-fn varint_len(v: u64) -> usize {
-    ((64 - v.leading_zeros()).max(1) as usize).div_ceil(7)
 }
 
 /// Encoder/decoder between dense parity blocks and [`SparseParity`].

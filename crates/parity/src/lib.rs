@@ -59,5 +59,5 @@ mod xor;
 pub use codec::{CodecError, DeltaPlan, Segment, SparseCodec, SparseParity};
 pub use delta::{apply_parity, apply_parity_in_place, forward_parity, DeltaStats};
 pub use erasure::{EcError, ErasureCodec, XorCodec};
-pub use varint::{decode_varint, encode_varint};
+pub use varint::{decode_varint, encode_varint, varint_len};
 pub use xor::{scan_mismatch, scan_nonzero, xor_bytes, xor_in_place, xor_into};

@@ -45,6 +45,12 @@ pub fn decode_varint(buf: &[u8]) -> Option<(u64, usize)> {
     None
 }
 
+/// Bytes [`encode_varint`] writes for `value` — header-size
+/// arithmetic without encoding.
+pub fn varint_len(value: u64) -> usize {
+    ((64 - value.leading_zeros()).max(1) as usize).div_ceil(7)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,6 +71,7 @@ mod tests {
         for v in [127, 128, 16383, 16384, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             encode_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "v={v}");
             assert_eq!(decode_varint(&buf), Some((v, buf.len())), "v={v}");
         }
     }
@@ -103,6 +110,7 @@ mod tests {
             let mut buf = Vec::new();
             encode_varint(&mut buf, v);
             prop_assert!(buf.len() <= 10);
+            prop_assert_eq!(varint_len(v), buf.len());
             prop_assert_eq!(decode_varint(&buf), Some((v, buf.len())));
         }
     }

@@ -33,7 +33,9 @@
 //!   re-detected. Exploration (and any mispredicted pick) is byte-free:
 //!   every compressing branch rescues itself to the smallest plain
 //!   encoding of this write when its first choice loses, so estimate
-//!   errors cost CPU, never wire bytes.
+//!   errors cost CPU, never wire bytes — and little of that: a trial
+//!   that runs second carries the length of the frame it has to beat
+//!   and stops once it cannot.
 //!
 //! Every decision also books the **counterfactual cost**: the bytes each
 //! *other* strategy would have shipped, so `prins-obs` counters expose
@@ -124,12 +126,18 @@ pub struct PolicyConfig {
     /// cannot flap onto a CPU-burning pick.
     pub compress_threshold_pm: u32,
     /// Parity wires at least this long skip the estimates and run the
-    /// full compression chain, shipping the exact minimum. Region
-    /// EWMAs average over many small writes and mispredict exactly the
-    /// rare heavy-tail writes that dominate shipped bytes; compressing
-    /// a multi-KB payload costs little next to shipping it, while the
-    /// classifier's CPU savings live in the small writes below this
-    /// bar, which stay fused. `0` forces exact treatment everywhere.
+    /// compression chain on the real compressors, shipping the exact
+    /// minimum of its candidates. Region EWMAs average over many small
+    /// writes and mispredict exactly the rare heavy-tail writes that
+    /// dominate shipped bytes. What the exact answer costs is bounded
+    /// by the chain, not by the payload: the leg the region's
+    /// estimates expect to win runs first, and the other leg carries
+    /// the length of the frame it has to beat and is abandoned once its
+    /// output cannot come in under it — a stream of XOR noise after
+    /// about as many bytes as the winner is long, not after all of
+    /// them. The classifier's CPU savings live in the small writes
+    /// below this bar, which stay fused. `0` forces exact treatment
+    /// everywhere.
     pub exact_trial_len: usize,
     /// Writes per phase-detection window.
     pub phase_window: u32,

@@ -6,11 +6,12 @@ use prins_block::{crc32c, BlockDevice, Lba};
 use prins_compress::Lzss;
 use prins_parity::{ErasureCodec, SparseCodec, XorCodec};
 
+use crate::payload::{BodyRef, PayloadRef};
 use crate::wire::{
     batch_payloads, encode_ack, encode_digest_ack, encode_image_ack, is_sealed, open_frame,
     Request, ACK, NAK, NAK_CORRUPT, READ_ACK, STRIP_ACK,
 };
-use crate::{BatchFrame, Payload, PayloadBody, ReplError};
+use crate::{BatchFrame, ReplError};
 
 /// What [`ReplicaApplier::handle`] did with an incoming frame;
 /// [`ReplicaApplier::respond`] turns it into the response bytes.
@@ -222,34 +223,29 @@ impl<D: BlockDevice> ReplicaApplier<D> {
             }
             return Ok(any_data);
         }
-        let payload = Payload::from_bytes(payload_bytes)?;
+        // Parsed in place: each body is read once, where it arrived.
+        let PayloadRef { lba, body } = PayloadRef::parse(payload_bytes)?;
         let bs = self.device.geometry().block_size().bytes();
-        match payload.body {
-            PayloadBody::Full(data) => {
-                self.write_checked(payload.lba, &data)?;
-            }
-            PayloadBody::Compressed { block_len, data } => {
+        match body {
+            BodyRef::Full(data) => self.write_checked(lba, data)?,
+            BodyRef::Compressed { block_len, data } => {
                 if block_len != bs {
                     return Err(ReplError::Malformed(format!(
                         "compressed payload block_len {block_len} != device block size {bs}"
                     )));
                 }
-                self.with_inflated(&data, block_len, |this, block| {
-                    this.write_checked(payload.lba, block)
+                self.with_inflated(data, block_len, |this, block| {
+                    this.write_checked(lba, block)
                 })?;
             }
-            PayloadBody::Parity(data) => {
-                self.apply_parity(payload.lba, &data)?;
-            }
-            PayloadBody::ParityCompressed { sparse_len, data } => {
-                self.with_inflated(&data, sparse_len, |this, sparse| {
-                    this.apply_parity(payload.lba, sparse)
+            BodyRef::Parity(data) => self.apply_parity(lba, data)?,
+            BodyRef::ParityCompressed { sparse_len, data } => {
+                self.with_inflated(data, sparse_len, |this, sparse| {
+                    this.apply_parity(lba, sparse)
                 })?;
             }
-            PayloadBody::StripDelta { coeff, data } => {
-                self.apply_strip_delta(payload.lba, coeff, &data)?;
-            }
-            PayloadBody::SyncMarker => return Ok(false),
+            BodyRef::StripDelta { coeff, data } => self.apply_strip_delta(lba, coeff, data)?,
+            BodyRef::SyncMarker => return Ok(false),
         }
         self.applied += 1;
         Ok(true)
@@ -365,7 +361,10 @@ impl<D> std::fmt::Debug for ReplicaApplier<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};
+    use crate::{
+        CompressedReplicator, Payload, PayloadBody, PrinsReplicator, Replicator,
+        TraditionalReplicator,
+    };
     use prins_block::{BlockSize, MemDevice};
     use rand::{RngExt, SeedableRng};
 

@@ -64,8 +64,8 @@ pub use payload::{BatchFrame, Payload, PayloadBody, MAX_WIRE_LEN};
 pub use range::SeqRange;
 pub use strategy::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};
 pub use wire::{
-    decode_ack, encode_ack, is_sealed, open_frame, put_batch, put_compressed, put_full, put_parity,
-    put_strip_delta, seal_batch_frame_into, seal_begin, seal_frame, seal_frame_into, AckFrame,
-    Link, LinkEvent, Request, Response, SealWriter, ACK, BATCH_TAG, DIGEST_ACK, NAK, NAK_CORRUPT,
-    READ_ACK, SEAL_TAG, STRIP_ACK, STRIP_DELTA_TAG,
+    decode_ack, encode_ack, head_len, is_sealed, open_frame, put_batch, put_compressed, put_full,
+    put_parity, put_strip_delta, seal_batch_frame_into, seal_begin, seal_frame, seal_frame_into,
+    AckFrame, Link, LinkEvent, Request, Response, SealWriter, ACK, BATCH_TAG, DIGEST_ACK, NAK,
+    NAK_CORRUPT, READ_ACK, SEAL_TAG, STRIP_ACK, STRIP_DELTA_TAG,
 };

@@ -103,50 +103,83 @@ impl Payload {
     ///
     /// [`ReplError::Malformed`] on unknown tags or truncated headers.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ReplError> {
+        let PayloadRef { lba, body } = PayloadRef::parse(bytes)?;
+        let body = match body {
+            BodyRef::Full(data) => PayloadBody::Full(data.to_vec()),
+            BodyRef::Compressed { block_len, data } => PayloadBody::Compressed {
+                block_len,
+                data: data.to_vec(),
+            },
+            BodyRef::Parity(data) => PayloadBody::Parity(data.to_vec()),
+            BodyRef::ParityCompressed { sparse_len, data } => PayloadBody::ParityCompressed {
+                sparse_len,
+                data: data.to_vec(),
+            },
+            BodyRef::SyncMarker => PayloadBody::SyncMarker,
+            BodyRef::StripDelta { coeff, data } => PayloadBody::StripDelta {
+                coeff,
+                data: data.to_vec(),
+            },
+        };
+        Ok(Self { lba, body })
+    }
+}
+
+/// [`PayloadBody`] with its bytes still in the frame they arrived in.
+pub(crate) enum BodyRef<'a> {
+    Full(&'a [u8]),
+    Compressed { block_len: usize, data: &'a [u8] },
+    Parity(&'a [u8]),
+    ParityCompressed { sparse_len: usize, data: &'a [u8] },
+    SyncMarker,
+    StripDelta { coeff: u8, data: &'a [u8] },
+}
+
+/// A [`Payload`] parsed in place — the one parser: the replica applies
+/// from this form, reading each body where it lies, and
+/// [`Payload::from_bytes`] is this plus a copy.
+pub(crate) struct PayloadRef<'a> {
+    pub(crate) lba: Lba,
+    pub(crate) body: BodyRef<'a>,
+}
+
+impl<'a> PayloadRef<'a> {
+    /// Parses wire bytes; see [`Payload::from_bytes`].
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, ReplError> {
         let (&tag, rest) = bytes
             .split_first()
             .ok_or_else(|| ReplError::Malformed("empty payload".into()))?;
         let (lba, used) =
             decode_varint(rest).ok_or_else(|| ReplError::Malformed("truncated lba".into()))?;
         let rest = &rest[used..];
+        // A length claim ahead of an LZSS stream, held to the budget.
+        let claimed_len = |what: &str| {
+            let (len, used) = decode_varint(rest)
+                .ok_or_else(|| ReplError::Malformed(format!("truncated {what}")))?;
+            if len > MAX_WIRE_LEN as u64 {
+                return Err(ReplError::Malformed(format!(
+                    "{what} {len} exceeds budget {MAX_WIRE_LEN}"
+                )));
+            }
+            Ok((len as usize, &rest[used..]))
+        };
         let body = match tag {
-            FULL_TAG => PayloadBody::Full(rest.to_vec()),
+            FULL_TAG => BodyRef::Full(rest),
             COMPRESSED_TAG => {
-                let (block_len, used) = decode_varint(rest)
-                    .ok_or_else(|| ReplError::Malformed("truncated block_len".into()))?;
-                if block_len > MAX_WIRE_LEN as u64 {
-                    return Err(ReplError::Malformed(format!(
-                        "block_len {block_len} exceeds budget {MAX_WIRE_LEN}"
-                    )));
-                }
-                PayloadBody::Compressed {
-                    block_len: block_len as usize,
-                    data: rest[used..].to_vec(),
-                }
+                let (block_len, data) = claimed_len("block_len")?;
+                BodyRef::Compressed { block_len, data }
             }
-            PARITY_TAG => PayloadBody::Parity(rest.to_vec()),
+            PARITY_TAG => BodyRef::Parity(rest),
             PARITY_COMPRESSED_TAG => {
-                let (sparse_len, used) = decode_varint(rest)
-                    .ok_or_else(|| ReplError::Malformed("truncated sparse_len".into()))?;
-                if sparse_len > MAX_WIRE_LEN as u64 {
-                    return Err(ReplError::Malformed(format!(
-                        "sparse_len {sparse_len} exceeds budget {MAX_WIRE_LEN}"
-                    )));
-                }
-                PayloadBody::ParityCompressed {
-                    sparse_len: sparse_len as usize,
-                    data: rest[used..].to_vec(),
-                }
+                let (sparse_len, data) = claimed_len("sparse_len")?;
+                BodyRef::ParityCompressed { sparse_len, data }
             }
-            SYNC_MARKER_TAG => PayloadBody::SyncMarker,
+            SYNC_MARKER_TAG => BodyRef::SyncMarker,
             STRIP_DELTA_TAG => {
-                let (&coeff, rest) = rest
+                let (&coeff, data) = rest
                     .split_first()
                     .ok_or_else(|| ReplError::Malformed("truncated strip coefficient".into()))?;
-                PayloadBody::StripDelta {
-                    coeff,
-                    data: rest.to_vec(),
-                }
+                BodyRef::StripDelta { coeff, data }
             }
             other => return Err(ReplError::Malformed(format!("unknown tag {other}"))),
         };

@@ -1,10 +1,10 @@
 //! The three replication strategies compared throughout the paper.
 
 use prins_block::Lba;
-use prins_compress::Lzss;
+use prins_compress::{Abandoned, Lzss};
 use prins_parity::{DeltaPlan, SparseCodec};
 
-use crate::wire::{put_compressed, put_full, put_parity, put_parity_compressed};
+use crate::wire::{head_len, put_compressed, put_full, put_parity, put_parity_compressed};
 
 /// A replication strategy: turns an observed block write into a wire
 /// payload.
@@ -115,48 +115,91 @@ impl PrinsReplicator {
         self.codec
     }
 
-    /// Encodes the write `plan` was scanned from, reporting whether the
-    /// parity shipped LZSS-compressed (the adaptive policy learns a
-    /// region's parity compressibility from it). The plan carries the
-    /// one scan of the images this write pays for: the fallback
-    /// decision and the emit both read it.
+    /// Encodes the write `plan` was scanned from, if the frame comes to
+    /// at most `at_most` bytes (`usize::MAX`: always), reporting whether
+    /// the parity shipped LZSS-compressed — the adaptive policy learns
+    /// a region's parity compressibility from it, and passes the length
+    /// of a frame it already holds so a trial that cannot beat it stops
+    /// early. The plan carries the one scan of the images this write
+    /// pays for: the fallback decision and the emit both read it.
     ///
     /// For the bytes to be this strategy's, `plan` must come from a
     /// codec equal to [`codec`](Self::codec).
-    pub fn encode_planned(&self, lba: Lba, plan: &mut DeltaPlan<'_>, out: &mut Vec<u8>) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// [`Abandoned`] when this strategy's frame for the write is longer
+    /// than `at_most`: `out` is left as it was, and the error is the
+    /// LZSS trial's (all zero if none ran).
+    pub fn encode_planned(
+        &self,
+        lba: Lba,
+        plan: &mut DeltaPlan<'_>,
+        at_most: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<bool, Abandoned> {
         // Guard: a pathological write that changes (nearly) the whole
         // block would make the encoded parity *larger* than the block
         // (offsets + lengths on top of the data). Fall back to a full
         // image — the replica accepts both forms, so PRINS is never
         // worse than traditional replication on any single write.
         let new = plan.new_image();
-        if plan.wire_len() >= new.len() {
-            put_full(out, lba, new);
-            return false;
-        }
-        if !self.compress_parity {
-            // Fused: the dense parity block and an intermediate sparse
-            // buffer never exist.
-            put_parity(out, lba, |out| plan.encode_into(out));
-            return false;
+        let wire = plan.wire_len();
+        let plain_fits = head_len(lba) + wire.min(new.len()) <= at_most;
+        if wire >= new.len() || !self.compress_parity {
+            if !plain_fits {
+                return Err(Abandoned::default());
+            }
+            if wire >= new.len() {
+                put_full(out, lba, new);
+            } else {
+                // Fused: the dense parity block and an intermediate
+                // sparse buffer never exist.
+                put_parity(out, lba, |out| plan.encode_into(out));
+            }
+            return Ok(false);
         }
         // The ablation path: the compressor needs the sparse stream as
         // one slice (the plan's recycled buffer) and writes its trial
         // straight behind the header; a lost trial is cut off again.
+        // `packed < wire` decides LZSS against plain parity, so while
+        // the plain frame is an option the trial runs to that point;
+        // once it is not, only an LZSS frame inside `at_most` matters.
         let sparse = plan.stream();
+        debug_assert_eq!(sparse.len(), wire, "the plan's stream is its wire length");
         let base = out.len();
-        let mut packed = 0;
-        put_parity_compressed(out, lba, sparse.len(), |out| {
-            let at = out.len();
-            self.lzss.compress_into(sparse, out);
-            packed = out.len() - at;
+        let mut trial = Err(Abandoned::default());
+        put_parity_compressed(out, lba, wire, |out| {
+            let limit = if plain_fits {
+                wire.checked_sub(1)
+            } else {
+                at_most.checked_sub(out.len() - base)
+            };
+            if let Some(limit) = limit {
+                trial = self.lzss.compress_bounded(sparse, limit, out);
+            }
         });
-        let won = packed < sparse.len();
-        if !won {
-            out.truncate(base);
-            put_parity(out, lba, |out| out.extend_from_slice(sparse));
+        match trial {
+            Ok(_) if out.len() - base <= at_most => Ok(true),
+            // Won against plain parity by less than the length prefix
+            // costs: the frame is the LZSS one, and it is too long.
+            Ok(packed) => {
+                out.truncate(base);
+                Err(Abandoned {
+                    consumed: wire,
+                    produced: packed,
+                })
+            }
+            Err(_) if plain_fits => {
+                out.truncate(base);
+                put_parity(out, lba, |out| out.extend_from_slice(sparse));
+                Ok(false)
+            }
+            Err(abandoned) => {
+                out.truncate(base);
+                Err(abandoned)
+            }
         }
-        won
     }
 }
 
@@ -168,7 +211,8 @@ impl Default for PrinsReplicator {
 
 impl Replicator for PrinsReplicator {
     fn encode_write_into(&self, lba: Lba, old: &[u8], new: &[u8], out: &mut Vec<u8>) {
-        self.encode_planned(lba, &mut self.codec.plan_delta(old, new), out);
+        self.encode_planned(lba, &mut self.codec.plan_delta(old, new), usize::MAX, out)
+            .expect("every frame fits usize::MAX");
     }
 
     fn name(&self) -> &'static str {
@@ -323,6 +367,116 @@ mod tests {
         let mut fused = Vec::new();
         r.encode_write_into(Lba(17), &old, &new, &mut fused);
         assert_eq!(fused, classic("prins", Lba(17), &old, &new).to_bytes());
+    }
+
+    /// Under a budget `encode_planned` appends exactly the frame the
+    /// unbounded call would — when that frame fits — and otherwise
+    /// leaves `out` alone: wherever the LZSS trial is cut short, the
+    /// answer is the one running it to the end would have given.
+    #[test]
+    fn encode_planned_under_a_budget_is_the_unbounded_frame_or_nothing() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let text = |shift: usize| -> Vec<u8> {
+            b"insert into order_line values (7, 3, 118, 'pending'); "
+                .iter()
+                .cycle()
+                .skip(shift)
+                .take(2048)
+                .copied()
+                .collect()
+        };
+        let mut noise = vec![0u8; 2048];
+        rng.fill_bytes(&mut noise);
+        let mut patched = noise.clone();
+        patched[100..700].iter_mut().for_each(|b| *b ^= 0x3c);
+        let mut flipped = noise.clone();
+        flipped[9] ^= 1;
+        let inverted: Vec<u8> = noise.iter().map(|b| !b).collect();
+        let writes = [
+            ("LZSS parity wins", vec![0u8; 2048], text(0)),
+            ("LZSS parity wins narrowly or loses", text(0), text(7)),
+            ("plain parity, incompressible", noise.clone(), patched),
+            ("tiny parity", noise.clone(), flipped),
+            ("parity no smaller than the block", noise.clone(), inverted),
+            ("nothing changed", noise.clone(), noise.clone()),
+        ];
+        let codec = SparseCodec::default();
+        for r in [
+            PrinsReplicator::with_parity_compression(),
+            PrinsReplicator::new(),
+        ] {
+            for (what, old, new) in &writes {
+                let whole = r.encode_write(Lba(300), old, new);
+                let wire = codec.plan_delta(old, new).wire_len();
+                let lzss_won = whole[0] == crate::wire::PARITY_COMPRESSED_TAG;
+                // Around every length the decision turns on.
+                let turning = [0, 3, wire, head_len(Lba(300)) + wire, whole.len()];
+                for at_most in turning
+                    .iter()
+                    .flat_map(|&n| n.saturating_sub(3)..=n + 3)
+                    .chain([whole.len() / 2, usize::MAX])
+                {
+                    let mut out = vec![0xA5u8];
+                    let mut plan = codec.plan_delta(old, new);
+                    let got = r.encode_planned(Lba(300), &mut plan, at_most, &mut out);
+                    if whole.len() <= at_most {
+                        assert_eq!(got, Ok(lzss_won), "{what}, {} at {at_most}", r.name());
+                        assert_eq!(&out[1..], &whole[..], "{what}, {} at {at_most}", r.name());
+                    } else {
+                        let gave_up = got.expect_err(what);
+                        assert_eq!(out, [0xA5], "{what}, {} at {at_most}", r.name());
+                        assert!(gave_up.consumed <= wire);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `packed < wire` decides LZSS against plain parity, so an LZSS
+    /// win by one byte ships a frame one byte *longer* than plain
+    /// parity (the length prefix costs two). A budget of exactly the
+    /// plain frame must then report "too long" — not quietly hand back
+    /// the plain frame the unbounded encoder would not have chosen.
+    #[test]
+    fn a_win_smaller_than_its_length_prefix_is_still_the_lzss_frame() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        let mut old = vec![0u8; 4096];
+        rng.fill_bytes(&mut old);
+        let r = PrinsReplicator::with_parity_compression();
+        let codec = SparseCodec::default();
+        let mut seen = 0;
+        // A 600-byte noise parity whose tail repeats its head for
+        // `repeat` bytes: one match, worth a few bytes either way.
+        for repeat in 4..24usize {
+            let mut delta = vec![0u8; 600];
+            rng.fill_bytes(&mut delta);
+            delta.iter_mut().for_each(|b| *b |= 1);
+            delta.copy_within(..repeat, 600 - repeat);
+            let mut new = old.clone();
+            new[1000..1600]
+                .iter_mut()
+                .zip(&delta)
+                .for_each(|(n, d)| *n ^= d);
+            let whole = r.encode_write(Lba(5), &old, &new);
+            let plain = head_len(Lba(5)) + codec.plan_delta(&old, &new).wire_len();
+            if whole.len() != plain + 1 {
+                continue;
+            }
+            seen += 1;
+            assert_eq!(whole[0], crate::wire::PARITY_COMPRESSED_TAG);
+            let mut out = Vec::new();
+            let mut plan = codec.plan_delta(&old, &new);
+            assert!(r
+                .encode_planned(Lba(5), &mut plan, plain, &mut out)
+                .is_err());
+            assert!(out.is_empty());
+            assert_eq!(
+                r.encode_planned(Lba(5), &mut plan, plain + 1, &mut out),
+                Ok(true)
+            );
+            assert_eq!(out, whole);
+        }
+        assert!(seen > 0, "no repeat length produced the one-byte win");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use prins_block::{crc32c, crc32c_append, Lba};
 use prins_net::Transport;
-use prins_parity::{decode_varint, encode_varint};
+use prins_parity::{decode_varint, encode_varint, varint_len};
 
 use crate::ReplError;
 
@@ -77,6 +77,12 @@ pub const READ_ACK: u8 = 0x1b;
 fn put_head(out: &mut Vec<u8>, tag: u8, lba: Lba) {
     out.push(tag);
     encode_varint(out, lba.index());
+}
+
+/// Bytes every payload for `lba` opens with (`tag varint(lba)`), for
+/// frame-length arithmetic ahead of an encode.
+pub fn head_len(lba: Lba) -> usize {
+    1 + varint_len(lba.index())
 }
 
 /// Appends a full-image payload.

@@ -1,0 +1,71 @@
+#!/usr/bin/env sh
+# Alternating parent/change pairs of the benchmark's contract command — the
+# protocol a PR that claims (or risks) an end-to-end number reports
+# (choosing-metrics: >= 10 pairs, the change better in >= 9/10 and the medians
+# apart by more than the parent's own inter-quartile distance).
+#
+#   scripts/pairs.sh <parent-dir> <change-dir> <workload> <pairs>
+#
+# Both directories are checkouts whose benchmark/ package is already built
+# (`cargo build --release --offline --manifest-path benchmark/Cargo.toml`), so
+# the `cargo run` below only starts the binary. Pair i runs seed SEED+i on both
+# sides (SEED defaults to the clock, so every invocation uses seeds nobody
+# developed against; the seeds are printed) — even pairs parent first, odd
+# pairs change first. Every run is printed as it finishes, then each side's
+# median and quartiles per metric and the pairs the change was better in.
+set -eu
+[ $# -eq 4 ] || { echo "usage: $0 <parent-dir> <change-dir> <workload> <pairs>" >&2; exit 2; }
+parent=$1 change=$2 workload=$3 pairs=$4
+root=$(cd "$(dirname "$0")/.." && pwd)
+# `run_seconds` of BENCHMARK.json; the command is its `command` plus the
+# per-run arguments the driver appends.
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$root/BENCHMARK.json")
+seed0=${SEED:-$(date +%s)}
+metrics="writes_per_s cpu_us_per_write wire_bytes_per_write op_p50_us setup_s"
+runs=$(mktemp)
+trap 'rm -f "$runs"' EXIT
+
+contract() { # <dir> <seed>  -> the result line
+    (cd "$1" && cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)
+}
+field() { printf '%s\n' "$1" | sed -n "s/.*\"$2\": {\"unit\": \"[^\"]*\", \"value\": \([-+.eE0-9]*\)}.*/\1/p"; }
+
+echo "# $workload, $pairs pairs x ${seconds} s, --trace 0, seeds $seed0..$((seed0 + pairs - 1))"
+echo "# pair side seed $metrics correct failed"
+i=0
+while [ "$i" -lt "$pairs" ]; do
+    seed=$((seed0 + i))
+    if [ $((i % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        if [ "$side" = parent ]; then dir=$parent; else dir=$change; fi
+        line=$(contract "$dir" "$seed")
+        row="$i $side $seed"
+        for m in $metrics; do row="$row $(field "$line" "$m")"; done
+        correct=$(printf '%s\n' "$line" | sed -n 's/.*"correct": \([a-z]*\).*/\1/p')
+        failed=$(printf '%s\n' "$line" | sed -n 's/.*"failed": \([0-9]*\).*/\1/p')
+        echo "$row $correct $failed" | tee -a "$runs"
+    done
+    i=$((i + 1))
+done
+
+# Median and quartiles by linear interpolation between order statistics.
+echo "# metric side median q1 q3 | change better in"
+col=4
+for m in $metrics; do
+    for side in parent change; do
+        awk -v side="$side" -v col="$col" '$2 == side { print $col }' "$runs" | sort -g |
+            awk -v m="$m" -v side="$side" '
+                { v[NR] = $1 }
+                function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
+                END { if (NR) printf "%-22s %-6s %12.4f %12.4f %12.4f", m, side, q(0.5), q(0.25), q(0.75) }'
+        if [ "$side" = parent ]; then echo; fi
+    done
+    # writes_per_s is the one metric where higher is better.
+    awk -v col="$col" -v higher="$([ "$m" = writes_per_s ] && echo 1 || echo 0)" '
+        $2 == "parent" { p[$1] = $col } $2 == "change" { c[$1] = $col }
+        END { for (i in p) if (i in c) { n++; if (higher ? c[i] > p[i] : c[i] < p[i]) w++ }
+              printf " | %d/%d\n", w, n }' "$runs"
+    col=$((col + 1))
+done
+awk '$9 != "true" || $10 != 0 { bad++ } END { printf "# runs not correct or with failed operations: %d of %d\n", bad, NR }' "$runs"
