@@ -71,6 +71,6 @@ cargo run -q --release -p prins-bench --bin figures -- scale --no-run
 # parse (the adaptive <= best-static byte bounds are asserted by
 # prins-bench's release-gated test in the workspace suite above).
 cargo run -q --release -p prins-bench --bin figures -- adaptive --no-run
-# Counted lines per crate (and per file for core, cluster, sim): the
+# Counted lines per crate (and per file for the crates named): the
 # number simplicity PRs quote before/after. Printed, never gated on.
-./scripts/loc.sh
+./scripts/loc.sh core cluster sim parity repl trap

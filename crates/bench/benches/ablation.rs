@@ -110,8 +110,8 @@ fn ablate_min_gap(_c: &mut Criterion) {
         let sp = SparseCodec::new(gap).encode(&parity);
         println!(
             "{gap:>8}  {:>10}  {:>10}",
-            sp.wire_size(),
-            sp.segments().len()
+            sp.as_bytes().len(),
+            sp.segments().count()
         );
     }
 }

@@ -370,8 +370,9 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         self.device.read_block(lba, &mut self.old)?;
         self.device.write_block(lba, new)?;
 
-        let delta = self.codec.delta(&self.old, new);
-        let sparse = self.sparse.encode(&delta).to_bytes();
+        // Δd = old ⊕ new in every GF(2^w): one scan of the two images,
+        // straight to the stream every strip owner receives.
+        let sparse = self.sparse.plan_delta(&self.old, new).to_parity();
         // One trace per logical write; the hold (pending = 1) keeps it
         // open across the strip fan-out and is released after the last
         // acknowledgement is collected below.
@@ -400,7 +401,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             let n = &mut self.nodes[node];
             let sealed_len = n
                 .link
-                .send(|out| put_strip_delta(out, Lba(stripe), coeff, &sparse))?
+                .send(|out| put_strip_delta(out, Lba(stripe), coeff, sparse.as_bytes()))?
                 as u64;
             n.sent_bytes += sealed_len;
             n.strip_writes += 1;
@@ -529,10 +530,10 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
                 .expect("reconstruct fills every missing strip");
             // Coefficient-1 delta over the replacement's zeroed disk:
             // the rebuilt image itself, minus its zero runs.
-            let sparse = self.sparse.encode(&rebuilt).to_bytes();
+            let sparse = self.sparse.encode(&rebuilt);
             let sealed_len = self.nodes[lost]
                 .link
-                .send(|out| put_strip_delta(out, Lba(stripe), 1, &sparse))?
+                .send(|out| put_strip_delta(out, Lba(stripe), 1, sparse.as_bytes()))?
                 as u64;
             self.nodes[lost].sent_bytes += sealed_len;
             report.wire_bytes += sealed_len;

@@ -416,7 +416,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         self.old
             .resize(self.device.geometry().block_size().bytes(), 0);
         self.device.read_block(lba, &mut self.old)?;
-        self.device.write_block(lba, new)?;
+        self.device.write_block_over(lba, &self.old, new)?;
         let seq = self.log().current_seq();
         self.payload.clear();
         self.replicator
@@ -815,7 +815,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                         .send(|out| put_full(out, *lba, &block))
                 }
                 ResyncFrame::Parity(lba, _, parity) => self.replicas[idx].link.send(|out| {
-                    put_parity(out, *lba, |out| out.extend_from_slice(&parity.to_bytes()));
+                    put_parity(out, *lba, |out| out.extend_from_slice(parity.as_bytes()));
                 }),
             };
             match sent {

@@ -16,22 +16,6 @@ use std::fmt;
 use crate::varint::{decode_varint, encode_varint, varint_len};
 use crate::xor::xor_in_place;
 
-/// One contiguous nonzero extent of a parity block.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Segment {
-    /// Byte offset of the extent within the block.
-    pub offset: usize,
-    /// The extent's bytes (never empty for codec-produced segments).
-    pub data: Vec<u8>,
-}
-
-impl Segment {
-    /// One past the last byte covered by this segment.
-    pub fn end(&self) -> usize {
-        self.offset + self.data.len()
-    }
-}
-
 /// Errors from decoding a serialized sparse parity.
 #[derive(Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -82,74 +66,75 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// A parity block represented by its nonzero extents only.
+/// A parity block held as its validated wire stream:
+/// `varint(block_len) varint(n) { varint(gap) varint(len) bytes }*n`,
+/// the nonzero extents only. This is what PRINS puts on the wire (after
+/// framing) and in the TRAP log instead of the full data block.
 ///
-/// Produced by [`SparseCodec::encode`]; this is what PRINS puts on the
-/// wire (after framing) instead of the full data block.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SparseParity {
-    block_len: usize,
-    segments: Vec<Segment>,
-}
+/// `B` is where the stream lives: [`SparseCodec::encode`] and
+/// [`DeltaPlan::to_parity`] build an owned one (`Vec<u8>`, the
+/// default), [`SparseCodec::decode`] checks one in place and borrows it
+/// from the frame it arrived in. Either way the value *is* the stream —
+/// [`as_bytes`](Self::as_bytes) serializes nothing — and every reader
+/// walks it through [`segments`](Self::segments).
+///
+/// The field holds exactly the bytes of one well-formed stream: no
+/// other value can be built.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SparseParity<B = Vec<u8>>(B);
 
-impl SparseParity {
-    /// An all-zero parity (the write did not change the block).
-    pub fn empty(block_len: usize) -> Self {
-        Self {
-            block_len,
-            segments: Vec::new(),
-        }
+/// Why reading a [`SparseParity`]'s stream cannot fail.
+const VALID: &str = "the stream was validated when this value was built";
+
+impl<B: AsRef<[u8]>> SparseParity<B> {
+    /// The declared block length and the `(gap, len, bytes)` triples
+    /// behind the two header varints.
+    fn header(&self) -> (usize, &[u8]) {
+        let (block_len, used) = decode_varint(self.as_bytes()).expect(VALID);
+        let rest = &self.as_bytes()[used..];
+        let (_count, used) = decode_varint(rest).expect(VALID);
+        (block_len as usize, &rest[used..])
     }
 
     /// Length of the dense block this parity describes.
     pub fn block_len(&self) -> usize {
-        self.block_len
+        self.header().0
     }
 
-    /// The nonzero extents, ordered by offset.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
+    /// The wire stream. Its length is the number PRINS reports as
+    /// replication traffic for one write.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.0.as_ref()
+    }
+
+    /// A copy of [`as_bytes`](Self::as_bytes).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.as_bytes().to_vec()
+    }
+
+    /// The same parity owning its stream.
+    pub fn to_owned(&self) -> SparseParity {
+        SparseParity(self.to_bytes())
+    }
+
+    /// The nonzero extents as `(offset, bytes)`, ordered by offset.
+    pub fn segments(&self) -> impl Iterator<Item = (usize, &[u8])> + '_ {
+        let (block_len, mut rest) = self.header();
+        let mut prev_end = 0usize;
+        std::iter::from_fn(move || {
+            if rest.is_empty() {
+                return None;
+            }
+            let (offset, data, after) = next_segment(rest, prev_end, block_len).expect(VALID);
+            prev_end = offset + data.len();
+            rest = after;
+            Some((offset, data))
+        })
     }
 
     /// Whether the parity is all zeros.
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// Total bytes of extent payload (excluding metadata).
-    pub fn payload_bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.data.len()).sum()
-    }
-
-    /// Exact size of [`to_bytes`](Self::to_bytes) output without
-    /// allocating it. This is the number PRINS reports as replication
-    /// traffic for one write.
-    pub fn wire_size(&self) -> usize {
-        let mut n = varint_len(self.block_len as u64) + varint_len(self.segments.len() as u64);
-        let mut prev_end = 0usize;
-        for s in &self.segments {
-            n += varint_len((s.offset - prev_end) as u64);
-            n += varint_len(s.data.len() as u64);
-            n += s.data.len();
-            prev_end = s.end();
-        }
-        n
-    }
-
-    /// Serializes to the wire format:
-    /// `varint(block_len) varint(n) { varint(gap) varint(len) bytes }*n`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_size());
-        encode_varint(&mut out, self.block_len as u64);
-        encode_varint(&mut out, self.segments.len() as u64);
-        let mut prev_end = 0usize;
-        for s in &self.segments {
-            encode_varint(&mut out, (s.offset - prev_end) as u64);
-            encode_varint(&mut out, s.data.len() as u64);
-            out.extend_from_slice(&s.data);
-            prev_end = s.end();
-        }
-        out
+        self.header().1.is_empty()
     }
 
     /// Expands back to a dense parity block of length `len`.
@@ -159,10 +144,10 @@ impl SparseParity {
     /// Panics if `len` differs from the encoded block length; replicas
     /// must operate on the same block size as the primary.
     pub fn to_dense(&self, len: usize) -> Vec<u8> {
-        assert_eq!(len, self.block_len, "dense expansion length mismatch");
+        assert_eq!(len, self.block_len(), "dense expansion length mismatch");
         let mut out = vec![0u8; len];
-        for s in &self.segments {
-            out[s.offset..s.end()].copy_from_slice(&s.data);
+        for (offset, data) in self.segments() {
+            out[offset..offset + data.len()].copy_from_slice(data);
         }
         out
     }
@@ -176,13 +161,13 @@ impl SparseParity {
     /// # Panics
     ///
     /// Panics if the two parities describe different block lengths.
-    pub fn fold(&self, other: &SparseParity) -> SparseParity {
+    pub fn fold(&self, other: &SparseParity<impl AsRef<[u8]>>) -> SparseParity {
         assert_eq!(
-            self.block_len, other.block_len,
+            self.block_len(),
+            other.block_len(),
             "folding parities of different block lengths"
         );
-        let mut dense = vec![0u8; self.block_len];
-        self.apply_to(&mut dense);
+        let mut dense = self.to_dense(self.block_len());
         other.apply_to(&mut dense);
         SparseCodec::default().encode(&dense)
     }
@@ -197,13 +182,47 @@ impl SparseParity {
     pub fn apply_to(&self, block: &mut [u8]) {
         assert_eq!(
             block.len(),
-            self.block_len,
+            self.block_len(),
             "parity applied to wrong-sized block"
         );
-        for s in &self.segments {
-            xor_in_place(&mut block[s.offset..s.offset + s.data.len()], &s.data);
+        for (offset, data) in self.segments() {
+            xor_in_place(&mut block[offset..offset + data.len()], data);
         }
     }
+}
+
+/// Parses the `(gap, len, bytes)` triple at the front of `rest`, the
+/// extent before it having ended at `prev_end`: the extent's offset,
+/// its bytes, and what follows them in `rest`. The one reader of the
+/// stream grammar — [`SparseCodec::decode`] checks a stream through it
+/// and [`SparseParity::segments`] walks one through it.
+fn next_segment(
+    rest: &[u8],
+    prev_end: usize,
+    block_len: usize,
+) -> Result<(usize, &[u8], &[u8]), CodecError> {
+    let (gap, used) = decode_varint(rest).ok_or(CodecError::Truncated)?;
+    let rest = &rest[used..];
+    let (len, used) = decode_varint(rest).ok_or(CodecError::Truncated)?;
+    let rest = &rest[used..];
+    if len == 0 {
+        return Err(CodecError::SegmentOrder);
+    }
+    let end_of = |from: usize, by: u64| from.checked_add(usize::try_from(by).ok()?);
+    let offset = end_of(prev_end, gap).ok_or(CodecError::SegmentOrder)?;
+    let end = end_of(offset, len).ok_or(CodecError::SegmentOrder)?;
+    if end > block_len {
+        return Err(CodecError::SegmentOutOfBounds {
+            offset,
+            end,
+            block_len,
+        });
+    }
+    if end - offset > rest.len() {
+        return Err(CodecError::Truncated);
+    }
+    let (data, after) = rest.split_at(end - offset);
+    Ok((offset, data, after))
 }
 
 /// Encoder/decoder between dense parity blocks and [`SparseParity`].
@@ -235,8 +254,11 @@ impl SparseCodec {
     /// mostly-zero block is scanned at memory bandwidth rather than one
     /// byte-compare per position.
     pub fn encode(&self, parity: &[u8]) -> SparseParity {
-        let mut segments: Vec<Segment> = Vec::new();
         let n = parity.len();
+        // The triples first: their count heads the stream.
+        let mut body = Vec::new();
+        let mut count = 0u64;
+        let mut prev_end = 0usize;
         let mut next = crate::scan_nonzero(parity, 0);
         while let Some(start) = next {
             // Grow the segment: alternate nonzero stretches with zero
@@ -254,15 +276,17 @@ impl SparseCodec {
                     }
                 }
             }
-            segments.push(Segment {
-                offset: start,
-                data: parity[start..last_nonzero].to_vec(),
-            });
+            encode_varint(&mut body, (start - prev_end) as u64);
+            encode_varint(&mut body, (last_nonzero - start) as u64);
+            body.extend_from_slice(&parity[start..last_nonzero]);
+            prev_end = last_nonzero;
+            count += 1;
         }
-        SparseParity {
-            block_len: n,
-            segments,
-        }
+        let mut stream = Vec::with_capacity(varint_len(n as u64) + varint_len(count) + body.len());
+        encode_varint(&mut stream, n as u64);
+        encode_varint(&mut stream, count);
+        stream.extend_from_slice(&body);
+        SparseParity(stream)
     }
 
     /// Scans `old` against `new` once and returns the plan of their
@@ -350,7 +374,11 @@ impl SparseCodec {
         self.plan_delta(old, new).encode_into(out);
     }
 
-    /// Parses the wire format produced by [`SparseParity::to_bytes`].
+    /// Checks that `bytes` starts with a well-formed stream for a block
+    /// of `expected_block_len` and returns exactly that prefix, borrowed
+    /// (the stream is self-delimiting; what follows it is the caller's).
+    /// Nothing is sized from a number read off `bytes`: a count with too
+    /// few triples behind it is a truncation like any other.
     ///
     /// # Errors
     ///
@@ -359,59 +387,28 @@ impl SparseCodec {
     ///   not `expected_block_len`,
     /// * [`CodecError::SegmentOutOfBounds`] /
     ///   [`CodecError::SegmentOrder`] on malformed structure.
-    pub fn decode(
+    pub fn decode<'a>(
         &self,
-        bytes: &[u8],
+        bytes: &'a [u8],
         expected_block_len: usize,
-    ) -> Result<SparseParity, CodecError> {
-        let mut pos = 0usize;
-        let (block_len, used) = decode_varint(&bytes[pos..]).ok_or(CodecError::Truncated)?;
-        pos += used;
-        let block_len = block_len as usize;
-        if block_len != expected_block_len {
+    ) -> Result<SparseParity<&'a [u8]>, CodecError> {
+        let (encoded, used) = decode_varint(bytes).ok_or(CodecError::Truncated)?;
+        if encoded != expected_block_len as u64 {
             return Err(CodecError::BlockLenMismatch {
-                encoded: block_len,
+                encoded: encoded as usize,
                 expected: expected_block_len,
             });
         }
-        let (count, used) = decode_varint(&bytes[pos..]).ok_or(CodecError::Truncated)?;
-        pos += used;
-        let mut segments = Vec::with_capacity(count as usize);
+        let mut rest = &bytes[used..];
+        let (count, used) = decode_varint(rest).ok_or(CodecError::Truncated)?;
+        rest = &rest[used..];
         let mut prev_end = 0usize;
         for _ in 0..count {
-            let (gap, used) = decode_varint(&bytes[pos..]).ok_or(CodecError::Truncated)?;
-            pos += used;
-            let (len, used) = decode_varint(&bytes[pos..]).ok_or(CodecError::Truncated)?;
-            pos += used;
-            let len = len as usize;
-            if len == 0 {
-                return Err(CodecError::SegmentOrder);
-            }
-            let offset = prev_end
-                .checked_add(gap as usize)
-                .ok_or(CodecError::SegmentOrder)?;
-            let end = offset.checked_add(len).ok_or(CodecError::SegmentOrder)?;
-            if end > block_len {
-                return Err(CodecError::SegmentOutOfBounds {
-                    offset,
-                    end,
-                    block_len,
-                });
-            }
-            if pos + len > bytes.len() {
-                return Err(CodecError::Truncated);
-            }
-            segments.push(Segment {
-                offset,
-                data: bytes[pos..pos + len].to_vec(),
-            });
-            pos += len;
-            prev_end = end;
+            let (offset, data, after) = next_segment(rest, prev_end, expected_block_len)?;
+            prev_end = offset + data.len();
+            rest = after;
         }
-        Ok(SparseParity {
-            block_len,
-            segments,
-        })
+        Ok(SparseParity(&bytes[..bytes.len() - rest.len()]))
     }
 }
 
@@ -533,6 +530,16 @@ impl<'a> DeltaPlan<'a> {
         emit_extents(self.old, self.new, &self.buffers.extents, out);
     }
 
+    /// The sparse encoding as a value of its own — what a log keeps
+    /// after the images are gone. Byte for byte what
+    /// [`encode`](SparseCodec::encode) makes of `forward_parity(old, new)`
+    /// and what [`decode`](SparseCodec::decode) accepts.
+    pub fn to_parity(&self) -> SparseParity {
+        let mut stream = Vec::new();
+        self.encode_into(&mut stream);
+        SparseParity(stream)
+    }
+
     /// The sparse encoding as one slice, for a consumer that needs it
     /// contiguous (a compressor): encoded once, into the plan's own
     /// recycled buffer.
@@ -569,9 +576,8 @@ mod tests {
 
     fn roundtrip(codec: SparseCodec, parity: &[u8]) {
         let sp = codec.encode(parity);
-        let bytes = sp.to_bytes();
-        assert_eq!(bytes.len(), sp.wire_size(), "wire_size must be exact");
-        let back = codec.decode(&bytes, parity.len()).unwrap();
+        let back = codec.decode(sp.as_bytes(), parity.len()).unwrap();
+        assert_eq!(back.to_owned(), sp, "decode keeps the stream it checked");
         assert_eq!(back.to_dense(parity.len()), parity);
     }
 
@@ -603,7 +609,8 @@ mod tests {
 
     /// Plans `old -> new` and checks extents, wire size and emitted
     /// bytes against the byte-wise walker and the classic
-    /// materialize-then-encode path.
+    /// materialize-then-encode path: planned, encoded and decoded are
+    /// one value.
     fn assert_plan_matches_reference(codec: SparseCodec, old: &[u8], new: &[u8]) {
         let mut plan = codec.plan_delta(old, new);
         assert_eq!(
@@ -611,9 +618,11 @@ mod tests {
             reference_delta_segments(codec, old, new)
         );
         let classic = codec.encode(&forward_parity(old, new));
-        assert_eq!(plan.segments(), classic.segments().len());
-        assert_eq!(plan.wire_len(), classic.wire_size());
-        let want = classic.to_bytes();
+        assert_eq!(plan.segments(), classic.segments().count());
+        assert_eq!(plan.wire_len(), classic.as_bytes().len());
+        assert_eq!(plan.to_parity(), classic);
+        let want = classic.as_bytes();
+        assert_eq!(codec.decode(want, old.len()).unwrap().to_owned(), classic);
         let mut fused = vec![0xEEu8; 3]; // pre-existing bytes must be preserved
         plan.encode_into(&mut fused);
         assert_eq!(&fused[..3], &[0xEEu8; 3]);
@@ -686,7 +695,7 @@ mod tests {
         let parity = vec![0u8; 8192];
         let sp = SparseCodec::default().encode(&parity);
         assert!(sp.is_empty());
-        assert!(sp.wire_size() <= 3);
+        assert!(sp.as_bytes().len() <= 3);
         roundtrip(SparseCodec::default(), &parity);
     }
 
@@ -695,10 +704,10 @@ mod tests {
         let mut parity = vec![0u8; 4096];
         parity[100..228].fill(0x55);
         let sp = SparseCodec::default().encode(&parity);
-        assert_eq!(sp.segments().len(), 1);
-        assert_eq!(sp.payload_bytes(), 128);
+        let segments: Vec<_> = sp.segments().collect();
+        assert_eq!(segments, [(100, &[0x55u8; 128][..])]);
         // metadata is a handful of bytes
-        assert!(sp.wire_size() < 128 + 10);
+        assert!(sp.as_bytes().len() < 128 + 10);
         roundtrip(SparseCodec::default(), &parity);
     }
 
@@ -709,9 +718,8 @@ mod tests {
         parity[14] = 1; // 3 zero gap < min_gap=8 → merged
         parity[500] = 1; // far away → separate segment
         let sp = SparseCodec::default().encode(&parity);
-        assert_eq!(sp.segments().len(), 2);
-        assert_eq!(sp.segments()[0].offset, 10);
-        assert_eq!(sp.segments()[0].data.len(), 5);
+        assert_eq!(sp.segments().count(), 2);
+        assert_eq!(sp.segments().next(), Some((10, &[1u8, 0, 0, 0, 1][..])));
         roundtrip(SparseCodec::default(), &parity);
     }
 
@@ -729,7 +737,7 @@ mod tests {
         parity[1] = 1;
         parity[3] = 1;
         let sp = SparseCodec::new(1).encode(&parity);
-        assert_eq!(sp.segments().len(), 2);
+        assert_eq!(sp.segments().count(), 2);
         roundtrip(SparseCodec::new(1), &parity);
     }
 
@@ -739,8 +747,7 @@ mod tests {
         parity[0] = 9;
         parity[2] = 9; // merged with gap 1, then 29 zeros follow
         let sp = SparseCodec::default().encode(&parity);
-        assert_eq!(sp.segments().len(), 1);
-        assert_eq!(sp.segments()[0].data, vec![9, 0, 9]);
+        assert_eq!(sp.segments().collect::<Vec<_>>(), [(0, &[9u8, 0, 9][..])]);
     }
 
     #[test]
@@ -759,9 +766,8 @@ mod tests {
     #[test]
     fn decode_rejects_wrong_block_len() {
         let sp = SparseCodec::default().encode(&[0u8; 100]);
-        let bytes = sp.to_bytes();
         assert_eq!(
-            SparseCodec::default().decode(&bytes, 200),
+            SparseCodec::default().decode(sp.as_bytes(), 200),
             Err(CodecError::BlockLenMismatch {
                 encoded: 100,
                 expected: 200
@@ -774,7 +780,8 @@ mod tests {
         let mut parity = vec![0u8; 256];
         parity[3..10].fill(1);
         parity[100..120].fill(2);
-        let bytes = SparseCodec::default().encode(&parity).to_bytes();
+        let sp = SparseCodec::default().encode(&parity);
+        let bytes = sp.as_bytes();
         for cut in 0..bytes.len() {
             assert!(
                 SparseCodec::default().decode(&bytes[..cut], 256).is_err(),
@@ -812,6 +819,42 @@ mod tests {
     }
 
     #[test]
+    fn a_count_with_nothing_behind_it_is_a_truncation() {
+        // varint(4096) varint(2^40): eight bytes claiming a trillion
+        // segments. Nothing may be sized from the claim.
+        let mut bytes = Vec::new();
+        crate::encode_varint(&mut bytes, 4096);
+        crate::encode_varint(&mut bytes, 1 << 40);
+        assert_eq!(bytes.len(), 8);
+        assert_eq!(
+            SparseCodec::default().decode(&bytes, 4096),
+            Err(CodecError::Truncated)
+        );
+    }
+
+    #[test]
+    fn decode_keeps_exactly_the_prefix_it_consumed() {
+        let mut parity = vec![0u8; 64];
+        parity[5..9].fill(7);
+        let canonical = SparseCodec::default().encode(&parity);
+        // The stream is self-delimiting: what follows it is not part of
+        // the value.
+        let mut trailed = canonical.to_bytes();
+        trailed.extend_from_slice(b"next record");
+        let got = SparseCodec::default().decode(&trailed, 64).unwrap();
+        assert_eq!(got.to_owned(), canonical);
+        // An overlong block length (0xC0 0x00 for 64) is accepted, and
+        // the value is the bytes as they arrived — one longer than the
+        // canonical stream — describing the same parity.
+        let mut overlong = vec![0xC0, 0x00];
+        overlong.extend_from_slice(&canonical.as_bytes()[1..]);
+        overlong.extend_from_slice(b"next record");
+        let got = SparseCodec::default().decode(&overlong, 64).unwrap();
+        assert_eq!(got.as_bytes(), &overlong[..canonical.as_bytes().len() + 1]);
+        assert_eq!(got.to_dense(64), parity);
+    }
+
+    #[test]
     fn wire_size_beats_dense_for_sparse_changes() {
         // The headline PRINS scenario: 8KB block, ~10% changed.
         let old = vec![0xabu8; 8192];
@@ -819,19 +862,14 @@ mod tests {
         new[1000..1800].fill(0xcd);
         let parity = forward_parity(&old, &new);
         let sp = SparseCodec::default().encode(&parity);
-        assert!(sp.wire_size() < 8192 / 9, "expected ~10x reduction");
+        assert!(sp.as_bytes().len() < 8192 / 9, "expected ~10x reduction");
     }
 
     proptest! {
         #[test]
         fn prop_roundtrip_arbitrary_parity(parity in proptest::collection::vec(any::<u8>(), 0..2048),
                                            min_gap in 1usize..32) {
-            let codec = SparseCodec::new(min_gap);
-            let sp = codec.encode(&parity);
-            let bytes = sp.to_bytes();
-            prop_assert_eq!(bytes.len(), sp.wire_size());
-            let back = codec.decode(&bytes, parity.len()).unwrap();
-            prop_assert_eq!(back.to_dense(parity.len()), parity);
+            roundtrip(SparseCodec::new(min_gap), &parity);
         }
 
         #[test]
@@ -922,16 +960,16 @@ mod tests {
             }
             let codec = SparseCodec::new(min_gap);
             let classic = codec.encode(&forward_parity(&old, &new));
-            let want = classic.to_bytes();
+            let want = classic.as_bytes();
 
             let mut fused = vec![0xEEu8; 3]; // pre-existing bytes must be preserved
             codec.encode_delta_into(&old, &new, &mut fused);
             prop_assert_eq!(&fused[..3], &[0xEEu8; 3][..]);
-            prop_assert_eq!(&fused[3..], want.as_slice());
+            prop_assert_eq!(&fused[3..], want);
 
             let (count, wire) = codec.delta_wire_info(&old, &new);
-            prop_assert_eq!(count, classic.segments().len());
-            prop_assert_eq!(wire, classic.wire_size());
+            prop_assert_eq!(count, classic.segments().count());
+            prop_assert_eq!(wire, want.len());
         }
 
         /// The same identity on dense 8 KB rewrites — the shape whose
@@ -961,12 +999,12 @@ mod tests {
         fn prop_segments_sorted_nonoverlapping(parity in proptest::collection::vec(any::<u8>(), 0..1024)) {
             let sp = SparseCodec::default().encode(&parity);
             let mut prev_end = 0usize;
-            for s in sp.segments() {
-                prop_assert!(s.offset >= prev_end);
-                prop_assert!(!s.data.is_empty());
-                prop_assert!(*s.data.first().unwrap() != 0);
-                prop_assert!(*s.data.last().unwrap() != 0);
-                prev_end = s.end();
+            for (offset, data) in sp.segments() {
+                prop_assert!(offset >= prev_end);
+                prop_assert!(!data.is_empty());
+                prop_assert!(*data.first().unwrap() != 0);
+                prop_assert!(*data.last().unwrap() != 0);
+                prev_end = offset + data.len();
             }
         }
     }

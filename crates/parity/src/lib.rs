@@ -24,28 +24,33 @@
 //! * [`xor_into`] / [`xor_in_place`] / [`xor_bytes`] — word-at-a-time XOR
 //!   kernels,
 //! * [`forward_parity`] / [`apply_parity`] — the two PRINS computations,
-//! * [`SparseCodec`] and [`SparseParity`] — the zero-suppressing encoding,
+//! * [`SparseCodec`] and [`SparseParity`] — the zero-suppressing encoding;
+//!   a `SparseParity` *is* its validated wire stream, whether it was
+//!   planned from two images ([`DeltaPlan::to_parity`]), encoded from a
+//!   dense block or checked in place in a received frame,
 //! * [`DeltaStats`] — change-ratio measurement used throughout the
 //!   evaluation.
 //!
 //! # Example
 //!
 //! ```
-//! use prins_parity::{forward_parity, apply_parity, SparseCodec};
+//! use prins_parity::SparseCodec;
 //!
 //! # fn main() -> Result<(), prins_parity::CodecError> {
 //! let old = vec![0u8; 4096];
 //! let mut new = old.clone();
 //! new[100..200].fill(0xaa); // application changes 100 bytes of the block
 //!
-//! let parity = forward_parity(&old, &new);
-//! let encoded = SparseCodec::default().encode(&parity);
-//! assert!(encoded.wire_size() < 200); // ~100 bytes payload + metadata
+//! // One scan of the two images, straight to the sparse stream.
+//! let parity = SparseCodec::default().plan_delta(&old, &new).to_parity();
+//! let wire = parity.as_bytes(); // what is sent, and what a log keeps
+//! assert!(wire.len() < 200); // ~100 bytes payload + metadata
 //!
-//! // At the replica:
-//! let decoded = SparseCodec::default().decode(&encoded.to_bytes(), old.len())?;
-//! let recovered = apply_parity(&old, &decoded.to_dense(old.len()));
-//! assert_eq!(recovered, new);
+//! // At the replica: check the stream where it arrived, then walk it.
+//! let received = SparseCodec::default().decode(wire, old.len())?;
+//! let mut block = old.clone();
+//! received.apply_to(&mut block);
+//! assert_eq!(block, new);
 //! # Ok(())
 //! # }
 //! ```
@@ -56,7 +61,7 @@ mod erasure;
 mod varint;
 mod xor;
 
-pub use codec::{CodecError, DeltaPlan, Segment, SparseCodec, SparseParity};
+pub use codec::{CodecError, DeltaPlan, SparseCodec, SparseParity};
 pub use delta::{apply_parity, apply_parity_in_place, forward_parity, DeltaStats};
 pub use erasure::{EcError, ErasureCodec, XorCodec};
 pub use varint::{decode_varint, encode_varint, varint_len};

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use prins_block::{crc32c, BlockDevice, Lba};
 use prins_compress::Lzss;
-use prins_parity::{ErasureCodec, SparseCodec, XorCodec};
+use prins_parity::{ErasureCodec, SparseCodec, SparseParity, XorCodec};
 
 use crate::payload::{BodyRef, PayloadRef};
 use crate::wire::{
@@ -25,10 +25,10 @@ pub enum Applied {
     Digest(u32),
     /// A rebuild strip read; answer with a strip ack carrying this
     /// zero-run-encoded image of the requested block.
-    Strip(Vec<u8>),
+    Strip(SparseParity),
     /// An offloaded block read; answer with a read ack carrying this
     /// zero-run-encoded image of the requested block.
-    Read(Vec<u8>),
+    Read(SparseParity),
 }
 
 /// Applies replication payloads to a replica's local device.
@@ -208,8 +208,10 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         match handled {
             Ok(Applied::Data(_)) => (encode_ack(ACK, epoch), None),
             Ok(Applied::Digest(digest)) => (encode_digest_ack(epoch, digest), None),
-            Ok(Applied::Strip(sparse)) => (encode_image_ack(STRIP_ACK, epoch, &sparse), None),
-            Ok(Applied::Read(sparse)) => (encode_image_ack(READ_ACK, epoch, &sparse), None),
+            Ok(Applied::Strip(image)) => {
+                (encode_image_ack(STRIP_ACK, epoch, image.as_bytes()), None)
+            }
+            Ok(Applied::Read(image)) => (encode_image_ack(READ_ACK, epoch, image.as_bytes()), None),
             Err(ReplError::ChecksumMismatch { .. }) => (encode_ack(NAK_CORRUPT, epoch), None),
             Err(e) => (encode_ack(NAK, epoch), Some(e)),
         }
@@ -271,6 +273,8 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         sparse_bytes: &[u8],
     ) -> Result<(), ReplError> {
         let bs = self.device.geometry().block_size().bytes();
+        // Checked whole, where it arrived, before the block is touched;
+        // the walk below borrows the extents from the same bytes.
         let delta = self.sparse.decode(sparse_bytes, bs)?;
         // Backward computation: A_new = A_old ^ c·Δ, touching only the
         // changed extents. A_old must be exactly what was last written
@@ -279,9 +283,9 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         // never held and no later check could catch.
         self.with_block(lba, |this, block| {
             this.check_stored(lba, block)?;
-            for seg in delta.segments() {
+            for (offset, data) in delta.segments() {
                 this.codec
-                    .apply_delta(&mut block[seg.offset..seg.end()], coeff, &seg.data)
+                    .apply_delta(&mut block[offset..offset + data.len()], coeff, data)
                     .map_err(|e| ReplError::Malformed(format!("strip delta: {e}")))?;
             }
             this.write_checked(lba, block)
@@ -292,10 +296,10 @@ impl<D: BlockDevice> ReplicaApplier<D> {
     /// disk — a rebuild contribution or an offloaded-read answer.
     /// Checked against the checksum table so neither a rebuild nor a
     /// served read ever ingests silently corrupted media.
-    fn strip_image(&mut self, lba: Lba) -> Result<Vec<u8>, ReplError> {
+    fn strip_image(&mut self, lba: Lba) -> Result<SparseParity, ReplError> {
         self.with_block(lba, |this, block| {
             this.check_stored(lba, block)?;
-            Ok(this.sparse.encode(block).to_bytes())
+            Ok(this.sparse.encode(block))
         })
     }
 
@@ -630,9 +634,8 @@ mod tests {
         for frame in [crate::seal_frame(4, &req), req] {
             match applier.handle(&frame).unwrap() {
                 Applied::Strip(sparse) => {
-                    let dense = applier.sparse.decode(&sparse, 4096).unwrap().to_dense(4096);
-                    assert_eq!(dense, block);
-                    assert!(sparse.len() < 200, "zero runs are elided");
+                    assert_eq!(sparse.to_dense(4096), block);
+                    assert!(sparse.as_bytes().len() < 200, "zero runs are elided");
                 }
                 other => panic!("expected strip image, got {other:?}"),
             }
@@ -659,10 +662,7 @@ mod tests {
         let req = request(Request::Read(Lba(1)));
         for frame in [crate::seal_frame(3, &req), req] {
             match applier.handle(&frame).unwrap() {
-                Applied::Read(sparse) => {
-                    let dense = applier.sparse.decode(&sparse, 4096).unwrap().to_dense(4096);
-                    assert_eq!(dense, block);
-                }
+                Applied::Read(sparse) => assert_eq!(sparse.to_dense(4096), block),
                 other => panic!("expected read image, got {other:?}"),
             }
         }

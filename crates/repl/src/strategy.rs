@@ -55,13 +55,6 @@ pub struct CompressedReplicator {
     codec: Lzss,
 }
 
-impl CompressedReplicator {
-    /// Uses a specific LZSS configuration.
-    pub fn with_codec(codec: Lzss) -> Self {
-        Self { codec }
-    }
-}
-
 impl Replicator for CompressedReplicator {
     fn encode_write_into(&self, lba: Lba, _old: &[u8], new: &[u8], out: &mut Vec<u8>) {
         put_compressed(out, lba, new.len(), |out| {
@@ -102,19 +95,6 @@ impl PrinsReplicator {
         }
     }
 
-    /// Uses a specific sparse codec (e.g. different merge gap).
-    pub fn with_codec(codec: SparseCodec) -> Self {
-        Self {
-            codec,
-            ..Self::new()
-        }
-    }
-
-    /// The sparse codec in use.
-    pub fn codec(&self) -> SparseCodec {
-        self.codec
-    }
-
     /// Encodes the write `plan` was scanned from, if the frame comes to
     /// at most `at_most` bytes (`usize::MAX`: always), reporting whether
     /// the parity shipped LZSS-compressed — the adaptive policy learns
@@ -122,9 +102,6 @@ impl PrinsReplicator {
     /// of a frame it already holds so a trial that cannot beat it stops
     /// early. The plan carries the one scan of the images this write
     /// pays for: the fallback decision and the emit both read it.
-    ///
-    /// For the bytes to be this strategy's, `plan` must come from a
-    /// codec equal to [`codec`](Self::codec).
     ///
     /// # Errors
     ///

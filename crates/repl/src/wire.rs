@@ -391,7 +391,7 @@ pub struct AckFrame<'a> {
     /// One of the six response statuses.
     pub status: u8,
     /// Epoch of the last sealed frame the replica opened (0 when it
-    /// has never seen a seal, or for bare legacy acks).
+    /// has never seen a seal).
     pub epoch: u64,
     /// What follows the epoch: the 4 digest bytes of a [`DIGEST_ACK`],
     /// the checksum-verified sparse image of a [`STRIP_ACK`] /
@@ -424,8 +424,7 @@ pub(crate) fn encode_image_ack(status: u8, epoch: u64, sparse: &[u8]) -> Vec<u8>
     out
 }
 
-/// Decodes a response frame in any of its shapes. A bare legacy
-/// `[ACK]`/`[NAK]` byte decodes as epoch 0.
+/// Decodes a response frame in any of its shapes.
 ///
 /// # Errors
 ///
@@ -443,13 +442,6 @@ pub fn decode_ack(bytes: &[u8]) -> Result<AckFrame<'_>, ReplError> {
         return Err(ReplError::Malformed(format!(
             "unknown ack status {status:#04x}"
         )));
-    }
-    if rest.is_empty() && (status == ACK || status == NAK) {
-        return Ok(AckFrame {
-            status,
-            epoch: 0,
-            body: rest,
-        });
     }
     let (epoch, used) =
         decode_varint(rest).ok_or_else(|| ReplError::Malformed("truncated ack epoch".into()))?;
@@ -814,9 +806,11 @@ mod tests {
                 }
             );
         }
-        // Legacy bare bytes still decode as epoch 0.
+        // Every response carries its epoch: a bare status byte is cut short.
         for status in [ACK, NAK] {
-            assert_eq!(decode_ack(&[status]).unwrap().epoch, 0);
+            assert!(
+                matches!(decode_ack(&[status]), Err(ReplError::Malformed(m)) if m == "truncated ack epoch")
+            );
         }
         let digest = encode_digest_ack(7, 0xdead_beef);
         let ack = decode_ack(&digest).unwrap();
@@ -901,13 +895,13 @@ mod tests {
     #[test]
     fn stale_responses_are_dropped_and_reported() {
         let mut events = Vec::new();
-        // Two answers from epoch 2 (an ack and a digest) surface ahead
-        // of the real one while the link waits under epoch 3; a bare
-        // legacy ack is epoch 0, so it is stale too.
+        // Two answers from epoch 2 (an ack and a digest) and one from a
+        // replica that has never opened a seal (epoch 0) surface ahead
+        // of the real one while the link waits under epoch 3.
         let link = scripted(vec![
             encode_ack(ACK, 2),
             encode_digest_ack(2, 9),
-            vec![ACK],
+            encode_ack(ACK, 0),
             encode_ack(ACK, 3),
         ]);
         let resp = link

@@ -8,6 +8,10 @@
 //!   LZSS `expected_len`) are rejected at parse time, before any
 //!   allocator sees them;
 //! * truncated LZSS streams fail cleanly through the full apply path;
+//! * a sparse-parity segment count is never believed: the 8-byte stream
+//!   `varint(block_len) varint(2^40)` is a truncation on every path a
+//!   sparse stream arrives by — payload tags 2, 3 and 8, and the image
+//!   body of a `READ_ACK` / `STRIP_ACK`;
 //! * a counting allocator proves decoding arbitrary bytes never makes a
 //!   single allocation beyond the wire budget (plus `Vec` growth
 //!   doubling slack) — no matter what the frame claims.
@@ -16,10 +20,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use prins_block::{BlockSize, MemDevice};
-use prins_parity::encode_varint;
-use prins_repl::{BatchFrame, Payload, PayloadBody, ReplError, ReplicaApplier, MAX_WIRE_LEN};
+use prins_block::{crc32c, crc32c_append, BlockSize, MemDevice};
+use prins_parity::{encode_varint, CodecError, SparseCodec};
+use prins_repl::{
+    BatchFrame, Link, Payload, PayloadBody, ReplError, ReplicaApplier, MAX_WIRE_LEN, READ_ACK,
+    STRIP_ACK,
+};
 use proptest::prelude::*;
 
 struct MaxAlloc;
@@ -56,6 +64,18 @@ unsafe impl GlobalAlloc for MaxAlloc {
 
 #[global_allocator]
 static ALLOCATOR: MaxAlloc = MaxAlloc;
+
+/// The largest single allocation made while `decoding` runs (by any
+/// thread: the tests of this binary that do not measure allocate little).
+fn largest_allocation(decoding: impl FnOnce()) -> usize {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    let _measuring = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    LARGEST.store(0, Ordering::SeqCst);
+    WATCHING.store(true, Ordering::SeqCst);
+    decoding();
+    WATCHING.store(false, Ordering::SeqCst);
+    LARGEST.load(Ordering::SeqCst)
+}
 
 /// A frame of `tag`, an LBA, then raw `body` bytes.
 fn frame(tag: u8, body: &[u8]) -> Vec<u8> {
@@ -152,6 +172,70 @@ fn truncated_lzss_streams_fail_cleanly_through_apply() {
     assert_eq!(applier.applied(), 1, "no hostile frame may apply");
 }
 
+#[test]
+fn a_hostile_segment_count_is_a_truncation_on_every_path_a_stream_arrives_by() {
+    use prins_compress::{Codec, Lzss};
+    // A well-formed header for this device's blocks claiming a trillion
+    // segments, and nothing else.
+    let mut stream = Vec::new();
+    encode_varint(&mut stream, 4096);
+    encode_varint(&mut stream, 1 << 40);
+    assert_eq!(stream.len(), 8);
+
+    let device = MemDevice::new(BlockSize::kb4(), 4);
+    let mut applier = ReplicaApplier::new(&device);
+    let payloads = [
+        frame(2, &stream),
+        // Tag 8: the same stream behind a coefficient byte.
+        frame(8, &[&[1u8][..], &stream].concat()),
+        // Tag 3: an honest LZSS body that inflates to it.
+        Payload {
+            lba: prins_block::Lba(3),
+            body: PayloadBody::ParityCompressed {
+                sparse_len: stream.len(),
+                data: Lzss::fast().compress(&stream),
+            },
+        }
+        .to_bytes(),
+    ];
+    // The same stream as the checksummed image body of a read or strip
+    // answer: it passes the response rule, and the primary then decodes
+    // the body the way `ClusterGroup::read` and `EcGroup::fetch_strip` do.
+    let image_ack = |status: u8| {
+        let crc = crc32c_append(crc32c(&1u64.to_le_bytes()), &stream);
+        [&[status, 1][..], &crc.to_le_bytes(), &stream].concat()
+    };
+    let sink = prins_net::SinkTransport::new();
+    sink.preload([image_ack(READ_ACK), image_ack(STRIP_ACK)]);
+    let link = Link::new(0, Box::new(sink));
+
+    let largest = largest_allocation(|| {
+        for payload in &payloads {
+            let got = applier.apply(payload);
+            assert!(
+                matches!(got, Err(ReplError::Parity(CodecError::Truncated))),
+                "tag {}: {got:?}",
+                payload[0]
+            );
+        }
+        for want in [READ_ACK, STRIP_ACK] {
+            let response = link
+                .recv_response(want, 1, std::time::Duration::from_secs(1), &mut |_| {})
+                .expect("a well-sealed image ack");
+            assert_eq!(response.body(), stream);
+            assert_eq!(
+                SparseCodec::default().decode(response.body(), 4096),
+                Err(CodecError::Truncated)
+            );
+        }
+    });
+    assert_eq!(applier.applied(), 0);
+    assert!(
+        largest <= 2 * MAX_WIRE_LEN,
+        "an 8-byte stream made a decoder allocate {largest} bytes"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -160,32 +244,33 @@ proptest! {
     /// beyond the wire budget. `Vec` doubles its capacity while
     /// growing, so the observable bound is 2x the budget; the point is
     /// that a 16-byte frame claiming 4 GB allocates nothing of the
-    /// sort.
+    /// sort. Half the claims are the device's own block size, so a
+    /// parity body gets past the block-length check and its next
+    /// varint — the segment count — is arbitrary too.
     #[test]
     fn prop_decode_allocations_stay_under_the_wire_budget(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
         tag in 0u8..10,
         claim in any::<u64>(),
+        claim_fits_device in any::<bool>(),
     ) {
         let mut bytes = bytes;
         let device = MemDevice::new(BlockSize::kb4(), 4);
         let mut applier = ReplicaApplier::new(&device);
+        let claim = if claim_fits_device { 4096 } else { claim };
         let claimed = frame_with_claim(tag % 6, claim, &bytes);
 
-        LARGEST.store(0, Ordering::SeqCst);
-        WATCHING.store(true, Ordering::SeqCst);
-        let _ = Payload::from_bytes(&bytes);
-        let _ = Payload::from_bytes(&claimed);
-        let _ = BatchFrame::from_bytes(&bytes);
-        let _ = applier.apply(&bytes);
-        let _ = applier.apply(&claimed);
-        if !bytes.is_empty() {
-            bytes[0] = tag; // retry with every dispatchable tag byte
+        let largest = largest_allocation(|| {
+            let _ = Payload::from_bytes(&bytes);
+            let _ = Payload::from_bytes(&claimed);
+            let _ = BatchFrame::from_bytes(&bytes);
             let _ = applier.apply(&bytes);
-        }
-        WATCHING.store(false, Ordering::SeqCst);
-
-        let largest = LARGEST.load(Ordering::SeqCst);
+            let _ = applier.apply(&claimed);
+            if !bytes.is_empty() {
+                bytes[0] = tag; // retry with every dispatchable tag byte
+                let _ = applier.apply(&bytes);
+            }
+        });
         prop_assert!(
             largest <= 2 * MAX_WIRE_LEN,
             "a decode allocated {largest} bytes from a {}-byte frame",

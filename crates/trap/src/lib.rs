@@ -45,7 +45,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use prins_block::{BlockDevice, Geometry, Lba, MemDevice, Result};
-use prins_parity::{forward_parity, SparseCodec, SparseParity};
+use prins_parity::{SparseCodec, SparseParity};
 
 /// One logged write: sequence number plus the encoded parity.
 #[derive(Clone, Debug)]
@@ -92,7 +92,7 @@ impl TrapLog {
     fn append(&self, lba: Lba, parity: SparseParity) -> u64 {
         let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
         self.wire_bytes
-            .fetch_add(parity.wire_size() as u64, Ordering::Relaxed);
+            .fetch_add(parity.as_bytes().len() as u64, Ordering::Relaxed);
         self.chains
             .write()
             .entry(lba.index())
@@ -154,7 +154,7 @@ impl TrapLog {
         for chain in chains.values_mut() {
             chain.retain(|e| {
                 if e.seq <= up_to {
-                    freed += e.parity.wire_size() as u64;
+                    freed += e.parity.as_bytes().len() as u64;
                     false
                 } else {
                     true
@@ -243,6 +243,22 @@ impl<D: BlockDevice> TrapDevice<D> {
     pub fn inner(&self) -> &D {
         &self.inner
     }
+
+    /// [`write_block`](BlockDevice::write_block) for a caller that
+    /// already holds `old`, the image `new` replaces: the device is not
+    /// read again. `old` must be the block's current contents, or the
+    /// logged parity undoes a write that never happened.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the inner device's write failure; nothing is logged.
+    pub fn write_block_over(&self, lba: Lba, old: &[u8], new: &[u8]) -> Result<()> {
+        self.inner.write_block(lba, new)?;
+        // One scan of the two images, straight to the logged stream.
+        self.log
+            .append(lba, self.codec.plan_delta(old, new).to_parity());
+        Ok(())
+    }
 }
 
 impl<D: BlockDevice> BlockDevice for TrapDevice<D> {
@@ -257,10 +273,7 @@ impl<D: BlockDevice> BlockDevice for TrapDevice<D> {
     fn write_block(&self, lba: Lba, buf: &[u8]) -> Result<()> {
         let mut old = self.geometry().block_size().zeroed();
         self.inner.read_block(lba, &mut old)?;
-        self.inner.write_block(lba, buf)?;
-        let parity = self.codec.encode(&forward_parity(&old, buf));
-        self.log.append(lba, parity);
-        Ok(())
+        self.write_block_over(lba, &old, buf)
     }
 
     fn flush(&self) -> Result<()> {

@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use prins_block::{BlockSize, Lba};
-use prins_parity::{decode_varint, encode_varint, forward_parity, SparseCodec, SparseParity};
+use prins_parity::{decode_varint, encode_varint, SparseCodec, SparseParity};
 
 use crate::runner::{run, RunConfig, Workload, WorkloadError};
 
@@ -96,7 +96,7 @@ impl WriteTrace {
     pub fn record(&mut self, lba: Lba, old: &[u8], new: &[u8], first_touch: bool) {
         assert_eq!(old.len(), self.block_size.bytes(), "old image size");
         assert_eq!(new.len(), self.block_size.bytes(), "new image size");
-        let parity = SparseCodec::default().encode(&forward_parity(old, new));
+        let parity = SparseCodec::default().plan_delta(old, new).to_parity();
         self.records.push(if first_touch {
             Record::First {
                 lba: lba.index(),
@@ -152,12 +152,12 @@ impl WriteTrace {
                     out.push(1);
                     encode_varint(&mut out, *lba);
                     out.extend_from_slice(old);
-                    out.extend_from_slice(&parity.to_bytes());
+                    out.extend_from_slice(parity.as_bytes());
                 }
                 Record::Next { lba, parity } => {
                     out.push(0);
                     encode_varint(&mut out, *lba);
-                    out.extend_from_slice(&parity.to_bytes());
+                    out.extend_from_slice(parity.as_bytes());
                 }
             }
         }
@@ -199,11 +199,13 @@ impl WriteTrace {
             } else {
                 return Err(format!("unknown record tag {tag}"));
             };
-            // Sparse parity is self-delimiting; decode then re-measure.
+            // Sparse parity is self-delimiting: the value is exactly the
+            // bytes the decoder consumed.
             let parity = codec
                 .decode(&bytes[pos..], bs)
-                .map_err(|e| format!("bad parity at offset {pos}: {e}"))?;
-            pos += parity.wire_size();
+                .map_err(|e| format!("bad parity at offset {pos}: {e}"))?
+                .to_owned();
+            pos += parity.as_bytes().len();
             match old {
                 Some(old) => {
                     seen.insert(lba);
@@ -357,6 +359,47 @@ mod tests {
         encode_varint(&mut orphan, 3);
         orphan.extend_from_slice(&SparseCodec::default().encode(&vec![0u8; 512]).to_bytes());
         assert!(WriteTrace::from_bytes(&orphan).is_err());
+        // A parity claiming 2^40 segments with none behind it is a
+        // truncation, not something to make room for.
+        let mut hostile = Vec::new();
+        hostile.extend_from_slice(MAGIC);
+        encode_varint(&mut hostile, 512);
+        hostile.push(1); // tag First
+        encode_varint(&mut hostile, 3);
+        hostile.extend_from_slice(&[0u8; 512]);
+        encode_varint(&mut hostile, 512);
+        encode_varint(&mut hostile, 1 << 40);
+        assert!(WriteTrace::from_bytes(&hostile).is_err());
+    }
+
+    #[test]
+    fn an_overlong_varint_in_one_parity_leaves_the_next_record_aligned() {
+        let mut trace = WriteTrace::new(BlockSize::new(512).unwrap());
+        let a = vec![1u8; 512];
+        let mut b = a.clone();
+        b[10..20].fill(9);
+        let mut c = b.clone();
+        c[300] = 4;
+        trace.record(Lba(2), &a, &b, true);
+        trace.record(Lba(2), &b, &c, false);
+        let canonical = trace.to_bytes();
+        // Re-spell the first parity's block length, 512 = [0x80, 0x04],
+        // one byte longer; the decoder takes both spellings.
+        let at = MAGIC.len() + 2 + 1 + 1 + 512; // block size, tag, lba, old image
+        assert_eq!(canonical[at..at + 2], [0x80, 0x04]);
+        let overlong = [&canonical[..at], &[0x80, 0x84, 0x00], &canonical[at + 2..]].concat();
+        let replayed = |bytes: &[u8]| {
+            let mut writes = Vec::new();
+            WriteTrace::from_bytes(bytes)
+                .unwrap()
+                .replay(|lba, old, new| writes.push((lba, old.to_vec(), new.to_vec())));
+            writes
+        };
+        assert_eq!(replayed(&overlong), replayed(&canonical));
+        assert_eq!(
+            replayed(&overlong),
+            [(Lba(2), a, b.clone()), (Lba(2), b, c)]
+        );
     }
 
     #[test]
