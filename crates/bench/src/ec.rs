@@ -78,7 +78,7 @@ impl fmt::Display for EcReport {
 }
 
 /// Spawns one strip-holding node: a zeroed device behind the stock
-/// apply loop with a Reed–Solomon applier in strict sealed mode.
+/// apply loop with a Reed–Solomon applier.
 fn spawn_node(
     stripes: u64,
     block_size: BlockSize,
@@ -89,9 +89,7 @@ fn spawn_node(
     let (primary_side, node_side) = channel_pair(LinkModel::t1());
     let device = Arc::new(MemDevice::new(block_size, stripes));
     let worker = std::thread::spawn(move || {
-        let applier = ReplicaApplier::new(&*device)
-            .with_codec(Box::new(ReedSolomon::k4m2()))
-            .require_sealed(true);
+        let applier = ReplicaApplier::new(&*device).with_codec(Box::new(ReedSolomon::k4m2()));
         run_replica_applier(applier, &node_side)
     });
     (Box::new(primary_side), worker)

@@ -37,11 +37,12 @@ use std::time::Duration;
 
 use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport};
-use prins_obs::{Counter, Event, EventKind, Histogram, Registry, TraceSink, TraceStage};
+use prins_obs::{Registry, TraceSink};
 use prins_parity::{ErasureCodec, SparseCodec};
-use prins_repl::{put_strip_delta, Link, ReplError, Request, Response, ACK, STRIP_ACK};
+use prins_repl::{put_strip_delta, ReplError, Request, ACK, STRIP_ACK};
 
-use crate::tracer::Tracer;
+use crate::peer::Peer;
+use crate::probe::{Plane, Probe};
 use crate::ClusterError;
 
 /// Maps `(stripe, role)` to a node: rotated placement, so every node
@@ -77,52 +78,12 @@ impl EcPlacement {
     }
 }
 
-/// Observability hookup for an [`EcGroup`].
-struct EcObs {
-    registry: Arc<Registry>,
-    clock: Arc<dyn Clock>,
-    /// Strip-delta frames sent for foreground writes (data + parity).
-    strip_writes: Arc<Counter>,
-    /// Wire bytes of the coefficient-tagged parity deltas.
-    parity_update_bytes: Arc<Counter>,
-    /// Wire bytes moved by rebuilds (requests + survivor images +
-    /// rebuilt strip shipments).
-    rebuild_bytes: Arc<Counter>,
-    /// Reconstructions that failed (too many erasures, corrupt
-    /// survivor contribution, singular repair matrix).
-    decode_failures: Arc<Counter>,
-    /// Wall-clock (or sim-clock) nanoseconds per rebuild.
-    rebuild_nanos: Arc<Histogram>,
-}
-
-impl EcObs {
-    fn new(registry: Arc<Registry>, clock: Arc<dyn Clock>) -> Self {
-        let strip_writes = registry.counter("ec_strip_writes");
-        let parity_update_bytes = registry.counter("ec_parity_update_bytes");
-        let rebuild_bytes = registry.counter("ec_rebuild_bytes");
-        let decode_failures = registry.counter("ec_decode_failures");
-        let rebuild_nanos = registry.histogram("ec_rebuild_nanos");
-        Self {
-            registry,
-            clock,
-            strip_writes,
-            parity_update_bytes,
-            rebuild_bytes,
-            decode_failures,
-            rebuild_nanos,
-        }
-    }
-}
-
 /// One strip-holding node of the group.
 struct EcNode {
-    /// The connection and its response-stream epoch, as in
-    /// [`ClusterGroup`](crate::ClusterGroup): bumped on rejoin so
-    /// stranded responses identify themselves.
-    link: Link,
+    /// The connection. Nothing stays in flight on it between calls:
+    /// every frame is collected before the call that sent it returns.
+    peer: Peer<()>,
     down: bool,
-    strip_writes: u64,
-    sent_bytes: u64,
 }
 
 /// Outcome of one erasure-coded write.
@@ -184,7 +145,6 @@ pub struct EcGroup<D, C> {
     sparse: SparseCodec,
     /// The image the current write replaces, reused across writes.
     old: Vec<u8>,
-    config: EcConfig,
     nodes: Vec<EcNode>,
     stripes: u64,
     block_size: usize,
@@ -192,8 +152,7 @@ pub struct EcGroup<D, C> {
     /// must not trust on the replacement.
     dirty_stripes: BTreeSet<u64>,
     rebuild_bytes: u64,
-    obs: Option<EcObs>,
-    tracer: Tracer,
+    probe: Probe,
 }
 
 impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
@@ -222,23 +181,19 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             placement: EcPlacement { k, m },
             sparse: SparseCodec::default(),
             old: Vec::new(),
-            config,
             nodes: transports
                 .into_iter()
                 .enumerate()
                 .map(|(idx, transport)| EcNode {
-                    link: Link::new(idx, transport),
+                    peer: Peer::new(idx, transport, config.ack_timeout),
                     down: false,
-                    strip_writes: 0,
-                    sent_bytes: 0,
                 })
                 .collect(),
             stripes: blocks / k as u64,
             block_size,
             dirty_stripes: BTreeSet::new(),
             rebuild_bytes: 0,
-            obs: None,
-            tracer: Tracer::default(),
+            probe: Probe::default(),
         }
     }
 
@@ -246,7 +201,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// rebuild wire bytes, decode failures, a rebuild-duration
     /// histogram, and `ec-rebuild` events.
     pub fn attach_observer(&mut self, registry: Arc<Registry>, clock: Arc<dyn Clock>) {
-        self.obs = Some(EcObs::new(registry, clock));
+        self.probe.observe(Plane::Ec, registry, clock);
     }
 
     /// Attaches a trace sink: every logical write mints a
@@ -255,12 +210,12 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// node index) plus a `strip-ack` hop per acknowledgement, so the
     /// flight recorder sees the full k-of-n fan-out of a slow write.
     pub fn attach_tracer(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
-        self.tracer.attach(sink, shard, clock);
+        self.probe.trace_into(sink, shard, clock);
     }
 
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.tracer.sink()
+        self.probe.trace_sink()
     }
 
     /// The placement map.
@@ -295,15 +250,6 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         self.rebuild_bytes
     }
 
-    /// Wire bytes node `idx` has been sent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn node_bytes(&self, idx: usize) -> u64 {
-        self.nodes[idx].sent_bytes
-    }
-
     /// Marks node `idx` down: writes stop flowing to its strips (the
     /// stripes touched meanwhile are remembered as dirty).
     ///
@@ -314,15 +260,6 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         self.check_idx(idx)?;
         self.nodes[idx].down = true;
         Ok(())
-    }
-
-    /// Whether node `idx` is marked down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn is_down(&self, idx: usize) -> bool {
-        self.nodes[idx].down
     }
 
     /// Swaps in a replacement node on slot `idx`: a fresh transport to
@@ -340,7 +277,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     ) -> Result<(), ClusterError> {
         self.check_idx(idx)?;
         let node = &mut self.nodes[idx];
-        node.link.reconnect(transport);
+        node.peer.reconnect(transport);
         node.down = true;
         Ok(())
     }
@@ -373,19 +310,20 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         // Δd = old ⊕ new in every GF(2^w): one scan of the two images,
         // straight to the stream every strip owner receives.
         let sparse = self.sparse.plan_delta(&self.old, new).to_parity();
-        // One trace per logical write; the hold (pending = 1) keeps it
-        // open across the strip fan-out and is released after the last
+        // One trace per logical write; its hold keeps it open across
+        // the strip fan-out and is released after the last
         // acknowledgement is collected below.
-        let tid = self.tracer.begin(new.len());
+        let tid = self.probe.begin(new.len());
         let mut outcome = EcWriteOutcome {
             acked: 0,
             skipped: 0,
             wire_bytes: 0,
         };
         // Data strip first, then each parity strip. Sends are
-        // pipelined; acks are collected after (FIFO per node — every
-        // target is a distinct node under rotated placement).
-        let mut await_from: Vec<usize> = Vec::with_capacity(1 + self.placement.m);
+        // pipelined; acks are collected after (every target is a
+        // distinct node under rotated placement).
+        let mut sent_to: Vec<usize> = Vec::with_capacity(1 + self.placement.m);
+        let mut failed = None;
         for role in std::iter::once(col).chain(k..self.placement.n()) {
             let node = self.placement.node_for(stripe, role);
             if self.nodes[node].down {
@@ -398,39 +336,42 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             } else {
                 self.codec.coefficient(role - k, col)
             };
-            let n = &mut self.nodes[node];
-            let sealed_len = n
-                .link
-                .send(|out| put_strip_delta(out, Lba(stripe), coeff, sparse.as_bytes()))?
-                as u64;
-            n.sent_bytes += sealed_len;
-            n.strip_writes += 1;
-            outcome.wire_bytes += sealed_len;
-            if role >= k {
-                if let Some(obs) = &self.obs {
-                    obs.parity_update_bytes.add(sealed_len);
+            let fill =
+                |out: &mut Vec<u8>| put_strip_delta(out, Lba(stripe), coeff, sparse.as_bytes());
+            match self.nodes[node].peer.send((), tid, ACK, fill) {
+                Ok(sealed_len) => {
+                    outcome.wire_bytes += sealed_len as u64;
+                    self.probe.strip_sent(tid, node, role >= k, sealed_len);
+                    sent_to.push(node);
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
                 }
             }
-            let stage = if role < k {
-                TraceStage::StripData
-            } else {
-                TraceStage::StripParity
-            };
-            self.tracer
-                .fan_out(tid, stage, node as u32, sealed_len as usize);
-            await_from.push(node);
         }
-        if let Some(obs) = &self.obs {
-            obs.strip_writes.add(await_from.len() as u64);
+        // Every strip that left is collected, whatever came before it:
+        // an acknowledgement left queued would answer the *next*
+        // write's strip in its place.
+        for node in sent_to {
+            self.nodes[node]
+                .peer
+                .drain(&self.probe, |ack| match ack.answer {
+                    Ok(_) => {
+                        self.probe.strip_acked(tid, node);
+                        outcome.acked += 1;
+                    }
+                    Err(e) => {
+                        self.probe.ack_failed(node, tid, ack.waited, &e);
+                        failed.get_or_insert(e);
+                    }
+                });
         }
-        for node in await_from {
-            self.recv_response(node, ACK)?;
-            self.tracer
-                .complete(tid, TraceStage::StripAck, node as u32, 0);
-            outcome.acked += 1;
+        self.probe.released(tid);
+        match failed {
+            Some(e) => Err(e.into()),
+            None => Ok(outcome),
         }
-        self.tracer.release(tid);
-        Ok(outcome)
     }
 
     /// Fetches the strip image node `node` holds for `stripe` — a
@@ -450,10 +391,12 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         stripe: u64,
     ) -> Result<(Vec<u8>, u64), ClusterError> {
         self.check_idx(node)?;
-        let n = &mut self.nodes[node];
-        let req_len = n.link.send(|out| Request::Strip(Lba(stripe)).put(out))?;
-        n.sent_bytes += req_len as u64;
-        let resp = self.recv_response(node, STRIP_ACK)?;
+        let fill = |out: &mut Vec<u8>| Request::Strip(Lba(stripe)).put(out);
+        let (req_len, answer) =
+            self.nodes[node]
+                .peer
+                .request(&self.probe, (), None, STRIP_ACK, fill, |_| {});
+        let resp = answer?;
         let strip = self
             .sparse
             .decode(resp.body(), self.block_size)
@@ -480,7 +423,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// reconstruction errors).
     pub fn rebuild(&mut self, lost: usize) -> Result<EcRebuildReport, ClusterError> {
         self.check_idx(lost)?;
-        let started = self.obs.as_ref().map(|o| o.clock.now_nanos());
+        let started = self.probe.stamp();
         let n = self.placement.n();
         let k = self.placement.k;
         let mut report = EcRebuildReport {
@@ -489,7 +432,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             survivor_image_bytes: 0,
         };
         self.nodes[lost].down = false;
-        self.nodes[lost].link.bump_epoch();
+        self.nodes[lost].peer.abandon();
         for stripe in 0..self.stripes {
             let lost_role = self.placement.role_of(stripe, lost);
             let mut strips: Vec<Option<Vec<u8>>> = vec![None; n];
@@ -511,18 +454,14 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
                 fetched += 1;
             }
             if fetched < k {
-                if let Some(obs) = &self.obs {
-                    obs.decode_failures.inc();
-                }
+                self.probe.decode_failed();
                 return Err(ReplError::Malformed(format!(
                     "ec rebuild: only {fetched} of {k} survivor strips reachable"
                 ))
                 .into());
             }
             if let Err(e) = self.codec.reconstruct(&mut strips) {
-                if let Some(obs) = &self.obs {
-                    obs.decode_failures.inc();
-                }
+                self.probe.decode_failed();
                 return Err(ReplError::Malformed(format!("ec reconstruct: {e}")).into());
             }
             let rebuilt = strips[lost_role]
@@ -531,13 +470,13 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             // Coefficient-1 delta over the replacement's zeroed disk:
             // the rebuilt image itself, minus its zero runs.
             let sparse = self.sparse.encode(&rebuilt);
-            let sealed_len = self.nodes[lost]
-                .link
-                .send(|out| put_strip_delta(out, Lba(stripe), 1, sparse.as_bytes()))?
-                as u64;
-            self.nodes[lost].sent_bytes += sealed_len;
-            report.wire_bytes += sealed_len;
-            self.recv_response(lost, ACK)?;
+            let fill = |out: &mut Vec<u8>| put_strip_delta(out, Lba(stripe), 1, sparse.as_bytes());
+            let (sealed_len, answer) =
+                self.nodes[lost]
+                    .peer
+                    .request(&self.probe, (), None, ACK, fill, |_| {});
+            answer?;
+            report.wire_bytes += sealed_len as u64;
             report.stripes += 1;
         }
         // Dirty stripes also cover writes other (still-down) nodes
@@ -546,22 +485,8 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             self.dirty_stripes.clear();
         }
         self.rebuild_bytes += report.wire_bytes;
-        if let Some(obs) = &self.obs {
-            obs.rebuild_bytes.add(report.wire_bytes);
-            let now = obs.clock.now_nanos();
-            if let Some(t0) = started {
-                obs.rebuild_nanos.record(now.saturating_sub(t0));
-            }
-            obs.registry.events().record(
-                Event::new(
-                    now,
-                    EventKind::EcRebuild {
-                        stripes: report.stripes as u32,
-                    },
-                )
-                .replica(lost),
-            );
-        }
+        self.probe
+            .rebuilt(lost, report.stripes, report.wire_bytes, started);
         Ok(report)
     }
 
@@ -588,9 +513,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         }
         if strips[col].is_none() {
             if let Err(e) = self.codec.reconstruct(&mut strips) {
-                if let Some(obs) = &self.obs {
-                    obs.decode_failures.inc();
-                }
+                self.probe.decode_failed();
                 return Err(ReplError::Malformed(format!("ec decode: {e}")).into());
             }
         }
@@ -603,12 +526,6 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         } else {
             Err(ClusterError::UnknownReplica(idx))
         }
-    }
-
-    /// Waits for `node`'s `want` response under its current epoch.
-    fn recv_response(&self, node: usize, want: u8) -> Result<Response, ClusterError> {
-        let link = &self.nodes[node].link;
-        Ok(link.recv_response(want, link.epoch(), self.config.ack_timeout, &mut |_| {})?)
     }
 }
 
@@ -641,16 +558,14 @@ mod tests {
     }
 
     /// Spawns one strip-holder thread per node, each running the
-    /// stock replica loop with an RS-codec applier in strict sealed
-    /// mode — the same loop mirroring replicas run.
+    /// stock replica loop with an RS-codec applier — the same loop
+    /// mirroring replicas run.
     fn spawn_node(stripes: u64) -> (Box<dyn Transport>, Arc<MemDevice>, NodeWorker) {
         let (primary_side, node_side) = channel_pair(LinkModel::t1());
         let device = Arc::new(MemDevice::new(BlockSize::kb4(), stripes));
         let dev = Arc::clone(&device);
         let worker = std::thread::spawn(move || {
-            let applier = ReplicaApplier::new(&*dev)
-                .with_codec(Box::new(ReedSolomon::k4m2()))
-                .require_sealed(true);
+            let applier = ReplicaApplier::new(&*dev).with_codec(Box::new(ReedSolomon::k4m2()));
             run_replica_applier(applier, &node_side)
         });
         (Box::new(primary_side), device, worker)
@@ -870,6 +785,44 @@ mod tests {
         assert!(matches!(
             group.fetch_strip(0, 0),
             Err(ClusterError::Repl(ReplError::Nak { replica: 0 }))
+        ));
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_strip_ack_behind_for_the_next_one() {
+        // Stripe 0 of k4m2: data column c on node c, parity on nodes 4
+        // and 5. Node 0 never answers; the parity owners ACK the first
+        // delta they get and refuse the second.
+        let codec = ReedSolomon::k4m2();
+        let transports = (0..codec.total_strips())
+            .map(|node| {
+                let sink = prins_net::SinkTransport::new();
+                match node {
+                    0 => {}
+                    4 | 5 => sink.preload([
+                        prins_repl::encode_ack(ACK, 1),
+                        prins_repl::encode_ack(prins_repl::NAK, 1),
+                    ]),
+                    _ => sink.preload([prins_repl::encode_ack(ACK, 1)]),
+                }
+                Box::new(sink) as Box<dyn Transport>
+            })
+            .collect();
+        let logical = MemDevice::new(BlockSize::kb4(), codec.data_strips() as u64);
+        let mut group = EcGroup::new(logical, codec, EcConfig::default(), transports);
+
+        // The data-strip owner is silent, so the write errs — but both
+        // parity acks it drew are consumed, not left queued.
+        assert!(matches!(
+            group.write(Lba(0), &[1u8; 4096]),
+            Err(ClusterError::Repl(ReplError::Net(_)))
+        ));
+        // Both parity owners refuse this one. Crediting it with the
+        // first write's leftover ACKs would report three strips
+        // acknowledged while the parity strips silently diverge.
+        assert!(matches!(
+            group.write(Lba(1), &[2u8; 4096]),
+            Err(ClusterError::Repl(ReplError::Nak { replica: 4 }))
         ));
     }
 

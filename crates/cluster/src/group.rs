@@ -7,79 +7,17 @@ use std::time::Duration;
 
 use prins_block::{crc32c, BlockDevice, Lba};
 use prins_net::{Clock, Transport};
-use prins_obs::{
-    Counter, Event, EventKind, Histogram, Registry, TraceId, TraceSink, TraceStage, NO_LANE,
-};
+use prins_obs::{Registry, TraceId, TraceSink};
 use prins_parity::{SparseCodec, SparseParity};
 use prins_repl::{
-    put_full, put_parity, Link, LinkEvent, ReplError, ReplicationMode, Replicator, Request,
-    Response, ACK, DIGEST_ACK, READ_ACK,
+    put_full, put_parity, ReplError, ReplicationMode, Replicator, Request, Response, ACK,
+    DIGEST_ACK, READ_ACK,
 };
 use prins_trap::{TrapDevice, TrapLog};
 
-use crate::tracer::Tracer;
+use crate::peer::{Collected, Peer};
+use crate::probe::{Plane, Probe};
 use crate::{ClusterError, DirtyMap, ReplicaState};
-
-/// Observability hookup for a [`ClusterGroup`]: where lifecycle
-/// transitions, resync progress, and ack round-trips are recorded once
-/// [`ClusterGroup::attach_observer`] has been called.
-struct ClusterObs {
-    registry: Arc<Registry>,
-    clock: Arc<dyn Clock>,
-    /// Round-trip wait per collected acknowledgement (foreground and
-    /// resync frames alike), as `cluster_ack_rtt_nanos`.
-    ack_rtt: Arc<Histogram>,
-    /// Acknowledgements discarded because their epoch predates the
-    /// frame they would have been matched against.
-    wrong_epoch_acks: Arc<Counter>,
-    /// Frames a replica reported as failing their integrity check
-    /// (`NAK_CORRUPT` answers — wire or replica-disk corruption).
-    checksum_failures: Arc<Counter>,
-    /// Divergent blocks found by the scrubber and repaired.
-    scrub_repairs: Arc<Counter>,
-    /// Reads served by a replica instead of the primary.
-    reads_offloaded: Arc<Counter>,
-    /// Read-offload attempts rejected by the freshness guard (replica
-    /// not in sync, block dirty, or a stale-epoch response).
-    read_rejected_stale: Arc<Counter>,
-}
-
-impl ClusterObs {
-    fn new(registry: Arc<Registry>, clock: Arc<dyn Clock>) -> Self {
-        let ack_rtt = registry.histogram("cluster_ack_rtt_nanos");
-        let wrong_epoch_acks = registry.counter("wrong_epoch_acks");
-        let checksum_failures = registry.counter("checksum_failures");
-        let scrub_repairs = registry.counter("scrub_repairs");
-        let reads_offloaded = registry.counter("reads_offloaded");
-        let read_rejected_stale = registry.counter("read_rejected_stale");
-        Self {
-            registry,
-            clock,
-            ack_rtt,
-            wrong_epoch_acks,
-            checksum_failures,
-            scrub_repairs,
-            reads_offloaded,
-            read_rejected_stale,
-        }
-    }
-
-    fn state_change(&self, idx: usize, from: ReplicaState, to: ReplicaState) {
-        if from == to {
-            return;
-        }
-        self.registry.events().record(
-            Event::new(
-                self.clock.now_nanos(),
-                EventKind::StateChange {
-                    from: from.name(),
-                    to: to.name(),
-                },
-            )
-            .replica(idx),
-        );
-    }
-}
 
 /// How a rejoining replica is caught up.
 ///
@@ -120,6 +58,14 @@ enum ResyncFrame {
     Parity(Lba, u64, SparseParity),
 }
 
+impl ResyncFrame {
+    fn lba(&self) -> Lba {
+        match self {
+            ResyncFrame::Full(lba) | ResyncFrame::Parity(lba, _, _) => *lba,
+        }
+    }
+}
+
 /// An in-progress resync for one replica.
 #[derive(Debug)]
 struct ResyncPlan {
@@ -130,14 +76,14 @@ struct ResyncPlan {
     pending_full: HashSet<u64>,
 }
 
-/// Per-replica bookkeeping on the primary.
+/// Per-replica bookkeeping on the primary: the connection, and the
+/// lifecycle the answers on it drive.
 struct Replica {
-    /// The connection and its response-stream epoch. The epoch is
-    /// bumped whenever a response may have been stranded (a recv
-    /// failure) and on every rejoin, so a response to a write already
-    /// booked as failed identifies itself when it finally surfaces and
-    /// is dropped instead of miscounted.
-    link: Link,
+    /// The connection and what is in flight on it. Between calls that
+    /// is foreground writes only, tagged `Some((lba, seq))`; resync
+    /// frames and read-side requests (tagged `None`) are collected, or
+    /// given up on, before the call that sent them returns.
+    peer: Peer<Option<(Lba, u64)>>,
     state: ReplicaState,
     dirty: DirtyMap,
     consecutive_failures: u32,
@@ -148,17 +94,12 @@ struct Replica {
     read_bytes: u64,
     deferred_writes: u64,
     acked_writes: u64,
-    /// Foreground writes sent but not yet acknowledged (FIFO — the
-    /// transport delivers and the replica acknowledges in order), each
-    /// remembering the epoch its frame was sealed with and the trace
-    /// the eventual acknowledgement retires.
-    outstanding: VecDeque<(Lba, u64, u64, Option<TraceId>)>,
 }
 
 impl Replica {
-    fn new(idx: usize, transport: Box<dyn Transport>) -> Self {
+    fn new(idx: usize, transport: Box<dyn Transport>, ack_timeout: Duration) -> Self {
         Self {
-            link: Link::new(idx, transport),
+            peer: Peer::new(idx, transport, ack_timeout),
             state: ReplicaState::Online,
             dirty: DirtyMap::new(),
             consecutive_failures: 0,
@@ -169,8 +110,16 @@ impl Replica {
             read_bytes: 0,
             deferred_writes: 0,
             acked_writes: 0,
-            outstanding: VecDeque::new(),
         }
+    }
+
+    /// Whether the freshness guard lets this replica serve `lba`.
+    fn serves(&self, lba: Lba) -> bool {
+        self.state == ReplicaState::Online && !self.dirty.contains(lba)
+    }
+
+    fn resync_pending(&self) -> usize {
+        self.resync.as_ref().map_or(0, |p| p.queue.len())
     }
 }
 
@@ -291,8 +240,7 @@ pub struct ClusterGroup<D> {
     old: Vec<u8>,
     replicas: Vec<Replica>,
     config: ClusterConfig,
-    obs: Option<ClusterObs>,
-    tracer: Tracer,
+    probe: Probe,
     /// Round-robin cursor for offloaded reads.
     next_read: usize,
 }
@@ -312,11 +260,10 @@ impl<D: BlockDevice> ClusterGroup<D> {
             replicas: transports
                 .into_iter()
                 .enumerate()
-                .map(|(idx, transport)| Replica::new(idx, transport))
+                .map(|(idx, transport)| Replica::new(idx, transport, config.ack_timeout))
                 .collect(),
             config,
-            obs: None,
-            tracer: Tracer::default(),
+            probe: Probe::default(),
             next_read: 0,
         }
     }
@@ -330,12 +277,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// events — pass the transports' [`SimClock`](prins_net::SimClock)
     /// for deterministic traces under simulation.
     pub fn attach_observer(&mut self, registry: Arc<Registry>, clock: Arc<dyn Clock>) {
-        self.obs = Some(ClusterObs::new(registry, clock));
+        self.probe.observe(Plane::Group, registry, clock);
     }
 
     /// The attached metrics registry, if any.
     pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.obs.as_ref().map(|o| &o.registry)
+        self.probe.registry()
     }
 
     /// Attaches a trace sink: from here on every foreground write (and
@@ -348,12 +295,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// pass the transports' [`SimClock`](prins_net::SimClock) for
     /// deterministic traces under simulation.
     pub fn attach_tracer(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
-        self.tracer.attach(sink, shard, clock);
+        self.probe.trace_into(sink, shard, clock);
     }
 
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.tracer.sink()
+        self.probe.trace_sink()
     }
 
     /// The primary device (wrapped with the parity log).
@@ -391,14 +338,14 @@ impl<D: BlockDevice> ClusterGroup<D> {
             state: r.state,
             dirty_blocks: r.dirty.len(),
             dirty_intervals: r.dirty.intervals(),
-            resync_pending: r.resync.as_ref().map_or(0, |p| p.queue.len()),
+            resync_pending: r.resync_pending(),
             foreground_bytes: r.foreground_bytes,
             resync_bytes: r.resync_bytes,
             scrub_bytes: r.scrub_bytes,
             read_bytes: r.read_bytes,
             deferred_writes: r.deferred_writes,
             acked_writes: r.acked_writes,
-            in_flight: r.outstanding.len(),
+            in_flight: r.peer.in_flight().len(),
         }
     }
 
@@ -422,11 +369,11 @@ impl<D: BlockDevice> ClusterGroup<D> {
         self.replicator
             .encode_write_into(lba, &self.old, new, &mut self.payload);
 
-        // One trace per cluster write; the hold (pending = 1) keeps it
-        // open across the replica fan-out and is released at the end of
-        // this call, so with a pipelined window the trace finalizes on
-        // whichever later collection retires the last acknowledgement.
-        let tid = self.tracer.begin(new.len());
+        // One trace per cluster write; its hold keeps it open across
+        // the replica fan-out and is released at the end of this call,
+        // so with a pipelined window the trace finalizes on whichever
+        // later collection retires the last acknowledgement.
+        let tid = self.probe.begin(new.len());
 
         let mut outcome = WriteOutcome {
             seq,
@@ -439,21 +386,16 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 Route::Send => {
                     let payload = &self.payload;
                     let r = &mut self.replicas[idx];
-                    match r.link.send(|out| out.extend_from_slice(payload)) {
+                    let fill = |out: &mut Vec<u8>| out.extend_from_slice(payload);
+                    match r.peer.send(Some((lba, seq)), tid, ACK, fill) {
                         Ok(sealed_len) => {
                             r.foreground_bytes += sealed_len as u64;
-                            r.outstanding.push_back((lba, seq, r.link.epoch(), tid));
-                            self.tracer.fan_out(
-                                tid,
-                                TraceStage::ReplicaSend,
-                                idx as u32,
-                                sealed_len,
-                            );
+                            self.probe.sent(tid, idx, sealed_len);
                         }
                         // The frame never left: the replica certainly
                         // did not apply it.
                         Err(_) => {
-                            self.tracer.hop(tid, TraceStage::SendError, idx as u32, 0);
+                            self.probe.send_failed(tid, idx);
                             self.note_failure(idx, Some((lba, seq)), false);
                         }
                     }
@@ -474,11 +416,9 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // oldest-first, matching the transport's FIFO delivery.
         let window = self.config.ack_window.max(1);
         for idx in 0..self.replicas.len() {
-            while self.replicas[idx].outstanding.len() >= window {
-                if let Some((_, retired)) = self.collect_oldest(idx) {
-                    if retired == seq {
-                        outcome.acked += 1;
-                    }
+            while self.replicas[idx].peer.in_flight().len() >= window {
+                if self.collect_oldest(idx) == Some((lba, seq)) {
+                    outcome.acked += 1;
                 }
             }
         }
@@ -489,12 +429,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
         let in_flight = self
             .replicas
             .iter()
-            .filter(|r| r.outstanding.iter().any(|&(_, s, _, _)| s == seq))
+            .filter(|r| r.peer.in_flight().any(|&w| w == Some((lba, seq))))
             .count();
-        // Drop the dispatch hold: with everything acknowledged the
-        // trace finalizes here; under a pipelined window it stays open
-        // until the last outstanding acknowledgement is collected.
-        self.tracer.release(tid);
+        // With everything acknowledged the trace finalizes here; under
+        // a pipelined window it stays open until the last outstanding
+        // acknowledgement is collected.
+        self.probe.released(tid);
         if outcome.acked + in_flight < self.config.write_quorum {
             return Err(ClusterError::QuorumLost {
                 acked: outcome.acked,
@@ -528,19 +468,14 @@ impl<D: BlockDevice> ClusterGroup<D> {
         let n = self.replicas.len();
         let mut rejected = 0usize;
         // Offloaded reads get their own trace: one hop per rejected
-        // candidate, completed by whichever source served the block
-        // (lane = replica index, or `NO_LANE` for the primary image).
-        let tid = self.tracer.begin(0);
+        // candidate, completed by whichever source served the block.
+        let tid = self.probe.begin(0);
         for attempt in 0..n {
             let idx = (self.next_read + attempt) % n;
             match self.read_offload(idx, lba, tid) {
                 Ok(Some(data)) => {
                     self.next_read = (idx + 1) % n.max(1);
-                    if let Some(obs) = &self.obs {
-                        obs.reads_offloaded.inc();
-                    }
-                    self.tracer
-                        .complete(tid, TraceStage::ReadOffload, idx as u32, data.len());
+                    self.probe.read_served(tid, Some(idx), data.len());
                     return Ok(ReadOutcome {
                         data,
                         source: Some(idx),
@@ -550,16 +485,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 // Guard rejection or a degraded replica: try the next.
                 Ok(None) | Err(_) => {
                     rejected += 1;
-                    if let Some(obs) = &self.obs {
-                        obs.read_rejected_stale.inc();
-                    }
-                    self.tracer.hop(tid, TraceStage::ReadReject, idx as u32, 0);
+                    self.probe.read_rejected(tid, idx);
                 }
             }
         }
         let data = self.device.read_block_vec(lba)?;
-        self.tracer
-            .complete(tid, TraceStage::ReadOffload, NO_LANE, data.len());
+        self.probe.read_served(tid, None, data.len());
         Ok(ReadOutcome {
             data,
             source: None,
@@ -576,69 +507,66 @@ impl<D: BlockDevice> ClusterGroup<D> {
         lba: Lba,
         tid: Option<TraceId>,
     ) -> Result<Option<Vec<u8>>, ClusterError> {
-        if self.replicas[idx].state != ReplicaState::Online
-            || self.replicas[idx].dirty.contains(lba)
-        {
+        if !self.replicas[idx].serves(lba) {
             return Ok(None);
         }
         // Align the FIFO: collect in-flight write acks so the read
         // request is answered after every write it must reflect. The
         // drain may degrade the replica — re-check.
         self.drain_replica(idx);
-        if self.replicas[idx].state != ReplicaState::Online
-            || self.replicas[idx].dirty.contains(lba)
-        {
+        if !self.replicas[idx].serves(lba) {
             return Ok(None);
         }
-        let epoch = self.replicas[idx].link.epoch();
-        match self.replicas[idx]
-            .link
-            .send(|out| Request::Read(lba).put(out))
-        {
-            Ok(sealed_len) => self.replicas[idx].read_bytes += sealed_len as u64,
-            Err(e) => {
-                self.note_failure(idx, None, false);
-                return Err(e.into());
-            }
-        }
-        // Point the stale-epoch drop sites in the response loop at this
-        // read's trace (the drain above cleared any previous target).
-        self.tracer.set_awaiting(tid);
+        let (sealed_len, answer) =
+            self.request(idx, tid, READ_ACK, |out| Request::Read(lba).put(out));
+        self.replicas[idx].read_bytes += sealed_len as u64;
         let bs = self.device.geometry().block_size().bytes();
-        let read = self.recv_response(idx, READ_ACK, epoch).and_then(|image| {
-            let sparse = SparseCodec::default()
-                .decode(image.body(), bs)
-                .map_err(ReplError::from)?;
+        let read = answer.and_then(|image| {
+            let sparse = SparseCodec::default().decode(image.body(), bs)?;
             Ok(sparse.to_dense(bs))
         });
-        self.tracer.set_awaiting(None);
         match read {
             Ok(data) => {
                 self.replicas[idx].consecutive_failures = 0;
                 Ok(Some(data))
             }
             Err(e) => {
-                // The response stream is unreliable from here (the read
-                // ack may surface later): open a new generation, like a
-                // failed write collection.
-                if matches!(e, ClusterError::Repl(ReplError::Net(_))) {
-                    self.replicas[idx].link.bump_epoch();
-                }
                 self.note_failure(idx, None, false);
-                Err(e)
+                Err(e.into())
             }
         }
     }
 
+    /// Asks replica `idx` one read-side question. Callers drain the
+    /// replica themselves first (they re-check its state in between),
+    /// so `drained` stays empty; anything it did catch is booked like
+    /// any other collected write.
+    fn request(
+        &mut self,
+        idx: usize,
+        tid: Option<TraceId>,
+        want: u8,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> (usize, Result<Response, ReplError>) {
+        let mut drained = Vec::new();
+        let peer = &mut self.replicas[idx].peer;
+        let asked = peer.request(&self.probe, None, tid, want, fill, |ack| drained.push(ack));
+        for ack in drained {
+            self.retire(idx, ack);
+        }
+        asked
+    }
+
     /// Opens a new response generation on every replica — the migration
-    /// cutover barrier. Any response to a frame sealed before this call
-    /// (e.g. an ack stranded on a slow link while the shard moved away)
-    /// identifies itself by its older epoch and is dropped
-    /// deterministically instead of being matched against post-cutover
-    /// traffic. Call after [`drain`](Self::drain).
+    /// cutover barrier. In-flight traffic is settled first; any
+    /// response still on its way after that (e.g. an ack stranded on a
+    /// slow link while the shard moved away) answers a frame from an
+    /// older epoch and is dropped deterministically instead of being
+    /// matched against post-cutover traffic.
     pub fn bump_epochs(&mut self) {
+        self.drain();
         for r in &mut self.replicas {
-            r.link.bump_epoch();
+            r.peer.abandon();
         }
     }
 
@@ -663,17 +591,15 @@ impl<D: BlockDevice> ClusterGroup<D> {
     ///
     /// Returns the number of writes confirmed by this call.
     pub fn drain(&mut self) -> usize {
-        let mut retired = 0;
-        for idx in 0..self.replicas.len() {
-            retired += self.drain_replica(idx);
-        }
-        retired
+        (0..self.replicas.len())
+            .map(|idx| self.drain_replica(idx))
+            .sum()
     }
 
     /// Collects all of replica `idx`'s in-flight acknowledgements.
     fn drain_replica(&mut self, idx: usize) -> usize {
         let mut retired = 0;
-        while !self.replicas[idx].outstanding.is_empty() {
+        while self.replicas[idx].peer.in_flight().len() > 0 {
             if self.collect_oldest(idx).is_some() {
                 retired += 1;
             }
@@ -685,38 +611,26 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// acknowledgement. Returns the retired `(lba, seq)` on success; on
     /// failure the replica degrades and the write is marked dirty.
     fn collect_oldest(&mut self, idx: usize) -> Option<(Lba, u64)> {
-        let (lba, seq, epoch, tid) = self.replicas[idx].outstanding.pop_front()?;
-        self.tracer.set_awaiting(tid);
-        let collected = self.await_ack(idx, epoch);
-        self.tracer.set_awaiting(None);
-        let stage = if collected.is_ok() {
-            TraceStage::ReplicaAck
-        } else {
-            TraceStage::AckError
-        };
-        self.tracer.complete(tid, stage, idx as u32, 0);
-        match collected {
-            Ok(()) => {
+        let ack = self.replicas[idx].peer.collect_oldest(&self.probe)?;
+        self.retire(idx, ack)
+    }
+
+    /// Books the outcome of one foreground write to replica `idx`.
+    fn retire(&mut self, idx: usize, ack: Collected<Option<(Lba, u64)>>) -> Option<(Lba, u64)> {
+        match ack.answer {
+            Ok(_) => {
+                self.probe.acked(idx, ack.trace, ack.waited);
                 let r = &mut self.replicas[idx];
                 r.consecutive_failures = 0;
                 r.acked_writes += 1;
-                Some((lba, seq))
+                ack.tag
             }
             Err(e) => {
-                // A recv failure means the response was NOT consumed —
-                // the delivered write's ack can still arrive after the
-                // link heals, sealed under this (now closed) epoch.
-                // Open a new generation so that late ack identifies
-                // itself as stale instead of being matched against a
-                // newer frame. A NAK or corrupt-NAK *was* this write's
-                // response, so no generation change is needed.
-                if matches!(e, ClusterError::Repl(ReplError::Net(_))) {
-                    self.replicas[idx].link.bump_epoch();
-                }
+                self.probe.ack_failed(idx, ack.trace, ack.waited, &e);
                 // The frame *was* sent; the replica may have applied it
                 // before the link died. Replaying its parity chain
                 // could double-XOR, so the block is uncertain.
-                self.note_failure(idx, Some((lba, seq)), true);
+                self.note_failure(idx, ack.tag, true);
                 None
             }
         }
@@ -740,9 +654,9 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // A rejoin opens a fresh response generation. Stray responses
         // still queued from before the outage are noise (their writes
         // already booked as failed, their blocks marked uncertain) —
-        // they carry an older epoch, so the ack loop drops them on
-        // sight instead of guessing with a skip budget.
-        self.replicas[idx].link.bump_epoch();
+        // they carry an older epoch, so the peer drops them on sight
+        // instead of guessing with a skip budget.
+        self.replicas[idx].peer.abandon();
         let plan = self.build_plan(idx, strategy);
         self.replicas[idx].resync = Some(plan);
         self.publish_replica_gauges(idx);
@@ -759,37 +673,25 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// # Errors
     ///
     /// On any transport/ack failure the resync aborts and the replica
-    /// goes [`ReplicaState::Offline`]; per-frame progress already
-    /// acknowledged is retained in the dirty map, so a later rejoin
+    /// goes [`ReplicaState::Offline`]; per-frame progress acknowledged
+    /// by earlier steps is retained in the dirty map, so a later rejoin
     /// resumes rather than repeats.
     pub fn resync_step(&mut self, idx: usize, max_frames: usize) -> Result<usize, ClusterError> {
         self.check_idx(idx)?;
-        if self.replicas[idx].state != ReplicaState::Resyncing {
-            return Err(ClusterError::InvalidTransition {
-                replica: idx,
-                from: self.replicas[idx].state,
-                to: ReplicaState::Resyncing,
-            });
-        }
+        self.expect_state(idx, ReplicaState::Resyncing)?;
         // Resync frames share the transport with foreground acks; under
         // a pipelined window, collect those first so the FIFO ack
         // stream stays aligned with the frames sent below. A failure
-        // here aborts the resync (the drain took the replica Offline).
+        // there aborts the resync (the drain took the replica Offline).
         self.drain_replica(idx);
-        if self.replicas[idx].state != ReplicaState::Resyncing {
-            return Err(ClusterError::InvalidTransition {
-                replica: idx,
-                from: self.replicas[idx].state,
-                to: ReplicaState::Resyncing,
-            });
-        }
+        self.expect_state(idx, ReplicaState::Resyncing)?;
 
-        // Send a batch (pipelined), remembering per-frame bookkeeping.
-        // The epoch cannot move under the batch: it only bumps on
-        // collection failures, which abort the step.
-        let epoch = self.replicas[idx].link.epoch();
-        let mut in_flight: Vec<(ResyncFrame, u64)> = Vec::new();
-        for _ in 0..max_frames {
+        // Send a batch (pipelined), then collect its acks, recording
+        // per-frame progress; the first failure of either kind ends
+        // the step.
+        let mut batch: Vec<(ResyncFrame, u64)> = Vec::new();
+        let mut failed = None;
+        while batch.len() < max_frames && failed.is_none() {
             let Some(frame) = self.replicas[idx]
                 .resync
                 .as_mut()
@@ -797,125 +699,114 @@ impl<D: BlockDevice> ClusterGroup<D> {
             else {
                 break;
             };
-            // Captured now because an ack clears the dirty entry: if
-            // the batch later errors, the whole batch is re-marked
-            // uncertain from these positions (see the error arm).
-            let mark_from = match &frame {
-                ResyncFrame::Full(lba) => self.replicas[idx].dirty.missed_from(*lba).unwrap_or(0),
-                ResyncFrame::Parity(_, seq, _) => *seq,
-            };
-            let sent = match &frame {
-                ResyncFrame::Full(lba) => {
-                    if let Some(plan) = self.replicas[idx].resync.as_mut() {
-                        plan.pending_full.remove(&lba.index());
-                    }
-                    let block = self.device.read_block_vec(*lba)?;
-                    self.replicas[idx]
-                        .link
-                        .send(|out| put_full(out, *lba, &block))
-                }
-                ResyncFrame::Parity(lba, _, parity) => self.replicas[idx].link.send(|out| {
-                    put_parity(out, *lba, |out| out.extend_from_slice(parity.as_bytes()));
-                }),
-            };
-            match sent {
-                Ok(sealed_len) => self.replicas[idx].resync_bytes += sealed_len as u64,
-                Err(e) => {
-                    self.abort_resync(idx);
-                    self.publish_replica_gauges(idx);
-                    return Err(e.into());
-                }
+            match self.send_resync_frame(idx, &frame) {
+                Ok(mark_from) => batch.push((frame, mark_from)),
+                Err(e) => failed = Some(e),
             }
-            in_flight.push((frame, mark_from));
         }
-
-        // Collect the batch's acks; record per-frame progress so an
-        // abort mid-batch leaves the dirty map accurate.
-        let total = in_flight.len();
-        for i in 0..total {
-            match self.await_ack(idx, epoch) {
-                Ok(()) => match in_flight[i].0 {
-                    ResyncFrame::Full(lba) => self.replicas[idx].dirty.clear(lba),
-                    ResyncFrame::Parity(lba, seq, _) => {
-                        // The replica's copy now reflects the chain
-                        // through this entry; later entries (queued or
-                        // future) keep the block dirty from seq + 1.
-                        let more = !self.log().chain_since(lba, seq + 1).is_empty();
-                        let r = &mut self.replicas[idx];
-                        r.dirty.clear(lba);
-                        if more {
-                            r.dirty.mark(lba, seq + 1);
-                        }
-                    }
-                },
+        for (frame, _) in &batch {
+            if failed.is_some() {
+                break;
+            }
+            let ack = self.replicas[idx].peer.collect_oldest(&self.probe);
+            let ack = ack.expect("one frame in flight per batch entry");
+            match ack.answer {
+                Ok(_) => {
+                    self.probe.acked(idx, None, ack.waited);
+                    self.resync_frame_acked(idx, frame);
+                }
                 Err(e) => {
-                    // Unconsumed responses for the rest of the batch
-                    // can surface late after the link heals, sealed
-                    // under this epoch. Close the generation so they
-                    // are dropped by tag, not guessed at by count.
-                    self.replicas[idx].link.bump_epoch();
-                    // Credit inside an errored batch is unattributable:
-                    // acks carry no frame identity, so a silently lost
-                    // repair frame shifts every later ack one frame
-                    // forward and an "acknowledged" frame may in truth
-                    // be unapplied (the fuzzer minimizes this to a
-                    // dropped resync frame plus one healthy neighbour).
-                    // Re-mark the *whole* batch — acked prefix included
-                    // — so the next attempt ships full images for all
-                    // of it.
-                    for (frame, mark_from) in &in_flight {
-                        let lba = match frame {
-                            ResyncFrame::Full(lba) | ResyncFrame::Parity(lba, _, _) => *lba,
-                        };
-                        self.replicas[idx].dirty.mark_uncertain(lba, *mark_from);
-                    }
-                    self.abort_resync(idx);
-                    self.publish_replica_gauges(idx);
-                    return Err(e);
+                    self.probe.ack_failed(idx, None, ack.waited, &e);
+                    failed = Some(e.into());
                 }
             }
         }
+        if let Some(e) = failed {
+            // The rest of the batch is given up on; its answers can
+            // surface late, so the peer closes the generation and they
+            // are dropped by tag, not guessed at by count.
+            self.replicas[idx].peer.abandon();
+            // Credit inside an errored batch is unattributable: acks
+            // carry no frame identity, so a silently lost repair frame
+            // shifts every later ack one frame forward and an
+            // "acknowledged" frame may in truth be unapplied (the
+            // fuzzer minimizes this to a dropped resync frame plus one
+            // healthy neighbour). Re-mark the *whole* batch — acked
+            // prefix included — so the next attempt ships full images
+            // for all of it.
+            for (frame, mark_from) in &batch {
+                self.replicas[idx]
+                    .dirty
+                    .mark_uncertain(frame.lba(), *mark_from);
+            }
+            self.note_failure(idx, None, false);
+            self.publish_replica_gauges(idx);
+            return Err(e);
+        }
 
-        let remaining = self.replicas[idx]
-            .resync
-            .as_ref()
-            .map_or(0, |p| p.queue.len());
+        let remaining = self.replicas[idx].resync_pending();
         if remaining == 0 {
             let r = &mut self.replicas[idx];
             r.resync = None;
             r.dirty.clear_all();
             r.consecutive_failures = 0;
-            r.state = ReplicaState::Online;
         }
-        if let Some(obs) = &self.obs {
-            obs.registry.events().record(
-                Event::new(
-                    obs.clock.now_nanos(),
-                    EventKind::ResyncBatch {
-                        sent: total as u32,
-                        remaining: remaining as u32,
-                    },
-                )
-                .replica(idx),
-            );
-            self.publish_replica_gauges(idx);
-            if remaining == 0 {
-                obs.state_change(idx, ReplicaState::Resyncing, ReplicaState::Online);
-            }
+        self.probe.resync_batch(idx, batch.len(), remaining);
+        self.publish_replica_gauges(idx);
+        if remaining == 0 {
+            self.transition(idx, ReplicaState::Online)?;
         }
         Ok(remaining)
     }
 
+    /// Puts one resync frame on replica `idx`'s wire. Returns the
+    /// position the block is re-marked uncertain from if the batch
+    /// later errors — captured now because an ack clears the dirty
+    /// entry.
+    fn send_resync_frame(&mut self, idx: usize, frame: &ResyncFrame) -> Result<u64, ClusterError> {
+        let r = &mut self.replicas[idx];
+        let (mark_from, sent) = match frame {
+            ResyncFrame::Full(lba) => {
+                if let Some(plan) = r.resync.as_mut() {
+                    plan.pending_full.remove(&lba.index());
+                }
+                let block = self.device.read_block_vec(*lba)?;
+                let fill = |out: &mut Vec<u8>| put_full(out, *lba, &block);
+                let mark_from = r.dirty.missed_from(*lba).unwrap_or(0);
+                (mark_from, r.peer.send(None, None, ACK, fill))
+            }
+            ResyncFrame::Parity(lba, seq, parity) => {
+                let body = |out: &mut Vec<u8>| out.extend_from_slice(parity.as_bytes());
+                let fill = |out: &mut Vec<u8>| put_parity(out, *lba, body);
+                (*seq, r.peer.send(None, None, ACK, fill))
+            }
+        };
+        r.resync_bytes += sent? as u64;
+        Ok(mark_from)
+    }
+
+    /// Books replica `idx`'s acknowledgement of one resync frame.
+    fn resync_frame_acked(&mut self, idx: usize, frame: &ResyncFrame) {
+        match *frame {
+            ResyncFrame::Full(lba) => self.replicas[idx].dirty.clear(lba),
+            ResyncFrame::Parity(lba, seq, _) => {
+                // The replica's copy now reflects the chain through
+                // this entry; later entries (queued or future) keep the
+                // block dirty from seq + 1.
+                let more = !self.log().chain_since(lba, seq + 1).is_empty();
+                let r = &mut self.replicas[idx];
+                r.dirty.clear(lba);
+                if more {
+                    r.dirty.mark(lba, seq + 1);
+                }
+            }
+        }
+    }
+
     /// Refreshes replica `idx`'s resync-progress gauges.
     fn publish_replica_gauges(&self, idx: usize) {
-        let Some(obs) = &self.obs else { return };
         let r = &self.replicas[idx];
-        obs.registry
-            .gauge(&format!("replica{idx}_dirty_blocks"))
-            .set(r.dirty.len() as u64);
-        obs.registry
-            .gauge(&format!("replica{idx}_resync_pending"))
-            .set(r.resync.as_ref().map_or(0, |p| p.queue.len()) as u64);
+        self.probe.gauges(idx, r.dirty.len(), r.resync_pending());
     }
 
     /// Runs [`resync_step`](Self::resync_step) until the plan drains.
@@ -952,37 +843,18 @@ impl<D: BlockDevice> ClusterGroup<D> {
     ) -> Result<ScrubOutcome, ClusterError> {
         self.check_idx(idx)?;
         self.drain_replica(idx);
-        if self.replicas[idx].state != ReplicaState::Online {
-            return Err(ClusterError::InvalidTransition {
-                replica: idx,
-                from: self.replicas[idx].state,
-                to: ReplicaState::Online,
-            });
-        }
+        self.expect_state(idx, ReplicaState::Online)?;
         let mut outcome = ScrubOutcome::default();
         let mut divergent: Vec<Lba> = Vec::new();
-        let epoch = self.replicas[idx].link.epoch();
         for &lba in lbas {
-            match self.replicas[idx]
-                .link
-                .send(|out| Request::Digest(lba).put(out))
-            {
-                Ok(sealed_len) => self.replicas[idx].scrub_bytes += sealed_len as u64,
+            let (sealed_len, answer) =
+                self.request(idx, None, DIGEST_ACK, |out| Request::Digest(lba).put(out));
+            self.replicas[idx].scrub_bytes += sealed_len as u64;
+            let digest = match answer {
+                Ok(response) => response.digest(),
                 Err(e) => {
                     self.note_failure(idx, None, false);
                     return Err(e.into());
-                }
-            }
-            let digest = match self.recv_response(idx, DIGEST_ACK, epoch) {
-                Ok(response) => response.digest(),
-                Err(e) => {
-                    // An unconsumed digest response can surface late;
-                    // close the generation so it is dropped by tag.
-                    if matches!(e, ClusterError::Repl(ReplError::Net(_))) {
-                        self.replicas[idx].link.bump_epoch();
-                    }
-                    self.note_failure(idx, None, false);
-                    return Err(e);
                 }
             };
             outcome.probed += 1;
@@ -1005,9 +877,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         self.rejoin(idx, ResyncStrategy::DirtyBitmap)?;
         self.resync_to_completion(idx, divergent.len())?;
         outcome.repaired = divergent.len();
-        if let Some(obs) = &self.obs {
-            obs.scrub_repairs.add(outcome.repaired as u64);
-        }
+        self.probe.scrub_repaired(outcome.repaired);
         Ok(outcome)
     }
 
@@ -1062,10 +932,20 @@ impl<D: BlockDevice> ClusterGroup<D> {
             });
         }
         self.replicas[idx].state = to;
-        if let Some(obs) = &self.obs {
-            obs.state_change(idx, from, to);
-        }
+        self.probe.state_change(idx, from, to);
         Ok(())
+    }
+
+    /// Errs unless replica `idx` is in state `want`.
+    fn expect_state(&self, idx: usize, want: ReplicaState) -> Result<(), ClusterError> {
+        match self.replicas[idx].state {
+            from if from == want => Ok(()),
+            from => Err(ClusterError::InvalidTransition {
+                replica: idx,
+                from,
+                to: want,
+            }),
+        }
     }
 
     /// Decides what to do with a foreground write for replica `idx`.
@@ -1145,91 +1025,19 @@ impl<D: BlockDevice> ClusterGroup<D> {
         }
         r.consecutive_failures += 1;
         let from = r.state;
-        match r.state {
-            ReplicaState::Online => {
-                r.state = ReplicaState::Lagging;
-                if r.consecutive_failures >= self.config.offline_after {
-                    r.state = ReplicaState::Offline;
-                }
-            }
-            ReplicaState::Lagging => {
-                if r.consecutive_failures >= self.config.offline_after {
-                    r.state = ReplicaState::Offline;
-                }
-            }
+        let give_up = r.consecutive_failures >= self.config.offline_after;
+        r.state = match from {
+            ReplicaState::Online | ReplicaState::Lagging if !give_up => ReplicaState::Lagging,
+            // A failed resync never limps on: the plan is dropped and a
+            // later rejoin builds a new one from the dirty map.
             ReplicaState::Resyncing => {
-                r.state = ReplicaState::Offline;
                 r.resync = None;
+                ReplicaState::Offline
             }
-            ReplicaState::Offline => {}
-        }
-        let to = r.state;
-        if let Some(obs) = &self.obs {
-            obs.state_change(idx, from, to);
-        }
-    }
-
-    fn abort_resync(&mut self, idx: usize) {
-        let r = &mut self.replicas[idx];
-        r.resync = None;
-        r.consecutive_failures += 1;
-        let from = r.state;
-        r.state = ReplicaState::Offline;
-        if let Some(obs) = &self.obs {
-            obs.state_change(idx, from, ReplicaState::Offline);
-        }
-    }
-
-    /// Waits for one ACK/NAK frame from replica `idx`, recording the
-    /// round-trip wait (and any NAK / collection failure) in the
-    /// attached registry.
-    fn await_ack(&mut self, idx: usize, expected_epoch: u64) -> Result<(), ClusterError> {
-        let started = self.obs.as_ref().map(|o| o.clock.now_nanos());
-        let result = self.recv_response(idx, ACK, expected_epoch).map(drop);
-        if let (Some(obs), Some(t0)) = (&self.obs, started) {
-            let now = obs.clock.now_nanos();
-            obs.ack_rtt.record(now.saturating_sub(t0));
-            match &result {
-                Ok(()) => {}
-                Err(ClusterError::Repl(ReplError::Nak { .. })) => obs
-                    .registry
-                    .events()
-                    .record(Event::new(now, EventKind::Nak).replica(idx)),
-                Err(_) => obs
-                    .registry
-                    .events()
-                    .record(Event::new(now, EventKind::AckError).replica(idx)),
-            }
-        }
-        result
-    }
-
-    /// Waits for replica `idx`'s `want` response to a frame sealed under
-    /// `expected_epoch` — [`Link::recv_response`] with this group's
-    /// counters and trace hops attached to what it reports.
-    fn recv_response(
-        &self,
-        idx: usize,
-        want: u8,
-        expected_epoch: u64,
-    ) -> Result<Response, ClusterError> {
-        let mut on_event = |event| match event {
-            LinkEvent::StaleDropped => {
-                if let Some(obs) = &self.obs {
-                    obs.wrong_epoch_acks.inc();
-                }
-                self.tracer.wrong_epoch(idx as u32);
-            }
-            // The frame (or the block behind a read) was damaged; the
-            // replica rejected it before applying anything.
-            LinkEvent::CorruptNak => {
-                if let Some(obs) = &self.obs {
-                    obs.checksum_failures.inc();
-                }
-            }
+            _ => ReplicaState::Offline,
         };
-        let link = &self.replicas[idx].link;
-        Ok(link.recv_response(want, expected_epoch, self.config.ack_timeout, &mut on_event)?)
+        let to = r.state;
+        self.probe.state_change(idx, from, to);
     }
 
     fn build_plan(&self, idx: usize, strategy: ResyncStrategy) -> ResyncPlan {
@@ -1853,7 +1661,9 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match e.kind {
-                EventKind::StateChange { from, to } => Some((from.to_string(), to.to_string())),
+                prins_obs::EventKind::StateChange { from, to } => {
+                    Some((from.to_string(), to.to_string()))
+                }
                 _ => None,
             })
             .collect();

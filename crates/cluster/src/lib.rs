@@ -72,9 +72,10 @@ mod ec_group;
 mod error;
 mod group;
 mod lifecycle;
+mod peer;
 mod placement;
+mod probe;
 mod shard;
-mod tracer;
 
 pub use dirty::DirtyMap;
 pub use ec_group::{EcConfig, EcGroup, EcPlacement, EcRebuildReport, EcWriteOutcome};

@@ -12,9 +12,9 @@ use std::sync::Arc;
 
 use prins_block::{BlockDevice, Lba};
 use prins_net::Clock;
-use prins_obs::{Counter, Event, EventKind, Registry, TraceSink, TraceStage};
+use prins_obs::{Registry, TraceSink};
 
-use crate::tracer::Tracer;
+use crate::probe::{Plane, Probe};
 use crate::{ClusterError, ClusterGroup, ReadOutcome, RendezvousPlacement, WriteOutcome};
 
 /// An in-progress live migration of one LBA range between groups.
@@ -42,15 +42,6 @@ pub struct MigrationStatus {
     pub remaining: u64,
 }
 
-/// Observability hookup for a [`ShardedCluster`]: migration traffic
-/// and cutover events.
-struct ShardObs {
-    registry: Arc<Registry>,
-    clock: Arc<dyn Clock>,
-    /// Payload bytes copied by live migrations.
-    migration_bytes: Arc<Counter>,
-}
-
 /// A volume sharded across one or more [`ClusterGroup`]s.
 ///
 /// Writes and reads are routed by weighted rendezvous hashing
@@ -68,10 +59,10 @@ pub struct ShardedCluster<D> {
     /// Ownership overrides from completed migrations, latest wins.
     overrides: Vec<(Range<u64>, usize)>,
     migration: Option<Migration>,
-    obs: Option<ShardObs>,
-    /// Mints only the standalone copy-batch traces; per-write traces
-    /// live in each group's own tracer (shard tag = group index).
-    tracer: Tracer,
+    /// Records migration traffic and mints only the standalone
+    /// copy-batch traces; per-write traces live in each group's own
+    /// probe (shard tag = group index).
+    probe: Probe,
 }
 
 impl<D: BlockDevice> ShardedCluster<D> {
@@ -96,8 +87,7 @@ impl<D: BlockDevice> ShardedCluster<D> {
             groups,
             overrides: Vec::new(),
             migration: None,
-            obs: None,
-            tracer: Tracer::default(),
+            probe: Probe::default(),
         }
     }
 
@@ -106,12 +96,7 @@ impl<D: BlockDevice> ShardedCluster<D> {
     /// Attach each group's observer separately (they may share the
     /// registry).
     pub fn attach_observer(&mut self, registry: Arc<Registry>, clock: Arc<dyn Clock>) {
-        let migration_bytes = registry.counter("migration_bytes");
-        self.obs = Some(ShardObs {
-            registry,
-            clock,
-            migration_bytes,
-        });
+        self.probe.observe(Plane::Shard, registry, clock);
     }
 
     /// Attaches one shared trace sink to every group (shard tag =
@@ -128,12 +113,12 @@ impl<D: BlockDevice> ShardedCluster<D> {
         }
         // One past the last group, so batch ids can never collide
         // with any group's write ids.
-        self.tracer.attach(sink, self.groups.len() as u32, clock);
+        self.probe.trace_into(sink, self.groups.len() as u32, clock);
     }
 
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.tracer.sink()
+        self.probe.trace_sink()
     }
 
     /// The placement policy.
@@ -288,8 +273,8 @@ impl<D: BlockDevice> ShardedCluster<D> {
         let batch_end = m.range.end.min(m.cursor + max_blocks as u64);
         let bs = self.groups[m.from].device().geometry().block_size().bytes() as u64;
         // One trace per copy batch (the per-block writes below mint
-        // their own traces through the target group's tracer).
-        let tid = self.tracer.begin(0);
+        // their own traces through the target group's probe).
+        let tid = self.probe.begin(0);
         for i in m.cursor..batch_end {
             let lba = Lba(i);
             let data = self.groups[m.from].device().read_block_vec(lba)?;
@@ -300,19 +285,8 @@ impl<D: BlockDevice> ShardedCluster<D> {
         }
         let copied = batch_end - m.cursor;
         let remaining = m.range.end - batch_end;
-        let bytes = (copied * bs) as usize;
-        self.tracer
-            .complete(tid, TraceStage::MigrateCopy, m.to as u32, bytes);
-        if let Some(obs) = &self.obs {
-            obs.migration_bytes.add(copied * bs);
-            obs.registry.events().record(Event::new(
-                obs.clock.now_nanos(),
-                EventKind::MigrateBatch {
-                    copied: copied as u32,
-                    remaining: remaining as u32,
-                },
-            ));
-        }
+        self.probe
+            .migrate_batch(tid, m.to, copied, remaining, copied * bs);
         if remaining == 0 {
             self.cutover();
         }
@@ -342,24 +316,14 @@ impl<D: BlockDevice> ShardedCluster<D> {
         let Some(m) = self.migration.take() else {
             return;
         };
-        // Settle in-flight traffic on both sides of the move, then
-        // close the source group's response generations: an ack still
-        // queued on a slow link answers a frame from before the move
-        // and must drop on arrival, not be matched to post-cutover
-        // frames.
-        self.groups[m.from].drain();
+        // Settle in-flight traffic on both sides of the move and close
+        // the source group's response generations: an ack still queued
+        // on a slow link answers a frame from before the move and must
+        // drop on arrival, not be matched to post-cutover frames.
         self.groups[m.from].bump_epochs();
         self.groups[m.to].drain();
         self.overrides.push((m.range.clone(), m.to));
-        if let Some(obs) = &self.obs {
-            obs.registry.events().record(Event::new(
-                obs.clock.now_nanos(),
-                EventKind::Cutover {
-                    from: m.from as u32,
-                    to: m.to as u32,
-                },
-            ));
-        }
+        self.probe.cutover(m.from, m.to);
     }
 }
 

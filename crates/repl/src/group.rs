@@ -252,13 +252,11 @@ where
 /// [`run_replica`] with a caller-built applier — the hook for replicas
 /// that need a non-default configuration, e.g. a Reed–Solomon
 /// [`ErasureCodec`](prins_parity::ErasureCodec) for parity strips of an
-/// erasure-coded group, or strict [`require_sealed`] mode.
+/// erasure-coded group.
 ///
 /// # Errors
 ///
 /// As [`run_replica`].
-///
-/// [`require_sealed`]: ReplicaApplier::require_sealed
 pub fn run_replica_applier<D, T>(
     mut applier: ReplicaApplier<D>,
     transport: &T,
@@ -309,6 +307,36 @@ mod tests {
     use prins_net::{channel_pair, LinkModel};
     use rand::{RngExt, SeedableRng};
     use std::sync::Arc;
+
+    #[test]
+    fn stock_replica_loop_answers_unsealed_and_tag_flipped_frames_with_nak_corrupt() {
+        use crate::wire::{encode_ack, seal_frame, NAK_CORRUPT};
+        let (primary_side, replica_side) = channel_pair(LinkModel::t1());
+        let device = Arc::new(MemDevice::new(BlockSize::kb4(), 2));
+        let dev = Arc::clone(&device);
+        let worker = std::thread::spawn(move || run_replica(&*dev, &replica_side));
+
+        let payload = ReplicationMode::Traditional.replicator().encode_write(
+            Lba(1),
+            &[0u8; 4096],
+            &[5u8; 4096],
+        );
+        // One bit flip on the seal tag makes the frame look unsealed;
+        // taking it at its word would skip the CRC.
+        let mut flipped = seal_frame(1, &payload);
+        flipped[0] ^= 0x01;
+        for damaged in [&payload, &flipped] {
+            primary_side.send(damaged).unwrap();
+            assert_eq!(primary_side.recv().unwrap(), encode_ack(NAK_CORRUPT, 0));
+        }
+        assert_eq!(device.read_block_vec(Lba(1)).unwrap(), vec![0u8; 4096]);
+        // The loop is still serving: the same payload, sealed, lands.
+        primary_side.send(&seal_frame(1, &payload)).unwrap();
+        assert_eq!(primary_side.recv().unwrap(), encode_ack(ACK, 1));
+        assert_eq!(device.read_block_vec(Lba(1)).unwrap(), vec![5u8; 4096]);
+        drop(primary_side);
+        assert_eq!(worker.join().unwrap().unwrap(), 1);
+    }
 
     /// Spins up `n` replica threads and a group configured with `mode`.
     #[allow(clippy::type_complexity)]

@@ -117,9 +117,8 @@ fn spawn_node(
     // The applier lives outside the actor closure: it must keep its
     // last-seen epoch and per-LBA checksum table across deliveries, or
     // every ack would regress to epoch 0 and verify-on-apply would
-    // never see a stale base. Strict mode: a bit flip on the seal tag
-    // itself must not let a damaged frame bypass verification.
-    let mut applier = ReplicaApplier::new(Arc::clone(&dev)).require_sealed(true);
+    // never see a stale base.
+    let mut applier = ReplicaApplier::new(Arc::clone(&dev));
     if let Some(codec) = codec {
         applier = applier.with_codec(codec);
     }
