@@ -61,6 +61,10 @@ RUST_TEST_THREADS=4 cargo test -q --release --workspace  # every crate, incl. ve
 # so neither line above compiles it: run its tests here, or an API break
 # against the harness would only show up when the benchmark next runs.
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+# The paper's RAID path, executed and not only compiled: a PRINS engine
+# over RAID-5 with one replica; the example asserts the array scrubs
+# clean and the replica is bit-identical.
+cargo run -q --release --example raid_tap
 # Fault-schedule fuzzing: replay the checked-in regression seeds plus a
 # few fresh random ones. A failing seed is printed with its minimized
 # schedule (replay it locally with `sim-replay <seed>`) and appended to

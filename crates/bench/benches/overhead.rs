@@ -1,18 +1,25 @@
-//! The §4 overhead measurement: PRINS's extra CPU work in the write
-//! path versus plain writes, with and without the RAID parity tap.
+//! The §4 overhead measurement: what the PRINS engine adds to a block
+//! write, over a plain device and over RAID-5.
 //!
 //! The paper: "For all the experiments performed, the overhead is less
 //! than 10% of traditional replications. … PRINS can leverage the parity
 //! computation of RAID. In this case, the overhead is completely
 //! negligible."
+//!
+//! Two pairs, each an engine with no replicas (capture, local write,
+//! parity encode — stepped on the bench thread, so the encode is timed
+//! too) against plain writes to the same kind of device. Over RAID-5 the
+//! engine's capture is the array's own small-write read, handed down
+//! with `write_block_over`.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prins_bench::overhead_experiment;
 use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
-use prins_parity::{forward_parity, SparseCodec};
+use prins_core::EngineBuilder;
 use prins_raid::{RaidArray, RaidLevel};
+use prins_repl::ReplicationMode;
 
 fn make_block(bs: usize, step: usize) -> Vec<u8> {
     let mut b = vec![0u8; bs];
@@ -23,72 +30,50 @@ fn make_block(bs: usize, step: usize) -> Vec<u8> {
     b
 }
 
-fn bench(c: &mut Criterion) {
-    println!(
-        "{}",
-        overhead_experiment(5_000, BlockSize::kb8()).expect("overhead experiment")
-    );
+fn raid5(bs: BlockSize) -> Arc<dyn BlockDevice> {
+    let members: Vec<Arc<dyn BlockDevice>> = (0..4)
+        .map(|_| Arc::new(MemDevice::new(bs, 64)) as Arc<dyn BlockDevice>)
+        .collect();
+    Arc::new(RaidArray::new(RaidLevel::Raid5, members).unwrap())
+}
 
-    let bs = BlockSize::kb8();
-    let n = bs.bytes();
-
-    // Baseline: plain block write (what traditional replication's local
-    // path costs).
-    let plain = MemDevice::new(bs, 64);
+/// Times 8 KB writes straight to one device from `make`, then through
+/// an engine with no replicas over a second one.
+fn pair(c: &mut Criterion, name: &str, make: impl Fn() -> Arc<dyn BlockDevice>) {
+    let n = BlockSize::kb8().bytes();
+    let plain = make();
     let mut step = 0usize;
-    c.bench_function("overhead/plain_write/8KB", |b| {
+    c.bench_function(format!("overhead/{name}_write/8KB"), |b| {
         b.iter(|| {
             step += 1;
             plain.write_block(Lba((step % 64) as u64), &make_block(n, step))
         })
     });
 
-    // PRINS without RAID: read old + write + forward parity + encode.
-    let dev = MemDevice::new(bs, 64);
-    let codec = SparseCodec::default();
-    let mut step2 = 0usize;
-    c.bench_function("overhead/prins_no_raid/8KB", |b| {
+    let engine = EngineBuilder::new(make())
+        .mode(ReplicationMode::Prins)
+        .manual_stepping(true)
+        .build();
+    let mut step = 0usize;
+    c.bench_function(format!("overhead/engine_{name}/8KB"), |b| {
         b.iter(|| {
-            step2 += 1;
-            let lba = Lba((step2 % 64) as u64);
-            let new = make_block(n, step2);
-            let old = dev.read_block_vec(lba).unwrap();
-            dev.write_block(lba, &new).unwrap();
-            let parity = forward_parity(&old, &new);
-            codec.encode(&parity).to_bytes()
+            step += 1;
+            engine
+                .write_block(Lba((step % 64) as u64), &make_block(n, step))
+                .unwrap();
+            engine.step()
         })
     });
+    engine.shutdown().expect("engine shutdown");
+}
 
-    // PRINS with RAID: the array's small write already computes P'; the
-    // tap only encodes it.
-    let members: Vec<Arc<dyn BlockDevice>> = (0..4)
-        .map(|_| Arc::new(MemDevice::new(bs, 64)) as Arc<dyn BlockDevice>)
-        .collect();
-    let raid = RaidArray::new(RaidLevel::Raid5, members).unwrap();
-    raid.set_parity_tap(Box::new(move |_lba, pd| {
-        let _ = SparseCodec::default().encode(pd).to_bytes();
-    }));
-    let mut step3 = 0usize;
-    c.bench_function("overhead/prins_raid_tap/8KB", |b| {
-        b.iter(|| {
-            step3 += 1;
-            raid.write_block(Lba((step3 % 64) as u64), &make_block(n, step3))
-        })
-    });
-
-    // RAID small write *without* any tap — the cost PRINS adds on top
-    // of RAID is the difference versus the tapped version.
-    let members: Vec<Arc<dyn BlockDevice>> = (0..4)
-        .map(|_| Arc::new(MemDevice::new(bs, 64)) as Arc<dyn BlockDevice>)
-        .collect();
-    let raid_plain = RaidArray::new(RaidLevel::Raid5, members).unwrap();
-    let mut step4 = 0usize;
-    c.bench_function("overhead/raid_write_no_tap/8KB", |b| {
-        b.iter(|| {
-            step4 += 1;
-            raid_plain.write_block(Lba((step4 % 64) as u64), &make_block(n, step4))
-        })
-    });
+fn bench(c: &mut Criterion) {
+    println!(
+        "{}",
+        overhead_experiment(5_000, BlockSize::kb8()).expect("overhead experiment")
+    );
+    pair(c, "mem", || Arc::new(MemDevice::new(BlockSize::kb8(), 64)));
+    pair(c, "raid5", || raid5(BlockSize::kb8()));
 }
 
 criterion_group! {

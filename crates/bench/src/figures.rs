@@ -282,8 +282,8 @@ impl fmt::Display for OverheadReport {
         write!(
             f,
             "overhead: {} writes; prins compute {:.1?}/write = {:.2}% of a 5ms disk write, \
-             {:.2}% of that block's T1 transmission (57ms); ~0 with the RAID parity tap \
-             (paper: <10% without RAID, negligible with)",
+             {:.2}% of that block's T1 transmission (57ms); over RAID-5 the capture is the \
+             array's own small-write read (paper: <10% without RAID, negligible with)",
             self.writes,
             per_write,
             self.fraction_of(Duration::from_millis(5)) * 100.0,

@@ -57,6 +57,25 @@ pub trait BlockDevice: Send + Sync {
     /// Same conditions as [`read_block`](Self::read_block).
     fn write_block(&self, lba: Lba, buf: &[u8]) -> Result<()>;
 
+    /// [`write_block`](Self::write_block) for a caller that already
+    /// holds `old`, the block's current contents: a device whose write
+    /// needs the old image (a RAID-4/5 small write, a parity log) takes
+    /// it from here instead of reading the block again. The default
+    /// ignores `old`.
+    ///
+    /// `old` must be what the block holds when the write lands — a
+    /// stale image silently corrupts whatever the device derives from
+    /// it (parity, log entries). Callers serialize writes per block to
+    /// guarantee that.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`write_block`](Self::write_block).
+    fn write_block_over(&self, lba: Lba, old: &[u8], new: &[u8]) -> Result<()> {
+        let _ = old;
+        self.write_block(lba, new)
+    }
+
     /// Forces buffered state to stable storage.
     ///
     /// In-memory devices treat this as a no-op; file-backed devices call
@@ -97,6 +116,10 @@ impl<D: BlockDevice + ?Sized> BlockDevice for &D {
         (**self).write_block(lba, buf)
     }
 
+    fn write_block_over(&self, lba: Lba, old: &[u8], new: &[u8]) -> Result<()> {
+        (**self).write_block_over(lba, old, new)
+    }
+
     fn flush(&self) -> Result<()> {
         (**self).flush()
     }
@@ -113,6 +136,10 @@ impl<D: BlockDevice + ?Sized> BlockDevice for std::sync::Arc<D> {
 
     fn write_block(&self, lba: Lba, buf: &[u8]) -> Result<()> {
         (**self).write_block(lba, buf)
+    }
+
+    fn write_block_over(&self, lba: Lba, old: &[u8], new: &[u8]) -> Result<()> {
+        (**self).write_block_over(lba, old, new)
     }
 
     fn flush(&self) -> Result<()> {

@@ -1,12 +1,11 @@
-//! Instrumented device wrapper: I/O counters, write tracing, and online
-//! write observation.
+//! Instrumented device wrapper: I/O counters and online write
+//! observation.
 //!
 //! The paper's traffic figures are functions of the *write stream* an
 //! application produces: for every block write we need the address, the
 //! old contents and the new contents (the PRINS parity is exactly
-//! `old ⊕ new`). [`InstrumentedDevice`] captures that stream either as an
-//! in-memory trace ([`WriteRecord`]s) or by invoking an observer callback
-//! inline, which keeps memory flat during long benchmark runs.
+//! `old ⊕ new`). [`InstrumentedDevice`] hands that stream to an observer
+//! callback inline, which keeps memory flat during long benchmark runs.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,36 +28,6 @@ pub struct IoStats {
     pub unchanged_writes: u64,
 }
 
-/// One observed block write: address plus before/after images.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WriteRecord {
-    /// Monotonic sequence number of the write on this device (0-based).
-    pub seq: u64,
-    /// Address that was written.
-    pub lba: Lba,
-    /// Block contents before the write.
-    pub old: Vec<u8>,
-    /// Block contents after the write.
-    pub new: Vec<u8>,
-}
-
-impl WriteRecord {
-    /// Fraction of bytes that differ between the old and new images, in
-    /// `[0, 1]`. The paper cites 5–20 % for real applications.
-    pub fn change_ratio(&self) -> f64 {
-        if self.old.is_empty() {
-            return 0.0;
-        }
-        let changed = self
-            .old
-            .iter()
-            .zip(&self.new)
-            .filter(|(a, b)| a != b)
-            .count();
-        changed as f64 / self.old.len() as f64
-    }
-}
-
 /// Callback invoked for every write with `(seq, lba, old, new)`.
 pub type WriteObserver = Box<dyn FnMut(u64, Lba, &[u8], &[u8]) + Send>;
 
@@ -67,23 +36,29 @@ pub type WriteObserver = Box<dyn FnMut(u64, Lba, &[u8], &[u8]) + Send>;
 ///
 /// Reads pass straight through (plus a counter bump). Writes first read
 /// the old image from the inner device, then perform the write, then
-/// deliver `(old, new)` to the configured sinks. The read-before-write is
-/// precisely the read a RAID-4/5 small write performs anyway — PRINS
-/// inherits the old image "for free", which is the crux of the paper.
+/// deliver `(old, new)` to the observer. The read-before-write is
+/// precisely the read a RAID-4/5 small write performs anyway, so the
+/// captured image is handed down with
+/// [`write_block_over`](BlockDevice::write_block_over) — PRINS inherits
+/// the old image "for free", which is the crux of the paper. The
+/// capture is not counted in [`IoStats::reads`], which counts reads
+/// asked of this device.
 ///
 /// # Example
 ///
 /// ```
 /// use prins_block::{BlockDevice, BlockSize, InstrumentedDevice, Lba, MemDevice};
+/// use std::sync::{Arc, Mutex};
 ///
 /// # fn main() -> Result<(), prins_block::BlockError> {
 /// let dev = InstrumentedDevice::new(MemDevice::new(BlockSize::kb4(), 8));
-/// dev.set_tracing(true);
+/// let seen = Arc::new(Mutex::new(Vec::new()));
+/// let sink = Arc::clone(&seen);
+/// dev.set_observer(Box::new(move |_seq, lba, old, new| {
+///     sink.lock().unwrap().push((lba, old[0], new[0]));
+/// }));
 /// dev.write_block(Lba(1), &vec![3u8; 4096])?;
-/// let trace = dev.take_trace();
-/// assert_eq!(trace.len(), 1);
-/// assert!(trace[0].old.iter().all(|&b| b == 0));
-/// assert!(trace[0].new.iter().all(|&b| b == 3));
+/// assert_eq!(*seen.lock().unwrap(), [(Lba(1), 0, 3)]);
 /// # Ok(())
 /// # }
 /// ```
@@ -94,14 +69,11 @@ pub struct InstrumentedDevice<D> {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     unchanged_writes: AtomicU64,
-    tracing: std::sync::atomic::AtomicBool,
-    trace: Mutex<Vec<WriteRecord>>,
     observer: Mutex<Option<WriteObserver>>,
 }
 
 impl<D: BlockDevice> InstrumentedDevice<D> {
-    /// Wraps `inner` with fresh counters, tracing disabled and no
-    /// observer.
+    /// Wraps `inner` with fresh counters and no observer.
     pub fn new(inner: D) -> Self {
         Self {
             inner,
@@ -110,8 +82,6 @@ impl<D: BlockDevice> InstrumentedDevice<D> {
             bytes_read: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             unchanged_writes: AtomicU64::new(0),
-            tracing: std::sync::atomic::AtomicBool::new(false),
-            trace: Mutex::new(Vec::new()),
             observer: Mutex::new(None),
         }
     }
@@ -127,28 +97,13 @@ impl<D: BlockDevice> InstrumentedDevice<D> {
         }
     }
 
-    /// Resets all counters to zero (the trace and observer are left
-    /// untouched).
+    /// Resets all counters to zero (the observer is left untouched).
     pub fn reset_stats(&self) {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
         self.bytes_read.store(0, Ordering::Relaxed);
         self.bytes_written.store(0, Ordering::Relaxed);
         self.unchanged_writes.store(0, Ordering::Relaxed);
-    }
-
-    /// Enables or disables in-memory trace capture.
-    ///
-    /// Tracing stores both images of every write; for long runs prefer
-    /// [`set_observer`](Self::set_observer), which lets the caller consume
-    /// the stream without accumulation.
-    pub fn set_tracing(&self, on: bool) {
-        self.tracing.store(on, Ordering::Relaxed);
-    }
-
-    /// Drains and returns the captured trace.
-    pub fn take_trace(&self) -> Vec<WriteRecord> {
-        std::mem::take(&mut *self.trace.lock())
     }
 
     /// Installs (or replaces) the online write observer.
@@ -192,7 +147,7 @@ impl<D: BlockDevice> BlockDevice for InstrumentedDevice<D> {
         // Read the before-image first (the RAID small-write read).
         let mut old = self.geometry().block_size().zeroed();
         self.inner.read_block(lba, &mut old)?;
-        self.inner.write_block(lba, buf)?;
+        self.inner.write_block_over(lba, &old, buf)?;
 
         let seq = self.writes.fetch_add(1, Ordering::Relaxed);
         self.bytes_written
@@ -202,14 +157,6 @@ impl<D: BlockDevice> BlockDevice for InstrumentedDevice<D> {
         }
         if let Some(obs) = self.observer.lock().as_mut() {
             obs(seq, lba, &old, buf);
-        }
-        if self.tracing.load(Ordering::Relaxed) {
-            self.trace.lock().push(WriteRecord {
-                seq,
-                lba,
-                old,
-                new: buf.to_vec(),
-            });
         }
         Ok(())
     }
@@ -264,54 +211,24 @@ mod tests {
     }
 
     #[test]
-    fn trace_captures_before_and_after_images() {
-        let d = dev();
-        d.set_tracing(true);
-        d.write_block(Lba(2), &vec![9u8; 4096]).unwrap();
-        d.write_block(Lba(2), &vec![4u8; 4096]).unwrap();
-        let t = d.take_trace();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].seq, 0);
-        assert_eq!(t[1].seq, 1);
-        assert!(t[1].old.iter().all(|&b| b == 9));
-        assert!(t[1].new.iter().all(|&b| b == 4));
-        // Trace drained.
-        assert!(d.take_trace().is_empty());
-    }
-
-    #[test]
     fn observer_sees_every_write_inline() {
         let d = dev();
         let count = Arc::new(AtomicUsize::new(0));
         let c2 = Arc::clone(&count);
-        d.set_observer(Box::new(move |_seq, _lba, old, new| {
+        d.set_observer(Box::new(move |seq, _lba, old, new| {
             assert_eq!(old.len(), new.len());
+            // Sequence numbers count writes from 0; each write's old
+            // image is the previous write's new one (all to LBA 2).
+            assert_eq!(new[0], seq as u8 + 1);
+            assert_eq!(old[0], seq as u8);
             c2.fetch_add(1, Ordering::Relaxed);
         }));
-        for i in 0..5 {
-            d.write_block(Lba(i), &vec![i as u8; 4096]).unwrap();
+        for i in 0..5u8 {
+            d.write_block(Lba(2), &vec![i + 1; 4096]).unwrap();
         }
         assert_eq!(count.load(Ordering::Relaxed), 5);
         assert!(d.clear_observer().is_some());
         assert!(d.clear_observer().is_none());
-    }
-
-    #[test]
-    fn change_ratio_reflects_modified_fraction() {
-        let mut old = vec![0u8; 1000];
-        let new_data = {
-            let mut n = old.clone();
-            n[..100].fill(1);
-            n
-        };
-        old.fill(0);
-        let rec = WriteRecord {
-            seq: 0,
-            lba: Lba(0),
-            old,
-            new: new_data,
-        };
-        assert!((rec.change_ratio() - 0.1).abs() < 1e-9);
     }
 
     #[test]

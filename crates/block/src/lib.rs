@@ -56,7 +56,7 @@ pub use error::BlockError;
 pub use fault::{FaultDevice, FaultKind, FaultPlan};
 pub use file::FileDevice;
 pub use geometry::{BlockSize, Geometry, Lba, LbaRange};
-pub use instrument::{InstrumentedDevice, IoStats, WriteObserver, WriteRecord};
+pub use instrument::{InstrumentedDevice, IoStats, WriteObserver};
 pub use mem::MemDevice;
 pub use sparse::SparseDevice;
 

@@ -305,7 +305,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         self.old
             .resize(self.device.geometry().block_size().bytes(), 0);
         self.device.read_block(lba, &mut self.old)?;
-        self.device.write_block(lba, new)?;
+        self.device.write_block_over(lba, &self.old, new)?;
 
         // Δd = old ⊕ new in every GF(2^w): one scan of the two images,
         // straight to the stream every strip owner receives.

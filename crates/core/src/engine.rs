@@ -225,8 +225,10 @@ impl BlockDevice for PrinsEngine {
         let cx = self.pipeline.cx();
         // Serialize capture+write+admit per LBA stripe (see field doc).
         let _stripe = self.write_stripes[(lba.index() % 64) as usize].lock();
-        // Forward step, part 1: capture the old image (the read a
-        // RAID-4/5 small write performs anyway) into a pooled buffer.
+        // Forward step, part 1: capture the old image into a pooled
+        // buffer. This is the read a RAID-4/5 small write performs
+        // anyway, so the local write below hands it down instead of
+        // having the device read the block a second time.
         let t0 = cx.probe.now();
         let bs = self.geometry().block_size().bytes();
         let mut old = cx.pool.get(bs);
@@ -234,9 +236,9 @@ impl BlockDevice for PrinsEngine {
         self.device.read_block(lba, old.as_mut_slice())?;
         let capture_nanos = cx.probe.now().saturating_sub(t0);
 
-        // The local write itself.
+        // The local write itself; the stripe lock keeps `old` current.
         let t1 = cx.probe.now();
-        self.device.write_block(lba, buf)?;
+        self.device.write_block_over(lba, &old, buf)?;
         let write_nanos = cx.probe.now().saturating_sub(t1);
 
         cx.stats

@@ -16,7 +16,10 @@ use prins_repl::{
 use crate::counters::{CounterfactualMode, PolicyCounters};
 use crate::probe::probe_compressibility_pm;
 use crate::region::{RegionSlot, RegionTable};
-use crate::{PolicyConfig, Strategy};
+use crate::{
+    PolicyConfig, Strategy, COMPRESS_THRESHOLD_PM, EXPLORE_INTERVAL, PHASE_WINDOW, REGIONS,
+    REGION_SHIFT,
+};
 
 /// `n * 1000 / d` as a clamped per-mille ratio; empty denominators read
 /// as incompressible.
@@ -175,8 +178,8 @@ impl AdaptiveReplicator {
 
     fn with_counters(cfg: PolicyConfig, counters: PolicyCounters) -> Self {
         Self {
-            table: RegionTable::new(cfg.regions, cfg.region_shift),
-            phase: PhaseDetector::new(cfg.phase_window),
+            table: RegionTable::new(REGIONS, REGION_SHIFT),
+            phase: PhaseDetector::new(PHASE_WINDOW),
             counters,
             hook: RwLock::new(None),
             codec: SparseCodec::default(),
@@ -243,13 +246,9 @@ impl AdaptiveReplicator {
             slot.full_c_pm.store(seed, Ordering::Relaxed);
         }
         let nth = slot.writes.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        slot.ewma(&slot.change_pm, ratio_pm(wire, full), self.cfg.ewma_shift);
-        slot.ewma(
-            &slot.segments,
-            segs.min(u32::MAX as usize) as u32,
-            self.cfg.ewma_shift,
-        );
-        let explore_due = self.cfg.explore_interval > 0 && nth % self.cfg.explore_interval == 0;
+        slot.ewma(&slot.change_pm, ratio_pm(wire, full));
+        slot.ewma(&slot.segments, segs.min(u32::MAX as usize) as u32);
+        let explore_due = nth.is_multiple_of(EXPLORE_INTERVAL);
 
         // Estimated payload-body bytes per strategy (the tag+lba header
         // is common to all four and cancels out). The plain image —
@@ -262,7 +261,7 @@ impl AdaptiveReplicator {
         } else {
             (Strategy::Full, full)
         };
-        let budget = plain.1 as u64 * u64::from(self.cfg.compress_threshold_pm) / 1000;
+        let budget = plain.1 as u64 * u64::from(COMPRESS_THRESHOLD_PM) / 1000;
         let mut best = plain;
         // Below min_compress_len the LZSS token overhead cannot win;
         // skipping the estimate keeps tiny OLTP writes on the fused,
@@ -326,11 +325,11 @@ impl AdaptiveReplicator {
     fn account(&self, lba: Lba, old: &[u8], new: &[u8], slot: &RegionSlot, o: WriteOutcome) {
         let t = &o.trials;
         if let Some(pm) = t.full_pm_sample {
-            slot.ewma(&slot.full_c_pm, pm, self.cfg.ewma_shift);
+            slot.ewma(&slot.full_c_pm, pm);
             slot.mark_sampled(RegionSlot::FULL_SAMPLED);
         }
         if let Some(pm) = t.delta_pm_sample {
-            slot.ewma(&slot.delta_c_pm, pm, self.cfg.ewma_shift);
+            slot.ewma(&slot.delta_c_pm, pm);
             slot.mark_sampled(RegionSlot::DELTA_SAMPLED);
         }
 

@@ -92,28 +92,31 @@ impl Strategy {
     }
 }
 
+/// LBAs per classification region, as a shift (64 blocks).
+pub(crate) const REGION_SHIFT: u32 = 6;
+/// Region-table slots. Direct-mapped: colliding regions take over the
+/// slot and reseed from the probe.
+pub(crate) const REGIONS: usize = 1024;
+/// EWMA smoothing, as a shift: new = old + (sample - old) / 8.
+pub(crate) const EWMA_SHIFT: u32 = 3;
+/// The compressing variant is forced every N-th write per region, so a
+/// drifting region is re-detected.
+pub(crate) const EXPLORE_INTERVAL: u32 = 64;
+/// A compressing variant is picked only when its estimated payload is
+/// at or below this per-mille fraction of the plain (parity or full)
+/// image — a ≥3% saving, so marginal content cannot flap onto a
+/// CPU-burning pick.
+pub(crate) const COMPRESS_THRESHOLD_PM: u32 = 970;
+/// Writes per phase-detection window.
+pub(crate) const PHASE_WINDOW: u32 = 64;
+
 /// Tuning knobs for [`AdaptiveReplicator`]. `Default` is the
 /// configuration every experiment in EXPERIMENTS.md uses.
 #[derive(Clone, Copy, Debug)]
 pub struct PolicyConfig {
-    /// LBAs per classification region, as a shift (`6` → 64 blocks).
-    pub region_shift: u32,
-    /// Region-table slots; rounded up to a power of two. Direct-mapped:
-    /// colliding regions take over the slot and reseed from the probe.
-    pub regions: usize,
-    /// EWMA smoothing, as a shift (`3` → new = old + (sample-old)/8).
-    pub ewma_shift: u32,
-    /// Force the compressing variant every N-th write per region so a
-    /// drifting region is re-detected. `0` disables exploration.
-    pub explore_interval: u32,
     /// Below this many wire bytes, compression cannot win (token
     /// overhead dominates) — skip it without consulting any estimate.
     pub min_compress_len: usize,
-    /// A compressing variant is picked only when its estimated payload
-    /// is at or below this per-mille fraction of the plain (parity or
-    /// full) image — 970 demands a ≥3% saving, so marginal content
-    /// cannot flap onto a CPU-burning pick.
-    pub compress_threshold_pm: u32,
     /// Parity wires at least this long skip the estimates and run the
     /// compression chain on the real compressors, shipping the exact
     /// minimum of its candidates. Region EWMAs average over many small
@@ -128,8 +131,6 @@ pub struct PolicyConfig {
     /// below this bar, which stay fused. `0` forces exact treatment
     /// everywhere.
     pub exact_trial_len: usize,
-    /// Writes per phase-detection window.
-    pub phase_window: u32,
     /// How decision counterfactuals are accounted.
     pub counterfactual: CounterfactualMode,
 }
@@ -137,14 +138,8 @@ pub struct PolicyConfig {
 impl Default for PolicyConfig {
     fn default() -> Self {
         Self {
-            region_shift: 6,
-            regions: 1024,
-            ewma_shift: 3,
-            explore_interval: 64,
             min_compress_len: 24,
-            compress_threshold_pm: 970,
             exact_trial_len: 1024,
-            phase_window: 64,
             counterfactual: CounterfactualMode::Estimate,
         }
     }

@@ -4,6 +4,8 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
+use crate::EWMA_SHIFT;
+
 /// One EWMA step with integer arithmetic: `old + (sample - old) >> shift`,
 /// nudged by one toward the sample when the shift would round the step
 /// to zero (so the average can actually converge to nearby values).
@@ -66,9 +68,10 @@ impl RegionSlot {
         }
     }
 
-    pub(crate) fn ewma(&self, field: &AtomicU32, sample: u32, shift: u32) {
+    /// One [`EWMA_SHIFT`] step of `field` toward `sample`.
+    pub(crate) fn ewma(&self, field: &AtomicU32, sample: u32) {
         let old = field.load(Ordering::Relaxed);
-        field.store(ewma_step(old, sample, shift), Ordering::Relaxed);
+        field.store(ewma_step(old, sample, EWMA_SHIFT), Ordering::Relaxed);
     }
 
     pub(crate) fn clear_sampled(&self) {

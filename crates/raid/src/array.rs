@@ -4,18 +4,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use prins_block::{BlockDevice, BlockError, Geometry, Lba, Result};
-use prins_parity::{forward_parity, xor_in_place};
+use prins_parity::xor_in_place;
 
 use crate::layout::{Layout, RaidLevel};
-
-/// Callback receiving `(array_lba, parity_delta)` for every small write.
-///
-/// `parity_delta` is `P' = A_new ⊕ A_old` — the quantity PRINS replicates.
-/// The tap fires *after* the write has been applied to the members.
-pub type ParityTap = Box<dyn FnMut(Lba, &[u8]) + Send>;
 
 struct Member {
     dev: Arc<dyn BlockDevice>,
@@ -43,11 +35,16 @@ impl ScrubReport {
 /// See the [crate docs](crate) for the role this plays in PRINS. The
 /// write path for RAID-4/5 is the classic small-write read-modify-write:
 ///
-/// 1. read `A_old` from the data member and `P_old` from the parity
-///    member,
-/// 2. compute `P' = A_new ⊕ A_old`,
-/// 3. write `A_new`, write `P_new = P_old ⊕ P'`,
-/// 4. fire the parity tap with `P'`.
+/// 1. read `A_old` from the data member (reconstructing it when that
+///    member is failed) and `P_old` from the parity member,
+/// 2. write `A_new`, write `P_new = P_old ⊕ (A_new ⊕ A_old)`.
+///
+/// `P' = A_new ⊕ A_old` is the parity PRINS replicates. A caller that
+/// already read `A_old` — the PRINS engine captures it for exactly that
+/// parity — passes it to
+/// [`write_block_over`](BlockDevice::write_block_over), which skips step
+/// 1's data-member read: one old-image read per write serves both the
+/// array's parity and the replica's.
 ///
 /// Single-member failures are tolerated (RAID-1/4/5): reads reconstruct
 /// from the surviving members and writes keep parity consistent so a
@@ -57,7 +54,6 @@ pub struct RaidArray {
     members: Vec<Member>,
     geometry: Geometry,
     member_blocks: u64,
-    tap: Mutex<Option<ParityTap>>,
 }
 
 impl RaidArray {
@@ -102,26 +98,12 @@ impl RaidArray {
                 .collect(),
             geometry,
             member_blocks: g0.num_blocks(),
-            tap: Mutex::new(None),
         })
     }
 
     /// The array's stripe layout.
     pub fn layout(&self) -> Layout {
         self.layout
-    }
-
-    /// Installs the parity-delta tap (replacing any previous one).
-    ///
-    /// Only arrays with parity (RAID-4/5) fire the tap; see
-    /// [`RaidLevel::has_parity`].
-    pub fn set_parity_tap(&self, tap: ParityTap) {
-        *self.tap.lock() = Some(tap);
-    }
-
-    /// Removes the parity tap, returning it if present.
-    pub fn clear_parity_tap(&self) -> Option<ParityTap> {
-        self.tap.lock().take()
     }
 
     /// Marks member `idx` as failed; subsequent I/O avoids it.
@@ -274,48 +256,6 @@ impl RaidArray {
         }
         Ok(report)
     }
-
-    fn fire_tap(&self, lba: Lba, parity_delta: &[u8]) {
-        if let Some(tap) = self.tap.lock().as_mut() {
-            tap(lba, parity_delta);
-        }
-    }
-
-    fn write_parity_level(&self, lba: Lba, buf: &[u8]) -> Result<()> {
-        let m = self.layout.map(lba);
-        let p = m.parity_member.expect("parity level");
-        let bs = self.geometry.block_size();
-        let data_failed = self.members[m.data_member].failed.load(Ordering::SeqCst);
-        let parity_failed = self.members[p].failed.load(Ordering::SeqCst);
-        if data_failed && parity_failed {
-            return Err(BlockError::DeviceFailed {
-                device: "both data and parity members failed".to_string(),
-            });
-        }
-
-        // Obtain the old data image (reading or reconstructing).
-        let mut old = bs.zeroed();
-        if data_failed {
-            self.reconstruct(m.data_member, m.member_lba, &mut old)?;
-        } else {
-            self.member_read(m.data_member, m.member_lba, &mut old)?;
-        }
-
-        // P' = new ^ old — the PRINS parity delta.
-        let pdelta = forward_parity(&old, buf);
-
-        if !data_failed {
-            self.member_write(m.data_member, m.member_lba, buf)?;
-        }
-        if !parity_failed {
-            let mut parity = bs.zeroed();
-            self.member_read(p, m.member_lba, &mut parity)?;
-            xor_in_place(&mut parity, &pdelta);
-            self.member_write(p, m.member_lba, &parity)?;
-        }
-        self.fire_tap(lba, &pdelta);
-        Ok(())
-    }
 }
 
 impl BlockDevice for RaidArray {
@@ -369,8 +309,47 @@ impl BlockDevice for RaidArray {
                     Ok(())
                 }
             }
-            RaidLevel::Raid4 | RaidLevel::Raid5 => self.write_parity_level(lba, buf),
+            RaidLevel::Raid4 | RaidLevel::Raid5 => {
+                // Step 1's data-member read (or reconstruction); the
+                // rest of the small write is `write_block_over`.
+                let mut old = self.geometry.block_size().zeroed();
+                self.read_block(lba, &mut old)?;
+                self.write_block_over(lba, &old, buf)
+            }
         }
+    }
+
+    /// The RAID-4/5 small write without its data-member read: `new` goes
+    /// to the data member (unless it is failed) and `old ⊕ new` is
+    /// folded into the parity member in place. RAID-0/1 keep no parity,
+    /// so there `old` buys nothing and this is a plain write.
+    fn write_block_over(&self, lba: Lba, old: &[u8], new: &[u8]) -> Result<()> {
+        self.geometry.check_lba(lba)?;
+        self.geometry.check_buf(old)?;
+        self.geometry.check_buf(new)?;
+        let m = self.layout.map(lba);
+        let Some(p) = m.parity_member else {
+            return self.write_block(lba, new);
+        };
+        let data_failed = self.members[m.data_member].failed.load(Ordering::SeqCst);
+        let parity_failed = self.members[p].failed.load(Ordering::SeqCst);
+        if data_failed && parity_failed {
+            return Err(BlockError::DeviceFailed {
+                device: "both data and parity members failed".to_string(),
+            });
+        }
+        if !data_failed {
+            self.member_write(m.data_member, m.member_lba, new)?;
+        }
+        if !parity_failed {
+            // P_new = P_old ⊕ P', P' = A_new ⊕ A_old.
+            let mut parity = self.geometry.block_size().zeroed();
+            self.member_read(p, m.member_lba, &mut parity)?;
+            xor_in_place(&mut parity, old);
+            xor_in_place(&mut parity, new);
+            self.member_write(p, m.member_lba, &parity)?;
+        }
+        Ok(())
     }
 
     fn flush(&self) -> Result<()> {
@@ -399,6 +378,7 @@ mod tests {
     use super::*;
     use prins_block::{BlockSize, MemDevice};
     use rand::{RngExt, SeedableRng};
+    use std::collections::HashMap;
 
     fn mems(n: usize, blocks: u64) -> Vec<Arc<dyn BlockDevice>> {
         (0..n)
@@ -555,41 +535,117 @@ mod tests {
     }
 
     #[test]
-    fn parity_tap_reports_exact_write_delta() {
-        let raid = RaidArray::new(RaidLevel::Raid5, mems(4, 16)).unwrap();
-        #[allow(clippy::type_complexity)]
-        let seen: Arc<Mutex<Vec<(Lba, Vec<u8>)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        raid.set_parity_tap(Box::new(move |lba, pd| {
-            sink.lock().push((lba, pd.to_vec()));
-        }));
-
-        let old = vec![0u8; 4096];
-        let mut newv = old.clone();
-        newv[100..300].fill(0xaa);
-        raid.write_block(Lba(7), &newv).unwrap();
-
-        let taps = seen.lock();
-        assert_eq!(taps.len(), 1);
-        assert_eq!(taps[0].0, Lba(7));
-        assert_eq!(taps[0].1, forward_parity(&old, &newv));
-        // Independently verify P' == new ^ old.
-        let expected: Vec<u8> = old.iter().zip(&newv).map(|(a, b)| a ^ b).collect();
-        assert_eq!(taps[0].1, expected);
+    fn write_block_over_leaves_members_as_write_block_does() {
+        for (level, n) in [
+            (RaidLevel::Raid0, 3),
+            (RaidLevel::Raid1, 2),
+            (RaidLevel::Raid4, 4),
+            (RaidLevel::Raid5, 4),
+        ] {
+            let (plain_members, over_members) = (mems(n, 16), mems(n, 16));
+            let plain = RaidArray::new(level, plain_members.clone()).unwrap();
+            let over = RaidArray::new(level, over_members.clone()).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+            for i in 0..120 {
+                if i == 60 && level != RaidLevel::Raid0 {
+                    // Half the run degraded, with member 1 out.
+                    plain.fail_member(1);
+                    over.fail_member(1);
+                }
+                let lba = Lba(rng.random_range(0..plain.geometry().num_blocks()));
+                let mut new = vec![0u8; 4096];
+                let changed = rng.random_range(1..4096);
+                rng.fill_bytes(&mut new[..changed]);
+                plain.write_block(lba, &new).unwrap();
+                let current = over.read_block_vec(lba).unwrap();
+                over.write_block_over(lba, &current, &new).unwrap();
+            }
+            for (idx, (a, b)) in plain_members.iter().zip(&over_members).enumerate() {
+                for blk in 0..16 {
+                    assert_eq!(
+                        a.read_block_vec(Lba(blk)).unwrap(),
+                        b.read_block_vec(Lba(blk)).unwrap(),
+                        "{level} member {idx} block {blk}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
-    fn parity_tap_fires_even_when_degraded() {
-        let raid = RaidArray::new(RaidLevel::Raid4, mems(4, 8)).unwrap();
-        let count = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let c = Arc::clone(&count);
-        raid.set_parity_tap(Box::new(move |_, _| {
-            c.fetch_add(1, Ordering::Relaxed);
-        }));
-        raid.fail_member(0); // a data member
-        random_writes(&raid, 7, 20);
-        assert_eq!(count.load(Ordering::Relaxed), 20);
-        assert!(raid.clear_parity_tap().is_some());
+    fn write_block_over_reads_only_the_parity_member() {
+        use prins_block::InstrumentedDevice;
+        let members: Vec<Arc<InstrumentedDevice<MemDevice>>> = (0..4)
+            .map(|_| Arc::new(InstrumentedDevice::new(MemDevice::new(BlockSize::kb4(), 8))))
+            .collect();
+        let raid = RaidArray::new(
+            RaidLevel::Raid5,
+            members
+                .iter()
+                .map(|m| Arc::clone(m) as Arc<dyn BlockDevice>)
+                .collect(),
+        )
+        .unwrap();
+        let member_reads = || members.iter().map(|m| m.stats().reads).sum::<u64>();
+        raid.write_block(Lba(4), &vec![1u8; 4096]).unwrap();
+        assert_eq!(member_reads(), 2, "write_block: data + parity member");
+        // Through `&D`, which must forward to the override, not fall
+        // back to the default's re-reading `write_block`.
+        fn write_over<D: BlockDevice>(dev: D, old: u8, new: u8) {
+            dev.write_block_over(Lba(4), &[old; 4096], &[new; 4096])
+                .unwrap();
+        }
+        write_over(&raid, 1, 2);
+        assert_eq!(member_reads(), 3, "write_block_over: parity member only");
+        assert!(raid.scrub().unwrap().is_clean());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `write_block_over` sequences on RAID-4/5, with one member
+        /// failed partway and rebuilt later: reads return the last
+        /// write throughout and the rebuilt array scrubs clean.
+        #[test]
+        fn prop_write_block_over_keeps_parity_through_failure_and_rebuild(
+            raid5 in proptest::prelude::any::<bool>(),
+            writes in proptest::collection::vec((0u64..24, 1u8..=255, 0usize..4032), 1..48),
+            fail_at in 0usize..48,
+            degraded_for in 0usize..48,
+            victim in 0usize..4,
+        ) {
+            let level = if raid5 { RaidLevel::Raid5 } else { RaidLevel::Raid4 };
+            let mut raid = RaidArray::new(level, mems(4, 8)).unwrap();
+            let rebuild_at = fail_at + degraded_for;
+            let mut latest: HashMap<Lba, Vec<u8>> = HashMap::new();
+            let check_reads = |raid: &RaidArray, latest: &HashMap<Lba, Vec<u8>>| {
+                latest
+                    .iter()
+                    .all(|(lba, image)| raid.read_block_vec(*lba).unwrap() == *image)
+            };
+            for (i, &(lba, fill, at)) in writes.iter().enumerate() {
+                if i == fail_at {
+                    raid.fail_member(victim);
+                }
+                if i == rebuild_at && raid.failed_members() == 1 {
+                    proptest::prop_assert!(check_reads(&raid, &latest), "degraded read");
+                    raid.rebuild(victim, mems(1, 8).remove(0)).unwrap();
+                }
+                let lba = Lba(lba);
+                let current = raid.read_block_vec(lba).unwrap();
+                let mut new = current.clone();
+                new[at..at + 64].fill(fill);
+                raid.write_block_over(lba, &current, &new).unwrap();
+                latest.insert(lba, new);
+            }
+            if raid.failed_members() == 1 {
+                proptest::prop_assert!(check_reads(&raid, &latest), "degraded read");
+                raid.rebuild(victim, mems(1, 8).remove(0)).unwrap();
+            }
+            let report = raid.scrub().unwrap();
+            proptest::prop_assert!(report.is_clean(), "{:?}", report.mismatched_stripes);
+            proptest::prop_assert!(check_reads(&raid, &latest), "healthy read");
+        }
     }
 
     #[test]

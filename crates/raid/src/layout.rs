@@ -25,8 +25,8 @@ impl RaidLevel {
         }
     }
 
-    /// Whether the level maintains parity (and therefore feeds the PRINS
-    /// parity tap from its own read-modify-write path).
+    /// Whether the level maintains parity (and therefore reuses a
+    /// caller's old image in its read-modify-write path).
     pub fn has_parity(self) -> bool {
         matches!(self, RaidLevel::Raid4 | RaidLevel::Raid5)
     }

@@ -10,9 +10,12 @@
 //! [`RaidArray`] implements exactly that small-write read-modify-write
 //! path for RAID-4 (dedicated parity disk) and RAID-5 (left-symmetric
 //! rotated parity), plus RAID-0 striping and RAID-1 mirroring for
-//! completeness. Every small write exposes `P'` through a **parity tap**
-//! ([`RaidArray::set_parity_tap`]) — the hook the PRINS engine uses to get
-//! its replication parity at zero additional cost.
+//! completeness. The small write reads `Aiold`; so does the PRINS
+//! engine, to compute `P'`. The engine hands its captured image down
+//! through [`BlockDevice::write_block_over`], and the array folds
+//! `Ainew ⊕ Aiold` into parity without reading the data member again:
+//! replication over RAID-4/5 costs one old-image read per write, the
+//! read the array needed anyway.
 //!
 //! The array itself is a [`BlockDevice`], so databases, filesystems and
 //! iSCSI targets can run on top of it unchanged. Degraded reads,
@@ -42,7 +45,7 @@
 mod array;
 mod layout;
 
-pub use array::{ParityTap, RaidArray, ScrubReport};
+pub use array::{RaidArray, ScrubReport};
 pub use layout::{Layout, Mapping, RaidLevel};
 
 pub use prins_block::BlockDevice;

@@ -243,22 +243,6 @@ impl<D: BlockDevice> TrapDevice<D> {
     pub fn inner(&self) -> &D {
         &self.inner
     }
-
-    /// [`write_block`](BlockDevice::write_block) for a caller that
-    /// already holds `old`, the image `new` replaces: the device is not
-    /// read again. `old` must be the block's current contents, or the
-    /// logged parity undoes a write that never happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the inner device's write failure; nothing is logged.
-    pub fn write_block_over(&self, lba: Lba, old: &[u8], new: &[u8]) -> Result<()> {
-        self.inner.write_block(lba, new)?;
-        // One scan of the two images, straight to the logged stream.
-        self.log
-            .append(lba, self.codec.plan_delta(old, new).to_parity());
-        Ok(())
-    }
 }
 
 impl<D: BlockDevice> BlockDevice for TrapDevice<D> {
@@ -274,6 +258,18 @@ impl<D: BlockDevice> BlockDevice for TrapDevice<D> {
         let mut old = self.geometry().block_size().zeroed();
         self.inner.read_block(lba, &mut old)?;
         self.write_block_over(lba, &old, buf)
+    }
+
+    /// Logs `old ⊕ new` without reading the block, and hands `old` on
+    /// to the inner device. A wrong `old` makes the logged parity undo
+    /// a write that never happened; on a write failure nothing is
+    /// logged.
+    fn write_block_over(&self, lba: Lba, old: &[u8], new: &[u8]) -> Result<()> {
+        self.inner.write_block_over(lba, old, new)?;
+        // One scan of the two images, straight to the logged stream.
+        self.log
+            .append(lba, self.codec.plan_delta(old, new).to_parity());
+        Ok(())
     }
 
     fn flush(&self) -> Result<()> {

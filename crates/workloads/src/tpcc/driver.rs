@@ -574,14 +574,15 @@ mod tests {
         // checkpoints batch several row updates, so allow a wider band
         // but insist writes are partial, not full-block.
         let (mut driver, device, mut rng) = driver();
-        device.set_tracing(true);
+        let stats = Arc::new(std::sync::Mutex::new(prins_parity::DeltaStats::default()));
+        let sink = Arc::clone(&stats);
+        device.set_observer(Box::new(move |_seq, _lba, old, new| {
+            let write = prins_parity::DeltaStats::measure(old, new);
+            sink.lock().unwrap().merge(&write);
+        }));
         driver.run(&mut rng, 150).unwrap();
-        let trace = device.take_trace();
-        assert!(!trace.is_empty());
-        let mut stats = prins_parity::DeltaStats::default();
-        for rec in &trace {
-            stats.merge(&prins_parity::DeltaStats::measure(&rec.old, &rec.new));
-        }
+        let stats = stats.lock().unwrap();
+        assert!(stats.block_bytes > 0, "no writes observed");
         let ratio = stats.change_ratio();
         assert!(
             ratio > 0.01 && ratio < 0.45,

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
+use prins_block::{BlockDevice, BlockSize, InstrumentedDevice, Lba, MemDevice};
 use prins_core::{EngineBuilder, ReplicaEngine};
 use prins_fs::Fs;
 use prins_iscsi::{Initiator, Target};
@@ -188,6 +188,62 @@ fn raid5_backed_engine_survives_member_failure_and_stays_consistent() {
             "block {i}"
         );
     }
+}
+
+#[test]
+fn raid5_backed_engine_reads_each_old_image_once() {
+    // A healthy RAID-5 small write under the engine costs two member
+    // reads: the engine's capture of the old image (the data member)
+    // and the parity member. The array's own data-member read is the
+    // capture, handed down with `write_block_over`.
+    let members: Vec<Arc<InstrumentedDevice<MemDevice>>> = (0..4)
+        .map(|_| {
+            Arc::new(InstrumentedDevice::new(MemDevice::new(
+                BlockSize::kb8(),
+                32,
+            )))
+        })
+        .collect();
+    let raid = Arc::new(
+        RaidArray::new(
+            RaidLevel::Raid5,
+            members
+                .iter()
+                .map(|m| Arc::clone(m) as Arc<dyn BlockDevice>)
+                .collect(),
+        )
+        .unwrap(),
+    );
+    let (uplink, downlink) = channel_pair(LinkModel::gigabit_lan());
+    let replica_volume = Arc::new(MemDevice::new(
+        BlockSize::kb8(),
+        raid.geometry().num_blocks(),
+    ));
+    let replica = ReplicaEngine::spawn(
+        Arc::clone(&replica_volume) as Arc<dyn BlockDevice>,
+        downlink,
+    );
+    let engine = EngineBuilder::new(Arc::clone(&raid) as Arc<dyn BlockDevice>)
+        .mode(ReplicationMode::Prins)
+        .replica(Box::new(uplink))
+        .build();
+
+    let member_reads = || members.iter().map(|m| m.stats().reads).sum::<u64>();
+    let writes = raid.geometry().num_blocks();
+    for round in 0..2u8 {
+        for i in 0..writes {
+            let mut block = vec![round; 8192];
+            let at = (i as usize * 173) % 7900;
+            block[at..at + 200].fill(i as u8 ^ 0x5a);
+            engine.write_block(Lba(i), &block).unwrap();
+        }
+    }
+    assert_eq!(member_reads(), 2 * 2 * writes, "member reads per write");
+    engine.shutdown().unwrap();
+    replica.join().unwrap().unwrap();
+
+    assert!(raid.scrub().unwrap().is_clean());
+    assert!(verify_consistent(&*raid, &*replica_volume).unwrap());
 }
 
 #[test]
