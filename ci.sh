@@ -26,20 +26,28 @@ if [ "$unsafe_in" != "crates/block/src/checksum.rs" ]; then
     grep -rnw "unsafe" crates/*/src | grep -v "^crates/block/src/checksum.rs:" >&2
     exit 1
 fi
-# One place to audit each cluster-plane rule. The stranded-response rule
-# (crates/cluster/src/peer.rs) holds only if nothing else in the crate
-# sends on a link, awaits a response or moves an epoch; the probe
-# catalogue (probe.rs) is complete only if nothing else records. Code
-# lines above a file's test module are what is checked.
-cluster_code() { awk '/#\[cfg\(test\)\]/ { nextfile } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$@"; }
-leaks=$(cluster_code $(ls crates/cluster/src/*.rs | grep -v '/peer\.rs$') \
-    | grep -wE 'recv_response|bump_epoch|link\.send' || true)
+# Code lines above a file's test module are what the gates below check.
+code_lines() { awk '/#\[cfg\(test\)\]/ { nextfile } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$@"; }
+# Two send/ack loops, and no third: core's lane (core/src/pipeline.rs)
+# and cluster's peer (cluster/src/peer.rs) are the only code that opens
+# a link, awaits a response or moves an epoch; repl/src/wire.rs defines
+# those calls. Within the cluster crate, the stranded-response rule
+# also needs every link send to go through the peer.
+leaks=$(
+    code_lines $(find crates/*/src -name '*.rs' | sort \
+            | grep -vE '^crates/(repl/src/wire|core/src/pipeline|cluster/src/peer)\.rs$') \
+        | grep -E 'Link::new|recv_response\(|bump_epoch\(' || true
+    code_lines $(ls crates/cluster/src/*.rs | grep -v '/peer\.rs$') \
+        | grep -w 'link\.send' || true
+)
 if [ -n "$leaks" ]; then
-    echo "link send / await / epoch code outside crates/cluster/src/peer.rs:" >&2
+    echo "link open / send / await / epoch code outside the two send/ack loops:" >&2
     echo "$leaks" >&2
     exit 1
 fi
-leaks=$(cluster_code $(ls crates/cluster/src/*.rs | grep -v '/probe\.rs$') \
+# The probe catalogue (crates/cluster/src/probe.rs) is complete only if
+# nothing else in the crate records.
+leaks=$(code_lines $(ls crates/cluster/src/*.rs | grep -v '/probe\.rs$') \
     | grep -E 'registry\.|sink\.|now_nanos|EventKind|TraceStage|\.(events|counter|gauge|histogram)\(' || true)
 if [ -n "$leaks" ]; then
     echo "registry / trace-sink / clock recording outside crates/cluster/src/probe.rs:" >&2

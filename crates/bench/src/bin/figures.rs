@@ -6,9 +6,7 @@
 //! figures fig8                # queueing figures (fed by a measured run)
 //! figures overhead writerate  # the §4/§3.3 scalar measurements
 //! figures resync              # replica catch-up traffic per resync strategy
-//! figures pipeline            # pipelined vs serial replication throughput
 //! figures ec                  # erasure-coded storage + repair-bandwidth economics
-//! figures obs                 # metrics snapshot of a simulated TPC-C mirror
 //! figures trace               # tail-latency attribution under a 10x-slow link
 //! figures scale               # scale-out read throughput sweep vs. MVA prediction
 //! figures adaptive            # adaptive policy vs every static strategy
@@ -20,9 +18,9 @@ use std::process::ExitCode;
 
 use prins_bench::{
     adaptive_figure, ec_experiment, fig10_router_saturation, fig4_tpcc_oracle, fig5_tpcc_postgres,
-    fig6_tpcw, fig7_fs_micro, fig8_response_t1, fig9_response_t3, measure_traffic, obs_experiment,
-    overhead_experiment, pipeline_experiment, pipeline_figure, resync_figure, scale_experiment,
-    trace_experiment, write_rate_experiment, TrafficConfig,
+    fig6_tpcw, fig7_fs_micro, fig8_response_t1, fig9_response_t3, measure_traffic,
+    overhead_experiment, resync_figure, scale_experiment, trace_experiment, write_rate_experiment,
+    TrafficConfig,
 };
 use prins_block::BlockSize;
 use prins_workloads::Workload;
@@ -61,11 +59,9 @@ fn main() -> ExitCode {
         "fig9",
         "fig10",
         "resync",
-        "pipeline",
         "overhead",
         "writerate",
         "ec",
-        "obs",
         "trace",
         "scale",
         "adaptive",
@@ -138,11 +134,6 @@ fn main() -> ExitCode {
             ran_any = true;
             println!("{}", resync_figure(ops, bench_scale)?);
         }
-        if want("pipeline") {
-            ran_any = true;
-            println!("{}\n", pipeline_experiment(ops, bench_scale)?);
-            println!("{}", pipeline_figure(ops, bench_scale)?);
-        }
         if want("overhead") {
             ran_any = true;
             println!("{}\n", overhead_experiment(5_000, BlockSize::kb8())?);
@@ -154,12 +145,6 @@ fn main() -> ExitCode {
         if want("ec") {
             ran_any = true;
             println!("{}\n", ec_experiment(ops, bench_scale)?);
-        }
-        if want("obs") {
-            ran_any = true;
-            let snap = obs_experiment(ops)?;
-            println!("{}", snap.to_table());
-            println!("{}", snap.to_json());
         }
         if want("trace") {
             ran_any = true;

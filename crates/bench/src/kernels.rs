@@ -7,8 +7,7 @@
 //! The criterion series in `benches/kernels.rs` plots the full width
 //! sweep; this module is the self-checking form — a wall-clock
 //! comparison over identical payloads whose `>= 2x` claim runs in the
-//! release test suite (`cargo test --release`), like the pipeline
-//! speedup test in [`crate::pipeline_experiment`].
+//! release test suite (`cargo test --release`).
 
 use std::fmt;
 use std::time::Instant;

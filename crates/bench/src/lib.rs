@@ -32,7 +32,6 @@ mod ec;
 mod figures;
 mod kernels;
 mod obs;
-mod pipeline;
 mod resync;
 mod scale;
 mod tailtrace;
@@ -50,7 +49,6 @@ pub use kernels::{
     lzss_decompress_reference, seal_experiment, xor_scalar, SealMeasurement,
 };
 pub use obs::obs_experiment;
-pub use pipeline::{pipeline_experiment, pipeline_figure, PipelineKnobs, PipelineMeasurement};
 pub use resync::{resync_experiment, resync_figure, ResyncMeasurement};
 pub use scale::{scale_experiment, ScaleCurve, ScaleReport};
 pub use tailtrace::{trace_experiment, TailTraceReport};

@@ -20,7 +20,7 @@ use prins_obs::{register_meter, Registry, Snapshot};
 use prins_repl::{verify_consistent, AckPolicy, ReplicaApplier};
 use prins_workloads::{capture_trace, Workload};
 
-use crate::pipeline::trace_writes;
+use crate::traffic::trace_writes;
 use crate::TrafficConfig;
 
 /// Virtual nanoseconds the clock advances on every read — stands in for

@@ -9,15 +9,15 @@
 //! the outage actually changed — not the volume size (full image) and
 //! not even the dirty block count (dirty bitmap).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use prins_block::{BlockDevice, Lba, MemDevice};
+use prins_block::{BlockDevice, MemDevice};
 use prins_cluster::{ClusterConfig, ClusterGroup, ReplicaState, ResyncStrategy};
 use prins_net::{channel_pair, FaultTransport, LinkModel};
 use prins_repl::{run_replica, verify_consistent};
 use prins_workloads::{capture_trace, Workload, WriteTrace};
 
+use crate::traffic::{trace_writes, TraceStream};
 use crate::{FigureTable, TrafficConfig};
 
 /// Result of one outage + resync run.
@@ -35,34 +35,6 @@ pub struct ResyncMeasurement {
     pub foreground_bytes: u64,
     /// Whether the replica image matched the primary after the run.
     pub consistent: bool,
-}
-
-/// A trace flattened for replay: the write stream, each touched block's
-/// pre-trace image, and the device size the stream needs.
-struct TraceStream {
-    writes: Vec<(Lba, Vec<u8>)>,
-    initial: Vec<(Lba, Vec<u8>)>,
-    num_blocks: u64,
-}
-
-/// Collects the trace's write stream plus each block's pre-trace image.
-fn trace_writes(trace: &WriteTrace) -> TraceStream {
-    let mut writes = Vec::with_capacity(trace.len());
-    let mut initial = Vec::new();
-    let mut seen = HashSet::new();
-    let mut max_lba = 0u64;
-    trace.replay(|lba, old, new| {
-        if seen.insert(lba.index()) {
-            initial.push((lba, old.to_vec()));
-        }
-        max_lba = max_lba.max(lba.index());
-        writes.push((lba, new.to_vec()));
-    });
-    TraceStream {
-        writes,
-        initial,
-        num_blocks: max_lba + 1,
-    }
 }
 
 /// Replays `trace` through a one-replica [`ClusterGroup`], severing the

@@ -1,11 +1,12 @@
 //! Per-strategy replication traffic measurement.
 
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use prins_block::BlockSize;
+use prins_block::{BlockSize, Lba};
 use prins_net::LinkModel;
 use prins_repl::{ReplicationMode, Replicator};
-use prins_workloads::{run, RunConfig, RunReport, Workload, WorkloadError};
+use prins_workloads::{run, RunConfig, RunReport, Workload, WorkloadError, WriteTrace};
 
 /// Configuration for one traffic measurement.
 #[derive(Clone, Copy, Debug)]
@@ -168,6 +169,34 @@ pub fn measure_traffic(
         per_mode: modes.into_iter().zip(totals).collect(),
         report,
     })
+}
+
+/// A trace flattened for replay: the write stream, each touched block's
+/// pre-trace image, and the device size the stream needs.
+pub(crate) struct TraceStream {
+    pub(crate) writes: Vec<(Lba, Vec<u8>)>,
+    pub(crate) initial: Vec<(Lba, Vec<u8>)>,
+    pub(crate) num_blocks: u64,
+}
+
+/// Collects the trace's write stream plus each block's pre-trace image.
+pub(crate) fn trace_writes(trace: &WriteTrace) -> TraceStream {
+    let mut writes = Vec::with_capacity(trace.len());
+    let mut initial = Vec::new();
+    let mut seen = HashSet::new();
+    let mut max_lba = 0u64;
+    trace.replay(|lba, old, new| {
+        if seen.insert(lba.index()) {
+            initial.push((lba, old.to_vec()));
+        }
+        max_lba = max_lba.max(lba.index());
+        writes.push((lba, new.to_vec()));
+    });
+    TraceStream {
+        writes,
+        initial,
+        num_blocks: max_lba + 1,
+    }
 }
 
 #[cfg(test)]

@@ -225,8 +225,8 @@ impl Default for ClusterConfig {
 /// A primary replicating to a set of replicas that can fail, lag, and
 /// rejoin.
 ///
-/// Unlike [`prins_repl::ReplicationGroup`], which aborts on the first
-/// replica error, a `ClusterGroup` *degrades*: a failing replica moves
+/// Unlike `prins-core`'s engine, which surfaces the first replica error
+/// at the next flush, a `ClusterGroup` *degrades*: a failing replica moves
 /// through the [`ReplicaState`] lifecycle, its missed writes are
 /// recorded in a per-replica [`DirtyMap`], and the write succeeds as
 /// long as [`ClusterConfig::write_quorum`] replicas acknowledge it.

@@ -6,7 +6,7 @@ use std::time::Duration;
 use prins_block::BlockDevice;
 use prins_net::{Clock, Transport, WallClock};
 use prins_policy::{AdaptiveReplicator, PolicyConfig, WorkloadPhase};
-use prins_repl::{AckPolicy, ReplError, ReplicationGroup, ReplicationMode, Replicator};
+use prins_repl::{AckPolicy, ReplicationMode, Replicator};
 
 use crate::obs::Probe;
 use crate::pipeline::PipelineConfig;
@@ -170,27 +170,14 @@ impl EngineBuilder {
         self
     }
 
-    /// Pushes a full image of the local device to every replica before
-    /// starting (the paper's initial sync), then builds the engine.
+    /// Builds and starts the engine.
     ///
-    /// The sync runs over a plain [`ReplicationGroup`] (windowed by the
-    /// configured ack policy); the transports are then handed to the
-    /// engine's pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sync failures; no engine is started in that case.
-    pub fn build_with_initial_sync(mut self) -> Result<PrinsEngine, ReplError> {
-        let mut group = ReplicationGroup::new(self.mode, std::mem::take(&mut self.replicas))
-            .with_ack_timeout(self.config.ack_timeout)
-            .with_ack_policy(AckPolicy::Window(self.config.ack_window));
-        group.initial_sync(&self.device)?;
-        self.replicas = group.into_transports();
-        Ok(self.build())
-    }
-
-    /// Builds and starts the engine (replicas are assumed to already
-    /// hold a copy of the device, e.g. fresh all-zero volumes).
+    /// Every replica must start as a copy of the device (fresh all-zero
+    /// volumes are): PRINS ships `new ⊕ old`, which only reconstructs
+    /// the block on a replica that holds `old`. The stack's catch-up
+    /// path for a replica that is not a copy is `prins-cluster`'s
+    /// `ClusterGroup`: `rejoin` with `ResyncStrategy::FullImage`, then
+    /// `resync_to_completion`.
     pub fn build(self) -> PrinsEngine {
         let adaptive = self.adaptive.map(|cfg| {
             Arc::new(match &self.registry {

@@ -152,29 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn initial_sync_bootstraps_nonempty_primary() {
-        let (to_replica, at_replica) = channel_pair(LinkModel::t1());
-        let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
-        let replica =
-            ReplicaEngine::spawn(Arc::clone(&replica_dev) as Arc<dyn BlockDevice>, at_replica);
-
-        use prins_block::BlockDevice as _;
-        let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
-        for i in 0..8u64 {
-            primary_dev
-                .write_block(Lba(i), &vec![0x40 + i as u8; 4096])
-                .unwrap();
-        }
-        let engine = EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
-            .replica(Box::new(to_replica))
-            .build_with_initial_sync()
-            .unwrap();
-        engine.shutdown().unwrap();
-        replica.join().unwrap().unwrap();
-        assert!(verify_consistent(&*primary_dev, &*replica_dev).unwrap());
-    }
-
-    #[test]
     fn replication_failure_surfaces_at_flush() {
         let (to_replica, at_replica) = channel_pair(LinkModel::t1());
         // Replica device too small: writes past block 0 NAK.

@@ -12,89 +12,55 @@
 //! Frames already queued by the peer are *not* discarded; like a
 //! reconnecting TCP endpoint, the engine is expected to drain or
 //! reconcile them on restore.
-//!
-//! Beyond the kill switch, [`LinkHandle::set_send_cost`] injects a
-//! per-message (and optional per-KiB) delay into `send`, modelling a
-//! slow WAN hop. Pipeline experiments use this to make one replica's
-//! link an order of magnitude slower than its peers without touching
-//! the transport underneath.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::{NetError, TrafficMeter, Transport};
 
-/// Link state shared between a [`FaultTransport`] and its [`LinkHandle`].
-#[derive(Debug, Default)]
-struct LinkState {
-    up: AtomicBool,
-    /// Injected delay per sent message, in nanoseconds.
-    send_cost_nanos: AtomicU64,
-    /// Additional injected delay per KiB of payload, in nanoseconds.
-    send_cost_per_kb_nanos: AtomicU64,
-}
-
 /// Shared switch controlling a [`FaultTransport`]'s link state.
 #[derive(Clone, Debug)]
 pub struct LinkHandle {
-    state: Arc<LinkState>,
+    up: Arc<AtomicBool>,
 }
 
 impl LinkHandle {
     /// Cuts the link: all transport operations fail until restored.
     pub fn sever(&self) {
-        self.state.up.store(false, Ordering::SeqCst);
+        self.up.store(false, Ordering::SeqCst);
     }
 
     /// Brings the link back up.
     pub fn restore(&self) {
-        self.state.up.store(true, Ordering::SeqCst);
+        self.up.store(true, Ordering::SeqCst);
     }
 
     /// Whether the link is currently up.
     pub fn is_up(&self) -> bool {
-        self.state.up.load(Ordering::SeqCst)
-    }
-
-    /// Injects a synthetic transmission cost into every `send`:
-    /// `per_msg` models the per-frame propagation delay (the WAN RTT
-    /// component), `per_kb` the serialization delay per KiB of payload.
-    /// Pass zeros to remove the cost.
-    pub fn set_send_cost(&self, per_msg: Duration, per_kb: Duration) {
-        self.state
-            .send_cost_nanos
-            .store(per_msg.as_nanos() as u64, Ordering::SeqCst);
-        self.state
-            .send_cost_per_kb_nanos
-            .store(per_kb.as_nanos() as u64, Ordering::SeqCst);
+        self.up.load(Ordering::SeqCst)
     }
 }
 
-/// A [`Transport`] wrapper with an externally controlled kill switch
-/// and injectable send latency.
+/// A [`Transport`] wrapper with an externally controlled kill switch.
 #[derive(Debug)]
 pub struct FaultTransport<T> {
     inner: T,
-    state: Arc<LinkState>,
+    up: Arc<AtomicBool>,
 }
 
 impl<T: Transport> FaultTransport<T> {
-    /// Wraps `inner` (link initially up, no send cost) and returns the
-    /// control handle.
+    /// Wraps `inner` (link initially up) and returns the control handle.
     pub fn new(inner: T) -> (Self, LinkHandle) {
-        let state = Arc::new(LinkState {
-            up: AtomicBool::new(true),
-            ..Default::default()
-        });
+        let up = Arc::new(AtomicBool::new(true));
         let handle = LinkHandle {
-            state: Arc::clone(&state),
+            up: Arc::clone(&up),
         };
-        (Self { inner, state }, handle)
+        (Self { inner, up }, handle)
     }
 
     fn check_up(&self) -> Result<(), NetError> {
-        if self.state.up.load(Ordering::SeqCst) {
+        if self.up.load(Ordering::SeqCst) {
             Ok(())
         } else {
             Err(NetError::Disconnected)
@@ -105,12 +71,6 @@ impl<T: Transport> FaultTransport<T> {
 impl<T: Transport> Transport for FaultTransport<T> {
     fn send(&self, msg: &[u8]) -> Result<(), NetError> {
         self.check_up()?;
-        let per_msg = self.state.send_cost_nanos.load(Ordering::SeqCst);
-        let per_kb = self.state.send_cost_per_kb_nanos.load(Ordering::SeqCst);
-        if per_msg > 0 || per_kb > 0 {
-            let cost = per_msg + per_kb * (msg.len() as u64).div_ceil(1024);
-            std::thread::sleep(Duration::from_nanos(cost));
-        }
         self.inner.send(msg)
     }
 
@@ -163,29 +123,6 @@ mod tests {
         assert_eq!(faulty.recv().unwrap(), b"queued during outage");
         faulty.send(b"back").unwrap();
         assert_eq!(b.recv().unwrap(), b"back");
-    }
-
-    #[test]
-    fn send_cost_delays_but_delivers() {
-        let (a, b) = channel_pair(LinkModel::t1());
-        let (faulty, link) = FaultTransport::new(a);
-        link.set_send_cost(Duration::from_millis(5), Duration::ZERO);
-        let t0 = std::time::Instant::now();
-        faulty.send(b"slow frame").unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(5));
-        assert_eq!(b.recv().unwrap(), b"slow frame");
-
-        // Per-KiB cost scales with the payload size.
-        link.set_send_cost(Duration::ZERO, Duration::from_millis(2));
-        let t1 = std::time::Instant::now();
-        faulty.send(&vec![0u8; 3 * 1024]).unwrap();
-        assert!(t1.elapsed() >= Duration::from_millis(6));
-
-        // Zeros remove the cost entirely.
-        link.set_send_cost(Duration::ZERO, Duration::ZERO);
-        let t2 = std::time::Instant::now();
-        faulty.send(b"fast again").unwrap();
-        assert!(t2.elapsed() < Duration::from_millis(5));
     }
 
     #[test]

@@ -17,8 +17,8 @@ use crate::{BatchFrame, ReplError};
 /// [`ReplicaApplier::respond`] turns it into the response bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Applied {
-    /// A replication frame was applied (`true`) or was a sync marker
-    /// (`false`); answer with an ACK.
+    /// A replication frame was applied (`true`, or `false` for an empty
+    /// batch); answer with an ACK.
     Data(bool),
     /// A scrub digest probe; answer with a digest ack carrying this
     /// CRC32C of the probed block as read from the replica's disk.
@@ -102,7 +102,7 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         self
     }
 
-    /// Number of write payloads applied so far (sync markers excluded).
+    /// Number of write payloads applied so far.
     pub fn applied(&self) -> u64 {
         self.applied
     }
@@ -128,9 +128,8 @@ impl<D: BlockDevice> ReplicaApplier<D> {
 
     /// Decodes and applies one message handed over in process — a
     /// bare payload or a [`BatchFrame`] (whose inner payloads are
-    /// applied in order), or either one sealed. Returns `true` for data
-    /// payloads and `false` for the end-of-sync marker (an empty batch
-    /// also returns `false`).
+    /// applied in order), or either one sealed. Returns `false` only for
+    /// an empty batch.
     ///
     /// A batch is *not* atomic: a malformed or rejected inner payload
     /// aborts the batch with earlier payloads already applied — exactly
@@ -247,7 +246,6 @@ impl<D: BlockDevice> ReplicaApplier<D> {
                 })?;
             }
             BodyRef::StripDelta { coeff, data } => self.apply_strip_delta(lba, coeff, data)?,
-            BodyRef::SyncMarker => return Ok(false),
         }
         self.applied += 1;
         Ok(true)
@@ -431,18 +429,6 @@ mod tests {
     #[test]
     fn prins_compressed_payloads_apply() {
         replay(&PrinsReplicator::with_parity_compression());
-    }
-
-    #[test]
-    fn sync_marker_returns_false() {
-        let replica = MemDevice::new(BlockSize::kb4(), 4);
-        let mut applier = ReplicaApplier::new(&replica);
-        let marker = Payload {
-            lba: Lba(0),
-            body: PayloadBody::SyncMarker,
-        };
-        assert!(!applier.apply(&marker.to_bytes()).unwrap());
-        assert_eq!(applier.applied(), 0);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! the block — for PRINS via the backward parity computation
 //! `A_new = P' ⊕ A_old` against the replica's own copy.
 //!
-//! [`ReplicationGroup`] wires a primary to any number of replica
-//! transports with acknowledged delivery (the paper's closed-loop
+//! The primaries that send these payloads and await the acks live
+//! upstream: `prins-core`'s engine and `prins-cluster`'s groups, each
+//! over a [`Link`]. [`run_replica`] is the stock replica loop, and
+//! [`AckPolicy`] says when a primary waits (the paper's closed-loop
 //! assumption: a node does not issue the next write until the previous
 //! one is replicated).
 //!
@@ -49,19 +51,19 @@
 
 mod apply;
 mod error;
-mod group;
 mod mode;
 mod payload;
 mod range;
+mod replica;
 mod strategy;
 mod wire;
 
 pub use apply::{Applied, ReplicaApplier};
 pub use error::ReplError;
-pub use group::{run_replica, run_replica_applier, verify_consistent, AckPolicy, ReplicationGroup};
-pub use mode::ReplicationMode;
+pub use mode::{AckPolicy, ReplicationMode};
 pub use payload::{BatchFrame, Payload, PayloadBody, MAX_WIRE_LEN};
 pub use range::SeqRange;
+pub use replica::{run_replica, run_replica_applier, verify_consistent};
 pub use strategy::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};
 pub use wire::{
     decode_ack, encode_ack, head_len, is_sealed, open_frame, put_batch, put_compressed, put_full,

@@ -1,4 +1,4 @@
-//! Replication mode selector.
+//! What a primary replicates with, and when it waits for acks.
 
 use crate::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};
 
@@ -44,6 +44,21 @@ impl ReplicationMode {
             }
         }
     }
+}
+
+/// When the primary waits for replica acknowledgements.
+///
+/// The paper's queueing model assumes [`AckPolicy::PerWrite`]: "a
+/// computing node will not generate another write request until the
+/// previous write is successfully replicated". [`AckPolicy::Window`]
+/// pipelines up to `n` unacknowledged writes, hiding WAN round-trips —
+/// a natural extension the paper leaves on the table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AckPolicy {
+    /// Wait for every replica's acknowledgement before returning.
+    PerWrite,
+    /// Allow up to this many writes in flight before collecting acks.
+    Window(usize),
 }
 
 impl std::fmt::Display for ReplicationMode {

@@ -12,7 +12,6 @@ use prins_parity::decode_varint;
 
 use crate::wire::{
     self, BATCH_TAG, COMPRESSED_TAG, FULL_TAG, PARITY_COMPRESSED_TAG, PARITY_TAG, STRIP_DELTA_TAG,
-    SYNC_MARKER_TAG,
 };
 use crate::ReplError;
 
@@ -30,7 +29,7 @@ pub const MAX_WIRE_LEN: usize = prins_compress::MAX_DECODE_LEN;
 /// Decoded body of a replication payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PayloadBody {
-    /// Full block image (traditional replication / initial sync).
+    /// Full block image (traditional replication / resync).
     Full(Vec<u8>),
     /// LZSS-compressed block image; `block_len` is the uncompressed size.
     Compressed {
@@ -48,8 +47,6 @@ pub enum PayloadBody {
         /// LZSS stream.
         data: Vec<u8>,
     },
-    /// Marks the end of an initial sync stream.
-    SyncMarker,
     /// Coefficient-tagged erasure-strip delta: apply
     /// `strip ^= coeff · Δ` over GF(256).
     StripDelta {
@@ -89,7 +86,6 @@ impl Payload {
                     out.extend_from_slice(data)
                 });
             }
-            PayloadBody::SyncMarker => wire::put_sync_marker(out, lba),
             PayloadBody::StripDelta { coeff, data } => {
                 wire::put_strip_delta(out, lba, *coeff, data);
             }
@@ -115,7 +111,6 @@ impl Payload {
                 sparse_len,
                 data: data.to_vec(),
             },
-            BodyRef::SyncMarker => PayloadBody::SyncMarker,
             BodyRef::StripDelta { coeff, data } => PayloadBody::StripDelta {
                 coeff,
                 data: data.to_vec(),
@@ -131,7 +126,6 @@ pub(crate) enum BodyRef<'a> {
     Compressed { block_len: usize, data: &'a [u8] },
     Parity(&'a [u8]),
     ParityCompressed { sparse_len: usize, data: &'a [u8] },
-    SyncMarker,
     StripDelta { coeff: u8, data: &'a [u8] },
 }
 
@@ -174,7 +168,6 @@ impl<'a> PayloadRef<'a> {
                 let (sparse_len, data) = claimed_len("sparse_len")?;
                 BodyRef::ParityCompressed { sparse_len, data }
             }
-            SYNC_MARKER_TAG => BodyRef::SyncMarker,
             STRIP_DELTA_TAG => {
                 let (&coeff, data) = rest
                     .split_first()
@@ -261,10 +254,6 @@ mod tests {
                 },
             },
             Payload {
-                lba: Lba(0),
-                body: PayloadBody::SyncMarker,
-            },
-            Payload {
                 lba: Lba(42),
                 body: PayloadBody::StripDelta {
                     coeff: 0x8e,
@@ -319,7 +308,7 @@ mod tests {
         // A bare payload is not mistaken for a batch.
         let bare = Payload {
             lba: Lba(0),
-            body: PayloadBody::SyncMarker,
+            body: PayloadBody::Full(Vec::new()),
         }
         .to_bytes();
         assert!(!BatchFrame::is_batch(&bare));
@@ -341,15 +330,14 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_roundtrip(lba in any::<u64>(), tag in 0u8..6,
+        fn prop_roundtrip(lba in any::<u64>(), tag in 0u8..5,
                           n in 0usize..256, data in proptest::collection::vec(any::<u8>(), 0..256)) {
             let body = match tag {
                 0 => PayloadBody::Full(data),
                 1 => PayloadBody::Compressed { block_len: n, data },
                 2 => PayloadBody::Parity(data),
                 3 => PayloadBody::ParityCompressed { sparse_len: n, data },
-                4 => PayloadBody::StripDelta { coeff: n as u8, data },
-                _ => PayloadBody::SyncMarker,
+                _ => PayloadBody::StripDelta { coeff: n as u8, data },
             };
             let p = Payload { lba: Lba(lba), body };
             prop_assert_eq!(Payload::from_bytes(&p.to_bytes()).unwrap(), p);
@@ -365,15 +353,14 @@ mod tests {
         /// (trailing data is body bytes) or errors cleanly — no panics
         /// on truncation.
         #[test]
-        fn prop_truncation_never_panics(lba in any::<u64>(), tag in 0u8..5,
+        fn prop_truncation_never_panics(lba in any::<u64>(), tag in 0u8..4,
                                         cut in 0usize..64,
                                         data in proptest::collection::vec(any::<u8>(), 0..64)) {
             let body = match tag {
                 0 => PayloadBody::Full(data),
                 1 => PayloadBody::Compressed { block_len: data.len(), data },
                 2 => PayloadBody::Parity(data),
-                3 => PayloadBody::ParityCompressed { sparse_len: data.len(), data },
-                _ => PayloadBody::SyncMarker,
+                _ => PayloadBody::ParityCompressed { sparse_len: data.len(), data },
             };
             let wire = Payload { lba: Lba(lba), body }.to_bytes();
             let keep = wire.len().saturating_sub(cut);

@@ -41,8 +41,8 @@ pub(crate) const COMPRESSED_TAG: u8 = 1;
 pub(crate) const PARITY_TAG: u8 = 2;
 /// `tag varint(lba) varint(sparse_len) lzss(sparse-parity-bytes)`.
 pub(crate) const PARITY_COMPRESSED_TAG: u8 = 3;
-/// `tag varint(lba)` — end of an initial sync stream.
-pub(crate) const SYNC_MARKER_TAG: u8 = 4;
+// Tag 4 is retired: no sender emits it and receivers reject it as
+// malformed, like any other unknown tag.
 /// `tag varint(count) { varint(len) payload-bytes }*count` — several
 /// payloads under one acknowledgement. Disjoint from the payload tags,
 /// so a receiver dispatches on the first byte.
@@ -124,11 +124,6 @@ pub(crate) fn put_parity_compressed(
     put_head(out, PARITY_COMPRESSED_TAG, lba);
     encode_varint(out, sparse_len as u64);
     lzss(out);
-}
-
-/// Appends an end-of-sync marker.
-pub(crate) fn put_sync_marker(out: &mut Vec<u8>, lba: Lba) {
-    put_head(out, SYNC_MARKER_TAG, lba);
 }
 
 /// Appends an erasure-strip delta for the strip block at `stripe`.
@@ -556,11 +551,6 @@ impl Link {
         self.epoch += 1;
     }
 
-    /// Gives the transport back.
-    pub fn into_transport(self) -> Box<dyn Transport> {
-        self.transport
-    }
-
     /// Seals whatever `fill` appends under the current epoch and sends
     /// it. Returns the sealed frame's length.
     ///
@@ -684,10 +674,6 @@ mod tests {
                 })
                 .to_bytes(),
                 vec![3, 0xac, 0x02, 3, 4],
-            ),
-            (
-                payload(PayloadBody::SyncMarker).to_bytes(),
-                vec![4, 0xac, 0x02],
             ),
             (
                 BatchFrame {

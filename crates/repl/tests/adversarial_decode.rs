@@ -12,6 +12,8 @@
 //!   `varint(block_len) varint(2^40)` is a truncation on every path a
 //!   sparse stream arrives by — payload tags 2, 3 and 8, and the image
 //!   body of a `READ_ACK` / `STRIP_ACK`;
+//! * tag 4, a sync marker that no sender emits any more, is an
+//!   unknown tag: malformed on parse, NAKed by a replica;
 //! * a counting allocator proves decoding arbitrary bytes never makes a
 //!   single allocation beyond the wire budget (plus `Vec` growth
 //!   doubling slack) — no matter what the frame claims.
@@ -22,11 +24,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use prins_block::{crc32c, crc32c_append, BlockSize, MemDevice};
+use prins_block::{crc32c, crc32c_append, BlockDevice, BlockSize, Lba, MemDevice};
 use prins_parity::{encode_varint, CodecError, SparseCodec};
 use prins_repl::{
-    BatchFrame, Link, Payload, PayloadBody, ReplError, ReplicaApplier, MAX_WIRE_LEN, READ_ACK,
-    STRIP_ACK,
+    encode_ack, seal_frame, BatchFrame, Link, Payload, PayloadBody, ReplError, ReplicaApplier,
+    MAX_WIRE_LEN, NAK, READ_ACK, STRIP_ACK,
 };
 use proptest::prelude::*;
 
@@ -123,6 +125,28 @@ fn oversized_length_claims_are_rejected_per_tag() {
     let mut batch = vec![5u8];
     encode_varint(&mut batch, u64::MAX / 2);
     assert!(BatchFrame::from_bytes(&batch).is_err());
+}
+
+#[test]
+fn the_retired_tag_4_is_malformed_on_parse() {
+    let r = Payload::from_bytes(&frame(4, &[]));
+    assert!(matches!(r, Err(ReplError::Malformed(_))), "{r:?}");
+}
+
+#[test]
+fn a_replica_naks_the_retired_tag_4_and_leaves_the_device_untouched() {
+    let device = MemDevice::new(BlockSize::kb4(), 4);
+    let mut applier = ReplicaApplier::new(&device);
+    let (reply, rejected) = applier.respond(&seal_frame(1, &frame(4, &[])));
+    assert_eq!(reply, encode_ack(NAK, 1));
+    assert!(
+        matches!(rejected, Some(ReplError::Malformed(_))),
+        "{rejected:?}"
+    );
+    assert_eq!(applier.applied(), 0);
+    for lba in 0..4 {
+        assert_eq!(device.read_block_vec(Lba(lba)).unwrap(), vec![0u8; 4096]);
+    }
 }
 
 #[test]
