@@ -26,25 +26,11 @@ if [ "$unsafe_in" != "crates/block/src/checksum.rs" ]; then
     grep -rnw "unsafe" crates/*/src | grep -v "^crates/block/src/checksum.rs:" >&2
     exit 1
 fi
-# Code lines above a file's test module are what the gates below check.
+# Code lines above a file's test module are what the gate below checks.
+# (No gate is needed for the stranded-response rule: prins_repl::Link
+# keeps its raw receive and epoch private, so the compiler holds every
+# send and await to it.)
 code_lines() { awk '/#\[cfg\(test\)\]/ { nextfile } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$@"; }
-# Two send/ack loops, and no third: core's lane (core/src/pipeline.rs)
-# and cluster's peer (cluster/src/peer.rs) are the only code that opens
-# a link, awaits a response or moves an epoch; repl/src/wire.rs defines
-# those calls. Within the cluster crate, the stranded-response rule
-# also needs every link send to go through the peer.
-leaks=$(
-    code_lines $(find crates/*/src -name '*.rs' | sort \
-            | grep -vE '^crates/(repl/src/wire|core/src/pipeline|cluster/src/peer)\.rs$') \
-        | grep -E 'Link::new|recv_response\(|bump_epoch\(' || true
-    code_lines $(ls crates/cluster/src/*.rs | grep -v '/peer\.rs$') \
-        | grep -w 'link\.send' || true
-)
-if [ -n "$leaks" ]; then
-    echo "link open / send / await / epoch code outside the two send/ack loops:" >&2
-    echo "$leaks" >&2
-    exit 1
-fi
 # The probe catalogue (crates/cluster/src/probe.rs) is complete only if
 # nothing else in the crate records.
 leaks=$(code_lines $(ls crates/cluster/src/*.rs | grep -v '/probe\.rs$') \

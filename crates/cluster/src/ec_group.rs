@@ -39,10 +39,9 @@ use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport};
 use prins_obs::{Registry, TraceSink};
 use prins_parity::{ErasureCodec, SparseCodec};
-use prins_repl::{put_strip_delta, ReplError, Request, ACK, STRIP_ACK};
+use prins_repl::{put_strip_delta, Link, ReplError, Request, ACK, STRIP_ACK};
 
-use crate::peer::Peer;
-use crate::probe::{Plane, Probe};
+use crate::probe::{Plane, Probe, Tagged};
 use crate::ClusterError;
 
 /// Maps `(stripe, role)` to a node: rotated placement, so every node
@@ -82,7 +81,7 @@ impl EcPlacement {
 struct EcNode {
     /// The connection. Nothing stays in flight on it between calls:
     /// every frame is collected before the call that sent it returns.
-    peer: Peer<()>,
+    link: Link<Tagged<()>>,
     down: bool,
 }
 
@@ -146,6 +145,8 @@ pub struct EcGroup<D, C> {
     /// The image the current write replaces, reused across writes.
     old: Vec<u8>,
     nodes: Vec<EcNode>,
+    /// How long to wait for each acknowledgement.
+    ack_timeout: Duration,
     stripes: u64,
     block_size: usize,
     /// Stripes written while any node was down — the strips a rebuild
@@ -185,10 +186,11 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
                 .into_iter()
                 .enumerate()
                 .map(|(idx, transport)| EcNode {
-                    peer: Peer::new(idx, transport, config.ack_timeout),
+                    link: Link::new(idx, transport),
                     down: false,
                 })
                 .collect(),
+            ack_timeout: config.ack_timeout,
             stripes: blocks / k as u64,
             block_size,
             dirty_stripes: BTreeSet::new(),
@@ -277,7 +279,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     ) -> Result<(), ClusterError> {
         self.check_idx(idx)?;
         let node = &mut self.nodes[idx];
-        node.peer.reconnect(transport);
+        node.link.reconnect(transport);
         node.down = true;
         Ok(())
     }
@@ -338,7 +340,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             };
             let fill =
                 |out: &mut Vec<u8>| put_strip_delta(out, Lba(stripe), coeff, sparse.as_bytes());
-            match self.nodes[node].peer.send((), tid, ACK, fill) {
+            match self.nodes[node].link.send((tid, ()), ACK, fill) {
                 Ok(sealed_len) => {
                     outcome.wire_bytes += sealed_len as u64;
                     self.probe.strip_sent(tid, node, role >= k, sealed_len);
@@ -354,18 +356,18 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         // an acknowledgement left queued would answer the *next*
         // write's strip in its place.
         for node in sent_to {
-            self.nodes[node]
-                .peer
-                .drain(&self.probe, |ack| match ack.answer {
-                    Ok(_) => {
-                        self.probe.strip_acked(tid, node);
-                        outcome.acked += 1;
-                    }
-                    Err(e) => {
-                        self.probe.ack_failed(node, tid, ack.waited, &e);
-                        failed.get_or_insert(e);
-                    }
-                });
+            let link = &mut self.nodes[node].link;
+            let ack = self.probe.collect(node, link, self.ack_timeout);
+            match ack.answer {
+                Ok(_) => {
+                    self.probe.strip_acked(tid, node);
+                    outcome.acked += 1;
+                }
+                Err(e) => {
+                    self.probe.ack_failed(node, tid, ack.waited, &e);
+                    failed.get_or_insert(e);
+                }
+            }
         }
         self.probe.released(tid);
         match failed {
@@ -392,10 +394,10 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     ) -> Result<(Vec<u8>, u64), ClusterError> {
         self.check_idx(node)?;
         let fill = |out: &mut Vec<u8>| Request::Strip(Lba(stripe)).put(out);
+        let link = &mut self.nodes[node].link;
         let (req_len, answer) =
-            self.nodes[node]
-                .peer
-                .request(&self.probe, (), None, STRIP_ACK, fill, |_| {});
+            self.probe
+                .request(node, link, self.ack_timeout, (None, ()), STRIP_ACK, fill);
         let resp = answer?;
         let strip = self
             .sparse
@@ -432,7 +434,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             survivor_image_bytes: 0,
         };
         self.nodes[lost].down = false;
-        self.nodes[lost].peer.abandon();
+        self.nodes[lost].link.abandon();
         for stripe in 0..self.stripes {
             let lost_role = self.placement.role_of(stripe, lost);
             let mut strips: Vec<Option<Vec<u8>>> = vec![None; n];
@@ -471,10 +473,10 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             // the rebuilt image itself, minus its zero runs.
             let sparse = self.sparse.encode(&rebuilt);
             let fill = |out: &mut Vec<u8>| put_strip_delta(out, Lba(stripe), 1, sparse.as_bytes());
+            let link = &mut self.nodes[lost].link;
             let (sealed_len, answer) =
-                self.nodes[lost]
-                    .peer
-                    .request(&self.probe, (), None, ACK, fill, |_| {});
+                self.probe
+                    .request(lost, link, self.ack_timeout, (None, ()), ACK, fill);
             answer?;
             report.wire_bytes += sealed_len as u64;
             report.stripes += 1;

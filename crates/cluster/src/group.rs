@@ -10,13 +10,12 @@ use prins_net::{Clock, Transport};
 use prins_obs::{Registry, TraceId, TraceSink};
 use prins_parity::{SparseCodec, SparseParity};
 use prins_repl::{
-    put_full, put_parity, ReplError, ReplicationMode, Replicator, Request, Response, ACK,
+    put_full, put_parity, Link, ReplError, ReplicationMode, Replicator, Request, Response, ACK,
     DIGEST_ACK, READ_ACK,
 };
 use prins_trap::{TrapDevice, TrapLog};
 
-use crate::peer::{Collected, Peer};
-use crate::probe::{Plane, Probe};
+use crate::probe::{Plane, Probe, Tagged};
 use crate::{ClusterError, DirtyMap, ReplicaState};
 
 /// How a rejoining replica is caught up.
@@ -83,7 +82,7 @@ struct Replica {
     /// is foreground writes only, tagged `Some((lba, seq))`; resync
     /// frames and read-side requests (tagged `None`) are collected, or
     /// given up on, before the call that sent them returns.
-    peer: Peer<Option<(Lba, u64)>>,
+    link: Link<Tagged<Option<(Lba, u64)>>>,
     state: ReplicaState,
     dirty: DirtyMap,
     consecutive_failures: u32,
@@ -97,9 +96,9 @@ struct Replica {
 }
 
 impl Replica {
-    fn new(idx: usize, transport: Box<dyn Transport>, ack_timeout: Duration) -> Self {
+    fn new(idx: usize, transport: Box<dyn Transport>) -> Self {
         Self {
-            peer: Peer::new(idx, transport, ack_timeout),
+            link: Link::new(idx, transport),
             state: ReplicaState::Online,
             dirty: DirtyMap::new(),
             consecutive_failures: 0,
@@ -206,7 +205,9 @@ pub struct ClusterConfig {
     /// windows pipeline WAN round-trips; [`ClusterGroup::drain`] is
     /// the matching barrier. With a window > 1 the quorum check is
     /// optimistic — a sent-but-unacknowledged replica counts until
-    /// its acknowledgement fails.
+    /// its acknowledgement fails — and a wait that fails also fails
+    /// the later writes in flight to that replica: their answers could
+    /// no longer be told from the failed one's.
     pub ack_window: usize,
 }
 
@@ -260,7 +261,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             replicas: transports
                 .into_iter()
                 .enumerate()
-                .map(|(idx, transport)| Replica::new(idx, transport, config.ack_timeout))
+                .map(|(idx, transport)| Replica::new(idx, transport))
                 .collect(),
             config,
             probe: Probe::default(),
@@ -345,7 +346,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             read_bytes: r.read_bytes,
             deferred_writes: r.deferred_writes,
             acked_writes: r.acked_writes,
-            in_flight: r.peer.in_flight().len(),
+            in_flight: r.link.in_flight().len(),
         }
     }
 
@@ -387,7 +388,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                     let payload = &self.payload;
                     let r = &mut self.replicas[idx];
                     let fill = |out: &mut Vec<u8>| out.extend_from_slice(payload);
-                    match r.peer.send(Some((lba, seq)), tid, ACK, fill) {
+                    match r.link.send((tid, Some((lba, seq))), ACK, fill) {
                         Ok(sealed_len) => {
                             r.foreground_bytes += sealed_len as u64;
                             self.probe.sent(tid, idx, sealed_len);
@@ -416,7 +417,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // oldest-first, matching the transport's FIFO delivery.
         let window = self.config.ack_window.max(1);
         for idx in 0..self.replicas.len() {
-            while self.replicas[idx].peer.in_flight().len() >= window {
+            while self.replicas[idx].link.in_flight().len() >= window {
                 if self.collect_oldest(idx) == Some((lba, seq)) {
                     outcome.acked += 1;
                 }
@@ -429,7 +430,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         let in_flight = self
             .replicas
             .iter()
-            .filter(|r| r.peer.in_flight().any(|&w| w == Some((lba, seq))))
+            .filter(|r| r.link.in_flight().any(|&(_, w)| w == Some((lba, seq))))
             .count();
         // With everything acknowledged the trace finalizes here; under
         // a pipelined window it stays open until the last outstanding
@@ -537,10 +538,8 @@ impl<D: BlockDevice> ClusterGroup<D> {
         }
     }
 
-    /// Asks replica `idx` one read-side question. Callers drain the
-    /// replica themselves first (they re-check its state in between),
-    /// so `drained` stays empty; anything it did catch is booked like
-    /// any other collected write.
+    /// Asks replica `idx` one read-side question; callers have drained
+    /// it first (see [`Probe::request`]).
     fn request(
         &mut self,
         idx: usize,
@@ -548,13 +547,10 @@ impl<D: BlockDevice> ClusterGroup<D> {
         want: u8,
         fill: impl FnOnce(&mut Vec<u8>),
     ) -> (usize, Result<Response, ReplError>) {
-        let mut drained = Vec::new();
-        let peer = &mut self.replicas[idx].peer;
-        let asked = peer.request(&self.probe, None, tid, want, fill, |ack| drained.push(ack));
-        for ack in drained {
-            self.retire(idx, ack);
-        }
-        asked
+        let link = &mut self.replicas[idx].link;
+        let timeout = self.config.ack_timeout;
+        self.probe
+            .request(idx, link, timeout, (tid, None), want, fill)
     }
 
     /// Opens a new response generation on every replica — the migration
@@ -566,7 +562,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
     pub fn bump_epochs(&mut self) {
         self.drain();
         for r in &mut self.replicas {
-            r.peer.abandon();
+            r.link.abandon();
         }
     }
 
@@ -599,7 +595,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// Collects all of replica `idx`'s in-flight acknowledgements.
     fn drain_replica(&mut self, idx: usize) -> usize {
         let mut retired = 0;
-        while self.replicas[idx].peer.in_flight().len() > 0 {
+        while self.replicas[idx].link.in_flight().len() > 0 {
             if self.collect_oldest(idx).is_some() {
                 retired += 1;
             }
@@ -611,12 +607,8 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// acknowledgement. Returns the retired `(lba, seq)` on success; on
     /// failure the replica degrades and the write is marked dirty.
     fn collect_oldest(&mut self, idx: usize) -> Option<(Lba, u64)> {
-        let ack = self.replicas[idx].peer.collect_oldest(&self.probe)?;
-        self.retire(idx, ack)
-    }
-
-    /// Books the outcome of one foreground write to replica `idx`.
-    fn retire(&mut self, idx: usize, ack: Collected<Option<(Lba, u64)>>) -> Option<(Lba, u64)> {
+        let link = &mut self.replicas[idx].link;
+        let ack = self.probe.collect(idx, link, self.config.ack_timeout);
         match ack.answer {
             Ok(_) => {
                 self.probe.acked(idx, ack.trace, ack.waited);
@@ -654,9 +646,9 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // A rejoin opens a fresh response generation. Stray responses
         // still queued from before the outage are noise (their writes
         // already booked as failed, their blocks marked uncertain) —
-        // they carry an older epoch, so the peer drops them on sight
+        // they carry an older epoch, so the link drops them on sight
         // instead of guessing with a skip budget.
-        self.replicas[idx].peer.abandon();
+        self.replicas[idx].link.abandon();
         let plan = self.build_plan(idx, strategy);
         self.replicas[idx].resync = Some(plan);
         self.publish_replica_gauges(idx);
@@ -708,8 +700,8 @@ impl<D: BlockDevice> ClusterGroup<D> {
             if failed.is_some() {
                 break;
             }
-            let ack = self.replicas[idx].peer.collect_oldest(&self.probe);
-            let ack = ack.expect("one frame in flight per batch entry");
+            let link = &mut self.replicas[idx].link;
+            let ack = self.probe.collect(idx, link, self.config.ack_timeout);
             match ack.answer {
                 Ok(_) => {
                     self.probe.acked(idx, None, ack.waited);
@@ -723,9 +715,9 @@ impl<D: BlockDevice> ClusterGroup<D> {
         }
         if let Some(e) = failed {
             // The rest of the batch is given up on; its answers can
-            // surface late, so the peer closes the generation and they
+            // surface late, so the link closes the generation and they
             // are dropped by tag, not guessed at by count.
-            self.replicas[idx].peer.abandon();
+            self.replicas[idx].link.abandon();
             // Credit inside an errored batch is unattributable: acks
             // carry no frame identity, so a silently lost repair frame
             // shifts every later ack one frame forward and an
@@ -773,12 +765,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 let block = self.device.read_block_vec(*lba)?;
                 let fill = |out: &mut Vec<u8>| put_full(out, *lba, &block);
                 let mark_from = r.dirty.missed_from(*lba).unwrap_or(0);
-                (mark_from, r.peer.send(None, None, ACK, fill))
+                (mark_from, r.link.send((None, None), ACK, fill))
             }
             ResyncFrame::Parity(lba, seq, parity) => {
                 let body = |out: &mut Vec<u8>| out.extend_from_slice(parity.as_bytes());
                 let fill = |out: &mut Vec<u8>| put_parity(out, *lba, body);
-                (*seq, r.peer.send(None, None, ACK, fill))
+                (*seq, r.link.send((None, None), ACK, fill))
             }
         };
         r.resync_bytes += sent? as u64;
@@ -1118,7 +1110,7 @@ mod tests {
     use super::*;
     use prins_block::{BlockSize, MemDevice};
     use prins_net::{channel_pair, FaultTransport, LinkHandle, LinkModel};
-    use prins_repl::verify_consistent;
+    use prins_repl::{encode_ack, verify_consistent, NAK};
     use rand::{RngExt, SeedableRng};
     use std::sync::Arc;
 
@@ -1576,6 +1568,47 @@ mod tests {
             assert!(verify_consistent(h.cluster.device(), &**dev).unwrap());
         }
         finish(h);
+    }
+
+    #[test]
+    fn a_late_ack_is_not_credited_to_a_frame_sealed_before_its_wait_failed() {
+        // A window of two over a link whose far end the test answers by
+        // hand. Writes A and B go out under epoch 1; B fills the window,
+        // so A's ack is awaited — and does not come.
+        let (near, far) = channel_pair(LinkModel::t1());
+        let config = ClusterConfig {
+            ack_window: 2,
+            ack_timeout: Duration::from_millis(20),
+            ..ClusterConfig::default()
+        };
+        let mut cluster = ClusterGroup::new(
+            MemDevice::new(BlockSize::kb4(), 8),
+            config,
+            vec![Box::new(near)],
+        );
+        let registry = prins_obs::Registry::new();
+        cluster.attach_observer(Arc::clone(&registry), prins_net::SimClock::new());
+        let (a, b, c) = (Lba(0), Lba(1), Lba(2));
+        cluster.write(a, &[1u8; 4096]).unwrap();
+        cluster.write(b, &[2u8; 4096]).unwrap();
+        assert_eq!(cluster.state(0), ReplicaState::Lagging);
+
+        // A's ACK arrives late, then the replica's NAK of B, both under
+        // epoch 1, then the answer to write C, sent under epoch 2.
+        // Credited by position, A's ACK would retire B.
+        for reply in [encode_ack(ACK, 1), encode_ack(NAK, 1), encode_ack(ACK, 2)] {
+            far.send(&reply).unwrap();
+        }
+        cluster.write(c, &[3u8; 4096]).unwrap();
+        cluster.drain();
+
+        let dirty = &cluster.replicas[0].dirty;
+        assert!(dirty.is_uncertain(a) && dirty.is_uncertain(b));
+        assert!(!dirty.contains(c));
+        assert_eq!(cluster.status(0).acked_writes, 1, "C alone");
+        // B retired without reading the link; C's wait dropped both.
+        assert_eq!(registry.snapshot().counters["wrong_epoch_acks"], 2);
+        assert_eq!(cluster.state(0), ReplicaState::Lagging);
     }
 
     #[test]

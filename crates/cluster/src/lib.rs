@@ -29,6 +29,13 @@
 //! writes to still-dirty blocks are queued behind the resync stream,
 //! and writes to clean blocks flow to the resyncing replica directly.
 //!
+//! Every frame a group sends — foreground writes, read offload, resync
+//! batches, scrub probes, strip deltas, strip fetches, rebuild
+//! shipments — goes out on one [`prins_repl::Link`] per replica or
+//! node, which holds what is in flight and alone decides which answer
+//! belongs to which frame; the group's probe awaits each answer and
+//! records the wait.
+//!
 //! # Example
 //!
 //! ```
@@ -72,7 +79,6 @@ mod ec_group;
 mod error;
 mod group;
 mod lifecycle;
-mod peer;
 mod placement;
 mod probe;
 mod shard;

@@ -4,9 +4,11 @@
 //! [`EcGroup`](crate::EcGroup) or
 //! [`ShardedCluster`](crate::ShardedCluster) is the only code in the
 //! crate that reads a clock or touches a metrics [`Registry`] or a
-//! [`TraceSink`] (`ci.sh` greps for it): `group.rs`, `ec_group.rs`,
-//! `shard.rs` and `peer.rs` state what happens and call one probe
-//! method per hop; this file alone states what is recorded about it.
+//! [`TraceSink`] (`ci.sh` greps for it): `group.rs`, `ec_group.rs` and
+//! `shard.rs` state what happens and call one probe method per hop;
+//! this file alone states what is recorded about it. That includes the
+//! wait for every answer on a cluster [`Link`]: [`Probe::collect`]
+//! stamps it and turns what the link drops on the way into hops.
 //! Both recorders are optional and attached after construction
 //! (`attach_observer`, `attach_tracer`), each with the clock that
 //! stamps it; detached, a hop costs an `Option` check or an uncontended
@@ -26,8 +28,8 @@
 //! | `send_failed` | group | — | — | `send-error` (replica) |
 //! | `acked` | group | `cluster_ack_rtt_nanos` (ack wait per foreground or resync frame) | — | `replica-ack` (replica), completing |
 //! | `ack_failed` | group, EC | `cluster_ack_rtt_nanos` (group) | `nak` or `ack-error` (replica) | `ack-error` (replica), completing |
-//! | `stale_dropped` | group, EC | counter `wrong_epoch_acks` (group) | — | `wrong-epoch` (replica) on the trace being awaited |
-//! | `corrupt_nak` | group | counter `checksum_failures` | — | — |
+//! | `stale_dropped` (from `collect`) | group, EC | counter `wrong_epoch_acks` (group) | — | `wrong-epoch` (replica) on the trace of the frame being awaited, from its link tag |
+//! | `corrupt_nak` (from `collect`) | group | counter `checksum_failures` | — | — |
 //! | `state_change` | group | — | `state-change` (replica, from, to) | — |
 //! | `resync_batch` | group | — | `resync-batch` (replica, sent, remaining) | — |
 //! | `gauges` | group | gauges `replica{idx}_dirty_blocks`, `replica{idx}_resync_pending` | — | — |
@@ -42,14 +44,30 @@
 //! | `cutover` | shard | — | `cutover` (from, to) | — |
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use prins_net::Clock;
 use prins_obs::{
     Counter, Event, EventKind, Histogram, Registry, TraceId, TraceSink, TraceStage, NO_LANE,
 };
-use prins_repl::ReplError;
+use prins_repl::{Link, LinkEvent, ReplError, Response};
 
 use crate::ReplicaState;
+
+/// A cluster frame's tag on its [`Link`]: the trace the frame belongs
+/// to — where a stale answer dropped while it is awaited lands — beside
+/// the owner's own tag.
+pub(crate) type Tagged<T> = (Option<TraceId>, T);
+
+/// What became of one frame sent on a cluster link.
+pub(crate) struct Collected<T> {
+    /// The owner's tag.
+    pub tag: T,
+    pub trace: Option<TraceId>,
+    /// How long the answer was waited for, on the probe's clock.
+    pub waited: u64,
+    pub answer: Result<Response, ReplError>,
+}
 
 /// Which kind of owner a probe records for — whose instruments it
 /// registers.
@@ -227,7 +245,7 @@ impl Probe {
 
     /// A response from an older epoch was dropped while `awaited`'s
     /// answer was being waited for.
-    pub fn stale_dropped(&self, replica: usize, awaited: Option<TraceId>) {
+    fn stale_dropped(&self, replica: usize, awaited: Option<TraceId>) {
         self.wrong_epoch_acks.inc();
         self.hop(awaited, |sink, id, at| {
             sink.mark_wrong_epoch(id, replica as u32, at)
@@ -236,8 +254,59 @@ impl Probe {
 
     /// A replica answered `NAK_CORRUPT` — wire or replica-disk
     /// corruption, caught before anything was applied.
-    pub fn corrupt_nak(&self) {
+    fn corrupt_nak(&self) {
         self.checksum_failures.inc();
+    }
+
+    /// Awaits the answer to the oldest of the frames in flight on
+    /// replica (or node) `idx`'s `link`, stamping the wait and recording
+    /// what the link drops on the way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is in flight.
+    pub fn collect<T>(
+        &self,
+        idx: usize,
+        link: &mut Link<Tagged<T>>,
+        timeout: Duration,
+    ) -> Collected<T> {
+        let started = self.stamp();
+        let collected = link.collect_oldest(timeout, |&(trace, _), event| match event {
+            LinkEvent::StaleDropped => self.stale_dropped(idx, trace),
+            LinkEvent::CorruptNak => self.corrupt_nak(),
+        });
+        let ((trace, tag), answer) = collected.expect("a frame in flight");
+        Collected {
+            tag,
+            trace,
+            waited: self.stamp().saturating_sub(started),
+            answer,
+        }
+    }
+
+    /// Asks replica (or node) `idx` one question: sends what `fill`
+    /// appends, tagged `tag`, and awaits its `want` answer. Returns the
+    /// sealed request's length (0 if it never left) beside the answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if anything is in flight on `link`: answers arrive in
+    /// order, so the caller collects those first.
+    pub fn request<T>(
+        &self,
+        idx: usize,
+        link: &mut Link<Tagged<T>>,
+        timeout: Duration,
+        tag: Tagged<T>,
+        want: u8,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> (usize, Result<Response, ReplError>) {
+        assert_eq!(link.in_flight().len(), 0, "a request is asked alone");
+        match link.send(tag, want, fill) {
+            Ok(sealed_len) => (sealed_len, self.collect(idx, link, timeout).answer),
+            Err(e) => (0, Err(e)),
+        }
     }
 
     /// Replica `idx` moved through the lifecycle (a no-op if it did
@@ -339,5 +408,25 @@ impl Probe {
     pub fn cutover(&self, from: usize, to: usize) {
         let (from, to) = (from as u32, to as u32);
         self.event(EventKind::Cutover { from, to }, None);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prins_net::SinkTransport;
+    use prins_repl::{ACK, DIGEST_ACK};
+
+    #[test]
+    #[should_panic(expected = "a request is asked alone")]
+    fn a_request_never_queues_behind_a_frame_in_flight() {
+        // Its answer would queue behind the write's, and a request has no
+        // one to hand that answer to.
+        let mut link = Link::new(0, Box::new(SinkTransport::new()));
+        link.send((None, 1u32), ACK, |out| out.push(0)).unwrap();
+        let probe = Probe::default();
+        let digest = |out: &mut Vec<u8>| out.push(7);
+        let timeout = Duration::from_secs(1);
+        let _ = probe.request(0, &mut link, timeout, (None, 2), DIGEST_ACK, digest);
     }
 }

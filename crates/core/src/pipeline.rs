@@ -22,11 +22,12 @@
 //! borrows: the queues between the stages, the replicator, the buffer
 //! pool, the live `PipelineTuning`, the resolved ack window and
 //! timeout, the engine's counters and the `Probe`. A `Lane` is one
-//! replica's sender — its `Link`, in-flight window and batch scratch —
-//! with three verbs: `handle` one queue message, `collect_oldest` one
-//! acknowledgement, `drain` the window; they are the only code that
-//! sends a frame or awaits a response. The `Probe` is told about
-//! every hop and alone decides what is recorded about it.
+//! replica's sender — its `Link`, which holds the frames in flight and
+//! decides which answer is whose, and its batch scratch — with three
+//! verbs: `handle` one queue message, `collect_oldest` one
+//! acknowledgement, `drain` the window; they are the only code in the
+//! crate that sends a frame or awaits a response. The `Probe` is told
+//! about every hop and alone decides what is recorded about it.
 //!
 //! Invariants:
 //!
@@ -384,10 +385,10 @@ impl Counters {
     }
 }
 
-/// One sent, unacknowledged frame: the writes it carries plus the
-/// sealed wire bytes, retained so a corrupt NAK can be answered with a
-/// retransmission instead of an error. The frame stays in its pooled
-/// buffer; acknowledgement recycles it.
+/// One sent, unacknowledged frame — a lane's tag on its [`Link`]: the
+/// writes it carries plus the sealed wire bytes, retained so a corrupt
+/// NAK can be answered with a retransmission instead of an error. The
+/// frame stays in its pooled buffer; acknowledgement recycles it.
 pub(crate) struct InFlight {
     pub writes: u64,
     /// The pipeline writes the frame carries. Reorder releases in
@@ -398,6 +399,12 @@ pub(crate) struct InFlight {
     /// The first carried write's LBA.
     pub lba: Lba,
     pub frame: PooledBuf,
+}
+
+impl AsRef<[u8]> for InFlight {
+    fn as_ref(&self) -> &[u8] {
+        &self.frame
+    }
 }
 
 /// Retransmissions attempted per frame before a corrupt NAK becomes a
@@ -419,12 +426,12 @@ pub(crate) const ADMIT_QUEUE_CAP: usize = 8192;
 /// mode.
 struct Lane {
     idx: usize,
-    /// Lanes have no replica lifecycle (no offline/rejoin): the link
-    /// stays at its first epoch for the life of the engine.
-    link: Link,
+    /// The connection and the frames sent on it and not yet
+    /// acknowledged, oldest first — the ack window. A receive failure
+    /// opens a new epoch there (the replica echoes whatever epoch it
+    /// opens), so a late ack can never retire a later frame.
+    link: Link<InFlight>,
     state: Arc<LaneState>,
-    /// Sent, unacknowledged frames, oldest first.
-    window: VecDeque<InFlight>,
     /// The payloads of the frame being built; empty between frames.
     batch: Vec<PooledBytes>,
     /// The sequence number the next payload must carry.
@@ -499,28 +506,27 @@ impl Lane {
         };
 
         let t0 = probe.now();
-        let sent = self.link.transport().send(&flight.frame);
+        let sent = self.link.send_sealed(flight, ACK);
         let t1 = probe.now();
         let took = t1.saturating_sub(t0);
         self.state.send_nanos.fetch_add(took, Ordering::Relaxed);
         match sent {
-            Ok(()) => {
+            Ok(flight) => {
                 self.state.sends.fetch_add(1, Ordering::Relaxed);
                 self.state
                     .payload_bytes
                     .fetch_add(flight.frame.len() as u64, Ordering::Relaxed);
-                probe.sent(self.idx, &flight, took, t1);
-                self.window.push_back(flight);
-                while self.window.len() >= cx.ack_window {
+                probe.sent(self.idx, flight, took, t1);
+                while self.link.in_flight().len() >= cx.ack_window {
                     self.collect_oldest(cx);
                 }
             }
-            Err(e) => {
+            Err((flight, e)) => {
                 // The frame retires unsent; the error surfaces at the
                 // next flush.
                 self.state.errors.fetch_add(1, Ordering::Relaxed);
                 probe.send_failed(self.idx, &flight, took, t1);
-                cx.stats.record_error(&e.into());
+                cx.stats.record_error(&e);
             }
         }
         true
@@ -542,23 +548,18 @@ impl Lane {
     /// here.
     fn collect_oldest(&mut self, cx: &Inner) {
         let probe = &cx.probe;
-        let flight = self.window.pop_front().expect("an in-flight frame");
-        let sole_in_flight = self.window.is_empty();
-        let mut on_event = |event| {
+        let mut on_event = |_: &InFlight, event| {
             if let LinkEvent::CorruptNak = event {
                 probe.corrupt_nak();
             }
         };
         let (mut attempt, mut waited) = (0u32, 0u64);
         let mut t1;
-        let result: Result<(), ReplError> = loop {
+        let (flight, result) = loop {
             let t0 = probe.now();
-            let answer = self.link.recv_response(
-                ACK,
-                self.link.epoch(),
-                cx.ack_timeout * (attempt + 1),
-                &mut on_event,
-            );
+            let timeout = cx.ack_timeout * (attempt + 1);
+            let collected = self.link.collect_oldest(timeout, &mut on_event);
+            let (flight, answer) = collected.expect("an in-flight frame");
             t1 = probe.now();
             waited += t1.saturating_sub(t0);
             self.state
@@ -567,18 +568,20 @@ impl Lane {
             match answer {
                 // The frame was damaged in flight; resend the retained copy.
                 Err(ReplError::ChecksumMismatch { .. })
-                    if sole_in_flight && attempt < MAX_RETRANSMITS =>
+                    if self.link.in_flight().len() == 0 && attempt < MAX_RETRANSMITS =>
                 {
                     attempt += 1;
-                    if let Err(e) = self.link.transport().send(&flight.frame) {
-                        break Err(e.into());
+                    match self.link.send_sealed(flight, ACK) {
+                        Ok(flight) => {
+                            self.state
+                                .payload_bytes
+                                .fetch_add(flight.frame.len() as u64, Ordering::Relaxed);
+                            probe.retransmitted(self.idx, flight, t1);
+                        }
+                        Err((flight, e)) => break (flight, Err(e)),
                     }
-                    self.state
-                        .payload_bytes
-                        .fetch_add(flight.frame.len() as u64, Ordering::Relaxed);
-                    probe.retransmitted(self.idx, &flight, t1);
                 }
-                answer => break answer.map(drop),
+                answer => break (flight, answer.map(drop)),
             }
         };
         match result {
@@ -598,7 +601,7 @@ impl Lane {
 
     /// Retires every in-flight frame.
     fn drain(&mut self, cx: &Inner) {
-        while !self.window.is_empty() {
+        while self.link.in_flight().len() > 0 {
             self.collect_oldest(cx);
         }
     }
@@ -664,7 +667,6 @@ impl Pipeline {
                 idx,
                 link: Link::new(idx, transport),
                 state: Arc::clone(&inner.lanes[idx]),
-                window: VecDeque::new(),
                 batch: Vec::new(),
                 next_seq: 0,
             });
@@ -1271,6 +1273,81 @@ mod tests {
 
         engine.shutdown().unwrap();
         assert!(verify_consistent(&*primary, &*replica_devs[0]).unwrap());
+    }
+
+    #[test]
+    fn an_ack_that_outlives_its_wait_is_not_credited_to_the_next_frame() {
+        // One replica, a window of 1. The replica holds its first answer
+        // back until it has answered the second frame, which it refuses
+        // (block 5 lies past the end of its one-block device): the first
+        // ack arrives after its wait gave up, right ahead of the NAK.
+        let net = SimNet::new();
+        let (a, b, _ctl) = net.add_link("replica0", Duration::from_micros(300));
+        let mut applier = ReplicaApplier::new(MemDevice::new(BlockSize::kb4(), 1));
+        let (tr, mut first, mut held) = (b.clone(), true, None);
+        net.set_actor(
+            &b,
+            Box::new(move || {
+                while let Ok(Some(frame)) = tr.try_recv() {
+                    let (answer, _) = applier.respond(&frame);
+                    if std::mem::take(&mut first) {
+                        held = Some(answer);
+                        continue;
+                    }
+                    for reply in held.take().into_iter().chain([answer]) {
+                        let _ = tr.send(&reply);
+                    }
+                }
+            }),
+        );
+        let engine = EngineBuilder::new(Arc::new(MemDevice::new(BlockSize::kb4(), 8)))
+            .replica(Box::new(a))
+            .manual_stepping(true)
+            .clock(net.clock())
+            .ack_timeout(Duration::from_millis(1))
+            .build();
+
+        engine.write_block(Lba(0), &[1u8; 4096]).unwrap();
+        engine.step();
+        engine.write_block(Lba(5), &[2u8; 4096]).unwrap();
+        assert!(engine.flush().is_err());
+        // The late ACK answers the first frame's epoch, not the second's:
+        // it is dropped, and the NAK is the second frame's answer.
+        assert_eq!(engine.lane_stats()[0].acked_writes, 0);
+        assert_eq!(engine.lane_stats()[0].errors, 2);
+        engine.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_frame_retired_without_a_receive_still_records_its_ack() {
+        // A replica that never answers, and a window of 2: the first
+        // wait times out and opens a new epoch, so the second frame —
+        // sealed under the old one — retires without reading the link.
+        // Each frame still books one ack-error and one RTT sample, the
+        // balance the sim's observability invariant checks.
+        let net = SimNet::new();
+        let (a, _b, _ctl) = net.add_link("replica0", Duration::from_micros(300));
+        let registry = prins_obs::Registry::new();
+        let engine = EngineBuilder::new(Arc::new(MemDevice::new(BlockSize::kb4(), 8)))
+            .replica(Box::new(a))
+            .manual_stepping(true)
+            .clock(net.clock())
+            .observe(Arc::clone(&registry))
+            .ack_policy(AckPolicy::Window(2))
+            .ack_timeout(Duration::from_millis(1))
+            .build();
+        for lba in 0..2 {
+            engine.write_block(Lba(lba), &[7u8; 4096]).unwrap();
+        }
+        assert!(engine.flush().is_err());
+
+        let snap = registry.snapshot();
+        assert_eq!(snap.event_counts["ack-error"], 2);
+        assert_eq!(snap.histograms["stage_ack_rtt_nanos"].count, 2);
+        let trace = net.trace();
+        let waits = trace.iter().filter(|l| l.ends_with("recv-timeout"));
+        assert_eq!(waits.count(), 1, "only the first frame waited");
+        engine.shutdown().unwrap();
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! Every producer appends through the writers here ([`put_full`] …
 //! [`put_batch`], [`seal_begin`]); every primary talks to a replica
-//! through a [`Link`], whose [`recv_response`](Link::recv_response) is
-//! the single implementation of the response rule. The full tag and
-//! status table lives in DESIGN.md §8.
+//! through a [`Link`], which holds what is in flight and alone decides
+//! which answer belongs to which frame. The full tag and status table
+//! lives in DESIGN.md §8.
 //!
 //! PRINS's backward parity computation `A_new = P' ⊕ A_old` silently
 //! fabricates garbage if either side of the XOR is wrong, so frames do
@@ -24,10 +24,11 @@
 //!   [`ReplError::ChecksumMismatch`], answered with [`NAK_CORRUPT`] so
 //!   the sender retransmits instead of tearing the link down.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use prins_block::{crc32c, crc32c_append, Lba};
-use prins_net::Transport;
+use prins_net::{NetError, Transport};
 use prins_parity::{decode_varint, encode_varint, varint_len};
 
 use crate::ReplError;
@@ -460,7 +461,7 @@ pub fn decode_ack(bytes: &[u8]) -> Result<AckFrame<'_>, ReplError> {
     })
 }
 
-/// What [`Link::recv_response`] reports while it waits, so callers can
+/// What [`Link::collect_oldest`] reports while it waits, so callers can
 /// count or trace it without re-implementing the rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkEvent {
@@ -497,73 +498,167 @@ impl Response {
     }
 }
 
+/// A frame sent on a [`Link`] and not yet answered.
+struct Sent<T> {
+    /// The epoch the frame was sealed under — its answer echoes it.
+    epoch: u64,
+    /// The response status that answers it.
+    want: u8,
+    tag: T,
+}
+
 /// The primary's end of one replica connection: the transport, the
-/// response-stream epoch, and a reusable buffer for sealed frames.
+/// response-stream epoch, the frames sent and not yet answered — oldest
+/// first, each under its owner's tag `T` — and a reusable buffer for
+/// sealed frames.
 ///
-/// [`send`](Self::send) seals a frame for the replica (the engine
-/// lanes, which retain each frame in a pooled buffer until it is
-/// acknowledged, seal with [`seal_begin`] under [`epoch`](Self::epoch)
-/// and send through [`transport`](Self::transport) instead) and
-/// [`recv_response`](Self::recv_response) is the only code that
-/// classifies what comes back. The owner bumps the epoch whenever a
-/// response may have been stranded (a receive failure, a rejoin), so a
-/// late answer identifies itself by its older epoch and is dropped
-/// instead of being credited to a newer frame.
-pub struct Link {
+/// Every frame goes out through [`send`](Self::send) or
+/// [`send_sealed`](Self::send_sealed), and every answer is awaited
+/// through [`collect_oldest`](Self::collect_oldest): the transport
+/// delivers and the replica answers in order, so the oldest frame's
+/// answer is the next one under its epoch. That makes this type the one
+/// home of the **stranded-response rule**:
+///
+/// > A response that was not consumed may surface later. Whenever that
+/// > can be the case — a receive failed, or frames still in flight were
+/// > given up on — the link opens a new epoch, so the late answer
+/// > carries an older one and is dropped instead of being credited to a
+/// > newer frame.
+///
+/// PRINS ships XOR deltas: one acknowledgement credited to the wrong
+/// frame leaves a replica silently and permanently diverged, which is
+/// why the rule has exactly one home. A NAK or corrupt-NAK *was* the
+/// frame's answer, so it moves nothing. The link reads no clock; its
+/// callers time the wait.
+pub struct Link<T> {
     transport: Box<dyn Transport>,
     replica: usize,
     epoch: u64,
     frame: Vec<u8>,
+    in_flight: VecDeque<Sent<T>>,
 }
 
-impl Link {
+impl<T> Link<T> {
     /// A link to replica number `replica` (the index errors carry), at
-    /// epoch 1.
+    /// epoch 1 with nothing in flight.
     pub fn new(replica: usize, transport: Box<dyn Transport>) -> Self {
         Self {
             transport,
             replica,
             epoch: 1,
             frame: Vec::new(),
+            in_flight: VecDeque::new(),
         }
     }
 
-    /// The current epoch.
+    /// The current epoch — what a frame sealed now is sealed under.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Opens a new response generation.
-    pub fn bump_epoch(&mut self) {
-        self.epoch += 1;
+    /// The tags of the frames in flight, oldest first.
+    pub fn in_flight(&self) -> impl ExactSizeIterator<Item = &T> {
+        self.in_flight.iter().map(|sent| &sent.tag)
     }
 
-    /// The underlying transport (meters; sending an already-sealed,
-    /// caller-retained frame).
-    pub fn transport(&self) -> &dyn Transport {
-        &*self.transport
-    }
-
-    /// Swaps in a new connection, opening a new generation so responses
-    /// stranded on the old one identify themselves.
-    pub fn reconnect(&mut self, transport: Box<dyn Transport>) {
-        self.transport = transport;
-        self.epoch += 1;
-    }
-
-    /// Seals whatever `fill` appends under the current epoch and sends
-    /// it. Returns the sealed frame's length.
+    /// Seals whatever `fill` appends under the current epoch, sends it
+    /// and queues it under `tag` as awaiting a `want` response. Returns
+    /// the sealed frame's length.
     ///
     /// # Errors
     ///
-    /// [`ReplError::Net`] if the transport refuses the frame.
-    pub fn send(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> Result<usize, ReplError> {
+    /// [`ReplError::Net`] if the transport refuses the frame — it never
+    /// left, so nothing is queued.
+    pub fn send(
+        &mut self,
+        tag: T,
+        want: u8,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<usize, ReplError> {
         self.frame.clear();
         let writer = seal_begin(self.epoch, &mut self.frame);
         fill(&mut self.frame);
         writer.finish(&mut self.frame);
         self.transport.send(&self.frame)?;
+        self.in_flight.push_back(Sent {
+            epoch: self.epoch,
+            want,
+            tag,
+        });
         Ok(self.frame.len())
+    }
+
+    /// Sends the frame `tag` retains — already sealed with
+    /// [`seal_begin`], such as a pooled frame or its retransmission —
+    /// and queues it under the epoch in its seal as awaiting a `want`
+    /// response. Returns the queued tag.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplError::Net`] if the transport refuses the frame, beside the
+    /// tag: it never left, so nothing is queued.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame does not start with a seal header.
+    pub fn send_sealed(&mut self, tag: T, want: u8) -> Result<&T, (T, ReplError)>
+    where
+        T: AsRef<[u8]>,
+    {
+        let frame = tag.as_ref();
+        let epoch = match frame.split_first() {
+            Some((&SEAL_TAG, rest)) => decode_varint(rest).map(|(epoch, _)| epoch),
+            _ => None,
+        }
+        .expect("send_sealed takes a sealed frame");
+        if let Err(e) = self.transport.send(frame) {
+            return Err((tag, e.into()));
+        }
+        self.in_flight.push_back(Sent { epoch, want, tag });
+        Ok(&self.in_flight.back().expect("queued just above").tag)
+    }
+
+    /// Awaits the answer to the oldest frame in flight and returns it
+    /// beside that frame's tag (`None` if nothing is in flight); what is
+    /// dropped on the way is reported to `on_event` with the awaited
+    /// frame's tag.
+    ///
+    /// A frame sealed under an older epoch than the link's is retired
+    /// as failed ([`NetError::Timeout`]: delivery uncertain) without
+    /// reading the transport — the next answer may be the late one whose
+    /// wait opened the current epoch. A receive failure opens a new
+    /// epoch, the rule in the type docs.
+    pub fn collect_oldest(
+        &mut self,
+        timeout: Duration,
+        mut on_event: impl FnMut(&T, LinkEvent),
+    ) -> Option<(T, Result<Response, ReplError>)> {
+        let sent = self.in_flight.pop_front()?;
+        if sent.epoch < self.epoch {
+            return Some((sent.tag, Err(NetError::Timeout.into())));
+        }
+        let mut report = |event| on_event(&sent.tag, event);
+        let answer = self.recv_response(sent.want, sent.epoch, timeout, &mut report);
+        if matches!(answer, Err(ReplError::Net(_))) {
+            self.epoch += 1;
+        }
+        Some((sent.tag, answer))
+    }
+
+    /// Gives up on whatever is in flight and opens a new epoch: the
+    /// dropped frames' answers, and anything stranded from before a
+    /// rejoin, rebuild or cutover, identify themselves as stale.
+    pub fn abandon(&mut self) {
+        self.in_flight.clear();
+        self.epoch += 1;
+    }
+
+    /// Swaps in a new connection and opens a new epoch, so answers
+    /// stranded on the old one identify themselves; frames in flight on
+    /// the old one are given up on.
+    pub fn reconnect(&mut self, transport: Box<dyn Transport>) {
+        self.transport = transport;
+        self.abandon();
     }
 
     /// Waits for the response to a frame sealed under `expected_epoch`
@@ -589,7 +684,7 @@ impl Link {
     /// As above, plus [`ReplError::Net`] when nothing arrives within
     /// `timeout`, and [`ReplError::ChecksumMismatch`] for an image
     /// response damaged in flight.
-    pub fn recv_response(
+    fn recv_response(
         &self,
         want: u8,
         expected_epoch: u64,
@@ -851,31 +946,191 @@ mod tests {
         }
     }
 
-    /// A link whose far end the test holds, to see what was sent.
-    fn wired() -> (Link, prins_net::ChannelTransport) {
+    /// How long a wait that is meant to fail lasts.
+    const SHORT: Duration = Duration::from_millis(1);
+
+    /// A link whose far end the test holds, to see what was sent and to
+    /// answer when it likes.
+    fn wired() -> (Link<u32>, prins_net::ChannelTransport) {
         let (near, far) = channel_pair(LinkModel::t1());
         (Link::new(4, Box::new(near)), far)
     }
 
     /// A link that only answers, from a script.
-    fn scripted(replies: Vec<Vec<u8>>) -> Link {
+    fn scripted(replies: Vec<Vec<u8>>) -> Link<()> {
         let sink = SinkTransport::new();
         sink.preload(replies);
         Link::new(4, Box::new(sink))
     }
 
+    fn frame(out: &mut Vec<u8>) {
+        out.extend_from_slice(b"frame");
+    }
+
+    /// Collects the oldest frame, noting what was dropped on the way.
+    fn collect(
+        link: &mut Link<u32>,
+        timeout: Duration,
+        events: &mut Vec<(u32, LinkEvent)>,
+    ) -> (u32, Result<Response, ReplError>) {
+        let collected = link.collect_oldest(timeout, |&tag, event| events.push((tag, event)));
+        collected.expect("a frame in flight")
+    }
+
     #[test]
     fn send_seals_under_the_current_epoch() {
         let (mut link, far) = wired();
-        let len = link.send(|out| out.extend_from_slice(b"first")).unwrap();
+        let len = link
+            .send(1, ACK, |out| out.extend_from_slice(b"first"))
+            .unwrap();
         let frame = far.recv().unwrap();
         assert_eq!(frame, seal_frame(1, b"first"));
         assert_eq!(len, frame.len());
-        link.bump_epoch();
+        link.abandon();
         // The frame buffer is reused: nothing of "first" leaks through.
-        link.send(|out| out.push(7)).unwrap();
+        link.send(2, ACK, |out| out.push(7)).unwrap();
         assert_eq!(far.recv().unwrap(), seal_frame(2, &[7]));
         assert_eq!(link.epoch(), 2);
+    }
+
+    /// A caller-retained sealed frame.
+    #[derive(Debug)]
+    struct Retained(Vec<u8>);
+
+    impl AsRef<[u8]> for Retained {
+        fn as_ref(&self) -> &[u8] {
+            &self.0
+        }
+    }
+
+    #[test]
+    fn a_retained_frame_queues_under_the_epoch_in_its_seal() {
+        let (near, far) = channel_pair(LinkModel::t1());
+        let mut link = Link::new(4, Box::new(near));
+        link.abandon();
+        // Sealed under epoch 1, sent while the link is at epoch 2: the
+        // seal, not the link, says which answers it.
+        let sent = link.send_sealed(Retained(seal_frame(1, b"x")), ACK);
+        assert_eq!(sent.unwrap().0, seal_frame(1, b"x"));
+        assert_eq!(far.recv().unwrap(), seal_frame(1, b"x"));
+        let (retained, answer) = link.collect_oldest(T, |_, _| {}).unwrap();
+        assert!(matches!(answer, Err(ReplError::Net(NetError::Timeout))));
+        assert_eq!(retained.0, seal_frame(1, b"x"));
+
+        link.send_sealed(Retained(seal_frame(2, b"y")), ACK)
+            .unwrap();
+        far.send(&encode_ack(ACK, 2)).unwrap();
+        let (_, answer) = link.collect_oldest(T, |_, _| {}).unwrap();
+        assert!(answer.is_ok());
+    }
+
+    #[test]
+    fn answers_retire_frames_oldest_first() {
+        let (mut link, far) = wired();
+        let mut events = Vec::new();
+        assert!(link.send(7, ACK, frame).unwrap() > 5, "sealed");
+        link.send(8, ACK, frame).unwrap();
+        assert_eq!(link.in_flight().copied().collect::<Vec<_>>(), [7, 8]);
+        far.send(&encode_ack(ACK, 1)).unwrap();
+        far.send(&encode_ack(NAK, 1)).unwrap();
+        let (tag, answer) = collect(&mut link, T, &mut events);
+        assert!(tag == 7 && answer.is_ok());
+        let (tag, answer) = collect(&mut link, T, &mut events);
+        assert_eq!(tag, 8);
+        assert!(matches!(answer, Err(ReplError::Nak { replica: 4 })));
+        // A NAK was the frame's answer: the epoch did not move.
+        assert_eq!(link.epoch(), 1);
+        assert!(link.collect_oldest(T, |_, _| {}).is_none());
+        assert!(events.is_empty());
+    }
+
+    #[test]
+    fn receive_failure_opens_a_generation_and_the_late_answer_drops_as_stale() {
+        let (mut link, far) = wired();
+        let mut events = Vec::new();
+        link.send(1, ACK, frame).unwrap();
+        let (_, lost) = collect(&mut link, SHORT, &mut events);
+        assert!(matches!(lost, Err(ReplError::Net(NetError::Timeout))));
+        assert_eq!(link.epoch(), 2);
+
+        // Frame 1's ACK surfaces late, ahead of frame 2's NAK. Credited
+        // by position it would acknowledge a frame the far end refused.
+        link.send(2, ACK, frame).unwrap();
+        far.send(&encode_ack(ACK, 1)).unwrap();
+        far.send(&encode_ack(NAK, 2)).unwrap();
+        let (tag, answer) = collect(&mut link, T, &mut events);
+        assert_eq!(tag, 2);
+        assert!(matches!(answer, Err(ReplError::Nak { .. })));
+        // The stale ack was consumed, dropped, and reported against the
+        // frame being awaited.
+        assert_eq!(events, [(2, LinkEvent::StaleDropped)]);
+        assert!(matches!(
+            link.transport.recv_timeout(SHORT),
+            Err(NetError::Timeout)
+        ));
+    }
+
+    #[test]
+    fn a_frame_sealed_before_a_failed_receive_is_retired_without_reading() {
+        // A window of two: frame 1's wait fails, which opens epoch 2
+        // while frame 2 — sealed under epoch 1 — is still in flight.
+        let (mut link, far) = wired();
+        let mut events = Vec::new();
+        link.send(1, ACK, frame).unwrap();
+        link.send(2, ACK, frame).unwrap();
+        let (tag, lost) = collect(&mut link, SHORT, &mut events);
+        assert!(tag == 1 && matches!(lost, Err(ReplError::Net(_))));
+        assert_eq!(link.epoch(), 2);
+
+        // Frame 1's late ACK and frame 2's NAK arrive. Read under frame
+        // 2's epoch, the ACK would be credited to the refused frame.
+        far.send(&encode_ack(ACK, 1)).unwrap();
+        far.send(&encode_ack(NAK, 1)).unwrap();
+        let (tag, answer) = collect(&mut link, T, &mut events);
+        assert_eq!(tag, 2);
+        assert!(matches!(answer, Err(ReplError::Net(NetError::Timeout))));
+        assert_eq!(link.epoch(), 2, "no receive failed, so no new epoch");
+        assert!(events.is_empty(), "the transport was not read");
+
+        // Both answers are still queued; the next frame drops them.
+        link.send(3, ACK, frame).unwrap();
+        far.send(&encode_ack(ACK, 2)).unwrap();
+        let (tag, answer) = collect(&mut link, T, &mut events);
+        assert!(tag == 3 && answer.is_ok());
+        assert_eq!(events, [(3, LinkEvent::StaleDropped); 2]);
+    }
+
+    #[test]
+    fn abandon_drops_the_tags_and_bumps_once() {
+        let (mut link, far) = wired();
+        link.send(1, ACK, frame).unwrap();
+        link.send(2, ACK, frame).unwrap();
+        link.abandon();
+        assert_eq!(link.in_flight().len(), 0);
+        assert_eq!(link.epoch(), 2);
+        // Both abandoned answers surface under the old epoch; neither
+        // is taken for the next frame's.
+        link.send(3, ACK, frame).unwrap();
+        for reply in [encode_ack(ACK, 1), encode_ack(ACK, 1), encode_ack(ACK, 2)] {
+            far.send(&reply).unwrap();
+        }
+        let (tag, answer) = link.collect_oldest(T, |_, _| {}).unwrap();
+        assert!(tag == 3 && answer.is_ok());
+        assert!(matches!(
+            link.transport.recv_timeout(SHORT),
+            Err(NetError::Timeout)
+        ));
+    }
+
+    #[test]
+    fn reconnect_gives_up_on_the_old_connection() {
+        let (mut link, _old) = wired();
+        link.send(1, ACK, frame).unwrap();
+        let (near, far) = channel_pair(LinkModel::t1());
+        link.reconnect(Box::new(near));
+        assert_eq!((link.in_flight().len(), link.epoch()), (0, 2));
+        link.send(2, ACK, frame).unwrap();
+        assert_eq!(far.recv().unwrap(), seal_frame(2, b"frame"));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use prins_block::{crc32c, crc32c_append, BlockDevice, BlockSize, Lba, MemDevice}
 use prins_parity::{encode_varint, CodecError, SparseCodec};
 use prins_repl::{
     encode_ack, seal_frame, BatchFrame, Link, Payload, PayloadBody, ReplError, ReplicaApplier,
-    MAX_WIRE_LEN, NAK, READ_ACK, STRIP_ACK,
+    Request, MAX_WIRE_LEN, NAK, READ_ACK, STRIP_ACK,
 };
 use proptest::prelude::*;
 
@@ -231,7 +231,16 @@ fn a_hostile_segment_count_is_a_truncation_on_every_path_a_stream_arrives_by() {
     };
     let sink = prins_net::SinkTransport::new();
     sink.preload([image_ack(READ_ACK), image_ack(STRIP_ACK)]);
-    let link = Link::new(0, Box::new(sink));
+    let mut link = Link::new(0, Box::new(sink));
+    // Both questions are asked before the measured region, so it holds
+    // only the decoding of their answers.
+    let asked = [
+        (READ_ACK, Request::Read(Lba(3))),
+        (STRIP_ACK, Request::Strip(Lba(0))),
+    ];
+    for (want, request) in asked {
+        link.send(want, want, |out| request.put(out)).unwrap();
+    }
 
     let largest = largest_allocation(|| {
         for payload in &payloads {
@@ -243,9 +252,11 @@ fn a_hostile_segment_count_is_a_truncation_on_every_path_a_stream_arrives_by() {
             );
         }
         for want in [READ_ACK, STRIP_ACK] {
-            let response = link
-                .recv_response(want, 1, std::time::Duration::from_secs(1), &mut |_| {})
-                .expect("a well-sealed image ack");
+            let (tag, response) = link
+                .collect_oldest(std::time::Duration::from_secs(1), |_, _| {})
+                .expect("a request in flight");
+            assert_eq!(tag, want);
+            let response = response.expect("a well-sealed image ack");
             assert_eq!(response.body(), stream);
             assert_eq!(
                 SparseCodec::default().decode(response.body(), 4096),
