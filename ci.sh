@@ -59,12 +59,15 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 # over RAID-5 with one replica; the example asserts the array scrubs
 # clean and the replica is bit-identical.
 cargo run -q --release --example raid_tap
-# Fault-schedule fuzzing: replay the checked-in regression seeds plus a
-# few fresh random ones. A failing seed is printed with its minimized
-# schedule (replay it locally with `sim-replay <seed>`) and appended to
-# the corpus so it stays covered on every future run.
+# Fault-schedule fuzzing: replay the checked-in regression seeds plus
+# fresh random ones. Every seed plays on its cluster topology, then on
+# a stepped engine and on an erasure-coded group (about 17 ms a seed in
+# release, so this line takes a second or two). A failing seed is
+# printed with its minimized schedule (replay it locally with
+# `sim-replay <seed>`) and appended to the corpus so it stays covered
+# on every future run.
 cargo run -q --release -p prins-sim --bin sim-replay -- \
-    corpus tests/sim_seeds.txt --fresh 5 --append-failures
+    corpus tests/sim_seeds.txt --fresh 50 --append-failures
 # Observability determinism gate: the obs-dump run is a virtual-time
 # simulation, so its event-count summary at a fixed --ops must be
 # byte-identical on every machine. A diff here means either the

@@ -539,7 +539,10 @@ impl<D: BlockDevice> ClusterGroup<D> {
     }
 
     /// Asks replica `idx` one read-side question; callers have drained
-    /// it first (see [`Probe::request`]).
+    /// it first (see [`Probe::request`]). The question closes its epoch:
+    /// a surplus copy of its answer (a duplicated read ack) is stale to
+    /// whatever is sent or asked next, instead of answering the next
+    /// read by position.
     fn request(
         &mut self,
         idx: usize,
@@ -549,8 +552,11 @@ impl<D: BlockDevice> ClusterGroup<D> {
     ) -> (usize, Result<Response, ReplError>) {
         let link = &mut self.replicas[idx].link;
         let timeout = self.config.ack_timeout;
-        self.probe
-            .request(idx, link, timeout, (tid, None), want, fill)
+        let asked = self
+            .probe
+            .request(idx, link, timeout, (tid, None), want, fill);
+        link.abandon();
+        asked
     }
 
     /// Opens a new response generation on every replica — the migration
@@ -1609,6 +1615,47 @@ mod tests {
         // B retired without reading the link; C's wait dropped both.
         assert_eq!(registry.snapshot().counters["wrong_epoch_acks"], 2);
         assert_eq!(cluster.state(0), ReplicaState::Lagging);
+    }
+
+    #[test]
+    fn a_duplicated_read_answer_is_not_taken_for_the_next_read() {
+        // The replica answers with the stock applier but sends its first
+        // read answer twice. The copy is still queued when the next read
+        // is asked; taken by position, it would serve block 0's image as
+        // block 1's.
+        let (near, far) = channel_pair(LinkModel::t1());
+        let worker = std::thread::spawn(move || {
+            let mut applier = prins_repl::ReplicaApplier::new(MemDevice::new(BlockSize::kb4(), 8));
+            let mut copies = 2;
+            while let Ok(frame) = far.recv() {
+                let (answer, _) = applier.respond(&frame);
+                let n = if answer[0] == READ_ACK {
+                    std::mem::replace(&mut copies, 1)
+                } else {
+                    1
+                };
+                for _ in 0..n {
+                    far.send(&answer).unwrap();
+                }
+            }
+        });
+        let mut cluster = ClusterGroup::new(
+            MemDevice::new(BlockSize::kb4(), 8),
+            ClusterConfig::default(),
+            vec![Box::new(near)],
+        );
+        let registry = prins_obs::Registry::new();
+        cluster.attach_observer(Arc::clone(&registry), prins_net::SimClock::new());
+        cluster.write(Lba(0), &[1u8; 4096]).unwrap();
+        cluster.write(Lba(1), &[2u8; 4096]).unwrap();
+        for (lba, fill) in [(0, 1u8), (1, 2)] {
+            let read = cluster.read(Lba(lba)).unwrap();
+            assert_eq!(read.source, Some(0));
+            assert!(read.data == [fill; 4096], "lba {lba} served another block");
+        }
+        assert_eq!(registry.snapshot().counters["wrong_epoch_acks"], 1);
+        drop(cluster);
+        worker.join().unwrap();
     }
 
     #[test]

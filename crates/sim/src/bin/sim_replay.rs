@@ -28,7 +28,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use prins_sim::{fuzz_seed, run_scenario_full, run_seed, SCENARIOS};
+use prins_sim::{generate, minimize, run_case, run_scenario, SCENARIOS};
 
 fn parse_seed(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x") {
@@ -38,29 +38,28 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
-fn replay_one(seed: u64) -> bool {
-    let report = run_seed(seed);
-    println!("{}", report.trace);
-    match report.verdict {
-        Ok(()) => {
-            println!("seed {seed:#x}: ok");
-            true
-        }
-        Err(_) => match fuzz_seed(seed) {
-            Err(failure) => {
-                println!("seed {seed:#x}: FAILED: {}", failure.message);
-                println!("minimized schedule ({} ops):", failure.minimized.len());
-                for op in &failure.minimized {
-                    println!("  {op:?}");
-                }
-                false
-            }
-            Ok(()) => {
-                println!("seed {seed:#x}: FAILED (not reproducible through fuzz_seed?)");
-                false
-            }
-        },
+/// Plays `seed` (printing its whole trace first when `trace` is set);
+/// a failure is printed with its minimized schedule and the verdict
+/// that schedule draws. `origin` labels the seed's line.
+fn check_seed(origin: &str, seed: u64, trace: bool) -> bool {
+    let case = generate(seed);
+    let report = run_case(&case);
+    if trace {
+        print!("{}", report.trace);
     }
+    let Err(message) = report.verdict else {
+        println!("{origin}seed {seed:#x}: ok");
+        return true;
+    };
+    let minimized = minimize(&case);
+    let message = run_case(&minimized).verdict.err().unwrap_or(message);
+    println!("{origin}seed {seed:#x}: FAILED: {message}");
+    println!("  minimized schedule ({} ops):", minimized.ops.len());
+    for op in &minimized.ops {
+        println!("    {op:?}");
+    }
+    println!("  replay with: sim-replay {seed:#x}");
+    false
 }
 
 fn run_corpus(path: &str, fresh: usize, append_failures: bool) -> bool {
@@ -99,18 +98,9 @@ fn run_corpus(path: &str, fresh: usize, append_failures: bool) -> bool {
     }
     let mut failures: Vec<u64> = Vec::new();
     for (i, &seed) in seeds.iter().enumerate() {
-        let origin = if i < corpus_len { "corpus" } else { "fresh" };
-        match fuzz_seed(seed) {
-            Ok(()) => println!("{origin} seed {seed:#x}: ok"),
-            Err(failure) => {
-                println!("{origin} seed {seed:#x}: FAILED: {}", failure.message);
-                println!("  minimized schedule ({} ops):", failure.minimized.len());
-                for op in &failure.minimized {
-                    println!("    {op:?}");
-                }
-                println!("  replay with: sim-replay {seed:#x}");
-                failures.push(seed);
-            }
+        let origin = if i < corpus_len { "corpus " } else { "fresh " };
+        if !check_seed(origin, seed, false) {
+            failures.push(seed);
         }
     }
     if append_failures && !failures.is_empty() {
@@ -154,7 +144,7 @@ fn render_scenarios(pattern: &str, events: bool, traces: bool) -> (String, bool)
     let mut out = String::new();
     let mut ok = true;
     for name in names {
-        match run_scenario_full(name) {
+        match run_scenario(name) {
             Ok(outcome) => {
                 if events {
                     out.push_str(&format!("scenario {name}: {}\n", outcome.events));
@@ -287,7 +277,7 @@ fn main() -> ExitCode {
             false
         }
         [seed_str, ..] => match parse_seed(seed_str) {
-            Some(seed) => replay_one(seed),
+            Some(seed) => check_seed("", seed, true),
             None => {
                 eprintln!("unparsable seed '{seed_str}'");
                 false

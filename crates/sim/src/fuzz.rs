@@ -1,8 +1,10 @@
 //! Seeded scenario fuzzer: a `u64` seed deterministically expands into
-//! a workload plus fault schedule, runs against a [`ShardWorld`] — one
-//! replica group, or two for sharded cases — with the per-op and
-//! post-quiescence invariants, and — on failure — greedy chunk removal
-//! shrinks the schedule to a minimal reproducing trace.
+//! a workload plus fault schedule, which plays on three topologies in
+//! turn — its cluster topology (one replica group, or two for sharded
+//! cases), then a stepped engine, then an erasure-coded group — each a
+//! [`World`] with the per-op and post-quiescence invariants. On
+//! failure, greedy chunk removal shrinks the schedule, replaying only
+//! the topology that failed, to a minimal reproducing trace.
 //!
 //! Same seed, same binary → byte-identical event trace and verdict, so
 //! a failing seed printed by CI replays exactly on a developer machine:
@@ -43,14 +45,38 @@
 //!   final timeout lands safely in the uncertain-dirty set).
 //!
 //! Reads ride in every schedule: each [`SimOp::Read`] goes through the
-//! epoch-guarded offload path and is checked against the freshness
-//! oracle on the spot — an offloaded read that returns anything but the
-//! owner's current block content fails the case immediately. A quarter
-//! of all seeds additionally expand into *sharded* cases: two replica
-//! groups behind a rendezvous placement, with a live migration of half
-//! the volume started before the first op, advanced by interleaved
+//! topology's read path and is checked against the freshness oracle on
+//! the spot — an offloaded read that returns anything but the owner's
+//! current block content fails the case immediately. A quarter of all
+//! seeds expand into *sharded* cluster cases: two replica groups behind
+//! a rendezvous placement, with a live migration of half the volume
+//! started before the first op, advanced by interleaved
 //! [`SimOp::MigrateStep`]s, and driven to cutover before quiescence —
 //! so every fault in the schedule can land mid-copy or mid-cutover.
+//!
+//! The same schedule then plays on the other two systems, links taken
+//! modulo their node count:
+//!
+//! * **Engine** — the case's replicas and ack window, plus its own
+//!   coalescing and batching draws. `Drain` is a flush (its error
+//!   tolerated); `Rejoin`, `Prune` and `MigrateStep` are no-ops — the
+//!   engine has no resync layer, parity log or second group. Writes
+//!   queue between pipeline steps, so runs of them fold and batch; the
+//!   pipeline is stepped before every other op, so that op lands with
+//!   their frames on the wire. The engine skips the ops that can lose a
+//!   frame (a restore after a sever, a data drop, and — where bit flips
+//!   are scheduled — a dropped or held-back NAK): a lane that lost a
+//!   frame ships the block's next parity over the gap, and the engine
+//!   has nothing that repairs a replica (see `loses_engine_frame`). At
+//!   the end the engine flushes under the live faults and the links
+//!   heal; a lane that failed stays behind for good, so only the lanes
+//!   that never failed must be bit-identical.
+//! * **EC** — `Sever` fails the node while fewer than `m` are down;
+//!   `Restore` and `Rejoin` replace and rebuild a down node; `Read` is
+//!   the decode oracle. Link drops, corruption, duplication and
+//!   reordering are no-ops: `EcGroup` does not self-degrade — a strip
+//!   whose ack fails surfaces as a write error and nothing marks the
+//!   node down or repairs it — so it claims to survive node loss only.
 
 use std::time::Duration;
 
@@ -60,7 +86,7 @@ use prins_net::Dir;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::world::ShardWorld;
+use crate::world::{Topology, World};
 
 /// One step of a generated schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,10 +154,10 @@ pub enum SimOp {
     },
     /// Prune the primary's parity log up to the current sequence.
     Prune,
-    /// Epoch-guarded read through the cluster, checked on the spot
-    /// against the freshness oracle: the returned block must equal the
-    /// owner primary's current content, whether it was offloaded to a
-    /// replica or served locally.
+    /// Read checked on the spot against the freshness oracle: the
+    /// returned block must equal the owner primary's current content,
+    /// whether it was offloaded to a replica, served locally, or
+    /// decoded off strips.
     Read {
         /// Target block.
         lba: u64,
@@ -143,7 +169,7 @@ pub enum SimOp {
 }
 
 /// A fully expanded fuzz case: topology plus schedule.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzCase {
     /// The seed it was generated from.
     pub seed: u64,
@@ -159,27 +185,20 @@ pub struct FuzzCase {
     pub sharded: bool,
     /// The schedule.
     pub ops: Vec<SimOp>,
+    /// The engine run's XOR-fold coalescing.
+    pub coalesce: bool,
+    /// The engine run's frames per wire message.
+    pub batch_frames: usize,
 }
 
 /// Outcome of one case: the verdict plus the full deterministic event
-/// trace (network trace + verdict line).
+/// trace (per topology: network trace, event summary, verdict line).
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// `Ok` or the first violated invariant.
     pub verdict: Result<(), String>,
     /// Byte-identical across runs of the same case.
     pub trace: String,
-}
-
-/// A failing seed with its shrunk schedule.
-#[derive(Clone, Debug)]
-pub struct FuzzFailure {
-    /// The failing seed.
-    pub seed: u64,
-    /// The violated invariant.
-    pub message: String,
-    /// Greedily minimized schedule that still reproduces a failure.
-    pub minimized: Vec<SimOp>,
 }
 
 /// Expands `seed` into a case. Deterministic: the schedule depends on
@@ -250,6 +269,10 @@ pub fn generate(seed: u64) -> FuzzCase {
             _ => SimOp::Prune,
         });
     }
+    // The engine's knobs come last, so every earlier draw — and with it
+    // the cluster case each seed has always expanded to — is unchanged.
+    let coalesce = rng.random_bool(0.5);
+    let batch_frames = [1usize, 2, 4][rng.random_range(0usize..3)];
     FuzzCase {
         seed,
         replicas,
@@ -257,89 +280,13 @@ pub fn generate(seed: u64) -> FuzzCase {
         ack_window,
         sharded,
         ops,
+        coalesce,
+        batch_frames,
     }
 }
 
-/// `link` indexes the flattened `groups × replicas` link matrix.
-fn split(w: &ShardWorld, link: usize, replicas: usize) -> (usize, usize) {
-    let groups = w.sharded().group_count();
-    ((link / replicas) % groups, link % replicas)
-}
-
-/// Applies one op. Writes and reads route through the placement
-/// (dual-dispatching into the migration target while a copy is live).
-fn apply(w: &mut ShardWorld, op: SimOp, replicas: usize) -> Result<(), String> {
-    let groups = w.sharded().group_count();
-    let ctl = |link: usize| {
-        let (g, r) = split(w, link, replicas);
-        w.ctl(g, r)
-    };
-    match op {
-        SimOp::Write { lba, tag } => {
-            let _ = w.write_tag(lba, tag);
-        }
-        SimOp::Sever { link } => {
-            let ctl = ctl(link);
-            if ctl.is_up() {
-                ctl.sever();
-            }
-        }
-        SimOp::Restore { link } => {
-            let ctl = ctl(link);
-            if !ctl.is_up() {
-                ctl.restore();
-            }
-        }
-        SimOp::CorruptData { link, n } => ctl(link).corrupt_next(Dir::AtoB, n),
-        SimOp::DropData { link, n } => ctl(link).drop_next(Dir::AtoB, n),
-        SimOp::DropAcks { link, n } => ctl(link).drop_next(Dir::BtoA, n),
-        SimOp::DupAck { link } => ctl(link).dup_next(Dir::BtoA, 1),
-        SimOp::ReorderAcks { link } => ctl(link).reorder_next(Dir::BtoA),
-        SimOp::Drain => {
-            for g in 0..groups {
-                w.group_mut(g).drain();
-            }
-        }
-        SimOp::Rejoin { link } => {
-            let (g, r) = split(w, link, replicas);
-            if w.group(g).state(r) != ReplicaState::Online && w.ctl(g, r).is_up() {
-                let group = w.group_mut(g);
-                let _ = group.rejoin(r, ResyncStrategy::ParityLog);
-                let _ = group.resync_step(r, 2);
-            }
-        }
-        SimOp::Prune => {
-            for g in 0..groups {
-                let log = w.group(g).log();
-                log.prune(log.current_seq());
-            }
-        }
-        // The read oracle checks freshness inline: a stale offloaded
-        // read fails the op itself, not just a later invariant sweep.
-        SimOp::Read { lba } => {
-            w.read_checked(lba)?;
-        }
-        // Copy failures here are transient (the cursor does not
-        // advance past an unwritten block); real damage surfaces in
-        // the historical check after the op.
-        SimOp::MigrateStep => {
-            if w.sharded().migration().is_some() {
-                let _ = w.sharded_mut().migrate_step(2);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Runs one case to quiescence: the mid-run historical invariant after
-/// every op, then heal + resync + the full invariant set.
-///
-/// A sharded case additionally starts a live migration of the volume's
-/// first half before the first op and drives it to cutover before
-/// quiescence, so every generated fault can land mid-copy; writes into
-/// the migrating range dual-dispatch for the whole schedule and reads
-/// stay under the freshness oracle throughout.
-pub fn run_case(case: &FuzzCase) -> RunReport {
+/// The topologies a case plays on, in order, each with its trace name.
+fn topologies(case: &FuzzCase) -> [(&'static str, Topology); 3] {
     let config = ClusterConfig {
         ack_timeout: Duration::from_millis(50),
         write_quorum: 0,
@@ -347,27 +294,152 @@ pub fn run_case(case: &FuzzCase) -> RunReport {
         ack_window: case.ack_window,
         ..Default::default()
     };
-    let groups = if case.sharded { 2 } else { 1 };
-    let slot = (case.blocks / 2).max(1);
-    let mut w = ShardWorld::new(
-        case.blocks,
-        groups,
-        case.replicas,
+    let cluster = Topology::Cluster {
+        blocks: case.blocks,
+        groups: if case.sharded { 2 } else { 1 },
+        replicas: case.replicas,
         config,
-        Duration::from_micros(200),
-        slot,
-    );
+        slot_blocks: (case.blocks / 2).max(1),
+    };
+    let engine = Topology::Engine {
+        replicas: case.replicas,
+        coalesce: case.coalesce,
+        batch_frames: case.batch_frames,
+        ack_window: case.ack_window,
+        adaptive: false,
+    };
+    [
+        ("cluster", cluster),
+        ("engine", engine),
+        ("ec", Topology::Ec),
+    ]
+}
+
+/// Applies one op to `w`, built from `topology`. Writes and reads route
+/// through the topology's own path (on a sharded cluster, through the
+/// placement, dual-dispatching into the migration target while a copy
+/// is live).
+fn apply(w: &mut World, topology: &Topology, op: SimOp) -> Result<(), String> {
+    let links = w.links();
+    let node = |link: usize| link % links;
+    match (topology, op) {
+        (_, SimOp::Write { lba, tag }) => {
+            let _ = w.write_tag(lba, tag);
+        }
+        // The read oracle checks freshness inline: a stale read fails
+        // the op itself, not just a later invariant sweep.
+        (_, SimOp::Read { lba }) => w.read_checked(lba)?,
+        (_, SimOp::Drain) => {
+            let _ = w.barrier();
+        }
+        (Topology::Ec, SimOp::Sever { link }) => {
+            let down = (0..links).filter(|&n| !w.ctl(n).is_up()).count();
+            if w.ctl(node(link)).is_up() && down < w.ec().placement().m {
+                w.fail_node(node(link)).map_err(|e| e.to_string())?;
+            }
+        }
+        (Topology::Ec, SimOp::Restore { link } | SimOp::Rejoin { link }) => {
+            if !w.ctl(node(link)).is_up() {
+                w.replace_and_rebuild(node(link))?;
+            }
+        }
+        // The EC group claims to survive node loss only (module docs).
+        (Topology::Ec, _) => {}
+        (_, SimOp::Sever { link }) if w.ctl(node(link)).is_up() => w.ctl(node(link)).sever(),
+        (_, SimOp::Restore { link }) if !w.ctl(node(link)).is_up() => w.ctl(node(link)).restore(),
+        (_, SimOp::Sever { .. } | SimOp::Restore { .. }) => {}
+        (_, SimOp::CorruptData { link, n }) => w.ctl(node(link)).corrupt_next(Dir::AtoB, n),
+        (_, SimOp::DropData { link, n }) => w.ctl(node(link)).drop_next(Dir::AtoB, n),
+        (_, SimOp::DropAcks { link, n }) => w.ctl(node(link)).drop_next(Dir::BtoA, n),
+        (_, SimOp::DupAck { link }) => w.ctl(node(link)).dup_next(Dir::BtoA, 1),
+        (_, SimOp::ReorderAcks { link }) => w.ctl(node(link)).reorder_next(Dir::BtoA),
+        (Topology::Cluster { replicas, .. }, SimOp::Rejoin { link }) => {
+            let (g, r) = (link / replicas, link % replicas);
+            if w.group(g).state(r) != ReplicaState::Online && w.ctl(link).is_up() {
+                let group = w.group_mut(g);
+                let _ = group.rejoin(r, ResyncStrategy::ParityLog);
+                let _ = group.resync_step(r, 2);
+            }
+        }
+        (Topology::Cluster { groups, .. }, SimOp::Prune) => {
+            for g in 0..*groups {
+                let log = w.group(g).log();
+                log.prune(log.current_seq());
+            }
+        }
+        // Copy failures here are transient (the cursor does not
+        // advance past an unwritten block); real damage surfaces in
+        // the historical check after the op.
+        (Topology::Cluster { .. }, SimOp::MigrateStep) => {
+            if w.sharded().migration().is_some() {
+                let _ = w.sharded_mut().migrate_step(2);
+            }
+        }
+        (Topology::Engine { .. }, SimOp::Rejoin { .. } | SimOp::Prune | SimOp::MigrateStep) => {}
+    }
+    Ok(())
+}
+
+/// Whether `op` can make an engine lane lose a frame, in a schedule
+/// that does (`corrupts`) or does not flip data bits. A lane that lost
+/// a frame sends the block's next parity over the gap: seeds 0x89
+/// (sever, write, restore, write), 0x2a (drop, write, write) and 0x1b1
+/// (ack drop, bit flip, write, write — the NAK never arrives, so
+/// nothing is retransmitted) minimize to a replica block the primary
+/// never held. Until lanes track uncertain blocks (ROADMAP), the engine
+/// skips these ops: a severed link stays down to the end, no data frame
+/// is dropped, and where frames are damaged no NAK is lost or held.
+fn loses_engine_frame(op: SimOp, corrupts: bool) -> bool {
+    match op {
+        SimOp::Restore { .. } | SimOp::DropData { .. } => true,
+        SimOp::DropAcks { .. } | SimOp::ReorderAcks { .. } => corrupts,
+        _ => false,
+    }
+}
+
+/// Plays `case` on `topology` to quiescence: the mid-run historical
+/// invariant after every op, then heal + converge + the full invariant
+/// set.
+///
+/// A sharded cluster additionally starts a live migration of the
+/// volume's first half before the first op and drives it to cutover
+/// before quiescence, so every generated fault can land mid-copy;
+/// writes into the migrating range dual-dispatch for the whole schedule
+/// and reads stay under the freshness oracle throughout.
+fn play(case: &FuzzCase, topology: Topology) -> RunReport {
+    let mut w = World::new(topology);
     let mut verdict = Ok(());
-    if case.sharded {
+    if let Topology::Cluster {
+        groups: 2,
+        slot_blocks,
+        ..
+    } = topology
+    {
         let from = w.sharded().owner(Lba(0));
         verdict = w
             .sharded_mut()
-            .migrate_start(0..slot, from, 1 - from)
+            .migrate_start(0..slot_blocks, from, 1 - from)
             .map_err(|e| format!("migrate_start: {e}"));
     }
+    let engine = matches!(topology, Topology::Engine { .. });
+    let corrupts = case
+        .ops
+        .iter()
+        .any(|op| matches!(op, SimOp::CorruptData { .. }));
     if verdict.is_ok() {
         for (i, &op) in case.ops.iter().enumerate() {
-            let step = apply(&mut w, op, case.replicas).and_then(|()| w.check_historical());
+            // Writes queue in the engine between steps, so runs of them
+            // fold and batch; every other op lands with their frames on
+            // the wire.
+            if engine && !matches!(op, SimOp::Write { .. }) {
+                w.engine().step();
+            }
+            let step = if engine && loses_engine_frame(op, corrupts) {
+                Ok(())
+            } else {
+                apply(&mut w, &topology, op)
+            };
+            let step = step.and_then(|()| w.check_historical());
             if let Err(e) = step {
                 verdict = Err(format!("after op {i} ({op:?}): {e}"));
                 break;
@@ -376,58 +448,68 @@ pub fn run_case(case: &FuzzCase) -> RunReport {
     }
     // Drive the copy to cutover (faults may still be live — the copy
     // path degrades like any replicated write) before healing.
-    while verdict.is_ok() && w.sharded().migration().is_some() {
+    let cluster = matches!(topology, Topology::Cluster { .. });
+    while verdict.is_ok() && cluster && w.sharded().migration().is_some() {
         verdict = w
             .sharded_mut()
             .migrate_step(64)
             .map(|_| ())
             .map_err(|e| format!("migrate_step at quiescence: {e}"));
     }
+    // Healthy links make a quiet registry part of the invariant set: a
+    // schedule that injected no link fault must record no NAK, ack
+    // failure or lifecycle transition (reads on a healthy cluster
+    // offload without a single rejection).
     if verdict.is_ok() {
         verdict = w
             .quiesce(ResyncStrategy::ParityLog)
             .and_then(|()| w.check_invariants());
     }
-    // Observability oracle: a single-group schedule that injected no
-    // link faults must leave a quiet registry — any NAK, ack failure,
-    // or lifecycle transition on a healthy network is a bug in the
-    // stack (or in the instrumentation claiming one happened). Reads on
-    // a healthy cluster are quiet too: they offload without a single
-    // rejection.
-    let fault_free = case.ops.iter().all(|op| {
-        matches!(
-            op,
-            SimOp::Write { .. } | SimOp::Read { .. } | SimOp::Drain | SimOp::Prune
-        )
-    });
-    if verdict.is_ok() && groups == 1 && fault_free {
-        verdict = w.check_quiet_run();
-    }
-    let mut trace = w.net().trace().join("\n");
-    trace.push_str("\nevents: ");
-    trace.push_str(&w.registry().snapshot().event_summary_json());
-    trace.push_str("\nverdict: ");
-    match &verdict {
-        Ok(()) => trace.push_str("ok"),
-        Err(e) => trace.push_str(e),
-    }
+    let trace = format!(
+        "{}\nevents: {}\nverdict: {}",
+        w.net().trace().join("\n"),
+        w.registry().snapshot().event_summary_json(),
+        verdict.as_ref().err().map_or("ok", String::as_str)
+    );
     RunReport { verdict, trace }
 }
 
-/// Expands and runs one seed.
-pub fn run_seed(seed: u64) -> RunReport {
-    run_case(&generate(seed))
+/// Runs one case on each of its topologies in turn, stopping at the
+/// first that fails; the verdict names it.
+pub fn run_case(case: &FuzzCase) -> RunReport {
+    let mut report = RunReport {
+        verdict: Ok(()),
+        trace: String::new(),
+    };
+    for (name, topology) in topologies(case) {
+        let run = play(case, topology);
+        report
+            .trace
+            .push_str(&format!("topology: {name}\n{}\n", run.trace));
+        if let Err(e) = run.verdict {
+            report.verdict = Err(format!("{name}: {e}"));
+            break;
+        }
+    }
+    report
 }
 
 /// Greedy chunk-removal shrink: repeatedly delete op ranges that keep
-/// the case failing, halving the chunk size down to single ops.
+/// the case failing, halving the chunk size down to single ops. Only
+/// the first topology the case fails on is replayed.
 pub fn minimize(case: &FuzzCase) -> FuzzCase {
+    let failing = topologies(case)
+        .into_iter()
+        .find(|&(_, topology)| play(case, topology).verdict.is_err());
+    let Some((_, topology)) = failing else {
+        return case.clone();
+    };
     let still_fails = |ops: &[SimOp]| {
         let candidate = FuzzCase {
             ops: ops.to_vec(),
             ..case.clone()
         };
-        run_case(&candidate).verdict.is_err()
+        play(&candidate, topology).verdict.is_err()
     };
     let mut ops = case.ops.clone();
     let mut chunk = (ops.len() / 2).max(1);
@@ -453,23 +535,34 @@ pub fn minimize(case: &FuzzCase) -> FuzzCase {
     }
 }
 
-/// Runs `seed`; on failure, shrinks the schedule and reports it.
-///
-/// # Errors
-///
-/// The violated invariant plus the minimized schedule.
-pub fn fuzz_seed(seed: u64) -> Result<(), FuzzFailure> {
-    let case = generate(seed);
-    match run_case(&case).verdict {
-        Ok(()) => Ok(()),
-        Err(message) => {
-            let minimized = minimize(&case);
-            let message = run_case(&minimized).verdict.err().unwrap_or(message);
-            Err(FuzzFailure {
-                seed,
-                message,
-                minimized: minimized.ops,
-            })
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::world::content_hash;
+
+    /// Each seed's case, minus the engine knobs appended after the
+    /// cluster draws, hashes to what it did before they were added: the
+    /// RNG stream the cluster case is drawn from is unchanged, so the
+    /// corpus still covers what its comments say.
+    #[test]
+    fn seed_expansion_keeps_the_cluster_draws() {
+        for (seed, want) in [
+            (0xc0ffee, 0xd920_5494_0ae4_f6fd),
+            (0x4b77_ec2d_49c8_727c, 0x6f32_9c0f_67e3_07d4),
+            (0xe9af_65e6_c912_ee91, 0xc67f_4f71_24cb_fd23),
+            (0xba84_168f_ed71_ee23, 0x0b0e_940f_0837_2d2c),
+        ] {
+            let case = generate(seed);
+            let appended = format!(
+                ", coalesce: {}, batch_frames: {} }}",
+                case.coalesce, case.batch_frames
+            );
+            let debug = format!("{case:?}");
+            let head = debug
+                .strip_suffix(&appended)
+                .expect("the engine knobs are the last fields");
+            let hash = content_hash(format!("{head} }}").as_bytes());
+            assert_eq!(hash, want, "seed {seed:#x}");
         }
     }
 }

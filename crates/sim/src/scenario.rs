@@ -1,5 +1,5 @@
 //! Named fault scenarios: scripted schedules over the simulation
-//! worlds, each ending in quiescence and the full invariant set.
+//! world, each ending in quiescence and the full invariant set.
 //!
 //! Every scenario is a plain function returning the run's deterministic
 //! event-count summary (the `sim-replay --events` golden) and trace
@@ -12,9 +12,8 @@ use std::time::Duration;
 use prins_block::{BlockDevice, Lba};
 use prins_cluster::{ClusterConfig, ClusterError, ReplicaState, ResyncStrategy};
 use prins_net::Dir;
-use prins_obs::{Registry, TraceSink};
 
-use crate::world::{EcWorld, EngineWorld, EngineWorldConfig, ShardWorld};
+use crate::world::{Topology, World};
 
 /// What a scenario run leaves behind: the deterministic event-count
 /// summary (the `sim-replay --events` golden) and the trace-summary
@@ -23,17 +22,26 @@ use crate::world::{EcWorld, EngineWorld, EngineWorldConfig, ShardWorld};
 pub struct ScenarioOutcome {
     /// Sorted event-kind → count JSON from the registry's event ring.
     pub events: String,
-    /// One-line trace summary JSON from the world's [`TraceSink`].
+    /// One-line trace summary JSON from the world's
+    /// [`TraceSink`](prins_obs::TraceSink).
     pub traces: String,
 }
 
 impl ScenarioOutcome {
-    fn collect(registry: &Registry, trace: &TraceSink) -> Self {
+    fn collect(w: &World) -> Self {
         Self {
-            events: registry.snapshot().event_summary_json(),
-            traces: trace.summary_json(),
+            events: w.registry().snapshot().event_summary_json(),
+            traces: w.trace_sink().summary_json(),
         }
     }
+}
+
+/// Heals, converges and checks the full invariant set, then collects
+/// the run's summaries.
+fn settle(w: &mut World, strategy: ResyncStrategy) -> Result<ScenarioOutcome, String> {
+    w.quiesce(strategy)?;
+    w.check_invariants()?;
+    Ok(ScenarioOutcome::collect(w))
 }
 
 fn cluster_config(ack_window: usize, write_quorum: usize) -> ClusterConfig {
@@ -49,9 +57,26 @@ fn cluster_config(ack_window: usize, write_quorum: usize) -> ClusterConfig {
 }
 
 /// A plain replicated cluster — the one-group case of the cluster
-/// world: 16 blocks, 200 µs links.
-fn one_group(replicas: usize, config: ClusterConfig) -> ShardWorld {
-    ShardWorld::new(16, 1, replicas, config, Duration::from_micros(200), 1)
+/// topology: 16 blocks.
+fn one_group(replicas: usize, config: ClusterConfig) -> World {
+    World::new(Topology::Cluster {
+        blocks: 16,
+        groups: 1,
+        replicas,
+        config,
+        slot_blocks: 1,
+    })
+}
+
+/// A stepped engine over two replicas, batching off.
+fn engine(ack_window: usize, coalesce: bool, adaptive: bool) -> World {
+    World::new(Topology::Engine {
+        replicas: 2,
+        coalesce,
+        batch_frames: 1,
+        ack_window,
+        adaptive,
+    })
 }
 
 /// A link repeatedly drops and recovers while writes keep flowing; the
@@ -65,17 +90,16 @@ pub fn link_flap() -> Result<ScenarioOutcome, String> {
             tag = tag.wrapping_add(1);
             w.write_tag((flap * 3 + i) % 16, tag).map_err(op_err)?;
         }
-        w.ctl(0, 0).sever();
+        w.ctl(0).sever();
         for i in 0..6 {
             tag = tag.wrapping_add(1);
             w.write_tag((flap * 5 + i) % 16, tag).map_err(op_err)?;
         }
         w.check_historical()?;
-        w.ctl(0, 0).restore();
-        w.quiesce(ResyncStrategy::ParityLog)?;
-        w.check_invariants()?;
+        w.ctl(0).restore();
+        settle(&mut w, ResyncStrategy::ParityLog)?;
     }
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    Ok(ScenarioOutcome::collect(&w))
 }
 
 /// The replica's link dies *while a parity-log resync is replaying*:
@@ -88,28 +112,26 @@ pub fn crash_mid_resync() -> Result<ScenarioOutcome, String> {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
     // Miss a batch of writes while offline.
-    w.ctl(0, 0).sever();
+    w.ctl(0).sever();
     for lba in 0..8 {
         w.write_tag(lba, 2).map_err(op_err)?;
         w.write_tag(lba, 3).map_err(op_err)?;
     }
-    w.ctl(0, 0).restore();
+    w.ctl(0).restore();
     // Start a resync, then kill the link partway: ack collection for
     // the in-flight batch fails and aborts the resync.
     w.group_mut(0)
         .rejoin(0, ResyncStrategy::ParityLog)
         .map_err(op_err)?;
     let _ = w.group_mut(0).resync_step(0, 3);
-    w.ctl(0, 0).sever();
+    w.ctl(0).sever();
     let _ = w.group_mut(0).resync_step(0, 3);
     if w.group(0).state(0) == ReplicaState::Online {
         return Err("resync reported completion across a dead link".into());
     }
     w.check_historical()?;
-    w.ctl(0, 0).restore();
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    w.ctl(0).restore();
+    settle(&mut w, ResyncStrategy::ParityLog)
 }
 
 /// Acknowledgements come back out of order (and one pair of
@@ -117,19 +139,17 @@ pub fn crash_mid_resync() -> Result<ScenarioOutcome, String> {
 /// final bit-identity must survive.
 pub fn reorder() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(4, 0));
-    w.ctl(0, 0).reorder_next(Dir::BtoA);
+    w.ctl(0).reorder_next(Dir::BtoA);
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
     w.group_mut(0).drain();
     // Swap two data frames going to distinct blocks: they commute.
-    w.ctl(0, 0).reorder_next(Dir::AtoB);
+    w.ctl(0).reorder_next(Dir::AtoB);
     w.write_tag(10, 2).map_err(op_err)?;
     w.write_tag(11, 2).map_err(op_err)?;
     w.group_mut(0).drain();
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    settle(&mut w, ResyncStrategy::ParityLog)
 }
 
 /// An acknowledgement is duplicated on the wire. The ack-stream
@@ -137,26 +157,24 @@ pub fn reorder() -> Result<ScenarioOutcome, String> {
 /// that was never applied.
 pub fn dup() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(2, 0));
-    w.ctl(0, 0).dup_next(Dir::BtoA, 1);
+    w.ctl(0).dup_next(Dir::BtoA, 1);
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
     w.group_mut(0).drain();
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    settle(&mut w, ResyncStrategy::ParityLog)
 }
 
 /// A high-latency, per-byte-priced WAN link: correctness is unchanged
 /// and the virtual clock (not the wall clock) pays for the distance.
 pub fn slow_wan() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(4, 0));
-    w.ctl(0, 0).set_delay(
+    w.ctl(0).set_delay(
         Dir::AtoB,
         Duration::from_millis(10),
         Duration::from_millis(1),
     );
-    w.ctl(0, 0)
+    w.ctl(0)
         .set_delay(Dir::BtoA, Duration::from_millis(10), Duration::ZERO);
     for round in 0..4u8 {
         for lba in 0..8 {
@@ -168,9 +186,7 @@ pub fn slow_wan() -> Result<ScenarioOutcome, String> {
     if now < 20_000_000 {
         return Err(format!("WAN round-trips cost only {now} virtual ns"));
     }
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    settle(&mut w, ResyncStrategy::ParityLog)
 }
 
 /// Every replica link dies under a `write_quorum` of 2: writes must
@@ -181,8 +197,8 @@ pub fn quorum_loss() -> Result<ScenarioOutcome, String> {
     for lba in 0..4 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
-    w.ctl(0, 0).sever();
-    w.ctl(0, 1).sever();
+    w.ctl(0).sever();
+    w.ctl(1).sever();
     let mut quorum_losses = 0;
     for lba in 0..4 {
         match w.write_tag(lba, 2) {
@@ -195,9 +211,7 @@ pub fn quorum_loss() -> Result<ScenarioOutcome, String> {
         return Err("no write reported quorum loss with every link dead".into());
     }
     w.check_historical()?;
-    w.quiesce(ResyncStrategy::DirtyBitmap)?;
-    w.check_invariants()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    settle(&mut w, ResyncStrategy::DirtyBitmap)
 }
 
 /// Engine pipeline: XOR-fold coalescing under load, then a link dies
@@ -205,36 +219,28 @@ pub fn quorum_loss() -> Result<ScenarioOutcome, String> {
 /// replicas must be bit-identical, and the dead replica must hold a
 /// historical prefix — never a torn or double-applied state.
 pub fn fold_then_crash() -> Result<ScenarioOutcome, String> {
-    let mut w = EngineWorld::new(EngineWorldConfig {
-        coalesce: true,
-        ack_window: 8,
-        blocks: 8,
-        ..Default::default()
-    });
+    let mut w = engine(8, true, false);
     // Hot blocks: plenty of same-LBA folds while frames queue.
     for round in 0..10u8 {
         for lba in 0..4 {
-            w.write_tag(lba, round)?;
+            w.write_tag(lba, round).map_err(op_err)?;
         }
     }
-    w.step();
+    w.engine().step();
     w.ctl(0).sever();
     for round in 10..20u8 {
         for lba in 0..4 {
-            w.write_tag(lba, round)?;
+            w.write_tag(lba, round).map_err(op_err)?;
         }
     }
-    if w.flush().is_ok() {
+    if w.barrier().is_ok() {
         return Err("flush succeeded across a severed link".into());
     }
-    w.check_historical()?;
-    w.check_order()?;
-    w.check_conservation()?;
-    w.check_obs()?;
+    w.check_invariants()?;
     if w.engine().stats().coalesced_writes == 0 {
         return Err("workload produced no coalesced writes".into());
     }
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    Ok(ScenarioOutcome::collect(&w))
 }
 
 /// The primary prunes its parity log past a lagging replica's first
@@ -245,21 +251,19 @@ pub fn prune_then_rejoin() -> Result<ScenarioOutcome, String> {
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
-    w.ctl(0, 0).sever();
+    w.ctl(0).sever();
     for lba in 0..8 {
         w.write_tag(lba, 2).map_err(op_err)?;
     }
     // Prune the whole log: the replica's chain suffix is gone.
     let log = w.group(0).log();
     log.prune(log.current_seq());
-    w.ctl(0, 0).restore();
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
-    let resync_bytes = w.group(0).status(0).resync_bytes;
-    if resync_bytes == 0 {
+    w.ctl(0).restore();
+    let outcome = settle(&mut w, ResyncStrategy::ParityLog)?;
+    if w.group(0).status(0).resync_bytes == 0 {
         return Err("pruned-log rejoin shipped no resync bytes".into());
     }
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    Ok(outcome)
 }
 
 /// Engine pipeline: `flush()` is called while a replica link is down.
@@ -267,33 +271,26 @@ pub fn prune_then_rejoin() -> Result<ScenarioOutcome, String> {
 /// leave the surviving replica bit-identical after a second, clean
 /// flush.
 pub fn flush_during_link_failure() -> Result<ScenarioOutcome, String> {
-    let mut w = EngineWorld::new(EngineWorldConfig {
-        ack_window: 4,
-        ..Default::default()
-    });
+    let mut w = engine(4, false, false);
     for lba in 0..8 {
-        w.write_tag(lba, 1)?;
+        w.write_tag(lba, 1).map_err(op_err)?;
     }
-    w.flush()?;
-    w.check_identity()?;
+    w.barrier()?;
+    w.check_invariants()?;
     w.ctl(0).sever();
     for lba in 0..8 {
-        w.write_tag(lba, 2)?;
+        w.write_tag(lba, 2).map_err(op_err)?;
     }
-    if w.flush().is_ok() {
+    if w.barrier().is_ok() {
         return Err("flush succeeded across a severed link".into());
     }
-    w.check_historical()?;
-    w.check_order()?;
-    w.check_conservation()?;
-    w.check_obs()?;
+    w.check_invariants()?;
     // The other replica kept receiving: a fresh write + flush round
     // must still fail (lane 0 is dead for good) but replica 1 tracks.
-    w.write_tag(3, 3)?;
-    let _ = w.flush();
-    w.check_historical()?;
-    w.check_obs()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    w.write_tag(3, 3).map_err(op_err)?;
+    let _ = w.barrier();
+    w.check_invariants()?;
+    Ok(ScenarioOutcome::collect(&w))
 }
 
 /// One frame of a second write to block 5 is lost toward `dir`; the
@@ -302,12 +299,10 @@ pub fn flush_during_link_failure() -> Result<ScenarioOutcome, String> {
 fn lose_one_frame(dir: Dir) -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(1, 0));
     w.write_tag(5, 1).map_err(op_err)?;
-    w.ctl(0, 0).drop_next(dir, 1);
+    w.ctl(0).drop_next(dir, 1);
     let _ = w.write_tag(5, 2);
     w.check_historical()?;
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    settle(&mut w, ResyncStrategy::ParityLog)
 }
 
 /// A data frame is silently dropped by the network (the sender's
@@ -336,16 +331,14 @@ pub fn corruption_wire_flip() -> Result<ScenarioOutcome, String> {
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
-    w.ctl(0, 0).corrupt_next(Dir::AtoB, 1);
+    w.ctl(0).corrupt_next(Dir::AtoB, 1);
     let _ = w.write_tag(5, 2); // damaged in flight; replica 0 rejects it
     w.check_historical()?;
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
-    let failures = w.registry().snapshot().counters["checksum_failures"];
-    if failures == 0 {
+    let outcome = settle(&mut w, ResyncStrategy::ParityLog)?;
+    if w.registry().snapshot().counters["checksum_failures"] == 0 {
         return Err("wire bit flip produced no detected checksum failure".into());
     }
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    Ok(outcome)
 }
 
 /// Bit flips land on the wire *and* on a replica's disk. The wire flip
@@ -359,12 +352,12 @@ pub fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
     // Wire fault: one damaged data frame, detected and resynced.
-    w.ctl(0, 0).corrupt_next(Dir::AtoB, 1);
+    w.ctl(0).corrupt_next(Dir::AtoB, 1);
     let _ = w.write_tag(3, 2);
     w.quiesce(ResyncStrategy::ParityLog)?;
 
     // Media fault: flip one bit on replica 0's disk behind the wire.
-    let dev = w.replica_dev(0, 0);
+    let dev = w.replica_dev(0);
     let victim = prins_block::Lba(6);
     let mut block = dev.read_block_vec(victim).map_err(op_err)?;
     block[11] ^= 0x08;
@@ -376,8 +369,7 @@ pub fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
         return Err("scrub found nothing to repair after a disk bit flip".into());
     }
     w.net().run_until_idle();
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
+    let outcome = settle(&mut w, ResyncStrategy::ParityLog)?;
     let snap = w.registry().snapshot();
     if snap.counters["checksum_failures"] == 0 {
         return Err("no detected checksum failure".into());
@@ -385,7 +377,7 @@ pub fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
     if snap.counters["scrub_repairs"] == 0 {
         return Err("no scrub repair recorded".into());
     }
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    Ok(outcome)
 }
 
 /// Engine pipeline: three bit flips land on the same frame (the first
@@ -395,23 +387,16 @@ pub fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
 pub fn corruption_wire_retransmit() -> Result<ScenarioOutcome, String> {
     // Closed-loop window: retransmission is only attempted when the
     // damaged frame is the sole in-flight one.
-    let mut w = EngineWorld::new(EngineWorldConfig {
-        blocks: 8,
-        ack_window: 1,
-        ..Default::default()
-    });
+    let mut w = engine(1, false, false);
     w.ctl(0).corrupt_next(Dir::AtoB, 3);
     for round in 0..3u8 {
         for lba in 0..8 {
-            w.write_tag(lba, round + 1)?;
+            w.write_tag(lba, round + 1).map_err(op_err)?;
         }
     }
-    w.flush()
+    w.barrier()
         .map_err(|e| format!("retransmission should absorb wire corruption: {e}"))?;
-    w.check_identity()?;
-    w.check_order()?;
-    w.check_conservation()?;
-    w.check_obs()?;
+    w.check_invariants()?;
     let snap = w.registry().snapshot();
     if snap.counters["checksum_failures"] == 0 {
         return Err("no detected checksum failure".into());
@@ -419,7 +404,7 @@ pub fn corruption_wire_retransmit() -> Result<ScenarioOutcome, String> {
     if snap.counters["retransmits"] == 0 {
         return Err("no retransmission recorded".into());
     }
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    Ok(ScenarioOutcome::collect(&w))
 }
 
 /// Checks one rebuild report against the repair-bandwidth bound: wire
@@ -443,51 +428,49 @@ fn check_rebuild_bound(who: &str, report: &prins_cluster::EcRebuildReport) -> Re
 /// systematic encoding of the logical image — with every decoded block
 /// a state the history oracle has seen.
 pub fn ec_rebuild_one() -> Result<ScenarioOutcome, String> {
-    let mut w = EcWorld::new(4, Duration::from_micros(200));
+    let mut w = World::new(Topology::Ec);
     let blocks = w.blocks();
     for lba in 0..blocks {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
-    w.check_strips_encode_logical()?;
+    w.check_historical()?;
 
     let lost = 2;
     w.fail_node(lost).map_err(op_err)?;
     let mut skipped = 0;
     for lba in 0..blocks {
-        skipped += w.write_tag(lba, 2).map_err(op_err)?.skipped;
+        skipped += w.write_tag(lba, 2).map_err(op_err)?;
     }
     if skipped == 0 {
         return Err("degraded writes skipped no frames with a node down".into());
     }
-    if w.group().dirty_stripes() == 0 {
+    if w.ec().dirty_stripes() == 0 {
         return Err("degraded writes marked no stripes dirty".into());
     }
     // Degraded reads reconstruct the missing column off k survivors.
-    w.check_decode_matches_oracle()?;
+    w.check_invariants()?;
 
     let report = w.replace_and_rebuild(lost)?;
-    if report.stripes != w.group().stripes() {
+    if report.stripes != w.ec().stripes() {
         return Err(format!(
             "rebuild covered {} of {} stripes",
             report.stripes,
-            w.group().stripes()
+            w.ec().stripes()
         ));
     }
-    if w.group().dirty_stripes() != 0 {
+    if w.ec().dirty_stripes() != 0 {
         return Err("rebuild left dirty stripes on a fully-online group".into());
     }
     check_rebuild_bound("single rebuild", &report)?;
-    w.check_strips_encode_logical()?;
-    w.check_decode_matches_oracle()?;
+    w.check_invariants()?;
     // Post-rebuild writes flow to all n nodes again.
     for lba in 0..blocks {
-        let out = w.write_tag(lba, 3).map_err(op_err)?;
-        if out.skipped != 0 {
+        if w.write_tag(lba, 3).map_err(op_err)? != 0 {
             return Err("write skipped a node after rebuild completed".into());
         }
     }
-    w.check_strips_encode_logical()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    w.check_invariants()?;
+    Ok(ScenarioOutcome::collect(&w))
 }
 
 /// Two strip-holding nodes die — the full `m = 2` fault tolerance of
@@ -496,7 +479,7 @@ pub fn ec_rebuild_one() -> Result<ScenarioOutcome, String> {
 /// survivors reachable, stale strips excluded), the second restores
 /// full health, and both stay within the repair-bandwidth bound.
 pub fn ec_rebuild_two() -> Result<ScenarioOutcome, String> {
-    let mut w = EcWorld::new(4, Duration::from_micros(200));
+    let mut w = World::new(Topology::Ec);
     let blocks = w.blocks();
     for lba in 0..blocks {
         w.write_tag(lba, 1).map_err(op_err)?;
@@ -508,27 +491,26 @@ pub fn ec_rebuild_two() -> Result<ScenarioOutcome, String> {
         w.write_tag(lba, 2).map_err(op_err)?;
     }
     // Both erasures outstanding: decode leans on the full code.
-    w.check_decode_matches_oracle()?;
+    w.check_invariants()?;
 
     let r1 = w.replace_and_rebuild(first)?;
     check_rebuild_bound("first rebuild", &r1)?;
-    if w.group().dirty_stripes() == 0 {
+    if w.ec().dirty_stripes() == 0 {
         return Err("dirty stripes forgotten while a node is still down".into());
     }
-    w.check_decode_matches_oracle()?;
+    w.check_invariants()?;
 
     let r2 = w.replace_and_rebuild(second)?;
     check_rebuild_bound("second rebuild", &r2)?;
-    if w.group().dirty_stripes() != 0 {
+    if w.ec().dirty_stripes() != 0 {
         return Err("rebuild left dirty stripes on a fully-online group".into());
     }
-    w.check_strips_encode_logical()?;
-    w.check_decode_matches_oracle()?;
+    w.check_invariants()?;
     for lba in 0..blocks {
         w.write_tag(lba, 3).map_err(op_err)?;
     }
-    w.check_strips_encode_logical()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    w.check_invariants()?;
+    Ok(ScenarioOutcome::collect(&w))
 }
 
 /// A live shard migration runs to cutover while the source group's
@@ -541,14 +523,13 @@ pub fn ec_rebuild_two() -> Result<ScenarioOutcome, String> {
 pub fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
     // 16 blocks in 8-block slots: each slot's run shares an owner, so
     // a contiguous range is available to migrate.
-    let mut w = ShardWorld::new(
-        16,
-        2,
-        2,
-        cluster_config(1, 0),
-        Duration::from_micros(200),
-        8,
-    );
+    let mut w = World::new(Topology::Cluster {
+        blocks: 16,
+        groups: 2,
+        replicas: 2,
+        config: cluster_config(1, 0),
+        slot_blocks: 8,
+    });
     let mut tag = 0u8;
     for lba in 0..16 {
         tag = tag.wrapping_add(1);
@@ -559,13 +540,13 @@ pub fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
 
     // The source group's first link crawls: in-flight acks lag the
     // copy, exercising the epoch guard at cutover.
-    w.ctl(from, 0).set_delay(
+    let crawl = w.ctl(2 * from);
+    crawl.set_delay(
         Dir::AtoB,
         Duration::from_millis(2),
         Duration::from_micros(200),
     );
-    w.ctl(from, 0)
-        .set_delay(Dir::BtoA, Duration::from_millis(2), Duration::ZERO);
+    crawl.set_delay(Dir::BtoA, Duration::from_millis(2), Duration::ZERO);
 
     w.sharded_mut()
         .migrate_start(0..8, from, to)
@@ -582,7 +563,7 @@ pub fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
         if !killed && remaining <= 4 {
             // Node kill mid-copy: one of the target group's replicas
             // dies; the copy must keep going (write quorum 0).
-            w.ctl(to, 1).sever();
+            w.ctl(2 * to + 1).sever();
             killed = true;
         }
         if remaining == 0 {
@@ -603,13 +584,11 @@ pub fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
         w.write_tag(lba, tag).map_err(op_err)?;
         w.read_checked(lba)?;
     }
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
-    let snap = w.registry().snapshot();
-    if snap.counters["migration_bytes"] == 0 {
+    let outcome = settle(&mut w, ResyncStrategy::ParityLog)?;
+    if w.registry().snapshot().counters["migration_bytes"] == 0 {
         return Err("live migration booked no migration bytes".into());
     }
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    Ok(outcome)
 }
 
 /// Offloaded reads race a replica outage and rejoin: while the replica
@@ -637,7 +616,7 @@ pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
 
     // Replica 0 dies and misses writes; reads keep flowing and must
     // never be served its stale copy.
-    w.ctl(0, 0).sever();
+    w.ctl(0).sever();
     for lba in 0..16 {
         tag = tag.wrapping_add(1);
         w.write_tag(lba, tag).map_err(op_err)?;
@@ -647,7 +626,7 @@ pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
 
     // Rejoin races the read stream: reads issued mid-resync must skip
     // the still-catching-up replica.
-    w.ctl(0, 0).restore();
+    w.ctl(0).restore();
     w.group_mut(0)
         .rejoin(0, ResyncStrategy::ParityLog)
         .map_err(op_err)?;
@@ -660,8 +639,7 @@ pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
             break;
         }
     }
-    w.quiesce(ResyncStrategy::ParityLog)?;
-    w.check_invariants()?;
+    settle(&mut w, ResyncStrategy::ParityLog)?;
     // Back online: the rejoined replica serves again.
     for lba in 0..16 {
         w.read_checked(lba)?;
@@ -670,7 +648,7 @@ pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
     if snap.counters["read_rejected_stale"] == 0 {
         return Err("outage and rejoin produced no guard rejections".into());
     }
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    Ok(ScenarioOutcome::collect(&w))
 }
 
 /// The adaptive policy engine rides the foreground pipeline through a
@@ -685,19 +663,14 @@ pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
 pub fn adaptive_phase_shift() -> Result<ScenarioOutcome, String> {
     use prins_policy::WorkloadPhase;
 
-    let mut w = EngineWorld::new(EngineWorldConfig {
-        blocks: 8,
-        ack_window: 8,
-        adaptive: true,
-        ..Default::default()
-    });
+    let mut w = engine(8, false, true);
     // Small-delta phase: three 64-decision windows of ~2-byte deltas.
     for round in 0..24u8 {
         for lba in 0..8 {
-            w.write_tag(lba, round + 1)?;
+            w.write_tag(lba, round + 1).map_err(op_err)?;
         }
     }
-    w.flush()?;
+    w.barrier()?;
     {
         let policy = w.engine().adaptive().ok_or("engine lost its policy")?;
         if policy.phase() != WorkloadPhase::SmallDelta {
@@ -714,10 +687,10 @@ pub fn adaptive_phase_shift() -> Result<ScenarioOutcome, String> {
     // Churn phase: every byte of every block changes, incompressibly.
     for round in 0..24u8 {
         for lba in 0..8 {
-            w.write_fill(lba, round + 1)?;
+            w.write_fill(lba, round + 1).map_err(op_err)?;
         }
     }
-    w.flush()?;
+    w.barrier()?;
     {
         let policy = w.engine().adaptive().ok_or("engine lost its policy")?;
         if policy.phase() != WorkloadPhase::Churn {
@@ -754,11 +727,8 @@ pub fn adaptive_phase_shift() -> Result<ScenarioOutcome, String> {
             ));
         }
     }
-    w.check_identity()?;
-    w.check_order()?;
-    w.check_conservation()?;
-    w.check_obs()?;
-    Ok(ScenarioOutcome::collect(w.registry(), w.trace_sink()))
+    w.check_invariants()?;
+    Ok(ScenarioOutcome::collect(&w))
 }
 
 fn op_err(e: impl std::fmt::Display) -> String {
@@ -793,23 +763,13 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("adaptive_phase_shift", adaptive_phase_shift),
 ];
 
-/// Runs one scenario by name, returning its event-count summary.
+/// Runs one scenario by name, returning its [`ScenarioOutcome`] —
+/// event-count summary plus the flight recorder's trace summary.
 ///
 /// # Errors
 ///
 /// The invariant violation, or an unknown-name error.
-pub fn run_scenario(name: &str) -> Result<String, String> {
-    run_scenario_full(name).map(|o| o.events)
-}
-
-/// Runs one scenario by name, returning the full
-/// [`ScenarioOutcome`] — event-count summary plus the flight
-/// recorder's trace summary.
-///
-/// # Errors
-///
-/// The invariant violation, or an unknown-name error.
-pub fn run_scenario_full(name: &str) -> Result<ScenarioOutcome, String> {
+pub fn run_scenario(name: &str) -> Result<ScenarioOutcome, String> {
     match SCENARIOS.iter().find(|(n, _)| *n == name) {
         Some((_, f)) => f(),
         None => Err(format!("unknown scenario '{name}'")),

@@ -1,8 +1,8 @@
 //! Epoch-guarded read offload never serves stale bytes.
 //!
-//! Every read below goes through [`prins_sim::ShardWorld::read_checked`]
-//! on a one-group world (a plain replicated cluster),
-//! which fails the test on the spot if the returned block differs from
+//! Every read below goes through [`prins_sim::World::read_checked`] on
+//! a one-group cluster topology (a plain replicated cluster), which
+//! fails the test on the spot if the returned block differs from
 //! the primary's current content (the freshness oracle) or is not a
 //! state the primary ever held. The schedules are the two adversarial
 //! shapes the guard exists for: a replica that missed writes rejoining
@@ -13,16 +13,24 @@ use std::time::Duration;
 
 use prins_cluster::{ClusterConfig, ResyncStrategy};
 use prins_net::Dir;
-use prins_sim::ShardWorld;
+use prins_sim::{Topology, World};
 
-fn config(ack_window: usize) -> ClusterConfig {
-    ClusterConfig {
+/// A one-group cluster of `replicas` over 8 blocks.
+fn mirror(replicas: usize, ack_window: usize) -> World {
+    let config = ClusterConfig {
         ack_timeout: Duration::from_millis(50),
         write_quorum: 0,
         offline_after: 2,
         ack_window,
         ..Default::default()
-    }
+    };
+    World::new(Topology::Cluster {
+        blocks: 8,
+        groups: 1,
+        replicas,
+        config,
+        slot_blocks: 1,
+    })
 }
 
 /// A two-replica mirror loses one replica, keeps writing, then rejoins
@@ -31,8 +39,8 @@ fn config(ack_window: usize) -> ClusterConfig {
 /// and the rejection counter proves the guard actually fired.
 #[test]
 fn rejoin_race_never_serves_pre_rejoin_state() {
-    let blocks = 8u64;
-    let mut w = ShardWorld::new(blocks, 1, 2, config(2), Duration::from_micros(200), 1);
+    let mut w = mirror(2, 2);
+    let blocks = w.blocks();
     let mut tag = 0u8;
     for lba in 0..blocks {
         tag = tag.wrapping_add(1);
@@ -41,7 +49,7 @@ fn rejoin_race_never_serves_pre_rejoin_state() {
     }
 
     // Replica 0 misses a full round of overwrites.
-    w.ctl(0, 0).sever();
+    w.ctl(0).sever();
     for lba in 0..blocks {
         tag = tag.wrapping_add(1);
         w.write_tag(lba, tag).unwrap();
@@ -54,7 +62,7 @@ fn rejoin_race_never_serves_pre_rejoin_state() {
     // Rejoin with reads racing every step of the catch-up: the replica
     // is Syncing (and each block dirty) until its delta applies, so
     // the guard must keep rejecting it mid-resync.
-    w.ctl(0, 0).restore();
+    w.ctl(0).restore();
     w.group_mut(0).rejoin(0, ResyncStrategy::ParityLog).unwrap();
     loop {
         let remaining = w.group_mut(0).resync_step(0, 1).unwrap();
@@ -87,11 +95,11 @@ fn rejoin_race_never_serves_pre_rejoin_state() {
 /// link heals.
 #[test]
 fn corrupt_frames_never_leak_into_reads() {
-    let blocks = 8u64;
     // Closed-loop window: a NAK lands before the next frame is sent,
     // so corruption can never skew a parity base (see the fuzzer's
     // module docs for why pipelined windows transiently can).
-    let mut w = ShardWorld::new(blocks, 1, 3, config(1), Duration::from_micros(200), 1);
+    let mut w = mirror(3, 1);
+    let blocks = w.blocks();
     let mut tag = 0u8;
     for lba in 0..blocks {
         tag = tag.wrapping_add(1);
@@ -99,7 +107,7 @@ fn corrupt_frames_never_leak_into_reads() {
     }
 
     // Damage every frame toward replica 0 for the whole phase.
-    w.ctl(0, 0).corrupt_next(Dir::AtoB, u32::MAX);
+    w.ctl(0).corrupt_next(Dir::AtoB, u32::MAX);
     for round in 0..3 {
         for lba in 0..blocks {
             tag = tag.wrapping_add(1);
