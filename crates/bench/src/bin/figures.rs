@@ -5,7 +5,7 @@
 //! figures fig4 --ops 400      # one figure, more transactions
 //! figures fig8                # queueing figures (fed by a measured run)
 //! figures overhead writerate  # the §4/§3.3 scalar measurements
-//! figures resync              # replica catch-up traffic per resync strategy
+//! figures resync              # replica catch-up traffic vs image references
 //! figures ec                  # erasure-coded storage + repair-bandwidth economics
 //! figures trace               # tail-latency attribution under a 10x-slow link
 //! figures scale               # scale-out read throughput sweep vs. MVA prediction

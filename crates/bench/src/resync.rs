@@ -1,18 +1,19 @@
-//! Resync catch-up traffic: full-image vs dirty-bitmap vs parity-log.
+//! Resync catch-up traffic: the parity-log replay against the image
+//! references it replaces.
 //!
 //! The paper measures foreground replication traffic; this experiment
 //! measures the *recovery* side. A replica drops out mid-trace, the
 //! primary keeps writing in degraded mode, the replica rejoins, and we
-//! count the bytes each [`ResyncStrategy`] puts on the wire to catch it
-//! back up. Parity-log resync replays the same sparse parities that made
+//! count the bytes [`ClusterGroup::rejoin`]'s plan puts on the wire to
+//! catch it back up. The plan replays the same sparse parities that made
 //! foreground replication cheap, so the catch-up cost tracks the bytes
-//! the outage actually changed — not the volume size (full image) and
-//! not even the dirty block count (dirty bitmap).
+//! the outage actually changed — not the volume size (a full image) and
+//! not even the dirty block count (one image per dirty block).
 
 use std::sync::Arc;
 
 use prins_block::{BlockDevice, MemDevice};
-use prins_cluster::{ClusterConfig, ClusterGroup, ReplicaState, ResyncStrategy};
+use prins_cluster::{ClusterConfig, ClusterGroup, ReplicaState};
 use prins_net::{channel_pair, FaultTransport, LinkModel};
 use prins_repl::{run_replica, verify_consistent};
 use prins_workloads::{capture_trace, Workload, WriteTrace};
@@ -23,12 +24,13 @@ use crate::{FigureTable, TrafficConfig};
 /// Result of one outage + resync run.
 #[derive(Clone, Debug)]
 pub struct ResyncMeasurement {
-    /// Strategy used to catch the replica back up.
-    pub strategy: ResyncStrategy,
     /// Trace writes the replica missed while down.
     pub outage_writes: usize,
     /// Distinct blocks dirtied by the outage (at rejoin time).
     pub dirty_blocks: usize,
+    /// Blocks in the replayed volume (the highest LBA the trace
+    /// touches, plus one).
+    pub volume_blocks: u64,
     /// Payload bytes sent as resync traffic.
     pub resync_bytes: u64,
     /// Payload bytes sent as foreground replication around the outage.
@@ -39,7 +41,7 @@ pub struct ResyncMeasurement {
 
 /// Replays `trace` through a one-replica [`ClusterGroup`], severing the
 /// replica's link for `outage_writes` writes starting at `outage_start`,
-/// then rejoining with `strategy`. Resync runs interleaved with the
+/// then rejoining it. Resync runs interleaved with the
 /// remaining foreground writes, a few frames per write.
 ///
 /// Both images are pre-seeded with the trace's first-touch block
@@ -57,7 +59,6 @@ pub fn resync_experiment(
     trace: &WriteTrace,
     outage_start: usize,
     outage_writes: usize,
-    strategy: ResyncStrategy,
 ) -> Result<ResyncMeasurement, Box<dyn std::error::Error>> {
     assert!(!trace.is_empty(), "need a non-empty trace");
     let TraceStream {
@@ -90,7 +91,7 @@ pub fn resync_experiment(
      -> Result<(), Box<dyn std::error::Error>> {
         link.restore();
         *dirty = cluster.status(0).dirty_blocks;
-        cluster.rejoin(0, strategy)?;
+        cluster.rejoin(0)?;
         Ok(())
     };
     for (i, (lba, new)) in writes.iter().enumerate() {
@@ -121,9 +122,9 @@ pub fn resync_experiment(
     worker.join().expect("replica worker")?;
 
     Ok(ResyncMeasurement {
-        strategy,
         outage_writes: outage_end - outage_start,
         dirty_blocks,
+        volume_blocks: num_blocks,
         resync_bytes: status.resync_bytes,
         foreground_bytes: status.foreground_bytes,
         consistent,
@@ -134,12 +135,14 @@ fn kb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / 1024.0)
 }
 
-/// The resync series: catch-up bytes per strategy across outage lengths
-/// on the TPC-C trace.
+/// The resync series: catch-up bytes across outage lengths on the TPC-C
+/// trace.
 ///
 /// Each row severs the replica for a growing slice of the trace (5% to
-/// 50% of its writes), rejoins with each strategy in turn, and tabulates
-/// the measured catch-up traffic.
+/// 50% of its writes), rejoins it, and tabulates the measured catch-up
+/// traffic beside two image references: what re-sending the whole
+/// volume and what re-sending every dirty block would cost in payload
+/// bytes (blocks × block size).
 ///
 /// # Errors
 ///
@@ -158,35 +161,29 @@ pub fn resync_figure(
     if trace.is_empty() {
         return Err("resync series needs a non-empty trace; increase --ops".into());
     }
+    let block = trace.block_size().bytes() as u64;
 
     let mut rows = Vec::new();
     for pct in [5usize, 10, 25, 50] {
         let outage = (trace.len() * pct / 100).max(1);
         let start = (trace.len() - outage) / 2;
-        let mut cells = vec![format!("{pct}%"), outage.to_string()];
-        let mut per_strategy = Vec::new();
-        for strategy in [
-            ResyncStrategy::FullImage,
-            ResyncStrategy::DirtyBitmap,
-            ResyncStrategy::ParityLog,
-        ] {
-            let m = resync_experiment(&trace, start, outage, strategy)?;
-            assert!(m.consistent, "{strategy} resync left the replica stale");
-            per_strategy.push(m);
-        }
-        cells.push(per_strategy[0].dirty_blocks.to_string());
-        for m in &per_strategy {
-            cells.push(kb(m.resync_bytes));
-        }
-        cells.push(format!(
-            "{:.1}x",
-            per_strategy[0].resync_bytes as f64 / per_strategy[2].resync_bytes.max(1) as f64
-        ));
-        rows.push(cells);
+        let m = resync_experiment(&trace, start, outage)?;
+        assert!(m.consistent, "resync left the replica stale");
+        let full = m.volume_blocks * block;
+        rows.push(vec![
+            format!("{pct}%"),
+            outage.to_string(),
+            m.dirty_blocks.to_string(),
+            kb(full),
+            kb(m.dirty_blocks as u64 * block),
+            kb(m.resync_bytes),
+            format!("{:.1}x", full as f64 / m.resync_bytes.max(1) as f64),
+        ]);
     }
     Ok(FigureTable {
         title: format!(
-            "Resync catch-up traffic, TPC-C / Oracle profile ({} trace writes, 8 KB blocks)",
+            "Resync catch-up traffic, TPC-C / Oracle profile ({} trace writes, 8 KB blocks; \
+             full and bitmap are image references, parity is measured)",
             trace.len()
         ),
         headers: [
@@ -214,35 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn parity_log_resync_is_cheapest_and_correct() {
-        let trace = smoke_trace();
-        let outage = trace.len() / 4;
-        let start = trace.len() / 4;
-        let full = resync_experiment(&trace, start, outage, ResyncStrategy::FullImage).unwrap();
-        let bitmap = resync_experiment(&trace, start, outage, ResyncStrategy::DirtyBitmap).unwrap();
-        let parity = resync_experiment(&trace, start, outage, ResyncStrategy::ParityLog).unwrap();
-        for m in [&full, &bitmap, &parity] {
-            assert!(m.consistent, "{:?} left the replica stale", m.strategy);
-            assert!(m.dirty_blocks > 0, "outage dirtied nothing");
-        }
-        assert!(
-            bitmap.resync_bytes < full.resync_bytes,
-            "bitmap {} should beat full image {}",
-            bitmap.resync_bytes,
-            full.resync_bytes
-        );
-        assert!(
-            parity.resync_bytes < bitmap.resync_bytes,
-            "parity {} should beat bitmap {}",
-            parity.resync_bytes,
-            bitmap.resync_bytes
-        );
-    }
-
-    #[test]
     fn no_outage_means_no_resync_traffic() {
         let trace = smoke_trace();
-        let m = resync_experiment(&trace, 0, 0, ResyncStrategy::ParityLog).unwrap();
+        let m = resync_experiment(&trace, 0, 0).unwrap();
         assert!(m.consistent);
         assert_eq!(m.resync_bytes, 0);
         assert_eq!(m.dirty_blocks, 0);
@@ -253,7 +224,7 @@ mod tests {
     fn outage_running_to_trace_end_still_recovers() {
         let trace = smoke_trace();
         let start = trace.len() / 2;
-        let m = resync_experiment(&trace, start, trace.len(), ResyncStrategy::ParityLog).unwrap();
+        let m = resync_experiment(&trace, start, trace.len()).unwrap();
         assert!(m.consistent);
         assert_eq!(m.outage_writes, trace.len() - start);
         assert!(m.resync_bytes > 0);

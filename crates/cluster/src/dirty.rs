@@ -2,11 +2,8 @@
 //!
 //! The primary records, for every replica, which blocks that replica is
 //! missing writes for and *since which log sequence number* — the
-//! minimal state both resync strategies need:
-//!
-//! * dirty-bitmap resync pushes a full image of each dirty block,
-//! * parity-log resync replays each dirty block's log chain from the
-//!   recorded first-missed sequence number.
+//! minimal state parity-log resync needs to replay each dirty block's
+//! log chain from the recorded first-missed sequence number.
 //!
 //! A dirty block can additionally be **uncertain**: a frame carrying a
 //! write to it was handed to the transport but its acknowledgement never

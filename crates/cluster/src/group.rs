@@ -18,35 +18,6 @@ use prins_trap::{TrapDevice, TrapLog};
 use crate::probe::{Plane, Probe, Tagged};
 use crate::{ClusterError, DirtyMap, ReplicaState};
 
-/// How a rejoining replica is caught up.
-///
-/// The three strategies are the x-axis of the resync-traffic figure:
-/// full image is the naive baseline, dirty-bitmap sends full blocks but
-/// only for blocks written during the outage, and parity-log replays
-/// the sparse parity chains — the PRINS idea applied to recovery.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ResyncStrategy {
-    /// Re-send every block of the volume.
-    FullImage,
-    /// Send a full image of each dirty block only.
-    DirtyBitmap,
-    /// Replay each dirty block's parity-log suffix; falls back to a
-    /// full block image where the log has been pruned past the
-    /// replica's first miss.
-    ParityLog,
-}
-
-impl std::fmt::Display for ResyncStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ResyncStrategy::FullImage => "full-image",
-            ResyncStrategy::DirtyBitmap => "dirty-bitmap",
-            ResyncStrategy::ParityLog => "parity-log",
-        };
-        f.write_str(s)
-    }
-}
-
 /// One frame of a resync plan.
 #[derive(Clone, Debug)]
 enum ResyncFrame {
@@ -68,7 +39,6 @@ impl ResyncFrame {
 /// An in-progress resync for one replica.
 #[derive(Debug)]
 struct ResyncPlan {
-    strategy: ResyncStrategy,
     queue: VecDeque<ResyncFrame>,
     /// LBAs whose `Full` frame is still queued: writes to these blocks
     /// are deferred because the image will be read at send time.
@@ -249,9 +219,10 @@ pub struct ClusterGroup<D> {
 impl<D: BlockDevice> ClusterGroup<D> {
     /// Wraps `device` (the primary image) and the replica transports.
     ///
-    /// All replicas start [`ReplicaState::Online`]; the caller is
-    /// responsible for having synced initial images (e.g. all-zero
-    /// devices all around, or an out-of-band copy).
+    /// All replicas start [`ReplicaState::Online`] and are taken to be
+    /// copies of `device` (e.g. all-zero devices all around, or an
+    /// out-of-band copy). A replica that is not one catches up through
+    /// [`scrub`](Self::scrub).
     pub fn new(device: D, config: ClusterConfig, transports: Vec<Box<dyn Transport>>) -> Self {
         Self {
             device: TrapDevice::new(device),
@@ -634,16 +605,23 @@ impl<D: BlockDevice> ClusterGroup<D> {
         }
     }
 
-    /// Starts catching replica `idx` up with `strategy`, moving it to
-    /// [`ReplicaState::Resyncing`]. Drive the transfer with
-    /// [`resync_step`](Self::resync_step) — foreground writes may be
-    /// interleaved between steps.
+    /// Starts catching replica `idx` up, moving it to
+    /// [`ReplicaState::Resyncing`]. The plan replays the primary's
+    /// parity log: each dirty block's missed chain folds into one parity
+    /// frame, and a block whose base is unknown (uncertain) or whose
+    /// chain was pruned ships its full image instead. Drive the transfer
+    /// with [`resync_step`](Self::resync_step) — foreground writes may
+    /// be interleaved between steps.
+    ///
+    /// The plan covers the dirty map only. A replica that is not a copy
+    /// of the primary catches up through [`scrub`](Self::scrub), which
+    /// marks every divergent block uncertain and rejoins.
     ///
     /// # Errors
     ///
     /// [`ClusterError::InvalidTransition`] unless the replica is
     /// Offline or Lagging.
-    pub fn rejoin(&mut self, idx: usize, strategy: ResyncStrategy) -> Result<(), ClusterError> {
+    pub fn rejoin(&mut self, idx: usize) -> Result<(), ClusterError> {
         self.check_idx(idx)?;
         // Settle any in-flight acks first so failures land in the dirty
         // map before the plan is built from it.
@@ -655,7 +633,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // they carry an older epoch, so the link drops them on sight
         // instead of guessing with a skip budget.
         self.replicas[idx].link.abandon();
-        let plan = self.build_plan(idx, strategy);
+        let plan = self.build_plan(idx);
         self.replicas[idx].resync = Some(plan);
         self.publish_replica_gauges(idx);
         Ok(())
@@ -872,7 +850,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             self.replicas[idx].dirty.mark_uncertain(lba, seq);
         }
         self.transition(idx, ReplicaState::Lagging)?;
-        self.rejoin(idx, ResyncStrategy::DirtyBitmap)?;
+        self.rejoin(idx)?;
         self.resync_to_completion(idx, divergent.len())?;
         outcome.repaired = divergent.len();
         self.probe.scrub_repaired(outcome.repaired);
@@ -961,49 +939,43 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 }
             }
             ReplicaState::Resyncing => {
-                let (pending_full, replaying_block) = {
-                    let r = &self.replicas[idx];
-                    match &r.resync {
-                        None => return Route::Send,
-                        Some(plan) => (
-                            plan.pending_full.contains(&lba.index()),
-                            plan.strategy == ResyncStrategy::ParityLog && r.dirty.contains(lba),
-                        ),
-                    }
+                let r = &self.replicas[idx];
+                let Some(plan) = &r.resync else {
+                    return Route::Send;
                 };
-                if pending_full {
+                if plan.pending_full.contains(&lba.index()) {
                     // The queued Full frame reads the image at send
                     // time and will carry this write.
-                    Route::Defer
-                } else if replaying_block {
-                    // Fold the new write's parity into the block's
-                    // queued replay frame — never queue a second frame
-                    // for the same block (two same-block frames in one
-                    // pipelined batch would let a lost first frame
-                    // leave the second XORing a stale base).
-                    let entry = self
-                        .device
-                        .log()
-                        .chain_since(lba, seq)
-                        .into_iter()
-                        .find(|e| e.seq == seq);
-                    if let (Some(entry), Some(plan)) = (entry, self.replicas[idx].resync.as_mut()) {
-                        let queued = plan.queue.iter_mut().find_map(|f| match f {
-                            ResyncFrame::Parity(l, s, p) if *l == lba => Some((s, p)),
-                            _ => None,
-                        });
-                        if let Some((s, p)) = queued {
-                            *p = p.fold(&entry.parity);
-                            *s = seq;
-                        } else {
-                            plan.queue
-                                .push_back(ResyncFrame::Parity(lba, seq, entry.parity));
-                        }
-                    }
-                    Route::Defer
-                } else {
-                    Route::Send
+                    return Route::Defer;
                 }
+                if !r.dirty.contains(lba) {
+                    return Route::Send;
+                }
+                // Fold the new write's parity into the block's queued
+                // replay frame — never queue a second frame for the same
+                // block (two same-block frames in one pipelined batch
+                // would let a lost first frame leave the second XORing a
+                // stale base).
+                let entry = self
+                    .device
+                    .log()
+                    .chain_since(lba, seq)
+                    .into_iter()
+                    .find(|e| e.seq == seq);
+                if let (Some(entry), Some(plan)) = (entry, self.replicas[idx].resync.as_mut()) {
+                    let queued = plan.queue.iter_mut().find_map(|f| match f {
+                        ResyncFrame::Parity(l, s, p) if *l == lba => Some((s, p)),
+                        _ => None,
+                    });
+                    if let Some((s, p)) = queued {
+                        *p = p.fold(&entry.parity);
+                        *s = seq;
+                    } else {
+                        plan.queue
+                            .push_back(ResyncFrame::Parity(lba, seq, entry.parity));
+                    }
+                }
+                Route::Defer
             }
         }
     }
@@ -1038,56 +1010,36 @@ impl<D: BlockDevice> ClusterGroup<D> {
         self.probe.state_change(idx, from, to);
     }
 
-    fn build_plan(&self, idx: usize, strategy: ResyncStrategy) -> ResyncPlan {
+    fn build_plan(&self, idx: usize) -> ResyncPlan {
         let r = &self.replicas[idx];
+        let log: &TrapLog = self.device.log();
         let mut queue = VecDeque::new();
         let mut pending_full = HashSet::new();
-        match strategy {
-            ResyncStrategy::FullImage => {
-                for lba in self.device.geometry().range().iter() {
-                    queue.push_back(ResyncFrame::Full(lba));
-                    pending_full.insert(lba.index());
-                }
+        for (lba, missed_from) in r.dirty.iter() {
+            // Delta replay needs every entry from the first miss *and* a
+            // known base: a pruned log or an uncertain block (a sent
+            // write whose ack was lost — the replica may already hold
+            // part of the chain, and XORing it in again would corrupt
+            // the block) forces the full-image path.
+            if log.pruned_through() >= missed_from || r.dirty.is_uncertain(lba) {
+                queue.push_back(ResyncFrame::Full(lba));
+                pending_full.insert(lba.index());
+                continue;
             }
-            ResyncStrategy::DirtyBitmap => {
-                for (lba, _) in r.dirty.iter() {
-                    queue.push_back(ResyncFrame::Full(lba));
-                    pending_full.insert(lba.index());
-                }
-            }
-            ResyncStrategy::ParityLog => {
-                let log: &TrapLog = self.device.log();
-                for (lba, missed_from) in r.dirty.iter() {
-                    // Delta replay needs every entry from the first
-                    // miss *and* a known base: a pruned log or an
-                    // uncertain block (a sent write whose ack was lost —
-                    // the replica may already hold part of the chain,
-                    // and XORing it in again would corrupt the block)
-                    // forces the full-image path.
-                    if log.pruned_through() >= missed_from || r.dirty.is_uncertain(lba) {
-                        queue.push_back(ResyncFrame::Full(lba));
-                        pending_full.insert(lba.index());
-                    } else {
-                        // Fold the block's whole chain into ONE parity
-                        // frame (XOR composes). Besides shipping less,
-                        // this is a safety property: with at most one
-                        // resync frame per block, a lost frame can
-                        // never leave a same-block successor in the
-                        // batch to XOR against a base missing it.
-                        let mut chain = log.chain_since(lba, missed_from).into_iter();
-                        if let Some(first) = chain.next() {
-                            let (seq, parity) = chain
-                                .fold((first.seq, first.parity), |(_, acc), e| {
-                                    (e.seq, acc.fold(&e.parity))
-                                });
-                            queue.push_back(ResyncFrame::Parity(lba, seq, parity));
-                        }
-                    }
-                }
+            // Fold the block's whole chain into ONE parity frame (XOR
+            // composes). Besides shipping less, this is a safety
+            // property: with at most one resync frame per block, a lost
+            // frame can never leave a same-block successor in the batch
+            // to XOR against a base missing it.
+            let mut chain = log.chain_since(lba, missed_from).into_iter();
+            if let Some(first) = chain.next() {
+                let (seq, parity) = chain.fold((first.seq, first.parity), |(_, acc), e| {
+                    (e.seq, acc.fold(&e.parity))
+                });
+                queue.push_back(ResyncFrame::Parity(lba, seq, parity));
             }
         }
         ResyncPlan {
-            strategy,
             queue,
             pending_full,
         }
@@ -1238,7 +1190,7 @@ mod tests {
 
         // After rejoin and resync the replica serves again.
         h.links[0].restore();
-        h.cluster.rejoin(0, ResyncStrategy::ParityLog).unwrap();
+        h.cluster.rejoin(0).unwrap();
         h.cluster.resync_to_completion(0, 16).unwrap();
         let r = h.cluster.read(Lba(5)).unwrap();
         assert_eq!(r.data, want[5]);
@@ -1319,7 +1271,8 @@ mod tests {
         assert!(worker.join().unwrap().is_err());
     }
 
-    fn outage_and_rejoin(strategy: ResyncStrategy) {
+    #[test]
+    fn outage_and_rejoin() {
         let config = ClusterConfig {
             offline_after: 1,
             ..ClusterConfig::default()
@@ -1340,7 +1293,7 @@ mod tests {
 
         // Rejoin and resync in small steps with interleaved writes.
         h.links[0].restore();
-        h.cluster.rejoin(0, strategy).unwrap();
+        h.cluster.rejoin(0).unwrap();
         assert_eq!(h.cluster.state(0), ReplicaState::Resyncing);
         loop {
             let remaining = h.cluster.resync_step(0, 4).unwrap();
@@ -1359,27 +1312,9 @@ mod tests {
         }
 
         for dev in &h.devices {
-            assert!(
-                verify_consistent(h.cluster.device(), &**dev).unwrap(),
-                "{strategy}"
-            );
+            assert!(verify_consistent(h.cluster.device(), &**dev).unwrap());
         }
         finish(h);
-    }
-
-    #[test]
-    fn full_image_resync_converges() {
-        outage_and_rejoin(ResyncStrategy::FullImage);
-    }
-
-    #[test]
-    fn dirty_bitmap_resync_converges() {
-        outage_and_rejoin(ResyncStrategy::DirtyBitmap);
-    }
-
-    #[test]
-    fn parity_log_resync_converges() {
-        outage_and_rejoin(ResyncStrategy::ParityLog);
     }
 
     #[test]
@@ -1407,7 +1342,7 @@ mod tests {
         // would both cost more and reopen the lost-frame/stale-base
         // window inside a pipelined batch.
         h.links[0].restore();
-        h.cluster.rejoin(0, ResyncStrategy::ParityLog).unwrap();
+        h.cluster.rejoin(0).unwrap();
         let remaining = h.cluster.resync_step(0, 2).unwrap();
         assert_eq!(remaining, 0, "two frames must cover both blocks");
         assert_eq!(h.cluster.state(0), ReplicaState::Online);
@@ -1419,34 +1354,61 @@ mod tests {
 
     #[test]
     fn parity_log_resync_is_far_cheaper_than_full_image() {
-        let mut bytes = Vec::new();
-        for strategy in [ResyncStrategy::FullImage, ResyncStrategy::ParityLog] {
-            let config = ClusterConfig {
-                offline_after: 1,
-                ..ClusterConfig::default()
-            };
-            let blocks = 64;
-            let mut h = harness(1, blocks, config);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-            h.links[0].sever();
-            for _ in 0..40 {
-                random_write(&mut h.cluster, &mut rng, blocks).unwrap();
-            }
-            h.links[0].restore();
-            h.cluster.rejoin(0, strategy).unwrap();
-            h.cluster.resync_to_completion(0, 8).unwrap();
-            bytes.push(h.cluster.status(0).resync_bytes);
-            for dev in &h.devices {
-                assert!(verify_consistent(h.cluster.device(), &**dev).unwrap());
-            }
-            finish(h);
+        let config = ClusterConfig {
+            offline_after: 1,
+            ..ClusterConfig::default()
+        };
+        let blocks = 64;
+        let mut h = harness(1, blocks, config);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        h.links[0].sever();
+        for _ in 0..40 {
+            random_write(&mut h.cluster, &mut rng, blocks).unwrap();
         }
+        h.links[0].restore();
+        h.cluster.rejoin(0).unwrap();
+        h.cluster.resync_to_completion(0, 8).unwrap();
+        let bytes = h.cluster.status(0).resync_bytes;
+        for dev in &h.devices {
+            assert!(verify_consistent(h.cluster.device(), &**dev).unwrap());
+        }
+        finish(h);
+        let full_image = blocks * 4096;
         assert!(
-            bytes[1] * 10 < bytes[0],
-            "parity-log {} should be >10x below full-image {}",
-            bytes[1],
-            bytes[0]
+            bytes * 10 < full_image,
+            "parity-log {bytes} should be >10x below the {full_image}-byte volume image"
         );
+    }
+
+    #[test]
+    fn a_replica_that_is_not_a_copy_catches_up_through_scrub() {
+        // The primary holds data written before the group existed; the
+        // replica is all zeros, so no parity chain has a base there.
+        let blocks = 16;
+        let primary = MemDevice::new(BlockSize::kb4(), blocks);
+        let mut written = 0;
+        for i in (0..blocks).step_by(3) {
+            primary.write_block(Lba(i), &[i as u8 + 1; 4096]).unwrap();
+            written += 1;
+        }
+        let (primary_side, replica_side) = channel_pair(LinkModel::t1());
+        let replica = Arc::new(MemDevice::new(BlockSize::kb4(), blocks));
+        let dev = Arc::clone(&replica);
+        let worker = std::thread::spawn(move || prins_repl::run_replica(&*dev, &replica_side));
+        let mut cluster = ClusterGroup::new(
+            primary,
+            ClusterConfig::default(),
+            vec![Box::new(primary_side)],
+        );
+
+        let outcomes = cluster.scrub(0, 1).unwrap();
+        let (_, o) = outcomes[0];
+        assert_eq!(o.probed, blocks as usize);
+        assert_eq!(o.repaired, written, "one repair per non-zero block");
+        assert_eq!(cluster.state(0), ReplicaState::Online);
+        assert!(verify_consistent(cluster.device(), &*replica).unwrap());
+        drop(cluster);
+        worker.join().unwrap().unwrap();
     }
 
     #[test]
@@ -1467,7 +1429,7 @@ mod tests {
         h.cluster.log().prune(prune_to);
 
         h.links[0].restore();
-        h.cluster.rejoin(0, ResyncStrategy::ParityLog).unwrap();
+        h.cluster.rejoin(0).unwrap();
         h.cluster.resync_to_completion(0, 8).unwrap();
         assert_eq!(h.cluster.state(0), ReplicaState::Online);
         for dev in &h.devices {
@@ -1491,13 +1453,13 @@ mod tests {
             random_write(&mut h.cluster, &mut rng, blocks).unwrap();
         }
         // Rejoin while the link is still down: the first step fails.
-        h.cluster.rejoin(0, ResyncStrategy::ParityLog).unwrap();
+        h.cluster.rejoin(0).unwrap();
         assert!(h.cluster.resync_step(0, 4).is_err());
         assert_eq!(h.cluster.state(0), ReplicaState::Offline);
 
         // Second attempt with the link up succeeds.
         h.links[0].restore();
-        h.cluster.rejoin(0, ResyncStrategy::ParityLog).unwrap();
+        h.cluster.rejoin(0).unwrap();
         h.cluster.resync_to_completion(0, 4).unwrap();
         assert_eq!(h.cluster.state(0), ReplicaState::Online);
         for dev in &h.devices {
@@ -1510,12 +1472,12 @@ mod tests {
     fn lifecycle_guards_reject_bad_calls() {
         let mut h = harness(1, 8, ClusterConfig::default());
         assert!(matches!(
-            h.cluster.rejoin(5, ResyncStrategy::FullImage),
+            h.cluster.rejoin(5),
             Err(ClusterError::UnknownReplica(5))
         ));
         // Online replicas have nothing to resync.
         assert!(matches!(
-            h.cluster.rejoin(0, ResyncStrategy::FullImage),
+            h.cluster.rejoin(0),
             Err(ClusterError::InvalidTransition { .. })
         ));
         assert!(h.cluster.resync_step(0, 4).is_err());
@@ -1682,7 +1644,7 @@ mod tests {
         assert_eq!(status.in_flight, 0);
 
         h.links[0].restore();
-        h.cluster.rejoin(0, ResyncStrategy::DirtyBitmap).unwrap();
+        h.cluster.rejoin(0).unwrap();
         h.cluster.resync_to_completion(0, 8).unwrap();
         assert_eq!(h.cluster.state(0), ReplicaState::Online);
         for dev in &h.devices {
@@ -1730,7 +1692,7 @@ mod tests {
         // from here on. They are sealed under the pre-sever epoch, so
         // the rejoin needs no purge, settling wait, or skip budget —
         // the ack loop identifies and drops them by tag.
-        h.cluster.rejoin(0, ResyncStrategy::DirtyBitmap).unwrap();
+        h.cluster.rejoin(0).unwrap();
         h.cluster.resync_to_completion(0, 4).unwrap();
         assert_eq!(h.cluster.state(0), ReplicaState::Online);
 
@@ -1825,7 +1787,7 @@ mod tests {
             random_write(&mut h.cluster, &mut rng, 16).unwrap();
         }
         h.links[0].restore();
-        h.cluster.rejoin(0, ResyncStrategy::DirtyBitmap).unwrap();
+        h.cluster.rejoin(0).unwrap();
         h.cluster.resync_to_completion(0, 8).unwrap();
         let status = h.cluster.status(0);
         assert!(status.resync_bytes > 0);

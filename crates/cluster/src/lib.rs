@@ -13,12 +13,13 @@
 //!   a failing replica's missed writes are recorded in a per-replica
 //!   [`DirtyMap`] and writes succeed while at least
 //!   [`ClusterConfig::write_quorum`] replicas acknowledge,
-//! * [`ResyncStrategy`] — how a rejoining replica catches up:
-//!   full-image, dirty-bitmap (full blocks, dirty only), or
-//!   [`ResyncStrategy::ParityLog`] — replaying the primary's TRAP
-//!   parity-log suffix, the PRINS idea applied to recovery: the same
-//!   sparse parities that made foreground replication cheap make
-//!   catch-up cheap,
+//! * [`ClusterGroup::rejoin`] — how a rejoining replica catches up:
+//!   replaying the primary's TRAP parity-log suffix for each dirty
+//!   block, the PRINS idea applied to recovery: the same sparse
+//!   parities that made foreground replication cheap make catch-up
+//!   cheap. A block with an unknown base or a pruned chain ships its
+//!   full image; a replica that is not a copy of the primary catches
+//!   up through [`ClusterGroup::scrub`],
 //! * [`RendezvousPlacement`] / [`ShardedCluster`] — a volume sharded
 //!   across replica groups by weighted rendezvous hashing, with live
 //!   migration of a range between groups; a one-group volume is that
@@ -40,7 +41,7 @@
 //!
 //! ```
 //! use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
-//! use prins_cluster::{ClusterConfig, ClusterGroup, ReplicaState, ResyncStrategy};
+//! use prins_cluster::{ClusterConfig, ClusterGroup, ReplicaState};
 //! use prins_net::{channel_pair, FaultTransport, LinkModel, Transport};
 //! use prins_repl::run_replica;
 //! use std::sync::Arc;
@@ -63,7 +64,7 @@
 //! assert_eq!(cluster.state(0), ReplicaState::Offline);
 //!
 //! link.restore();
-//! cluster.rejoin(0, ResyncStrategy::ParityLog)?;
+//! cluster.rejoin(0)?;
 //! cluster.resync_to_completion(0, 8)?;
 //! assert_eq!(cluster.state(0), ReplicaState::Online);
 //!
@@ -87,8 +88,7 @@ pub use dirty::DirtyMap;
 pub use ec_group::{EcConfig, EcGroup, EcPlacement, EcRebuildReport, EcWriteOutcome};
 pub use error::ClusterError;
 pub use group::{
-    ClusterConfig, ClusterGroup, ReadOutcome, ReplicaStatus, ResyncStrategy, ScrubOutcome,
-    WriteOutcome,
+    ClusterConfig, ClusterGroup, ReadOutcome, ReplicaStatus, ScrubOutcome, WriteOutcome,
 };
 pub use lifecycle::ReplicaState;
 pub use placement::RendezvousPlacement;

@@ -432,7 +432,7 @@ mod tests {
     /// status (lifecycle state, dirty map, every byte counter) and each
     /// replica's final image.
     fn observe(sharded: bool) -> (Vec<String>, Vec<String>, Vec<Vec<u8>>) {
-        use crate::{ReplicaState, ResyncStrategy};
+        use crate::ReplicaState;
         use prins_net::{channel_pair, FaultTransport, LinkModel, Transport};
         use rand::{RngExt, SeedableRng};
 
@@ -492,11 +492,8 @@ mod tests {
         burst(&mut volume, 4);
         links[0].restore();
         links[1].restore();
-        for (idx, strategy) in [ResyncStrategy::ParityLog, ResyncStrategy::DirtyBitmap]
-            .into_iter()
-            .enumerate()
-        {
-            volume.group().rejoin(idx, strategy).unwrap();
+        for idx in 0..2 {
+            volume.group().rejoin(idx).unwrap();
             volume.group().resync_to_completion(idx, 4).unwrap();
             assert_eq!(volume.group().state(idx), ReplicaState::Online);
         }

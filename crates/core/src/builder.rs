@@ -176,8 +176,9 @@ impl EngineBuilder {
     /// volumes are): PRINS ships `new ⊕ old`, which only reconstructs
     /// the block on a replica that holds `old`. The stack's catch-up
     /// path for a replica that is not a copy is `prins-cluster`'s
-    /// `ClusterGroup`: `rejoin` with `ResyncStrategy::FullImage`, then
-    /// `resync_to_completion`.
+    /// `ClusterGroup::scrub`: it digests every block, marks the
+    /// divergent ones uncertain, and ships their full images through
+    /// `rejoin`.
     pub fn build(self) -> PrinsEngine {
         let adaptive = self.adaptive.map(|cfg| {
             Arc::new(match &self.registry {

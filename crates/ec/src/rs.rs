@@ -318,7 +318,7 @@ mod tests {
         // Sparse update of data strip 2.
         let mut updated = data[2].clone();
         updated[10..30].fill(0x5a);
-        let delta = rs.delta(&data[2], &updated);
+        let delta = prins_parity::xor_bytes(&data[2], &updated);
         for (i, p) in parity.iter_mut().enumerate() {
             rs.apply_delta(p, rs.coefficient(i, 2), &delta).unwrap();
         }
@@ -433,7 +433,7 @@ mod tests {
             let mut parity = rs.encode(&refs).unwrap();
             let mut updated = data[strip].clone();
             updated[at] ^= val;
-            let delta = rs.delta(&data[strip], &updated);
+            let delta = prins_parity::xor_bytes(&data[strip], &updated);
             for (i, p) in parity.iter_mut().enumerate() {
                 rs.apply_delta(p, rs.coefficient(i, strip), &delta).unwrap();
             }

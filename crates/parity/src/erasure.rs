@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use crate::xor::{xor_bytes, xor_in_place};
+use crate::xor::xor_in_place;
 
 /// Errors from erasure encode/apply/reconstruct.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,13 +97,6 @@ pub trait ErasureCodec: Send + Sync {
     /// Generator coefficient `c` of parity strip `parity` (0-based,
     /// `< m`) over data strip `data` (`< k`).
     fn coefficient(&self, parity: usize, data: usize) -> u8;
-
-    /// The write delta `Δ = new − old`. Subtraction is XOR in every
-    /// GF(2^w), so all codecs share this — it is the PRINS forward
-    /// parity computation.
-    fn delta(&self, old: &[u8], new: &[u8]) -> Vec<u8> {
-        xor_bytes(old, new)
-    }
 
     /// RMW-applies `base ^= coeff · delta` in the codec's field.
     ///
@@ -276,14 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_is_forward_parity() {
-        let codec = XorCodec::mirror();
-        let old = vec![0u8, 0xff, 0x55];
-        let new = vec![1u8, 0xff, 0xaa];
-        assert_eq!(codec.delta(&old, &new), vec![1, 0, 0xff]);
-    }
-
-    #[test]
     fn apply_delta_supports_only_zero_and_one() {
         let codec = XorCodec::new(3);
         let mut base = vec![0x0fu8; 4];
@@ -345,7 +330,7 @@ mod tests {
         let mut parity = codec.encode(&refs).unwrap().remove(0);
         let mut new_strip = strips[2].clone();
         new_strip[3] ^= 0x77;
-        let delta = codec.delta(&strips[2], &new_strip);
+        let delta = crate::xor_bytes(&strips[2], &new_strip);
         codec
             .apply_delta(&mut parity, codec.coefficient(0, 2), &delta)
             .unwrap();

@@ -305,7 +305,6 @@ mod tests {
     /// to a full image when that is no smaller, optionally LZSS the
     /// sparse stream — assembled as an owned [`Payload`].
     fn classic(name: &str, lba: Lba, old: &[u8], new: &[u8]) -> Payload {
-        use prins_parity::{ErasureCodec, XorCodec};
         let full = PayloadBody::Full(new.to_vec());
         let body = match name {
             "traditional" => full,
@@ -314,7 +313,7 @@ mod tests {
                 data: Lzss::default().compress(new),
             },
             _ => {
-                let parity = XorCodec::mirror().delta(old, new);
+                let parity = prins_parity::xor_bytes(old, new);
                 let sparse = SparseCodec::default().encode(&parity).to_bytes();
                 let packed = Lzss::fast().compress(&sparse);
                 if sparse.len() >= new.len() {

@@ -81,7 +81,7 @@
 use std::time::Duration;
 
 use prins_block::Lba;
-use prins_cluster::{ClusterConfig, ReplicaState, ResyncStrategy};
+use prins_cluster::{ClusterConfig, ReplicaState};
 use prins_net::Dir;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -357,7 +357,7 @@ fn apply(w: &mut World, topology: &Topology, op: SimOp) -> Result<(), String> {
             let (g, r) = (link / replicas, link % replicas);
             if w.group(g).state(r) != ReplicaState::Online && w.ctl(link).is_up() {
                 let group = w.group_mut(g);
-                let _ = group.rejoin(r, ResyncStrategy::ParityLog);
+                let _ = group.rejoin(r);
                 let _ = group.resync_step(r, 2);
             }
         }
@@ -461,9 +461,7 @@ fn play(case: &FuzzCase, topology: Topology) -> RunReport {
     // failure or lifecycle transition (reads on a healthy cluster
     // offload without a single rejection).
     if verdict.is_ok() {
-        verdict = w
-            .quiesce(ResyncStrategy::ParityLog)
-            .and_then(|()| w.check_invariants());
+        verdict = w.quiesce().and_then(|()| w.check_invariants());
     }
     let trace = format!(
         "{}\nevents: {}\nverdict: {}",

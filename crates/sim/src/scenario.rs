@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use prins_block::{BlockDevice, Lba};
-use prins_cluster::{ClusterConfig, ClusterError, ReplicaState, ResyncStrategy};
+use prins_cluster::{ClusterConfig, ClusterError, ReplicaState};
 use prins_net::Dir;
 
 use crate::world::{Topology, World};
@@ -38,8 +38,8 @@ impl ScenarioOutcome {
 
 /// Heals, converges and checks the full invariant set, then collects
 /// the run's summaries.
-fn settle(w: &mut World, strategy: ResyncStrategy) -> Result<ScenarioOutcome, String> {
-    w.quiesce(strategy)?;
+fn settle(w: &mut World) -> Result<ScenarioOutcome, String> {
+    w.quiesce()?;
     w.check_invariants()?;
     Ok(ScenarioOutcome::collect(w))
 }
@@ -97,7 +97,7 @@ pub fn link_flap() -> Result<ScenarioOutcome, String> {
         }
         w.check_historical()?;
         w.ctl(0).restore();
-        settle(&mut w, ResyncStrategy::ParityLog)?;
+        settle(&mut w)?;
     }
     Ok(ScenarioOutcome::collect(&w))
 }
@@ -120,9 +120,7 @@ pub fn crash_mid_resync() -> Result<ScenarioOutcome, String> {
     w.ctl(0).restore();
     // Start a resync, then kill the link partway: ack collection for
     // the in-flight batch fails and aborts the resync.
-    w.group_mut(0)
-        .rejoin(0, ResyncStrategy::ParityLog)
-        .map_err(op_err)?;
+    w.group_mut(0).rejoin(0).map_err(op_err)?;
     let _ = w.group_mut(0).resync_step(0, 3);
     w.ctl(0).sever();
     let _ = w.group_mut(0).resync_step(0, 3);
@@ -131,7 +129,7 @@ pub fn crash_mid_resync() -> Result<ScenarioOutcome, String> {
     }
     w.check_historical()?;
     w.ctl(0).restore();
-    settle(&mut w, ResyncStrategy::ParityLog)
+    settle(&mut w)
 }
 
 /// Acknowledgements come back out of order (and one pair of
@@ -149,7 +147,7 @@ pub fn reorder() -> Result<ScenarioOutcome, String> {
     w.write_tag(10, 2).map_err(op_err)?;
     w.write_tag(11, 2).map_err(op_err)?;
     w.group_mut(0).drain();
-    settle(&mut w, ResyncStrategy::ParityLog)
+    settle(&mut w)
 }
 
 /// An acknowledgement is duplicated on the wire. The ack-stream
@@ -162,7 +160,7 @@ pub fn dup() -> Result<ScenarioOutcome, String> {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
     w.group_mut(0).drain();
-    settle(&mut w, ResyncStrategy::ParityLog)
+    settle(&mut w)
 }
 
 /// A high-latency, per-byte-priced WAN link: correctness is unchanged
@@ -186,7 +184,7 @@ pub fn slow_wan() -> Result<ScenarioOutcome, String> {
     if now < 20_000_000 {
         return Err(format!("WAN round-trips cost only {now} virtual ns"));
     }
-    settle(&mut w, ResyncStrategy::ParityLog)
+    settle(&mut w)
 }
 
 /// Every replica link dies under a `write_quorum` of 2: writes must
@@ -211,7 +209,7 @@ pub fn quorum_loss() -> Result<ScenarioOutcome, String> {
         return Err("no write reported quorum loss with every link dead".into());
     }
     w.check_historical()?;
-    settle(&mut w, ResyncStrategy::DirtyBitmap)
+    settle(&mut w)
 }
 
 /// Engine pipeline: XOR-fold coalescing under load, then a link dies
@@ -259,7 +257,7 @@ pub fn prune_then_rejoin() -> Result<ScenarioOutcome, String> {
     let log = w.group(0).log();
     log.prune(log.current_seq());
     w.ctl(0).restore();
-    let outcome = settle(&mut w, ResyncStrategy::ParityLog)?;
+    let outcome = settle(&mut w)?;
     if w.group(0).status(0).resync_bytes == 0 {
         return Err("pruned-log rejoin shipped no resync bytes".into());
     }
@@ -302,7 +300,7 @@ fn lose_one_frame(dir: Dir) -> Result<ScenarioOutcome, String> {
     w.ctl(0).drop_next(dir, 1);
     let _ = w.write_tag(5, 2);
     w.check_historical()?;
-    settle(&mut w, ResyncStrategy::ParityLog)
+    settle(&mut w)
 }
 
 /// A data frame is silently dropped by the network (the sender's
@@ -334,7 +332,7 @@ pub fn corruption_wire_flip() -> Result<ScenarioOutcome, String> {
     w.ctl(0).corrupt_next(Dir::AtoB, 1);
     let _ = w.write_tag(5, 2); // damaged in flight; replica 0 rejects it
     w.check_historical()?;
-    let outcome = settle(&mut w, ResyncStrategy::ParityLog)?;
+    let outcome = settle(&mut w)?;
     if w.registry().snapshot().counters["checksum_failures"] == 0 {
         return Err("wire bit flip produced no detected checksum failure".into());
     }
@@ -354,7 +352,7 @@ pub fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
     // Wire fault: one damaged data frame, detected and resynced.
     w.ctl(0).corrupt_next(Dir::AtoB, 1);
     let _ = w.write_tag(3, 2);
-    w.quiesce(ResyncStrategy::ParityLog)?;
+    w.quiesce()?;
 
     // Media fault: flip one bit on replica 0's disk behind the wire.
     let dev = w.replica_dev(0);
@@ -369,7 +367,7 @@ pub fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
         return Err("scrub found nothing to repair after a disk bit flip".into());
     }
     w.net().run_until_idle();
-    let outcome = settle(&mut w, ResyncStrategy::ParityLog)?;
+    let outcome = settle(&mut w)?;
     let snap = w.registry().snapshot();
     if snap.counters["checksum_failures"] == 0 {
         return Err("no detected checksum failure".into());
@@ -584,7 +582,7 @@ pub fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
         w.write_tag(lba, tag).map_err(op_err)?;
         w.read_checked(lba)?;
     }
-    let outcome = settle(&mut w, ResyncStrategy::ParityLog)?;
+    let outcome = settle(&mut w)?;
     if w.registry().snapshot().counters["migration_bytes"] == 0 {
         return Err("live migration booked no migration bytes".into());
     }
@@ -627,9 +625,7 @@ pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
     // Rejoin races the read stream: reads issued mid-resync must skip
     // the still-catching-up replica.
     w.ctl(0).restore();
-    w.group_mut(0)
-        .rejoin(0, ResyncStrategy::ParityLog)
-        .map_err(op_err)?;
+    w.group_mut(0).rejoin(0).map_err(op_err)?;
     loop {
         let remaining = w.group_mut(0).resync_step(0, 2).map_err(op_err)?;
         tag = tag.wrapping_add(1);
@@ -639,7 +635,7 @@ pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
             break;
         }
     }
-    settle(&mut w, ResyncStrategy::ParityLog)?;
+    settle(&mut w)?;
     // Back online: the rejoined replica serves again.
     for lba in 0..16 {
         w.read_checked(lba)?;

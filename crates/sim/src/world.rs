@@ -29,7 +29,7 @@ use std::time::Duration;
 use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
 use prins_cluster::{
     ClusterConfig, ClusterError, ClusterGroup, EcConfig, EcGroup, EcRebuildReport,
-    RendezvousPlacement, ReplicaState, ResyncStrategy, ShardedCluster,
+    RendezvousPlacement, ReplicaState, ShardedCluster,
 };
 use prins_core::{EngineBuilder, PrinsEngine};
 use prins_ec::ReedSolomon;
@@ -833,13 +833,13 @@ impl World {
     /// which
     /// [`check_invariants`](Self::check_invariants) accounts for. Every
     /// down EC node is rebuilt. Every cluster group, once healed, drains
-    /// and resyncs each non-online replica with `strategy` until all
-    /// are online (bounded retries).
+    /// and resyncs each non-online replica until all are online
+    /// (bounded retries).
     ///
     /// # Errors
     ///
     /// If a replica cannot be brought back online or a node rebuilt.
-    pub fn quiesce(&mut self, strategy: ResyncStrategy) -> Result<(), String> {
+    pub fn quiesce(&mut self) -> Result<(), String> {
         match &self.sut {
             Sut::Engine(engine) => {
                 let _ = engine.flush();
@@ -857,7 +857,7 @@ impl World {
         self.bed.net.run_until_idle();
         if let Sut::Cluster(sharded) = &mut self.sut {
             for g in 0..sharded.group_count() {
-                converge(g, sharded.group_mut(g), strategy)?;
+                converge(g, sharded.group_mut(g))?;
             }
         }
         self.bed.net.run_until_idle();
@@ -917,12 +917,8 @@ impl World {
 }
 
 /// Drains group `g` and rejoins + resyncs each of its non-online
-/// replicas with `strategy` until all are online (bounded retries).
-fn converge(
-    g: usize,
-    cluster: &mut ClusterGroup<MemDevice>,
-    strategy: ResyncStrategy,
-) -> Result<(), String> {
+/// replicas until all are online (bounded retries).
+fn converge(g: usize, cluster: &mut ClusterGroup<MemDevice>) -> Result<(), String> {
     cluster.drain();
     for idx in 0..cluster.replica_count() {
         let mut attempts = 0;
@@ -940,7 +936,7 @@ fn converge(
                 cluster.state(idx),
                 ReplicaState::Offline | ReplicaState::Lagging
             ) {
-                if let Err(e) = cluster.rejoin(idx, strategy) {
+                if let Err(e) = cluster.rejoin(idx) {
                     last_err = e.to_string();
                 }
             }

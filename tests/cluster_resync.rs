@@ -3,185 +3,58 @@
 //! writes, the replica rejoins, and the parity-log catch-up leaves it
 //! bit-identical for a small fraction of the full-image sync cost.
 
-use std::collections::HashSet;
-use std::sync::Arc;
-
-use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
-use prins_cluster::{ClusterConfig, ClusterGroup, ReplicaState, ResyncStrategy};
-use prins_net::{channel_pair, FaultTransport, LinkModel};
-use prins_repl::{run_replica, verify_consistent};
-use prins_workloads::{capture_trace, RunConfig, Workload, WriteTrace};
-
-/// A captured TPC-C trace flattened for replay.
-struct TpccTrace {
-    trace: WriteTrace,
-    writes: Vec<(Lba, Vec<u8>)>,
-    initial: Vec<(Lba, Vec<u8>)>,
-    num_blocks: u64,
-}
-
-/// Captures a TPC-C write trace and flattens it to (lba, new-image)
-/// writes plus the pre-trace image of every touched block.
-fn tpcc_trace() -> TpccTrace {
-    let mut config = RunConfig::smoke(BlockSize::kb8());
-    config.ops = 80;
-    let trace = capture_trace(Workload::TpccOracle, &config).expect("trace captures");
-    let mut writes = Vec::with_capacity(trace.len());
-    let mut initial = Vec::new();
-    let mut seen = HashSet::new();
-    let mut max_lba = 0u64;
-    trace.replay(|lba, old, new| {
-        if seen.insert(lba.index()) {
-            initial.push((lba, old.to_vec()));
-        }
-        max_lba = max_lba.max(lba.index());
-        writes.push((lba, new.to_vec()));
-    });
-    TpccTrace {
-        trace,
-        writes,
-        initial,
-        num_blocks: max_lba + 1,
-    }
-}
-
-/// Replays the trace through a one-replica cluster with an outage over
-/// `outage` (write indices), rejoining with `strategy`; returns the
-/// resync bytes after verifying the replica is bit-identical.
-fn outage_run(
-    writes: &[(Lba, Vec<u8>)],
-    initial: &[(Lba, Vec<u8>)],
-    num_blocks: u64,
-    outage: std::ops::Range<usize>,
-    strategy: ResyncStrategy,
-) -> u64 {
-    let primary = MemDevice::new(BlockSize::kb8(), num_blocks);
-    let replica = Arc::new(MemDevice::new(BlockSize::kb8(), num_blocks));
-    for (lba, image) in initial {
-        primary.write_block(*lba, image).unwrap();
-        replica.write_block(*lba, image).unwrap();
-    }
-
-    let (primary_side, replica_side) = channel_pair(LinkModel::t1());
-    let (faulty, link) = FaultTransport::new(primary_side);
-    let dev = Arc::clone(&replica);
-    let worker = std::thread::spawn(move || run_replica(&*dev, &replica_side));
-
-    let config = ClusterConfig {
-        offline_after: 1,
-        ..ClusterConfig::default()
-    };
-    let mut cluster = ClusterGroup::new(primary, config, vec![Box::new(faulty)]);
-
-    for (i, (lba, new)) in writes.iter().enumerate() {
-        if i == outage.start {
-            link.sever(); // kill the replica mid-trace
-        }
-        if i == outage.end && !outage.is_empty() {
-            link.restore();
-            cluster.rejoin(0, strategy).unwrap();
-        }
-        if cluster.state(0) == ReplicaState::Resyncing {
-            // Resync runs concurrently with the remaining foreground
-            // writes, a few frames at a time.
-            cluster.resync_step(0, 4).unwrap();
-        }
-        let outcome = cluster.write(*lba, new).unwrap();
-        if outage.contains(&i) {
-            // Degraded mode: the write went through without the replica.
-            assert_eq!(outcome.acked, 0, "write {i} acked during outage");
-        }
-    }
-    if cluster.state(0) != ReplicaState::Online {
-        if cluster.state(0) != ReplicaState::Resyncing {
-            link.restore();
-            cluster.rejoin(0, strategy).unwrap();
-        }
-        cluster.resync_to_completion(0, 32).unwrap();
-    }
-    assert_eq!(cluster.state(0), ReplicaState::Online);
-
-    let resync_bytes = cluster.status(0).resync_bytes;
-    assert!(
-        verify_consistent(cluster.device(), &*replica).unwrap(),
-        "{strategy}: replica diverged after resync"
-    );
-    drop(cluster);
-    worker.join().expect("replica worker").unwrap();
-    resync_bytes
-}
+use prins_bench::resync_experiment;
+use prins_block::BlockSize;
+use prins_workloads::{capture_trace, RunConfig, Workload};
 
 #[test]
 fn mid_trace_outage_recovers_with_cheap_delta_resync() {
-    let TpccTrace {
-        trace,
-        writes,
-        initial,
-        num_blocks,
-    } = tpcc_trace();
+    let mut config = RunConfig::smoke(BlockSize::kb8());
+    config.ops = 80;
+    let trace = capture_trace(Workload::TpccOracle, &config).expect("trace captures");
     assert!(trace.len() >= 40, "trace too short to stage an outage");
 
     // A 5-minute-equivalent outage: TPC-C here sustains roughly one
     // logged write per second of modeled time, so a quarter of the
     // trace (~40+ writes) stands in for minutes of missed updates.
-    let outage_len = trace.len() / 4;
+    let outage = trace.len() / 4;
     let start = trace.len() / 4;
-    let outage = start..start + outage_len;
+    let m = resync_experiment(&trace, start, outage).unwrap();
+    assert!(m.consistent, "replica diverged after resync");
+    assert!(m.dirty_blocks > 0, "outage dirtied nothing");
 
-    let full = outage_run(
-        &writes,
-        &initial,
-        num_blocks,
-        outage.clone(),
-        ResyncStrategy::FullImage,
-    );
-    let parity = outage_run(
-        &writes,
-        &initial,
-        num_blocks,
-        outage,
-        ResyncStrategy::ParityLog,
-    );
-
+    let block = trace.block_size().bytes() as u64;
+    let volume = m.volume_blocks * block;
+    let dirty = m.dirty_blocks as u64 * block;
+    let parity = m.resync_bytes;
     assert!(parity > 0, "outage must cost something to repair");
     assert!(
-        (parity as f64) < 0.10 * full as f64,
-        "parity-log resync sent {parity} B, full-image {full} B: not under 10%"
+        (parity as f64) < 0.10 * volume as f64,
+        "parity-log resync sent {parity} B, the volume image is {volume} B: not under 10%"
+    );
+    assert!(
+        parity <= dirty,
+        "parity-log resync sent {parity} B, more than the dirty blocks' {dirty} B of images"
     );
 }
 
 #[test]
 fn dirty_bitmap_sits_between_parity_log_and_full_image() {
-    let TpccTrace {
-        trace,
-        writes,
-        initial,
-        num_blocks,
-    } = tpcc_trace();
-    let outage = trace.len() / 3..2 * trace.len() / 3;
+    let mut config = RunConfig::smoke(BlockSize::kb8());
+    config.ops = 80;
+    let trace = capture_trace(Workload::TpccOracle, &config).expect("trace captures");
+    let start = trace.len() / 3;
+    let outage = 2 * trace.len() / 3 - start;
+    let m = resync_experiment(&trace, start, outage).unwrap();
+    assert!(m.consistent, "replica diverged after resync");
 
-    let full = outage_run(
-        &writes,
-        &initial,
-        num_blocks,
-        outage.clone(),
-        ResyncStrategy::FullImage,
-    );
-    let bitmap = outage_run(
-        &writes,
-        &initial,
-        num_blocks,
-        outage.clone(),
-        ResyncStrategy::DirtyBitmap,
-    );
-    let parity = outage_run(
-        &writes,
-        &initial,
-        num_blocks,
-        outage,
-        ResyncStrategy::ParityLog,
-    );
-
+    // A dirty-bitmap resync ships every dirty block's image and a
+    // full-image resync ships the whole volume; both are fixed by the
+    // block sets, so the measured parity-log resync is compared with them.
+    let block = trace.block_size().bytes() as u64;
+    let full = m.volume_blocks * block;
+    let bitmap = m.dirty_blocks as u64 * block;
+    let parity = m.resync_bytes;
     assert!(parity < bitmap, "parity {parity} >= bitmap {bitmap}");
     assert!(bitmap < full, "bitmap {bitmap} >= full {full}");
 }

@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use prins_cluster::{ClusterConfig, ResyncStrategy};
+use prins_cluster::ClusterConfig;
 use prins_net::Dir;
 use prins_sim::{Topology, World};
 
@@ -63,7 +63,7 @@ fn rejoin_race_never_serves_pre_rejoin_state() {
     // is Syncing (and each block dirty) until its delta applies, so
     // the guard must keep rejecting it mid-resync.
     w.ctl(0).restore();
-    w.group_mut(0).rejoin(0, ResyncStrategy::ParityLog).unwrap();
+    w.group_mut(0).rejoin(0).unwrap();
     loop {
         let remaining = w.group_mut(0).resync_step(0, 1).unwrap();
         for lba in 0..blocks {
@@ -73,7 +73,7 @@ fn rejoin_race_never_serves_pre_rejoin_state() {
             break;
         }
     }
-    w.quiesce(ResyncStrategy::ParityLog).unwrap();
+    w.quiesce().unwrap();
     w.check_invariants().unwrap();
 
     // Fully caught up: reads offload to both replicas again.
@@ -120,7 +120,7 @@ fn corrupt_frames_never_leak_into_reads() {
 
     // Heal, repair, and verify the full invariant set — then confirm
     // the guard rejected the corrupted path while it was live.
-    w.quiesce(ResyncStrategy::ParityLog).unwrap();
+    w.quiesce().unwrap();
     w.check_invariants().unwrap();
     for lba in 0..blocks {
         w.read_checked(lba).unwrap();
