@@ -26,6 +26,15 @@ if [ "$unsafe_in" != "crates/block/src/checksum.rs" ]; then
     grep -rnw "unsafe" crates/*/src | grep -v "^crates/block/src/checksum.rs:" >&2
     exit 1
 fi
+# The pipeline's wake-up rule (no system call when nobody is parked)
+# holds only if every wait in prins-core goes through `Signal`, so a
+# bare `Condvar` may appear in crates/core/src/signal.rs alone.
+condvar_in=$(grep -lw "Condvar" crates/core/src/*.rs)
+if [ "$condvar_in" != "crates/core/src/signal.rs" ]; then
+    echo "Condvar outside crates/core/src/signal.rs:" >&2
+    grep -nw "Condvar" crates/core/src/*.rs | grep -v "^crates/core/src/signal.rs:" >&2
+    exit 1
+fi
 # Code lines above a file's test module are what the gate below checks.
 # (No gate is needed for the stranded-response rule: prins_repl::Link
 # keeps its raw receive and epoch private, so the compiler holds every

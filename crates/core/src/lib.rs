@@ -81,6 +81,7 @@ mod engine;
 mod obs;
 pub mod pipeline;
 mod replica;
+mod signal;
 mod stats;
 
 pub use builder::EngineBuilder;

@@ -56,6 +56,13 @@
 //!   been encoded and released to the lanes, then sends a barrier
 //!   token down each lane; a lane drains its acknowledgement window
 //!   before arriving at the barrier.
+//! * **Wake-ups.** Every wait goes through a `Signal`, which counts the
+//!   threads parked on it and makes no system call when the count is
+//!   0; under streaming load most hand-offs find nobody parked. It is
+//!   sound because each notifier first changes the guarded state under
+//!   the waiter's mutex. A flusher is woken once, when the release
+//!   reaches the lowest target a barrier waits for
+//!   (`ReorderState::wake_at`), not after every encode.
 //!
 //! A lane that hits a transport error records it (surfaced at the next
 //! flush) and keeps retiring queued work, so a dead replica never
@@ -78,7 +85,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -88,6 +95,7 @@ use prins_net::Transport;
 use prins_repl::{put_batch, seal_begin, Link, LinkEvent, ReplError, Replicator, SeqRange, ACK};
 
 use crate::obs::Probe;
+use crate::signal::Signal;
 
 /// Tuning knobs for the replication pipeline (set via
 /// [`EngineBuilder`](crate::EngineBuilder)).
@@ -212,6 +220,9 @@ struct ReorderState {
     /// Next sequence number to release to the lanes.
     next_seq: u64,
     ready: HashMap<u64, Outbound>,
+    /// The lowest `next_seq` a waiting barrier needs, `u64::MAX` when
+    /// none waits: releasing up to it is the one moment to wake them.
+    wake_at: u64,
 }
 
 enum LaneMsg {
@@ -223,14 +234,14 @@ enum LaneMsg {
 /// Countdown the flush barrier waits on: one arrival per lane.
 struct BarrierGate {
     remaining: Mutex<usize>,
-    done: Condvar,
+    done: Signal,
 }
 
 impl BarrierGate {
     fn new(lanes: usize) -> Self {
         Self {
             remaining: Mutex::new(lanes),
-            done: Condvar::new(),
+            done: Signal::default(),
         }
     }
 
@@ -245,7 +256,7 @@ impl BarrierGate {
     fn wait(&self) {
         let mut left = self.remaining.lock().unwrap();
         while *left > 0 {
-            left = self.done.wait(left).unwrap();
+            left = self.done.wait(left);
         }
     }
 }
@@ -258,8 +269,8 @@ impl BarrierGate {
 /// the point: a full lane stalls the encode pool, not the application.
 pub(crate) struct LaneState {
     queue: Mutex<VecDeque<LaneMsg>>,
-    not_empty: Condvar,
-    not_full: Condvar,
+    not_empty: Signal,
+    not_full: Signal,
     cap: usize,
     pub sends: AtomicU64,
     pub acked_writes: AtomicU64,
@@ -273,8 +284,8 @@ impl LaneState {
     fn new(cap: usize) -> Self {
         Self {
             queue: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            not_empty: Signal::default(),
+            not_full: Signal::default(),
             cap,
             sends: AtomicU64::new(0),
             acked_writes: AtomicU64::new(0),
@@ -288,7 +299,7 @@ impl LaneState {
     fn push(&self, msg: LaneMsg) {
         let mut q = self.queue.lock().unwrap();
         while q.len() >= self.cap {
-            q = self.not_full.wait(q).unwrap();
+            q = self.not_full.wait(q);
         }
         q.push_back(msg);
         self.not_empty.notify_one();
@@ -297,7 +308,7 @@ impl LaneState {
     fn pop(&self) -> LaneMsg {
         let mut q = self.queue.lock().unwrap();
         while q.is_empty() {
-            q = self.not_empty.wait(q).unwrap();
+            q = self.not_empty.wait(q);
         }
         let msg = q.pop_front().expect("non-empty lane queue");
         self.not_full.notify_one();
@@ -334,14 +345,15 @@ impl LaneState {
 /// front-end keep.
 pub(crate) struct Inner {
     admit: Mutex<AdmitState>,
-    admit_cv: Condvar,
+    admit_cv: Signal,
     /// Jobs the admission queue holds before [`Pipeline::admit`] blocks.
     admit_cap: usize,
     /// Signalled when a worker claims a job (or the pipeline closes):
     /// where writers wait out a full admission queue.
-    admit_room: Condvar,
+    admit_room: Signal,
     reorder: Mutex<ReorderState>,
-    reorder_cv: Condvar,
+    /// Signalled when the release reaches `ReorderState::wake_at`.
+    reorder_cv: Signal,
     pub lanes: Vec<Arc<LaneState>>,
     replicator: Arc<dyn Replicator>,
     pub tuning: Arc<PipelineTuning>,
@@ -637,14 +649,15 @@ impl Pipeline {
                 seq_alloc: 0,
                 closed: false,
             }),
-            admit_cv: Condvar::new(),
+            admit_cv: Signal::default(),
             admit_cap,
-            admit_room: Condvar::new(),
+            admit_room: Signal::default(),
             reorder: Mutex::new(ReorderState {
                 next_seq: 0,
                 ready: HashMap::new(),
+                wake_at: u64::MAX,
             }),
-            reorder_cv: Condvar::new(),
+            reorder_cv: Signal::default(),
             lanes: transports
                 .iter()
                 .map(|_| Arc::new(LaneState::new(queue_cap)))
@@ -769,7 +782,7 @@ impl Pipeline {
             if st.queue.len() < cx.admit_cap {
                 break;
             }
-            st = cx.admit_room.wait(st).unwrap();
+            st = cx.admit_room.wait(st);
         }
         let seq = st.seq_alloc;
         st.seq_alloc += 1;
@@ -806,7 +819,8 @@ impl Pipeline {
             let target = cx.admit.lock().unwrap().seq_alloc;
             let mut ro = cx.reorder.lock().unwrap();
             while ro.next_seq < target {
-                ro = cx.reorder_cv.wait(ro).unwrap();
+                ro.wake_at = ro.wake_at.min(target);
+                ro = cx.reorder_cv.wait(ro);
             }
             drop(ro);
             if !cx.lanes.is_empty() {
@@ -919,8 +933,13 @@ fn encode_and_release(cx: &Inner, job: EncodeJob) {
             lane.push(LaneMsg::Payload(w.clone()));
         }
     }
-    drop(ro);
-    cx.reorder_cv.notify_all();
+    // Wake the waiting barriers once the lowest target is released;
+    // one with a later target re-arms `wake_at` and parks again.
+    if ro.next_seq >= ro.wake_at {
+        ro.wake_at = u64::MAX;
+        drop(ro);
+        cx.reorder_cv.notify_all();
+    }
 }
 
 /// Encode-pool worker: drains the admission queue, encodes payloads
@@ -938,7 +957,7 @@ fn run_encoder(cx: &Inner) {
                 if st.closed {
                     break None;
                 }
-                st = cx.admit_cv.wait(st).unwrap();
+                st = cx.admit_cv.wait(st);
             }
         };
         let Some(job) = job else { return };

@@ -201,7 +201,9 @@ mod tests {
     fn concurrent_writers_to_overlapping_blocks_stay_consistent() {
         // Four threads hammer the same 8 LBAs; the per-LBA stripe locks
         // must keep each parity consistent with its predecessor image,
-        // or the replica's XOR chain diverges.
+        // or the replica's XOR chain diverges. Each also flushes every
+        // 8 writes, so barriers wait on different targets at once and
+        // each must still be woken when its own target is released.
         let (to_replica, at_replica) = channel_pair(LinkModel::t1());
         let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
         let replica =
@@ -223,6 +225,9 @@ mod tests {
                     let mut block = vec![0u8; 4096];
                     rng.fill_bytes(&mut block);
                     engine.write_block(lba, &block).unwrap();
+                    if i % 8 == 7 {
+                        engine.flush().unwrap();
+                    }
                 }
             }));
         }
