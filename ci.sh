@@ -40,12 +40,16 @@ fi
 # keeps its raw receive and epoch private, so the compiler holds every
 # send and await to it.)
 code_lines() { awk '/#\[cfg\(test\)\]/ { nextfile } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$@"; }
-# The probe catalogue (crates/cluster/src/probe.rs) is complete only if
-# nothing else in the crate records.
-leaks=$(code_lines $(ls crates/cluster/src/*.rs | grep -v '/probe\.rs$') \
-    | grep -E 'registry\.|sink\.|now_nanos|EventKind|TraceStage|\.(events|counter|gauge|histogram)\(' || true)
+# A plane's probe catalogue (crates/cluster/src/probe.rs,
+# crates/core/src/obs.rs) is complete only if nothing else in its crate
+# records, and the engine's probe is its only store of numbers only if
+# nothing else in prins-core counts. (signal.rs's atomic counts parked
+# threads, not a metric.)
+leaks=$(code_lines $(ls crates/cluster/src/*.rs crates/core/src/*.rs \
+    | grep -v -E '/cluster/src/probe\.rs$|/core/src/(obs|signal)\.rs$') \
+    | grep -E 'registry\.|sink\.|now_nanos|EventKind|TraceStage|\.(events|counter|gauge|histogram)\(|fetch_add|fetch_max' || true)
 if [ -n "$leaks" ]; then
-    echo "registry / trace-sink / clock recording outside crates/cluster/src/probe.rs:" >&2
+    echo "recording or counting outside crates/cluster/src/probe.rs, crates/core/src/obs.rs:" >&2
     echo "$leaks" >&2
     exit 1
 fi

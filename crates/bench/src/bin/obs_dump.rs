@@ -9,7 +9,8 @@
 //! obs-dump --prometheus      # Prometheus text exposition
 //! obs-dump --traces          # flight-recorder dump of the traced
 //!                            # 10x-slow-link run: summary JSON, then
-//!                            # the retained traces as a table
+//!                            # the sink's aggregates (latency, tail
+//!                            # attribution, SLO burn) as a table
 //! ```
 //!
 //! The run is virtual-time simulation: two runs with the same `--ops`

@@ -35,7 +35,8 @@ const LINK_DELAY: Duration = Duration::from_micros(200);
 /// block writes) through an observed engine mirroring to two simulated
 /// replicas, and returns the registry snapshot: per-stage latency
 /// histograms (capture, encode, reorder hold, lane queue, send, ack
-/// RTT), engine and lane gauges, and the typed event trace.
+/// RTT), engine and lane counters, pool gauges, and the typed event
+/// trace.
 ///
 /// # Errors
 ///
@@ -132,9 +133,9 @@ mod tests {
             assert!(h.p50 > 0, "{stage} p50 must be non-zero under auto-tick");
             assert!(h.p99 >= h.p50);
         }
-        assert!(a.gauges["engine_writes"] > 0);
+        assert!(a.counters["engine_writes"] > 0);
         let admits = a.event_counts.get("admit").copied().unwrap_or(0);
         let folds = a.event_counts.get("coalesce").copied().unwrap_or(0);
-        assert_eq!(admits + folds, a.gauges["engine_writes"]);
+        assert_eq!(admits + folds, a.counters["engine_writes"]);
     }
 }

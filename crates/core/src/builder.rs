@@ -131,10 +131,16 @@ impl EngineBuilder {
 
     /// Attaches a metrics registry (default: none): the engine records
     /// per-stage latency histograms, queue-depth samples and typed
-    /// pipeline events into it, and publishes its counters as gauges at
-    /// every [`Registry::snapshot`](prins_obs::Registry::snapshot).
-    /// Share one registry across layers (engine, cluster, meters) for a
-    /// unified snapshot.
+    /// pipeline events into it, and its counters *are* the registry's
+    /// — `engine_*`, `lane{i}_*`, `checksum_failures`, `retransmits`
+    /// and the gauge `engine_queue_depth_hwm` — which
+    /// [`PrinsEngine::stats`](crate::PrinsEngine::stats) reads back.
+    /// The buffer pool's `pool_*` gauges and
+    /// `engine_bytes_copied_per_write` are published at every
+    /// [`Registry::snapshot`](prins_obs::Registry::snapshot). Two
+    /// engines on one registry would add into the same counters, so a
+    /// registry serves one engine; share it with the other layers
+    /// (cluster, meters) for a unified snapshot.
     pub fn observe(mut self, registry: Arc<prins_obs::Registry>) -> Self {
         self.registry = Some(registry);
         self

@@ -1,6 +1,5 @@
 //! The primary-side PRINS engine.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -10,8 +9,8 @@ use prins_buf::BufPool;
 use prins_net::Transport;
 use prins_repl::Replicator;
 
-use crate::obs::Probe;
-use crate::pipeline::{Inner, Pipeline, PipelineConfig, PipelineTuning};
+use crate::obs::{self, Probe};
+use crate::pipeline::{Pipeline, PipelineConfig, PipelineTuning};
 use crate::{EngineStats, LaneStats};
 
 /// The PRINS-engine: a [`BlockDevice`] wrapper that replicates every
@@ -31,7 +30,7 @@ use crate::{EngineStats, LaneStats};
 pub struct PrinsEngine {
     device: Arc<dyn BlockDevice>,
     /// The stages; their shared context ([`Pipeline::cx`]) also holds
-    /// the front-end's counters, clock and buffer pool.
+    /// the front-end's probe — clock and counters — and buffer pool.
     pipeline: Pipeline,
     /// Per-LBA stripe locks: the old-image capture, the local write and
     /// the pipeline admission must be atomic per block, or two
@@ -55,20 +54,7 @@ impl PrinsEngine {
         let pool =
             BufPool::for_block_size(device.geometry().block_size().bytes(), config.batch_frames);
         let pipeline = Pipeline::start(replicator, transports, config, pool, probe);
-        if let Some(registry) = pipeline.cx().probe.registry() {
-            // The collector closes over a Weak: the registry outliving
-            // the engine must not keep the pipeline context (and with
-            // it this very registry, via the probe) alive in a cycle.
-            // Gauges keep their last published value, and the engine
-            // publishes once more on drop, so post-shutdown snapshots
-            // still show the final counters.
-            let weak = Arc::downgrade(pipeline.cx());
-            registry.add_collector(Box::new(move |reg| {
-                if let Some(cx) = weak.upgrade() {
-                    publish_engine_gauges(reg, &cx);
-                }
-            }));
-        }
+        obs::collect_gauges(pipeline.cx());
         Self {
             device,
             pipeline,
@@ -116,59 +102,22 @@ impl PrinsEngine {
         self.pipeline.step()
     }
 
-    /// Snapshot of the engine's counters.
+    /// The engine's counters, read from the instruments its probe
+    /// bumps — in an [`observe`](crate::EngineBuilder::observe)d
+    /// engine, the registry's `engine_*` and `lane{i}_*` counters.
     ///
     /// `writes_replicated` is the number of writes acknowledged by
     /// *every* replica; `replicated_payload_bytes` counts the sealed
     /// frame of each successful transmission once per lane (a write
     /// sent to three replicas contributes three frames).
     pub fn stats(&self) -> EngineStats {
-        let cx = self.pipeline.cx();
-        let lanes = &cx.lanes;
-        let writes_replicated = if lanes.is_empty() {
-            cx.stats.dispatched_writes.load(Ordering::Relaxed)
-        } else {
-            lanes
-                .iter()
-                .map(|l| l.acked_writes.load(Ordering::Relaxed))
-                .min()
-                .unwrap_or(0)
-        };
-        EngineStats {
-            writes: cx.stats.writes.load(Ordering::Relaxed),
-            reads: cx.stats.reads.load(Ordering::Relaxed),
-            writes_replicated,
-            replicated_payload_bytes: lanes
-                .iter()
-                .map(|l| l.payload_bytes.load(Ordering::Relaxed))
-                .sum(),
-            local_write_nanos: cx.stats.local_write_nanos.load(Ordering::Relaxed),
-            overhead_nanos: cx.stats.overhead_nanos.load(Ordering::Relaxed),
-            send_nanos: lanes
-                .iter()
-                .map(|l| l.send_nanos.load(Ordering::Relaxed) + l.ack_nanos.load(Ordering::Relaxed))
-                .sum(),
-            replication_errors: cx.stats.replication_errors.load(Ordering::Relaxed),
-            coalesced_writes: cx.stats.coalesced_writes.load(Ordering::Relaxed),
-            queue_depth_hwm: cx.stats.queue_depth_hwm.load(Ordering::Relaxed),
-        }
+        self.pipeline.cx().probe.stats()
     }
 
-    /// Per-replica sender-lane counters, in replica order.
+    /// Per-replica sender-lane counters, in replica order — a view like
+    /// [`stats`](Self::stats).
     pub fn lane_stats(&self) -> Vec<LaneStats> {
-        self.pipeline
-            .cx()
-            .lanes
-            .iter()
-            .map(|l| LaneStats {
-                sends: l.sends.load(Ordering::Relaxed),
-                acked_writes: l.acked_writes.load(Ordering::Relaxed),
-                payload_bytes: l.payload_bytes.load(Ordering::Relaxed),
-                send_nanos: l.send_nanos.load(Ordering::Relaxed),
-                ack_nanos: l.ack_nanos.load(Ordering::Relaxed),
-                errors: l.errors.load(Ordering::Relaxed),
-            })
-            .collect()
+        self.pipeline.cx().probe.lane_stats()
     }
 
     /// The wrapped local device.
@@ -184,7 +133,7 @@ impl PrinsEngine {
     /// occurred since the last check (the error is consumed).
     pub fn replication_barrier(&self) -> Result<()> {
         self.pipeline.barrier();
-        if let Some(err) = self.pipeline.cx().stats.last_error.lock().take() {
+        if let Some(err) = self.pipeline.cx().last_error.lock().take() {
             return Err(BlockError::DeviceFailed {
                 device: format!("replication failed: {err}"),
             });
@@ -213,11 +162,7 @@ impl BlockDevice for PrinsEngine {
 
     fn read_block(&self, lba: Lba, buf: &mut [u8]) -> Result<()> {
         self.device.read_block(lba, buf)?;
-        self.pipeline
-            .cx()
-            .stats
-            .reads
-            .fetch_add(1, Ordering::Relaxed);
+        self.pipeline.cx().probe.read();
         Ok(())
     }
 
@@ -241,22 +186,11 @@ impl BlockDevice for PrinsEngine {
         self.device.write_block_over(lba, &old, buf)?;
         let write_nanos = cx.probe.now().saturating_sub(t1);
 
-        cx.stats
-            .overhead_nanos
-            .fetch_add(capture_nanos, Ordering::Relaxed);
-        cx.stats
-            .local_write_nanos
-            .fetch_add(write_nanos, Ordering::Relaxed);
-        cx.stats.writes.fetch_add(1, Ordering::Relaxed);
-        cx.probe.local_io(capture_nanos, write_nanos);
-
         // Forward step, part 2: the new image's single hot-path copy,
         // into a pooled buffer the encoder reads from in place.
         let mut new = cx.pool.get(buf.len());
         new.copy_from(buf);
-        cx.stats
-            .hot_bytes_copied
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        cx.probe.local_io(capture_nanos, write_nanos, buf.len());
         self.pipeline
             .admit(lba, old, new)
             .map_err(|_| BlockError::DeviceFailed {
@@ -275,61 +209,9 @@ impl Drop for PrinsEngine {
         // Best-effort teardown; errors were reportable via shutdown().
         // The pipeline drains queued work before its threads exit.
         self.pipeline.shutdown();
-        if let Some(registry) = self.pipeline.cx().probe.registry() {
-            // Final gauge publish: the snapshot collector only holds a
-            // Weak to this engine's state and goes quiet after drop.
-            publish_engine_gauges(registry, self.pipeline.cx());
-        }
-    }
-}
-
-/// Copies the engine's counters into registry gauges. Run by the
-/// snapshot collector while the engine lives and once at drop.
-fn publish_engine_gauges(reg: &prins_obs::Registry, cx: &Inner) {
-    let pool_stats = cx.pool.stats();
-    let writes = cx.stats.writes.load(Ordering::Relaxed);
-    let hot_bytes = cx.stats.hot_bytes_copied.load(Ordering::Relaxed);
-    for (name, value) in [
-        ("engine_writes", writes),
-        ("engine_reads", cx.stats.reads.load(Ordering::Relaxed)),
-        (
-            "engine_coalesced_writes",
-            cx.stats.coalesced_writes.load(Ordering::Relaxed),
-        ),
-        (
-            "engine_dispatched_writes",
-            cx.stats.dispatched_writes.load(Ordering::Relaxed),
-        ),
-        (
-            "engine_replication_errors",
-            cx.stats.replication_errors.load(Ordering::Relaxed),
-        ),
-        (
-            "engine_queue_depth_hwm",
-            cx.stats.queue_depth_hwm.load(Ordering::Relaxed),
-        ),
-        ("engine_hot_bytes_copied", hot_bytes),
-        (
-            "engine_bytes_copied_per_write",
-            hot_bytes.checked_div(writes).unwrap_or(0),
-        ),
-        ("pool_hits", pool_stats.hits),
-        ("pool_misses", pool_stats.misses),
-        ("pool_miss_ppm", pool_stats.miss_ppm()),
-        ("pool_in_use", pool_stats.in_use),
-        ("pool_in_use_hwm", pool_stats.in_use_hwm),
-    ] {
-        reg.gauge(name).set(value);
-    }
-    for (idx, lane) in cx.lanes.iter().enumerate() {
-        for (suffix, value) in [
-            ("sends", lane.sends.load(Ordering::Relaxed)),
-            ("acked_writes", lane.acked_writes.load(Ordering::Relaxed)),
-            ("payload_bytes", lane.payload_bytes.load(Ordering::Relaxed)),
-            ("errors", lane.errors.load(Ordering::Relaxed)),
-        ] {
-            reg.gauge(&format!("lane{idx}_{suffix}")).set(value);
-        }
+        // The snapshot collector holds this engine's context weakly and
+        // goes quiet after drop: publish its gauges one last time.
+        obs::publish_gauges(self.pipeline.cx());
     }
 }
 

@@ -21,13 +21,14 @@
 //! Three objects carry it. `Inner` is the one context every stage
 //! borrows: the queues between the stages, the replicator, the buffer
 //! pool, the live `PipelineTuning`, the resolved ack window and
-//! timeout, the engine's counters and the `Probe`. A `Lane` is one
+//! timeout, the last replication error and the `Probe`. A `Lane` is one
 //! replica's sender — its `Link`, which holds the frames in flight and
 //! decides which answer is whose, and its batch scratch — with three
 //! verbs: `handle` one queue message, `collect_oldest` one
 //! acknowledgement, `drain` the window; they are the only code in the
 //! crate that sends a frame or awaits a response. The `Probe` is told
-//! about every hop and alone decides what is recorded about it.
+//! about every hop, alone decides what is recorded about it, and holds
+//! every number the engine keeps.
 //!
 //! Invariants:
 //!
@@ -84,7 +85,7 @@
 //! schedules deterministically.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -261,23 +262,17 @@ impl BarrierGate {
     }
 }
 
-/// One replica's sender-lane queue plus its counters — the half of a
-/// lane the other stages and the engine's stats can see.
+/// One replica's sender-lane queue — the half of a lane the other
+/// stages can see.
 ///
 /// The queue is hand-rolled over `std::sync` because the vendored
 /// crossbeam only ships unbounded channels and backpressure here is
 /// the point: a full lane stalls the encode pool, not the application.
-pub(crate) struct LaneState {
+struct LaneState {
     queue: Mutex<VecDeque<LaneMsg>>,
     not_empty: Signal,
     not_full: Signal,
     cap: usize,
-    pub sends: AtomicU64,
-    pub acked_writes: AtomicU64,
-    pub payload_bytes: AtomicU64,
-    pub send_nanos: AtomicU64,
-    pub ack_nanos: AtomicU64,
-    pub errors: AtomicU64,
 }
 
 impl LaneState {
@@ -287,12 +282,6 @@ impl LaneState {
             not_empty: Signal::default(),
             not_full: Signal::default(),
             cap,
-            sends: AtomicU64::new(0),
-            acked_writes: AtomicU64::new(0),
-            payload_bytes: AtomicU64::new(0),
-            send_nanos: AtomicU64::new(0),
-            ack_nanos: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
         }
     }
 
@@ -340,9 +329,8 @@ impl LaneState {
     }
 }
 
-/// The one context every stage borrows: the queues between the stages,
-/// what the stages work with, and the counters they and the engine
-/// front-end keep.
+/// The one context every stage borrows: the queues between the stages
+/// and what the stages work with.
 pub(crate) struct Inner {
     admit: Mutex<AdmitState>,
     admit_cv: Signal,
@@ -354,7 +342,7 @@ pub(crate) struct Inner {
     reorder: Mutex<ReorderState>,
     /// Signalled when the release reaches `ReorderState::wake_at`.
     reorder_cv: Signal,
-    pub lanes: Vec<Arc<LaneState>>,
+    lanes: Vec<Arc<LaneState>>,
     replicator: Arc<dyn Replicator>,
     pub tuning: Arc<PipelineTuning>,
     /// In-flight frames per lane, resolved from the ack policy (≥ 1).
@@ -364,36 +352,15 @@ pub(crate) struct Inner {
     /// buffers recycle across the whole hot path.
     pub pool: BufPool,
     pub probe: Probe,
-    pub stats: Counters,
-}
-
-/// What the engine front-end and the stages count.
-#[derive(Default)]
-pub(crate) struct Counters {
-    pub writes: AtomicU64,
-    pub reads: AtomicU64,
-    pub local_write_nanos: AtomicU64,
-    pub overhead_nanos: AtomicU64,
-    pub replication_errors: AtomicU64,
-    pub coalesced_writes: AtomicU64,
-    pub queue_depth_hwm: AtomicU64,
-    /// Writes released by the reorder stage to the sender lanes (with
-    /// no replicas configured this is the replicated count).
-    pub dispatched_writes: AtomicU64,
-    /// Bytes memcpy'd on the hot path (block capture → wire frame).
-    /// With the pooled path a block's bytes are copied once at capture
-    /// and once onto the wire; this counter is what proves it.
-    pub hot_bytes_copied: AtomicU64,
+    /// The first replication error since the last flush, which
+    /// surfaces it.
     pub last_error: parking_lot::Mutex<Option<String>>,
 }
 
-impl Counters {
-    fn record_error(&self, e: &ReplError) {
-        self.replication_errors.fetch_add(1, Ordering::Relaxed);
-        let mut slot = self.last_error.lock();
-        if slot.is_none() {
-            *slot = Some(e.to_string());
-        }
+impl Inner {
+    /// Keeps `e` for the next flush unless an earlier error waits.
+    fn keep_error(&self, e: &ReplError) {
+        self.last_error.lock().get_or_insert_with(|| e.to_string());
     }
 }
 
@@ -506,9 +473,6 @@ impl Lane {
             batch => put_batch(out, batch.iter().map(|p| &p[..])),
         }
         writer.finish(out);
-        cx.stats
-            .hot_bytes_copied
-            .fetch_add(payload_len as u64, Ordering::Relaxed);
         self.batch.clear();
         let flight = InFlight {
             writes,
@@ -521,13 +485,8 @@ impl Lane {
         let sent = self.link.send_sealed(flight, ACK);
         let t1 = probe.now();
         let took = t1.saturating_sub(t0);
-        self.state.send_nanos.fetch_add(took, Ordering::Relaxed);
         match sent {
             Ok(flight) => {
-                self.state.sends.fetch_add(1, Ordering::Relaxed);
-                self.state
-                    .payload_bytes
-                    .fetch_add(flight.frame.len() as u64, Ordering::Relaxed);
                 probe.sent(self.idx, flight, took, t1);
                 while self.link.in_flight().len() >= cx.ack_window {
                     self.collect_oldest(cx);
@@ -536,9 +495,8 @@ impl Lane {
             Err((flight, e)) => {
                 // The frame retires unsent; the error surfaces at the
                 // next flush.
-                self.state.errors.fetch_add(1, Ordering::Relaxed);
                 probe.send_failed(self.idx, &flight, took, t1);
-                cx.stats.record_error(&e);
+                cx.keep_error(&e);
             }
         }
         true
@@ -574,9 +532,6 @@ impl Lane {
             let (flight, answer) = collected.expect("an in-flight frame");
             t1 = probe.now();
             waited += t1.saturating_sub(t0);
-            self.state
-                .ack_nanos
-                .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
             match answer {
                 // The frame was damaged in flight; resend the retained copy.
                 Err(ReplError::ChecksumMismatch { .. })
@@ -584,12 +539,7 @@ impl Lane {
                 {
                     attempt += 1;
                     match self.link.send_sealed(flight, ACK) {
-                        Ok(flight) => {
-                            self.state
-                                .payload_bytes
-                                .fetch_add(flight.frame.len() as u64, Ordering::Relaxed);
-                            probe.retransmitted(self.idx, flight, t1);
-                        }
+                        Ok(flight) => probe.retransmitted(self.idx, flight, t1),
                         Err((flight, e)) => break (flight, Err(e)),
                     }
                 }
@@ -597,16 +547,10 @@ impl Lane {
             }
         };
         match result {
-            Ok(()) => {
-                self.state
-                    .acked_writes
-                    .fetch_add(flight.writes, Ordering::Relaxed);
-                probe.acked(self.idx, &flight, waited, t1);
-            }
+            Ok(()) => probe.acked(self.idx, &flight, waited, t1),
             Err(e) => {
                 probe.ack_failed(self.idx, &flight, waited, t1, &e);
-                self.state.errors.fetch_add(1, Ordering::Relaxed);
-                cx.stats.record_error(&e);
+                cx.keep_error(&e);
             }
         }
     }
@@ -671,7 +615,7 @@ impl Pipeline {
             ack_timeout: config.ack_timeout,
             pool,
             probe,
-            stats: Counters::default(),
+            last_error: parking_lot::Mutex::new(None),
         });
         let lanes = transports
             .into_iter()
@@ -705,8 +649,8 @@ impl Pipeline {
         }
     }
 
-    /// The context the stages share — the engine front-end's counters,
-    /// pool and probe live there too.
+    /// The context the stages share — the engine front-end's pool and
+    /// probe live there too.
     pub fn cx(&self) -> &Arc<Inner> {
         &self.inner
     }
@@ -775,7 +719,6 @@ impl Pipeline {
                 debug_assert_eq!(job.seq, seq);
                 job.new = new;
                 job.folds += 1;
-                cx.stats.coalesced_writes.fetch_add(1, Ordering::Relaxed);
                 cx.probe.folded(seq, lba, bytes, st.queue.len());
                 return Ok(());
             }
@@ -798,9 +741,6 @@ impl Pipeline {
             folds: 0,
             admitted_at: cx.probe.admitted(seq, lba, bytes, depth),
         });
-        cx.stats
-            .queue_depth_hwm
-            .fetch_max(depth as u64, Ordering::Relaxed);
         drop(st);
         cx.admit_cv.notify_one();
         Ok(())
@@ -898,9 +838,6 @@ fn encode_and_release(cx: &Inner, job: EncodeJob) {
     drop(job.old);
     drop(job.new);
     let t1 = cx.probe.now();
-    cx.stats
-        .overhead_nanos
-        .fetch_add(t1.saturating_sub(t0), Ordering::Relaxed);
     let encoded = Outbound {
         seq: job.seq,
         lba: job.lba,
@@ -925,9 +862,6 @@ fn encode_and_release(cx: &Inner, job: EncodeJob) {
             break;
         };
         ro.next_seq += 1;
-        cx.stats
-            .dispatched_writes
-            .fetch_add(w.writes, Ordering::Relaxed);
         w.at = cx.probe.released(&w);
         for lane in &cx.lanes {
             lane.push(LaneMsg::Payload(w.clone()));
@@ -979,7 +913,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::{RngExt, SeedableRng};
 
-    use crate::{EngineBuilder, PrinsEngine, ReplicaEngine};
+    use crate::{EngineBuilder, EngineStats, LaneStats, PrinsEngine, ReplicaEngine};
 
     type ReplicaHandle = std::thread::JoinHandle<Result<u64, ReplError>>;
 
@@ -1465,8 +1399,8 @@ mod tests {
             assert_eq!(snap.event_counts["send"], 80);
             assert_eq!(snap.event_counts["ack-ok"], 80);
             assert!(!snap.event_counts.contains_key("nak"));
-            assert_eq!(snap.gauges["engine_writes"], 40);
-            assert_eq!(snap.gauges["lane0_sends"], 40);
+            assert_eq!(snap.counters["engine_writes"], 40);
+            assert_eq!(snap.counters["lane0_sends"], 40);
             (snap.to_json(), registry.events().trace())
         }
         let (json_a, trace_a) = run();
@@ -1501,6 +1435,100 @@ mod tests {
             lanes[0].payload_bytes + lanes[1].payload_bytes
         );
         shutdown_all(engine, replica_threads);
+    }
+
+    #[test]
+    fn stats_are_views_over_the_registry_counters() {
+        // One seeded, stepped stream — reads, folds, batches, and NAKs
+        // for the two blocks the replicas lack — through an observed
+        // engine and an unobserved one: the views count the same either
+        // way, and the observed one's registry holds exactly those
+        // counts, name for name.
+        fn run(registry: Option<Arc<prins_obs::Registry>>) -> (EngineStats, Vec<LaneStats>) {
+            let net = SimNet::new();
+            let (transports, _ctls, _devs) = sim_replicas(&net, 2, 6, Duration::from_micros(200));
+            let mut builder = EngineBuilder::new(Arc::new(MemDevice::new(BlockSize::kb4(), 8)))
+                .manual_stepping(true)
+                .clock(net.clock())
+                .coalesce(true)
+                .batch_frames(2)
+                .ack_policy(AckPolicy::Window(4));
+            if let Some(registry) = registry {
+                builder = builder.observe(registry);
+            }
+            for transport in transports {
+                builder = builder.replica(transport);
+            }
+            let engine = builder.build();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+            for i in 0..120 {
+                let lba = Lba(rng.random_range(0..8));
+                let mut block = engine.read_block_vec(lba).unwrap();
+                block[rng.random_range(0..4096)] ^= 0x5a;
+                engine.write_block(lba, &block).unwrap();
+                if i % 8 == 7 {
+                    engine.step();
+                }
+            }
+            assert!(engine.flush().is_err(), "the short replicas NAK");
+            let views = (engine.stats(), engine.lane_stats());
+            engine.shutdown().unwrap();
+            views
+        }
+        // Every field but the `*_nanos` timings.
+        let counts = |s: &EngineStats| {
+            [
+                s.writes,
+                s.reads,
+                s.writes_replicated,
+                s.replicated_payload_bytes,
+                s.replication_errors,
+                s.coalesced_writes,
+                s.queue_depth_hwm,
+            ]
+        };
+        let lane_counts = |l: &LaneStats| [l.sends, l.acked_writes, l.payload_bytes, l.errors];
+
+        let registry = prins_obs::Registry::new();
+        let (stats, lanes) = run(Some(Arc::clone(&registry)));
+        let (bare, bare_lanes) = run(None);
+        assert_eq!(counts(&stats), counts(&bare));
+        assert_eq!(
+            lanes.iter().map(lane_counts).collect::<Vec<_>>(),
+            bare_lanes.iter().map(lane_counts).collect::<Vec<_>>()
+        );
+        assert!(stats.reads > 0 && stats.coalesced_writes > 0, "{stats:?}");
+        assert!(stats.replication_errors > 0 && stats.writes_replicated > 0);
+
+        let snap = registry.snapshot();
+        let counter = |name: &str| snap.counters[name];
+        for (name, value) in [
+            ("engine_writes", stats.writes),
+            ("engine_reads", stats.reads),
+            ("engine_replication_errors", stats.replication_errors),
+            ("engine_coalesced_writes", stats.coalesced_writes),
+        ] {
+            assert_eq!(counter(name), value, "{name}");
+        }
+        assert_eq!(snap.gauges["engine_queue_depth_hwm"], stats.queue_depth_hwm);
+        for (i, lane) in lanes.iter().enumerate() {
+            for (suffix, value) in [
+                ("sends", lane.sends),
+                ("acked_writes", lane.acked_writes),
+                ("payload_bytes", lane.payload_bytes),
+                ("errors", lane.errors),
+            ] {
+                assert_eq!(
+                    counter(&format!("lane{i}_{suffix}")),
+                    value,
+                    "lane{i}_{suffix}"
+                );
+            }
+        }
+        let acked = (0..2).map(|i| counter(&format!("lane{i}_acked_writes")));
+        assert_eq!(acked.min(), Some(stats.writes_replicated));
+        let bytes = (0..2).map(|i| counter(&format!("lane{i}_payload_bytes")));
+        assert_eq!(bytes.sum::<u64>(), stats.replicated_payload_bytes);
     }
 
     /// Replays `writes` through an observed engine and asserts that

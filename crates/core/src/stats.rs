@@ -1,9 +1,11 @@
 //! Engine statistics, including the CPU-overhead accounting behind the
-//! paper's "< 10 % overhead" claim.
+//! paper's "< 10 % overhead" claim. Both structs are views: the numbers
+//! live in the engine's probe (`crate::obs`), as `prins-obs` instruments.
 
 use std::time::Duration;
 
-/// Counters and timings accumulated by a [`PrinsEngine`](crate::PrinsEngine).
+/// Counters and timings accumulated by a [`PrinsEngine`](crate::PrinsEngine)
+/// (see [`PrinsEngine::stats`](crate::PrinsEngine::stats)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Block writes accepted by the engine.
@@ -57,17 +59,6 @@ impl EngineStats {
     pub fn overhead_time(&self) -> Duration {
         Duration::from_nanos(self.overhead_nanos)
     }
-
-    /// Mean wire bytes (see
-    /// [`replicated_payload_bytes`](Self::replicated_payload_bytes)) per
-    /// replicated write.
-    pub fn mean_payload_per_write(&self) -> f64 {
-        if self.writes_replicated == 0 {
-            0.0
-        } else {
-            self.replicated_payload_bytes as f64 / self.writes_replicated as f64
-        }
-    }
 }
 
 /// Counters for one per-replica sender lane (see
@@ -96,15 +87,6 @@ pub struct LaneStats {
     pub errors: u64,
 }
 
-impl LaneStats {
-    /// Mean round-trip-inclusive acknowledgement wait per frame.
-    pub fn mean_ack_wait(&self) -> Duration {
-        self.ack_nanos
-            .checked_div(self.sends)
-            .map_or(Duration::ZERO, Duration::from_nanos)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,26 +95,17 @@ mod tests {
     fn ratios_handle_zero_denominators() {
         let s = EngineStats::default();
         assert_eq!(s.overhead_ratio(), 0.0);
-        assert_eq!(s.mean_payload_per_write(), 0.0);
         assert!(s.overhead_ratio().is_finite());
-        assert!(s.mean_payload_per_write().is_finite());
-        // The lane-side ratio guards the same way: an idle lane reports
-        // a zero wait, never NaN or a division panic.
-        assert_eq!(LaneStats::default().mean_ack_wait(), Duration::ZERO);
     }
 
     #[test]
     fn derived_values() {
         let s = EngineStats {
-            writes: 10,
-            writes_replicated: 10,
-            replicated_payload_bytes: 1000,
             local_write_nanos: 1_000_000,
             overhead_nanos: 50_000,
             ..Default::default()
         };
         assert!((s.overhead_ratio() - 0.05).abs() < 1e-12);
-        assert!((s.mean_payload_per_write() - 100.0).abs() < 1e-12);
         assert_eq!(s.local_write_time(), Duration::from_millis(1));
     }
 }

@@ -331,7 +331,7 @@ mod tests {
     }
 
     /// A registry carrying the buffer-pool gauges the engine publishes
-    /// (`publish_engine_gauges` in prins-core).
+    /// (`publish_gauges` in prins-core's `obs.rs`).
     fn pool_registry() -> std::sync::Arc<Registry> {
         let reg = Registry::new();
         reg.gauge("pool_hits").set(970);
