@@ -89,6 +89,13 @@ cargo run -q --release -p prins-sim --bin sim-replay -- \
 # (find it before it breaks seed replay).
 cargo run -q --release -p prins-bench --bin obs-dump -- --ops 300 --summary \
     | diff tests/obs_golden.json -
+# The engine pipeline's trace summary (latency, tail attribution, SLO
+# burn, anomaly counts) on the traced 10x-slow-lane run, pinned the same
+# way: a diff means a traced hop, its timestamp or the finalize
+# arithmetic changed. (`sed -n 1p` reads to the end, so obs-dump never
+# writes into a closed pipe.)
+cargo run -q --release -p prins-bench --bin obs-dump -- --ops 300 --traces \
+    | sed -n 1p | diff tests/engine_trace_golden.json -
 # Scenario golden gates (corruption, EC rebuild, scale-out, trace,
 # adaptive policy): each golden file pins the deterministic event-count
 # or trace summary of the scenarios listed beside it in the GOLDENS

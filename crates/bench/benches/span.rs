@@ -1,5 +1,5 @@
 //! Observability hot-path micro-benchmarks: the `TraceSink` hop append
-//! and begin-to-complete lifecycle the flight recorder adds to every
+//! and begin-to-complete lifecycle per-write tracing adds to every
 //! write. Both must stay deep in the nanoseconds for tracing to be
 //! default-on in the engine.
 
@@ -13,16 +13,16 @@ fn bench_trace_hop(c: &mut Criterion) {
     let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
     let sink = TraceSink::new(TraceConfig::default());
     let id = TraceId::from_seq(7);
-    sink.begin(id, 0, u32::MAX, clock.now_nanos(), 4096);
+    sink.begin(id, 0, u32::MAX, clock.now_nanos());
     // One live trace, hammered with hop appends: the per-write cost of
     // an event once the slot lock is warm. The huge pending count keeps
     // the trace from finalizing mid-benchmark.
     c.bench_function("obs/trace/event_append", |b| {
-        b.iter(|| sink.event(id, TraceStage::Send, 1, clock.now_nanos(), 4096))
+        b.iter(|| sink.event(id, TraceStage::Send, 1, clock.now_nanos()))
     });
     let miss = TraceId::from_seq(8 + 1024);
     c.bench_function("obs/trace/event_inactive_slot", |b| {
-        b.iter(|| sink.event(miss, TraceStage::Send, 1, clock.now_nanos(), 4096))
+        b.iter(|| sink.event(miss, TraceStage::Send, 1, clock.now_nanos()))
     });
 }
 
@@ -30,17 +30,17 @@ fn bench_trace_lifecycle(c: &mut Criterion) {
     let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
     let sink = TraceSink::new(TraceConfig::default());
     let mut seq = 0u64;
-    // The full per-write recorder bill: begin, three hops, complete.
+    // The full per-write tracing bill: begin, three hops, complete.
     c.bench_function("obs/trace/begin_to_complete", |b| {
         b.iter(|| {
             seq += 1;
             let id = TraceId::from_seq(seq);
             let t = clock.now_nanos();
-            sink.begin(id, 0, 1, t, 4096);
-            sink.event(id, TraceStage::Encode, u32::MAX, t, 4096);
-            sink.event(id, TraceStage::LaneQueue, 0, t, 4096);
-            sink.event(id, TraceStage::Send, 0, t, 4096);
-            sink.complete(id, TraceStage::Ack, 0, t, 0);
+            sink.begin(id, 0, 1, t);
+            sink.event(id, TraceStage::Encode, u32::MAX, t);
+            sink.event(id, TraceStage::LaneQueue, 0, t);
+            sink.event(id, TraceStage::Send, 0, t);
+            sink.complete(id, TraceStage::Ack, 0, t);
         })
     });
 }

@@ -7,7 +7,7 @@
 //! obs-dump --summary         # event-count summary only (the CI golden)
 //! obs-dump --table           # human-readable table
 //! obs-dump --prometheus      # Prometheus text exposition
-//! obs-dump --traces          # flight-recorder dump of the traced
+//! obs-dump --traces          # trace-sink dump of the traced
 //!                            # 10x-slow-link run: summary JSON, then
 //!                            # the sink's aggregates (latency, tail
 //!                            # attribution, SLO burn) as a table

@@ -1,6 +1,6 @@
 //! Tail-latency attribution run: the deterministic TPC-C mirror with
 //! one replica link 10x slower than the rest, traced end to end by the
-//! flight recorder.
+//! engine's trace sink.
 //!
 //! The point of the run is the question an operator actually asks when
 //! p99 blows up: *which hop is it?* Every write mints a trace at
@@ -34,8 +34,8 @@ const FAST_DELAY: Duration = Duration::from_micros(200);
 /// One-way frame delay of the degraded link — 10x the healthy delay.
 const SLOW_DELAY: Duration = Duration::from_millis(2);
 
-/// What the traced run leaves behind: the shared flight-recorder sink
-/// and which lane was degraded, plus the attribution arithmetic the
+/// What the traced run leaves behind: the engine's trace sink and
+/// which lane was degraded, plus the attribution arithmetic the
 /// figure and the test both use.
 pub struct TailTraceReport {
     /// The engine's trace sink after the run completed.
@@ -84,7 +84,7 @@ impl fmt::Display for TailTraceReport {
 
 /// Replays a captured TPC-C trace through a traced engine mirroring to
 /// three simulated replicas, the last behind a 10x-slow link, and
-/// returns the flight recorder's verdict. Deterministic: same `ops`,
+/// returns the trace sink's verdict. Deterministic: same `ops`,
 /// byte-identical trace summary.
 ///
 /// # Errors
@@ -149,7 +149,7 @@ pub fn trace_experiment(ops: usize) -> Result<TailTraceReport, Box<dyn std::erro
     }
 
     let engine = builder.build();
-    let sink = Arc::clone(engine.trace_sink().expect("flight recorder enabled above"));
+    let sink = Arc::clone(engine.trace_sink().expect("tracing enabled above"));
     for (i, (lba, new)) in stream.writes.iter().enumerate() {
         engine.write_block(*lba, new)?;
         // Drain often: a sparse step cadence would charge queue wait to

@@ -209,8 +209,8 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// Attaches a trace sink: every logical write mints a
     /// deterministic [`TraceId`](prins_obs::TraceId) tagged with `shard` and records one
     /// `strip-data` / `strip-parity` hop per strip-delta frame (lane =
-    /// node index) plus a `strip-ack` hop per acknowledgement, so the
-    /// flight recorder sees the full k-of-n fan-out of a slow write.
+    /// node index) plus a `strip-ack` hop per acknowledgement, so tail
+    /// attribution sees the full k-of-n fan-out of a slow write.
     pub fn attach_tracer(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
         self.probe.trace_into(sink, shard, clock);
     }
@@ -315,7 +315,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         // One trace per logical write; its hold keeps it open across
         // the strip fan-out and is released after the last
         // acknowledgement is collected below.
-        let tid = self.probe.begin(new.len());
+        let tid = self.probe.begin();
         let mut outcome = EcWriteOutcome {
             acked: 0,
             skipped: 0,

@@ -261,9 +261,8 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// every offloaded read) mints a deterministic [`TraceId`] tagged
     /// with `shard` and records its replica fan-out — per-replica send,
     /// acknowledgement, wrong-epoch drop, or error — as trace hops.
-    /// Share one sink across groups (and with an engine's flight
-    /// recorder) for cluster-wide tail attribution; `clock` timestamps
-    /// the hops —
+    /// Share one sink across groups (and with a traced engine) for
+    /// cluster-wide tail attribution; `clock` timestamps the hops —
     /// pass the transports' [`SimClock`](prins_net::SimClock) for
     /// deterministic traces under simulation.
     pub fn attach_tracer(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
@@ -345,7 +344,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // the replica fan-out and is released at the end of this call,
         // so with a pipelined window the trace finalizes on whichever
         // later collection retires the last acknowledgement.
-        let tid = self.probe.begin(new.len());
+        let tid = self.probe.begin();
 
         let mut outcome = WriteOutcome {
             seq,
@@ -362,7 +361,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                     match r.link.send((tid, Some((lba, seq))), ACK, fill) {
                         Ok(sealed_len) => {
                             r.foreground_bytes += sealed_len as u64;
-                            self.probe.sent(tid, idx, sealed_len);
+                            self.probe.sent(tid, idx);
                         }
                         // The frame never left: the replica certainly
                         // did not apply it.
@@ -441,13 +440,13 @@ impl<D: BlockDevice> ClusterGroup<D> {
         let mut rejected = 0usize;
         // Offloaded reads get their own trace: one hop per rejected
         // candidate, completed by whichever source served the block.
-        let tid = self.probe.begin(0);
+        let tid = self.probe.begin();
         for attempt in 0..n {
             let idx = (self.next_read + attempt) % n;
             match self.read_offload(idx, lba, tid) {
                 Ok(Some(data)) => {
                     self.next_read = (idx + 1) % n.max(1);
-                    self.probe.read_served(tid, Some(idx), data.len());
+                    self.probe.read_served(tid, Some(idx));
                     return Ok(ReadOutcome {
                         data,
                         source: Some(idx),
@@ -462,7 +461,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             }
         }
         let data = self.device.read_block_vec(lba)?;
-        self.probe.read_served(tid, None, data.len());
+        self.probe.read_served(tid, None);
         Ok(ReadOutcome {
             data,
             source: None,

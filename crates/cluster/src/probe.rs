@@ -178,14 +178,14 @@ impl Probe {
         }
     }
 
-    /// An operation of `bytes` begins: opens the next trace with one
-    /// hold — the caller's, dropped by [`released`](Self::released) or
-    /// by the operation's one completing hop.
-    pub fn begin(&mut self, bytes: usize) -> Option<TraceId> {
+    /// An operation begins: opens the next trace with one hold — the
+    /// caller's, dropped by [`released`](Self::released) or by the
+    /// operation's one completing hop.
+    pub fn begin(&mut self) -> Option<TraceId> {
         let t = self.trace.as_mut()?;
         let id = TraceId::for_shard(t.shard, t.next);
         t.next += 1;
-        t.sink.begin(id, t.shard, 1, t.clock.now_nanos(), bytes);
+        t.sink.begin(id, t.shard, 1, t.clock.now_nanos());
         Some(id)
     }
 
@@ -195,40 +195,38 @@ impl Probe {
     }
 
     /// A hop on the way.
-    fn mark(&self, id: Option<TraceId>, stage: TraceStage, lane: usize, bytes: usize) {
-        self.hop(id, |sink, id, at| {
-            sink.event(id, stage, lane as u32, at, bytes)
-        });
+    fn mark(&self, id: Option<TraceId>, stage: TraceStage, lane: usize) {
+        self.hop(id, |sink, id, at| sink.event(id, stage, lane as u32, at));
     }
 
     /// A terminal hop: retires one awaited completion.
-    fn done(&self, id: Option<TraceId>, stage: TraceStage, lane: u32, bytes: usize) {
-        self.hop(id, |sink, id, at| sink.complete(id, stage, lane, at, bytes));
+    fn done(&self, id: Option<TraceId>, stage: TraceStage, lane: u32) {
+        self.hop(id, |sink, id, at| sink.complete(id, stage, lane, at));
     }
 
     /// One more completion awaited, and the hop that asks for it.
-    fn fan_out(&self, id: Option<TraceId>, stage: TraceStage, lane: usize, bytes: usize) {
+    fn fan_out(&self, id: Option<TraceId>, stage: TraceStage, lane: usize) {
         self.hop(id, |sink, id, at| {
             sink.add_pending(id, 1);
-            sink.event(id, stage, lane as u32, at, bytes);
+            sink.event(id, stage, lane as u32, at);
         });
     }
 
-    /// A foreground write's `bytes`-long frame left for `replica`.
-    pub fn sent(&self, id: Option<TraceId>, replica: usize, bytes: usize) {
-        self.fan_out(id, TraceStage::ReplicaSend, replica, bytes);
+    /// A foreground write's frame left for `replica`.
+    pub fn sent(&self, id: Option<TraceId>, replica: usize) {
+        self.fan_out(id, TraceStage::ReplicaSend, replica);
     }
 
     /// The transport refused a foreground write's frame.
     pub fn send_failed(&self, id: Option<TraceId>, replica: usize) {
-        self.mark(id, TraceStage::SendError, replica, 0);
+        self.mark(id, TraceStage::SendError, replica);
     }
 
     /// `replica` acknowledged a foreground or resync frame after
     /// `waited`.
     pub fn acked(&self, replica: usize, id: Option<TraceId>, waited: u64) {
         self.ack_rtt.record(waited);
-        self.done(id, TraceStage::ReplicaAck, replica as u32, 0);
+        self.done(id, TraceStage::ReplicaAck, replica as u32);
     }
 
     /// A frame to `replica` retired after `waited` without an
@@ -240,7 +238,7 @@ impl Probe {
             _ => EventKind::AckError,
         };
         self.event(kind, Some(replica));
-        self.done(id, TraceStage::AckError, replica as u32, 0);
+        self.done(id, TraceStage::AckError, replica as u32);
     }
 
     /// A response from an older epoch was dropped while `awaited`'s
@@ -334,18 +332,18 @@ impl Probe {
     }
 
     /// A read was served by replica `source`, or by the primary image.
-    pub fn read_served(&self, id: Option<TraceId>, source: Option<usize>, bytes: usize) {
+    pub fn read_served(&self, id: Option<TraceId>, source: Option<usize>) {
         if source.is_some() {
             self.reads_offloaded.inc();
         }
         let lane = source.map_or(NO_LANE, |idx| idx as u32);
-        self.done(id, TraceStage::ReadOffload, lane, bytes);
+        self.done(id, TraceStage::ReadOffload, lane);
     }
 
     /// The freshness guard (or a failure mid-read) ruled `replica` out.
     pub fn read_rejected(&self, id: Option<TraceId>, replica: usize) {
         self.read_rejected_stale.inc();
-        self.mark(id, TraceStage::ReadReject, replica, 0);
+        self.mark(id, TraceStage::ReadReject, replica);
     }
 
     /// A scrub pass repaired `blocks` divergent blocks.
@@ -365,12 +363,12 @@ impl Probe {
         } else {
             TraceStage::StripData
         };
-        self.fan_out(id, stage, node, bytes);
+        self.fan_out(id, stage, node);
     }
 
     /// `node` acknowledged a strip delta.
     pub fn strip_acked(&self, id: Option<TraceId>, node: usize) {
-        self.done(id, TraceStage::StripAck, node as u32, 0);
+        self.done(id, TraceStage::StripAck, node as u32);
     }
 
     /// Node `lost`'s strips were rebuilt: `stripes` of them, moving
@@ -401,7 +399,7 @@ impl Probe {
         self.migration_bytes.add(bytes);
         let (copied, remaining) = (copied as u32, remaining as u32);
         self.event(EventKind::MigrateBatch { copied, remaining }, None);
-        self.done(id, TraceStage::MigrateCopy, to as u32, bytes as usize);
+        self.done(id, TraceStage::MigrateCopy, to as u32);
     }
 
     /// Ownership of a migrated range flipped from group `from` to `to`.

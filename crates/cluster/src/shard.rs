@@ -274,7 +274,7 @@ impl<D: BlockDevice> ShardedCluster<D> {
         let bs = self.groups[m.from].device().geometry().block_size().bytes() as u64;
         // One trace per copy batch (the per-block writes below mint
         // their own traces through the target group's probe).
-        let tid = self.probe.begin(0);
+        let tid = self.probe.begin();
         for i in m.cursor..batch_end {
             let lba = Lba(i);
             let data = self.groups[m.from].device().read_block_vec(lba)?;

@@ -146,12 +146,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables per-write causal tracing and the anomaly flight
-    /// recorder (default: off): every write mints a deterministic
-    /// [`TraceId`](prins_obs::TraceId) at admission and each pipeline
-    /// hop appends a stage event; completed traces feed latency, tail
-    /// attribution and SLO accounting, with a 1-in-N sample plus every
-    /// anomalous trace retained in the recorder. Read the sink via
+    /// Turns on per-write tracing (default: off): every write mints a
+    /// deterministic [`TraceId`](prins_obs::TraceId) at admission and
+    /// each pipeline hop appends a stage event; completed traces feed
+    /// the latency histogram, tail attribution, SLO burn and anomaly
+    /// counts. Read the sink via
     /// [`PrinsEngine::trace_sink`](crate::PrinsEngine::trace_sink).
     pub fn flight_recorder(mut self, config: prins_obs::TraceConfig) -> Self {
         self.trace = Some(config);

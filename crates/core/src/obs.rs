@@ -258,7 +258,7 @@ impl Probe {
 
     /// A write took sequence number `seq`, making the admission queue
     /// `depth` long. Returns the admission stamp.
-    pub fn admitted(&self, seq: u64, lba: Lba, bytes: usize, depth: usize) -> u64 {
+    pub fn admitted(&self, seq: u64, lba: Lba, depth: usize) -> u64 {
         let at = self.stamp();
         self.queue_depth_hwm.set_max(depth as u64);
         if let Some(reg) = &self.reg {
@@ -266,13 +266,13 @@ impl Probe {
             reg.queue_depth.record(depth as u64);
         }
         if let Some(trace) = &self.trace {
-            trace.begin(TraceId::from_seq(seq), 0, self.pending, at, bytes);
+            trace.begin(TraceId::from_seq(seq), 0, self.pending, at);
         }
         at
     }
 
     /// A write folded into the still-queued write `seq`.
-    pub fn folded(&self, seq: u64, lba: Lba, bytes: usize, depth: usize) {
+    pub fn folded(&self, seq: u64, lba: Lba, depth: usize) {
         let at = self.stamp();
         self.coalesced_writes.inc();
         if let Some(reg) = &self.reg {
@@ -280,7 +280,7 @@ impl Probe {
             reg.event(Event::new(at, EventKind::Coalesce).seq(seq).lba(lba.0));
         }
         if let Some(trace) = &self.trace {
-            trace.fold(TraceId::from_seq(seq), at, bytes);
+            trace.fold(TraceId::from_seq(seq), at);
         }
     }
 
@@ -298,8 +298,7 @@ impl Probe {
             );
         }
         if let Some(trace) = &self.trace {
-            let id = TraceId::from_seq(w.seq);
-            trace.event(id, TraceStage::Encode, NO_LANE, w.at, w.bytes.len());
+            trace.event(TraceId::from_seq(w.seq), TraceStage::Encode, NO_LANE, w.at);
         }
     }
 
@@ -313,7 +312,7 @@ impl Probe {
         }
         if let Some(trace) = &self.trace {
             let id = TraceId::from_seq(w.seq);
-            trace.event(id, TraceStage::Reorder, NO_LANE, at, 0);
+            trace.event(id, TraceStage::Reorder, NO_LANE, at);
             // Release the reorder hold *before* the lanes see the
             // payload: pending stays ≥ lane count until their acks, and
             // a zero-lane engine finalizes right here.
@@ -331,7 +330,7 @@ impl Probe {
         }
         if let Some(trace) = &self.trace {
             let id = TraceId::from_seq(w.seq);
-            trace.event(id, TraceStage::LaneQueue, lane as u32, at, w.bytes.len());
+            trace.event(id, TraceStage::LaneQueue, lane as u32, at);
         }
     }
 
@@ -354,14 +353,7 @@ impl Probe {
         }
         if let Some(trace) = &self.trace {
             for s in f.range.iter() {
-                let bytes = if s == first { f.frame.len() } else { 0 };
-                trace.event(
-                    TraceId::from_seq(s),
-                    TraceStage::Send,
-                    lane as u32,
-                    at,
-                    bytes,
-                );
+                trace.event(TraceId::from_seq(s), TraceStage::Send, lane as u32, at);
             }
         }
     }
@@ -444,7 +436,7 @@ impl Probe {
     fn complete(&self, lane: usize, f: &InFlight, stage: TraceStage, at: u64) {
         if let Some(trace) = &self.trace {
             for s in f.range.iter() {
-                trace.complete(TraceId::from_seq(s), stage, lane as u32, at, 0);
+                trace.complete(TraceId::from_seq(s), stage, lane as u32, at);
             }
         }
     }

@@ -704,7 +704,6 @@ impl Pipeline {
     /// no job and never blocks.
     pub fn admit(&self, lba: Lba, old: PooledBuf, new: PooledBuf) -> Result<(), ReplError> {
         let cx = &*self.inner;
-        let bytes = new.len();
         // Read the live flag once so one admission sees one mode.
         let coalesce = cx.tuning.coalesce();
         let mut st = cx.admit.lock().unwrap();
@@ -719,7 +718,7 @@ impl Pipeline {
                 debug_assert_eq!(job.seq, seq);
                 job.new = new;
                 job.folds += 1;
-                cx.probe.folded(seq, lba, bytes, st.queue.len());
+                cx.probe.folded(seq, lba, st.queue.len());
                 return Ok(());
             }
             if st.queue.len() < cx.admit_cap {
@@ -739,7 +738,7 @@ impl Pipeline {
             old,
             new,
             folds: 0,
-            admitted_at: cx.probe.admitted(seq, lba, bytes, depth),
+            admitted_at: cx.probe.admitted(seq, lba, depth),
         });
         drop(st);
         cx.admit_cv.notify_one();

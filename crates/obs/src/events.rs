@@ -201,11 +201,6 @@ impl EventRing {
         }
     }
 
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Appends one event.
     pub fn record(&self, event: Event) {
         let mut inner = self.inner.lock().unwrap();
@@ -220,11 +215,6 @@ impl EventRing {
     /// Events currently buffered (oldest first), without draining.
     pub fn events(&self) -> Vec<Event> {
         self.inner.lock().unwrap().buf.iter().copied().collect()
-    }
-
-    /// Removes and returns every buffered event (totals are kept).
-    pub fn drain(&self) -> Vec<Event> {
-        self.inner.lock().unwrap().buf.drain(..).collect()
     }
 
     /// Exact per-kind totals since construction (drops included).
@@ -349,18 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_empties_the_buffer_not_the_totals() {
-        let ring = EventRing::new(8);
-        ring.record(Event::new(1, EventKind::AckOk).replica(0));
-        ring.record(Event::new(2, EventKind::Nak).replica(1));
-        let drained = ring.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(ring.events().is_empty());
-        assert_eq!(ring.count("ack-ok"), 1);
-        assert_eq!(ring.count("nak"), 1);
-    }
-
-    #[test]
     fn per_kind_counts_stay_exact_across_threaded_wraparound() {
         use std::sync::Arc;
         // 4 threads push 200 events each through a 64-slot ring: the
@@ -368,7 +346,8 @@ mod tests {
         // come out exact and the ring must hold exactly `cap` events.
         const THREADS: u64 = 4;
         const PER_THREAD: u64 = 200;
-        let ring = Arc::new(EventRing::new(64));
+        const CAP: usize = 64;
+        let ring = Arc::new(EventRing::new(CAP));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let ring = Arc::clone(&ring);
@@ -393,8 +372,8 @@ mod tests {
             assert_eq!(ring.count(kind), total / 4, "kind {kind}");
         }
         assert_eq!(ring.counts().values().sum::<u64>(), total);
-        assert_eq!(ring.events().len(), ring.capacity());
-        assert_eq!(ring.dropped(), total - ring.capacity() as u64);
+        assert_eq!(ring.events().len(), CAP);
+        assert_eq!(ring.dropped(), total - CAP as u64);
     }
 
     #[test]

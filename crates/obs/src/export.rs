@@ -244,15 +244,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// The buffered event trace, newline-joined.
-    pub fn trace(&self) -> String {
-        self.events
-            .iter()
-            .map(Event::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 #[cfg(test)]
@@ -375,6 +366,6 @@ mod tests {
         // never perturb existing golden files.
         let snap = pool_registry().snapshot();
         assert_eq!(snap.event_summary_json(), "{}");
-        assert_eq!(snap.trace(), "");
+        assert!(snap.events.is_empty());
     }
 }

@@ -15,6 +15,11 @@
 //!   done, coalesce, send, ack, NAK, resync batch, lifecycle
 //!   transition) tagged with seq/LBA/replica, drainable as a replayable
 //!   trace;
+//! * a per-write [`TraceSink`]: each write's hops (capture, encode,
+//!   lane queue, send, ack, replica and strip fan-out) land in a fixed
+//!   slot table, and a finished trace feeds a latency histogram,
+//!   `(stage, lane)` tail attribution, per-shard SLO burn and anomaly
+//!   counts — no allocation on the record path;
 //! * exporters — a human-readable table, a JSON snapshot, and
 //!   Prometheus-style text — all with deterministic (sorted, integer)
 //!   output, so two runs of the same simulation seed produce
@@ -51,7 +56,6 @@ mod events;
 mod export;
 mod meter;
 mod metrics;
-mod recorder;
 mod registry;
 mod trace;
 
@@ -59,9 +63,5 @@ pub use events::{Event, EventKind, EventRing};
 pub use export::{HistogramSnapshot, Snapshot};
 pub use meter::register_meter;
 pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
-pub use recorder::{CompletedTrace, FlightRecorder};
 pub use registry::Registry;
-pub use trace::{
-    lane_bucket, TraceConfig, TraceEvent, TraceId, TraceSink, TraceStage, LANE_BUCKETS,
-    MAX_TRACE_EVENTS, NO_LANE, STAGE_COUNT,
-};
+pub use trace::{lane_bucket, TraceConfig, TraceId, TraceSink, TraceStage, LANE_BUCKETS, NO_LANE};

@@ -36,7 +36,13 @@ pub struct Registry {
 
 impl Default for Registry {
     fn default() -> Self {
-        Self::with_event_capacity(DEFAULT_EVENT_CAP)
+        Self {
+            counters: Mutex::new(BTreeMap::new()),
+            gauges: Mutex::new(BTreeMap::new()),
+            histograms: Mutex::new(BTreeMap::new()),
+            collectors: Mutex::new(Vec::new()),
+            events: EventRing::new(DEFAULT_EVENT_CAP),
+        }
     }
 }
 
@@ -44,17 +50,6 @@ impl Registry {
     /// A registry with the default event-ring capacity.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
-    }
-
-    /// A registry whose event ring holds at most `cap` events.
-    pub fn with_event_capacity(cap: usize) -> Self {
-        Self {
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-            collectors: Mutex::new(Vec::new()),
-            events: EventRing::new(cap),
-        }
     }
 
     /// The counter named `name`, created at zero on first use.

@@ -5,8 +5,8 @@
 //! sim-replay scenario <name|prefix*|all> [--events] [--traces]
 //!                                    run named scenario(s); --events prints
 //!                                    each run's deterministic event-count
-//!                                    summary, --traces its flight-recorder
-//!                                    trace summary (both diffed against
+//!                                    summary, --traces its trace-sink
+//!                                    summary (both diffed against
 //!                                    goldens in CI)
 //! sim-replay golden --check|--bless   re-run every golden gate in the GOLDENS
 //!                                    table below and diff it against its
@@ -187,9 +187,9 @@ const GOLDENS: &[(&str, &[&str], &str)] = &[
         &["migrate_under_faults", "read_offload_rejoin"],
         "--events",
     ),
-    // Tracing: per-stage tail attribution, SLO burn and sampling
-    // counts — trace IDs and sampling derive from deterministic
-    // counters, never entropy; pins the traced hop set.
+    // Tracing: latency, per-stage tail attribution, SLO burn and
+    // anomaly counts — trace IDs derive from deterministic counters,
+    // never entropy; pins the traced hop set.
     (
         "tests/trace_golden.json",
         &["migrate_under_faults"],

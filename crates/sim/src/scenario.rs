@@ -17,7 +17,7 @@ use crate::world::{Topology, World};
 
 /// What a scenario run leaves behind: the deterministic event-count
 /// summary (the `sim-replay --events` golden) and the trace-summary
-/// JSON from the world's flight recorder (the `--traces` golden).
+/// JSON from the world's trace sink (the `--traces` golden).
 #[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
     /// Sorted event-kind → count JSON from the registry's event ring.
@@ -760,7 +760,7 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
 ];
 
 /// Runs one scenario by name, returning its [`ScenarioOutcome`] —
-/// event-count summary plus the flight recorder's trace summary.
+/// event-count summary plus the trace sink's summary.
 ///
 /// # Errors
 ///

@@ -522,7 +522,6 @@ impl World {
                 // when there is a second group to migrate to.
                 let trace = Arc::new(TraceSink::new(TraceConfig {
                     shards: groups + usize::from(groups > 1),
-                    ..TraceConfig::default()
                 }));
                 sharded.attach_tracer(Arc::clone(&trace), net.clock());
                 (Sut::Cluster(sharded), nodes, trace, blocks)
@@ -552,7 +551,7 @@ impl World {
                     builder = builder.replica(transport);
                 }
                 let engine = builder.build();
-                let trace = Arc::clone(engine.trace_sink().expect("flight recorder enabled above"));
+                let trace = Arc::clone(engine.trace_sink().expect("tracing enabled above"));
                 (Sut::Engine(engine), nodes, trace, ENGINE_BLOCKS)
             }
             Topology::Ec => {
@@ -601,7 +600,7 @@ impl World {
     }
 
     /// The per-write trace sink: the cluster's (one shard id per group,
-    /// one more for migration batches), the engine's flight recorder,
+    /// one more for migration batches), the engine's per-write traces,
     /// or the EC group's strip fan-out traces. Virtual clock reads are
     /// free, so event goldens are unaffected.
     pub fn trace_sink(&self) -> &Arc<TraceSink> {

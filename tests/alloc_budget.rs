@@ -76,9 +76,9 @@ fn counted(measured: impl FnOnce()) -> u64 {
 }
 
 /// Writes + steps one round and returns the allocations it charged.
-/// With `traced`, the flight recorder runs at its default 1-in-64
-/// sampling — its fixed slot table and event arrays must add zero
-/// allocations to the steady-state loop.
+/// With `traced`, per-write tracing is on — the trace sink's fixed
+/// slot table and event arrays must add zero allocations to the
+/// steady-state loop.
 fn measure(mode: ReplicationMode, writes: u64, traced: bool) -> u64 {
     measure_with(
         writes,
