@@ -123,7 +123,10 @@ impl EngineBuilder {
     }
 
     /// Packs up to `max` queued payloads into one wire frame sharing a
-    /// single acknowledgement (default 1 = off).
+    /// single acknowledgement (default 1 = off). A threaded sender lane
+    /// then wakes for `max` queued payloads or a flush, not for every
+    /// payload, and ships a partial frame once its oldest payload has
+    /// waited 500 µs: an unflushed write can leave that much later.
     pub fn batch_frames(mut self, max: usize) -> Self {
         self.config.batch_frames = max.max(1);
         self

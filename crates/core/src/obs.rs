@@ -30,7 +30,7 @@
 //! | `folded` | `admit_queue_depth` | `engine_coalesced_writes` | `coalesce` (seq, lba) | `coalesce` (block bytes) |
 //! | `encoded` | `stage_admission_wait_nanos` (admit → claimed by an encode worker), `stage_encode_nanos` (parity encode proper) | `engine_overhead_nanos` (the encode share) | `encode-done` (seq, lba) | `encode` (payload bytes) |
 //! | `released` | `stage_reorder_hold_nanos` (encoded → released in sequence order) | `engine_dispatched_writes` (writes carried) | — | `reorder`; drops the reorder hold |
-//! | `picked_up` | `stage_lane_queue_nanos` (released → picked up by the sender lane) | `engine_hot_bytes_copied` (payload bytes copied into the frame) | — | `lane-queue` (lane, payload bytes) |
+//! | `picked_up` | `stage_lane_queue_nanos` (released → picked up by the sender lane, a batching lane's hold included) | `engine_hot_bytes_copied` (payload bytes copied into the frame) | — | `lane-queue` (lane, payload bytes) |
 //! | `sent` | `stage_send_nanos` (the transport send call) | `lane{i}_sends`, `lane{i}_payload_bytes` (frame bytes), `lane{i}_send_nanos` | `send` (first seq, its lba, lane, writes carried) | `send` per write (lane; frame bytes on the first) |
 //! | `send_failed` | `stage_send_nanos` | `lane{i}_send_nanos`, `lane{i}_errors`, `engine_replication_errors` | `send-error` (first seq, its lba, lane) | `send-error` per write (lane), completing |
 //! | `corrupt_nak` | — | `checksum_failures` | — | — |

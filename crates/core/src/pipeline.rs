@@ -56,14 +56,26 @@
 //! * **Barrier.** A flush first waits until every admitted write has
 //!   been encoded and released to the lanes, then sends a barrier
 //!   token down each lane; a lane drains its acknowledgement window
-//!   before arriving at the barrier.
+//!   before arriving at the barrier. A barrier (or shutdown) token
+//!   anywhere in a lane's queue wakes the lane at once and ends any
+//!   hold, so a flush is never slower for batching.
 //! * **Wake-ups.** Every wait goes through a `Signal`, which counts the
 //!   threads parked on it and makes no system call when the count is
 //!   0; under streaming load most hand-offs find nobody parked. It is
 //!   sound because each notifier first changes the guarded state under
 //!   the waiter's mutex. A flusher is woken once, when the release
 //!   reaches the lowest target a barrier waits for
-//!   (`ReorderState::wake_at`), not after every encode.
+//!   (`ReorderState::wake_at`), not after every encode. A threaded
+//!   lane is woken for a full frame (`batch_frames` queued payloads,
+//!   at most the queue's capacity) or a control token, not for every
+//!   payload; a partial frame ships once its oldest payload has waited
+//!   `LANE_HOLD` (500 µs), so an unbarriered write leaves the primary
+//!   at most that late, and `stage_lane_queue_nanos` includes the
+//!   hold. A lane whose queue runs empty lingers one hold before it
+//!   parks without a deadline, and only a lane parked that way is
+//!   woken by a frame's first payload. With `batch_frames = 1` every
+//!   payload is a full frame and wakes its lane, as without batching.
+//!   `LANE_HOLD` bounds the pipeline's only timed waits.
 //!
 //! A lane that hits a transport error records it (surfaced at the next
 //! flush) and keeps retiring queued work, so a dead replica never
@@ -88,7 +100,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use prins_block::Lba;
 use prins_buf::{BufPool, PooledBuf, PooledBytes};
@@ -269,37 +281,123 @@ impl BarrierGate {
 /// crossbeam only ships unbounded channels and backpressure here is
 /// the point: a full lane stalls the encode pool, not the application.
 struct LaneState {
-    queue: Mutex<VecDeque<LaneMsg>>,
+    queue: Mutex<LaneQueue>,
     not_empty: Signal,
     not_full: Signal,
     cap: usize,
+    /// Its `batch_frames` is the payload count that wakes the lane.
+    tuning: Arc<PipelineTuning>,
+}
+
+struct LaneQueue {
+    /// Each message with the instant it was queued.
+    msgs: VecDeque<(LaneMsg, Instant)>,
+    /// `Barrier` and `Shutdown` messages among `msgs`.
+    controls: usize,
+    /// The lane is parked on an empty queue with no deadline, so the
+    /// next payload must wake it to start the hold.
+    idle: bool,
+}
+
+impl LaneQueue {
+    fn payloads(&self) -> usize {
+        self.msgs.len() - self.controls
+    }
+
+    fn pop_front(&mut self) -> Option<LaneMsg> {
+        let (msg, _) = self.msgs.pop_front()?;
+        if !matches!(msg, LaneMsg::Payload(_)) {
+            self.controls -= 1;
+        }
+        Some(msg)
+    }
+}
+
+/// Whether a lane has cause to send without waiting out its hold: a
+/// control message anywhere in its queue — a second writer's payloads
+/// can queue behind a barrier — or a full frame's worth of payloads.
+fn lane_ready(payloads: usize, controls: usize, threshold: usize) -> bool {
+    controls > 0 || payloads >= threshold
+}
+
+/// The queued-payload count that wakes a lane: a full frame, clamped so
+/// that a `batch_frames` beyond the queue's capacity does not make
+/// every frame wait out [`LANE_HOLD`].
+fn wake_threshold(batch_frames: usize) -> usize {
+    batch_frames.clamp(1, LANE_QUEUE_CAP)
 }
 
 impl LaneState {
-    fn new(cap: usize) -> Self {
+    fn new(cap: usize, tuning: Arc<PipelineTuning>) -> Self {
         Self {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(LaneQueue {
+                msgs: VecDeque::new(),
+                controls: 0,
+                idle: false,
+            }),
             not_empty: Signal::default(),
             not_full: Signal::default(),
             cap,
+            tuning,
         }
     }
 
+    fn threshold(&self) -> usize {
+        wake_threshold(self.tuning.batch_frames())
+    }
+
+    /// Queues `msg`, waking the lane only if it now has cause to send
+    /// or is parked idle, where nothing but this wake starts its hold.
     fn push(&self, msg: LaneMsg) {
         let mut q = self.queue.lock().unwrap();
-        while q.len() >= self.cap {
+        while q.msgs.len() >= self.cap {
             q = self.not_full.wait(q);
         }
-        q.push_back(msg);
-        self.not_empty.notify_one();
+        if !matches!(msg, LaneMsg::Payload(_)) {
+            q.controls += 1;
+        }
+        q.msgs.push_back((msg, Instant::now()));
+        let ready = lane_ready(q.payloads(), q.controls, self.threshold());
+        if std::mem::take(&mut q.idle) || ready {
+            self.not_empty.notify_one();
+        }
     }
 
+    /// Takes the next message once the lane has cause to send (see
+    /// [`lane_ready`]) or its oldest payload has waited [`LANE_HOLD`].
+    ///
+    /// A batching lane that finds its queue empty lingers one hold
+    /// before it parks idle, so a frame that starts filling soon after
+    /// the last one left costs one wake-up, not two.
     fn pop(&self) -> LaneMsg {
         let mut q = self.queue.lock().unwrap();
-        while q.is_empty() {
-            q = self.not_empty.wait(q);
+        let mut lingered = false;
+        loop {
+            let threshold = self.threshold();
+            if lane_ready(q.payloads(), q.controls, threshold) {
+                break;
+            }
+            match q.msgs.front() {
+                // Only payloads are queued, so the front one is the
+                // oldest.
+                Some(&(_, queued)) => {
+                    let left = LANE_HOLD.saturating_sub(queued.elapsed());
+                    if left.is_zero() {
+                        break;
+                    }
+                    q = self.not_empty.wait_timeout(q, left);
+                }
+                None if threshold > 1 && !lingered => {
+                    lingered = true;
+                    q = self.not_empty.wait_timeout(q, LANE_HOLD);
+                }
+                None => {
+                    q.idle = true;
+                    q = self.not_empty.wait(q);
+                }
+            }
         }
-        let msg = q.pop_front().expect("non-empty lane queue");
+        let msg = q.pop_front().expect("a ready lane queue holds a message");
         self.not_full.notify_one();
         msg
     }
@@ -318,7 +416,7 @@ impl LaneState {
     /// not reorder across barriers.
     fn try_pop_payload(&self) -> Option<Outbound> {
         let mut q = self.queue.lock().unwrap();
-        if !matches!(q.front(), Some(LaneMsg::Payload(_))) {
+        if !matches!(q.msgs.front(), Some((LaneMsg::Payload(_), _))) {
             return None;
         }
         self.not_full.notify_one();
@@ -393,6 +491,11 @@ const MAX_RETRANSMITS: u32 = 3;
 /// Sender-lane queue capacity in frames; a full lane backpressures the
 /// encode pool, not the application.
 const LANE_QUEUE_CAP: usize = 1024;
+
+/// How long a threaded lane holds a partial frame open for more
+/// payloads before it ships what has queued. A barrier ends the hold at
+/// once, and with `batch_frames = 1` every payload is a full frame.
+const LANE_HOLD: Duration = Duration::from_micros(500);
 
 /// Jobs the admission queue holds in threaded mode. Behind it sit the
 /// bounded lane queues and the ack windows, so a client that outruns
@@ -586,6 +689,10 @@ impl Pipeline {
         } else {
             (ADMIT_QUEUE_CAP, LANE_QUEUE_CAP)
         };
+        let tuning = Arc::new(PipelineTuning {
+            batch_frames: AtomicUsize::new(config.batch_frames.max(1)),
+            coalesce: AtomicBool::new(config.coalesce),
+        });
         let inner = Arc::new(Inner {
             admit: Mutex::new(AdmitState {
                 queue: VecDeque::new(),
@@ -604,13 +711,10 @@ impl Pipeline {
             reorder_cv: Signal::default(),
             lanes: transports
                 .iter()
-                .map(|_| Arc::new(LaneState::new(queue_cap)))
+                .map(|_| Arc::new(LaneState::new(queue_cap, Arc::clone(&tuning))))
                 .collect(),
             replicator,
-            tuning: Arc::new(PipelineTuning {
-                batch_frames: AtomicUsize::new(config.batch_frames.max(1)),
-                coalesce: AtomicBool::new(config.coalesce),
-            }),
+            tuning,
             ack_window: config.ack_window.max(1),
             ack_timeout: config.ack_timeout,
             pool,
@@ -1043,6 +1147,81 @@ mod tests {
         engine.flush().unwrap();
         assert!(verify_consistent(&engine, &*replica).unwrap());
         shutdown_all(engine, replica_thread.into_iter().collect());
+    }
+
+    #[test]
+    fn a_lane_wakes_for_a_full_frame_or_a_control_message_anywhere_in_its_queue() {
+        use super::{
+            lane_ready, wake_threshold, BarrierGate, LaneMsg, LaneState, Outbound, PipelineTuning,
+            LANE_HOLD, LANE_QUEUE_CAP,
+        };
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+        assert!(lane_ready(8, 0, 8), "a full frame");
+        assert!(!lane_ready(7, 0, 8), "one payload short");
+        assert!(lane_ready(0, 1, 8), "a lone shutdown");
+        assert!(lane_ready(1, 0, wake_threshold(1)), "batching off");
+        assert_eq!(wake_threshold(4096), LANE_QUEUE_CAP);
+
+        let tuning = PipelineTuning {
+            batch_frames: AtomicUsize::new(8),
+            coalesce: AtomicBool::new(false),
+        };
+        let lane = LaneState::new(LANE_QUEUE_CAP, Arc::new(tuning));
+        let pool = prins_buf::BufPool::for_block_size(4096, 1);
+        let payload = |seq| {
+            LaneMsg::Payload(Outbound {
+                seq,
+                lba: Lba(seq),
+                writes: 1,
+                bytes: pool.get(8).freeze(),
+                at: 0,
+            })
+        };
+        let ready = |lane: &LaneState| {
+            let q = lane.queue.lock().unwrap();
+            lane_ready(q.payloads(), q.controls, lane.threshold())
+        };
+        lane.push(payload(0));
+        assert!(!ready(&lane));
+        // A second writer's payload queues behind the first one's
+        // barrier: the barrier is not at the back, and still counts.
+        lane.push(LaneMsg::Barrier(Arc::new(BarrierGate::new(1))));
+        let queued = std::time::Instant::now();
+        lane.push(payload(1));
+        assert!(ready(&lane));
+        assert!(matches!(lane.pop(), LaneMsg::Payload(w) if w.seq == 0));
+        assert!(lane.try_pop_payload().is_none(), "never batched across");
+        assert!(matches!(lane.pop(), LaneMsg::Barrier(_)));
+        // The lone tail payload waits out the hold, then ships.
+        assert!(!ready(&lane));
+        assert!(matches!(lane.pop(), LaneMsg::Payload(w) if w.seq == 1));
+        assert!(queued.elapsed() >= LANE_HOLD, "shipped before its hold");
+    }
+
+    #[test]
+    fn an_unbarriered_tail_ships_without_a_flush() {
+        use crate::signal::tests::under_watchdog;
+        under_watchdog(Duration::from_secs(10), || {
+            let (uplink, downlink) = channel_pair(LinkModel::t1());
+            let replica = Arc::new(MemDevice::new(BlockSize::kb4(), 4));
+            let device = Arc::clone(&replica) as Arc<dyn BlockDevice>;
+            let replica_thread = ReplicaEngine::spawn(device, downlink);
+            let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 4));
+            let engine = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
+                .batch_frames(8)
+                .replica(Box::new(uplink))
+                .build();
+            // Three writes, a frame five payloads short, and no barrier:
+            // only the hold sends them.
+            for i in 0..3u64 {
+                engine.write_block(Lba(i), &[i as u8 + 1; 4096]).unwrap();
+            }
+            while replica.snapshot() != primary.snapshot() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            shutdown_all(engine, vec![replica_thread]);
+        });
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, MutexGuard};
+use std::time::Duration;
 
 /// A `Condvar` plus a count of the threads parked on it.
 #[derive(Default)]
@@ -35,6 +36,23 @@ impl Signal {
         guard
     }
 
+    /// Like [`Signal::wait`], but parks for at most `limit` of wall-clock
+    /// time. It says nothing of why it returned: the caller re-checks
+    /// its state, and its deadline, either way.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        limit: Duration,
+    ) -> MutexGuard<'a, T> {
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        let (guard, _) = self
+            .cv
+            .wait_timeout(guard, limit)
+            .expect("a pipeline thread panicked");
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        guard
+    }
+
     /// Wakes one parked thread, if any.
     pub fn notify_one(&self) {
         if self.parked.load(Ordering::Relaxed) > 0 {
@@ -51,16 +69,17 @@ impl Signal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::sync::atomic::Ordering;
     use std::sync::mpsc;
-    use std::sync::{Arc, Mutex};
+    use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::Duration;
 
     use super::Signal;
 
     /// Runs `body` on its own thread and fails the test if it has not
     /// finished within `limit` — a lost wake-up fails instead of hanging.
-    fn under_watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    pub(crate) fn under_watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
         let (done, finished) = mpsc::channel();
         let worker = std::thread::spawn(move || {
             body();
@@ -72,38 +91,46 @@ mod tests {
         worker.join().unwrap();
     }
 
-    #[test]
-    fn a_token_passed_back_and_forth_is_never_lost() {
+    /// Passes a token between two threads `ROUNDS` times, each side
+    /// parking through `wait` until it holds the token and re-checking
+    /// after every return.
+    fn pass_token(wait: for<'a> fn(&Signal, MutexGuard<'a, u64>) -> MutexGuard<'a, u64>) {
         const ROUNDS: u64 = 100_000;
-        under_watchdog(Duration::from_secs(60), || {
+        under_watchdog(Duration::from_secs(60), move || {
             // The token's holder: even counts belong to the main side,
             // odd counts to the peer.
             let turn = Arc::new((Mutex::new(0u64), Signal::default()));
             let peer_turn = Arc::clone(&turn);
-            let peer = std::thread::spawn(move || {
-                let (count, signal) = &*peer_turn;
+            let side = move |turn: &(Mutex<u64>, Signal), parity: u64| {
+                let (count, signal) = turn;
                 for round in 0..ROUNDS {
                     let mut n = count.lock().unwrap();
-                    while *n != 2 * round + 1 {
-                        n = signal.wait(n);
+                    while *n != 2 * round + parity {
+                        n = wait(signal, n);
                     }
                     *n += 1;
                     drop(n);
                     signal.notify_one();
                 }
-            });
-            let (count, signal) = &*turn;
-            for round in 0..ROUNDS {
-                let mut n = count.lock().unwrap();
-                while *n != 2 * round {
-                    n = signal.wait(n);
-                }
-                *n += 1;
-                drop(n);
-                signal.notify_one();
-            }
+            };
+            let peer = std::thread::spawn(move || side(&peer_turn, 1));
+            side(&turn, 0);
             peer.join().unwrap();
-            assert_eq!(*count.lock().unwrap(), 2 * ROUNDS);
+            assert_eq!(*turn.0.lock().unwrap(), 2 * ROUNDS);
+            // Every park, timed out or woken, was uncounted again.
+            assert_eq!(turn.1.parked.load(Ordering::Relaxed), 0);
         });
+    }
+
+    #[test]
+    fn a_token_passed_back_and_forth_is_never_lost() {
+        pass_token(Signal::wait);
+    }
+
+    #[test]
+    fn a_token_passed_back_and_forth_under_timed_waits_is_never_lost() {
+        // Short enough that some waits time out and re-park, long
+        // enough that most are ended by the notify.
+        pass_token(|signal, n| signal.wait_timeout(n, Duration::from_micros(50)));
     }
 }
