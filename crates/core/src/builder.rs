@@ -108,7 +108,9 @@ impl EngineBuilder {
     }
 
     /// Sizes the parity-encoding worker pool (default 2). Payloads are
-    /// released to the senders in admission order regardless.
+    /// released to the senders in admission order regardless. With
+    /// [`batch_frames`](Self::batch_frames) above 1 the pool is woken
+    /// for `workers × max` queued writes, not for every write.
     pub fn encode_workers(mut self, workers: usize) -> Self {
         self.config.encode_workers = workers.max(1);
         self
@@ -126,7 +128,10 @@ impl EngineBuilder {
     /// single acknowledgement (default 1 = off). A threaded sender lane
     /// then wakes for `max` queued payloads or a flush, not for every
     /// payload, and ships a partial frame once its oldest payload has
-    /// waited 500 µs: an unflushed write can leave that much later.
+    /// waited 500 µs. The encode pool likewise wakes for `max` queued
+    /// writes per worker, or within 500 µs, and a flush encodes what is
+    /// still queued itself: an unflushed write can leave up to 1 ms
+    /// later, a flushed one no later.
     pub fn batch_frames(mut self, max: usize) -> Self {
         self.config.batch_frames = max.max(1);
         self

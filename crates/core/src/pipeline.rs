@@ -53,7 +53,9 @@
 //!   so a client that outruns its replicas waits instead of buffering
 //!   without limit. Folds add no job and never wait. (Manual mode has
 //!   one thread and therefore no capacities.)
-//! * **Barrier.** A flush first waits until every admitted write has
+//! * **Barrier.** A flush first encodes, on its own thread, every write
+//!   it waits for that is still in the admission queue (the loop manual
+//!   mode's `step` runs), then waits until every admitted write has
 //!   been encoded and released to the lanes, then sends a barrier
 //!   token down each lane; a lane drains its acknowledgement window
 //!   before arriving at the barrier. A barrier (or shutdown) token
@@ -69,13 +71,20 @@
 //!   lane is woken for a full frame (`batch_frames` queued payloads,
 //!   at most the queue's capacity) or a control token, not for every
 //!   payload; a partial frame ships once its oldest payload has waited
-//!   `LANE_HOLD` (500 µs), so an unbarriered write leaves the primary
-//!   at most that late, and `stage_lane_queue_nanos` includes the
-//!   hold. A lane whose queue runs empty lingers one hold before it
-//!   parks without a deadline, and only a lane parked that way is
-//!   woken by a frame's first payload. With `batch_frames = 1` every
-//!   payload is a full frame and wakes its lane, as without batching.
-//!   `LANE_HOLD` bounds the pipeline's only timed waits.
+//!   `HOLD` (500 µs), and `stage_lane_queue_nanos` includes the hold.
+//!   A lane whose queue runs empty lingers one hold before it parks
+//!   without a deadline, and only a lane parked that way is woken by a
+//!   frame's first payload. The admission queue wakes the encode pool
+//!   the same way: for a full frame per worker (`encode_workers ×
+//!   batch_frames` queued jobs, at most the queue's capacity) or when
+//!   the pool is parked idle, not for every job. An encoder that finds
+//!   the queue empty lingers one hold, claims whatever queued meanwhile
+//!   and otherwise parks without a deadline; a flush encodes its own
+//!   tail instead of waiting for it. So an unbarriered write leaves the
+//!   primary at most two holds late (encode, then lane), a flushed one
+//!   no later for either. With `batch_frames = 1` every job and every
+//!   payload wakes its stage, as without batching. `HOLD` bounds both
+//!   stages' timed waits, the pipeline's only ones.
 //!
 //! A lane that hits a transport error records it (surfaced at the next
 //! flush) and keeps retiring queued work, so a dead replica never
@@ -213,6 +222,27 @@ struct AdmitState {
     /// Next sequence number to assign.
     seq_alloc: u64,
     closed: bool,
+    /// An encoder is parked on an empty queue with no deadline, so the
+    /// next admission must wake it.
+    idle: bool,
+}
+
+/// The queued-job count that wakes an encoder: a full frame per worker,
+/// clamped so that it never exceeds what the queue holds. Batching off
+/// makes every job a full frame.
+fn admit_threshold(encode_workers: usize, batch_frames: usize) -> usize {
+    if batch_frames <= 1 {
+        1
+    } else {
+        (encode_workers * batch_frames).min(ADMIT_QUEUE_CAP)
+    }
+}
+
+/// Whether an admission wakes the encode pool: the queue holds a
+/// threshold's worth of jobs, or the pool is parked idle, where nothing
+/// but this wake would ever encode the job.
+fn admit_wakes(queued: usize, threshold: usize, idle: bool) -> bool {
+    idle || queued >= threshold
 }
 
 /// An encoded write on its way to the replicas: parked in the reorder
@@ -322,7 +352,7 @@ fn lane_ready(payloads: usize, controls: usize, threshold: usize) -> bool {
 
 /// The queued-payload count that wakes a lane: a full frame, clamped so
 /// that a `batch_frames` beyond the queue's capacity does not make
-/// every frame wait out [`LANE_HOLD`].
+/// every frame wait out [`HOLD`].
 fn wake_threshold(batch_frames: usize) -> usize {
     batch_frames.clamp(1, LANE_QUEUE_CAP)
 }
@@ -364,7 +394,7 @@ impl LaneState {
     }
 
     /// Takes the next message once the lane has cause to send (see
-    /// [`lane_ready`]) or its oldest payload has waited [`LANE_HOLD`].
+    /// [`lane_ready`]) or its oldest payload has waited [`HOLD`].
     ///
     /// A batching lane that finds its queue empty lingers one hold
     /// before it parks idle, so a frame that starts filling soon after
@@ -381,7 +411,7 @@ impl LaneState {
                 // Only payloads are queued, so the front one is the
                 // oldest.
                 Some(&(_, queued)) => {
-                    let left = LANE_HOLD.saturating_sub(queued.elapsed());
+                    let left = HOLD.saturating_sub(queued.elapsed());
                     if left.is_zero() {
                         break;
                     }
@@ -389,7 +419,7 @@ impl LaneState {
                 }
                 None if threshold > 1 && !lingered => {
                     lingered = true;
-                    q = self.not_empty.wait_timeout(q, LANE_HOLD);
+                    q = self.not_empty.wait_timeout(q, HOLD);
                 }
                 None => {
                     q.idle = true;
@@ -434,6 +464,8 @@ pub(crate) struct Inner {
     admit_cv: Signal,
     /// Jobs the admission queue holds before [`Pipeline::admit`] blocks.
     admit_cap: usize,
+    /// The encode pool's size, which scales its wake threshold.
+    encode_workers: usize,
     /// Signalled when a worker claims a job (or the pipeline closes):
     /// where writers wait out a full admission queue.
     admit_room: Signal,
@@ -459,6 +491,12 @@ impl Inner {
     /// Keeps `e` for the next flush unless an earlier error waits.
     fn keep_error(&self, e: &ReplError) {
         self.last_error.lock().get_or_insert_with(|| e.to_string());
+    }
+
+    /// The queued-job count that wakes an encoder under the live
+    /// `batch_frames`.
+    fn encode_threshold(&self) -> usize {
+        admit_threshold(self.encode_workers, self.tuning.batch_frames())
     }
 }
 
@@ -493,9 +531,11 @@ const MAX_RETRANSMITS: u32 = 3;
 const LANE_QUEUE_CAP: usize = 1024;
 
 /// How long a threaded lane holds a partial frame open for more
-/// payloads before it ships what has queued. A barrier ends the hold at
-/// once, and with `batch_frames = 1` every payload is a full frame.
-const LANE_HOLD: Duration = Duration::from_micros(500);
+/// payloads before it ships what has queued, and how long an idle
+/// stage lingers before it parks without a deadline. A barrier ends a
+/// lane's hold at once and encodes the admission queue's tail itself,
+/// and with `batch_frames = 1` nothing waits for it.
+const HOLD: Duration = Duration::from_micros(500);
 
 /// Jobs the admission queue holds in threaded mode. Behind it sit the
 /// bounded lane queues and the ack windows, so a client that outruns
@@ -699,9 +739,11 @@ impl Pipeline {
                 by_lba: HashMap::new(),
                 seq_alloc: 0,
                 closed: false,
+                idle: false,
             }),
             admit_cv: Signal::default(),
             admit_cap,
+            encode_workers: config.encode_workers.max(1),
             admit_room: Signal::default(),
             reorder: Mutex::new(ReorderState {
                 next_seq: 0,
@@ -736,7 +778,7 @@ impl Pipeline {
             stepped = Some(Mutex::new(lanes.collect()));
         } else {
             encoders.extend(
-                (0..config.encode_workers.max(1))
+                (0..inner.encode_workers)
                     .map(|worker| spawn(&inner, format!("prins-encode-{worker}"), run_encoder)),
             );
             senders.extend(lanes.map(|mut lane| {
@@ -769,13 +811,7 @@ impl Pipeline {
             return false;
         };
         let cx = &*self.inner;
-        let mut progressed = false;
-        loop {
-            let job = claim_job(&mut cx.admit.lock().unwrap());
-            let Some(job) = job else { break };
-            encode_and_release(cx, job);
-            progressed = true;
-        }
+        let mut progressed = encode_queued(cx, u64::MAX);
         for lane in lanes.lock().unwrap().iter_mut() {
             while let Some(msg) = lane.state.try_pop() {
                 lane.handle(cx, msg);
@@ -805,7 +841,9 @@ impl Pipeline {
     /// The queue is bounded ([`ADMIT_QUEUE_CAP`] jobs; unbounded in
     /// manual mode): a new job for a full queue blocks the writer until
     /// an encode worker claims one or the pipeline closes. A fold adds
-    /// no job and never blocks.
+    /// no job and never blocks. A new job wakes an encoder only if the
+    /// pool is parked idle or the queue now holds a full frame per
+    /// worker (see [`admit_wakes`]).
     pub fn admit(&self, lba: Lba, old: PooledBuf, new: PooledBuf) -> Result<(), ReplError> {
         let cx = &*self.inner;
         // Read the live flag once so one admission sees one mode.
@@ -844,22 +882,31 @@ impl Pipeline {
             folds: 0,
             admitted_at: cx.probe.admitted(seq, lba, depth),
         });
+        let wake = admit_wakes(depth, cx.encode_threshold(), std::mem::take(&mut st.idle));
         drop(st);
-        cx.admit_cv.notify_one();
+        if wake {
+            cx.admit_cv.notify_one();
+        }
         Ok(())
     }
 
     /// Waits until every write admitted before the call has been
     /// encoded, released in order and acknowledged by every lane.
     ///
-    /// In manual mode nothing waits: the barrier *drives* the stages to
-    /// completion on the calling thread.
+    /// Threaded, the caller first encodes whichever of those writes are
+    /// still queued, as manual mode's `step` does; the encode pool may
+    /// hold others, which the wait covers. In manual mode nothing waits:
+    /// the barrier *drives* the stages to completion on the calling
+    /// thread.
     pub fn barrier(&self) {
         let cx = &*self.inner;
         if let Some(lanes) = &self.stepped {
             self.drive_dry(lanes);
         } else {
             let target = cx.admit.lock().unwrap().seq_alloc;
+            // The tail below the encoders' wake threshold would wait
+            // out their linger; encoding it here wakes nobody.
+            encode_queued(cx, target);
             let mut ro = cx.reorder.lock().unwrap();
             while ro.next_seq < target {
                 ro.wake_at = ro.wake_at.min(target);
@@ -926,6 +973,27 @@ fn claim_job(st: &mut AdmitState) -> Option<EncodeJob> {
     Some(job)
 }
 
+/// Claims, encodes and releases every queued job numbered below
+/// `before` on the caller's thread: manual mode's encode stage and a
+/// threaded flush's tail. Returns whether it encoded anything.
+fn encode_queued(cx: &Inner, before: u64) -> bool {
+    let mut encoded = false;
+    loop {
+        let job = {
+            let mut st = cx.admit.lock().unwrap();
+            match st.queue.front() {
+                Some(job) if job.seq < before => claim_job(&mut st),
+                _ => None,
+            }
+        };
+        let Some(job) = job else { break };
+        cx.admit_room.notify_one();
+        encode_and_release(cx, job);
+        encoded = true;
+    }
+    encoded
+}
+
 /// Encodes one job and releases every consecutively-ready payload to
 /// the lanes.
 fn encode_and_release(cx: &Inner, job: EncodeJob) {
@@ -982,10 +1050,16 @@ fn encode_and_release(cx: &Inner, job: EncodeJob) {
 /// Encode-pool worker: drains the admission queue, encodes payloads
 /// concurrently with its peers and releases them through the reorder
 /// buffer in sequence order.
+///
+/// An awake encoder claims any queued job. One that finds the queue
+/// empty while batching lingers one [`HOLD`] first, so a commit that
+/// starts meanwhile costs it no wake-up, then parks idle until an
+/// admission wakes it (see [`admit_wakes`]).
 fn run_encoder(cx: &Inner) {
     loop {
         let job = {
             let mut st = cx.admit.lock().unwrap();
+            let mut lingered = false;
             loop {
                 if let Some(job) = claim_job(&mut st) {
                     cx.admit_room.notify_one();
@@ -994,7 +1068,13 @@ fn run_encoder(cx: &Inner) {
                 if st.closed {
                     break None;
                 }
-                st = cx.admit_cv.wait(st);
+                if !lingered && cx.encode_threshold() > 1 {
+                    lingered = true;
+                    st = cx.admit_cv.wait_timeout(st, HOLD);
+                } else {
+                    st.idle = true;
+                    st = cx.admit_cv.wait(st);
+                }
             }
         };
         let Some(job) = job else { return };
@@ -1153,7 +1233,7 @@ mod tests {
     fn a_lane_wakes_for_a_full_frame_or_a_control_message_anywhere_in_its_queue() {
         use super::{
             lane_ready, wake_threshold, BarrierGate, LaneMsg, LaneState, Outbound, PipelineTuning,
-            LANE_HOLD, LANE_QUEUE_CAP,
+            HOLD, LANE_QUEUE_CAP,
         };
         use std::sync::atomic::{AtomicBool, AtomicUsize};
 
@@ -1196,7 +1276,96 @@ mod tests {
         // The lone tail payload waits out the hold, then ships.
         assert!(!ready(&lane));
         assert!(matches!(lane.pop(), LaneMsg::Payload(w) if w.seq == 1));
-        assert!(queued.elapsed() >= LANE_HOLD, "shipped before its hold");
+        assert!(queued.elapsed() >= HOLD, "shipped before its hold");
+    }
+
+    #[test]
+    fn the_encode_pool_wakes_for_a_frame_per_worker_or_when_idle() {
+        use super::{admit_threshold, admit_wakes, Pipeline, PipelineConfig, ADMIT_QUEUE_CAP};
+        use crate::obs::Probe;
+        use crate::signal::tests::under_watchdog;
+
+        assert_eq!(admit_threshold(2, 1), 1, "batching off");
+        assert_eq!(admit_threshold(2, 8), 16, "a full frame per worker");
+        assert_eq!(admit_threshold(3, 4096), ADMIT_QUEUE_CAP);
+
+        let threshold = admit_threshold(2, 8);
+        assert!(admit_wakes(1, threshold, true), "an idle pool");
+        assert!(!admit_wakes(15, threshold, false), "a lingering pool");
+        assert!(admit_wakes(16, threshold, false), "the 16th job");
+        assert!(admit_wakes(1, admit_threshold(2, 1), false), "batching off");
+
+        // A real pool of one encoder, parked idle once its linger ran
+        // out: one admission, far below the threshold, must wake it.
+        let config = PipelineConfig {
+            encode_workers: 1,
+            batch_frames: 8,
+            ..PipelineConfig::default()
+        };
+        let pool = prins_buf::BufPool::for_block_size(4096, 1);
+        let probe = Probe::new(Arc::new(prins_net::WallClock::new()), None, None, 0);
+        let replicator = Arc::from(prins_repl::ReplicationMode::Prins.replicator());
+        let pipeline = Pipeline::start(replicator, Vec::new(), &config, pool.clone(), probe);
+        under_watchdog(Duration::from_secs(10), move || {
+            let cx = pipeline.cx();
+            while !cx.admit.lock().unwrap().idle {
+                std::thread::yield_now();
+            }
+            let (mut old, mut new) = (pool.get(4096), pool.get(4096));
+            old.resize_zeroed(4096);
+            new.copy_from(&[1u8; 4096]);
+            pipeline.admit(Lba(0), old, new).unwrap();
+            while cx.reorder.lock().unwrap().next_seq == 0 {
+                std::thread::yield_now();
+            }
+            pipeline.shutdown();
+        });
+    }
+
+    #[test]
+    fn a_sub_threshold_commit_is_encoded_by_its_flusher() {
+        use crate::signal::tests::under_watchdog;
+        under_watchdog(Duration::from_secs(10), || {
+            let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 16));
+            let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
+                .encode_workers(2)
+                .batch_frames(8);
+            let (mut replicas, mut threads) = (Vec::new(), Vec::new());
+            for _ in 0..2 {
+                let (uplink, downlink) = channel_pair(LinkModel::t1());
+                let replica = Arc::new(MemDevice::new(BlockSize::kb4(), 16));
+                let device = Arc::clone(&replica) as Arc<dyn BlockDevice>;
+                threads.push(ReplicaEngine::spawn(device, downlink));
+                replicas.push(replica);
+                builder = builder.replica(Box::new(uplink));
+            }
+            let engine = builder.build();
+            // Eight writes a commit stay below the pool's threshold of
+            // 16, so only an idle pool is woken, and each barrier
+            // encodes whatever it still finds queued.
+            for commit in 0..200u64 {
+                for i in 0..8u64 {
+                    let lba = Lba((commit * 3 + i) % 16);
+                    let mut block = engine.read_block_vec(lba).unwrap();
+                    block[((commit * 8 + i) % 4096) as usize] ^= 0x5a;
+                    engine.write_block(lba, &block).unwrap();
+                }
+                engine.replication_barrier().unwrap();
+            }
+            for replica in &replicas {
+                assert!(replica.snapshot() == primary.snapshot());
+            }
+            shutdown_all(engine, threads);
+        });
+    }
+
+    #[test]
+    fn flusher_and_pool_encodes_of_one_lba_keep_their_order() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(38);
+        let writes: Vec<(u64, u8)> = (0..240)
+            .map(|_| (rng.random_range(0..4), rng.random()))
+            .collect();
+        assert_per_lba_ordering(&writes, 2, 8, Some(3));
     }
 
     #[test]
@@ -1715,12 +1884,18 @@ mod tests {
     /// sequence space — shows every write exactly once with strictly
     /// increasing sequence numbers per LBA (the pipeline's ordering
     /// invariant, observed at the wire).
-    fn assert_per_lba_ordering(writes: &[(u64, u8)], encode_workers: usize) {
+    fn assert_per_lba_ordering(
+        writes: &[(u64, u8)],
+        encode_workers: usize,
+        batch_frames: usize,
+        flush_every: Option<usize>,
+    ) {
         let (transports, _links, replica_devs, replica_threads) = faulted_replicas(2, 8);
         let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
         let registry = prins_obs::Registry::new();
         let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
             .encode_workers(encode_workers)
+            .batch_frames(batch_frames)
             .ack_policy(AckPolicy::Window(16))
             .observe(Arc::clone(&registry));
         for transport in transports {
@@ -1733,6 +1908,9 @@ mod tests {
             let mut block = engine.read_block_vec(lba).unwrap();
             block[i % 4096] = fill;
             engine.write_block(lba, &block).unwrap();
+            if flush_every.is_some_and(|n| (i + 1) % n == 0) {
+                engine.flush().unwrap();
+            }
         }
         engine.flush().unwrap();
 
@@ -1762,7 +1940,7 @@ mod tests {
             writes in proptest::collection::vec((0u64..8, any::<u8>()), 1..80),
             workers in 1usize..5,
         ) {
-            assert_per_lba_ordering(&writes, workers);
+            assert_per_lba_ordering(&writes, workers, 1, None);
         }
     }
 }

@@ -11,8 +11,13 @@
 # the `cargo run` below only starts the binary. Pair i runs seed SEED+i on both
 # sides (SEED defaults to the clock, so every invocation uses seeds nobody
 # developed against; the seeds are printed) — even pairs parent first, odd
-# pairs change first. Every run is printed as it finishes, then each side's
-# median and quartiles per metric and the pairs the change was better in.
+# pairs change first. Every run is printed as it finishes, then per metric each
+# side's median and quartiles, the pairs the change was better in (ties count
+# for neither side), and the verdict in two columns: whether the change won at
+# least 9/10 of the pairs, and whether its median is better than the parent's
+# by more than the parent's inter-quartile distance (the gap, positive when the
+# change is better, and that distance are printed beside it). A gain claim
+# needs "yes" in both.
 set -eu
 [ $# -eq 4 ] || { echo "usage: $0 <parent-dir> <change-dir> <workload> <pairs>" >&2; exit 2; }
 parent=$1 change=$2 workload=$3 pairs=$4
@@ -49,23 +54,29 @@ while [ "$i" -lt "$pairs" ]; do
     i=$((i + 1))
 done
 
-# Median and quartiles by linear interpolation between order statistics.
-echo "# metric side median q1 q3 | change better in"
+# Per metric: each side's median and quartiles (linear interpolation between
+# order statistics), the pairs the change was better in (a tie counts for
+# neither side), and the two halves of the verdict.
+echo "# metric side median q1 q3 | change better in | >= 9/10 pairs | median gap > parent IQR"
 col=4
 for m in $metrics; do
-    for side in parent change; do
-        awk -v side="$side" -v col="$col" '$2 == side { print $col }' "$runs" | sort -g |
-            awk -v m="$m" -v side="$side" '
-                { v[NR] = $1 }
-                function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
-                END { if (NR) printf "%-22s %-6s %12.4f %12.4f %12.4f", m, side, q(0.5), q(0.25), q(0.75) }'
-        if [ "$side" = parent ]; then echo; fi
-    done
     # writes_per_s is the one metric where higher is better.
-    awk -v col="$col" -v higher="$([ "$m" = writes_per_s ] && echo 1 || echo 0)" '
-        $2 == "parent" { p[$1] = $col } $2 == "change" { c[$1] = $col }
-        END { for (i in p) if (i in c) { n++; if (higher ? c[i] > p[i] : c[i] < p[i]) w++ }
-              printf " | %d/%d\n", w, n }' "$runs"
+    awk -v m="$m" -v col="$col" -v higher="$([ "$m" = writes_per_s ] && echo 1 || echo 0)" '
+        function sort(v, n,   i, j, t) { for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t } }
+        function q(v, n, p,   h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }
+        $2 == "parent" { p[$1] = $col; pv[++np] = $col }
+        $2 == "change" { c[$1] = $col; cv[++nc] = $col }
+        END {
+            if (!np || !nc) exit
+            sort(pv, np); sort(cv, nc)
+            pm = q(pv, np, 0.5); iqr = q(pv, np, 0.75) - q(pv, np, 0.25); cm = q(cv, nc, 0.5)
+            for (i in p) if (i in c) { n++; if (higher ? c[i] > p[i] : c[i] < p[i]) w++ }
+            gap = higher ? cm - pm : pm - cm
+            printf "%-22s %-6s %12.4f %12.4f %12.4f\n", m, "parent", pm, q(pv, np, 0.25), q(pv, np, 0.75)
+            printf "%-22s %-6s %12.4f %12.4f %12.4f | %d/%d | %s | %s (%.4f vs %.4f)\n", m, "change", cm,
+                q(cv, nc, 0.25), q(cv, nc, 0.75), w, n, (10 * w >= 9 * n ? "yes" : "no"),
+                (gap > iqr ? "yes" : "no"), gap, iqr
+        }' "$runs"
     col=$((col + 1))
 done
 awk '$9 != "true" || $10 != 0 { bad++ } END { printf "# runs not correct or with failed operations: %d of %d\n", bad, NR }' "$runs"
