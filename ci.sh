@@ -53,6 +53,17 @@ if [ -n "$leaks" ]; then
     echo "$leaks" >&2
     exit 1
 fi
+# A cluster write is planned once: the plan whose parity its TRAP log
+# keeps is the plan its frame is encoded from (`write_planned`, then
+# `encode_planned`), so no second per-write encode path may creep back
+# into prins-cluster.
+encoders=$(code_lines crates/cluster/src/*.rs \
+    | grep -wE 'Replicator|ReplicationMode|encode_write_into' || true)
+if [ -n "$encoders" ]; then
+    echo "a second per-write encode path in crates/cluster/src:" >&2
+    echo "$encoders" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo bench --workspace --no-run     # criterion benches must keep compiling

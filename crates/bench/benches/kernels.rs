@@ -6,7 +6,7 @@ use prins_bench::{
     lzss_decompress_reference, xor_scalar,
 };
 use prins_block::{crc32c, crc32c_append_portable};
-use prins_compress::{Codec, Lzss, Rle};
+use prins_compress::{Codec, Lzss};
 use prins_ec::MulTable;
 use prins_iscsi::{Opcode, Pdu};
 use prins_parity::{forward_parity, scan_nonzero, xor_in_place, SparseCodec};
@@ -187,7 +187,6 @@ fn bench_lzss(c: &mut Criterion) {
             |b, p| b.iter(|| lzss_decompress_reference(p, input.len())),
         );
     }
-    group.bench_function("rle/prose_8KB", |b| b.iter(|| Rle.compress(&text)));
     group.finish();
 }
 

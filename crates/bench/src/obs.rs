@@ -10,12 +10,13 @@
 //! which is what lets CI diff the event-count summary against a
 //! checked-in golden file (`obs-dump --summary`).
 
+use std::error::Error;
 use std::sync::Arc;
 use std::time::Duration;
 
 use prins_block::{BlockDevice, BlockSize, MemDevice};
-use prins_core::EngineBuilder;
-use prins_net::{SimNet, Transport};
+use prins_core::{EngineBuilder, PrinsEngine};
+use prins_net::{SimNet, TrafficMeter, Transport};
 use prins_obs::{register_meter, Registry, Snapshot};
 use prins_repl::{verify_consistent, AckPolicy, ReplicaApplier};
 use prins_workloads::{capture_trace, Workload};
@@ -26,10 +27,8 @@ use crate::TrafficConfig;
 /// Virtual nanoseconds the clock advances on every read — stands in for
 /// the per-operation CPU cost a wall clock would observe.
 const AUTO_TICK_NANOS: u64 = 75;
-/// Replica fan-out of the mirror.
-const REPLICAS: usize = 2;
-/// One-way frame delay per simulated link.
-const LINK_DELAY: Duration = Duration::from_micros(200);
+/// One-way frame delay of each of the mirror's two simulated links.
+const LINK_DELAYS: [Duration; 2] = [Duration::from_micros(200); 2];
 
 /// Replays a captured TPC-C trace (about `ops` transactions' worth of
 /// block writes) through an observed engine mirroring to two simulated
@@ -42,38 +41,77 @@ const LINK_DELAY: Duration = Duration::from_micros(200);
 ///
 /// Propagates workload and device failures, and fails if a replica is
 /// not bit-identical to the primary after the final barrier.
-pub fn obs_experiment(ops: usize) -> Result<Snapshot, Box<dyn std::error::Error>> {
+pub fn obs_experiment(ops: usize) -> Result<Snapshot, Box<dyn Error>> {
+    let registry = Registry::new();
+    let observed = |builder: EngineBuilder| {
+        builder
+            .observe(Arc::clone(&registry))
+            .ack_policy(AckPolicy::Window(4))
+    };
+    // Drain the pipeline periodically so the run exercises the whole
+    // stage sequence continuously instead of folding the entire trace
+    // into one burst at the final barrier. The window is wide enough
+    // that hot TPC-C blocks still coalesce in the queue.
+    sim_mirror(ops, &LINK_DELAYS, 64, observed, |_, meters| {
+        for (idx, meter) in meters.iter().enumerate() {
+            register_meter(&registry, &format!("link{idx}"), Arc::clone(meter));
+        }
+    })?;
+    Ok(registry.snapshot())
+}
+
+/// The deterministic TPC-C mirror the observability runs replay, in
+/// virtual time: a captured trace (about `ops` transactions' worth of
+/// block writes) seeded onto the primary and onto one replica per entry
+/// of `delays`, each behind a [`SimNet`] link of that one-way delay
+/// with a [`ReplicaApplier`] actor. A stepped, coalescing engine with
+/// two payloads a frame, finished by `configure`, writes the trace,
+/// stepping every `step_every` writes, then flushes and shuts down.
+/// `on_built` sees the engine and the links' meters before the first
+/// write; what it returns is the run's result.
+///
+/// # Errors
+///
+/// Propagates workload and device failures, and fails if a replica is
+/// not bit-identical to the primary after the final barrier.
+pub(crate) fn sim_mirror<T>(
+    ops: usize,
+    delays: &[Duration],
+    step_every: usize,
+    configure: impl FnOnce(EngineBuilder) -> EngineBuilder,
+    on_built: impl FnOnce(&PrinsEngine, &[Arc<TrafficMeter>]) -> T,
+) -> Result<T, Box<dyn Error>> {
     let block_size = BlockSize::kb8();
     let mut config = TrafficConfig::smoke(block_size);
     config.ops = ops;
     let trace = capture_trace(Workload::TpccOracle, &config.run_config())?;
     if trace.is_empty() {
-        return Err("obs run needs a non-empty trace; increase --ops".into());
+        return Err("the mirror run needs a non-empty trace; increase --ops".into());
     }
     let stream = trace_writes(&trace);
 
     let net = SimNet::new();
     net.clock().set_auto_tick(AUTO_TICK_NANOS);
-    let registry = Registry::new();
-
-    let primary = Arc::new(MemDevice::new(block_size, stream.num_blocks));
-    for (lba, image) in &stream.initial {
-        primary.write_block(*lba, image)?;
-    }
-    let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
-        .manual_stepping(true)
-        .clock(net.clock())
-        .observe(Arc::clone(&registry))
-        .coalesce(true)
-        .batch_frames(2)
-        .ack_policy(AckPolicy::Window(4));
-    let mut replica_devs = Vec::new();
-    for idx in 0..REPLICAS {
-        let (a, b, _ctl) = net.add_link(&format!("replica{idx}"), LINK_DELAY);
+    let seeded = || -> Result<Arc<MemDevice>, Box<dyn Error>> {
         let device = Arc::new(MemDevice::new(block_size, stream.num_blocks));
         for (lba, image) in &stream.initial {
             device.write_block(*lba, image)?;
         }
+        Ok(device)
+    };
+
+    let primary = seeded()?;
+    let mut builder = configure(
+        EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
+            .manual_stepping(true)
+            .clock(net.clock())
+            .coalesce(true)
+            .batch_frames(2),
+    );
+    let (mut replica_devs, mut meters) = (Vec::new(), Vec::new());
+    for (idx, delay) in delays.iter().enumerate() {
+        let (a, b, _ctl) = net.add_link(&format!("replica{idx}"), *delay);
+        let device = seeded()?;
         let dev = Arc::clone(&device);
         let tr = b.clone();
         net.set_actor(
@@ -86,19 +124,16 @@ pub fn obs_experiment(ops: usize) -> Result<Snapshot, Box<dyn std::error::Error>
                 }
             }),
         );
-        register_meter(&registry, &format!("link{idx}"), Arc::clone(a.meter()));
+        meters.push(Arc::clone(a.meter()));
         builder = builder.replica(Box::new(a));
         replica_devs.push(device);
     }
 
     let engine = builder.build();
+    let result = on_built(&engine, &meters);
     for (i, (lba, new)) in stream.writes.iter().enumerate() {
         engine.write_block(*lba, new)?;
-        // Drain the pipeline periodically so the run exercises the whole
-        // stage sequence continuously instead of folding the entire
-        // trace into one burst at the final barrier. The window is wide
-        // enough that hot TPC-C blocks still coalesce in the queue.
-        if i % 64 == 63 {
+        if i % step_every == step_every - 1 {
             engine.step();
         }
     }
@@ -106,10 +141,10 @@ pub fn obs_experiment(ops: usize) -> Result<Snapshot, Box<dyn std::error::Error>
     engine.shutdown()?;
     for dev in &replica_devs {
         if !verify_consistent(&*primary, &**dev)? {
-            return Err("replica diverged from primary during obs run".into());
+            return Err("replica diverged from primary during the mirror run".into());
         }
     }
-    Ok(registry.snapshot())
+    Ok(result)
 }
 
 #[cfg(test)]

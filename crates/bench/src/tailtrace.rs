@@ -14,25 +14,18 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use prins_block::{BlockDevice, BlockSize, MemDevice};
 use prins_core::EngineBuilder;
-use prins_net::{SimNet, Transport};
 use prins_obs::{lane_bucket, TraceConfig, TraceSink, LANE_BUCKETS};
-use prins_repl::{verify_consistent, AckPolicy, ReplicaApplier};
-use prins_workloads::{capture_trace, Workload};
+use prins_repl::AckPolicy;
 
-use crate::traffic::trace_writes;
-use crate::TrafficConfig;
+use crate::obs::sim_mirror;
 
-/// Virtual nanoseconds the clock advances on every read — stands in for
-/// the per-operation CPU cost a wall clock would observe.
-const AUTO_TICK_NANOS: u64 = 75;
-/// Replica fan-out of the mirror; the last lane is the slow one.
-const REPLICAS: usize = 3;
 /// One-way frame delay of the healthy links.
 const FAST_DELAY: Duration = Duration::from_micros(200);
 /// One-way frame delay of the degraded link — 10x the healthy delay.
 const SLOW_DELAY: Duration = Duration::from_millis(2);
+/// The mirror's links, one per replica; the last lane is the slow one.
+const LINK_DELAYS: [Duration; 3] = [FAST_DELAY, FAST_DELAY, SLOW_DELAY];
 
 /// What the traced run leaves behind: the engine's trace sink and
 /// which lane was degraded, plus the attribution arithmetic the
@@ -92,82 +85,24 @@ impl fmt::Display for TailTraceReport {
 /// Propagates workload and device failures, and fails if a replica is
 /// not bit-identical to the primary after the final barrier.
 pub fn trace_experiment(ops: usize) -> Result<TailTraceReport, Box<dyn std::error::Error>> {
-    let block_size = BlockSize::kb8();
-    let mut config = TrafficConfig::smoke(block_size);
-    config.ops = ops;
-    let trace = capture_trace(Workload::TpccOracle, &config.run_config())?;
-    if trace.is_empty() {
-        return Err("trace run needs a non-empty trace; increase --ops".into());
-    }
-    let stream = trace_writes(&trace);
-
-    let net = SimNet::new();
-    net.clock().set_auto_tick(AUTO_TICK_NANOS);
-
-    let primary = Arc::new(MemDevice::new(block_size, stream.num_blocks));
-    for (lba, image) in &stream.initial {
-        primary.write_block(*lba, image)?;
-    }
-    let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
-        .manual_stepping(true)
-        .clock(net.clock())
-        .flight_recorder(TraceConfig::default())
-        .coalesce(true)
-        .batch_frames(2)
-        // Per-write acks: each lane's wait is closed by its own ack
-        // event, so above-p99 gaps land on the lane that caused them.
-        // A pipelined window would collect the fast lanes' acks after
-        // the slow lane already advanced the virtual clock, smearing
-        // the slow link's cost across healthy lanes.
-        .ack_policy(AckPolicy::PerWrite);
-    let mut replica_devs = Vec::new();
-    for idx in 0..REPLICAS {
-        let delay = if idx == REPLICAS - 1 {
-            SLOW_DELAY
-        } else {
-            FAST_DELAY
-        };
-        let (a, b, _ctl) = net.add_link(&format!("replica{idx}"), delay);
-        let device = Arc::new(MemDevice::new(block_size, stream.num_blocks));
-        for (lba, image) in &stream.initial {
-            device.write_block(*lba, image)?;
-        }
-        let dev = Arc::clone(&device);
-        let tr = b.clone();
-        net.set_actor(
-            &b,
-            Box::new(move || {
-                let mut applier = ReplicaApplier::new(&*dev);
-                while let Ok(Some(frame)) = tr.try_recv() {
-                    let (ack, _) = applier.respond(&frame);
-                    let _ = tr.send(&ack);
-                }
-            }),
-        );
-        builder = builder.replica(Box::new(a));
-        replica_devs.push(device);
-    }
-
-    let engine = builder.build();
-    let sink = Arc::clone(engine.trace_sink().expect("tracing enabled above"));
-    for (i, (lba, new)) in stream.writes.iter().enumerate() {
-        engine.write_block(*lba, new)?;
-        // Drain often: a sparse step cadence would charge queue wait to
-        // the healthy lanes too and blur the slow link's signature.
-        if i % 16 == 15 {
-            engine.step();
-        }
-    }
-    engine.flush()?;
-    engine.shutdown()?;
-    for dev in &replica_devs {
-        if !verify_consistent(&*primary, &**dev)? {
-            return Err("replica diverged from primary during trace run".into());
-        }
-    }
+    let traced = |builder: EngineBuilder| {
+        builder
+            .flight_recorder(TraceConfig::default())
+            // Per-write acks: each lane's wait is closed by its own ack
+            // event, so above-p99 gaps land on the lane that caused
+            // them. A pipelined window would collect the fast lanes'
+            // acks after the slow lane already advanced the virtual
+            // clock, smearing the slow link's cost across healthy lanes.
+            .ack_policy(AckPolicy::PerWrite)
+    };
+    // Drain often: a sparse step cadence would charge queue wait to the
+    // healthy lanes too and blur the slow link's signature.
+    let sink = sim_mirror(ops, &LINK_DELAYS, 16, traced, |engine, _| {
+        Arc::clone(engine.trace_sink().expect("tracing enabled above"))
+    })?;
     Ok(TailTraceReport {
         sink,
-        slow_lane: REPLICAS - 1,
+        slow_lane: LINK_DELAYS.len() - 1,
     })
 }
 

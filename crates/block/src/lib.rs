@@ -8,8 +8,6 @@
 //! * [`BlockDevice`] — the object-safe trait all storage implements,
 //! * [`MemDevice`] — a dense in-memory device (the workhorse for tests and
 //!   benchmarks),
-//! * [`SparseDevice`] — a hash-map backed device for very large address
-//!   spaces that are mostly untouched,
 //! * [`FileDevice`] — a file-backed device for persistence across runs,
 //! * [`InstrumentedDevice`] — a wrapper counting reads/writes/bytes, used to
 //!   capture the block-write traces the paper's traffic figures are built
@@ -48,7 +46,6 @@ mod file;
 mod geometry;
 mod instrument;
 mod mem;
-mod sparse;
 
 pub use checksum::{crc32c, crc32c_append, crc32c_append_portable};
 pub use device::BlockDevice;
@@ -58,7 +55,6 @@ pub use file::FileDevice;
 pub use geometry::{BlockSize, Geometry, Lba, LbaRange};
 pub use instrument::{InstrumentedDevice, IoStats, WriteObserver};
 pub use mem::MemDevice;
-pub use sparse::SparseDevice;
 
 /// Convenience alias used by every fallible API in this crate.
 pub type Result<T> = std::result::Result<T, BlockError>;

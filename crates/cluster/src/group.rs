@@ -10,10 +10,10 @@ use prins_net::{Clock, Transport};
 use prins_obs::{Registry, TraceId, TraceSink};
 use prins_parity::{SparseCodec, SparseParity};
 use prins_repl::{
-    put_full, put_parity, Link, ReplError, ReplicationMode, Replicator, Request, Response, ACK,
-    DIGEST_ACK, READ_ACK,
+    put_full, put_parity, Link, PrinsReplicator, ReplError, Request, Response, ACK, DIGEST_ACK,
+    READ_ACK,
 };
-use prins_trap::{TrapDevice, TrapLog};
+use prins_trap::{TrapDevice, TrapEntry, TrapLog};
 
 use crate::probe::{Plane, Probe, Tagged};
 use crate::{ClusterError, DirtyMap, ReplicaState};
@@ -159,8 +159,6 @@ pub struct ScrubOutcome {
 /// Cluster configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
-    /// Replication strategy for foreground writes.
-    pub mode: ReplicationMode,
     /// How long to wait for each acknowledgement.
     pub ack_timeout: Duration,
     /// Minimum replica acknowledgements per write before the write
@@ -184,7 +182,6 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
-            mode: ReplicationMode::Prins,
             ack_timeout: Duration::from_secs(10),
             write_quorum: 0,
             offline_after: 3,
@@ -201,10 +198,11 @@ impl Default for ClusterConfig {
 /// through the [`ReplicaState`] lifecycle, its missed writes are
 /// recorded in a per-replica [`DirtyMap`], and the write succeeds as
 /// long as [`ClusterConfig::write_quorum`] replicas acknowledge it.
-/// The primary's own [`TrapLog`] doubles as the delta-resync source.
+/// Each write's parity is computed once: the primary's own
+/// [`TrapLog`] keeps it, the foreground frame ships it, and the log
+/// doubles as the delta-resync source.
 pub struct ClusterGroup<D> {
     device: TrapDevice<D>,
-    replicator: Box<dyn Replicator>,
     /// The current write's encoded payload, reused across writes.
     payload: Vec<u8>,
     /// The image the current write replaces, reused likewise.
@@ -226,7 +224,6 @@ impl<D: BlockDevice> ClusterGroup<D> {
     pub fn new(device: D, config: ClusterConfig, transports: Vec<Box<dyn Transport>>) -> Self {
         Self {
             device: TrapDevice::new(device),
-            replicator: config.mode.replicator(),
             payload: Vec::new(),
             old: Vec::new(),
             replicas: transports
@@ -334,11 +331,17 @@ impl<D: BlockDevice> ClusterGroup<D> {
         self.old
             .resize(self.device.geometry().block_size().bytes(), 0);
         self.device.read_block(lba, &mut self.old)?;
-        self.device.write_block_over(lba, &self.old, new)?;
-        let seq = self.log().current_seq();
+        // One scan of the two images: the log keeps the plan's parity
+        // and the frame ships it (or the full image, where the parity
+        // would be no smaller).
+        let mut plan = SparseCodec::default().plan_delta(&self.old, new);
+        let seq = self.device.write_planned(lba, &plan)?;
         self.payload.clear();
-        self.replicator
-            .encode_write_into(lba, &self.old, new, &mut self.payload);
+        PrinsReplicator::new()
+            .encode_planned(lba, &mut plan, usize::MAX, &mut self.payload)
+            .expect("every frame fits usize::MAX");
+        // The plan borrows `self.old`; the fan-out below needs `self`.
+        drop(plan);
 
         // One trace per cluster write; its hold keeps it open across
         // the replica fan-out and is released at the end of this call,
@@ -768,7 +771,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 // The replica's copy now reflects the chain through
                 // this entry; later entries (queued or future) keep the
                 // block dirty from seq + 1.
-                let more = !self.log().chain_since(lba, seq + 1).is_empty();
+                let more = self.log().fold_since(lba, seq + 1, false, |_, _| true);
                 let r = &mut self.replicas[idx];
                 r.dirty.clear(lba);
                 if more {
@@ -938,8 +941,9 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 }
             }
             ReplicaState::Resyncing => {
-                let r = &self.replicas[idx];
-                let Some(plan) = &r.resync else {
+                let log = self.device.log();
+                let r = &mut self.replicas[idx];
+                let Some(plan) = r.resync.as_mut() else {
                     return Route::Send;
                 };
                 if plan.pending_full.contains(&lba.index()) {
@@ -950,29 +954,22 @@ impl<D: BlockDevice> ClusterGroup<D> {
                 if !r.dirty.contains(lba) {
                     return Route::Send;
                 }
-                // Fold the new write's parity into the block's queued
-                // replay frame — never queue a second frame for the same
-                // block (two same-block frames in one pipelined batch
-                // would let a lost first frame leave the second XORing a
-                // stale base).
-                let entry = self
-                    .device
-                    .log()
-                    .chain_since(lba, seq)
-                    .into_iter()
-                    .find(|e| e.seq == seq);
-                if let (Some(entry), Some(plan)) = (entry, self.replicas[idx].resync.as_mut()) {
-                    let queued = plan.queue.iter_mut().find_map(|f| match f {
-                        ResyncFrame::Parity(l, s, p) if *l == lba => Some((s, p)),
-                        _ => None,
+                // Fold the new write's logged parity into the block's
+                // queued replay frame — never queue a second frame for
+                // the same block (two same-block frames in one pipelined
+                // batch would let a lost first frame leave the second
+                // XORing a stale base).
+                let queued = plan.queue.iter_mut().find_map(|f| match f {
+                    ResyncFrame::Parity(l, s, p) if *l == lba => Some((s, p)),
+                    _ => None,
+                });
+                if let Some((s, p)) = queued {
+                    log.fold_since(lba, seq, (), |(), e| {
+                        *p = p.fold(&e.parity);
+                        *s = e.seq;
                     });
-                    if let Some((s, p)) = queued {
-                        *p = p.fold(&entry.parity);
-                        *s = seq;
-                    } else {
-                        plan.queue
-                            .push_back(ResyncFrame::Parity(lba, seq, entry.parity));
-                    }
+                } else if let Some((s, p)) = log.fold_since(lba, seq, None, fold_entry) {
+                    plan.queue.push_back(ResyncFrame::Parity(lba, s, p));
                 }
                 Route::Defer
             }
@@ -1030,11 +1027,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             // property: with at most one resync frame per block, a lost
             // frame can never leave a same-block successor in the batch
             // to XOR against a base missing it.
-            let mut chain = log.chain_since(lba, missed_from).into_iter();
-            if let Some(first) = chain.next() {
-                let (seq, parity) = chain.fold((first.seq, first.parity), |(_, acc), e| {
-                    (e.seq, acc.fold(&e.parity))
-                });
+            if let Some((seq, parity)) = log.fold_since(lba, missed_from, None, fold_entry) {
                 queue.push_back(ResyncFrame::Parity(lba, seq, parity));
             }
         }
@@ -1051,11 +1044,20 @@ enum Route {
     Skip,
 }
 
+/// Folds one log entry into a block's replay parity (XOR composes),
+/// keeping the sequence number of the last entry folded in.
+fn fold_entry(acc: Option<(u64, SparseParity)>, e: &TrapEntry) -> Option<(u64, SparseParity)> {
+    let parity = match acc {
+        Some((_, acc)) => acc.fold(&e.parity),
+        None => e.parity.clone(),
+    };
+    Some((e.seq, parity))
+}
+
 impl<D: BlockDevice> std::fmt::Debug for ClusterGroup<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let states: Vec<String> = self.replicas.iter().map(|r| r.state.to_string()).collect();
         f.debug_struct("ClusterGroup")
-            .field("strategy", &self.replicator.name())
             .field("replicas", &states)
             .field("seq", &self.log().current_seq())
             .finish()

@@ -9,7 +9,9 @@
 //! * [`ReplicaState`] — the lifecycle state machine
 //!   `Online → Lagging → Offline → Resyncing → Online`, driven by
 //!   send/ack errors,
-//! * [`ClusterGroup`] — a primary that *degrades* instead of aborting:
+//! * [`ClusterGroup`] — a primary that computes each write's parity
+//!   once (its TRAP log keeps it, the PRINS frame ships it) and
+//!   *degrades* instead of aborting:
 //!   a failing replica's missed writes are recorded in a per-replica
 //!   [`DirtyMap`] and writes succeed while at least
 //!   [`ClusterConfig::write_quorum`] replicas acknowledge,

@@ -10,11 +10,9 @@
 //!   ratios zlib gets; on text it does better, matching the paper's
 //!   observation that the filesystem micro-benchmark (text files) is more
 //!   compressible than database files.
-//! * [`Rle`] — byte-level run-length encoding, used as a cheap fast path
-//!   and as a baseline in ablation benches.
 //!
-//! Both implement the [`Codec`] trait so the replication layer can swap
-//! them.
+//! It implements the [`Codec`] trait, the owned-buffer
+//! compress/decompress interface.
 //!
 //! # Example
 //!
@@ -34,11 +32,9 @@
 
 mod error;
 mod lzss;
-mod rle;
 
 pub use error::CompressError;
 pub use lzss::{Abandoned, Lzss, MAX_DECODE_LEN};
-pub use rle::Rle;
 
 /// A lossless block codec.
 ///
@@ -69,7 +65,7 @@ mod tests {
 
     #[test]
     fn codec_trait_is_object_safe() {
-        let codecs: Vec<Box<dyn Codec>> = vec![Box::new(Lzss::default()), Box::new(Rle)];
+        let codecs: Vec<Box<dyn Codec>> = vec![Box::new(Lzss::default())];
         for c in &codecs {
             let data = b"abcabcabcabc".to_vec();
             let packed = c.compress(&data);

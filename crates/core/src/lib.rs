@@ -28,7 +28,7 @@
 //!                                                             │ iSCSI / TCP / channel
 //!                                                             ▼
 //!                                                   ┌──────────────────┐
-//!                                                   │  ReplicaEngine   │
+//!                                                   │  run_replica     │
 //!                                                   │  A_new = P'⊕A_old│
 //!                                                   └──────────────────┘
 //! ```
@@ -41,9 +41,9 @@
 //!
 //! ```
 //! use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
-//! use prins_core::{EngineBuilder, ReplicaEngine};
+//! use prins_core::EngineBuilder;
 //! use prins_net::{channel_pair, LinkModel};
-//! use prins_repl::ReplicationMode;
+//! use prins_repl::{run_replica, ReplicationMode};
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,7 +51,10 @@
 //!
 //! // Replica node.
 //! let replica_dev = Arc::new(MemDevice::new(BlockSize::kb8(), 32));
-//! let replica = ReplicaEngine::spawn(Arc::clone(&replica_dev) as Arc<_>, at_replica);
+//! let replica = {
+//!     let dev = Arc::clone(&replica_dev);
+//!     std::thread::spawn(move || run_replica(&*dev, &at_replica))
+//! };
 //!
 //! // Primary node.
 //! let primary_dev = Arc::new(MemDevice::new(BlockSize::kb8(), 32));
@@ -80,14 +83,12 @@ mod builder;
 mod engine;
 mod obs;
 pub mod pipeline;
-mod replica;
 mod signal;
 mod stats;
 
 pub use builder::EngineBuilder;
 pub use engine::PrinsEngine;
 pub use pipeline::PipelineTuning;
-pub use replica::ReplicaEngine;
 pub use stats::{EngineStats, LaneStats};
 
 pub use prins_block::BlockDevice;

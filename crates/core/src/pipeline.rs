@@ -1092,13 +1092,23 @@ mod tests {
     use prins_net::{
         channel_pair, FaultTransport, LinkHandle, LinkModel, SimLinkCtl, SimNet, Transport as _,
     };
-    use prins_repl::{verify_consistent, AckPolicy, ReplError, ReplicaApplier};
+    use prins_repl::{
+        run_replica, verify_consistent, AckPolicy, ReplError, ReplicaApplier, ReplicationMode,
+    };
     use proptest::prelude::*;
     use rand::{RngExt, SeedableRng};
 
-    use crate::{EngineBuilder, EngineStats, LaneStats, PrinsEngine, ReplicaEngine};
+    use crate::{EngineBuilder, EngineStats, LaneStats, PrinsEngine};
 
     type ReplicaHandle = std::thread::JoinHandle<Result<u64, ReplError>>;
+
+    /// The stock replica server on a thread of its own.
+    fn spawn_replica(
+        device: Arc<dyn BlockDevice>,
+        transport: impl prins_net::Transport + 'static,
+    ) -> ReplicaHandle {
+        std::thread::spawn(move || run_replica(&*device, &transport))
+    }
 
     /// `n` replicas behind FaultTransports, so tests can slow links down.
     #[allow(clippy::type_complexity)]
@@ -1119,7 +1129,7 @@ mod tests {
             let (uplink, downlink) = channel_pair(LinkModel::t1());
             let (faulty, link) = FaultTransport::new(uplink);
             let device = Arc::new(MemDevice::new(BlockSize::kb4(), blocks));
-            handles.push(ReplicaEngine::spawn(
+            handles.push(spawn_replica(
                 Arc::clone(&device) as Arc<dyn BlockDevice>,
                 downlink,
             ));
@@ -1178,6 +1188,192 @@ mod tests {
         (transports, ctls, devices)
     }
 
+    fn end_to_end(mode: ReplicationMode) {
+        let (to_replica, at_replica) = channel_pair(LinkModel::t1());
+        let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 32));
+        let replica = spawn_replica(Arc::clone(&replica_dev) as Arc<dyn BlockDevice>, at_replica);
+
+        let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 32));
+        let engine = EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
+            .mode(mode)
+            .replica(Box::new(to_replica))
+            .build();
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for _ in 0..120 {
+            let lba = Lba(rng.random_range(0..32));
+            let mut block = engine.read_block_vec(lba).unwrap();
+            let at = rng.random_range(0..4000);
+            for b in &mut block[at..at + 32] {
+                *b = rng.random();
+            }
+            engine.write_block(lba, &block).unwrap();
+        }
+        engine.flush().unwrap();
+        let stats = engine.stats();
+        assert_eq!(stats.writes, 120);
+        assert_eq!(stats.writes_replicated, 120);
+        assert_eq!(stats.replication_errors, 0);
+        engine.shutdown().unwrap();
+
+        assert_eq!(replica.join().unwrap().unwrap(), 120);
+        assert!(
+            verify_consistent(&*primary_dev, &*replica_dev).unwrap(),
+            "{mode}"
+        );
+    }
+
+    #[test]
+    fn prins_end_to_end_converges() {
+        end_to_end(ReplicationMode::Prins);
+    }
+
+    #[test]
+    fn traditional_end_to_end_converges() {
+        end_to_end(ReplicationMode::Traditional);
+    }
+
+    #[test]
+    fn compressed_end_to_end_converges() {
+        end_to_end(ReplicationMode::Compressed);
+    }
+
+    #[test]
+    fn prins_compressed_end_to_end_converges() {
+        end_to_end(ReplicationMode::PrinsCompressed);
+    }
+
+    #[test]
+    fn two_replicas_both_converge() {
+        let (to_r1, at_r1) = channel_pair(LinkModel::t1());
+        let (to_r2, at_r2) = channel_pair(LinkModel::t3());
+        let d1 = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
+        let d2 = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
+        let r1 = spawn_replica(Arc::clone(&d1) as Arc<dyn BlockDevice>, at_r1);
+        let r2 = spawn_replica(Arc::clone(&d2) as Arc<dyn BlockDevice>, at_r2);
+
+        let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
+        let engine = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
+            .replica(Box::new(to_r1))
+            .replica(Box::new(to_r2))
+            .build();
+
+        for i in 0..8u64 {
+            engine
+                .write_block(Lba(i), &vec![i as u8 + 1; 4096])
+                .unwrap();
+        }
+        engine.shutdown().unwrap();
+        r1.join().unwrap().unwrap();
+        r2.join().unwrap().unwrap();
+        assert!(verify_consistent(&*primary, &*d1).unwrap());
+        assert!(verify_consistent(&*primary, &*d2).unwrap());
+    }
+
+    #[test]
+    fn replication_failure_surfaces_at_flush() {
+        let (to_replica, at_replica) = channel_pair(LinkModel::t1());
+        // Replica device too small: writes past block 0 NAK.
+        let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 1));
+        let _replica = spawn_replica(Arc::clone(&replica_dev) as Arc<dyn BlockDevice>, at_replica);
+        let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
+        let engine = EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
+            .mode(ReplicationMode::Traditional)
+            .replica(Box::new(to_replica))
+            .build();
+
+        engine.write_block(Lba(5), &vec![1u8; 4096]).unwrap();
+        let err = engine.flush().unwrap_err();
+        assert!(err.to_string().contains("replication failed"), "{err}");
+        assert_eq!(engine.stats().replication_errors, 1);
+    }
+
+    #[test]
+    fn windowed_ack_engine_converges_and_counts_correctly() {
+        use prins_repl::AckPolicy;
+        let (to_replica, at_replica) = channel_pair(LinkModel::t1());
+        let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 32));
+        let replica = spawn_replica(Arc::clone(&replica_dev) as Arc<dyn BlockDevice>, at_replica);
+        let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 32));
+        let engine = EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
+            .ack_policy(AckPolicy::Window(16))
+            .replica(Box::new(to_replica))
+            .build();
+        for i in 0..64u64 {
+            engine
+                .write_block(Lba(i % 32), &vec![(i + 1) as u8; 4096])
+                .unwrap();
+        }
+        engine.flush().unwrap();
+        // The barrier drained the window: every write is acked.
+        assert_eq!(engine.stats().writes_replicated, 64);
+        engine.shutdown().unwrap();
+        assert_eq!(replica.join().unwrap().unwrap(), 64);
+        assert!(verify_consistent(&*primary_dev, &*replica_dev).unwrap());
+    }
+
+    #[test]
+    fn concurrent_writers_to_overlapping_blocks_stay_consistent() {
+        // Four threads hammer the same 8 LBAs; the per-LBA stripe locks
+        // must keep each parity consistent with its predecessor image,
+        // or the replica's XOR chain diverges. Each also flushes every
+        // 8 writes, so barriers wait on different targets at once and
+        // each must still be woken when its own target is released.
+        let (to_replica, at_replica) = channel_pair(LinkModel::t1());
+        let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
+        let replica = spawn_replica(Arc::clone(&replica_dev) as Arc<dyn BlockDevice>, at_replica);
+        let primary_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
+        let engine = Arc::new(
+            EngineBuilder::new(Arc::clone(&primary_dev) as Arc<dyn BlockDevice>)
+                .replica(Box::new(to_replica))
+                .build(),
+        );
+        let mut handles = Vec::new();
+        for t in 0..4u64 {
+            let engine = Arc::clone(&engine);
+            handles.push(std::thread::spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(t);
+                for i in 0..100u64 {
+                    let lba = Lba((t + i) % 8);
+                    let mut block = vec![0u8; 4096];
+                    rng.fill_bytes(&mut block);
+                    engine.write_block(lba, &block).unwrap();
+                    if i % 8 == 7 {
+                        engine.flush().unwrap();
+                    }
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        engine.flush().unwrap();
+        assert_eq!(engine.stats().writes, 400);
+        assert_eq!(engine.stats().replication_errors, 0);
+        Arc::try_unwrap(engine)
+            .map_err(|_| "engine still shared")
+            .unwrap()
+            .shutdown()
+            .unwrap();
+        replica.join().unwrap().unwrap();
+        assert!(verify_consistent(&*primary_dev, &*replica_dev).unwrap());
+    }
+
+    #[test]
+    fn local_only_engine_accounts_overhead() {
+        let device = Arc::new(MemDevice::new(BlockSize::kb8(), 16));
+        let engine = EngineBuilder::new(device as Arc<dyn BlockDevice>).build();
+        for i in 0..16u64 {
+            engine.write_block(Lba(i), &vec![i as u8; 8192]).unwrap();
+        }
+        engine.flush().unwrap();
+        let stats = engine.stats();
+        assert_eq!(stats.writes, 16);
+        assert!(stats.local_write_nanos > 0);
+        assert!(stats.overhead_nanos > 0);
+        engine.shutdown().unwrap();
+    }
+
     #[test]
     fn admission_blocks_at_its_bound_behind_a_stalled_replica_then_drains() {
         use super::{ADMIT_QUEUE_CAP, LANE_QUEUE_CAP};
@@ -1219,7 +1415,7 @@ mod tests {
 
             // The replica comes to life: everything drains.
             let device = Arc::clone(&replica) as Arc<dyn BlockDevice>;
-            replica_thread = Some(ReplicaEngine::spawn(device, downlink));
+            replica_thread = Some(spawn_replica(device, downlink));
         });
         // All of it went through, and the queue never outgrew its cap.
         assert_eq!(engine.stats().queue_depth_hwm, ADMIT_QUEUE_CAP as u64);
@@ -1335,7 +1531,7 @@ mod tests {
                 let (uplink, downlink) = channel_pair(LinkModel::t1());
                 let replica = Arc::new(MemDevice::new(BlockSize::kb4(), 16));
                 let device = Arc::clone(&replica) as Arc<dyn BlockDevice>;
-                threads.push(ReplicaEngine::spawn(device, downlink));
+                threads.push(spawn_replica(device, downlink));
                 replicas.push(replica);
                 builder = builder.replica(Box::new(uplink));
             }
@@ -1375,7 +1571,7 @@ mod tests {
             let (uplink, downlink) = channel_pair(LinkModel::t1());
             let replica = Arc::new(MemDevice::new(BlockSize::kb4(), 4));
             let device = Arc::clone(&replica) as Arc<dyn BlockDevice>;
-            let replica_thread = ReplicaEngine::spawn(device, downlink);
+            let replica_thread = spawn_replica(device, downlink);
             let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 4));
             let engine = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
                 .batch_frames(8)

@@ -507,6 +507,11 @@ pub struct DeltaPlan<'a> {
 }
 
 impl<'a> DeltaPlan<'a> {
+    /// The old image the plan was scanned from.
+    pub fn old_image(&self) -> &'a [u8] {
+        self.old
+    }
+
     /// The new image the plan was scanned from.
     pub fn new_image(&self) -> &'a [u8] {
         self.new

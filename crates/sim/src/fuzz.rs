@@ -292,7 +292,6 @@ fn topologies(case: &FuzzCase) -> [(&'static str, Topology); 3] {
         write_quorum: 0,
         offline_after: 2,
         ack_window: case.ack_window,
-        ..Default::default()
     };
     let cluster = Topology::Cluster {
         blocks: case.blocks,

@@ -52,7 +52,6 @@ fn cluster_config(ack_window: usize, write_quorum: usize) -> ClusterConfig {
         write_quorum,
         offline_after: 2,
         ack_window,
-        ..Default::default()
     }
 }
 

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use prins_block::{BlockDevice, Geometry, Lba, MemDevice, Result};
-use prins_parity::{SparseCodec, SparseParity};
+use prins_parity::{DeltaPlan, SparseCodec, SparseParity};
 
 /// One logged write: sequence number plus the encoded parity.
 #[derive(Clone, Debug)]
@@ -147,7 +147,7 @@ impl TrapLog {
     /// Drops log entries with `seq <= up_to` (space reclamation once a
     /// recovery window expires). Blocks can no longer be recovered to
     /// points at or before `up_to`, and delta resync from such points
-    /// becomes impossible (see [`retains_since`](Self::retains_since)).
+    /// becomes impossible (see [`pruned_through`](Self::pruned_through)).
     pub fn prune(&self, up_to: u64) {
         let mut chains = self.chains.write();
         let mut freed = 0u64;
@@ -166,53 +166,33 @@ impl TrapLog {
         self.pruned_through.fetch_max(up_to, Ordering::SeqCst);
     }
 
-    /// Highest sequence number ever pruned (0 = nothing pruned yet).
+    /// Highest sequence number ever pruned (0 = nothing pruned yet). A
+    /// replica last synced at `since` can be caught up by log replay
+    /// alone only while this is at most `since`; past that it needs
+    /// full-image blocks for the gap.
     pub fn pruned_through(&self) -> u64 {
         self.pruned_through.load(Ordering::SeqCst)
     }
 
-    /// Whether the log still holds *every* entry with `seq > since` —
-    /// the precondition for parity-log delta resync from `since`. When
-    /// this is false a rejoining replica last synced at `since` cannot
-    /// be caught up by log replay alone and needs full-image blocks for
-    /// the gap.
-    pub fn retains_since(&self, since: u64) -> bool {
-        self.pruned_through() <= since
-    }
-
-    /// The entries of `lba`'s chain with `seq >= from`, in sequence
-    /// order — the per-block replay suffix a delta resync streams for
-    /// one dirty block.
+    /// Folds `f` over the entries of `lba`'s chain with `seq >= from`,
+    /// in sequence order, reading the chain in place — how a delta
+    /// resync composes one dirty block's replay suffix into one parity,
+    /// or learns whether it is empty, without copying it out.
     ///
     /// Callers must check that the log was never pruned at or past
     /// `from` (`pruned_through() < from`), otherwise the suffix may be
     /// missing entries.
-    pub fn chain_since(&self, lba: Lba, from: u64) -> Vec<TrapEntry> {
-        self.chains
-            .read()
-            .get(&lba.index())
-            .map(|chain| chain.iter().filter(|e| e.seq >= from).cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// All log entries with `seq > since`, tagged with their LBA, in
-    /// sequence order — the replay suffix a delta resync streams to a
-    /// rejoining replica.
-    ///
-    /// Callers must check [`retains_since`](Self::retains_since) first;
-    /// after pruning past `since` the returned suffix is incomplete.
-    pub fn entries_since(&self, since: u64) -> Vec<(Lba, TrapEntry)> {
-        let chains = self.chains.read();
-        let mut out: Vec<(Lba, TrapEntry)> = Vec::new();
-        for (lba, chain) in chains.iter() {
-            for entry in chain {
-                if entry.seq > since {
-                    out.push((Lba(*lba), entry.clone()));
-                }
-            }
+    pub fn fold_since<T>(
+        &self,
+        lba: Lba,
+        from: u64,
+        init: T,
+        f: impl FnMut(T, &TrapEntry) -> T,
+    ) -> T {
+        match self.chains.read().get(&lba.index()) {
+            Some(chain) => chain.iter().filter(|e| e.seq >= from).fold(init, f),
+            None => init,
         }
-        out.sort_by_key(|(_, entry)| entry.seq);
-        out
     }
 }
 
@@ -243,6 +223,22 @@ impl<D: BlockDevice> TrapDevice<D> {
     pub fn inner(&self) -> &D {
         &self.inner
     }
+
+    /// Writes the image `plan` was scanned to over the one it was
+    /// scanned from, and logs the plan's parity — the entry point for a
+    /// caller that also ships the plan, so the write pays for one scan
+    /// of its images. Returns the write's sequence number. A wrong old
+    /// image makes the logged parity undo a write that never happened;
+    /// on a write failure nothing is logged.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the inner device's write failure.
+    pub fn write_planned(&self, lba: Lba, plan: &DeltaPlan<'_>) -> Result<u64> {
+        self.inner
+            .write_block_over(lba, plan.old_image(), plan.new_image())?;
+        Ok(self.log.append(lba, plan.to_parity()))
+    }
 }
 
 impl<D: BlockDevice> BlockDevice for TrapDevice<D> {
@@ -261,15 +257,11 @@ impl<D: BlockDevice> BlockDevice for TrapDevice<D> {
     }
 
     /// Logs `old ⊕ new` without reading the block, and hands `old` on
-    /// to the inner device. A wrong `old` makes the logged parity undo
-    /// a write that never happened; on a write failure nothing is
-    /// logged.
+    /// to the inner device: [`write_planned`](TrapDevice::write_planned)
+    /// over one scan of the two images.
     fn write_block_over(&self, lba: Lba, old: &[u8], new: &[u8]) -> Result<()> {
-        self.inner.write_block_over(lba, old, new)?;
-        // One scan of the two images, straight to the logged stream.
-        self.log
-            .append(lba, self.codec.plan_delta(old, new).to_parity());
-        Ok(())
+        self.write_planned(lba, &self.codec.plan_delta(old, new))
+            .map(drop)
     }
 
     fn flush(&self) -> Result<()> {
@@ -384,27 +376,41 @@ mod tests {
         assert_eq!(d.log().recover_block(&current, Lba(0), 2), vec![2u8; 4096]);
     }
 
+    /// The sequence numbers of `lba`'s log entries from `from` on.
+    fn suffix_seqs(d: &TrapDevice<MemDevice>, lba: u64, from: u64) -> Vec<u64> {
+        d.log()
+            .fold_since(Lba(lba), from, Vec::new(), |mut seqs, e| {
+                seqs.push(e.seq);
+                seqs
+            })
+    }
+
+    /// Forward-replays every block's log entries after `since` onto
+    /// `copy`, one folded chain per block — a delta resync.
+    fn replay_onto(d: &TrapDevice<MemDevice>, copy: &MemDevice, since: u64) {
+        for lba in d.geometry().range().iter() {
+            let stale = copy.read_block_vec(lba).unwrap();
+            let block = d.log().fold_since(lba, since + 1, stale, |mut block, e| {
+                e.parity.apply_to(&mut block);
+                block
+            });
+            copy.write_block(lba, &block).unwrap();
+        }
+    }
+
     #[test]
-    fn entries_since_returns_ordered_replay_suffix() {
+    fn fold_since_reads_a_blocks_suffix_in_sequence_order() {
         let d = dev();
         d.write_block(Lba(0), &vec![1u8; 4096]).unwrap(); // seq 1
         d.write_block(Lba(3), &vec![2u8; 4096]).unwrap(); // seq 2
         d.write_block(Lba(0), &vec![3u8; 4096]).unwrap(); // seq 3
         d.write_block(Lba(5), &vec![4u8; 4096]).unwrap(); // seq 4
 
-        let suffix = d.log().entries_since(2);
-        let seqs: Vec<u64> = suffix.iter().map(|(_, e)| e.seq).collect();
-        assert_eq!(seqs, vec![3, 4]);
-        assert_eq!(suffix[0].0, Lba(0));
-        assert_eq!(suffix[1].0, Lba(5));
-        assert!(d.log().entries_since(4).is_empty());
-        assert_eq!(d.log().entries_since(0).len(), 4);
-
-        let chain = d.log().chain_since(Lba(0), 2);
-        assert_eq!(chain.len(), 1);
-        assert_eq!(chain[0].seq, 3);
-        assert_eq!(d.log().chain_since(Lba(0), 1).len(), 2);
-        assert!(d.log().chain_since(Lba(7), 0).is_empty());
+        assert_eq!(suffix_seqs(&d, 0, 2), vec![3]);
+        assert_eq!(suffix_seqs(&d, 0, 1), vec![1, 3]);
+        assert_eq!(suffix_seqs(&d, 5, 0), vec![4]);
+        assert!(suffix_seqs(&d, 0, 4).is_empty());
+        assert!(suffix_seqs(&d, 7, 0).is_empty());
     }
 
     #[test]
@@ -430,12 +436,8 @@ mod tests {
         }
 
         // Forward-replay the suffix onto the stale copy.
-        assert!(d.log().retains_since(stale_at));
-        for (lba, entry) in d.log().entries_since(stale_at) {
-            let mut block = stale.read_block_vec(lba).unwrap();
-            entry.parity.apply_to(&mut block);
-            stale.write_block(lba, &block).unwrap();
-        }
+        assert_eq!(d.log().pruned_through(), 0);
+        replay_onto(&d, &stale, stale_at);
         for i in 0..3u64 {
             assert_eq!(
                 stale.read_block_vec(Lba(i)).unwrap(),
@@ -445,18 +447,29 @@ mod tests {
     }
 
     #[test]
-    fn prune_invalidates_delta_resync_from_older_points() {
+    fn prune_frees_exactly_the_pruned_entries_and_never_moves_back() {
         let d = dev();
-        for _ in 0..4 {
-            d.write_block(Lba(0), &vec![1u8; 4096]).unwrap();
+        for i in 0..4u8 {
+            d.write_block(Lba(0), &vec![i + 1; 4096]).unwrap();
         }
         assert_eq!(d.log().pruned_through(), 0);
-        assert!(d.log().retains_since(0));
+        let before = d.log().stored_bytes();
+        let pruned_bytes = d.log().fold_since(Lba(0), 0, 0u64, |sum, e| {
+            sum + if e.seq <= 2 {
+                e.parity.as_bytes().len() as u64
+            } else {
+                0
+            }
+        });
+        assert!(pruned_bytes > 0);
         d.log().prune(2);
         assert_eq!(d.log().pruned_through(), 2);
-        assert!(!d.log().retains_since(1));
-        assert!(d.log().retains_since(2));
-        assert!(d.log().retains_since(3));
+        assert_eq!(d.log().stored_bytes(), before - pruned_bytes);
+        assert_eq!(suffix_seqs(&d, 0, 0), vec![3, 4]);
+        // An older prune point frees nothing and keeps the high mark.
+        d.log().prune(1);
+        assert_eq!(d.log().pruned_through(), 2);
+        assert_eq!(d.log().stored_bytes(), before - pruned_bytes);
     }
 
     #[test]
@@ -468,15 +481,11 @@ mod tests {
         let now = d.log().current_seq();
         // A replica synced at the current sequence needs nothing: the
         // suffix is empty (not an error) and replaying it is a no-op.
-        assert!(d.log().entries_since(now).is_empty());
-        assert!(d.log().chain_since(Lba(0), now + 1).is_empty());
-        assert!(d.log().retains_since(now));
-        let copy = d.log().recover_device(&d, now).unwrap();
-        for (lba, entry) in d.log().entries_since(now) {
-            let mut block = copy.read_block_vec(lba).unwrap();
-            entry.parity.apply_to(&mut block);
-            copy.write_block(lba, &block).unwrap();
+        for i in 0..8 {
+            assert!(suffix_seqs(&d, i, now + 1).is_empty());
         }
+        let copy = d.log().recover_device(&d, now).unwrap();
+        replay_onto(&d, &copy, now);
         for i in 0..4u64 {
             assert_eq!(
                 copy.read_block_vec(Lba(i)).unwrap(),
@@ -500,15 +509,9 @@ mod tests {
         // inclusive-safe.
         d.log().prune(stale_at);
         assert_eq!(d.log().pruned_through(), stale_at);
-        assert!(d.log().retains_since(stale_at));
-        assert!(!d.log().retains_since(stale_at - 1));
-        let suffix = d.log().entries_since(stale_at);
-        assert_eq!(suffix.len(), 2);
-        for (lba, entry) in suffix {
-            let mut block = stale.read_block_vec(lba).unwrap();
-            entry.parity.apply_to(&mut block);
-            stale.write_block(lba, &block).unwrap();
-        }
+        assert_eq!(suffix_seqs(&d, 0, 0), vec![3]);
+        assert_eq!(suffix_seqs(&d, 1, 0), vec![4]);
+        replay_onto(&d, &stale, stale_at);
         assert_eq!(stale.read_block_vec(Lba(0)).unwrap(), vec![3u8; 4096]);
         assert_eq!(stale.read_block_vec(Lba(1)).unwrap(), vec![4u8; 4096]);
     }
@@ -527,17 +530,13 @@ mod tests {
 
         // Prune past the replica's sync point: seq 2 is gone.
         d.log().prune(stale_at + 1);
-        assert!(!d.log().retains_since(stale_at));
+        assert!(d.log().pruned_through() > stale_at);
 
         // An unguarded replay of what's left applies seq 3's parity to
         // seq 1's base — a stale-base XOR yielding a state the primary
         // never held. This is exactly why callers must check
-        // `retains_since` and fall back to full images.
-        for (lba, entry) in d.log().entries_since(stale_at) {
-            let mut block = stale.read_block_vec(lba).unwrap();
-            entry.parity.apply_to(&mut block);
-            stale.write_block(lba, &block).unwrap();
-        }
+        // `pruned_through` and fall back to full images.
+        replay_onto(&d, &stale, stale_at);
         let replayed = stale.read_block_vec(Lba(0)).unwrap();
         assert_ne!(replayed, d.read_block_vec(Lba(0)).unwrap());
         for historical in [vec![0u8; 4096], vec![0x11u8; 4096], vec![0x22u8; 4096]] {

@@ -8,9 +8,9 @@
 use std::sync::Arc;
 
 use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
-use prins_core::{EngineBuilder, ReplicaEngine};
+use prins_core::EngineBuilder;
 use prins_net::{channel_pair, LinkModel, Transport};
-use prins_repl::{verify_consistent, ReplicationMode};
+use prins_repl::{run_replica, verify_consistent, ReplicationMode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A primary and a replica "site", connected by a simulated T1 line.
@@ -18,10 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let meter = Arc::clone(uplink.meter());
 
     let replica_volume = Arc::new(MemDevice::new(BlockSize::kb8(), 128));
-    let replica = ReplicaEngine::spawn(
-        Arc::clone(&replica_volume) as Arc<dyn BlockDevice>,
-        downlink,
-    );
+    let replica_volume2 = Arc::clone(&replica_volume);
+    let replica = std::thread::spawn(move || run_replica(&*replica_volume2, &downlink));
 
     let primary_volume = Arc::new(MemDevice::new(BlockSize::kb8(), 128));
     let engine = EngineBuilder::new(Arc::clone(&primary_volume) as Arc<dyn BlockDevice>)

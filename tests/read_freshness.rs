@@ -22,7 +22,6 @@ fn mirror(replicas: usize, ack_window: usize) -> World {
         write_quorum: 0,
         offline_after: 2,
         ack_window,
-        ..Default::default()
     };
     World::new(Topology::Cluster {
         blocks: 8,

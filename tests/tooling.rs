@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use prins_bench::{measure_traffic, TrafficConfig};
 use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
-use prins_core::{EngineBuilder, ReplicaEngine};
+use prins_core::EngineBuilder;
 use prins_fs::Fs;
 use prins_net::{channel_pair, LinkModel};
-use prins_repl::ReplicationMode;
+use prins_repl::{run_replica, ReplicationMode};
 use prins_workloads::{capture_trace, RunConfig, Workload, WriteTrace};
 
 /// A captured trace must contain exactly the information the live
@@ -46,7 +46,10 @@ fn trace_replay_matches_live_measurement_exactly() {
 fn replica_of_a_filesystem_passes_fsck() {
     let (uplink, downlink) = channel_pair(LinkModel::t1());
     let replica_vol = Arc::new(MemDevice::new(BlockSize::kb4(), 4096));
-    let replica = ReplicaEngine::spawn(Arc::clone(&replica_vol) as Arc<dyn BlockDevice>, downlink);
+    let replica = {
+        let volume = Arc::clone(&replica_vol);
+        std::thread::spawn(move || run_replica(&*volume, &downlink))
+    };
 
     let primary_vol = Arc::new(MemDevice::new(BlockSize::kb4(), 4096));
     let engine = EngineBuilder::new(Arc::clone(&primary_vol) as Arc<dyn BlockDevice>)

@@ -249,7 +249,7 @@ fn cluster_write_frames_match_classic_seal_path() {
         ClusterConfig::default(),
         vec![Box::new(transport)],
     );
-    let mode = ClusterConfig::default().mode;
+    let mode = ReplicationMode::Prins;
     let mut shadow = vec![vec![0u8; 4096]; BLOCKS as usize];
     let mut expected = Vec::new();
     let mut rng = StdRng::seed_from_u64(43);
