@@ -21,12 +21,15 @@ use crate::{EngineStats, LaneStats};
 /// `A_new` locally, admit `(lba, A_old, A_new)` to the replication
 /// pipeline — and returns; parity encoding and transmission happen off
 /// the application's critical path, spread over an encode pool and one
-/// sender thread per replica (see [`crate::pipeline`] for the stage
-/// diagram and its ordering/coalescing invariants).
+/// sender lane per replica, each with a thread that ships full frames
+/// and held partial ones (see [`crate::pipeline`] for the stage diagram
+/// and its ordering/coalescing invariants).
 ///
-/// [`flush`](BlockDevice::flush) acts as a replication barrier: it
-/// returns once every admitted write has been acknowledged by every
-/// replica, surfacing any replication error that occurred.
+/// [`flush`](BlockDevice::flush) acts as a replication barrier: the
+/// flushing thread encodes, sends and collects the acknowledgements of
+/// its own tail, and returns once every admitted write has been
+/// acknowledged by every replica, surfacing any replication error that
+/// occurred.
 pub struct PrinsEngine {
     device: Arc<dyn BlockDevice>,
     /// The stages; their shared context ([`Pipeline::cx`]) also holds

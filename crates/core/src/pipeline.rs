@@ -13,22 +13,27 @@
 //!  [admission queue, bounded] ──▶ encode_and_release (N workers: P' = new ⊕ old, encode)
 //!       │  reorder buffer releases payloads in sequence order
 //!       ▼
-//!  ┌── Lane 0: bounded queue ▷ handle: batch ▷ seal ▷ send ▷ collect_oldest down to the window
-//!  ├── Lane 1:      "            "        "       "      "            "
-//!  └── Lane k:      "            "        "       "      "            "
+//!  ┌── Lane 0: bounded queue ▷ [lane lock] ship: pop ▷ batch ▷ seal ▷ send ▷ collect_oldest down to the window
+//!  ├── Lane 1:      "                 "        "      "       "      "            "
+//!  └── Lane k:      "                 "        "      "       "      "            "
+//!                         ▲ held by the lane's thread, or by a flusher shipping its own commit
 //! ```
 //!
 //! Three objects carry it. `Inner` is the one context every stage
-//! borrows: the queues between the stages, the replicator, the buffer
-//! pool, the live `PipelineTuning`, the resolved ack window and
-//! timeout, the last replication error and the `Probe`. A `Lane` is one
-//! replica's sender — its `Link`, which holds the frames in flight and
-//! decides which answer is whose, and its batch scratch — with three
-//! verbs: `handle` one queue message, `collect_oldest` one
-//! acknowledgement, `drain` the window; they are the only code in the
-//! crate that sends a frame or awaits a response. The `Probe` is told
-//! about every hop, alone decides what is recorded about it, and holds
-//! every number the engine keeps.
+//! borrows: the queues between the stages, each replica's `Lane`
+//! behind its lock, the replicator, the buffer pool, the live
+//! `PipelineTuning`, the resolved ack window and timeout, the last
+//! replication error and the `Probe`. A `Lane` is one replica's sender
+//! — its `Link`, which holds the frames in flight and decides which
+//! answer is whose, its batch scratch and the sequence number it sends
+//! next — with three verbs: `ship` one frame of its queue,
+//! `collect_oldest` one acknowledgement, `drain` the window. They are
+//! still the only code in the crate that sends a frame or awaits a
+//! response, now run by whoever holds the lane: its thread, or a
+//! flusher. Popping and sending happen under that one lock, so a lane
+//! sends its sequence numbers in order whoever sends them. The `Probe`
+//! is told about every hop, alone decides what is recorded about it,
+//! and holds every number the engine keeps.
 //!
 //! Invariants:
 //!
@@ -53,28 +58,33 @@
 //!   so a client that outruns its replicas waits instead of buffering
 //!   without limit. Folds add no job and never wait. (Manual mode has
 //!   one thread and therefore no capacities.)
-//! * **Barrier.** A flush first encodes, on its own thread, every write
-//!   it waits for that is still in the admission queue (the loop manual
-//!   mode's `step` runs), then waits until every admitted write has
-//!   been encoded and released to the lanes, then sends a barrier
-//!   token down each lane; a lane drains its acknowledgement window
-//!   before arriving at the barrier. A barrier (or shutdown) token
-//!   anywhere in a lane's queue wakes the lane at once and ends any
-//!   hold, so a flush is never slower for batching.
+//! * **Barrier.** A flush drives the stages itself, on its own thread,
+//!   threaded or manual (`drive_dry`): it encodes every write it waits
+//!   for that is still in the admission queue (the loop manual mode's
+//!   `step` runs), waits until the encode pool has released the rest,
+//!   has each lane in index order ship what it holds of them, then has
+//!   each lane drain its acknowledgement window. A flush neither waits
+//!   out a hold nor wakes a lane thread, so it is never slower for
+//!   batching. Shutdown is a flush plus a closing flag on each lane
+//!   queue that lets the lane thread exit.
 //! * **Wake-ups.** Every wait goes through a `Signal`, which counts the
 //!   threads parked on it and makes no system call when the count is
 //!   0; under streaming load most hand-offs find nobody parked. It is
 //!   sound because each notifier first changes the guarded state under
 //!   the waiter's mutex. A flusher is woken once, when the release
 //!   reaches the lowest target a barrier waits for
-//!   (`ReorderState::wake_at`), not after every encode. A threaded
-//!   lane is woken for a full frame (`batch_frames` queued payloads,
-//!   at most the queue's capacity) or a control token, not for every
+//!   (`ReorderState::wake_at`), not after every encode. A lane thread
+//!   is woken for a full frame (`batch_frames` queued payloads, at
+//!   most the queue's capacity) or its lane closing, not for every
 //!   payload; a partial frame ships once its oldest payload has waited
 //!   `HOLD` (500 µs), and `stage_lane_queue_nanos` includes the hold.
 //!   A lane whose queue runs empty lingers one hold before it parks
 //!   without a deadline, and only a lane parked that way is woken by a
-//!   frame's first payload. The admission queue wakes the encode pool
+//!   frame's first payload. Those rules hold for the encode pool's
+//!   releases; a flusher's own releases are quiet — it ships them — and
+//!   wake a lane thread only to make room in a full queue, and what a
+//!   flusher leaves queued wakes the lane as the pool's push would
+//!   have. The admission queue wakes the encode pool
 //!   the same way: for a full frame per worker (`encode_workers ×
 //!   batch_frames` queued jobs, at most the queue's capacity) or when
 //!   the pool is parked idle, not for every job. An encoder that finds
@@ -98,16 +108,16 @@
 //! ([`EngineBuilder::manual_stepping`](crate::EngineBuilder::manual_stepping)):
 //! same methods, different caller. Threaded, each encode worker loops
 //! over `claim_job` → `encode_and_release` and each lane thread over
-//! `lane.handle(queue.pop())`; in manual mode the lanes sit in the
-//! `Pipeline` instead of on threads, admissions queue up, and
-//! `Pipeline::step` makes those same calls on the caller's thread
-//! until the queues are empty. The `prins-sim` harness combines this
+//! `wait_ready` → `lane.ship()`; in manual mode no thread is spawned,
+//! admissions queue up, and `Pipeline::step` encodes and ships on the
+//! caller's thread until the queues are empty. A barrier is the same
+//! `drive_dry` in both modes. The `prins-sim` harness combines this
 //! with a virtual clock and simulated transports to explore fault
 //! schedules deterministically.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -268,42 +278,6 @@ struct ReorderState {
     wake_at: u64,
 }
 
-enum LaneMsg {
-    Payload(Outbound),
-    Barrier(Arc<BarrierGate>),
-    Shutdown,
-}
-
-/// Countdown the flush barrier waits on: one arrival per lane.
-struct BarrierGate {
-    remaining: Mutex<usize>,
-    done: Signal,
-}
-
-impl BarrierGate {
-    fn new(lanes: usize) -> Self {
-        Self {
-            remaining: Mutex::new(lanes),
-            done: Signal::default(),
-        }
-    }
-
-    fn arrive(&self) {
-        let mut left = self.remaining.lock().unwrap();
-        *left -= 1;
-        if *left == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut left = self.remaining.lock().unwrap();
-        while *left > 0 {
-            left = self.done.wait(left);
-        }
-    }
-}
-
 /// One replica's sender-lane queue — the half of a lane the other
 /// stages can see.
 ///
@@ -320,34 +294,20 @@ struct LaneState {
 }
 
 struct LaneQueue {
-    /// Each message with the instant it was queued.
-    msgs: VecDeque<(LaneMsg, Instant)>,
-    /// `Barrier` and `Shutdown` messages among `msgs`.
-    controls: usize,
+    /// Each payload with the instant it was queued.
+    payloads: VecDeque<(Outbound, Instant)>,
+    /// The pipeline is shutting down: the lane thread exits.
+    closing: bool,
     /// The lane is parked on an empty queue with no deadline, so the
     /// next payload must wake it to start the hold.
     idle: bool,
 }
 
-impl LaneQueue {
-    fn payloads(&self) -> usize {
-        self.msgs.len() - self.controls
-    }
-
-    fn pop_front(&mut self) -> Option<LaneMsg> {
-        let (msg, _) = self.msgs.pop_front()?;
-        if !matches!(msg, LaneMsg::Payload(_)) {
-            self.controls -= 1;
-        }
-        Some(msg)
-    }
-}
-
-/// Whether a lane has cause to send without waiting out its hold: a
-/// control message anywhere in its queue — a second writer's payloads
-/// can queue behind a barrier — or a full frame's worth of payloads.
-fn lane_ready(payloads: usize, controls: usize, threshold: usize) -> bool {
-    controls > 0 || payloads >= threshold
+/// Whether a lane thread has cause to send without waiting out its
+/// hold: its lane is closing, or a full frame's worth of payloads is
+/// queued.
+fn lane_ready(payloads: usize, closing: bool, threshold: usize) -> bool {
+    closing || payloads >= threshold
 }
 
 /// The queued-payload count that wakes a lane: a full frame, clamped so
@@ -361,8 +321,8 @@ impl LaneState {
     fn new(cap: usize, tuning: Arc<PipelineTuning>) -> Self {
         Self {
             queue: Mutex::new(LaneQueue {
-                msgs: VecDeque::new(),
-                controls: 0,
+                payloads: VecDeque::new(),
+                closing: false,
                 idle: false,
             }),
             not_empty: Signal::default(),
@@ -376,44 +336,66 @@ impl LaneState {
         wake_threshold(self.tuning.batch_frames())
     }
 
-    /// Queues `msg`, waking the lane only if it now has cause to send
-    /// or is parked idle, where nothing but this wake starts its hold.
-    fn push(&self, msg: LaneMsg) {
+    /// Queues `w`. A loud push wakes the lane thread only if the lane
+    /// now has cause to send or is parked idle, where nothing but this
+    /// wake starts its hold; a quiet one — a flusher's, which ships the
+    /// payload itself — wakes it only to make room in a full queue.
+    fn push(&self, w: Outbound, loud: bool) {
         let mut q = self.queue.lock().unwrap();
-        while q.msgs.len() >= self.cap {
+        while q.payloads.len() >= self.cap {
+            q.idle = false;
+            self.not_empty.notify_one();
             q = self.not_full.wait(q);
         }
-        if !matches!(msg, LaneMsg::Payload(_)) {
-            q.controls += 1;
+        q.payloads.push_back((w, Instant::now()));
+        if loud {
+            self.wake_if_due(&mut q);
         }
-        q.msgs.push_back((msg, Instant::now()));
-        let ready = lane_ready(q.payloads(), q.controls, self.threshold());
+    }
+
+    /// Wakes the lane thread as a loud push would for what `q` holds.
+    fn wake_if_due(&self, q: &mut LaneQueue) {
+        let ready = lane_ready(q.payloads.len(), q.closing, self.threshold());
         if std::mem::take(&mut q.idle) || ready {
             self.not_empty.notify_one();
         }
     }
 
-    /// Takes the next message once the lane has cause to send (see
-    /// [`lane_ready`]) or its oldest payload has waited [`HOLD`].
+    /// Wakes the lane thread for whatever a flusher left queued.
+    fn wake_for_leftovers(&self) {
+        let mut q = self.queue.lock().unwrap();
+        if !q.payloads.is_empty() {
+            self.wake_if_due(&mut q);
+        }
+    }
+
+    /// Closes the lane: its thread exits. Shutdown runs the pipeline
+    /// dry first, so nothing is queued or in flight by then.
+    fn close(&self) {
+        self.queue.lock().unwrap().closing = true;
+        self.not_empty.notify_one();
+    }
+
+    /// Waits until the lane has cause to send (see [`lane_ready`]) or
+    /// its oldest payload has waited [`HOLD`]; `false` once the lane is
+    /// closing.
     ///
     /// A batching lane that finds its queue empty lingers one hold
     /// before it parks idle, so a frame that starts filling soon after
     /// the last one left costs one wake-up, not two.
-    fn pop(&self) -> LaneMsg {
+    fn wait_ready(&self) -> bool {
         let mut q = self.queue.lock().unwrap();
         let mut lingered = false;
         loop {
             let threshold = self.threshold();
-            if lane_ready(q.payloads(), q.controls, threshold) {
-                break;
+            if lane_ready(q.payloads.len(), q.closing, threshold) {
+                return !q.closing;
             }
-            match q.msgs.front() {
-                // Only payloads are queued, so the front one is the
-                // oldest.
+            match q.payloads.front() {
                 Some(&(_, queued)) => {
                     let left = HOLD.saturating_sub(queued.elapsed());
                     if left.is_zero() {
-                        break;
+                        return true;
                     }
                     q = self.not_empty.wait_timeout(q, left);
                 }
@@ -427,33 +409,14 @@ impl LaneState {
                 }
             }
         }
-        let msg = q.pop_front().expect("a ready lane queue holds a message");
-        self.not_full.notify_one();
-        msg
     }
 
-    /// Pops the next message if any (never blocks; stepped mode).
-    fn try_pop(&self) -> Option<LaneMsg> {
-        let mut q = self.queue.lock().unwrap();
-        let msg = q.pop_front();
-        if msg.is_some() {
-            self.not_full.notify_one();
-        }
-        msg
-    }
-
-    /// Pops the next message only if it is a payload — batching must
-    /// not reorder across barriers.
-    fn try_pop_payload(&self) -> Option<Outbound> {
-        let mut q = self.queue.lock().unwrap();
-        if !matches!(q.msgs.front(), Some((LaneMsg::Payload(_), _))) {
-            return None;
-        }
+    /// Pops the next payload if any; never blocks. Only the holder of
+    /// the lane's [`Lane`] pops, so what it pops is what it sends next.
+    fn try_pop(&self) -> Option<Outbound> {
+        let (w, _) = self.queue.lock().unwrap().payloads.pop_front()?;
         self.not_full.notify_one();
-        match q.pop_front() {
-            Some(LaneMsg::Payload(w)) => Some(w),
-            _ => unreachable!("the front was a payload under this lock"),
-        }
+        Some(w)
     }
 }
 
@@ -472,7 +435,11 @@ pub(crate) struct Inner {
     reorder: Mutex<ReorderState>,
     /// Signalled when the release reaches `ReorderState::wake_at`.
     reorder_cv: Signal,
-    lanes: Vec<Arc<LaneState>>,
+    /// Each replica's lane queue, pushed by the encode stage.
+    lanes: Vec<LaneState>,
+    /// Each replica's sender, behind the lock whose holder pops its
+    /// queue and sends: its lane thread, or a flusher.
+    senders: Vec<Mutex<Lane>>,
     replicator: Arc<dyn Replicator>,
     pub tuning: Arc<PipelineTuning>,
     /// In-flight frames per lane, resolved from the ack policy (≥ 1).
@@ -497,6 +464,14 @@ impl Inner {
     /// `batch_frames`.
     fn encode_threshold(&self) -> usize {
         admit_threshold(self.encode_workers, self.tuning.batch_frames())
+    }
+
+    /// Takes replica `idx`'s sender, and with it the right to pop its
+    /// lane queue.
+    fn sender(&self, idx: usize) -> MutexGuard<'_, Lane> {
+        self.senders[idx]
+            .lock()
+            .expect("a pipeline thread panicked")
     }
 }
 
@@ -532,9 +507,9 @@ const LANE_QUEUE_CAP: usize = 1024;
 
 /// How long a threaded lane holds a partial frame open for more
 /// payloads before it ships what has queued, and how long an idle
-/// stage lingers before it parks without a deadline. A barrier ends a
-/// lane's hold at once and encodes the admission queue's tail itself,
-/// and with `batch_frames = 1` nothing waits for it.
+/// stage lingers before it parks without a deadline. A barrier encodes
+/// the admission queue's tail and ships the lanes' queues itself, and
+/// with `batch_frames = 1` nothing waits for it.
 const HOLD: Duration = Duration::from_micros(500);
 
 /// Jobs the admission queue holds in threaded mode. Behind it sit the
@@ -544,8 +519,8 @@ const HOLD: Duration = Duration::from_micros(500);
 pub(crate) const ADMIT_QUEUE_CAP: usize = 8192;
 
 /// One replica's sender: the only code that sends a frame or awaits a
-/// response. Owned by its lane thread, or by the [`Pipeline`] in manual
-/// mode.
+/// response. It sits behind a lock in [`Inner::senders`], and whoever
+/// holds it — the lane's thread, or a flusher — runs its verbs.
 struct Lane {
     idx: usize,
     /// The connection and the frames sent on it and not yet
@@ -553,7 +528,6 @@ struct Lane {
     /// opens a new epoch there (the replica echoes whatever epoch it
     /// opens), so a late ack can never retire a later frame.
     link: Link<InFlight>,
-    state: Arc<LaneState>,
     /// The payloads of the frame being built; empty between frames.
     batch: Vec<PooledBytes>,
     /// The sequence number the next payload must carry.
@@ -561,10 +535,11 @@ struct Lane {
 }
 
 impl Lane {
-    /// Handles one queue message; `false` once the lane has shut down.
+    /// Sends one frame of what the lane's queue holds; `false` if it
+    /// held nothing.
     ///
-    /// A payload is batched with its queued successors, sealed, sent,
-    /// and acknowledgements are retired down to the window. Frame
+    /// The next payload is batched with its queued successors, sealed,
+    /// sent, and acknowledgements are retired down to the window. Frame
     /// assembly is single-copy: each payload's bytes move from their
     /// pooled buffer straight into the sealed wire buffer (also
     /// pooled), with the batch header and the seal envelope written
@@ -574,18 +549,10 @@ impl Lane {
     /// bytes.
     ///
     /// [`SealWriter::finish`]: prins_repl::SealWriter::finish
-    fn handle(&mut self, cx: &Inner, msg: LaneMsg) -> bool {
-        let first = match msg {
-            LaneMsg::Payload(first) => first,
-            LaneMsg::Barrier(gate) => {
-                self.drain(cx);
-                gate.arrive();
-                return true;
-            }
-            LaneMsg::Shutdown => {
-                self.drain(cx);
-                return false;
-            }
+    fn ship(&mut self, cx: &Inner) -> bool {
+        let queue = &cx.lanes[self.idx];
+        let Some(first) = queue.try_pop() else {
+            return false;
         };
         let probe = &cx.probe;
         let batch_frames = cx.tuning.batch_frames();
@@ -602,7 +569,7 @@ impl Lane {
             writes += w.writes;
             self.batch.push(w.bytes);
             next = if self.batch.len() < batch_frames {
-                self.state.try_pop_payload()
+                queue.try_pop()
             } else {
                 None
             };
@@ -710,8 +677,9 @@ pub(crate) struct Pipeline {
     inner: Arc<Inner>,
     encode_handles: Mutex<Vec<JoinHandle<()>>>,
     lane_handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Manual mode: the lanes the sender threads would own.
-    stepped: Option<Mutex<Vec<Lane>>>,
+    /// No worker threads: the caller drives the stages through
+    /// [`Pipeline::step`].
+    manual: bool,
 }
 
 impl Pipeline {
@@ -753,7 +721,19 @@ impl Pipeline {
             reorder_cv: Signal::default(),
             lanes: transports
                 .iter()
-                .map(|_| Arc::new(LaneState::new(queue_cap, Arc::clone(&tuning))))
+                .map(|_| LaneState::new(queue_cap, Arc::clone(&tuning)))
+                .collect(),
+            senders: transports
+                .into_iter()
+                .enumerate()
+                .map(|(idx, transport)| {
+                    Mutex::new(Lane {
+                        idx,
+                        link: Link::new(idx, transport),
+                        batch: Vec::new(),
+                        next_seq: 0,
+                    })
+                })
                 .collect(),
             replicator,
             tuning,
@@ -763,27 +743,17 @@ impl Pipeline {
             probe,
             last_error: parking_lot::Mutex::new(None),
         });
-        let lanes = transports
-            .into_iter()
-            .enumerate()
-            .map(|(idx, transport)| Lane {
-                idx,
-                link: Link::new(idx, transport),
-                state: Arc::clone(&inner.lanes[idx]),
-                batch: Vec::new(),
-                next_seq: 0,
-            });
-        let (mut encoders, mut senders, mut stepped) = (Vec::new(), Vec::new(), None);
-        if config.manual {
-            stepped = Some(Mutex::new(lanes.collect()));
-        } else {
+        let (mut encoders, mut senders) = (Vec::new(), Vec::new());
+        if !config.manual {
             encoders.extend(
                 (0..inner.encode_workers)
                     .map(|worker| spawn(&inner, format!("prins-encode-{worker}"), run_encoder)),
             );
-            senders.extend(lanes.map(|mut lane| {
-                spawn(&inner, format!("prins-sender-{}", lane.idx), move |cx| {
-                    while lane.handle(cx, lane.state.pop()) {}
+            senders.extend((0..inner.lanes.len()).map(|idx| {
+                spawn(&inner, format!("prins-sender-{idx}"), move |cx| {
+                    while cx.lanes[idx].wait_ready() {
+                        cx.sender(idx).ship(cx);
+                    }
                 })
             }));
         }
@@ -791,7 +761,7 @@ impl Pipeline {
             inner,
             encode_handles: Mutex::new(encoders),
             lane_handles: Mutex::new(senders),
-            stepped,
+            manual: config.manual,
         }
     }
 
@@ -803,30 +773,51 @@ impl Pipeline {
 
     /// Drives a manual-mode pipeline one round on the caller's thread:
     /// encodes and releases every queued admission (in sequence order,
-    /// like the encode pool), then lets each lane in index order handle
+    /// like the encode pool), then lets each lane in index order ship
     /// everything in its queue. Returns whether any work was done;
     /// always `false` on a threaded pipeline.
     pub fn step(&self) -> bool {
-        let Some(lanes) = &self.stepped else {
+        if !self.manual {
             return false;
-        };
+        }
         let cx = &*self.inner;
         let mut progressed = encode_queued(cx, u64::MAX);
-        for lane in lanes.lock().unwrap().iter_mut() {
-            while let Some(msg) = lane.state.try_pop() {
-                lane.handle(cx, msg);
+        for idx in 0..cx.senders.len() {
+            let mut lane = cx.sender(idx);
+            while lane.ship(cx) {
                 progressed = true;
             }
         }
         progressed
     }
 
-    /// Manual mode's barrier: runs the stages dry and retires every
-    /// in-flight frame, all on the caller's thread.
-    fn drive_dry(&self, lanes: &Mutex<Vec<Lane>>) {
-        self.step();
-        for lane in lanes.lock().unwrap().iter_mut() {
-            lane.drain(&self.inner);
+    /// Runs the writes admitted before the call dry on the caller's
+    /// thread, in either mode: encodes whichever of them are still
+    /// queued, waits until the encode pool has released the rest, has
+    /// each lane in index order ship what it holds of them, then has
+    /// each lane drain its window.
+    fn drive_dry(&self) {
+        let cx = &*self.inner;
+        let target = cx.admit.lock().unwrap().seq_alloc;
+        // The tail below the encoders' wake threshold would wait out
+        // their linger; encoding it here wakes nobody.
+        encode_queued(cx, target);
+        let mut ro = cx.reorder.lock().unwrap();
+        while ro.next_seq < target {
+            ro.wake_at = ro.wake_at.min(target);
+            ro = cx.reorder_cv.wait(ro);
+        }
+        drop(ro);
+        for (idx, queue) in cx.lanes.iter().enumerate() {
+            let mut lane = cx.sender(idx);
+            while lane.next_seq < target && lane.ship(cx) {}
+            drop(lane);
+            // Another writer's payloads, past the target, ship on the
+            // lane's own schedule.
+            queue.wake_for_leftovers();
+        }
+        for idx in 0..cx.senders.len() {
+            cx.sender(idx).drain(cx);
         }
     }
 
@@ -891,59 +882,29 @@ impl Pipeline {
     }
 
     /// Waits until every write admitted before the call has been
-    /// encoded, released in order and acknowledged by every lane.
-    ///
-    /// Threaded, the caller first encodes whichever of those writes are
-    /// still queued, as manual mode's `step` does; the encode pool may
-    /// hold others, which the wait covers. In manual mode nothing waits:
-    /// the barrier *drives* the stages to completion on the calling
-    /// thread.
+    /// encoded, released in order and acknowledged by every lane — by
+    /// driving the stages on the calling thread (see `drive_dry`).
     pub fn barrier(&self) {
-        let cx = &*self.inner;
-        if let Some(lanes) = &self.stepped {
-            self.drive_dry(lanes);
-        } else {
-            let target = cx.admit.lock().unwrap().seq_alloc;
-            // The tail below the encoders' wake threshold would wait
-            // out their linger; encoding it here wakes nobody.
-            encode_queued(cx, target);
-            let mut ro = cx.reorder.lock().unwrap();
-            while ro.next_seq < target {
-                ro.wake_at = ro.wake_at.min(target);
-                ro = cx.reorder_cv.wait(ro);
-            }
-            drop(ro);
-            if !cx.lanes.is_empty() {
-                let gate = Arc::new(BarrierGate::new(cx.lanes.len()));
-                for lane in &cx.lanes {
-                    lane.push(LaneMsg::Barrier(Arc::clone(&gate)));
-                }
-                gate.wait();
-            }
-        }
-        cx.probe.barrier();
+        self.drive_dry();
+        self.inner.probe.barrier();
     }
 
     /// Stops the pipeline: drains the admission queue, joins the
-    /// encode pool, then retires the lanes. Idempotent.
+    /// encode pool, runs the lanes dry, then closes them. Idempotent.
     pub fn shutdown(&self) {
-        self.inner.admit.lock().unwrap().closed = true;
-        self.inner.admit_cv.notify_all();
-        self.inner.admit_room.notify_all();
-        if let Some(lanes) = &self.stepped {
-            return self.drive_dry(lanes);
-        }
+        let cx = &*self.inner;
+        cx.admit.lock().unwrap().closed = true;
+        cx.admit_cv.notify_all();
+        cx.admit_room.notify_all();
         for handle in self.encode_handles.lock().unwrap().drain(..) {
             let _ = handle.join();
         }
-        // The encode pool is gone, so nothing follows the shutdown
-        // token down a lane queue. A second call finds no handle left
-        // and sends none.
-        let mut handles = self.lane_handles.lock().unwrap();
-        for (lane, _) in self.inner.lanes.iter().zip(handles.iter()) {
-            lane.push(LaneMsg::Shutdown);
+        // The encode pool is gone, so nothing is queued after this.
+        self.drive_dry();
+        for queue in &cx.lanes {
+            queue.close();
         }
-        for handle in handles.drain(..) {
+        for handle in self.lane_handles.lock().unwrap().drain(..) {
             let _ = handle.join();
         }
     }
@@ -975,7 +936,8 @@ fn claim_job(st: &mut AdmitState) -> Option<EncodeJob> {
 
 /// Claims, encodes and releases every queued job numbered below
 /// `before` on the caller's thread: manual mode's encode stage and a
-/// threaded flush's tail. Returns whether it encoded anything.
+/// flush's tail. Its releases wake no lane: the caller ships them.
+/// Returns whether it encoded anything.
 fn encode_queued(cx: &Inner, before: u64) -> bool {
     let mut encoded = false;
     loop {
@@ -988,15 +950,15 @@ fn encode_queued(cx: &Inner, before: u64) -> bool {
         };
         let Some(job) = job else { break };
         cx.admit_room.notify_one();
-        encode_and_release(cx, job);
+        encode_and_release(cx, job, false);
         encoded = true;
     }
     encoded
 }
 
 /// Encodes one job and releases every consecutively-ready payload to
-/// the lanes.
-fn encode_and_release(cx: &Inner, job: EncodeJob) {
+/// the lanes, waking them if `loud` (see [`LaneState::push`]).
+fn encode_and_release(cx: &Inner, job: EncodeJob, loud: bool) {
     let t0 = cx.probe.now();
     // Serialize straight into a pooled buffer: the fused encoders write
     // the wire payload without materializing the parity, and freezing
@@ -1035,7 +997,7 @@ fn encode_and_release(cx: &Inner, job: EncodeJob) {
         ro.next_seq += 1;
         w.at = cx.probe.released(&w);
         for lane in &cx.lanes {
-            lane.push(LaneMsg::Payload(w.clone()));
+            lane.push(w.clone(), loud);
         }
     }
     // Wake the waiting barriers once the lowest target is released;
@@ -1078,7 +1040,7 @@ fn run_encoder(cx: &Inner) {
             }
         };
         let Some(job) = job else { return };
-        encode_and_release(cx, job);
+        encode_and_release(cx, job, true);
     }
 }
 
@@ -1426,53 +1388,75 @@ mod tests {
     }
 
     #[test]
-    fn a_lane_wakes_for_a_full_frame_or_a_control_message_anywhere_in_its_queue() {
+    fn a_lane_wakes_for_a_full_frame_or_closing_and_a_quiet_push_only_when_full() {
         use super::{
-            lane_ready, wake_threshold, BarrierGate, LaneMsg, LaneState, Outbound, PipelineTuning,
-            HOLD, LANE_QUEUE_CAP,
+            lane_ready, wake_threshold, LaneState, Outbound, PipelineTuning, HOLD, LANE_QUEUE_CAP,
         };
+        use crate::signal::tests::under_watchdog;
         use std::sync::atomic::{AtomicBool, AtomicUsize};
+        use std::time::Instant;
 
-        assert!(lane_ready(8, 0, 8), "a full frame");
-        assert!(!lane_ready(7, 0, 8), "one payload short");
-        assert!(lane_ready(0, 1, 8), "a lone shutdown");
-        assert!(lane_ready(1, 0, wake_threshold(1)), "batching off");
+        assert!(lane_ready(8, false, 8), "a full frame");
+        assert!(!lane_ready(7, false, 8), "one payload short");
+        assert!(lane_ready(0, true, 8), "a closing lane");
+        assert!(lane_ready(1, false, wake_threshold(1)), "batching off");
         assert_eq!(wake_threshold(4096), LANE_QUEUE_CAP);
 
-        let tuning = PipelineTuning {
-            batch_frames: AtomicUsize::new(8),
-            coalesce: AtomicBool::new(false),
-        };
-        let lane = LaneState::new(LANE_QUEUE_CAP, Arc::new(tuning));
-        let pool = prins_buf::BufPool::for_block_size(4096, 1);
-        let payload = |seq| {
-            LaneMsg::Payload(Outbound {
+        under_watchdog(Duration::from_secs(10), || {
+            // A queue of two payloads, and frames of eight: no push can
+            // make the lane ready, so only the idle and full rules wake it.
+            let tuning = PipelineTuning {
+                batch_frames: AtomicUsize::new(8),
+                coalesce: AtomicBool::new(false),
+            };
+            let lane = Arc::new(LaneState::new(2, Arc::new(tuning)));
+            let pool = prins_buf::BufPool::for_block_size(4096, 1);
+            let payload = |seq| Outbound {
                 seq,
                 lba: Lba(seq),
                 writes: 1,
                 bytes: pool.get(8).freeze(),
                 at: 0,
-            })
-        };
-        let ready = |lane: &LaneState| {
-            let q = lane.queue.lock().unwrap();
-            lane_ready(q.payloads(), q.controls, lane.threshold())
-        };
-        lane.push(payload(0));
-        assert!(!ready(&lane));
-        // A second writer's payload queues behind the first one's
-        // barrier: the barrier is not at the back, and still counts.
-        lane.push(LaneMsg::Barrier(Arc::new(BarrierGate::new(1))));
-        let queued = std::time::Instant::now();
-        lane.push(payload(1));
-        assert!(ready(&lane));
-        assert!(matches!(lane.pop(), LaneMsg::Payload(w) if w.seq == 0));
-        assert!(lane.try_pop_payload().is_none(), "never batched across");
-        assert!(matches!(lane.pop(), LaneMsg::Barrier(_)));
-        // The lone tail payload waits out the hold, then ships.
-        assert!(!ready(&lane));
-        assert!(matches!(lane.pop(), LaneMsg::Payload(w) if w.seq == 1));
-        assert!(queued.elapsed() >= HOLD, "shipped before its hold");
+            };
+            let idle = |lane: &LaneState| lane.queue.lock().unwrap().idle;
+            let park = |lane: &LaneState| {
+                while !idle(lane) {
+                    std::thread::yield_now();
+                }
+            };
+            // The lane thread pops one payload per wake until it closes.
+            let popper = Arc::clone(&lane);
+            let thread = std::thread::spawn(move || {
+                let mut popped = Vec::new();
+                while popper.wait_ready() {
+                    if let Some(w) = popper.try_pop() {
+                        popped.push((w.seq, Instant::now()));
+                    }
+                }
+                popped
+            });
+
+            park(&lane);
+            lane.push(payload(0), false);
+            lane.push(payload(1), false);
+            assert!(idle(&lane), "a quiet push woke the lane");
+            // The third quiet push finds the queue full and wakes the
+            // lane, which makes room once its hold runs out.
+            lane.push(payload(2), false);
+
+            // A lone tail, pushed loud into the idle lane, ships after
+            // the hold.
+            park(&lane);
+            let queued = Instant::now();
+            lane.push(payload(3), true);
+            assert!(!idle(&lane), "a loud push left the lane idle");
+            park(&lane);
+            lane.close();
+            let popped = thread.join().unwrap();
+            let seqs: Vec<u64> = popped.iter().map(|&(seq, _)| seq).collect();
+            assert_eq!(seqs, [0, 1, 2, 3]);
+            assert!(popped[3].1 - queued >= HOLD, "shipped before its hold");
+        });
     }
 
     #[test]
@@ -1518,14 +1502,41 @@ mod tests {
         });
     }
 
+    /// A transport that records the name of the thread behind each send.
+    struct SenderNames {
+        inner: Box<dyn prins_net::Transport>,
+        names: Arc<std::sync::Mutex<Vec<Option<String>>>>,
+    }
+
+    impl prins_net::Transport for SenderNames {
+        fn send(&self, msg: &[u8]) -> Result<(), prins_net::NetError> {
+            let name = std::thread::current().name().map(str::to_owned);
+            self.names.lock().unwrap().push(name);
+            self.inner.send(msg)
+        }
+        fn recv(&self) -> Result<Vec<u8>, prins_net::NetError> {
+            self.inner.recv()
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, prins_net::NetError> {
+            self.inner.recv_timeout(timeout)
+        }
+        fn meter(&self) -> &Arc<prins_net::TrafficMeter> {
+            self.inner.meter()
+        }
+    }
+
     #[test]
-    fn a_sub_threshold_commit_is_encoded_by_its_flusher() {
+    fn a_sub_threshold_commit_is_encoded_and_shipped_by_its_flusher() {
         use crate::signal::tests::under_watchdog;
         under_watchdog(Duration::from_secs(10), || {
+            // `tpcc-commit`'s shape: a window of 8, so a flusher sends to
+            // both lanes before it drains either.
             let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 16));
             let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
                 .encode_workers(2)
-                .batch_frames(8);
+                .batch_frames(8)
+                .ack_policy(AckPolicy::Window(8));
+            let names = Arc::new(std::sync::Mutex::new(Vec::new()));
             let (mut replicas, mut threads) = (Vec::new(), Vec::new());
             for _ in 0..2 {
                 let (uplink, downlink) = channel_pair(LinkModel::t1());
@@ -1533,12 +1544,15 @@ mod tests {
                 let device = Arc::clone(&replica) as Arc<dyn BlockDevice>;
                 threads.push(spawn_replica(device, downlink));
                 replicas.push(replica);
-                builder = builder.replica(Box::new(uplink));
+                builder = builder.replica(Box::new(SenderNames {
+                    inner: Box::new(uplink),
+                    names: Arc::clone(&names),
+                }));
             }
             let engine = builder.build();
             // Eight writes a commit stay below the pool's threshold of
             // 16, so only an idle pool is woken, and each barrier
-            // encodes whatever it still finds queued.
+            // encodes whatever it still finds queued and ships it.
             for commit in 0..200u64 {
                 for i in 0..8u64 {
                     let lba = Lba((commit * 3 + i) % 16);
@@ -1548,6 +1562,19 @@ mod tests {
                 }
                 engine.replication_barrier().unwrap();
             }
+            let me = std::thread::current().name().map(str::to_owned);
+            let names = std::mem::take(&mut *names.lock().unwrap());
+            let mine = names.iter().filter(|&name| *name == me).count();
+            // The share is a race against `HOLD`, which is sized for an
+            // optimized build: unoptimized, encoding a commit's tail can
+            // outlast a lane's hold, and the lane thread ships it instead.
+            if !cfg!(debug_assertions) {
+                assert!(
+                    mine * 10 >= names.len() * 9,
+                    "{mine} of {} frames sent by the flusher",
+                    names.len()
+                );
+            }
             for replica in &replicas {
                 assert!(replica.snapshot() == primary.snapshot());
             }
@@ -1556,12 +1583,27 @@ mod tests {
     }
 
     #[test]
+    fn a_flush_racing_a_busy_lane_thread_keeps_per_lba_order() {
+        // Frames of 4 and a flush every 5 writes: the pool's releases
+        // fill frames the lane threads ship while each flusher ships
+        // its own tail, both popping the same queues. A window of 2
+        // holds each lane's lock across an ack wait, and the run is
+        // long enough that a lane thread popping outside that lock is
+        // caught sending out of order.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(40);
+        let writes: Vec<(u64, u8)> = (0..8000)
+            .map(|_| (rng.random_range(0..4), rng.random()))
+            .collect();
+        assert_per_lba_ordering(&writes, 2, 4, Some(5), 2);
+    }
+
+    #[test]
     fn flusher_and_pool_encodes_of_one_lba_keep_their_order() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(38);
         let writes: Vec<(u64, u8)> = (0..240)
             .map(|_| (rng.random_range(0..4), rng.random()))
             .collect();
-        assert_per_lba_ordering(&writes, 2, 8, Some(3));
+        assert_per_lba_ordering(&writes, 2, 8, Some(3), 16);
     }
 
     #[test]
@@ -2074,7 +2116,8 @@ mod tests {
         assert_eq!(bytes.sum::<u64>(), stats.replicated_payload_bytes);
     }
 
-    /// Replays `writes` through an observed engine and asserts that
+    /// Replays `writes` through an observed engine, `window` frames in
+    /// flight per lane, and asserts that
     /// each lane's send order — rebuilt from the registry's `send`,
     /// `encode-done` and `coalesce` events, whose frames must tile the
     /// sequence space — shows every write exactly once with strictly
@@ -2085,6 +2128,7 @@ mod tests {
         encode_workers: usize,
         batch_frames: usize,
         flush_every: Option<usize>,
+        window: usize,
     ) {
         let (transports, _links, replica_devs, replica_threads) = faulted_replicas(2, 8);
         let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
@@ -2092,7 +2136,7 @@ mod tests {
         let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
             .encode_workers(encode_workers)
             .batch_frames(batch_frames)
-            .ack_policy(AckPolicy::Window(16))
+            .ack_policy(AckPolicy::Window(window))
             .observe(Arc::clone(&registry));
         for transport in transports {
             builder = builder.replica(transport);
@@ -2136,7 +2180,7 @@ mod tests {
             writes in proptest::collection::vec((0u64..8, any::<u8>()), 1..80),
             workers in 1usize..5,
         ) {
-            assert_per_lba_ordering(&writes, workers, 1, None);
+            assert_per_lba_ordering(&writes, workers, 1, None, 16);
         }
     }
 }

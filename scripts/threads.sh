@@ -11,11 +11,14 @@
 # /proc/<pid>/task/<tid>/{stat,status} every 50 ms. When the run ends it
 # prints, per thread group, the user and system CPU seconds and the voluntary
 # and involuntary context switches of the group's threads at their last
-# sample, the switches also per operation the run attempted. A group is a thread name with its trailing digits removed
-# (`prins-encode-`, `prins-sender-`, ...); the process's first thread is
-# `main`, and threads spawned without a name carry the binary's name (in the
-# benchmark those are the replica servers). A thread that exits loses at
-# most its last 50 ms. The sampling itself costs one awk process per tick.
+# sample, the switches and the CPU time ((user + sys) / operations, in µs)
+# also per operation the run attempted — so work that moves from one group
+# to another shows as moved, not gone. A group is a thread name with its
+# trailing digits removed (`prins-encode-`, `prins-sender-`, ...); the
+# process's first thread is `main`, and threads spawned without a name carry
+# the binary's name (in the benchmark those are the replica servers). A
+# thread that exits loses at most its last 50 ms. The sampling itself costs
+# one awk process per tick.
 set -eu
 [ $# -eq 3 ] || { echo "usage: $0 <dir> <workload> <seconds>" >&2; exit 2; }
 dir=$1 workload=$2 seconds=$3
@@ -64,10 +67,10 @@ awk -v hz="$hz" -v ops="$ops" '
             n[g]++; u[g] += f[3]; s[g] += f[4]; v[g] += f[5]; i[g] += f[6]
             n["total"]++; u["total"] += f[3]; s["total"] += f[4]; v["total"] += f[5]; i["total"] += f[6]
         }
-        printf "%-18s %7s %9s %9s %12s %12s %8s %8s\n", "group", "threads", "user_s", "sys_s", "voluntary", "involuntary", "vol/op", "invol/op"
+        printf "%-18s %7s %9s %9s %12s %12s %8s %8s %11s\n", "group", "threads", "user_s", "sys_s", "voluntary", "involuntary", "vol/op", "invol/op", "cpu_us/op"
         for (g in n) if (g != "total") row(g)
         row("total")
     }
     function row(g) {
-        printf "%-18s %7d %9.2f %9.2f %12d %12d %8.2f %8.2f\n", g, n[g], u[g] / hz, s[g] / hz, v[g], i[g], (ops > 0 ? v[g] / ops : 0), (ops > 0 ? i[g] / ops : 0)
+        printf "%-18s %7d %9.2f %9.2f %12d %12d %8.2f %8.2f %11.2f\n", g, n[g], u[g] / hz, s[g] / hz, v[g], i[g], (ops > 0 ? v[g] / ops : 0), (ops > 0 ? i[g] / ops : 0), (ops > 0 ? (u[g] + s[g]) / hz * 1e6 / ops : 0)
     }' "$samples"
