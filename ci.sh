@@ -64,6 +64,15 @@ if [ -n "$encoders" ]; then
     echo "$encoders" >&2
     exit 1
 fi
+# The engine encodes a write in one place: the encode pool, a flusher
+# and a writer encoding its own write all call `encode_and_release`, so
+# exactly one code line in prins-core may call the encoder.
+encoders=$(code_lines crates/core/src/*.rs | grep -w 'encode_write_into' || true)
+if [ "$(printf '%s' "$encoders" | grep -c .)" -ne 1 ]; then
+    echo "not exactly one encode_write_into call in crates/core/src:" >&2
+    echo "$encoders" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo bench --workspace --no-run     # criterion benches must keep compiling

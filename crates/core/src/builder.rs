@@ -107,7 +107,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Sizes the parity-encoding worker pool (default 2). Payloads are
+    /// Sizes the parity-encoding worker pool (default 2). Under a static
+    /// strategy that does not compress (`Prins`, `Traditional`) a
+    /// threaded engine's writers encode their own writes while nothing
+    /// is queued, and the pool takes only a backlog. Payloads are
     /// released to the senders in admission order regardless. With
     /// [`batch_frames`](Self::batch_frames) above 1 the pool is woken
     /// for `workers × max` queued writes, not for every write.
@@ -192,7 +195,17 @@ impl EngineBuilder {
     /// `ClusterGroup::scrub`: it digests every block, marks the
     /// divergent ones uncertain, and ships their full images through
     /// `rejoin`.
-    pub fn build(self) -> PrinsEngine {
+    pub fn build(mut self) -> PrinsEngine {
+        // A writer encodes its own write only under a static strategy
+        // that does not compress: LZSS on the client's thread would cost
+        // it more than the hand-off to the pool saves. Manual mode keeps
+        // every write queued, so stepping stays the one driver.
+        self.config.inline_encode = self.adaptive.is_none()
+            && !self.config.manual
+            && matches!(
+                self.mode,
+                ReplicationMode::Prins | ReplicationMode::Traditional
+            );
         let adaptive = self.adaptive.map(|cfg| {
             Arc::new(match &self.registry {
                 Some(registry) => AdaptiveReplicator::with_registry(cfg, registry),

@@ -18,12 +18,17 @@ use crate::{EngineStats, LaneStats};
 ///
 /// Construct with [`EngineBuilder`](crate::EngineBuilder). The write
 /// path performs the paper's forward step — capture `A_old`, write
-/// `A_new` locally, admit `(lba, A_old, A_new)` to the replication
-/// pipeline — and returns; parity encoding and transmission happen off
-/// the application's critical path, spread over an encode pool and one
-/// sender lane per replica, each with a thread that ships full frames
-/// and held partial ones (see [`crate::pipeline`] for the stage diagram
-/// and its ordering/coalescing invariants).
+/// `A_new` locally, and encode `P′ = A_new ⊕ A_old` — and returns.
+/// Under a static strategy that does not compress (`Prins`,
+/// `Traditional`) a threaded engine encodes on the writer's thread,
+/// while both images are hot, whenever nothing is queued ahead of the
+/// write and every sender lane has room; otherwise the write is queued
+/// for an encode pool, which compressing strategies, the adaptive
+/// engine and manual mode always use. Transmission happens off the
+/// application's critical path, on one sender lane per replica, each
+/// with a thread that ships full frames and held partial ones (see
+/// [`crate::pipeline`] for the stage diagram and its
+/// ordering/coalescing invariants).
 ///
 /// [`flush`](BlockDevice::flush) acts as a replication barrier: the
 /// flushing thread encodes, sends and collects the acknowledgements of
@@ -189,13 +194,12 @@ impl BlockDevice for PrinsEngine {
         self.device.write_block_over(lba, &old, buf)?;
         let write_nanos = cx.probe.now().saturating_sub(t1);
 
-        // Forward step, part 2: the new image's single hot-path copy,
-        // into a pooled buffer the encoder reads from in place.
-        let mut new = cx.pool.get(buf.len());
-        new.copy_from(buf);
-        cx.probe.local_io(capture_nanos, write_nanos, buf.len());
+        // Forward step, part 2: hand both images to the pipeline, which
+        // encodes them here while they are hot, or copies `buf` into a
+        // pooled buffer for the encode pool (see `Pipeline::admit`).
+        cx.probe.local_io(capture_nanos, write_nanos);
         self.pipeline
-            .admit(lba, old, new)
+            .admit(lba, old, buf)
             .map_err(|_| BlockError::DeviceFailed {
                 device: "prins replication pipeline is gone".into(),
             })

@@ -23,6 +23,8 @@
 //!   │  (local write + │  seq numbering +  │ P' = A_new ⊕ A_old   │
 //!   │   old-image     │  XOR coalescing   │ → reorder by seq     │
 //!   │   capture)      │                   └──────────┬───────────┘
+//!   │  nothing queued,│  static strategy that does   │
+//!   │  P' right here ─┼─ not compress ──────────────▶│ reorder by seq
 //!   └─────────────────┘            per-replica sender lanes (1/replica)
 //!                                  batching + windowed acks   │
 //!                                                             │ iSCSI / TCP / channel

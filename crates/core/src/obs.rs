@@ -25,10 +25,11 @@
 //! | hop | histograms | counters, gauges | registry event | trace |
 //! |---|---|---|---|---|
 //! | `read` | — | `engine_reads` | — | — |
-//! | `local_io` | `stage_capture_nanos` (old-image read in `write_block`), `stage_local_write_nanos` (the local block write) | `engine_writes`, `engine_local_write_nanos`, `engine_overhead_nanos` (the capture share), `engine_hot_bytes_copied` (the new image's copy) | — | — |
-//! | `admitted` | `admit_queue_depth` (admission-queue length, a count) | gauge `engine_queue_depth_hwm` (raised to that length) | `admit` (seq, lba) | begins; `capture` (block bytes) |
+//! | `local_io` | `stage_capture_nanos` (old-image read in `write_block`), `stage_local_write_nanos` (the local block write) | `engine_writes`, `engine_local_write_nanos`, `engine_overhead_nanos` (the capture share) | — | — |
+//! | `image_copied` | — | `engine_hot_bytes_copied` (the new image's copy, made only for a write that queues for the encode pool) | — | — |
+//! | `admitted` | `admit_queue_depth` (admission-queue length, a count; 0 for a write its writer encodes) | gauge `engine_queue_depth_hwm` (raised to that length) | `admit` (seq, lba) | begins; `capture` (block bytes) |
 //! | `folded` | `admit_queue_depth` | `engine_coalesced_writes` | `coalesce` (seq, lba) | `coalesce` (block bytes) |
-//! | `encoded` | `stage_admission_wait_nanos` (admit → claimed by an encode worker), `stage_encode_nanos` (parity encode proper) | `engine_overhead_nanos` (the encode share) | `encode-done` (seq, lba) | `encode` (payload bytes) |
+//! | `encoded` | `stage_admission_wait_nanos` (admit → claimed by an encode worker or a flusher, or taken up at once by its writer), `stage_encode_nanos` (parity encode proper) | `engine_overhead_nanos` (the encode share) | `encode-done` (seq, lba) | `encode` (payload bytes) |
 //! | `released` | `stage_reorder_hold_nanos` (encoded → released in sequence order) | `engine_dispatched_writes` (writes carried) | — | `reorder`; drops the reorder hold |
 //! | `picked_up` | `stage_lane_queue_nanos` (released → picked up by the sender lane, a batching lane's hold included) | `engine_hot_bytes_copied` (payload bytes copied into the frame) | — | `lane-queue` (lane, payload bytes) |
 //! | `sent` | `stage_send_nanos` (the transport send call) | `lane{i}_sends`, `lane{i}_payload_bytes` (frame bytes), `lane{i}_send_nanos` | `send` (first seq, its lba, lane, writes carried) | `send` per write (lane; frame bytes on the first) |
@@ -122,8 +123,9 @@ pub(crate) struct Probe {
     /// no replicas configured this is the replicated count).
     dispatched_writes: Arc<Counter>,
     replication_errors: Arc<Counter>,
-    /// Bytes memcpy'd on the hot path: once at capture, once onto the
-    /// wire — this counter is what proves it.
+    /// Bytes memcpy'd on the hot path: the new image when a write
+    /// queues for the encode pool, and each payload onto the wire —
+    /// this counter is what proves it.
     hot_bytes_copied: Arc<Counter>,
     queue_depth_hwm: Arc<Gauge>,
     /// Frames a replica answered with `NAK_CORRUPT` — damaged in
@@ -243,17 +245,21 @@ impl Probe {
         self.reads.inc();
     }
 
-    /// `write_block` captured the old image, wrote the new one and
-    /// copied its `copied` bytes for the encoder.
-    pub fn local_io(&self, capture_nanos: u64, write_nanos: u64, copied: usize) {
+    /// `write_block` captured the old image and wrote the new one.
+    pub fn local_io(&self, capture_nanos: u64, write_nanos: u64) {
         self.writes.inc();
         self.local_write_nanos.add(write_nanos);
         self.overhead_nanos.add(capture_nanos);
-        self.hot_bytes_copied.add(copied as u64);
         if let Some(reg) = &self.reg {
             reg.capture.record(capture_nanos);
             reg.local_write.record(write_nanos);
         }
+    }
+
+    /// A write's new image, `bytes` long, was copied into a pooled buffer
+    /// to queue for the encode pool.
+    pub fn image_copied(&self, bytes: usize) {
+        self.hot_bytes_copied.add(bytes as u64);
     }
 
     /// A write took sequence number `seq`, making the admission queue

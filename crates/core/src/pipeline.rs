@@ -8,9 +8,12 @@
 //!
 //! ```text
 //!  write_block (per-LBA stripe lock)
-//!       │  Pipeline::admit: sequence assignment + XOR-fold coalescing
-//!       ▼
-//!  [admission queue, bounded] ──▶ encode_and_release (N workers: P' = new ⊕ old, encode)
+//!       │  Pipeline::admit: sequence assignment (AdmitState::assign)
+//!       ├── nothing queued, every lane has room, a static strategy that
+//!       │   does not compress, threaded: the writer encodes it ──────────┐
+//!       ▼                                                                ▼
+//!  [admission queue, bounded; XOR-fold coalescing] ──▶ encode_and_release (P' = new ⊕ old,
+//!                                      N workers or a flusher)          encode; on the writer)
 //!       │  reorder buffer releases payloads in sequence order
 //!       ▼
 //!  ┌── Lane 0: bounded queue ▷ [lane lock] ship: pop ▷ batch ▷ seal ▷ send ▷ collect_oldest down to the window
@@ -39,7 +42,8 @@
 //!
 //! * **Per-LBA ordering.** Admission assigns a global sequence number
 //!   under one lock, the admission queue is FIFO, and the reorder
-//!   buffer releases encoded payloads strictly in sequence order —
+//!   buffer releases encoded payloads strictly in sequence order,
+//!   whoever encoded them — the pool, a flusher or the writer itself —
 //!   so every lane observes all writes, and in particular all writes
 //!   to one LBA, in admission order. This is what keeps the replica's
 //!   XOR chain (`A_new = P' ⊕ A_old`) anchored to the right old image.
@@ -50,14 +54,26 @@
 //!   `P = A_newest ⊕ A_oldest = P₁ ⊕ P₂ ⊕ …` — XOR telescopes the
 //!   intermediate images away. No new sequence number is allocated,
 //!   so the sequence space stays dense and the reorder buffer never
-//!   waits on a hole.
+//!   waits on a hole. Only a job queued with coalescing on holds its
+//!   LBA's slot; any other admission of that LBA drops it, or a later
+//!   write could fold into a job queued ahead of it.
+//! * **Inline encoding.** A threaded engine whose static strategy does
+//!   not compress has a writer encode its own write when the admission
+//!   queue is empty and every lane queue has room, from the old image
+//!   it just captured and its caller's buffer — no image is copied, and
+//!   both are still hot in the writer's cache. Nothing queued could
+//!   have been folded into, so this never costs a fold. Compressing
+//!   strategies, the adaptive engine and manual mode always queue.
 //! * **Bounded end to end.** Every queue has a capacity and a full one
 //!   blocks its producer: the ack window holds the lane, a full lane
 //!   queue holds the encode pool, and a full admission queue
 //!   (`ADMIT_QUEUE_CAP` jobs) holds the writer in `Pipeline::admit` —
 //!   so a client that outruns its replicas waits instead of buffering
-//!   without limit. Folds add no job and never wait. (Manual mode has
-//!   one thread and therefore no capacities.)
+//!   without limit. Folds add no job and never wait. A writer encodes
+//!   its own write only while every lane queue has room, so once they
+//!   fill its writes queue again and the admission queue still fills
+//!   to its cap. (Manual mode has one thread and therefore no
+//!   capacities.)
 //! * **Barrier.** A flush drives the stages itself, on its own thread,
 //!   threaded or manual (`drive_dry`): it encodes every write it waits
 //!   for that is still in the admission queue (the loop manual mode's
@@ -81,7 +97,11 @@
 //!   A lane whose queue runs empty lingers one hold before it parks
 //!   without a deadline, and only a lane parked that way is woken by a
 //!   frame's first payload. Those rules hold for the encode pool's
-//!   releases; a flusher's own releases are quiet — it ships them — and
+//!   releases. A writer's own releases wake an idle lane the same way,
+//!   but a lane waiting out its hold only at two full frames (`2 ×
+//!   batch_frames`, at most the queue's capacity): a commit's single
+//!   frame is left to the flush that ends it. A flusher's own releases
+//!   are quiet — it ships them — and
 //!   wake a lane thread only to make room in a full queue, and what a
 //!   flusher leaves queued wakes the lane as the pool's push would
 //!   have. The admission queue wakes the encode pool
@@ -107,8 +127,9 @@
 //! any worker threads in *manual* mode
 //! ([`EngineBuilder::manual_stepping`](crate::EngineBuilder::manual_stepping)):
 //! same methods, different caller. Threaded, each encode worker loops
-//! over `claim_job` → `encode_and_release` and each lane thread over
-//! `wait_ready` → `lane.ship()`; in manual mode no thread is spawned,
+//! over `claim_job` → `encode_and_release`, a writer with nothing ahead
+//! of it calls `encode_and_release` itself, and each lane thread loops
+//! over `wait_ready` → `lane.ship()`; in manual mode no thread is spawned,
 //! admissions queue up, and `Pipeline::step` encodes and ships on the
 //! caller's thread until the queues are empty. A barrier is the same
 //! `drive_dry` in both modes. The `prins-sim` harness combines this
@@ -149,6 +170,12 @@ pub(crate) struct PipelineConfig {
     /// Manual (stepped) mode: no worker threads; the caller drives the
     /// stages through [`Pipeline::step`].
     pub manual: bool,
+    /// A writer encodes its own write when nothing waits ahead of it
+    /// (see [`Pipeline::admit`]). The builder sets it for a threaded
+    /// engine whose static strategy does not compress: there the encode
+    /// is a scan over two images the writer has just touched, cheaper
+    /// than handing them to a pool thread on another core.
+    pub inline_encode: bool,
 }
 
 impl Default for PipelineConfig {
@@ -160,6 +187,7 @@ impl Default for PipelineConfig {
             ack_window: 1,
             ack_timeout: Duration::from_secs(10),
             manual: false,
+            inline_encode: false,
         }
     }
 }
@@ -173,10 +201,11 @@ impl Default for PipelineConfig {
 /// aggressive coalescing while full blocks churn. Both knobs are
 /// per-decision, not per-run, state:
 ///
-/// * `coalesce` is read once per [`Pipeline::admit`]. Toggling it off
-///   mid-run leaves stale `by_lba` entries behind, which is safe —
-///   `claim_job` removes an entry unconditionally when its job drains,
-///   and a stale entry can only cause one extra (correct) fold.
+/// * `coalesce` is read once per [`Pipeline::admit`]. A write admitted
+///   with it off drops its LBA's coalescing slot (`AdmitState::assign`):
+///   a slot left behind would point at a job queued *ahead* of that
+///   write, and a later write folding into it would reach the replica
+///   before it — a silent divergence, not an extra fold.
 /// * `batch_frames` is read once per lane frame, so a change applies
 ///   from the next frame on. Wire format is unaffected: a frame
 ///   carrying one payload is not wrapped in a batch envelope.
@@ -208,14 +237,15 @@ impl PipelineTuning {
     }
 }
 
-/// A write waiting for the encode pool. The block images live in
-/// pooled buffers checked out by the engine front-end; encoding
-/// returns them to the pool.
-struct EncodeJob {
+/// A numbered write and its two images, ready to encode. A queued job
+/// holds both in pooled buffers checked out by the engine front-end
+/// (encoding returns them to the pool); a writer encoding its own write
+/// lends its caller's buffer as `new`.
+struct EncodeJob<N = PooledBuf> {
     seq: u64,
     lba: Lba,
     old: PooledBuf,
-    new: PooledBuf,
+    new: N,
     /// Writes folded into this job beyond the first.
     folds: u64,
     /// The probe's admission stamp.
@@ -235,6 +265,25 @@ struct AdmitState {
     /// An encoder is parked on an empty queue with no deadline, so the
     /// next admission must wake it.
     idle: bool,
+}
+
+impl AdmitState {
+    /// Numbers a new write to `lba` — the one sequence step of a queued
+    /// and an inline write. Only a write that waits in the queue with
+    /// coalescing on (`slot`) leaves a slot for later writes to fold
+    /// into; any other drops its LBA's slot, which would otherwise
+    /// point at a job queued ahead of it and let a later write fold
+    /// past it.
+    fn assign(&mut self, lba: Lba, slot: bool) -> u64 {
+        let seq = self.seq_alloc;
+        self.seq_alloc += 1;
+        if slot {
+            self.by_lba.insert(lba.0, seq);
+        } else if !self.by_lba.is_empty() {
+            self.by_lba.remove(&lba.0);
+        }
+        seq
+    }
 }
 
 /// The queued-job count that wakes an encoder: a full frame per worker,
@@ -310,11 +359,26 @@ fn lane_ready(payloads: usize, closing: bool, threshold: usize) -> bool {
     closing || payloads >= threshold
 }
 
-/// The queued-payload count that wakes a lane: a full frame, clamped so
-/// that a `batch_frames` beyond the queue's capacity does not make
-/// every frame wait out [`HOLD`].
-fn wake_threshold(batch_frames: usize) -> usize {
-    batch_frames.clamp(1, LANE_QUEUE_CAP)
+/// The queued-payload count that wakes a lane: `frames` full frames,
+/// clamped so that a `batch_frames` beyond the queue's capacity does
+/// not make every frame wait out [`HOLD`].
+fn wake_threshold(frames: usize, batch_frames: usize) -> usize {
+    (frames * batch_frames).clamp(1, LANE_QUEUE_CAP)
+}
+
+/// Who released a payload into a lane queue, which decides when the
+/// push wakes the lane thread.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Releaser {
+    /// An encode worker: wakes the lane for a full frame, or when it is
+    /// parked idle.
+    Pool,
+    /// A writer encoding its own write: wakes the lane for two full
+    /// frames, or when it is parked idle. A commit's single frame is
+    /// left to the flush that ends it, which ships it without a wake.
+    Writer,
+    /// A flusher, which ships what it releases itself: quiet.
+    Flusher,
 }
 
 impl LaneState {
@@ -332,15 +396,23 @@ impl LaneState {
         }
     }
 
+    /// The payload count that makes the lane ready: one full frame.
     fn threshold(&self) -> usize {
-        wake_threshold(self.tuning.batch_frames())
+        wake_threshold(1, self.tuning.batch_frames())
     }
 
-    /// Queues `w`. A loud push wakes the lane thread only if the lane
-    /// now has cause to send or is parked idle, where nothing but this
-    /// wake starts its hold; a quiet one — a flusher's, which ships the
-    /// payload itself — wakes it only to make room in a full queue.
-    fn push(&self, w: Outbound, loud: bool) {
+    /// Whether a push would find room without waiting.
+    fn has_room(&self) -> bool {
+        self.queue.lock().unwrap().payloads.len() < self.cap
+    }
+
+    /// Queues `w`, waking the lane thread as `by` calls for (see
+    /// [`Releaser`]): the pool and a writer wake a lane parked idle,
+    /// where nothing but this wake starts its hold, or one that now
+    /// holds their frame count; a flusher, which ships the payload
+    /// itself, wakes it only to make room in a full queue, as every
+    /// push does.
+    fn push(&self, w: Outbound, by: Releaser) {
         let mut q = self.queue.lock().unwrap();
         while q.payloads.len() >= self.cap {
             q.idle = false;
@@ -348,24 +420,29 @@ impl LaneState {
             q = self.not_full.wait(q);
         }
         q.payloads.push_back((w, Instant::now()));
-        if loud {
-            self.wake_if_due(&mut q);
+        match by {
+            Releaser::Pool => self.wake_if_due(&mut q, 1),
+            Releaser::Writer => self.wake_if_due(&mut q, 2),
+            Releaser::Flusher => {}
         }
     }
 
-    /// Wakes the lane thread as a loud push would for what `q` holds.
-    fn wake_if_due(&self, q: &mut LaneQueue) {
-        let ready = lane_ready(q.payloads.len(), q.closing, self.threshold());
+    /// Wakes the lane thread if it is parked idle, closing, or `q` holds
+    /// `frames` full frames.
+    fn wake_if_due(&self, q: &mut LaneQueue, frames: usize) {
+        let threshold = wake_threshold(frames, self.tuning.batch_frames());
+        let ready = lane_ready(q.payloads.len(), q.closing, threshold);
         if std::mem::take(&mut q.idle) || ready {
             self.not_empty.notify_one();
         }
     }
 
-    /// Wakes the lane thread for whatever a flusher left queued.
+    /// Wakes the lane thread for whatever a flusher left queued, as the
+    /// pool's push would have.
     fn wake_for_leftovers(&self) {
         let mut q = self.queue.lock().unwrap();
         if !q.payloads.is_empty() {
-            self.wake_if_due(&mut q);
+            self.wake_if_due(&mut q, 1);
         }
     }
 
@@ -680,6 +757,8 @@ pub(crate) struct Pipeline {
     /// No worker threads: the caller drives the stages through
     /// [`Pipeline::step`].
     manual: bool,
+    /// [`PipelineConfig::inline_encode`].
+    inline: bool,
 }
 
 impl Pipeline {
@@ -762,6 +841,7 @@ impl Pipeline {
             encode_handles: Mutex::new(encoders),
             lane_handles: Mutex::new(senders),
             manual: config.manual,
+            inline: config.inline_encode,
         }
     }
 
@@ -821,13 +901,53 @@ impl Pipeline {
         }
     }
 
-    /// Admits a write: folds it into a still-queued job for the same
-    /// LBA (when coalescing) or assigns the next sequence number.
+    /// Admits a write of `new` over its captured `old` image.
     ///
-    /// Callers hold the engine's per-LBA stripe lock, so the captured
-    /// `old` image is exactly the block content the previous admission
-    /// for this LBA left behind. Both images arrive in pooled buffers;
-    /// a fold recycles the superseded `new` image immediately.
+    /// Callers hold the engine's per-LBA stripe lock, so `old` is
+    /// exactly the block content the previous admission for this LBA
+    /// left behind.
+    ///
+    /// With [`PipelineConfig::inline_encode`] set, a write that finds
+    /// the admission queue empty and room in every lane queue takes the
+    /// next sequence number and is encoded and released right here,
+    /// from the caller's buffer, while both images are hot in this
+    /// core's cache. Nothing queued could have been folded into, so
+    /// this never costs a fold, and the reorder buffer orders its
+    /// release against the pool's. Any other write copies `new` into a
+    /// pooled buffer and queues (see `enqueue`).
+    pub fn admit(&self, lba: Lba, old: PooledBuf, new: &[u8]) -> Result<(), ReplError> {
+        let cx = &*self.inner;
+        if self.inline && cx.lanes.iter().all(LaneState::has_room) {
+            let mut st = cx.admit.lock().unwrap();
+            if st.closed {
+                return Err(closed());
+            }
+            if st.queue.is_empty() {
+                let seq = st.assign(lba, false);
+                let admitted_at = cx.probe.admitted(seq, lba, 0);
+                drop(st);
+                let job = EncodeJob {
+                    seq,
+                    lba,
+                    old,
+                    new,
+                    folds: 0,
+                    admitted_at,
+                };
+                encode_and_release(cx, job, Releaser::Writer);
+                return Ok(());
+            }
+        }
+        let mut image = cx.pool.get(new.len());
+        image.copy_from(new);
+        cx.probe.image_copied(new.len());
+        self.enqueue(lba, old, image)
+    }
+
+    /// Queues a write for the encode pool: folds it into a still-queued
+    /// job for the same LBA (when coalescing) or assigns the next
+    /// sequence number. A fold recycles the superseded `new` image
+    /// immediately.
     ///
     /// The queue is bounded ([`ADMIT_QUEUE_CAP`] jobs; unbounded in
     /// manual mode): a new job for a full queue blocks the writer until
@@ -835,14 +955,14 @@ impl Pipeline {
     /// no job and never blocks. A new job wakes an encoder only if the
     /// pool is parked idle or the queue now holds a full frame per
     /// worker (see [`admit_wakes`]).
-    pub fn admit(&self, lba: Lba, old: PooledBuf, new: PooledBuf) -> Result<(), ReplError> {
+    fn enqueue(&self, lba: Lba, old: PooledBuf, new: PooledBuf) -> Result<(), ReplError> {
         let cx = &*self.inner;
         // Read the live flag once so one admission sees one mode.
         let coalesce = cx.tuning.coalesce();
         let mut st = cx.admit.lock().unwrap();
         loop {
             if st.closed {
-                return Err(ReplError::Net(prins_net::NetError::Disconnected));
+                return Err(closed());
             }
             let queued = coalesce.then(|| st.by_lba.get(&lba.0).copied()).flatten();
             if let Some(seq) = queued {
@@ -859,11 +979,7 @@ impl Pipeline {
             }
             st = cx.admit_room.wait(st);
         }
-        let seq = st.seq_alloc;
-        st.seq_alloc += 1;
-        if coalesce {
-            st.by_lba.insert(lba.0, seq);
-        }
+        let seq = st.assign(lba, coalesce);
         let depth = st.queue.len() + 1;
         st.queue.push_back(EncodeJob {
             seq,
@@ -934,6 +1050,11 @@ fn claim_job(st: &mut AdmitState) -> Option<EncodeJob> {
     Some(job)
 }
 
+/// The error an admission to a shut-down pipeline gets.
+fn closed() -> ReplError {
+    ReplError::Net(prins_net::NetError::Disconnected)
+}
+
 /// Claims, encodes and releases every queued job numbered below
 /// `before` on the caller's thread: manual mode's encode stage and a
 /// flush's tail. Its releases wake no lane: the caller ships them.
@@ -950,22 +1071,24 @@ fn encode_queued(cx: &Inner, before: u64) -> bool {
         };
         let Some(job) = job else { break };
         cx.admit_room.notify_one();
-        encode_and_release(cx, job, false);
+        encode_and_release(cx, job, Releaser::Flusher);
         encoded = true;
     }
     encoded
 }
 
 /// Encodes one job and releases every consecutively-ready payload to
-/// the lanes, waking them if `loud` (see [`LaneState::push`]).
-fn encode_and_release(cx: &Inner, job: EncodeJob, loud: bool) {
+/// the lanes, waking them as `by` calls for (see [`Releaser`]) — the
+/// one encode step of the pool, a flusher and an inline writer.
+fn encode_and_release<N: AsRef<[u8]>>(cx: &Inner, job: EncodeJob<N>, by: Releaser) {
     let t0 = cx.probe.now();
+    let new = job.new.as_ref();
     // Serialize straight into a pooled buffer: the fused encoders write
     // the wire payload without materializing the parity, and freezing
     // costs one `Arc` — the single unavoidable allocation per write.
-    let mut buf = cx.pool.get(job.new.len() + 24);
+    let mut buf = cx.pool.get(new.len() + 24);
     cx.replicator
-        .encode_write_into(job.lba, &job.old, &job.new, buf.vec_mut());
+        .encode_write_into(job.lba, &job.old, new, buf.vec_mut());
     let bytes = buf.freeze();
     // The block images return to the pool before the reorder lock.
     drop(job.old);
@@ -997,7 +1120,7 @@ fn encode_and_release(cx: &Inner, job: EncodeJob, loud: bool) {
         ro.next_seq += 1;
         w.at = cx.probe.released(&w);
         for lane in &cx.lanes {
-            lane.push(w.clone(), loud);
+            lane.push(w.clone(), by);
         }
     }
     // Wake the waiting barriers once the lowest target is released;
@@ -1040,7 +1163,7 @@ fn run_encoder(cx: &Inner) {
             }
         };
         let Some(job) = job else { return };
-        encode_and_release(cx, job, true);
+        encode_and_release(cx, job, Releaser::Pool);
     }
 }
 
@@ -1390,26 +1513,37 @@ mod tests {
     #[test]
     fn a_lane_wakes_for_a_full_frame_or_closing_and_a_quiet_push_only_when_full() {
         use super::{
-            lane_ready, wake_threshold, LaneState, Outbound, PipelineTuning, HOLD, LANE_QUEUE_CAP,
+            lane_ready, wake_threshold, LaneState, Outbound, PipelineTuning, Releaser, HOLD,
+            LANE_QUEUE_CAP,
         };
-        use crate::signal::tests::under_watchdog;
+        use crate::signal::tests::{parked, under_watchdog};
         use std::sync::atomic::{AtomicBool, AtomicUsize};
         use std::time::Instant;
 
         assert!(lane_ready(8, false, 8), "a full frame");
         assert!(!lane_ready(7, false, 8), "one payload short");
         assert!(lane_ready(0, true, 8), "a closing lane");
-        assert!(lane_ready(1, false, wake_threshold(1)), "batching off");
-        assert_eq!(wake_threshold(4096), LANE_QUEUE_CAP);
+        assert!(lane_ready(1, false, wake_threshold(1, 1)), "batching off");
+        assert_eq!(wake_threshold(1, 4096), LANE_QUEUE_CAP);
+        assert_eq!(wake_threshold(2, 8), 16, "a writer's two frames");
+        assert_eq!(
+            wake_threshold(2, 1),
+            2,
+            "a writer's two frames, batching off"
+        );
+        assert_eq!(wake_threshold(2, 1000), LANE_QUEUE_CAP);
 
         under_watchdog(Duration::from_secs(10), || {
+            let lane_of = |cap, batch_frames| {
+                let tuning = PipelineTuning {
+                    batch_frames: AtomicUsize::new(batch_frames),
+                    coalesce: AtomicBool::new(false),
+                };
+                Arc::new(LaneState::new(cap, Arc::new(tuning)))
+            };
             // A queue of two payloads, and frames of eight: no push can
             // make the lane ready, so only the idle and full rules wake it.
-            let tuning = PipelineTuning {
-                batch_frames: AtomicUsize::new(8),
-                coalesce: AtomicBool::new(false),
-            };
-            let lane = Arc::new(LaneState::new(2, Arc::new(tuning)));
+            let lane = lane_of(2, 8);
             let pool = prins_buf::BufPool::for_block_size(4096, 1);
             let payload = |seq| Outbound {
                 seq,
@@ -1437,25 +1571,58 @@ mod tests {
             });
 
             park(&lane);
-            lane.push(payload(0), false);
-            lane.push(payload(1), false);
+            lane.push(payload(0), Releaser::Flusher);
+            lane.push(payload(1), Releaser::Flusher);
             assert!(idle(&lane), "a quiet push woke the lane");
             // The third quiet push finds the queue full and wakes the
             // lane, which makes room once its hold runs out.
-            lane.push(payload(2), false);
+            lane.push(payload(2), Releaser::Flusher);
 
-            // A lone tail, pushed loud into the idle lane, ships after
-            // the hold.
-            park(&lane);
-            let queued = Instant::now();
-            lane.push(payload(3), true);
-            assert!(!idle(&lane), "a loud push left the lane idle");
+            // A lone tail, pushed by the pool into the idle lane, ships
+            // after the hold; so does a writer's.
+            let mut queued = Vec::new();
+            for (seq, by) in [(3, Releaser::Pool), (4, Releaser::Writer)] {
+                park(&lane);
+                queued.push(Instant::now());
+                lane.push(payload(seq), by);
+                assert!(
+                    !idle(&lane),
+                    "a push by the pool or a writer left the lane idle"
+                );
+            }
             park(&lane);
             lane.close();
             let popped = thread.join().unwrap();
             let seqs: Vec<u64> = popped.iter().map(|&(seq, _)| seq).collect();
-            assert_eq!(seqs, [0, 1, 2, 3]);
-            assert!(popped[3].1 - queued >= HOLD, "shipped before its hold");
+            assert_eq!(seqs, [0, 1, 2, 3, 4]);
+            for (&(seq, at), queued) in popped[3..].iter().zip(queued) {
+                assert!(at - queued >= HOLD, "{seq} shipped before its hold");
+            }
+
+            // A lane waiting out a hold — parked, not idle — with frames
+            // of two: a writer's push wakes it only at the fourth payload
+            // (the pool's would at the second), so a commit's one frame
+            // waits for the flush that ships it.
+            let lane = lane_of(8, 2);
+            let waiter = Arc::clone(&lane);
+            let waiting = std::thread::spawn(move || {
+                let q = waiter.queue.lock().unwrap();
+                let q = waiter.not_empty.wait_timeout(q, Duration::from_secs(60));
+                (q.payloads.len(), Instant::now())
+            });
+            while parked(&lane.not_empty) == 0 {
+                std::thread::yield_now();
+            }
+            for seq in 0..3 {
+                lane.push(payload(seq), Releaser::Writer);
+            }
+            // Time for a wrongful wake to show before the fourth push.
+            std::thread::sleep(Duration::from_millis(20));
+            let fourth = Instant::now();
+            lane.push(payload(3), Releaser::Writer);
+            let (seen, woke) = waiting.join().unwrap();
+            assert_eq!(seen, 4, "a writer woke a waiting lane below two frames");
+            assert!(woke >= fourth);
         });
     }
 
@@ -1491,10 +1658,9 @@ mod tests {
             while !cx.admit.lock().unwrap().idle {
                 std::thread::yield_now();
             }
-            let (mut old, mut new) = (pool.get(4096), pool.get(4096));
+            let mut old = pool.get(4096);
             old.resize_zeroed(4096);
-            new.copy_from(&[1u8; 4096]);
-            pipeline.admit(Lba(0), old, new).unwrap();
+            pipeline.admit(Lba(0), old, &[1u8; 4096]).unwrap();
             while cx.reorder.lock().unwrap().next_seq == 0 {
                 std::thread::yield_now();
             }
@@ -1550,9 +1716,10 @@ mod tests {
                 }));
             }
             let engine = builder.build();
-            // Eight writes a commit stay below the pool's threshold of
-            // 16, so only an idle pool is woken, and each barrier
-            // encodes whatever it still finds queued and ships it.
+            // Each write finds nothing queued ahead of it and encodes
+            // itself on this thread; eight of them stay below a writer's
+            // lane wake of two frames (16), so each barrier ships the
+            // commit's frame itself.
             for commit in 0..200u64 {
                 for i in 0..8u64 {
                     let lba = Lba((commit * 3 + i) % 16);
@@ -1594,7 +1761,7 @@ mod tests {
         let writes: Vec<(u64, u8)> = (0..8000)
             .map(|_| (rng.random_range(0..4), rng.random()))
             .collect();
-        assert_per_lba_ordering(&writes, 2, 4, Some(5), 2);
+        assert_per_lba_ordering(&writes, 2, 4, Some(5), 2, |_| false);
     }
 
     #[test]
@@ -1603,7 +1770,173 @@ mod tests {
         let writes: Vec<(u64, u8)> = (0..240)
             .map(|_| (rng.random_range(0..4), rng.random()))
             .collect();
-        assert_per_lba_ordering(&writes, 2, 8, Some(3), 16);
+        assert_per_lba_ordering(&writes, 2, 8, Some(3), 16, |_| false);
+    }
+
+    #[test]
+    fn inline_and_queued_releases_keep_per_lba_order() {
+        use crate::signal::tests::under_watchdog;
+        under_watchdog(Duration::from_secs(60), || {
+            // Four rounds of 2 000 writes, each ended by a flush. No ack
+            // comes back for a round's first 1 300 writes, so each lane's
+            // queue fills (1 024 payloads behind two frames of four in
+            // flight) and writes turn from encoding themselves to
+            // queueing for the pool; then the link opens and the pool,
+            // the lane threads and the flush drain what queued.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+            let writes: Vec<(u64, u8)> = (0..8000)
+                .map(|_| (rng.random_range(0..4), rng.random()))
+                .collect();
+            let stalled = |i| i % 2000 < 1300;
+            let registry = assert_per_lba_ordering(&writes, 2, 4, Some(2000), 2, stalled);
+            let snap = registry.snapshot();
+            assert!(
+                snap.gauges["engine_queue_depth_hwm"] > 0,
+                "no write fell back to the queue"
+            );
+            // A queued write copies its 4 KB image; an inline one only
+            // its payload, into each lane's frame.
+            let copied = snap.counters["engine_hot_bytes_copied"];
+            assert!(copied < 8000 * 4096, "no write was encoded inline");
+        });
+    }
+
+    #[test]
+    fn a_writers_release_waits_its_turn_behind_the_pools() {
+        use super::{encode_and_release, EncodeJob, Pipeline, PipelineConfig, Releaser};
+        use crate::obs::Probe;
+        // Two numbered writes finish encoding out of order — a writer's
+        // before the pool's earlier one, the overlap a threaded engine
+        // reaches only by chance — and the shared release step holds the
+        // writer's payload until the pool's is out.
+        let config = PipelineConfig {
+            manual: true,
+            ..PipelineConfig::default()
+        };
+        let (uplink, downlink) = channel_pair(LinkModel::t1());
+        let replica = Arc::new(MemDevice::new(BlockSize::kb4(), 2));
+        let replica_thread = spawn_replica(Arc::clone(&replica) as Arc<dyn BlockDevice>, downlink);
+        let pool = prins_buf::BufPool::for_block_size(4096, 1);
+        let probe = Probe::new(Arc::new(prins_net::WallClock::new()), None, None, 1);
+        let replicator = Arc::from(ReplicationMode::Prins.replicator());
+        let transports: Vec<Box<dyn prins_net::Transport>> = vec![Box::new(uplink)];
+        let pipeline = Pipeline::start(replicator, transports, &config, pool.clone(), probe);
+        let cx = pipeline.cx();
+        let new = [7u8; 4096];
+        let job = |seq: u64| {
+            let mut old = pool.get(4096);
+            old.resize_zeroed(4096);
+            EncodeJob {
+                seq,
+                lba: Lba(seq),
+                old,
+                new: &new[..],
+                folds: 0,
+                admitted_at: 0,
+            }
+        };
+        let (first, second) = {
+            let mut st = cx.admit.lock().unwrap();
+            (st.assign(Lba(0), false), st.assign(Lba(1), false))
+        };
+        let queued = || -> Vec<u64> {
+            let q = cx.lanes[0].queue.lock().unwrap();
+            q.payloads.iter().map(|(w, _)| w.seq).collect()
+        };
+        encode_and_release(cx, job(second), Releaser::Writer);
+        assert_eq!(queued(), [] as [u64; 0], "released ahead of its turn");
+        encode_and_release(cx, job(first), Releaser::Pool);
+        assert_eq!(queued(), [first, second]);
+        pipeline.shutdown();
+        drop(pipeline);
+        replica_thread.join().unwrap().unwrap();
+        assert_eq!(replica.read_block_vec(Lba(1)).unwrap(), new);
+    }
+
+    #[test]
+    fn a_static_strategy_encodes_on_the_writers_thread_and_a_compressing_one_in_the_pool() {
+        // A block image copied for the pool shows in the copy count, and
+        // every write the pool (or a flush) encodes first sat in the
+        // admission queue, which raises its high-water mark.
+        for (mode, adaptive, inline) in [
+            (ReplicationMode::Prins, false, true),
+            (ReplicationMode::Traditional, false, true),
+            (ReplicationMode::PrinsCompressed, false, false),
+            (ReplicationMode::Prins, true, false),
+        ] {
+            let (transports, _links, replica_devs, replica_threads) = faulted_replicas(2, 16);
+            let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 16));
+            let registry = prins_obs::Registry::new();
+            let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
+                .mode(mode)
+                .batch_frames(8)
+                .ack_policy(AckPolicy::Window(8))
+                .observe(Arc::clone(&registry));
+            if adaptive {
+                builder = builder.adaptive(prins_policy::PolicyConfig::default());
+            }
+            for transport in transports {
+                builder = builder.replica(transport);
+            }
+            let engine = builder.build();
+            // Fewer writes than a lane queue holds: the lanes always
+            // have room.
+            for i in 0..200u64 {
+                let lba = Lba(i % 16);
+                let mut block = engine.read_block_vec(lba).unwrap();
+                block[(i * 37 % 4096) as usize] ^= 0x5a;
+                engine.write_block(lba, &block).unwrap();
+            }
+            engine.flush().unwrap();
+            let label = format!("{mode}, adaptive {adaptive}");
+            let queued = engine.stats().queue_depth_hwm;
+            let copied = registry.snapshot().counters["engine_hot_bytes_copied"];
+            if inline {
+                assert_eq!(queued, 0, "{label}: a write was queued");
+            } else {
+                assert!(queued > 0, "{label}: no write was queued");
+                assert!(copied >= 200 * 4096, "{label}: {copied} bytes copied");
+            }
+            if mode == ReplicationMode::Prins && inline {
+                assert!(copied < 200 * 1024, "{label}: {copied} bytes copied");
+            }
+            shutdown_all(engine, replica_threads);
+            for dev in &replica_devs {
+                assert!(verify_consistent(&*primary, &**dev).unwrap(), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_write_queued_with_coalescing_off_is_never_folded_past() {
+        // The second write queues with coalescing off behind the first,
+        // which still holds its LBA's coalescing slot. Once coalescing is
+        // back on, the third must not fold into the first: that job
+        // reaches the replica before the second write, which would then
+        // land on top of the third.
+        let net = SimNet::new();
+        let (transports, _ctls, replica_devs) =
+            sim_replicas(&net, 1, 8, Duration::from_micros(300));
+        let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
+        let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
+            .coalesce(true)
+            .manual_stepping(true)
+            .clock(net.clock());
+        for transport in transports {
+            builder = builder.replica(transport);
+        }
+        let engine = builder.build();
+        engine.write_block(Lba(3), &[1u8; 4096]).unwrap();
+        engine.tuning().set_coalesce(false);
+        engine.write_block(Lba(3), &[2u8; 4096]).unwrap();
+        engine.tuning().set_coalesce(true);
+        engine.write_block(Lba(3), &[3u8; 4096]).unwrap();
+        engine.flush().unwrap();
+        assert!(verify_consistent(&*primary, &*replica_devs[0]).unwrap());
+        // The second write left no slot, so the third queued on its own.
+        assert_eq!(engine.stats().coalesced_writes, 0);
+        assert_eq!(engine.stats().writes_replicated, 3);
+        engine.shutdown().unwrap();
     }
 
     #[test]
@@ -2116,20 +2449,56 @@ mod tests {
         assert_eq!(bytes.sum::<u64>(), stats.replicated_payload_bytes);
     }
 
+    /// A transport whose answers wait at a gate: a link too slow to
+    /// acknowledge anything until the gate opens.
+    struct Gated {
+        inner: Box<dyn prins_net::Transport>,
+        open: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Gated {
+        fn wait(&self) {
+            while !self.open.load(std::sync::atomic::Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    impl prins_net::Transport for Gated {
+        fn send(&self, msg: &[u8]) -> Result<(), prins_net::NetError> {
+            self.inner.send(msg)
+        }
+        fn recv(&self) -> Result<Vec<u8>, prins_net::NetError> {
+            self.wait();
+            self.inner.recv()
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, prins_net::NetError> {
+            self.wait();
+            self.inner.recv_timeout(timeout)
+        }
+        fn meter(&self) -> &Arc<prins_net::TrafficMeter> {
+            self.inner.meter()
+        }
+    }
+
     /// Replays `writes` through an observed engine, `window` frames in
-    /// flight per lane, and asserts that
+    /// flight per lane, with no acknowledgement let through while
+    /// `stalled(i)` holds for the write `i` being admitted, and asserts
+    /// that
     /// each lane's send order — rebuilt from the registry's `send`,
     /// `encode-done` and `coalesce` events, whose frames must tile the
     /// sequence space — shows every write exactly once with strictly
     /// increasing sequence numbers per LBA (the pipeline's ordering
-    /// invariant, observed at the wire).
+    /// invariant, observed at the wire). Returns the registry.
     fn assert_per_lba_ordering(
         writes: &[(u64, u8)],
         encode_workers: usize,
         batch_frames: usize,
         flush_every: Option<usize>,
         window: usize,
-    ) {
+        stalled: fn(usize) -> bool,
+    ) -> Arc<prins_obs::Registry> {
+        use std::sync::atomic::{AtomicBool, Ordering};
         let (transports, _links, replica_devs, replica_threads) = faulted_replicas(2, 8);
         let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
         let registry = prins_obs::Registry::new();
@@ -2138,12 +2507,15 @@ mod tests {
             .batch_frames(batch_frames)
             .ack_policy(AckPolicy::Window(window))
             .observe(Arc::clone(&registry));
-        for transport in transports {
-            builder = builder.replica(transport);
+        let open = Arc::new(AtomicBool::new(true));
+        for inner in transports {
+            let open = Arc::clone(&open);
+            builder = builder.replica(Box::new(Gated { inner, open }));
         }
         let engine = builder.build();
 
         for (i, &(lba, fill)) in writes.iter().enumerate() {
+            open.store(!stalled(i), Ordering::SeqCst);
             let lba = Lba(lba % 8);
             let mut block = engine.read_block_vec(lba).unwrap();
             block[i % 4096] = fill;
@@ -2152,6 +2524,7 @@ mod tests {
                 engine.flush().unwrap();
             }
         }
+        open.store(true, Ordering::SeqCst);
         engine.flush().unwrap();
 
         for lane in 0..2 {
@@ -2171,6 +2544,7 @@ mod tests {
         for dev in &replica_devs {
             assert!(verify_consistent(&*primary, &**dev).unwrap());
         }
+        registry
     }
 
     proptest! {
@@ -2180,7 +2554,46 @@ mod tests {
             writes in proptest::collection::vec((0u64..8, any::<u8>()), 1..80),
             workers in 1usize..5,
         ) {
-            assert_per_lba_ordering(&writes, workers, 1, None, 16);
+            assert_per_lba_ordering(&writes, workers, 1, None, 16, |_| false);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_coalescing_toggles_never_diverge_a_replica(
+            ops in proptest::collection::vec((0u8..5, 0u64..4, any::<u8>()), 1..60),
+        ) {
+            // A stepped engine: each op writes a block (kinds 0–2),
+            // flips coalescing (3) or steps the pipeline (4); after the
+            // flush every replica must equal the primary.
+            let net = SimNet::new();
+            let (transports, _ctls, replica_devs) =
+                sim_replicas(&net, 2, 4, Duration::from_micros(300));
+            let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 4));
+            let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
+                .coalesce(true)
+                .manual_stepping(true)
+                .clock(net.clock())
+                .ack_policy(AckPolicy::Window(4));
+            for transport in transports {
+                builder = builder.replica(transport);
+            }
+            let engine = builder.build();
+            for &(kind, lba, fill) in &ops {
+                match kind {
+                    0..=2 => engine.write_block(Lba(lba), &[fill; 4096]).unwrap(),
+                    3 => engine.tuning().set_coalesce(!engine.tuning().coalesce()),
+                    _ => {
+                        engine.step();
+                    }
+                }
+            }
+            engine.flush().unwrap();
+            engine.shutdown().unwrap();
+            for dev in &replica_devs {
+                prop_assert!(verify_consistent(&*primary, &**dev).unwrap());
+            }
         }
     }
 }

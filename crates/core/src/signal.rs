@@ -91,6 +91,11 @@ pub(crate) mod tests {
         worker.join().unwrap();
     }
 
+    /// The threads parked on `signal` now.
+    pub(crate) fn parked(signal: &Signal) -> usize {
+        signal.parked.load(Ordering::Relaxed)
+    }
+
     /// Passes a token between two threads `ROUNDS` times, each side
     /// parking through `wait` until it holds the token and re-checking
     /// after every return.
