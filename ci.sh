@@ -39,7 +39,7 @@ fi
 # (No gate is needed for the stranded-response rule: prins_repl::Link
 # keeps its raw receive and epoch private, so the compiler holds every
 # send and await to it.)
-code_lines() { awk '/#\[cfg\(test\)\]/ { nextfile } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$@"; }
+code_lines() { awk '/^#\[cfg\(test\)\]/ { nextfile } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$@"; }
 # A plane's probe catalogue (crates/cluster/src/probe.rs,
 # crates/core/src/obs.rs) is complete only if nothing else in its crate
 # records, and the engine's probe is its only store of numbers only if
@@ -73,7 +73,51 @@ if [ "$(printf '%s' "$encoders" | grep -c .)" -ne 1 ]; then
     echo "$encoders" >&2
     exit 1
 fi
+# `scripts/loc.sh` and `code_lines` above stop reading a file at a line
+# that starts with `#[cfg(test)]`, so that attribute may appear once
+# per file, alone at the start of the line directly above the file's
+# `mod tests`, and that module is the file's last item. A test-only
+# helper under its own `#[cfg(test)]`, or a test module with code after
+# it, would hide code from the line count and from the gates above.
+misplaced=$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { state = 0 }
+    state == 3 && NF { print FILENAME ":" FNR ": code after the test module"; state = 4 }
+    state == 2 && /^}/ { state = 3 }
+    state == 1 {
+        if ($0 ~ /^(pub\(crate\) )?mod tests \{$/) state = 2
+        else { print FILENAME ":" FNR - 1 ": #[cfg(test)] not directly above mod tests"; state = 4 }
+    }
+    /#\[cfg\(test\)\]/ && !/^[[:space:]]*\/\// {
+        if (state == 0 && /^#\[cfg\(test\)\]$/) state = 1
+        else print FILENAME ":" FNR ": #[cfg(test)] other than the one above the last item, mod tests"
+    }' {} +)
+if [ -n "$misplaced" ]; then
+    echo "$misplaced" >&2
+    exit 1
+fi
+# Items nothing uses are deleted, not silenced: no `allow`/`expect` of
+# `dead_code` or `unused…` lints in crates/*/src, except the arch-gated
+# parameter of the SSE4.2 CRC32C kernel (unused off x86_64).
+silenced=$(grep -rnE '(allow|expect)\([^)]*\b(dead_code|unused)' crates/*/src \
+    | grep -vE '^crates/block/src/checksum\.rs:[0-9]+:#\[cfg_attr\(not\(target_arch = "x86_64"\), allow\(unused_variables\)\)\]$' || true)
+if [ -n "$silenced" ]; then
+    echo "dead-code or unused lint silenced in crates/*/src:" >&2
+    echo "$silenced" >&2
+    exit 1
+fi
+# `pub` only where another crate looks: every library root warns on a
+# `pub` item its crate does not export, and clippy -D warnings below
+# turns that into a failure — a new crate cannot opt out.
+missing_lint=$(grep -L '^#!\[warn(unreachable_pub)\]$' crates/*/src/lib.rs || true)
+if [ -n "$missing_lint" ]; then
+    echo "library roots without #![warn(unreachable_pub)]:" >&2
+    echo "$missing_lint" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
+# Narrowing an item to pub(crate) breaks every public doc link to it, so
+# rustdoc's broken- and private-link warnings fail the build too.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 cargo build --release
 cargo bench --workspace --no-run     # criterion benches must keep compiling
 # Cap test parallelism: the pipeline/cluster suites spawn their own

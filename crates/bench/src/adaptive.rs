@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use prins_policy::{AdaptiveReplicator, CounterfactualMode, PolicyConfig};
 use prins_repl::{ReplicationMode, Replicator};
-use prins_workloads::{run, RunReport, Workload, WorkloadError};
+use prins_workloads::{run, Workload, WorkloadError};
 
 use crate::figures::FigureTable;
 use crate::TrafficConfig;
@@ -31,18 +31,14 @@ const STATICS: [ReplicationMode; 4] = [
 
 /// Result of one adaptive-vs-static measurement.
 #[derive(Clone, Debug)]
-pub struct AdaptiveMeasurement {
-    /// Workload that ran.
-    pub workload: Workload,
-    /// Payload bytes per static strategy, in [`STATICS`] order
+pub(crate) struct AdaptiveMeasurement {
+    /// Payload bytes per static strategy, in `STATICS` order
     /// (traditional, compressed, prins, prins+lzss).
-    pub static_bytes: Vec<(ReplicationMode, u64)>,
+    pub(crate) static_bytes: Vec<(ReplicationMode, u64)>,
     /// Payload bytes the adaptive policy shipped for the same stream.
-    pub adaptive_bytes: u64,
+    pub(crate) adaptive_bytes: u64,
     /// Decision counts: (parity, parity+lzss, full, compressed).
-    pub picks: (u64, u64, u64, u64),
-    /// The underlying workload report.
-    pub report: RunReport,
+    pub(crate) picks: (u64, u64, u64, u64),
 }
 
 impl AdaptiveMeasurement {
@@ -52,7 +48,7 @@ impl AdaptiveMeasurement {
     ///
     /// Panics if no static strategy was measured (cannot happen via
     /// [`measure_adaptive`]).
-    pub fn best_static(&self) -> (ReplicationMode, u64) {
+    pub(crate) fn best_static(&self) -> (ReplicationMode, u64) {
         self.static_bytes
             .iter()
             .copied()
@@ -65,7 +61,7 @@ impl AdaptiveMeasurement {
     /// # Panics
     ///
     /// Panics if `mode` was not measured.
-    pub fn static_of(&self, mode: ReplicationMode) -> u64 {
+    pub(crate) fn static_of(&self, mode: ReplicationMode) -> u64 {
         self.static_bytes
             .iter()
             .find(|(m, _)| *m == mode)
@@ -80,7 +76,7 @@ impl AdaptiveMeasurement {
 /// # Errors
 ///
 /// Propagates workload failures.
-pub fn measure_adaptive(
+pub(crate) fn measure_adaptive(
     workload: Workload,
     config: &TrafficConfig,
 ) -> Result<AdaptiveMeasurement, WorkloadError> {
@@ -104,14 +100,13 @@ pub fn measure_adaptive(
         totals.1 += encoder.encode_write(lba, old, new).len() as u64;
     });
 
-    let report = run(workload, &config.run_config(), Some(observer))?;
+    run(workload, &config.run_config(), Some(observer))?;
     let (static_totals, adaptive_bytes) = Arc::try_unwrap(totals)
         .expect("observer dropped")
         .into_inner()
         .expect("ablation mutex");
     let counters = policy.counters();
     Ok(AdaptiveMeasurement {
-        workload,
         static_bytes: STATICS.iter().copied().zip(static_totals).collect(),
         adaptive_bytes,
         picks: (
@@ -120,7 +115,6 @@ pub fn measure_adaptive(
             counters.pick_full.get(),
             counters.pick_compressed.get(),
         ),
-        report,
     })
 }
 

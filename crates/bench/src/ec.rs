@@ -27,34 +27,34 @@ use prins_workloads::{run, RunConfig, Workload};
 #[derive(Clone, Copy, Debug)]
 pub struct EcReport {
     /// Logical block writes replayed through the group.
-    pub writes: u64,
+    pub(crate) writes: u64,
     /// User-visible capacity of the group.
-    pub logical_bytes: u64,
+    pub(crate) logical_bytes: u64,
     /// Bytes stored across all strips.
-    pub physical_bytes: u64,
+    pub(crate) physical_bytes: u64,
     /// Foreground wire bytes (data + coefficient-scaled parity deltas).
-    pub write_wire_bytes: u64,
+    pub(crate) write_wire_bytes: u64,
     /// Wire bytes the single-node rebuild moved.
-    pub rebuild_wire_bytes: u64,
+    pub(crate) rebuild_wire_bytes: u64,
     /// Dense image bytes of the `k` survivor strips read per stripe —
     /// the repair-bandwidth denominator.
-    pub survivor_image_bytes: u64,
+    pub(crate) survivor_image_bytes: u64,
 }
 
 impl EcReport {
     /// `physical / logical` — 1.5 at `k = 4, m = 2`.
-    pub fn storage_overhead(&self) -> f64 {
+    pub(crate) fn storage_overhead(&self) -> f64 {
         self.physical_bytes as f64 / self.logical_bytes as f64
     }
 
     /// What a 3-way mirror of the same volume stores, relative to
     /// logical bytes.
-    pub fn mirror_overhead(&self) -> f64 {
+    pub(crate) fn mirror_overhead(&self) -> f64 {
         3.0
     }
 
     /// `rebuild wire bytes / survivor image bytes` — bounded by 1.25.
-    pub fn repair_ratio(&self) -> f64 {
+    pub(crate) fn repair_ratio(&self) -> f64 {
         self.rebuild_wire_bytes as f64 / self.survivor_image_bytes.max(1) as f64
     }
 }

@@ -1,55 +1,11 @@
-//! Measured micro-kernel experiment: batch-aware sealing versus the
-//! per-frame byte-at-a-time sealing it replaced — and the reference
-//! kernels (byte-wise XOR, GF(256) multiply-accumulate and CRC32C, the
-//! table-per-call LZSS) the criterion series compare the library's
-//! against.
-//!
-//! The criterion series in `benches/kernels.rs` plots the full width
-//! sweep; this module is the self-checking form — a wall-clock
-//! comparison over identical payloads whose `>= 2x` claim runs in the
-//! release test suite (`cargo test --release`).
-
-use std::fmt;
-use std::time::Instant;
+//! The reference kernels (byte-wise XOR, GF(256) multiply-accumulate
+//! and CRC32C, the table-per-call LZSS) the criterion series in
+//! `benches/kernels.rs` compare the library's against, and the
+//! heavy-tail writes those series encode. The tests below check each
+//! reference against the library kernel it stands in for.
 
 use prins_ec::MulTable;
 use prins_parity::{decode_varint, encode_varint};
-use prins_repl::{seal_batch_frame_into, SEAL_TAG};
-
-/// Wall-clock comparison of sealing one batch of payloads.
-#[derive(Clone, Debug)]
-pub struct SealMeasurement {
-    /// Payloads per batch frame.
-    pub frames: usize,
-    /// Total payload bytes sealed per iteration.
-    pub payload_bytes: usize,
-    /// Best-of-N nanos for the per-frame byte-at-a-time baseline.
-    pub per_frame_scalar_nanos: u64,
-    /// Best-of-N nanos for one batch-sealing pass (the library's
-    /// `crc32c`).
-    pub batch_nanos: u64,
-}
-
-impl SealMeasurement {
-    /// How many times faster the batch-seal pass is.
-    pub fn speedup(&self) -> f64 {
-        self.per_frame_scalar_nanos as f64 / (self.batch_nanos.max(1)) as f64
-    }
-}
-
-impl fmt::Display for SealMeasurement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seal {} x {} B: per-frame scalar {} ns, batch {} ns ({:.2}x)",
-            self.frames,
-            self.payload_bytes / self.frames.max(1),
-            self.per_frame_scalar_nanos,
-            self.batch_nanos,
-            self.speedup()
-        )
-    }
-}
 
 /// Byte-at-a-time XOR: the baseline of the criterion
 /// `kernels/xor_in_place` series against [`prins_parity::xor_in_place`].
@@ -249,56 +205,6 @@ pub fn heavy_tail_writes() -> [(&'static str, Vec<u8>, Vec<u8>); 2] {
     ]
 }
 
-/// The sealing the sender lanes performed before batch-aware sealing:
-/// one envelope per payload, checksummed byte-at-a-time.
-fn seal_per_frame_scalar(epoch: u64, payloads: &[Vec<u8>], out: &mut Vec<u8>) {
-    for inner in payloads {
-        out.push(SEAL_TAG);
-        encode_varint(out, epoch);
-        let crc = crc32c_scalar_append(crc32c_scalar(&epoch.to_le_bytes()), inner);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.extend_from_slice(inner);
-    }
-}
-
-fn best_of(iters: u32, mut run: impl FnMut()) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
-        run();
-        best = best.min(t0.elapsed().as_nanos() as u64);
-    }
-    best
-}
-
-/// Seals `frames` 4 KB payloads both ways and returns the timings.
-pub fn seal_experiment(frames: usize, iters: u32) -> SealMeasurement {
-    let payloads: Vec<Vec<u8>> = (0..frames)
-        .map(|i| {
-            (0..4096usize)
-                .map(|j| (i as u8).wrapping_mul(31).wrapping_add(j as u8))
-                .collect()
-        })
-        .collect();
-    let payload_bytes = payloads.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(payload_bytes + 16 * frames);
-
-    let per_frame_scalar_nanos = best_of(iters, || {
-        out.clear();
-        seal_per_frame_scalar(1, &payloads, &mut out);
-    });
-    let batch_nanos = best_of(iters, || {
-        out.clear();
-        seal_batch_frame_into(1, &payloads, &mut out);
-    });
-    SealMeasurement {
-        frames,
-        payload_bytes,
-        per_frame_scalar_nanos,
-        batch_nanos,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,23 +287,5 @@ mod tests {
                 "{name}: {shipped} bytes a write"
             );
         }
-    }
-
-    #[test]
-    fn measurement_reports_both_sides() {
-        let m = seal_experiment(8, 3);
-        assert_eq!(m.frames, 8);
-        assert_eq!(m.payload_bytes, 8 * 4096);
-        assert!(m.per_frame_scalar_nanos > 0 && m.batch_nanos > 0);
-        assert!(m.to_string().contains("batch"));
-    }
-
-    // Wall-clock assertion: meaningless under an unoptimized build, so
-    // it only runs in the release suite.
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn batch_seal_beats_per_frame_scalar_by_2x() {
-        let m = seal_experiment(32, 20);
-        assert!(m.speedup() >= 2.0, "batch seal must be >=2x: {m}");
     }
 }

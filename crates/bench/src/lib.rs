@@ -5,7 +5,7 @@
 //! at one block size, streams every block write through the three
 //! replication strategies (plus the PRINS+LZSS ablation), and accumulates
 //! the payload and wire bytes each strategy would put on the network —
-//! exactly the quantity Figures 4–7 plot. [`figures`] assembles those
+//! exactly the quantity Figures 4–7 plot. The `fig*` functions assemble those
 //! measurements (and the queueing models of `prins-queueing`) into the
 //! paper's figures; the `figures` binary prints them.
 //!
@@ -27,6 +27,8 @@
 //! assert!(prins * 2 < trad, "PRINS must beat traditional");
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod adaptive;
 mod ec;
 mod figures;
@@ -37,7 +39,7 @@ mod scale;
 mod tailtrace;
 mod traffic;
 
-pub use adaptive::{adaptive_figure, measure_adaptive, AdaptiveMeasurement};
+pub use adaptive::adaptive_figure;
 pub use ec::{ec_experiment, EcReport};
 pub use figures::{
     fig10_router_saturation, fig4_tpcc_oracle, fig5_tpcc_postgres, fig6_tpcw, fig7_fs_micro,
@@ -46,7 +48,7 @@ pub use figures::{
 };
 pub use kernels::{
     crc32c_scalar, gf_mul_xor_scalar, heavy_tail_writes, lzss_compress_reference,
-    lzss_decompress_reference, seal_experiment, xor_scalar, SealMeasurement,
+    lzss_decompress_reference, xor_scalar,
 };
 pub use obs::obs_experiment;
 pub use resync::{resync_experiment, resync_figure, ResyncMeasurement};

@@ -18,14 +18,13 @@ use prins_net::{channel_pair, FaultTransport, LinkModel};
 use prins_repl::{run_replica, verify_consistent};
 use prins_workloads::{capture_trace, Workload, WriteTrace};
 
+use crate::figures::FigureTable;
 use crate::traffic::{trace_writes, TraceStream};
-use crate::{FigureTable, TrafficConfig};
+use crate::TrafficConfig;
 
 /// Result of one outage + resync run.
 #[derive(Clone, Debug)]
 pub struct ResyncMeasurement {
-    /// Trace writes the replica missed while down.
-    pub outage_writes: usize,
     /// Distinct blocks dirtied by the outage (at rejoin time).
     pub dirty_blocks: usize,
     /// Blocks in the replayed volume (the highest LBA the trace
@@ -33,8 +32,6 @@ pub struct ResyncMeasurement {
     pub volume_blocks: u64,
     /// Payload bytes sent as resync traffic.
     pub resync_bytes: u64,
-    /// Payload bytes sent as foreground replication around the outage.
-    pub foreground_bytes: u64,
     /// Whether the replica image matched the primary after the run.
     pub consistent: bool,
 }
@@ -122,11 +119,9 @@ pub fn resync_experiment(
     worker.join().expect("replica worker")?;
 
     Ok(ResyncMeasurement {
-        outage_writes: outage_end - outage_start,
         dirty_blocks,
         volume_blocks: num_blocks,
         resync_bytes: status.resync_bytes,
-        foreground_bytes: status.foreground_bytes,
         consistent,
     })
 }
@@ -217,7 +212,6 @@ mod tests {
         assert!(m.consistent);
         assert_eq!(m.resync_bytes, 0);
         assert_eq!(m.dirty_blocks, 0);
-        assert!(m.foreground_bytes > 0);
     }
 
     #[test]
@@ -226,7 +220,6 @@ mod tests {
         let start = trace.len() / 2;
         let m = resync_experiment(&trace, start, trace.len()).unwrap();
         assert!(m.consistent);
-        assert_eq!(m.outage_writes, trace.len() - start);
         assert!(m.resync_bytes > 0);
     }
 

@@ -35,36 +35,36 @@ use prins_repl::ReplError;
 #[derive(Clone, Debug)]
 pub struct ScaleCurve {
     /// Replica groups (shards) sharing the volume.
-    pub groups: usize,
+    pub(crate) groups: usize,
     /// In-sync replicas per group serving reads.
-    pub replicas: usize,
+    pub(crate) replicas: usize,
     /// `(tenants, reads/s)` from MVA on the *measured* demands.
-    pub throughput: Vec<(u32, f64)>,
+    pub(crate) throughput: Vec<(u32, f64)>,
     /// `(tenants, reads/s)` from MVA on the *ideal* uniform split —
     /// the prediction the measured curve is compared against.
-    pub predicted: Vec<(u32, f64)>,
+    pub(crate) predicted: Vec<(u32, f64)>,
 }
 
 /// Result of the scale-out read-serving experiment.
 #[derive(Clone, Debug)]
 pub struct ScaleReport {
     /// Offloaded reads measured on the real path.
-    pub reads: u64,
+    pub(crate) reads: u64,
     /// Mean wall-clock service time of one offloaded read (seconds).
-    pub read_service_s: f64,
+    pub(crate) read_service_s: f64,
     /// Measured fraction of reads each replica served.
-    pub offload_shares: Vec<f64>,
+    pub(crate) offload_shares: Vec<f64>,
     /// Offload rejections observed — must be 0 on a healthy cluster.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Tenant populations the sweep solved.
-    pub tenants: Vec<u32>,
+    pub(crate) tenants: Vec<u32>,
     /// One curve per swept `groups × replicas` configuration.
-    pub curves: Vec<ScaleCurve>,
+    pub(crate) curves: Vec<ScaleCurve>,
 }
 
 impl ScaleReport {
     /// Measured-demand throughput at one sweep point, if swept.
-    pub fn throughput(&self, tenants: u32, groups: usize, replicas: usize) -> Option<f64> {
+    pub(crate) fn throughput(&self, tenants: u32, groups: usize, replicas: usize) -> Option<f64> {
         self.curves
             .iter()
             .find(|c| c.groups == groups && c.replicas == replicas)?
@@ -77,7 +77,7 @@ impl ScaleReport {
     /// Read-throughput gain of three in-sync replicas over primary-only
     /// serving (one group, largest swept tenant count). Near-linear
     /// scaling puts this close to 3.
-    pub fn replica_speedup(&self) -> f64 {
+    pub(crate) fn replica_speedup(&self) -> f64 {
         let n = *self.tenants.last().expect("sweep is non-empty");
         let three = self.throughput(n, 1, 3).expect("1x3 swept");
         let one = self.throughput(n, 1, 1).expect("1x1 swept");
@@ -86,7 +86,7 @@ impl ScaleReport {
 
     /// Largest relative deviation of the measured-demand curves from
     /// the ideal uniform-split MVA prediction, over every sweep point.
-    pub fn prediction_deviation(&self) -> f64 {
+    pub(crate) fn prediction_deviation(&self) -> f64 {
         let mut worst = 0.0f64;
         for c in &self.curves {
             for ((_, x), (_, p)) in c.throughput.iter().zip(&c.predicted) {

@@ -34,14 +34,14 @@ pub struct TailTraceReport {
     /// The engine's trace sink after the run completed.
     pub sink: Arc<TraceSink>,
     /// Index of the 10x-slow lane.
-    pub slow_lane: usize,
+    pub(crate) slow_lane: usize,
 }
 
 impl TailTraceReport {
     /// Total above-p99 virtual nanoseconds attributed across every
     /// (stage, lane) cell.
     #[must_use]
-    pub fn tail_total_nanos(&self) -> u64 {
+    pub(crate) fn tail_total_nanos(&self) -> u64 {
         (0..LANE_BUCKETS)
             .map(|b| self.sink.tail_bucket_nanos(b))
             .sum()
@@ -50,7 +50,7 @@ impl TailTraceReport {
     /// Share (in permille) of all above-p99 time charged to the slow
     /// lane, whatever the stage.
     #[must_use]
-    pub fn slow_lane_share_permille(&self) -> u64 {
+    pub(crate) fn slow_lane_share_permille(&self) -> u64 {
         let total = self.tail_total_nanos();
         if total == 0 {
             return 0;

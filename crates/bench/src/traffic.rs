@@ -12,15 +12,15 @@ use prins_workloads::{run, RunConfig, RunReport, Workload, WorkloadError, WriteT
 #[derive(Clone, Copy, Debug)]
 pub struct TrafficConfig {
     /// Block size under test (the x-axis of Figures 4–7).
-    pub block_size: BlockSize,
+    pub(crate) block_size: BlockSize,
     /// Measured operations (transactions / interactions / tar rounds).
     pub ops: usize,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Whether to use the laptop-scale bench databases (vs smoke).
-    pub bench_scale: bool,
+    pub(crate) bench_scale: bool,
     /// Include the PRINS+LZSS ablation strategy.
-    pub include_ablation: bool,
+    pub(crate) include_ablation: bool,
 }
 
 impl TrafficConfig {
@@ -63,12 +63,12 @@ impl TrafficConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ModeTraffic {
     /// Sum of encoded payload sizes (what the paper's bar charts show).
-    pub payload_bytes: u64,
+    pub(crate) payload_bytes: u64,
     /// Payload plus per-packet protocol headers on the paper's link
     /// model (1.5 KB MTU + 112 B headers).
-    pub wire_bytes: u64,
+    pub(crate) wire_bytes: u64,
     /// Number of replicated writes.
-    pub writes: u64,
+    pub(crate) writes: u64,
 }
 
 impl ModeTraffic {
@@ -85,12 +85,8 @@ impl ModeTraffic {
 /// Result of one workload × block-size measurement.
 #[derive(Clone, Debug)]
 pub struct TrafficMeasurement {
-    /// Workload that ran.
-    pub workload: Workload,
-    /// Block size used.
-    pub block_size: BlockSize,
     /// Traffic per strategy, in [`ReplicationMode`] order as configured.
-    pub per_mode: Vec<(ReplicationMode, ModeTraffic)>,
+    pub(crate) per_mode: Vec<(ReplicationMode, ModeTraffic)>,
     /// The underlying workload report (writes, change ratios, timing).
     pub report: RunReport,
 }
@@ -164,8 +160,6 @@ pub fn measure_traffic(
         .into_inner()
         .expect("traffic mutex");
     Ok(TrafficMeasurement {
-        workload,
-        block_size: config.block_size,
         per_mode: modes.into_iter().zip(totals).collect(),
         report,
     })

@@ -1,7 +1,6 @@
 //! Fault-injecting device wrapper for failure and recovery tests.
 
 use parking_lot::Mutex;
-use std::collections::HashSet;
 
 use crate::{BlockDevice, BlockError, Geometry, Lba, Result};
 
@@ -29,11 +28,6 @@ pub enum FaultKind {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     kind: Option<FaultKind>,
-    bad_lbas: HashSet<u64>,
-    /// Fail after this many more operations (countdown), if set.
-    fuse: Option<u64>,
-    /// Apply the fault to at most this many operations, then go healthy.
-    limit: Option<u64>,
 }
 
 impl FaultPlan {
@@ -44,37 +38,7 @@ impl FaultPlan {
 
     /// A plan that fails according to `kind` for every LBA.
     pub fn always(kind: FaultKind) -> Self {
-        Self {
-            kind: Some(kind),
-            ..Self::default()
-        }
-    }
-
-    /// Restricts the failure to the given addresses (e.g. a bad-sector
-    /// scenario). No restriction means all addresses fail.
-    pub fn only_lbas<I: IntoIterator<Item = Lba>>(mut self, lbas: I) -> Self {
-        self.bad_lbas = lbas.into_iter().map(|l| l.index()).collect();
-        self
-    }
-
-    /// Arms a fuse: the device stays healthy for `ops` more operations and
-    /// then starts failing. Models a disk dying mid-run.
-    pub fn after_ops(mut self, ops: u64) -> Self {
-        self.fuse = Some(ops);
-        self
-    }
-
-    /// Bounds the fault to at most `ops` affected operations, after which
-    /// the device behaves healthily again. Models a transient glitch (a
-    /// few corrupted writes) rather than a permanently bad device, so
-    /// repair paths can converge.
-    pub fn for_ops(mut self, ops: u64) -> Self {
-        self.limit = Some(ops);
-        self
-    }
-
-    fn applies_to(&self, lba: Lba) -> bool {
-        self.bad_lbas.is_empty() || self.bad_lbas.contains(&lba.index())
+        Self { kind: Some(kind) }
     }
 }
 
@@ -110,27 +74,12 @@ impl<D: BlockDevice> FaultDevice<D> {
         *self.plan.lock() = plan;
     }
 
-    /// Gives access to the wrapped device (bypasses fault injection).
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Decides whether the next operation at `lba` should fail with
-    /// `kind`-relevant behaviour. Burns the fuse if armed.
+    /// Decides whether an operation at `lba` should fail with
+    /// `kind`-relevant behaviour.
     fn check(&self, lba: Lba, is_read: bool) -> Result<Option<FaultKind>> {
-        let mut plan = self.plan.lock();
-        if let Some(fuse) = plan.fuse.as_mut() {
-            if *fuse > 0 {
-                *fuse -= 1;
-                return Ok(None);
-            }
-        }
-        let Some(kind) = plan.kind else {
+        let Some(kind) = self.plan.lock().kind else {
             return Ok(None);
         };
-        if !plan.applies_to(lba) {
-            return Ok(None);
-        }
         let applies = match kind {
             FaultKind::FailReads | FaultKind::CorruptReads => is_read,
             FaultKind::FailWrites | FaultKind::CorruptWrites => !is_read,
@@ -138,12 +87,6 @@ impl<D: BlockDevice> FaultDevice<D> {
         };
         if !applies {
             return Ok(None);
-        }
-        if let Some(limit) = plan.limit.as_mut() {
-            if *limit == 0 {
-                return Ok(None);
-            }
-            *limit -= 1;
         }
         match kind {
             FaultKind::CorruptReads | FaultKind::CorruptWrites => Ok(Some(kind)),
@@ -229,23 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_lbas_limit_the_blast_radius() {
-        let d = dev();
-        d.set_plan(FaultPlan::always(FaultKind::FailAll).only_lbas([Lba(3)]));
-        assert!(d.read_block_vec(Lba(2)).is_ok());
-        assert!(d.read_block_vec(Lba(3)).is_err());
-    }
-
-    #[test]
-    fn fuse_delays_the_failure() {
-        let d = dev();
-        d.set_plan(FaultPlan::always(FaultKind::FailAll).after_ops(2));
-        assert!(d.read_block_vec(Lba(0)).is_ok());
-        assert!(d.read_block_vec(Lba(0)).is_ok());
-        assert!(d.read_block_vec(Lba(0)).is_err());
-    }
-
-    #[test]
     fn corrupt_reads_flip_bits_silently() {
         let d = dev();
         d.write_block(Lba(2), &vec![0u8; 4096]).unwrap();
@@ -267,25 +193,5 @@ mod tests {
         // Rewriting under a healthy plan heals the block.
         d.write_block(Lba(5), &vec![0u8; 4096]).unwrap();
         assert_eq!(d.read_block_vec(Lba(5)).unwrap(), vec![0u8; 4096]);
-    }
-
-    #[test]
-    fn for_ops_bounds_the_fault() {
-        let d = dev();
-        d.write_block(Lba(0), &vec![0u8; 4096]).unwrap();
-        d.set_plan(FaultPlan::always(FaultKind::CorruptWrites).for_ops(1));
-        d.write_block(Lba(1), &vec![0u8; 4096]).unwrap();
-        d.write_block(Lba(2), &vec![0u8; 4096]).unwrap();
-        let corrupted = |lba| {
-            d.read_block_vec(lba)
-                .unwrap()
-                .iter()
-                .filter(|&&b| b != 0)
-                .count()
-        };
-        assert_eq!(corrupted(Lba(1)), 1);
-        assert_eq!(corrupted(Lba(2)), 0);
-        // Reads never burned the limit.
-        assert_eq!(corrupted(Lba(0)), 0);
     }
 }

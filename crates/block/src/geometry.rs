@@ -59,12 +59,12 @@ impl BlockSize {
     }
 
     /// 16 KB blocks.
-    pub const fn kb16() -> Self {
+    pub(crate) const fn kb16() -> Self {
         Self(16 * 1024)
     }
 
     /// 32 KB blocks.
-    pub const fn kb32() -> Self {
+    pub(crate) const fn kb32() -> Self {
         Self(32 * 1024)
     }
 
@@ -84,7 +84,7 @@ impl BlockSize {
     }
 
     /// log2 of the size; exact because the size is a power of two.
-    pub const fn log2(self) -> u32 {
+    pub(crate) const fn log2(self) -> u32 {
         self.0.trailing_zeros()
     }
 
@@ -159,12 +159,12 @@ impl Lba {
     ///
     /// Panics on `u64` overflow, which would indicate a corrupted address
     /// computation rather than a recoverable condition.
-    pub fn offset(self, n: u64) -> Lba {
+    pub(crate) fn offset(self, n: u64) -> Lba {
         Lba(self.0.checked_add(n).expect("LBA overflow"))
     }
 
     /// Byte offset of this block on a device with the given block size.
-    pub fn byte_offset(self, bs: BlockSize) -> u64 {
+    pub(crate) fn byte_offset(self, bs: BlockSize) -> u64 {
         self.0 << bs.log2()
     }
 }
@@ -198,14 +198,11 @@ impl From<Lba> for u64 {
 /// # Example
 ///
 /// ```
-/// use prins_block::{Lba, LbaRange};
+/// use prins_block::{BlockSize, Geometry, Lba};
 ///
-/// let r = LbaRange::new(Lba(10), Lba(13));
-/// assert_eq!(r.len(), 3);
-/// assert!(r.contains(Lba(12)));
-/// assert!(!r.contains(Lba(13)));
+/// let r = Geometry::new(BlockSize::kb4(), 3).range();
 /// let collected: Vec<_> = r.iter().collect();
-/// assert_eq!(collected, vec![Lba(10), Lba(11), Lba(12)]);
+/// assert_eq!(collected, vec![Lba(0), Lba(1), Lba(2)]);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LbaRange {
@@ -219,39 +216,14 @@ impl LbaRange {
     /// # Panics
     ///
     /// Panics if `start > end`.
-    pub fn new(start: Lba, end: Lba) -> Self {
+    pub(crate) fn new(start: Lba, end: Lba) -> Self {
         assert!(start <= end, "LbaRange start {start} after end {end}");
         Self { start, end }
     }
 
     /// Range covering `count` blocks starting at `start`.
-    pub fn with_len(start: Lba, count: u64) -> Self {
+    pub(crate) fn with_len(start: Lba, count: u64) -> Self {
         Self::new(start, start.offset(count))
-    }
-
-    /// First address in the range.
-    pub const fn start(self) -> Lba {
-        self.start
-    }
-
-    /// One past the last address in the range.
-    pub const fn end(self) -> Lba {
-        self.end
-    }
-
-    /// Number of blocks in the range.
-    pub const fn len(self) -> u64 {
-        self.end.0 - self.start.0
-    }
-
-    /// Whether the range is empty.
-    pub const fn is_empty(self) -> bool {
-        self.start.0 == self.end.0
-    }
-
-    /// Whether `lba` falls inside the range.
-    pub fn contains(self, lba: Lba) -> bool {
-        self.start <= lba && lba < self.end
     }
 
     /// Iterates over every address in the range.
@@ -287,7 +259,7 @@ impl Geometry {
     }
 
     /// Capacity in bytes.
-    pub const fn capacity_bytes(self) -> u64 {
+    pub(crate) const fn capacity_bytes(self) -> u64 {
         self.num_blocks * self.block_size.bytes() as u64
     }
 
@@ -383,15 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn range_iteration_and_membership() {
+    fn range_iterates_its_addresses() {
         let r = LbaRange::with_len(Lba(5), 4);
-        assert_eq!(r.len(), 4);
-        assert!(!r.is_empty());
-        assert!(r.contains(Lba(5)));
-        assert!(r.contains(Lba(8)));
-        assert!(!r.contains(Lba(9)));
-        assert_eq!(r.iter().count(), 4);
-        assert!(LbaRange::new(Lba(2), Lba(2)).is_empty());
+        assert_eq!(
+            r.iter().collect::<Vec<_>>(),
+            [Lba(5), Lba(6), Lba(7), Lba(8)]
+        );
+        assert_eq!(LbaRange::new(Lba(2), Lba(2)).iter().count(), 0);
     }
 
     #[test]
@@ -414,6 +384,6 @@ mod tests {
             g.check_buf(&[0u8; 100]),
             Err(BlockError::BufferSize { .. })
         ));
-        assert_eq!(g.range().len(), 10);
+        assert_eq!(g.range().iter().count(), 10);
     }
 }

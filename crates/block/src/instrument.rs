@@ -20,12 +20,12 @@ pub struct IoStats {
     /// Number of completed block writes.
     pub writes: u64,
     /// Bytes read.
-    pub bytes_read: u64,
+    pub(crate) bytes_read: u64,
     /// Bytes written.
     pub bytes_written: u64,
     /// Writes that left the block bit-identical (the application rewrote
     /// the same contents). PRINS sends almost nothing for these.
-    pub unchanged_writes: u64,
+    pub(crate) unchanged_writes: u64,
 }
 
 /// Callback invoked for every write with `(seq, lba, old, new)`.
@@ -117,16 +117,6 @@ impl<D: BlockDevice> InstrumentedDevice<D> {
     /// Removes the observer, returning it if one was installed.
     pub fn clear_observer(&self) -> Option<WriteObserver> {
         self.observer.lock().take()
-    }
-
-    /// Gives access to the wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Unwraps the instrumentation, returning the inner device.
-    pub fn into_inner(self) -> D {
-        self.inner
     }
 }
 
@@ -235,11 +225,6 @@ mod tests {
     fn writes_pass_through_to_inner_device() {
         let d = dev();
         d.write_block(Lba(5), &vec![0x42u8; 4096]).unwrap();
-        assert_eq!(
-            d.inner().read_block_vec(Lba(5)).unwrap(),
-            vec![0x42u8; 4096]
-        );
-        let inner = d.into_inner();
-        assert_eq!(inner.read_block_vec(Lba(5)).unwrap(), vec![0x42u8; 4096]);
+        assert_eq!(d.inner.read_block_vec(Lba(5)).unwrap(), vec![0x42u8; 4096]);
     }
 }

@@ -37,6 +37,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod checksum;
 mod device;

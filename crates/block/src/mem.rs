@@ -23,7 +23,7 @@ use crate::{BlockDevice, BlockSize, Geometry, Lba, Result};
 ///
 /// # fn main() -> Result<(), prins_block::BlockError> {
 /// let dev = MemDevice::new(BlockSize::kb8(), 32);
-/// assert_eq!(dev.geometry().capacity_bytes(), 32 * 8192);
+/// assert_eq!(dev.geometry().num_blocks(), 32);
 /// // Fresh devices read back as zeros.
 /// assert!(dev.read_block_vec(Lba(31))?.iter().all(|&b| b == 0));
 /// # Ok(())

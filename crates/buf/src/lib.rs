@@ -15,9 +15,9 @@
 //!   that returns to its freelist on drop. `vec_mut()` exposes the
 //!   inner `Vec` so existing serializers (`encode_varint`,
 //!   `extend_from_slice`, …) work unchanged.
-//! * [`PooledBytes`] — the frozen, ref-counted form: cheap `Clone` and
-//!   sub-slicing for fan-out to many sender lanes, with the underlying
-//!   slab returning to the pool when the last reference drops.
+//! * [`PooledBytes`] — the frozen, ref-counted form: cheap `Clone` for
+//!   fan-out to many sender lanes, with the underlying slab returning to
+//!   the pool when the last reference drops.
 //!
 //! Statistics (hits, misses, in-use, high-water mark) are plain
 //! atomics, cheap enough to keep on in production and deterministic
@@ -29,6 +29,8 @@
 //! out buffers always start empty (length 0, class capacity retained);
 //! the pool never memsets recycled memory — stale bytes sit beyond the
 //! length and are unreachable until overwritten.
+
+#![warn(unreachable_pub)]
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,7 +52,7 @@ pub struct PoolStats {
     pub in_use_hwm: u64,
     /// `get` calls larger than every size class (always heap-allocated,
     /// never recycled; a subset of `misses`).
-    pub oversized: u64,
+    pub(crate) oversized: u64,
 }
 
 impl PoolStats {
@@ -105,7 +107,7 @@ impl BufPool {
     /// Creates a pool with the given size classes (deduplicated and
     /// sorted ascending; zero-sized classes are dropped). Each class
     /// retains up to `max_per_class` recycled buffers.
-    pub fn new(classes: &[usize], max_per_class: usize) -> Self {
+    pub(crate) fn new(classes: &[usize], max_per_class: usize) -> Self {
         let mut classes: Vec<usize> = classes.iter().copied().filter(|&c| c > 0).collect();
         classes.sort_unstable();
         classes.dedup();
@@ -186,11 +188,6 @@ impl BufPool {
             oversized: inner.oversized.load(Ordering::Relaxed),
         }
     }
-
-    /// The configured size classes, ascending.
-    pub fn classes(&self) -> &[usize] {
-        &self.inner.classes
-    }
 }
 
 impl std::fmt::Debug for BufPool {
@@ -242,11 +239,8 @@ impl PooledBuf {
     /// the pooled path; the slab itself still recycles when the last
     /// [`PooledBytes`] drops.
     pub fn freeze(self) -> PooledBytes {
-        let end = self.vec.len();
         PooledBytes {
             buf: Arc::new(self),
-            start: 0,
-            end,
         }
     }
 }
@@ -282,43 +276,19 @@ impl std::fmt::Debug for PooledBuf {
     }
 }
 
-/// Immutable, ref-counted view into a frozen [`PooledBuf`]. Clones and
-/// [`slice`](Self::slice) share the same slab; the slab returns to the
-/// pool when the last view drops.
+/// Immutable, ref-counted view of a frozen [`PooledBuf`]. Clones share
+/// the same slab; the slab returns to the pool when the last clone
+/// drops.
 #[derive(Clone)]
 pub struct PooledBytes {
     buf: Arc<PooledBuf>,
-    start: usize,
-    end: usize,
-}
-
-impl PooledBytes {
-    /// A sub-view of this view (no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds this view's length.
-    pub fn slice(&self, start: usize, end: usize) -> PooledBytes {
-        assert!(start <= end && self.start + end <= self.end, "slice range");
-        PooledBytes {
-            buf: Arc::clone(&self.buf),
-            start: self.start + start,
-            end: self.start + end,
-        }
-    }
-
-    /// Length of this view.
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
 }
 
 impl Deref for PooledBytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.buf[self.start..self.end]
+        &self.buf
     }
 }
 
@@ -344,7 +314,7 @@ mod tests {
     #[test]
     fn get_picks_smallest_fitting_class() {
         let pool = BufPool::new(&[64, 4096, 256], 8);
-        assert_eq!(pool.classes(), &[64, 256, 4096]);
+        assert_eq!(pool.inner.classes, [64, 256, 4096]);
         assert!(pool.get(1).vec.capacity() >= 64);
         assert!(pool.get(64).vec.capacity() >= 64);
         assert!(pool.get(65).vec.capacity() >= 256);
@@ -401,23 +371,17 @@ mod tests {
     }
 
     #[test]
-    fn freeze_shares_one_slab_across_clones_and_slices() {
+    fn freeze_shares_one_slab_across_clones() {
         let pool = BufPool::new(&[64], 8);
         let mut b = pool.get(64);
         b.copy_from(b"0123456789");
         let frozen = b.freeze();
         assert_eq!(pool.stats().in_use, 1, "frozen buffer is still in use");
         let clone = frozen.clone();
-        let mid = frozen.slice(2, 6);
-        assert_eq!(&*mid, b"2345");
-        assert_eq!(mid.len(), 4);
-        let nested = mid.slice(1, 3);
-        assert_eq!(&*nested, b"34");
+        assert_eq!(&*clone, b"0123456789");
         drop(frozen);
-        drop(mid);
         assert_eq!(pool.stats().in_use, 1, "clone still holds the slab");
         drop(clone);
-        drop(nested);
         let stats = pool.stats();
         assert_eq!(stats.in_use, 0);
         // And the slab actually recycled (checked out empty again).
@@ -484,28 +448,6 @@ mod tests {
     }
 
     proptest! {
-        /// Frozen views always read back exactly the frozen content,
-        /// through arbitrary slicing.
-        #[test]
-        fn prop_freeze_slice_identity(
-            data in proptest::collection::vec(any::<u8>(), 0..256),
-            cuts in proptest::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 0..8),
-        ) {
-            let pool = BufPool::new(&[64, 256], 4);
-            let mut b = pool.get(data.len());
-            b.copy_from(&data);
-            let frozen = b.freeze();
-            prop_assert_eq!(&*frozen, data.as_slice());
-            for (a, z) in cuts {
-                let (mut a, mut z) = (a.index(data.len() + 1), z.index(data.len() + 1));
-                if a > z {
-                    std::mem::swap(&mut a, &mut z);
-                }
-                let view = frozen.slice(a, z);
-                prop_assert_eq!(&*view, &data[a..z]);
-            }
-        }
-
         /// Round-tripping buffers through the pool never corrupts
         /// unrelated checkouts.
         #[test]

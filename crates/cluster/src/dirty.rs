@@ -32,13 +32,13 @@ struct DirtyEntry {
 /// block is [`uncertain`](Self::is_uncertain), in which case the
 /// replica's state within the chain is unknown.
 #[derive(Clone, Debug, Default)]
-pub struct DirtyMap {
+pub(crate) struct DirtyMap {
     blocks: BTreeMap<u64, DirtyEntry>,
 }
 
 impl DirtyMap {
     /// Creates an empty map (replica fully caught up).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -46,7 +46,7 @@ impl DirtyMap {
     /// `seq` to `lba` — the write was *never delivered* (skipped or
     /// deferred). Keeps the earliest miss if already dirty; an existing
     /// uncertain flag is preserved.
-    pub fn mark(&mut self, lba: Lba, seq: u64) {
+    pub(crate) fn mark(&mut self, lba: Lba, seq: u64) {
         self.blocks
             .entry(lba.index())
             .and_modify(|e| e.first_missed = e.first_missed.min(seq))
@@ -60,7 +60,7 @@ impl DirtyMap {
     /// sent but its acknowledgement never arrived, so the replica may
     /// or may not have applied it. Parity-log resync must not replay
     /// the chain over such a block (see module docs).
-    pub fn mark_uncertain(&mut self, lba: Lba, seq: u64) {
+    pub(crate) fn mark_uncertain(&mut self, lba: Lba, seq: u64) {
         self.blocks
             .entry(lba.index())
             .and_modify(|e| {
@@ -74,61 +74,42 @@ impl DirtyMap {
     }
 
     /// Whether `lba` has missed writes.
-    pub fn contains(&self, lba: Lba) -> bool {
+    pub(crate) fn contains(&self, lba: Lba) -> bool {
         self.blocks.contains_key(&lba.index())
     }
 
     /// Whether `lba` is dirty with unknown replica-side state (a sent
     /// write whose acknowledgement was lost).
-    pub fn is_uncertain(&self, lba: Lba) -> bool {
+    pub(crate) fn is_uncertain(&self, lba: Lba) -> bool {
         self.blocks.get(&lba.index()).is_some_and(|e| e.uncertain)
     }
 
     /// The first missed sequence number for `lba`, if dirty.
-    pub fn missed_from(&self, lba: Lba) -> Option<u64> {
+    pub(crate) fn missed_from(&self, lba: Lba) -> Option<u64> {
         self.blocks.get(&lba.index()).map(|e| e.first_missed)
     }
 
     /// Clears one block (it has been resynced).
-    pub fn clear(&mut self, lba: Lba) {
+    pub(crate) fn clear(&mut self, lba: Lba) {
         self.blocks.remove(&lba.index());
     }
 
     /// Clears everything (full resync completed).
-    pub fn clear_all(&mut self) {
+    pub(crate) fn clear_all(&mut self) {
         self.blocks.clear();
     }
 
     /// Number of dirty blocks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Whether the replica is fully caught up.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
     }
 
     /// Dirty blocks in ascending LBA order with their first-missed
     /// sequence numbers.
-    pub fn iter(&self) -> impl Iterator<Item = (Lba, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Lba, u64)> + '_ {
         self.blocks
             .iter()
             .map(|(&lba, e)| (Lba(lba), e.first_missed))
-    }
-
-    /// Coalesced `[start, end)` runs of dirty LBAs — the compact
-    /// interval view (a 5-minute outage under a sequential workload is
-    /// a handful of intervals, not thousands of entries).
-    pub fn intervals(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        for &lba in self.blocks.keys() {
-            match out.last_mut() {
-                Some((_, end)) if *end == lba => *end = lba + 1,
-                _ => out.push((lba, lba + 1)),
-            }
-        }
-        out
     }
 }
 
@@ -149,7 +130,7 @@ mod tests {
     #[test]
     fn clear_and_contains() {
         let mut d = DirtyMap::new();
-        assert!(d.is_empty());
+        assert_eq!(d.len(), 0);
         d.mark(Lba(1), 1);
         d.mark(Lba(2), 2);
         assert!(d.contains(Lba(1)));
@@ -157,7 +138,7 @@ mod tests {
         assert!(!d.contains(Lba(1)));
         assert_eq!(d.len(), 1);
         d.clear_all();
-        assert!(d.is_empty());
+        assert_eq!(d.len(), 0);
     }
 
     #[test]
@@ -197,15 +178,5 @@ mod tests {
         d.mark_uncertain(Lba(4), 3);
         assert_eq!(d.missed_from(Lba(4)), Some(3));
         assert!(d.is_uncertain(Lba(4)));
-    }
-
-    #[test]
-    fn intervals_coalesce_runs() {
-        let mut d = DirtyMap::new();
-        for lba in [0u64, 1, 2, 5, 7, 8] {
-            d.mark(Lba(lba), 1);
-        }
-        assert_eq!(d.intervals(), vec![(0, 3), (5, 6), (7, 9)]);
-        assert!(DirtyMap::new().intervals().is_empty());
     }
 }

@@ -28,8 +28,8 @@
 //! reconstructs the lost strip, and the replacement receives it as a
 //! coefficient-1 delta over its zeroed disk — also sparse. Wire bytes
 //! per stripe are therefore bounded by roughly `(k + 1)/k` times the
-//! survivors' image bytes, and every byte is counted in
-//! [`EcGroup::rebuild_bytes`] so the bound is testable.
+//! survivors' image bytes, and every byte is counted in the
+//! [`EcRebuildReport`] a rebuild returns so the bound is testable.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -57,7 +57,7 @@ pub struct EcPlacement {
 impl EcPlacement {
     /// Total strips (= nodes) per stripe.
     #[must_use]
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.k + self.m
     }
 
@@ -71,7 +71,7 @@ impl EcPlacement {
     /// The role node `node` plays in stripe `s` — the inverse of
     /// [`node_for`](Self::node_for).
     #[must_use]
-    pub fn role_of(&self, stripe: u64, node: usize) -> usize {
+    pub(crate) fn role_of(&self, stripe: u64, node: usize) -> usize {
         let n = self.n();
         (node + n - (stripe as usize % n)) % n
     }
@@ -152,7 +152,6 @@ pub struct EcGroup<D, C> {
     /// Stripes written while any node was down — the strips a rebuild
     /// must not trust on the replacement.
     dirty_stripes: BTreeSet<u64>,
-    rebuild_bytes: u64,
     probe: Probe,
 }
 
@@ -194,7 +193,6 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             stripes: blocks / k as u64,
             block_size,
             dirty_stripes: BTreeSet::new(),
-            rebuild_bytes: 0,
             probe: Probe::default(),
         }
     }
@@ -213,11 +211,6 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// attribution sees the full k-of-n fan-out of a slow write.
     pub fn attach_tracer(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
         self.probe.trace_into(sink, shard, clock);
-    }
-
-    /// The attached trace sink, if any.
-    pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.probe.trace_sink()
     }
 
     /// The placement map.
@@ -245,11 +238,6 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// 3-way mirror).
     pub fn physical_bytes(&self) -> u64 {
         self.stripes * self.placement.n() as u64 * self.block_size as u64
-    }
-
-    /// Total wire bytes rebuilds have moved.
-    pub fn rebuild_bytes(&self) -> u64 {
-        self.rebuild_bytes
     }
 
     /// Marks node `idx` down: writes stop flowing to its strips (the
@@ -387,7 +375,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// refuses the read (its own media check failed:
     /// [`ReplError::ChecksumMismatch`]). A response stranded from before
     /// the node's current epoch is dropped, never taken for the strip.
-    pub fn fetch_strip(
+    pub(crate) fn fetch_strip(
         &mut self,
         node: usize,
         stripe: u64,
@@ -486,7 +474,6 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
         if !self.nodes.iter().any(|n| n.down) {
             self.dirty_stripes.clear();
         }
-        self.rebuild_bytes += report.wire_bytes;
         self.probe
             .rebuilt(lost, report.stripes, report.wire_bytes, started);
         Ok(report)

@@ -15,8 +15,9 @@ use prins_repl::{
 };
 use prins_trap::{TrapDevice, TrapEntry, TrapLog};
 
+use crate::dirty::DirtyMap;
 use crate::probe::{Plane, Probe, Tagged};
-use crate::{ClusterError, DirtyMap, ReplicaState};
+use crate::{ClusterError, ReplicaState};
 
 /// One frame of a resync plan.
 #[derive(Clone, Debug)]
@@ -99,10 +100,6 @@ pub struct ReplicaStatus {
     pub state: ReplicaState,
     /// Blocks this replica is missing writes for.
     pub dirty_blocks: usize,
-    /// Coalesced dirty `[start, end)` LBA runs.
-    pub dirty_intervals: Vec<(u64, u64)>,
-    /// Resync frames still queued (0 unless resyncing).
-    pub resync_pending: usize,
     /// Payload bytes sent as foreground replication.
     pub foreground_bytes: u64,
     /// Payload bytes sent as resync traffic.
@@ -124,11 +121,11 @@ pub struct ReplicaStatus {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WriteOutcome {
     /// Log sequence number assigned to the write.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Replicas that acknowledged it.
     pub acked: usize,
     /// Replicas that deferred it (dirty block / covered by resync).
-    pub deferred: usize,
+    pub(crate) deferred: usize,
     /// Replicas skipped because they are offline.
     pub skipped: usize,
 }
@@ -149,9 +146,9 @@ pub struct ReadOutcome {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScrubOutcome {
     /// LBAs probed with a digest request.
-    pub probed: usize,
+    pub(crate) probed: usize,
     /// LBAs whose replica digest differed from the primary's image.
-    pub mismatched: usize,
+    pub(crate) mismatched: usize,
     /// Divergent LBAs repaired through the resync path.
     pub repaired: usize,
 }
@@ -196,7 +193,7 @@ impl Default for ClusterConfig {
 /// Unlike `prins-core`'s engine, which surfaces the first replica error
 /// at the next flush, a `ClusterGroup` *degrades*: a failing replica moves
 /// through the [`ReplicaState`] lifecycle, its missed writes are
-/// recorded in a per-replica [`DirtyMap`], and the write succeeds as
+/// recorded in a per-replica dirty map, and the write succeeds as
 /// long as [`ClusterConfig::write_quorum`] replicas acknowledge it.
 /// Each write's parity is computed once: the primary's own
 /// [`TrapLog`] keeps it, the foreground frame ships it, and the log
@@ -249,11 +246,6 @@ impl<D: BlockDevice> ClusterGroup<D> {
         self.probe.observe(Plane::Group, registry, clock);
     }
 
-    /// The attached metrics registry, if any.
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.probe.registry()
-    }
-
     /// Attaches a trace sink: from here on every foreground write (and
     /// every offloaded read) mints a deterministic [`TraceId`] tagged
     /// with `shard` and records its replica fan-out — per-replica send,
@@ -262,13 +254,13 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// cluster-wide tail attribution; `clock` timestamps the hops —
     /// pass the transports' [`SimClock`](prins_net::SimClock) for
     /// deterministic traces under simulation.
-    pub fn attach_tracer(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
+    pub(crate) fn attach_tracer(
+        &mut self,
+        sink: Arc<TraceSink>,
+        shard: u32,
+        clock: Arc<dyn Clock>,
+    ) {
         self.probe.trace_into(sink, shard, clock);
-    }
-
-    /// The attached trace sink, if any.
-    pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.probe.trace_sink()
     }
 
     /// The primary device (wrapped with the parity log).
@@ -305,8 +297,6 @@ impl<D: BlockDevice> ClusterGroup<D> {
         ReplicaStatus {
             state: r.state,
             dirty_blocks: r.dirty.len(),
-            dirty_intervals: r.dirty.intervals(),
-            resync_pending: r.resync_pending(),
             foreground_bytes: r.foreground_bytes,
             resync_bytes: r.resync_bytes,
             scrub_bytes: r.scrub_bytes,
@@ -538,25 +528,11 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// slow link while the shard moved away) answers a frame from an
     /// older epoch and is dropped deterministically instead of being
     /// matched against post-cutover traffic.
-    pub fn bump_epochs(&mut self) {
+    pub(crate) fn bump_epochs(&mut self) {
         self.drain();
         for r in &mut self.replicas {
             r.link.abandon();
         }
-    }
-
-    /// Takes replica `idx` offline (e.g. for planned maintenance).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownReplica`] for a bad index;
-    /// [`ClusterError::InvalidTransition`] if already offline.
-    pub fn mark_offline(&mut self, idx: usize) -> Result<(), ClusterError> {
-        self.check_idx(idx)?;
-        self.drain_replica(idx);
-        self.transition(idx, ReplicaState::Offline)?;
-        self.replicas[idx].resync = None;
-        Ok(())
     }
 
     /// Collects every outstanding foreground acknowledgement — the
@@ -814,7 +790,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
     /// Online (or a pre-scrub drain degraded it); any transport,
     /// block, or resync error aborts the pass with the usual
     /// degradation bookkeeping — a later scrub or rejoin resumes.
-    pub fn scrub_replica(
+    pub(crate) fn scrub_replica(
         &mut self,
         idx: usize,
         lbas: &[Lba],
@@ -868,7 +844,10 @@ impl<D: BlockDevice> ClusterGroup<D> {
     ///
     /// # Errors
     ///
-    /// As [`scrub_replica`](Self::scrub_replica).
+    /// [`ClusterError::InvalidTransition`] if a pre-scrub drain degraded
+    /// a replica; any transport, block, or resync error aborts the pass
+    /// with the usual degradation bookkeeping — a later scrub or rejoin
+    /// resumes.
     pub fn scrub(
         &mut self,
         offset: u64,
@@ -1482,9 +1461,6 @@ mod tests {
             Err(ClusterError::InvalidTransition { .. })
         ));
         assert!(h.cluster.resync_step(0, 4).is_err());
-        // Offline twice is invalid.
-        h.cluster.mark_offline(0).unwrap();
-        assert!(h.cluster.mark_offline(0).is_err());
     }
 
     #[test]

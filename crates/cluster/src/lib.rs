@@ -13,7 +13,7 @@
 //!   once (its TRAP log keeps it, the PRINS frame ships it) and
 //!   *degrades* instead of aborting:
 //!   a failing replica's missed writes are recorded in a per-replica
-//!   [`DirtyMap`] and writes succeed while at least
+//!   dirty map and writes succeed while at least
 //!   [`ClusterConfig::write_quorum`] replicas acknowledge,
 //! * [`ClusterGroup::rejoin`] — how a rejoining replica catches up:
 //!   replaying the primary's TRAP parity-log suffix for each dirty
@@ -77,6 +77,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod dirty;
 mod ec_group;
 mod error;
@@ -86,7 +88,6 @@ mod placement;
 mod probe;
 mod shard;
 
-pub use dirty::DirtyMap;
 pub use ec_group::{EcConfig, EcGroup, EcPlacement, EcRebuildReport, EcWriteOutcome};
 pub use error::ClusterError;
 pub use group::{

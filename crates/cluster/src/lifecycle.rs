@@ -34,15 +34,6 @@ pub enum ReplicaState {
 }
 
 impl ReplicaState {
-    /// Whether the primary sends foreground writes to a replica in this
-    /// state at all (per-block deferral is decided separately).
-    pub fn receives_writes(self) -> bool {
-        matches!(
-            self,
-            ReplicaState::Online | ReplicaState::Lagging | ReplicaState::Resyncing
-        )
-    }
-
     /// Stable lowercase name, used by [`Display`](fmt::Display) and as
     /// the `from`/`to` tag of observability state-change events.
     pub fn name(self) -> &'static str {
@@ -102,13 +93,5 @@ mod tests {
         assert!(!Offline.can_transition(Lagging));
         assert!(!Online.can_transition(Resyncing)); // nothing to resync
         assert!(!Online.can_transition(Online));
-    }
-
-    #[test]
-    fn write_eligibility_follows_state() {
-        assert!(Online.receives_writes());
-        assert!(Lagging.receives_writes());
-        assert!(Resyncing.receives_writes());
-        assert!(!Offline.receives_writes());
     }
 }

@@ -24,7 +24,7 @@ fn mix64(mut x: u64) -> u64 {
 ///
 /// Each slot of `slot_blocks` contiguous LBAs hashes against every group;
 /// the group with the highest score `w / -ln(u)` wins, where `u ∈ (0, 1)`
-/// is derived from `hash(slot, group, seed)`. With equal weights every
+/// is derived from `hash(slot, group)`. With equal weights every
 /// group expects an equal share of slots; a group with twice the weight
 /// expects twice the share. A weight of `0.0` removes a group from
 /// contention (it never wins a slot) without renumbering the others —
@@ -34,7 +34,6 @@ pub struct RendezvousPlacement {
     weights: Vec<f64>,
     num_blocks: u64,
     slot_blocks: u64,
-    seed: u64,
 }
 
 impl RendezvousPlacement {
@@ -54,7 +53,7 @@ impl RendezvousPlacement {
     ///
     /// Panics if `weights` is empty, `num_blocks == 0`, any weight is
     /// negative or non-finite, or every weight is zero.
-    pub fn weighted(num_blocks: u64, weights: Vec<f64>) -> Self {
+    pub(crate) fn weighted(num_blocks: u64, weights: Vec<f64>) -> Self {
         assert!(!weights.is_empty(), "need at least one group");
         assert!(num_blocks > 0, "need at least one block");
         assert!(
@@ -69,7 +68,6 @@ impl RendezvousPlacement {
             weights,
             num_blocks,
             slot_blocks: 1,
-            seed: 0,
         }
     }
 
@@ -85,41 +83,6 @@ impl RendezvousPlacement {
         self
     }
 
-    /// Salt the hash so independent volumes decorrelate.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Current weight vector.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Appends a group with `weight`; existing groups keep their indices
-    /// and lose only the slots the new group now wins.
-    pub fn add_group(&mut self, weight: f64) {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "weights must be finite and non-negative"
-        );
-        self.weights.push(weight);
-    }
-
-    /// Re-weights group `g`. Setting `0.0` drains it: only slots it owned
-    /// move, each to its runner-up group.
-    pub fn set_weight(&mut self, g: usize, weight: f64) {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "weights must be finite and non-negative"
-        );
-        self.weights[g] = weight;
-        assert!(
-            self.weights.iter().any(|w| *w > 0.0),
-            "at least one group must have positive weight"
-        );
-    }
-
     /// Rendezvous score of `(slot, group)`: `w / -ln(u)`, `u ∈ (0, 1)`.
     /// Monotone in `w`, independent across groups — the two properties the
     /// disruption bound rests on.
@@ -128,7 +91,7 @@ impl RendezvousPlacement {
         if w == 0.0 {
             return 0.0;
         }
-        let h = mix64(slot ^ self.seed ^ (g as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let h = mix64(slot ^ (g as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         // Top 53 bits, offset by half a ulp: u ∈ (0, 1) strictly, so ln(u)
         // is finite and negative.
         let u = ((h >> 11) as f64 + 0.5) * (1.0 / 9_007_199_254_740_992.0);
@@ -136,13 +99,13 @@ impl RendezvousPlacement {
     }
 
     /// Number of replica groups this placement spreads load over.
-    pub fn group_count(&self) -> usize {
+    pub(crate) fn group_count(&self) -> usize {
         self.weights.len()
     }
 
     /// Total volume size in blocks — also what every group's device must
     /// hold: any block may land on (or migrate to) any group.
-    pub fn num_blocks(&self) -> u64 {
+    pub(crate) fn num_blocks(&self) -> u64 {
         self.num_blocks
     }
 
@@ -153,7 +116,7 @@ impl RendezvousPlacement {
     /// # Panics
     ///
     /// Panics if `lba` is at or beyond [`num_blocks`](Self::num_blocks).
-    pub fn group_for(&self, lba: Lba) -> usize {
+    pub(crate) fn group_for(&self, lba: Lba) -> usize {
         assert!(
             lba.index() < self.num_blocks,
             "lba {lba:?} out of range for placement of {} blocks",
@@ -261,13 +224,12 @@ mod tests {
         #[test]
         fn adding_a_group_moves_at_most_its_share(
             groups in 2..8usize,
-            seed in any::<u64>(),
             weight in 0.5..2.0f64,
         ) {
-            let mut p = RendezvousPlacement::new(KEYS, groups).with_seed(seed);
-            let before = assignments(&p);
-            p.add_group(weight);
-            let after = assignments(&p);
+            let before = assignments(&RendezvousPlacement::new(KEYS, groups));
+            let mut weights = vec![1.0; groups];
+            weights.push(weight);
+            let after = assignments(&RendezvousPlacement::weighted(KEYS, weights));
 
             let mut moved = 0u64;
             for (b, a) in before.iter().zip(&after) {
@@ -290,13 +252,12 @@ mod tests {
         fn draining_a_group_moves_only_its_keys(
             groups in 2..8usize,
             victim_sel in any::<prop::sample::Index>(),
-            seed in any::<u64>(),
         ) {
-            let mut p = RendezvousPlacement::new(KEYS, groups).with_seed(seed);
             let victim = victim_sel.index(groups);
-            let before = assignments(&p);
-            p.set_weight(victim, 0.0);
-            let after = assignments(&p);
+            let before = assignments(&RendezvousPlacement::new(KEYS, groups));
+            let mut weights = vec![1.0; groups];
+            weights[victim] = 0.0;
+            let after = assignments(&RendezvousPlacement::weighted(KEYS, weights));
 
             for (i, (b, a)) in before.iter().zip(&after).enumerate() {
                 if *b == victim {

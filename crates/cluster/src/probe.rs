@@ -62,11 +62,11 @@ pub(crate) type Tagged<T> = (Option<TraceId>, T);
 /// What became of one frame sent on a cluster link.
 pub(crate) struct Collected<T> {
     /// The owner's tag.
-    pub tag: T,
-    pub trace: Option<TraceId>,
+    pub(crate) tag: T,
+    pub(crate) trace: Option<TraceId>,
     /// How long the answer was waited for, on the probe's clock.
-    pub waited: u64,
-    pub answer: Result<Response, ReplError>,
+    pub(crate) waited: u64,
+    pub(crate) answer: Result<Response, ReplError>,
 }
 
 /// Which kind of owner a probe records for — whose instruments it
@@ -116,7 +116,7 @@ pub(crate) struct Probe {
 
 impl Probe {
     /// Attaches `registry`, registering `plane`'s instruments in it.
-    pub fn observe(&mut self, plane: Plane, registry: Arc<Registry>, clock: Arc<dyn Clock>) {
+    pub(crate) fn observe(&mut self, plane: Plane, registry: Arc<Registry>, clock: Arc<dyn Clock>) {
         match plane {
             Plane::Group => {
                 self.ack_rtt = registry.histogram("cluster_ack_rtt_nanos");
@@ -139,7 +139,7 @@ impl Probe {
     }
 
     /// Attaches `sink`; traces minted from here on carry `shard`.
-    pub fn trace_into(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
+    pub(crate) fn trace_into(&mut self, sink: Arc<TraceSink>, shard: u32, clock: Arc<dyn Clock>) {
         self.trace = Some(Trace {
             sink,
             clock,
@@ -148,17 +148,9 @@ impl Probe {
         });
     }
 
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.reg.as_ref().map(|(registry, _)| registry)
-    }
-
-    pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.trace.as_ref().map(|t| &t.sink)
-    }
-
     /// A reading of the registry's clock: 0, and no clock read, when no
     /// registry is attached.
-    pub fn stamp(&self) -> u64 {
+    pub(crate) fn stamp(&self) -> u64 {
         self.reg.as_ref().map_or(0, |(_, clock)| clock.now_nanos())
     }
 
@@ -181,7 +173,7 @@ impl Probe {
     /// An operation begins: opens the next trace with one hold — the
     /// caller's, dropped by [`released`](Self::released) or by the
     /// operation's one completing hop.
-    pub fn begin(&mut self) -> Option<TraceId> {
+    pub(crate) fn begin(&mut self) -> Option<TraceId> {
         let t = self.trace.as_mut()?;
         let id = TraceId::for_shard(t.shard, t.next);
         t.next += 1;
@@ -190,7 +182,7 @@ impl Probe {
     }
 
     /// The fan-out is booked: drops the hold `begin` opened.
-    pub fn released(&self, id: Option<TraceId>) {
+    pub(crate) fn released(&self, id: Option<TraceId>) {
         self.hop(id, |sink, id, at| sink.release(id, at));
     }
 
@@ -213,25 +205,31 @@ impl Probe {
     }
 
     /// A foreground write's frame left for `replica`.
-    pub fn sent(&self, id: Option<TraceId>, replica: usize) {
+    pub(crate) fn sent(&self, id: Option<TraceId>, replica: usize) {
         self.fan_out(id, TraceStage::ReplicaSend, replica);
     }
 
     /// The transport refused a foreground write's frame.
-    pub fn send_failed(&self, id: Option<TraceId>, replica: usize) {
+    pub(crate) fn send_failed(&self, id: Option<TraceId>, replica: usize) {
         self.mark(id, TraceStage::SendError, replica);
     }
 
     /// `replica` acknowledged a foreground or resync frame after
     /// `waited`.
-    pub fn acked(&self, replica: usize, id: Option<TraceId>, waited: u64) {
+    pub(crate) fn acked(&self, replica: usize, id: Option<TraceId>, waited: u64) {
         self.ack_rtt.record(waited);
         self.done(id, TraceStage::ReplicaAck, replica as u32);
     }
 
     /// A frame to `replica` retired after `waited` without an
     /// acknowledgement.
-    pub fn ack_failed(&self, replica: usize, id: Option<TraceId>, waited: u64, e: &ReplError) {
+    pub(crate) fn ack_failed(
+        &self,
+        replica: usize,
+        id: Option<TraceId>,
+        waited: u64,
+        e: &ReplError,
+    ) {
         self.ack_rtt.record(waited);
         let kind = match e {
             ReplError::Nak { .. } => EventKind::Nak,
@@ -263,7 +261,7 @@ impl Probe {
     /// # Panics
     ///
     /// Panics if nothing is in flight.
-    pub fn collect<T>(
+    pub(crate) fn collect<T>(
         &self,
         idx: usize,
         link: &mut Link<Tagged<T>>,
@@ -291,7 +289,7 @@ impl Probe {
     ///
     /// Panics if anything is in flight on `link`: answers arrive in
     /// order, so the caller collects those first.
-    pub fn request<T>(
+    pub(crate) fn request<T>(
         &self,
         idx: usize,
         link: &mut Link<Tagged<T>>,
@@ -309,7 +307,7 @@ impl Probe {
 
     /// Replica `idx` moved through the lifecycle (a no-op if it did
     /// not move).
-    pub fn state_change(&self, idx: usize, from: ReplicaState, to: ReplicaState) {
+    pub(crate) fn state_change(&self, idx: usize, from: ReplicaState, to: ReplicaState) {
         if from != to {
             let (from, to) = (from.name(), to.name());
             self.event(EventKind::StateChange { from, to }, Some(idx));
@@ -317,13 +315,13 @@ impl Probe {
     }
 
     /// A resync step shipped `sent` frames to replica `idx`.
-    pub fn resync_batch(&self, idx: usize, sent: usize, remaining: usize) {
+    pub(crate) fn resync_batch(&self, idx: usize, sent: usize, remaining: usize) {
         let (sent, remaining) = (sent as u32, remaining as u32);
         self.event(EventKind::ResyncBatch { sent, remaining }, Some(idx));
     }
 
     /// Replica `idx`'s resync progress.
-    pub fn gauges(&self, idx: usize, dirty_blocks: usize, resync_pending: usize) {
+    pub(crate) fn gauges(&self, idx: usize, dirty_blocks: usize, resync_pending: usize) {
         if let Some((registry, _)) = &self.reg {
             let gauge = |what, v| registry.gauge(&format!("replica{idx}_{what}")).set(v);
             gauge("dirty_blocks", dirty_blocks as u64);
@@ -332,7 +330,7 @@ impl Probe {
     }
 
     /// A read was served by replica `source`, or by the primary image.
-    pub fn read_served(&self, id: Option<TraceId>, source: Option<usize>) {
+    pub(crate) fn read_served(&self, id: Option<TraceId>, source: Option<usize>) {
         if source.is_some() {
             self.reads_offloaded.inc();
         }
@@ -341,19 +339,19 @@ impl Probe {
     }
 
     /// The freshness guard (or a failure mid-read) ruled `replica` out.
-    pub fn read_rejected(&self, id: Option<TraceId>, replica: usize) {
+    pub(crate) fn read_rejected(&self, id: Option<TraceId>, replica: usize) {
         self.read_rejected_stale.inc();
         self.mark(id, TraceStage::ReadReject, replica);
     }
 
     /// A scrub pass repaired `blocks` divergent blocks.
-    pub fn scrub_repaired(&self, blocks: usize) {
+    pub(crate) fn scrub_repaired(&self, blocks: usize) {
         self.scrub_repairs.add(blocks as u64);
     }
 
     /// A `bytes`-long strip delta left for `node`'s data or parity
     /// strip.
-    pub fn strip_sent(&self, id: Option<TraceId>, node: usize, parity: bool, bytes: usize) {
+    pub(crate) fn strip_sent(&self, id: Option<TraceId>, node: usize, parity: bool, bytes: usize) {
         self.strip_writes.inc();
         if parity {
             self.parity_update_bytes.add(bytes as u64);
@@ -367,13 +365,13 @@ impl Probe {
     }
 
     /// `node` acknowledged a strip delta.
-    pub fn strip_acked(&self, id: Option<TraceId>, node: usize) {
+    pub(crate) fn strip_acked(&self, id: Option<TraceId>, node: usize) {
         self.done(id, TraceStage::StripAck, node as u32);
     }
 
     /// Node `lost`'s strips were rebuilt: `stripes` of them, moving
     /// `wire_bytes`, since the [`stamp`](Self::stamp) `started`.
-    pub fn rebuilt(&self, lost: usize, stripes: u64, wire_bytes: u64, started: u64) {
+    pub(crate) fn rebuilt(&self, lost: usize, stripes: u64, wire_bytes: u64, started: u64) {
         self.rebuild_bytes.add(wire_bytes);
         self.rebuild_nanos
             .record(self.stamp().saturating_sub(started));
@@ -383,12 +381,12 @@ impl Probe {
 
     /// A reconstruction failed (too many erasures, a corrupt survivor
     /// contribution, a singular repair matrix).
-    pub fn decode_failed(&self) {
+    pub(crate) fn decode_failed(&self) {
         self.decode_failures.inc();
     }
 
     /// A migration batch copied `copied` blocks (`bytes`) to group `to`.
-    pub fn migrate_batch(
+    pub(crate) fn migrate_batch(
         &self,
         id: Option<TraceId>,
         to: usize,
@@ -403,7 +401,7 @@ impl Probe {
     }
 
     /// Ownership of a migrated range flipped from group `from` to `to`.
-    pub fn cutover(&self, from: usize, to: usize) {
+    pub(crate) fn cutover(&self, from: usize, to: usize) {
         let (from, to) = (from as u32, to as u32);
         self.event(EventKind::Cutover { from, to }, None);
     }

@@ -14,8 +14,9 @@ use prins_block::{BlockDevice, Lba};
 use prins_net::Clock;
 use prins_obs::{Registry, TraceSink};
 
+use crate::group::ReadOutcome;
 use crate::probe::{Plane, Probe};
-use crate::{ClusterError, ClusterGroup, ReadOutcome, RendezvousPlacement, WriteOutcome};
+use crate::{ClusterError, ClusterGroup, RendezvousPlacement, WriteOutcome};
 
 /// An in-progress live migration of one LBA range between groups.
 #[derive(Clone, Debug)]
@@ -31,15 +32,15 @@ struct Migration {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MigrationStatus {
     /// The volume LBA range being moved.
-    pub range: Range<u64>,
+    pub(crate) range: Range<u64>,
     /// Group the range is moving from (still the owner).
-    pub from: usize,
+    pub(crate) from: usize,
     /// Group the range is moving to.
-    pub to: usize,
+    pub(crate) to: usize,
     /// Blocks copied so far.
-    pub copied: u64,
+    pub(crate) copied: u64,
     /// Blocks still to copy before cutover.
-    pub remaining: u64,
+    pub(crate) remaining: u64,
 }
 
 /// A volume sharded across one or more [`ClusterGroup`]s.
@@ -114,16 +115,6 @@ impl<D: BlockDevice> ShardedCluster<D> {
         // One past the last group, so batch ids can never collide
         // with any group's write ids.
         self.probe.trace_into(sink, self.groups.len() as u32, clock);
-    }
-
-    /// The attached trace sink, if any.
-    pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.probe.trace_sink()
-    }
-
-    /// The placement policy.
-    pub fn placement(&self) -> &RendezvousPlacement {
-        &self.placement
     }
 
     /// Number of replica groups.
@@ -256,7 +247,7 @@ impl<D: BlockDevice> ShardedCluster<D> {
     /// target group (through its full replication path). When the copy
     /// completes, the migration **cuts over**: both groups drain their
     /// in-flight traffic, the source group opens a new response
-    /// generation ([`ClusterGroup::bump_epochs`]) so acknowledgements
+    /// generation (`ClusterGroup::bump_epochs`) so acknowledgements
     /// stranded mid-move identify themselves as stale, and ownership of
     /// the range flips to the target.
     ///
@@ -291,24 +282,6 @@ impl<D: BlockDevice> ShardedCluster<D> {
             self.cutover();
         }
         Ok(remaining)
-    }
-
-    /// Runs a live migration of `range` from group `from` to group `to`
-    /// to completion — [`migrate_start`](Self::migrate_start) plus
-    /// [`migrate_step`](Self::migrate_step) until cutover.
-    ///
-    /// # Errors
-    ///
-    /// As the two driving calls.
-    pub fn migrate(
-        &mut self,
-        range: Range<u64>,
-        from: usize,
-        to: usize,
-    ) -> Result<(), ClusterError> {
-        self.migrate_start(range, from, to)?;
-        while self.migrate_step(64)? > 0 {}
-        Ok(())
     }
 
     /// Flips ownership of the migrated range to the target group.

@@ -30,6 +30,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod error;
 mod lzss;
 

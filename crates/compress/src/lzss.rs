@@ -219,11 +219,6 @@ impl Lzss {
         Self::new(1 << 15, 8)
     }
 
-    /// The search window in bytes.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Walks the chain starting at `entry` for the longest match at
     /// `pos` (offset `cur`), the nearest candidate winning ties.
     ///
@@ -303,7 +298,8 @@ impl Lzss {
     /// The run stops as soon as the bytes already emitted plus the
     /// literals still pending exceed `limit` — a lower bound on the
     /// final length, so a stream that would have fit is never given up
-    /// on, and the stream that is kept is [`compress_into`]'s byte for
+    /// on, and the stream that is kept is
+    /// [`compress_into`](Self::compress_into)'s byte for
     /// byte. On incompressible input that is after about `limit` input
     /// bytes instead of all of them.
     ///
@@ -1109,7 +1105,7 @@ mod tests {
             }
             let codec = Lzss::new(256, 512);
             let packed = codec.compress(&data);
-            let oracle = oracle_compress(&data, codec.window());
+            let oracle = oracle_compress(&data, codec.window);
             prop_assert_eq!(&packed, &oracle);
             prop_assert_eq!(codec.decompress(&packed, data.len()).unwrap(), data);
         }

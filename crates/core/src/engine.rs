@@ -26,8 +26,8 @@ use crate::{EngineStats, LaneStats};
 /// for an encode pool, which compressing strategies, the adaptive
 /// engine and manual mode always use. Transmission happens off the
 /// application's critical path, on one sender lane per replica, each
-/// with a thread that ships full frames and held partial ones (see
-/// [`crate::pipeline`] for the stage diagram and its
+/// with a thread that ships full frames and held partial ones (the
+/// crate-private `pipeline` module documents the stage diagram and its
 /// ordering/coalescing invariants).
 ///
 /// [`flush`](BlockDevice::flush) acts as a replication barrier: the
@@ -83,12 +83,6 @@ impl PrinsEngine {
     /// [`EngineBuilder::adaptive`](crate::EngineBuilder::adaptive).
     pub fn adaptive(&self) -> Option<&Arc<prins_policy::AdaptiveReplicator>> {
         self.adaptive.as_ref()
-    }
-
-    /// The metrics registry the engine records into, if one was
-    /// attached via [`observe`](crate::EngineBuilder::observe).
-    pub fn registry(&self) -> Option<&Arc<prins_obs::Registry>> {
-        self.pipeline.cx().probe.registry()
     }
 
     /// The per-write trace sink, if tracing was enabled via

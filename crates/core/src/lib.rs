@@ -35,9 +35,10 @@
 //!                                                   └──────────────────┘
 //! ```
 //!
-//! [`PrinsEngine`] is itself a [`BlockDevice`], so filesystems, page
-//! stores and iSCSI targets run on top of it unchanged — "our
-//! implementation is file system and application independent".
+//! [`PrinsEngine`] is itself a [`BlockDevice`](prins_block::BlockDevice),
+//! so filesystems, page stores and iSCSI targets run on top of it
+//! unchanged — "our implementation is file system and application
+//! independent".
 //!
 //! # Example
 //!
@@ -81,10 +82,12 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod builder;
 mod engine;
 mod obs;
-pub mod pipeline;
+mod pipeline;
 mod signal;
 mod stats;
 
@@ -92,6 +95,3 @@ pub use builder::EngineBuilder;
 pub use engine::PrinsEngine;
 pub use pipeline::PipelineTuning;
 pub use stats::{EngineStats, LaneStats};
-
-pub use prins_block::BlockDevice;
-pub use prins_repl::ReplicationMode;

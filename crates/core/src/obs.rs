@@ -96,8 +96,6 @@ impl LaneCounters {
             sends: self.sends.get(),
             acked_writes: self.acked_writes.get(),
             payload_bytes: self.payload_bytes.get(),
-            send_nanos: self.send_nanos.get(),
-            ack_nanos: self.ack_nanos.get(),
             errors: self.errors.get(),
         }
     }
@@ -137,7 +135,7 @@ pub(crate) struct Probe {
 }
 
 impl Probe {
-    pub fn new(
+    pub(crate) fn new(
         clock: Arc<dyn Clock>,
         registry: Option<Arc<Registry>>,
         trace: Option<Arc<TraceSink>>,
@@ -193,19 +191,16 @@ impl Probe {
     }
 
     /// The engine's counters (see [`PrinsEngine::stats`](crate::PrinsEngine::stats)).
-    pub fn stats(&self) -> EngineStats {
+    pub(crate) fn stats(&self) -> EngineStats {
         let lanes = || self.lanes.iter().map(LaneCounters::view);
         EngineStats {
             writes: self.writes.get(),
-            reads: self.reads.get(),
             writes_replicated: lanes()
                 .map(|l| l.acked_writes)
                 .min()
                 .unwrap_or_else(|| self.dispatched_writes.get()),
             replicated_payload_bytes: lanes().map(|l| l.payload_bytes).sum(),
-            local_write_nanos: self.local_write_nanos.get(),
             overhead_nanos: self.overhead_nanos.get(),
-            send_nanos: lanes().map(|l| l.send_nanos + l.ack_nanos).sum(),
             replication_errors: self.replication_errors.get(),
             coalesced_writes: self.coalesced_writes.get(),
             queue_depth_hwm: self.queue_depth_hwm.get(),
@@ -213,18 +208,18 @@ impl Probe {
     }
 
     /// Each sender lane's counters, in replica order.
-    pub fn lane_stats(&self) -> Vec<LaneStats> {
+    pub(crate) fn lane_stats(&self) -> Vec<LaneStats> {
         self.lanes.iter().map(LaneCounters::view).collect()
     }
 
     /// Reads the clock.
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.clock.now_nanos()
     }
 
     /// The reading a recorded-only hop is stamped with: 0, and no clock
     /// read, when nothing records.
-    pub fn stamp(&self) -> u64 {
+    pub(crate) fn stamp(&self) -> u64 {
         if self.reg.is_some() || self.trace.is_some() {
             self.now()
         } else {
@@ -232,21 +227,21 @@ impl Probe {
         }
     }
 
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
+    pub(crate) fn registry(&self) -> Option<&Arc<Registry>> {
         self.reg.as_ref().map(|reg| &reg.registry)
     }
 
-    pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
+    pub(crate) fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
         self.trace.as_ref()
     }
 
     /// `read_block` served a read.
-    pub fn read(&self) {
+    pub(crate) fn read(&self) {
         self.reads.inc();
     }
 
     /// `write_block` captured the old image and wrote the new one.
-    pub fn local_io(&self, capture_nanos: u64, write_nanos: u64) {
+    pub(crate) fn local_io(&self, capture_nanos: u64, write_nanos: u64) {
         self.writes.inc();
         self.local_write_nanos.add(write_nanos);
         self.overhead_nanos.add(capture_nanos);
@@ -258,13 +253,13 @@ impl Probe {
 
     /// A write's new image, `bytes` long, was copied into a pooled buffer
     /// to queue for the encode pool.
-    pub fn image_copied(&self, bytes: usize) {
+    pub(crate) fn image_copied(&self, bytes: usize) {
         self.hot_bytes_copied.add(bytes as u64);
     }
 
     /// A write took sequence number `seq`, making the admission queue
     /// `depth` long. Returns the admission stamp.
-    pub fn admitted(&self, seq: u64, lba: Lba, depth: usize) -> u64 {
+    pub(crate) fn admitted(&self, seq: u64, lba: Lba, depth: usize) -> u64 {
         let at = self.stamp();
         self.queue_depth_hwm.set_max(depth as u64);
         if let Some(reg) = &self.reg {
@@ -278,7 +273,7 @@ impl Probe {
     }
 
     /// A write folded into the still-queued write `seq`.
-    pub fn folded(&self, seq: u64, lba: Lba, depth: usize) {
+    pub(crate) fn folded(&self, seq: u64, lba: Lba, depth: usize) {
         let at = self.stamp();
         self.coalesced_writes.inc();
         if let Some(reg) = &self.reg {
@@ -292,7 +287,7 @@ impl Probe {
 
     /// A worker claimed `w` after `waited` in the admission queue and
     /// spent `took` encoding it; `w.at` is when it finished.
-    pub fn encoded(&self, w: &Outbound, waited: u64, took: u64) {
+    pub(crate) fn encoded(&self, w: &Outbound, waited: u64, took: u64) {
         self.overhead_nanos.add(took);
         if let Some(reg) = &self.reg {
             reg.admission_wait.record(waited);
@@ -310,7 +305,7 @@ impl Probe {
 
     /// `w` (encoded at `w.at`) reached its sequence turn. Returns the
     /// release stamp.
-    pub fn released(&self, w: &Outbound) -> u64 {
+    pub(crate) fn released(&self, w: &Outbound) -> u64 {
         let at = self.stamp();
         self.dispatched_writes.add(w.writes);
         if let Some(reg) = &self.reg {
@@ -329,7 +324,7 @@ impl Probe {
 
     /// `lane` took `w` (released at `w.at`) off its queue into the
     /// frame it started building at stamp `at`, to be copied there.
-    pub fn picked_up(&self, lane: usize, at: u64, w: &Outbound) {
+    pub(crate) fn picked_up(&self, lane: usize, at: u64, w: &Outbound) {
         self.hot_bytes_copied.add(w.bytes.len() as u64);
         if let Some(reg) = &self.reg {
             reg.lane_queue.record(at.saturating_sub(w.at));
@@ -341,7 +336,7 @@ impl Probe {
     }
 
     /// The transport took frame `f` at `at`, after `took` in the call.
-    pub fn sent(&self, lane: usize, f: &InFlight, took: u64, at: u64) {
+    pub(crate) fn sent(&self, lane: usize, f: &InFlight, took: u64, at: u64) {
         let first = f.range.first().expect("a frame carries a write");
         let counters = &self.lanes[lane];
         counters.send_nanos.add(took);
@@ -365,7 +360,7 @@ impl Probe {
     }
 
     /// The transport refused frame `f`; its writes retire unsent.
-    pub fn send_failed(&self, lane: usize, f: &InFlight, took: u64, at: u64) {
+    pub(crate) fn send_failed(&self, lane: usize, f: &InFlight, took: u64, at: u64) {
         self.lanes[lane].send_nanos.add(took);
         self.failed(lane);
         if let Some(reg) = &self.reg {
@@ -381,12 +376,12 @@ impl Probe {
     }
 
     /// A replica answered `NAK_CORRUPT`.
-    pub fn corrupt_nak(&self) {
+    pub(crate) fn corrupt_nak(&self) {
         self.checksum_failures.inc();
     }
 
     /// The retained copy of `f` went out again.
-    pub fn retransmitted(&self, lane: usize, f: &InFlight, at: u64) {
+    pub(crate) fn retransmitted(&self, lane: usize, f: &InFlight, at: u64) {
         self.retransmits.inc();
         self.lanes[lane].payload_bytes.add(f.frame.len() as u64);
         if let Some(trace) = &self.trace {
@@ -399,7 +394,7 @@ impl Probe {
     /// Frame `f` was acknowledged at `at` after `waited` — one RTT
     /// sample and one terminal event per retired frame, however many
     /// retransmission round-trips it took.
-    pub fn acked(&self, lane: usize, f: &InFlight, waited: u64, at: u64) {
+    pub(crate) fn acked(&self, lane: usize, f: &InFlight, waited: u64, at: u64) {
         let counters = &self.lanes[lane];
         counters.ack_nanos.add(waited);
         counters.acked_writes.add(f.writes);
@@ -411,7 +406,14 @@ impl Probe {
     }
 
     /// Frame `f` retired at `at` without an acknowledgement.
-    pub fn ack_failed(&self, lane: usize, f: &InFlight, waited: u64, at: u64, e: &ReplError) {
+    pub(crate) fn ack_failed(
+        &self,
+        lane: usize,
+        f: &InFlight,
+        waited: u64,
+        at: u64,
+        e: &ReplError,
+    ) {
         self.lanes[lane].ack_nanos.add(waited);
         self.failed(lane);
         if let Some(reg) = &self.reg {
@@ -426,7 +428,7 @@ impl Probe {
     }
 
     /// A flush barrier completed.
-    pub fn barrier(&self) {
+    pub(crate) fn barrier(&self) {
         if let Some(reg) = &self.reg {
             reg.event(Event::new(self.now(), EventKind::Barrier));
         }

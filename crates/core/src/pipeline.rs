@@ -155,27 +155,27 @@ use crate::signal::Signal;
 #[derive(Debug)]
 pub(crate) struct PipelineConfig {
     /// Parity-encoding worker threads.
-    pub encode_workers: usize,
+    pub(crate) encode_workers: usize,
     /// Fold a write into a still-queued write to the same LBA (the
     /// starting value of [`PipelineTuning::coalesce`]).
-    pub coalesce: bool,
+    pub(crate) coalesce: bool,
     /// Maximum payloads packed into one wire frame, ≤ 1 disables
     /// batching (the starting value of
     /// [`PipelineTuning::batch_frames`]).
-    pub batch_frames: usize,
+    pub(crate) batch_frames: usize,
     /// In-flight (unacknowledged) frames allowed per lane.
-    pub ack_window: usize,
+    pub(crate) ack_window: usize,
     /// How long a lane waits for each acknowledgement.
-    pub ack_timeout: Duration,
+    pub(crate) ack_timeout: Duration,
     /// Manual (stepped) mode: no worker threads; the caller drives the
     /// stages through [`Pipeline::step`].
-    pub manual: bool,
+    pub(crate) manual: bool,
     /// A writer encodes its own write when nothing waits ahead of it
     /// (see [`Pipeline::admit`]). The builder sets it for a threaded
     /// engine whose static strategy does not compress: there the encode
     /// is a scan over two images the writer has just touched, cheaper
     /// than handing them to a pool thread on another core.
-    pub inline_encode: bool,
+    pub(crate) inline_encode: bool,
 }
 
 impl Default for PipelineConfig {
@@ -201,7 +201,7 @@ impl Default for PipelineConfig {
 /// aggressive coalescing while full blocks churn. Both knobs are
 /// per-decision, not per-run, state:
 ///
-/// * `coalesce` is read once per [`Pipeline::admit`]. A write admitted
+/// * `coalesce` is read once per admission. A write admitted
 ///   with it off drops its LBA's coalescing slot (`AdmitState::assign`):
 ///   a slot left behind would point at a job queued *ahead* of that
 ///   write, and a later write folding into it would reach the replica
@@ -216,7 +216,7 @@ pub struct PipelineTuning {
 
 impl PipelineTuning {
     /// Maximum payloads packed into one wire frame (clamped to ≥ 1).
-    pub fn set_batch_frames(&self, frames: usize) {
+    pub(crate) fn set_batch_frames(&self, frames: usize) {
         self.batch_frames.store(frames.max(1), Ordering::Relaxed);
     }
 
@@ -227,12 +227,12 @@ impl PipelineTuning {
 
     /// Whether new admissions fold into still-queued writes to the same
     /// LBA.
-    pub fn set_coalesce(&self, on: bool) {
+    pub(crate) fn set_coalesce(&self, on: bool) {
         self.coalesce.store(on, Ordering::Relaxed);
     }
 
     /// The coalescing mode in effect.
-    pub fn coalesce(&self) -> bool {
+    pub(crate) fn coalesce(&self) -> bool {
         self.coalesce.load(Ordering::Relaxed)
     }
 }
@@ -308,14 +308,14 @@ fn admit_wakes(queued: usize, threshold: usize, idle: bool) -> bool {
 /// buffer until its sequence turn, then handed to every lane.
 #[derive(Clone)]
 pub(crate) struct Outbound {
-    pub seq: u64,
-    pub lba: Lba,
+    pub(crate) seq: u64,
+    pub(crate) lba: Lba,
     /// Application writes it carries (1 + folds).
-    pub writes: u64,
-    pub bytes: PooledBytes,
+    pub(crate) writes: u64,
+    pub(crate) bytes: PooledBytes,
     /// When it finished encoding while parked, the probe's release
     /// stamp once released; each hop's wait is measured against it.
-    pub at: u64,
+    pub(crate) at: u64,
 }
 
 struct ReorderState {
@@ -518,17 +518,17 @@ pub(crate) struct Inner {
     /// queue and sends: its lane thread, or a flusher.
     senders: Vec<Mutex<Lane>>,
     replicator: Arc<dyn Replicator>,
-    pub tuning: Arc<PipelineTuning>,
+    pub(crate) tuning: Arc<PipelineTuning>,
     /// In-flight frames per lane, resolved from the ack policy (≥ 1).
     ack_window: usize,
     ack_timeout: Duration,
     /// Slab pool for block images, encoded payloads and wire frames, so
     /// buffers recycle across the whole hot path.
-    pub pool: BufPool,
-    pub probe: Probe,
+    pub(crate) pool: BufPool,
+    pub(crate) probe: Probe,
     /// The first replication error since the last flush, which
     /// surfaces it.
-    pub last_error: parking_lot::Mutex<Option<String>>,
+    pub(crate) last_error: parking_lot::Mutex<Option<String>>,
 }
 
 impl Inner {
@@ -557,15 +557,15 @@ impl Inner {
 /// NAK can be answered with a retransmission instead of an error. The
 /// frame stays in its pooled buffer; acknowledgement recycles it.
 pub(crate) struct InFlight {
-    pub writes: u64,
+    pub(crate) writes: u64,
     /// The pipeline writes the frame carries. Reorder releases in
     /// strict sequence order and lane queues are FIFO, so a batch is
     /// always a contiguous run — two words correlate the eventual ack
     /// back to every write's trace.
-    pub range: SeqRange,
+    pub(crate) range: SeqRange,
     /// The first carried write's LBA.
-    pub lba: Lba,
-    pub frame: PooledBuf,
+    pub(crate) lba: Lba,
+    pub(crate) frame: PooledBuf,
 }
 
 impl AsRef<[u8]> for InFlight {
@@ -762,7 +762,7 @@ pub(crate) struct Pipeline {
 }
 
 impl Pipeline {
-    pub fn start(
+    pub(crate) fn start(
         replicator: Arc<dyn Replicator>,
         transports: Vec<Box<dyn Transport>>,
         config: &PipelineConfig,
@@ -847,7 +847,7 @@ impl Pipeline {
 
     /// The context the stages share — the engine front-end's pool and
     /// probe live there too.
-    pub fn cx(&self) -> &Arc<Inner> {
+    pub(crate) fn cx(&self) -> &Arc<Inner> {
         &self.inner
     }
 
@@ -856,7 +856,7 @@ impl Pipeline {
     /// like the encode pool), then lets each lane in index order ship
     /// everything in its queue. Returns whether any work was done;
     /// always `false` on a threaded pipeline.
-    pub fn step(&self) -> bool {
+    pub(crate) fn step(&self) -> bool {
         if !self.manual {
             return false;
         }
@@ -915,7 +915,7 @@ impl Pipeline {
     /// this never costs a fold, and the reorder buffer orders its
     /// release against the pool's. Any other write copies `new` into a
     /// pooled buffer and queues (see `enqueue`).
-    pub fn admit(&self, lba: Lba, old: PooledBuf, new: &[u8]) -> Result<(), ReplError> {
+    pub(crate) fn admit(&self, lba: Lba, old: PooledBuf, new: &[u8]) -> Result<(), ReplError> {
         let cx = &*self.inner;
         if self.inline && cx.lanes.iter().all(LaneState::has_room) {
             let mut st = cx.admit.lock().unwrap();
@@ -1000,14 +1000,14 @@ impl Pipeline {
     /// Waits until every write admitted before the call has been
     /// encoded, released in order and acknowledged by every lane — by
     /// driving the stages on the calling thread (see `drive_dry`).
-    pub fn barrier(&self) {
+    pub(crate) fn barrier(&self) {
         self.drive_dry();
         self.inner.probe.barrier();
     }
 
     /// Stops the pipeline: drains the admission queue, joins the
     /// encode pool, runs the lanes dry, then closes them. Idempotent.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let cx = &*self.inner;
         cx.admit.lock().unwrap().closed = true;
         cx.admit_cv.notify_all();
@@ -1447,14 +1447,17 @@ mod tests {
     #[test]
     fn local_only_engine_accounts_overhead() {
         let device = Arc::new(MemDevice::new(BlockSize::kb8(), 16));
-        let engine = EngineBuilder::new(device as Arc<dyn BlockDevice>).build();
+        let registry = prins_obs::Registry::new();
+        let engine = EngineBuilder::new(device as Arc<dyn BlockDevice>)
+            .observe(Arc::clone(&registry))
+            .build();
         for i in 0..16u64 {
             engine.write_block(Lba(i), &vec![i as u8; 8192]).unwrap();
         }
         engine.flush().unwrap();
         let stats = engine.stats();
         assert_eq!(stats.writes, 16);
-        assert!(stats.local_write_nanos > 0);
+        assert!(registry.snapshot().counters["engine_local_write_nanos"] > 0);
         assert!(stats.overhead_nanos > 0);
         engine.shutdown().unwrap();
     }
@@ -2229,10 +2232,12 @@ mod tests {
         let net = SimNet::new();
         let (transports, _ctls, replica_devs) = sim_replicas(&net, 1, 16, Duration::from_millis(1));
         let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 16));
+        let registry = prins_obs::Registry::new();
         let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
             .batch_frames(8)
             .manual_stepping(true)
             .clock(net.clock())
+            .observe(Arc::clone(&registry))
             .ack_policy(AckPolicy::Window(4));
         for transport in transports {
             builder = builder.replica(transport);
@@ -2258,8 +2263,9 @@ mod tests {
         // 60 queued payloads at 8 per frame: exactly 8 sends.
         assert_eq!(lanes[0].sends, 8, "batching should be exact: {lanes:?}");
         // Ack collection pumped the simulated link, so the virtual ack
-        // wait is visible in the stats (sends are scheduled instantly).
-        assert!(lanes[0].ack_nanos > 0);
+        // wait is visible in the lane's counter (sends are scheduled
+        // instantly).
+        assert!(registry.snapshot().counters["lane0_ack_nanos"] > 0);
         assert!(net.clock().now() >= 2_000_000, "at least one 1 ms RTT");
 
         engine.shutdown().unwrap();
@@ -2397,7 +2403,6 @@ mod tests {
         let counts = |s: &EngineStats| {
             [
                 s.writes,
-                s.reads,
                 s.writes_replicated,
                 s.replicated_payload_bytes,
                 s.replication_errors,
@@ -2415,14 +2420,14 @@ mod tests {
             lanes.iter().map(lane_counts).collect::<Vec<_>>(),
             bare_lanes.iter().map(lane_counts).collect::<Vec<_>>()
         );
-        assert!(stats.reads > 0 && stats.coalesced_writes > 0, "{stats:?}");
+        assert!(stats.coalesced_writes > 0, "{stats:?}");
         assert!(stats.replication_errors > 0 && stats.writes_replicated > 0);
 
         let snap = registry.snapshot();
         let counter = |name: &str| snap.counters[name];
+        assert_eq!(counter("engine_reads"), 120);
         for (name, value) in [
             ("engine_writes", stats.writes),
-            ("engine_reads", stats.reads),
             ("engine_replication_errors", stats.replication_errors),
             ("engine_coalesced_writes", stats.coalesced_writes),
         ] {

@@ -29,7 +29,7 @@ pub(crate) struct Signal {
 
 impl Signal {
     /// Releases `guard`, parks until notified, and reacquires it.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    pub(crate) fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         self.parked.fetch_add(1, Ordering::Relaxed);
         let guard = self.cv.wait(guard).expect("a pipeline thread panicked");
         self.parked.fetch_sub(1, Ordering::Relaxed);
@@ -39,7 +39,7 @@ impl Signal {
     /// Like [`Signal::wait`], but parks for at most `limit` of wall-clock
     /// time. It says nothing of why it returned: the caller re-checks
     /// its state, and its deadline, either way.
-    pub fn wait_timeout<'a, T>(
+    pub(crate) fn wait_timeout<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
         limit: Duration,
@@ -54,14 +54,14 @@ impl Signal {
     }
 
     /// Wakes one parked thread, if any.
-    pub fn notify_one(&self) {
+    pub(crate) fn notify_one(&self) {
         if self.parked.load(Ordering::Relaxed) > 0 {
             self.cv.notify_one();
         }
     }
 
     /// Wakes every parked thread, if any.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         if self.parked.load(Ordering::Relaxed) > 0 {
             self.cv.notify_all();
         }

@@ -2,15 +2,15 @@
 //!
 //! The field is GF(2^8) with the conventional reduction polynomial
 //! `x^8 + x^4 + x^3 + x^2 + 1` (0x11d) and generator 2. Tables are
-//! built at compile time; [`mul`]/[`div`]/[`inv`] are single lookups,
-//! and [`MulTable`] turns a fixed coefficient into a 256-byte product
-//! row so the slice kernels [`mul_slice`]/[`mul_xor_slice`] run one
-//! table load per byte — the GF analogue of `prins_parity`'s
-//! word-at-a-time XOR kernels (XOR needs no table, so its kernel is
-//! 8 bytes per op; a GF multiply is inherently bytewise).
+//! built at compile time; [`mul`] and `inv` are single lookups, and
+//! [`MulTable`] turns a fixed coefficient into a 256-byte product row
+//! so the slice kernel [`mul_xor_slice`] runs one table load per byte
+//! — the GF analogue of `prins_parity`'s word-at-a-time XOR kernels
+//! (XOR needs no table, so its kernel is 8 bytes per op; a GF multiply
+//! is inherently bytewise).
 
 /// The reduction polynomial of the field (degree-8 term implicit).
-pub const POLY: u16 = 0x11d;
+pub(crate) const POLY: u16 = 0x11d;
 
 const fn build_tables() -> ([u8; 512], [u8; 256]) {
     let mut exp = [0u8; 512];
@@ -38,9 +38,9 @@ const fn build_tables() -> ([u8; 512], [u8; 256]) {
 
 const TABLES: ([u8; 512], [u8; 256]) = build_tables();
 /// `EXP[i] = g^i` for the generator `g = 2`, doubled to 510 entries.
-pub static EXP: [u8; 512] = TABLES.0;
+pub(crate) static EXP: [u8; 512] = TABLES.0;
 /// `LOG[x] = log_g x` for `x != 0` (`LOG[0]` is unused and 0).
-pub static LOG: [u8; 256] = TABLES.1;
+pub(crate) static LOG: [u8; 256] = TABLES.1;
 
 /// Field multiplication.
 #[inline]
@@ -53,13 +53,6 @@ pub fn mul(a: u8, b: u8) -> u8 {
     }
 }
 
-/// Field addition — XOR, shared with every GF(2^w).
-#[inline]
-#[must_use]
-pub fn add(a: u8, b: u8) -> u8 {
-    a ^ b
-}
-
 /// Multiplicative inverse of a nonzero element.
 ///
 /// # Panics
@@ -67,40 +60,9 @@ pub fn add(a: u8, b: u8) -> u8 {
 /// In debug builds if `a == 0`; zero has no inverse.
 #[inline]
 #[must_use]
-pub fn inv(a: u8) -> u8 {
+pub(crate) fn inv(a: u8) -> u8 {
     debug_assert_ne!(a, 0, "zero has no inverse in GF(256)");
     EXP[255 - LOG[a as usize] as usize]
-}
-
-/// Field division `a / b`.
-///
-/// # Panics
-///
-/// In debug builds if `b == 0`.
-#[inline]
-#[must_use]
-pub fn div(a: u8, b: u8) -> u8 {
-    debug_assert_ne!(b, 0, "division by zero in GF(256)");
-    if a == 0 {
-        0
-    } else {
-        EXP[LOG[a as usize] as usize + 255 - LOG[b as usize] as usize]
-    }
-}
-
-/// `a^e` by square-and-multiply (used by tests; the codec needs only
-/// table lookups).
-#[must_use]
-pub fn pow(mut a: u8, mut e: u32) -> u8 {
-    let mut out = 1u8;
-    while e > 0 {
-        if e & 1 == 1 {
-            out = mul(out, a);
-        }
-        a = mul(a, a);
-        e >>= 1;
-    }
-    out
 }
 
 /// A fixed coefficient's 256-entry product row: `row[x] = c · x`.
@@ -132,43 +94,6 @@ impl MulTable {
     #[must_use]
     pub fn mul(&self, x: u8) -> u8 {
         self.row[x as usize]
-    }
-
-    /// `dst = c · src`, elementwise.
-    ///
-    /// The lookups are inherently bytewise, but the eight products of
-    /// each lane are composed into one `u64` and written with a single
-    /// wide store — 1/8th the stores of the scalar loop.
-    ///
-    /// # Panics
-    ///
-    /// If the slices differ in length.
-    pub fn mul_slice(&self, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(src.len(), dst.len(), "mul_slice length mismatch");
-        // 64-byte blocks, 8-byte lanes inside — the same walk shape as
-        // the XOR kernel.
-        const WIDE: usize = 64;
-        let blocks = src.len() / WIDE;
-        for b in 0..blocks {
-            let s = &src[b * WIDE..(b + 1) * WIDE];
-            let d = &mut dst[b * WIDE..(b + 1) * WIDE];
-            for (dc, sc) in d.chunks_exact_mut(8).zip(s.chunks_exact(8)) {
-                let products = u64::from_ne_bytes([
-                    self.row[sc[0] as usize],
-                    self.row[sc[1] as usize],
-                    self.row[sc[2] as usize],
-                    self.row[sc[3] as usize],
-                    self.row[sc[4] as usize],
-                    self.row[sc[5] as usize],
-                    self.row[sc[6] as usize],
-                    self.row[sc[7] as usize],
-                ]);
-                dc.copy_from_slice(&products.to_ne_bytes());
-            }
-        }
-        for (d, s) in dst[blocks * WIDE..].iter_mut().zip(&src[blocks * WIDE..]) {
-            *d = self.row[*s as usize];
-        }
     }
 
     /// `dst ^= c · src`, elementwise — the RMW parity-strip update.
@@ -205,16 +130,6 @@ impl MulTable {
         for (d, s) in dst[blocks * WIDE..].iter_mut().zip(&src[blocks * WIDE..]) {
             *d ^= self.row[*s as usize];
         }
-    }
-}
-
-/// `dst = c · src` without a prebuilt [`MulTable`] (builds one
-/// internally; prefer the table for repeated coefficients).
-pub fn mul_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-    match c {
-        0 => dst.fill(0),
-        1 => dst.copy_from_slice(src),
-        _ => MulTable::new(c).mul_slice(src, dst),
     }
 }
 
@@ -260,13 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn inverse_and_division() {
+    fn every_nonzero_element_has_an_inverse() {
         for a in 1..=255u8 {
             assert_eq!(mul(a, inv(a)), 1, "a = {a}");
-            assert_eq!(div(a, a), 1);
-            assert_eq!(div(0, a), 0);
         }
-        assert_eq!(pow(2, 255), 1); // the generator's order
     }
 
     #[test]
@@ -275,11 +187,6 @@ mod tests {
         let src: Vec<u8> = (0..200u16).map(|i| (i * 37 % 251) as u8).collect();
         for c in [0u8, 1, 2, 0x53, 0xff] {
             for len in [0usize, 1, 7, 8, 63, 64, 65, 128, 200] {
-                let mut dst = vec![0xa5u8; len];
-                mul_slice(c, &src[..len], &mut dst);
-                let want: Vec<u8> = src[..len].iter().map(|&x| mul(c, x)).collect();
-                assert_eq!(dst, want, "mul_slice c={c} len={len}");
-
                 let mut dst = vec![0xa5u8; len];
                 mul_xor_slice(c, &src[..len], &mut dst);
                 let want: Vec<u8> = src[..len].iter().map(|&x| 0xa5 ^ mul(c, x)).collect();
@@ -299,13 +206,12 @@ mod tests {
         /// Multiplication distributes over addition (XOR).
         #[test]
         fn prop_distributive(a in any::<u8>(), b in any::<u8>(), c in any::<u8>()) {
-            prop_assert_eq!(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
+            prop_assert_eq!(mul(a, b ^ c), mul(a, b) ^ mul(a, c));
         }
 
-        /// Inverse round-trip: `(a · b) / b == a` for `b != 0`.
+        /// Inverse round-trip: `(a · b) · b⁻¹ == a` for `b != 0`.
         #[test]
         fn prop_inverse_roundtrip(a in any::<u8>(), b in 1u8..=255) {
-            prop_assert_eq!(div(mul(a, b), b), a);
             prop_assert_eq!(mul(mul(a, b), inv(b)), a);
         }
 
@@ -314,7 +220,6 @@ mod tests {
         fn prop_identities(a in any::<u8>()) {
             prop_assert_eq!(mul(a, 1), a);
             prop_assert_eq!(mul(a, 0), 0);
-            prop_assert_eq!(add(a, a), 0); // characteristic 2
         }
 
         /// The slice kernel is the scalar multiply, elementwise.

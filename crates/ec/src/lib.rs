@@ -5,12 +5,12 @@
 //! bytes (instead of `n` × for mirrors) and still survives any `m`
 //! node losses. The pieces:
 //!
-//! * [`gf`] — the field: compile-time log/exp tables, scalar ops, and
-//!   the [`MulTable`]-driven `mul_slice`/`mul_xor_slice` strip kernels,
+//! * [`gf`] — the field: compile-time log/exp tables, [`gf::mul`], and
+//!   the [`MulTable`]-driven [`gf::mul_xor_slice`] strip kernel,
 //! * [`ReedSolomon`] — a systematic Cauchy Reed–Solomon codec behind
-//!   `prins_parity`'s [`ErasureCodec`] trait, including
-//!   [`ReedSolomon::repair_coefficients`], the repair plan that
-//!   rebuilds a lost strip from exactly `k` survivors.
+//!   `prins_parity`'s [`ErasureCodec`](prins_parity::ErasureCodec)
+//!   trait, whose repair plan rebuilds a lost strip from exactly `k`
+//!   survivors.
 //!
 //! The PRINS trick carries over unchanged because the code is linear:
 //! a small write's delta `Δd = new ⊕ old` updates parity strip `i` by
@@ -37,8 +37,10 @@
 //! assert_eq!(strips[1].as_deref(), Some(&data[1][..]));
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod gf;
 mod rs;
 
-pub use gf::{mul_slice, mul_xor_slice, MulTable};
+pub use gf::MulTable;
 pub use rs::ReedSolomon;

@@ -35,7 +35,7 @@ impl ReedSolomon {
     /// If `k == 0`, `m == 0`, or `k + m > 256` (the Cauchy points must
     /// be distinct field elements).
     #[must_use]
-    pub fn new(k: usize, m: usize) -> Self {
+    pub(crate) fn new(k: usize, m: usize) -> Self {
         assert!(k >= 1 && m >= 1, "RS needs k >= 1 and m >= 1");
         assert!(k + m <= 256, "k + m must not exceed the field size");
         let mut coeff = Vec::with_capacity(m * k);
@@ -84,7 +84,7 @@ impl ReedSolomon {
     /// survivors (none of them `lost`) are given;
     /// [`EcError::Singular`] if they cannot express the strip (never
     /// for distinct codeword positions of an MDS code).
-    pub fn repair_coefficients(
+    pub(crate) fn repair_coefficients(
         &self,
         lost: usize,
         survivors: &[usize],

@@ -30,11 +30,6 @@ pub enum FsError {
         /// The offending path.
         path: String,
     },
-    /// A directory being removed still has entries.
-    DirectoryNotEmpty {
-        /// The offending path.
-        path: String,
-    },
     /// No free data blocks or inodes remain.
     NoSpace,
     /// A file name exceeds the 58-byte directory entry limit.
@@ -71,7 +66,6 @@ impl fmt::Display for FsError {
             FsError::AlreadyExists { path } => write!(f, "already exists: {path}"),
             FsError::NotADirectory { path } => write!(f, "not a directory: {path}"),
             FsError::IsADirectory { path } => write!(f, "is a directory: {path}"),
-            FsError::DirectoryNotEmpty { path } => write!(f, "directory not empty: {path}"),
             FsError::NoSpace => write!(f, "no space left on device"),
             FsError::NameTooLong { name } => write!(f, "file name too long: {name}"),
             FsError::FileTooLarge { size, max } => {

@@ -27,11 +27,11 @@ pub enum FileKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Metadata {
     /// File or directory.
-    pub kind: FileKind,
+    pub(crate) kind: FileKind,
     /// Size in bytes (directories: size of the entry table).
     pub size: u64,
     /// Modification counter.
-    pub mtime: u64,
+    pub(crate) mtime: u64,
 }
 
 /// An ext2-like filesystem over a shared block device.
@@ -91,7 +91,7 @@ impl Fs {
     }
 
     /// The filesystem's on-disk layout.
-    pub fn layout(&self) -> Layout {
+    pub(crate) fn layout(&self) -> Layout {
         self.layout
     }
 
@@ -120,15 +120,6 @@ impl Fs {
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect())
-    }
-
-    /// Data blocks currently allocated.
-    ///
-    /// # Errors
-    ///
-    /// Device failures.
-    pub fn used_blocks(&self) -> Result<u64, FsError> {
-        Bitmap::blocks_of(&self.layout).used(&*self.dev)
     }
 
     // ------------------------------------------------------------------
@@ -513,7 +504,7 @@ impl Fs {
     /// # Errors
     ///
     /// [`FsError::NotADirectory`] when `path` is a file.
-    pub fn read_dir(&self, path: &str) -> Result<Vec<String>, FsError> {
+    pub(crate) fn read_dir(&self, path: &str) -> Result<Vec<String>, FsError> {
         let inode = self.read_inode(self.resolve(path)?)?;
         if inode.kind != KIND_DIR {
             return Err(FsError::NotADirectory { path: path.into() });
@@ -591,20 +582,6 @@ impl Fs {
         let mut data = vec![0u8; inode.size as usize];
         self.read_range(&inode, 0, &mut data)?;
         Ok(data)
-    }
-
-    /// Reads `buf.len()` bytes starting at `offset` (zero-filled past
-    /// EOF).
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::NotFound`], [`FsError::IsADirectory`].
-    pub fn read_at(&self, path: &str, offset: u64, buf: &mut [u8]) -> Result<(), FsError> {
-        let inode = self.read_inode(self.resolve(path)?)?;
-        if inode.kind == KIND_DIR {
-            return Err(FsError::IsADirectory { path: path.into() });
-        }
-        self.read_range(&inode, offset, buf)
     }
 
     fn truncate_ino(&self, ino: InodeId, size: u64) -> Result<(), FsError> {
@@ -691,39 +668,13 @@ impl Fs {
         Ok(())
     }
 
-    /// Removes an empty directory.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::DirectoryNotEmpty`], [`FsError::NotADirectory`],
-    /// [`FsError::NotFound`].
-    pub fn remove_dir(&self, path: &str) -> Result<(), FsError> {
-        let (parent_ino, name) = self.resolve_parent(path)?;
-        let mut parent = self.read_inode(parent_ino)?;
-        let ino = self
-            .dir_find(&parent, name)?
-            .ok_or_else(|| FsError::NotFound { path: path.into() })?;
-        let mut inode = self.read_inode(ino)?;
-        if inode.kind != KIND_DIR {
-            return Err(FsError::NotADirectory { path: path.into() });
-        }
-        if !self.dir_entries(&inode)?.is_empty() {
-            return Err(FsError::DirectoryNotEmpty { path: path.into() });
-        }
-        self.dir_remove(parent_ino, &mut parent, name)?;
-        self.free_file_blocks(&mut inode, 0)?;
-        self.write_inode(ino, &Inode::default())?;
-        Bitmap::inodes_of(&self.layout).free(&*self.dev, (ino - 1) as u64)?;
-        Ok(())
-    }
-
     /// Walks the tree depth-first, returning every path under `root`
     /// (directories included, `root` excluded), sorted.
     ///
     /// # Errors
     ///
     /// Propagates resolution failures.
-    pub fn walk(&self, root: &str) -> Result<Vec<String>, FsError> {
+    pub(crate) fn walk(&self, root: &str) -> Result<Vec<String>, FsError> {
         let mut out = Vec::new();
         let mut stack = vec![root.trim_end_matches('/').to_string()];
         while let Some(dir) = stack.pop() {
@@ -755,6 +706,11 @@ mod tests {
     use super::*;
     use prins_block::{BlockSize, MemDevice};
     use rand::{RngExt, SeedableRng};
+
+    /// Data blocks currently allocated.
+    fn used_blocks(fs: &Fs) -> u64 {
+        crate::alloc::tests::used(&Bitmap::blocks_of(&fs.layout), &*fs.dev)
+    }
 
     fn fresh(blocks: u64) -> Fs {
         Fs::format(Arc::new(MemDevice::new(BlockSize::kb4(), blocks)), 256).unwrap()
@@ -859,11 +815,11 @@ mod tests {
         // stays allocated after the unlink (as in ext2).
         fs.write_file("/warmup", b"x").unwrap();
         fs.unlink("/warmup").unwrap();
-        let before = fs.used_blocks().unwrap();
+        let before = used_blocks(&fs);
         fs.write_file("/victim", &vec![7u8; 100_000]).unwrap();
-        assert!(fs.used_blocks().unwrap() > before);
+        assert!(used_blocks(&fs) > before);
         fs.unlink("/victim").unwrap();
-        assert_eq!(fs.used_blocks().unwrap(), before);
+        assert_eq!(used_blocks(&fs), before);
         assert!(!fs.exists("/victim"));
         assert!(matches!(
             fs.unlink("/victim"),
@@ -875,26 +831,12 @@ mod tests {
     fn truncate_shrinks_and_frees() {
         let fs = fresh(1024);
         fs.write_file("/t", &vec![5u8; 50_000]).unwrap();
-        let used_full = fs.used_blocks().unwrap();
+        let used_full = used_blocks(&fs);
         fs.truncate("/t", 100).unwrap();
-        assert!(fs.used_blocks().unwrap() < used_full);
+        assert!(used_blocks(&fs) < used_full);
         let data = fs.read_file("/t").unwrap();
         assert_eq!(data.len(), 100);
         assert!(data.iter().all(|&b| b == 5));
-    }
-
-    #[test]
-    fn remove_dir_requires_empty() {
-        let fs = fresh(1024);
-        fs.create_dir("/d").unwrap();
-        fs.write_file("/d/f", b"x").unwrap();
-        assert!(matches!(
-            fs.remove_dir("/d"),
-            Err(FsError::DirectoryNotEmpty { .. })
-        ));
-        fs.unlink("/d/f").unwrap();
-        fs.remove_dir("/d").unwrap();
-        assert!(!fs.exists("/d"));
     }
 
     #[test]

@@ -106,9 +106,9 @@ pub struct FsckReport {
     /// Reachable files.
     pub files: u64,
     /// Reachable directories (including the root).
-    pub directories: u64,
+    pub(crate) directories: u64,
     /// Data blocks referenced by reachable inodes.
-    pub referenced_blocks: u64,
+    pub(crate) referenced_blocks: u64,
 }
 
 impl FsckReport {
@@ -269,7 +269,10 @@ mod tests {
         assert!(report.is_clean(), "{:?}", report.issues);
         assert_eq!(report.directories, 3); // root, /a, /a/b
         assert_eq!(report.files, 3);
-        assert_eq!(report.referenced_blocks, fs.used_blocks().unwrap());
+        assert_eq!(
+            report.referenced_blocks,
+            crate::alloc::tests::used(&Bitmap::blocks_of(&fs.layout()), &**fs.device())
+        );
     }
 
     #[test]

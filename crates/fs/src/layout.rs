@@ -5,41 +5,41 @@ use prins_block::{BlockSize, Geometry};
 use crate::FsError;
 
 /// Inode number (1-based; 0 means "no inode" in directory entries).
-pub type InodeId = u32;
+pub(crate) type InodeId = u32;
 
 /// Size of one on-disk inode.
-pub const INODE_SIZE: usize = 128;
+pub(crate) const INODE_SIZE: usize = 128;
 /// Number of direct block pointers per inode.
-pub const DIRECT_PTRS: usize = 12;
+pub(crate) const DIRECT_PTRS: usize = 12;
 /// Magic number in the superblock ("PFS1").
-pub const MAGIC: u32 = 0x5046_5331;
+pub(crate) const MAGIC: u32 = 0x5046_5331;
 /// Root directory inode.
-pub const ROOT_INODE: InodeId = 1;
+pub(crate) const ROOT_INODE: InodeId = 1;
 
 /// Where each on-disk region lives, derived from the device geometry and
 /// the requested inode count (ext2-style fixed regions).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Layout {
+pub(crate) struct Layout {
     /// Device block size.
-    pub block_size: BlockSize,
+    pub(crate) block_size: BlockSize,
     /// Total device blocks.
-    pub total_blocks: u64,
+    pub(crate) total_blocks: u64,
     /// Number of inodes.
-    pub inode_count: u32,
+    pub(crate) inode_count: u32,
     /// First block of the block bitmap.
-    pub block_bitmap_start: u64,
+    pub(crate) block_bitmap_start: u64,
     /// Blocks in the block bitmap.
-    pub block_bitmap_blocks: u64,
+    pub(crate) block_bitmap_blocks: u64,
     /// First block of the inode bitmap.
-    pub inode_bitmap_start: u64,
+    pub(crate) inode_bitmap_start: u64,
     /// Blocks in the inode bitmap.
-    pub inode_bitmap_blocks: u64,
+    pub(crate) inode_bitmap_blocks: u64,
     /// First block of the inode table.
-    pub inode_table_start: u64,
+    pub(crate) inode_table_start: u64,
     /// Blocks in the inode table.
-    pub inode_table_blocks: u64,
+    pub(crate) inode_table_blocks: u64,
     /// First data block.
-    pub data_start: u64,
+    pub(crate) data_start: u64,
 }
 
 impl Layout {
@@ -49,7 +49,7 @@ impl Layout {
     ///
     /// [`FsError::NoSpace`] when the device is too small to hold the
     /// metadata regions plus at least one data block.
-    pub fn compute(geometry: Geometry, inode_count: u32) -> Result<Self, FsError> {
+    pub(crate) fn compute(geometry: Geometry, inode_count: u32) -> Result<Self, FsError> {
         let bs = geometry.block_size().bytes() as u64;
         let total_blocks = geometry.num_blocks();
         let bits_per_block = bs * 8;
@@ -80,19 +80,19 @@ impl Layout {
     }
 
     /// Number of data blocks available to files.
-    pub fn data_blocks(&self) -> u64 {
+    pub(crate) fn data_blocks(&self) -> u64 {
         self.total_blocks - self.data_start
     }
 
     /// Maximum file size: 12 direct blocks + one indirect block of
     /// 4-byte pointers.
-    pub fn max_file_size(&self) -> u64 {
+    pub(crate) fn max_file_size(&self) -> u64 {
         let bs = self.block_size.bytes() as u64;
         (DIRECT_PTRS as u64 + bs / 4) * bs
     }
 
     /// `(block, byte_offset)` of inode `ino` within the inode table.
-    pub fn inode_location(&self, ino: InodeId) -> (u64, usize) {
+    pub(crate) fn inode_location(&self, ino: InodeId) -> (u64, usize) {
         let per_block = self.block_size.bytes() / INODE_SIZE;
         let idx = (ino - 1) as u64;
         (
@@ -102,7 +102,7 @@ impl Layout {
     }
 
     /// Serializes the superblock into a block-sized buffer.
-    pub fn encode_superblock(&self, buf: &mut [u8]) {
+    pub(crate) fn encode_superblock(&self, buf: &mut [u8]) {
         buf.fill(0);
         buf[0..4].copy_from_slice(&MAGIC.to_le_bytes());
         buf[4..8].copy_from_slice(&self.block_size.bytes_u32().to_le_bytes());
@@ -115,7 +115,7 @@ impl Layout {
     /// # Errors
     ///
     /// [`FsError::Corrupt`] when the magic or geometry disagree.
-    pub fn decode_superblock(geometry: Geometry, buf: &[u8]) -> Result<Self, FsError> {
+    pub(crate) fn decode_superblock(geometry: Geometry, buf: &[u8]) -> Result<Self, FsError> {
         if buf.len() < 20 || u32::from_le_bytes(buf[0..4].try_into().unwrap()) != MAGIC {
             return Err(FsError::Corrupt {
                 detail: "bad superblock magic".into(),
@@ -138,24 +138,24 @@ impl Layout {
 
 /// An in-memory inode image.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Inode {
+pub(crate) struct Inode {
     /// 0 = free, 1 = regular file, 2 = directory.
-    pub kind: u16,
+    pub(crate) kind: u16,
     /// Link count.
-    pub links: u16,
+    pub(crate) links: u16,
     /// File size in bytes.
-    pub size: u64,
+    pub(crate) size: u64,
     /// Direct block pointers (0 = unallocated; stored +data_start-free).
-    pub direct: [u32; DIRECT_PTRS],
+    pub(crate) direct: [u32; DIRECT_PTRS],
     /// Indirect pointer block (0 = none).
-    pub indirect: u32,
+    pub(crate) indirect: u32,
     /// Modification counter (bumped per write, like mtime).
-    pub mtime: u64,
+    pub(crate) mtime: u64,
 }
 
 impl Inode {
     /// Serializes into `INODE_SIZE` bytes.
-    pub fn encode(&self, buf: &mut [u8]) {
+    pub(crate) fn encode(&self, buf: &mut [u8]) {
         buf[..INODE_SIZE].fill(0);
         buf[0..2].copy_from_slice(&self.kind.to_le_bytes());
         buf[2..4].copy_from_slice(&self.links.to_le_bytes());
@@ -168,7 +168,7 @@ impl Inode {
     }
 
     /// Deserializes from `INODE_SIZE` bytes.
-    pub fn decode(buf: &[u8]) -> Self {
+    pub(crate) fn decode(buf: &[u8]) -> Self {
         let mut direct = [0u32; DIRECT_PTRS];
         for (i, ptr) in direct.iter_mut().enumerate() {
             *ptr = u32::from_le_bytes(buf[12 + i * 4..16 + i * 4].try_into().unwrap());

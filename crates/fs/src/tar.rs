@@ -7,7 +7,8 @@
 //! Ext2 volume), producing the large sequential write burst the
 //! benchmark measures.
 
-use crate::{FileKind, Fs, FsError};
+use crate::fs::FileKind;
+use crate::{Fs, FsError};
 
 const RECORD: usize = 512;
 
@@ -47,9 +48,9 @@ pub struct Entry {
     /// Path, absolute (leading `/` restored).
     pub path: String,
     /// Entry kind.
-    pub kind: FileKind,
+    pub(crate) kind: FileKind,
     /// File contents (empty for directories).
-    pub data: Vec<u8>,
+    pub(crate) data: Vec<u8>,
 }
 
 /// Archives `roots` (files or directory trees) into `dest` inside the
@@ -191,32 +192,6 @@ pub fn list(fs: &Fs, archive: &str) -> Result<Vec<Entry>, FsError> {
     Ok(entries)
 }
 
-/// Extracts an archive under `prefix` (a directory that must exist).
-///
-/// # Errors
-///
-/// Propagates parse and write failures.
-pub fn extract(fs: &Fs, archive: &str, prefix: &str) -> Result<usize, FsError> {
-    let entries = list(fs, archive)?;
-    let prefix = prefix.trim_end_matches('/');
-    let mut count = 0usize;
-    for entry in &entries {
-        let dest = format!("{prefix}{}", entry.path);
-        match entry.kind {
-            FileKind::Directory => {
-                if !fs.exists(&dest) {
-                    fs.create_dir(&dest)?;
-                }
-            }
-            FileKind::File => {
-                fs.write_file(&dest, &entry.data)?;
-                count += 1;
-            }
-        }
-    }
-    Ok(count)
-}
-
 fn parse_octal(field: &[u8]) -> Result<u64, FsError> {
     let s: String = field
         .iter()
@@ -261,29 +236,6 @@ mod tests {
         assert_eq!(a.data, b"alpha");
         let b = files.iter().find(|e| e.path == "/src/b.txt").unwrap();
         assert_eq!(b.data, vec![7u8; 1000]);
-    }
-
-    #[test]
-    fn extract_restores_byte_identical_tree() {
-        let fs = fresh();
-        fs.create_dir("/data").unwrap();
-        for i in 0..5 {
-            fs.write_file(
-                &format!("/data/file{i}"),
-                format!("contents of file {i}\n").repeat(i + 1).as_bytes(),
-            )
-            .unwrap();
-        }
-        create(&fs, &["/data"], "/backup.tar").unwrap();
-        fs.create_dir("/restore").unwrap();
-        let extracted = extract(&fs, "/backup.tar", "/restore").unwrap();
-        assert_eq!(extracted, 5);
-        for i in 0..5 {
-            assert_eq!(
-                fs.read_file(&format!("/restore/data/file{i}")).unwrap(),
-                fs.read_file(&format!("/data/file{i}")).unwrap()
-            );
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! SCSI Command Descriptor Blocks for the block-storage command subset.
 
-use crate::IscsiError;
+use crate::error::IscsiError;
 
 /// The SCSI commands the target serves, with their SBC-2 wire encodings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cdb {
+pub(crate) enum Cdb {
     /// `TEST UNIT READY` (opcode 0x00).
     TestUnitReady,
     /// `READ(10)` (opcode 0x28): read `blocks` blocks starting at `lba`.
@@ -30,9 +30,9 @@ pub enum Cdb {
 
 impl Cdb {
     /// Encodes into the 16-byte CDB field of a SCSI Command PDU.
-    pub fn to_bytes(&self) -> [u8; 16] {
+    pub(crate) fn to_bytes(self) -> [u8; 16] {
         let mut b = [0u8; 16];
-        match *self {
+        match self {
             Cdb::TestUnitReady => {}
             Cdb::Read10 { lba, blocks } => {
                 b[0] = 0x28;
@@ -56,7 +56,7 @@ impl Cdb {
     ///
     /// Returns [`IscsiError::Protocol`] for operation codes outside the
     /// supported subset.
-    pub fn from_bytes(b: &[u8; 16]) -> Result<Self, IscsiError> {
+    pub(crate) fn from_bytes(b: &[u8; 16]) -> Result<Self, IscsiError> {
         Ok(match b[0] {
             0x00 => Cdb::TestUnitReady,
             0x25 => Cdb::ReadCapacity10,

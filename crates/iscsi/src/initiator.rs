@@ -2,7 +2,10 @@
 
 use prins_net::Transport;
 
-use crate::{Bhs, Cdb, IscsiError, Opcode, Pdu, ScsiStatus};
+use crate::cdb::Cdb;
+use crate::error::IscsiError;
+use crate::pdu::{Bhs, ScsiStatus};
+use crate::{Opcode, Pdu};
 
 /// An initiator session bound to one transport connection.
 ///
@@ -84,11 +87,6 @@ impl<T: Transport> Initiator<T> {
         self.block_size
     }
 
-    /// The underlying transport (e.g. to inspect its traffic meter).
-    pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
     fn next_itt(&mut self) -> u32 {
         self.itt = self.itt.wrapping_add(1);
         self.itt
@@ -158,7 +156,7 @@ impl<T: Transport> Initiator<T> {
     ///
     /// [`IscsiError::CheckCondition`] if the target reports an error;
     /// transport and protocol errors otherwise.
-    pub fn read_capacity(&mut self) -> Result<(u64, u32), IscsiError> {
+    pub(crate) fn read_capacity(&mut self) -> Result<(u64, u32), IscsiError> {
         self.ensure_logged_in()?;
         let bhs = self.command_bhs(Cdb::ReadCapacity10, 8);
         let itt = bhs.itt;
@@ -177,23 +175,6 @@ impl<T: Transport> Initiator<T> {
         let (status, sense) = self.expect_response(itt)?;
         Self::check_good(status, sense)?;
         Ok((max_lba as u64 + 1, bs))
-    }
-
-    /// Issues `TEST UNIT READY`.
-    ///
-    /// # Errors
-    ///
-    /// [`IscsiError::CheckCondition`] if the unit is not ready.
-    pub fn test_unit_ready(&mut self) -> Result<(), IscsiError> {
-        self.ensure_logged_in()?;
-        let bhs = self.command_bhs(Cdb::TestUnitReady, 0);
-        let itt = bhs.itt;
-        self.send(&Pdu {
-            bhs,
-            data: Vec::new(),
-        })?;
-        let (status, sense) = self.expect_response(itt)?;
-        Self::check_good(status, sense)
     }
 
     /// Reads `count` blocks starting at `lba`.
@@ -292,81 +273,6 @@ impl<T: Transport> Initiator<T> {
         Self::check_good(status, sense)
     }
 
-    /// Writes `data` starting at `lba` using the solicited-data (R2T)
-    /// flow: the command goes out without payload, the target answers
-    /// with Ready-To-Transfer grants, and the data follows as Data-Out
-    /// PDUs bounded by the negotiated segment size.
-    ///
-    /// Functionally identical to [`write_blocks`](Self::write_blocks);
-    /// exists because real initiators must speak both flows (immediate
-    /// data is a negotiable optimization in RFC 3720).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`write_blocks`](Self::write_blocks).
-    pub fn write_blocks_r2t(&mut self, lba: u64, data: &[u8]) -> Result<(), IscsiError> {
-        self.ensure_logged_in()?;
-        let bs = self.block_size as usize;
-        if bs == 0 || !data.len().is_multiple_of(bs) || data.is_empty() {
-            return Err(IscsiError::Protocol(format!(
-                "write of {} bytes is not a positive multiple of the {bs}-byte block size",
-                data.len()
-            )));
-        }
-        let blocks = (data.len() / bs) as u16;
-        let bhs = self.command_bhs(
-            Cdb::Write10 {
-                lba: lba as u32,
-                blocks,
-            },
-            data.len() as u32,
-        );
-        let itt = bhs.itt;
-        // Unsolicited-data-absent command: empty data segment.
-        self.send(&Pdu {
-            bhs,
-            data: Vec::new(),
-        })?;
-        // Serve R2T grants until the target switches to the response.
-        loop {
-            let pdu = self.recv()?;
-            match pdu.bhs.opcode {
-                Opcode::R2t => {
-                    if pdu.bhs.itt != itt {
-                        return Err(IscsiError::Protocol("r2t for wrong task".into()));
-                    }
-                    let offset = pdu.bhs.dword5 as usize;
-                    let length = pdu.bhs.cmd_sn as usize; // desired transfer length
-                    if offset + length > data.len() {
-                        return Err(IscsiError::Protocol(format!(
-                            "r2t grant [{offset}, {}) exceeds data length {}",
-                            offset + length,
-                            data.len()
-                        )));
-                    }
-                    let mut out =
-                        Pdu::with_data(Opcode::DataOut, data[offset..offset + length].to_vec());
-                    out.bhs.itt = itt;
-                    out.bhs.dword5 = offset as u32;
-                    out.bhs.flags = 0x80;
-                    self.send(&out)?;
-                }
-                Opcode::ScsiResponse => {
-                    if pdu.bhs.itt != itt {
-                        return Err(IscsiError::Protocol("response for wrong task".into()));
-                    }
-                    let status = ScsiStatus::from_wire(pdu.bhs.flags & 0x3f)?;
-                    return Self::check_good(status, pdu.data);
-                }
-                other => {
-                    return Err(IscsiError::Protocol(format!(
-                        "unexpected {other:?} during r2t write"
-                    )))
-                }
-            }
-        }
-    }
-
     /// Issues `SYNCHRONIZE CACHE(10)` (maps to a device flush).
     ///
     /// # Errors
@@ -382,25 +288,6 @@ impl<T: Transport> Initiator<T> {
         })?;
         let (status, sense) = self.expect_response(itt)?;
         Self::check_good(status, sense)
-    }
-
-    /// Sends a NOP-Out ping carrying `payload` and returns the echoed
-    /// payload from the NOP-In.
-    ///
-    /// # Errors
-    ///
-    /// Transport and protocol errors.
-    pub fn nop(&mut self, payload: &[u8]) -> Result<Vec<u8>, IscsiError> {
-        self.ensure_logged_in()?;
-        let mut pdu = Pdu::with_data(Opcode::NopOut, payload.to_vec());
-        pdu.bhs.itt = self.next_itt();
-        let itt = pdu.bhs.itt;
-        self.send(&pdu)?;
-        let resp = self.recv()?;
-        if resp.bhs.opcode != Opcode::NopIn || resp.bhs.itt != itt {
-            return Err(IscsiError::Protocol("mismatched nop-in".into()));
-        }
-        Ok(resp.data)
     }
 
     /// Closes the session with a logout exchange.

@@ -5,14 +5,13 @@
 //! uses a second initiator/target pair between PRINS engines. This crate
 //! reproduces the protocol substrate:
 //!
-//! * [`Pdu`] / [`Bhs`] — 48-byte Basic Header Segment encoding with the
-//!   real field layout (opcode, flags, data-segment length, LUN,
-//!   initiator task tag, CmdSN/StatSN, embedded 16-byte CDB),
-//! * [`Cdb`] — the SCSI block commands the storage path needs:
-//!   `READ(10)`, `WRITE(10)`, `READ CAPACITY(10)`, `TEST UNIT READY`,
-//!   `SYNCHRONIZE CACHE(10)`,
+//! * [`Pdu`] — 48-byte Basic Header Segment encoding with the real field
+//!   layout (opcode, flags, data-segment length, LUN, initiator task
+//!   tag, CmdSN/StatSN, embedded 16-byte CDB) carrying the SCSI block
+//!   commands the storage path needs: `READ(10)`, `WRITE(10)`,
+//!   `READ CAPACITY(10)`, `TEST UNIT READY`, `SYNCHRONIZE CACHE(10)`,
 //! * [`Initiator`] — login, block read/write (with Data-In segmentation),
-//!   capacity discovery, NOP ping and logout over any
+//!   capacity discovery, cache flush and logout over any
 //!   [`Transport`](prins_net::Transport),
 //! * [`Target`] — serves any [`BlockDevice`](prins_block::BlockDevice) to
 //!   one initiator connection.
@@ -45,14 +44,15 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod cdb;
 mod error;
 mod initiator;
 mod pdu;
 mod target;
 
-pub use cdb::Cdb;
 pub use error::IscsiError;
 pub use initiator::Initiator;
-pub use pdu::{Bhs, Opcode, Pdu, ScsiStatus, BHS_LEN};
+pub use pdu::{Opcode, Pdu};
 pub use target::Target;

@@ -1,9 +1,9 @@
 //! PDU and Basic Header Segment encoding.
 
-use crate::IscsiError;
+use crate::error::IscsiError;
 
 /// Length of the Basic Header Segment in bytes, per RFC 3720.
-pub const BHS_LEN: usize = 48;
+pub(crate) const BHS_LEN: usize = 48;
 
 /// Maximum data segment length we ever accept (24-bit field upper bound).
 const MAX_DATA_SEGMENT: usize = (1 << 24) - 1;
@@ -48,7 +48,7 @@ impl Opcode {
     ///
     /// Returns [`IscsiError::Protocol`] for opcodes outside the supported
     /// subset.
-    pub fn from_wire(byte: u8) -> Result<Self, IscsiError> {
+    pub(crate) fn from_wire(byte: u8) -> Result<Self, IscsiError> {
         Ok(match byte & 0x3f {
             0x00 => Opcode::NopOut,
             0x01 => Opcode::ScsiCommand,
@@ -73,7 +73,7 @@ impl Opcode {
 /// SCSI status codes carried in a [`Opcode::ScsiResponse`] PDU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
-pub enum ScsiStatus {
+pub(crate) enum ScsiStatus {
     /// Command completed successfully.
     Good = 0x00,
     /// Command failed; sense data describes why.
@@ -89,7 +89,7 @@ impl ScsiStatus {
     ///
     /// Returns [`IscsiError::Protocol`] for statuses outside the
     /// supported subset.
-    pub fn from_wire(byte: u8) -> Result<Self, IscsiError> {
+    pub(crate) fn from_wire(byte: u8) -> Result<Self, IscsiError> {
         Ok(match byte {
             0x00 => ScsiStatus::Good,
             0x02 => ScsiStatus::CheckCondition,
@@ -122,29 +122,29 @@ impl ScsiStatus {
 /// bytes 32-47  CDB (SCSI Command) or reserved
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Bhs {
+pub(crate) struct Bhs {
     /// PDU opcode.
-    pub opcode: Opcode,
+    pub(crate) opcode: Opcode,
     /// Flags byte; bit 0x80 marks the final PDU of a sequence.
-    pub flags: u8,
+    pub(crate) flags: u8,
     /// Logical unit number.
-    pub lun: u64,
+    pub(crate) lun: u64,
     /// Initiator task tag correlating requests and responses.
-    pub itt: u32,
+    pub(crate) itt: u32,
     /// Expected data transfer length, buffer offset, or transfer tag
     /// depending on the opcode.
-    pub dword5: u32,
+    pub(crate) dword5: u32,
     /// Command sequence number (or DataSN for Data-In).
-    pub cmd_sn: u32,
+    pub(crate) cmd_sn: u32,
     /// Expected status sequence number (or StatSN on responses).
-    pub exp_stat_sn: u32,
+    pub(crate) exp_stat_sn: u32,
     /// Embedded CDB for SCSI Command PDUs; zeroed otherwise.
-    pub cdb: [u8; 16],
+    pub(crate) cdb: [u8; 16],
 }
 
 impl Bhs {
     /// Creates a header with all sequence fields zeroed.
-    pub fn new(opcode: Opcode) -> Self {
+    pub(crate) fn new(opcode: Opcode) -> Self {
         Self {
             opcode,
             flags: 0x80,
@@ -158,7 +158,7 @@ impl Bhs {
     }
 
     /// Whether the final bit is set.
-    pub fn is_final(&self) -> bool {
+    pub(crate) fn is_final(&self) -> bool {
         self.flags & 0x80 != 0
     }
 }
@@ -167,14 +167,14 @@ impl Bhs {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pdu {
     /// The Basic Header Segment.
-    pub bhs: Bhs,
+    pub(crate) bhs: Bhs,
     /// The data segment (possibly empty).
-    pub data: Vec<u8>,
+    pub(crate) data: Vec<u8>,
 }
 
 impl Pdu {
     /// Creates a PDU with an empty data segment.
-    pub fn new(opcode: Opcode) -> Self {
+    pub(crate) fn new(opcode: Opcode) -> Self {
         Self {
             bhs: Bhs::new(opcode),
             data: Vec::new(),

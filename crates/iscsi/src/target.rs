@@ -6,7 +6,13 @@ use std::thread::JoinHandle;
 use prins_block::{BlockDevice, Lba};
 use prins_net::{NetError, Transport};
 
-use crate::{Cdb, IscsiError, Opcode, Pdu, ScsiStatus};
+use crate::cdb::Cdb;
+use crate::error::IscsiError;
+use crate::pdu::ScsiStatus;
+use crate::{Opcode, Pdu};
+
+/// The largest data segment the target sends or solicits in one PDU.
+const MAX_DATA_SEGMENT: usize = 64 * 1024;
 
 /// A target bound to one [`BlockDevice`].
 ///
@@ -17,25 +23,14 @@ use crate::{Cdb, IscsiError, Opcode, Pdu, ScsiStatus};
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct Target {
     device: Arc<dyn BlockDevice>,
-    max_data_segment: usize,
     stat_sn: u32,
 }
 
 impl Target {
-    /// Creates a target serving `device` with the default 64 KB data
-    /// segment limit.
-    pub fn new(device: Arc<dyn BlockDevice>) -> Self {
-        Self {
-            device,
-            max_data_segment: 64 * 1024,
-            stat_sn: 1,
-        }
-    }
-
-    /// Overrides the maximum Data-In segment size (clamped to ≥ 512).
-    pub fn with_max_data_segment(mut self, bytes: usize) -> Self {
-        self.max_data_segment = bytes.max(512);
-        self
+    /// Creates a target serving `device` with a 64 KB data segment
+    /// limit.
+    pub(crate) fn new(device: Arc<dyn BlockDevice>) -> Self {
+        Self { device, stat_sn: 1 }
     }
 
     /// Serves one connection until logout or disconnect.
@@ -45,7 +40,7 @@ impl Target {
     /// Protocol violations and unexpected transport failures are
     /// returned; a clean logout or an orderly peer disconnect returns
     /// `Ok(())`.
-    pub fn serve<T: Transport>(mut self, transport: T) -> Result<(), IscsiError> {
+    pub(crate) fn serve<T: Transport>(mut self, transport: T) -> Result<(), IscsiError> {
         // Login phase.
         let first = match transport.recv() {
             Ok(bytes) => Pdu::from_bytes(&bytes)?,
@@ -60,11 +55,8 @@ impl Target {
         }
         let mut resp = Pdu::with_data(
             Opcode::LoginResponse,
-            format!(
-                "TargetPortalGroupTag=1\0MaxRecvDataSegmentLength={}\0",
-                self.max_data_segment
-            )
-            .into_bytes(),
+            format!("TargetPortalGroupTag=1\0MaxRecvDataSegmentLength={MAX_DATA_SEGMENT}\0")
+                .into_bytes(),
         );
         resp.bhs.itt = first.bhs.itt;
         resp.bhs.flags = 0x80; // final, transition to full-feature phase
@@ -102,9 +94,10 @@ impl Target {
         }
     }
 
-    /// Spawns [`serve`](Self::serve) on a dedicated thread (the paper's
-    /// "iSCSI target thread"), returning its handle. Serve errors are
-    /// reported by the thread's `Result`.
+    /// Serves one connection, until logout or disconnect, on a
+    /// dedicated thread (the paper's "iSCSI target thread"), returning
+    /// its handle. Protocol violations and unexpected transport
+    /// failures are reported by the thread's `Result`.
     pub fn spawn<T: Transport + 'static>(
         device: Arc<dyn BlockDevice>,
         transport: T,
@@ -146,7 +139,7 @@ impl Target {
         let mut data = vec![0u8; total];
         let mut offset = 0usize;
         while offset < total {
-            let length = (total - offset).min(self.max_data_segment);
+            let length = (total - offset).min(MAX_DATA_SEGMENT);
             let mut r2t = Pdu::new(Opcode::R2t);
             r2t.bhs.itt = itt;
             r2t.bhs.dword5 = offset as u32;
@@ -226,10 +219,10 @@ impl Target {
                         );
                     }
                 }
-                // Deliver as Data-In segments of at most max_data_segment.
+                // Deliver as Data-In segments of at most MAX_DATA_SEGMENT.
                 let mut off = 0usize;
                 while off < payload.len() || (payload.is_empty() && off == 0) {
-                    let end = (off + self.max_data_segment).min(payload.len());
+                    let end = (off + MAX_DATA_SEGMENT).min(payload.len());
                     let is_final = end == payload.len();
                     let mut din = Pdu::with_data(Opcode::DataIn, payload[off..end].to_vec());
                     din.bhs.itt = itt;
@@ -288,7 +281,6 @@ impl std::fmt::Debug for Target {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Target")
             .field("geometry", &self.device.geometry())
-            .field("max_data_segment", &self.max_data_segment)
             .finish()
     }
 }
@@ -314,6 +306,113 @@ mod tests {
         (ini, handle, device)
     }
 
+    /// A logged-in session driven PDU by PDU, for the target paths the
+    /// [`Initiator`] does not use.
+    fn raw_session(
+        blocks: u64,
+    ) -> (
+        prins_net::ChannelTransport,
+        JoinHandle<Result<(), IscsiError>>,
+        Arc<MemDevice>,
+    ) {
+        let (client, server) = channel_pair(LinkModel::gigabit_lan());
+        let device = Arc::new(MemDevice::new(BlockSize::kb4(), blocks));
+        let handle = Target::spawn(Arc::clone(&device) as Arc<dyn BlockDevice>, server);
+        client
+            .send(&Pdu::new(Opcode::LoginRequest).to_bytes())
+            .unwrap();
+        assert_eq!(recv_pdu(&client).bhs.opcode, Opcode::LoginResponse);
+        (client, handle, device)
+    }
+
+    fn recv_pdu(client: &prins_net::ChannelTransport) -> Pdu {
+        Pdu::from_bytes(&client.recv().unwrap()).unwrap()
+    }
+
+    fn command(cdb: Cdb, itt: u32) -> Pdu {
+        let mut pdu = Pdu::new(Opcode::ScsiCommand);
+        pdu.bhs.itt = itt;
+        pdu.bhs.cdb = cdb.to_bytes();
+        pdu
+    }
+
+    #[test]
+    fn test_unit_ready_and_nop_are_answered() {
+        let (client, handle, _dev) = raw_session(8);
+        client
+            .send(&command(Cdb::TestUnitReady, 1).to_bytes())
+            .unwrap();
+        let resp = recv_pdu(&client);
+        assert_eq!(resp.bhs.opcode, Opcode::ScsiResponse);
+        assert_eq!(resp.bhs.flags & 0x3f, ScsiStatus::Good as u8);
+        let mut nop = Pdu::with_data(Opcode::NopOut, b"ping?".to_vec());
+        nop.bhs.itt = 2;
+        client.send(&nop.to_bytes()).unwrap();
+        let echo = recv_pdu(&client);
+        assert_eq!((echo.bhs.opcode, echo.bhs.itt), (Opcode::NopIn, 2));
+        assert_eq!(echo.data, b"ping?");
+        drop(client);
+        handle.join().unwrap().unwrap();
+    }
+
+    /// Sends a Write10 without immediate data and answers every R2T
+    /// grant with its Data-Out; returns the final response and the
+    /// grant lengths.
+    fn r2t_write(
+        client: &prins_net::ChannelTransport,
+        lba: u32,
+        data: &[u8],
+        itt: u32,
+    ) -> (Pdu, Vec<usize>) {
+        let blocks = (data.len() / 4096) as u16;
+        client
+            .send(&command(Cdb::Write10 { lba, blocks }, itt).to_bytes())
+            .unwrap();
+        let mut grants = Vec::new();
+        loop {
+            let pdu = recv_pdu(client);
+            if pdu.bhs.opcode != Opcode::R2t {
+                return (pdu, grants);
+            }
+            let (offset, length) = (pdu.bhs.dword5 as usize, pdu.bhs.cmd_sn as usize);
+            let mut out = Pdu::with_data(Opcode::DataOut, data[offset..offset + length].to_vec());
+            out.bhs.itt = itt;
+            out.bhs.dword5 = offset as u32;
+            client.send(&out.to_bytes()).unwrap();
+            grants.push(length);
+        }
+    }
+
+    #[test]
+    fn write_without_immediate_data_is_solicited_by_r2t_segments() {
+        let (client, handle, device) = raw_session(64);
+        // 128 KB: two grants of the 64 KB segment limit.
+        let data: Vec<u8> = (0..4096 * 32).map(|i| (i % 253) as u8).collect();
+        let (resp, grants) = r2t_write(&client, 0, &data, 7);
+        assert_eq!(grants, [MAX_DATA_SEGMENT; 2]);
+        assert_eq!(resp.bhs.flags & 0x3f, ScsiStatus::Good as u8);
+        assert_eq!(device.read_block_vec(Lba(31)).unwrap(), data[31 * 4096..]);
+        drop(client);
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn r2t_write_past_the_device_end_reports_check_condition() {
+        let (client, handle, _dev) = raw_session(4);
+        // Blocks 3 and 4 of a 4-block device: the data is solicited,
+        // then the device rejects block 4.
+        let (resp, grants) = r2t_write(&client, 3, &[0u8; 4096 * 2], 9);
+        assert_eq!(grants, [4096 * 2]);
+        assert_eq!(resp.bhs.opcode, Opcode::ScsiResponse);
+        assert_eq!(resp.bhs.itt, 9);
+        assert_eq!(resp.bhs.flags & 0x3f, ScsiStatus::CheckCondition as u8);
+        // The session survives the error.
+        let (resp, _) = r2t_write(&client, 0, &[1u8; 4096], 10);
+        assert_eq!(resp.bhs.flags & 0x3f, ScsiStatus::Good as u8);
+        drop(client);
+        handle.join().unwrap().unwrap();
+    }
+
     #[test]
     fn login_discovers_capacity() {
         let (ini, handle, _dev) = setup(64);
@@ -337,50 +436,11 @@ mod tests {
 
     #[test]
     fn large_read_is_segmented_into_multiple_data_in_pdus() {
-        let (client, server) = channel_pair(LinkModel::gigabit_lan());
-        let device = Arc::new(MemDevice::new(BlockSize::kb4(), 64));
-        let target =
-            Target::new(Arc::clone(&device) as Arc<dyn BlockDevice>).with_max_data_segment(4096);
-        let handle = std::thread::spawn(move || target.serve(server));
-        let mut ini = Initiator::login(client, "iqn.test").unwrap();
-        let data: Vec<u8> = (0..4096 * 8).map(|i| (i % 251) as u8).collect();
+        let (mut ini, handle, _dev) = setup(64);
+        // 128 KB: two Data-In segments of MAX_DATA_SEGMENT.
+        let data: Vec<u8> = (0..4096 * 32).map(|i| (i % 251) as u8).collect();
         ini.write_blocks(0, &data).unwrap();
-        assert_eq!(ini.read_blocks(0, 8).unwrap(), data);
-        ini.logout().unwrap();
-        handle.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn r2t_write_round_trips() {
-        let (mut ini, handle, device) = setup(64);
-        let data: Vec<u8> = (0..4096 * 2).map(|i| (i % 253) as u8).collect();
-        ini.write_blocks_r2t(7, &data).unwrap();
-        assert_eq!(ini.read_blocks(7, 2).unwrap(), data);
-        assert_eq!(device.read_block_vec(Lba(8)).unwrap(), data[4096..]);
-        ini.logout().unwrap();
-        handle.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn r2t_write_is_segmented_by_the_targets_limit() {
-        let (client, server) = channel_pair(LinkModel::gigabit_lan());
-        let device = Arc::new(MemDevice::new(BlockSize::kb4(), 64));
-        let target =
-            Target::new(Arc::clone(&device) as Arc<dyn BlockDevice>).with_max_data_segment(2048); // 4 grants per 8 KB write
-        let handle = std::thread::spawn(move || target.serve(server));
-        let mut ini = Initiator::login(client, "iqn.r2t.test").unwrap();
-        let data = vec![0x3cu8; 4096 * 2];
-        ini.write_blocks_r2t(0, &data).unwrap();
-        assert_eq!(ini.read_blocks(0, 2).unwrap(), data);
-        ini.logout().unwrap();
-        handle.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn r2t_out_of_range_still_reports_check_condition() {
-        let (mut ini, handle, _dev) = setup(4);
-        let err = ini.write_blocks_r2t(3, &vec![0u8; 4096 * 2]).unwrap_err();
-        assert!(matches!(err, IscsiError::CheckCondition(_)), "{err}");
+        assert_eq!(ini.read_blocks(0, 32).unwrap(), data);
         ini.logout().unwrap();
         handle.join().unwrap().unwrap();
     }
@@ -399,17 +459,8 @@ mod tests {
     }
 
     #[test]
-    fn nop_echoes_payload() {
+    fn synchronize_cache_succeeds() {
         let (mut ini, handle, _dev) = setup(8);
-        assert_eq!(ini.nop(b"ping?").unwrap(), b"ping?");
-        ini.logout().unwrap();
-        handle.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn test_unit_ready_and_sync_cache() {
-        let (mut ini, handle, _dev) = setup(8);
-        ini.test_unit_ready().unwrap();
         ini.synchronize_cache().unwrap();
         ini.logout().unwrap();
         handle.join().unwrap().unwrap();
@@ -473,10 +524,15 @@ mod tests {
 
     #[test]
     fn traffic_meter_counts_pdu_bytes() {
-        let (mut ini, handle, _dev) = setup(16);
-        let before = ini.transport().meter().payload_bytes_sent();
+        use prins_net::Transport as _;
+        let (client, server) = channel_pair(LinkModel::gigabit_lan());
+        let meter = Arc::clone(client.meter());
+        let device = Arc::new(MemDevice::new(BlockSize::kb4(), 16));
+        let handle = Target::spawn(device, server);
+        let mut ini = Initiator::login(client, "iqn.meter.test").unwrap();
+        let before = meter.payload_bytes_sent();
         ini.write_blocks(0, &vec![0u8; 4096]).unwrap();
-        let after = ini.transport().meter().payload_bytes_sent();
+        let after = meter.payload_bytes_sent();
         // One write: 48-byte BHS + 4096 data.
         assert_eq!(after - before, 48 + 4096);
         ini.logout().unwrap();

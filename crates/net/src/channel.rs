@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::{LinkModel, NetError, TrafficMeter, Transport};
 
@@ -53,26 +53,6 @@ pub fn channel_pair(link: LinkModel) -> (ChannelTransport, ChannelTransport) {
         meter: TrafficMeter::shared(link),
     };
     (a, b)
-}
-
-impl ChannelTransport {
-    /// Non-blocking receive; returns `Ok(None)` when no message is
-    /// queued.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Disconnected`] when the peer endpoint was dropped and
-    /// the queue is drained.
-    pub fn try_recv(&self) -> Result<Option<Vec<u8>>, NetError> {
-        match self.rx.try_recv() {
-            Ok(msg) => {
-                self.meter.record_recv(msg.len());
-                Ok(Some(msg))
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(NetError::Disconnected),
-        }
-    }
 }
 
 impl Transport for ChannelTransport {
@@ -126,14 +106,6 @@ mod tests {
         for i in 0..10u8 {
             assert_eq!(b.recv().unwrap(), vec![i]);
         }
-    }
-
-    #[test]
-    fn try_recv_reports_empty_and_messages() {
-        let (a, b) = channel_pair(LinkModel::t1());
-        assert!(b.try_recv().unwrap().is_none());
-        a.send(b"m").unwrap();
-        assert_eq!(b.try_recv().unwrap().unwrap(), b"m");
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl LinkHandle {
     pub fn restore(&self) {
         self.up.store(true, Ordering::SeqCst);
     }
-
-    /// Whether the link is currently up.
-    pub fn is_up(&self) -> bool {
-        self.up.load(Ordering::SeqCst)
-    }
 }
 
 /// A [`Transport`] wrapper with an externally controlled kill switch.
@@ -102,7 +97,6 @@ mod tests {
         assert_eq!(b.recv().unwrap(), b"before");
 
         link.sever();
-        assert!(!link.is_up());
         assert!(matches!(faulty.send(b"x"), Err(NetError::Disconnected)));
         assert!(matches!(
             faulty.recv_timeout(Duration::from_millis(1)),

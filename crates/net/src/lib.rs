@@ -35,12 +35,13 @@
 //! let (a, b) = channel_pair(LinkModel::t1());
 //! a.send(b"parity delta")?;
 //! assert_eq!(b.recv()?, b"parity delta");
-//! assert_eq!(a.meter().messages_sent(), 1);
 //! // 12 payload bytes fit in one packet: 12 + 112 header bytes.
 //! assert_eq!(a.meter().wire_bytes_sent(), 124);
 //! # Ok(())
 //! # }
 //! ```
+
+#![warn(unreachable_pub)]
 
 mod channel;
 mod clock;

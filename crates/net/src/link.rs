@@ -18,10 +18,7 @@ use std::time::Duration;
 ///
 /// let t1 = LinkModel::t1();
 /// // An 8 KB block spans 6 packets → 8192 + 6*112 wire bytes.
-/// assert_eq!(t1.packets(8192), 6);
 /// assert_eq!(t1.wire_bytes(8192), 8192 + 6 * 112);
-/// // T3 is ~29x faster than T1.
-/// assert!(t1.transmission_delay(8192) > LinkModel::t3().transmission_delay(8192) * 25);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkModel {
@@ -39,9 +36,9 @@ pub struct LinkModel {
 
 impl LinkModel {
     /// Paper constant: packet payload size (1.5 KB).
-    pub const MTU_PAYLOAD: usize = 1500;
+    pub(crate) const MTU_PAYLOAD: usize = 1500;
     /// Paper constant: Ethernet + IP + TCP headers (0.112 KB).
-    pub const HEADER_BYTES: usize = 112;
+    pub(crate) const HEADER_BYTES: usize = 112;
 
     /// A T1 line: 1.544 Mbps ≈ 154.4 KB/s.
     pub fn t1() -> Self {
@@ -71,7 +68,7 @@ impl LinkModel {
     /// # Panics
     ///
     /// Panics if `bandwidth_bytes_per_sec` is zero.
-    pub fn custom(bandwidth_bytes_per_sec: u64) -> Self {
+    pub(crate) fn custom(bandwidth_bytes_per_sec: u64) -> Self {
         assert!(bandwidth_bytes_per_sec > 0, "bandwidth must be positive");
         Self {
             bandwidth_bytes_per_sec,
@@ -82,14 +79,9 @@ impl LinkModel {
         }
     }
 
-    /// Usable bandwidth in bytes per second.
-    pub fn bandwidth_bytes_per_sec(&self) -> u64 {
-        self.bandwidth_bytes_per_sec
-    }
-
     /// Number of packets a payload of `payload_bytes` occupies (at least
     /// one — a zero-byte message still sends headers).
-    pub fn packets(&self, payload_bytes: usize) -> u64 {
+    pub(crate) fn packets(&self, payload_bytes: usize) -> u64 {
         (payload_bytes.div_ceil(self.mtu_payload) as u64).max(1)
     }
 
@@ -101,7 +93,7 @@ impl LinkModel {
     }
 
     /// Transmission delay `Dtrans` for one message of `payload_bytes`.
-    pub fn transmission_delay(&self, payload_bytes: usize) -> Duration {
+    pub(crate) fn transmission_delay(&self, payload_bytes: usize) -> Duration {
         Duration::from_secs_f64(
             self.wire_bytes(payload_bytes) as f64 / self.bandwidth_bytes_per_sec as f64,
         )
@@ -111,16 +103,6 @@ impl LinkModel {
     /// `Srouter = Dtrans + Dproc + Dprop`.
     pub fn service_time(&self, payload_bytes: usize) -> Duration {
         self.transmission_delay(payload_bytes) + self.processing + self.propagation
-    }
-
-    /// Per-packet nodal processing delay.
-    pub fn processing(&self) -> Duration {
-        self.processing
-    }
-
-    /// Per-hop propagation delay.
-    pub fn propagation(&self) -> Duration {
-        self.propagation
     }
 }
 

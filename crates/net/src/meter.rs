@@ -10,18 +10,6 @@ use crate::LinkModel;
 /// Shared (`Arc`) between a transport and the measurement harness; the
 /// traffic figures of the paper (Figures 4–7) are read straight off these
 /// counters.
-///
-/// # Example
-///
-/// ```
-/// use prins_net::{LinkModel, TrafficMeter};
-///
-/// let meter = TrafficMeter::new(LinkModel::t1());
-/// meter.record_send(8192);
-/// assert_eq!(meter.payload_bytes_sent(), 8192);
-/// assert_eq!(meter.packets_sent(), 6);
-/// assert_eq!(meter.wire_bytes_sent(), 8192 + 6 * 112);
-/// ```
 #[derive(Debug)]
 pub struct TrafficMeter {
     link: LinkModel,
@@ -35,7 +23,7 @@ pub struct TrafficMeter {
 
 impl TrafficMeter {
     /// Creates a zeroed meter whose packetization follows `link`.
-    pub fn new(link: LinkModel) -> Self {
+    pub(crate) fn new(link: LinkModel) -> Self {
         Self {
             link,
             messages_sent: AtomicU64::new(0),
@@ -50,11 +38,6 @@ impl TrafficMeter {
     /// Creates a shared meter.
     pub fn shared(link: LinkModel) -> Arc<Self> {
         Arc::new(Self::new(link))
-    }
-
-    /// The link model used for packetization.
-    pub fn link(&self) -> LinkModel {
-        self.link
     }
 
     /// Accounts one outbound message of `payload_bytes`.
@@ -76,12 +59,12 @@ impl TrafficMeter {
     }
 
     /// Messages sent.
-    pub fn messages_sent(&self) -> u64 {
+    pub(crate) fn messages_sent(&self) -> u64 {
         self.messages_sent.load(Ordering::Relaxed)
     }
 
     /// Messages received.
-    pub fn messages_received(&self) -> u64 {
+    pub(crate) fn messages_received(&self) -> u64 {
         self.messages_received.load(Ordering::Relaxed)
     }
 
@@ -91,7 +74,7 @@ impl TrafficMeter {
     }
 
     /// Application payload bytes received.
-    pub fn payload_bytes_received(&self) -> u64 {
+    pub(crate) fn payload_bytes_received(&self) -> u64 {
         self.payload_received.load(Ordering::Relaxed)
     }
 
@@ -103,16 +86,6 @@ impl TrafficMeter {
     /// Packets sent (per the link's MTU model).
     pub fn packets_sent(&self) -> u64 {
         self.packets_sent.load(Ordering::Relaxed)
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.messages_sent.store(0, Ordering::Relaxed);
-        self.messages_received.store(0, Ordering::Relaxed);
-        self.payload_sent.store(0, Ordering::Relaxed);
-        self.payload_received.store(0, Ordering::Relaxed);
-        self.wire_sent.store(0, Ordering::Relaxed);
-        self.packets_sent.store(0, Ordering::Relaxed);
     }
 
     /// Freezes the current counters. Two snapshots bracket a
@@ -148,8 +121,9 @@ pub struct MeterSnapshot {
 }
 
 impl MeterSnapshot {
-    /// The traffic between `earlier` and `self` (saturating, so a
-    /// `reset()` inside the window yields zeros rather than wrapping).
+    /// The traffic between `earlier` and `self` (saturating, so
+    /// snapshots passed in the wrong order yield zeros rather than
+    /// wrapping).
     pub fn delta(&self, earlier: &MeterSnapshot) -> MeterSnapshot {
         MeterSnapshot {
             messages_sent: self.messages_sent.saturating_sub(earlier.messages_sent),
@@ -173,7 +147,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         let m = TrafficMeter::new(LinkModel::t1());
         m.record_send(100);
         m.record_send(2000);
@@ -184,9 +158,6 @@ mod tests {
         assert_eq!(m.payload_bytes_received(), 50);
         assert_eq!(m.packets_sent(), 1 + 2);
         assert_eq!(m.wire_bytes_sent(), 2100 + 3 * 112);
-        m.reset();
-        assert_eq!(m.messages_sent(), 0);
-        assert_eq!(m.wire_bytes_sent(), 0);
     }
 
     #[test]
@@ -211,9 +182,6 @@ mod tests {
         assert_eq!(window.messages_received, 1);
         assert_eq!(window.payload_bytes_received, 50);
         assert_eq!(window.packets_sent, 2);
-        // A reset inside the window saturates to zero, not wraparound.
-        m.reset();
-        assert_eq!(m.snapshot().delta(&after).wire_bytes_sent, 0);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl SimClock {
     }
 
     /// Advances virtual time to `t` if it is ahead of now.
-    pub fn advance_to(&self, t: u64) {
+    pub(crate) fn advance_to(&self, t: u64) {
         self.nanos.fetch_max(t, Ordering::SeqCst);
     }
 }
@@ -98,20 +98,12 @@ pub enum Dir {
 /// One message's life, for invariant checkers.
 #[derive(Clone, Debug)]
 pub struct MsgRecord {
-    /// Message id (index into [`SimNet::message_log`]).
-    pub id: u64,
-    /// Sending endpoint index.
-    pub from: usize,
-    /// Sending endpoint label (`link.a` / `link.b`).
-    pub from_label: String,
-    /// Virtual send time.
-    pub sent_at: u64,
     /// The frame bytes.
     pub payload: Vec<u8>,
     /// Virtual delivery times (two entries = duplicated in flight).
-    pub delivered_at: Vec<u64>,
+    pub(crate) delivered_at: Vec<u64>,
     /// Whether the fault policy dropped the frame.
-    pub dropped: bool,
+    pub(crate) dropped: bool,
 }
 
 #[derive(Debug)]
@@ -166,23 +158,13 @@ struct LinkState {
 }
 
 #[derive(Debug)]
-enum EventKind {
-    Deliver {
-        target: usize,
-        msg: u64,
-        bytes: Vec<u8>,
-    },
-    SetLink {
-        link: usize,
-        up: bool,
-    },
-}
-
-#[derive(Debug)]
 struct Event {
     at: u64,
     id: u64,
-    kind: EventKind,
+    /// The endpoint the frame is delivered to.
+    target: usize,
+    msg: u64,
+    bytes: Vec<u8>,
 }
 
 impl PartialEq for Event {
@@ -216,10 +198,16 @@ struct HubState {
 }
 
 impl HubState {
-    fn push_event(&mut self, at: u64, kind: EventKind) {
+    fn push_event(&mut self, at: u64, target: usize, msg: u64, bytes: Vec<u8>) {
         let id = self.next_event_id;
         self.next_event_id += 1;
-        self.queue.push(Event { at, id, kind });
+        self.queue.push(Event {
+            at,
+            id,
+            target,
+            msg,
+            bytes,
+        });
     }
 
     fn held_endpoint(&self) -> Option<usize> {
@@ -245,36 +233,19 @@ impl Hub {
             let mut st = self.st.lock();
             if let Some(ev) = st.queue.pop() {
                 self.clock.advance_to(ev.at);
-                match ev.kind {
-                    EventKind::Deliver { target, msg, bytes } => {
-                        let line = format!(
-                            "t={} m{} deliver {}",
-                            ev.at, msg, st.endpoints[target].label
-                        );
-                        st.trace.push(line);
-                        st.msgs[msg as usize].delivered_at.push(ev.at);
-                        st.delivery_log.push((target, msg));
-                        st.endpoints[target].inbox.push_back((msg, bytes));
-                        wake.push(target);
-                    }
-                    EventKind::SetLink { link, up } => {
-                        st.links[link].up = up;
-                        let line = format!(
-                            "t={} link {} {}",
-                            ev.at,
-                            st.links[link].name,
-                            if up { "up" } else { "down" }
-                        );
-                        st.trace.push(line);
-                        if up {
-                            for (idx, ep) in st.endpoints.iter().enumerate() {
-                                if ep.link == link {
-                                    wake.push(idx);
-                                }
-                            }
-                        }
-                    }
-                }
+                let Event {
+                    at,
+                    target,
+                    msg,
+                    bytes,
+                    ..
+                } = ev;
+                let line = format!("t={at} m{msg} deliver {}", st.endpoints[target].label);
+                st.trace.push(line);
+                st.msgs[msg as usize].delivered_at.push(at);
+                st.delivery_log.push((target, msg));
+                st.endpoints[target].inbox.push_back((msg, bytes));
+                wake.push(target);
                 true
             } else if let Some(ep) = st.held_endpoint() {
                 let Hold::Held {
@@ -507,28 +478,6 @@ impl SimLinkCtl {
         self.hub.st.lock().links[self.link].up
     }
 
-    /// Schedules a sever at virtual time `at` nanoseconds.
-    pub fn sever_at(&self, at: u64) {
-        self.hub.st.lock().push_event(
-            at,
-            EventKind::SetLink {
-                link: self.link,
-                up: false,
-            },
-        );
-    }
-
-    /// Schedules a restore at virtual time `at` nanoseconds.
-    pub fn restore_at(&self, at: u64) {
-        self.hub.st.lock().push_event(
-            at,
-            EventKind::SetLink {
-                link: self.link,
-                up: true,
-            },
-        );
-    }
-
     /// Sets the per-frame delay of `dir` (plus `per_kb` per KiB of
     /// payload) — the virtual WAN cost. No real time is ever spent.
     pub fn set_delay(&self, dir: Dir, per_msg: Duration, per_kb: Duration) {
@@ -585,7 +534,7 @@ impl SimLinkCtl {
             {
                 let target = st.endpoints[ep].peer;
                 let at = deliver_at.max(self.hub.clock.now());
-                st.push_event(at, EventKind::Deliver { target, msg, bytes });
+                st.push_event(at, target, msg, bytes);
             } else {
                 st.endpoints[ep].egress.hold = Hold::Off;
             }
@@ -667,10 +616,6 @@ impl Transport for SimTransport {
         let msg = st.msgs.len() as u64;
         let from_label = st.endpoints[self.ep].label.clone();
         st.msgs.push(MsgRecord {
-            id: msg,
-            from: self.ep,
-            from_label: from_label.clone(),
-            sent_at: now,
             payload: msg_bytes.to_vec(),
             delivered_at: Vec::new(),
             dropped: false,
@@ -727,39 +672,18 @@ impl Transport for SimTransport {
             }
         };
         let target = st.endpoints[self.ep].peer;
-        st.push_event(
-            deliver_at,
-            EventKind::Deliver {
-                target,
-                msg,
-                bytes: wire_bytes.clone(),
-            },
-        );
+        st.push_event(deliver_at, target, msg, wire_bytes.clone());
         if dup {
             let line = format!("t={now} m{msg} dup");
             st.trace.push(line);
-            st.push_event(
-                deliver_at,
-                EventKind::Deliver {
-                    target,
-                    msg,
-                    bytes: wire_bytes,
-                },
-            );
+            st.push_event(deliver_at, target, msg, wire_bytes);
         }
         if let Some((held_msg, bytes, held_at)) = released {
             // Same timestamp, later event id: delivered right after the
             // frame that released it — the reorder swap.
             let line = format!("t={now} m{held_msg} released-after m{msg}");
             st.trace.push(line);
-            st.push_event(
-                deliver_at.max(held_at),
-                EventKind::Deliver {
-                    target,
-                    msg: held_msg,
-                    bytes,
-                },
-            );
+            st.push_event(deliver_at.max(held_at), target, held_msg, bytes);
         }
         Ok(())
     }
@@ -948,19 +872,6 @@ mod tests {
             b.recv_timeout(Duration::from_millis(1)).unwrap(),
             b"pre-sever"
         );
-    }
-
-    #[test]
-    fn scheduled_flap_fires_at_virtual_times() {
-        let net = SimNet::new();
-        let (a, b, ctl) = net.add_link("l0", Duration::from_millis(1));
-        ctl.sever_at(2_000_000);
-        ctl.restore_at(3_000_000);
-        a.send(b"early").unwrap(); // delivered at t=1ms, before the sever
-        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), b"early");
-        net.run_until_idle(); // processes the flap events
-        assert!(ctl.is_up());
-        assert_eq!(net.clock().now(), 3_000_000);
     }
 
     #[test]

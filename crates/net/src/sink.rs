@@ -29,7 +29,6 @@ use crate::{LinkModel, NetError, TrafficMeter, Transport};
 /// assert_eq!(sink.recv().unwrap(), vec![1, 2]);
 /// assert_eq!(sink.recv().unwrap(), vec![3]);
 /// assert!(sink.recv().is_err(), "drained script disconnects");
-/// assert_eq!(sink.meter().messages_sent(), 1);
 /// ```
 pub struct SinkTransport {
     script: Mutex<VecDeque<Vec<u8>>>,
@@ -49,11 +48,6 @@ impl SinkTransport {
     /// Appends replies to the receive script, served in order.
     pub fn preload(&self, replies: impl IntoIterator<Item = Vec<u8>>) {
         self.script.lock().extend(replies);
-    }
-
-    /// Replies still queued.
-    pub fn pending(&self) -> usize {
-        self.script.lock().len()
     }
 }
 
@@ -107,7 +101,6 @@ mod tests {
     fn receives_replay_the_script_then_disconnect() {
         let sink = SinkTransport::new();
         sink.preload(vec![vec![9u8; 4], vec![8u8; 2]]);
-        assert_eq!(sink.pending(), 2);
         assert_eq!(sink.recv().unwrap(), vec![9u8; 4]);
         assert_eq!(
             sink.recv_timeout(Duration::from_secs(1)).unwrap(),

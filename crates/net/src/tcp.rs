@@ -87,7 +87,7 @@ impl TcpTransport {
     ///
     /// Fails if the stream cannot be duplicated for split read/write
     /// locking.
-    pub fn from_stream(stream: TcpStream, link: LinkModel) -> Result<Self, NetError> {
+    pub(crate) fn from_stream(stream: TcpStream, link: LinkModel) -> Result<Self, NetError> {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(None)?;
         let reader = stream.try_clone()?;

@@ -75,7 +75,7 @@ pub enum EventKind {
 impl EventKind {
     /// Stable kind name (payloads excluded) — the key of event-count
     /// summaries.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::Admit => "admit",
             EventKind::Coalesce => "coalesce",
@@ -96,26 +96,26 @@ impl EventKind {
 }
 
 /// One recorded event. `seq`/`lba`/`replica` default to the sentinel
-/// [`Event::NONE`] where they do not apply.
+/// `u64::MAX` where they do not apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Clock reading (nanoseconds) when the event was recorded.
-    pub at: u64,
+    pub(crate) at: u64,
     /// What happened.
     pub kind: EventKind,
-    /// Pipeline sequence number, or [`Event::NONE`].
-    pub seq: u64,
-    /// Logical block address, or [`Event::NONE`].
-    pub lba: u64,
-    /// Replica index, or [`Event::NONE`].
+    /// Pipeline sequence number, or `u64::MAX`.
+    pub(crate) seq: u64,
+    /// Logical block address, or `u64::MAX`.
+    pub(crate) lba: u64,
+    /// Replica index, or `u64::MAX`.
     pub replica: u64,
 }
 
 impl Event {
-    /// Sentinel for "field not applicable".
-    pub const NONE: u64 = u64::MAX;
+    /// Sentinel for "field not applicable" (`u64::MAX`).
+    pub(crate) const NONE: u64 = u64::MAX;
 
-    /// An event with every tag set to [`Event::NONE`].
+    /// An event with every tag set to `u64::MAX`.
     pub fn new(at: u64, kind: EventKind) -> Self {
         Self {
             at,
@@ -194,7 +194,7 @@ pub struct EventRing {
 
 impl EventRing {
     /// A ring holding at most `cap` events.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         Self {
             inner: Mutex::new(RingInner::default()),
             cap: cap.max(1),
@@ -218,7 +218,7 @@ impl EventRing {
     }
 
     /// Exact per-kind totals since construction (drops included).
-    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
+    pub(crate) fn counts(&self) -> BTreeMap<&'static str, u64> {
         self.inner.lock().unwrap().counts.clone()
     }
 
@@ -234,7 +234,7 @@ impl EventRing {
     }
 
     /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.inner.lock().unwrap().dropped
     }
 

@@ -17,20 +17,20 @@ pub struct HistogramSnapshot {
     /// Sum of all samples.
     pub sum: u64,
     /// Largest sample.
-    pub max: u64,
+    pub(crate) max: u64,
     /// Estimated median.
     pub p50: u64,
     /// Estimated 90th percentile.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// Estimated 99th percentile.
     pub p99: u64,
     /// Non-empty buckets as `(lower_edge, upper_edge, count)`.
-    pub buckets: Vec<(u64, u64, u64)>,
+    pub(crate) buckets: Vec<(u64, u64, u64)>,
 }
 
 impl HistogramSnapshot {
     /// Freezes `hist`.
-    pub fn of(hist: &Histogram) -> Self {
+    pub(crate) fn of(hist: &Histogram) -> Self {
         let buckets = (0..BUCKETS)
             .filter_map(|i| {
                 let n = hist.bucket(i);
@@ -47,11 +47,6 @@ impl HistogramSnapshot {
             buckets,
         }
     }
-
-    /// Integer mean (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
 }
 
 /// Everything the registry knew at one instant.
@@ -66,9 +61,9 @@ pub struct Snapshot {
     /// Exact per-kind event totals (ring overflow never loses these).
     pub event_counts: BTreeMap<String, u64>,
     /// The buffered event trace (oldest first; may be truncated).
-    pub events: Vec<Event>,
+    pub(crate) events: Vec<Event>,
     /// Events evicted from the ring before this snapshot.
-    pub events_dropped: u64,
+    pub(crate) events_dropped: u64,
 }
 
 /// Escapes a Prometheus label *value*: backslash, double quote, and

@@ -5,8 +5,8 @@
 //! This crate provides the instrumentation every layer shares:
 //!
 //! * a lock-light [`Registry`] of named [`Counter`]s, [`Gauge`]s and
-//!   fixed-bucket log2 [`Histogram`]s (p50/p90/p99/max, mergeable,
-//!   plain `std` atomics — no external dependencies);
+//!   fixed-bucket log2 [`Histogram`]s (p50/p90/p99/max, plain `std`
+//!   atomics — no external dependencies);
 //! * stage timing by plain [`Clock`](prins_net::Clock) reads recorded
 //!   into histograms — the clock is injected, so durations are
 //!   deterministic under a [`SimClock`](prins_net::SimClock) and real
@@ -51,6 +51,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod events;
 mod export;
@@ -62,6 +63,6 @@ mod trace;
 pub use events::{Event, EventKind, EventRing};
 pub use export::{HistogramSnapshot, Snapshot};
 pub use meter::register_meter;
-pub use metrics::{Counter, Gauge, Histogram, BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::Registry;
 pub use trace::{lane_bucket, TraceConfig, TraceId, TraceSink, TraceStage, LANE_BUCKETS, NO_LANE};

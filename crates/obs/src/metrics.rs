@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i > 0`
 /// holds values in `[2^(i-1), 2^i)`, and the last bucket absorbs
 /// everything from `2^62` up.
-pub const BUCKETS: usize = 64;
+pub(crate) const BUCKETS: usize = 64;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -44,11 +44,6 @@ impl Counter {
 pub struct Gauge(AtomicU64);
 
 impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Sets the value.
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
@@ -124,7 +119,7 @@ pub(crate) fn bucket_upper(i: usize) -> u64 {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -137,41 +132,23 @@ impl Histogram {
     }
 
     /// Samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
     /// Count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
+    pub(crate) fn bucket(&self, i: usize) -> u64 {
         self.buckets[i].load(Ordering::Relaxed)
-    }
-
-    /// Folds `other`'s samples into `self` (per-thread partials merge
-    /// into one distribution; max and sum merge exactly, percentiles as
-    /// well since buckets align).
-    pub fn merge(&self, other: &Histogram) {
-        for i in 0..BUCKETS {
-            let n = other.buckets[i].load(Ordering::Relaxed);
-            if n > 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Estimated `permille/1000` quantile: the upper edge of the bucket
@@ -182,7 +159,7 @@ impl Histogram {
     /// `permille == 0` is the *lower* edge of the first non-empty
     /// bucket (a minimum-side estimate), so quantiles are monotone in
     /// `permille` and `p0` never exceeds any recorded sample.
-    pub fn quantile_permille(&self, permille: u64) -> u64 {
+    pub(crate) fn quantile_permille(&self, permille: u64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -208,17 +185,17 @@ impl Histogram {
     }
 
     /// Estimated median.
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.quantile_permille(500)
     }
 
     /// Estimated 90th percentile.
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.quantile_permille(900)
     }
 
     /// Estimated 99th percentile.
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile_permille(990)
     }
 }
@@ -304,45 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_recording_then_merge_matches_single_threaded() {
-        use std::sync::Arc;
-        let combined = Histogram::new();
-        let partials: Vec<Arc<Histogram>> = (0..4).map(|_| Arc::new(Histogram::new())).collect();
-        let handles: Vec<_> = partials
-            .iter()
-            .enumerate()
-            .map(|(t, part)| {
-                let part = Arc::clone(part);
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        part.record(t as u64 * 1000 + i);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        for part in &partials {
-            combined.merge(part);
-        }
-        let reference = Histogram::new();
-        for t in 0..4u64 {
-            for i in 0..1000 {
-                reference.record(t * 1000 + i);
-            }
-        }
-        assert_eq!(combined.count(), reference.count());
-        assert_eq!(combined.sum(), reference.sum());
-        assert_eq!(combined.max(), reference.max());
-        for i in 0..BUCKETS {
-            assert_eq!(combined.bucket(i), reference.bucket(i), "bucket {i}");
-        }
-        assert_eq!(combined.p50(), reference.p50());
-        assert_eq!(combined.p99(), reference.p99());
-    }
-
-    #[test]
     fn permille_zero_is_a_minimum_side_estimate() {
         let h = Histogram::new();
         assert_eq!(h.quantile_permille(0), 0, "empty histogram");
@@ -381,7 +319,7 @@ mod tests {
 
     #[test]
     fn gauge_set_max_keeps_the_high_water_mark() {
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.set_max(5);
         g.set_max(3);
         assert_eq!(g.get(), 5);

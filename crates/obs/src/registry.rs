@@ -11,7 +11,7 @@ use crate::metrics::{Counter, Gauge, Histogram};
 /// A collector is called at snapshot time to publish values that live
 /// outside the registry (the engine's buffer pool, traffic meters) into
 /// it.
-pub type Collector = Box<dyn Fn(&Registry) + Send + Sync>;
+pub(crate) type Collector = Box<dyn Fn(&Registry) + Send + Sync>;
 
 /// Default event-ring capacity: enough for every event of a multi-
 /// thousand-write benchmark run.

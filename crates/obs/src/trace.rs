@@ -73,7 +73,7 @@ impl TraceId {
 
     /// The raw key (the slot index derives from it).
     #[must_use]
-    pub fn raw(self) -> u64 {
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 }
@@ -154,13 +154,13 @@ impl TraceStage {
 
     /// Dense index of the stage (its discriminant).
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
     /// Stable stage name — the key of trace summaries and goldens.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TraceStage::Capture => "capture",
             TraceStage::Admit => "admit",
@@ -307,12 +307,6 @@ impl TraceSink {
             tail_nanos: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             slo_over_budget: (0..cfg.shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    /// End-to-end latency distribution of completed traces.
-    #[must_use]
-    pub fn latency(&self) -> &Histogram {
-        &self.latency
     }
 
     fn slot(&self, id: TraceId) -> &Mutex<Slot> {
@@ -478,33 +472,33 @@ impl TraceSink {
 
     /// Live traces evicted by a slot collision before completing.
     #[must_use]
-    pub fn evicted(&self) -> u64 {
+    pub(crate) fn evicted(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
     }
 
     /// Completed traces that overflowed their 24-event buffer.
     #[must_use]
-    pub fn truncated(&self) -> u64 {
+    pub(crate) fn truncated(&self) -> u64 {
         self.truncated.load(Ordering::Relaxed)
     }
 
     /// Completed traces flagged anomalous (over budget, retransmitted,
     /// or wrong-epoch).
     #[must_use]
-    pub fn anomalies(&self) -> u64 {
+    pub(crate) fn anomalies(&self) -> u64 {
         self.anomalies.load(Ordering::Relaxed)
     }
 
     /// Above-p99 traces whose dominant stage is `stage`.
     #[must_use]
-    pub fn tail_traces(&self, stage: TraceStage) -> u64 {
+    pub(crate) fn tail_traces(&self, stage: TraceStage) -> u64 {
         self.tail_traces[stage.index()].load(Ordering::Relaxed)
     }
 
     /// Above-p99 nanoseconds charged to `stage` in lane bucket
     /// `bucket` (see [`lane_bucket`]).
     #[must_use]
-    pub fn tail_lane_nanos(&self, stage: TraceStage, bucket: usize) -> u64 {
+    pub(crate) fn tail_lane_nanos(&self, stage: TraceStage, bucket: usize) -> u64 {
         self.tail_nanos[stage.index()][bucket.min(LANE_BUCKETS - 1)].load(Ordering::Relaxed)
     }
 
@@ -520,7 +514,7 @@ impl TraceSink {
 
     /// Writes that finished over the latency budget, per shard.
     #[must_use]
-    pub fn slo_over_budget(&self) -> Vec<u64> {
+    pub(crate) fn slo_over_budget(&self) -> Vec<u64> {
         self.slo_over_budget
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
@@ -679,11 +673,11 @@ mod tests {
         s.event(id, TraceStage::Send, 0, 150);
         s.complete(id, TraceStage::Ack, 0, 300);
         assert_eq!(s.completed(), 0, "one completion still pending");
-        assert_eq!(s.latency().count(), 0);
+        assert_eq!(s.latency.count(), 0);
         s.complete(id, TraceStage::Ack, 1, 400);
         assert_eq!(s.completed(), 1);
-        assert_eq!(s.latency().count(), 1);
-        assert_eq!(s.latency().max(), 300);
+        assert_eq!(s.latency.count(), 1);
+        assert_eq!(s.latency.max(), 300);
     }
 
     #[test]

@@ -42,14 +42,16 @@ enum Node {
 ///
 /// ```
 /// use prins_block::{BlockSize, MemDevice};
-/// use prins_pagestore::{BTree, BufferPool, RecordId};
+/// use prins_pagestore::{BTree, BufferPool, DbProfile, Row, Table, Value};
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), prins_pagestore::StoreError> {
 /// let pool = BufferPool::new(Arc::new(MemDevice::new(BlockSize::kb8(), 128)), 16);
+/// let mut table = Table::with_profile(&pool, DbProfile::oracle())?;
+/// let rid = table.insert(&Row::new(vec![Value::U64(42)]))?;
 /// let mut index = BTree::create(&pool)?;
-/// index.insert(42, RecordId { page: 3, slot: 7 })?;
-/// assert_eq!(index.get(42)?, Some(RecordId { page: 3, slot: 7 }));
+/// index.insert(42, rid)?;
+/// assert_eq!(index.get(42)?, Some(rid));
 /// assert_eq!(index.get(43)?, None);
 /// # Ok(())
 /// # }
@@ -81,16 +83,6 @@ impl BTree {
             },
         )?;
         Ok(tree)
-    }
-
-    /// Number of keys in the index.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn leaf_capacity(&self) -> usize {
@@ -342,41 +334,6 @@ impl BTree {
             }
         }
     }
-
-    /// Collects all `(key, rid)` pairs with `lo <= key <= hi`, in key
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Device and corruption errors.
-    pub fn range(&self, lo: u64, hi: u64) -> Result<Vec<(u64, RecordId)>, StoreError> {
-        let mut out = Vec::new();
-        // Descend to the leaf that would hold `lo`.
-        let mut pid = self.root;
-        while let Node::Internal { leftmost, entries } = self.read_node(pid)? {
-            pid = Self::child_for(&entries, leftmost, lo);
-        }
-        // Walk the leaf chain.
-        loop {
-            let Node::Leaf { next, entries } = self.read_node(pid)? else {
-                return Err(StoreError::CorruptTuple {
-                    detail: "leaf chain reached an internal node".into(),
-                });
-            };
-            for (key, rid) in entries {
-                if key > hi {
-                    return Ok(out);
-                }
-                if key >= lo {
-                    out.push((key, RecordId::from_u64(rid)));
-                }
-            }
-            match next {
-                Some(n) => pid = n,
-                None => return Ok(out),
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for BTree {
@@ -418,7 +375,7 @@ mod tests {
             assert_eq!(t.get(k).unwrap(), Some(rid(k * 100)));
         }
         assert_eq!(t.get(2).unwrap(), None);
-        assert_eq!(t.len(), 5);
+        assert_eq!(t.len, 5);
     }
 
     #[test]
@@ -434,7 +391,7 @@ mod tests {
         for (i, &k) in shuffled.iter().enumerate() {
             t.insert(k, rid(i as u64)).unwrap();
         }
-        assert_eq!(t.len(), keys.len() as u64);
+        assert_eq!(t.len, keys.len() as u64);
         for (i, &k) in shuffled.iter().enumerate() {
             assert_eq!(t.get(k).unwrap(), Some(rid(i as u64)), "key {k}");
         }
@@ -449,7 +406,7 @@ mod tests {
             t.insert(1, rid(2)),
             Err(StoreError::DuplicateKey { key: 1 })
         ));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.len, 1);
     }
 
     #[test]
@@ -478,37 +435,11 @@ mod tests {
         for k in 0..200u64 {
             assert_eq!(t.get(k).unwrap().is_some(), k % 2 == 1, "key {k}");
         }
-        assert_eq!(t.len(), 100);
+        assert_eq!(t.len, 100);
         assert!(matches!(
             t.delete(0),
             Err(StoreError::KeyNotFound { key: 0 })
         ));
-    }
-
-    #[test]
-    fn range_scan_is_sorted_and_bounded() {
-        let pool = small_pool();
-        let mut t = BTree::create(&pool).unwrap();
-        for k in (0..1000u64).rev() {
-            t.insert(k * 3, rid(k)).unwrap();
-        }
-        let hits = t.range(300, 600).unwrap();
-        let keys: Vec<u64> = hits.iter().map(|(k, _)| *k).collect();
-        let expected: Vec<u64> = (100..=200).map(|k| k * 3).collect();
-        assert_eq!(keys, expected);
-        // Full scan covers everything in order.
-        let all = t.range(0, u64::MAX).unwrap();
-        assert_eq!(all.len(), 1000);
-        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn range_with_no_hits_is_empty() {
-        let pool = small_pool();
-        let mut t = BTree::create(&pool).unwrap();
-        t.insert(10, rid(0)).unwrap();
-        assert!(t.range(11, 20).unwrap().is_empty());
-        assert!(t.range(0, 9).unwrap().is_empty());
     }
 
     proptest! {
@@ -541,11 +472,7 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(tree.len(), model.len() as u64);
-            let all = tree.range(0, u64::MAX).unwrap();
-            let expect: Vec<(u64, u64)> = model.into_iter().collect();
-            let got: Vec<(u64, u64)> = all.into_iter().map(|(k, r)| (k, r.to_u64())).collect();
-            prop_assert_eq!(got, expect);
+            prop_assert_eq!(tree.len, model.len() as u64);
         }
     }
 }

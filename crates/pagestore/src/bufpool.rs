@@ -46,23 +46,6 @@ struct PoolState {
 ///
 /// Handles are cheap to clone (shared state), so several tables and
 /// indexes can allocate from one pool.
-///
-/// # Example
-///
-/// ```
-/// use prins_block::{BlockSize, MemDevice};
-/// use prins_pagestore::BufferPool;
-/// use std::sync::Arc;
-///
-/// # fn main() -> Result<(), prins_pagestore::StoreError> {
-/// let pool = BufferPool::new(Arc::new(MemDevice::new(BlockSize::kb8(), 64)), 8);
-/// let pid = pool.allocate_page()?;
-/// pool.with_page_mut(pid, |bytes| bytes[100] = 42)?;
-/// pool.flush_all()?;
-/// assert_eq!(pool.with_page(pid, |bytes| bytes[100])?, 42);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Clone)]
 pub struct BufferPool {
     inner: Arc<Inner>,
@@ -94,17 +77,17 @@ impl BufferPool {
     }
 
     /// Page size in bytes (= the device block size).
-    pub fn page_size(&self) -> usize {
+    pub(crate) fn page_size(&self) -> usize {
         self.inner.device.geometry().block_size().bytes()
     }
 
     /// Total pages the backing device can hold.
-    pub fn device_pages(&self) -> u64 {
+    pub(crate) fn device_pages(&self) -> u64 {
         self.inner.device.geometry().num_blocks()
     }
 
     /// `(hits, misses, evictions)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64, u64) {
         (
             self.inner.hits.load(Ordering::Relaxed),
             self.inner.misses.load(Ordering::Relaxed),
@@ -117,7 +100,7 @@ impl BufferPool {
     /// # Errors
     ///
     /// [`StoreError::DeviceFull`] when the device has no more pages.
-    pub fn allocate_page(&self) -> Result<PageId, StoreError> {
+    pub(crate) fn allocate_page(&self) -> Result<PageId, StoreError> {
         let pid = self.inner.next_page.fetch_add(1, Ordering::SeqCst);
         if (pid as u64) >= self.device_pages() {
             return Err(StoreError::DeviceFull {
@@ -194,7 +177,7 @@ impl BufferPool {
     /// # Errors
     ///
     /// Device read failures and pool exhaustion.
-    pub fn with_page<R>(
+    pub(crate) fn with_page<R>(
         &self,
         page_id: PageId,
         f: impl FnOnce(&[u8]) -> R,
@@ -209,7 +192,7 @@ impl BufferPool {
     /// # Errors
     ///
     /// Device read failures and pool exhaustion.
-    pub fn with_page_mut<R>(
+    pub(crate) fn with_page_mut<R>(
         &self,
         page_id: PageId,
         f: impl FnOnce(&mut [u8]) -> R,
@@ -238,11 +221,6 @@ impl BufferPool {
         }
         self.inner.device.flush()?;
         Ok(())
-    }
-
-    /// The backing device.
-    pub fn device(&self) -> &Arc<dyn BlockDevice> {
-        &self.inner.device
     }
 }
 

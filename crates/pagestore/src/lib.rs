@@ -11,7 +11,7 @@
 //! carry no contents), so this crate implements the storage layout real
 //! DBMSs use:
 //!
-//! * [`SlottedPage`] — header + slot directory + tuple area, with an LSN
+//! * slotted pages — header + slot directory + tuple area, with an LSN
 //!   that churns on every modification (the metadata noise real pages
 //!   have),
 //! * [`BufferPool`] — CLOCK eviction, dirty write-back, pin counting,
@@ -30,13 +30,13 @@
 //!
 //! ```
 //! use prins_block::{BlockSize, MemDevice};
-//! use prins_pagestore::{BufferPool, Row, Table, Value};
+//! use prins_pagestore::{BufferPool, DbProfile, Row, Table, Value};
 //! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), prins_pagestore::StoreError> {
 //! let device = Arc::new(MemDevice::new(BlockSize::kb8(), 256));
 //! let pool = BufferPool::new(device, 32);
-//! let mut table = Table::create(&pool)?;
+//! let mut table = Table::with_profile(&pool, DbProfile::oracle())?;
 //!
 //! let rid = table.insert(&Row::new(vec![
 //!     Value::U64(42),
@@ -50,6 +50,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod btree;
 mod bufpool;
 mod page;
@@ -59,7 +61,6 @@ mod table;
 
 pub use btree::BTree;
 pub use bufpool::BufferPool;
-pub use page::{PageId, SlotId, SlottedPage};
 pub use profile::DbProfile;
 pub use row::{Row, Value};
 pub use table::{RecordId, StoreError, Table};

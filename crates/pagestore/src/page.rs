@@ -18,10 +18,10 @@
 use crate::table::StoreError;
 
 /// Index of a page within a table's file / device.
-pub type PageId = u32;
+pub(crate) type PageId = u32;
 
 /// Index of a slot within a page.
-pub type SlotId = u16;
+pub(crate) type SlotId = u16;
 
 const MAGIC: u16 = 0x5047; // "PG"
 const HEADER: usize = 24;
@@ -31,7 +31,7 @@ const SLOT_BYTES: usize = 4;
 ///
 /// The page does not own its bytes; the [`BufferPool`](crate::BufferPool)
 /// does. See the [module docs](self) for the layout.
-pub struct SlottedPage<'a> {
+pub(crate) struct SlottedPage<'a> {
     buf: &'a mut [u8],
 }
 
@@ -42,13 +42,13 @@ impl<'a> SlottedPage<'a> {
     ///
     /// Panics if the buffer is smaller than the header plus one slot —
     /// pages always come from a device with a validated block size.
-    pub fn new(buf: &'a mut [u8]) -> Self {
+    pub(crate) fn new(buf: &'a mut [u8]) -> Self {
         assert!(buf.len() >= HEADER + SLOT_BYTES, "page buffer too small");
         Self { buf }
     }
 
     /// Formats the buffer as an empty page.
-    pub fn init(buf: &'a mut [u8], page_id: PageId) -> Self {
+    pub(crate) fn init(buf: &'a mut [u8], page_id: PageId) -> Self {
         let len = buf.len();
         assert!(len >= HEADER + SLOT_BYTES, "page buffer too small");
         assert!(len <= u16::MAX as usize + 1, "page larger than u16 space");
@@ -61,11 +61,6 @@ impl<'a> SlottedPage<'a> {
         page.set_u16(10, (len - 1) as u16); // free_end (inclusive-ish, see accessors)
         page.touch();
         page
-    }
-
-    /// Whether the buffer carries a formatted page.
-    pub fn is_initialized(buf: &[u8]) -> bool {
-        buf.len() >= HEADER && u16::from_le_bytes([buf[0], buf[1]]) == MAGIC
     }
 
     fn get_u16(&self, at: usize) -> u16 {
@@ -85,17 +80,17 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// The page's id, as recorded in its header.
-    pub fn page_id(&self) -> PageId {
+    pub(crate) fn page_id(&self) -> PageId {
         self.get_u32(2)
     }
 
     /// Number of slots (including dead ones).
-    pub fn slot_count(&self) -> u16 {
+    pub(crate) fn slot_count(&self) -> u16 {
         self.get_u16(6)
     }
 
     /// The page LSN (bumped on every mutation).
-    pub fn lsn(&self) -> u64 {
+    pub(crate) fn lsn(&self) -> u64 {
         u64::from_le_bytes(self.buf[12..20].try_into().unwrap())
     }
 
@@ -108,12 +103,12 @@ impl<'a> SlottedPage<'a> {
     }
 
     /// Contiguous free bytes between the slot directory and tuple data.
-    pub fn free_space(&self) -> usize {
+    pub(crate) fn free_space(&self) -> usize {
         self.free_end().saturating_sub(self.free_start())
     }
 
     /// Whether a tuple of `len` bytes (plus its slot) fits.
-    pub fn fits(&self, len: usize) -> bool {
+    pub(crate) fn fits(&self, len: usize) -> bool {
         self.free_space() >= len + SLOT_BYTES
     }
 
@@ -147,7 +142,7 @@ impl<'a> SlottedPage<'a> {
     /// [`StoreError::PageFull`] when the tuple plus a slot entry does not
     /// fit; [`StoreError::TupleTooLarge`] for zero-length or oversized
     /// tuples.
-    pub fn insert(&mut self, tuple: &[u8]) -> Result<SlotId, StoreError> {
+    pub(crate) fn insert(&mut self, tuple: &[u8]) -> Result<SlotId, StoreError> {
         if tuple.is_empty() || tuple.len() > u16::MAX as usize {
             return Err(StoreError::TupleTooLarge { len: tuple.len() });
         }
@@ -169,28 +164,6 @@ impl<'a> SlottedPage<'a> {
         Ok(slot)
     }
 
-    /// Reads the tuple in `slot`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NoSuchSlot`] for out-of-range or deleted slots.
-    pub fn read(&self, slot: SlotId) -> Result<&[u8], StoreError> {
-        if slot >= self.slot_count() {
-            return Err(StoreError::NoSuchSlot {
-                page: self.page_id(),
-                slot,
-            });
-        }
-        let (offset, len) = self.slot_at(slot);
-        if len == 0 {
-            return Err(StoreError::NoSuchSlot {
-                page: self.page_id(),
-                slot,
-            });
-        }
-        Ok(&self.buf[offset..offset + len])
-    }
-
     /// Overwrites the tuple in `slot`.
     ///
     /// Shrinking or equal-size updates happen in place (leaving stale
@@ -201,7 +174,7 @@ impl<'a> SlottedPage<'a> {
     ///
     /// [`StoreError::NoSuchSlot`] / [`StoreError::PageFull`] /
     /// [`StoreError::TupleTooLarge`].
-    pub fn update(&mut self, slot: SlotId, tuple: &[u8]) -> Result<(), StoreError> {
+    pub(crate) fn update(&mut self, slot: SlotId, tuple: &[u8]) -> Result<(), StoreError> {
         if tuple.is_empty() || tuple.len() > u16::MAX as usize {
             return Err(StoreError::TupleTooLarge { len: tuple.len() });
         }
@@ -238,13 +211,13 @@ impl<'a> SlottedPage<'a> {
         Ok(())
     }
 
-    /// Deletes the tuple in `slot` (the slot becomes dead; space is
-    /// reclaimed by [`compact`](Self::compact)).
+    /// Deletes the tuple in `slot` (the slot becomes dead; its bytes
+    /// stay behind as a hole, as in real engines).
     ///
     /// # Errors
     ///
     /// [`StoreError::NoSuchSlot`].
-    pub fn delete(&mut self, slot: SlotId) -> Result<(), StoreError> {
+    pub(crate) fn delete(&mut self, slot: SlotId) -> Result<(), StoreError> {
         if slot >= self.slot_count() || self.slot_at(slot).1 == 0 {
             return Err(StoreError::NoSuchSlot {
                 page: self.page_id(),
@@ -257,45 +230,15 @@ impl<'a> SlottedPage<'a> {
         Ok(())
     }
 
-    /// Rewrites the tuple area to squeeze out holes left by deletes and
-    /// relocating updates. Slot ids are stable.
-    pub fn compact(&mut self) {
-        let count = self.slot_count();
-        let mut live: Vec<(SlotId, Vec<u8>)> = Vec::new();
-        for slot in 0..count {
-            let (offset, len) = self.slot_at(slot);
-            if len > 0 {
-                live.push((slot, self.buf[offset..offset + len].to_vec()));
-            }
-        }
-        let mut end = self.buf.len();
-        for (slot, tuple) in &live {
-            end -= tuple.len();
-            self.buf[end..end + tuple.len()].copy_from_slice(tuple);
-            let len = tuple.len();
-            self.set_slot(*slot, end, len);
-        }
-        self.set_u16(10, (end - 1) as u16);
-        self.touch();
-    }
-
-    /// Iterates over live `(slot, tuple)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
-        (0..self.slot_count()).filter_map(move |slot| {
-            let (offset, len) = self.slot_at(slot);
-            (len > 0).then(|| (slot, &self.buf[offset..offset + len]))
-        })
-    }
-
     /// Reads the tuple in `slot` from an immutable page buffer.
     ///
-    /// Read-only counterpart of [`read`](Self::read) for use through a
-    /// shared buffer-pool view (reads must not dirty the page).
+    /// Reads go through a shared buffer-pool view, so they must not
+    /// dirty the page.
     ///
     /// # Errors
     ///
     /// [`StoreError::NoSuchSlot`] for out-of-range or deleted slots.
-    pub fn read_from(buf: &[u8], slot: SlotId) -> Result<&[u8], StoreError> {
+    pub(crate) fn read_from(buf: &[u8], slot: SlotId) -> Result<&[u8], StoreError> {
         let page_id = u32::from_le_bytes(buf[2..6].try_into().unwrap());
         let count = u16::from_le_bytes([buf[6], buf[7]]);
         if slot >= count {
@@ -314,18 +257,6 @@ impl<'a> SlottedPage<'a> {
             });
         }
         Ok(&buf[offset..offset + len])
-    }
-
-    /// Iterates over live `(slot, tuple)` pairs of an immutable page
-    /// buffer.
-    pub fn iter_from(buf: &[u8]) -> impl Iterator<Item = (SlotId, &[u8])> {
-        let count = u16::from_le_bytes([buf[6], buf[7]]);
-        (0..count).filter_map(move |slot| {
-            let base = HEADER + slot as usize * SLOT_BYTES;
-            let offset = u16::from_le_bytes([buf[base], buf[base + 1]]) as usize;
-            let len = u16::from_le_bytes([buf[base + 2], buf[base + 3]]) as usize;
-            (len > 0).then(|| (slot, &buf[offset..offset + len]))
-        })
     }
 }
 
@@ -349,6 +280,10 @@ mod tests {
         vec![0u8; size]
     }
 
+    fn read<'p>(page: &'p SlottedPage<'_>, slot: SlotId) -> Result<&'p [u8], StoreError> {
+        SlottedPage::read_from(page.buf, slot)
+    }
+
     #[test]
     fn init_produces_empty_page() {
         let mut buf = page_buf(4096);
@@ -356,8 +291,6 @@ mod tests {
         assert_eq!(page.page_id(), 7);
         assert_eq!(page.slot_count(), 0);
         assert_eq!(page.free_space(), 4096 - HEADER);
-        assert!(SlottedPage::is_initialized(&buf));
-        assert!(!SlottedPage::is_initialized(&page_buf(4096)));
     }
 
     #[test]
@@ -366,8 +299,8 @@ mod tests {
         let mut page = SlottedPage::init(&mut buf, 0);
         let a = page.insert(b"hello").unwrap();
         let b = page.insert(b"world!").unwrap();
-        assert_eq!(page.read(a).unwrap(), b"hello");
-        assert_eq!(page.read(b).unwrap(), b"world!");
+        assert_eq!(read(&page, a).unwrap(), b"hello");
+        assert_eq!(read(&page, b).unwrap(), b"world!");
         assert_eq!(page.slot_count(), 2);
     }
 
@@ -390,10 +323,10 @@ mod tests {
         let slot = page.insert(&[7u8; 100]).unwrap();
         // shrink in place
         page.update(slot, &[8u8; 50]).unwrap();
-        assert_eq!(page.read(slot).unwrap(), &[8u8; 50][..]);
+        assert_eq!(read(&page, slot).unwrap(), &[8u8; 50][..]);
         // grow: relocate
         page.update(slot, &[9u8; 200]).unwrap();
-        assert_eq!(page.read(slot).unwrap(), &[9u8; 200][..]);
+        assert_eq!(read(&page, slot).unwrap(), &[9u8; 200][..]);
     }
 
     #[test]
@@ -440,18 +373,14 @@ mod tests {
     }
 
     #[test]
-    fn delete_then_read_fails_then_compact_reclaims() {
+    fn delete_then_read_fails() {
         let mut buf = page_buf(512);
         let mut page = SlottedPage::init(&mut buf, 0);
         let a = page.insert(&[1u8; 100]).unwrap();
         let b = page.insert(&[2u8; 100]).unwrap();
-        let free_before = page.free_space();
         page.delete(a).unwrap();
-        assert!(page.read(a).is_err());
-        assert_eq!(page.read(b).unwrap(), &[2u8; 100][..]);
-        page.compact();
-        assert!(page.free_space() >= free_before + 100);
-        assert_eq!(page.read(b).unwrap(), &[2u8; 100][..]);
+        assert!(read(&page, a).is_err());
+        assert_eq!(read(&page, b).unwrap(), &[2u8; 100][..]);
     }
 
     #[test]
@@ -462,20 +391,6 @@ mod tests {
             page.insert(b""),
             Err(StoreError::TupleTooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn iter_skips_dead_slots() {
-        let mut buf = page_buf(1024);
-        let mut page = SlottedPage::init(&mut buf, 0);
-        page.insert(b"a").unwrap();
-        let b = page.insert(b"b").unwrap();
-        page.insert(b"c").unwrap();
-        page.delete(b).unwrap();
-        let live: Vec<_> = page.iter().map(|(s, t)| (s, t.to_vec())).collect();
-        assert_eq!(live.len(), 2);
-        assert_eq!(live[0].1, b"a");
-        assert_eq!(live[1].1, b"c");
     }
 
     proptest! {
@@ -511,13 +426,8 @@ mod tests {
                 }
                 // Every live tuple matches the model.
                 for (slot, expected) in &model {
-                    prop_assert_eq!(page.read(*slot).unwrap(), &expected[..]);
+                    prop_assert_eq!(read(&page, *slot).unwrap(), &expected[..]);
                 }
-            }
-            // Compaction preserves everything.
-            page.compact();
-            for (slot, expected) in &model {
-                prop_assert_eq!(page.read(*slot).unwrap(), &expected[..]);
             }
         }
     }

@@ -50,23 +50,18 @@ impl DbProfile {
     }
 
     /// Profile name ("oracle", "postgres", "mysql").
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
     /// Extra per-row header bytes (beyond the 8-byte txn counter).
-    pub fn row_header_pad(&self) -> usize {
+    pub(crate) fn row_header_pad(&self) -> usize {
         self.row_header_pad
-    }
-
-    /// Target page fill fraction.
-    pub fn fill_factor(&self) -> f64 {
-        self.fill_factor
     }
 
     /// Free-space threshold in bytes below which a page of `page_size`
     /// is considered full for new inserts.
-    pub fn reserve_bytes(&self, page_size: usize) -> usize {
+    pub(crate) fn reserve_bytes(&self, page_size: usize) -> usize {
         ((1.0 - self.fill_factor) * page_size as f64) as usize
     }
 }

@@ -79,21 +79,16 @@ impl Row {
         &mut self.values
     }
 
-    /// The row-header transaction counter.
-    pub fn txn(&self) -> u64 {
-        self.header_txn
-    }
-
     /// Sets the row-header transaction counter (done by the table on
     /// update).
-    pub fn set_txn(&mut self, txn: u64) {
+    pub(crate) fn set_txn(&mut self, txn: u64) {
         self.header_txn = txn;
     }
 
     /// Encodes to the on-page tuple format, prefixed by `header_pad`
     /// additional header bytes (per-DBMS profile; filled with a rolling
     /// pattern derived from the txn counter, like real tuple headers).
-    pub fn encode(&self, header_pad: usize) -> Vec<u8> {
+    pub(crate) fn encode(&self, header_pad: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + header_pad);
         out.extend_from_slice(&self.header_txn.to_le_bytes());
         for i in 0..header_pad {
@@ -126,7 +121,7 @@ impl Row {
     /// # Errors
     ///
     /// [`StoreError::CorruptTuple`] on truncation or invalid tags.
-    pub fn decode(bytes: &[u8], header_pad: usize) -> Result<Self, StoreError> {
+    pub(crate) fn decode(bytes: &[u8], header_pad: usize) -> Result<Self, StoreError> {
         let corrupt = || StoreError::CorruptTuple {
             detail: "truncated tuple".into(),
         };
@@ -260,7 +255,7 @@ mod tests {
         row.set_txn(42);
         let b = row.encode(8);
         assert_ne!(a, b);
-        assert_eq!(Row::decode(&b, 8).unwrap().txn(), 42);
+        assert_eq!(Row::decode(&b, 8).unwrap().header_txn, 42);
     }
 
     #[test]

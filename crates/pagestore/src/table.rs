@@ -107,19 +107,19 @@ impl From<BlockError> for StoreError {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordId {
     /// Page holding the row.
-    pub page: PageId,
+    pub(crate) page: PageId,
     /// Slot within the page.
-    pub slot: SlotId,
+    pub(crate) slot: SlotId,
 }
 
 impl RecordId {
     /// Packs into a `u64` for storage in index leaves.
-    pub fn to_u64(self) -> u64 {
+    pub(crate) fn to_u64(self) -> u64 {
         ((self.page as u64) << 16) | self.slot as u64
     }
 
     /// Unpacks from [`to_u64`](Self::to_u64) form.
-    pub fn from_u64(v: u64) -> Self {
+    pub(crate) fn from_u64(v: u64) -> Self {
         Self {
             page: (v >> 16) as u32,
             slot: (v & 0xffff) as u16,
@@ -152,15 +152,6 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates an empty table with the default (Oracle) profile.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the device is already full.
-    pub fn create(pool: &BufferPool) -> Result<Self, StoreError> {
-        Self::with_profile(pool, DbProfile::default())
-    }
-
     /// Creates an empty table with a specific DBMS profile.
     ///
     /// # Errors
@@ -179,11 +170,6 @@ impl Table {
         Ok(table)
     }
 
-    /// The table's DBMS profile.
-    pub fn profile(&self) -> DbProfile {
-        self.profile
-    }
-
     /// Number of live rows.
     pub fn len(&self) -> u64 {
         self.rows
@@ -192,11 +178,6 @@ impl Table {
     /// Whether the table holds no rows.
     pub fn is_empty(&self) -> bool {
         self.rows == 0
-    }
-
-    /// Number of pages the table occupies.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
     }
 
     fn grow(&mut self) -> Result<PageId, StoreError> {
@@ -340,76 +321,6 @@ impl Table {
         self.rows -= 1;
         Ok(())
     }
-
-    /// Compacts every page (squeezing out holes left by deletes and
-    /// relocating updates) and rebuilds the free-space map. Row
-    /// addresses are stable. Returns the bytes reclaimed.
-    ///
-    /// The page-store analogue of `VACUUM`: after heavy churn the pages
-    /// carry dead tuples that inflate block deltas; vacuuming restores
-    /// locality.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device failures.
-    pub fn vacuum(&mut self) -> Result<usize, StoreError> {
-        let mut reclaimed = 0usize;
-        for &pid in &self.pages {
-            let (before, after) = self.pool.with_page_mut(pid, |bytes| {
-                let mut page = SlottedPage::new(bytes);
-                let before = page.free_space();
-                page.compact();
-                (before, page.free_space())
-            })?;
-            reclaimed += after - before;
-            self.fsm.insert(pid, after);
-        }
-        Ok(reclaimed)
-    }
-
-    /// Verifies that every live tuple in every page decodes with this
-    /// table's profile, returning the number of rows checked.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::CorruptTuple`] on the first undecodable tuple;
-    /// device failures.
-    pub fn verify(&self) -> Result<u64, StoreError> {
-        let pad = self.profile.row_header_pad();
-        let mut checked = 0u64;
-        for &pid in &self.pages {
-            checked += self.pool.with_page(pid, |bytes| {
-                let mut n = 0u64;
-                for (_slot, tuple) in SlottedPage::iter_from(bytes) {
-                    Row::decode(tuple, pad)?;
-                    n += 1;
-                }
-                Ok::<_, StoreError>(n)
-            })??;
-        }
-        Ok(checked)
-    }
-
-    /// Collects every live row with its address (table-scan order).
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode and device failures.
-    pub fn scan(&self) -> Result<Vec<(RecordId, Row)>, StoreError> {
-        let pad = self.profile.row_header_pad();
-        let mut out = Vec::new();
-        for &pid in &self.pages {
-            let rows = self.pool.with_page(pid, |bytes| {
-                SlottedPage::iter_from(bytes)
-                    .map(|(slot, tuple)| Ok((slot, Row::decode(tuple, pad)?)))
-                    .collect::<Result<Vec<_>, StoreError>>()
-            })??;
-            for (slot, row) in rows {
-                out.push((RecordId { page: pid, slot }, row));
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl fmt::Debug for Table {
@@ -444,7 +355,7 @@ mod tests {
     #[test]
     fn insert_get_roundtrip() {
         let pool = pool();
-        let mut t = Table::create(&pool).unwrap();
+        let mut t = Table::with_profile(&pool, DbProfile::default()).unwrap();
         let rid = t.insert(&row(1, "hello")).unwrap();
         let got = t.get(rid).unwrap();
         assert_eq!(got.values()[0], Value::U64(1));
@@ -455,12 +366,12 @@ mod tests {
     #[test]
     fn many_inserts_span_pages() {
         let pool = pool();
-        let mut t = Table::create(&pool).unwrap();
+        let mut t = Table::with_profile(&pool, DbProfile::default()).unwrap();
         let mut rids = Vec::new();
         for i in 0..2000u64 {
             rids.push(t.insert(&row(i, "data-data-data-data-data")).unwrap());
         }
-        assert!(t.page_count() > 5, "2000 rows should span pages");
+        assert!(t.pages.len() > 5, "2000 rows should span pages");
         for (i, rid) in rids.iter().enumerate() {
             assert_eq!(t.get(*rid).unwrap().values()[0], Value::U64(i as u64));
         }
@@ -469,7 +380,7 @@ mod tests {
     #[test]
     fn update_in_place_and_migrating() {
         let pool = pool();
-        let mut t = Table::create(&pool).unwrap();
+        let mut t = Table::with_profile(&pool, DbProfile::default()).unwrap();
         let rid = t.insert(&row(5, "short")).unwrap();
         // Same-size update stays put.
         let rid2 = t.update(rid, &row(5, "shirt")).unwrap();
@@ -481,12 +392,15 @@ mod tests {
     #[test]
     fn update_bumps_txn_header() {
         let pool = pool();
-        let mut t = Table::create(&pool).unwrap();
+        let mut t = Table::with_profile(&pool, DbProfile::default()).unwrap();
+        // The transaction header is the first 8 bytes of an encoded row.
+        let txn = |r: &Row| u64::from_le_bytes(r.encode(0)[..8].try_into().unwrap());
         let rid = t.insert(&row(1, "x")).unwrap();
-        let txn1 = t.get(rid).unwrap().txn();
-        let rid = t.update(rid, &row(1, "y")).unwrap();
-        let txn2 = t.get(rid).unwrap().txn();
+        let txn1 = txn(&t.get(rid).unwrap());
+        let rid = t.update(rid, &row(1, "x")).unwrap();
+        let txn2 = txn(&t.get(rid).unwrap());
         assert!(txn2 > txn1);
+        assert_eq!(txn2, t.txn_counter);
     }
 
     #[test]
@@ -496,7 +410,7 @@ mod tests {
             Arc::new(MemDevice::new(BlockSize::new(512).unwrap(), 256)),
             16,
         );
-        let mut t = Table::create(&pool).unwrap();
+        let mut t = Table::with_profile(&pool, DbProfile::default()).unwrap();
         let mut rids: Vec<RecordId> = (0..4).map(|i| t.insert(&row(i, "aaaa")).unwrap()).collect();
         // Grow row 0 beyond its page's remaining space.
         let big = "B".repeat(300);
@@ -512,30 +426,12 @@ mod tests {
     #[test]
     fn delete_removes_row() {
         let pool = pool();
-        let mut t = Table::create(&pool).unwrap();
+        let mut t = Table::with_profile(&pool, DbProfile::default()).unwrap();
         let rid = t.insert(&row(1, "x")).unwrap();
         t.delete(rid).unwrap();
         assert!(t.get(rid).is_err());
         assert!(t.is_empty());
         assert!(t.delete(rid).is_err());
-    }
-
-    #[test]
-    fn scan_returns_all_live_rows() {
-        let pool = pool();
-        let mut t = Table::create(&pool).unwrap();
-        let mut rids = Vec::new();
-        for i in 0..50u64 {
-            rids.push(t.insert(&row(i, "scan-me")).unwrap());
-        }
-        t.delete(rids[10]).unwrap();
-        t.delete(rids[20]).unwrap();
-        let rows = t.scan().unwrap();
-        assert_eq!(rows.len(), 48);
-        let keys: std::collections::HashSet<u64> =
-            rows.iter().map(|(_, r)| r.values()[0].as_key()).collect();
-        assert!(!keys.contains(&10));
-        assert!(keys.contains(&11));
     }
 
     #[test]
@@ -552,36 +448,6 @@ mod tests {
             r.encode(DbProfile::postgres().row_header_pad()).len()
                 > r.encode(DbProfile::oracle().row_header_pad()).len()
         );
-    }
-
-    #[test]
-    fn vacuum_reclaims_dead_tuple_space() {
-        let pool = pool();
-        let mut t = Table::create(&pool).unwrap();
-        let mut rids = Vec::new();
-        for i in 0..200u64 {
-            rids.push(t.insert(&row(i, "to-be-deleted-or-kept")).unwrap());
-        }
-        for rid in rids.iter().step_by(2) {
-            t.delete(*rid).unwrap();
-        }
-        let reclaimed = t.vacuum().unwrap();
-        assert!(reclaimed > 0, "expected space back from 100 deletes");
-        // Survivors still readable at their old addresses.
-        for (i, rid) in rids.iter().enumerate().skip(1).step_by(2) {
-            assert_eq!(t.get(*rid).unwrap().values()[0], Value::U64(i as u64));
-        }
-        assert_eq!(t.verify().unwrap(), 100);
-    }
-
-    #[test]
-    fn verify_counts_all_live_rows() {
-        let pool = pool();
-        let mut t = Table::create(&pool).unwrap();
-        for i in 0..50u64 {
-            t.insert(&row(i, "verify-me")).unwrap();
-        }
-        assert_eq!(t.verify().unwrap(), 50);
     }
 
     #[test]

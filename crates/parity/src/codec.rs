@@ -97,7 +97,7 @@ impl<B: AsRef<[u8]>> SparseParity<B> {
     }
 
     /// Length of the dense block this parity describes.
-    pub fn block_len(&self) -> usize {
+    pub(crate) fn block_len(&self) -> usize {
         self.header().0
     }
 
@@ -130,11 +130,6 @@ impl<B: AsRef<[u8]>> SparseParity<B> {
             rest = after;
             Some((offset, data))
         })
-    }
-
-    /// Whether the parity is all zeros.
-    pub fn is_empty(&self) -> bool {
-        self.header().1.is_empty()
     }
 
     /// Expands back to a dense parity block of length `len`.
@@ -242,11 +237,6 @@ impl SparseCodec {
         Self { min_gap }
     }
 
-    /// The configured merge threshold.
-    pub fn min_gap(&self) -> usize {
-        self.min_gap
-    }
-
     /// Extracts the nonzero extents of `parity`.
     ///
     /// Zero runs — the bulk of a PRINS parity — are skipped with the
@@ -295,7 +285,7 @@ impl SparseCodec {
     /// encoding them. Extent boundaries are exactly those
     /// [`encode`](Self::encode) would produce on
     /// `forward_parity(old, new)` — the same merge rule, driven by
-    /// [`scan_mismatch`](crate::scan_mismatch) instead of a dense
+    /// a word-at-a-time mismatch scan of the two images instead of a dense
     /// scratch block.
     ///
     /// This is the hot path's one pass over the images: the plan answers
@@ -318,14 +308,14 @@ impl SparseCodec {
         stream.clear();
         let mut payload = 0usize;
         let mut prev_end = 0usize;
-        let mut next = crate::scan_mismatch(old, new, 0);
+        let mut next = crate::xor::scan_mismatch(old, new, 0);
         while let Some(start) = next {
             // Grow the extent: alternate mismatching stretches with
             // equal gaps shorter than `min_gap`, which stay inline.
             let mut last = start + 1;
             loop {
                 last = mismatch_run_end(old, new, last);
-                match crate::scan_mismatch(old, new, last) {
+                match crate::xor::scan_mismatch(old, new, last) {
                     Some(nz) if nz - last < self.min_gap => last = nz + 1,
                     later => {
                         next = later;
@@ -592,14 +582,14 @@ mod tests {
     fn reference_delta_segments(codec: SparseCodec, old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
         let n = old.len();
         let mut extents = Vec::new();
-        let mut next = crate::scan_mismatch(old, new, 0);
+        let mut next = crate::xor::scan_mismatch(old, new, 0);
         while let Some(start) = next {
             let mut last = start + 1;
             loop {
                 while last < n && old[last] != new[last] {
                     last += 1;
                 }
-                match crate::scan_mismatch(old, new, last) {
+                match crate::xor::scan_mismatch(old, new, last) {
                     Some(nz) if nz - last < codec.min_gap => last = nz + 1,
                     later => {
                         next = later;
@@ -699,7 +689,7 @@ mod tests {
     fn all_zero_parity_is_tiny() {
         let parity = vec![0u8; 8192];
         let sp = SparseCodec::default().encode(&parity);
-        assert!(sp.is_empty());
+        assert!(sp.header().1.is_empty());
         assert!(sp.as_bytes().len() <= 3);
         roundtrip(SparseCodec::default(), &parity);
     }
@@ -733,7 +723,10 @@ mod tests {
         let mut parity = vec![0u8; 256];
         parity[40..72].fill(0xAA);
         let sp = SparseCodec::default().encode(&parity);
-        assert!(sp.fold(&sp).is_empty(), "X ^ X must fold to nothing");
+        assert!(
+            sp.fold(&sp).header().1.is_empty(),
+            "X ^ X must fold to nothing"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Forward and backward parity computation (Equations (1)/(2) of the
-//! paper) and change-ratio statistics.
+//! Forward parity computation (Equation (1) of the paper) and
+//! change-ratio statistics.
 
-use crate::xor::{xor_bytes, xor_in_place};
+use crate::xor::xor_bytes;
 
 /// Computes the forward parity `P' = A_new ⊕ A_old` at the primary site.
 ///
@@ -26,24 +26,6 @@ use crate::xor::{xor_bytes, xor_in_place};
 /// ```
 pub fn forward_parity(old: &[u8], new: &[u8]) -> Vec<u8> {
     xor_bytes(old, new)
-}
-
-/// Computes the backward parity `A_new = P' ⊕ A_old` at the replica site.
-///
-/// # Panics
-///
-/// Panics if the images have different lengths.
-pub fn apply_parity(old: &[u8], parity: &[u8]) -> Vec<u8> {
-    xor_bytes(old, parity)
-}
-
-/// In-place variant of [`apply_parity`]: `block ^= parity`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn apply_parity_in_place(block: &mut [u8], parity: &[u8]) {
-    xor_in_place(block, parity);
 }
 
 /// Statistics about how much of a block a write actually changed.
@@ -99,11 +81,6 @@ impl DeltaStats {
         }
     }
 
-    /// Whether the write left the block bit-identical.
-    pub fn is_unchanged(&self) -> bool {
-        self.changed_bytes == 0
-    }
-
     /// Merges two measurements (e.g. accumulating over a whole trace).
     pub fn merge(&mut self, other: &DeltaStats) {
         self.block_bytes += other.block_bytes;
@@ -137,17 +114,7 @@ mod tests {
         new[10..20].fill(0);
         new[90] = 0xee;
         let p = forward_parity(&old, &new);
-        assert_eq!(apply_parity(&old, &p), new);
-    }
-
-    #[test]
-    fn apply_in_place_matches_functional_form() {
-        let old = vec![5u8; 64];
-        let new = vec![9u8; 64];
-        let p = forward_parity(&old, &new);
-        let mut block = old.clone();
-        apply_parity_in_place(&mut block, &p);
-        assert_eq!(block, new);
+        assert_eq!(xor_bytes(&old, &p), new);
     }
 
     #[test]
@@ -161,14 +128,13 @@ mod tests {
         assert_eq!(d.changed_bytes, 8);
         assert_eq!(d.changed_extents, 3);
         assert!((d.change_ratio() - 0.08).abs() < 1e-12);
-        assert!(!d.is_unchanged());
     }
 
     #[test]
     fn unchanged_write_has_zero_delta() {
         let img = vec![42u8; 10];
         let d = DeltaStats::measure(&img, &img);
-        assert!(d.is_unchanged());
+        assert_eq!(d.changed_bytes, 0);
         assert_eq!(d.changed_extents, 0);
     }
 
@@ -204,7 +170,7 @@ mod tests {
             let old = &old[..n];
             let new: Vec<u8> = old.iter().zip(&mask[..n]).map(|(a, m)| a ^ m).collect();
             let p = forward_parity(old, &new);
-            prop_assert_eq!(apply_parity(old, &p), new);
+            prop_assert_eq!(xor_bytes(old, &p), new);
         }
 
         #[test]

@@ -21,9 +21,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`xor_into`] / [`xor_in_place`] / [`xor_bytes`] — word-at-a-time XOR
-//!   kernels,
-//! * [`forward_parity`] / [`apply_parity`] — the two PRINS computations,
+//! * [`xor_in_place`] / [`xor_bytes`] / [`scan_nonzero`] — word-at-a-time
+//!   XOR and scan kernels,
+//! * [`forward_parity`] — the primary's half of the PRINS computation
+//!   (the replica's half is [`SparseParity::apply_to`]),
 //! * [`SparseCodec`] and [`SparseParity`] — the zero-suppressing encoding;
 //!   a `SparseParity` *is* its validated wire stream, whether it was
 //!   planned from two images ([`DeltaPlan::to_parity`]), encoded from a
@@ -55,6 +56,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod codec;
 mod delta;
 mod erasure;
@@ -62,7 +65,7 @@ mod varint;
 mod xor;
 
 pub use codec::{CodecError, DeltaPlan, SparseCodec, SparseParity};
-pub use delta::{apply_parity, apply_parity_in_place, forward_parity, DeltaStats};
+pub use delta::{forward_parity, DeltaStats};
 pub use erasure::{EcError, ErasureCodec, XorCodec};
 pub use varint::{decode_varint, encode_varint, varint_len};
-pub use xor::{scan_mismatch, scan_nonzero, xor_bytes, xor_in_place, xor_into};
+pub use xor::{scan_nonzero, xor_bytes, xor_in_place};

@@ -1,5 +1,7 @@
 //! LEB128-style variable-length integer encoding used by the sparse
-//! parity codec and the LZSS token stream.
+//! parity codec and, through the re-exports, by `prins-repl`'s frame
+//! headers. (`prins-compress` keeps a private copy for its LZSS token
+//! stream: it does not depend on this crate.)
 
 /// Appends `value` to `out` as an LEB128 varint (7 bits per byte, MSB set
 /// on continuation bytes).

@@ -107,19 +107,7 @@ pub fn scan_nonzero(buf: &[u8], from: usize) -> Option<usize> {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-///
-/// # Example
-///
-/// ```
-/// use prins_parity::scan_mismatch;
-///
-/// let a = vec![7u8; 100];
-/// let mut b = a.clone();
-/// b[70] ^= 1;
-/// assert_eq!(scan_mismatch(&a, &b, 0), Some(70));
-/// assert_eq!(scan_mismatch(&a, &b, 71), None);
-/// ```
-pub fn scan_mismatch(a: &[u8], b: &[u8], from: usize) -> Option<usize> {
+pub(crate) fn scan_mismatch(a: &[u8], b: &[u8], from: usize) -> Option<usize> {
     assert_eq!(a.len(), b.len(), "scan operands must be equal length");
     if from >= a.len() {
         return None;
@@ -142,18 +130,6 @@ pub fn scan_mismatch(a: &[u8], b: &[u8], from: usize) -> Option<usize> {
         .zip(wb.remainder())
         .position(|(p, q)| p != q)
         .map(|at| from + offset + at)
-}
-
-/// Writes `a ^ b` into `out`.
-///
-/// # Panics
-///
-/// Panics if the three slices are not all the same length.
-pub fn xor_into(out: &mut [u8], a: &[u8], b: &[u8]) {
-    assert_eq!(a.len(), b.len(), "xor operands must be equal length");
-    assert_eq!(out.len(), a.len(), "xor output must match operand length");
-    out.copy_from_slice(a);
-    xor_in_place(out, b);
 }
 
 /// Returns `a ^ b` as a freshly allocated buffer.
@@ -262,15 +238,6 @@ mod tests {
             }
         }
         assert_eq!(scan_mismatch(&a, &a, 0), None);
-    }
-
-    #[test]
-    fn xor_into_matches_xor_bytes() {
-        let a = vec![0xF0u8; 33];
-        let b = vec![0x0Fu8; 33];
-        let mut out = vec![0u8; 33];
-        xor_into(&mut out, &a, &b);
-        assert_eq!(out, xor_bytes(&a, &b));
     }
 
     proptest! {

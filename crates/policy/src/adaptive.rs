@@ -64,7 +64,7 @@ impl WorkloadPhase {
 
 /// Classifies the global write mix over fixed windows, with two-window
 /// hysteresis so one odd window cannot flap the engine's tuning.
-pub struct PhaseDetector {
+pub(crate) struct PhaseDetector {
     window: u32,
     writes: AtomicU32,
     parityish: AtomicU32,
@@ -74,7 +74,7 @@ pub struct PhaseDetector {
 
 impl PhaseDetector {
     /// A detector classifying every `window` decisions (min 1).
-    pub fn new(window: u32) -> Self {
+    pub(crate) fn new(window: u32) -> Self {
         Self {
             window: window.max(1),
             writes: AtomicU32::new(0),
@@ -87,7 +87,7 @@ impl PhaseDetector {
     /// Feeds one decision; returns the new phase when a transition
     /// commits (the same classification in two consecutive windows,
     /// differing from the current phase).
-    pub fn on_decision(&self, parity_family: bool) -> Option<WorkloadPhase> {
+    pub(crate) fn on_decision(&self, parity_family: bool) -> Option<WorkloadPhase> {
         if parity_family {
             self.parityish.fetch_add(1, Ordering::Relaxed);
         }
@@ -111,7 +111,7 @@ impl PhaseDetector {
     }
 
     /// The committed phase.
-    pub fn current(&self) -> WorkloadPhase {
+    pub(crate) fn current(&self) -> WorkloadPhase {
         WorkloadPhase::from_u8(self.current.load(Ordering::Relaxed))
     }
 }
@@ -196,11 +196,6 @@ impl AdaptiveReplicator {
     /// The decision and counterfactual counters.
     pub fn counters(&self) -> &PolicyCounters {
         &self.counters
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &PolicyConfig {
-        &self.cfg
     }
 
     /// The committed workload phase.

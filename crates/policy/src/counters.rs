@@ -30,23 +30,23 @@ pub enum CounterfactualMode {
 /// accumulates per write rather than letting wins hide losses).
 pub struct PolicyCounters {
     /// Writes decided.
-    pub writes: Arc<Counter>,
+    pub(crate) writes: Arc<Counter>,
     /// Picks per strategy.
     pub pick_full: Arc<Counter>,
     pub pick_compressed: Arc<Counter>,
     pub pick_parity: Arc<Counter>,
     pub pick_parity_lzss: Arc<Counter>,
     /// Decisions forced by the exploration schedule.
-    pub explores: Arc<Counter>,
+    pub(crate) explores: Arc<Counter>,
     /// Workload-phase transitions fired.
     pub phase_switches: Arc<Counter>,
     /// Wire bytes actually shipped.
     pub shipped_bytes: Arc<Counter>,
     /// Wire bytes each static policy would have shipped.
     pub cf_traditional_bytes: Arc<Counter>,
-    pub cf_compressed_bytes: Arc<Counter>,
-    pub cf_prins_bytes: Arc<Counter>,
-    pub cf_prins_lzss_bytes: Arc<Counter>,
+    pub(crate) cf_compressed_bytes: Arc<Counter>,
+    pub(crate) cf_prins_bytes: Arc<Counter>,
+    pub(crate) cf_prins_lzss_bytes: Arc<Counter>,
     /// Per-write `shipped - min(counterfactuals)`, clamped at zero —
     /// the bytes a clairvoyant per-write oracle would have saved.
     pub regret_bytes: Arc<Counter>,
@@ -54,7 +54,7 @@ pub struct PolicyCounters {
 
 impl PolicyCounters {
     /// Counters registered under `policy_*` in `registry`.
-    pub fn registered(registry: &Registry) -> Self {
+    pub(crate) fn registered(registry: &Registry) -> Self {
         Self {
             writes: registry.counter("policy_writes"),
             pick_full: registry.counter("policy_pick_full"),
@@ -74,7 +74,7 @@ impl PolicyCounters {
 
     /// Standalone counters, not attached to any registry (unit tests,
     /// trait-only uses).
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         let c = || Arc::new(Counter::new());
         Self {
             writes: c(),
@@ -92,20 +92,6 @@ impl PolicyCounters {
             regret_bytes: c(),
         }
     }
-
-    /// The smallest static-policy counterfactual accumulated so far,
-    /// as `(name, bytes)`.
-    pub fn best_static(&self) -> (&'static str, u64) {
-        [
-            ("traditional", self.cf_traditional_bytes.get()),
-            ("compressed", self.cf_compressed_bytes.get()),
-            ("prins", self.cf_prins_bytes.get()),
-            ("prins+lzss", self.cf_prins_lzss_bytes.get()),
-        ]
-        .into_iter()
-        .min_by_key(|&(_, bytes)| bytes)
-        .expect("four candidates")
-    }
 }
 
 #[cfg(test)]
@@ -118,15 +104,5 @@ mod tests {
         let counters = PolicyCounters::registered(&registry);
         counters.shipped_bytes.add(123);
         assert_eq!(registry.counter("policy_shipped_bytes").get(), 123);
-    }
-
-    #[test]
-    fn best_static_picks_the_minimum() {
-        let counters = PolicyCounters::detached();
-        counters.cf_traditional_bytes.add(400);
-        counters.cf_compressed_bytes.add(300);
-        counters.cf_prins_bytes.add(100);
-        counters.cf_prins_lzss_bytes.add(200);
-        assert_eq!(counters.best_static(), ("prins", 100));
     }
 }

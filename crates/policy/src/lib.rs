@@ -25,7 +25,7 @@
 //!   parity-vs-full ground truth for *this* write before anything is
 //!   encoded, and whatever parity is then emitted reads the same plan;
 //! * **EWMA compressibility estimates** per region, seeded by a cheap
-//!   stack-only 4-gram [probe](probe::probe_compressibility_pm) and
+//!   stack-only 4-gram probe and
 //!   thereafter corrected with exact ratios observed whenever a
 //!   compressing strategy is chosen;
 //! * periodic **exploration** re-tries the compressing variant so a
@@ -40,9 +40,9 @@
 //! Every decision also books the **counterfactual cost**: the bytes each
 //! *other* strategy would have shipped, so `prins-obs` counters expose
 //! `adaptive vs best-static` regret without re-running the workload.
-//! A global [`PhaseDetector`](WorkloadPhase) classifies the recent write
-//! mix (small-delta / mixed / churn) and fires a hook the engine uses to
-//! retune batching and coalescing aggressiveness live.
+//! A global phase detector classifies the recent write mix into a
+//! [`WorkloadPhase`] (small-delta / mixed / churn) and fires a hook the
+//! engine uses to retune batching and coalescing aggressiveness live.
 //!
 //! # Example
 //!
@@ -60,15 +60,15 @@
 //! assert_eq!(adaptive.counters().pick_parity.get(), 1);
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod adaptive;
 mod counters;
 mod probe;
 mod region;
 
-pub use adaptive::{AdaptiveReplicator, PhaseDetector, WorkloadPhase};
+pub use adaptive::{AdaptiveReplicator, WorkloadPhase};
 pub use counters::{CounterfactualMode, PolicyCounters};
-pub use probe::probe_compressibility_pm;
-pub use region::{ewma_step, RegionTable};
 
 /// The four wire strategies the policy engine picks among, mirroring
 /// [`prins_repl::ReplicationMode`] one-to-one.
@@ -87,7 +87,7 @@ pub(crate) enum Strategy {
 
 impl Strategy {
     /// True for the two parity-family strategies (small-delta shaped).
-    pub fn is_parity_family(self) -> bool {
+    pub(crate) fn is_parity_family(self) -> bool {
         matches!(self, Strategy::Parity | Strategy::ParityCompressed)
     }
 }

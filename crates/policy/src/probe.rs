@@ -24,7 +24,7 @@ const PROBE_SLOTS: usize = 64;
 ///
 /// Stack-only: one `[u16; 64]` table, no heap traffic — safe to call on
 /// the ≤2-allocations-per-write hot path.
-pub fn probe_compressibility_pm(data: &[u8]) -> u32 {
+pub(crate) fn probe_compressibility_pm(data: &[u8]) -> u32 {
     if data.len() < 8 {
         // Too short for LZSS to ever win; report incompressible.
         return 1020;

@@ -9,7 +9,7 @@ use crate::EWMA_SHIFT;
 /// One EWMA step with integer arithmetic: `old + (sample - old) >> shift`,
 /// nudged by one toward the sample when the shift would round the step
 /// to zero (so the average can actually converge to nearby values).
-pub fn ewma_step(old: u32, sample: u32, shift: u32) -> u32 {
+pub(crate) fn ewma_step(old: u32, sample: u32, shift: u32) -> u32 {
     let step = (i64::from(sample) - i64::from(old)) >> shift;
     let next = (i64::from(old) + step).max(0) as u32;
     if next == old && sample != old {
@@ -89,7 +89,7 @@ impl RegionSlot {
 
 /// Fixed-size, direct-mapped table of [`RegionSlot`]s keyed by
 /// `lba >> region_shift`.
-pub struct RegionTable {
+pub(crate) struct RegionTable {
     slots: Box<[RegionSlot]>,
     mask: usize,
     region_shift: u32,
@@ -97,7 +97,7 @@ pub struct RegionTable {
 
 impl RegionTable {
     /// A table with at least `regions` slots (rounded to a power of two).
-    pub fn new(regions: usize, region_shift: u32) -> Self {
+    pub(crate) fn new(regions: usize, region_shift: u32) -> Self {
         let n = regions.next_power_of_two().max(16);
         let slots: Vec<RegionSlot> = (0..n).map(|_| RegionSlot::empty()).collect();
         Self {
@@ -107,18 +107,8 @@ impl RegionTable {
         }
     }
 
-    /// Slot count (power of two).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Always at least 16 slots.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// The region an LBA belongs to.
-    pub fn region_of(&self, lba: u64) -> u64 {
+    pub(crate) fn region_of(&self, lba: u64) -> u64 {
         lba >> self.region_shift
     }
 
@@ -181,7 +171,6 @@ mod tests {
         let table = RegionTable::new(64, 6);
         assert_eq!(table.region_of(0), table.region_of(63));
         assert_ne!(table.region_of(63), table.region_of(64));
-        assert_eq!(table.len(), 64);
-        assert!(!table.is_empty());
+        assert_eq!(table.slots.len(), 64);
     }
 }

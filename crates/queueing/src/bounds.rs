@@ -13,73 +13,70 @@
 //! starts dominating — for the paper's Figure 8 it explains *why*
 //! traditional replication's curve turns upward near population 2 while
 //! PRINS's knee sits far to the right. The exact MVA solution must
-//! respect these bounds everywhere, which the tests (and the
-//! cross-check in `prins-bench`) verify.
-
-use crate::Mva;
-
-/// Asymptotic bounds for a closed network.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AsymptoticBounds {
-    /// Sum of all service demands (seconds).
-    pub total_demand: f64,
-    /// Largest single-center demand (seconds).
-    pub bottleneck_demand: f64,
-    /// Think time (seconds).
-    pub think_time: f64,
-}
-
-impl AsymptoticBounds {
-    /// Derives the bounds for a delay center plus FIFO centers with the
-    /// given service times.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or non-positive service-time list (same
-    /// contract as [`Mva::new`]).
-    pub fn new(think_time: f64, service_times: &[f64]) -> Self {
-        assert!(!service_times.is_empty(), "need at least one center");
-        assert!(
-            service_times.iter().all(|&s| s > 0.0),
-            "service times must be positive"
-        );
-        Self {
-            total_demand: service_times.iter().sum(),
-            bottleneck_demand: service_times.iter().cloned().fold(f64::MIN, f64::max),
-            think_time,
-        }
-    }
-
-    /// Upper bound on throughput at population `n`.
-    pub fn throughput_upper(&self, n: u32) -> f64 {
-        (n as f64 / (self.total_demand + self.think_time)).min(1.0 / self.bottleneck_demand)
-    }
-
-    /// Lower bound on response time at population `n`.
-    pub fn response_lower(&self, n: u32) -> f64 {
-        self.total_demand
-            .max(n as f64 * self.bottleneck_demand - self.think_time)
-    }
-
-    /// The knee population `N*` where the two throughput asymptotes
-    /// cross — the onset of saturation.
-    pub fn knee(&self) -> f64 {
-        (self.total_demand + self.think_time) / self.bottleneck_demand
-    }
-
-    /// Checks an exact [`Mva`] solution against the bounds.
-    pub fn admits(&self, mva: &Mva, n: u32) -> bool {
-        let sol = mva.solve(n);
-        let eps = 1e-9;
-        sol.throughput <= self.throughput_upper(n) + eps
-            && sol.response_time >= self.response_lower(n) - eps
-    }
-}
+//! respect these bounds everywhere, which the tests below verify: the
+//! bounds are the reference the exact solver is checked against.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Mva;
     use proptest::prelude::*;
+
+    /// Asymptotic bounds for a closed network.
+    struct AsymptoticBounds {
+        /// Sum of all service demands (seconds).
+        total_demand: f64,
+        /// Largest single-center demand (seconds).
+        bottleneck_demand: f64,
+        /// Think time (seconds).
+        think_time: f64,
+    }
+
+    impl AsymptoticBounds {
+        /// Derives the bounds for a delay center plus FIFO centers with the
+        /// given service times.
+        ///
+        /// # Panics
+        ///
+        /// Panics on an empty or non-positive service-time list (same
+        /// contract as [`Mva::new`]).
+        fn new(think_time: f64, service_times: &[f64]) -> Self {
+            assert!(!service_times.is_empty(), "need at least one center");
+            assert!(
+                service_times.iter().all(|&s| s > 0.0),
+                "service times must be positive"
+            );
+            Self {
+                total_demand: service_times.iter().sum(),
+                bottleneck_demand: service_times.iter().cloned().fold(f64::MIN, f64::max),
+                think_time,
+            }
+        }
+
+        /// Upper bound on throughput at population `n`.
+        fn throughput_upper(&self, n: u32) -> f64 {
+            (n as f64 / (self.total_demand + self.think_time)).min(1.0 / self.bottleneck_demand)
+        }
+
+        /// Lower bound on response time at population `n`.
+        fn response_lower(&self, n: u32) -> f64 {
+            self.total_demand
+                .max(n as f64 * self.bottleneck_demand - self.think_time)
+        }
+
+        /// The knee population `N*` where the two throughput asymptotes
+        /// cross — the onset of saturation.
+        fn knee(&self) -> f64 {
+            (self.total_demand + self.think_time) / self.bottleneck_demand
+        }
+
+        /// Checks an exact [`Mva`] solution against the bounds.
+        fn admits(&self, mva: &Mva, n: u32) -> bool {
+            let sol = mva.solve(n);
+            let eps = 1e-9;
+            sol.throughput <= self.throughput_upper(n) + eps
+                && sol.response_time >= self.response_lower(n) - eps
+        }
+    }
 
     #[test]
     fn mva_respects_bounds_for_the_papers_parameters() {

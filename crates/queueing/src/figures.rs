@@ -6,14 +6,15 @@
 //! plotted series. Defaults reproduce the paper's setup: think time
 //! 0.1 s, two routers, 8 KB blocks.
 
-use crate::{Mva, NodalDelay, MM1};
+use crate::mm1::MM1;
+use crate::{Mva, NodalDelay};
 
 /// The paper's measured think time: TPC-C generated 10.22 writes/s per
 /// node, so a node thinks ~0.1 s between writes.
-pub const THINK_TIME: f64 = 0.1;
+pub(crate) const THINK_TIME: f64 = 0.1;
 
 /// Routers each replication traverses in Figures 8/9.
-pub const ROUTERS: usize = 2;
+pub(crate) const ROUTERS: usize = 2;
 
 /// One plotted curve.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,9 +32,9 @@ pub struct Series {
 #[derive(Clone, Debug, PartialEq)]
 pub struct BytesPerWrite {
     /// Technique label.
-    pub label: String,
+    pub(crate) label: String,
     /// Mean payload bytes per replicated write.
-    pub bytes: f64,
+    pub(crate) bytes: f64,
 }
 
 impl BytesPerWrite {

@@ -19,7 +19,8 @@
 //!
 //! * [`Mva`] — exact MVA for a delay center plus K queueing centers
 //!   (Figures 8 and 9),
-//! * [`MM1`] — the open single-router saturation analysis (Figure 10),
+//! * an open M/M/1 router model — the single-router saturation
+//!   analysis behind Figure 10, whose series [`figures`] exposes,
 //! * [`NodalDelay`] — Equation (3)/(4) service times for T1/T3 links,
 //! * [`figures`] — ready-made series generators for the three figures.
 //!
@@ -37,13 +38,13 @@
 //! assert!(r40 > 10.0 * r1); // severe queueing at population 40
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod bounds;
 pub mod figures;
 mod mm1;
 mod mva;
 mod nodal;
 
-pub use bounds::AsymptoticBounds;
-pub use mm1::MM1;
 pub use mva::{Mva, MvaSolution};
 pub use nodal::NodalDelay;

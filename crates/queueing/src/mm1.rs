@@ -4,18 +4,8 @@
 ///
 /// The paper uses this to show how fast each replication technique
 /// saturates a single router as the write request rate grows.
-///
-/// # Example
-///
-/// ```
-/// use prins_queueing::MM1;
-///
-/// let router = MM1::new(0.058); // traditional replication over T1
-/// assert!(router.queueing_time(10.0).is_some());
-/// assert_eq!(router.queueing_time(18.0), None); // beyond saturation
-/// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MM1 {
+pub(crate) struct MM1 {
     service_time: f64,
 }
 
@@ -25,43 +15,30 @@ impl MM1 {
     /// # Panics
     ///
     /// Panics on a non-positive service time.
-    pub fn new(service_time: f64) -> Self {
+    pub(crate) fn new(service_time: f64) -> Self {
         assert!(service_time > 0.0, "service time must be positive");
         Self { service_time }
     }
 
     /// The service rate `µ` in customers per second.
-    pub fn service_rate(&self) -> f64 {
+    pub(crate) fn service_rate(&self) -> f64 {
         1.0 / self.service_time
     }
 
     /// Utilization `ρ = λ/µ` at arrival rate `lambda`.
-    pub fn utilization(&self, lambda: f64) -> f64 {
+    pub(crate) fn utilization(&self, lambda: f64) -> f64 {
         lambda * self.service_time
-    }
-
-    /// Whether the queue is unstable at arrival rate `lambda`.
-    pub fn saturated(&self, lambda: f64) -> bool {
-        self.utilization(lambda) >= 1.0
     }
 
     /// Mean time spent waiting in the queue (excluding service):
     /// `Wq = ρ/(µ−λ)`. `None` when saturated — the paper plots these
     /// points as the curve shooting up.
-    pub fn queueing_time(&self, lambda: f64) -> Option<f64> {
+    pub(crate) fn queueing_time(&self, lambda: f64) -> Option<f64> {
         let rho = self.utilization(lambda);
         if rho >= 1.0 {
             return None;
         }
         Some(rho / (self.service_rate() - lambda))
-    }
-
-    /// Mean total response time (wait + service): `W = 1/(µ−λ)`.
-    pub fn response_time(&self, lambda: f64) -> Option<f64> {
-        if self.saturated(lambda) {
-            return None;
-        }
-        Some(1.0 / (self.service_rate() - lambda))
     }
 }
 
@@ -74,7 +51,6 @@ mod tests {
     fn idle_queue_has_zero_wait() {
         let q = MM1::new(0.01);
         assert!(q.queueing_time(0.0).unwrap().abs() < 1e-12);
-        assert!((q.response_time(0.0).unwrap() - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -87,15 +63,6 @@ mod tests {
         assert!(w99 > 5.0 * w90);
         assert!(q.queueing_time(100.0).is_none());
         assert!(q.queueing_time(150.0).is_none());
-    }
-
-    #[test]
-    fn response_equals_wait_plus_service() {
-        let q = MM1::new(0.02);
-        let lambda = 30.0;
-        let w = q.queueing_time(lambda).unwrap();
-        let r = q.response_time(lambda).unwrap();
-        assert!((r - (w + 0.02)).abs() < 1e-12);
     }
 
     proptest! {

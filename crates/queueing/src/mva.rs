@@ -4,21 +4,21 @@
 #[derive(Clone, Debug, PartialEq)]
 pub struct MvaSolution {
     /// Population the network was solved for.
-    pub population: u32,
+    pub(crate) population: u32,
     /// Total response time through the queueing centers (seconds) —
     /// what Figures 8 and 9 plot.
     pub response_time: f64,
     /// System throughput (customers per second).
     pub throughput: f64,
     /// Mean queue length at each center.
-    pub queue_lengths: Vec<f64>,
+    pub(crate) queue_lengths: Vec<f64>,
     /// Utilization of each center.
-    pub utilizations: Vec<f64>,
+    pub(crate) utilizations: Vec<f64>,
 }
 
 /// Exact MVA solver: one delay center (think time `Z`) plus FIFO
 /// queueing centers with given service times (Reiser & Lavenberg; the
-/// textbook algorithm of Lazowska et al., the paper's reference [29]).
+/// textbook algorithm of Lazowska et al., the paper's reference \[29\]).
 ///
 /// # Example
 ///
@@ -55,11 +55,6 @@ impl Mva {
             think_time: z,
             service_times,
         }
-    }
-
-    /// The think time `Z`.
-    pub fn think_time(&self) -> f64 {
-        self.think_time
     }
 
     /// Solves the network exactly for `population` customers.
@@ -99,14 +94,6 @@ impl Mva {
             utilizations,
         }
     }
-
-    /// Solves for every population in `1..=max`, returning the response
-    /// time curve (the y-axis of Figures 8/9).
-    pub fn response_curve(&self, max: u32) -> Vec<(u32, f64)> {
-        (1..=max)
-            .map(|n| (n, self.solve(n).response_time))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -125,9 +112,12 @@ mod tests {
     #[test]
     fn response_time_is_monotone_in_population() {
         let mva = Mva::new(0.1, vec![0.057, 0.057]);
-        let curve = mva.response_curve(100);
-        for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1, "response time decreased at {:?}", w[1].0);
+        for n in 2..=100 {
+            let (prev, r) = (mva.solve(n - 1), mva.solve(n));
+            assert!(
+                r.response_time >= prev.response_time,
+                "response time decreased at {n}"
+            );
         }
     }
 

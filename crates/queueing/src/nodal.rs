@@ -9,15 +9,15 @@
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodalDelay {
     /// Usable link bandwidth in bytes per second.
-    pub bandwidth_bytes_per_sec: f64,
+    pub(crate) bandwidth_bytes_per_sec: f64,
     /// Per-packet payload capacity in bytes.
-    pub mtu_payload: f64,
+    pub(crate) mtu_payload: f64,
     /// Header bytes per packet.
-    pub header_bytes: f64,
+    pub(crate) header_bytes: f64,
     /// Nodal processing delay in seconds.
-    pub processing: f64,
+    pub(crate) processing: f64,
     /// Propagation delay in seconds.
-    pub propagation: f64,
+    pub(crate) propagation: f64,
 }
 
 impl NodalDelay {
@@ -49,7 +49,7 @@ impl NodalDelay {
 
     /// Transmission delay `Dtrans` for a message of `sd` payload bytes
     /// (the paper's continuous `Sd + Sd/1.5 · 0.112` form).
-    pub fn transmission_delay(&self, sd: f64) -> f64 {
+    pub(crate) fn transmission_delay(&self, sd: f64) -> f64 {
         let wire = sd + sd / self.mtu_payload * self.header_bytes;
         wire / self.bandwidth_bytes_per_sec
     }

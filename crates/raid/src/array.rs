@@ -18,9 +18,9 @@ struct Member {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Stripes checked.
-    pub stripes_checked: u64,
+    pub(crate) stripes_checked: u64,
     /// Stripes whose parity did not match the XOR of their data blocks.
-    pub mismatched_stripes: Vec<u64>,
+    pub(crate) mismatched_stripes: Vec<u64>,
 }
 
 impl ScrubReport {
@@ -99,11 +99,6 @@ impl RaidArray {
             geometry,
             member_blocks: g0.num_blocks(),
         })
-    }
-
-    /// The array's stripe layout.
-    pub fn layout(&self) -> Layout {
-        self.layout
     }
 
     /// Marks member `idx` as failed; subsequent I/O avoids it.
@@ -524,7 +519,7 @@ mod tests {
         // Find an LBA whose data member is 0 and parity member is 1.
         let mut hit = None;
         for lba in 0..raid.geometry().num_blocks() {
-            let m = raid.layout().map(Lba(lba));
+            let m = raid.layout.map(Lba(lba));
             if m.data_member == 0 && m.parity_member == Some(1) {
                 hit = Some(Lba(lba));
                 break;

@@ -17,7 +17,7 @@ pub enum RaidLevel {
 
 impl RaidLevel {
     /// Minimum number of member devices the level requires.
-    pub fn min_members(self) -> usize {
+    pub(crate) fn min_members(self) -> usize {
         match self {
             RaidLevel::Raid0 => 1,
             RaidLevel::Raid1 => 2,
@@ -25,27 +25,12 @@ impl RaidLevel {
         }
     }
 
-    /// Whether the level maintains parity (and therefore reuses a
-    /// caller's old image in its read-modify-write path).
-    pub fn has_parity(self) -> bool {
-        matches!(self, RaidLevel::Raid4 | RaidLevel::Raid5)
-    }
-
     /// Number of data blocks per stripe for an `n`-member array.
-    pub fn data_per_stripe(self, n: usize) -> usize {
+    pub(crate) fn data_per_stripe(self, n: usize) -> usize {
         match self {
             RaidLevel::Raid0 => n,
             RaidLevel::Raid1 => 1,
             RaidLevel::Raid4 | RaidLevel::Raid5 => n - 1,
-        }
-    }
-
-    /// How many single-member failures the level tolerates.
-    pub fn fault_tolerance(self, n: usize) -> usize {
-        match self {
-            RaidLevel::Raid0 => 0,
-            RaidLevel::Raid1 => n - 1,
-            RaidLevel::Raid4 | RaidLevel::Raid5 => 1,
         }
     }
 }
@@ -64,33 +49,20 @@ impl std::fmt::Display for RaidLevel {
 
 /// Where one array block lives physically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Mapping {
+pub(crate) struct Mapping {
     /// Stripe number (== member LBA for all members of the stripe).
-    pub stripe: u64,
+    pub(crate) stripe: u64,
     /// Member index holding the data block.
-    pub data_member: usize,
+    pub(crate) data_member: usize,
     /// LBA on the data member.
-    pub member_lba: Lba,
+    pub(crate) member_lba: Lba,
     /// Member index holding the stripe's parity, for parity levels.
-    pub parity_member: Option<usize>,
+    pub(crate) parity_member: Option<usize>,
 }
 
 /// Stripe layout calculator for an `n`-member array.
-///
-/// # Example
-///
-/// ```
-/// use prins_raid::{Layout, RaidLevel};
-/// use prins_block::Lba;
-///
-/// let l = Layout::new(RaidLevel::Raid5, 4);
-/// let m = l.map(Lba(0));
-/// assert_eq!(m.stripe, 0);
-/// // Left-symmetric: stripe 0 parity on the last member.
-/// assert_eq!(m.parity_member, Some(3));
-/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Layout {
+pub(crate) struct Layout {
     level: RaidLevel,
     members: usize,
 }
@@ -103,7 +75,7 @@ impl Layout {
     /// Panics if `members` is below the level's minimum; arrays are
     /// constructed through [`RaidArray::new`](crate::RaidArray::new),
     /// which validates first.
-    pub fn new(level: RaidLevel, members: usize) -> Self {
+    pub(crate) fn new(level: RaidLevel, members: usize) -> Self {
         assert!(
             members >= level.min_members(),
             "{level} requires at least {} members, got {members}",
@@ -113,22 +85,17 @@ impl Layout {
     }
 
     /// The array's RAID level.
-    pub fn level(&self) -> RaidLevel {
+    pub(crate) fn level(&self) -> RaidLevel {
         self.level
     }
 
-    /// Number of member devices.
-    pub fn members(&self) -> usize {
-        self.members
-    }
-
     /// Usable array capacity in blocks, given per-member capacity.
-    pub fn array_blocks(&self, member_blocks: u64) -> u64 {
+    pub(crate) fn array_blocks(&self, member_blocks: u64) -> u64 {
         self.level.data_per_stripe(self.members) as u64 * member_blocks
     }
 
     /// Member index holding parity for `stripe`, if the level has parity.
-    pub fn parity_member(&self, stripe: u64) -> Option<usize> {
+    pub(crate) fn parity_member(&self, stripe: u64) -> Option<usize> {
         match self.level {
             RaidLevel::Raid4 => Some(self.members - 1),
             // Left-symmetric ("backward parity") rotation, as used by
@@ -139,7 +106,7 @@ impl Layout {
     }
 
     /// Maps an array LBA to its physical location.
-    pub fn map(&self, lba: Lba) -> Mapping {
+    pub(crate) fn map(&self, lba: Lba) -> Mapping {
         let n = self.members;
         match self.level {
             RaidLevel::Raid0 => Mapping {
@@ -181,27 +148,28 @@ impl Layout {
             }
         }
     }
-
-    /// The member indices holding data for `stripe`, in array order.
-    pub fn data_members(&self, stripe: u64) -> Vec<usize> {
-        match self.level {
-            RaidLevel::Raid0 => (0..self.members).collect(),
-            RaidLevel::Raid1 => vec![0],
-            RaidLevel::Raid4 => (0..self.members - 1).collect(),
-            RaidLevel::Raid5 => {
-                let p = self.parity_member(stripe).expect("raid5 has parity");
-                (0..self.members - 1)
-                    .map(|d| (p + 1 + d) % self.members)
-                    .collect()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The member indices holding data for `stripe`, in array order:
+    /// the stripe-wise reference `Layout::map` is checked against.
+    fn data_members(l: &Layout, stripe: u64) -> Vec<usize> {
+        match l.level {
+            RaidLevel::Raid0 => (0..l.members).collect(),
+            RaidLevel::Raid1 => vec![0],
+            RaidLevel::Raid4 => (0..l.members - 1).collect(),
+            RaidLevel::Raid5 => {
+                let p = l.parity_member(stripe).expect("raid5 has parity");
+                (0..l.members - 1)
+                    .map(|d| (p + 1 + d) % l.members)
+                    .collect()
+            }
+        }
+    }
 
     #[test]
     fn raid0_round_robins_members() {
@@ -255,7 +223,7 @@ mod tests {
     fn raid5_stripe_members_partition_the_array() {
         let l = Layout::new(RaidLevel::Raid5, 4);
         for stripe in 0..8u64 {
-            let mut all = l.data_members(stripe);
+            let mut all = data_members(&l, stripe);
             all.push(l.parity_member(stripe).unwrap());
             all.sort_unstable();
             assert_eq!(all, vec![0, 1, 2, 3], "stripe={stripe}");
@@ -265,9 +233,6 @@ mod tests {
     #[test]
     fn min_members_enforced() {
         assert_eq!(RaidLevel::Raid5.min_members(), 3);
-        assert_eq!(RaidLevel::Raid1.fault_tolerance(3), 2);
-        assert_eq!(RaidLevel::Raid0.fault_tolerance(8), 0);
-        assert_eq!(RaidLevel::Raid5.fault_tolerance(8), 1);
     }
 
     #[test]
@@ -294,7 +259,7 @@ mod tests {
         fn prop_raid5_data_members_consistent_with_map(members in 3usize..8, lba in 0u64..10_000) {
             let l = Layout::new(RaidLevel::Raid5, members);
             let m = l.map(Lba(lba));
-            let dm = l.data_members(m.stripe);
+            let dm = data_members(&l, m.stripe);
             // The d-th data slot of the stripe is this LBA's member.
             let d = (lba % (members as u64 - 1)) as usize;
             prop_assert_eq!(dm[d], m.data_member);

@@ -1,5 +1,5 @@
-//! Software RAID over [`BlockDevice`]s — the storage substrate whose
-//! parity computation PRINS piggybacks on.
+//! Software RAID over [`BlockDevice`](prins_block::BlockDevice)s — the
+//! storage substrate whose parity computation PRINS piggybacks on.
 //!
 //! The paper (§2): *"Consider a RAID 4 or RAID 5 storage system. Upon a
 //! write into a data block Ai … the following computation is necessary to
@@ -12,12 +12,13 @@
 //! rotated parity), plus RAID-0 striping and RAID-1 mirroring for
 //! completeness. The small write reads `Aiold`; so does the PRINS
 //! engine, to compute `P'`. The engine hands its captured image down
-//! through [`BlockDevice::write_block_over`], and the array folds
-//! `Ainew ⊕ Aiold` into parity without reading the data member again:
-//! replication over RAID-4/5 costs one old-image read per write, the
-//! read the array needed anyway.
+//! through
+//! [`BlockDevice::write_block_over`](prins_block::BlockDevice::write_block_over),
+//! and the array folds `Ainew ⊕ Aiold` into parity without reading the
+//! data member again: replication over RAID-4/5 costs one old-image
+//! read per write, the read the array needed anyway.
 //!
-//! The array itself is a [`BlockDevice`], so databases, filesystems and
+//! The array itself is a block device, so databases, filesystems and
 //! iSCSI targets can run on top of it unchanged. Degraded reads,
 //! member-failure handling, full rebuild onto a replacement device, and
 //! parity scrubbing are implemented and tested.
@@ -42,10 +43,10 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod array;
 mod layout;
 
 pub use array::{RaidArray, ScrubReport};
-pub use layout::{Layout, Mapping, RaidLevel};
-
-pub use prins_block::BlockDevice;
+pub use layout::RaidLevel;

@@ -43,8 +43,8 @@ pub enum Applied {
 ///
 /// Everything off the wire arrives sealed (see [`crate::seal_frame`]):
 /// the CRC32C is verified *before* anything is parsed or written, and
-/// the frame's epoch is remembered (see [`last_epoch`]) so the
-/// transport loop can echo it in acknowledgements. Only the in-process
+/// the frame's epoch is remembered so [`respond`](Self::respond) can
+/// echo it in acknowledgements. Only the in-process
 /// [`apply`](Self::apply) takes a bare payload.
 ///
 /// The applier also keeps a per-LBA checksum table of every block it
@@ -53,14 +53,13 @@ pub enum Applied {
 /// replica's media corrupted the block since the last write, the apply
 /// fails with [`ReplError::ChecksumMismatch`] instead of silently
 /// fabricating a state the primary never held.
-///
-/// [`last_epoch`]: Self::last_epoch
 pub struct ReplicaApplier<D> {
     device: D,
     sparse: SparseCodec,
     lzss: Lzss,
     codec: Box<dyn ErasureCodec>,
     applied: u64,
+    /// Epoch of the most recent sealed frame opened (0 before any).
     last_epoch: u64,
     checksums: HashMap<u64, u32>,
     /// Recycled buffer every block read lands in — the base image of
@@ -107,14 +106,6 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         self.applied
     }
 
-    /// Epoch of the most recent sealed frame opened (0 before any).
-    ///
-    /// Acknowledgement loops echo this so the primary can discard acks
-    /// that predate a rejoin.
-    pub fn last_epoch(&self) -> u64 {
-        self.last_epoch
-    }
-
     /// CRC32C of the block at `lba` as read back from the device right
     /// now — the scrubber's ground truth, deliberately *not* served
     /// from the checksum table so media corruption is visible.
@@ -122,7 +113,7 @@ impl<D: BlockDevice> ReplicaApplier<D> {
     /// # Errors
     ///
     /// Propagates read failures from the device.
-    pub fn digest(&mut self, lba: Lba) -> Result<u32, ReplError> {
+    pub(crate) fn digest(&mut self, lba: Lba) -> Result<u32, ReplError> {
         self.with_block(lba, |_, block| Ok(crc32c(block)))
     }
 
@@ -196,7 +187,8 @@ impl<D: BlockDevice> ReplicaApplier<D> {
     }
 
     /// Handles one incoming frame and returns the bytes to answer with,
-    /// echoing [`last_epoch`](Self::last_epoch) — the whole replica
+    /// echoing the last frame's epoch so the primary can discard acks
+    /// that predate a rejoin — the whole replica
     /// side of the protocol. A damaged frame draws `NAK_CORRUPT` (the
     /// sender retransmits; nothing was applied); any other failure
     /// draws `NAK` and is returned beside it, for loops that stop on a
@@ -363,6 +355,7 @@ impl<D> std::fmt::Debug for ReplicaApplier<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::tests::batch_bytes;
     use crate::{
         CompressedReplicator, Payload, PayloadBody, PrinsReplicator, Replicator,
         TraditionalReplicator,
@@ -477,7 +470,7 @@ mod tests {
                 TraditionalReplicator.encode_write(Lba(0), &a, &b),
             ],
         };
-        assert!(applier.apply(&frame.to_bytes()).unwrap());
+        assert!(applier.apply(&batch_bytes(&frame)).unwrap());
         assert_eq!(applier.applied(), 3);
         assert_eq!(replica.read_block_vec(Lba(2)).unwrap(), c);
         assert_eq!(replica.read_block_vec(Lba(0)).unwrap(), b);
@@ -487,7 +480,7 @@ mod tests {
     fn empty_batch_counts_as_no_data() {
         let replica = MemDevice::new(BlockSize::kb4(), 4);
         let mut applier = ReplicaApplier::new(&replica);
-        assert!(!applier.apply(&BatchFrame::default().to_bytes()).unwrap());
+        assert!(!applier.apply(&batch_bytes(&BatchFrame::default())).unwrap());
         assert_eq!(applier.applied(), 0);
     }
 
@@ -497,7 +490,7 @@ mod tests {
         let mut applier = ReplicaApplier::new(&replica);
         let inner = TraditionalReplicator.encode_write(Lba(1), &[0u8; 4096], &[5u8; 4096]);
         assert!(applier.apply(&crate::seal_frame(9, &inner)).unwrap());
-        assert_eq!(applier.last_epoch(), 9);
+        assert_eq!(applier.last_epoch, 9);
         assert_eq!(replica.read_block_vec(Lba(1)).unwrap(), vec![5u8; 4096]);
         // Off the wire, a bare frame is a checksum error (so the
         // transport loop answers NAK_CORRUPT, not a fatal NAK).
@@ -510,7 +503,7 @@ mod tests {
         let last = damaged.len() - 1;
         damaged[last] ^= 0x04;
         assert!(applier.apply(&damaged).is_err());
-        assert_eq!(applier.last_epoch(), 9);
+        assert_eq!(applier.last_epoch, 9);
         assert_eq!(applier.applied(), 1);
     }
 
@@ -647,7 +640,7 @@ mod tests {
             Applied::Read(sparse) => assert_eq!(sparse.to_dense(4096), block),
             other => panic!("expected read image, got {other:?}"),
         }
-        assert_eq!(applier.last_epoch(), 3);
+        assert_eq!(applier.last_epoch, 3);
         // Media rot under the checksum table is refused, never served.
         let mut damaged = block.clone();
         damaged[130] ^= 0x02;
@@ -671,10 +664,9 @@ mod tests {
         flipped[0] ^= 0x01;
         let unsealed = [
             payload.clone(),
-            BatchFrame {
+            batch_bytes(&BatchFrame {
                 payloads: vec![payload],
-            }
-            .to_bytes(),
+            }),
             request(Request::Digest(Lba(1))),
             request(Request::Strip(Lba(1))),
             request(Request::Read(Lba(1))),
@@ -733,7 +725,7 @@ mod tests {
         let frame = BatchFrame {
             payloads: vec![good, vec![200, 1, 2]],
         };
-        assert!(applier.apply(&frame.to_bytes()).is_err());
+        assert!(applier.apply(&batch_bytes(&frame)).is_err());
         // The first payload landed before the abort.
         assert_eq!(replica.read_block_vec(Lba(1)).unwrap(), vec![3u8; 4096]);
     }

@@ -49,6 +49,8 @@
 //! # }
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod apply;
 mod error;
 mod mode;
@@ -66,8 +68,8 @@ pub use range::SeqRange;
 pub use replica::{run_replica, run_replica_applier, verify_consistent};
 pub use strategy::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};
 pub use wire::{
-    decode_ack, encode_ack, head_len, is_sealed, open_frame, put_batch, put_compressed, put_full,
-    put_parity, put_strip_delta, seal_batch_frame_into, seal_begin, seal_frame, seal_frame_into,
-    AckFrame, Link, LinkEvent, Request, Response, SealWriter, ACK, BATCH_TAG, DIGEST_ACK, NAK,
-    NAK_CORRUPT, READ_ACK, SEAL_TAG, STRIP_ACK, STRIP_DELTA_TAG,
+    encode_ack, head_len, is_sealed, open_frame, put_batch, put_compressed, put_full, put_parity,
+    put_strip_delta, seal_batch_frame_into, seal_begin, seal_frame, seal_frame_into, Link,
+    LinkEvent, Request, Response, SealWriter, ACK, BATCH_TAG, DIGEST_ACK, NAK, NAK_CORRUPT,
+    READ_ACK, SEAL_TAG, STRIP_ACK,
 };

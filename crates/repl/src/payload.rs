@@ -201,14 +201,7 @@ impl BatchFrame {
         bytes.first() == Some(&BATCH_TAG)
     }
 
-    /// Serializes the frame.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        wire::put_batch(&mut out, self.payloads.iter().map(Vec::as_slice));
-        out
-    }
-
-    /// Parses a frame serialized by [`to_bytes`](Self::to_bytes).
+    /// Parses a batch frame (`BATCH_TAG`, then length-prefixed payloads).
     ///
     /// The inner payloads are *not* decoded — apply them one by one so
     /// a malformed element surfaces at its own position.
@@ -224,9 +217,18 @@ impl BatchFrame {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Serializes `frame` with the batch layout the pooled sealing path
+    /// writes in place: the reference the sealing and apply tests build
+    /// batch frames with.
+    pub(crate) fn batch_bytes(frame: &BatchFrame) -> Vec<u8> {
+        let mut out = Vec::new();
+        wire::put_batch(&mut out, frame.payloads.iter().map(Vec::as_slice));
+        out
+    }
 
     #[test]
     fn all_bodies_roundtrip() {
@@ -302,7 +304,7 @@ mod tests {
                 Vec::new(),
             ],
         };
-        let bytes = frame.to_bytes();
+        let bytes = batch_bytes(&frame);
         assert!(BatchFrame::is_batch(&bytes));
         assert_eq!(BatchFrame::from_bytes(&bytes).unwrap(), frame);
         // A bare payload is not mistaken for a batch.
@@ -373,7 +375,7 @@ mod tests {
         fn prop_batch_roundtrip(payloads in proptest::collection::vec(
                                     proptest::collection::vec(any::<u8>(), 0..64), 0..12)) {
             let frame = BatchFrame { payloads };
-            let back = BatchFrame::from_bytes(&frame.to_bytes()).unwrap();
+            let back = BatchFrame::from_bytes(&batch_bytes(&frame)).unwrap();
             prop_assert_eq!(back, frame);
         }
 
@@ -383,7 +385,7 @@ mod tests {
         fn prop_batch_truncation_rejected(payloads in proptest::collection::vec(
                                               proptest::collection::vec(any::<u8>(), 0..32), 1..8),
                                           cut in 1usize..64) {
-            let wire = BatchFrame { payloads }.to_bytes();
+            let wire = batch_bytes(&BatchFrame { payloads });
             let keep = wire.len().saturating_sub(cut.min(wire.len() - 1)); // keep >= 1 (the tag)
             if keep < wire.len() {
                 prop_assert!(BatchFrame::from_bytes(&wire[..keep]).is_err());

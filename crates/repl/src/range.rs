@@ -23,12 +23,6 @@ impl SeqRange {
         Self { first: 0, len: 0 }
     }
 
-    /// A range holding exactly `seq`.
-    #[must_use]
-    pub fn single(seq: u64) -> Self {
-        Self { first: seq, len: 1 }
-    }
-
     /// Appends `seq`: starts the run when empty, extends it when `seq`
     /// is the next number, returns `false` (unchanged) otherwise.
     pub fn push(&mut self, seq: u64) -> bool {
@@ -48,30 +42,6 @@ impl SeqRange {
     #[must_use]
     pub fn first(&self) -> Option<u64> {
         (self.len > 0).then_some(self.first)
-    }
-
-    /// Last sequence number, or `None` when empty.
-    #[must_use]
-    pub fn last(&self) -> Option<u64> {
-        (self.len > 0).then(|| self.first + u64::from(self.len) - 1)
-    }
-
-    /// Sequence numbers in the run.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// True when the run holds nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True when `seq` is inside the run.
-    #[must_use]
-    pub fn contains(&self, seq: u64) -> bool {
-        self.len > 0 && seq >= self.first && seq - self.first < u64::from(self.len)
     }
 
     /// The run's sequence numbers in order.
@@ -103,28 +73,15 @@ mod tests {
     #[test]
     fn push_builds_only_contiguous_runs() {
         let mut r = SeqRange::empty();
-        assert!(r.is_empty());
+        assert_eq!(r.len, 0);
         assert!(r.push(10));
         assert!(r.push(11));
         assert!(r.push(12));
         assert!(!r.push(14), "gap rejected");
         assert!(!r.push(12), "duplicate rejected");
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.len, 3);
         assert_eq!(r.first(), Some(10));
-        assert_eq!(r.last(), Some(12));
         assert_eq!(r.iter().collect::<Vec<_>>(), vec![10, 11, 12]);
-    }
-
-    #[test]
-    fn single_and_contains() {
-        let r = SeqRange::single(7);
-        assert_eq!(r.len(), 1);
-        assert!(r.contains(7));
-        assert!(!r.contains(6));
-        assert!(!r.contains(8));
-        assert!(!SeqRange::empty().contains(0));
-        assert_eq!(SeqRange::empty().first(), None);
-        assert_eq!(SeqRange::empty().last(), None);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub const SEAL_TAG: u8 = 6;
 const DIGEST_REQ_TAG: u8 = 7;
 /// `tag varint(stripe) coeff(u8) sparse-parity-bytes` — erasure-strip
 /// delta: the receiver applies `strip ^= coeff · Δ` over GF(256).
-pub const STRIP_DELTA_TAG: u8 = 8;
+pub(crate) const STRIP_DELTA_TAG: u8 = 8;
 /// `tag varint(lba)` — rebuild: read a strip image.
 const STRIP_REQ_TAG: u8 = 9;
 /// `tag varint(lba)` — serving path: read a block image.
@@ -383,16 +383,16 @@ impl Request {
 
 /// A decoded response frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AckFrame<'a> {
+pub(crate) struct AckFrame<'a> {
     /// One of the six response statuses.
-    pub status: u8,
+    pub(crate) status: u8,
     /// Epoch of the last sealed frame the replica opened (0 when it
     /// has never seen a seal).
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// What follows the epoch: the 4 digest bytes of a [`DIGEST_ACK`],
     /// the checksum-verified sparse image of a [`STRIP_ACK`] /
     /// [`READ_ACK`], empty otherwise.
-    pub body: &'a [u8],
+    pub(crate) body: &'a [u8],
 }
 
 /// Encodes a body-less response (`status` + varint epoch).
@@ -427,7 +427,7 @@ pub(crate) fn encode_image_ack(status: u8, epoch: u64, sparse: &[u8]) -> Vec<u8>
 /// [`ReplError::Malformed`] on empty frames, unknown status bytes, or
 /// truncated / trailing fields; [`ReplError::ChecksumMismatch`] if an
 /// image body was damaged in flight.
-pub fn decode_ack(bytes: &[u8]) -> Result<AckFrame<'_>, ReplError> {
+pub(crate) fn decode_ack(bytes: &[u8]) -> Result<AckFrame<'_>, ReplError> {
     let (&status, rest) = bytes
         .split_first()
         .ok_or_else(|| ReplError::Malformed("empty ack frame".into()))?;
@@ -479,7 +479,9 @@ pub struct Response {
 }
 
 impl Response {
-    /// The response body (see [`AckFrame::body`]).
+    /// The response body: what follows the epoch (the digest of a
+    /// [`DIGEST_ACK`], the sparse image of a [`STRIP_ACK`] /
+    /// [`READ_ACK`], empty otherwise).
     pub fn body(&self) -> &[u8] {
         &self.frame[self.body_at..]
     }
@@ -731,6 +733,7 @@ impl<T> Link<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::tests::batch_bytes;
     use crate::{BatchFrame, Payload, PayloadBody};
     use prins_net::{channel_pair, LinkModel, SinkTransport};
     use proptest::prelude::*;
@@ -771,10 +774,9 @@ mod tests {
                 vec![3, 0xac, 0x02, 3, 4],
             ),
             (
-                BatchFrame {
+                batch_bytes(&BatchFrame {
                     payloads: vec![vec![1, 2], vec![]],
-                }
-                .to_bytes(),
+                }),
                 vec![5, 2, 2, 1, 2, 0],
             ),
             (
@@ -1261,7 +1263,7 @@ mod tests {
                     proptest::collection::vec(any::<u8>(), 0..128), 0..10)) {
             let expected = seal_frame(
                 epoch,
-                &BatchFrame { payloads: payloads.clone() }.to_bytes(),
+                &batch_bytes(&BatchFrame { payloads: payloads.clone() }),
             );
             let mut got = Vec::new();
             seal_batch_frame_into(epoch, &payloads, &mut got);

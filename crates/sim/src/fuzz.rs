@@ -172,23 +172,23 @@ pub enum SimOp {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzCase {
     /// The seed it was generated from.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Replica count (2 or 3).
-    pub replicas: usize,
+    pub(crate) replicas: usize,
     /// Blocks per device.
-    pub blocks: u64,
+    pub(crate) blocks: u64,
     /// Foreground ack window.
-    pub ack_window: usize,
+    pub(crate) ack_window: usize,
     /// Sharded topology: two rendezvous-placed replica groups with a
     /// live migration of the first half of the volume running across
     /// the whole schedule.
-    pub sharded: bool,
+    pub(crate) sharded: bool,
     /// The schedule.
     pub ops: Vec<SimOp>,
     /// The engine run's XOR-fold coalescing.
-    pub coalesce: bool,
+    pub(crate) coalesce: bool,
     /// The engine run's frames per wire message.
-    pub batch_frames: usize,
+    pub(crate) batch_frames: usize,
 }
 
 /// Outcome of one case: the verdict plus the full deterministic event

@@ -11,7 +11,7 @@
 //! * The engine runs in manual-stepping mode on that clock, so a
 //!   ten-second WAN schedule costs zero wall time and no test ever
 //!   sleeps.
-//! * [`world`] wires primaries to replicas and carries the oracle —
+//! * [`World`] wires primaries to replicas and carries the oracle —
 //!   the per-LBA history of every content the primary ever held. There
 //!   is one [`World`], built from a [`Topology`] value: the cluster
 //!   plane (a plain cluster is its one-group case), a stepped engine,
@@ -42,18 +42,19 @@
 //! 8. **Obs balance** — the engine's registry events and histograms
 //!    balance its own counters.
 //!
-//! [`scenario`] holds the named schedules (link flap, crash mid-resync,
+//! [`SCENARIOS`] holds the named schedules (link flap, crash mid-resync,
 //! reorder, dup, slow WAN, quorum loss, fold-then-crash,
-//! prune-then-rejoin, …); [`fuzz`] expands `u64` seeds into randomized
+//! prune-then-rejoin, …); [`generate`] expands `u64` seeds into randomized
 //! schedules, plays each on the cluster, engine and EC topologies, and
 //! minimizes failures greedily; the `sim-replay` binary replays seeds
 //! and runs the checked-in corpus in CI.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod fuzz;
-pub mod scenario;
-pub mod world;
+mod fuzz;
+mod scenario;
+mod world;
 
 pub use fuzz::{generate, minimize, run_case, FuzzCase, RunReport, SimOp};
 pub use scenario::{run_scenario, ScenarioOutcome, SCENARIOS};

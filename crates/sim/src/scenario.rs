@@ -81,7 +81,7 @@ fn engine(ack_window: usize, coalesce: bool, adaptive: bool) -> World {
 /// A link repeatedly drops and recovers while writes keep flowing; the
 /// flapping replica degrades, misses writes, and must delta-resync back
 /// to bit-identity.
-pub fn link_flap() -> Result<ScenarioOutcome, String> {
+pub(crate) fn link_flap() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(1, 0));
     let mut tag = 0u8;
     for flap in 0..4 {
@@ -105,7 +105,7 @@ pub fn link_flap() -> Result<ScenarioOutcome, String> {
 /// already-sent but unacknowledged resync frames must be re-marked
 /// uncertain, and the second resync must fall back to full images for
 /// them instead of double-applying parity chains.
-pub fn crash_mid_resync() -> Result<ScenarioOutcome, String> {
+pub(crate) fn crash_mid_resync() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(1, 0));
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
@@ -134,7 +134,7 @@ pub fn crash_mid_resync() -> Result<ScenarioOutcome, String> {
 /// Acknowledgements come back out of order (and one pair of
 /// distinct-LBA data frames swaps on the wire); per-LBA apply order and
 /// final bit-identity must survive.
-pub fn reorder() -> Result<ScenarioOutcome, String> {
+pub(crate) fn reorder() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(4, 0));
     w.ctl(0).reorder_next(Dir::BtoA);
     for lba in 0..8 {
@@ -152,7 +152,7 @@ pub fn reorder() -> Result<ScenarioOutcome, String> {
 /// An acknowledgement is duplicated on the wire. The ack-stream
 /// alignment logic must absorb the stray ack without crediting a write
 /// that was never applied.
-pub fn dup() -> Result<ScenarioOutcome, String> {
+pub(crate) fn dup() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(2, 0));
     w.ctl(0).dup_next(Dir::BtoA, 1);
     for lba in 0..8 {
@@ -164,7 +164,7 @@ pub fn dup() -> Result<ScenarioOutcome, String> {
 
 /// A high-latency, per-byte-priced WAN link: correctness is unchanged
 /// and the virtual clock (not the wall clock) pays for the distance.
-pub fn slow_wan() -> Result<ScenarioOutcome, String> {
+pub(crate) fn slow_wan() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(4, 0));
     w.ctl(0).set_delay(
         Dir::AtoB,
@@ -189,7 +189,7 @@ pub fn slow_wan() -> Result<ScenarioOutcome, String> {
 /// Every replica link dies under a `write_quorum` of 2: writes must
 /// fail with `QuorumLost` (while still landing on the primary), and the
 /// cluster must recover to bit-identity once links return.
-pub fn quorum_loss() -> Result<ScenarioOutcome, String> {
+pub(crate) fn quorum_loss() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(1, 2));
     for lba in 0..4 {
         w.write_tag(lba, 1).map_err(op_err)?;
@@ -215,7 +215,7 @@ pub fn quorum_loss() -> Result<ScenarioOutcome, String> {
 /// mid-stream ("crash"). The flush must report the failure, surviving
 /// replicas must be bit-identical, and the dead replica must hold a
 /// historical prefix — never a torn or double-applied state.
-pub fn fold_then_crash() -> Result<ScenarioOutcome, String> {
+pub(crate) fn fold_then_crash() -> Result<ScenarioOutcome, String> {
     let mut w = engine(8, true, false);
     // Hot blocks: plenty of same-LBA folds while frames queue.
     for round in 0..10u8 {
@@ -243,7 +243,7 @@ pub fn fold_then_crash() -> Result<ScenarioOutcome, String> {
 /// The primary prunes its parity log past a lagging replica's first
 /// miss; a parity-log rejoin must detect the gap and fall back to full
 /// block images instead of replaying a truncated chain.
-pub fn prune_then_rejoin() -> Result<ScenarioOutcome, String> {
+pub(crate) fn prune_then_rejoin() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(1, 0));
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
@@ -267,7 +267,7 @@ pub fn prune_then_rejoin() -> Result<ScenarioOutcome, String> {
 /// The barrier must complete (not hang), report the lane failure, and
 /// leave the surviving replica bit-identical after a second, clean
 /// flush.
-pub fn flush_during_link_failure() -> Result<ScenarioOutcome, String> {
+pub(crate) fn flush_during_link_failure() -> Result<ScenarioOutcome, String> {
     let mut w = engine(4, false, false);
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
@@ -306,7 +306,7 @@ fn lose_one_frame(dir: Dir) -> Result<ScenarioOutcome, String> {
 /// `send()` succeeds). The lost acknowledgement times out, the block is
 /// marked *uncertain*-dirty, and the delta resync must ship a full
 /// image — a parity replay could not know whether the frame arrived.
-pub fn drop_data_frame() -> Result<ScenarioOutcome, String> {
+pub(crate) fn drop_data_frame() -> Result<ScenarioOutcome, String> {
     lose_one_frame(Dir::AtoB)
 }
 
@@ -315,7 +315,7 @@ pub fn drop_data_frame() -> Result<ScenarioOutcome, String> {
 /// distinguish the two cases; replaying the parity chain here would XOR
 /// the parity in twice. The uncertain-dirty fallback must keep the
 /// replica on a historical state.
-pub fn lost_ack_resync() -> Result<ScenarioOutcome, String> {
+pub(crate) fn lost_ack_resync() -> Result<ScenarioOutcome, String> {
     lose_one_frame(Dir::BtoA)
 }
 
@@ -323,7 +323,7 @@ pub fn lost_ack_resync() -> Result<ScenarioOutcome, String> {
 /// it at the replica (`NAK_CORRUPT`), the block goes uncertain-dirty,
 /// and resync restores bit-identity — the corruption is *detected*,
 /// never silently applied as a garbage XOR base.
-pub fn corruption_wire_flip() -> Result<ScenarioOutcome, String> {
+pub(crate) fn corruption_wire_flip() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(1, 0));
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
@@ -343,7 +343,7 @@ pub fn corruption_wire_flip() -> Result<ScenarioOutcome, String> {
 /// checksum — is caught by the scrubber's read-back digest probes and
 /// repaired through resync. The history oracle proves the corruption
 /// was never laundered into a "valid" state.
-pub fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
+pub(crate) fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(2, cluster_config(1, 0));
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
@@ -381,7 +381,7 @@ pub fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
 /// copy and two retransmissions). The lane's bounded retransmit absorbs
 /// all of them — the flush *succeeds*, replicas end bit-identical, and
 /// the counters show the corruption was detected, not ignored.
-pub fn corruption_wire_retransmit() -> Result<ScenarioOutcome, String> {
+pub(crate) fn corruption_wire_retransmit() -> Result<ScenarioOutcome, String> {
     // Closed-loop window: retransmission is only attempted when the
     // damaged frame is the sole in-flight one.
     let mut w = engine(1, false, false);
@@ -424,7 +424,7 @@ fn check_rebuild_bound(who: &str, report: &prins_cluster::EcRebuildReport) -> Re
 /// repair-bandwidth bound, and afterwards every strip again equals the
 /// systematic encoding of the logical image — with every decoded block
 /// a state the history oracle has seen.
-pub fn ec_rebuild_one() -> Result<ScenarioOutcome, String> {
+pub(crate) fn ec_rebuild_one() -> Result<ScenarioOutcome, String> {
     let mut w = World::new(Topology::Ec);
     let blocks = w.blocks();
     for lba in 0..blocks {
@@ -475,7 +475,7 @@ pub fn ec_rebuild_one() -> Result<ScenarioOutcome, String> {
 /// first rebuild runs with the other node still down (exactly `k`
 /// survivors reachable, stale strips excluded), the second restores
 /// full health, and both stay within the repair-bandwidth bound.
-pub fn ec_rebuild_two() -> Result<ScenarioOutcome, String> {
+pub(crate) fn ec_rebuild_two() -> Result<ScenarioOutcome, String> {
     let mut w = World::new(Topology::Ec);
     let blocks = w.blocks();
     for lba in 0..blocks {
@@ -517,7 +517,7 @@ pub fn ec_rebuild_two() -> Result<ScenarioOutcome, String> {
 /// must hold throughout: no offloaded read observes stale content, and
 /// the cutover leaves the range owned by the target with every replica
 /// of every group on a historical state.
-pub fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
+pub(crate) fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
     // 16 blocks in 8-block slots: each slot's run shares an owner, so
     // a contiguous range is available to migrate.
     let mut w = World::new(Topology::Cluster {
@@ -592,7 +592,7 @@ pub fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
 /// is lagging, offline, or still resyncing, the freshness guard must
 /// reject it as a read source (`read_rejected_stale`), and no read may
 /// ever return pre-rejoin bytes — the oracle checks every single read.
-pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
+pub(crate) fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
     let mut w = one_group(3, cluster_config(1, 0));
     let mut tag = 0u8;
     for lba in 0..16 {
@@ -655,7 +655,7 @@ pub fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
 /// invariant set — bit-identity after a clean flush, per-LBA order,
 /// byte conservation, obs cross-checks — must hold with the policy
 /// engine driving encoding and retuning the pipeline live.
-pub fn adaptive_phase_shift() -> Result<ScenarioOutcome, String> {
+pub(crate) fn adaptive_phase_shift() -> Result<ScenarioOutcome, String> {
     use prins_policy::WorkloadPhase;
 
     let mut w = engine(8, false, true);
@@ -733,7 +733,7 @@ fn op_err(e: impl std::fmt::Display) -> String {
 /// A named scenario: a zero-argument run returning the deterministic
 /// event-count and trace summaries on success, or the violated
 /// invariant.
-pub type ScenarioFn = fn() -> Result<ScenarioOutcome, String>;
+pub(crate) type ScenarioFn = fn() -> Result<ScenarioOutcome, String>;
 
 /// Every named scenario, in a stable order.
 pub const SCENARIOS: &[(&str, ScenarioFn)] = &[

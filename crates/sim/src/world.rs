@@ -475,7 +475,7 @@ enum Sut {
 }
 
 /// One system under test over simulated links, with the history oracle
-/// and the invariant checks. See the [module docs](self).
+/// and the invariant checks. See the [crate docs](crate).
 pub struct World {
     sut: Sut,
     bed: Bed,
@@ -589,7 +589,7 @@ impl World {
     }
 
     /// The simulated network (trace, clock, message log).
-    pub fn net(&self) -> &SimNet {
+    pub(crate) fn net(&self) -> &SimNet {
         &self.bed.net
     }
 
@@ -603,7 +603,7 @@ impl World {
     /// one more for migration batches), the engine's per-write traces,
     /// or the EC group's strip fan-out traces. Virtual clock reads are
     /// free, so event goldens are unaffected.
-    pub fn trace_sink(&self) -> &Arc<TraceSink> {
+    pub(crate) fn trace_sink(&self) -> &Arc<TraceSink> {
         &self.bed.trace
     }
 
@@ -613,7 +613,7 @@ impl World {
     }
 
     /// Links in the world: the range of [`ctl`](Self::ctl)'s index.
-    pub fn links(&self) -> usize {
+    pub(crate) fn links(&self) -> usize {
         self.bed.nodes.len()
     }
 
@@ -627,13 +627,13 @@ impl World {
 
     /// The backing device behind link `link` (indexed as
     /// [`ctl`](Self::ctl)).
-    pub fn replica_dev(&self, link: usize) -> &Arc<MemDevice> {
+    pub(crate) fn replica_dev(&self, link: usize) -> &Arc<MemDevice> {
         &self.bed.nodes[link].dev
     }
 
     /// The sharded cluster under test. Panics unless the topology is
     /// [`Topology::Cluster`].
-    pub fn sharded(&self) -> &ShardedCluster<MemDevice> {
+    pub(crate) fn sharded(&self) -> &ShardedCluster<MemDevice> {
         match &self.sut {
             Sut::Cluster(sharded) => sharded,
             _ => panic!("not a cluster world"),
@@ -641,7 +641,7 @@ impl World {
     }
 
     /// Mutable access to the sharded cluster under test.
-    pub fn sharded_mut(&mut self) -> &mut ShardedCluster<MemDevice> {
+    pub(crate) fn sharded_mut(&mut self) -> &mut ShardedCluster<MemDevice> {
         match &mut self.sut {
             Sut::Cluster(sharded) => sharded,
             _ => panic!("not a cluster world"),
@@ -649,7 +649,7 @@ impl World {
     }
 
     /// Replica group `g` (group 0 is *the* cluster of a one-group world).
-    pub fn group(&self, g: usize) -> &ClusterGroup<MemDevice> {
+    pub(crate) fn group(&self, g: usize) -> &ClusterGroup<MemDevice> {
         self.sharded().group(g)
     }
 
@@ -660,7 +660,7 @@ impl World {
 
     /// The engine under test. Panics unless the topology is
     /// [`Topology::Engine`].
-    pub fn engine(&self) -> &PrinsEngine {
+    pub(crate) fn engine(&self) -> &PrinsEngine {
         match &self.sut {
             Sut::Engine(engine) => engine,
             _ => panic!("not an engine world"),
@@ -669,7 +669,7 @@ impl World {
 
     /// The erasure-coded group under test. Panics unless the topology
     /// is [`Topology::Ec`].
-    pub fn ec(&self) -> &EcGroup<MemDevice, ReedSolomon> {
+    pub(crate) fn ec(&self) -> &EcGroup<MemDevice, ReedSolomon> {
         match &self.sut {
             Sut::Ec { group, .. } => group,
             _ => panic!("not an EC world"),
@@ -695,8 +695,8 @@ impl World {
     }
 
     /// Writes a deterministic sparse block derived from `(lba, tag)` —
-    /// a few header bytes over zeros, so PRINS parities stay small (see
-    /// [`write`](Self::write) for the result).
+    /// a few header bytes over zeros, so PRINS parities stay small.
+    /// Returns what the topology's write returns.
     pub fn write_tag(&mut self, lba: u64, tag: u8) -> Result<usize, ClusterError> {
         let mut data = vec![0u8; BLOCK.bytes()];
         data[..8].copy_from_slice(&lba.to_le_bytes());
@@ -709,7 +709,7 @@ impl World {
     /// changes between tags and the xorshift stream defeats both the
     /// compressibility probe and LZSS — the churn shape, as opposed to
     /// [`write_tag`](Self::write_tag)'s small deltas.
-    pub fn write_fill(&mut self, lba: u64, tag: u8) -> Result<usize, ClusterError> {
+    pub(crate) fn write_fill(&mut self, lba: u64, tag: u8) -> Result<usize, ClusterError> {
         let mut data = vec![0u8; BLOCK.bytes()];
         let mut state = ((lba << 8) | u64::from(tag)).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         for b in data.iter_mut() {
@@ -771,7 +771,7 @@ impl World {
     /// Waits out what is in flight: drains every cluster group, flushes
     /// the engine (the error carries any lane failure since the last
     /// flush); the EC group is closed-loop, so a no-op there.
-    pub fn barrier(&mut self) -> Result<(), String> {
+    pub(crate) fn barrier(&mut self) -> Result<(), String> {
         match &mut self.sut {
             Sut::Cluster(sharded) => {
                 for g in 0..sharded.group_count() {
@@ -790,7 +790,7 @@ impl World {
     /// # Errors
     ///
     /// [`ClusterError::UnknownReplica`] for a bad index.
-    pub fn fail_node(&mut self, idx: usize) -> Result<(), ClusterError> {
+    pub(crate) fn fail_node(&mut self, idx: usize) -> Result<(), ClusterError> {
         let Sut::Ec { group, .. } = &mut self.sut else {
             panic!("not an EC world")
         };
@@ -805,7 +805,7 @@ impl World {
     /// # Errors
     ///
     /// The rebuild's transport or reconstruction failure.
-    pub fn replace_and_rebuild(&mut self, idx: usize) -> Result<EcRebuildReport, String> {
+    pub(crate) fn replace_and_rebuild(&mut self, idx: usize) -> Result<EcRebuildReport, String> {
         let Sut::Ec {
             group,
             replacements,

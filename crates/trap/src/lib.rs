@@ -2,7 +2,7 @@
 //! protection extension the paper's conclusion advertises ("available
 //! online … with additional functionalities such as continuous data
 //! protection (CDP) and timely recovery to any point-in-time (TRAP)",
-//! elaborated in the authors' ISCA'06 paper, reference [42]).
+//! elaborated in the authors' ISCA'06 paper, reference \[42\]).
 //!
 //! The same parity `P' = A_new ⊕ A_old` that PRINS replicates is, kept
 //! in a log, a *time machine*: XORing the current block with the logged
@@ -14,8 +14,7 @@
 //! * [`TrapDevice`] — a [`BlockDevice`] wrapper that appends every
 //!   write's encoded parity to a [`TrapLog`],
 //! * [`TrapLog`] — the per-LBA parity chains with sequence numbers,
-//! * [`TrapLog::recover_block`] / [`recover_device`](TrapLog::recover_device)
-//!   — point-in-time reconstruction.
+//! * [`TrapLog::recover_device`] — point-in-time reconstruction.
 //!
 //! # Example
 //!
@@ -30,13 +29,14 @@
 //! dev.write_block(Lba(0), &vec![2u8; 4096])?; // seq 2
 //! dev.write_block(Lba(0), &vec![3u8; 4096])?; // seq 3
 //!
-//! // Roll block 0 back to just after seq 2.
-//! let current = dev.read_block_vec(Lba(0))?;
-//! let at_seq2 = dev.log().recover_block(&current, Lba(0), 2);
-//! assert_eq!(at_seq2, vec![2u8; 4096]);
+//! // Roll the device back to just after seq 2.
+//! let at_seq2 = dev.log().recover_device(&dev, 2)?;
+//! assert_eq!(at_seq2.read_block_vec(Lba(0))?, vec![2u8; 4096]);
 //! # Ok(())
 //! # }
 //! ```
+
+#![warn(unreachable_pub)]
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,7 +69,7 @@ pub struct TrapLog {
 
 impl TrapLog {
     /// Creates an empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -111,7 +111,7 @@ impl TrapLog {
     ///
     /// Panics if `current.len()` differs from the logged parity block
     /// length (callers always pass a block read from the same device).
-    pub fn recover_block(&self, current: &[u8], lba: Lba, to_seq: u64) -> Vec<u8> {
+    pub(crate) fn recover_block(&self, current: &[u8], lba: Lba, to_seq: u64) -> Vec<u8> {
         let mut block = current.to_vec();
         if let Some(chain) = self.chains.read().get(&lba.index()) {
             for entry in chain.iter().rev() {
@@ -217,11 +217,6 @@ impl<D: BlockDevice> TrapDevice<D> {
     /// The shared parity log.
     pub fn log(&self) -> &Arc<TrapLog> {
         &self.log
-    }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
     }
 
     /// Writes the image `plan` was scanned to over the one it was
@@ -557,7 +552,7 @@ mod tests {
     fn reads_pass_through() {
         let d = dev();
         d.write_block(Lba(2), &vec![4u8; 4096]).unwrap();
-        assert_eq!(d.inner().read_block_vec(Lba(2)).unwrap(), vec![4u8; 4096]);
+        assert_eq!(d.inner.read_block_vec(Lba(2)).unwrap(), vec![4u8; 4096]);
         assert_eq!(d.log().entries(), 1);
         d.flush().unwrap();
     }

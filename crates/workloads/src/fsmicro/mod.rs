@@ -22,20 +22,20 @@ use crate::text::prose;
 
 /// Shape of the micro-benchmark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FsMicroConfig {
+pub(crate) struct FsMicroConfig {
     /// Total directories created.
-    pub dirs: usize,
+    pub(crate) dirs: usize,
     /// Files per directory.
-    pub files_per_dir: usize,
+    pub(crate) files_per_dir: usize,
     /// Approximate bytes per file.
-    pub file_size: usize,
+    pub(crate) file_size: usize,
     /// Directories archived per round (paper: 5).
-    pub dirs_per_round: usize,
+    pub(crate) dirs_per_round: usize,
 }
 
 impl FsMicroConfig {
     /// The paper's setup: archives of 5 random directories.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             dirs: 12,
             files_per_dir: 8,
@@ -45,18 +45,13 @@ impl FsMicroConfig {
     }
 
     /// Minimal configuration for unit tests.
-    pub fn tiny() -> Self {
+    pub(crate) fn tiny() -> Self {
         Self {
             dirs: 3,
             files_per_dir: 2,
             file_size: 2 * 1024,
             dirs_per_round: 2,
         }
-    }
-
-    /// Bytes of file payload the initial population writes.
-    pub fn corpus_bytes(&self) -> usize {
-        self.dirs * self.files_per_dir * self.file_size
     }
 }
 
@@ -69,7 +64,7 @@ impl FsMicroConfig {
 /// — small file edits produce small archive deltas — which is precisely
 /// the redundancy PRINS's parity exposes and full-block replication
 /// retransmits wholesale.
-pub struct FsMicro {
+pub(crate) struct FsMicro {
     fs: Fs,
     config: FsMicroConfig,
     archived_dirs: Vec<usize>,
@@ -84,7 +79,7 @@ impl FsMicro {
     ///
     /// Propagates filesystem failures (most commonly
     /// [`FsError::NoSpace`] for undersized devices).
-    pub fn setup<R: Rng>(
+    pub(crate) fn setup<R: Rng>(
         device: Arc<dyn BlockDevice>,
         config: FsMicroConfig,
         rng: &mut R,
@@ -107,13 +102,8 @@ impl FsMicro {
         })
     }
 
-    /// The filesystem under test.
-    pub fn fs(&self) -> &Fs {
-        &self.fs
-    }
-
     /// Rounds executed so far.
-    pub fn rounds_run(&self) -> usize {
+    pub(crate) fn rounds_run(&self) -> usize {
         self.rounds_run
     }
 
@@ -122,7 +112,7 @@ impl FsMicro {
     /// # Errors
     ///
     /// Propagates filesystem failures.
-    pub fn run<R: Rng>(&mut self, rounds: usize, rng: &mut R) -> Result<(), FsError> {
+    pub(crate) fn run<R: Rng>(&mut self, rounds: usize, rng: &mut R) -> Result<(), FsError> {
         for _ in 0..rounds {
             self.run_round(rng)?;
         }
@@ -135,7 +125,7 @@ impl FsMicro {
     /// # Errors
     ///
     /// Propagates filesystem failures.
-    pub fn run_round<R: Rng>(&mut self, rng: &mut R) -> Result<(), FsError> {
+    pub(crate) fn run_round<R: Rng>(&mut self, rng: &mut R) -> Result<(), FsError> {
         self.mutate(rng)?;
         let names: Vec<String> = self
             .archived_dirs
@@ -224,8 +214,8 @@ mod tests {
         let mut micro = FsMicro::setup(Arc::clone(&dev), FsMicroConfig::tiny(), &mut rng).unwrap();
         micro.run(3, &mut rng).unwrap();
         assert_eq!(micro.rounds_run(), 3);
-        assert!(micro.fs().exists("/archive.tar"));
-        assert!(!tar::list(micro.fs(), "/archive.tar").unwrap().is_empty());
+        assert!(micro.fs.exists("/archive.tar"));
+        assert!(!tar::list(&micro.fs, "/archive.tar").unwrap().is_empty());
     }
 
     #[test]
@@ -266,9 +256,9 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let mut micro = FsMicro::setup(Arc::clone(&dev), FsMicroConfig::tiny(), &mut rng).unwrap();
         micro.run_round(&mut rng).unwrap();
-        let first = micro.fs().read_file("/archive.tar").unwrap();
+        let first = micro.fs.read_file("/archive.tar").unwrap();
         micro.run_round(&mut rng).unwrap();
-        let second = micro.fs().read_file("/archive.tar").unwrap();
+        let second = micro.fs.read_file("/archive.tar").unwrap();
         let n = first.len().min(second.len());
         let changed = first[..n]
             .iter()
@@ -281,10 +271,5 @@ mod tests {
             "successive archives differ in {:.0}% of bytes",
             ratio * 100.0
         );
-    }
-
-    #[test]
-    fn corpus_bytes_arithmetic() {
-        assert_eq!(FsMicroConfig::tiny().corpus_bytes(), 3 * 2 * 2048);
     }
 }

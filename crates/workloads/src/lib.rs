@@ -44,6 +44,8 @@
 //! assert!(traffic.load(Ordering::Relaxed) > 0);
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod fsmicro;
 mod report;
 mod runner;
@@ -53,11 +55,8 @@ mod tpcc;
 mod tpcw;
 mod trace;
 
-pub use fsmicro::{FsMicro, FsMicroConfig};
 pub use report::RunReport;
 pub use runner::{run, RunConfig, ScalePreset, Workload, WorkloadError};
-pub use synth::{HostileMix, TextStore};
-pub use text::{prose, TpccRand};
-pub use tpcc::{TpccDatabase, TpccDriver, TpccScale, TxnKind, TxnMix};
-pub use tpcw::{TpcwDriver, TpcwScale};
+pub use text::prose;
+pub use tpcc::{TpccDatabase, TpccDriver, TpccScale};
 pub use trace::{capture_trace, WriteTrace};

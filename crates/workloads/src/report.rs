@@ -8,17 +8,17 @@ use prins_parity::DeltaStats;
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Which workload ran (display name).
-    pub workload: String,
+    pub(crate) workload: String,
     /// Operations executed (transactions / interactions / tar rounds).
     pub ops: u64,
     /// Block writes the device observed during the measured phase.
     pub device_writes: u64,
     /// Bytes written at block level.
-    pub device_bytes_written: u64,
+    pub(crate) device_bytes_written: u64,
     /// Aggregate old-vs-new delta statistics across all writes.
-    pub delta: DeltaStats,
+    pub(crate) delta: DeltaStats,
     /// Wall-clock duration of the measured phase.
-    pub duration: Duration,
+    pub(crate) duration: Duration,
 }
 
 impl RunReport {

@@ -122,12 +122,6 @@ impl RunConfig {
         }
     }
 
-    /// Same configuration with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     fn fs_rounds(&self) -> usize {
         match self.scale {
             // The paper runs 5 rounds; smoke keeps it short.
@@ -406,7 +400,7 @@ mod tests {
         assert_eq!(a.device_bytes_written, b.device_bytes_written);
         assert_eq!(a.delta, b.delta);
         // A different seed shifts the write stream.
-        let c = run(Workload::TpcwMysql, &config.with_seed(7), None).unwrap();
+        let c = run(Workload::TpcwMysql, &RunConfig { seed: 7, ..config }, None).unwrap();
         assert_ne!(a.delta, c.delta);
     }
 

@@ -35,7 +35,7 @@ fn random_fill<R: Rng>(rng: &mut R, buf: &mut [u8]) {
 /// prose — modelling a save-file loop in an editor or a template
 /// renderer. Every write is a dense, highly compressible full-block
 /// change.
-pub struct TextStore {
+pub(crate) struct TextStore {
     device: Arc<dyn BlockDevice>,
     docs: u64,
     block_bytes: usize,
@@ -48,7 +48,7 @@ impl TextStore {
     /// # Errors
     ///
     /// Propagates device write failures.
-    pub fn setup<R: Rng>(
+    pub(crate) fn setup<R: Rng>(
         device: Arc<dyn BlockDevice>,
         docs: u64,
         rng: &mut R,
@@ -74,7 +74,7 @@ impl TextStore {
     /// # Errors
     ///
     /// Propagates device write failures.
-    pub fn run<R: Rng>(&mut self, ops: usize, rng: &mut R) -> Result<(), BlockError> {
+    pub(crate) fn run<R: Rng>(&mut self, ops: usize, rng: &mut R) -> Result<(), BlockError> {
         for _ in 0..ops {
             let lba = Lba(rng.random_range(0..self.docs));
             let body = prose(rng, self.block_bytes);
@@ -85,7 +85,7 @@ impl TextStore {
     }
 
     /// Rewrites performed by [`run`](Self::run) so far.
-    pub fn ops_run(&self) -> u64 {
+    pub(crate) fn ops_run(&self) -> u64 {
         self.ops_run
     }
 }
@@ -108,7 +108,7 @@ enum Zone {
 ///
 /// Zones are contiguous LBA ranges, so a per-region classifier can
 /// learn each zone's optimum; a single static strategy cannot.
-pub struct HostileMix {
+pub(crate) struct HostileMix {
     device: Arc<dyn BlockDevice>,
     zone_blocks: u64,
     block_bytes: usize,
@@ -124,7 +124,7 @@ impl HostileMix {
     /// # Errors
     ///
     /// Propagates device write failures.
-    pub fn setup<R: Rng>(
+    pub(crate) fn setup<R: Rng>(
         device: Arc<dyn BlockDevice>,
         zone_blocks: u64,
         rng: &mut R,
@@ -161,7 +161,7 @@ impl HostileMix {
     /// # Errors
     ///
     /// Propagates device read/write failures.
-    pub fn run<R: Rng>(&mut self, ops: usize, rng: &mut R) -> Result<(), BlockError> {
+    pub(crate) fn run<R: Rng>(&mut self, ops: usize, rng: &mut R) -> Result<(), BlockError> {
         let mut buf = vec![0u8; self.block_bytes];
         for op in 0..ops {
             let zone = Self::ZONES[op % Self::ZONES.len()];
@@ -194,7 +194,7 @@ impl HostileMix {
     }
 
     /// Writes performed by [`run`](Self::run) so far.
-    pub fn ops_run(&self) -> u64 {
+    pub(crate) fn ops_run(&self) -> u64 {
         self.ops_run
     }
 }

@@ -55,7 +55,7 @@ const WORDS: [&str; 32] = [
 /// The constant `C` values for NURand are fixed per run, as the spec
 /// requires.
 #[derive(Clone, Debug)]
-pub struct TpccRand {
+pub(crate) struct TpccRand {
     c_last: u64,
     c_cust: u64,
     c_item: u64,
@@ -63,7 +63,7 @@ pub struct TpccRand {
 
 impl TpccRand {
     /// Draws the per-run NURand constants.
-    pub fn new<R: Rng>(rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng>(rng: &mut R) -> Self {
         Self {
             c_last: rng.random_range(0..256),
             c_cust: rng.random_range(0..1024),
@@ -72,7 +72,7 @@ impl TpccRand {
     }
 
     /// TPC-C NURand(A, x, y): non-uniform customer/item selection.
-    pub fn nurand<R: Rng>(&self, rng: &mut R, a: u64, x: u64, y: u64) -> u64 {
+    pub(crate) fn nurand<R: Rng>(&self, rng: &mut R, a: u64, x: u64, y: u64) -> u64 {
         let c = match a {
             255 => self.c_last,
             1023 => self.c_cust,
@@ -83,17 +83,17 @@ impl TpccRand {
     }
 
     /// Customer id 1..=n with the spec's skew.
-    pub fn customer_id<R: Rng>(&self, rng: &mut R, n: u64) -> u64 {
+    pub(crate) fn customer_id<R: Rng>(&self, rng: &mut R, n: u64) -> u64 {
         self.nurand(rng, 1023, 1, n.max(1))
     }
 
     /// Item id 1..=n with the spec's skew.
-    pub fn item_id<R: Rng>(&self, rng: &mut R, n: u64) -> u64 {
+    pub(crate) fn item_id<R: Rng>(&self, rng: &mut R, n: u64) -> u64 {
         self.nurand(rng, 8191, 1, n.max(1))
     }
 
     /// The spec's 16-syllable last name for a number in 0..=999.
-    pub fn last_name(num: u64) -> String {
+    pub(crate) fn last_name(num: u64) -> String {
         let n = num % 1000;
         format!(
             "{}{}{}",
@@ -105,7 +105,7 @@ impl TpccRand {
 }
 
 /// Alphanumeric "a-string" of random length in `[lo, hi]`.
-pub fn a_string<R: Rng>(rng: &mut R, lo: usize, hi: usize) -> String {
+pub(crate) fn a_string<R: Rng>(rng: &mut R, lo: usize, hi: usize) -> String {
     let len = rng.random_range(lo..=hi.max(lo));
     (0..len)
         .map(|_| {
@@ -120,7 +120,7 @@ pub fn a_string<R: Rng>(rng: &mut R, lo: usize, hi: usize) -> String {
 }
 
 /// Numeric "n-string" of exactly `len` digits.
-pub fn n_string<R: Rng>(rng: &mut R, len: usize) -> String {
+pub(crate) fn n_string<R: Rng>(rng: &mut R, len: usize) -> String {
     (0..len)
         .map(|_| (b'0' + rng.random_range(0..10u8)) as char)
         .collect()
@@ -145,7 +145,7 @@ pub fn prose<R: Rng>(rng: &mut R, bytes: usize) -> String {
 
 /// TPC-C item/stock data field: 26..50 a-string chars, 10 % containing
 /// the literal "ORIGINAL" (clause 4.3.3.1).
-pub fn data_string<R: Rng>(rng: &mut R) -> String {
+pub(crate) fn data_string<R: Rng>(rng: &mut R) -> String {
     let mut s = a_string(rng, 26, 50);
     if rng.random_range(0..10u8) == 0 {
         let at = rng.random_range(0..s.len().saturating_sub(8).max(1));

@@ -14,39 +14,19 @@ use super::keys;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TpccScale {
     /// Number of warehouses (the TPC-C scale factor W).
-    pub warehouses: u64,
+    pub(crate) warehouses: u64,
     /// Districts per warehouse (spec: 10).
-    pub districts: u64,
+    pub(crate) districts: u64,
     /// Customers per district (spec: 3000).
-    pub customers: u64,
+    pub(crate) customers: u64,
     /// Items in the catalog (spec: 100 000).
-    pub items: u64,
+    pub(crate) items: u64,
 }
 
 impl TpccScale {
-    /// The paper's Oracle setup: 5 warehouses (25 users).
-    pub fn paper_oracle() -> Self {
-        Self {
-            warehouses: 5,
-            districts: 10,
-            customers: 3000,
-            items: 100_000,
-        }
-    }
-
-    /// The paper's Postgres setup: 10 warehouses (50 users).
-    pub fn paper_postgres() -> Self {
-        Self {
-            warehouses: 10,
-            districts: 10,
-            customers: 3000,
-            items: 100_000,
-        }
-    }
-
     /// A laptop-scale configuration preserving the schema and access
     /// skew (used by benches; documented in EXPERIMENTS.md).
-    pub fn bench() -> Self {
+    pub(crate) fn bench() -> Self {
         Self {
             warehouses: 2,
             districts: 10,
@@ -64,18 +44,12 @@ impl TpccScale {
             items: 100,
         }
     }
-
-    /// Rows the initial load creates (excluding history/orders).
-    pub fn base_rows(&self) -> u64 {
-        let w = self.warehouses;
-        w + w * self.districts + w * self.districts * self.customers + self.items + w * self.items
-    }
 }
 
 /// One table plus its primary-key B-tree.
 pub(crate) struct Indexed {
-    pub table: Table,
-    pub index: BTree,
+    pub(crate) table: Table,
+    pub(crate) index: BTree,
 }
 
 impl Indexed {
@@ -86,13 +60,13 @@ impl Indexed {
         })
     }
 
-    pub fn insert(&mut self, key: u64, row: &Row) -> Result<RecordId, StoreError> {
+    pub(crate) fn insert(&mut self, key: u64, row: &Row) -> Result<RecordId, StoreError> {
         let rid = self.table.insert(row)?;
         self.index.insert(key, rid)?;
         Ok(rid)
     }
 
-    pub fn get(&self, key: u64) -> Result<Row, StoreError> {
+    pub(crate) fn get(&self, key: u64) -> Result<Row, StoreError> {
         let rid = self
             .index
             .get(key)?
@@ -102,7 +76,7 @@ impl Indexed {
 
     /// Updates the row at `key`, maintaining the index if the row
     /// migrated pages.
-    pub fn update(&mut self, key: u64, row: &Row) -> Result<(), StoreError> {
+    pub(crate) fn update(&mut self, key: u64, row: &Row) -> Result<(), StoreError> {
         let rid = self
             .index
             .get(key)?
@@ -114,7 +88,7 @@ impl Indexed {
         Ok(())
     }
 
-    pub fn delete(&mut self, key: u64) -> Result<(), StoreError> {
+    pub(crate) fn delete(&mut self, key: u64) -> Result<(), StoreError> {
         let rid = self
             .index
             .get(key)?
@@ -179,11 +153,6 @@ impl TpccDatabase {
         db.load_warehouses(rng)?;
         pool.flush_all()?;
         Ok(db)
-    }
-
-    /// The database's scale.
-    pub fn scale(&self) -> TpccScale {
-        self.scale
     }
 
     fn load_items<R: Rng>(&mut self, rng: &mut R) -> Result<(), StoreError> {
@@ -332,7 +301,7 @@ mod tests {
     #[test]
     fn load_populates_all_cardinalities() {
         let db = build_tiny();
-        let s = db.scale();
+        let s = db.scale;
         assert_eq!(db.warehouse.table.len(), s.warehouses);
         assert_eq!(db.district.table.len(), s.warehouses * s.districts);
         assert_eq!(
@@ -376,14 +345,5 @@ mod tests {
         ix.update(0, &big).unwrap();
         let back = ix.get(0).unwrap();
         assert_eq!(back.values()[1], Value::Str("B".repeat(300)));
-    }
-
-    #[test]
-    fn scale_row_arithmetic() {
-        let s = TpccScale::paper_oracle();
-        assert_eq!(
-            s.base_rows(),
-            5 + 50 + 5 * 10 * 3000 + 100_000 + 5 * 100_000
-        );
     }
 }

@@ -9,7 +9,7 @@ use super::keys;
 
 /// The five TPC-C transaction types.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TxnKind {
+pub(crate) enum TxnKind {
     /// New-Order (45 % of the mix).
     NewOrder,
     /// Payment (43 %).
@@ -24,7 +24,7 @@ pub enum TxnKind {
 
 impl TxnKind {
     /// All kinds in mix order.
-    pub const ALL: [TxnKind; 5] = [
+    pub(crate) const ALL: [TxnKind; 5] = [
         TxnKind::NewOrder,
         TxnKind::Payment,
         TxnKind::OrderStatus,
@@ -33,62 +33,36 @@ impl TxnKind {
     ];
 }
 
-/// Weighted transaction mix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TxnMix {
-    weights: [u32; 5],
-}
+/// The specification mix, weights in [`TxnKind::ALL`] order:
+/// 45/43/4/4/4.
+const MIX: [u32; 5] = [45, 43, 4, 4, 4];
 
-impl TxnMix {
-    /// The specification mix: 45/43/4/4/4.
-    pub fn spec() -> Self {
-        Self {
-            weights: [45, 43, 4, 4, 4],
+/// Transactions between checkpoints (buffer pool flushes).
+const CHECKPOINT_INTERVAL: usize = 10;
+
+/// Draws a transaction kind from [`MIX`].
+fn draw<R: Rng>(rng: &mut R) -> TxnKind {
+    let total: u32 = MIX.iter().sum();
+    let mut roll = rng.random_range(0..total);
+    for (kind, &w) in TxnKind::ALL.iter().zip(&MIX) {
+        if roll < w {
+            return *kind;
         }
+        roll -= w;
     }
-
-    /// A custom mix (weights need not sum to 100).
-    ///
-    /// # Panics
-    ///
-    /// Panics if all weights are zero.
-    pub fn new(weights: [u32; 5]) -> Self {
-        assert!(weights.iter().sum::<u32>() > 0, "mix needs weight");
-        Self { weights }
-    }
-
-    /// Draws a transaction kind.
-    pub fn draw<R: Rng>(&self, rng: &mut R) -> TxnKind {
-        let total: u32 = self.weights.iter().sum();
-        let mut roll = rng.random_range(0..total);
-        for (kind, &w) in TxnKind::ALL.iter().zip(&self.weights) {
-            if roll < w {
-                return *kind;
-            }
-            roll -= w;
-        }
-        TxnKind::StockLevel
-    }
-}
-
-impl Default for TxnMix {
-    fn default() -> Self {
-        Self::spec()
-    }
+    TxnKind::StockLevel
 }
 
 /// Executes TPC-C transactions against a [`TpccDatabase`].
 ///
-/// The driver checkpoints (flushes the buffer pool) every
-/// `checkpoint_interval` transactions, which is when dirty pages become
+/// The driver checkpoints (flushes the buffer pool) every 10
+/// transactions, which is when dirty pages become
 /// device writes — the write stream the replication experiments
 /// measure.
 pub struct TpccDriver {
     db: TpccDatabase,
     clock: u64,
     counts: [u64; 5],
-    mix: TxnMix,
-    checkpoint_interval: usize,
     since_checkpoint: usize,
 }
 
@@ -100,47 +74,13 @@ impl TpccDriver {
             db,
             clock: 0,
             counts: [0; 5],
-            mix: TxnMix::spec(),
-            checkpoint_interval: 10,
             since_checkpoint: 0,
         }
     }
 
-    /// Overrides the transaction mix.
-    pub fn with_mix(mut self, mix: TxnMix) -> Self {
-        self.mix = mix;
-        self
-    }
-
-    /// Overrides the checkpoint interval (transactions between buffer
-    /// pool flushes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn with_checkpoint_interval(mut self, interval: usize) -> Self {
-        assert!(interval > 0, "checkpoint interval must be positive");
-        self.checkpoint_interval = interval;
-        self
-    }
-
-    /// Transactions executed so far, by kind.
-    pub fn counts(&self) -> [(TxnKind, u64); 5] {
-        let mut out = [(TxnKind::NewOrder, 0); 5];
-        for (i, kind) in TxnKind::ALL.iter().enumerate() {
-            out[i] = (*kind, self.counts[i]);
-        }
-        out
-    }
-
     /// Total transactions executed.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// The wrapped database.
-    pub fn database(&self) -> &TpccDatabase {
-        &self.db
     }
 
     /// Runs `n` transactions drawn from the mix.
@@ -152,7 +92,7 @@ impl TpccDriver {
     /// the write stream).
     pub fn run<R: Rng>(&mut self, rng: &mut R, n: usize) -> Result<(), StoreError> {
         for _ in 0..n {
-            self.run_one(rng)?;
+            self.execute(draw(rng), rng)?;
         }
         // Final checkpoint so trailing writes reach the device.
         self.db.pool.flush_all()?;
@@ -160,13 +100,9 @@ impl TpccDriver {
         Ok(())
     }
 
-    /// Runs one transaction, returning its kind.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_one<R: Rng>(&mut self, rng: &mut R) -> Result<TxnKind, StoreError> {
-        let kind = self.mix.draw(rng);
+    /// Runs one transaction of `kind`, checkpointing every
+    /// [`CHECKPOINT_INTERVAL`] transactions.
+    fn execute<R: Rng>(&mut self, kind: TxnKind, rng: &mut R) -> Result<(), StoreError> {
         self.clock += 1;
         match kind {
             TxnKind::NewOrder => self.new_order(rng)?,
@@ -178,11 +114,11 @@ impl TpccDriver {
         let idx = TxnKind::ALL.iter().position(|k| *k == kind).unwrap();
         self.counts[idx] += 1;
         self.since_checkpoint += 1;
-        if self.since_checkpoint >= self.checkpoint_interval {
+        if self.since_checkpoint >= CHECKPOINT_INTERVAL {
             self.db.pool.flush_all()?;
             self.since_checkpoint = 0;
         }
-        Ok(kind)
+        Ok(())
     }
 
     fn pick_warehouse<R: Rng>(&self, rng: &mut R) -> u64 {
@@ -495,13 +431,21 @@ mod tests {
         (TpccDriver::new(db), device, rng)
     }
 
+    /// Runs `n` transactions of one kind, then the final checkpoint
+    /// `run` ends with.
+    fn run_only(driver: &mut TpccDriver, kind: TxnKind, rng: &mut rand::rngs::StdRng, n: usize) {
+        for _ in 0..n {
+            driver.execute(kind, rng).unwrap();
+        }
+        driver.db.pool.flush_all().unwrap();
+    }
+
     #[test]
     fn mix_follows_weights() {
-        let mix = TxnMix::spec();
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let mut counts = std::collections::HashMap::new();
         for _ in 0..10_000 {
-            *counts.entry(mix.draw(&mut rng)).or_insert(0u32) += 1;
+            *counts.entry(draw(&mut rng)).or_insert(0u32) += 1;
         }
         assert!(counts[&TxnKind::NewOrder] > 4000);
         assert!(counts[&TxnKind::Payment] > 3800);
@@ -516,7 +460,7 @@ mod tests {
         let stats = device.stats();
         assert!(stats.writes > 20, "expected device writes, got {stats:?}");
         // All five kinds occurred.
-        for (kind, count) in driver.counts() {
+        for (kind, &count) in TxnKind::ALL.iter().zip(&driver.counts) {
             if matches!(kind, TxnKind::NewOrder | TxnKind::Payment) {
                 assert!(count > 50, "{kind:?} ran {count} times");
             }
@@ -529,8 +473,7 @@ mod tests {
         let before: u64 = (1..=2)
             .map(|d| driver.db.district.get(keys::dist(1, d)).unwrap().values()[10].as_key())
             .sum();
-        driver = driver.with_mix(TxnMix::new([1, 0, 0, 0, 0]));
-        driver.run(&mut rng, 20).unwrap();
+        run_only(&mut driver, TxnKind::NewOrder, &mut rng, 20);
         let after: u64 = (1..=2)
             .map(|d| driver.db.district.get(keys::dist(1, d)).unwrap().values()[10].as_key())
             .sum();
@@ -543,12 +486,10 @@ mod tests {
     #[test]
     fn delivery_drains_new_orders() {
         let (mut driver, _device, mut rng) = driver();
-        driver = driver.with_mix(TxnMix::new([1, 0, 0, 0, 0]));
-        driver.run(&mut rng, 30).unwrap();
+        run_only(&mut driver, TxnKind::NewOrder, &mut rng, 30);
         let pending_before: usize = driver.db.pending.values().map(|q| q.len()).sum();
         assert_eq!(pending_before, 30);
-        driver = driver.with_mix(TxnMix::new([0, 0, 0, 1, 0]));
-        driver.run(&mut rng, 30).unwrap();
+        run_only(&mut driver, TxnKind::Delivery, &mut rng, 30);
         let pending_after: usize = driver.db.pending.values().map(|q| q.len()).sum();
         assert_eq!(pending_after, 0);
         assert_eq!(driver.db.new_order.table.len(), 0);
@@ -557,8 +498,7 @@ mod tests {
     #[test]
     fn payment_accumulates_ytd() {
         let (mut driver, _device, mut rng) = driver();
-        driver = driver.with_mix(TxnMix::new([0, 1, 0, 0, 0]));
-        driver.run(&mut rng, 25).unwrap();
+        run_only(&mut driver, TxnKind::Payment, &mut rng, 25);
         let warehouse = driver.db.warehouse.get(keys::wh(1)).unwrap();
         if let Value::F64(ytd) = warehouse.values()[8] {
             assert!(ytd > 300_000.0, "w_ytd grew to {ytd}");

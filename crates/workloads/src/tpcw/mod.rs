@@ -28,27 +28,18 @@ use crate::tpcc::db::Indexed;
 
 /// Cardinalities for the bookstore.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TpcwScale {
+pub(crate) struct TpcwScale {
     /// Rows in the ITEM table (paper: 10 000).
-    pub items: u64,
+    pub(crate) items: u64,
     /// Pre-loaded customers.
-    pub customers: u64,
+    pub(crate) customers: u64,
     /// Emulated browsers (paper: 30).
-    pub browsers: usize,
+    pub(crate) browsers: usize,
 }
 
 impl TpcwScale {
-    /// The paper's configuration: 10 000 items, 30 EBs.
-    pub fn paper() -> Self {
-        Self {
-            items: 10_000,
-            customers: 2_880,
-            browsers: 30,
-        }
-    }
-
     /// Laptop-scale: same shape, fewer rows.
-    pub fn bench() -> Self {
+    pub(crate) fn bench() -> Self {
         Self {
             items: 1_000,
             customers: 288,
@@ -57,7 +48,7 @@ impl TpcwScale {
     }
 
     /// Minimal configuration for unit tests.
-    pub fn tiny() -> Self {
+    pub(crate) fn tiny() -> Self {
         Self {
             items: 50,
             customers: 20,
@@ -72,7 +63,7 @@ struct CartLine {
 }
 
 /// Drives the TPC-W-lite bookstore.
-pub struct TpcwDriver {
+pub(crate) struct TpcwDriver {
     pool: BufferPool,
     scale: TpcwScale,
     rand: TpccRand,
@@ -96,7 +87,7 @@ impl TpcwDriver {
     /// # Errors
     ///
     /// Propagates storage failures.
-    pub fn build<R: Rng>(
+    pub(crate) fn build<R: Rng>(
         pool: &BufferPool,
         scale: TpcwScale,
         rng: &mut R,
@@ -133,12 +124,12 @@ impl TpcwDriver {
     }
 
     /// Interactions executed so far.
-    pub fn interactions(&self) -> u64 {
+    pub(crate) fn interactions(&self) -> u64 {
         self.interactions
     }
 
     /// Orders placed so far.
-    pub fn orders_placed(&self) -> u64 {
+    pub(crate) fn orders_placed(&self) -> u64 {
         self.next_order - 1
     }
 
@@ -148,7 +139,7 @@ impl TpcwDriver {
     /// # Errors
     ///
     /// Propagates storage failures.
-    pub fn run<R: Rng>(&mut self, rng: &mut R, n: usize) -> Result<(), StoreError> {
+    pub(crate) fn run<R: Rng>(&mut self, rng: &mut R, n: usize) -> Result<(), StoreError> {
         for k in 0..n {
             let browser = k % self.scale.browsers;
             self.interact(rng, browser)?;
@@ -168,7 +159,11 @@ impl TpcwDriver {
     /// # Errors
     ///
     /// Propagates storage failures.
-    pub fn interact<R: Rng>(&mut self, rng: &mut R, browser: usize) -> Result<(), StoreError> {
+    pub(crate) fn interact<R: Rng>(
+        &mut self,
+        rng: &mut R,
+        browser: usize,
+    ) -> Result<(), StoreError> {
         self.clock += 1;
         self.interactions += 1;
         match rng.random_range(0..100u8) {

@@ -65,7 +65,7 @@ pub struct WriteTrace {
 
 impl WriteTrace {
     /// Creates an empty trace for blocks of `block_size`.
-    pub fn new(block_size: BlockSize) -> Self {
+    pub(crate) fn new(block_size: BlockSize) -> Self {
         Self {
             block_size,
             records: Vec::new(),
@@ -93,7 +93,7 @@ impl WriteTrace {
     /// # Panics
     ///
     /// Panics if the image lengths differ from the trace block size.
-    pub fn record(&mut self, lba: Lba, old: &[u8], new: &[u8], first_touch: bool) {
+    pub(crate) fn record(&mut self, lba: Lba, old: &[u8], new: &[u8], first_touch: bool) {
         assert_eq!(old.len(), self.block_size.bytes(), "old image size");
         assert_eq!(new.len(), self.block_size.bytes(), "new image size");
         let parity = SparseCodec::default().plan_delta(old, new).to_parity();
@@ -134,11 +134,6 @@ impl WriteTrace {
             f(Lba(lba), &old, &new);
             current.insert(lba, new);
         }
-    }
-
-    /// Serialized size without allocating.
-    pub fn encoded_size(&self) -> usize {
-        self.to_bytes().len()
     }
 
     /// Serializes the trace.
@@ -332,9 +327,9 @@ mod tests {
         let (trace, expected) = sample_trace();
         let raw: usize = expected.iter().map(|(_, o, n)| o.len() + n.len()).sum();
         assert!(
-            trace.encoded_size() * 3 < raw,
+            trace.to_bytes().len() * 3 < raw,
             "trace {} vs raw {raw}",
-            trace.encoded_size()
+            trace.to_bytes().len()
         );
     }
 
