@@ -161,7 +161,7 @@ cargo run -q --release -p prins-bench --bin obs-dump -- --ops 300 --summary \
 cargo run -q --release -p prins-bench --bin obs-dump -- --ops 300 --traces \
     | sed -n 1p | diff tests/engine_trace_golden.json -
 # Scenario golden gates (corruption, EC rebuild, scale-out, trace,
-# adaptive policy): each golden file pins the deterministic event-count
+# adaptive policy, faults and resync): each golden file pins the deterministic event-count
 # or trace summary of the scenarios listed beside it in the GOLDENS
 # table in crates/sim/src/bin/sim_replay.rs, which also says what a
 # diff in each one means. After an intentional behaviour change,

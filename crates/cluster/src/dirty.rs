@@ -84,19 +84,9 @@ impl DirtyMap {
         self.blocks.get(&lba.index()).is_some_and(|e| e.uncertain)
     }
 
-    /// The first missed sequence number for `lba`, if dirty.
-    pub(crate) fn missed_from(&self, lba: Lba) -> Option<u64> {
-        self.blocks.get(&lba.index()).map(|e| e.first_missed)
-    }
-
     /// Clears one block (it has been resynced).
     pub(crate) fn clear(&mut self, lba: Lba) {
         self.blocks.remove(&lba.index());
-    }
-
-    /// Clears everything (full resync completed).
-    pub(crate) fn clear_all(&mut self) {
-        self.blocks.clear();
     }
 
     /// Number of dirty blocks.
@@ -104,11 +94,11 @@ impl DirtyMap {
         self.blocks.len()
     }
 
-    /// Dirty blocks in ascending LBA order with their first-missed
-    /// sequence numbers.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (Lba, u64)> + '_ {
+    /// Dirty blocks from `from` on, in ascending LBA order, with their
+    /// first-missed sequence numbers.
+    pub(crate) fn iter_from(&self, from: Lba) -> impl Iterator<Item = (Lba, u64)> + '_ {
         self.blocks
-            .iter()
+            .range(from.index()..)
             .map(|(&lba, e)| (Lba(lba), e.first_missed))
     }
 }
@@ -117,13 +107,21 @@ impl DirtyMap {
 mod tests {
     use super::*;
 
+    /// The first missed sequence number for `lba`, if dirty.
+    fn missed_from(d: &DirtyMap, lba: Lba) -> Option<u64> {
+        d.iter_from(lba)
+            .next()
+            .filter(|&(l, _)| l == lba)
+            .map(|(_, s)| s)
+    }
+
     #[test]
     fn mark_keeps_earliest_miss() {
         let mut d = DirtyMap::new();
         d.mark(Lba(3), 10);
         d.mark(Lba(3), 7);
         d.mark(Lba(3), 12);
-        assert_eq!(d.missed_from(Lba(3)), Some(7));
+        assert_eq!(missed_from(&d, Lba(3)), Some(7));
         assert_eq!(d.len(), 1);
     }
 
@@ -137,8 +135,6 @@ mod tests {
         d.clear(Lba(1));
         assert!(!d.contains(Lba(1)));
         assert_eq!(d.len(), 1);
-        d.clear_all();
-        assert_eq!(d.len(), 0);
     }
 
     #[test]
@@ -147,8 +143,10 @@ mod tests {
         d.mark(Lba(9), 3);
         d.mark(Lba(2), 1);
         d.mark(Lba(5), 2);
-        let lbas: Vec<u64> = d.iter().map(|(lba, _)| lba.index()).collect();
+        let lbas: Vec<u64> = d.iter_from(Lba(0)).map(|(lba, _)| lba.index()).collect();
         assert_eq!(lbas, vec![2, 5, 9]);
+        let lbas: Vec<u64> = d.iter_from(Lba(3)).map(|(lba, _)| lba.index()).collect();
+        assert_eq!(lbas, vec![5, 9]);
     }
 
     #[test]
@@ -159,7 +157,7 @@ mod tests {
         // A later lost-ack send on the same block taints it...
         d.mark_uncertain(Lba(1), 9);
         assert!(d.is_uncertain(Lba(1)));
-        assert_eq!(d.missed_from(Lba(1)), Some(5));
+        assert_eq!(missed_from(&d, Lba(1)), Some(5));
         // ...and further certain misses don't clean it.
         d.mark(Lba(1), 11);
         assert!(d.is_uncertain(Lba(1)));
@@ -176,7 +174,7 @@ mod tests {
         let mut d = DirtyMap::new();
         d.mark_uncertain(Lba(4), 8);
         d.mark_uncertain(Lba(4), 3);
-        assert_eq!(d.missed_from(Lba(4)), Some(3));
+        assert_eq!(missed_from(&d, Lba(4)), Some(3));
         assert!(d.is_uncertain(Lba(4)));
     }
 }

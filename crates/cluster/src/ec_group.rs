@@ -421,7 +421,8 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             wire_bytes: 0,
             survivor_image_bytes: 0,
         };
-        self.nodes[lost].down = false;
+        // The replacement stays down until its last strip ships: a
+        // half-rebuilt node's zeroed strips must not read as survivors.
         self.nodes[lost].link.abandon();
         for stripe in 0..self.stripes {
             let lost_role = self.placement.role_of(stripe, lost);
@@ -469,6 +470,7 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
             report.wire_bytes += sealed_len as u64;
             report.stripes += 1;
         }
+        self.nodes[lost].down = false;
         // Dirty stripes also cover writes other (still-down) nodes
         // missed; only a fully-online group has none left to remember.
         if !self.nodes.iter().any(|n| n.down) {
@@ -691,6 +693,64 @@ mod tests {
         assert_strips_encode_logical(&h);
         random_writes(&mut h, 121, 10);
         assert_strips_encode_logical(&h);
+        finish(h);
+    }
+
+    /// Forwards to `inner`, except that its third send fails.
+    struct FailsThirdSend {
+        inner: Box<dyn Transport>,
+        sends: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Transport for FailsThirdSend {
+        fn send(&self, msg: &[u8]) -> Result<(), prins_net::NetError> {
+            let nth = self
+                .sends
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if nth == 2 {
+                return Err(prins_net::NetError::Disconnected);
+            }
+            self.inner.send(msg)
+        }
+
+        fn recv(&self) -> Result<Vec<u8>, prins_net::NetError> {
+            self.inner.recv()
+        }
+
+        fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, prins_net::NetError> {
+            self.inner.recv_timeout(timeout)
+        }
+
+        fn meter(&self) -> &Arc<prins_net::TrafficMeter> {
+            self.inner.meter()
+        }
+    }
+
+    #[test]
+    fn a_failed_rebuild_leaves_the_replacement_down() {
+        let mut h = harness(4);
+        random_writes(&mut h, 14, 40);
+        h.group.mark_down(0).unwrap();
+        // The replacement takes two stripes, then its link fails.
+        let (t, d, w) = spawn_node(h.group.stripes());
+        let t = FailsThirdSend {
+            inner: t,
+            sends: Default::default(),
+        };
+        h.group.replace_node(0, Box::new(t)).unwrap();
+        h.devices[0] = d;
+        h.workers.push(w);
+        assert!(h.group.rebuild(0).is_err());
+
+        // Its unrebuilt strips are zeros: read as a survivor's, they
+        // would decode a wrong image with no error.
+        let blocks = h.group.stripes() * h.group.placement().k as u64;
+        for lba in 0..blocks {
+            let want = h.group.device().read_block_vec(Lba(lba)).unwrap();
+            if let Ok(got) = h.group.decode_logical(Lba(lba)) {
+                assert!(got == want, "lba {lba} decoded a wrong image");
+            }
+        }
         finish(h);
     }
 

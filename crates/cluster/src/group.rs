@@ -1,7 +1,6 @@
 //! The primary-side cluster engine: degraded writes, lifecycle
 //! transitions, and resync.
 
-use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,31 +18,14 @@ use crate::dirty::DirtyMap;
 use crate::probe::{Plane, Probe, Tagged};
 use crate::{ClusterError, ReplicaState};
 
-/// One frame of a resync plan.
-#[derive(Clone, Debug)]
-enum ResyncFrame {
-    /// Push the block's current full image (read at send time).
-    Full(Lba),
-    /// Replay one logged parity (carrying its log sequence number so
-    /// per-frame progress can be recorded in the dirty map).
-    Parity(Lba, u64, SparseParity),
-}
-
-impl ResyncFrame {
-    fn lba(&self) -> Lba {
-        match self {
-            ResyncFrame::Full(lba) | ResyncFrame::Parity(lba, _, _) => *lba,
-        }
-    }
-}
-
-/// An in-progress resync for one replica.
-#[derive(Debug)]
-struct ResyncPlan {
-    queue: VecDeque<ResyncFrame>,
-    /// LBAs whose `Full` frame is still queued: writes to these blocks
-    /// are deferred because the image will be read at send time.
-    pending_full: HashSet<u64>,
+/// One resync frame on the wire, as its acknowledgement (or its
+/// batch's failure) books it.
+struct SentFrame {
+    lba: Lba,
+    /// Where an errored batch re-marks the block from: its first miss
+    /// for a full image, the last log entry folded in for a parity.
+    mark_from: u64,
+    parity: bool,
 }
 
 /// Per-replica bookkeeping on the primary: the connection, and the
@@ -57,7 +39,6 @@ struct Replica {
     state: ReplicaState,
     dirty: DirtyMap,
     consecutive_failures: u32,
-    resync: Option<ResyncPlan>,
     foreground_bytes: u64,
     resync_bytes: u64,
     scrub_bytes: u64,
@@ -73,7 +54,6 @@ impl Replica {
             state: ReplicaState::Online,
             dirty: DirtyMap::new(),
             consecutive_failures: 0,
-            resync: None,
             foreground_bytes: 0,
             resync_bytes: 0,
             scrub_bytes: 0,
@@ -86,10 +66,6 @@ impl Replica {
     /// Whether the freshness guard lets this replica serve `lba`.
     fn serves(&self, lba: Lba) -> bool {
         self.state == ReplicaState::Online && !self.dirty.contains(lba)
-    }
-
-    fn resync_pending(&self) -> usize {
-        self.resync.as_ref().map_or(0, |p| p.queue.len())
     }
 }
 
@@ -346,7 +322,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
             skipped: 0,
         };
         for idx in 0..self.replicas.len() {
-            match self.route_write(idx, lba, seq) {
+            match self.route_write(idx, lba) {
                 Route::Send => {
                     let payload = &self.payload;
                     let r = &mut self.replicas[idx];
@@ -584,16 +560,17 @@ impl<D: BlockDevice> ClusterGroup<D> {
     }
 
     /// Starts catching replica `idx` up, moving it to
-    /// [`ReplicaState::Resyncing`]. The plan replays the primary's
-    /// parity log: each dirty block's missed chain folds into one parity
-    /// frame, and a block whose base is unknown (uncertain) or whose
-    /// chain was pruned ships its full image instead. Drive the transfer
-    /// with [`resync_step`](Self::resync_step) — foreground writes may
-    /// be interleaved between steps.
+    /// [`ReplicaState::Resyncing`]. Its dirty map is the plan: each
+    /// [`resync_step`](Self::resync_step) replays the primary's parity
+    /// log for the next dirty blocks, each block's missed chain folded
+    /// into one parity frame, or its full image where its base is
+    /// unknown (uncertain) or its chain was pruned. Foreground writes
+    /// may be interleaved between steps; a write to a dirty block rides
+    /// that block's frame.
     ///
-    /// The plan covers the dirty map only. A replica that is not a copy
-    /// of the primary catches up through [`scrub`](Self::scrub), which
-    /// marks every divergent block uncertain and rejoins.
+    /// The dirty map is all a rejoin catches up. A replica that is not
+    /// a copy of the primary catches up through [`scrub`](Self::scrub),
+    /// which marks every divergent block uncertain and rejoins.
     ///
     /// # Errors
     ///
@@ -602,7 +579,7 @@ impl<D: BlockDevice> ClusterGroup<D> {
     pub fn rejoin(&mut self, idx: usize) -> Result<(), ClusterError> {
         self.check_idx(idx)?;
         // Settle any in-flight acks first so failures land in the dirty
-        // map before the plan is built from it.
+        // map before the resync reads it.
         self.drain_replica(idx);
         self.transition(idx, ReplicaState::Resyncing)?;
         // A rejoin opens a fresh response generation. Stray responses
@@ -611,18 +588,16 @@ impl<D: BlockDevice> ClusterGroup<D> {
         // they carry an older epoch, so the link drops them on sight
         // instead of guessing with a skip budget.
         self.replicas[idx].link.abandon();
-        let plan = self.build_plan(idx);
-        self.replicas[idx].resync = Some(plan);
         self.publish_replica_gauges(idx);
         Ok(())
     }
 
-    /// Sends up to `max_frames` resync frames to replica `idx` and
-    /// waits for their acknowledgements. When the plan drains, the
-    /// replica transitions back to [`ReplicaState::Online`] and its
-    /// dirty map clears.
+    /// Sends the resync frames of replica `idx`'s first `max_frames`
+    /// dirty blocks (in LBA order) and waits for their
+    /// acknowledgements. When no dirty block is left, the replica
+    /// transitions back to [`ReplicaState::Online`].
     ///
-    /// Returns the number of frames still queued (0 = resync done).
+    /// Returns the number of blocks still dirty (0 = resync done).
     ///
     /// # Errors
     ///
@@ -640,25 +615,26 @@ impl<D: BlockDevice> ClusterGroup<D> {
         self.drain_replica(idx);
         self.expect_state(idx, ReplicaState::Resyncing)?;
 
-        // Send a batch (pipelined), then collect its acks, recording
+        // Send a batch (pipelined), one frame per block built from the
+        // log as it goes out, then collect its acks, recording
         // per-frame progress; the first failure of either kind ends
         // the step.
-        let mut batch: Vec<(ResyncFrame, u64)> = Vec::new();
+        let mut batch: Vec<SentFrame> = Vec::new();
         let mut failed = None;
+        let mut next = Lba(0);
         while batch.len() < max_frames && failed.is_none() {
-            let Some(frame) = self.replicas[idx]
-                .resync
-                .as_mut()
-                .and_then(|p| p.queue.pop_front())
-            else {
+            let Some((lba, missed_from)) = self.replicas[idx].dirty.iter_from(next).next() else {
                 break;
             };
-            match self.send_resync_frame(idx, &frame) {
-                Ok(mark_from) => batch.push((frame, mark_from)),
+            next = Lba(lba.index() + 1);
+            match self.send_resync_frame(idx, lba, missed_from) {
+                Ok(Some(frame)) => batch.push(frame),
+                // Nothing was logged since the miss: nothing to send.
+                Ok(None) => self.replicas[idx].dirty.clear(lba),
                 Err(e) => failed = Some(e),
             }
         }
-        for (frame, _) in &batch {
+        for frame in &batch {
             if failed.is_some() {
                 break;
             }
@@ -688,22 +664,19 @@ impl<D: BlockDevice> ClusterGroup<D> {
             // healthy neighbour). Re-mark the *whole* batch — acked
             // prefix included — so the next attempt ships full images
             // for all of it.
-            for (frame, mark_from) in &batch {
+            for frame in &batch {
                 self.replicas[idx]
                     .dirty
-                    .mark_uncertain(frame.lba(), *mark_from);
+                    .mark_uncertain(frame.lba, frame.mark_from);
             }
             self.note_failure(idx, None, false);
             self.publish_replica_gauges(idx);
             return Err(e);
         }
 
-        let remaining = self.replicas[idx].resync_pending();
+        let remaining = self.replicas[idx].dirty.len();
         if remaining == 0 {
-            let r = &mut self.replicas[idx];
-            r.resync = None;
-            r.dirty.clear_all();
-            r.consecutive_failures = 0;
+            self.replicas[idx].consecutive_failures = 0;
         }
         self.probe.resync_batch(idx, batch.len(), remaining);
         self.publish_replica_gauges(idx);
@@ -713,57 +686,69 @@ impl<D: BlockDevice> ClusterGroup<D> {
         Ok(remaining)
     }
 
-    /// Puts one resync frame on replica `idx`'s wire. Returns the
-    /// position the block is re-marked uncertain from if the batch
-    /// later errors — captured now because an ack clears the dirty
-    /// entry.
-    fn send_resync_frame(&mut self, idx: usize, frame: &ResyncFrame) -> Result<u64, ClusterError> {
+    /// Builds `lba`'s resync frame from the log and puts it on replica
+    /// `idx`'s wire: the block's full image where its base is unknown
+    /// (uncertain) or the log is pruned past its first miss, else its
+    /// chain from `missed_from` folded into one parity (XOR composes).
+    /// Returns `None`, sending nothing, if that chain is empty.
+    ///
+    /// One frame per block is also a safety property: a lost frame can
+    /// never leave a same-block successor in the batch to XOR against
+    /// a base missing it.
+    fn send_resync_frame(
+        &mut self,
+        idx: usize,
+        lba: Lba,
+        missed_from: u64,
+    ) -> Result<Option<SentFrame>, ClusterError> {
+        let log = self.device.log();
         let r = &mut self.replicas[idx];
-        let (mark_from, sent) = match frame {
-            ResyncFrame::Full(lba) => {
-                if let Some(plan) = r.resync.as_mut() {
-                    plan.pending_full.remove(&lba.index());
-                }
-                let block = self.device.read_block_vec(*lba)?;
-                let fill = |out: &mut Vec<u8>| put_full(out, *lba, &block);
-                let mark_from = r.dirty.missed_from(*lba).unwrap_or(0);
-                (mark_from, r.link.send((None, None), ACK, fill))
-            }
-            ResyncFrame::Parity(lba, seq, parity) => {
-                let body = |out: &mut Vec<u8>| out.extend_from_slice(parity.as_bytes());
-                let fill = |out: &mut Vec<u8>| put_parity(out, *lba, body);
-                (*seq, r.link.send((None, None), ACK, fill))
-            }
-        };
+        let (sent, mark_from, parity) =
+            if log.pruned_through() >= missed_from || r.dirty.is_uncertain(lba) {
+                let block = self.device.read_block_vec(lba)?;
+                let fill = |out: &mut Vec<u8>| put_full(out, lba, &block);
+                (r.link.send((None, None), ACK, fill), missed_from, false)
+            } else if let Some((seq, folded)) = log.fold_since(lba, missed_from, None, fold_entry) {
+                let body = |out: &mut Vec<u8>| out.extend_from_slice(folded.as_bytes());
+                let fill = |out: &mut Vec<u8>| put_parity(out, lba, body);
+                (r.link.send((None, None), ACK, fill), seq, true)
+            } else {
+                return Ok(None);
+            };
         r.resync_bytes += sent? as u64;
-        Ok(mark_from)
+        Ok(Some(SentFrame {
+            lba,
+            mark_from,
+            parity,
+        }))
     }
 
     /// Books replica `idx`'s acknowledgement of one resync frame.
-    fn resync_frame_acked(&mut self, idx: usize, frame: &ResyncFrame) {
-        match *frame {
-            ResyncFrame::Full(lba) => self.replicas[idx].dirty.clear(lba),
-            ResyncFrame::Parity(lba, seq, _) => {
-                // The replica's copy now reflects the chain through
-                // this entry; later entries (queued or future) keep the
-                // block dirty from seq + 1.
-                let more = self.log().fold_since(lba, seq + 1, false, |_, _| true);
-                let r = &mut self.replicas[idx];
-                r.dirty.clear(lba);
-                if more {
-                    r.dirty.mark(lba, seq + 1);
-                }
-            }
+    fn resync_frame_acked(&mut self, idx: usize, frame: &SentFrame) {
+        // A parity brings the replica's copy through its last entry;
+        // entries logged after it keep the block dirty from there.
+        let from = frame.mark_from + 1;
+        let more = frame.parity && self.log().fold_since(frame.lba, from, false, |_, _| true);
+        let dirty = &mut self.replicas[idx].dirty;
+        dirty.clear(frame.lba);
+        if more {
+            dirty.mark(frame.lba, from);
         }
     }
 
     /// Refreshes replica `idx`'s resync-progress gauges.
     fn publish_replica_gauges(&self, idx: usize) {
         let r = &self.replicas[idx];
-        self.probe.gauges(idx, r.dirty.len(), r.resync_pending());
+        let pending = if r.state == ReplicaState::Resyncing {
+            r.dirty.len()
+        } else {
+            0
+        };
+        self.probe.gauges(idx, r.dirty.len(), pending);
     }
 
-    /// Runs [`resync_step`](Self::resync_step) until the plan drains.
+    /// Runs [`resync_step`](Self::resync_step) until no dirty block is
+    /// left.
     ///
     /// # Errors
     ///
@@ -906,51 +891,20 @@ impl<D: BlockDevice> ClusterGroup<D> {
     }
 
     /// Decides what to do with a foreground write for replica `idx`.
-    fn route_write(&mut self, idx: usize, lba: Lba, seq: u64) -> Route {
-        match self.replicas[idx].state {
+    fn route_write(&self, idx: usize, lba: Lba) -> Route {
+        let r = &self.replicas[idx];
+        match r.state {
             ReplicaState::Offline => Route::Skip,
             ReplicaState::Online => Route::Send,
-            ReplicaState::Lagging => {
-                // A parity for a block the replica is stale on would be
-                // XORed into the wrong base image — defer it.
-                if self.replicas[idx].dirty.contains(lba) {
+            // A parity for a block the replica is stale on would be
+            // XORed into the wrong base image — defer it: the block's
+            // resync frame reads the log when it is sent.
+            ReplicaState::Lagging | ReplicaState::Resyncing => {
+                if r.dirty.contains(lba) {
                     Route::Defer
                 } else {
                     Route::Send
                 }
-            }
-            ReplicaState::Resyncing => {
-                let log = self.device.log();
-                let r = &mut self.replicas[idx];
-                let Some(plan) = r.resync.as_mut() else {
-                    return Route::Send;
-                };
-                if plan.pending_full.contains(&lba.index()) {
-                    // The queued Full frame reads the image at send
-                    // time and will carry this write.
-                    return Route::Defer;
-                }
-                if !r.dirty.contains(lba) {
-                    return Route::Send;
-                }
-                // Fold the new write's logged parity into the block's
-                // queued replay frame — never queue a second frame for
-                // the same block (two same-block frames in one pipelined
-                // batch would let a lost first frame leave the second
-                // XORing a stale base).
-                let queued = plan.queue.iter_mut().find_map(|f| match f {
-                    ResyncFrame::Parity(l, s, p) if *l == lba => Some((s, p)),
-                    _ => None,
-                });
-                if let Some((s, p)) = queued {
-                    log.fold_since(lba, seq, (), |(), e| {
-                        *p = p.fold(&e.parity);
-                        *s = e.seq;
-                    });
-                } else if let Some((s, p)) = log.fold_since(lba, seq, None, fold_entry) {
-                    plan.queue.push_back(ResyncFrame::Parity(lba, s, p));
-                }
-                Route::Defer
             }
         }
     }
@@ -973,47 +927,12 @@ impl<D: BlockDevice> ClusterGroup<D> {
         let give_up = r.consecutive_failures >= self.config.offline_after;
         r.state = match from {
             ReplicaState::Online | ReplicaState::Lagging if !give_up => ReplicaState::Lagging,
-            // A failed resync never limps on: the plan is dropped and a
-            // later rejoin builds a new one from the dirty map.
-            ReplicaState::Resyncing => {
-                r.resync = None;
-                ReplicaState::Offline
-            }
+            // A failed resync never limps on: a later rejoin resumes
+            // from the dirty map.
             _ => ReplicaState::Offline,
         };
         let to = r.state;
         self.probe.state_change(idx, from, to);
-    }
-
-    fn build_plan(&self, idx: usize) -> ResyncPlan {
-        let r = &self.replicas[idx];
-        let log: &TrapLog = self.device.log();
-        let mut queue = VecDeque::new();
-        let mut pending_full = HashSet::new();
-        for (lba, missed_from) in r.dirty.iter() {
-            // Delta replay needs every entry from the first miss *and* a
-            // known base: a pruned log or an uncertain block (a sent
-            // write whose ack was lost — the replica may already hold
-            // part of the chain, and XORing it in again would corrupt
-            // the block) forces the full-image path.
-            if log.pruned_through() >= missed_from || r.dirty.is_uncertain(lba) {
-                queue.push_back(ResyncFrame::Full(lba));
-                pending_full.insert(lba.index());
-                continue;
-            }
-            // Fold the block's whole chain into ONE parity frame (XOR
-            // composes). Besides shipping less, this is a safety
-            // property: with at most one resync frame per block, a lost
-            // frame can never leave a same-block successor in the batch
-            // to XOR against a base missing it.
-            if let Some((seq, parity)) = log.fold_since(lba, missed_from, None, fold_entry) {
-                queue.push_back(ResyncFrame::Parity(lba, seq, parity));
-            }
-        }
-        ResyncPlan {
-            queue,
-            pending_full,
-        }
     }
 }
 
@@ -1326,6 +1245,98 @@ mod tests {
         let remaining = h.cluster.resync_step(0, 2).unwrap();
         assert_eq!(remaining, 0, "two frames must cover both blocks");
         assert_eq!(h.cluster.state(0), ReplicaState::Online);
+        for dev in &h.devices {
+            assert!(verify_consistent(h.cluster.device(), &**dev).unwrap());
+        }
+        finish(h);
+    }
+
+    /// Frames the `resync-batch` events say were sent.
+    fn resync_frames(registry: &prins_obs::Registry) -> u32 {
+        let ring = registry.events();
+        let events = ring.events();
+        events
+            .iter()
+            .filter_map(|e| match e.kind {
+                prins_obs::EventKind::ResyncBatch { sent, .. } => Some(sent),
+                _ => None,
+            })
+            .sum()
+    }
+
+    #[test]
+    fn writes_between_resync_steps_ride_their_blocks_one_frame() {
+        let config = ClusterConfig {
+            offline_after: 1,
+            ..ClusterConfig::default()
+        };
+        let blocks = 16;
+        let mut h = harness(1, blocks, config);
+        let registry = prins_obs::Registry::new();
+        h.cluster
+            .attach_observer(Arc::clone(&registry), prins_net::SimClock::new());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        h.links[0].sever();
+        for _ in 0..24 {
+            random_write(&mut h.cluster, &mut rng, blocks).unwrap();
+        }
+        h.links[0].restore();
+        h.cluster.rejoin(0).unwrap();
+        let dirty = h.cluster.status(0).dirty_blocks;
+        // Between steps, write the last dirty block (its frame is not
+        // sent yet, so the write is deferred into it) and a random one.
+        while h.cluster.resync_step(0, 2).unwrap() > 0 {
+            let (last, _) = h.cluster.replicas[0]
+                .dirty
+                .iter_from(Lba(0))
+                .last()
+                .unwrap();
+            let mut block = h.cluster.device().read_block_vec(last).unwrap();
+            block[100..164].fill(rng.random());
+            h.cluster.write(last, &block).unwrap();
+            random_write(&mut h.cluster, &mut rng, blocks).unwrap();
+        }
+        assert_eq!(h.cluster.state(0), ReplicaState::Online);
+        // One frame per dirty block, however many writes it took
+        // between steps.
+        assert_eq!(dirty, 12);
+        assert_eq!(resync_frames(&registry), 12);
+        assert_eq!(h.cluster.status(0).resync_bytes, 1938);
+        assert_eq!(h.cluster.status(0).deferred_writes, 7);
+        for dev in &h.devices {
+            assert!(verify_consistent(h.cluster.device(), &**dev).unwrap());
+        }
+        finish(h);
+    }
+
+    #[test]
+    fn a_log_pruned_after_rejoin_ships_the_unsent_blocks_whole() {
+        let config = ClusterConfig {
+            offline_after: 1,
+            ..ClusterConfig::default()
+        };
+        let blocks = 16;
+        let mut h = harness(1, blocks, config);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        h.links[0].sever();
+        for _ in 0..20 {
+            random_write(&mut h.cluster, &mut rng, blocks).unwrap();
+        }
+        h.links[0].restore();
+        h.cluster.rejoin(0).unwrap();
+        h.cluster.resync_step(0, 2).unwrap();
+        let unsent = h.cluster.status(0).dirty_blocks as u64;
+        let before = h.cluster.status(0).resync_bytes;
+        assert!(unsent > 0);
+        // The log loses every entry the unsent frames would replay.
+        h.cluster.log().prune(h.cluster.log().current_seq());
+        h.cluster.resync_to_completion(0, 4).unwrap();
+        assert_eq!(h.cluster.state(0), ReplicaState::Online);
+        let shipped = h.cluster.status(0).resync_bytes - before;
+        assert!(
+            shipped >= unsent * 4096,
+            "{unsent} blocks shipped {shipped} bytes, not full images"
+        );
         for dev in &h.devices {
             assert!(verify_consistent(h.cluster.device(), &**dev).unwrap());
         }

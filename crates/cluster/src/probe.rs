@@ -32,7 +32,7 @@
 //! | `corrupt_nak` (from `collect`) | group | counter `checksum_failures` | — | — |
 //! | `state_change` | group | — | `state-change` (replica, from, to) | — |
 //! | `resync_batch` | group | — | `resync-batch` (replica, sent, remaining) | — |
-//! | `gauges` | group | gauges `replica{idx}_dirty_blocks`, `replica{idx}_resync_pending` | — | — |
+//! | `gauges` | group | gauges `replica{idx}_dirty_blocks`, `replica{idx}_resync_pending` (the dirty count while Resyncing, else 0) | — | — |
 //! | `read_served` | group | counter `reads_offloaded` (replica-served only) | — | `read-offload` (replica or no lane, block bytes), completing |
 //! | `read_rejected` | group | counter `read_rejected_stale` | — | `read-reject` (replica) |
 //! | `scrub_repaired` | group | counter `scrub_repairs` | — | — |

@@ -153,8 +153,9 @@ impl<D: BlockDevice> ShardedCluster<D> {
     }
 
     /// Routes one write to the owning shard. While a migration covers
-    /// `lba`, the write dual-dispatches: the target group applies it
-    /// too, so blocks already copied stay current until cutover.
+    /// `lba`, every write the owner's primary applied (one that lost
+    /// quorum too) dual-dispatches: the target group applies it as
+    /// well, so blocks already copied stay current until cutover.
     ///
     /// # Errors
     ///
@@ -162,13 +163,14 @@ impl<D: BlockDevice> ShardedCluster<D> {
     /// migration target surfaces like any replication failure).
     pub fn write(&mut self, lba: Lba, new: &[u8]) -> Result<WriteOutcome, ClusterError> {
         let owner = self.owner(lba);
-        let outcome = self.groups[owner].write(lba, new)?;
+        let result = self.groups[owner].write(lba, new);
+        let applied = matches!(result, Ok(_) | Err(ClusterError::QuorumLost { .. }));
         if let Some(m) = &self.migration {
-            if m.range.contains(&lba.index()) {
+            if applied && m.range.contains(&lba.index()) {
                 self.groups[m.to].write(lba, new)?;
             }
         }
-        Ok(outcome)
+        result
     }
 
     /// Serves one read from the owning shard, offloading to an in-sync
@@ -341,6 +343,40 @@ mod tests {
         assert_eq!(c.read(Lba(0)).unwrap().data, d);
         assert_eq!(c.group(to).device().read_block_vec(Lba(0)).unwrap(), d);
         assert_eq!(c.group(from).device().read_block_vec(Lba(0)).unwrap(), b);
+    }
+
+    #[test]
+    fn a_write_that_loses_quorum_mid_migration_still_reaches_the_target() {
+        // The source group's quorum of one can never be met: every
+        // write it takes lands on its primary and reports QuorumLost.
+        let strict = ClusterGroup::new(
+            MemDevice::new(BlockSize::kb4(), 16),
+            ClusterConfig {
+                write_quorum: 1,
+                ..ClusterConfig::default()
+            },
+            vec![],
+        );
+        let p = RendezvousPlacement::new(16, 2);
+        let start = (0..15u64)
+            .find(|&i| p.group_for(Lba(i)) == p.group_for(Lba(i + 1)))
+            .unwrap();
+        let from = p.group_for(Lba(start));
+        let mut groups = vec![group(16), group(16)];
+        groups[from] = strict;
+        let mut c = ShardedCluster::new(p, groups);
+
+        c.migrate_start(start..start + 2, from, 1 - from).unwrap();
+        assert_eq!(c.migrate_step(1).unwrap(), 1);
+        // The block is already copied; the write must keep it current.
+        let b = vec![0xBB; 4096];
+        assert!(matches!(
+            c.write(Lba(start), &b),
+            Err(ClusterError::QuorumLost { .. })
+        ));
+        assert_eq!(c.migrate_step(8).unwrap(), 0);
+        assert_eq!(c.owner(Lba(start)), 1 - from);
+        assert_eq!(c.read(Lba(start)).unwrap().data, b);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub enum EventKind {
     ResyncBatch {
         /// Frames sent in this batch.
         sent: u32,
-        /// Frames still queued after it.
+        /// Blocks still to resync after it.
         remaining: u32,
     },
     /// A replica lifecycle transition.

@@ -13,7 +13,9 @@
 //!                                    checked-in file (--check, what CI runs),
 //!                                    or rewrite the files (--bless, the one
 //!                                    regenerate command after an intentional
-//!                                    behaviour change); run from the repo root
+//!                                    behaviour change); run from the repo
+//!                                    root; fails if some scenario is in no
+//!                                    gate
 //! sim-replay corpus <file> [--fresh N] [--append-failures]
 //!                                    run every seed in <file> plus N fresh
 //!                                    random seeds; print failing seeds;
@@ -122,12 +124,11 @@ fn run_corpus(path: &str, fresh: usize, append_failures: bool) -> bool {
     failures.is_empty()
 }
 
-/// Runs the scenarios matching `pattern`, returning what the
-/// `scenario` subcommand prints for them and whether all passed.
-fn render_scenarios(pattern: &str, events: bool, traces: bool) -> (String, bool) {
-    // `all` runs everything; a trailing `*` runs every scenario with
-    // that prefix (how the corruption_* golden is pinned).
-    let names: Vec<&str> = if pattern == "all" {
+/// The scenario names `pattern` selects: `all` is every scenario, a
+/// trailing `*` every scenario with that prefix (how the corruption_*
+/// golden is pinned), anything else the one name.
+fn select(pattern: &str) -> Vec<&str> {
+    if pattern == "all" {
         SCENARIOS.iter().map(|(n, _)| *n).collect()
     } else if let Some(prefix) = pattern.strip_suffix('*') {
         SCENARIOS
@@ -137,7 +138,13 @@ fn render_scenarios(pattern: &str, events: bool, traces: bool) -> (String, bool)
             .collect()
     } else {
         vec![pattern]
-    };
+    }
+}
+
+/// Runs the scenarios matching `pattern`, returning what the
+/// `scenario` subcommand prints for them and whether all passed.
+fn render_scenarios(pattern: &str, events: bool, traces: bool) -> (String, bool) {
+    let names = select(pattern);
     if names.is_empty() {
         return (format!("no scenario matches '{pattern}'\n"), false);
     }
@@ -203,12 +210,42 @@ const GOLDENS: &[(&str, &[&str], &str)] = &[
         &["adaptive_phase_shift"],
         "--events",
     ),
+    // Faults and catch-up: link flaps, reorder, duplication, a slow
+    // WAN, quorum loss, crashes, log folds and prunes before a rejoin,
+    // lost frames and acks; pins the degrade / rejoin / resync paths.
+    (
+        "tests/fault_golden.txt",
+        &[
+            "link_flap",
+            "crash_mid_resync",
+            "reorder",
+            "dup",
+            "slow_wan",
+            "quorum_loss",
+            "fold_then_crash",
+            "prune_then_rejoin",
+            "flush_during_link_failure",
+            "drop_data_frame",
+            "lost_ack_resync",
+        ],
+        "--events",
+    ),
 ];
 
 /// Re-runs every golden gate; `bless` rewrites the files instead of
-/// comparing against them.
+/// comparing against them. A scenario no gate's patterns select fails
+/// the run: every scenario's behaviour is pinned.
 fn run_goldens(bless: bool) -> bool {
     let mut all_ok = true;
+    for (name, _) in SCENARIOS {
+        let pinned = GOLDENS
+            .iter()
+            .any(|(_, patterns, _)| patterns.iter().any(|p| select(p).contains(name)));
+        if !pinned {
+            println!("golden: scenario {name} is in no golden");
+            all_ok = false;
+        }
+    }
     for &(path, patterns, flag) in GOLDENS {
         let mut fresh = String::new();
         let mut ok = true;
