@@ -73,6 +73,19 @@ if [ "$(printf '%s' "$encoders" | grep -c .)" -ne 1 ]; then
     echo "$encoders" >&2
     exit 1
 fi
+# An engine's knobs are fixed when it starts: the pipeline's shared
+# state lives under its mutexes, and `batch_frames` and `coalesce` are
+# plain fields `Pipeline::start` sets from the builder's config. An
+# atomic in the pipeline, builder or engine is a knob someone can flip
+# while writes are queued, and a coalescing flag flipped mid-run let a
+# write fold past one queued ahead of it and diverge a replica.
+atomics=$(code_lines crates/core/src/pipeline.rs crates/core/src/builder.rs \
+    crates/core/src/engine.rs | grep -E 'std::sync::atomic|\bAtomic[A-Za-z0-9]*' || true)
+if [ -n "$atomics" ]; then
+    echo "an atomic in crates/core/src/{pipeline,builder,engine}.rs:" >&2
+    echo "$atomics" >&2
+    exit 1
+fi
 # `scripts/loc.sh` and `code_lines` above stop reading a file at a line
 # that starts with `#[cfg(test)]`, so that attribute may appear once
 # per file, alone at the start of the line directly above the file's

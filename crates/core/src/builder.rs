@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use prins_block::BlockDevice;
 use prins_net::{Clock, Transport, WallClock};
-use prins_policy::{AdaptiveReplicator, PolicyConfig, WorkloadPhase};
+use prins_policy::{AdaptiveReplicator, PolicyConfig};
 use prins_repl::{AckPolicy, ReplicationMode, Replicator};
 
 use crate::obs::Probe;
@@ -71,10 +71,10 @@ impl EngineBuilder {
     }
 
     /// Drives replication with the adaptive policy engine
-    /// ([`AdaptiveReplicator`]): per-region strategy selection plus live
-    /// retuning of [`batch_frames`](Self::batch_frames) and
-    /// [`coalesce`](Self::coalesce) on workload-phase transitions (the
-    /// values configured here become the `Mixed`-phase baseline). With
+    /// ([`AdaptiveReplicator`]): per-region strategy selection per
+    /// write, while [`batch_frames`](Self::batch_frames) and
+    /// [`coalesce`](Self::coalesce) hold what is configured here for
+    /// the engine's life, as they do under a static strategy. With
     /// [`observe`](Self::observe) set, decision and counterfactual
     /// counters register under `policy_*`. Overrides
     /// [`mode`](Self::mode).
@@ -121,7 +121,8 @@ impl EngineBuilder {
 
     /// Enables XOR-folding write coalescing (default off): a write to
     /// an LBA whose previous write is still queued folds into it,
-    /// shipping one parity `A_newest ⊕ A_oldest` for the pair.
+    /// shipping one parity `A_newest ⊕ A_oldest` for the pair. Fixed
+    /// for the engine's life.
     pub fn coalesce(mut self, enabled: bool) -> Self {
         self.config.coalesce = enabled;
         self
@@ -134,7 +135,7 @@ impl EngineBuilder {
     /// waited 500 µs. The encode pool likewise wakes for `max` queued
     /// writes per worker, or within 500 µs, and a flush encodes what is
     /// still queued itself: an unflushed write can leave up to 1 ms
-    /// later, a flushed one no later.
+    /// later, a flushed one no later. Fixed for the engine's life.
     pub fn batch_frames(mut self, max: usize) -> Self {
         self.config.batch_frames = max.max(1);
         self
@@ -227,34 +228,7 @@ impl EngineBuilder {
         );
         let mut engine =
             PrinsEngine::start(self.device, replicator, self.replicas, &self.config, probe);
-        if let Some(adaptive) = adaptive {
-            // The phase hook retunes the live pipeline knobs; what the
-            // builder configured is the `Mixed`-phase baseline.
-            let tuning = Arc::clone(engine.tuning());
-            let base_batch = self.config.batch_frames;
-            let base_coalesce = self.config.coalesce;
-            adaptive.set_phase_hook(move |phase| match phase {
-                // Tiny parity payloads: amortize the per-frame seal and
-                // ack round-trip over a deep batch.
-                WorkloadPhase::SmallDelta => {
-                    tuning.set_batch_frames(base_batch.max(8));
-                    tuning.set_coalesce(base_coalesce);
-                }
-                // Back to whatever the builder configured.
-                WorkloadPhase::Mixed => {
-                    tuning.set_batch_frames(base_batch);
-                    tuning.set_coalesce(base_coalesce);
-                }
-                // Near-full frames gain little from batching, but
-                // folding repeated rewrites of one block saves whole
-                // block images.
-                WorkloadPhase::Churn => {
-                    tuning.set_batch_frames(base_batch.min(2));
-                    tuning.set_coalesce(true);
-                }
-            });
-            engine.adaptive = Some(adaptive);
-        }
+        engine.adaptive = adaptive;
         engine
     }
 }

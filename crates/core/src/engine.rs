@@ -10,7 +10,7 @@ use prins_net::Transport;
 use prins_repl::Replicator;
 
 use crate::obs::{self, Probe};
-use crate::pipeline::{Pipeline, PipelineConfig, PipelineTuning};
+use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::{EngineStats, LaneStats};
 
 /// The PRINS-engine: a [`BlockDevice`] wrapper that replicates every
@@ -71,15 +71,8 @@ impl PrinsEngine {
         }
     }
 
-    /// The live pipeline knobs (batching depth, coalescing). Safe to
-    /// retune from any thread while the engine runs; the adaptive
-    /// policy's phase hook points here.
-    pub fn tuning(&self) -> &Arc<PipelineTuning> {
-        &self.pipeline.cx().tuning
-    }
-
-    /// The adaptive policy engine (decision counters, counterfactuals,
-    /// current workload phase), when built with
+    /// The adaptive policy engine (decision and counterfactual
+    /// counters), when built with
     /// [`EngineBuilder::adaptive`](crate::EngineBuilder::adaptive).
     pub fn adaptive(&self) -> Option<&Arc<prins_policy::AdaptiveReplicator>> {
         self.adaptive.as_ref()

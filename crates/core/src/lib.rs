@@ -93,5 +93,4 @@ mod stats;
 
 pub use builder::EngineBuilder;
 pub use engine::PrinsEngine;
-pub use pipeline::PipelineTuning;
 pub use stats::{EngineStats, LaneStats};

@@ -24,9 +24,10 @@
 //!
 //! Three objects carry it. `Inner` is the one context every stage
 //! borrows: the queues between the stages, each replica's `Lane`
-//! behind its lock, the replicator, the buffer pool, the live
-//! `PipelineTuning`, the resolved ack window and timeout, the last
-//! replication error and the `Probe`. A `Lane` is one replica's sender
+//! behind its lock, the replicator, the buffer pool, the batching
+//! depth and coalescing flag `Pipeline::start` fixes for the engine's
+//! life, the resolved ack window and timeout, the last replication
+//! error and the `Probe`. A `Lane` is one replica's sender
 //! — its `Link`, which holds the frames in flight and decides which
 //! answer is whose, its batch scratch and the sequence number it sends
 //! next — with three verbs: `ship` one frame of its queue,
@@ -54,9 +55,11 @@
 //!   `P = A_newest ⊕ A_oldest = P₁ ⊕ P₂ ⊕ …` — XOR telescopes the
 //!   intermediate images away. No new sequence number is allocated,
 //!   so the sequence space stays dense and the reorder buffer never
-//!   waits on a hole. Only a job queued with coalescing on holds its
-//!   LBA's slot; any other admission of that LBA drops it, or a later
-//!   write could fold into a job queued ahead of it.
+//!   waits on a hole. Only a job queued on a coalescing engine holds
+//!   its LBA's slot, until an encoder claims it. Coalescing is fixed
+//!   when the pipeline starts, so such an engine queues at most one
+//!   job per LBA and its slot names it: a fold never passes a queued
+//!   write to its block.
 //! * **Inline encoding.** A threaded engine whose static strategy does
 //!   not compress has a writer encode its own write when the admission
 //!   queue is empty and every lane queue has room, from the old image
@@ -137,7 +140,6 @@
 //! schedules deterministically.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -156,12 +158,10 @@ use crate::signal::Signal;
 pub(crate) struct PipelineConfig {
     /// Parity-encoding worker threads.
     pub(crate) encode_workers: usize,
-    /// Fold a write into a still-queued write to the same LBA (the
-    /// starting value of [`PipelineTuning::coalesce`]).
+    /// Fold a write into a still-queued write to the same LBA.
     pub(crate) coalesce: bool,
     /// Maximum payloads packed into one wire frame, ≤ 1 disables
-    /// batching (the starting value of
-    /// [`PipelineTuning::batch_frames`]).
+    /// batching.
     pub(crate) batch_frames: usize,
     /// In-flight (unacknowledged) frames allowed per lane.
     pub(crate) ack_window: usize,
@@ -189,51 +189,6 @@ impl Default for PipelineConfig {
             manual: false,
             inline_encode: false,
         }
-    }
-}
-
-/// The live-tunable pipeline knobs: safe to flip while the pipeline
-/// runs, read fresh by the stage that uses them on every admission or
-/// frame.
-///
-/// The adaptive policy engine retunes these on workload-phase
-/// transitions — deep batching while writes are tiny parity deltas,
-/// aggressive coalescing while full blocks churn. Both knobs are
-/// per-decision, not per-run, state:
-///
-/// * `coalesce` is read once per admission. A write admitted
-///   with it off drops its LBA's coalescing slot (`AdmitState::assign`):
-///   a slot left behind would point at a job queued *ahead* of that
-///   write, and a later write folding into it would reach the replica
-///   before it — a silent divergence, not an extra fold.
-/// * `batch_frames` is read once per lane frame, so a change applies
-///   from the next frame on. Wire format is unaffected: a frame
-///   carrying one payload is not wrapped in a batch envelope.
-pub struct PipelineTuning {
-    batch_frames: AtomicUsize,
-    coalesce: AtomicBool,
-}
-
-impl PipelineTuning {
-    /// Maximum payloads packed into one wire frame (clamped to ≥ 1).
-    pub(crate) fn set_batch_frames(&self, frames: usize) {
-        self.batch_frames.store(frames.max(1), Ordering::Relaxed);
-    }
-
-    /// The batching depth in effect.
-    pub fn batch_frames(&self) -> usize {
-        self.batch_frames.load(Ordering::Relaxed)
-    }
-
-    /// Whether new admissions fold into still-queued writes to the same
-    /// LBA.
-    pub(crate) fn set_coalesce(&self, on: bool) {
-        self.coalesce.store(on, Ordering::Relaxed);
-    }
-
-    /// The coalescing mode in effect.
-    pub(crate) fn coalesce(&self) -> bool {
-        self.coalesce.load(Ordering::Relaxed)
     }
 }
 
@@ -269,18 +224,21 @@ struct AdmitState {
 
 impl AdmitState {
     /// Numbers a new write to `lba` — the one sequence step of a queued
-    /// and an inline write. Only a write that waits in the queue with
-    /// coalescing on (`slot`) leaves a slot for later writes to fold
-    /// into; any other drops its LBA's slot, which would otherwise
-    /// point at a job queued ahead of it and let a later write fold
-    /// past it.
+    /// and an inline write. Only a write that waits in the queue of a
+    /// coalescing engine (`slot`) leaves a slot for later writes to fold
+    /// into. Every slot names a queued job, so a write that is numbered
+    /// finds none for its LBA: on a coalescing engine it would have
+    /// folded, and a writer encodes its own write only when the queue
+    /// is empty.
     fn assign(&mut self, lba: Lba, slot: bool) -> u64 {
+        debug_assert!(
+            !self.by_lba.contains_key(&lba.0),
+            "a write numbered past its LBA's queued job"
+        );
         let seq = self.seq_alloc;
         self.seq_alloc += 1;
         if slot {
             self.by_lba.insert(lba.0, seq);
-        } else if !self.by_lba.is_empty() {
-            self.by_lba.remove(&lba.0);
         }
         seq
     }
@@ -338,8 +296,8 @@ struct LaneState {
     not_empty: Signal,
     not_full: Signal,
     cap: usize,
-    /// Its `batch_frames` is the payload count that wakes the lane.
-    tuning: Arc<PipelineTuning>,
+    /// The payload count that wakes the lane.
+    batch_frames: usize,
 }
 
 struct LaneQueue {
@@ -382,7 +340,7 @@ enum Releaser {
 }
 
 impl LaneState {
-    fn new(cap: usize, tuning: Arc<PipelineTuning>) -> Self {
+    fn new(cap: usize, batch_frames: usize) -> Self {
         Self {
             queue: Mutex::new(LaneQueue {
                 payloads: VecDeque::new(),
@@ -392,13 +350,13 @@ impl LaneState {
             not_empty: Signal::default(),
             not_full: Signal::default(),
             cap,
-            tuning,
+            batch_frames,
         }
     }
 
     /// The payload count that makes the lane ready: one full frame.
     fn threshold(&self) -> usize {
-        wake_threshold(1, self.tuning.batch_frames())
+        wake_threshold(1, self.batch_frames)
     }
 
     /// Whether a push would find room without waiting.
@@ -430,7 +388,7 @@ impl LaneState {
     /// Wakes the lane thread if it is parked idle, closing, or `q` holds
     /// `frames` full frames.
     fn wake_if_due(&self, q: &mut LaneQueue, frames: usize) {
-        let threshold = wake_threshold(frames, self.tuning.batch_frames());
+        let threshold = wake_threshold(frames, self.batch_frames);
         let ready = lane_ready(q.payloads.len(), q.closing, threshold);
         if std::mem::take(&mut q.idle) || ready {
             self.not_empty.notify_one();
@@ -518,7 +476,11 @@ pub(crate) struct Inner {
     /// queue and sends: its lane thread, or a flusher.
     senders: Vec<Mutex<Lane>>,
     replicator: Arc<dyn Replicator>,
-    pub(crate) tuning: Arc<PipelineTuning>,
+    /// Payloads packed into one wire frame at most (≥ 1).
+    batch_frames: usize,
+    /// Whether a queued write folds into a still-queued write to its
+    /// LBA.
+    coalesce: bool,
     /// In-flight frames per lane, resolved from the ack policy (≥ 1).
     ack_window: usize,
     ack_timeout: Duration,
@@ -537,10 +499,9 @@ impl Inner {
         self.last_error.lock().get_or_insert_with(|| e.to_string());
     }
 
-    /// The queued-job count that wakes an encoder under the live
-    /// `batch_frames`.
+    /// The queued-job count that wakes an encoder.
     fn encode_threshold(&self) -> usize {
-        admit_threshold(self.encode_workers, self.tuning.batch_frames())
+        admit_threshold(self.encode_workers, self.batch_frames)
     }
 
     /// Takes replica `idx`'s sender, and with it the right to pop its
@@ -632,7 +593,6 @@ impl Lane {
             return false;
         };
         let probe = &cx.probe;
-        let batch_frames = cx.tuning.batch_frames();
         let picked_up = probe.stamp();
         let lba = first.lba;
         let mut range = SeqRange::empty();
@@ -645,7 +605,7 @@ impl Lane {
             range.push(w.seq);
             writes += w.writes;
             self.batch.push(w.bytes);
-            next = if self.batch.len() < batch_frames {
+            next = if self.batch.len() < cx.batch_frames {
                 queue.try_pop()
             } else {
                 None
@@ -776,10 +736,7 @@ impl Pipeline {
         } else {
             (ADMIT_QUEUE_CAP, LANE_QUEUE_CAP)
         };
-        let tuning = Arc::new(PipelineTuning {
-            batch_frames: AtomicUsize::new(config.batch_frames.max(1)),
-            coalesce: AtomicBool::new(config.coalesce),
-        });
+        let batch_frames = config.batch_frames.max(1);
         let inner = Arc::new(Inner {
             admit: Mutex::new(AdmitState {
                 queue: VecDeque::new(),
@@ -800,7 +757,7 @@ impl Pipeline {
             reorder_cv: Signal::default(),
             lanes: transports
                 .iter()
-                .map(|_| LaneState::new(queue_cap, Arc::clone(&tuning)))
+                .map(|_| LaneState::new(queue_cap, batch_frames))
                 .collect(),
             senders: transports
                 .into_iter()
@@ -815,7 +772,8 @@ impl Pipeline {
                 })
                 .collect(),
             replicator,
-            tuning,
+            batch_frames,
+            coalesce: config.coalesce,
             ack_window: config.ack_window.max(1),
             ack_timeout: config.ack_timeout,
             pool,
@@ -957,15 +915,13 @@ impl Pipeline {
     /// worker (see [`admit_wakes`]).
     fn enqueue(&self, lba: Lba, old: PooledBuf, new: PooledBuf) -> Result<(), ReplError> {
         let cx = &*self.inner;
-        // Read the live flag once so one admission sees one mode.
-        let coalesce = cx.tuning.coalesce();
         let mut st = cx.admit.lock().unwrap();
         loop {
             if st.closed {
                 return Err(closed());
             }
-            let queued = coalesce.then(|| st.by_lba.get(&lba.0).copied()).flatten();
-            if let Some(seq) = queued {
+            // Only a coalescing engine keeps slots.
+            if let Some(&seq) = st.by_lba.get(&lba.0) {
                 let front_seq = st.queue.front().expect("by_lba entry implies queue").seq;
                 let job = &mut st.queue[(seq - front_seq) as usize];
                 debug_assert_eq!(job.seq, seq);
@@ -979,7 +935,7 @@ impl Pipeline {
             }
             st = cx.admit_room.wait(st);
         }
-        let seq = st.assign(lba, coalesce);
+        let seq = st.assign(lba, cx.coalesce);
         let depth = st.queue.len() + 1;
         st.queue.push_back(EncodeJob {
             seq,
@@ -1516,11 +1472,9 @@ mod tests {
     #[test]
     fn a_lane_wakes_for_a_full_frame_or_closing_and_a_quiet_push_only_when_full() {
         use super::{
-            lane_ready, wake_threshold, LaneState, Outbound, PipelineTuning, Releaser, HOLD,
-            LANE_QUEUE_CAP,
+            lane_ready, wake_threshold, LaneState, Outbound, Releaser, HOLD, LANE_QUEUE_CAP,
         };
         use crate::signal::tests::{parked, under_watchdog};
-        use std::sync::atomic::{AtomicBool, AtomicUsize};
         use std::time::Instant;
 
         assert!(lane_ready(8, false, 8), "a full frame");
@@ -1537,13 +1491,7 @@ mod tests {
         assert_eq!(wake_threshold(2, 1000), LANE_QUEUE_CAP);
 
         under_watchdog(Duration::from_secs(10), || {
-            let lane_of = |cap, batch_frames| {
-                let tuning = PipelineTuning {
-                    batch_frames: AtomicUsize::new(batch_frames),
-                    coalesce: AtomicBool::new(false),
-                };
-                Arc::new(LaneState::new(cap, Arc::new(tuning)))
-            };
+            let lane_of = |cap, batch_frames| Arc::new(LaneState::new(cap, batch_frames));
             // A queue of two payloads, and frames of eight: no push can
             // make the lane ready, so only the idle and full rules wake it.
             let lane = lane_of(2, 8);
@@ -1911,38 +1859,6 @@ mod tests {
     }
 
     #[test]
-    fn a_write_queued_with_coalescing_off_is_never_folded_past() {
-        // The second write queues with coalescing off behind the first,
-        // which still holds its LBA's coalescing slot. Once coalescing is
-        // back on, the third must not fold into the first: that job
-        // reaches the replica before the second write, which would then
-        // land on top of the third.
-        let net = SimNet::new();
-        let (transports, _ctls, replica_devs) =
-            sim_replicas(&net, 1, 8, Duration::from_micros(300));
-        let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
-        let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
-            .coalesce(true)
-            .manual_stepping(true)
-            .clock(net.clock());
-        for transport in transports {
-            builder = builder.replica(transport);
-        }
-        let engine = builder.build();
-        engine.write_block(Lba(3), &[1u8; 4096]).unwrap();
-        engine.tuning().set_coalesce(false);
-        engine.write_block(Lba(3), &[2u8; 4096]).unwrap();
-        engine.tuning().set_coalesce(true);
-        engine.write_block(Lba(3), &[3u8; 4096]).unwrap();
-        engine.flush().unwrap();
-        assert!(verify_consistent(&*primary, &*replica_devs[0]).unwrap());
-        // The second write left no slot, so the third queued on its own.
-        assert_eq!(engine.stats().coalesced_writes, 0);
-        assert_eq!(engine.stats().writes_replicated, 3);
-        engine.shutdown().unwrap();
-    }
-
-    #[test]
     fn an_unbarriered_tail_ships_without_a_flush() {
         use crate::signal::tests::under_watchdog;
         under_watchdog(Duration::from_secs(10), || {
@@ -2023,82 +1939,68 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_replicates_correctly_and_retunes_the_pipeline() {
+    fn an_adaptive_engine_keeps_the_builders_batching_through_a_churn_stream() {
         // A phased workload through the adaptive policy engine: tiny
         // deltas (parity), then random full-block churn (full images).
         // Replicas must end bit-identical — the policy mixes wire tags
-        // freely and the applier takes them all — and the committed
-        // phase transitions must retune the live pipeline knobs.
+        // freely and the applier takes them all — and however the
+        // decision mix shifts, every lane frame packs the eight
+        // payloads the builder asked for, and nothing folds.
         let net = SimNet::new();
         let (transports, _ctls, replica_devs) =
             sim_replicas(&net, 2, 8, Duration::from_micros(300));
         let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
-        let registry = prins_obs::Registry::new();
         let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
             .adaptive(prins_policy::PolicyConfig::default())
+            .batch_frames(8)
             .manual_stepping(true)
             .clock(net.clock())
-            .observe(Arc::clone(&registry))
             .ack_policy(AckPolicy::Window(8));
         for transport in transports {
             builder = builder.replica(transport);
         }
         let engine = builder.build();
-        assert_eq!(engine.tuning().batch_frames(), 1);
-        assert!(!engine.tuning().coalesce());
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        // Phase 1: 128 one-byte deltas — two detector windows of
-        // parity-family picks commit SmallDelta and deepen batching.
+        // 128 one-byte deltas.
         for i in 0..128u64 {
             let lba = Lba(i % 8);
             let mut block = engine.read_block_vec(lba).unwrap();
             block[(i as usize * 31) % 4096] ^= 0x5a;
             engine.write_block(lba, &block).unwrap();
-            if i % 16 == 0 {
+            if i % 8 == 7 {
                 engine.step();
             }
         }
         engine.flush().unwrap();
-        let adaptive = engine.adaptive().expect("built with .adaptive()");
-        assert_eq!(
-            adaptive.phase(),
-            prins_policy::WorkloadPhase::SmallDelta,
-            "sustained tiny deltas must commit the small-delta phase"
-        );
-        assert_eq!(engine.tuning().batch_frames(), 8, "deep batching in effect");
-
-        // Phase 2: 128 random full rewrites — churn commits, batching
-        // shrinks back and coalescing turns on.
-        for i in 0..128u64 {
+        // 256 random full rewrites.
+        for i in 0..256u64 {
             let mut block = vec![0u8; 4096];
             rng.fill_bytes(&mut block);
             engine.write_block(Lba(i % 8), &block).unwrap();
-            if i % 16 == 0 {
+            if i % 8 == 7 {
                 engine.step();
             }
         }
         engine.flush().unwrap();
-        assert_eq!(adaptive.phase(), prins_policy::WorkloadPhase::Churn);
-        assert_eq!(engine.tuning().batch_frames(), 1);
-        assert!(engine.tuning().coalesce(), "churn phase enables coalescing");
 
-        let counters = adaptive.counters();
+        for (idx, lane) in engine.lane_stats().iter().enumerate() {
+            assert_eq!(lane.sends, 384 / 8, "lane {idx} sent a partial frame");
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.writes, 384);
+        assert_eq!(stats.coalesced_writes, 0);
+        assert_eq!(stats.replication_errors, 0);
+        let counters = engine
+            .adaptive()
+            .expect("built with .adaptive()")
+            .counters();
         assert!(
             counters.pick_parity.get() >= 120,
             "parity picks: {}",
             counters.pick_parity.get()
         );
-        assert!(counters.pick_full.get() + counters.pick_compressed.get() >= 100);
-        assert_eq!(registry.counter("policy_phase_switches").get(), 2);
-        // Coalescing may fold churn writes, so decided writes can be
-        // fewer than admitted — but never more.
-        let decided = registry.counter("policy_writes").get();
-        assert!(decided > 0 && decided <= 256, "decided {decided}");
-
-        let stats = engine.stats();
-        assert_eq!(stats.writes, 256);
-        assert_eq!(stats.replication_errors, 0);
+        assert!(counters.pick_full.get() + counters.pick_compressed.get() >= 200);
         engine.shutdown().unwrap();
         for dev in &replica_devs {
             assert!(verify_consistent(&*primary, &**dev).unwrap());
@@ -2566,12 +2468,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn prop_coalescing_toggles_never_diverge_a_replica(
-            ops in proptest::collection::vec((0u8..5, 0u64..4, any::<u8>()), 1..60),
+        fn prop_coalescing_never_diverges_a_replica(
+            ops in proptest::collection::vec((0u8..4, 0u64..4, any::<u8>()), 1..60),
         ) {
-            // A stepped engine: each op writes a block (kinds 0–2),
-            // flips coalescing (3) or steps the pipeline (4); after the
-            // flush every replica must equal the primary.
+            // A coalescing stepped engine: each op writes a block
+            // (kinds 0–2) or steps the pipeline (3); after the flush
+            // every replica must equal the primary.
             let net = SimNet::new();
             let (transports, _ctls, replica_devs) =
                 sim_replicas(&net, 2, 4, Duration::from_micros(300));
@@ -2588,7 +2490,6 @@ mod tests {
             for &(kind, lba, fill) in &ops {
                 match kind {
                     0..=2 => engine.write_block(Lba(lba), &[fill; 4096]).unwrap(),
-                    3 => engine.tuning().set_coalesce(!engine.tuning().coalesce()),
                     _ => {
                         engine.step();
                     }

@@ -1,8 +1,7 @@
 //! The adaptive replicator: per-region online strategy selection with
-//! counterfactual accounting and workload-phase detection.
+//! counterfactual accounting.
 
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
-use std::sync::RwLock;
+use std::sync::atomic::Ordering;
 
 use prins_block::Lba;
 use prins_compress::{Abandoned, Lzss};
@@ -17,8 +16,7 @@ use crate::counters::{CounterfactualMode, PolicyCounters};
 use crate::probe::probe_compressibility_pm;
 use crate::region::{RegionSlot, RegionTable};
 use crate::{
-    PolicyConfig, Strategy, COMPRESS_THRESHOLD_PM, EXPLORE_INTERVAL, PHASE_WINDOW, REGIONS,
-    REGION_SHIFT,
+    PolicyConfig, Strategy, COMPRESS_THRESHOLD_PM, EXPLORE_INTERVAL, REGIONS, REGION_SHIFT,
 };
 
 /// `n * 1000 / d` as a clamped per-mille ratio; empty denominators read
@@ -27,92 +25,6 @@ fn ratio_pm(n: usize, d: usize) -> u32 {
     match n.saturating_mul(1000).checked_div(d) {
         Some(pm) => pm.min(2000) as u32,
         None => 1020,
-    }
-}
-
-/// Workload phase classified from the recent decision mix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkloadPhase {
-    /// ≥ 75% of recent writes were parity-shaped (small deltas): deep
-    /// batching pays, payloads are tiny.
-    SmallDelta,
-    /// No clear majority.
-    Mixed,
-    /// ≥ 75% of recent writes shipped (near-)full blocks: payloads are
-    /// large, coalescing repeated blocks saves whole images.
-    Churn,
-}
-
-impl WorkloadPhase {
-    /// Short name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            WorkloadPhase::SmallDelta => "small-delta",
-            WorkloadPhase::Mixed => "mixed",
-            WorkloadPhase::Churn => "churn",
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            0 => WorkloadPhase::SmallDelta,
-            2 => WorkloadPhase::Churn,
-            _ => WorkloadPhase::Mixed,
-        }
-    }
-}
-
-/// Classifies the global write mix over fixed windows, with two-window
-/// hysteresis so one odd window cannot flap the engine's tuning.
-pub(crate) struct PhaseDetector {
-    window: u32,
-    writes: AtomicU32,
-    parityish: AtomicU32,
-    current: AtomicU8,
-    pending: AtomicU8,
-}
-
-impl PhaseDetector {
-    /// A detector classifying every `window` decisions (min 1).
-    pub(crate) fn new(window: u32) -> Self {
-        Self {
-            window: window.max(1),
-            writes: AtomicU32::new(0),
-            parityish: AtomicU32::new(0),
-            current: AtomicU8::new(WorkloadPhase::Mixed as u8),
-            pending: AtomicU8::new(WorkloadPhase::Mixed as u8),
-        }
-    }
-
-    /// Feeds one decision; returns the new phase when a transition
-    /// commits (the same classification in two consecutive windows,
-    /// differing from the current phase).
-    pub(crate) fn on_decision(&self, parity_family: bool) -> Option<WorkloadPhase> {
-        if parity_family {
-            self.parityish.fetch_add(1, Ordering::Relaxed);
-        }
-        let n = self.writes.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        if !n.is_multiple_of(self.window) {
-            return None;
-        }
-        let p = self.parityish.swap(0, Ordering::Relaxed);
-        let class = if p * 4 >= self.window * 3 {
-            WorkloadPhase::SmallDelta
-        } else if p * 4 <= self.window {
-            WorkloadPhase::Churn
-        } else {
-            WorkloadPhase::Mixed
-        };
-        let confirmed = self.pending.swap(class as u8, Ordering::Relaxed) == class as u8;
-        if confirmed && self.current.swap(class as u8, Ordering::Relaxed) != class as u8 {
-            return Some(class);
-        }
-        None
-    }
-
-    /// The committed phase.
-    pub(crate) fn current(&self) -> WorkloadPhase {
-        WorkloadPhase::from_u8(self.current.load(Ordering::Relaxed))
     }
 }
 
@@ -154,9 +66,6 @@ pub struct AdaptiveReplicator {
     cfg: PolicyConfig,
     table: RegionTable,
     counters: PolicyCounters,
-    phase: PhaseDetector,
-    #[allow(clippy::type_complexity)]
-    hook: RwLock<Option<Box<dyn Fn(WorkloadPhase) + Send + Sync>>>,
     codec: SparseCodec,
     lzss: Lzss,
     prins: PrinsReplicator,
@@ -179,9 +88,7 @@ impl AdaptiveReplicator {
     fn with_counters(cfg: PolicyConfig, counters: PolicyCounters) -> Self {
         Self {
             table: RegionTable::new(REGIONS, REGION_SHIFT),
-            phase: PhaseDetector::new(PHASE_WINDOW),
             counters,
-            hook: RwLock::new(None),
             codec: SparseCodec::default(),
             // Match CompressedReplicator::default() so a Compressed
             // pick ships byte-for-byte what the static strategy would.
@@ -196,18 +103,6 @@ impl AdaptiveReplicator {
     /// The decision and counterfactual counters.
     pub fn counters(&self) -> &PolicyCounters {
         &self.counters
-    }
-
-    /// The committed workload phase.
-    pub fn phase(&self) -> WorkloadPhase {
-        self.phase.current()
-    }
-
-    /// Installs the phase-transition hook (the engine points this at its
-    /// live pipeline tuning). Called at most once per committed
-    /// transition, from whichever writer thread crossed the window.
-    pub fn set_phase_hook(&self, hook: impl Fn(WorkloadPhase) + Send + Sync + 'static) {
-        *self.hook.write().expect("phase hook lock") = Some(Box::new(hook));
     }
 
     /// Picks a strategy for this write. `wire` is the exact parity wire
@@ -314,8 +209,8 @@ impl AdaptiveReplicator {
         (slot, strategy, explored)
     }
 
-    /// Books counters, corrects EWMAs with exact observations, and runs
-    /// phase detection. Allocation-free except in
+    /// Books counters and corrects EWMAs with exact observations.
+    /// Allocation-free except in
     /// [`CounterfactualMode::Exact`].
     fn account(&self, lba: Lba, old: &[u8], new: &[u8], slot: &RegionSlot, o: WriteOutcome) {
         let t = &o.trials;
@@ -376,15 +271,6 @@ impl AdaptiveReplicator {
                     t.exact_prins_lzss.unwrap_or_else(|| run(&self.prins_lzss)),
                     o.shipped,
                 );
-            }
-        }
-
-        if let Some(phase) = self.phase.on_decision(t.strategy.is_parity_family()) {
-            c.phase_switches.inc();
-            if let Ok(hook) = self.hook.read() {
-                if let Some(f) = hook.as_ref() {
-                    f(phase);
-                }
             }
         }
     }
@@ -608,7 +494,6 @@ mod tests {
     use prins_repl::ReplicaApplier;
     use rand::{RngExt, SeedableRng};
     use std::collections::HashMap;
-    use std::sync::{Arc, Mutex};
 
     fn exact_cfg() -> PolicyConfig {
         PolicyConfig {
@@ -787,63 +672,6 @@ mod tests {
                 "adaptive ({shipped}) must strictly beat static {name} ({cf})"
             );
         }
-    }
-
-    #[test]
-    fn phase_transitions_fire_the_hook_with_hysteresis() {
-        let adaptive = AdaptiveReplicator::new(PolicyConfig::default());
-        let seen: Arc<Mutex<Vec<WorkloadPhase>>> = Arc::default();
-        let sink = Arc::clone(&seen);
-        adaptive.set_phase_hook(move |p| sink.lock().unwrap().push(p));
-        assert_eq!(adaptive.phase(), WorkloadPhase::Mixed);
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut old = vec![0u8; 4096];
-        rng.fill_bytes(&mut old);
-        // 192 small-delta writes: two full windows agree → SmallDelta.
-        for i in 0..192usize {
-            let mut new = old.clone();
-            new[i % 4096] ^= 1;
-            adaptive.encode_write(Lba(1), &old, &new);
-            old = new;
-        }
-        assert_eq!(adaptive.phase(), WorkloadPhase::SmallDelta);
-        // 192 churn writes: transition to Churn after two windows.
-        for _ in 0..192 {
-            let mut new = vec![0u8; 4096];
-            rng.fill_bytes(&mut new);
-            adaptive.encode_write(Lba(1), &old, &new);
-            old = new;
-        }
-        assert_eq!(adaptive.phase(), WorkloadPhase::Churn);
-        let seen = seen.lock().unwrap();
-        assert_eq!(
-            seen.as_slice(),
-            [WorkloadPhase::SmallDelta, WorkloadPhase::Churn],
-            "exactly one committed transition per sustained shift"
-        );
-        assert_eq!(adaptive.counters().phase_switches.get(), 2);
-    }
-
-    #[test]
-    fn one_noisy_window_does_not_flap_the_phase() {
-        let det = PhaseDetector::new(4);
-        // Two small-delta windows commit SmallDelta.
-        let mut switches = vec![];
-        for _ in 0..8 {
-            if let Some(p) = det.on_decision(true) {
-                switches.push(p);
-            }
-        }
-        assert_eq!(switches, [WorkloadPhase::SmallDelta]);
-        // One churn window, then back to small deltas: no flap.
-        for _ in 0..4 {
-            assert_eq!(det.on_decision(false), None);
-        }
-        for _ in 0..8 {
-            assert!(det.on_decision(true).is_none());
-        }
-        assert_eq!(det.current(), WorkloadPhase::SmallDelta);
     }
 
     /// The trial chain as it stood before its trials carried budgets,

@@ -38,8 +38,6 @@ pub struct PolicyCounters {
     pub pick_parity_lzss: Arc<Counter>,
     /// Decisions forced by the exploration schedule.
     pub(crate) explores: Arc<Counter>,
-    /// Workload-phase transitions fired.
-    pub phase_switches: Arc<Counter>,
     /// Wire bytes actually shipped.
     pub shipped_bytes: Arc<Counter>,
     /// Wire bytes each static policy would have shipped.
@@ -62,7 +60,6 @@ impl PolicyCounters {
             pick_parity: registry.counter("policy_pick_parity"),
             pick_parity_lzss: registry.counter("policy_pick_parity_lzss"),
             explores: registry.counter("policy_explores"),
-            phase_switches: registry.counter("policy_phase_switches"),
             shipped_bytes: registry.counter("policy_shipped_bytes"),
             cf_traditional_bytes: registry.counter("policy_cf_traditional_bytes"),
             cf_compressed_bytes: registry.counter("policy_cf_compressed_bytes"),
@@ -83,7 +80,6 @@ impl PolicyCounters {
             pick_parity: c(),
             pick_parity_lzss: c(),
             explores: c(),
-            phase_switches: c(),
             shipped_bytes: c(),
             cf_traditional_bytes: c(),
             cf_compressed_bytes: c(),

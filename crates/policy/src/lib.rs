@@ -40,9 +40,8 @@
 //! Every decision also books the **counterfactual cost**: the bytes each
 //! *other* strategy would have shipped, so `prins-obs` counters expose
 //! `adaptive vs best-static` regret without re-running the workload.
-//! A global phase detector classifies the recent write mix into a
-//! [`WorkloadPhase`] (small-delta / mixed / churn) and fires a hook the
-//! engine uses to retune batching and coalescing aggressiveness live.
+//! The policy decides bytes only: an engine that runs it keeps the
+//! batching and coalescing it was built with for its whole life.
 //!
 //! # Example
 //!
@@ -67,7 +66,7 @@ mod counters;
 mod probe;
 mod region;
 
-pub use adaptive::{AdaptiveReplicator, WorkloadPhase};
+pub use adaptive::AdaptiveReplicator;
 pub use counters::{CounterfactualMode, PolicyCounters};
 
 /// The four wire strategies the policy engine picks among, mirroring
@@ -85,13 +84,6 @@ pub(crate) enum Strategy {
     ParityCompressed,
 }
 
-impl Strategy {
-    /// True for the two parity-family strategies (small-delta shaped).
-    pub(crate) fn is_parity_family(self) -> bool {
-        matches!(self, Strategy::Parity | Strategy::ParityCompressed)
-    }
-}
-
 /// LBAs per classification region, as a shift (64 blocks).
 pub(crate) const REGION_SHIFT: u32 = 6;
 /// Region-table slots. Direct-mapped: colliding regions take over the
@@ -107,8 +99,6 @@ pub(crate) const EXPLORE_INTERVAL: u32 = 64;
 /// image — a ≥3% saving, so marginal content cannot flap onto a
 /// CPU-burning pick.
 pub(crate) const COMPRESS_THRESHOLD_PM: u32 = 970;
-/// Writes per phase-detection window.
-pub(crate) const PHASE_WINDOW: u32 = 64;
 
 /// Tuning knobs for [`AdaptiveReplicator`]. `Default` is the
 /// configuration every experiment in EXPERIMENTS.md uses.

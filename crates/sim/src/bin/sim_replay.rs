@@ -202,9 +202,9 @@ const GOLDENS: &[(&str, &[&str], &str)] = &[
         &["migrate_under_faults"],
         "--traces",
     ),
-    // Adaptive policy: a small-delta -> churn phase change with inline
-    // assertions on phase commits, decision mix and counterfactual
-    // regret; pins the decision and phase logic.
+    // Adaptive policy: a small-delta -> churn stream with inline
+    // assertions on decision mix and counterfactual regret through a
+    // pipeline whose batching holds as built; pins the decision logic.
     (
         "tests/adaptive_golden.txt",
         &["adaptive_phase_shift"],

@@ -452,8 +452,7 @@ pub enum Topology {
         /// In-flight frames allowed per lane.
         ack_window: usize,
         /// Drive replication with the adaptive policy engine (default
-        /// config); `coalesce`/`batch_frames` become the `Mixed`-phase
-        /// baseline it retunes from.
+        /// config); `coalesce`/`batch_frames` hold as configured.
         adaptive: bool,
     },
     /// An [`EcGroup`] at the paper's `k = 4, m = 2` Reed–Solomon

@@ -83,6 +83,7 @@ fn measure(mode: ReplicationMode, writes: u64, traced: bool) -> u64 {
     measure_with(
         writes,
         traced,
+        1,
         vec![0xA5u8; 4096],
         flip_one_byte,
         |builder| builder.mode(mode),
@@ -124,14 +125,15 @@ fn rewrite_prose(payload: &mut [u8], n: u64) {
     }
 }
 
-/// Like [`measure`], with an arbitrary builder configuration and
-/// initial block content — the adaptive policy engine rides through
+/// Like [`measure`], with `burst` frames per batch, an arbitrary
+/// builder configuration and initial block content — the adaptive policy engine rides through
 /// here and must obey the same budget as the static strategies (its
 /// classifier is atomics and a stack-only probe; decisions that stay
 /// in the parity/full families never touch the compressor).
 fn measure_with(
     writes: u64,
     traced: bool,
+    burst: u64,
     payload: Vec<u8>,
     next_write: impl Fn(&mut [u8], u64),
     configure: impl FnOnce(EngineBuilder) -> EngineBuilder,
@@ -145,6 +147,7 @@ fn measure_with(
     let mut builder = configure(EngineBuilder::new(
         Arc::clone(&device) as Arc<dyn BlockDevice>
     ))
+    .batch_frames(burst as usize)
     .replica(sink)
     .manual_stepping(true);
     if traced {
@@ -152,11 +155,8 @@ fn measure_with(
     }
     let engine = builder.build();
     // A lane can only batch what is queued: run a pipeline round once a
-    // frame's worth of writes (as configured; the adaptive policy may
-    // retune it mid-run) has been admitted — after every write unless
-    // the builder asked for batching.
-    let burst = engine.tuning().batch_frames() as u64;
-
+    // frame's worth of writes has been admitted — after every write
+    // unless `burst` asks for batching.
     let mut payload = payload;
 
     // Warmup: populate the pool's freelists, the lane queues and the
@@ -266,9 +266,10 @@ fn steady_state_write_path_stays_under_two_allocations_per_write() {
         let allocs = measure_with(
             WRITES,
             traced,
+            8,
             vec![0xA5u8; 4096],
             flip_one_byte,
-            |builder| builder.batch_frames(8),
+            |builder| builder,
         );
         eprintln!("Prins x8 batches (traced: {traced}): {allocs} allocations / {WRITES} writes");
         assert!(
@@ -277,14 +278,12 @@ fn steady_state_write_path_stays_under_two_allocations_per_write() {
              writes exceeds the budget of 2 per write"
         );
         // The adaptive policy engine: classification (region EWMAs,
-        // compressibility probe, counterfactual estimates, phase
-        // detection) must be free on the hot path. `min_compress_len`
-        // covers this workload's tiny parity wires, so every decision
-        // stays on the fused parity path — compression allocates only
-        // when the policy deliberately trades an allocation for fewer
-        // wire bytes, which this knob rules out up front. The loop even
-        // crosses a phase commit (decision 128 = 2 × the 64-write
-        // window), so the hook firing is inside the budget too.
+        // compressibility probe, counterfactual estimates) must be
+        // free on the hot path. `min_compress_len` covers this
+        // workload's tiny parity wires, so every decision stays on the
+        // fused parity path — compression allocates only when the
+        // policy deliberately trades an allocation for fewer wire
+        // bytes, which this knob rules out up front.
         let policy = prins_policy::PolicyConfig {
             min_compress_len: 128,
             ..prins_policy::PolicyConfig::default()
@@ -292,6 +291,7 @@ fn steady_state_write_path_stays_under_two_allocations_per_write() {
         let allocs = measure_with(
             WRITES,
             traced,
+            1,
             vec![0xA5u8; 4096],
             flip_one_byte,
             |builder| builder.adaptive(policy),
@@ -315,9 +315,14 @@ fn steady_state_write_path_stays_under_two_allocations_per_write() {
     // 566 allocations, 8.8 per write, while every `compress` call
     // allocated two 256 KB tables and its output, and the parity trial
     // a `sparse` and a `packed` vector.)
-    let allocs = measure_with(WRITES, false, vec![0u8; 4096], rewrite_prose, |builder| {
-        builder.adaptive(prins_policy::PolicyConfig::default())
-    });
+    let allocs = measure_with(
+        WRITES,
+        false,
+        1,
+        vec![0u8; 4096],
+        rewrite_prose,
+        |builder| builder.adaptive(prins_policy::PolicyConfig::default()),
+    );
     eprintln!("Adaptive on text churn: {allocs} allocations / {WRITES} writes");
     assert!(
         allocs <= 2 * WRITES,
