@@ -74,16 +74,30 @@ if [ "$(printf '%s' "$encoders" | grep -c .)" -ne 1 ]; then
     exit 1
 fi
 # An engine's knobs are fixed when it starts: the pipeline's shared
-# state lives under its mutexes, and `batch_frames` and `coalesce` are
-# plain fields `Pipeline::start` sets from the builder's config. An
-# atomic in the pipeline, builder or engine is a knob someone can flip
-# while writes are queued, and a coalescing flag flipped mid-run let a
-# write fold past one queued ahead of it and diverge a replica.
+# state lives under its mutexes, and `batch_frames` is a plain field
+# `Pipeline::start` sets from the builder's config. An atomic in the
+# pipeline, builder or engine is a knob someone can flip while writes
+# are queued, and a flag once flipped that way (the since-deleted
+# coalescing switch) let a write fold past one queued ahead of it and
+# diverge a replica.
 atomics=$(code_lines crates/core/src/pipeline.rs crates/core/src/builder.rs \
     crates/core/src/engine.rs | grep -E 'std::sync::atomic|\bAtomic[A-Za-z0-9]*' || true)
 if [ -n "$atomics" ]; then
     echo "an atomic in crates/core/src/{pipeline,builder,engine}.rs:" >&2
     echo "$atomics" >&2
+    exit 1
+fi
+# The engine ships every write it accepts; it never coalesces.
+# `EngineBuilder::coalesce` (which panics on `true`) and the always-0
+# `EngineStats::coalesced_writes` are kept only because the benchmark/
+# harness, a separate workspace, still calls and reads them. benchmark/
+# is that shim's only caller, so nothing here may call `.coalesce(`
+# outside a comment, and the next change to benchmark/ can delete it.
+shim_callers=$(find crates tests examples src -name '*.rs' -exec grep -Hn -F '.coalesce(' {} + \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$shim_callers" ]; then
+    echo "a call to the EngineBuilder::coalesce shim outside benchmark/:" >&2
+    echo "$shim_callers" >&2
     exit 1
 fi
 # `scripts/loc.sh` and `code_lines` above stop reading a file at a line

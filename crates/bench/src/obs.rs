@@ -49,9 +49,8 @@ pub fn obs_experiment(ops: usize) -> Result<Snapshot, Box<dyn Error>> {
             .ack_policy(AckPolicy::Window(4))
     };
     // Drain the pipeline periodically so the run exercises the whole
-    // stage sequence continuously instead of folding the entire trace
-    // into one burst at the final barrier. The window is wide enough
-    // that hot TPC-C blocks still coalesce in the queue.
+    // stage sequence continuously instead of piling the entire trace
+    // into one burst at the final barrier.
     sim_mirror(ops, &LINK_DELAYS, 64, observed, |_, meters| {
         for (idx, meter) in meters.iter().enumerate() {
             register_meter(&registry, &format!("link{idx}"), Arc::clone(meter));
@@ -64,9 +63,9 @@ pub fn obs_experiment(ops: usize) -> Result<Snapshot, Box<dyn Error>> {
 /// virtual time: a captured trace (about `ops` transactions' worth of
 /// block writes) seeded onto the primary and onto one replica per entry
 /// of `delays`, each behind a [`SimNet`] link of that one-way delay
-/// with a [`ReplicaApplier`] actor. A stepped, coalescing engine with
-/// two payloads a frame, finished by `configure`, writes the trace,
-/// stepping every `step_every` writes, then flushes and shuts down.
+/// with a [`ReplicaApplier`] actor. A stepped engine with two payloads
+/// a frame, finished by `configure`, writes the trace, stepping every
+/// `step_every` writes, then flushes and shuts down.
 /// `on_built` sees the engine and the links' meters before the first
 /// write; what it returns is the run's result.
 ///
@@ -105,7 +104,6 @@ pub(crate) fn sim_mirror<T>(
         EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
             .manual_stepping(true)
             .clock(net.clock())
-            .coalesce(true)
             .batch_frames(2),
     );
     let (mut replica_devs, mut meters) = (Vec::new(), Vec::new());
@@ -170,7 +168,6 @@ mod tests {
         }
         assert!(a.counters["engine_writes"] > 0);
         let admits = a.event_counts.get("admit").copied().unwrap_or(0);
-        let folds = a.event_counts.get("coalesce").copied().unwrap_or(0);
-        assert_eq!(admits + folds, a.counters["engine_writes"]);
+        assert_eq!(admits, a.counters["engine_writes"]);
     }
 }

@@ -16,10 +16,9 @@ use crate::PrinsEngine;
 ///
 /// Besides the replication strategy and replica set, the builder tunes
 /// the replication pipeline: [`encode_workers`](Self::encode_workers)
-/// sizes the parity-encoding pool, [`coalesce`](Self::coalesce) folds
-/// back-to-back writes to one LBA into a single parity, and
-/// [`batch_frames`](Self::batch_frames) packs queued payloads into one
-/// wire frame per acknowledgement round-trip.
+/// sizes the parity-encoding pool and [`batch_frames`](Self::batch_frames)
+/// packs queued payloads into one wire frame per acknowledgement
+/// round-trip. Every accepted write ships as its own payload.
 ///
 /// # Example
 ///
@@ -72,9 +71,9 @@ impl EngineBuilder {
 
     /// Drives replication with the adaptive policy engine
     /// ([`AdaptiveReplicator`]): per-region strategy selection per
-    /// write, while [`batch_frames`](Self::batch_frames) and
-    /// [`coalesce`](Self::coalesce) hold what is configured here for
-    /// the engine's life, as they do under a static strategy. With
+    /// write, while [`batch_frames`](Self::batch_frames) holds what is
+    /// configured here for the engine's life, as it does under a static
+    /// strategy. With
     /// [`observe`](Self::observe) set, decision and counterfactual
     /// counters register under `policy_*`. Overrides
     /// [`mode`](Self::mode).
@@ -119,12 +118,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Enables XOR-folding write coalescing (default off): a write to
-    /// an LBA whose previous write is still queued folds into it,
-    /// shipping one parity `A_newest ⊕ A_oldest` for the pair. Fixed
-    /// for the engine's life.
-    pub fn coalesce(mut self, enabled: bool) -> Self {
-        self.config.coalesce = enabled;
+    /// Kept only for the `benchmark/` harness, which calls it with
+    /// `false`: the engine ships every write it accepts as its own
+    /// payload and never folds one write into another.
+    ///
+    /// # Panics
+    ///
+    /// If `enabled` is `true`, rather than ignoring it silently.
+    pub fn coalesce(self, enabled: bool) -> Self {
+        assert!(!enabled, "the engine does not coalesce writes");
         self
     }
 

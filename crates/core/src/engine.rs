@@ -28,7 +28,7 @@ use crate::{EngineStats, LaneStats};
 /// application's critical path, on one sender lane per replica, each
 /// with a thread that ships full frames and held partial ones (the
 /// crate-private `pipeline` module documents the stage diagram and its
-/// ordering/coalescing invariants).
+/// ordering invariants).
 ///
 /// [`flush`](BlockDevice::flush) acts as a replication barrier: the
 /// flushing thread encodes, sends and collects the acknowledgements of

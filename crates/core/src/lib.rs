@@ -21,7 +21,7 @@
 //!   ┌─────────────────┐  admission queue  ┌──────────────────────┐
 //!   │  PrinsEngine    │ ───────────────▶  │ encode pool (N thr.) │
 //!   │  (local write + │  seq numbering +  │ P' = A_new ⊕ A_old   │
-//!   │   old-image     │  XOR coalescing   │ → reorder by seq     │
+//!   │   old-image     │  one job a write  │ → reorder by seq     │
 //!   │   capture)      │                   └──────────┬───────────┘
 //!   │  nothing queued,│  static strategy that does   │
 //!   │  P' right here ─┼─ not compress ──────────────▶│ reorder by seq

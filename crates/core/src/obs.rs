@@ -28,9 +28,8 @@
 //! | `local_io` | `stage_capture_nanos` (old-image read in `write_block`), `stage_local_write_nanos` (the local block write) | `engine_writes`, `engine_local_write_nanos`, `engine_overhead_nanos` (the capture share) | — | — |
 //! | `image_copied` | — | `engine_hot_bytes_copied` (the new image's copy, made only for a write that queues for the encode pool) | — | — |
 //! | `admitted` | `admit_queue_depth` (admission-queue length, a count; 0 for a write its writer encodes) | gauge `engine_queue_depth_hwm` (raised to that length) | `admit` (seq, lba) | begins; `capture` (block bytes) |
-//! | `folded` | `admit_queue_depth` | `engine_coalesced_writes` | `coalesce` (seq, lba) | `coalesce` (block bytes) |
 //! | `encoded` | `stage_admission_wait_nanos` (admit → claimed by an encode worker or a flusher, or taken up at once by its writer), `stage_encode_nanos` (parity encode proper) | `engine_overhead_nanos` (the encode share) | `encode-done` (seq, lba) | `encode` (payload bytes) |
-//! | `released` | `stage_reorder_hold_nanos` (encoded → released in sequence order) | `engine_dispatched_writes` (writes carried) | — | `reorder`; drops the reorder hold |
+//! | `released` | `stage_reorder_hold_nanos` (encoded → released in sequence order) | `engine_dispatched_writes` | — | `reorder`; drops the reorder hold |
 //! | `picked_up` | `stage_lane_queue_nanos` (released → picked up by the sender lane, a batching lane's hold included) | `engine_hot_bytes_copied` (payload bytes copied into the frame) | — | `lane-queue` (lane, payload bytes) |
 //! | `sent` | `stage_send_nanos` (the transport send call) | `lane{i}_sends`, `lane{i}_payload_bytes` (frame bytes), `lane{i}_send_nanos` | `send` (first seq, its lba, lane, writes carried) | `send` per write (lane; frame bytes on the first) |
 //! | `send_failed` | `stage_send_nanos` | `lane{i}_send_nanos`, `lane{i}_errors`, `engine_replication_errors` | `send-error` (first seq, its lba, lane) | `send-error` per write (lane), completing |
@@ -116,7 +115,6 @@ pub(crate) struct Probe {
     reads: Arc<Counter>,
     local_write_nanos: Arc<Counter>,
     overhead_nanos: Arc<Counter>,
-    coalesced_writes: Arc<Counter>,
     /// Writes released by the reorder stage to the sender lanes (with
     /// no replicas configured this is the replicated count).
     dispatched_writes: Arc<Counter>,
@@ -162,7 +160,6 @@ impl Probe {
             reads: counter("engine_reads"),
             local_write_nanos: counter("engine_local_write_nanos"),
             overhead_nanos: counter("engine_overhead_nanos"),
-            coalesced_writes: counter("engine_coalesced_writes"),
             dispatched_writes: counter("engine_dispatched_writes"),
             replication_errors: counter("engine_replication_errors"),
             hot_bytes_copied: counter("engine_hot_bytes_copied"),
@@ -202,7 +199,7 @@ impl Probe {
             replicated_payload_bytes: lanes().map(|l| l.payload_bytes).sum(),
             overhead_nanos: self.overhead_nanos.get(),
             replication_errors: self.replication_errors.get(),
-            coalesced_writes: self.coalesced_writes.get(),
+            coalesced_writes: 0,
             queue_depth_hwm: self.queue_depth_hwm.get(),
         }
     }
@@ -272,19 +269,6 @@ impl Probe {
         at
     }
 
-    /// A write folded into the still-queued write `seq`.
-    pub(crate) fn folded(&self, seq: u64, lba: Lba, depth: usize) {
-        let at = self.stamp();
-        self.coalesced_writes.inc();
-        if let Some(reg) = &self.reg {
-            reg.queue_depth.record(depth as u64);
-            reg.event(Event::new(at, EventKind::Coalesce).seq(seq).lba(lba.0));
-        }
-        if let Some(trace) = &self.trace {
-            trace.fold(TraceId::from_seq(seq), at);
-        }
-    }
-
     /// A worker claimed `w` after `waited` in the admission queue and
     /// spent `took` encoding it; `w.at` is when it finished.
     pub(crate) fn encoded(&self, w: &Outbound, waited: u64, took: u64) {
@@ -307,7 +291,7 @@ impl Probe {
     /// release stamp.
     pub(crate) fn released(&self, w: &Outbound) -> u64 {
         let at = self.stamp();
-        self.dispatched_writes.add(w.writes);
+        self.dispatched_writes.inc();
         if let Some(reg) = &self.reg {
             reg.reorder_hold.record(at.saturating_sub(w.at));
         }

@@ -22,8 +22,8 @@ pub struct EngineStats {
     /// Replication failures observed (payloads NAKed or transports
     /// down).
     pub replication_errors: u64,
-    /// Writes folded into a still-queued write to the same LBA
-    /// (XOR-coalescing; zero unless enabled on the builder).
+    /// Always 0: the engine ships every write it accepts. Kept only
+    /// for the `benchmark/` harness, whose ledger reads it.
     pub coalesced_writes: u64,
     /// High-water mark of the encode admission queue depth — how far
     /// the application ran ahead of the pipeline.
@@ -43,8 +43,7 @@ impl EngineStats {
 pub struct LaneStats {
     /// Wire frames transmitted (a batch frame counts once).
     pub sends: u64,
-    /// Writes acknowledged by this replica (folded writes count each
-    /// original write).
+    /// Writes acknowledged by this replica.
     pub acked_writes: u64,
     /// Wire bytes successfully handed to this transport: whole sealed
     /// frames (seal envelope and batch headers included), every

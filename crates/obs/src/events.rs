@@ -1,7 +1,7 @@
 //! The bounded, typed pipeline-event ring.
 //!
 //! Every layer pushes [`Event`]s into one shared [`EventRing`]: the
-//! engine pipeline (admit, coalesce, encode done, send, ack), the
+//! engine pipeline (admit, encode done, send, ack), the
 //! cluster (resync batches, lifecycle transitions), and anything else
 //! wired to the registry. The ring is bounded — old events fall off,
 //! but per-kind totals are kept exactly — and drainable, so a harness
@@ -17,12 +17,10 @@ use std::sync::Mutex;
 pub enum EventKind {
     /// A write entered the admission queue.
     Admit,
-    /// A write folded into a still-queued job for the same LBA.
-    Coalesce,
     /// A parity finished encoding.
     EncodeDone,
-    /// A frame was handed to a replica transport (`writes` = original
-    /// writes carried, batching and folds included).
+    /// A frame was handed to a replica transport (`writes` = the
+    /// writes it carries, one payload each).
     Send {
         /// Application writes the frame carries.
         writes: u32,
@@ -78,7 +76,6 @@ impl EventKind {
     pub(crate) fn name(&self) -> &'static str {
         match self {
             EventKind::Admit => "admit",
-            EventKind::Coalesce => "coalesce",
             EventKind::EncodeDone => "encode-done",
             EventKind::Send { .. } => "send",
             EventKind::AckOk => "ack-ok",
@@ -242,15 +239,14 @@ impl EventRing {
     /// `(seq, lba)` in wire order, rebuilt from the buffered events.
     ///
     /// A `send` event names its frame's first write and how many
-    /// application writes the frame carries; `encode-done` events give
-    /// every sequence number its LBA and `coalesce` events its folded
-    /// writes, so each frame's end is determined, not assumed. The
+    /// writes the frame carries, each under its own sequence number;
+    /// `encode-done` events give every sequence number its LBA. The
     /// frames must tile the sequence space: each starts where the one
-    /// before ended (so sequence numbers strictly increase and no write
-    /// is sent twice or skipped) and ends on a write boundary. The one
-    /// stretch the events leave open is behind a `send-error`, whose
-    /// frame never left and whose length was not recorded: the next
-    /// frame may start anywhere past it.
+    /// before ended, so sequence numbers strictly increase and no write
+    /// is sent twice or skipped. The one stretch the events leave open
+    /// is behind a `send-error`, whose frame never left and whose
+    /// length was not recorded: the next frame may start anywhere past
+    /// it.
     ///
     /// # Errors
     ///
@@ -262,17 +258,12 @@ impl EventRing {
         if inner.dropped > 0 {
             return Err(format!("{} events fell off the ring", inner.dropped));
         }
-        let mut lba_of: HashMap<u64, u64> = HashMap::new();
-        let mut folds: HashMap<u64, u64> = HashMap::new();
-        for e in &inner.buf {
-            match e.kind {
-                EventKind::EncodeDone => {
-                    lba_of.insert(e.seq, e.lba);
-                }
-                EventKind::Coalesce => *folds.entry(e.seq).or_default() += 1,
-                _ => {}
-            }
-        }
+        let lba_of: HashMap<u64, u64> = inner
+            .buf
+            .iter()
+            .filter(|e| e.kind == EventKind::EncodeDone)
+            .map(|e| (e.seq, e.lba))
+            .collect();
         let mut order = Vec::new();
         let mut next = 0u64;
         let mut after_error = false;
@@ -290,8 +281,7 @@ impl EventRing {
             }
             next = e.seq;
             after_error = carried.is_none();
-            let mut left = carried.unwrap_or(0);
-            while left > 0 {
+            for _ in 0..carried.unwrap_or(0) {
                 let lba = *lba_of
                     .get(&next)
                     .ok_or_else(|| format!("lane {lane}: sent seq {next} was never encoded"))?;
@@ -301,9 +291,6 @@ impl EventRing {
                         e.lba
                     ));
                 }
-                left = left
-                    .checked_sub(1 + folds.get(&next).copied().unwrap_or(0))
-                    .ok_or_else(|| format!("lane {lane}: frame ends inside seq {next}"))?;
                 order.push((next, lba));
                 next += 1;
             }
@@ -388,10 +375,7 @@ mod tests {
         for (seq, lba) in [(0, 5), (1, 6), (2, 5), (3, 7)] {
             ring.record(Event::new(0, EventKind::EncodeDone).seq(seq).lba(lba));
         }
-        // Seq 1 carries one folded write, so the first frame's three
-        // writes are seqs 0 and 1.
-        ring.record(Event::new(0, EventKind::Coalesce).seq(1).lba(6));
-        ring.record(frame(0, 5, 3));
+        ring.record(frame(0, 5, 2));
         ring.record(frame(2, 5, 1).replica(0));
         ring.record(frame(2, 5, 1));
         assert_eq!(ring.lane_send_order(1).unwrap(), [(0, 5), (1, 6), (2, 5)]);
@@ -400,8 +384,8 @@ mod tests {
             "lane 0: frame starts at seq 2 where seq 0 was due"
         );
 
-        // A resend, a gap, a frame cut mid-write, a wrong LBA and an
-        // unencoded write are each refused; a send error opens a gap.
+        // A resend, a gap, a wrong LBA and an unencoded write are each
+        // refused; a send error opens a gap.
         for (bad, why) in [
             (frame(2, 5, 1), "starts at seq 2 where seq 3"),
             (frame(4, 9, 1), "starts at seq 4 where seq 3"),
@@ -420,14 +404,6 @@ mod tests {
         ring.record(Event::new(0, EventKind::EncodeDone).seq(9).lba(1));
         ring.record(frame(9, 1, 1));
         assert_eq!(ring.lane_send_order(1).unwrap().last(), Some(&(9, 1)));
-        let cut = EventRing::new(64);
-        cut.record(Event::new(0, EventKind::EncodeDone).seq(0).lba(1));
-        cut.record(Event::new(0, EventKind::Coalesce).seq(0).lba(1));
-        cut.record(frame(0, 1, 1));
-        assert!(cut
-            .lane_send_order(1)
-            .unwrap_err()
-            .contains("ends inside seq 0"));
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   deterministic under a [`SimClock`](prins_net::SimClock) and real
 //!   under the wall clock;
 //! * a bounded [`EventRing`] of typed pipeline events (admit, encode
-//!   done, coalesce, send, ack, NAK, resync batch, lifecycle
-//!   transition) tagged with seq/LBA/replica, drainable as a replayable
-//!   trace;
+//!   done, send, ack, NAK, resync batch, lifecycle transition) tagged
+//!   with seq/LBA/replica, drainable as a replayable trace;
 //! * a per-write [`TraceSink`]: each write's hops (capture, encode,
 //!   lane queue, send, ack, replica and strip fan-out) land in a fixed
 //!   slot table, and a finished trace feeds a latency histogram,

@@ -84,55 +84,49 @@ impl TraceId {
 pub enum TraceStage {
     /// Write captured at the primary (trace birth).
     Capture = 0,
-    /// Write entered the engine admission queue.
-    Admit = 1,
-    /// Write folded into a queued job for the same LBA.
-    Coalesce = 2,
     /// Parity/payload encoding finished.
-    Encode = 3,
+    Encode = 1,
     /// Released from the reorder buffer to the sender lanes.
-    Reorder = 4,
+    Reorder = 2,
     /// Picked up by a sender lane's queue.
-    LaneQueue = 5,
+    LaneQueue = 3,
     /// Frame handed to the transport.
-    Send = 6,
+    Send = 4,
     /// Send failed before the frame left the primary.
-    SendError = 7,
+    SendError = 5,
     /// Frame retransmitted after a corrupt-NAK.
-    Retransmit = 8,
+    Retransmit = 6,
     /// Positive acknowledgement collected.
-    Ack = 9,
+    Ack = 7,
     /// Acknowledgement collection failed.
-    AckError = 10,
+    AckError = 8,
     /// Cluster foreground frame sent to a replica.
-    ReplicaSend = 11,
+    ReplicaSend = 9,
     /// Cluster replica acknowledgement collected.
-    ReplicaAck = 12,
+    ReplicaAck = 10,
     /// A stale-epoch response was dropped while this trace waited.
-    WrongEpoch = 13,
+    WrongEpoch = 11,
     /// Read served by an in-sync replica.
-    ReadOffload = 14,
+    ReadOffload = 12,
     /// Read candidate rejected by the freshness guard.
-    ReadReject = 15,
+    ReadReject = 13,
     /// One migration batch copied through the target group.
-    MigrateCopy = 16,
+    MigrateCopy = 14,
     /// Erasure-coded data-strip delta sent.
-    StripData = 17,
+    StripData = 15,
     /// Erasure-coded parity-strip delta sent.
-    StripParity = 18,
+    StripParity = 16,
     /// Erasure-coded strip acknowledgement collected.
-    StripAck = 19,
+    StripAck = 17,
 }
 
 /// Number of [`TraceStage`] variants.
-const STAGE_COUNT: usize = 20;
+const STAGE_COUNT: usize = 18;
 
 impl TraceStage {
     /// Every stage, in tag order.
     pub const ALL: [TraceStage; STAGE_COUNT] = [
         TraceStage::Capture,
-        TraceStage::Admit,
-        TraceStage::Coalesce,
         TraceStage::Encode,
         TraceStage::Reorder,
         TraceStage::LaneQueue,
@@ -163,8 +157,6 @@ impl TraceStage {
     pub(crate) fn name(self) -> &'static str {
         match self {
             TraceStage::Capture => "capture",
-            TraceStage::Admit => "admit",
-            TraceStage::Coalesce => "coalesce",
             TraceStage::Encode => "encode",
             TraceStage::Reorder => "reorder",
             TraceStage::LaneQueue => "lane-queue",
@@ -232,8 +224,6 @@ struct Slot {
     shard: u32,
     /// Completions still expected before the trace finalizes.
     pending: u32,
-    /// Application writes riding the trace (1 + coalesced folds).
-    writes: u32,
     retransmits: u32,
     wrong_epoch: u32,
     started_at: u64,
@@ -249,7 +239,6 @@ impl Slot {
             key: 0,
             shard: 0,
             pending: 0,
-            writes: 0,
             retransmits: 0,
             wrong_epoch: 0,
             started_at: 0,
@@ -328,7 +317,6 @@ impl TraceSink {
             key: id.raw(),
             shard,
             pending: pending.max(1),
-            writes: 1,
             retransmits: 0,
             wrong_epoch: 0,
             started_at: at,
@@ -353,16 +341,6 @@ impl TraceSink {
         let mut slot = self.slot(id).lock().unwrap();
         if slot.active && slot.key == id.raw() {
             slot.pending = slot.pending.saturating_add(n);
-        }
-    }
-
-    /// Books one more application write folded into the trace and
-    /// appends a `coalesce` event.
-    pub fn fold(&self, id: TraceId, at: u64) {
-        let mut slot = self.slot(id).lock().unwrap();
-        if slot.active && slot.key == id.raw() {
-            slot.writes = slot.writes.saturating_add(1);
-            slot.push(TraceStage::Coalesce, NO_LANE, at);
         }
     }
 
@@ -451,7 +429,7 @@ impl TraceSink {
         let over_budget = latency > LATENCY_BUDGET_NANOS;
         if over_budget {
             let shard = (slot.shard as usize).min(self.slo_over_budget.len() - 1);
-            self.slo_over_budget[shard].fetch_add(u64::from(slot.writes), Ordering::Relaxed);
+            self.slo_over_budget[shard].fetch_add(1, Ordering::Relaxed);
         }
         if over_budget || slot.retransmits > 0 || slot.wrong_epoch > 0 {
             self.anomalies.fetch_add(1, Ordering::Relaxed);
@@ -707,17 +685,6 @@ mod tests {
         assert_eq!(s.anomalies(), 3);
         assert_eq!(s.slo_over_budget(), vec![0, 1], "over budget burns shard 1");
         assert_eq!(s.completed(), 4);
-    }
-
-    #[test]
-    fn slo_burn_counts_folded_writes_per_shard() {
-        let s = sink();
-        let id = TraceId::from_seq(1);
-        s.begin(id, 1, 1, 0);
-        s.fold(id, 5);
-        s.fold(id, 6);
-        s.complete(id, TraceStage::Ack, 0, LATENCY_BUDGET_NANOS + 1);
-        assert_eq!(s.slo_over_budget(), vec![0, 3]);
     }
 
     #[test]

@@ -56,16 +56,6 @@ impl Default for SeqRange {
     }
 }
 
-impl IntoIterator for SeqRange {
-    type Item = u64;
-    type IntoIter = std::iter::Map<std::ops::Range<u64>, Box<dyn Fn(u64) -> u64>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        let first = self.first;
-        (0..u64::from(self.len)).map(Box::new(move |i| first + i) as _)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,17 +72,5 @@ mod tests {
         assert_eq!(r.len, 3);
         assert_eq!(r.first(), Some(10));
         assert_eq!(r.iter().collect::<Vec<_>>(), vec![10, 11, 12]);
-    }
-
-    #[test]
-    fn into_iter_matches_iter() {
-        let mut r = SeqRange::empty();
-        for seq in 3..8 {
-            assert!(r.push(seq));
-        }
-        let by_ref: Vec<u64> = r.iter().collect();
-        let by_val: Vec<u64> = r.into_iter().collect();
-        assert_eq!(by_ref, by_val);
-        assert_eq!(by_val, vec![3, 4, 5, 6, 7]);
     }
 }

@@ -222,7 +222,7 @@ const GOLDENS: &[(&str, &[&str], &str)] = &[
             "dup",
             "slow_wan",
             "quorum_loss",
-            "fold_then_crash",
+            "crash_with_frames_in_flight",
             "prune_then_rejoin",
             "flush_during_link_failure",
             "drop_data_frame",

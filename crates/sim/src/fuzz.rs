@@ -58,16 +58,16 @@
 //! modulo their node count:
 //!
 //! * **Engine** — the case's replicas and ack window, plus its own
-//!   coalescing and batching draws. `Drain` is a flush (its error
-//!   tolerated); `Rejoin`, `Prune` and `MigrateStep` are no-ops — the
-//!   engine has no resync layer, parity log or second group. Writes
-//!   queue between pipeline steps, so runs of them fold and batch; the
-//!   pipeline is stepped before every other op, so that op lands with
-//!   their frames on the wire. The engine skips the ops that can lose a
-//!   frame (a restore after a sever, a data drop, and — where bit flips
-//!   are scheduled — a dropped or held-back NAK): a lane that lost a
-//!   frame ships the block's next parity over the gap, and the engine
-//!   has nothing that repairs a replica (see `loses_engine_frame`). At
+//!   batching draw. `Drain` is a flush (its error tolerated);
+//!   `Rejoin`, `Prune` and `MigrateStep` are no-ops — the engine has
+//!   no resync layer, parity log or second group. Writes queue between
+//!   pipeline steps, so runs of them batch; the pipeline is stepped
+//!   before every other op, so that op lands with their frames on the
+//!   wire. The engine skips the ops that can lose a frame (a restore
+//!   after a sever, a data drop, and — where bit flips are scheduled —
+//!   a dropped or held-back NAK): a lane that lost a frame ships the
+//!   block's next parity over the gap, and the engine has nothing that
+//!   repairs a replica (see `loses_engine_frame`). At
 //!   the end the engine flushes under the live faults and the links
 //!   heal; a lane that failed stays behind for good, so only the lanes
 //!   that never failed must be bit-identical.
@@ -185,8 +185,6 @@ pub struct FuzzCase {
     pub(crate) sharded: bool,
     /// The schedule.
     pub ops: Vec<SimOp>,
-    /// The engine run's XOR-fold coalescing.
-    pub(crate) coalesce: bool,
     /// The engine run's frames per wire message.
     pub(crate) batch_frames: usize,
 }
@@ -271,7 +269,6 @@ pub fn generate(seed: u64) -> FuzzCase {
     }
     // The engine's knobs come last, so every earlier draw — and with it
     // the cluster case each seed has always expanded to — is unchanged.
-    let coalesce = rng.random_bool(0.5);
     let batch_frames = [1usize, 2, 4][rng.random_range(0usize..3)];
     FuzzCase {
         seed,
@@ -280,7 +277,6 @@ pub fn generate(seed: u64) -> FuzzCase {
         ack_window,
         sharded,
         ops,
-        coalesce,
         batch_frames,
     }
 }
@@ -302,7 +298,6 @@ fn topologies(case: &FuzzCase) -> [(&'static str, Topology); 3] {
     };
     let engine = Topology::Engine {
         replicas: case.replicas,
-        coalesce: case.coalesce,
         batch_frames: case.batch_frames,
         ack_window: case.ack_window,
         adaptive: false,
@@ -428,8 +423,7 @@ fn play(case: &FuzzCase, topology: Topology) -> RunReport {
     if verdict.is_ok() {
         for (i, &op) in case.ops.iter().enumerate() {
             // Writes queue in the engine between steps, so runs of them
-            // fold and batch; every other op lands with their frames on
-            // the wire.
+            // batch; every other op lands with their frames on the wire.
             if engine && !matches!(op, SimOp::Write { .. }) {
                 w.engine().step();
             }
@@ -550,10 +544,7 @@ mod tests {
             (0xba84_168f_ed71_ee23, 0x0b0e_940f_0837_2d2c),
         ] {
             let case = generate(seed);
-            let appended = format!(
-                ", coalesce: {}, batch_frames: {} }}",
-                case.coalesce, case.batch_frames
-            );
+            let appended = format!(", batch_frames: {} }}", case.batch_frames);
             let debug = format!("{case:?}");
             let head = debug
                 .strip_suffix(&appended)

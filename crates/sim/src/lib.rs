@@ -43,10 +43,10 @@
 //!    balance its own counters.
 //!
 //! [`SCENARIOS`] holds the named schedules (link flap, crash mid-resync,
-//! reorder, dup, slow WAN, quorum loss, fold-then-crash,
-//! prune-then-rejoin, …); [`generate`] expands `u64` seeds into randomized
-//! schedules, plays each on the cluster, engine and EC topologies, and
-//! minimizes failures greedily; the `sim-replay` binary replays seeds
+//! reorder, dup, slow WAN, quorum loss, a crash with frames in
+//! flight, prune-then-rejoin, …); [`generate`] expands `u64` seeds
+//! into randomized schedules, plays each on the cluster, engine and EC
+//! topologies, and minimizes failures greedily; the `sim-replay` binary replays seeds
 //! and runs the checked-in corpus in CI.
 
 #![warn(missing_docs)]

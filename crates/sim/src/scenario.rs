@@ -68,10 +68,9 @@ fn one_group(replicas: usize, config: ClusterConfig) -> World {
 }
 
 /// A stepped engine over two replicas, batching off.
-fn engine(ack_window: usize, coalesce: bool, adaptive: bool) -> World {
+fn engine(ack_window: usize, adaptive: bool) -> World {
     World::new(Topology::Engine {
         replicas: 2,
-        coalesce,
         batch_frames: 1,
         ack_window,
         adaptive,
@@ -211,13 +210,13 @@ pub(crate) fn quorum_loss() -> Result<ScenarioOutcome, String> {
     settle(&mut w)
 }
 
-/// Engine pipeline: XOR-fold coalescing under load, then a link dies
-/// mid-stream ("crash"). The flush must report the failure, surviving
-/// replicas must be bit-identical, and the dead replica must hold a
-/// historical prefix — never a torn or double-applied state.
-pub(crate) fn fold_then_crash() -> Result<ScenarioOutcome, String> {
-    let mut w = engine(8, true, false);
-    // Hot blocks: plenty of same-LBA folds while frames queue.
+/// Engine pipeline: a hot-block stream with frames in flight, then a
+/// link dies mid-stream ("crash"). The flush must report the failure,
+/// surviving replicas must be bit-identical, and the dead replica must
+/// hold a historical prefix — never a torn or double-applied state.
+pub(crate) fn crash_with_frames_in_flight() -> Result<ScenarioOutcome, String> {
+    let mut w = engine(8, false);
+    // Hot blocks: many same-LBA writes queued while frames are in flight.
     for round in 0..10u8 {
         for lba in 0..4 {
             w.write_tag(lba, round).map_err(op_err)?;
@@ -234,9 +233,6 @@ pub(crate) fn fold_then_crash() -> Result<ScenarioOutcome, String> {
         return Err("flush succeeded across a severed link".into());
     }
     w.check_invariants()?;
-    if w.engine().stats().coalesced_writes == 0 {
-        return Err("workload produced no coalesced writes".into());
-    }
     Ok(ScenarioOutcome::collect(&w))
 }
 
@@ -268,7 +264,7 @@ pub(crate) fn prune_then_rejoin() -> Result<ScenarioOutcome, String> {
 /// leave the surviving replica bit-identical after a second, clean
 /// flush.
 pub(crate) fn flush_during_link_failure() -> Result<ScenarioOutcome, String> {
-    let mut w = engine(4, false, false);
+    let mut w = engine(4, false);
     for lba in 0..8 {
         w.write_tag(lba, 1).map_err(op_err)?;
     }
@@ -384,7 +380,7 @@ pub(crate) fn corruption_scrub_repair() -> Result<ScenarioOutcome, String> {
 pub(crate) fn corruption_wire_retransmit() -> Result<ScenarioOutcome, String> {
     // Closed-loop window: retransmission is only attempted when the
     // damaged frame is the sole in-flight one.
-    let mut w = engine(1, false, false);
+    let mut w = engine(1, false);
     w.ctl(0).corrupt_next(Dir::AtoB, 3);
     for round in 0..3u8 {
         for lba in 0..8 {
@@ -655,7 +651,7 @@ pub(crate) fn read_offload_rejoin() -> Result<ScenarioOutcome, String> {
 /// per-LBA order, byte conservation, obs cross-checks — must hold with
 /// the policy engine driving encoding.
 pub(crate) fn adaptive_phase_shift() -> Result<ScenarioOutcome, String> {
-    let mut w = engine(8, false, true);
+    let mut w = engine(8, true);
     // Small-delta phase: 192 writes of ~2-byte deltas.
     for round in 0..24u8 {
         for lba in 0..8 {
@@ -722,7 +718,7 @@ pub const SCENARIOS: &[(&str, ScenarioFn)] = &[
     ("dup", dup),
     ("slow_wan", slow_wan),
     ("quorum_loss", quorum_loss),
-    ("fold_then_crash", fold_then_crash),
+    ("crash_with_frames_in_flight", crash_with_frames_in_flight),
     ("prune_then_rejoin", prune_then_rejoin),
     ("flush_during_link_failure", flush_during_link_failure),
     ("drop_data_frame", drop_data_frame),

@@ -295,37 +295,42 @@ impl Bed {
     }
 
     /// Post-flush checks of the engine: every lane that never failed is
-    /// bit-identical to the primary (a failed lane stays behind for
-    /// good — the engine has no resync layer); each lane's frames tile
-    /// the sequence space, so sequence numbers strictly increase (see
+    /// bit-identical to the primary and acknowledged every accepted
+    /// write (a failed lane stays behind for good — the engine has no
+    /// resync layer); each lane's frames tile the sequence space, so
+    /// sequence numbers strictly increase (see
     /// [`EventRing::lane_send_order`](prins_obs::EventRing::lane_send_order));
     /// the booked `replicated_payload_bytes` equal what hit the wires;
     /// and the registry balances the engine's own counters — every
-    /// accepted write admitted or folded, every transmission a `send`
-    /// event, every admission an encode sample, one ack-RTT sample per
-    /// ack event.
+    /// accepted write admitted, every transmission a `send` event, every
+    /// admission an encode sample, one ack-RTT sample per ack event.
     fn check_engine(&self, engine: &PrinsEngine) -> Result<(), String> {
         let ring = self.registry.events();
         let lanes = engine.lane_stats();
-        for (lane, stats) in lanes.iter().enumerate() {
-            if stats.errors == 0 {
+        let stats = engine.stats();
+        for (lane, l) in lanes.iter().enumerate() {
+            if l.errors == 0 {
                 self.check_identity(&**engine.device(), lane..lane + 1)?;
+                if l.acked_writes != stats.writes {
+                    return Err(format!(
+                        "engine lane {lane}: {} acked writes != {} writes",
+                        l.acked_writes, stats.writes
+                    ));
+                }
             }
             ring.lane_send_order(lane)?;
         }
-        let stats = engine.stats();
         let snap = self.registry.snapshot();
         let samples = |name: &str| snap.histograms.get(name).map_or(0, |h| h.count);
         let wire = self.nodes.iter().map(Node::wire_bytes).sum();
         let sends = lanes.iter().map(|l| l.sends).sum();
         let admits = ring.count("admit");
-        let folds = ring.count("coalesce");
         let acks = ring.count("ack-ok") + ring.count("nak") + ring.count("ack-error");
         let rtts = samples("stage_ack_rtt_nanos");
         let encodes = samples("stage_encode_nanos");
         for (what, left, right) in [
             ("booked / wire bytes", stats.replicated_payload_bytes, wire),
-            ("writes / admits + folds", stats.writes, admits + folds),
+            ("writes / admits", stats.writes, admits),
             ("lane sends / send events", sends, ring.count("send")),
             ("ack events / ack-RTT samples", acks, rtts),
             ("admits / encode samples", admits, encodes),
@@ -439,20 +444,17 @@ pub enum Topology {
         /// to move (immaterial with one group).
         slot_blocks: u64,
     },
-    /// A stepped [`PrinsEngine`] — the foreground pipeline (coalescing,
-    /// batching, windowed acks, corrupt-NAK retransmit) in virtual
-    /// time.
+    /// A stepped [`PrinsEngine`] — the foreground pipeline (batching,
+    /// windowed acks, corrupt-NAK retransmit) in virtual time.
     Engine {
         /// Replica count.
         replicas: usize,
-        /// XOR-fold coalescing.
-        coalesce: bool,
         /// Frames batched per wire message (1 = off).
         batch_frames: usize,
         /// In-flight frames allowed per lane.
         ack_window: usize,
         /// Drive replication with the adaptive policy engine (default
-        /// config); `coalesce`/`batch_frames` hold as configured.
+        /// config); `batch_frames` holds as configured.
         adaptive: bool,
     },
     /// An [`EcGroup`] at the paper's `k = 4, m = 2` Reed–Solomon
@@ -527,7 +529,6 @@ impl World {
             }
             Topology::Engine {
                 replicas,
-                coalesce,
                 batch_frames,
                 ack_window,
                 adaptive,
@@ -539,7 +540,6 @@ impl World {
                     .observe(Arc::clone(&registry))
                     .clock(net.clock())
                     .flight_recorder(TraceConfig::default())
-                    .coalesce(coalesce)
                     .batch_frames(batch_frames)
                     .ack_policy(AckPolicy::Window(ack_window))
                     .ack_timeout(ACK_TIMEOUT);

@@ -33,7 +33,7 @@ fn scenario_table_covers_the_required_set() {
         "dup",
         "slow_wan",
         "quorum_loss",
-        "fold_then_crash",
+        "crash_with_frames_in_flight",
         "prune_then_rejoin",
     ] {
         assert!(names.contains(&required), "missing scenario {required}");

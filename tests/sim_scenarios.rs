@@ -16,8 +16,8 @@ fn flush_during_link_failure() {
 }
 
 #[test]
-fn coalescing_fold_then_crash() {
-    run_scenario("fold_then_crash").unwrap();
+fn crash_with_frames_in_flight() {
+    run_scenario("crash_with_frames_in_flight").unwrap();
 }
 
 #[test]
