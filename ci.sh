@@ -147,9 +147,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 cargo build --release
 cargo bench --workspace --no-run     # criterion benches must keep compiling
-# Cap test parallelism: the pipeline/cluster suites spawn their own
-# worker and replica threads, so unbounded test threads oversubscribe
-# CI boxes and turn timing-tolerant tests flaky.
+# Cap test parallelism: the engine pipeline's tests and the root suites
+# spawn their own worker and replica threads (the cluster harnesses run
+# in virtual time on SimNet and spawn none), so unbounded test threads
+# oversubscribe CI boxes and turn timing-tolerant tests flaky.
 RUST_TEST_THREADS=4 cargo test -q --release              # tier-1 gate (root package)
 # The workspace line is also what runs prins-block's CRC32C kernel tests
 # (every length x alignment x split, hardware vs portable vs bytewise)
@@ -187,6 +188,12 @@ cargo run -q --release -p prins-bench --bin obs-dump -- --ops 300 --summary \
 # writes into a closed pipe.)
 cargo run -q --release -p prins-bench --bin obs-dump -- --ops 300 --traces \
     | sed -n 1p | diff tests/engine_trace_golden.json -
+# The two byte-counting experiments, both on simulated links — resync
+# catch-up traffic and the EC group's repair bandwidth — pinned the same
+# way: a diff means a resync plan, a strip update or what the wire
+# meters count changed (regenerate the golden with the command below).
+cargo run -q --release -p prins-bench --bin figures -- resync ec --ops 200 \
+    | diff tests/figures_golden.txt -
 # Scenario golden gates (corruption, EC rebuild, scale-out, trace,
 # adaptive policy, faults and resync): each golden file pins the deterministic event-count
 # or trace summary of the scenarios listed beside it in the GOLDENS
@@ -205,4 +212,4 @@ cargo run -q --release -p prins-bench --bin figures -- scale --no-run
 cargo run -q --release -p prins-bench --bin figures -- adaptive --no-run
 # Counted lines per crate (and per file for the crates named): the
 # number simplicity PRs quote before/after. Printed, never gated on.
-./scripts/loc.sh core cluster sim parity repl trap bench
+./scripts/loc.sh core cluster sim parity repl trap bench net

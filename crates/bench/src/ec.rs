@@ -14,14 +14,19 @@
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use prins_block::{BlockSize, Lba, MemDevice};
 use prins_cluster::{EcConfig, EcGroup};
 use prins_ec::ReedSolomon;
-use prins_net::{channel_pair, LinkModel, Transport};
+use prins_net::{SimNet, Transport};
 use prins_parity::ErasureCodec;
-use prins_repl::{run_replica_applier, ReplError, ReplicaApplier};
+use prins_repl::{serve_sim, ReplicaApplier};
 use prins_workloads::{run, RunConfig, Workload};
+
+/// Per-frame delay of each node's simulated link. The experiment
+/// counts bytes, not time, so any virtual delay measures the same.
+const LINK_DELAY: Duration = Duration::from_micros(200);
 
 /// Result of the erasure-coding economics experiment.
 #[derive(Clone, Copy, Debug)]
@@ -77,22 +82,15 @@ impl fmt::Display for EcReport {
     }
 }
 
-/// Spawns one strip-holding node: a zeroed device behind the stock
-/// apply loop with a Reed–Solomon applier.
-fn spawn_node(
-    stripes: u64,
-    block_size: BlockSize,
-) -> (
-    Box<dyn Transport>,
-    std::thread::JoinHandle<Result<u64, ReplError>>,
-) {
-    let (primary_side, node_side) = channel_pair(LinkModel::t1());
-    let device = Arc::new(MemDevice::new(block_size, stripes));
-    let worker = std::thread::spawn(move || {
-        let applier = ReplicaApplier::new(&*device).with_codec(Box::new(ReedSolomon::k4m2()));
-        run_replica_applier(applier, &node_side)
-    });
-    (Box::new(primary_side), worker)
+/// Adds one strip-holding node to `net`: a zeroed device behind a link
+/// of its own, served by the stock apply loop with a Reed–Solomon
+/// applier. Returns the primary's end of the link.
+fn spawn_node(net: &SimNet, name: &str, stripes: u64, block_size: BlockSize) -> Box<dyn Transport> {
+    let (primary_side, node_side, _ctl) = net.add_link(name, LINK_DELAY);
+    let applier = ReplicaApplier::new(MemDevice::new(block_size, stripes))
+        .with_codec(Box::new(ReedSolomon::k4m2()));
+    serve_sim(net, &node_side, applier);
+    Box::new(primary_side)
 }
 
 /// Captures a TPC-C write stream, replays it through a six-node
@@ -134,13 +132,10 @@ pub fn ec_experiment(
     let stripes: u64 = 64;
     let codec = ReedSolomon::k4m2();
     let blocks = stripes * codec.data_strips() as u64;
-    let mut transports = Vec::new();
-    let mut workers = Vec::new();
-    for _ in 0..codec.total_strips() {
-        let (t, w) = spawn_node(stripes, block_size);
-        transports.push(t);
-        workers.push(w);
-    }
+    let net = SimNet::new();
+    let transports = (0..codec.total_strips())
+        .map(|node| spawn_node(&net, &format!("node{node}"), stripes, block_size))
+        .collect();
     let logical = MemDevice::new(block_size, blocks);
     let mut group = EcGroup::new(logical, codec, EcConfig::default(), transports);
 
@@ -164,17 +159,10 @@ pub fn ec_experiment(
     // survivors' strip images.
     let lost = 2;
     group.mark_down(lost)?;
-    let (t, w) = spawn_node(stripes, block_size);
-    workers.push(w);
-    group.replace_node(lost, t)?;
+    group.replace_node(lost, spawn_node(&net, "replacement", stripes, block_size))?;
     let rebuild = group.rebuild(lost)?;
     report.rebuild_wire_bytes = rebuild.wire_bytes;
     report.survivor_image_bytes = rebuild.survivor_image_bytes;
-
-    drop(group);
-    for w in workers {
-        w.join().expect("node thread").map_err(Box::new)?;
-    }
     Ok(report)
 }
 

@@ -18,7 +18,7 @@ use prins_block::{BlockDevice, BlockSize, MemDevice};
 use prins_core::{EngineBuilder, PrinsEngine};
 use prins_net::{SimNet, TrafficMeter, Transport};
 use prins_obs::{register_meter, Registry, Snapshot};
-use prins_repl::{verify_consistent, AckPolicy, ReplicaApplier};
+use prins_repl::{serve_sim, verify_consistent, AckPolicy, ReplicaApplier};
 use prins_workloads::{capture_trace, Workload};
 
 use crate::traffic::trace_writes;
@@ -63,7 +63,7 @@ pub fn obs_experiment(ops: usize) -> Result<Snapshot, Box<dyn Error>> {
 /// virtual time: a captured trace (about `ops` transactions' worth of
 /// block writes) seeded onto the primary and onto one replica per entry
 /// of `delays`, each behind a [`SimNet`] link of that one-way delay
-/// with a [`ReplicaApplier`] actor. A stepped engine with two payloads
+/// and served by [`serve_sim`]. A stepped engine with two payloads
 /// a frame, finished by `configure`, writes the trace, stepping every
 /// `step_every` writes, then flushes and shuts down.
 /// `on_built` sees the engine and the links' meters before the first
@@ -110,18 +110,7 @@ pub(crate) fn sim_mirror<T>(
     for (idx, delay) in delays.iter().enumerate() {
         let (a, b, _ctl) = net.add_link(&format!("replica{idx}"), *delay);
         let device = seeded()?;
-        let dev = Arc::clone(&device);
-        let tr = b.clone();
-        net.set_actor(
-            &b,
-            Box::new(move || {
-                let mut applier = ReplicaApplier::new(&*dev);
-                while let Ok(Some(frame)) = tr.try_recv() {
-                    let (ack, _) = applier.respond(&frame);
-                    let _ = tr.send(&ack);
-                }
-            }),
-        );
+        serve_sim(&net, &b, ReplicaApplier::new(Arc::clone(&device)));
         meters.push(Arc::clone(a.meter()));
         builder = builder.replica(Box::new(a));
         replica_devs.push(device);

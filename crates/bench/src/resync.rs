@@ -11,16 +11,22 @@
 //! not even the dirty block count (one image per dirty block).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use prins_block::{BlockDevice, MemDevice};
 use prins_cluster::{ClusterConfig, ClusterGroup, ReplicaState};
-use prins_net::{channel_pair, FaultTransport, LinkModel};
-use prins_repl::{run_replica, verify_consistent};
+use prins_net::SimNet;
+use prins_obs::Registry;
+use prins_repl::{serve_sim, verify_consistent, ReplicaApplier};
 use prins_workloads::{capture_trace, Workload, WriteTrace};
 
 use crate::figures::FigureTable;
 use crate::traffic::{trace_writes, TraceStream};
 use crate::TrafficConfig;
+
+/// Per-frame delay of the replica's simulated link. The experiment
+/// counts bytes, not time, so any virtual delay measures the same.
+const LINK_DELAY: Duration = Duration::from_micros(200);
 
 /// Result of one outage + resync run.
 #[derive(Clone, Debug)]
@@ -47,11 +53,12 @@ pub struct ResyncMeasurement {
 ///
 /// # Errors
 ///
-/// Propagates cluster and replication errors.
+/// Propagates cluster and replication errors, and fails if the replica
+/// refused a frame.
 ///
 /// # Panics
 ///
-/// Panics if the trace is empty or the replica worker thread panics.
+/// Panics if the trace is empty.
 pub fn resync_experiment(
     trace: &WriteTrace,
     outage_start: usize,
@@ -70,16 +77,18 @@ pub fn resync_experiment(
         replica.write_block(*lba, image)?;
     }
 
-    let (primary_side, replica_side) = channel_pair(LinkModel::t1());
-    let (faulty, link) = FaultTransport::new(primary_side);
-    let dev = Arc::clone(&replica);
-    let worker = std::thread::spawn(move || run_replica(&*dev, &replica_side));
+    let net = SimNet::new();
+    let (primary_side, replica_side, link) = net.add_link("replica", LINK_DELAY);
+    let applier = ReplicaApplier::new(Arc::clone(&replica));
+    serve_sim(&net, &replica_side, applier);
 
     let config = ClusterConfig {
         offline_after: 1,
         ..ClusterConfig::default()
     };
-    let mut cluster = ClusterGroup::new(primary, config, vec![Box::new(faulty)]);
+    let mut cluster = ClusterGroup::new(primary, config, vec![Box::new(primary_side)]);
+    let registry = Registry::new();
+    cluster.attach_observer(Arc::clone(&registry), net.clock());
 
     let outage_end = outage_start.saturating_add(outage_writes).min(writes.len());
     let mut dirty_blocks = 0;
@@ -113,10 +122,13 @@ pub fn resync_experiment(
         cluster.resync_to_completion(0, 32)?;
     }
 
+    let refused =
+        registry.events().count("nak") + registry.snapshot().counters["checksum_failures"];
+    if refused > 0 {
+        return Err(format!("the replica refused {refused} frame(s)").into());
+    }
     let status = cluster.status(0);
     let consistent = verify_consistent(cluster.device(), &*replica)?;
-    drop(cluster);
-    worker.join().expect("replica worker")?;
 
     Ok(ResyncMeasurement {
         dirty_blocks,

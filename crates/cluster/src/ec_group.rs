@@ -130,7 +130,7 @@ impl Default for EcConfig {
 /// `device` holds the primary's logical image (`stripes × k` blocks);
 /// each of the `k + m` transports leads to a node whose device holds
 /// `stripes` strip blocks and whose applier uses the same codec (see
-/// [`prins_repl::run_replica_applier`] and
+/// [`prins_repl::serve_sim`] and
 /// [`ReplicaApplier::with_codec`](prins_repl::ReplicaApplier::with_codec)).
 ///
 /// The group is closed-loop: every strip-delta frame is acknowledged
@@ -536,57 +536,41 @@ mod tests {
     use super::*;
     use prins_block::{BlockSize, MemDevice};
     use prins_ec::ReedSolomon;
-    use prins_net::{channel_pair, LinkModel};
-    use prins_repl::{run_replica_applier, ReplicaApplier};
+    use prins_net::SimNet;
+    use prins_repl::{serve_sim, ReplicaApplier};
     use rand::{RngExt, SeedableRng};
 
-    type NodeWorker = std::thread::JoinHandle<Result<u64, ReplError>>;
-
     struct Harness {
+        net: SimNet,
         group: EcGroup<MemDevice, ReedSolomon>,
         devices: Vec<Arc<MemDevice>>,
-        workers: Vec<NodeWorker>,
     }
 
-    /// Spawns one strip-holder thread per node, each running the
-    /// stock replica loop with an RS-codec applier — the same loop
-    /// mirroring replicas run.
-    fn spawn_node(stripes: u64) -> (Box<dyn Transport>, Arc<MemDevice>, NodeWorker) {
-        let (primary_side, node_side) = channel_pair(LinkModel::t1());
+    /// Adds one strip holder behind a simulated link of its own, served
+    /// by the stock replica loop with an RS-codec applier — the same
+    /// loop mirroring replicas run. A refused strip fails the group's
+    /// own call, so the harness needs no check of its own.
+    fn spawn_node(net: &SimNet, stripes: u64) -> (Box<dyn Transport>, Arc<MemDevice>) {
+        let (primary_side, node_side, _ctl) = net.add_link("node", Duration::from_micros(200));
         let device = Arc::new(MemDevice::new(BlockSize::kb4(), stripes));
-        let dev = Arc::clone(&device);
-        let worker = std::thread::spawn(move || {
-            let applier = ReplicaApplier::new(&*dev).with_codec(Box::new(ReedSolomon::k4m2()));
-            run_replica_applier(applier, &node_side)
-        });
-        (Box::new(primary_side), device, worker)
+        let applier =
+            ReplicaApplier::new(Arc::clone(&device)).with_codec(Box::new(ReedSolomon::k4m2()));
+        serve_sim(net, &node_side, applier);
+        (Box::new(primary_side), device)
     }
 
     fn harness(stripes: u64) -> Harness {
+        let net = SimNet::new();
         let codec = ReedSolomon::k4m2();
-        let mut transports = Vec::new();
-        let mut devices = Vec::new();
-        let mut workers = Vec::new();
-        for _ in 0..codec.total_strips() {
-            let (t, d, w) = spawn_node(stripes);
-            transports.push(t);
-            devices.push(d);
-            workers.push(w);
-        }
+        let (transports, devices) = (0..codec.total_strips())
+            .map(|_| spawn_node(&net, stripes))
+            .unzip();
         let logical = MemDevice::new(BlockSize::kb4(), stripes * codec.data_strips() as u64);
         let group = EcGroup::new(logical, codec, EcConfig::default(), transports);
         Harness {
+            net,
             group,
             devices,
-            workers,
-        }
-    }
-
-    fn finish(h: Harness) {
-        let Harness { group, workers, .. } = h;
-        drop(group);
-        for w in workers {
-            w.join().unwrap().unwrap();
         }
     }
 
@@ -642,7 +626,6 @@ mod tests {
         let mut h = harness(4);
         random_writes(&mut h, 11, 60);
         assert_strips_encode_logical(&h);
-        finish(h);
     }
 
     #[test]
@@ -658,7 +641,6 @@ mod tests {
             "64-byte change cost {} wire bytes",
             outcome.wire_bytes
         );
-        finish(h);
     }
 
     #[test]
@@ -673,10 +655,9 @@ mod tests {
         assert!(h.group.dirty_stripes() > 0);
 
         // A replacement arrives: wiped device, fresh applier, new link.
-        let (t, d, w) = spawn_node(h.group.stripes());
+        let (t, d) = spawn_node(&h.net, h.group.stripes());
         h.group.replace_node(lost, t).unwrap();
         h.devices[lost] = d;
-        h.workers.push(w);
 
         let report = h.group.rebuild(lost).unwrap();
         assert_eq!(report.stripes, h.group.stripes());
@@ -693,7 +674,6 @@ mod tests {
         assert_strips_encode_logical(&h);
         random_writes(&mut h, 121, 10);
         assert_strips_encode_logical(&h);
-        finish(h);
     }
 
     /// Forwards to `inner`, except that its third send fails.
@@ -732,14 +712,13 @@ mod tests {
         random_writes(&mut h, 14, 40);
         h.group.mark_down(0).unwrap();
         // The replacement takes two stripes, then its link fails.
-        let (t, d, w) = spawn_node(h.group.stripes());
+        let (t, d) = spawn_node(&h.net, h.group.stripes());
         let t = FailsThirdSend {
             inner: t,
             sends: Default::default(),
         };
         h.group.replace_node(0, Box::new(t)).unwrap();
         h.devices[0] = d;
-        h.workers.push(w);
         assert!(h.group.rebuild(0).is_err());
 
         // Its unrebuilt strips are zeros: read as a survivor's, they
@@ -751,7 +730,6 @@ mod tests {
                 assert!(got == want, "lba {lba} decoded a wrong image");
             }
         }
-        finish(h);
     }
 
     #[test]
@@ -765,7 +743,6 @@ mod tests {
         assert_eq!(outcome.skipped, 1);
         assert_eq!(outcome.acked, 2);
         assert_eq!(h.group.dirty_stripes(), 1);
-        finish(h);
     }
 
     #[test]
@@ -780,7 +757,6 @@ mod tests {
             let got = h.group.decode_logical(Lba(lba)).unwrap();
             assert_eq!(got, want, "lba {lba}");
         }
-        finish(h);
     }
 
     /// A group over scripted links: node 0 answers from `replies`, and
@@ -901,6 +877,5 @@ mod tests {
         assert!((physical / logical - 1.5).abs() < 1e-9);
         // A 3-way mirror of the same logical volume stores 3×.
         assert!(3.0 * logical > 1.8 * physical);
-        finish(h);
     }
 }

@@ -966,42 +966,44 @@ impl<D: BlockDevice> std::fmt::Debug for ClusterGroup<D> {
 mod tests {
     use super::*;
     use prins_block::{BlockSize, MemDevice};
-    use prins_net::{channel_pair, FaultTransport, LinkHandle, LinkModel};
-    use prins_repl::{encode_ack, verify_consistent, NAK};
+    use prins_net::{channel_pair, LinkModel, SimLinkCtl, SimNet};
+    use prins_repl::{encode_ack, serve_sim, verify_consistent, ReplicaApplier, NAK};
     use rand::{RngExt, SeedableRng};
     use std::sync::Arc;
 
     struct Harness {
         cluster: ClusterGroup<MemDevice>,
         devices: Vec<Arc<MemDevice>>,
-        links: Vec<LinkHandle>,
-        workers: Vec<std::thread::JoinHandle<Result<u64, ReplError>>>,
+        links: Vec<SimLinkCtl>,
+        /// What the cluster records, on the network's clock.
+        registry: Arc<prins_obs::Registry>,
     }
 
+    /// A cluster over `n` replicas, each behind a simulated link and
+    /// served by the stock apply loop, recording into `registry`.
     fn harness(n: usize, blocks: u64, config: ClusterConfig) -> Harness {
+        let net = SimNet::new();
         let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-        let mut devices = Vec::new();
-        let mut links = Vec::new();
-        let mut workers = Vec::new();
-        for _ in 0..n {
-            let (primary_side, replica_side) = channel_pair(LinkModel::t1());
-            let (faulty, link) = FaultTransport::new(primary_side);
+        let (mut devices, mut links) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let (primary_side, replica_side, link) =
+                net.add_link(&format!("replica{i}"), Duration::from_micros(200));
             let device = Arc::new(MemDevice::new(BlockSize::kb4(), blocks));
-            let dev = Arc::clone(&device);
-            workers.push(std::thread::spawn(move || {
-                prins_repl::run_replica(&*dev, &replica_side)
-            }));
-            transports.push(Box::new(faulty));
+            let applier = ReplicaApplier::new(Arc::clone(&device));
+            serve_sim(&net, &replica_side, applier);
+            transports.push(Box::new(primary_side));
             devices.push(device);
             links.push(link);
         }
-        let cluster =
+        let mut cluster =
             ClusterGroup::new(MemDevice::new(BlockSize::kb4(), blocks), config, transports);
+        let registry = prins_obs::Registry::new();
+        cluster.attach_observer(Arc::clone(&registry), net.clock());
         Harness {
             cluster,
             devices,
             links,
-            workers,
+            registry,
         }
     }
 
@@ -1019,18 +1021,12 @@ mod tests {
         cluster.write(lba, &block)
     }
 
-    fn finish(h: Harness) -> Vec<Arc<MemDevice>> {
-        let Harness {
-            cluster,
-            devices,
-            workers,
-            ..
-        } = h;
-        drop(cluster);
-        for w in workers {
-            w.join().unwrap().unwrap();
-        }
-        devices
+    /// Fails the test if a replica refused a frame: a `NAK`, or a
+    /// `NAK_CORRUPT` — how verify-on-apply reports a stale base.
+    fn finish(h: Harness) {
+        let naks = h.registry.events().count("nak");
+        let corrupt = h.registry.snapshot().counters["checksum_failures"];
+        assert_eq!((naks, corrupt), (0, 0), "a replica refused a frame");
     }
 
     #[test]
@@ -1050,11 +1046,8 @@ mod tests {
 
     #[test]
     fn reads_offload_round_robin_and_reject_lagging_replicas() {
-        let registry = prins_obs::Registry::new();
-        let clock = prins_net::SimClock::new();
         let mut h = harness(2, 8, ClusterConfig::default());
-        h.cluster
-            .attach_observer(Arc::clone(&registry), clock.clone());
+        let registry = Arc::clone(&h.registry);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         for _ in 0..8 {
             random_write(&mut h.cluster, &mut rng, 8).unwrap();
@@ -1272,9 +1265,7 @@ mod tests {
         };
         let blocks = 16;
         let mut h = harness(1, blocks, config);
-        let registry = prins_obs::Registry::new();
-        h.cluster
-            .attach_observer(Arc::clone(&registry), prins_net::SimClock::new());
+        let registry = Arc::clone(&h.registry);
         let mut rng = rand::rngs::StdRng::seed_from_u64(15);
         h.links[0].sever();
         for _ in 0..24 {
@@ -1650,10 +1641,7 @@ mod tests {
         };
         let blocks = 16;
         let mut h = harness(1, blocks, config);
-        let registry = prins_obs::Registry::new();
-        let clock = prins_net::SimClock::new();
-        h.cluster
-            .attach_observer(Arc::clone(&registry), clock.clone());
+        let registry = Arc::clone(&h.registry);
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         for _ in 0..5 {
@@ -1722,10 +1710,7 @@ mod tests {
     fn scrub_detects_and_repairs_replica_media_corruption() {
         let blocks = 8;
         let mut h = harness(2, blocks, ClusterConfig::default());
-        let registry = prins_obs::Registry::new();
-        let clock = prins_net::SimClock::new();
-        h.cluster
-            .attach_observer(Arc::clone(&registry), clock.clone());
+        let registry = Arc::clone(&h.registry);
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
         for _ in 0..6 {
             random_write(&mut h.cluster, &mut rng, blocks).unwrap();

@@ -44,20 +44,21 @@
 //! ```
 //! use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
 //! use prins_cluster::{ClusterConfig, ClusterGroup, ReplicaState};
-//! use prins_net::{channel_pair, FaultTransport, LinkModel, Transport};
-//! use prins_repl::run_replica;
+//! use prins_net::SimNet;
+//! use prins_repl::{serve_sim, ReplicaApplier};
 //! use std::sync::Arc;
+//! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let (primary_side, replica_side) = channel_pair(LinkModel::t1());
-//! let (faulty, link) = FaultTransport::new(primary_side);
+//! // One replica behind a simulated WAN link, in virtual time.
+//! let net = SimNet::new();
+//! let (primary_side, replica_side, link) = net.add_link("replica", Duration::from_millis(1));
 //! let replica_dev = Arc::new(MemDevice::new(BlockSize::kb4(), 8));
-//! let dev = Arc::clone(&replica_dev);
-//! let worker = std::thread::spawn(move || run_replica(&*dev, &replica_side));
+//! serve_sim(&net, &replica_side, ReplicaApplier::new(Arc::clone(&replica_dev)));
 //!
 //! let config = ClusterConfig { offline_after: 1, ..ClusterConfig::default() };
 //! let mut cluster =
-//!     ClusterGroup::new(MemDevice::new(BlockSize::kb4(), 8), config, vec![Box::new(faulty)]);
+//!     ClusterGroup::new(MemDevice::new(BlockSize::kb4(), 8), config, vec![Box::new(primary_side)]);
 //!
 //! cluster.write(Lba(0), &[1u8; 4096])?; // replicated normally
 //!
@@ -69,9 +70,6 @@
 //! cluster.rejoin(0)?;
 //! cluster.resync_to_completion(0, 8)?;
 //! assert_eq!(cluster.state(0), ReplicaState::Online);
-//!
-//! drop(cluster); // hang up; replica loop exits
-//! worker.join().unwrap()?;
 //! assert_eq!(replica_dev.read_block_vec(Lba(1))?, vec![2u8; 4096]);
 //! # Ok(())
 //! # }

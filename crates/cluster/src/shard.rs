@@ -436,29 +436,30 @@ mod tests {
 
     /// Drives one seeded op stream — writes and offloaded reads, a
     /// sever, quorum loss with every link down, rejoin + resync of both
-    /// replicas, a drain — over two channel replicas, and returns
+    /// replicas, a drain — over two simulated replicas, and returns
     /// everything observable: each call's outcome, each replica's final
     /// status (lifecycle state, dirty map, every byte counter) and each
-    /// replica's final image.
+    /// replica's final image. Fails if a replica refused a frame.
     fn observe(sharded: bool) -> (Vec<String>, Vec<String>, Vec<Vec<u8>>) {
         use crate::ReplicaState;
-        use prins_net::{channel_pair, FaultTransport, LinkModel, Transport};
+        use prins_net::{SimNet, Transport};
+        use prins_repl::{serve_sim, ReplicaApplier};
         use rand::{RngExt, SeedableRng};
+        use std::sync::Arc;
 
         const BLOCKS: u64 = 16;
+        let net = SimNet::new();
         let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-        let mut devices = Vec::new();
-        let mut links = Vec::new();
-        let mut workers = Vec::new();
-        for _ in 0..2 {
-            let (primary_side, replica_side) = channel_pair(LinkModel::t1());
-            let (faulty, link) = FaultTransport::new(primary_side);
-            let device = std::sync::Arc::new(MemDevice::new(BlockSize::kb4(), BLOCKS));
-            let dev = std::sync::Arc::clone(&device);
-            workers.push(std::thread::spawn(move || {
-                prins_repl::run_replica(&*dev, &replica_side)
-            }));
-            transports.push(Box::new(faulty));
+        let (mut devices, mut links) = (Vec::new(), Vec::new());
+        for i in 0..2 {
+            let (primary_side, replica_side, link) = net.add_link(
+                &format!("replica{i}"),
+                std::time::Duration::from_micros(200),
+            );
+            let device = Arc::new(MemDevice::new(BlockSize::kb4(), BLOCKS));
+            let applier = ReplicaApplier::new(Arc::clone(&device));
+            serve_sim(&net, &replica_side, applier);
+            transports.push(Box::new(primary_side));
             devices.push(device);
             links.push(link);
         }
@@ -467,7 +468,10 @@ mod tests {
             offline_after: 2,
             ..ClusterConfig::default()
         };
-        let group = ClusterGroup::new(MemDevice::new(BlockSize::kb4(), BLOCKS), config, transports);
+        let mut group =
+            ClusterGroup::new(MemDevice::new(BlockSize::kb4(), BLOCKS), config, transports);
+        let registry = prins_obs::Registry::new();
+        group.attach_observer(Arc::clone(&registry), net.clock());
         let mut volume = if sharded {
             Volume::Sharded(ShardedCluster::new(
                 RendezvousPlacement::new(BLOCKS, 1),
@@ -512,10 +516,9 @@ mod tests {
         let statuses = (0..2)
             .map(|idx| format!("{:?}", volume.group().status(idx)))
             .collect();
-        drop(volume); // hang up; replica loops exit
-        for w in workers {
-            w.join().unwrap().unwrap();
-        }
+        let refused =
+            registry.events().count("nak") + registry.snapshot().counters["checksum_failures"];
+        assert_eq!(refused, 0, "a replica refused a frame");
         let images = devices
             .iter()
             .map(|dev| {

@@ -321,7 +321,6 @@ impl Probe {
 
     /// The transport took frame `f` at `at`, after `took` in the call.
     pub(crate) fn sent(&self, lane: usize, f: &InFlight, took: u64, at: u64) {
-        let first = f.range.first().expect("a frame carries a write");
         let counters = &self.lanes[lane];
         counters.send_nanos.add(took);
         counters.sends.inc();
@@ -331,13 +330,13 @@ impl Probe {
             let writes = f.writes.min(u32::MAX as u64) as u32;
             reg.event(
                 Event::new(at, EventKind::Send { writes })
-                    .seq(first)
+                    .seq(f.first)
                     .lba(f.lba.0)
                     .replica(lane),
             );
         }
         if let Some(trace) = &self.trace {
-            for s in f.range.iter() {
+            for s in f.seqs() {
                 trace.event(TraceId::from_seq(s), TraceStage::Send, lane as u32, at);
             }
         }
@@ -351,7 +350,7 @@ impl Probe {
             reg.send.record(took);
             reg.event(
                 Event::new(at, EventKind::SendError)
-                    .seq(f.range.first().expect("a frame carries a write"))
+                    .seq(f.first)
                     .lba(f.lba.0)
                     .replica(lane),
             );
@@ -369,7 +368,7 @@ impl Probe {
         self.retransmits.inc();
         self.lanes[lane].payload_bytes.add(f.frame.len() as u64);
         if let Some(trace) = &self.trace {
-            for s in f.range.iter() {
+            for s in f.seqs() {
                 trace.mark_retransmit(TraceId::from_seq(s), lane as u32, at);
             }
         }
@@ -427,7 +426,7 @@ impl Probe {
     /// `lane`'s terminal hop for every write `f` carries.
     fn complete(&self, lane: usize, f: &InFlight, stage: TraceStage, at: u64) {
         if let Some(trace) = &self.trace {
-            for s in f.range.iter() {
+            for s in f.seqs() {
                 trace.complete(TraceId::from_seq(s), stage, lane as u32, at);
             }
         }

@@ -16,15 +16,14 @@
 //!   and 1 ms propagation delay,
 //! * [`TrafficMeter`] — atomic counters of messages, payload bytes, wire
 //!   bytes (payload + per-packet header overhead) and packets,
-//! * [`FaultTransport`] — a wrapper whose link a test harness can sever
-//!   and restore, for replica-outage experiments,
 //! * [`SinkTransport`] — discards sends (still metered) and replays a
 //!   pre-loaded receive script; keeps wire allocations out of
 //!   allocation-budget measurements,
 //! * [`Clock`] / [`SimNet`] — the determinism seam: an injectable time
 //!   source and a discrete-event simulated network with virtual time and
-//!   scripted faults (delay, drop, duplicate, reorder, link flap), used
-//!   by the `prins-sim` harness.
+//!   scripted faults (delay, drop, duplicate, reorder, link flap) — the
+//!   one way a test, the `prins-sim` harness or an experiment fails a
+//!   link.
 //!
 //! # Example
 //!
@@ -46,7 +45,6 @@
 mod channel;
 mod clock;
 mod error;
-mod fault;
 mod link;
 mod meter;
 mod sim;
@@ -57,7 +55,6 @@ mod transport;
 pub use channel::{channel_pair, ChannelTransport};
 pub use clock::{Clock, WallClock};
 pub use error::NetError;
-pub use fault::{FaultTransport, LinkHandle};
 pub use link::LinkModel;
 pub use meter::{MeterSnapshot, TrafficMeter};
 pub use sim::{Dir, MsgRecord, SimClock, SimLinkCtl, SimNet, SimTransport};

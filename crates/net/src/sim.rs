@@ -15,12 +15,13 @@
 //! successor). Links can be severed and restored immediately or at a
 //! scheduled virtual time; a severed link fails both directions with
 //! [`NetError::Disconnected`] while frames already on the wire are
-//! preserved, mirroring [`FaultTransport`](crate::FaultTransport).
+//! preserved, as across a dropped and re-established TCP connection.
 //!
-//! Passive peers (replica appliers) register an *actor*: a callback the
-//! hub runs whenever a frame is delivered to that endpoint or its link
-//! comes back up. Actors must use [`SimTransport::try_recv`] and never
-//! block — the whole simulation is one thread.
+//! Passive peers (replica appliers: `prins_repl::serve_sim`) register
+//! an *actor*: a callback the hub runs whenever a frame is delivered
+//! to that endpoint or its link comes back up. Actors must use
+//! [`SimTransport::try_recv`] and never block — the whole simulation
+//! is one thread.
 //!
 //! Everything the hub does is appended to a human-readable trace and a
 //! structured message log. Runs are deterministic: the same calls in

@@ -899,8 +899,9 @@ mod tests {
             prop_assert_eq!(block, new);
         }
 
-        /// Correctness of XOR-folding write coalescing: for any chain
-        /// old → mid → new, applying the folded parity
+        /// Correctness of folding a block's parity chain, as resync's
+        /// `TrapLog::fold_since` does: for any chain old → mid → new,
+        /// applying the folded parity
         /// `old ⊕ new = (old ⊕ mid) ⊕ (mid ⊕ new)` in one step leaves
         /// the block exactly where applying the two per-write parities
         /// in sequence would.

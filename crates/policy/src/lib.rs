@@ -41,7 +41,7 @@
 //! *other* strategy would have shipped, so `prins-obs` counters expose
 //! `adaptive vs best-static` regret without re-running the workload.
 //! The policy decides bytes only: an engine that runs it keeps the
-//! batching and coalescing it was built with for its whole life.
+//! batching it was built with for its whole life.
 //!
 //! # Example
 //!

@@ -19,7 +19,8 @@
 //!
 //! The primaries that send these payloads and await the acks live
 //! upstream: `prins-core`'s engine and `prins-cluster`'s groups, each
-//! over a [`Link`]. [`run_replica`] is the stock replica loop, and
+//! over a [`Link`]. [`run_replica`] is the stock replica loop on a
+//! thread, [`serve_sim`] the same loop as a simulated-network actor, and
 //! [`AckPolicy`] says when a primary waits (the paper's closed-loop
 //! assumption: a node does not issue the next write until the previous
 //! one is replicated).
@@ -55,7 +56,6 @@ mod apply;
 mod error;
 mod mode;
 mod payload;
-mod range;
 mod replica;
 mod strategy;
 mod wire;
@@ -64,8 +64,7 @@ pub use apply::{Applied, ReplicaApplier};
 pub use error::ReplError;
 pub use mode::{AckPolicy, ReplicationMode};
 pub use payload::{BatchFrame, Payload, PayloadBody, MAX_WIRE_LEN};
-pub use range::SeqRange;
-pub use replica::{run_replica, run_replica_applier, verify_consistent};
+pub use replica::{run_replica, serve_sim, verify_consistent};
 pub use strategy::{CompressedReplicator, PrinsReplicator, Replicator, TraditionalReplicator};
 pub use wire::{
     encode_ack, head_len, is_sealed, open_frame, put_batch, put_compressed, put_full, put_parity,

@@ -1,8 +1,9 @@
-//! The replica side of a link: the stock apply-and-answer loop, and the
-//! block-by-block consistency check tests and harnesses end on.
+//! The replica side of a link: the stock apply-and-answer loop, on a
+//! thread or as a simulated-network actor, and the block-by-block
+//! consistency check tests and harnesses end on.
 
 use prins_block::BlockDevice;
-use prins_net::Transport;
+use prins_net::{SimNet, SimTransport, Transport};
 
 use crate::{ReplError, ReplicaApplier};
 
@@ -20,25 +21,7 @@ where
     D: BlockDevice + ?Sized,
     T: Transport,
 {
-    run_replica_applier(ReplicaApplier::new(device), transport)
-}
-
-/// [`run_replica`] with a caller-built applier — the hook for replicas
-/// that need a non-default configuration, e.g. a Reed–Solomon
-/// [`ErasureCodec`](prins_parity::ErasureCodec) for parity strips of an
-/// erasure-coded group.
-///
-/// # Errors
-///
-/// As [`run_replica`].
-pub fn run_replica_applier<D, T>(
-    mut applier: ReplicaApplier<D>,
-    transport: &T,
-) -> Result<u64, ReplError>
-where
-    D: BlockDevice,
-    T: Transport,
-{
+    let mut applier = ReplicaApplier::new(device);
     loop {
         let payload = match transport.recv() {
             Ok(p) => p,
@@ -51,6 +34,32 @@ where
             return Err(e);
         }
     }
+}
+
+/// Serves `endpoint` with `applier` as a [`SimNet`] actor: the stock
+/// apply-and-answer loop of [`run_replica`], run by the network
+/// whenever a frame is delivered to `endpoint` or its link comes back,
+/// in virtual time and on the caller's thread.
+///
+/// The applier lives as long as the actor, not one delivery: it keeps
+/// the last epoch it opened, which every answer echoes, and its per-LBA
+/// checksum table, against which verify-on-apply catches a stale base.
+/// A refused frame is answered (`NAK` or `NAK_CORRUPT`) and the actor
+/// keeps serving: the primary, which reads the answer, records the
+/// refusal.
+pub fn serve_sim<D>(net: &SimNet, endpoint: &SimTransport, mut applier: ReplicaApplier<D>)
+where
+    D: BlockDevice + Send + 'static,
+{
+    let tr = endpoint.clone();
+    net.set_actor(
+        endpoint,
+        Box::new(move || {
+            while let Ok(Some(frame)) = tr.try_recv() {
+                let _ = tr.send(&applier.respond(&frame).0);
+            }
+        }),
+    );
 }
 
 /// Compares two devices block by block.
@@ -111,6 +120,46 @@ mod tests {
         assert_eq!(device.read_block_vec(Lba(1)).unwrap(), vec![5u8; 4096]);
         drop(primary_side);
         assert_eq!(worker.join().unwrap().unwrap(), 1);
+    }
+
+    #[test]
+    fn serve_sim_keeps_one_applier_for_the_actors_whole_life() {
+        use crate::wire::{encode_ack, seal_frame, NAK, NAK_CORRUPT};
+        let net = prins_net::SimNet::new();
+        let (primary_side, replica_side, _ctl) =
+            net.add_link("replica", std::time::Duration::from_micros(100));
+        let device = Arc::new(MemDevice::new(BlockSize::kb4(), 2));
+        let applier = ReplicaApplier::new(Arc::clone(&device));
+        serve_sim(&net, &replica_side, applier);
+        let prins = ReplicationMode::Prins.replicator();
+        // Each write changes a few bytes, so it ships as a parity.
+        let image = |fill: u8| {
+            let mut block = vec![0u8; 4096];
+            block[..16].fill(fill);
+            block
+        };
+        let (zero, one, two) = (image(0), image(1), image(2));
+        let ask = |lba: u64, old: &[u8], new: &[u8]| {
+            let payload = prins.encode_write(Lba(lba), old, new);
+            primary_side.send(&seal_frame(1, &payload)).unwrap();
+            primary_side.recv().unwrap()
+        };
+
+        // A delivered parity lands; the applier records the block's CRC.
+        assert_eq!(ask(1, &zero, &one), encode_ack(ACK, 1));
+        assert_eq!(device.read_block_vec(Lba(1)).unwrap(), one);
+        // The block rots behind the applier's back. The next delivery
+        // still sees the first one's checksum, so the stale base is
+        // refused instead of XORed into a state the primary never had.
+        device.write_block(Lba(1), &[9u8; 4096]).unwrap();
+        assert_eq!(ask(1, &one, &two), encode_ack(NAK_CORRUPT, 1));
+        assert_eq!(device.read_block_vec(Lba(1)).unwrap(), [9u8; 4096]);
+
+        // A frame past the device's end is refused, and the actor keeps
+        // serving: the frame after it is applied and acknowledged.
+        assert_eq!(ask(5, &zero, &one), encode_ack(NAK, 1));
+        assert_eq!(ask(0, &zero, &two), encode_ack(ACK, 1));
+        assert_eq!(device.read_block_vec(Lba(0)).unwrap(), two);
     }
 
     #[test]

@@ -36,7 +36,9 @@ use prins_ec::ReedSolomon;
 use prins_net::{SimLinkCtl, SimNet, SimTransport, Transport};
 use prins_obs::{EventKind, Registry, TraceConfig, TraceSink};
 use prins_parity::ErasureCodec;
-use prins_repl::{is_sealed, open_frame, AckPolicy, BatchFrame, Payload, ReplicaApplier, Request};
+use prins_repl::{
+    is_sealed, open_frame, serve_sim, AckPolicy, BatchFrame, Payload, ReplicaApplier, Request,
+};
 
 /// Every simulated device uses 4 KB blocks.
 const BLOCK: BlockSize = BlockSize::kb4();
@@ -82,30 +84,16 @@ impl Node {
 }
 
 /// Builds one node behind a fresh link: a zeroed `blocks`-block device
-/// and an actor that applies every delivered frame and acknowledges it
-/// — the stock apply loop, with the EC topology's codec swapped in for
-/// nodes that hold `strips`.
+/// served by the stock apply loop ([`serve_sim`]), with the EC
+/// topology's codec swapped in for nodes that hold `strips`.
 fn spawn_node(net: &SimNet, name: &str, blocks: u64, delay: Duration, strips: bool) -> Node {
     let (primary_end, b, ctl) = net.add_link(name, delay);
     let dev = Arc::new(MemDevice::new(BLOCK, blocks));
-    let tr = b.clone();
-    // The applier lives outside the actor closure: it must keep its
-    // last-seen epoch and per-LBA checksum table across deliveries, or
-    // every ack would regress to epoch 0 and verify-on-apply would
-    // never see a stale base.
     let mut applier = ReplicaApplier::new(Arc::clone(&dev));
     if strips {
         applier = applier.with_codec(Box::new(ReedSolomon::k4m2()));
     }
-    net.set_actor(
-        &b,
-        Box::new(move || {
-            while let Ok(Some(frame)) = tr.try_recv() {
-                let (ack, _) = applier.respond(&frame);
-                let _ = tr.send(&ack);
-            }
-        }),
-    );
+    serve_sim(net, &b, applier);
     Node {
         ctl,
         primary_end,
