@@ -159,7 +159,9 @@ RUST_TEST_THREADS=4 cargo test -q --release --workspace  # every crate, incl. ve
 # benchmark/ is its own workspace (BENCHMARK.json builds it standalone),
 # so neither line above compiles it: run its tests here, or an API break
 # against the harness would only show up when the benchmark next runs.
-cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+# --locked fails the line if a workspace change would make cargo rewrite
+# benchmark/Cargo.lock, which only a change to the benchmark may touch.
+cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 # The paper's RAID path, executed and not only compiled: a PRINS engine
 # over RAID-5 with one replica; the example asserts the array scrubs
 # clean and the replica is bit-identical.

@@ -7,9 +7,8 @@ use prins_bench::{
 };
 use prins_block::{crc32c, crc32c_append_portable};
 use prins_compress::{Codec, Lzss};
-use prins_ec::MulTable;
 use prins_iscsi::{Opcode, Pdu};
-use prins_parity::{forward_parity, scan_nonzero, xor_in_place, SparseCodec};
+use prins_parity::{forward_parity, scan_nonzero, xor_in_place, MulTable, SparseCodec};
 use prins_policy::{AdaptiveReplicator, PolicyConfig};
 use prins_repl::{seal_batch_frame_into, seal_frame_into, Replicator};
 use rand::{RngExt, SeedableRng};

@@ -18,9 +18,8 @@ use std::time::Duration;
 
 use prins_block::{BlockSize, Lba, MemDevice};
 use prins_cluster::{EcConfig, EcGroup};
-use prins_ec::ReedSolomon;
 use prins_net::{SimNet, Transport};
-use prins_parity::ErasureCodec;
+use prins_parity::ReedSolomon;
 use prins_repl::{serve_sim, ReplicaApplier};
 use prins_workloads::{run, RunConfig, Workload};
 
@@ -83,12 +82,11 @@ impl fmt::Display for EcReport {
 }
 
 /// Adds one strip-holding node to `net`: a zeroed device behind a link
-/// of its own, served by the stock apply loop with a Reed–Solomon
-/// applier. Returns the primary's end of the link.
+/// of its own, served by the stock apply loop. Returns the primary's
+/// end of the link.
 fn spawn_node(net: &SimNet, name: &str, stripes: u64, block_size: BlockSize) -> Box<dyn Transport> {
     let (primary_side, node_side, _ctl) = net.add_link(name, LINK_DELAY);
-    let applier = ReplicaApplier::new(MemDevice::new(block_size, stripes))
-        .with_codec(Box::new(ReedSolomon::k4m2()));
+    let applier = ReplicaApplier::new(MemDevice::new(block_size, stripes));
     serve_sim(net, &node_side, applier);
     Box::new(primary_side)
 }

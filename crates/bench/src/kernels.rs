@@ -4,8 +4,7 @@
 //! heavy-tail writes those series encode. The tests below check each
 //! reference against the library kernel it stands in for.
 
-use prins_ec::MulTable;
-use prins_parity::{decode_varint, encode_varint};
+use prins_parity::{decode_varint, encode_varint, MulTable};
 
 /// Byte-at-a-time XOR: the baseline of the criterion
 /// `kernels/xor_in_place` series against [`prins_parity::xor_in_place`].

@@ -38,7 +38,7 @@ use std::time::Duration;
 use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport};
 use prins_obs::{Registry, TraceSink};
-use prins_parity::{ErasureCodec, SparseCodec};
+use prins_parity::{ReedSolomon, SparseCodec};
 use prins_repl::{put_strip_delta, Link, ReplError, Request, ACK, STRIP_ACK};
 
 use crate::probe::{Plane, Probe, Tagged};
@@ -129,17 +129,17 @@ impl Default for EcConfig {
 ///
 /// `device` holds the primary's logical image (`stripes × k` blocks);
 /// each of the `k + m` transports leads to a node whose device holds
-/// `stripes` strip blocks and whose applier uses the same codec (see
-/// [`prins_repl::serve_sim`] and
-/// [`ReplicaApplier::with_codec`](prins_repl::ReplicaApplier::with_codec)).
+/// `stripes` strip blocks behind a stock replica applier (see
+/// [`prins_repl::serve_sim`]), which applies every strip delta in
+/// GF(256).
 ///
 /// The group is closed-loop: every strip-delta frame is acknowledged
 /// before [`write`](Self::write) returns, so the strips always equal
 /// `encode(logical)` between writes — the invariant the simulator
 /// checks byte-exactly.
-pub struct EcGroup<D, C> {
+pub struct EcGroup<D> {
     device: D,
-    codec: C,
+    codec: ReedSolomon,
     placement: EcPlacement,
     sparse: SparseCodec,
     /// The image the current write replaces, reused across writes.
@@ -155,7 +155,7 @@ pub struct EcGroup<D, C> {
     probe: Probe,
 }
 
-impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
+impl<D: BlockDevice> EcGroup<D> {
     /// Wraps the primary's logical `device` and one transport per
     /// strip-holding node.
     ///
@@ -164,7 +164,12 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     /// Panics unless `transports.len() == codec.total_strips()` and
     /// the device's block count is a multiple of `codec.data_strips()`
     /// (whole stripes only).
-    pub fn new(device: D, codec: C, config: EcConfig, transports: Vec<Box<dyn Transport>>) -> Self {
+    pub fn new(
+        device: D,
+        codec: ReedSolomon,
+        config: EcConfig,
+        transports: Vec<Box<dyn Transport>>,
+    ) -> Self {
         let k = codec.data_strips();
         let m = codec.parity_strips();
         assert_eq!(
@@ -520,10 +525,9 @@ impl<D: BlockDevice, C: ErasureCodec> EcGroup<D, C> {
     }
 }
 
-impl<D: BlockDevice, C: ErasureCodec> std::fmt::Debug for EcGroup<D, C> {
+impl<D: BlockDevice> std::fmt::Debug for EcGroup<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EcGroup")
-            .field("codec", &self.codec.name())
             .field("k", &self.placement.k)
             .field("m", &self.placement.m)
             .field("stripes", &self.stripes)
@@ -535,27 +539,24 @@ impl<D: BlockDevice, C: ErasureCodec> std::fmt::Debug for EcGroup<D, C> {
 mod tests {
     use super::*;
     use prins_block::{BlockSize, MemDevice};
-    use prins_ec::ReedSolomon;
     use prins_net::SimNet;
     use prins_repl::{serve_sim, ReplicaApplier};
     use rand::{RngExt, SeedableRng};
 
     struct Harness {
         net: SimNet,
-        group: EcGroup<MemDevice, ReedSolomon>,
+        group: EcGroup<MemDevice>,
         devices: Vec<Arc<MemDevice>>,
     }
 
     /// Adds one strip holder behind a simulated link of its own, served
-    /// by the stock replica loop with an RS-codec applier — the same
-    /// loop mirroring replicas run. A refused strip fails the group's
+    /// by the stock replica loop with a stock applier — the same loop
+    /// mirroring replicas run. A refused strip fails the group's
     /// own call, so the harness needs no check of its own.
     fn spawn_node(net: &SimNet, stripes: u64) -> (Box<dyn Transport>, Arc<MemDevice>) {
         let (primary_side, node_side, _ctl) = net.add_link("node", Duration::from_micros(200));
         let device = Arc::new(MemDevice::new(BlockSize::kb4(), stripes));
-        let applier =
-            ReplicaApplier::new(Arc::clone(&device)).with_codec(Box::new(ReedSolomon::k4m2()));
-        serve_sim(net, &node_side, applier);
+        serve_sim(net, &node_side, ReplicaApplier::new(Arc::clone(&device)));
         (Box::new(primary_side), device)
     }
 
@@ -761,7 +762,7 @@ mod tests {
 
     /// A group over scripted links: node 0 answers from `replies`, and
     /// sits at epoch 2 (its slot was replaced once).
-    fn scripted_group(replies: Vec<Vec<u8>>) -> EcGroup<MemDevice, ReedSolomon> {
+    fn scripted_group(replies: Vec<Vec<u8>>) -> EcGroup<MemDevice> {
         let codec = ReedSolomon::k4m2();
         let transports = (0..codec.total_strips())
             .map(|_| Box::new(prins_net::SinkTransport::new()) as Box<dyn Transport>)

@@ -1938,10 +1938,10 @@ mod tests {
         let net = SimNet::new();
         let (a, b, _ctl) = net.add_link("replica0", Duration::from_micros(300));
         let mut applier = ReplicaApplier::new(MemDevice::new(BlockSize::kb4(), 1));
-        let (tr, mut first, mut held) = (b.clone(), true, None);
+        let (mut first, mut held) = (true, None);
         net.set_actor(
             &b,
-            Box::new(move || {
+            Box::new(move |tr| {
                 while let Ok(Some(frame)) = tr.try_recv() {
                     let (answer, _) = applier.respond(&frame);
                     if std::mem::take(&mut first) {

@@ -19,7 +19,9 @@
 //!
 //! Passive peers (replica appliers: `prins_repl::serve_sim`) register
 //! an *actor*: a callback the hub runs whenever a frame is delivered
-//! to that endpoint or its link comes back up. Actors must use
+//! to that endpoint or its link comes back up. The hub hands the actor
+//! its endpoint on each run, so an actor holds no handle of its own
+//! and a dropped network frees its actors. Actors must use
 //! [`SimTransport::try_recv`] and never block — the whole simulation
 //! is one thread.
 //!
@@ -150,6 +152,8 @@ struct EndpointState {
     peer: usize,
     inbox: VecDeque<(u64, Vec<u8>)>,
     egress: Egress,
+    /// Shared by every handle on this endpoint, the actor's included.
+    meter: Arc<TrafficMeter>,
 }
 
 #[derive(Debug)]
@@ -217,7 +221,7 @@ impl HubState {
     }
 }
 
-type Actor = Box<dyn FnMut() + Send>;
+type Actor = Box<dyn FnMut(&SimTransport) + Send>;
 
 struct Hub {
     clock: Arc<SimClock>,
@@ -281,7 +285,7 @@ impl Hub {
     }
 
     /// Runs an endpoint's actor, if one is registered and not already
-    /// running further up the stack.
+    /// running further up the stack, on a handle to that endpoint.
     fn run_actor(self: &Arc<Self>, target: usize) {
         let actor = {
             let mut actors = self.actors.lock();
@@ -291,8 +295,17 @@ impl Hub {
             actors[target].take()
         };
         if let Some(mut actor) = actor {
-            actor();
+            actor(&self.endpoint(target));
             self.actors.lock()[target] = Some(actor);
+        }
+    }
+
+    /// A handle on endpoint `ep`, sharing its meter with every other.
+    fn endpoint(self: &Arc<Self>, ep: usize) -> SimTransport {
+        SimTransport {
+            hub: Arc::clone(self),
+            ep,
+            meter: Arc::clone(&self.st.lock().endpoints[ep].meter),
         }
     }
 }
@@ -347,33 +360,24 @@ impl SimNet {
         });
         let a = st.endpoints.len();
         let b = a + 1;
-        st.endpoints.push(EndpointState {
-            label: format!("{name}.a"),
-            link,
-            peer: b,
-            inbox: VecDeque::new(),
-            egress: Egress::new(delay),
-        });
-        st.endpoints.push(EndpointState {
-            label: format!("{name}.b"),
-            link,
-            peer: a,
-            inbox: VecDeque::new(),
-            egress: Egress::new(delay),
-        });
+        for (end, peer) in [("a", b), ("b", a)] {
+            st.endpoints.push(EndpointState {
+                label: format!("{name}.{end}"),
+                link,
+                peer,
+                inbox: VecDeque::new(),
+                egress: Egress::new(delay),
+                meter: TrafficMeter::shared(crate::LinkModel::t1()),
+            });
+        }
         drop(st);
         let mut actors = self.hub.actors.lock();
         actors.push(None);
         actors.push(None);
         drop(actors);
-        let make = |ep: usize| SimTransport {
-            hub: Arc::clone(&self.hub),
-            ep,
-            meter: TrafficMeter::shared(crate::LinkModel::t1()),
-        };
         (
-            make(a),
-            make(b),
+            self.hub.endpoint(a),
+            self.hub.endpoint(b),
             SimLinkCtl {
                 hub: Arc::clone(&self.hub),
                 link,
@@ -384,7 +388,8 @@ impl SimNet {
     }
 
     /// Registers `actor` to run whenever a frame is delivered to
-    /// `endpoint` (or its link is restored). Actors must drain with
+    /// `endpoint` (or its link is restored); each run is handed a
+    /// handle on `endpoint`. Actors must drain with
     /// [`SimTransport::try_recv`] and never block.
     pub fn set_actor(&self, endpoint: &SimTransport, actor: Actor) {
         self.hub.actors.lock()[endpoint.ep] = Some(actor);
@@ -553,8 +558,8 @@ impl std::fmt::Debug for SimLinkCtl {
 
 /// One endpoint of a simulated link; implements [`Transport`].
 ///
-/// Clone freely — clones share the endpoint (and its meter), which is
-/// how a replica actor and the harness can both hold the replica side.
+/// Clone freely — clones share the endpoint (and its meter), as does
+/// the handle the hub passes the endpoint's actor.
 #[derive(Clone)]
 pub struct SimTransport {
     hub: Arc<Hub>,
@@ -879,14 +884,13 @@ mod tests {
     fn actor_echoes_on_delivery() {
         let net = SimNet::new();
         let (a, b, _ctl) = net.add_link("l0", Duration::ZERO);
-        let b_actor = b.clone();
         net.set_actor(
             &b,
-            Box::new(move || {
-                while let Ok(Some(frame)) = b_actor.try_recv() {
+            Box::new(|b| {
+                while let Ok(Some(frame)) = b.try_recv() {
                     let mut echoed = frame.clone();
                     echoed.push(b'!');
-                    let _ = b_actor.send(&echoed);
+                    let _ = b.send(&echoed);
                 }
             }),
         );

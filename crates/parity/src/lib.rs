@@ -30,7 +30,11 @@
 //!   planned from two images ([`DeltaPlan::to_parity`]), encoded from a
 //!   dense block or checked in place in a received frame,
 //! * [`DeltaStats`] — change-ratio measurement used throughout the
-//!   evaluation.
+//!   evaluation,
+//! * [`gf`] and [`ReedSolomon`] — GF(256) arithmetic and the systematic
+//!   Cauchy Reed–Solomon code of erasure-coded groups. A small write's
+//!   delta `Δd` updates parity strip `i` by `Δp_i = c_i · Δd`
+//!   ([`gf::mul_xor_slice`]); PRINS mirroring is the coefficient-1 case.
 //!
 //! # Example
 //!
@@ -60,12 +64,14 @@
 
 mod codec;
 mod delta;
-mod erasure;
+pub mod gf;
+mod rs;
 mod varint;
 mod xor;
 
 pub use codec::{CodecError, DeltaPlan, SparseCodec, SparseParity};
 pub use delta::{forward_parity, DeltaStats};
-pub use erasure::{EcError, ErasureCodec, XorCodec};
+pub use gf::MulTable;
+pub use rs::{EcError, ReedSolomon};
 pub use varint::{decode_varint, encode_varint, varint_len};
 pub use xor::{scan_nonzero, xor_bytes, xor_in_place};

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use prins_block::{crc32c, BlockDevice, Lba};
 use prins_compress::Lzss;
-use prins_parity::{ErasureCodec, SparseCodec, SparseParity, XorCodec};
+use prins_parity::{gf, SparseCodec, SparseParity};
 
 use crate::payload::{BodyRef, PayloadRef};
 use crate::wire::{
@@ -57,7 +57,6 @@ pub struct ReplicaApplier<D> {
     device: D,
     sparse: SparseCodec,
     lzss: Lzss,
-    codec: Box<dyn ErasureCodec>,
     applied: u64,
     /// Epoch of the most recent sealed frame opened (0 before any).
     last_epoch: u64,
@@ -74,31 +73,17 @@ pub struct ReplicaApplier<D> {
 impl<D: BlockDevice> ReplicaApplier<D> {
     /// Creates an applier owning a handle to the replica's device —
     /// a plain reference, an `Arc`, or the device itself all work.
-    ///
-    /// Deltas apply through the mirroring [`XorCodec`] by default; see
-    /// [`with_codec`](Self::with_codec) for erasure-coded strips.
     pub fn new(device: D) -> Self {
         Self {
             device,
             sparse: SparseCodec::default(),
             lzss: Lzss::default(),
-            codec: Box::new(XorCodec::mirror()),
             applied: 0,
             last_epoch: 0,
             checksums: HashMap::new(),
             scratch: Vec::new(),
             inflated: Vec::new(),
         }
-    }
-
-    /// Replaces the erasure codec that strip deltas apply through.
-    ///
-    /// A replica holding a Reed–Solomon parity strip needs the full
-    /// GF(256) update `strip ^= c · Δ`; the XOR default only accepts
-    /// coefficients 0 and 1.
-    pub fn with_codec(mut self, codec: Box<dyn ErasureCodec>) -> Self {
-        self.codec = codec;
-        self
     }
 
     /// Number of write payloads applied so far.
@@ -252,7 +237,7 @@ impl<D: BlockDevice> ReplicaApplier<D> {
     fn apply_parity(&mut self, lba: Lba, sparse_bytes: &[u8]) -> Result<(), ReplError> {
         // PRINS mirroring is the coefficient-1 strip update: the data
         // strip of every erasure code is systematic, so the two paths
-        // share one implementation through the codec seam.
+        // share one GF(256) apply, whose coefficient 1 is plain XOR.
         self.apply_strip_delta(lba, 1, sparse_bytes)
     }
 
@@ -274,9 +259,7 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         self.with_block(lba, |this, block| {
             this.check_stored(lba, block)?;
             for (offset, data) in delta.segments() {
-                this.codec
-                    .apply_delta(&mut block[offset..offset + data.len()], coeff, data)
-                    .map_err(|e| ReplError::Malformed(format!("strip delta: {e}")))?;
+                gf::mul_xor_slice(coeff, data, &mut block[offset..offset + data.len()]);
             }
             this.write_checked(lba, block)
         })
@@ -551,15 +534,14 @@ mod tests {
     }
 
     #[test]
-    fn strip_delta_applies_through_the_codec() {
+    fn strip_delta_applies_in_gf256() {
         use prins_parity::SparseCodec;
         // A replica holding RS parity strip 0 of a k=4,m=2 group: its
         // update for a data-strip delta Δ on column j is c_{0,j}·Δ.
-        let rs = prins_ec::ReedSolomon::k4m2();
-        let coeff = rs.coefficient(0, 2);
+        let coeff = prins_parity::ReedSolomon::k4m2().coefficient(0, 2);
         assert!(coeff > 1, "Cauchy coefficients exercise real GF math");
         let replica = MemDevice::new(BlockSize::kb4(), 4);
-        let mut applier = ReplicaApplier::new(&replica).with_codec(Box::new(rs));
+        let mut applier = ReplicaApplier::new(&replica);
 
         let mut delta = vec![0u8; 4096];
         for (i, b) in delta[700..900].iter_mut().enumerate() {
@@ -575,28 +557,8 @@ mod tests {
         };
         assert!(applier.apply(&payload.to_bytes()).unwrap());
         let got = replica.read_block_vec(Lba(1)).unwrap();
-        let want: Vec<u8> = delta.iter().map(|&d| prins_ec::gf::mul(coeff, d)).collect();
+        let want: Vec<u8> = delta.iter().map(|&d| gf::mul(coeff, d)).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn xor_codec_rejects_gf_coefficients() {
-        let replica = MemDevice::new(BlockSize::kb4(), 4);
-        let mut applier = ReplicaApplier::new(&replica);
-        let sparse = prins_parity::SparseCodec::default()
-            .encode(&[1u8; 4096])
-            .to_bytes();
-        let payload = Payload {
-            lba: Lba(0),
-            body: PayloadBody::StripDelta {
-                coeff: 3,
-                data: sparse,
-            },
-        };
-        assert!(matches!(
-            applier.apply(&payload.to_bytes()),
-            Err(ReplError::Malformed(_))
-        ));
     }
 
     #[test]

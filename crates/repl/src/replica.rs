@@ -51,10 +51,9 @@ pub fn serve_sim<D>(net: &SimNet, endpoint: &SimTransport, mut applier: ReplicaA
 where
     D: BlockDevice + Send + 'static,
 {
-    let tr = endpoint.clone();
     net.set_actor(
         endpoint,
-        Box::new(move || {
+        Box::new(move |tr| {
             while let Ok(Some(frame)) = tr.try_recv() {
                 let _ = tr.send(&applier.respond(&frame).0);
             }
@@ -160,6 +159,32 @@ mod tests {
         assert_eq!(ask(5, &zero, &one), encode_ack(NAK, 1));
         assert_eq!(ask(0, &zero, &two), encode_ack(ACK, 1));
         assert_eq!(device.read_block_vec(Lba(0)).unwrap(), two);
+    }
+
+    #[test]
+    fn a_served_net_frees_its_replica_when_dropped() {
+        use crate::wire::{encode_ack, seal_frame};
+        let net = prins_net::SimNet::new();
+        let (primary_side, replica_side, ctl) =
+            net.add_link("replica", std::time::Duration::from_micros(100));
+        let device = Arc::new(MemDevice::new(BlockSize::kb4(), 2));
+        serve_sim(
+            &net,
+            &replica_side,
+            ReplicaApplier::new(Arc::clone(&device)),
+        );
+        let payload = ReplicationMode::Traditional.replicator().encode_write(
+            Lba(1),
+            &[0u8; 4096],
+            &[5u8; 4096],
+        );
+        primary_side.send(&seal_frame(1, &payload)).unwrap();
+        assert_eq!(primary_side.recv().unwrap(), encode_ack(ACK, 1));
+        // The actor owns the applier, which owns a device handle; the
+        // hub owns the actor. Once every handle on the hub is gone, the
+        // device must be back to its one owner.
+        drop((net, primary_side, replica_side, ctl));
+        assert_eq!(Arc::strong_count(&device), 1);
     }
 
     #[test]

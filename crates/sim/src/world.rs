@@ -32,10 +32,9 @@ use prins_cluster::{
     RendezvousPlacement, ReplicaState, ShardedCluster,
 };
 use prins_core::{EngineBuilder, PrinsEngine};
-use prins_ec::ReedSolomon;
 use prins_net::{SimLinkCtl, SimNet, SimTransport, Transport};
 use prins_obs::{EventKind, Registry, TraceConfig, TraceSink};
-use prins_parity::ErasureCodec;
+use prins_parity::ReedSolomon;
 use prins_repl::{
     is_sealed, open_frame, serve_sim, AckPolicy, BatchFrame, Payload, ReplicaApplier, Request,
 };
@@ -84,16 +83,11 @@ impl Node {
 }
 
 /// Builds one node behind a fresh link: a zeroed `blocks`-block device
-/// served by the stock apply loop ([`serve_sim`]), with the EC
-/// topology's codec swapped in for nodes that hold `strips`.
-fn spawn_node(net: &SimNet, name: &str, blocks: u64, delay: Duration, strips: bool) -> Node {
+/// served by the stock apply loop ([`serve_sim`]).
+fn spawn_node(net: &SimNet, name: &str, blocks: u64, delay: Duration) -> Node {
     let (primary_end, b, ctl) = net.add_link(name, delay);
     let dev = Arc::new(MemDevice::new(BLOCK, blocks));
-    let mut applier = ReplicaApplier::new(Arc::clone(&dev));
-    if strips {
-        applier = applier.with_codec(Box::new(ReedSolomon::k4m2()));
-    }
-    serve_sim(net, &b, applier);
+    serve_sim(net, &b, ReplicaApplier::new(Arc::clone(&dev)));
     Node {
         ctl,
         primary_end,
@@ -334,7 +328,7 @@ impl Bed {
     /// systematic encoding of the primary's logical image. A down node
     /// (its link severed by [`World::fail_node`]) missed the degraded
     /// writes; a rebuild brings it back under the check.
-    fn check_strips(&self, group: &EcGroup<MemDevice, ReedSolomon>) -> Result<(), String> {
+    fn check_strips(&self, group: &EcGroup<MemDevice>) -> Result<(), String> {
         let p = group.placement();
         for stripe in 0..group.stripes() {
             let data = (0..p.k as u64)
@@ -457,7 +451,7 @@ enum Sut {
     Cluster(ShardedCluster<MemDevice>),
     Engine(PrinsEngine),
     Ec {
-        group: EcGroup<MemDevice, ReedSolomon>,
+        group: EcGroup<MemDevice>,
         /// Nodes swapped in so far (names each replacement's link).
         replacements: usize,
     },
@@ -480,9 +474,9 @@ impl World {
     pub fn new(topology: Topology) -> Self {
         let net = SimNet::new();
         let registry = Registry::new();
-        let farm = |count: usize, prefix: &str, blocks: u64, delay: Duration, strips: bool| {
+        let farm = |count: usize, prefix: &str, blocks: u64, delay: Duration| {
             (0..count)
-                .map(|idx| spawn_node(&net, &format!("{prefix}{idx}"), blocks, delay, strips))
+                .map(|idx| spawn_node(&net, &format!("{prefix}{idx}"), blocks, delay))
                 .collect::<Vec<Node>>()
         };
         let (sut, nodes, trace, blocks) = match topology {
@@ -493,7 +487,7 @@ impl World {
                 config,
                 slot_blocks,
             } => {
-                let nodes = farm(groups * replicas, "replica", blocks, LINK_DELAY, false);
+                let nodes = farm(groups * replicas, "replica", blocks, LINK_DELAY);
                 let cluster_groups = nodes
                     .chunks(replicas)
                     .map(|farm| {
@@ -522,7 +516,7 @@ impl World {
                 adaptive,
             } => {
                 let primary = Arc::new(MemDevice::new(BLOCK, ENGINE_BLOCKS));
-                let nodes = farm(replicas, "replica", ENGINE_BLOCKS, ENGINE_LINK_DELAY, false);
+                let nodes = farm(replicas, "replica", ENGINE_BLOCKS, ENGINE_LINK_DELAY);
                 let mut builder = EngineBuilder::new(primary)
                     .manual_stepping(true)
                     .observe(Arc::clone(&registry))
@@ -543,7 +537,7 @@ impl World {
             }
             Topology::Ec => {
                 let codec = ReedSolomon::k4m2();
-                let nodes = farm(codec.total_strips(), "node", EC_STRIPES, LINK_DELAY, true);
+                let nodes = farm(codec.total_strips(), "node", EC_STRIPES, LINK_DELAY);
                 let blocks = EC_STRIPES * codec.data_strips() as u64;
                 let config = EcConfig {
                     ack_timeout: ACK_TIMEOUT,
@@ -656,7 +650,7 @@ impl World {
 
     /// The erasure-coded group under test. Panics unless the topology
     /// is [`Topology::Ec`].
-    pub(crate) fn ec(&self) -> &EcGroup<MemDevice, ReedSolomon> {
+    pub(crate) fn ec(&self) -> &EcGroup<MemDevice> {
         match &self.sut {
             Sut::Ec { group, .. } => group,
             _ => panic!("not an EC world"),
@@ -802,7 +796,7 @@ impl World {
         };
         *replacements += 1;
         let name = format!("node{idx}-r{replacements}");
-        let node = spawn_node(&self.bed.net, &name, group.stripes(), LINK_DELAY, true);
+        let node = spawn_node(&self.bed.net, &name, group.stripes(), LINK_DELAY);
         group
             .replace_node(idx, Box::new(node.primary_end.clone()))
             .map_err(|e| format!("replace node {idx}: {e}"))?;

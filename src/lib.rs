@@ -2,7 +2,6 @@
 pub use prins_block as block;
 pub use prins_compress as compress;
 pub use prins_core as core_engine;
-pub use prins_ec as ec;
 pub use prins_fs as fs;
 pub use prins_iscsi as iscsi;
 pub use prins_net as net;

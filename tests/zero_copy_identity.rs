@@ -17,9 +17,8 @@ use std::time::Duration;
 use prins_block::{crc32c, BlockDevice, BlockSize, Lba, MemDevice};
 use prins_cluster::{ClusterConfig, ClusterGroup, EcConfig, EcGroup};
 use prins_core::EngineBuilder;
-use prins_ec::ReedSolomon;
 use prins_net::{LinkModel, NetError, TrafficMeter, Transport};
-use prins_parity::{encode_varint, ErasureCodec, SparseCodec};
+use prins_parity::{encode_varint, ReedSolomon, SparseCodec};
 use prins_repl::{
     encode_ack, Payload, PayloadBody, ReplicaApplier, ReplicationMode, ACK, BATCH_TAG, SEAL_TAG,
 };
@@ -323,7 +322,7 @@ fn ec_write_frames_match_classic_strip_deltas() {
         let frames = log.lock().unwrap().clone();
         assert_eq!(&frames, expected, "node {node} frames diverged");
         let device = Arc::new(MemDevice::new(BlockSize::kb4(), STRIPES));
-        let mut applier = ReplicaApplier::new(Arc::clone(&device)).with_codec(Box::new(rs.clone()));
+        let mut applier = ReplicaApplier::new(Arc::clone(&device));
         for frame in &frames {
             applier.handle(frame).unwrap();
         }
