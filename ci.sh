@@ -214,4 +214,4 @@ cargo run -q --release -p prins-bench --bin figures -- scale --no-run
 cargo run -q --release -p prins-bench --bin figures -- adaptive --no-run
 # Counted lines per crate (and per file for the crates named): the
 # number simplicity PRs quote before/after. Printed, never gated on.
-./scripts/loc.sh core cluster sim parity repl trap bench net
+./scripts/loc.sh core cluster sim parity repl trap bench net policy block workloads

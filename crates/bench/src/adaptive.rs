@@ -13,7 +13,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use prins_policy::{AdaptiveReplicator, CounterfactualMode, PolicyConfig};
+use prins_policy::{AdaptiveReplicator, PolicyConfig};
 use prins_repl::{ReplicationMode, Replicator};
 use prins_workloads::{run, Workload, WorkloadError};
 
@@ -81,18 +81,13 @@ pub(crate) fn measure_adaptive(
     config: &TrafficConfig,
 ) -> Result<AdaptiveMeasurement, WorkloadError> {
     let replicators: Vec<Box<dyn Replicator>> = STATICS.iter().map(|m| m.replicator()).collect();
-    // Counterfactual accounting off: this harness computes the statics
-    // exactly itself, so the estimate counters would be redundant work.
-    let adaptive = AdaptiveReplicator::new(PolicyConfig {
-        counterfactual: CounterfactualMode::Off,
-        ..PolicyConfig::default()
-    });
+    let adaptive = AdaptiveReplicator::new(PolicyConfig::default());
 
     let totals: Arc<Mutex<(Vec<u64>, u64)>> = Arc::new(Mutex::new((vec![0u64; STATICS.len()], 0)));
     let sink = Arc::clone(&totals);
     let policy = Arc::new(adaptive);
     let encoder = Arc::clone(&policy);
-    let observer = Box::new(move |_seq: u64, lba, old: &[u8], new: &[u8]| {
+    let observer = Box::new(move |lba, old: &[u8], new: &[u8]| {
         let mut totals = sink.lock().expect("ablation mutex");
         for (replicator, total) in replicators.iter().zip(totals.0.iter_mut()) {
             *total += replicator.encode_write(lba, old, new).len() as u64;

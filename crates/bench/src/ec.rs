@@ -17,9 +17,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use prins_block::{BlockSize, Lba, MemDevice};
-use prins_cluster::{EcConfig, EcGroup};
+use prins_cluster::{EcConfig, EcGroup, EcPlacement};
 use prins_net::{SimNet, Transport};
-use prins_parity::ReedSolomon;
 use prins_repl::{serve_sim, ReplicaApplier};
 use prins_workloads::{run, RunConfig, Workload};
 
@@ -108,7 +107,7 @@ pub fn ec_experiment(
     type WriteTrace = Vec<(u64, Vec<u8>)>;
     let trace: Arc<Mutex<WriteTrace>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&trace);
-    let observer = Box::new(move |_seq: u64, lba: Lba, _old: &[u8], new: &[u8]| {
+    let observer = Box::new(move |lba: Lba, _old: &[u8], new: &[u8]| {
         sink.lock()
             .expect("trace mutex")
             .push((lba.index(), new.to_vec()));
@@ -128,14 +127,14 @@ pub fn ec_experiment(
         .expect("trace mutex");
 
     let stripes: u64 = 64;
-    let codec = ReedSolomon::k4m2();
-    let blocks = stripes * codec.data_strips() as u64;
+    let placement = EcPlacement::group();
+    let blocks = stripes * placement.k as u64;
     let net = SimNet::new();
-    let transports = (0..codec.total_strips())
+    let transports = (0..placement.n())
         .map(|node| spawn_node(&net, &format!("node{node}"), stripes, block_size))
         .collect();
     let logical = MemDevice::new(block_size, blocks);
-    let mut group = EcGroup::new(logical, codec, EcConfig::default(), transports);
+    let mut group = EcGroup::new(logical, EcConfig::default(), transports);
 
     let mut report = EcReport {
         writes: 0,

@@ -144,7 +144,7 @@ pub fn measure_traffic(
     let totals: Arc<Mutex<Vec<ModeTraffic>>> =
         Arc::new(Mutex::new(vec![ModeTraffic::default(); modes.len()]));
     let sink = Arc::clone(&totals);
-    let observer = Box::new(move |_seq: u64, lba, old: &[u8], new: &[u8]| {
+    let observer = Box::new(move |lba, old: &[u8], new: &[u8]| {
         let mut totals = sink.lock().expect("traffic mutex");
         for (replicator, total) in replicators.iter().zip(totals.iter_mut()) {
             let payload = replicator.encode_write(lba, old, new);

@@ -9,9 +9,8 @@
 //! * [`MemDevice`] — a dense in-memory device (the workhorse for tests and
 //!   benchmarks),
 //! * [`FileDevice`] — a file-backed device for persistence across runs,
-//! * [`InstrumentedDevice`] — a wrapper counting reads/writes/bytes, used to
-//!   capture the block-write traces the paper's traffic figures are built
-//!   from,
+//! * [`InstrumentedDevice`] — a wrapper that captures the block-write
+//!   traces the paper's traffic figures are built from,
 //! * [`FaultDevice`] — a wrapper that injects I/O failures for recovery
 //!   tests.
 //!
@@ -54,7 +53,7 @@ pub use error::BlockError;
 pub use fault::{FaultDevice, FaultKind, FaultPlan};
 pub use file::FileDevice;
 pub use geometry::{BlockSize, Geometry, Lba, LbaRange};
-pub use instrument::{InstrumentedDevice, IoStats, WriteObserver};
+pub use instrument::{InstrumentedDevice, WriteObserver};
 pub use mem::MemDevice;
 
 /// Convenience alias used by every fallible API in this crate.

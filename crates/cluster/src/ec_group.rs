@@ -24,7 +24,7 @@
 //!
 //! Rebuilding a lost strip reads exactly `k` surviving strips (not
 //! `n - 1`, and never a full logical image): each survivor answers a
-//! strip-read request with a zero-run-encoded image, the codec
+//! read request for its strip with a zero-run-encoded image, the codec
 //! reconstructs the lost strip, and the replacement receives it as a
 //! coefficient-1 delta over its zeroed disk — also sparse. Wire bytes
 //! per stripe are therefore bounded by roughly `(k + 1)/k` times the
@@ -39,7 +39,7 @@ use prins_block::{BlockDevice, Lba};
 use prins_net::{Clock, Transport};
 use prins_obs::{Registry, TraceSink};
 use prins_parity::{ReedSolomon, SparseCodec};
-use prins_repl::{put_strip_delta, Link, ReplError, Request, ACK, STRIP_ACK};
+use prins_repl::{put_strip_delta, Link, ReplError, Request, ACK, READ_ACK};
 
 use crate::probe::{Plane, Probe, Tagged};
 use crate::ClusterError;
@@ -54,10 +54,27 @@ pub struct EcPlacement {
     pub m: usize,
 }
 
+/// The group's code: Reed–Solomon at `k = 4, m = 2`.
+fn code() -> ReedSolomon {
+    ReedSolomon::k4m2()
+}
+
 impl EcPlacement {
+    /// The placement every [`EcGroup`] stripes with, read from its code.
+    /// Callers size a group's node farm (`n()` nodes) and logical
+    /// volume (`stripes × k` blocks) from it.
+    #[must_use]
+    pub fn group() -> Self {
+        let codec = code();
+        Self {
+            k: codec.data_strips(),
+            m: codec.parity_strips(),
+        }
+    }
+
     /// Total strips (= nodes) per stripe.
     #[must_use]
-    pub(crate) fn n(&self) -> usize {
+    pub fn n(&self) -> usize {
         self.k + self.m
     }
 
@@ -86,7 +103,7 @@ struct EcNode {
 }
 
 /// Outcome of one erasure-coded write.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EcWriteOutcome {
     /// Strip-delta frames acknowledged (1 data + up to m parity).
     pub acked: usize,
@@ -97,12 +114,12 @@ pub struct EcWriteOutcome {
 }
 
 /// Outcome of one node rebuild.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EcRebuildReport {
     /// Stripes reconstructed onto the replacement node.
     pub stripes: u64,
-    /// Wire bytes moved: strip-read requests, survivor images, and
-    /// rebuilt strip shipments.
+    /// Wire bytes moved: read requests, survivor images, and rebuilt
+    /// strip shipments.
     pub wire_bytes: u64,
     /// Sum of the k surviving strips' *dense* image bytes per stripe —
     /// the denominator of the repair-bandwidth bound.
@@ -127,11 +144,13 @@ impl Default for EcConfig {
 /// A primary striping its logical volume k-of-n across strip-holding
 /// nodes, with PRINS delta updates to data *and* parity strips.
 ///
-/// `device` holds the primary's logical image (`stripes × k` blocks);
-/// each of the `k + m` transports leads to a node whose device holds
-/// `stripes` strip blocks behind a stock replica applier (see
-/// [`prins_repl::serve_sim`]), which applies every strip delta in
-/// GF(256).
+/// The code is Reed–Solomon at `k = 4, m = 2`
+/// ([`ReedSolomon::k4m2`]), whose geometry [`EcPlacement::group`]
+/// gives callers. `device` holds the primary's logical image
+/// (`stripes × k` blocks); each of the `k + m` transports leads to a
+/// node whose device holds `stripes` strip blocks behind a stock
+/// replica applier (see [`prins_repl::serve_sim`]), which applies every
+/// strip delta in GF(256).
 ///
 /// The group is closed-loop: every strip-delta frame is acknowledged
 /// before [`write`](Self::write) returns, so the strips always equal
@@ -161,20 +180,16 @@ impl<D: BlockDevice> EcGroup<D> {
     ///
     /// # Panics
     ///
-    /// Panics unless `transports.len() == codec.total_strips()` and
-    /// the device's block count is a multiple of `codec.data_strips()`
-    /// (whole stripes only).
-    pub fn new(
-        device: D,
-        codec: ReedSolomon,
-        config: EcConfig,
-        transports: Vec<Box<dyn Transport>>,
-    ) -> Self {
-        let k = codec.data_strips();
-        let m = codec.parity_strips();
+    /// Panics unless there is one transport per strip (`k + m`) and
+    /// the device's block count is a multiple of `k` (whole stripes
+    /// only).
+    pub fn new(device: D, config: EcConfig, transports: Vec<Box<dyn Transport>>) -> Self {
+        let codec = code();
+        let placement = EcPlacement::group();
+        let k = placement.k;
         assert_eq!(
             transports.len(),
-            k + m,
+            placement.n(),
             "one transport per strip-holding node"
         );
         let blocks = device.geometry().num_blocks();
@@ -183,7 +198,7 @@ impl<D: BlockDevice> EcGroup<D> {
         Self {
             device,
             codec,
-            placement: EcPlacement { k, m },
+            placement,
             sparse: SparseCodec::default(),
             old: Vec::new(),
             nodes: transports
@@ -297,8 +312,7 @@ impl<D: BlockDevice> EcGroup<D> {
         let k = self.placement.k;
         let stripe = lba.index() / k as u64;
         let col = (lba.index() % k as u64) as usize;
-        self.old
-            .resize(self.device.geometry().block_size().bytes(), 0);
+        self.old.resize(self.block_size, 0);
         self.device.read_block(lba, &mut self.old)?;
         self.device.write_block_over(lba, &self.old, new)?;
 
@@ -309,11 +323,7 @@ impl<D: BlockDevice> EcGroup<D> {
         // the strip fan-out and is released after the last
         // acknowledgement is collected below.
         let tid = self.probe.begin();
-        let mut outcome = EcWriteOutcome {
-            acked: 0,
-            skipped: 0,
-            wire_bytes: 0,
-        };
+        let mut outcome = EcWriteOutcome::default();
         // Data strip first, then each parity strip. Sends are
         // pipelined; acks are collected after (every target is a
         // distinct node under rotated placement).
@@ -369,10 +379,10 @@ impl<D: BlockDevice> EcGroup<D> {
         }
     }
 
-    /// Fetches the strip image node `node` holds for `stripe` — a
-    /// CRC-protected, zero-run-encoded read off the node's own disk —
-    /// and returns the dense strip plus the wire bytes both directions
-    /// cost.
+    /// Fetches the strip image node `node` holds for `stripe` — a read
+    /// request, answered with a CRC-protected, zero-run-encoded image
+    /// off the node's own disk — and returns the dense strip plus the
+    /// wire bytes both directions cost.
     ///
     /// # Errors
     ///
@@ -386,11 +396,11 @@ impl<D: BlockDevice> EcGroup<D> {
         stripe: u64,
     ) -> Result<(Vec<u8>, u64), ClusterError> {
         self.check_idx(node)?;
-        let fill = |out: &mut Vec<u8>| Request::Strip(Lba(stripe)).put(out);
+        let fill = |out: &mut Vec<u8>| Request::Read(Lba(stripe)).put(out);
         let link = &mut self.nodes[node].link;
         let (req_len, answer) =
             self.probe
-                .request(node, link, self.ack_timeout, (None, ()), STRIP_ACK, fill);
+                .request(node, link, self.ack_timeout, (None, ()), READ_ACK, fill);
         let resp = answer?;
         let strip = self
             .sparse
@@ -421,11 +431,7 @@ impl<D: BlockDevice> EcGroup<D> {
         let started = self.probe.stamp();
         let n = self.placement.n();
         let k = self.placement.k;
-        let mut report = EcRebuildReport {
-            stripes: 0,
-            wire_bytes: 0,
-            survivor_image_bytes: 0,
-        };
+        let mut report = EcRebuildReport::default();
         // The replacement stays down until its last strip ships: a
         // half-rebuilt node's zeroed strips must not read as survivors.
         self.nodes[lost].link.abandon();
@@ -562,12 +568,10 @@ mod tests {
 
     fn harness(stripes: u64) -> Harness {
         let net = SimNet::new();
-        let codec = ReedSolomon::k4m2();
-        let (transports, devices) = (0..codec.total_strips())
-            .map(|_| spawn_node(&net, stripes))
-            .unzip();
-        let logical = MemDevice::new(BlockSize::kb4(), stripes * codec.data_strips() as u64);
-        let group = EcGroup::new(logical, codec, EcConfig::default(), transports);
+        let p = EcPlacement::group();
+        let (transports, devices) = (0..p.n()).map(|_| spawn_node(&net, stripes)).unzip();
+        let logical = MemDevice::new(BlockSize::kb4(), stripes * p.k as u64);
+        let group = EcGroup::new(logical, EcConfig::default(), transports);
         Harness {
             net,
             group,
@@ -763,25 +767,25 @@ mod tests {
     /// A group over scripted links: node 0 answers from `replies`, and
     /// sits at epoch 2 (its slot was replaced once).
     fn scripted_group(replies: Vec<Vec<u8>>) -> EcGroup<MemDevice> {
-        let codec = ReedSolomon::k4m2();
-        let transports = (0..codec.total_strips())
+        let p = EcPlacement::group();
+        let transports = (0..p.n())
             .map(|_| Box::new(prins_net::SinkTransport::new()) as Box<dyn Transport>)
             .collect();
-        let logical = MemDevice::new(BlockSize::kb4(), codec.data_strips() as u64);
-        let mut group = EcGroup::new(logical, codec, EcConfig::default(), transports);
+        let logical = MemDevice::new(BlockSize::kb4(), p.k as u64);
+        let mut group = EcGroup::new(logical, EcConfig::default(), transports);
         let sink = prins_net::SinkTransport::new();
         sink.preload(replies);
         group.replace_node(0, Box::new(sink)).unwrap();
         group
     }
 
-    /// What a real node answers to a sealed strip request for block 0
+    /// What a real node answers to a sealed read request for block 0
     /// holding `fill`, under `epoch`.
-    fn strip_ack(epoch: u64, fill: u8) -> Vec<u8> {
+    fn read_ack(epoch: u64, fill: u8) -> Vec<u8> {
         let device = MemDevice::new(BlockSize::kb4(), 1);
         device.write_block(Lba(0), &[fill; 4096]).unwrap();
         let mut request = Vec::new();
-        Request::Strip(Lba(0)).put(&mut request);
+        Request::Read(Lba(0)).put(&mut request);
         let (reply, rejected) =
             ReplicaApplier::new(&device).respond(&prins_repl::seal_frame(epoch, &request));
         assert!(rejected.is_none());
@@ -789,10 +793,10 @@ mod tests {
     }
 
     #[test]
-    fn fetch_strip_drops_a_strip_ack_stranded_from_an_older_epoch() {
+    fn fetch_strip_drops_a_read_ack_stranded_from_an_older_epoch() {
         // The epoch-1 answer was computed before the slot's epoch moved
         // to 2 — pre-rebuild state. It must not be taken for the strip.
-        let mut group = scripted_group(vec![strip_ack(1, 0xaa), strip_ack(2, 0xbb)]);
+        let mut group = scripted_group(vec![read_ack(1, 0xaa), read_ack(2, 0xbb)]);
         let (strip, wire) = group.fetch_strip(0, 0).unwrap();
         assert_eq!(strip, vec![0xbb; 4096]);
         assert!(wire > 0);
@@ -819,8 +823,8 @@ mod tests {
         // Stripe 0 of k4m2: data column c on node c, parity on nodes 4
         // and 5. Node 0 never answers; the parity owners ACK the first
         // delta they get and refuse the second.
-        let codec = ReedSolomon::k4m2();
-        let transports = (0..codec.total_strips())
+        let p = EcPlacement::group();
+        let transports = (0..p.n())
             .map(|node| {
                 let sink = prins_net::SinkTransport::new();
                 match node {
@@ -834,8 +838,8 @@ mod tests {
                 Box::new(sink) as Box<dyn Transport>
             })
             .collect();
-        let logical = MemDevice::new(BlockSize::kb4(), codec.data_strips() as u64);
-        let mut group = EcGroup::new(logical, codec, EcConfig::default(), transports);
+        let logical = MemDevice::new(BlockSize::kb4(), p.k as u64);
+        let mut group = EcGroup::new(logical, EcConfig::default(), transports);
 
         // The data-strip owner is silent, so the write errs — but both
         // parity acks it drew are consumed, not left queued.

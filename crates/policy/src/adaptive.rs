@@ -7,12 +7,9 @@ use prins_block::Lba;
 use prins_compress::{Abandoned, Lzss};
 use prins_obs::Registry;
 use prins_parity::{varint_len, DeltaPlan, SparseCodec};
-use prins_repl::{
-    head_len, put_compressed, put_full, put_parity, CompressedReplicator, PrinsReplicator,
-    Replicator, TraditionalReplicator,
-};
+use prins_repl::{head_len, put_compressed, put_full, put_parity, PrinsReplicator, Replicator};
 
-use crate::counters::{CounterfactualMode, PolicyCounters};
+use crate::counters::PolicyCounters;
 use crate::probe::probe_compressibility_pm;
 use crate::region::{RegionSlot, RegionTable};
 use crate::{
@@ -68,9 +65,7 @@ pub struct AdaptiveReplicator {
     counters: PolicyCounters,
     codec: SparseCodec,
     lzss: Lzss,
-    prins: PrinsReplicator,
     prins_lzss: PrinsReplicator,
-    compressed: CompressedReplicator,
 }
 
 impl AdaptiveReplicator {
@@ -93,9 +88,7 @@ impl AdaptiveReplicator {
             // Match CompressedReplicator::default() so a Compressed
             // pick ships byte-for-byte what the static strategy would.
             lzss: Lzss::default(),
-            prins: PrinsReplicator::new(),
             prins_lzss: PrinsReplicator::with_parity_compression(),
-            compressed: CompressedReplicator::default(),
             cfg,
         }
     }
@@ -209,10 +202,13 @@ impl AdaptiveReplicator {
         (slot, strategy, explored)
     }
 
-    /// Books counters and corrects EWMAs with exact observations.
-    /// Allocation-free except in
-    /// [`CounterfactualMode::Exact`].
-    fn account(&self, lba: Lba, old: &[u8], new: &[u8], slot: &RegionSlot, o: WriteOutcome) {
+    /// Books counters and corrects EWMAs with exact observations,
+    /// allocation-free. Counterfactuals are exact for the strategies
+    /// whose cost is knowable from the scan (`Full`, `Parity`) or from
+    /// a trial that ran to a frame, and EWMA-estimated for the
+    /// compressors otherwise: no strategy that was not picked runs its
+    /// encoder for the books.
+    fn account(&self, lba: Lba, slot: &RegionSlot, o: WriteOutcome) {
         let t = &o.trials;
         if let Some(pm) = t.full_pm_sample {
             slot.ewma(&slot.full_c_pm, pm);
@@ -236,43 +232,28 @@ impl AdaptiveReplicator {
         }
         c.shipped_bytes.add(o.shipped);
 
-        match self.cfg.counterfactual {
-            CounterfactualMode::Off => {}
-            CounterfactualMode::Estimate => {
-                let hdr = head_len(lba) as u64;
-                let full = o.full as u64;
-                let wire = o.wire as u64;
-                let full_pm = u64::from(slot.full_c_pm.load(Ordering::Relaxed));
-                let delta_pm = u64::from(slot.delta_c_pm.load(Ordering::Relaxed));
-                let cf_trad = hdr + full;
-                // Static PRINS falls back to a full image when the
-                // parity would not be smaller.
-                let cf_prins = hdr + wire.min(full);
-                // Static Compressed never falls back; its estimate may
-                // legitimately exceed the full block.
-                let cf_comp = t
-                    .exact_compressed
-                    .unwrap_or_else(|| hdr + varint_len(full) as u64 + full * full_pm / 1000);
-                let cf_plzss = t.exact_prins_lzss.unwrap_or_else(|| {
-                    if wire < full {
-                        hdr + wire.min(varint_len(wire) as u64 + wire * delta_pm / 1000)
-                    } else {
-                        hdr + full
-                    }
-                });
-                self.book_counterfactuals(cf_trad, cf_comp, cf_prins, cf_plzss, o.shipped);
+        let hdr = head_len(lba) as u64;
+        let full = o.full as u64;
+        let wire = o.wire as u64;
+        let full_pm = u64::from(slot.full_c_pm.load(Ordering::Relaxed));
+        let delta_pm = u64::from(slot.delta_c_pm.load(Ordering::Relaxed));
+        let cf_trad = hdr + full;
+        // Static PRINS falls back to a full image when the parity would
+        // not be smaller.
+        let cf_prins = hdr + wire.min(full);
+        // Static Compressed never falls back; its estimate may
+        // legitimately exceed the full block.
+        let cf_comp = t
+            .exact_compressed
+            .unwrap_or_else(|| hdr + varint_len(full) as u64 + full * full_pm / 1000);
+        let cf_plzss = t.exact_prins_lzss.unwrap_or_else(|| {
+            if wire < full {
+                hdr + wire.min(varint_len(wire) as u64 + wire * delta_pm / 1000)
+            } else {
+                hdr + full
             }
-            CounterfactualMode::Exact => {
-                let run = |r: &dyn Replicator| r.encode_write(lba, old, new).len() as u64;
-                self.book_counterfactuals(
-                    run(&TraditionalReplicator),
-                    t.exact_compressed.unwrap_or_else(|| run(&self.compressed)),
-                    run(&self.prins),
-                    t.exact_prins_lzss.unwrap_or_else(|| run(&self.prins_lzss)),
-                    o.shipped,
-                );
-            }
-        }
+        });
+        self.book_counterfactuals(cf_trad, cf_comp, cf_prins, cf_plzss, o.shipped);
     }
 
     /// Appends the frame for a write `decide` settled on: the decided
@@ -463,14 +444,8 @@ impl Replicator for AdaptiveReplicator {
         let (segs, wire) = (plan.segments(), plan.wire_len());
         let (slot, decided, explored) = self.decide(lba, new, segs, wire);
         let trials = self.encode_decided(lba, &mut plan, slot, decided, out);
-        // Exact counterfactuals below re-plan the write through the
-        // static strategies; hand the plan's buffers back first.
-        drop(plan);
-
         self.account(
             lba,
-            old,
-            new,
             slot,
             WriteOutcome {
                 explored,
@@ -491,16 +466,11 @@ impl Replicator for AdaptiveReplicator {
 mod tests {
     use super::*;
     use prins_block::{BlockDevice, BlockSize, MemDevice};
-    use prins_repl::ReplicaApplier;
+    use prins_repl::{
+        CompressedReplicator, ReplicaApplier, ReplicationMode, TraditionalReplicator,
+    };
     use rand::{RngExt, SeedableRng};
     use std::collections::HashMap;
-
-    fn exact_cfg() -> PolicyConfig {
-        PolicyConfig {
-            counterfactual: CounterfactualMode::Exact,
-            ..PolicyConfig::default()
-        }
-    }
 
     #[test]
     fn tiny_deltas_pick_parity_and_apply_correctly() {
@@ -544,7 +514,8 @@ mod tests {
 
     #[test]
     fn compressible_churn_picks_compressed_immediately() {
-        let adaptive = AdaptiveReplicator::new(exact_cfg());
+        let adaptive = AdaptiveReplicator::new(PolicyConfig::default());
+        let mut traditional = 0;
         let text: Vec<u8> = "order 17: widgets to warehouse 3; "
             .bytes()
             .cycle()
@@ -562,12 +533,13 @@ mod tests {
                 "text block should compress well, shipped {}",
                 wire.len()
             );
+            traditional += TraditionalReplicator.encode_write(Lba(9), &old, &new).len() as u64;
             old = new;
         }
         let c = adaptive.counters();
         assert!(c.pick_compressed.get() >= 9, "{}", c.pick_compressed.get());
         // Strictly beats shipping full images for this region.
-        assert!(c.shipped_bytes.get() < c.cf_traditional_bytes.get() / 2);
+        assert!(c.shipped_bytes.get() < traditional / 2);
     }
 
     #[test]
@@ -612,7 +584,9 @@ mod tests {
     /// adaptive policy must strictly beat all four on total bytes.
     #[test]
     fn adaptive_beats_every_static_on_a_hostile_mix() {
-        let adaptive = AdaptiveReplicator::new(exact_cfg());
+        let adaptive = AdaptiveReplicator::new(PolicyConfig::default());
+        let statics = ReplicationMode::ALL.map(|mode| (mode, mode.replicator()));
+        let mut static_bytes = [0u64; 4];
         let replica = MemDevice::new(BlockSize::kb4(), 512);
         let mut applier = ReplicaApplier::new(&replica);
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
@@ -655,21 +629,18 @@ mod tests {
                 let wire = adaptive.encode_write(lba, &old, &new);
                 applier.apply(&wire).unwrap();
                 assert_eq!(replica.read_block_vec(lba).unwrap(), new, "zone {zone}");
+                for ((_, replicator), total) in statics.iter().zip(&mut static_bytes) {
+                    *total += replicator.encode_write(lba, &old, &new).len() as u64;
+                }
                 images.insert(lba.index(), new);
             }
         }
 
-        let c = adaptive.counters();
-        let shipped = c.shipped_bytes.get();
-        for (name, cf) in [
-            ("traditional", c.cf_traditional_bytes.get()),
-            ("compressed", c.cf_compressed_bytes.get()),
-            ("prins", c.cf_prins_bytes.get()),
-            ("prins+lzss", c.cf_prins_lzss_bytes.get()),
-        ] {
+        let shipped = adaptive.counters().shipped_bytes.get();
+        for ((mode, _), cf) in statics.iter().zip(static_bytes) {
             assert!(
                 shipped < cf,
-                "adaptive ({shipped}) must strictly beat static {name} ({cf})"
+                "adaptive ({shipped}) must strictly beat static {mode} ({cf})"
             );
         }
     }
@@ -933,16 +904,16 @@ mod tests {
                     let shipped = got.len() - 1;
                     let statics = |r: &dyn Replicator| r.encode_write(lba, &old, &new).len();
                     proptest::prop_assert!(shipped <= statics(&TraditionalReplicator));
-                    proptest::prop_assert!(shipped <= statics(&a.compressed));
+                    proptest::prop_assert!(shipped <= statics(&CompressedReplicator::default()));
                     proptest::prop_assert!(shipped <= statics(&a.prins_lzss));
                     // `packed < wire` lets an LZSS parity frame run up
                     // to its length prefix, less a byte, over plain.
                     proptest::prop_assert!(
-                        shipped < statics(&a.prins) + varint_len(wire as u64).max(1)
+                        shipped < statics(&PrinsReplicator::new()) + varint_len(wire as u64).max(1)
                     );
                 }
 
-                a.account(lba, &old, &new, slot, WriteOutcome {
+                a.account(lba, slot, WriteOutcome {
                     explored,
                     wire,
                     full,

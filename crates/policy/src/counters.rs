@@ -5,22 +5,6 @@ use std::sync::Arc;
 
 use prins_obs::{Counter, Registry};
 
-/// How counterfactual byte counts are produced.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CounterfactualMode {
-    /// No counterfactual accounting (decision counters only).
-    Off,
-    /// Allocation-free estimates: exact for the strategies whose cost is
-    /// knowable from the scan (`Full`, `Parity`) or from the bytes
-    /// actually shipped; EWMA-estimated for the compressors when they
-    /// were not the pick. Safe on the hot path.
-    #[default]
-    Estimate,
-    /// Run every non-chosen strategy's real encoder per write. Exact but
-    /// allocating and CPU-heavy — for offline ablations only.
-    Exact,
-}
-
 /// The policy engine's observable state, exported through `prins-obs`.
 ///
 /// `shipped_bytes` vs the four `cf_*_bytes` counters is the whole

@@ -67,7 +67,7 @@ mod probe;
 mod region;
 
 pub use adaptive::AdaptiveReplicator;
-pub use counters::{CounterfactualMode, PolicyCounters};
+pub use counters::PolicyCounters;
 
 /// The four wire strategies the policy engine picks among, mirroring
 /// [`prins_repl::ReplicationMode`] one-to-one.
@@ -121,8 +121,6 @@ pub struct PolicyConfig {
     /// below this bar, which stay fused. `0` forces exact treatment
     /// everywhere.
     pub exact_trial_len: usize,
-    /// How decision counterfactuals are accounted.
-    pub counterfactual: CounterfactualMode,
 }
 
 impl Default for PolicyConfig {
@@ -130,7 +128,6 @@ impl Default for PolicyConfig {
         Self {
             min_compress_len: 24,
             exact_trial_len: 1024,
-            counterfactual: CounterfactualMode::Estimate,
         }
     }
 }

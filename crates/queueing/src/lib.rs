@@ -40,7 +40,6 @@
 
 #![warn(unreachable_pub)]
 
-mod bounds;
 pub mod figures;
 mod mm1;
 mod mva;

@@ -159,6 +159,69 @@ mod tests {
         }
     }
 
+    /// The asymptotic bounds of operational analysis (Lazowska et al.,
+    /// the paper's reference [29], ch. 5) at population `n`, for think
+    /// time `z` and the centers' service demands `D = Σ s`,
+    /// `D_max = max s`: `X(N) ≤ min(N / (D + Z), 1 / D_max)` and
+    /// `R(N) ≥ max(D, N · D_max − Z)`, as `(X bound, R bound)`.
+    fn asymptotic_bounds(z: f64, services: &[f64], n: u32) -> (f64, f64) {
+        let (total, bottleneck) = demands(services);
+        let n = f64::from(n);
+        (
+            (n / (total + z)).min(1.0 / bottleneck),
+            total.max(n * bottleneck - z),
+        )
+    }
+
+    fn demands(services: &[f64]) -> (f64, f64) {
+        let bottleneck = services.iter().cloned().fold(f64::MIN, f64::max);
+        (services.iter().sum(), bottleneck)
+    }
+
+    /// Whether the exact solution at population `n` respects the
+    /// asymptotic bounds.
+    fn within_bounds(z: f64, services: Vec<f64>, n: u32) -> bool {
+        let (x_max, r_min) = asymptotic_bounds(z, &services, n);
+        let sol = Mva::new(z, services).solve(n);
+        sol.throughput <= x_max + 1e-9 && sol.response_time >= r_min - 1e-9
+    }
+
+    #[test]
+    fn mva_respects_bounds_for_the_papers_parameters() {
+        // Traditional replication over T1 (Figure 8's steep curve).
+        let s = crate::NodalDelay::t1().service_time(8192.0);
+        for n in [1u32, 2, 5, 10, 25, 50, 100] {
+            assert!(within_bounds(0.1, vec![s, s], n), "population {n}");
+        }
+    }
+
+    #[test]
+    fn knee_explains_figure8() {
+        // The knee population `N* = (D + Z) / D_max`, where the two
+        // throughput asymptotes cross, marks the onset of saturation.
+        let knee = |bytes| {
+            let s = crate::NodalDelay::t1().service_time(bytes);
+            let (total, bottleneck) = demands(&[s, s]);
+            (total + 0.1) / bottleneck
+        };
+        // Traditional (8 KB over T1): knee near population 2-3.
+        assert!(knee(8192.0) < 4.0, "traditional knee {}", knee(8192.0));
+        // PRINS (~80 B over T1): knee far beyond population 50.
+        assert!(knee(82.0) > 50.0, "prins knee {}", knee(82.0));
+    }
+
+    #[test]
+    fn bounds_are_tight_at_the_extremes() {
+        let services = vec![0.05, 0.01];
+        let mva = Mva::new(0.1, services.clone());
+        // At N=1 the response bound is exactly the demand.
+        let (_, lower) = asymptotic_bounds(0.1, &services, 1);
+        assert!((mva.solve(1).response_time - lower).abs() < 1e-12);
+        // Deep in saturation the linear asymptote is tight to ~1%.
+        let (_, lower) = asymptotic_bounds(0.1, &services, 300);
+        assert!((mva.solve(300).response_time - lower) / lower < 0.01);
+    }
+
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_population_panics() {
@@ -183,6 +246,15 @@ mod tests {
             let max_x = 1.0 / services.iter().cloned().fold(f64::MIN, f64::max);
             prop_assert!(sol.throughput <= max_x + 1e-9);
             prop_assert!(sol.queue_lengths.iter().all(|&q| q >= -1e-12));
+        }
+
+        #[test]
+        fn prop_exact_solution_always_within_bounds(
+            z in 0.0f64..0.5,
+            services in proptest::collection::vec(1e-5f64..0.1, 1..5),
+            n in 1u32..80,
+        ) {
+            prop_assert!(within_bounds(z, services, n));
         }
     }
 }

@@ -9,7 +9,7 @@ use prins_parity::{gf, SparseCodec, SparseParity};
 use crate::payload::{BodyRef, PayloadRef};
 use crate::wire::{
     batch_payloads, encode_ack, encode_digest_ack, encode_image_ack, is_sealed, open_frame,
-    Request, ACK, NAK, NAK_CORRUPT, READ_ACK, STRIP_ACK,
+    Request, ACK, NAK, NAK_CORRUPT,
 };
 use crate::{BatchFrame, ReplError};
 
@@ -23,11 +23,9 @@ pub enum Applied {
     /// A scrub digest probe; answer with a digest ack carrying this
     /// CRC32C of the probed block as read from the replica's disk.
     Digest(u32),
-    /// A rebuild strip read; answer with a strip ack carrying this
-    /// zero-run-encoded image of the requested block.
-    Strip(SparseParity),
-    /// An offloaded block read; answer with a read ack carrying this
-    /// zero-run-encoded image of the requested block.
+    /// A block read (an offloaded read, or a rebuild's survivor
+    /// strip); answer with a read ack carrying this zero-run-encoded
+    /// image of the requested block.
     Read(SparseParity),
 }
 
@@ -165,7 +163,6 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         let inner = self.open(frame)?;
         match Request::decode(inner)? {
             Some(Request::Digest(lba)) => Ok(Applied::Digest(self.digest(lba)?)),
-            Some(Request::Strip(lba)) => Ok(Applied::Strip(self.strip_image(lba)?)),
             Some(Request::Read(lba)) => Ok(Applied::Read(self.strip_image(lba)?)),
             None => self.apply_inner(inner).map(Applied::Data),
         }
@@ -184,10 +181,7 @@ impl<D: BlockDevice> ReplicaApplier<D> {
         match handled {
             Ok(Applied::Data(_)) => (encode_ack(ACK, epoch), None),
             Ok(Applied::Digest(digest)) => (encode_digest_ack(epoch, digest), None),
-            Ok(Applied::Strip(image)) => {
-                (encode_image_ack(STRIP_ACK, epoch, image.as_bytes()), None)
-            }
-            Ok(Applied::Read(image)) => (encode_image_ack(READ_ACK, epoch, image.as_bytes()), None),
+            Ok(Applied::Read(image)) => (encode_image_ack(epoch, image.as_bytes()), None),
             Err(ReplError::ChecksumMismatch { .. }) => (encode_ack(NAK_CORRUPT, epoch), None),
             Err(e) => (encode_ack(NAK, epoch), Some(e)),
         }
@@ -562,33 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn strip_request_returns_the_disk_image() {
-        let replica = MemDevice::new(BlockSize::kb4(), 4);
-        let mut applier = ReplicaApplier::new(&replica);
-        let mut block = vec![0u8; 4096];
-        block[40..80].fill(0x5a);
-        applier
-            .apply(&TraditionalReplicator.encode_write(Lba(2), &[0u8; 4096], &block))
-            .unwrap();
-        let req = crate::seal_frame(4, &request(Request::Strip(Lba(2))));
-        match applier.handle(&req).unwrap() {
-            Applied::Strip(sparse) => {
-                assert_eq!(sparse.to_dense(4096), block);
-                assert!(sparse.as_bytes().len() < 200, "zero runs are elided");
-            }
-            other => panic!("expected strip image, got {other:?}"),
-        }
-        // A corrupted base is refused, not served.
-        let mut damaged = block.clone();
-        damaged[50] ^= 0x10;
-        replica.write_block(Lba(2), &damaged).unwrap();
-        assert!(matches!(
-            applier.handle(&req),
-            Err(ReplError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn read_request_returns_the_disk_image_or_refuses_corruption() {
         let replica = MemDevice::new(BlockSize::kb4(), 4);
         let mut applier = ReplicaApplier::new(&replica);
@@ -599,7 +566,10 @@ mod tests {
             .unwrap();
         let req = crate::seal_frame(3, &request(Request::Read(Lba(1))));
         match applier.handle(&req).unwrap() {
-            Applied::Read(sparse) => assert_eq!(sparse.to_dense(4096), block),
+            Applied::Read(sparse) => {
+                assert_eq!(sparse.to_dense(4096), block);
+                assert!(sparse.as_bytes().len() < 200, "zero runs are elided");
+            }
             other => panic!("expected read image, got {other:?}"),
         }
         assert_eq!(applier.last_epoch, 3);
@@ -630,7 +600,6 @@ mod tests {
                 payloads: vec![payload],
             }),
             request(Request::Digest(Lba(1))),
-            request(Request::Strip(Lba(1))),
             request(Request::Read(Lba(1))),
             flipped,
         ];
@@ -648,7 +617,7 @@ mod tests {
 
     #[test]
     fn respond_encodes_every_reply_kind_under_the_last_epoch() {
-        use crate::wire::{decode_ack, DIGEST_ACK};
+        use crate::wire::{decode_ack, DIGEST_ACK, READ_ACK};
         let replica = MemDevice::new(BlockSize::kb4(), 4);
         let mut applier = ReplicaApplier::new(&replica);
         let block = vec![7u8; 4096];
@@ -662,8 +631,7 @@ mod tests {
                 DIGEST_ACK,
                 crc32c(&block).to_le_bytes().to_vec(),
             ),
-            (Request::Strip(Lba(0)), STRIP_ACK, image.clone()),
-            (Request::Read(Lba(0)), READ_ACK, image.clone()),
+            (Request::Read(Lba(0)), READ_ACK, image),
         ] {
             let (reply, fatal) = applier.respond(&crate::seal_frame(6, &request(req)));
             let ack = decode_ack(&reply).unwrap();

@@ -70,5 +70,5 @@ pub use wire::{
     encode_ack, head_len, is_sealed, open_frame, put_batch, put_compressed, put_full, put_parity,
     put_strip_delta, seal_batch_frame_into, seal_begin, seal_frame, seal_frame_into, Link,
     LinkEvent, Request, Response, SealWriter, ACK, BATCH_TAG, DIGEST_ACK, NAK, NAK_CORRUPT,
-    READ_ACK, SEAL_TAG, STRIP_ACK,
+    READ_ACK, SEAL_TAG,
 };

@@ -55,9 +55,9 @@ const DIGEST_REQ_TAG: u8 = 7;
 /// `tag varint(stripe) coeff(u8) sparse-parity-bytes` — erasure-strip
 /// delta: the receiver applies `strip ^= coeff · Δ` over GF(256).
 pub(crate) const STRIP_DELTA_TAG: u8 = 8;
-/// `tag varint(lba)` — rebuild: read a strip image.
-const STRIP_REQ_TAG: u8 = 9;
-/// `tag varint(lba)` — serving path: read a block image.
+// Tag 9, a strip read, is retired: a rebuild asks a read request.
+/// `tag varint(lba)` — read a block image (an offloaded read, or a
+/// rebuild's survivor strip).
 const READ_REQ_TAG: u8 = 10;
 
 /// `status varint(epoch)` — the frame was applied.
@@ -69,10 +69,9 @@ pub const NAK: u8 = 0x15;
 pub const NAK_CORRUPT: u8 = 0x18;
 /// `status varint(epoch) crc32c(u32 LE)` — answer to a digest request.
 pub const DIGEST_ACK: u8 = 0x19;
+// Status 0x1a, a strip ack, is retired with tag 9.
 /// `status varint(epoch) crc32c(u32 LE) sparse-bytes` — answer to a
-/// strip request: the CRC-protected zero-run-encoded image.
-pub const STRIP_ACK: u8 = 0x1a;
-/// Same shape as [`STRIP_ACK`] — answer to a read request.
+/// read request: the CRC-protected zero-run-encoded image.
 pub const READ_ACK: u8 = 0x1b;
 
 fn put_head(out: &mut Vec<u8>, tag: u8, lba: Lba) {
@@ -342,9 +341,8 @@ pub enum Request {
     /// *as read back from disk* — what lets the primary detect media
     /// corruption no wire checksum can see.
     Digest(Lba),
-    /// Rebuild: answer [`STRIP_ACK`] with the strip block's image.
-    Strip(Lba),
-    /// Read offload: answer [`READ_ACK`] with the block's image.
+    /// Read offload or rebuild: answer [`READ_ACK`] with the block's
+    /// image.
     Read(Lba),
 }
 
@@ -353,7 +351,6 @@ impl Request {
     pub fn put(self, out: &mut Vec<u8>) {
         let (tag, lba) = match self {
             Request::Digest(lba) => (DIGEST_REQ_TAG, lba),
-            Request::Strip(lba) => (STRIP_REQ_TAG, lba),
             Request::Read(lba) => (READ_REQ_TAG, lba),
         };
         put_head(out, tag, lba);
@@ -369,7 +366,6 @@ impl Request {
     pub fn decode(bytes: &[u8]) -> Result<Option<Self>, ReplError> {
         let kind = match bytes.first() {
             Some(&DIGEST_REQ_TAG) => Request::Digest,
-            Some(&STRIP_REQ_TAG) => Request::Strip,
             Some(&READ_REQ_TAG) => Request::Read,
             _ => return Ok(None),
         };
@@ -384,14 +380,14 @@ impl Request {
 /// A decoded response frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct AckFrame<'a> {
-    /// One of the six response statuses.
+    /// One of the five response statuses.
     pub(crate) status: u8,
     /// Epoch of the last sealed frame the replica opened (0 when it
     /// has never seen a seal).
     pub(crate) epoch: u64,
     /// What follows the epoch: the 4 digest bytes of a [`DIGEST_ACK`],
-    /// the checksum-verified sparse image of a [`STRIP_ACK`] /
-    /// [`READ_ACK`], empty otherwise.
+    /// the checksum-verified sparse image of a [`READ_ACK`], empty
+    /// otherwise.
     pub(crate) body: &'a [u8],
 }
 
@@ -410,11 +406,11 @@ pub(crate) fn encode_digest_ack(epoch: u64, digest: u32) -> Vec<u8> {
     out
 }
 
-/// Encodes a [`STRIP_ACK`] / [`READ_ACK`] carrying `sparse`, the
-/// zero-run-encoded image, CRC-protected like a sealed frame so neither
-/// a rebuild nor a served read ever decodes a damaged image.
-pub(crate) fn encode_image_ack(status: u8, epoch: u64, sparse: &[u8]) -> Vec<u8> {
-    let mut out = encode_ack(status, epoch);
+/// Encodes a [`READ_ACK`] carrying `sparse`, the zero-run-encoded
+/// image, CRC-protected like a sealed frame so neither a rebuild nor a
+/// served read ever decodes a damaged image.
+pub(crate) fn encode_image_ack(epoch: u64, sparse: &[u8]) -> Vec<u8> {
+    let mut out = encode_ack(READ_ACK, epoch);
     out.extend_from_slice(&seal_crc(epoch, sparse).to_le_bytes());
     out.extend_from_slice(sparse);
     out
@@ -431,10 +427,7 @@ pub(crate) fn decode_ack(bytes: &[u8]) -> Result<AckFrame<'_>, ReplError> {
     let (&status, rest) = bytes
         .split_first()
         .ok_or_else(|| ReplError::Malformed("empty ack frame".into()))?;
-    if !matches!(
-        status,
-        ACK | NAK | NAK_CORRUPT | DIGEST_ACK | STRIP_ACK | READ_ACK
-    ) {
+    if !matches!(status, ACK | NAK | NAK_CORRUPT | DIGEST_ACK | READ_ACK) {
         return Err(ReplError::Malformed(format!(
             "unknown ack status {status:#04x}"
         )));
@@ -443,7 +436,7 @@ pub(crate) fn decode_ack(bytes: &[u8]) -> Result<AckFrame<'_>, ReplError> {
         decode_varint(rest).ok_or_else(|| ReplError::Malformed("truncated ack epoch".into()))?;
     let rest = &rest[used..];
     let body = match status {
-        STRIP_ACK | READ_ACK => checked_body(epoch, rest, "image ack")?,
+        READ_ACK => checked_body(epoch, rest, "image ack")?,
         DIGEST_ACK if rest.len() == 4 => rest,
         DIGEST_ACK => return Err(ReplError::Malformed("truncated digest".into())),
         _ if rest.is_empty() => rest,
@@ -480,8 +473,8 @@ pub struct Response {
 
 impl Response {
     /// The response body: what follows the epoch (the digest of a
-    /// [`DIGEST_ACK`], the sparse image of a [`STRIP_ACK`] /
-    /// [`READ_ACK`], empty otherwise).
+    /// [`DIGEST_ACK`], the sparse image of a [`READ_ACK`], empty
+    /// otherwise).
     pub fn body(&self) -> &[u8] {
         &self.frame[self.body_at..]
     }
@@ -797,7 +790,6 @@ mod tests {
         }
         for (request, tag) in [
             (Request::Digest(Lba(300)), 7u8),
-            (Request::Strip(Lba(300)), 9),
             (Request::Read(Lba(300)), 10),
         ] {
             let mut out = Vec::new();
@@ -807,13 +799,24 @@ mod tests {
         // Seal and image acks: header, then the CRC over epoch + body.
         let crc = crc32c_append(crc32c(&5u64.to_le_bytes()), b"xy").to_le_bytes();
         assert_eq!(seal_frame(5, b"xy"), [&[6, 5][..], &crc, b"xy"].concat());
-        for status in [STRIP_ACK, READ_ACK] {
-            assert_eq!(
-                encode_image_ack(status, 5, b"xy"),
-                [&[status, 5][..], &crc, b"xy"].concat()
-            );
-        }
-        assert_eq!((STRIP_ACK, READ_ACK), (0x1a, 0x1b));
+        assert_eq!(
+            encode_image_ack(5, b"xy"),
+            [&[0x1b, 5][..], &crc, b"xy"].concat()
+        );
+        // The retired strip read (tag 9) is no request, and a replica
+        // NAKs it as the unknown payload tag it now is; its answer
+        // status (0x1a) is no response.
+        let strip_read = [9u8, 0xac, 0x02];
+        assert_eq!(Request::decode(&strip_read).unwrap(), None);
+        let device = prins_block::MemDevice::new(prins_block::BlockSize::kb4(), 1);
+        let (reply, rejected) =
+            crate::ReplicaApplier::new(&device).respond(&seal_frame(5, &strip_read));
+        assert_eq!(reply, encode_ack(NAK, 5));
+        assert!(matches!(rejected, Some(ReplError::Malformed(m)) if m == "unknown tag 9"));
+        assert!(matches!(
+            decode_ack(&[&[0x1a, 5][..], &crc, b"xy"].concat()),
+            Err(ReplError::Malformed(m)) if m == "unknown ack status 0x1a"
+        ));
     }
 
     #[test]
@@ -899,22 +902,20 @@ mod tests {
         let ack = decode_ack(&digest).unwrap();
         assert_eq!((ack.status, ack.epoch), (DIGEST_ACK, 7));
         assert_eq!(ack.body, 0xdead_beefu32.to_le_bytes());
-        for status in [STRIP_ACK, READ_ACK] {
-            let frame = encode_image_ack(status, 5, b"sparse-image");
-            let ack = decode_ack(&frame).unwrap();
-            assert_eq!(
-                (ack.status, ack.epoch, ack.body),
-                (status, 5, &b"sparse-image"[..])
-            );
-            // Damage anywhere in the body is caught by the CRC.
-            let mut bad = frame.clone();
-            let last = bad.len() - 1;
-            bad[last] ^= 0x40;
-            assert!(matches!(
-                decode_ack(&bad),
-                Err(ReplError::ChecksumMismatch { .. })
-            ));
-        }
+        let frame = encode_image_ack(5, b"sparse-image");
+        let ack = decode_ack(&frame).unwrap();
+        assert_eq!(
+            (ack.status, ack.epoch, ack.body),
+            (READ_ACK, 5, &b"sparse-image"[..])
+        );
+        // Damage anywhere in the body is caught by the CRC.
+        let mut bad = frame.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0x40;
+        assert!(matches!(
+            decode_ack(&bad),
+            Err(ReplError::ChecksumMismatch { .. })
+        ));
     }
 
     #[test]
@@ -925,16 +926,12 @@ mod tests {
         assert!(decode_ack(&[ACK, 0x80]).is_err()); // dangling varint
         assert!(decode_ack(&[ACK, 0, 9]).is_err()); // trailing byte
         assert!(decode_ack(&[DIGEST_ACK, 0, 1, 2]).is_err()); // short digest
-        assert!(decode_ack(&[STRIP_ACK, 0, 1, 2]).is_err()); // short crc
+        assert!(decode_ack(&[READ_ACK, 0, 1, 2]).is_err()); // short crc
     }
 
     #[test]
     fn requests_roundtrip_and_reject_bad_structure() {
-        for request in [
-            Request::Digest(Lba(12345)),
-            Request::Strip(Lba(77)),
-            Request::Read(Lba(4321)),
-        ] {
+        for request in [Request::Digest(Lba(12345)), Request::Read(Lba(4321))] {
             let mut out = Vec::new();
             request.put(&mut out);
             assert_eq!(Request::decode(&out).unwrap(), Some(request));
@@ -1205,7 +1202,7 @@ mod tests {
         ));
         let digest = recv(encode_digest_ack(1, 0xfeed), DIGEST_ACK).unwrap();
         assert_eq!(digest.digest(), Some(0xfeed));
-        let frame = encode_image_ack(READ_ACK, 1, b"image");
+        let frame = encode_image_ack(1, b"image");
         let image = recv(frame.clone(), READ_ACK).unwrap();
         assert_eq!(
             (image.body(), image.wire_len()),

@@ -11,7 +11,7 @@
 //! * a sparse-parity segment count is never believed: the 8-byte stream
 //!   `varint(block_len) varint(2^40)` is a truncation on every path a
 //!   sparse stream arrives by — payload tags 2, 3 and 8, and the image
-//!   body of a `READ_ACK` / `STRIP_ACK`;
+//!   body of a `READ_ACK`;
 //! * tag 4, a sync marker that no sender emits any more, is an
 //!   unknown tag: malformed on parse, NAKed by a replica;
 //! * a counting allocator proves decoding arbitrary bytes never makes a
@@ -28,7 +28,7 @@ use prins_block::{crc32c, crc32c_append, BlockDevice, BlockSize, Lba, MemDevice}
 use prins_parity::{encode_varint, CodecError, SparseCodec};
 use prins_repl::{
     encode_ack, seal_frame, BatchFrame, Link, Payload, PayloadBody, ReplError, ReplicaApplier,
-    Request, MAX_WIRE_LEN, NAK, READ_ACK, STRIP_ACK,
+    Request, MAX_WIRE_LEN, NAK, READ_ACK,
 };
 use proptest::prelude::*;
 
@@ -222,25 +222,18 @@ fn a_hostile_segment_count_is_a_truncation_on_every_path_a_stream_arrives_by() {
         }
         .to_bytes(),
     ];
-    // The same stream as the checksummed image body of a read or strip
-    // answer: it passes the response rule, and the primary then decodes
-    // the body the way `ClusterGroup::read` and `EcGroup::fetch_strip` do.
-    let image_ack = |status: u8| {
-        let crc = crc32c_append(crc32c(&1u64.to_le_bytes()), &stream);
-        [&[status, 1][..], &crc.to_le_bytes(), &stream].concat()
-    };
+    // The same stream as the checksummed image body of a read answer:
+    // it passes the response rule, and the primary then decodes the
+    // body the way `ClusterGroup::read` and `EcGroup::fetch_strip` do.
+    let crc = crc32c_append(crc32c(&1u64.to_le_bytes()), &stream);
+    let image_ack = [&[READ_ACK, 1][..], &crc.to_le_bytes(), &stream].concat();
     let sink = prins_net::SinkTransport::new();
-    sink.preload([image_ack(READ_ACK), image_ack(STRIP_ACK)]);
+    sink.preload([image_ack]);
     let mut link = Link::new(0, Box::new(sink));
-    // Both questions are asked before the measured region, so it holds
-    // only the decoding of their answers.
-    let asked = [
-        (READ_ACK, Request::Read(Lba(3))),
-        (STRIP_ACK, Request::Strip(Lba(0))),
-    ];
-    for (want, request) in asked {
-        link.send(want, want, |out| request.put(out)).unwrap();
-    }
+    // The question is asked before the measured region, so it holds
+    // only the decoding of its answer.
+    link.send((), READ_ACK, |out| Request::Read(Lba(3)).put(out))
+        .unwrap();
 
     let largest = largest_allocation(|| {
         for payload in &payloads {
@@ -251,18 +244,15 @@ fn a_hostile_segment_count_is_a_truncation_on_every_path_a_stream_arrives_by() {
                 payload[0]
             );
         }
-        for want in [READ_ACK, STRIP_ACK] {
-            let (tag, response) = link
-                .collect_oldest(std::time::Duration::from_secs(1), |_, _| {})
-                .expect("a request in flight");
-            assert_eq!(tag, want);
-            let response = response.expect("a well-sealed image ack");
-            assert_eq!(response.body(), stream);
-            assert_eq!(
-                SparseCodec::default().decode(response.body(), 4096),
-                Err(CodecError::Truncated)
-            );
-        }
+        let (_, response) = link
+            .collect_oldest(std::time::Duration::from_secs(1), |_, _| {})
+            .expect("a request in flight");
+        let response = response.expect("a well-sealed image ack");
+        assert_eq!(response.body(), stream);
+        assert_eq!(
+            SparseCodec::default().decode(response.body(), 4096),
+            Err(CodecError::Truncated)
+        );
     });
     assert_eq!(applier.applied(), 0);
     assert!(

@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
 use prins_cluster::{
-    ClusterConfig, ClusterError, ClusterGroup, EcConfig, EcGroup, EcRebuildReport,
+    ClusterConfig, ClusterError, ClusterGroup, EcConfig, EcGroup, EcPlacement, EcRebuildReport,
     RendezvousPlacement, ReplicaState, ShardedCluster,
 };
 use prins_core::{EngineBuilder, PrinsEngine};
@@ -442,7 +442,7 @@ pub enum Topology {
     /// An [`EcGroup`] at the paper's `k = 4, m = 2` Reed–Solomon
     /// geometry: k-of-n strip placement, sparse delta parity updates,
     /// node loss and repair-bandwidth-accounted rebuild. Every node
-    /// runs the stock apply loop with that codec.
+    /// runs the stock apply loop ([`serve_sim`]).
     Ec,
 }
 
@@ -536,14 +536,14 @@ impl World {
                 (Sut::Engine(engine), nodes, trace, ENGINE_BLOCKS)
             }
             Topology::Ec => {
-                let codec = ReedSolomon::k4m2();
-                let nodes = farm(codec.total_strips(), "node", EC_STRIPES, LINK_DELAY);
-                let blocks = EC_STRIPES * codec.data_strips() as u64;
+                let p = EcPlacement::group();
+                let nodes = farm(p.n(), "node", EC_STRIPES, LINK_DELAY);
+                let blocks = EC_STRIPES * p.k as u64;
                 let config = EcConfig {
                     ack_timeout: ACK_TIMEOUT,
                 };
                 let logical = MemDevice::new(BLOCK, blocks);
-                let mut group = EcGroup::new(logical, codec, config, transports(&nodes));
+                let mut group = EcGroup::new(logical, config, transports(&nodes));
                 group.attach_observer(Arc::clone(&registry), net.clock());
                 let trace = Arc::new(TraceSink::new(TraceConfig::default()));
                 group.attach_tracer(Arc::clone(&trace), 0, net.clock());

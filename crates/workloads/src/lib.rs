@@ -17,7 +17,7 @@
 //!
 //! The main entry point is [`run`]: it builds the configured workload,
 //! drives it for the configured number of operations, and streams every
-//! block write `(seq, lba, old, new)` to an observer — typically a set
+//! block write `(lba, old, new)` to an observer — typically a set
 //! of replication strategies accumulating wire bytes.
 //!
 //! # Example
@@ -33,7 +33,7 @@
 //! let report = run(
 //!     Workload::FsMicro,
 //!     &RunConfig::smoke(BlockSize::kb4()),
-//!     Some(Box::new(move |_seq, _lba, old, new| {
+//!     Some(Box::new(move |_lba, old, new| {
 //!         // e.g. feed a replicator; here: count changed bytes.
 //!         let changed = old.iter().zip(new).filter(|(a, b)| a != b).count();
 //!         sink.fetch_add(changed as u64, Ordering::Relaxed);

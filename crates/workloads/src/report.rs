@@ -13,8 +13,6 @@ pub struct RunReport {
     pub ops: u64,
     /// Block writes the device observed during the measured phase.
     pub device_writes: u64,
-    /// Bytes written at block level.
-    pub(crate) device_bytes_written: u64,
     /// Aggregate old-vs-new delta statistics across all writes.
     pub(crate) delta: DeltaStats,
     /// Wall-clock duration of the measured phase.
@@ -46,7 +44,7 @@ impl std::fmt::Display for RunReport {
             self.workload,
             self.ops,
             self.device_writes,
-            self.device_bytes_written / 1024,
+            self.delta.block_bytes / 1024,
             self.mean_change_ratio() * 100.0,
             self.duration
         )
@@ -63,7 +61,6 @@ mod tests {
             workload: "tpcc".into(),
             ops: 10,
             device_writes: 40,
-            device_bytes_written: 40 * 8192,
             delta: DeltaStats {
                 block_bytes: 40 * 8192,
                 changed_bytes: 40 * 819,
@@ -73,6 +70,8 @@ mod tests {
         };
         assert!((r.writes_per_op() - 4.0).abs() < 1e-12);
         assert!((r.mean_change_ratio() - 0.1).abs() < 1e-3);
-        assert!(r.to_string().contains("tpcc"));
+        assert!(r
+            .to_string()
+            .contains("tpcc: 10 ops, 40 block writes (320 KB)"));
     }
 }

@@ -185,8 +185,8 @@ impl From<BlockError> for WorkloadError {
 /// every block write to `observer`.
 ///
 /// The setup phase (database load / corpus population) happens *before*
-/// the observer is installed and the counters are reset — mirroring the
-/// paper, which measures replication traffic after the initial sync.
+/// the observer is installed — mirroring the paper, which measures
+/// replication traffic after the initial sync.
 ///
 /// # Errors
 ///
@@ -202,17 +202,18 @@ pub fn run(
     )));
     let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
 
-    // Composite observer: accumulate delta statistics, then forward.
-    let delta = Arc::new(Mutex::new(DeltaStats::default()));
-    let delta_sink = Arc::clone(&delta);
+    // Composite observer: count writes and accumulate delta statistics,
+    // then forward.
+    let measured = Arc::new(Mutex::new((0u64, DeltaStats::default())));
+    let sink = Arc::clone(&measured);
     let mut user_observer = observer;
-    let composite: WriteObserver = Box::new(move |seq, lba, old, new| {
-        delta_sink
-            .lock()
-            .expect("delta mutex")
-            .merge(&DeltaStats::measure(old, new));
+    let composite: WriteObserver = Box::new(move |lba, old, new| {
+        let mut measured = sink.lock().expect("measure mutex");
+        measured.0 += 1;
+        measured.1.merge(&DeltaStats::measure(old, new));
+        drop(measured);
         if let Some(obs) = user_observer.as_mut() {
-            obs(seq, lba, old, new);
+            obs(lba, old, new);
         }
     });
 
@@ -227,7 +228,6 @@ pub fn run(
             );
             let db = TpccDatabase::build(&pool, profile, scale, &mut rng)?;
             let mut driver = TpccDriver::new(db);
-            device.reset_stats();
             device.set_observer(composite);
             started = Instant::now();
             driver.run(&mut rng, config.ops)?;
@@ -243,7 +243,6 @@ pub fn run(
                 pool_frames(config),
             );
             let mut driver = TpcwDriver::build(&pool, scale, &mut rng)?;
-            device.reset_stats();
             device.set_observer(composite);
             started = Instant::now();
             driver.run(&mut rng, config.ops)?;
@@ -259,7 +258,6 @@ pub fn run(
                 fs_config,
                 &mut rng,
             )?;
-            device.reset_stats();
             device.set_observer(composite);
             started = Instant::now();
             let rounds = config.fs_rounds();
@@ -270,7 +268,6 @@ pub fn run(
             let docs = synth_zone_blocks(config);
             let mut store =
                 TextStore::setup(Arc::clone(&device) as Arc<dyn BlockDevice>, docs, &mut rng)?;
-            device.reset_stats();
             device.set_observer(composite);
             started = Instant::now();
             store.run(config.ops, &mut rng)?;
@@ -283,7 +280,6 @@ pub fn run(
                 zone_blocks,
                 &mut rng,
             )?;
-            device.reset_stats();
             device.set_observer(composite);
             started = Instant::now();
             mix.run(config.ops, &mut rng)?;
@@ -292,14 +288,12 @@ pub fn run(
     }
     let duration = started.elapsed();
     device.clear_observer();
-    let stats = device.stats();
-    let delta_total = *delta.lock().expect("delta mutex");
+    let (device_writes, delta) = *measured.lock().expect("measure mutex");
     Ok(RunReport {
         workload: workload.name().to_string(),
         ops: ops_done,
-        device_writes: stats.writes,
-        device_bytes_written: stats.bytes_written,
-        delta: delta_total,
+        device_writes,
+        delta,
         duration,
     })
 }
@@ -362,9 +356,20 @@ fn pool_frames(config: &RunConfig) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Installs an observer on `device` that counts the writes it sees
+    /// from now on.
+    pub(crate) fn count_writes<D: BlockDevice>(device: &InstrumentedDevice<D>) -> Arc<AtomicU64> {
+        let writes = Arc::new(AtomicU64::new(0));
+        let sink = Arc::clone(&writes);
+        device.set_observer(Box::new(move |_, _, _| {
+            sink.fetch_add(1, Ordering::Relaxed);
+        }));
+        writes
+    }
 
     #[test]
     fn every_workload_runs_at_smoke_scale() {
@@ -383,7 +388,7 @@ mod tests {
         let report = run(
             Workload::TpccOracle,
             &RunConfig::smoke(BlockSize::kb8()),
-            Some(Box::new(move |_, _, _, _| {
+            Some(Box::new(move |_, _, _| {
                 sink.fetch_add(1, Ordering::Relaxed);
             })),
         )
@@ -397,7 +402,6 @@ mod tests {
         let a = run(Workload::TpcwMysql, &config, None).unwrap();
         let b = run(Workload::TpcwMysql, &config, None).unwrap();
         assert_eq!(a.device_writes, b.device_writes);
-        assert_eq!(a.device_bytes_written, b.device_bytes_written);
         assert_eq!(a.delta, b.delta);
         // A different seed shifts the write stream.
         let c = run(Workload::TpcwMysql, &RunConfig { seed: 7, ..config }, None).unwrap();

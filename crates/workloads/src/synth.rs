@@ -222,7 +222,7 @@ mod tests {
         let dense = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let packed_small = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let (d, p) = (Arc::clone(&dense), Arc::clone(&packed_small));
-        device.set_observer(Box::new(move |_, _, old, new| {
+        device.set_observer(Box::new(move |_, old, new| {
             let changed = old.iter().zip(new).filter(|(a, b)| a != b).count();
             if changed * 2 > new.len() {
                 d.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -250,7 +250,7 @@ mod tests {
         let zones = Arc::new(std::sync::Mutex::new([0u64; 3]));
         let sparse_in_zone0 = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let (z, s) = (Arc::clone(&zones), Arc::clone(&sparse_in_zone0));
-        device.set_observer(Box::new(move |_, lba, old, new| {
+        device.set_observer(Box::new(move |lba, old, new| {
             let zone = (lba.0 / 16) as usize;
             z.lock().unwrap()[zone] += 1;
             let changed = old.iter().zip(new).filter(|(a, b)| a != b).count();

@@ -408,6 +408,7 @@ impl std::fmt::Debug for TpccDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::tests::count_writes;
     use crate::tpcc::{TpccDatabase, TpccScale};
     use prins_block::{BlockDevice, BlockSize, InstrumentedDevice, MemDevice};
     use prins_pagestore::{BufferPool, DbProfile};
@@ -427,7 +428,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         let db =
             TpccDatabase::build(&pool, DbProfile::oracle(), TpccScale::tiny(), &mut rng).unwrap();
-        device.reset_stats(); // measure only the transaction phase
         (TpccDriver::new(db), device, rng)
     }
 
@@ -455,10 +455,12 @@ mod tests {
     #[test]
     fn transactions_run_and_produce_device_writes() {
         let (mut driver, device, mut rng) = driver();
+        // Counted from here: only the transaction phase.
+        let writes = count_writes(&device);
         driver.run(&mut rng, 200).unwrap();
         assert_eq!(driver.total(), 200);
-        let stats = device.stats();
-        assert!(stats.writes > 20, "expected device writes, got {stats:?}");
+        let writes = writes.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(writes > 20, "expected device writes, got {writes}");
         // All five kinds occurred.
         for (kind, &count) in TxnKind::ALL.iter().zip(&driver.counts) {
             if matches!(kind, TxnKind::NewOrder | TxnKind::Payment) {
@@ -516,7 +518,7 @@ mod tests {
         let (mut driver, device, mut rng) = driver();
         let stats = Arc::new(std::sync::Mutex::new(prins_parity::DeltaStats::default()));
         let sink = Arc::clone(&stats);
-        device.set_observer(Box::new(move |_seq, _lba, old, new| {
+        device.set_observer(Box::new(move |_lba, old, new| {
             let write = prins_parity::DeltaStats::measure(old, new);
             sink.lock().unwrap().merge(&write);
         }));

@@ -354,8 +354,10 @@ fn customer_row<R: Rng>(rng: &mut R, c: u64) -> Row {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::tests::count_writes;
     use prins_block::{BlockDevice, BlockSize, InstrumentedDevice, MemDevice};
     use rand::SeedableRng;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     fn driver() -> (
@@ -370,17 +372,17 @@ mod tests {
         let pool = BufferPool::new(Arc::clone(&device) as Arc<dyn BlockDevice>, 128);
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let d = TpcwDriver::build(&pool, TpcwScale::tiny(), &mut rng).unwrap();
-        device.reset_stats();
         (d, device, rng)
     }
 
     #[test]
     fn interactions_run_and_place_orders() {
         let (mut d, device, mut rng) = driver();
+        let writes = count_writes(&device);
         d.run(&mut rng, 400).unwrap();
         assert_eq!(d.interactions(), 400);
         assert!(d.orders_placed() > 5, "orders: {}", d.orders_placed());
-        assert!(device.stats().writes > 10);
+        assert!(writes.load(Ordering::Relaxed) > 10);
     }
 
     #[test]
@@ -410,11 +412,12 @@ mod tests {
     #[test]
     fn browsing_is_read_only_at_device_level() {
         let (mut d, device, mut rng) = driver();
+        let writes = count_writes(&device);
         for _ in 0..50 {
             d.browse(&mut rng).unwrap();
         }
         d.pool.flush_all().unwrap();
         // Buffer-pool reads happen, but nothing is dirtied.
-        assert_eq!(device.stats().writes, 0);
+        assert_eq!(writes.load(Ordering::Relaxed), 0);
     }
 }

@@ -244,7 +244,7 @@ pub fn capture_trace(workload: Workload, config: &RunConfig) -> Result<WriteTrac
     run(
         workload,
         config,
-        Some(Box::new(move |_seq, lba, old, new| {
+        Some(Box::new(move |lba, old, new| {
             let first = seen_sink.lock().expect("seen mutex").insert(lba.index());
             sink.lock()
                 .expect("trace mutex")

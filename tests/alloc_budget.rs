@@ -277,24 +277,18 @@ fn steady_state_write_path_stays_under_two_allocations_per_write() {
             "Prins x8 batches (traced: {traced}): {allocs} allocations over {WRITES} \
              writes exceeds the budget of 2 per write"
         );
-        // The adaptive policy engine: classification (region EWMAs,
-        // compressibility probe, counterfactual estimates) must be
-        // free on the hot path. `min_compress_len` covers this
-        // workload's tiny parity wires, so every decision stays on the
-        // fused parity path — compression allocates only when the
-        // policy deliberately trades an allocation for fewer wire
-        // bytes, which this knob rules out up front.
-        let policy = prins_policy::PolicyConfig {
-            min_compress_len: 128,
-            ..prins_policy::PolicyConfig::default()
-        };
+        // The adaptive policy engine as it ships: classification
+        // (region EWMAs, compressibility probe, counterfactual
+        // estimates) must be free on the hot path. This workload's
+        // parity wires sit below the default `min_compress_len`, so
+        // every decision stays on the fused parity path.
         let allocs = measure_with(
             WRITES,
             traced,
             1,
             vec![0xA5u8; 4096],
             flip_one_byte,
-            |builder| builder.adaptive(policy),
+            |builder| builder.adaptive(prins_policy::PolicyConfig::default()),
         );
         eprintln!("Adaptive (traced: {traced}): {allocs} allocations / {WRITES} writes");
         assert!(

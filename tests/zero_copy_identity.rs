@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use prins_block::{crc32c, BlockDevice, BlockSize, Lba, MemDevice};
-use prins_cluster::{ClusterConfig, ClusterGroup, EcConfig, EcGroup};
+use prins_cluster::{ClusterConfig, ClusterGroup, EcConfig, EcGroup, EcPlacement};
 use prins_core::EngineBuilder;
 use prins_net::{LinkModel, NetError, TrafficMeter, Transport};
 use prins_parity::{encode_varint, ReedSolomon, SparseCodec};
@@ -271,8 +271,10 @@ fn cluster_write_frames_match_classic_seal_path() {
 #[test]
 fn ec_write_frames_match_classic_strip_deltas() {
     const STRIPES: u64 = 2;
+    let p = EcPlacement::group();
+    let (k, n) = (p.k, p.n());
+    // The classic code the strip deltas are checked against.
     let rs = ReedSolomon::k4m2();
-    let (k, n) = (rs.data_strips(), rs.total_strips());
     let (transports, logs): (Vec<Box<dyn Transport>>, Vec<_>) = (0..n)
         .map(|_| {
             let (transport, sent) = RecordingTransport::new();
@@ -280,7 +282,7 @@ fn ec_write_frames_match_classic_strip_deltas() {
         })
         .unzip();
     let logical = MemDevice::new(BlockSize::kb4(), STRIPES * k as u64);
-    let mut group = EcGroup::new(logical, rs.clone(), EcConfig::default(), transports);
+    let mut group = EcGroup::new(logical, EcConfig::default(), transports);
     let placement = group.placement();
 
     let mut shadow = vec![vec![0u8; 4096]; (STRIPES * k as u64) as usize];
