@@ -11,106 +11,47 @@
 //! workload), and on the zoned hostile mix it beats all four, because
 //! no single static choice is right in every zone.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use prins_block::BlockSize;
 use prins_policy::{AdaptiveReplicator, PolicyConfig};
 use prins_repl::{ReplicationMode, Replicator};
-use prins_workloads::{run, Workload, WorkloadError};
+use prins_workloads::{RunConfig, ScalePreset, Workload, WorkloadError};
 
-use crate::figures::FigureTable;
-use crate::TrafficConfig;
+use crate::figures::{kb, FigureTable};
+use crate::{measure_traffic, replicators, TrafficMeasurement};
 
-/// The four static strategies the policy engine chooses among, in
-/// display order.
-const STATICS: [ReplicationMode; 4] = [
-    ReplicationMode::Traditional,
-    ReplicationMode::Compressed,
-    ReplicationMode::Prins,
-    ReplicationMode::PrinsCompressed,
-];
-
-/// Result of one adaptive-vs-static measurement.
-#[derive(Clone, Debug)]
-pub(crate) struct AdaptiveMeasurement {
-    /// Payload bytes per static strategy, in `STATICS` order
-    /// (traditional, compressed, prins, prins+lzss).
-    pub(crate) static_bytes: Vec<(ReplicationMode, u64)>,
-    /// Payload bytes the adaptive policy shipped for the same stream.
-    pub(crate) adaptive_bytes: u64,
-    /// Decision counts: (parity, parity+lzss, full, compressed).
-    pub(crate) picks: (u64, u64, u64, u64),
-}
-
-impl AdaptiveMeasurement {
-    /// The cheapest static strategy and its payload bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no static strategy was measured (cannot happen via
-    /// [`measure_adaptive`]).
-    pub(crate) fn best_static(&self) -> (ReplicationMode, u64) {
-        self.static_bytes
-            .iter()
-            .copied()
-            .min_by_key(|(_, bytes)| *bytes)
-            .expect("at least one static strategy")
-    }
-
-    /// Bytes of a specific static strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mode` was not measured.
-    pub(crate) fn static_of(&self, mode: ReplicationMode) -> u64 {
-        self.static_bytes
-            .iter()
-            .find(|(m, _)| *m == mode)
-            .map(|(_, b)| *b)
-            .unwrap_or_else(|| panic!("mode {mode} was not measured"))
-    }
-}
-
-/// Runs `workload` once and measures adaptive-vs-static payload bytes
-/// for the identical write stream.
-///
-/// # Errors
-///
-/// Propagates workload failures.
-pub(crate) fn measure_adaptive(
+/// Runs `workload` once through the four static strategies and one
+/// adaptive replicator, whose pick counters the caller reads.
+fn measure(
     workload: Workload,
-    config: &TrafficConfig,
-) -> Result<AdaptiveMeasurement, WorkloadError> {
-    let replicators: Vec<Box<dyn Replicator>> = STATICS.iter().map(|m| m.replicator()).collect();
-    let adaptive = AdaptiveReplicator::new(PolicyConfig::default());
+    config: &RunConfig,
+) -> Result<(TrafficMeasurement, Arc<AdaptiveReplicator>), WorkloadError> {
+    let adaptive = Arc::new(AdaptiveReplicator::new(PolicyConfig::default()));
+    let mut strategies = replicators(&ReplicationMode::ALL);
+    strategies.push(Arc::clone(&adaptive) as Arc<dyn Replicator>);
+    Ok((measure_traffic(workload, config, strategies)?, adaptive))
+}
 
-    let totals: Arc<Mutex<(Vec<u64>, u64)>> = Arc::new(Mutex::new((vec![0u64; STATICS.len()], 0)));
-    let sink = Arc::clone(&totals);
-    let policy = Arc::new(adaptive);
-    let encoder = Arc::clone(&policy);
-    let observer = Box::new(move |lba, old: &[u8], new: &[u8]| {
-        let mut totals = sink.lock().expect("ablation mutex");
-        for (replicator, total) in replicators.iter().zip(totals.0.iter_mut()) {
-            *total += replicator.encode_write(lba, old, new).len() as u64;
-        }
-        totals.1 += encoder.encode_write(lba, old, new).len() as u64;
-    });
+/// The cheapest static strategy and its payload bytes (the first in
+/// display order on a tie).
+fn best_static(m: &TrafficMeasurement) -> (ReplicationMode, u64) {
+    ReplicationMode::ALL
+        .into_iter()
+        .map(|mode| (mode, m.payload_bytes(mode)))
+        .min_by_key(|&(_, bytes)| bytes)
+        .expect("four static strategies")
+}
 
-    run(workload, &config.run_config(), Some(observer))?;
-    let (static_totals, adaptive_bytes) = Arc::try_unwrap(totals)
-        .expect("observer dropped")
-        .into_inner()
-        .expect("ablation mutex");
-    let counters = policy.counters();
-    Ok(AdaptiveMeasurement {
-        static_bytes: STATICS.iter().copied().zip(static_totals).collect(),
-        adaptive_bytes,
-        picks: (
-            counters.pick_parity.get(),
-            counters.pick_parity_lzss.get(),
-            counters.pick_full.get(),
-            counters.pick_compressed.get(),
-        ),
-    })
+/// Decision counts: parity, parity+lzss, full, compressed.
+fn picks(adaptive: &AdaptiveReplicator) -> [u64; 4] {
+    let c = adaptive.counters();
+    [
+        c.pick_parity.get(),
+        c.pick_parity_lzss.get(),
+        c.pick_full.get(),
+        c.pick_compressed.get(),
+    ]
 }
 
 /// The adaptive-policy ablation table: every workload (paper set plus
@@ -120,30 +61,26 @@ pub(crate) fn measure_adaptive(
 /// # Errors
 ///
 /// Propagates workload failures.
-pub fn adaptive_figure(ops: usize, bench_scale: bool) -> Result<FigureTable, WorkloadError> {
-    let block_size = prins_block::BlockSize::kb8();
+pub fn adaptive_figure(ops: usize, scale: ScalePreset) -> Result<FigureTable, WorkloadError> {
+    let config = RunConfig {
+        scale,
+        ..RunConfig::bench(BlockSize::kb8(), ops)
+    };
     let mut rows = Vec::new();
     for workload in Workload::EXTENDED {
-        let mut config = if bench_scale {
-            TrafficConfig::bench(block_size, ops)
-        } else {
-            TrafficConfig::smoke(block_size)
-        };
-        config.ops = ops;
-        let m = measure_adaptive(workload, &config)?;
-        let (best_mode, best_bytes) = m.best_static();
-        let (parity, plzss, full, comp) = m.picks;
-        rows.push(vec![
-            workload.to_string(),
-            kb(m.static_of(ReplicationMode::Traditional)),
-            kb(m.static_of(ReplicationMode::Compressed)),
-            kb(m.static_of(ReplicationMode::Prins)),
-            kb(m.static_of(ReplicationMode::PrinsCompressed)),
-            kb(m.adaptive_bytes),
+        let (m, adaptive) = measure(workload, &config)?;
+        let adaptive_bytes = m.payload_bytes(adaptive.name());
+        let (best_mode, best_bytes) = best_static(&m);
+        let [parity, plzss, full, comp] = picks(&adaptive);
+        let mut row = vec![workload.to_string()];
+        row.extend(ReplicationMode::ALL.map(|mode| kb(m.payload_bytes(mode))));
+        row.extend([
+            kb(adaptive_bytes),
             best_mode.to_string(),
-            format!("{:.3}x", m.adaptive_bytes as f64 / best_bytes.max(1) as f64),
+            format!("{:.3}x", adaptive_bytes as f64 / best_bytes.max(1) as f64),
             format!("{parity}/{plzss}/{full}/{comp}"),
         ]);
+        rows.push(row);
     }
     Ok(FigureTable {
         title: format!(
@@ -166,34 +103,26 @@ pub fn adaptive_figure(ops: usize, bench_scale: bool) -> Result<FigureTable, Wor
     })
 }
 
-fn kb(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / 1024.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prins_block::BlockSize;
 
     #[test]
     fn hostile_mix_separates_the_statics() {
         // Sanity check on the workload itself: the hostile mix must
         // give each static strategy a zone it loses badly, otherwise
         // the headline ablation is vacuous.
-        let m = measure_adaptive(
-            Workload::HostileMixed,
-            &TrafficConfig::smoke(BlockSize::kb4()),
-        )
-        .unwrap();
-        let (_, best) = m.best_static();
-        for (mode, bytes) in &m.static_bytes {
-            assert!(*bytes > 0, "{mode} measured nothing");
+        let (m, adaptive) =
+            measure(Workload::HostileMixed, &RunConfig::smoke(BlockSize::kb4())).unwrap();
+        let (_, best) = best_static(&m);
+        for mode in ReplicationMode::ALL {
+            assert!(m.payload_bytes(mode) > 0, "{mode} measured nothing");
         }
         // Adaptive never loses to the best static by more than 1%.
+        let adaptive_bytes = m.payload_bytes(adaptive.name());
         assert!(
-            m.adaptive_bytes as f64 <= best as f64 * 1.01,
-            "adaptive {} vs best static {best}",
-            m.adaptive_bytes
+            adaptive_bytes as f64 <= best as f64 * 1.01,
+            "adaptive {adaptive_bytes} vs best static {best}"
         );
     }
 
@@ -203,19 +132,19 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "release-gated: run with --release")]
     fn adaptive_matches_best_static_everywhere_and_wins_on_hostile() {
         for workload in Workload::EXTENDED {
-            let m = measure_adaptive(workload, &TrafficConfig::smoke(BlockSize::kb8())).unwrap();
-            let (best_mode, best) = m.best_static();
+            let (m, adaptive) = measure(workload, &RunConfig::smoke(BlockSize::kb8())).unwrap();
+            let adaptive_bytes = m.payload_bytes(adaptive.name());
+            let (best_mode, best) = best_static(&m);
             assert!(
-                m.adaptive_bytes as f64 <= best as f64 * 1.01,
-                "{workload}: adaptive {} > 1.01 x best static {best_mode} {best}",
-                m.adaptive_bytes
+                adaptive_bytes as f64 <= best as f64 * 1.01,
+                "{workload}: adaptive {adaptive_bytes} > 1.01 x best static {best_mode} {best}"
             );
             if workload == Workload::HostileMixed {
-                for (mode, bytes) in &m.static_bytes {
+                for mode in ReplicationMode::ALL {
+                    let bytes = m.payload_bytes(mode);
                     assert!(
-                        m.adaptive_bytes < *bytes,
-                        "hostile-mixed: adaptive {} not strictly under {mode} {bytes}",
-                        m.adaptive_bytes
+                        adaptive_bytes < bytes,
+                        "hostile-mixed: adaptive {adaptive_bytes} not strictly under {mode} {bytes}"
                     );
                 }
             }
@@ -229,19 +158,23 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "release-gated: run with --release")]
     fn text_and_hostile_rows_are_pinned_to_the_byte() {
-        for (workload, bytes, picks) in [
-            (Workload::Text, 503_314, (0, 0, 0, 200)),
-            (Workload::HostileMixed, 711_902, (31, 36, 66, 67)),
+        for (workload, bytes, expected_picks) in [
+            (Workload::Text, 503_314, [0, 0, 0, 200]),
+            (Workload::HostileMixed, 711_902, [31, 36, 66, 67]),
         ] {
-            let m =
-                measure_adaptive(workload, &TrafficConfig::bench(BlockSize::kb8(), 200)).unwrap();
-            assert_eq!((m.adaptive_bytes, m.picks), (bytes, picks), "{workload}");
+            let (m, adaptive) =
+                measure(workload, &RunConfig::bench(BlockSize::kb8(), 200)).unwrap();
+            assert_eq!(
+                (m.payload_bytes(adaptive.name()), picks(&adaptive)),
+                (bytes, expected_picks),
+                "{workload}"
+            );
         }
     }
 
     #[test]
     fn figure_renders_every_workload() {
-        let t = adaptive_figure(6, false).unwrap();
+        let t = adaptive_figure(6, ScalePreset::Smoke).unwrap();
         assert_eq!(t.rows.len(), Workload::EXTENDED.len());
         let text = t.to_string();
         assert!(text.contains("hostile-mixed"), "{text}");

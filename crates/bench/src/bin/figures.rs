@@ -19,16 +19,17 @@ use std::process::ExitCode;
 use prins_bench::{
     adaptive_figure, ec_experiment, fig10_router_saturation, fig4_tpcc_oracle, fig5_tpcc_postgres,
     fig6_tpcw, fig7_fs_micro, fig8_response_t1, fig9_response_t3, measure_traffic,
-    overhead_experiment, resync_figure, scale_experiment, trace_experiment, write_rate_experiment,
-    TrafficConfig,
+    overhead_experiment, replicators, resync_figure, scale_experiment, trace_experiment,
+    write_rate_experiment,
 };
 use prins_block::BlockSize;
-use prins_workloads::Workload;
+use prins_repl::ReplicationMode;
+use prins_workloads::{RunConfig, ScalePreset, Workload};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ops: usize = 200;
-    let mut bench_scale = true;
+    let mut scale = ScalePreset::Bench;
     let mut no_run = false;
     let mut wanted: Vec<String> = Vec::new();
     let mut iter = args.iter();
@@ -41,7 +42,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--smoke" => bench_scale = false,
+            "--smoke" => scale = ScalePreset::Smoke,
             "--no-run" => no_run = true,
             other => wanted.push(other.to_string()),
         }
@@ -87,38 +88,38 @@ fn main() -> ExitCode {
     let result = (|| -> Result<(), Box<dyn std::error::Error>> {
         if want("fig4") {
             ran_any = true;
-            println!("{}", fig4_tpcc_oracle(ops, bench_scale)?);
+            println!("{}", fig4_tpcc_oracle(ops, scale)?);
         }
         if want("fig5") {
             ran_any = true;
-            println!("{}", fig5_tpcc_postgres(ops, bench_scale)?);
+            println!("{}", fig5_tpcc_postgres(ops, scale)?);
         }
         if want("fig6") {
             ran_any = true;
-            println!("{}", fig6_tpcw(ops, bench_scale)?);
+            println!("{}", fig6_tpcw(ops, scale)?);
         }
         if want("fig7") {
             ran_any = true;
-            println!("{}", fig7_fs_micro(ops.min(10), bench_scale)?);
+            println!("{}", fig7_fs_micro(ops.min(10), scale)?);
         }
         if want("fig8") || want("fig9") || want("fig10") {
             ran_any = true;
             // Feed the queueing model with measured 8 KB TPC-C traffic.
-            let mut config = if bench_scale {
-                TrafficConfig::bench(BlockSize::kb8(), ops)
-            } else {
-                TrafficConfig::smoke(BlockSize::kb8())
+            let config = RunConfig {
+                scale,
+                ..RunConfig::bench(BlockSize::kb8(), ops)
             };
-            config.ops = ops;
-            let m = measure_traffic(Workload::TpccOracle, &config)?;
+            let m = measure_traffic(
+                Workload::TpccOracle,
+                &config,
+                replicators(&ReplicationMode::PAPER),
+            )?;
             println!(
                 "(service times from measured TPC-C traffic at 8KB: \
                  traditional {:.0} B/write, compressed {:.0} B/write, prins {:.0} B/write)\n",
-                m.traffic(prins_repl::ReplicationMode::Traditional)
-                    .mean_payload(),
-                m.traffic(prins_repl::ReplicationMode::Compressed)
-                    .mean_payload(),
-                m.traffic(prins_repl::ReplicationMode::Prins).mean_payload(),
+                m.traffic(ReplicationMode::Traditional).mean_payload(),
+                m.traffic(ReplicationMode::Compressed).mean_payload(),
+                m.traffic(ReplicationMode::Prins).mean_payload(),
             );
             if want("fig8") {
                 println!("{}", fig8_response_t1(Some(&m)));
@@ -132,7 +133,7 @@ fn main() -> ExitCode {
         }
         if want("resync") {
             ran_any = true;
-            println!("{}", resync_figure(ops, bench_scale)?);
+            println!("{}", resync_figure(ops, scale)?);
         }
         if want("overhead") {
             ran_any = true;
@@ -144,7 +145,7 @@ fn main() -> ExitCode {
         }
         if want("ec") {
             ran_any = true;
-            println!("{}\n", ec_experiment(ops, bench_scale)?);
+            println!("{}\n", ec_experiment(ops, scale)?);
         }
         if want("trace") {
             ran_any = true;
@@ -152,11 +153,11 @@ fn main() -> ExitCode {
         }
         if want("scale") {
             ran_any = true;
-            println!("{}\n", scale_experiment(ops, bench_scale)?);
+            println!("{}\n", scale_experiment(ops, scale)?);
         }
         if want("adaptive") {
             ran_any = true;
-            println!("{}", adaptive_figure(ops, bench_scale)?);
+            println!("{}", adaptive_figure(ops, scale)?);
         }
         Ok(())
     })();

@@ -13,14 +13,15 @@
 //!   images.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use prins_block::{BlockSize, Lba, MemDevice};
 use prins_cluster::{EcConfig, EcGroup, EcPlacement};
 use prins_net::{SimNet, Transport};
 use prins_repl::{serve_sim, ReplicaApplier};
-use prins_workloads::{run, RunConfig, Workload};
+use prins_workloads::{capture_trace, RunConfig, ScalePreset, Workload};
+
+use crate::traffic::trace_writes;
 
 /// Per-frame delay of each node's simulated link. The experiment
 /// counts bytes, not time, so any virtual delay measures the same.
@@ -99,32 +100,16 @@ fn spawn_node(net: &SimNet, name: &str, stripes: u64, block_size: BlockSize) -> 
 /// Propagates workload, replication, and reconstruction failures.
 pub fn ec_experiment(
     ops: usize,
-    bench_scale: bool,
+    scale: ScalePreset,
 ) -> Result<EcReport, Box<dyn std::error::Error>> {
     let block_size = BlockSize::kb4();
-    // Capture the workload's write stream (post-images only: the
-    // group computes its own deltas against its logical device).
-    type WriteTrace = Vec<(u64, Vec<u8>)>;
-    let trace: Arc<Mutex<WriteTrace>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&trace);
-    let observer = Box::new(move |lba: Lba, _old: &[u8], new: &[u8]| {
-        sink.lock()
-            .expect("trace mutex")
-            .push((lba.index(), new.to_vec()));
-    });
-    let mut config = if bench_scale {
-        RunConfig::bench(block_size, ops)
-    } else {
-        let mut c = RunConfig::smoke(block_size);
-        c.ops = ops;
-        c
+    // The workload's write stream (post-images only: the group
+    // computes its own deltas against its logical device).
+    let config = RunConfig {
+        scale,
+        ..RunConfig::bench(block_size, ops)
     };
-    config.seed = 42;
-    run(Workload::TpccOracle, &config, Some(observer))?;
-    let trace = Arc::try_unwrap(trace)
-        .expect("observer dropped")
-        .into_inner()
-        .expect("trace mutex");
+    let writes = trace_writes(&capture_trace(Workload::TpccOracle, &config)?).writes;
 
     let stripes: u64 = 64;
     let placement = EcPlacement::group();
@@ -146,8 +131,8 @@ pub fn ec_experiment(
     };
     // Replay the stream, folding the workload's LBA space onto the
     // group's (the economics are per-write, not per-address).
-    for (lba, data) in trace.iter().take(2_000) {
-        let outcome = group.write(Lba(lba % blocks), data)?;
+    for (lba, data) in writes.iter().take(2_000) {
+        let outcome = group.write(Lba(lba.index() % blocks), data)?;
         report.writes += 1;
         report.write_wire_bytes += outcome.wire_bytes;
     }
@@ -169,7 +154,7 @@ mod tests {
 
     #[test]
     fn ec_experiment_meets_storage_and_repair_bounds() {
-        let r = ec_experiment(20, false).unwrap();
+        let r = ec_experiment(20, ScalePreset::Smoke).unwrap();
         assert!(r.writes > 0, "trace replayed no writes");
         // (a) k=4,m=2 stores at most 1.6x logical vs 3x for mirroring.
         assert!(

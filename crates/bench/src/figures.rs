@@ -11,10 +11,9 @@ use prins_queueing::figures::{
 };
 use prins_queueing::NodalDelay;
 use prins_repl::ReplicationMode;
-use prins_workloads::{run, RunConfig, Workload, WorkloadError};
+use prins_workloads::{run, RunConfig, ScalePreset, Workload, WorkloadError};
 
-use crate::traffic::TrafficMeasurement;
-use crate::{measure_traffic, TrafficConfig};
+use crate::{measure_traffic, replicators, TrafficMeasurement};
 
 /// A printable table representing one figure.
 #[derive(Clone, Debug, PartialEq)]
@@ -50,7 +49,7 @@ impl fmt::Display for FigureTable {
     }
 }
 
-fn kb(bytes: u64) -> String {
+pub(crate) fn kb(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / 1024.0)
 }
 
@@ -60,17 +59,15 @@ fn traffic_figure(
     caption: &str,
     workload: Workload,
     ops: usize,
-    bench_scale: bool,
+    scale: ScalePreset,
 ) -> Result<FigureTable, WorkloadError> {
     let mut rows = Vec::new();
     for block_size in BlockSize::paper_sweep() {
-        let mut config = if bench_scale {
-            TrafficConfig::bench(block_size, ops)
-        } else {
-            TrafficConfig::smoke(block_size)
+        let config = RunConfig {
+            scale,
+            ..RunConfig::bench(block_size, ops)
         };
-        config.ops = ops;
-        let m = measure_traffic(workload, &config)?;
+        let m = measure_traffic(workload, &config, replicators(&ReplicationMode::PAPER))?;
         rows.push(vec![
             block_size.to_string(),
             kb(m.payload_bytes(ReplicationMode::Traditional)),
@@ -107,13 +104,13 @@ fn traffic_figure(
 /// # Errors
 ///
 /// Propagates workload failures.
-pub fn fig4_tpcc_oracle(ops: usize, bench_scale: bool) -> Result<FigureTable, WorkloadError> {
+pub fn fig4_tpcc_oracle(ops: usize, scale: ScalePreset) -> Result<FigureTable, WorkloadError> {
     traffic_figure(
         4,
         "network traffic, TPC-C / Oracle profile",
         Workload::TpccOracle,
         ops,
-        bench_scale,
+        scale,
     )
 }
 
@@ -122,13 +119,13 @@ pub fn fig4_tpcc_oracle(ops: usize, bench_scale: bool) -> Result<FigureTable, Wo
 /// # Errors
 ///
 /// Propagates workload failures.
-pub fn fig5_tpcc_postgres(ops: usize, bench_scale: bool) -> Result<FigureTable, WorkloadError> {
+pub fn fig5_tpcc_postgres(ops: usize, scale: ScalePreset) -> Result<FigureTable, WorkloadError> {
     traffic_figure(
         5,
         "network traffic, TPC-C / Postgres profile",
         Workload::TpccPostgres,
         ops,
-        bench_scale,
+        scale,
     )
 }
 
@@ -137,13 +134,13 @@ pub fn fig5_tpcc_postgres(ops: usize, bench_scale: bool) -> Result<FigureTable, 
 /// # Errors
 ///
 /// Propagates workload failures.
-pub fn fig6_tpcw(ops: usize, bench_scale: bool) -> Result<FigureTable, WorkloadError> {
+pub fn fig6_tpcw(ops: usize, scale: ScalePreset) -> Result<FigureTable, WorkloadError> {
     traffic_figure(
         6,
         "network traffic, TPC-W / MySQL profile",
         Workload::TpcwMysql,
         ops,
-        bench_scale,
+        scale,
     )
 }
 
@@ -152,13 +149,13 @@ pub fn fig6_tpcw(ops: usize, bench_scale: bool) -> Result<FigureTable, WorkloadE
 /// # Errors
 ///
 /// Propagates workload failures.
-pub fn fig7_fs_micro(ops: usize, bench_scale: bool) -> Result<FigureTable, WorkloadError> {
+pub fn fig7_fs_micro(ops: usize, scale: ScalePreset) -> Result<FigureTable, WorkloadError> {
     traffic_figure(
         7,
         "network traffic, Ext2 micro-benchmark",
         Workload::FsMicro,
         ops,
-        bench_scale,
+        scale,
     )
 }
 
@@ -354,8 +351,10 @@ impl fmt::Display for WriteRateReport {
 ///
 /// Propagates workload failures.
 pub fn write_rate_experiment(ops: usize) -> Result<WriteRateReport, WorkloadError> {
-    let mut config = RunConfig::smoke(BlockSize::kb8());
-    config.ops = ops;
+    let config = RunConfig {
+        ops,
+        ..RunConfig::smoke(BlockSize::kb8())
+    };
     let report = run(Workload::TpccOracle, &config, None)?;
     Ok(WriteRateReport {
         writes: report.device_writes,
@@ -370,7 +369,7 @@ mod tests {
 
     #[test]
     fn traffic_figure_has_five_block_sizes() {
-        let t = fig7_fs_micro(2, false).unwrap();
+        let t = fig7_fs_micro(2, ScalePreset::Smoke).unwrap();
         assert_eq!(t.rows.len(), 5);
         assert_eq!(t.rows[0][0], "4KB");
         assert_eq!(t.rows[4][0], "64KB");
@@ -395,7 +394,8 @@ mod tests {
     fn queueing_figures_accept_measured_traffic() {
         let m = measure_traffic(
             Workload::TpccOracle,
-            &TrafficConfig::smoke(BlockSize::kb8()),
+            &RunConfig::smoke(BlockSize::kb8()),
+            replicators(&ReplicationMode::PAPER),
         )
         .unwrap();
         let f8 = fig8_response_t1(Some(&m));

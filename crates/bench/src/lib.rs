@@ -2,8 +2,9 @@
 //! paper's evaluation (§4).
 //!
 //! The heart of the harness is [`measure_traffic`]: it runs one workload
-//! at one block size, streams every block write through the three
-//! replication strategies (plus the PRINS+LZSS ablation), and accumulates
+//! at one block size, streams every block write through each replication
+//! strategy it is given (the paper's three for Figures 4–10; all four
+//! statics plus the adaptive policy for the ablation), and accumulates
 //! the payload and wire bytes each strategy would put on the network —
 //! exactly the quantity Figures 4–7 plot. The `fig*` functions assemble those
 //! measurements (and the queueing models of `prins-queueing`) into the
@@ -12,14 +13,15 @@
 //! # Example
 //!
 //! ```
-//! use prins_bench::{measure_traffic, TrafficConfig};
+//! use prins_bench::{measure_traffic, replicators};
 //! use prins_block::BlockSize;
 //! use prins_repl::ReplicationMode;
-//! use prins_workloads::Workload;
+//! use prins_workloads::{RunConfig, Workload};
 //!
 //! let m = measure_traffic(
 //!     Workload::TpccOracle,
-//!     &TrafficConfig::smoke(BlockSize::kb8()),
+//!     &RunConfig::smoke(BlockSize::kb8()),
+//!     replicators(&ReplicationMode::PAPER),
 //! )
 //! .expect("measurement runs");
 //! let trad = m.payload_bytes(ReplicationMode::Traditional);
@@ -54,4 +56,4 @@ pub use obs::obs_experiment;
 pub use resync::{resync_experiment, resync_figure, ResyncMeasurement};
 pub use scale::{scale_experiment, ScaleCurve, ScaleReport};
 pub use tailtrace::{trace_experiment, TailTraceReport};
-pub use traffic::{measure_traffic, ModeTraffic, TrafficConfig, TrafficMeasurement};
+pub use traffic::{measure_traffic, replicators, ModeTraffic, TrafficMeasurement};

@@ -19,10 +19,9 @@ use prins_core::{EngineBuilder, PrinsEngine};
 use prins_net::{SimNet, TrafficMeter, Transport};
 use prins_obs::{register_meter, Registry, Snapshot};
 use prins_repl::{serve_sim, verify_consistent, AckPolicy, ReplicaApplier};
-use prins_workloads::{capture_trace, Workload};
+use prins_workloads::{capture_trace, RunConfig, Workload};
 
 use crate::traffic::trace_writes;
-use crate::TrafficConfig;
 
 /// Virtual nanoseconds the clock advances on every read — stands in for
 /// the per-operation CPU cost a wall clock would observe.
@@ -81,9 +80,11 @@ pub(crate) fn sim_mirror<T>(
     on_built: impl FnOnce(&PrinsEngine, &[Arc<TrafficMeter>]) -> T,
 ) -> Result<T, Box<dyn Error>> {
     let block_size = BlockSize::kb8();
-    let mut config = TrafficConfig::smoke(block_size);
-    config.ops = ops;
-    let trace = capture_trace(Workload::TpccOracle, &config.run_config())?;
+    let config = RunConfig {
+        ops,
+        ..RunConfig::smoke(block_size)
+    };
+    let trace = capture_trace(Workload::TpccOracle, &config)?;
     if trace.is_empty() {
         return Err("the mirror run needs a non-empty trace; increase --ops".into());
     }

@@ -13,16 +13,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use prins_block::{BlockDevice, MemDevice};
+use prins_block::{BlockDevice, BlockSize, MemDevice};
 use prins_cluster::{ClusterConfig, ClusterGroup, ReplicaState};
 use prins_net::SimNet;
 use prins_obs::Registry;
 use prins_repl::{serve_sim, verify_consistent, ReplicaApplier};
-use prins_workloads::{capture_trace, Workload, WriteTrace};
+use prins_workloads::{capture_trace, RunConfig, ScalePreset, Workload, WriteTrace};
 
-use crate::figures::FigureTable;
+use crate::figures::{kb, FigureTable};
 use crate::traffic::{trace_writes, TraceStream};
-use crate::TrafficConfig;
 
 /// Per-frame delay of the replica's simulated link. The experiment
 /// counts bytes, not time, so any virtual delay measures the same.
@@ -138,10 +137,6 @@ pub fn resync_experiment(
     })
 }
 
-fn kb(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / 1024.0)
-}
-
 /// The resync series: catch-up bytes across outage lengths on the TPC-C
 /// trace.
 ///
@@ -156,15 +151,13 @@ fn kb(bytes: u64) -> String {
 /// Propagates workload and cluster errors.
 pub fn resync_figure(
     ops: usize,
-    bench_scale: bool,
+    scale: ScalePreset,
 ) -> Result<FigureTable, Box<dyn std::error::Error>> {
-    let mut config = if bench_scale {
-        TrafficConfig::bench(prins_block::BlockSize::kb8(), ops)
-    } else {
-        TrafficConfig::smoke(prins_block::BlockSize::kb8())
+    let config = RunConfig {
+        scale,
+        ..RunConfig::bench(BlockSize::kb8(), ops)
     };
-    config.ops = ops;
-    let trace = capture_trace(Workload::TpccOracle, &config.run_config())?;
+    let trace = capture_trace(Workload::TpccOracle, &config)?;
     if trace.is_empty() {
         return Err("resync series needs a non-empty trace; increase --ops".into());
     }
@@ -213,8 +206,8 @@ mod tests {
     use super::*;
 
     fn smoke_trace() -> WriteTrace {
-        let config = TrafficConfig::smoke(prins_block::BlockSize::kb8());
-        capture_trace(Workload::TpccOracle, &config.run_config()).expect("trace captures")
+        capture_trace(Workload::TpccOracle, &RunConfig::smoke(BlockSize::kb8()))
+            .expect("trace captures")
     }
 
     #[test]
@@ -237,7 +230,7 @@ mod tests {
 
     #[test]
     fn resync_figure_smoke_has_all_columns() {
-        let table = resync_figure(40, false).unwrap();
+        let table = resync_figure(40, ScalePreset::Smoke).unwrap();
         assert_eq!(table.headers.len(), 7);
         assert_eq!(table.rows.len(), 4);
         for row in &table.rows {

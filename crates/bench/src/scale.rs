@@ -30,6 +30,7 @@ use prins_cluster::{ClusterConfig, ClusterGroup};
 use prins_net::{channel_pair, LinkModel, Transport};
 use prins_queueing::Mva;
 use prins_repl::ReplError;
+use prins_workloads::ScalePreset;
 
 /// Throughput curve for one `groups × replicas` configuration.
 #[derive(Clone, Debug)]
@@ -152,8 +153,8 @@ fn spawn_replica(
 /// on a three-replica group, then sweep tenants × shards × replicas
 /// through MVA on the measured demands.
 ///
-/// `ops` scales the measured read count; `bench_scale` multiplies it
-/// for a steadier service-time estimate.
+/// `ops` scales the measured read count; the bench scale multiplies it
+/// by ten for a steadier service-time estimate.
 ///
 /// # Errors
 ///
@@ -161,12 +162,12 @@ fn spawn_replica(
 /// measured reads.
 pub fn scale_experiment(
     ops: usize,
-    bench_scale: bool,
+    scale: ScalePreset,
 ) -> Result<ScaleReport, Box<dyn std::error::Error>> {
     let block_size = BlockSize::kb4();
     let blocks: u64 = 64;
     let replicas = 3usize;
-    let reads = (ops.max(1) * if bench_scale { 10 } else { 1 }).max(64);
+    let reads = (ops.max(1) * if scale == ScalePreset::Bench { 10 } else { 1 }).max(64);
 
     let mut transports = Vec::new();
     let mut workers = Vec::new();
@@ -271,7 +272,7 @@ mod tests {
 
     #[test]
     fn scale_experiment_reads_offload_and_scale_near_linearly() {
-        let r = scale_experiment(60, false).unwrap();
+        let r = scale_experiment(60, ScalePreset::Smoke).unwrap();
         // Every measured read was served by a replica, none rejected:
         // the healthy-cluster freshness guard stayed quiet.
         assert_eq!(r.rejected, 0, "healthy cluster rejected offloads");

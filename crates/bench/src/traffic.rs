@@ -1,63 +1,13 @@
 //! Per-strategy replication traffic measurement.
 
 use std::collections::HashSet;
+use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use prins_block::{BlockSize, Lba};
+use prins_block::Lba;
 use prins_net::LinkModel;
 use prins_repl::{ReplicationMode, Replicator};
 use prins_workloads::{run, RunConfig, RunReport, Workload, WorkloadError, WriteTrace};
-
-/// Configuration for one traffic measurement.
-#[derive(Clone, Copy, Debug)]
-pub struct TrafficConfig {
-    /// Block size under test (the x-axis of Figures 4–7).
-    pub(crate) block_size: BlockSize,
-    /// Measured operations (transactions / interactions / tar rounds).
-    pub ops: usize,
-    /// RNG seed.
-    pub(crate) seed: u64,
-    /// Whether to use the laptop-scale bench databases (vs smoke).
-    pub(crate) bench_scale: bool,
-    /// Include the PRINS+LZSS ablation strategy.
-    pub(crate) include_ablation: bool,
-}
-
-impl TrafficConfig {
-    /// Sub-second smoke configuration (unit tests, doc examples).
-    pub fn smoke(block_size: BlockSize) -> Self {
-        Self {
-            block_size,
-            ops: 40,
-            seed: 42,
-            bench_scale: false,
-            include_ablation: false,
-        }
-    }
-
-    /// Benchmark configuration with `ops` measured operations.
-    pub fn bench(block_size: BlockSize, ops: usize) -> Self {
-        Self {
-            block_size,
-            ops,
-            seed: 42,
-            bench_scale: true,
-            include_ablation: true,
-        }
-    }
-
-    pub(crate) fn run_config(&self) -> RunConfig {
-        let mut config = if self.bench_scale {
-            RunConfig::bench(self.block_size, self.ops)
-        } else {
-            let mut c = RunConfig::smoke(self.block_size);
-            c.ops = self.ops;
-            c
-        };
-        config.seed = self.seed;
-        config
-    }
-}
 
 /// Accumulated traffic for one replication strategy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,11 +32,12 @@ impl ModeTraffic {
     }
 }
 
-/// Result of one workload × block-size measurement.
+/// Result of one workload run accounted through a set of replicators.
 #[derive(Clone, Debug)]
 pub struct TrafficMeasurement {
-    /// Traffic per strategy, in [`ReplicationMode`] order as configured.
-    pub(crate) per_mode: Vec<(ReplicationMode, ModeTraffic)>,
+    /// Traffic per replicator, keyed by [`Replicator::name`], in the
+    /// order [`measure_traffic`] was given them.
+    pub(crate) per_replicator: Vec<(&'static str, ModeTraffic)>,
     /// The underlying workload report (writes, change ratios, timing).
     pub report: RunReport,
 }
@@ -96,22 +47,25 @@ impl TrafficMeasurement {
     ///
     /// # Panics
     ///
-    /// Panics if `mode` was not measured.
-    pub fn payload_bytes(&self, mode: ReplicationMode) -> u64 {
-        self.traffic(mode).payload_bytes
+    /// Panics if `strategy` was not measured.
+    pub fn payload_bytes(&self, strategy: impl fmt::Display) -> u64 {
+        self.traffic(strategy).payload_bytes
     }
 
-    /// Traffic details for a strategy.
+    /// Traffic details for a strategy: a [`ReplicationMode`], or any
+    /// replicator's [`Replicator::name`] (a mode's `Display` name is its
+    /// replicator's name).
     ///
     /// # Panics
     ///
-    /// Panics if `mode` was not measured.
-    pub fn traffic(&self, mode: ReplicationMode) -> ModeTraffic {
-        self.per_mode
+    /// Panics if `strategy` was not measured.
+    pub fn traffic(&self, strategy: impl fmt::Display) -> ModeTraffic {
+        let name = strategy.to_string();
+        self.per_replicator
             .iter()
-            .find(|(m, _)| *m == mode)
+            .find(|(n, _)| *n == name)
             .map(|(_, t)| *t)
-            .unwrap_or_else(|| panic!("mode {mode} was not measured"))
+            .unwrap_or_else(|| panic!("{name} was not measured"))
     }
 
     /// Ratio of payload bytes between two strategies (`a / b`).
@@ -124,29 +78,37 @@ impl TrafficMeasurement {
     }
 }
 
-/// Runs `workload` once and measures the bytes each replication strategy
-/// would send for the observed write stream.
+/// One replicator per mode, in order: [`measure_traffic`]'s input for
+/// the static strategies.
+pub fn replicators(modes: &[ReplicationMode]) -> Vec<Arc<dyn Replicator>> {
+    modes
+        .iter()
+        .map(|mode| Arc::from(mode.replicator()))
+        .collect()
+}
+
+/// Runs `workload` once and accounts every block write through each of
+/// `replicators`: the payload and wire bytes each would send for the
+/// observed write stream.
 ///
 /// # Errors
 ///
 /// Propagates workload failures.
 pub fn measure_traffic(
     workload: Workload,
-    config: &TrafficConfig,
+    config: &RunConfig,
+    replicators: Vec<Arc<dyn Replicator>>,
 ) -> Result<TrafficMeasurement, WorkloadError> {
-    let mut modes: Vec<ReplicationMode> = ReplicationMode::PAPER.to_vec();
-    if config.include_ablation {
-        modes.push(ReplicationMode::PrinsCompressed);
-    }
-    let replicators: Vec<Box<dyn Replicator>> = modes.iter().map(|m| m.replicator()).collect();
     let link = LinkModel::t1();
-
-    let totals: Arc<Mutex<Vec<ModeTraffic>>> =
-        Arc::new(Mutex::new(vec![ModeTraffic::default(); modes.len()]));
+    let totals: Vec<(&'static str, ModeTraffic)> = replicators
+        .iter()
+        .map(|r| (r.name(), ModeTraffic::default()))
+        .collect();
+    let totals = Arc::new(Mutex::new(totals));
     let sink = Arc::clone(&totals);
     let observer = Box::new(move |lba, old: &[u8], new: &[u8]| {
         let mut totals = sink.lock().expect("traffic mutex");
-        for (replicator, total) in replicators.iter().zip(totals.iter_mut()) {
+        for (replicator, (_, total)) in replicators.iter().zip(totals.iter_mut()) {
             let payload = replicator.encode_write(lba, old, new);
             total.payload_bytes += payload.len() as u64;
             total.wire_bytes += link.wire_bytes(payload.len());
@@ -154,13 +116,13 @@ pub fn measure_traffic(
         }
     });
 
-    let report = run(workload, &config.run_config(), Some(observer))?;
-    let totals = Arc::try_unwrap(totals)
+    let report = run(workload, config, Some(observer))?;
+    let per_replicator = Arc::try_unwrap(totals)
         .expect("observer dropped")
         .into_inner()
         .expect("traffic mutex");
     Ok(TrafficMeasurement {
-        per_mode: modes.into_iter().zip(totals).collect(),
+        per_replicator,
         report,
     })
 }
@@ -196,26 +158,39 @@ pub(crate) fn trace_writes(trace: &WriteTrace) -> TraceStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prins_block::BlockSize;
+
+    fn paper(workload: Workload, block_size: BlockSize) -> TrafficMeasurement {
+        let config = RunConfig::smoke(block_size);
+        measure_traffic(workload, &config, replicators(&ReplicationMode::PAPER)).unwrap()
+    }
 
     #[test]
     fn prins_beats_traditional_on_every_workload() {
         for workload in Workload::ALL {
-            let m = measure_traffic(workload, &TrafficConfig::smoke(BlockSize::kb8())).unwrap();
+            // Every static strategy sees the same write stream, the
+            // PRINS+LZSS ablation included: compressing the parity never
+            // costs more than a rounding error over plain PRINS.
+            let config = RunConfig::smoke(BlockSize::kb8());
+            let m = measure_traffic(workload, &config, replicators(&ReplicationMode::ALL)).unwrap();
+            assert_eq!(m.per_replicator.len(), 4);
             let ratio = m.ratio(ReplicationMode::Traditional, ReplicationMode::Prins);
             assert!(
                 ratio > 2.0,
                 "{workload}: traditional/prins ratio only {ratio:.2}"
+            );
+            let prins = m.payload_bytes(ReplicationMode::Prins);
+            let ablate = m.payload_bytes(ReplicationMode::PrinsCompressed);
+            assert!(
+                ablate <= prins + prins / 10,
+                "{workload}: {ablate} vs {prins}"
             );
         }
     }
 
     #[test]
     fn traditional_payload_equals_blocks_plus_headers() {
-        let m = measure_traffic(
-            Workload::TpccOracle,
-            &TrafficConfig::smoke(BlockSize::kb8()),
-        )
-        .unwrap();
+        let m = paper(Workload::TpccOracle, BlockSize::kb8());
         let t = m.traffic(ReplicationMode::Traditional);
         // Payload per write = block + small payload header.
         let per_write = t.payload_bytes as f64 / t.writes as f64;
@@ -225,16 +200,8 @@ mod tests {
 
     #[test]
     fn prins_payload_tracks_changed_bytes_not_block_size() {
-        let m4 = measure_traffic(
-            Workload::TpccOracle,
-            &TrafficConfig::smoke(BlockSize::kb4()),
-        )
-        .unwrap();
-        let m64 = measure_traffic(
-            Workload::TpccOracle,
-            &TrafficConfig::smoke(BlockSize::kb64()),
-        )
-        .unwrap();
+        let m4 = paper(Workload::TpccOracle, BlockSize::kb4());
+        let m64 = paper(Workload::TpccOracle, BlockSize::kb64());
         let p4 = m4.traffic(ReplicationMode::Prins).mean_payload();
         let p64 = m64.traffic(ReplicationMode::Prins).mean_payload();
         let t4 = m4.traffic(ReplicationMode::Traditional).mean_payload();
@@ -248,21 +215,9 @@ mod tests {
     }
 
     #[test]
-    fn ablation_mode_is_included_when_asked() {
-        let mut config = TrafficConfig::smoke(BlockSize::kb4());
-        config.include_ablation = true;
-        let m = measure_traffic(Workload::FsMicro, &config).unwrap();
-        assert_eq!(m.per_mode.len(), 4);
-        let prins = m.payload_bytes(ReplicationMode::Prins);
-        let ablate = m.payload_bytes(ReplicationMode::PrinsCompressed);
-        assert!(ablate <= prins + prins / 10, "{ablate} vs {prins}");
-    }
-
-    #[test]
     #[should_panic(expected = "not measured")]
     fn unmeasured_mode_panics() {
-        let m =
-            measure_traffic(Workload::FsMicro, &TrafficConfig::smoke(BlockSize::kb4())).unwrap();
+        let m = paper(Workload::FsMicro, BlockSize::kb4());
         let _ = m.payload_bytes(ReplicationMode::PrinsCompressed);
     }
 }

@@ -23,7 +23,7 @@
 //!   full image; a replica that is not a copy of the primary catches
 //!   up through [`ClusterGroup::scrub`],
 //! * [`RendezvousPlacement`] / [`ShardedCluster`] — a volume sharded
-//!   across replica groups by weighted rendezvous hashing, with live
+//!   across replica groups by equal-weight rendezvous hashing, with live
 //!   migration of a range between groups; a one-group volume is that
 //!   group.
 //!
@@ -93,4 +93,4 @@ pub use group::{
 };
 pub use lifecycle::ReplicaState;
 pub use placement::RendezvousPlacement;
-pub use shard::{MigrationStatus, ShardedCluster};
+pub use shard::ShardedCluster;

@@ -28,24 +28,9 @@ struct Migration {
     cursor: u64,
 }
 
-/// Snapshot of an in-progress migration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MigrationStatus {
-    /// The volume LBA range being moved.
-    pub(crate) range: Range<u64>,
-    /// Group the range is moving from (still the owner).
-    pub(crate) from: usize,
-    /// Group the range is moving to.
-    pub(crate) to: usize,
-    /// Blocks copied so far.
-    pub(crate) copied: u64,
-    /// Blocks still to copy before cutover.
-    pub(crate) remaining: u64,
-}
-
 /// A volume sharded across one or more [`ClusterGroup`]s.
 ///
-/// Writes and reads are routed by weighted rendezvous hashing
+/// Writes and reads are routed by rendezvous hashing
 /// ([`RendezvousPlacement`]); group-local addresses equal volume
 /// addresses.
 ///
@@ -185,15 +170,10 @@ impl<D: BlockDevice> ShardedCluster<D> {
         self.groups[owner].read(lba)
     }
 
-    /// Snapshot of the in-progress migration, if any.
-    pub fn migration(&self) -> Option<MigrationStatus> {
-        self.migration.as_ref().map(|m| MigrationStatus {
-            range: m.range.clone(),
-            from: m.from,
-            to: m.to,
-            copied: m.cursor - m.range.start,
-            remaining: m.range.end - m.cursor,
-        })
+    /// Whether a migration is in progress (started and not yet cut
+    /// over).
+    pub fn migrating(&self) -> bool {
+        self.migration.is_some()
     }
 
     /// Begins a live migration of `range` from group `from` to group
@@ -320,21 +300,24 @@ mod tests {
 
     #[test]
     fn live_migration_cuts_over_under_foreground_writes() {
-        let p = RendezvousPlacement::new(8, 2);
+        // Two-block slots: LBAs 0 and 1 share an owner, so one range
+        // can move them in two steps.
+        let p = RendezvousPlacement::new(8, 2).with_slot_blocks(2);
         let from = p.group_for(Lba(0));
         let to = 1 - from;
         let mut c = ShardedCluster::new(p, vec![group(8), group(8)]);
         c.write(Lba(0), &[0xAA; 4096]).unwrap();
 
-        c.migrate_start(0..1, from, to).unwrap();
+        c.migrate_start(0..2, from, to).unwrap();
         // A foreground write during the move dual-dispatches.
         let b = vec![0xBB; 4096];
         c.write(Lba(0), &b).unwrap();
         assert_eq!(c.group(to).device().read_block_vec(Lba(0)).unwrap(), b);
-        assert_eq!(c.migration().unwrap().remaining, 1);
+        assert_eq!(c.migrate_step(1).unwrap(), 1, "one block left to copy");
+        assert!(c.migrating());
 
         assert_eq!(c.migrate_step(8).unwrap(), 0);
-        assert!(c.migration().is_none());
+        assert!(!c.migrating());
         assert_eq!(c.owner(Lba(0)), to);
 
         // Post-cutover writes land only on the new owner.

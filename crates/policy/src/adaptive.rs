@@ -7,14 +7,14 @@ use prins_block::Lba;
 use prins_compress::{Abandoned, Lzss};
 use prins_obs::Registry;
 use prins_parity::{varint_len, DeltaPlan, SparseCodec};
-use prins_repl::{head_len, put_compressed, put_full, put_parity, PrinsReplicator, Replicator};
+use prins_repl::{
+    head_len, put_compressed, put_full, put_parity, PrinsReplicator, ReplicationMode, Replicator,
+};
 
 use crate::counters::PolicyCounters;
 use crate::probe::probe_compressibility_pm;
 use crate::region::{RegionSlot, RegionTable};
-use crate::{
-    PolicyConfig, Strategy, COMPRESS_THRESHOLD_PM, EXPLORE_INTERVAL, REGIONS, REGION_SHIFT,
-};
+use crate::{PolicyConfig, COMPRESS_THRESHOLD_PM, EXPLORE_INTERVAL, REGIONS, REGION_SHIFT};
 
 /// `n * 1000 / d` as a clamped per-mille ratio; empty denominators read
 /// as incompressible.
@@ -28,7 +28,7 @@ fn ratio_pm(n: usize, d: usize) -> u32 {
 /// What running a decision's trial chain shipped and learned.
 struct Trials {
     /// The strategy whose frame is in the buffer.
-    strategy: Strategy,
+    strategy: ReplicationMode,
     /// Compressed/full ratio this write's block compressor run
     /// observed: exact when the run finished, the ratio over the
     /// prefix it read when it was abandoned.
@@ -106,7 +106,7 @@ impl AdaptiveReplicator {
         new: &[u8],
         segs: usize,
         wire: usize,
-    ) -> (&RegionSlot, Strategy, bool) {
+    ) -> (&RegionSlot, ReplicationMode, bool) {
         let full = new.len();
         let (slot, fresh) = self.table.slot(lba.index());
         if fresh {
@@ -140,9 +140,9 @@ impl AdaptiveReplicator {
         // only when its estimate clears the configured margin, so
         // marginal content does not flap onto a CPU-burning pick.
         let plain = if wire < full {
-            (Strategy::Parity, wire)
+            (ReplicationMode::Prins, wire)
         } else {
-            (Strategy::Full, full)
+            (ReplicationMode::Traditional, full)
         };
         let budget = plain.1 as u64 * u64::from(COMPRESS_THRESHOLD_PM) / 1000;
         let mut best = plain;
@@ -154,14 +154,14 @@ impl AdaptiveReplicator {
             let delta_c = slot.delta_c_pm.load(Ordering::Relaxed) as usize;
             let est = varint_len(wire as u64) + wire * delta_c / 1000;
             if est as u64 <= budget && est < best.1 {
-                best = (Strategy::ParityCompressed, est);
+                best = (ReplicationMode::PrinsCompressed, est);
             }
         }
         if full >= self.cfg.min_compress_len {
             let full_c = slot.full_c_pm.load(Ordering::Relaxed) as usize;
             let est = varint_len(full as u64) + full * full_c / 1000;
             if est as u64 <= budget && est < best.1 {
-                best = (Strategy::Compressed, est);
+                best = (ReplicationMode::Compressed, est);
             }
         }
         // Compressibility estimates only refresh when a compressor
@@ -175,17 +175,17 @@ impl AdaptiveReplicator {
         // compressed encoders fall back to the plain image when they
         // lose, so a probe costs CPU, never wire bytes.
         let (strategy, explored) = match best.0 {
-            Strategy::Parity
+            ReplicationMode::Prins
                 if (explore_due || !slot.is_sampled(RegionSlot::DELTA_SAMPLED))
                     && wire >= self.cfg.min_compress_len =>
             {
-                (Strategy::ParityCompressed, true)
+                (ReplicationMode::PrinsCompressed, true)
             }
-            Strategy::Full
+            ReplicationMode::Traditional
                 if (explore_due || !slot.is_sampled(RegionSlot::FULL_SAMPLED))
                     && full >= self.cfg.min_compress_len =>
             {
-                (Strategy::Compressed, true)
+                (ReplicationMode::Compressed, true)
             }
             chosen => (chosen, false),
         };
@@ -197,14 +197,14 @@ impl AdaptiveReplicator {
         // parity / plain parity / compressed-full is smallest, its
         // second trial bounded by the first's frame).
         if wire < full && wire >= self.cfg.exact_trial_len {
-            return (slot, Strategy::ParityCompressed, explored);
+            return (slot, ReplicationMode::PrinsCompressed, explored);
         }
         (slot, strategy, explored)
     }
 
     /// Books counters and corrects EWMAs with exact observations,
     /// allocation-free. Counterfactuals are exact for the strategies
-    /// whose cost is knowable from the scan (`Full`, `Parity`) or from
+    /// whose cost is knowable from the scan (`Traditional`, `Prins`) or from
     /// a trial that ran to a frame, and EWMA-estimated for the
     /// compressors otherwise: no strategy that was not picked runs its
     /// encoder for the books.
@@ -222,10 +222,10 @@ impl AdaptiveReplicator {
         let c = &self.counters;
         c.writes.inc();
         match t.strategy {
-            Strategy::Full => c.pick_full.inc(),
-            Strategy::Compressed => c.pick_compressed.inc(),
-            Strategy::Parity => c.pick_parity.inc(),
-            Strategy::ParityCompressed => c.pick_parity_lzss.inc(),
+            ReplicationMode::Traditional => c.pick_full.inc(),
+            ReplicationMode::Compressed => c.pick_compressed.inc(),
+            ReplicationMode::Prins => c.pick_parity.inc(),
+            ReplicationMode::PrinsCompressed => c.pick_parity_lzss.inc(),
         }
         if o.explored {
             c.explores.inc();
@@ -268,7 +268,7 @@ impl AdaptiveReplicator {
         lba: Lba,
         plan: &mut DeltaPlan<'_>,
         slot: &RegionSlot,
-        decided: Strategy,
+        decided: ReplicationMode,
         out: &mut Vec<u8>,
     ) -> Trials {
         let base = out.len();
@@ -352,13 +352,13 @@ impl AdaptiveReplicator {
             };
 
         match decided {
-            Strategy::Parity => {
+            ReplicationMode::Prins => {
                 // The fused zero-alloc path, byte-identical to
                 // PrinsReplicator's.
                 put_parity(out, lba, |out| plan.encode_into(out));
             }
-            Strategy::Full => put_full(out, lba, new),
-            Strategy::Compressed => {
+            ReplicationMode::Traditional => put_full(out, lba, new),
+            ReplicationMode::Compressed => {
                 // The trial is the frame if it comes in under the plain
                 // encoding it would otherwise be rescued to.
                 if image_trial(out, &mut t, head + wire.min(full) - 1).is_none() {
@@ -366,17 +366,17 @@ impl AdaptiveReplicator {
                         // Misprediction rescue: the content did not
                         // compress below this write's parity after all.
                         put_parity(out, lba, |out| plan.encode_into(out));
-                        t.strategy = Strategy::Parity;
+                        t.strategy = ReplicationMode::Prins;
                     } else {
                         // Never worse than a raw full image on any
                         // write — unlike static Compressed, which can
                         // expand.
                         put_full(out, lba, new);
-                        t.strategy = Strategy::Full;
+                        t.strategy = ReplicationMode::Traditional;
                     }
                 }
             }
-            Strategy::ParityCompressed => {
+            ReplicationMode::PrinsCompressed => {
                 let heavy = wire >= self.cfg.exact_trial_len;
                 let can_compress = full >= self.cfg.min_compress_len;
                 let full_c = slot.full_c_pm.load(Ordering::Relaxed) as usize;
@@ -393,7 +393,7 @@ impl AdaptiveReplicator {
                     if parity_trial(out, plan, &mut t, image).is_some() {
                         out.drain(base..base + image);
                     } else {
-                        t.strategy = Strategy::Compressed;
+                        t.strategy = ReplicationMode::Compressed;
                     }
                 } else {
                     // Delegate: the PRINS encoder already holds the
@@ -415,7 +415,7 @@ impl AdaptiveReplicator {
                         image_est < shipped || !slot.is_sampled(RegionSlot::FULL_SAMPLED) || heavy;
                     if can_compress && rescue && image_trial(out, &mut t, shipped - 1).is_some() {
                         out.drain(base..base + shipped);
-                        t.strategy = Strategy::Compressed;
+                        t.strategy = ReplicationMode::Compressed;
                     }
                 }
             }
@@ -466,9 +466,7 @@ impl Replicator for AdaptiveReplicator {
 mod tests {
     use super::*;
     use prins_block::{BlockDevice, BlockSize, MemDevice};
-    use prins_repl::{
-        CompressedReplicator, ReplicaApplier, ReplicationMode, TraditionalReplicator,
-    };
+    use prins_repl::{CompressedReplicator, ReplicaApplier, TraditionalReplicator};
     use rand::{RngExt, SeedableRng};
     use std::collections::HashMap;
 
@@ -548,7 +546,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let mut old = vec![0u8; 4096];
         rng.fill_bytes(&mut old);
-        // Phase A: incompressible churn locks the region onto Full.
+        // Phase A: incompressible churn locks the region onto Traditional.
         for _ in 0..70 {
             let mut new = vec![0u8; 4096];
             rng.fill_bytes(&mut new);
@@ -559,7 +557,7 @@ mod tests {
         // far (once, at the 64th write), and it must have lost.
         assert!(
             adaptive.counters().pick_compressed.get() <= adaptive.counters().explores.get(),
-            "steady-state picks on random churn must be Full"
+            "steady-state picks on random churn must be Traditional"
         );
         let full_before = adaptive.counters().pick_full.get();
         // Phase B: the region's content turns maximally compressible
@@ -655,7 +653,7 @@ mod tests {
         lba: Lba,
         plan: &mut DeltaPlan<'_>,
         slot: &RegionSlot,
-        decided: Strategy,
+        decided: ReplicationMode,
         out: &mut Vec<u8>,
     ) -> Trials {
         let base = out.len();
@@ -675,9 +673,9 @@ mod tests {
             exact_prins_lzss: None,
         };
         match decided {
-            Strategy::Parity => put_parity(out, lba, |out| plan.encode_into(out)),
-            Strategy::Full => put_full(out, lba, new),
-            Strategy::Compressed => {
+            ReplicationMode::Prins => put_parity(out, lba, |out| plan.encode_into(out)),
+            ReplicationMode::Traditional => put_full(out, lba, new),
+            ReplicationMode::Compressed => {
                 let frame = compressed_trial(out);
                 t.full_pm_sample = Some(ratio_pm(packed_len(frame), full));
                 t.exact_compressed = Some(frame as u64);
@@ -687,14 +685,14 @@ mod tests {
                 } else if wire < full {
                     out.truncate(base);
                     put_parity(out, lba, |out| plan.encode_into(out));
-                    t.strategy = Strategy::Parity;
+                    t.strategy = ReplicationMode::Prins;
                 } else {
                     out.truncate(base);
                     put_full(out, lba, new);
-                    t.strategy = Strategy::Full;
+                    t.strategy = ReplicationMode::Traditional;
                 }
             }
-            Strategy::ParityCompressed => {
+            ReplicationMode::PrinsCompressed => {
                 let lzss_won = a
                     .prins_lzss
                     .encode_planned(lba, plan, usize::MAX, out)
@@ -721,7 +719,7 @@ mod tests {
                         t.exact_compressed = Some(candidate as u64);
                         if candidate < shipped {
                             out.drain(base..base + shipped);
-                            t.strategy = Strategy::Compressed;
+                            t.strategy = ReplicationMode::Compressed;
                         } else {
                             out.truncate(base + shipped);
                         }

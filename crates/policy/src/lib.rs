@@ -1,18 +1,19 @@
 //! Adaptive replication policy engine.
 //!
-//! The four static strategies in `prins-repl` each dominate on some
-//! workload region and lose on another:
+//! The four static strategies in `prins-repl`
+//! ([`ReplicationMode::ALL`](prins_repl::ReplicationMode::ALL)) each
+//! dominate on some workload region and lose on another:
 //!
-//! * **Parity** wins when writes touch few bytes of incompressible data
-//!   (OLTP row updates on packed binary pages);
-//! * **ParityCompressed** wins when the parity itself carries redundancy
-//!   (text, sparse structures);
+//! * **Prins** (parity) wins when writes touch few bytes of
+//!   incompressible data (OLTP row updates on packed binary pages);
+//! * **PrinsCompressed** (parity + LZSS) wins when the parity itself
+//!   carries redundancy (text, sparse structures);
 //! * **Compressed** wins when (nearly) the whole block changes but the
 //!   new content compresses (log appends, text churn) — the one case the
 //!   PRINS fallback ships a *raw* full image;
-//! * **Full** wins when the whole block changes and the content is
-//!   incompressible (encrypted or already-compressed data) — compression
-//!   attempts only burn CPU there.
+//! * **Traditional** (full image) wins when the whole block changes and
+//!   the content is incompressible (encrypted or already-compressed
+//!   data) — compression attempts only burn CPU there.
 //!
 //! No static pick is best everywhere, and real devices mix all four
 //! behaviors across their address space. [`AdaptiveReplicator`] learns
@@ -68,21 +69,6 @@ mod region;
 
 pub use adaptive::AdaptiveReplicator;
 pub use counters::PolicyCounters;
-
-/// The four wire strategies the policy engine picks among, mirroring
-/// [`prins_repl::ReplicationMode`] one-to-one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum Strategy {
-    /// Ship the full new block (wire tag 0).
-    Full,
-    /// Ship the LZSS-compressed full block (wire tag 1).
-    Compressed,
-    /// Ship the zero-run-encoded parity (wire tag 2).
-    Parity,
-    /// Ship the LZSS-compressed parity (wire tag 3; the encoder falls
-    /// back to plain parity or a raw full image when smaller).
-    ParityCompressed,
-}
 
 /// LBAs per classification region, as a shift (64 blocks).
 pub(crate) const REGION_SHIFT: u32 = 6;

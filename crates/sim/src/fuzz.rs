@@ -365,7 +365,7 @@ fn apply(w: &mut World, topology: &Topology, op: SimOp) -> Result<(), String> {
         // advance past an unwritten block); real damage surfaces in
         // the historical check after the op.
         (Topology::Cluster { .. }, SimOp::MigrateStep) => {
-            if w.sharded().migration().is_some() {
+            if w.sharded().migrating() {
                 let _ = w.sharded_mut().migrate_step(2);
             }
         }
@@ -442,7 +442,7 @@ fn play(case: &FuzzCase, topology: Topology) -> RunReport {
     // Drive the copy to cutover (faults may still be live — the copy
     // path degrades like any replicated write) before healing.
     let cluster = matches!(topology, Topology::Cluster { .. });
-    while verdict.is_ok() && cluster && w.sharded().migration().is_some() {
+    while verdict.is_ok() && cluster && w.sharded().migrating() {
         verdict = w
             .sharded_mut()
             .migrate_step(64)

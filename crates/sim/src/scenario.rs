@@ -563,7 +563,7 @@ pub(crate) fn migrate_under_faults() -> Result<ScenarioOutcome, String> {
             break;
         }
     }
-    if w.sharded().migration().is_some() {
+    if w.sharded().migrating() {
         return Err("migration still pending after the copy drained".into());
     }
     for lba in 0..8 {

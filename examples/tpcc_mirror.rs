@@ -6,10 +6,21 @@
 //! cargo run --release --example tpcc_mirror
 //! ```
 
-use prins_bench::{measure_traffic, TrafficConfig};
+use prins_bench::{measure_traffic, replicators, TrafficMeasurement};
 use prins_block::BlockSize;
 use prins_repl::ReplicationMode;
-use prins_workloads::Workload;
+use prins_workloads::{RunConfig, Workload, WorkloadError};
+
+/// What each of the paper's three strategies ships for one smoke-scale
+/// TPC-C run at `block_size`.
+fn measure(block_size: BlockSize) -> Result<TrafficMeasurement, WorkloadError> {
+    let config = RunConfig::smoke(block_size);
+    measure_traffic(
+        Workload::TpccOracle,
+        &config,
+        replicators(&ReplicationMode::PAPER),
+    )
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("TPC-C (Oracle profile) on a replicated volume");
@@ -18,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "block", "traditional", "compressed", "prins", "trad/prins"
     );
     for block_size in BlockSize::paper_sweep() {
-        let m = measure_traffic(Workload::TpccOracle, &TrafficConfig::smoke(block_size))?;
+        let m = measure(block_size)?;
         println!(
             "{:>7} {:>11} KB {:>11} KB {:>11} KB {:>10.1}x",
             block_size.to_string(),
@@ -29,10 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!();
-    let m = measure_traffic(
-        Workload::TpccOracle,
-        &TrafficConfig::smoke(BlockSize::kb8()),
-    )?;
+    let m = measure(BlockSize::kb8())?;
     println!(
         "at 8 KB blocks each write changed {:.1}% of its block on average,",
         m.report.mean_change_ratio() * 100.0

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use prins_bench::{measure_traffic, TrafficConfig};
+use prins_bench::{measure_traffic, replicators};
 use prins_block::{BlockDevice, BlockSize, Lba, MemDevice};
 use prins_core::EngineBuilder;
 use prins_fs::Fs;
@@ -22,9 +22,12 @@ fn trace_replay_matches_live_measurement_exactly() {
     // Round-trip the trace through its file format first.
     let trace = WriteTrace::from_bytes(&trace.to_bytes()).unwrap();
 
-    let mut traffic_config = TrafficConfig::smoke(BlockSize::kb8());
-    traffic_config.ops = config.ops;
-    let live = measure_traffic(Workload::TpccOracle, &traffic_config).unwrap();
+    let live = measure_traffic(
+        Workload::TpccOracle,
+        &config,
+        replicators(&ReplicationMode::PAPER),
+    )
+    .unwrap();
 
     for mode in ReplicationMode::PAPER {
         let replicator = mode.replicator();

@@ -3,12 +3,18 @@
 //! and where the crossovers fall.
 
 use prins_bench::{
-    fig10_router_saturation, fig8_response_t1, measure_traffic, overhead_experiment,
-    write_rate_experiment, TrafficConfig,
+    fig10_router_saturation, fig8_response_t1, measure_traffic, overhead_experiment, replicators,
+    write_rate_experiment, TrafficMeasurement,
 };
 use prins_block::BlockSize;
 use prins_repl::ReplicationMode;
-use prins_workloads::Workload;
+use prins_workloads::{RunConfig, Workload};
+
+/// The paper's three strategies over one smoke-scale run of `workload`.
+fn paper_traffic(workload: Workload, block_size: BlockSize) -> TrafficMeasurement {
+    let config = RunConfig::smoke(block_size);
+    measure_traffic(workload, &config, replicators(&ReplicationMode::PAPER)).unwrap()
+}
 
 /// Figures 4-7, qualitative claim 1: on every workload, at every block
 /// size, traffic orders traditional > compressed > prins.
@@ -16,7 +22,7 @@ use prins_workloads::Workload;
 fn strategy_ordering_holds_everywhere() {
     for workload in Workload::ALL {
         for block_size in [BlockSize::kb4(), BlockSize::kb8(), BlockSize::kb64()] {
-            let m = measure_traffic(workload, &TrafficConfig::smoke(block_size)).unwrap();
+            let m = paper_traffic(workload, block_size);
             let trad = m.payload_bytes(ReplicationMode::Traditional);
             let comp = m.payload_bytes(ReplicationMode::Compressed);
             let prins = m.payload_bytes(ReplicationMode::Prins);
@@ -34,8 +40,8 @@ fn strategy_ordering_holds_everywhere() {
 #[test]
 fn prins_traffic_is_block_size_independent() {
     for workload in [Workload::TpccOracle, Workload::TpcwMysql, Workload::FsMicro] {
-        let m4 = measure_traffic(workload, &TrafficConfig::smoke(BlockSize::kb4())).unwrap();
-        let m64 = measure_traffic(workload, &TrafficConfig::smoke(BlockSize::kb64())).unwrap();
+        let m4 = paper_traffic(workload, BlockSize::kb4());
+        let m64 = paper_traffic(workload, BlockSize::kb64());
         let prins_growth = m64.traffic(ReplicationMode::Prins).mean_payload()
             / m4.traffic(ReplicationMode::Prins).mean_payload();
         let trad_growth = m64.traffic(ReplicationMode::Traditional).mean_payload()
@@ -56,7 +62,7 @@ fn prins_traffic_is_block_size_independent() {
 #[test]
 fn savings_reach_an_order_of_magnitude_at_64kb() {
     for workload in Workload::ALL {
-        let m = measure_traffic(workload, &TrafficConfig::smoke(BlockSize::kb64())).unwrap();
+        let m = paper_traffic(workload, BlockSize::kb64());
         let ratio = m.ratio(ReplicationMode::Traditional, ReplicationMode::Prins);
         assert!(
             ratio > 10.0,
@@ -72,7 +78,7 @@ fn savings_reach_an_order_of_magnitude_at_64kb() {
 #[test]
 fn change_ratios_sit_in_the_partial_write_band() {
     for workload in Workload::ALL {
-        let m = measure_traffic(workload, &TrafficConfig::smoke(BlockSize::kb8())).unwrap();
+        let m = paper_traffic(workload, BlockSize::kb8());
         let ratio = m.report.mean_change_ratio();
         assert!(
             ratio > 0.003 && ratio < 0.5,
@@ -85,11 +91,7 @@ fn change_ratios_sit_in_the_partial_write_band() {
 /// PRINS stays near-flat, and the orderings never cross.
 #[test]
 fn figure8_traditional_explodes_prins_stays_flat() {
-    let m = measure_traffic(
-        Workload::TpccOracle,
-        &TrafficConfig::smoke(BlockSize::kb8()),
-    )
-    .unwrap();
+    let m = paper_traffic(Workload::TpccOracle, BlockSize::kb8());
     let table = fig8_response_t1(Some(&m));
     let parse = |row: &Vec<String>, col: usize| row[col].parse::<f64>().unwrap();
     let first = &table.rows[0];
@@ -119,11 +121,7 @@ fn figure8_traditional_explodes_prins_stays_flat() {
 /// compressed; PRINS sustains the full measured range.
 #[test]
 fn figure10_saturation_order() {
-    let m = measure_traffic(
-        Workload::TpccOracle,
-        &TrafficConfig::smoke(BlockSize::kb8()),
-    )
-    .unwrap();
+    let m = paper_traffic(Workload::TpccOracle, BlockSize::kb8());
     let table = fig10_router_saturation(Some(&m));
     let saturation_row = |col: usize| {
         table
