@@ -197,11 +197,12 @@ cargo run -q --release -p prins-bench --bin obs-dump -- --ops 300 --traces \
 cargo run -q --release -p prins-bench --bin figures -- resync ec --ops 200 \
     | diff tests/figures_golden.txt -
 # The paper's own figures — traffic (Figs 4-7), the queueing model fed
-# by measured traffic (Figs 8-10) and the adaptive-policy ablation — at
-# smoke scale, pinned the same way: a diff means a replicator's bytes,
-# the workloads' write streams or the queueing arithmetic changed.
+# by measured traffic (Figs 8-10), the adaptive-policy ablation and the
+# TPC-C write rate — at smoke scale, pinned the same way: a diff means a
+# replicator's bytes, the workloads' write streams or the queueing
+# arithmetic changed.
 cargo run -q --release -p prins-bench --bin figures -- --smoke --ops 200 \
-    fig4 fig5 fig6 fig7 fig8 fig9 fig10 adaptive | diff tests/paper_figures_golden.txt -
+    fig4 fig5 fig6 fig7 fig8 fig9 fig10 adaptive writerate | diff tests/paper_figures_golden.txt -
 # Scenario golden gates (corruption, EC rebuild, scale-out, trace,
 # adaptive policy, faults and resync): each golden file pins the deterministic event-count
 # or trace summary of the scenarios listed beside it in the GOLDENS

@@ -141,7 +141,7 @@ fn main() -> ExitCode {
         }
         if want("writerate") {
             ran_any = true;
-            println!("{}\n", write_rate_experiment(ops)?);
+            println!("{}\n", write_rate_experiment(ops, scale)?);
         }
         if want("ec") {
             ran_any = true;

@@ -350,10 +350,13 @@ impl fmt::Display for WriteRateReport {
 /// # Errors
 ///
 /// Propagates workload failures.
-pub fn write_rate_experiment(ops: usize) -> Result<WriteRateReport, WorkloadError> {
+pub fn write_rate_experiment(
+    ops: usize,
+    scale: ScalePreset,
+) -> Result<WriteRateReport, WorkloadError> {
     let config = RunConfig {
-        ops,
-        ..RunConfig::smoke(BlockSize::kb8())
+        scale,
+        ..RunConfig::bench(BlockSize::kb8(), ops)
     };
     let report = run(Workload::TpccOracle, &config, None)?;
     Ok(WriteRateReport {
@@ -416,7 +419,7 @@ mod tests {
 
     #[test]
     fn write_rate_experiment_reports_writes_per_txn() {
-        let report = write_rate_experiment(60).unwrap();
+        let report = write_rate_experiment(60, ScalePreset::Smoke).unwrap();
         assert_eq!(report.transactions, 60);
         assert!(report.writes_per_txn > 0.0);
     }

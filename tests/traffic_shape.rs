@@ -8,7 +8,7 @@ use prins_bench::{
 };
 use prins_block::BlockSize;
 use prins_repl::ReplicationMode;
-use prins_workloads::{RunConfig, Workload};
+use prins_workloads::{RunConfig, ScalePreset, Workload};
 
 /// The paper's three strategies over one smoke-scale run of `workload`.
 fn paper_traffic(workload: Workload, block_size: BlockSize) -> TrafficMeasurement {
@@ -157,6 +157,6 @@ fn overhead_is_cheap_compared_to_the_communication_it_saves() {
 /// block-write rate per transaction.
 #[test]
 fn tpcc_write_rate_is_stable_across_seeds() {
-    let a = write_rate_experiment(80).unwrap();
+    let a = write_rate_experiment(80, ScalePreset::Smoke).unwrap();
     assert!(a.writes_per_txn > 0.2 && a.writes_per_txn < 50.0, "{a}");
 }
