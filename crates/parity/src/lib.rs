@@ -21,8 +21,7 @@
 //!
 //! This crate provides:
 //!
-//! * [`xor_in_place`] / [`xor_bytes`] / [`scan_nonzero`] — word-at-a-time
-//!   XOR and scan kernels,
+//! * [`xor_in_place`] / [`xor_bytes`] — wide XOR kernels,
 //! * [`forward_parity`] — the primary's half of the PRINS computation
 //!   (the replica's half is [`SparseParity::apply_to`]),
 //! * [`SparseCodec`] and [`SparseParity`] — the zero-suppressing encoding;
@@ -30,7 +29,9 @@
 //!   planned from two images ([`DeltaPlan::to_parity`]), encoded from a
 //!   dense block or checked in place in a received frame,
 //! * [`DeltaStats`] — change-ratio measurement used throughout the
-//!   evaluation,
+//!   evaluation; it and the codec scan a parity a word at a time, the
+//!   codec through one extent finder whether the parity is dense or
+//!   `old ⊕ new` read off the two images,
 //! * [`gf`] and [`ReedSolomon`] — GF(256) arithmetic and the systematic
 //!   Cauchy Reed–Solomon code of erasure-coded groups. A small write's
 //!   delta `Δd` updates parity strip `i` by `Δp_i = c_i · Δd`
@@ -74,4 +75,4 @@ pub use delta::{forward_parity, DeltaStats};
 pub use gf::MulTable;
 pub use rs::{EcError, ReedSolomon};
 pub use varint::{decode_varint, encode_varint, varint_len};
-pub use xor::{scan_nonzero, xor_bytes, xor_in_place};
+pub use xor::{xor_bytes, xor_in_place};
