@@ -69,9 +69,9 @@ struct PoolInner {
     /// Ascending capacities, one freelist per class.
     classes: Vec<usize>,
     freelists: Vec<Mutex<Vec<Vec<u8>>>>,
-    /// Retained buffers per class; beyond this, drops free instead of
-    /// recycling so a burst cannot pin memory forever.
-    max_per_class: usize,
+    /// Recycled buffers each class retains; beyond this, drops free
+    /// instead of recycling so a burst cannot pin memory forever.
+    retain: Vec<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
     in_use: AtomicU64,
@@ -89,7 +89,7 @@ impl PoolInner {
         self.in_use.fetch_sub(1, Ordering::Relaxed);
         if let Some(class) = class {
             let mut list = self.freelists[class].lock();
-            if list.len() < self.max_per_class {
+            if list.len() < self.retain[class] {
                 list.push(vec);
             }
         }
@@ -104,19 +104,21 @@ pub struct BufPool {
 }
 
 impl BufPool {
-    /// Creates a pool with the given size classes (deduplicated and
-    /// sorted ascending; zero-sized classes are dropped). Each class
-    /// retains up to `max_per_class` recycled buffers.
-    pub(crate) fn new(classes: &[usize], max_per_class: usize) -> Self {
-        let mut classes: Vec<usize> = classes.iter().copied().filter(|&c| c > 0).collect();
-        classes.sort_unstable();
-        classes.dedup();
+    /// Creates a pool from `(capacity, retained)` size classes: sorted
+    /// ascending, zero-sized classes dropped, and a capacity listed
+    /// twice kept once with the larger retention. Each class retains
+    /// up to its count of recycled buffers (at least one).
+    fn retaining(classes: &[(usize, usize)]) -> Self {
+        let mut classes: Vec<(usize, usize)> =
+            classes.iter().copied().filter(|&(c, _)| c > 0).collect();
+        classes.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        classes.dedup_by_key(|&mut (c, _)| c);
         let freelists = classes.iter().map(|_| Mutex::new(Vec::new())).collect();
         Self {
             inner: Arc::new(PoolInner {
-                classes,
+                classes: classes.iter().map(|&(c, _)| c).collect(),
                 freelists,
-                max_per_class: max_per_class.max(1),
+                retain: classes.iter().map(|&(_, n)| n.max(1)).collect(),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 in_use: AtomicU64::new(0),
@@ -129,10 +131,22 @@ impl BufPool {
     /// A pool sized for a block-replication engine: block-image
     /// buffers, encoded-payload buffers (block + envelope slack), and
     /// wire-frame buffers holding up to `batch` payloads.
+    /// Each class retains 64 recycled buffers.
     pub fn for_block_size(block_size: usize, batch: usize) -> Self {
+        Self::for_block_size_retaining(block_size, batch, [64; 3])
+    }
+
+    /// [`for_block_size`](Self::for_block_size) with each class's
+    /// retention given — block images, payloads, wire frames — so an
+    /// engine can keep what its bounded stages hold at once.
+    pub fn for_block_size_retaining(block_size: usize, batch: usize, retain: [usize; 3]) -> Self {
         let payload = block_size + 64;
         let wire = (payload + 16) * batch.max(1) + 32;
-        Self::new(&[block_size, payload, wire], 64)
+        Self::retaining(&[
+            (block_size, retain[0]),
+            (payload, retain[1]),
+            (wire, retain[2]),
+        ])
     }
 
     /// Checks out a buffer with capacity at least `min_cap` from the
@@ -313,7 +327,7 @@ mod tests {
 
     #[test]
     fn get_picks_smallest_fitting_class() {
-        let pool = BufPool::new(&[64, 4096, 256], 8);
+        let pool = BufPool::retaining(&[(64, 8), (4096, 8), (256, 8)]);
         assert_eq!(pool.inner.classes, [64, 256, 4096]);
         assert!(pool.get(1).vec.capacity() >= 64);
         assert!(pool.get(64).vec.capacity() >= 64);
@@ -323,7 +337,7 @@ mod tests {
 
     #[test]
     fn drop_recycles_and_second_get_hits() {
-        let pool = BufPool::new(&[128], 8);
+        let pool = BufPool::retaining(&[(128, 8)]);
         {
             let mut b = pool.get(100);
             b.vec_mut().extend_from_slice(b"hello");
@@ -341,7 +355,7 @@ mod tests {
 
     #[test]
     fn oversized_requests_fall_back_to_heap_and_are_not_recycled() {
-        let pool = BufPool::new(&[64], 8);
+        let pool = BufPool::retaining(&[(64, 8)]);
         {
             let b = pool.get(1000);
             assert!(b.vec.capacity() >= 1000);
@@ -356,7 +370,7 @@ mod tests {
 
     #[test]
     fn freelist_is_bounded() {
-        let pool = BufPool::new(&[32], 2);
+        let pool = BufPool::retaining(&[(32, 2)]);
         let bufs: Vec<_> = (0..5).map(|_| pool.get(32)).collect();
         assert_eq!(pool.stats().in_use, 5);
         drop(bufs);
@@ -371,8 +385,26 @@ mod tests {
     }
 
     #[test]
+    fn each_class_retains_its_own_count() {
+        // A capacity listed twice keeps the larger retention.
+        let pool = BufPool::retaining(&[(32, 1), (64, 3), (32, 2), (0, 9)]);
+        assert_eq!(pool.inner.classes, [32, 64]);
+        assert_eq!(pool.inner.retain, [2, 3]);
+        let small: Vec<_> = (0..4).map(|_| pool.get(32)).collect();
+        let large: Vec<_> = (0..4).map(|_| pool.get(64)).collect();
+        drop((small, large));
+        assert_eq!(pool.inner.freelists[0].lock().len(), 2);
+        assert_eq!(pool.inner.freelists[1].lock().len(), 3);
+
+        let engine = BufPool::for_block_size_retaining(4096, 8, [5, 6, 7]);
+        assert_eq!(engine.inner.classes, [4096, 4160, (4160 + 16) * 8 + 32]);
+        assert_eq!(engine.inner.retain, [5, 6, 7]);
+        assert_eq!(BufPool::for_block_size(4096, 8).inner.retain, [64; 3]);
+    }
+
+    #[test]
     fn freeze_shares_one_slab_across_clones() {
-        let pool = BufPool::new(&[64], 8);
+        let pool = BufPool::retaining(&[(64, 8)]);
         let mut b = pool.get(64);
         b.copy_from(b"0123456789");
         let frozen = b.freeze();
@@ -392,7 +424,7 @@ mod tests {
 
     #[test]
     fn hwm_tracks_peak_concurrent_buffers() {
-        let pool = BufPool::new(&[16], 16);
+        let pool = BufPool::retaining(&[(16, 16)]);
         let a = pool.get(16);
         let b = pool.get(16);
         let c = pool.get(16);
@@ -422,7 +454,7 @@ mod tests {
 
     #[test]
     fn concurrent_checkout_is_consistent() {
-        let pool = BufPool::new(&[256], 32);
+        let pool = BufPool::retaining(&[(256, 32)]);
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let pool = pool.clone();
@@ -454,7 +486,7 @@ mod tests {
         fn prop_interleaved_checkouts_do_not_alias(
             ops in proptest::collection::vec((any::<u8>(), 1usize..128), 1..64),
         ) {
-            let pool = BufPool::new(&[128], 4);
+            let pool = BufPool::retaining(&[(128, 4)]);
             let mut live: Vec<(PooledBuf, u8, usize)> = Vec::new();
             for (fill, len) in ops {
                 if live.len() >= 3 {

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use prins_block::{BlockDevice, BlockError, Geometry, Lba, Result};
-use prins_buf::BufPool;
 use prins_net::Transport;
 use prins_repl::Replicator;
 
@@ -59,8 +58,7 @@ impl PrinsEngine {
         config: &PipelineConfig,
         probe: Probe,
     ) -> Self {
-        let pool =
-            BufPool::for_block_size(device.geometry().block_size().bytes(), config.batch_frames);
+        let pool = config.pool(device.geometry().block_size().bytes(), transports.len());
         let pipeline = Pipeline::start(replicator, transports, config, pool, probe);
         obs::collect_gauges(pipeline.cx());
         Self {

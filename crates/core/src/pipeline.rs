@@ -62,7 +62,12 @@
 //!   queue holds the encode pool, and a full admission queue
 //!   (`ADMIT_QUEUE_CAP` jobs) holds the writer in `Pipeline::admit` —
 //!   so a client that outruns its replicas waits instead of buffering
-//!   without limit. A writer encodes its own write only while every
+//!   without limit. The admission queue holds a few frames per encoder
+//!   (64 jobs), not seconds of work: its two images per job are then
+//!   few enough that the buffer pool, which retains per size class
+//!   what the bounded stages hold at once (`PipelineConfig::pool`),
+//!   recycles every image, and a writer captures into a warm buffer. A
+//!   writer encodes its own write only while every
 //!   lane queue has room, so once they fill its writes queue again and
 //!   the admission queue still fills to its cap. (Manual mode has one
 //!   thread and therefore no capacities.)
@@ -99,7 +104,11 @@
 //!   have. The admission queue wakes the encode pool
 //!   the same way: for a full frame per worker (`encode_workers ×
 //!   batch_frames` queued jobs, at most the queue's capacity) or when
-//!   the pool is parked idle, not for every job. An encoder that finds
+//!   the pool is parked idle, not for every job. A writer parked on a
+//!   full admission queue is woken once a claim — an encoder's or a
+//!   flusher's — leaves it drained to half (`admit_room_wakes`), not
+//!   for every claimed job, so it wakes to room for a run of
+//!   admissions; shutdown wakes every parked writer. An encoder that finds
 //!   the queue empty lingers one hold, claims whatever queued meanwhile
 //!   and otherwise parks without a deadline; a flush encodes its own
 //!   tail instead of waiting for it. So an unbarriered write leaves the
@@ -165,6 +174,34 @@ pub(crate) struct PipelineConfig {
     pub(crate) inline_encode: bool,
 }
 
+impl PipelineConfig {
+    /// The engine's buffer pool for `block_size` blocks and `lanes`
+    /// replicas. Threaded, each size class retains what the bounded
+    /// stages can hold at once, so a streaming engine's checkouts miss
+    /// only while it warms up:
+    ///
+    /// * block images — an old and a new image per admission slot, per
+    ///   encoder holding a job and for a writer parked at a full queue;
+    /// * payloads — a full lane queue and the frame its lane is
+    ///   building, plus one per encoder waiting its release turn and
+    ///   one for a writer encoding its own write;
+    /// * wire frames — each lane's ack window and the frame it seals.
+    ///
+    /// Manual mode's queues have no bound, so its classes keep
+    /// [`BufPool::for_block_size`]'s flat retention.
+    pub(crate) fn pool(&self, block_size: usize, lanes: usize) -> BufPool {
+        let batch_frames = self.batch_frames.max(1);
+        if self.manual {
+            return BufPool::for_block_size(block_size, batch_frames);
+        }
+        let encoders = self.encode_workers.max(1);
+        let images = 2 * (ADMIT_QUEUE_CAP + encoders + 1);
+        let payloads = LANE_QUEUE_CAP + batch_frames + encoders + 1;
+        let frames = lanes * (self.ack_window.max(1) + 1);
+        BufPool::for_block_size_retaining(block_size, batch_frames, [images, payloads, frames])
+    }
+}
+
 impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
@@ -228,6 +265,15 @@ fn admit_threshold(encode_workers: usize, batch_frames: usize) -> usize {
 /// but this wake would ever encode the job.
 fn admit_wakes(queued: usize, threshold: usize, idle: bool) -> bool {
     idle || queued >= threshold
+}
+
+/// Whether claiming a job, which leaves `queued` jobs behind, wakes a
+/// writer parked on a full admission queue of `cap` jobs: only once the
+/// queue has drained to half, so a woken writer finds room for a run of
+/// admissions instead of one slot, and the claims above half make no
+/// system call.
+fn admit_room_wakes(queued: usize, cap: usize) -> bool {
+    queued <= cap / 2
 }
 
 /// An encoded write on its way to the replicas: parked in the reorder
@@ -430,8 +476,9 @@ pub(crate) struct Inner {
     admit_cap: usize,
     /// The encode pool's size, which scales its wake threshold.
     encode_workers: usize,
-    /// Signalled when a worker takes a job (or the pipeline closes):
-    /// where writers wait out a full admission queue.
+    /// Signalled when a claim leaves the admission queue at most half
+    /// full (see [`admit_room_wakes`]) or the pipeline closes: where
+    /// writers wait out a full admission queue.
     admit_room: Signal,
     reorder: Mutex<ReorderState>,
     /// Signalled when the release reaches `ReorderState::wake_at`.
@@ -527,11 +574,13 @@ const LANE_QUEUE_CAP: usize = 1024;
 /// with `batch_frames = 1` nothing waits for it.
 const HOLD: Duration = Duration::from_micros(500);
 
-/// Jobs the admission queue holds in threaded mode. Behind it sit the
-/// bounded lane queues and the ack windows, so a client that outruns
-/// its replicas is held to this much queued work end to end instead of
-/// buffering without limit.
-pub(crate) const ADMIT_QUEUE_CAP: usize = 8192;
+/// Jobs the admission queue holds in threaded mode: a few frames per
+/// encoder (four at two workers batching eight), not seconds of work.
+/// Behind it sit the bounded lane queues and the ack windows, so a
+/// client that outruns its replicas is held to this much queued work
+/// end to end instead of buffering without limit — and two images per
+/// job stay few enough for the buffer pool to recycle them all.
+pub(crate) const ADMIT_QUEUE_CAP: usize = 64;
 
 /// One replica's sender: the only code that sends a frame or awaits a
 /// response. It sits behind a lock in [`Inner::senders`], and whoever
@@ -877,8 +926,9 @@ impl Pipeline {
     /// number.
     ///
     /// The queue is bounded ([`ADMIT_QUEUE_CAP`] jobs; unbounded in
-    /// manual mode): a full queue blocks the writer until an encode
-    /// worker takes a job or the pipeline closes. A new job wakes an
+    /// manual mode): a full queue blocks the writer until it has
+    /// drained to half (see [`admit_room_wakes`]) or the pipeline
+    /// closes. A new job wakes an
     /// encoder only if the pool is parked idle or the queue now holds a
     /// full frame per worker (see [`admit_wakes`]).
     fn enqueue(&self, lba: Lba, old: PooledBuf, new: PooledBuf) -> Result<(), ReplError> {
@@ -964,15 +1014,20 @@ fn closed() -> ReplError {
 fn encode_queued(cx: &Inner, before: u64) -> bool {
     let mut encoded = false;
     loop {
-        let job = {
+        let (job, room) = {
             let mut st = cx.admit.lock().unwrap();
             match st.queue.front() {
-                Some(job) if job.seq < before => st.queue.pop_front(),
-                _ => None,
+                Some(job) if job.seq < before => {
+                    let job = st.queue.pop_front();
+                    (job, admit_room_wakes(st.queue.len(), cx.admit_cap))
+                }
+                _ => (None, false),
             }
         };
         let Some(job) = job else { break };
-        cx.admit_room.notify_one();
+        if room {
+            cx.admit_room.notify_one();
+        }
         encode_and_release(cx, job, Releaser::Flusher);
         encoded = true;
     }
@@ -1048,7 +1103,9 @@ fn run_encoder(cx: &Inner) {
             let mut lingered = false;
             loop {
                 if let Some(job) = st.queue.pop_front() {
-                    cx.admit_room.notify_one();
+                    if admit_room_wakes(st.queue.len(), cx.admit_cap) {
+                        cx.admit_room.notify_one();
+                    }
                     break Some(job);
                 }
                 if st.closed {
@@ -1546,6 +1603,68 @@ mod tests {
         });
     }
 
+    #[test]
+    fn a_parked_writer_wakes_once_the_admission_queue_has_drained_to_half() {
+        use super::{admit_room_wakes, ADMIT_QUEUE_CAP};
+        let cap = ADMIT_QUEUE_CAP;
+        assert!(!admit_room_wakes(cap - 1, cap), "one slot free");
+        assert!(!admit_room_wakes(cap / 2 + 1, cap), "not yet half");
+        assert!(admit_room_wakes(cap / 2, cap), "drained to half");
+        assert!(admit_room_wakes(0, cap), "drained dry");
+        assert!(admit_room_wakes(0, 1), "a queue of one wakes when empty");
+        assert!(!admit_room_wakes(2, 3), "three: two jobs left");
+        assert!(admit_room_wakes(1, 3), "three: one job left");
+        // Manual mode's unbounded queue: every claim, and nobody parks.
+        assert!(admit_room_wakes(1 << 40, usize::MAX));
+    }
+
+    #[test]
+    fn a_streaming_adaptive_engine_fills_its_queue_and_its_pool_only_warms_up() {
+        use super::{ADMIT_QUEUE_CAP, LANE_QUEUE_CAP};
+        // The adaptive engine queues every write for a pool whose
+        // encodes cost far more than the writer's copies, so a stream of
+        // random rewrites holds the admission queue at its cap. The
+        // buffer pool retains what the bounded stages hold at once, so
+        // it never frees a buffer: each miss adds one it keeps, and
+        // the misses stay within that bound however long the stream.
+        let writes = 40 * ADMIT_QUEUE_CAP;
+        let (encoders, batch, window, lanes) = (2, 8, 8, 2);
+        let bounded = 2 * (ADMIT_QUEUE_CAP + encoders + 1)
+            + (LANE_QUEUE_CAP + batch + encoders + 1)
+            + lanes * (window + 1);
+        let (transports, replica_devs, replica_threads) = threaded_replicas(lanes, 64);
+        let primary = Arc::new(MemDevice::new(BlockSize::kb4(), 64));
+        let registry = prins_obs::Registry::new();
+        let mut builder = EngineBuilder::new(Arc::clone(&primary) as Arc<dyn BlockDevice>)
+            .adaptive(prins_policy::PolicyConfig::default())
+            .encode_workers(encoders)
+            .batch_frames(batch)
+            .ack_policy(AckPolicy::Window(window))
+            .observe(Arc::clone(&registry));
+        for transport in transports {
+            builder = builder.replica(transport);
+        }
+        let engine = builder.build();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
+        let mut block = vec![0u8; 4096];
+        for i in 0..writes {
+            rng.fill_bytes(&mut block);
+            engine.write_block(Lba(i as u64 % 64), &block).unwrap();
+        }
+        engine.flush().unwrap();
+        assert_eq!(engine.stats().queue_depth_hwm, ADMIT_QUEUE_CAP as u64);
+        let gauges = registry.snapshot().gauges;
+        let (hits, misses) = (gauges["pool_hits"], gauges["pool_misses"]);
+        assert!(
+            misses <= bounded as u64,
+            "{misses} misses against {hits} hits: the pool freed buffers the stages reuse"
+        );
+        shutdown_all(engine, replica_threads);
+        for dev in &replica_devs {
+            assert!(verify_consistent(&*primary, &**dev).unwrap());
+        }
+    }
+
     /// A transport that records the name of the thread behind each send.
     struct SenderNames {
         inner: Box<dyn prins_net::Transport>,
@@ -1653,19 +1772,25 @@ mod tests {
 
     #[test]
     fn inline_and_queued_releases_keep_per_lba_order() {
+        use super::{ADMIT_QUEUE_CAP, LANE_QUEUE_CAP};
         use crate::signal::tests::under_watchdog;
+        // Writes a stalled round admits before it opens the link: each
+        // lane's full queue, two frames of four in flight, and half the
+        // admission queue — short of the writer parking on a full one,
+        // which would leave nobody to open the link.
+        const STALL: usize = LANE_QUEUE_CAP + 2 * 4 + ADMIT_QUEUE_CAP / 2;
         under_watchdog(Duration::from_secs(60), || {
             // Four rounds of 2 000 writes, each ended by a flush. No ack
-            // comes back for a round's first 1 300 writes, so each lane's
-            // queue fills (1 024 payloads behind two frames of four in
-            // flight) and writes turn from encoding themselves to
-            // queueing for the pool; then the link opens and the pool,
-            // the lane threads and the flush drain what queued.
+            // comes back for a round's first `STALL` writes, so each
+            // lane's queue fills and writes turn from encoding
+            // themselves to queueing for the pool; then the link opens
+            // and the pool, the lane threads and the flush drain what
+            // queued.
             let mut rng = rand::rngs::StdRng::seed_from_u64(41);
             let writes: Vec<(u64, u8)> = (0..8000)
                 .map(|_| (rng.random_range(0..4), rng.random()))
                 .collect();
-            let stalled = |i| i % 2000 < 1300;
+            let stalled = |i| i % 2000 < STALL;
             let registry = assert_per_lba_ordering(&writes, 2, 4, Some(2000), 2, stalled);
             let snap = registry.snapshot();
             assert!(

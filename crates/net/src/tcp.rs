@@ -14,6 +14,10 @@ use crate::{LinkModel, NetError, TrafficMeter, Transport};
 /// prefixes).
 const MAX_FRAME: usize = 16 << 20;
 
+/// The receive buffer's size, and the most one `read` takes while no
+/// larger frame has grown it: many batched replication frames.
+const READ_CHUNK: usize = 64 << 10;
+
 /// A [`Transport`] over a TCP stream with 4-byte little-endian length
 /// prefixes.
 ///
@@ -41,16 +45,20 @@ pub struct TcpTransport {
 }
 
 /// The receiving half: the socket, the read timeout it currently has,
-/// and the frame being received. A receive that times out part-way
-/// through a frame leaves what it got here, and the next one carries on
-/// from that byte — the stream never loses its framing to a timeout.
+/// and a recycled buffer of bytes received and not yet handed over.
+/// Frames are parsed out of the buffer, so a frame whose prefix and
+/// body arrived together costs one `read`, and the bytes behind it wait
+/// there for the next receive. A receive that times out part-way
+/// through a frame leaves what it got in the buffer, and the next one
+/// carries on from that byte — the stream never loses its framing to a
+/// timeout.
 struct Reader {
     stream: TcpStream,
     timeout: Option<Duration>,
-    prefix: [u8; 4],
-    body: Vec<u8>,
-    /// Bytes of the current frame received so far, prefix included.
-    filled: usize,
+    /// Received bytes; `buf[start..end]` are not handed over yet.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 /// The sending half: the socket and the buffer a frame is assembled in,
@@ -95,9 +103,9 @@ impl TcpTransport {
             reader: Mutex::new(Reader {
                 stream: reader,
                 timeout: None,
-                prefix: [0; 4],
-                body: Vec::new(),
-                filled: 0,
+                buf: vec![0; READ_CHUNK],
+                start: 0,
+                end: 0,
             }),
             writer: Mutex::new(Writer {
                 stream,
@@ -119,46 +127,60 @@ impl TcpTransport {
     }
 }
 
-/// Reads into `buf[*filled..]` until it is full; a timeout or error
-/// leaves `*filled` at what arrived.
-fn fill(stream: &mut TcpStream, buf: &mut [u8], filled: &mut usize) -> Result<(), NetError> {
-    while *filled < buf.len() {
-        match stream.read(&mut buf[*filled..]) {
-            Ok(0) => return Err(NetError::Disconnected),
-            Ok(n) => *filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+impl Reader {
+    /// Hands over the next frame, reading until the buffer holds all of
+    /// it; each `read` takes as much as has arrived, up to the room
+    /// left.
+    fn read_frame(&mut self) -> Result<Vec<u8>, NetError> {
+        loop {
+            let pending = &self.buf[self.start..self.end];
+            let need = match pending.first_chunk::<4>() {
+                Some(&prefix) => {
+                    let len = u32::from_le_bytes(prefix) as usize;
+                    // A length that cannot be a frame's means the stream
+                    // is not framed any more: the prefix stays, and every
+                    // later receive says so too.
+                    if len > MAX_FRAME {
+                        return Err(NetError::FrameTooLarge {
+                            size: len,
+                            max: MAX_FRAME,
+                        });
+                    }
+                    if let Some(body) = pending.get(4..4 + len) {
+                        let frame = body.to_vec();
+                        self.start += 4 + len;
+                        if self.start == self.end {
+                            (self.start, self.end) = (0, 0);
+                        }
+                        return Ok(frame);
+                    }
+                    4 + len
+                }
+                None => 4,
+            };
+            self.make_room(need);
+            match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(NetError::Disconnected),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
     }
-    Ok(())
-}
 
-impl Reader {
-    /// Receives the rest of the current frame and hands it over.
-    fn read_frame(&mut self) -> Result<Vec<u8>, NetError> {
-        if self.filled < 4 {
-            fill(&mut self.stream, &mut self.prefix, &mut self.filled)?;
+    /// Makes the buffer able to hold `need` bytes from `start`: moves
+    /// the pending bytes to its front when they would not fit behind
+    /// it, and grows it for a frame larger than it. It keeps the size
+    /// of the largest frame received, at most [`MAX_FRAME`] and the
+    /// prefix, so a stream of large frames zero-fills it once.
+    fn make_room(&mut self, need: usize) {
+        if self.start + need > self.buf.len() && self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
         }
-        let len = u32::from_le_bytes(self.prefix) as usize;
-        // A length that cannot be a frame's means the stream is not
-        // framed any more: the prefix stays, and every later receive
-        // says so too.
-        if len > MAX_FRAME {
-            return Err(NetError::FrameTooLarge {
-                size: len,
-                max: MAX_FRAME,
-            });
+        if need > self.buf.len() {
+            self.buf.resize(need, 0);
         }
-        if self.body.len() != len {
-            // The prefix has just completed: the body starts here.
-            self.body = vec![0u8; len];
-        }
-        let mut got = self.filled - 4;
-        let received = fill(&mut self.stream, &mut self.body, &mut got);
-        self.filled = 4 + got;
-        received?;
-        self.filled = 0;
-        Ok(std::mem::take(&mut self.body))
     }
 }
 
@@ -286,6 +308,66 @@ mod tests {
         assert!(matches!(t.recv_timeout(wait), Err(NetError::Timeout)));
         raw.write_all(&0u32.to_le_bytes()).unwrap();
         assert_eq!(t.recv_timeout(wait).unwrap(), b"");
+    }
+
+    /// `frames` as they go on the wire, prefix and body each.
+    fn wire(frames: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for frame in frames {
+            out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            out.extend_from_slice(frame);
+        }
+        out
+    }
+
+    #[test]
+    fn frames_fed_a_byte_at_a_time_resume_after_a_timeout_at_every_byte() {
+        let (t, mut raw) = facing_raw_peer();
+        let frames: [&[u8]; 3] = [b"first frame", b"", b"x"];
+        let bytes = wire(&frames);
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |end, f| {
+                *end += 4 + f.len();
+                Some(*end)
+            })
+            .collect();
+        let mut got = Vec::new();
+        for (i, byte) in bytes.iter().enumerate() {
+            raw.write_all(std::slice::from_ref(byte)).unwrap();
+            if ends.contains(&(i + 1)) {
+                // The byte that completes a frame: a blocking receive
+                // waits for it and hands the frame over.
+                got.push(t.recv().unwrap());
+            } else {
+                // Mid-prefix or mid-body: a short wait times out, and
+                // the bytes so far stay for the next receive.
+                let wait = Duration::from_millis(2);
+                assert!(matches!(t.recv_timeout(wait), Err(NetError::Timeout)));
+            }
+        }
+        assert_eq!(got, frames);
+        assert_eq!(t.meter().messages_received(), 3);
+    }
+
+    #[test]
+    fn frames_arriving_in_one_segment_are_handed_over_one_by_one() {
+        let (t, mut raw) = facing_raw_peer();
+        let big = vec![9u8; 3 * READ_CHUNK];
+        let frames: [&[u8]; 4] = [b"one", b"two", &big, b"after the big one"];
+        // Two small frames and the head of a third, larger than the
+        // buffer, in one write; its tail and a fourth frame in another.
+        let bytes = wire(&frames);
+        let split = 4 + 3 + 4 + 3 + 4 + 100;
+        raw.write_all(&bytes[..split]).unwrap();
+        assert_eq!(t.recv().unwrap(), b"one");
+        assert_eq!(t.recv().unwrap(), b"two");
+        let wait = Duration::from_millis(20);
+        assert!(matches!(t.recv_timeout(wait), Err(NetError::Timeout)));
+        raw.write_all(&bytes[split..]).unwrap();
+        assert_eq!(t.recv().unwrap(), big);
+        assert_eq!(t.recv().unwrap(), b"after the big one");
+        assert!(matches!(t.recv_timeout(wait), Err(NetError::Timeout)));
     }
 
     #[test]

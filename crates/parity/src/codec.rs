@@ -16,7 +16,7 @@ use std::ops::Range;
 
 use crate::varint::{decode_varint, encode_varint, varint_len};
 use crate::xor::{
-    for_each_nonzero_word, for_each_nonzero_xor_word, nonzero_lanes, xor_in_place, ALL_LANES,
+    for_each_nonzero_run, for_each_nonzero_xor_run, nonzero_lanes, xor_in_place, Nonzero, ALL_LANES,
 };
 
 /// Errors from decoding a serialized sparse parity.
@@ -249,7 +249,7 @@ impl SparseCodec {
     pub fn encode(&self, parity: &[u8]) -> SparseParity {
         let mut extents = Vec::new();
         let mut finder = ExtentFinder::new(self.min_gap, &mut extents);
-        for_each_nonzero_word(parity, |at, x| finder.word(at, x));
+        for_each_nonzero_run(parity, |at, step| finder.step(at, step));
         finder.finish();
         let mut stream = Vec::with_capacity(wire_len(parity.len(), &extents));
         emit_extents(parity.len(), &extents, &mut stream, |out, at| {
@@ -286,7 +286,7 @@ impl SparseCodec {
         extents.clear();
         stream.clear();
         let mut finder = ExtentFinder::new(self.min_gap, &mut extents);
-        for_each_nonzero_xor_word(old, new, |at, x| finder.word(at, x));
+        for_each_nonzero_xor_run(old, new, |at, step| finder.step(at, step));
         finder.finish();
         DeltaPlan {
             old,
@@ -366,7 +366,8 @@ impl SparseCodec {
 /// the nonzero bytes of the words it is fed in order, each a run of
 /// nonzero bytes and the zero gaps shorter than `min_gap` between them.
 ///
-/// Per word, the mask of its nonzero bytes says all there is: an
+/// Per word, the mask of its nonzero bytes says all there is (a line
+/// with no zero byte comes whole, as one run of nonzero bytes): an
 /// all-zero word (never fed) only lengthens the open gap; a mixed
 /// word's low zero bytes, with the gap already open, close the open
 /// extent if they reach `min_gap` (else the extent runs on through
@@ -393,13 +394,24 @@ impl<'e> ExtentFinder<'e> {
         }
     }
 
+    /// The scan's step at offset `at`, past every step fed before.
+    #[inline(always)]
+    fn step(&mut self, at: usize, step: Nonzero) {
+        match step {
+            Nonzero::Word(x) => self.word(at, x),
+            // A line with no zero byte, on the end of the open extent
+            // or not: a dense write is mostly these.
+            Nonzero::Line if at == self.end => self.end = at + 64,
+            Nonzero::Line => self.reach(at, at + 64),
+        }
+    }
+
     /// The nonzero word `x` at offset `at`, past every word fed before.
     #[inline(always)]
     fn word(&mut self, at: usize, x: u64) {
         let mask = nonzero_lanes(x);
         if mask == ALL_LANES && at == self.end {
-            // A nonzero word on the end of the open extent: a dense
-            // write is mostly these.
+            // A word with no zero byte on the end of the open extent.
             self.end = at + 8;
             return;
         }
@@ -678,6 +690,36 @@ mod tests {
                         // ... and with the whole tail mismatching behind it.
                         for b in &mut new[second..] {
                             *b = !*b;
+                        }
+                        assert_plan_matches_reference(codec, &old, &new);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_lines_match_the_bytewise_oracle_wherever_they_start() {
+        // Runs of changed bytes long enough to fill the lines the scan
+        // tests whole — behind a line with no zero byte, and every
+        // eighth line — starting on a line, mid-line and just past
+        // one, on the end of an open extent or past a gap of either
+        // side of `min_gap`.
+        let old: Vec<u8> = (0..2048usize).map(|i| (i * 7 + 3) as u8).collect();
+        for codec in [
+            SparseCodec::new(1),
+            SparseCodec::default(),
+            SparseCodec::new(100),
+        ] {
+            for start in [0, 1, 63, 64, 448, 500, 511, 512, 513, 576, 1000, 1024, 1536] {
+                for len in [1, 64, 65, 128, 600, 1024, 2048] {
+                    for gap in [None, Some(0), Some(5), Some(150)] {
+                        let mut new = old.clone();
+                        for b in &mut new[start..(start + len).min(old.len())] {
+                            *b = !*b;
+                        }
+                        if let Some(lead) = gap.and_then(|g| start.checked_sub(g + 1)) {
+                            new[lead] ^= 1;
                         }
                         assert_plan_matches_reference(codec, &old, &new);
                     }

@@ -7,13 +7,16 @@
 //! tail mop up the remainder. This keeps the "computation is much
 //! cheaper than communication" premise of the paper honest.
 //!
-//! A parity is scanned eight bytes at a time: [`for_each_nonzero_word`]
-//! (or [`for_each_nonzero_xor_word`], for `old ⊕ new` without
-//! materializing it) skips the zero words and hands over the others,
-//! and per word the mask of its nonzero bytes ([`nonzero_lanes`]) is
-//! all that the extent finder under `SparseCodec` and `DeltaStats`
-//! read. The scans are `#[inline(always)]`: compiled apart, the call
-//! per word into the consumer made them several times slower.
+//! A parity is scanned eight bytes at a time: [`for_each_nonzero_xor_word`]
+//! reads `old ⊕ new` without materializing it, skips the zero words
+//! and hands over the others, and per word the mask of its nonzero
+//! bytes ([`nonzero_lanes`]) is all that `DeltaStats` reads; the extent
+//! finder under `SparseCodec` reads the same through
+//! [`for_each_nonzero_run`] (or [`for_each_nonzero_xor_run`]), which
+//! also hands over a line with no zero byte at once. Zero words are
+//! passed over a 64-byte line at a time. The scans are
+//! `#[inline(always)]`: compiled apart, the call per word into the
+//! consumer made them several times slower.
 
 /// Bytes per wide chunk: one cache line, eight `u64` lanes.
 const WIDE: usize = 64;
@@ -64,41 +67,105 @@ pub fn xor_in_place(dst: &mut [u8], src: &[u8]) {
 }
 
 /// Calls `f(at, word)` for each nonzero little-endian 8-byte word of
-/// `buf` in order, `at` its offset (byte `at + k` is lane `k`); a
-/// partial last word is padded with zero bytes.
-#[inline(always)]
-pub(crate) fn for_each_nonzero_word(buf: &[u8], f: impl FnMut(usize, u64)) {
-    nonzero_words(buf.chunks(WIDE).map(line_words), f);
-}
-
-/// [`for_each_nonzero_word`] over the *virtual* parity `a ⊕ b`, never
-/// materialized.
+/// the *virtual* parity `a ⊕ b`, never materialized, in order, `at` its
+/// offset (byte `at + k` is lane `k`); a partial last word is padded
+/// with zero bytes.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 #[inline(always)]
-pub(crate) fn for_each_nonzero_xor_word(a: &[u8], b: &[u8], f: impl FnMut(usize, u64)) {
-    assert_eq!(a.len(), b.len(), "xor operands must be equal length");
-    let lines = a.chunks(WIDE).zip(b.chunks(WIDE)).map(|(x, y)| {
-        let (x, y) = (line_words(x), line_words(y));
-        std::array::from_fn(|k| x[k] ^ y[k])
+pub(crate) fn for_each_nonzero_xor_word(a: &[u8], b: &[u8], mut f: impl FnMut(usize, u64)) {
+    nonzero_lines(xor_lines(a, b), |at, line| {
+        for (k, &x) in line.iter().enumerate() {
+            if x != 0 {
+                f(at + 8 * k, x);
+            }
+        }
     });
-    nonzero_words(lines, f);
 }
 
-/// Calls `f(at, word)` for each nonzero word of `lines`, 64 bytes each.
-/// The zero words a parity is mostly made of are passed over a line at
-/// a time.
+/// What [`for_each_nonzero_run`] hands over at an offset.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Nonzero {
+    /// A nonzero little-endian word (byte `at + k` is lane `k`).
+    Word(u64),
+    /// A whole 64-byte line with no zero byte: eight words whose
+    /// [`nonzero_lanes`] are [`ALL_LANES`], at once.
+    Line,
+}
+
+/// Calls `f(at, step)` for each nonzero 8-byte word of `buf` in order,
+/// as [`for_each_nonzero_xor_word`] does over `a ⊕ b`, except that a
+/// full line with no zero byte comes whole ([`Nonzero::Line`]) — the
+/// mirror image of the zero line passed over at once — if it is
+/// tested: a line behind one that came whole, and every eighth line
+/// (offsets a multiple of 512). The test costs a tested line a few
+/// operations, which a consumer with much work per word (the extent
+/// finder) wins back on a dense write; testing every line cost a
+/// write with a zero byte in every line more than that, and a consumer
+/// with little work per word (`DeltaStats::measure`) would not win it
+/// back at all.
 #[inline(always)]
-fn nonzero_words(lines: impl Iterator<Item = [u64; 8]>, mut f: impl FnMut(usize, u64)) {
+pub(crate) fn for_each_nonzero_run(buf: &[u8], f: impl FnMut(usize, Nonzero)) {
+    nonzero_runs(buf.chunks(WIDE).map(line_words), f);
+}
+
+/// [`for_each_nonzero_run`] over the *virtual* parity `a ⊕ b`.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline(always)]
+pub(crate) fn for_each_nonzero_xor_run(a: &[u8], b: &[u8], f: impl FnMut(usize, Nonzero)) {
+    nonzero_runs(xor_lines(a, b), f);
+}
+
+#[inline(always)]
+fn nonzero_runs(lines: impl Iterator<Item = [u64; 8]>, mut f: impl FnMut(usize, Nonzero)) {
+    // Whether the last line tested had no zero byte.
+    let mut dense = false;
+    nonzero_lines(lines, |at, line| {
+        // A write with a zero byte in every line tests an eighth of
+        // them; a dense one finds its run within eight lines.
+        if dense || at % (8 * WIDE) == 0 {
+            dense = line.iter().fold(0, |zero, &x| zero | has_zero_byte(x)) == 0;
+            if dense {
+                f(at, Nonzero::Line);
+                return;
+            }
+        }
+        for (k, &x) in line.iter().enumerate() {
+            if x != 0 {
+                f(at + 8 * k, Nonzero::Word(x));
+            }
+        }
+    });
+}
+
+/// The 64-byte lines of `a ⊕ b` as words, the last padded with zero
+/// bytes.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+#[inline(always)]
+fn xor_lines<'a>(a: &'a [u8], b: &'a [u8]) -> impl Iterator<Item = [u64; 8]> + 'a {
+    assert_eq!(a.len(), b.len(), "xor operands must be equal length");
+    a.chunks(WIDE).zip(b.chunks(WIDE)).map(|(x, y)| {
+        let (x, y) = (line_words(x), line_words(y));
+        std::array::from_fn(|k| x[k] ^ y[k])
+    })
+}
+
+/// Calls `f(at, line)` for each line of `lines` (64 bytes each, `at`
+/// its offset) with a nonzero byte: the zero words a parity is mostly
+/// made of are passed over a line at a time.
+#[inline(always)]
+fn nonzero_lines(lines: impl Iterator<Item = [u64; 8]>, mut f: impl FnMut(usize, &[u64; 8])) {
     for (i, line) in lines.enumerate() {
         if line.iter().fold(0, |any, &x| any | x) != 0 {
-            for (k, &x) in line.iter().enumerate() {
-                if x != 0 {
-                    f(WIDE * i + 8 * k, x);
-                }
-            }
+            f(WIDE * i, &line);
         }
     }
 }
@@ -124,6 +191,13 @@ pub(crate) const ALL_LANES: u64 = 0x8080_8080_8080_8080;
 pub(crate) fn nonzero_lanes(x: u64) -> u64 {
     const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
     (((x & LOW7) + LOW7) | x) & ALL_LANES
+}
+
+/// Nonzero exactly when the word `x` has a zero byte. Cheaper than
+/// [`nonzero_lanes`] and exact only as a whole: a borrow out of a zero
+/// byte can mark the lane above it too.
+fn has_zero_byte(x: u64) -> u64 {
+    x.wrapping_sub(0x0101_0101_0101_0101) & !x & ALL_LANES
 }
 
 /// The number of lanes set in a [`nonzero_lanes`] mask. A multiply
@@ -229,25 +303,68 @@ mod tests {
         }
     }
 
+    fn steps(buf: &[u8]) -> Vec<(usize, Nonzero)> {
+        let mut got = Vec::new();
+        for_each_nonzero_run(buf, |at, step| got.push((at, step)));
+        got
+    }
+
     #[test]
     fn words_pad_the_tail_with_zeros() {
-        let words = |buf: &[u8]| {
-            let mut got = Vec::new();
-            for_each_nonzero_word(buf, |at, w| got.push((at, w)));
-            got
-        };
         let mut buf: Vec<u8> = (1..=19).collect();
         buf[8..16].fill(0);
+        let word = |bytes| Nonzero::Word(u64::from_le_bytes(bytes));
         assert_eq!(
-            words(&buf),
+            steps(&buf),
             [
-                (0, u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8])),
-                (16, u64::from_le_bytes([17, 18, 19, 0, 0, 0, 0, 0]))
+                (0, word([1, 2, 3, 4, 5, 6, 7, 8])),
+                (16, word([17, 18, 19, 0, 0, 0, 0, 0]))
             ]
         );
-        assert_eq!(words(&buf[..16]).len(), 1);
-        assert!(words(&buf[8..16]).is_empty());
-        assert!(words(&[]).is_empty());
+        assert_eq!(steps(&buf[..16]).len(), 1);
+        assert!(steps(&buf[8..16]).is_empty());
+        assert!(steps(&[]).is_empty());
+        let mut xor = Vec::new();
+        for_each_nonzero_xor_word(&buf, &[0; 19], |at, x| xor.push((at, Nonzero::Word(x))));
+        assert_eq!(xor, steps(&buf));
+    }
+
+    #[test]
+    fn a_line_with_no_zero_byte_comes_whole() {
+        let dense = vec![0xa5u8; 3 * WIDE + 9];
+        let word = Nonzero::Word(u64::from_le_bytes([0xa5; 8]));
+        assert_eq!(
+            steps(&dense),
+            [
+                (0, Nonzero::Line),
+                (64, Nonzero::Line),
+                (128, Nonzero::Line),
+                // The padded tail has zero bytes: its words come apart.
+                (192, word),
+                (200, Nonzero::Word(0xa5)),
+            ]
+        );
+        let mut xor = Vec::new();
+        for_each_nonzero_xor_run(&dense, &vec![0; dense.len()], |at, step| {
+            xor.push((at, step))
+        });
+        assert_eq!(xor, steps(&dense));
+        // Only a line behind one that came whole, or every eighth
+        // line, is tested: a dense stretch behind a line with a zero
+        // byte comes as words up to the next 512-byte boundary.
+        let mut stretch = vec![0xa5u8; 10 * WIDE];
+        stretch[3] = 0;
+        let got = steps(&stretch);
+        assert_eq!(got.len(), 8 * 8 + 2);
+        assert_eq!(&got[64..], [(512, Nonzero::Line), (576, Nonzero::Line)]);
+        // One zero byte anywhere in a line breaks it into words.
+        for hole in 0..WIDE {
+            let mut line = vec![0xa5u8; WIDE];
+            line[hole] = 0;
+            let got = steps(&line);
+            assert_eq!(got.len(), 8, "hole at {hole}");
+            assert_eq!(got.iter().filter(|&&(_, x)| x != word).count(), 1);
+        }
     }
 
     proptest! {

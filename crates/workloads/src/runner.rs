@@ -2,7 +2,7 @@
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 
@@ -196,12 +196,6 @@ pub fn run(
     config: &RunConfig,
     observer: Option<WriteObserver>,
 ) -> Result<RunReport, WorkloadError> {
-    let device = Arc::new(InstrumentedDevice::new(MemDevice::new(
-        config.block_size,
-        device_blocks(workload, config),
-    )));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-
     // Composite observer: count writes and accumulate delta statistics,
     // then forward.
     let measured = Arc::new(Mutex::new((0u64, DeltaStats::default())));
@@ -216,6 +210,31 @@ pub fn run(
             obs(lba, old, new);
         }
     });
+    let (ops, duration) = drive(workload, config, composite)?;
+    let (device_writes, delta) = *measured.lock().expect("measure mutex");
+    Ok(RunReport {
+        workload: workload.name().to_string(),
+        ops,
+        device_writes,
+        delta,
+        duration,
+    })
+}
+
+/// The body [`run`] and [`capture_trace`](crate::capture_trace) share:
+/// builds `workload`, installs `observer` once its setup is done, runs
+/// the measured phase, and returns the operations run and how long they
+/// took. It measures nothing about the writes itself.
+pub(crate) fn drive(
+    workload: Workload,
+    config: &RunConfig,
+    observer: WriteObserver,
+) -> Result<(u64, Duration), WorkloadError> {
+    let device = Arc::new(InstrumentedDevice::new(MemDevice::new(
+        config.block_size,
+        device_blocks(workload, config),
+    )));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
 
     let started;
     let ops_done: u64;
@@ -228,7 +247,7 @@ pub fn run(
             );
             let db = TpccDatabase::build(&pool, profile, scale, &mut rng)?;
             let mut driver = TpccDriver::new(db);
-            device.set_observer(composite);
+            device.set_observer(observer);
             started = Instant::now();
             driver.run(&mut rng, config.ops)?;
             ops_done = driver.total();
@@ -243,7 +262,7 @@ pub fn run(
                 pool_frames(config),
             );
             let mut driver = TpcwDriver::build(&pool, scale, &mut rng)?;
-            device.set_observer(composite);
+            device.set_observer(observer);
             started = Instant::now();
             driver.run(&mut rng, config.ops)?;
             ops_done = driver.interactions();
@@ -258,7 +277,7 @@ pub fn run(
                 fs_config,
                 &mut rng,
             )?;
-            device.set_observer(composite);
+            device.set_observer(observer);
             started = Instant::now();
             let rounds = config.fs_rounds();
             micro.run(rounds, &mut rng)?;
@@ -268,7 +287,7 @@ pub fn run(
             let docs = synth_zone_blocks(config);
             let mut store =
                 TextStore::setup(Arc::clone(&device) as Arc<dyn BlockDevice>, docs, &mut rng)?;
-            device.set_observer(composite);
+            device.set_observer(observer);
             started = Instant::now();
             store.run(config.ops, &mut rng)?;
             ops_done = store.ops_run();
@@ -280,7 +299,7 @@ pub fn run(
                 zone_blocks,
                 &mut rng,
             )?;
-            device.set_observer(composite);
+            device.set_observer(observer);
             started = Instant::now();
             mix.run(config.ops, &mut rng)?;
             ops_done = mix.ops_run();
@@ -288,14 +307,7 @@ pub fn run(
     }
     let duration = started.elapsed();
     device.clear_observer();
-    let (device_writes, delta) = *measured.lock().expect("measure mutex");
-    Ok(RunReport {
-        workload: workload.name().to_string(),
-        ops: ops_done,
-        device_writes,
-        delta,
-        duration,
-    })
+    Ok((ops_done, duration))
 }
 
 fn tpcc_setup(workload: Workload, config: &RunConfig) -> (DbProfile, TpccScale) {

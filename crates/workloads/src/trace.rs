@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use prins_block::{BlockSize, Lba};
 use prins_parity::{decode_varint, encode_varint, SparseCodec, SparseParity};
 
-use crate::runner::{run, RunConfig, Workload, WorkloadError};
+use crate::runner::{drive, RunConfig, Workload, WorkloadError};
 
 const MAGIC: &[u8; 4] = b"PTR1";
 
@@ -237,21 +237,21 @@ impl std::fmt::Debug for WriteTrace {
 ///
 /// Propagates workload failures.
 pub fn capture_trace(workload: Workload, config: &RunConfig) -> Result<WriteTrace, WorkloadError> {
-    let trace = Arc::new(Mutex::new(WriteTrace::new(config.block_size)));
-    let seen = Arc::new(Mutex::new(std::collections::HashSet::<u64>::new()));
+    let trace = Arc::new(Mutex::new((
+        WriteTrace::new(config.block_size),
+        std::collections::HashSet::<u64>::new(),
+    )));
     let sink = Arc::clone(&trace);
-    let seen_sink = Arc::clone(&seen);
-    run(
+    drive(
         workload,
         config,
-        Some(Box::new(move |lba, old, new| {
-            let first = seen_sink.lock().expect("seen mutex").insert(lba.index());
-            sink.lock()
-                .expect("trace mutex")
-                .record(lba, old, new, first);
-        })),
+        Box::new(move |lba, old, new| {
+            let (trace, seen) = &mut *sink.lock().expect("trace mutex");
+            let first = seen.insert(lba.index());
+            trace.record(lba, old, new, first);
+        }),
     )?;
-    let trace = Arc::try_unwrap(trace)
+    let (trace, _) = Arc::try_unwrap(trace)
         .expect("observer dropped")
         .into_inner()
         .expect("trace mutex");
@@ -413,5 +413,34 @@ mod tests {
         });
         assert!(changed > 0);
         assert!(changed < total, "writes must be partial");
+    }
+
+    #[test]
+    fn every_workloads_smoke_capture_is_pinned() {
+        // FNV-1a over each smoke-scale capture's serialized bytes,
+        // pinned from captures taken through `run`'s measuring
+        // observer: `capture_trace` records the same writes without it.
+        fn fnv(bytes: &[u8]) -> u64 {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+        let config = crate::RunConfig::smoke(BlockSize::kb4());
+        let got: Vec<(Workload, usize, u64)> = Workload::EXTENDED
+            .iter()
+            .map(|&w| {
+                let bytes = capture_trace(w, &config).unwrap().to_bytes();
+                (w, bytes.len(), fnv(&bytes))
+            })
+            .collect();
+        let want = [
+            (Workload::TpccOracle, 175_526, 14_939_711_041_267_850_182),
+            (Workload::TpccPostgres, 175_809, 15_531_906_618_516_465_658),
+            (Workload::TpcwMysql, 33_865, 17_032_652_138_967_667_398),
+            (Workload::FsMicro, 61_086, 16_915_388_269_804_625_911),
+            (Workload::Text, 282_574, 2_732_917_936_412_951_711),
+            (Workload::HostileMixed, 254_306, 17_431_125_389_182_808_535),
+        ];
+        assert_eq!(got, want);
     }
 }
